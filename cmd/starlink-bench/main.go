@@ -281,9 +281,29 @@ func run(args []string, stdout, stderr io.Writer) error {
 		fmt.Fprintf(stderr, "fleet scale sweep: 10k/100k/1M-terminal epochs...\n")
 		scaleRep = fleetScaleSweep(*seed)
 	}
+	// Engine telemetry, on stderr only: how many events each campaign's
+	// scheduler ran and how deep its queue got, so a queue twenty thousand
+	// timers deep shows without a profiler. Never part of the byte-diffed
+	// report or the deterministic exports.
+	type queueStat struct {
+		events uint64
+		peak   int
+	}
+	queues := make([]queueStat, len(jobs))
+	for i := range jobs {
+		run := jobs[i].Run
+		jobs[i].Run = func(tb *core.Testbed) any {
+			res := run(tb)
+			queues[i] = queueStat{tb.Sched.Processed, tb.Sched.QueuePeak()}
+			return res
+		}
+	}
 	fmt.Fprintf(stderr, "running %d campaigns on %d workers...\n", len(jobs), nw)
 	started := time.Now()
 	core.RunSweep(jobs, opts)
+	for i, q := range queues {
+		fmt.Fprintf(stderr, "scheduler: %-18s %9d events, queue peak %d\n", jobs[i].Name, q.events, q.peak)
+	}
 
 	// The fleet scenario runs after the sweep on the same options: seed
 	// and worker count flow through, and its per-region metrics/trace
@@ -705,7 +725,7 @@ type packetPathReport struct {
 }
 
 // measurePacketPath runs n UDP packets through a 3-node chain after a
-// warmup that fills the packet/event freelists, returning ns/packet,
+// warmup that fills the packet freelist and link rings, returning ns/packet,
 // allocs/packet (cumulative-malloc delta, so the pooled path genuinely
 // reads zero), and the packet-pool hit rate.
 func measurePacketPath(reference bool, n int) (nsPerPacket, allocsPerPacket, hitRate float64) {

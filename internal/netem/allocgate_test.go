@@ -36,7 +36,7 @@ func buildChainOn(nw *Network, k int, hop time.Duration) []*Node {
 
 func gateAllocs(t *testing.T, name string, f func()) {
 	t.Helper()
-	// Warm the pools (packet freelist, link events, scheduler timers, Hops
+	// Warm the pools (packet freelist, link rings, scheduler timers, Hops
 	// backing) past their steady-state high-water mark before measuring.
 	for i := 0; i < 64; i++ {
 		f()

@@ -153,9 +153,14 @@ type Link struct {
 	obsSubj obs.Subj
 
 	// cross, when non-nil, marks this as a cross-partition link: instead
-	// of scheduling delivery locally, txDone stages a copied record on the
-	// PDES cross edge (crosslink.go).
+	// of scheduling delivery locally, transmit stages a copied record on
+	// the PDES cross edge (crosslink.go).
 	cross *crossEndpoint
+
+	// pipe holds the packets in flight (pipe.go), allocated on first send:
+	// a fleet builds ~100 k links that carry a probe or nothing at all, and
+	// one more word keeps Link in its 224-byte size class.
+	pipe *linkPipe
 
 	// DropHook, when set, observes every packet the link drops.
 	DropHook func(now sim.Time, pkt *Packet, reason DropReason)
@@ -212,45 +217,41 @@ func (l *Link) retier() {
 // Config returns the link configuration (by value).
 func (l *Link) Config() LinkConfig { return l.cfg }
 
-// linkEvent carries one in-flight packet through its two scheduler hops
-// (end of serialization, then arrival). Events are pooled on the Network
-// and passed to sim.AtFunc as the arg pointer, so forwarding a packet
-// schedules without allocating a closure, a timer, or the event itself.
-type linkEvent struct {
-	link *Link
-	pkt  *Packet
+// send puts pkt on the link. Queue overflow drops immediately (congestion
+// loss); otherwise the packet serializes FIFO at the link rate, may be
+// lost to the medium or an outage at the end of serialization, and is
+// delivered to the far node after propagation. The lower fidelity tiers
+// collapse the serialization hop (see bypass).
+func (l *Link) send(pkt *Packet) {
+	if l.cfg.Fidelity != FidelityFull {
+		if arrival, ok := l.bypass(pkt); ok {
+			l.enqueue(&l.pipes().prop, arrival, pkt, linkDeliver)
+		}
+		return
+	}
+	if txDone, ok := l.admit(pkt); ok {
+		l.enqueue(&l.pipes().ser, txDone, pkt, linkTxDone)
+	}
 }
 
-// linkTxDone and linkDeliver are the package-level EventFunc trampolines
-// for the two hops; being plain functions, scheduling them boxes nothing.
-func linkTxDone(arg any)  { arg.(*linkEvent).txDone() }
-func linkDeliver(arg any) { arg.(*linkEvent).deliver() }
-
-// send enqueues pkt for transmission. Queue overflow drops immediately
-// (congestion loss); otherwise the packet serializes FIFO at the link
-// rate, may be lost to the medium or an outage at the end of
-// serialization, and is delivered to the far node after propagation.
+// admit applies the DropTail cap and the serialization clock; it returns
+// the instant serialization of pkt ends, or false if the queue was full.
 //
 // Queue-depth metrics and enqueue/dequeue trace records are emitted only
 // for links with a real queue (RateBps > 0): a rate-0 link's depth is
 // identically zero, and keeping those records out of the trace is what
 // lets the lower fidelity tiers (which collapse the serialization hop)
 // stay byte-identical to this path on the obs exports.
-func (l *Link) send(pkt *Packet) {
-	if l.cfg.Fidelity != FidelityFull {
-		l.sendBypass(pkt)
-		return
-	}
-	s := l.net.sched
-	now := s.Now()
+func (l *Link) admit(pkt *Packet) (txDone sim.Time, ok bool) {
+	now := l.net.sched.Now()
 
 	if l.cfg.QueueBytes > 0 && l.queuedBytes+pkt.Size > l.cfg.QueueBytes {
 		l.stats.DropsQueue++
 		l.drop(now, pkt, DropQueueFull)
-		return
+		return 0, false
 	}
 
-	var txDone sim.Time
+	txDone = now
 	if l.cfg.RateBps > 0 {
 		tx := time.Duration(float64(pkt.Size*8) / l.cfg.RateBps * float64(time.Second))
 		start := now
@@ -267,19 +268,16 @@ func (l *Link) send(pkt *Packet) {
 			l.obs.queueDepth.Observe(int64(l.queuedBytes))
 			l.obs.tr.Emit(now, obs.KindEnqueue, l.obsSubj, int64(l.queuedBytes), int64(pkt.Size))
 		}
-	} else {
-		txDone = now
 	}
 	l.stats.Sent++
 	if l.obs != nil {
 		l.obs.sent.Inc()
 	}
-
-	s.AtFunc(txDone, linkTxDone, l.net.getLinkEvent(l, pkt))
+	return txDone, true
 }
 
-// sendBypass is the delay-only/fast datapath: one scheduler event instead
-// of the serialization + arrival pair. The queue machinery is skipped
+// bypass is the delay-only/fast datapath: one scheduler event instead of
+// the serialization + arrival pair. The queue machinery is skipped
 // outright (sound because auto-selection only picks these tiers when
 // RateBps == 0 and QueueBytes == 0, where the full path would compute
 // txDone == now with zero occupancy), and FidelityFast additionally skips
@@ -287,43 +285,15 @@ func (l *Link) send(pkt *Packet) {
 // remains — drop checks, propagation, the FIFO arrival clamp, stats and
 // obs counters, cross-partition staging — evaluates at the same instant
 // with the same RNG draw order as the full path, which is what the
-// bit-identity suites pin.
-func (l *Link) sendBypass(pkt *Packet) {
-	s := l.net.sched
-	now := s.Now()
+// bit-identity suites pin. It returns the arrival instant, or false when
+// the packet was dropped or staged across partitions.
+func (l *Link) bypass(pkt *Packet) (arrival sim.Time, ok bool) {
+	now := l.net.sched.Now()
 	l.stats.Sent++
 	if l.obs != nil {
 		l.obs.sent.Inc()
 	}
-	if l.cfg.Fidelity == FidelityDelayOnly {
-		if l.cfg.Down != nil && l.cfg.Down(now) {
-			l.stats.DropsDown++
-			l.drop(now, pkt, DropOutage)
-			return
-		}
-		if l.cfg.Loss != nil && l.cfg.Loss.Lost(now) {
-			l.stats.DropsLoss++
-			l.drop(now, pkt, DropMedium)
-			return
-		}
-	}
-	var prop time.Duration
-	if l.cfg.Delay != nil {
-		prop = l.cfg.Delay(now)
-	}
-	if l.cfg.Fidelity == FidelityDelayOnly && l.cfg.Jitter != nil {
-		prop += l.jitterAt(now)
-	}
-	arrival := now.Add(prop)
-	if arrival < l.lastArrival {
-		arrival = l.lastArrival
-	}
-	l.lastArrival = arrival
-	if l.cross != nil {
-		l.stageCross(arrival, pkt)
-		return
-	}
-	s.AtFunc(arrival, linkDeliver, l.net.getLinkEvent(l, pkt))
+	return l.propagate(now, pkt, l.cfg.Fidelity == FidelityDelayOnly)
 }
 
 // jitterAt draws one jitter sample and enforces the LinkConfig.Jitter
@@ -370,39 +340,45 @@ func (l *Link) AccountBypassed(n uint64, lastArrival sim.Time) {
 	}
 }
 
-// txDone runs at the end of serialization: dequeue, apply outage and
-// medium loss, then schedule the arrival after propagation (reusing the
-// same pooled event for the second hop).
-func (ev *linkEvent) txDone() {
-	l, pkt := ev.link, ev.pkt
-	s := l.net.sched
-	at := s.Now()
+// transmit runs at the end of serialization: dequeue, then outage, medium
+// loss and propagation. It returns the arrival instant, or false when the
+// packet was dropped or staged across partitions.
+func (l *Link) transmit(pkt *Packet) (arrival sim.Time, ok bool) {
+	at := l.net.sched.Now()
 	if l.cfg.RateBps > 0 {
 		l.queuedBytes -= pkt.Size
 		if l.obs != nil {
 			l.obs.tr.Emit(at, obs.KindDequeue, l.obsSubj, int64(l.queuedBytes), int64(pkt.Size))
 		}
 	}
-	if l.cfg.Down != nil && l.cfg.Down(at) {
-		l.net.putLinkEvent(ev)
-		l.stats.DropsDown++
-		l.drop(at, pkt, DropOutage)
-		return
-	}
-	if l.cfg.Loss != nil && l.cfg.Loss.Lost(at) {
-		l.net.putLinkEvent(ev)
-		l.stats.DropsLoss++
-		l.drop(at, pkt, DropMedium)
-		return
+	return l.propagate(at, pkt, true)
+}
+
+// propagate is the tail both datapaths share: outage, medium loss and
+// jitter (when impaired — FidelityFast has none to evaluate), propagation
+// delay, the FIFO arrival clamp, and the hand-off to the cross edge on a
+// cross-partition link.
+func (l *Link) propagate(at sim.Time, pkt *Packet, impaired bool) (arrival sim.Time, ok bool) {
+	if impaired {
+		if l.cfg.Down != nil && l.cfg.Down(at) {
+			l.stats.DropsDown++
+			l.drop(at, pkt, DropOutage)
+			return 0, false
+		}
+		if l.cfg.Loss != nil && l.cfg.Loss.Lost(at) {
+			l.stats.DropsLoss++
+			l.drop(at, pkt, DropMedium)
+			return 0, false
+		}
 	}
 	var prop time.Duration
 	if l.cfg.Delay != nil {
 		prop = l.cfg.Delay(at)
 	}
-	if l.cfg.Jitter != nil {
+	if impaired && l.cfg.Jitter != nil {
 		prop += l.jitterAt(at)
 	}
-	arrival := at.Add(prop)
+	arrival = at.Add(prop)
 	// A link is a FIFO pipe: jitter and shrinking path delays must
 	// not reorder packets in flight.
 	if arrival < l.lastArrival {
@@ -412,18 +388,14 @@ func (ev *linkEvent) txDone() {
 	if l.cross != nil {
 		// Cross-partition link: the propagation hop happens on the
 		// destination partition's clock via the cross edge (crosslink.go).
-		l.net.putLinkEvent(ev)
 		l.stageCross(arrival, pkt)
-		return
+		return 0, false
 	}
-	s.AtFunc(arrival, linkDeliver, ev)
+	return arrival, true
 }
 
-// deliver hands the packet to the far node. The event returns to the
-// pool first so nested sends triggered by delivery can reuse it.
-func (ev *linkEvent) deliver() {
-	l, pkt := ev.link, ev.pkt
-	l.net.putLinkEvent(ev)
+// deliver hands the packet to the far node.
+func (l *Link) deliver(pkt *Packet) {
 	l.stats.Delivered++
 	if l.obs != nil {
 		l.obs.delivered.Inc()

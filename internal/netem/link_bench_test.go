@@ -9,7 +9,7 @@ import (
 
 // BenchmarkLinkForward measures one packet's full trip through a rated
 // link: enqueue, serialization event, propagation, delivery. With the
-// pooled link events and the allocation-free scheduler this is 0
+// link pipe and the allocation-free scheduler this is 0
 // allocs/op in steady state.
 func BenchmarkLinkForward(b *testing.B) {
 	s := sim.NewScheduler(1)

@@ -28,15 +28,11 @@ type Network struct {
 	byName   map[string]*Node
 	links    []*Link
 	packetID uint64
-	// evFree recycles linkEvent records across all links; the pool's
-	// high-water mark is the peak number of packets in flight, after
-	// which the per-hop event path stops allocating.
-	evFree []*linkEvent
-	obs    *netObs
+	obs      *netObs
 
-	// Packet/ICMP freelists and reference-mode switch (see pool.go). As
-	// with evFree, the freelists' high-water mark is the peak number of
-	// packets alive at once; past it the datapath stops allocating.
+	// Packet/ICMP freelists and reference-mode switch (see pool.go). The
+	// freelists' high-water mark is the peak number of packets alive at
+	// once; past it the datapath stops allocating.
 	reference bool
 	pktFree   []*Packet
 	icmpFree  []*ICMP
@@ -195,20 +191,4 @@ func (nw *Network) TierCounts() (full, delayOnly, fast int) {
 func (nw *Network) nextPacketID() uint64 {
 	nw.packetID++
 	return nw.packetID
-}
-
-func (nw *Network) getLinkEvent(l *Link, pkt *Packet) *linkEvent {
-	if n := len(nw.evFree); n > 0 {
-		ev := nw.evFree[n-1]
-		nw.evFree[n-1] = nil
-		nw.evFree = nw.evFree[:n-1]
-		ev.link, ev.pkt = l, pkt
-		return ev
-	}
-	return &linkEvent{link: l, pkt: pkt}
-}
-
-func (nw *Network) putLinkEvent(ev *linkEvent) {
-	ev.link, ev.pkt = nil, nil
-	nw.evFree = append(nw.evFree, ev)
 }

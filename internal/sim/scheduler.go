@@ -99,8 +99,17 @@ type Scheduler struct {
 	free     []*Timer // recycled nodes
 	ref      *refQueue
 	rng      *RNG
-	running  bool
 	stopped  bool
+	// hollow marks heap[0] as the node of the event being fired: dead to
+	// its handles but still in place, waiting for the first event its
+	// callback schedules to take the slot over (see step).
+	hollow bool
+	// firing is the sequence number of the event being (or last) fired at
+	// now; an explicit-seq event at the same instant must not sort before it.
+	firing uint64
+	// queuePeak is the high-water mark of the queue length: engine
+	// telemetry, never part of the deterministic exports.
+	queuePeak int
 	// Processed counts events executed since construction; useful for
 	// progress accounting and runaway detection in tests.
 	Processed uint64
@@ -176,24 +185,62 @@ func (s *Scheduler) AfterFunc(d Duration, fn EventFunc, arg any) TimerHandle {
 	return s.AtFunc(s.now.Add(d), fn, arg)
 }
 
+// ReserveSeq hands out the sequence number a timer scheduled at this
+// instant would take, without queueing anything. A FIFO of events (a netem
+// link's in-flight packets) reserves one key per entry as it is pushed and
+// arms a single timer, for its head only, with AtFuncSeq: every entry still
+// fires at exactly the (at, seq) position its own timer would have had.
+func (s *Scheduler) ReserveSeq() uint64 {
+	seq := s.seq
+	s.seq++
+	return seq
+}
+
+// AtFuncSeq is AtFunc under a sequence number reserved earlier with
+// ReserveSeq. Besides the past it refuses the two ways a supplied key could
+// reorder events: a seq ReserveSeq never handed out, and a key at the
+// current instant that sorts before the event being fired.
+func (s *Scheduler) AtFuncSeq(at Time, seq uint64, fn EventFunc, arg any) TimerHandle {
+	if fn == nil {
+		panic("sim: nil event")
+	}
+	if seq >= s.seq {
+		panic(fmt.Sprintf("sim: sequence number %d was never reserved (next is %d)", seq, s.seq))
+	}
+	if at == s.now && seq < s.firing {
+		panic(fmt.Sprintf("sim: event (%v, seq %d) sorts before the event being fired (seq %d)", at, seq, s.firing))
+	}
+	return s.enqueue(at, seq, nil, fn, arg)
+}
+
 func (s *Scheduler) schedule(at Time, fn Event, efn EventFunc, arg any) TimerHandle {
+	return s.enqueue(at, s.ReserveSeq(), fn, efn, arg)
+}
+
+func (s *Scheduler) enqueue(at Time, seq uint64, fn Event, efn EventFunc, arg any) TimerHandle {
 	if at < s.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", at, s.now))
 	}
 	var t *Timer
-	if s.ref != nil {
+	switch {
+	case s.ref != nil:
 		// Reference path: fresh node per event, never recycled — the
 		// seed's allocation behavior, preserved for honest comparison.
-		t = &Timer{s: s}
-	} else {
-		t = s.alloc()
-	}
-	t.at, t.seq, t.fn, t.efn, t.arg = at, s.seq, fn, efn, arg
-	s.seq++
-	if s.ref != nil {
+		t = &Timer{s: s, at: at, seq: seq, fn: fn, efn: efn, arg: arg}
 		s.ref.push(t)
-	} else {
+		s.queuePeak = max(s.queuePeak, s.ref.len())
+	case s.hollow:
+		// Take over the root the firing event left: one sift-down instead
+		// of its pop's sift-down plus this push's sift-up.
+		s.hollow = false
+		t = s.heap[0]
+		t.at, t.seq, t.fn, t.efn, t.arg = at, seq, fn, efn, arg
+		s.siftDown(0)
+	default:
+		t = s.alloc()
+		t.at, t.seq, t.fn, t.efn, t.arg = at, seq, fn, efn, arg
 		s.heapPush(t)
+		s.queuePeak = max(s.queuePeak, len(s.heap))
 	}
 	return TimerHandle{t: t, gen: t.gen}
 }
@@ -230,6 +277,9 @@ func (s *Scheduler) peek() *Timer {
 	if s.ref != nil {
 		return s.ref.peek()
 	}
+	if s.hollow {
+		s.settle()
+	}
 	for len(s.heap) > 0 {
 		t := s.heap[0]
 		if !t.stopped {
@@ -242,84 +292,58 @@ func (s *Scheduler) peek() *Timer {
 	return nil
 }
 
-// pop removes and returns the earliest pending, non-stopped timer,
-// or nil when the queue is exhausted.
-func (s *Scheduler) pop() *Timer {
+// settle pops a hollow root nothing took over.
+func (s *Scheduler) settle() {
+	s.hollow = false
+	s.recycle(s.heapPopMin())
+}
+
+// step fires the earliest live event if it is due at or before limit,
+// advancing the clock to its timestamp, and reports whether one ran.
+//
+// The root is fired in place: its generation is bumped, so every handle to
+// it is dead before the callback runs, but the node stays at heap[0] — it
+// still carries the smallest key, so the heap stays valid — until the
+// first event the callback schedules overwrites it (the retransmit and
+// link-pipe pattern: an event's first act is to re-arm itself), or, if
+// none does, until settle pops it. The queue holds the same keys either
+// way, so the firing order is that of a pop before every callback.
+func (s *Scheduler) step(limit Time) bool {
 	t := s.peek()
-	if t == nil {
-		return nil
+	if t == nil || t.at > limit {
+		return false
 	}
+	s.now, s.firing = t.at, t.seq
+	s.Processed++
+	fn, efn, arg := t.fn, t.efn, t.arg
 	if s.ref != nil {
 		s.ref.popMin()
 	} else {
-		s.heapPopMin()
-	}
-	return t
-}
-
-// fire recycles t and runs its callback. The callback fields are copied
-// out first so the node can be handed to the freelist before user code
-// runs: a callback that re-arms a timer (the retransmit pattern) gets
-// this very node back with a fresh generation.
-func (s *Scheduler) fire(t *Timer) {
-	fn, efn, arg := t.fn, t.efn, t.arg
-	if s.ref == nil {
-		s.recycle(t)
+		t.gen++
+		s.hollow = true
 	}
 	if efn != nil {
 		efn(arg)
 	} else {
 		fn()
 	}
+	if s.hollow {
+		s.settle()
+	}
+	return true
 }
 
 // Step runs the single earliest pending event, advancing the clock to its
 // timestamp. It reports whether an event ran.
-func (s *Scheduler) Step() bool {
-	t := s.pop()
-	if t == nil {
-		return false
-	}
-	s.now = t.at
-	s.Processed++
-	s.fire(t)
-	return true
-}
+func (s *Scheduler) Step() bool { return s.step(MaxTime) }
 
 // Run executes events until the queue is empty or Stop is called.
-func (s *Scheduler) Run() {
-	s.running = true
-	s.stopped = false
-	for !s.stopped && s.Step() {
-	}
-	s.running = false
-}
+func (s *Scheduler) Run() { s.runTo(MaxTime, s.now) }
 
 // RunUntil executes events with timestamps <= deadline, then advances the
 // clock to exactly deadline (even if no event fired there), so periodic
 // samplers observe a full window.
-func (s *Scheduler) RunUntil(deadline Time) {
-	s.running = true
-	s.stopped = false
-	for !s.stopped {
-		t := s.peek()
-		if t == nil || t.at > deadline {
-			break
-		}
-		if s.ref != nil {
-			s.ref.popMin()
-		} else {
-			s.heapPopMin()
-		}
-		s.now = t.at
-		s.Processed++
-		s.fire(t)
-	}
-	if s.now < deadline {
-		s.now = deadline
-	}
-	s.running = false
-}
+func (s *Scheduler) RunUntil(deadline Time) { s.runTo(deadline, deadline) }
 
 // RunFor executes events for d of virtual time from now.
 func (s *Scheduler) RunFor(d Duration) { s.RunUntil(s.now.Add(d)) }
@@ -329,27 +353,19 @@ func (s *Scheduler) RunFor(d Duration) { s.RunUntil(s.now.Add(d)) }
 // conservative PDES driver needs: events at the horizon itself belong to
 // the next window, after the barrier has delivered any cross-partition
 // arrivals stamped exactly at it.
-func (s *Scheduler) RunBefore(horizon Time) {
-	s.running = true
+func (s *Scheduler) RunBefore(horizon Time) { s.runTo(horizon-1, horizon) }
+
+// runTo fires events due at or before limit until Stop is called, then
+// advances the clock to end if it is not there yet.
+func (s *Scheduler) runTo(limit, end Time) {
 	s.stopped = false
-	for !s.stopped {
-		t := s.peek()
-		if t == nil || t.at >= horizon {
-			break
-		}
-		if s.ref != nil {
-			s.ref.popMin()
-		} else {
-			s.heapPopMin()
-		}
-		s.now = t.at
-		s.Processed++
-		s.fire(t)
+	for !s.stopped && s.step(limit) {
 	}
-	if s.now < horizon {
-		s.now = horizon
+	if s.now < end {
+		// Nothing has fired at the new instant yet, so no key there can
+		// sort before a fired one.
+		s.now, s.firing = end, 0
 	}
-	s.running = false
 }
 
 // Stop halts Run/RunUntil after the currently executing event returns.
@@ -370,6 +386,9 @@ func (s *Scheduler) Pending() int {
 	if s.ref != nil {
 		return s.ref.len()
 	}
+	if s.hollow {
+		s.settle()
+	}
 	return len(s.heap) - s.nstopped
 }
 
@@ -383,6 +402,12 @@ func (s *Scheduler) NextEventTime() (Time, bool) {
 	}
 	return 0, false
 }
+
+// QueuePeak returns the high-water mark of the event queue's length,
+// stopped timers included. Engine telemetry — it depends on how callers
+// batch their timers, not on what the simulation computes — so it stays
+// out of the deterministic metric exports.
+func (s *Scheduler) QueuePeak() int { return s.queuePeak }
 
 // CreditSkipped records that a scenario-level fast-forward advanced n
 // would-have-been events in closed form instead of scheduling them. The
@@ -492,6 +517,11 @@ func (s *Scheduler) compact() {
 	s.nstopped = 0
 	for i, t := range live {
 		t.index = int32(i)
+	}
+	// With fewer than two survivors there is nothing to order — and for
+	// none, (0-2)/heapArity truncates to 0 and would index the empty heap.
+	if len(live) < 2 {
+		return
 	}
 	for i := (len(live) - 2) / heapArity; i >= 0; i-- {
 		s.siftDown(i)

@@ -261,3 +261,125 @@ func TestFastMatchesReferenceScheduler(t *testing.T) {
 		}
 	}
 }
+
+// compact used to index an empty heap when every queued timer had been
+// stopped ((0-2)/heapArity truncates to 0). Stops below compactMin sweep
+// nothing, so a queue can fill with dead timers; the stop that takes it to
+// compactMin entries, all dead, then compacts down to none — a plain
+// two-node TCP transfer followed by Run reached it. All stopped, one
+// survivor, and both again from inside a callback, where the heap also
+// holds the hollow root.
+func TestCompactAllStopped(t *testing.T) {
+	for _, n := range []int{compactMin, compactMin + 1, 1000} {
+		for _, survivors := range []int{0, 1} {
+			for _, inCallback := range []bool{false, true} {
+				s := NewScheduler(1)
+				fired := 0
+				count := func() { fired++ }
+				stopAll := func() {
+					var hs []TimerHandle
+					for i := 0; i < n; i++ {
+						hs = append(hs, s.After(time.Duration(1+i%7)*time.Second, count))
+					}
+					for _, h := range hs[survivors:] {
+						if !h.Stop() {
+							t.Fatal("Stop on a pending timer reported false")
+						}
+					}
+					// What is left sits below compactMin, unswept. Arm and
+					// stop one timer at a time until a sweep finds nothing
+					// (or only the survivor) alive.
+					for i := 0; i < 2*compactMin; i++ {
+						s.After(time.Minute, count).Stop()
+						checkHeap(t, s)
+					}
+				}
+				if inCallback {
+					s.After(time.Millisecond, stopAll)
+					s.RunUntil(Time(time.Millisecond))
+				} else {
+					stopAll()
+				}
+				if got := s.Pending(); got != survivors {
+					t.Fatalf("n=%d inCallback=%v: Pending = %d, want %d", n, inCallback, got, survivors)
+				}
+				// The queue must still take and fire events afterwards.
+				s.After(time.Hour, count)
+				s.Run()
+				if fired != survivors+1 {
+					t.Errorf("n=%d inCallback=%v: %d counted events fired, want %d", n, inCallback, fired, survivors+1)
+				}
+				checkHeap(t, s)
+			}
+		}
+	}
+}
+
+// The root fired in place must be invisible from inside its own callback:
+// dead to its handle, not counted as pending, never returned by
+// NextEventTime — whether the callback schedules nothing, one event (which
+// takes the root slot over) or several, and whatever it stops.
+func TestHollowRootInvisibleToCallbacks(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	s := NewScheduler(1)
+	live := 0 // scheduled, neither fired nor stopped
+	var handles []TimerHandle
+	var self TimerHandle
+	var event func()
+	arm := func() {
+		h := s.After(time.Duration(r.Intn(50))*time.Millisecond, event)
+		handles = append(handles, h)
+		live++
+	}
+	event = func() {
+		live--
+		if !s.hollow {
+			t.Fatal("callback running without a hollow root")
+		}
+		if self.Pending() || self.Stop() {
+			t.Fatal("the firing timer's own handle is still live")
+		}
+		checkHeap(t, s)
+		for k := r.Intn(4); k > 0; k-- {
+			arm()
+			checkHeap(t, s)
+		}
+		if r.Intn(3) == 0 && handles[r.Intn(len(handles))].Stop() {
+			live--
+		}
+		if r.Intn(3) == 0 {
+			if at, ok := s.NextEventTime(); ok && at < s.Now() {
+				t.Fatalf("NextEventTime %v is before now %v", at, s.Now())
+			}
+		}
+		if got := s.Pending(); got != live {
+			t.Fatalf("Pending = %d inside a callback, want %d", got, live)
+		}
+		if len(handles) > 0 {
+			self = handles[len(handles)-1] // checked if it fires next
+		}
+	}
+	for i := 0; i < 200; i++ {
+		arm()
+	}
+	for n := 0; n < 5000 && s.Step(); n++ {
+		self = TimerHandle{}
+		if s.hollow {
+			t.Fatal("hollow root outlived its callback")
+		}
+		checkHeap(t, s)
+	}
+}
+
+func TestQueuePeak(t *testing.T) {
+	for _, s := range []*Scheduler{NewScheduler(1), NewReferenceScheduler(1)} {
+		for i := 0; i < 10; i++ {
+			s.After(time.Duration(i)*time.Millisecond, func() {})
+		}
+		s.Run()
+		s.After(time.Millisecond, func() {})
+		if got := s.QueuePeak(); got != 10 {
+			t.Errorf("QueuePeak = %d, want 10", got)
+		}
+	}
+}
