@@ -30,6 +30,13 @@ echo "== packet datapath allocation gate (0 allocs/packet, no race detector)"
 # transit-forward path fails here.
 go test ./internal/netem -run 'TestAllocGate' -count=1
 
+echo "== QUIC datapath allocation gate (0 allocs/packet, 0 bytes/payload byte, no race detector)"
+# The steady-state bulk-transfer cycle — cut a frame from the filler run,
+# serialize into a recycled wire buffer, deliver, parse into the endpoint's
+# scratch, ACK, release buffer, sent-packet record and frame struct — must
+# not allocate per packet, nor anything proportional to the payload.
+go test ./internal/quic -run 'TestAllocGate' -count=1
+
 echo "== fleet reassignment allocation gate (0 allocs/epoch, no race detector)"
 # Same idea for the planet-scale fleet: the per-epoch cell-indexed
 # reassignment (snapshot lookup, candidate build, terminal scan, beam

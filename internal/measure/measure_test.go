@@ -2,6 +2,7 @@ package measure
 
 import (
 	"math"
+	"runtime"
 	"testing"
 	"time"
 
@@ -335,6 +336,33 @@ func TestMessageWorkloadRate(t *testing.T) {
 	med := median(res.RTTs.Milliseconds())
 	if med < 55 || med > 110 {
 		t.Errorf("median message RTT %.1fms, want near path RTT", med)
+	}
+}
+
+// A message upload stream carries no request header — its bytes are all
+// zero — and the server used to stay in header mode on it, appending
+// every 5-25 kB message into a buffer chunk by chunk. Streams without a
+// known request are counted and dropped: the session must allocate far
+// less than the payload it moves.
+func TestMessageUploadStreamsAreNotBuffered(t *testing.T) {
+	s, client, server, _ := testPath(t, false, false)
+	srv := NewH3Server(server, 443, quic.DefaultConfig())
+	var res MessageSessionResult
+	MessagesUpload(client, srv, server.Addr(), 443, 25, 10*time.Second, 5000, 25000, quic.DefaultConfig(), func(r MessageSessionResult) {
+		res = r
+	})
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	s.RunFor(time.Minute)
+	runtime.ReadMemStats(&m1)
+	if res.Server == nil || res.Server.Stats.BytesReceived < 2<<20 {
+		t.Fatal("session did not move its payload")
+	}
+	payload := float64(res.Server.Stats.BytesReceived)
+	if ratio := float64(m1.TotalAlloc-m0.TotalAlloc) / payload; ratio > 0.5 {
+		t.Errorf("%.2f heap bytes allocated per payload byte received, want < 0.5", ratio)
+	} else {
+		t.Logf("%.2f heap bytes allocated per payload byte received", ratio)
 	}
 }
 

@@ -48,22 +48,28 @@ func NewH3Server(node *netem.Node, port uint16, cfg quic.Config) *H3Server {
 }
 
 func (srv *H3Server) handleStream(c *quic.Connection, st *quic.Stream) {
+	// header collects the 9 request bytes — copied, data is only valid
+	// during the callback — and nothing more: what follows them, or a
+	// stream that never sends a known request (a message upload is all
+	// zero bytes), is counted and discarded.
 	var header []byte
-	var size uint64
+	var parsed bool
 	var dir byte
 	var got uint64
 	st.OnData = func(data []byte, fin bool) {
-		if dir == 0 {
-			header = append(header, data...)
-			if len(header) < 9 {
+		if !parsed {
+			need := 9 - len(header)
+			if need > len(data) {
+				header = append(header, data...)
 				return
 			}
+			header = append(header, data[:need]...)
+			data = data[need:]
+			parsed = true
 			dir = header[0]
-			size = binary.BigEndian.Uint64(header[1:9])
-			data = header[9:]
 			switch dir {
 			case reqDownload:
-				st.WriteZeroes(int(size))
+				st.WriteZeroes(int(binary.BigEndian.Uint64(header[1:9])))
 				st.Close()
 				return
 			case reqMessages:

@@ -104,10 +104,14 @@ func (p *Packet) FixChecksum() {
 }
 
 // Clone returns a shallow copy of the packet with its own Hops slice.
-// Payloads are shared: transports treat delivered payloads as immutable.
+// Payloads are shared: transports treat delivered payloads as immutable,
+// and a pooled payload that would not stay so is told (PayloadSharer).
 // Cloning a pooled packet draws the copy from the pool (with its own
 // identity and Hops backing); cloning a literal allocates, as before.
 func (p *Packet) Clone() *Packet {
+	if s, ok := p.Payload.(PayloadSharer); ok {
+		s.SharePayload()
+	}
 	var q *Packet
 	if p.owner != nil {
 		q = p.owner.NewPacket()

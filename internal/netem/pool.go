@@ -11,8 +11,8 @@ package netem
 //     helpers below.
 //   - Payloads are released together with the wrapper only when they are
 //     provably unshared: *ICMP bodies without a quote go back to the ICMP
-//     freelist, PayloadReleaser payloads (TCP segments) return to their
-//     owner, and everything else is left to the GC.
+//     freelist, PayloadReleaser payloads (TCP segments, QUIC wire buffers)
+//     return to their owner, and everything else is left to the GC.
 //   - ICMP messages whose payload quotes another packet are never
 //     recycled: traceroute/Tracebox (and tests) retain the quote — and
 //     often the whole error packet — long after delivery.
@@ -29,12 +29,21 @@ package netem
 // full campaigns both ways.
 
 // PayloadReleaser is implemented by pooled payload types (the TCP
-// segment). The datapath calls ReleasePayload once the carrying packet
-// reaches its terminal point and the payload is provably unshared;
-// implementations return the value to their owner's freelist. Values
-// constructed outside a pool implement it as a no-op.
+// segment, the QUIC wire buffer). The datapath calls ReleasePayload once
+// the carrying packet reaches its terminal point and the payload is
+// provably unshared; implementations return the value to their owner's
+// freelist. Values constructed outside a pool implement it as a no-op.
 type PayloadReleaser interface {
 	ReleasePayload()
+}
+
+// PayloadSharer is implemented by pooled payloads whose bytes are
+// rewritten on reuse. Packet.Clone calls SharePayload before a second
+// packet starts referencing the payload (an ICMP quote, a duplicating
+// device); the implementation leaves its pool for good, so neither
+// packet's terminal point can recycle it under the other.
+type PayloadSharer interface {
+	SharePayload()
 }
 
 // PoolStats counts packet-pool traffic.

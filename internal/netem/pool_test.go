@@ -150,6 +150,37 @@ func TestCloneOfPooledPacketIsIndependent(t *testing.T) {
 	}
 }
 
+// sharedOncePayload is a pooled payload in miniature: it goes back to its
+// pool on release unless it was shared first.
+type sharedOncePayload struct{ shared, released bool }
+
+func (p *sharedOncePayload) SharePayload() { p.shared = true }
+func (p *sharedOncePayload) ReleasePayload() {
+	if !p.shared {
+		p.released = true
+	}
+}
+
+// Clone must tell a PayloadSharer before the copy references it, so that
+// the original's terminal point does not recycle it under the clone.
+func TestCloneSharesPooledPayload(t *testing.T) {
+	_, nw := testNet(t)
+	alone, cloned := &sharedOncePayload{}, &sharedOncePayload{}
+	p := nw.NewPacket()
+	p.Payload = alone
+	nw.releaseConsumed(p)
+	if !alone.released {
+		t.Fatal("unshared payload not released at the terminal point")
+	}
+	p = nw.NewPacket()
+	p.Payload = cloned
+	q := p.Clone()
+	nw.releaseConsumed(p)
+	if !cloned.shared || cloned.released || q.Payload != cloned {
+		t.Fatalf("cloned payload: %+v, want shared and not released", cloned)
+	}
+}
+
 // Regression for the Send stamping change: a packet that already carries
 // an ID (a re-injected or duplicated packet) must keep its ID and SentAt
 // so capture correlation holds; fresh packets still get stamped.

@@ -161,13 +161,15 @@ type Connection struct {
 	ptoCount          int
 	timer             sim.TimerHandle
 	lastElicitingSent sim.Time
-	retxQueue         []Frame
+	retxQueue         frameQueue
 	pacingTimer       sim.TimerHandle
 
-	// Crypto (opaque handshake bytes, offset-tracked like a stream).
-	cryptoOut     []byte
+	// Crypto (opaque handshake bytes, offset-tracked like a stream: the
+	// sender counts what is left to packetize, the receiver keeps the
+	// offset ranges that arrived ahead of a gap).
+	cryptoOut     int
 	cryptoBase    uint64
-	cryptoRecv    []segment
+	cryptoRecv    []offRange
 	cryptoRecvOff uint64
 
 	// Receive side / ACK generation.
@@ -210,6 +212,60 @@ type Connection struct {
 	Stats Stats
 
 	inSend bool
+
+	// Per-packet storage, reused so that the steady-state datapath does
+	// not allocate. ackFrame and frameBuf are scratch for the packet being
+	// built (dead once sendPacket serialized it); the freelists recycle
+	// what an in-flight packet owns — its sentPacket record and STREAM
+	// frame structs, back when it is acked or declared lost — and the
+	// chunks out-of-order stream data waits in.
+	ackFrame  AckFrame
+	frameBuf  []Frame
+	sentFree  []*sentPacket
+	frameFree []*StreamFrame
+	chunkFree [][]byte
+}
+
+// offRange is a half-open range of crypto-stream offsets.
+type offRange struct{ off, end uint64 }
+
+// frameQueue is the FIFO of frames awaiting (re)transmission. Pops advance
+// a head index over one backing array, which is reused from the start
+// whenever the queue drains.
+type frameQueue struct {
+	buf  []Frame
+	head int
+}
+
+func (q *frameQueue) len() int     { return len(q.buf) - q.head }
+func (q *frameQueue) front() Frame { return q.buf[q.head] }
+
+func (q *frameQueue) push(f Frame) {
+	if q.head > 0 && len(q.buf) == cap(q.buf) {
+		n := copy(q.buf, q.buf[q.head:])
+		clear(q.buf[n:])
+		q.buf, q.head = q.buf[:n], 0
+	}
+	q.buf = append(q.buf, f)
+}
+
+func (q *frameQueue) pop() {
+	q.buf[q.head] = nil
+	if q.head++; q.head == len(q.buf) {
+		q.buf, q.head = q.buf[:0], 0
+	}
+}
+
+// pushFront puts fs back ahead of everything queued, keeping their order.
+func (q *frameQueue) pushFront(fs []Frame) {
+	if len(fs) > q.head {
+		n := len(q.buf)
+		q.buf = append(q.buf, fs[:len(fs)-q.head]...)
+		copy(q.buf[len(fs):], q.buf[q.head:n])
+		q.head = len(fs)
+	}
+	q.head -= len(fs)
+	copy(q.buf[q.head:], fs)
 }
 
 func newConnection(ep *Endpoint, cfg Config, isClient bool, connID uint64, remote netem.Addr, remotePort uint16) *Connection {
@@ -258,6 +314,9 @@ func newConnection(ep *Endpoint, cfg Config, isClient bool, connID uint64, remot
 // ConnID returns the connection identifier.
 func (c *Connection) ConnID() uint64 { return c.connID }
 
+// Endpoint returns the endpoint the connection runs on.
+func (c *Connection) Endpoint() *Endpoint { return c.ep }
+
 // Sched returns the simulation scheduler driving the connection.
 func (c *Connection) Sched() *sim.Scheduler { return c.sched }
 
@@ -293,7 +352,7 @@ func (c *Connection) LargestSentPN() (uint64, bool) {
 // the background. The server needs no special handling — it already runs
 // 0.5-RTT, establishing on the hello.
 func (c *Connection) startHandshake() {
-	c.cryptoOut = make([]byte, clientHelloSize)
+	c.cryptoOut = clientHelloSize
 	if c.cfg.EnableZeroRTT && c.cfg.Sessions != nil && c.cfg.Sessions.Has(c.remote, c.remotePort) {
 		c.resumed = true
 		c.Stats.ZeroRTTResumed = true
@@ -336,11 +395,11 @@ func (c *Connection) Close(code uint64, reason string) {
 	if c.state == stateClosed {
 		return
 	}
-	frames := []Frame{&ConnectionCloseFrame{ErrorCode: code, Reason: reason}}
+	frames := c.frameBuf[:0]
 	if ack := c.buildAck(); ack != nil {
-		frames = append([]Frame{ack}, frames...)
+		frames = append(frames, ack)
 	}
-	c.sendPacket(frames)
+	c.sendPacket(append(frames, &ConnectionCloseFrame{ErrorCode: code, Reason: reason}))
 	c.teardown()
 }
 
@@ -361,6 +420,12 @@ func (c *Connection) markActive(s *Stream) {
 		c.activeSet[s.id] = true
 		c.active = append(c.active, s.id)
 	}
+}
+
+// dropActive removes the stream at the head of the send order.
+func (c *Connection) dropActive() {
+	delete(c.activeSet, c.active[0])
+	c.active = c.active[:copy(c.active, c.active[1:])]
 }
 
 // onStreamConsumed returns flow-control credit after the application
@@ -388,7 +453,64 @@ func (c *Connection) onStreamConsumed(s *Stream, n uint64) {
 }
 
 func (c *Connection) queueFrame(f Frame) {
-	c.retxQueue = append(c.retxQueue, f)
+	c.retxQueue.push(f)
+}
+
+// getStreamFrame returns a STREAM frame struct for the caller to fill in
+// completely; putStreamFrame takes it back once its single owner (an
+// in-flight packet, or the retransmission queue) is done with it.
+func (c *Connection) getStreamFrame() *StreamFrame {
+	if n := len(c.frameFree); n > 0 {
+		f := c.frameFree[n-1]
+		c.frameFree = c.frameFree[:n-1]
+		return f
+	}
+	return new(StreamFrame)
+}
+
+func (c *Connection) putStreamFrame(f *StreamFrame) {
+	*f = StreamFrame{}
+	if c.ep.scribble {
+		f.StreamID, f.Offset, f.Data = MaxVarint, MaxVarint, scribbled[:]
+	}
+	c.frameFree = append(c.frameFree, f)
+}
+
+// scribbled is what a recycled frame struct points at under
+// Endpoint.scribble.
+var scribbled = [...]byte{0xDB, 0xDB, 0xDB, 0xDB, 0xDB, 0xDB, 0xDB, 0xDB}
+
+// recycleSent returns packets that left loss detection to the freelist.
+// Their frames have moved on by now: acked STREAM frames went back in
+// onAckReceived, lost frames to the retransmission queue.
+func (c *Connection) recycleSent(sps []*sentPacket) {
+	for _, sp := range sps {
+		clear(sp.frames)
+		*sp = sentPacket{frames: sp.frames[:0]}
+		if c.ep.scribble {
+			sp.pn, sp.size = MaxVarint, -1
+		}
+	}
+	c.sentFree = append(c.sentFree, sps...)
+}
+
+// getChunk returns an empty buffer with room for n bytes of out-of-order
+// stream data; putChunk takes it back after delivery.
+func (c *Connection) getChunk(n int) []byte {
+	if k := len(c.chunkFree); k > 0 && cap(c.chunkFree[k-1]) >= n {
+		b := c.chunkFree[k-1]
+		c.chunkFree[k-1] = nil
+		c.chunkFree = c.chunkFree[:k-1]
+		return b
+	}
+	return make([]byte, 0, max(n, MaxPayloadSize))
+}
+
+func (c *Connection) putChunk(b []byte) {
+	if c.ep.scribble {
+		scribble(b[:cap(b)])
+	}
+	c.chunkFree = append(c.chunkFree, b[:0])
 }
 
 // ---------------------------------------------------------------------
@@ -466,27 +588,26 @@ func (c *Connection) handlePacket(p *Packet, from netem.Addr, fromPort uint16) {
 func (c *Connection) onCrypto(f *CryptoFrame) {
 	end := f.Offset + uint64(len(f.Data))
 	if end > c.cryptoRecvOff {
-		data := f.Data
 		off := f.Offset
 		if off < c.cryptoRecvOff {
-			data = data[c.cryptoRecvOff-off:]
 			off = c.cryptoRecvOff
 		}
-		// Insert sorted and deliver contiguously.
+		// Insert sorted and advance over what is now contiguous.
 		i := 0
 		for i < len(c.cryptoRecv) && c.cryptoRecv[i].off < off {
 			i++
 		}
-		c.cryptoRecv = append(c.cryptoRecv, segment{})
+		c.cryptoRecv = append(c.cryptoRecv, offRange{})
 		copy(c.cryptoRecv[i+1:], c.cryptoRecv[i:])
-		c.cryptoRecv[i] = segment{off: off, data: data}
-		for len(c.cryptoRecv) > 0 && c.cryptoRecv[0].off <= c.cryptoRecvOff {
-			seg := c.cryptoRecv[0]
-			c.cryptoRecv = c.cryptoRecv[1:]
-			if e := seg.off + uint64(len(seg.data)); e > c.cryptoRecvOff {
+		c.cryptoRecv[i] = offRange{off: off, end: end}
+		n := 0
+		for n < len(c.cryptoRecv) && c.cryptoRecv[n].off <= c.cryptoRecvOff {
+			if e := c.cryptoRecv[n].end; e > c.cryptoRecvOff {
 				c.cryptoRecvOff = e
 			}
+			n++
 		}
+		c.cryptoRecv = c.cryptoRecv[:copy(c.cryptoRecv, c.cryptoRecv[n:])]
 	}
 	c.handshakeProgress()
 }
@@ -495,14 +616,14 @@ func (c *Connection) onCrypto(f *CryptoFrame) {
 // delivery.
 func (c *Connection) handshakeProgress() {
 	switch {
-	case !c.isClient && c.state == stateHandshaking && c.cryptoRecvOff >= clientHelloSize && len(c.cryptoOut) == 0:
+	case !c.isClient && c.state == stateHandshaking && c.cryptoRecvOff >= clientHelloSize && c.cryptoOut == 0:
 		// Server: ClientHello in, emit the server flight and (like TLS
 		// 1.3 0.5-RTT) consider the connection usable.
-		c.cryptoOut = make([]byte, serverFlightSize)
+		c.cryptoOut = serverFlightSize
 		c.establish()
 	case c.isClient && c.state == stateHandshaking && c.cryptoRecvOff >= serverFlightSize:
 		// Client: full server flight received; send Finished, done.
-		c.cryptoOut = append(c.cryptoOut, make([]byte, clientFinishedSize)...)
+		c.cryptoOut += clientFinishedSize
 		c.establish()
 	case c.isClient && c.resumed && !c.hsConfirmed && c.cryptoRecvOff >= serverFlightSize:
 		// Resumed client: the connection has been usable since the first
@@ -545,8 +666,7 @@ func (c *Connection) getOrCreateRemoteStream(id uint64) *Stream {
 
 func (c *Connection) onStreamFrame(f *StreamFrame) {
 	s := c.getOrCreateRemoteStream(f.StreamID)
-	newBytes := s.receive(f, c)
-	c.dataRecv += newBytes
+	c.dataRecv += s.receive(f)
 }
 
 // ---------------------------------------------------------------------
@@ -578,6 +698,7 @@ func (c *Connection) onAckReceived(ack *AckFrame, now sim.Time) {
 				if s := c.streams[sf.StreamID]; s != nil {
 					s.onFrameAcked(sf)
 				}
+				c.putStreamFrame(sf)
 			}
 		}
 	}
@@ -585,10 +706,14 @@ func (c *Connection) onAckReceived(ack *AckFrame, now sim.Time) {
 	if len(res.Newly) > 0 {
 		c.ptoCount = 0
 	}
+	c.recycleSent(res.Newly)
 	c.setTimer()
 	c.maybeSend()
 }
 
+// handleLost reacts to packets declared lost: their frames move to the
+// retransmission queue (flow-control updates are regenerated instead) and
+// the packet records are recycled.
 func (c *Connection) handleLost(lost []*sentPacket, now sim.Time) {
 	for _, sp := range lost {
 		c.Stats.PacketsLost++
@@ -609,10 +734,11 @@ func (c *Connection) handleLost(lost []*sentPacket, now sim.Time) {
 				if c.obs != nil {
 					c.obs.retxFrms.Inc()
 				}
-				c.retxQueue = append(c.retxQueue, f)
+				c.retxQueue.push(f)
 			}
 		}
 	}
+	c.recycleSent(lost)
 }
 
 // setTimer arms the single recovery timer: loss-time mode when candidates
@@ -657,37 +783,50 @@ func (c *Connection) onPTO() {
 	}
 	// Probe with the oldest unacked ack-eliciting data under a fresh
 	// packet number; PING when nothing is outstanding.
+	frames := c.frameBuf[:0]
 	if sp := c.ld.oldestEliciting(); sp != nil {
-		var frames []Frame
 		for _, f := range sp.frames {
 			if f.AckEliciting() {
-				frames = append(frames, f)
+				frames = append(frames, c.cloneForProbe(f))
 			}
 		}
-		if len(frames) == 0 {
-			frames = []Frame{&PingFrame{}}
-		}
-		c.sendPacket(frames)
-	} else {
-		c.sendPacket([]Frame{&PingFrame{}})
 	}
+	if len(frames) == 0 {
+		frames = append(frames, &PingFrame{})
+	}
+	c.sendPacket(frames)
 	c.setTimer()
+}
+
+// cloneForProbe returns the frame a PTO probe carries in place of f, which
+// the probed packet keeps. The two packets are acked or lost independently
+// — both lost means both copies are requeued — so each must own the frame
+// structs it recycles: STREAM frames are cloned (the payload bytes stay
+// shared, they are never written). The other kinds are immutable and
+// garbage collected, so the probe carries f itself.
+func (c *Connection) cloneForProbe(f Frame) Frame {
+	sf, ok := f.(*StreamFrame)
+	if !ok {
+		return f
+	}
+	cp := c.getStreamFrame()
+	*cp = *sf
+	return cp
 }
 
 // ---------------------------------------------------------------------
 // Send path.
 
-// buildAck returns the pending ACK frame, or nil.
+// buildAck returns the pending ACK frame, or nil. The frame is the
+// connection's scratch: it is good until the next buildAck.
 func (c *Connection) buildAck() *AckFrame {
-	ranges := c.recvSet.AckRanges(32)
-	if len(ranges) == 0 {
+	ack := &c.ackFrame
+	ack.Ranges = c.recvSet.AckRanges(ack.Ranges[:0], 32)
+	if len(ack.Ranges) == 0 {
 		return nil
 	}
-	delay := c.sched.Now().Sub(c.largestRecvAt)
-	if delay < 0 {
-		delay = 0
-	}
-	return &AckFrame{Ranges: ranges, AckDelay: delay}
+	ack.AckDelay = max(c.sched.Now().Sub(c.largestRecvAt), 0)
+	return ack
 }
 
 func (c *Connection) ackSent() {
@@ -699,7 +838,7 @@ func (c *Connection) ackSent() {
 
 // hasCryptoToSend reports pending handshake bytes.
 func (c *Connection) hasCryptoToSend() bool {
-	return uint64(len(c.cryptoOut)) > 0
+	return c.cryptoOut > 0
 }
 
 // maybeSend drives the packetizer: it emits packets while there is
@@ -727,13 +866,13 @@ func (c *Connection) maybeSend() {
 			if d := c.pacer.DelayFor(c.sched.Now(), size, c.cc, &c.rtt); d > 0 {
 				// Put the retransmittable frames back and retry after
 				// the pacing gap; a withheld ACK stays pending.
-				var keep []Frame
+				keep := frames[:0]
 				for _, f := range frames {
 					if _, isAck := f.(*AckFrame); !isAck {
 						keep = append(keep, f)
 					}
 				}
-				c.retxQueue = append(keep, c.retxQueue...)
+				c.retxQueue.pushFront(keep)
 				if !c.pacingTimer.Pending() {
 					c.pacingTimer = c.sched.AfterFunc(d, qcMaybeSend, c)
 				}
@@ -747,8 +886,11 @@ func (c *Connection) maybeSend() {
 
 // buildPacket assembles up to one packet's worth of frames. canSendData
 // gates ack-eliciting content (pure ACKs are never congestion blocked).
+// The returned slice is the connection's scratch, overwritten by the next
+// call.
 func (c *Connection) buildPacket(canSendData bool) (frames []Frame, eliciting bool) {
 	remaining := MaxPayloadSize
+	frames = c.frameBuf[:0]
 
 	if c.ackPending {
 		if ack := c.buildAck(); ack != nil && ack.WireLen() <= remaining {
@@ -760,7 +902,7 @@ func (c *Connection) buildPacket(canSendData bool) (frames []Frame, eliciting bo
 	if canSendData {
 		// Handshake bytes first.
 		for c.hasCryptoToSend() && remaining > 8 {
-			chunk := len(c.cryptoOut)
+			chunk := c.cryptoOut
 			maxData := remaining - 1 - VarintLen(c.cryptoBase) - 4
 			if chunk > maxData {
 				chunk = maxData
@@ -768,8 +910,8 @@ func (c *Connection) buildPacket(canSendData bool) (frames []Frame, eliciting bo
 			if chunk <= 0 {
 				break
 			}
-			f := &CryptoFrame{Offset: c.cryptoBase, Data: c.cryptoOut[:chunk]}
-			c.cryptoOut = c.cryptoOut[chunk:]
+			f := &CryptoFrame{Offset: c.cryptoBase, Data: zeroPage[:chunk]}
+			c.cryptoOut -= chunk
 			c.cryptoBase += uint64(chunk)
 			frames = append(frames, f)
 			remaining -= f.WireLen()
@@ -784,27 +926,25 @@ func (c *Connection) buildPacket(canSendData bool) (frames []Frame, eliciting bo
 		}
 
 		// Retransmissions and queued control frames.
-		for len(c.retxQueue) > 0 && remaining > 0 {
-			f := c.retxQueue[0]
+		for c.retxQueue.len() > 0 && remaining > 0 {
+			f := c.retxQueue.front()
 			if f.WireLen() > remaining {
 				// Split oversized stream frames; other frames wait.
 				if sf, ok := f.(*StreamFrame); ok && remaining > 16 {
 					head := remaining - 1 - VarintLen(sf.StreamID) - VarintLen(sf.Offset) - 4
 					if head > 0 && head < len(sf.Data) {
-						part := &StreamFrame{StreamID: sf.StreamID, Offset: sf.Offset, Data: sf.Data[:head]}
-						c.retxQueue[0] = &StreamFrame{
-							StreamID: sf.StreamID,
-							Offset:   sf.Offset + uint64(head),
-							Data:     sf.Data[head:],
-							Fin:      sf.Fin,
-						}
+						// The queue owns sf: it keeps the tail in place.
+						part := c.getStreamFrame()
+						*part = StreamFrame{StreamID: sf.StreamID, Offset: sf.Offset, Data: sf.Data[:head]}
+						sf.Offset += uint64(head)
+						sf.Data = sf.Data[head:]
 						frames = append(frames, part)
 						remaining -= part.WireLen()
 					}
 				}
 				break
 			}
-			c.retxQueue = c.retxQueue[1:]
+			c.retxQueue.pop()
 			frames = append(frames, f)
 			remaining -= f.WireLen()
 		}
@@ -815,8 +955,7 @@ func (c *Connection) buildPacket(canSendData bool) (frames []Frame, eliciting bo
 				id := c.active[0]
 				s := c.streams[id]
 				if s == nil || !s.pendingSend() {
-					c.active = c.active[1:]
-					delete(c.activeSet, id)
+					c.dropActive()
 					continue
 				}
 				connBudget := int(c.maxDataRemote - c.dataSent)
@@ -836,19 +975,20 @@ func (c *Connection) buildPacket(canSendData bool) (frames []Frame, eliciting bo
 				f := s.nextFrame(budget)
 				if f == nil {
 					// Blocked by stream flow control or empty.
-					c.active = c.active[1:]
-					delete(c.activeSet, id)
+					c.dropActive()
 					continue
 				}
 				c.dataSent += uint64(len(f.Data))
 				frames = append(frames, f)
 				remaining -= f.WireLen()
 				// Rotate for fairness.
-				c.active = append(c.active[1:], id)
+				copy(c.active, c.active[1:])
+				c.active[len(c.active)-1] = id
 			}
 		}
 	}
 
+	c.frameBuf = frames[:0]
 	if len(frames) == 0 {
 		return nil, false
 	}
@@ -861,7 +1001,9 @@ func (c *Connection) buildPacket(canSendData bool) (frames []Frame, eliciting bo
 	return frames, eliciting
 }
 
-// sendPacket serializes and transmits one packet built from frames.
+// sendPacket serializes and transmits one packet built from frames. The
+// ack-eliciting frames become the in-flight packet's; the slice itself and
+// the others are not kept.
 func (c *Connection) sendPacket(frames []Frame) {
 	if len(frames) == 0 {
 		return
@@ -894,7 +1036,9 @@ func (c *Connection) sendPacket(frames []Frame) {
 		}
 	}
 	c.nextPN++
-	buf := Serialize(hdr, frames)
+	w := c.ep.getWire()
+	w.b = appendPacket(w.b, hdr, frames)
+	size := len(w.b)
 
 	hasAck := false
 	for _, f := range frames {
@@ -909,29 +1053,31 @@ func (c *Connection) sendPacket(frames []Frame) {
 	}
 
 	c.Stats.PacketsSent++
-	c.Stats.BytesSent += uint64(len(buf))
+	c.Stats.BytesSent += uint64(size)
 	if eliciting {
 		c.Stats.AckElicitingSent++
 		c.lastElicitingSent = now
-		var retx []Frame
+		var sp *sentPacket
+		if n := len(c.sentFree); n > 0 {
+			sp = c.sentFree[n-1]
+			c.sentFree = c.sentFree[:n-1]
+		} else {
+			sp = new(sentPacket)
+		}
+		sp.pn, sp.sentAt, sp.size, sp.ackEliciting = hdr.Number, now, size, true
 		for _, f := range frames {
 			if f.AckEliciting() {
-				retx = append(retx, f)
+				sp.frames = append(sp.frames, f)
 			}
 		}
-		c.ld.onPacketSent(&sentPacket{
-			pn:           hdr.Number,
-			sentAt:       now,
-			size:         len(buf),
-			ackEliciting: true,
-			frames:       retx,
-		})
-		c.cc.OnPacketSent(now, len(buf))
+		c.ld.onPacketSent(sp)
+		c.cc.OnPacketSent(now, size)
 	}
 	if c.TraceSent != nil {
-		c.TraceSent(now, hdr.Number, len(buf), eliciting)
+		c.TraceSent(now, hdr.Number, size, eliciting)
 	}
-	c.ep.sendDatagram(c.remote, c.remotePort, buf)
+	// Last: frames is scratch and the wire buffer is the datapath's now.
+	c.ep.sendDatagram(c.remote, c.remotePort, w)
 }
 
 // Scheduler trampolines: package-level sim.EventFunc adapters so the

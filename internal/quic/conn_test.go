@@ -11,7 +11,7 @@ import (
 
 // pair builds a two-node network with the given symmetric link config and
 // returns (scheduler, client endpoint, server endpoint, server node addr).
-func pair(t *testing.T, cfg netem.LinkConfig) (*sim.Scheduler, *Endpoint, *Endpoint, netem.Addr) {
+func pair(t testing.TB, cfg netem.LinkConfig) (*sim.Scheduler, *Endpoint, *Endpoint, netem.Addr) {
 	t.Helper()
 	s := sim.NewScheduler(7)
 	nw := netem.New(s)

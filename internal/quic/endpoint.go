@@ -22,6 +22,95 @@ type Endpoint struct {
 	listening bool
 	serverCfg Config
 	onConn    func(*Connection)
+
+	// rx is the receive scratch: every arriving packet is parsed into it
+	// and handled before the next one arrives.
+	rx parser
+	// wireFree recycles the buffers this endpoint's packets are serialized
+	// into (see wireBuf).
+	wireFree []*wireBuf
+	wirePool WirePoolStats
+	// scribble makes every buffer and frame struct that re-enters a
+	// freelist of this endpoint or its connections unusable (tests set it
+	// to prove nothing reads recycled memory).
+	scribble bool
+}
+
+// wireBuf is one serialized packet on its way through the network, carried
+// as the netem packet's payload. It belongs to the sending endpoint from
+// getWire until sendDatagram, to the datapath while in flight — which
+// returns it through ReleasePayload at the packet's terminal point
+// (delivery, once the receiving endpoint's handler returned, or a drop) —
+// and to the endpoint's freelist after that. Receivers therefore read b
+// only inside their handler.
+type wireBuf struct {
+	b      []byte // the datagram; aliases arr unless it outgrew it
+	arr    [MaxDatagramSize]byte
+	owner  *Endpoint // nil once shared: never recycled
+	pooled bool
+}
+
+// WirePoolStats counts an endpoint's wire-buffer pool traffic. Once every
+// packet the endpoint sent reached a terminal point on a pooling network,
+// Gets == Puts + Shared; a reference-mode network never returns buffers.
+type WirePoolStats struct {
+	netem.PoolStats
+	// Shared counts buffers that left the pool because a second packet
+	// started referencing them (netem.PayloadSharer).
+	Shared uint64
+}
+
+// WirePoolStats returns a copy of the wire-buffer pool counters.
+func (e *Endpoint) WirePoolStats() WirePoolStats { return e.wirePool }
+
+// getWire returns an empty wire buffer owned by the endpoint.
+func (e *Endpoint) getWire() *wireBuf {
+	e.wirePool.Gets++
+	var w *wireBuf
+	if n := len(e.wireFree); n > 0 {
+		w = e.wireFree[n-1]
+		e.wireFree[n-1] = nil
+		e.wireFree = e.wireFree[:n-1]
+		w.pooled = false
+		e.wirePool.Hits++
+	} else {
+		w = &wireBuf{owner: e}
+	}
+	w.b = w.arr[:0]
+	return w
+}
+
+// ReleasePayload implements netem.PayloadReleaser: the buffer returns to
+// the sending endpoint's freelist. Shared or already-pooled buffers are
+// inert.
+func (w *wireBuf) ReleasePayload() {
+	e := w.owner
+	if e == nil || w.pooled {
+		return
+	}
+	if e.scribble {
+		scribble(w.arr[:])
+	}
+	w.b, w.pooled = nil, true
+	e.wirePool.Puts++
+	e.wireFree = append(e.wireFree, w)
+}
+
+// SharePayload implements netem.PayloadSharer: a buffer referenced by two
+// packets is left to the garbage collector.
+func (w *wireBuf) SharePayload() {
+	if e := w.owner; e != nil && !w.pooled {
+		e.wirePool.Shared++
+		w.owner = nil
+	}
+}
+
+// scribble overwrites a recycled buffer so that a stale reader cannot
+// mistake it for the payload it used to hold.
+func scribble(b []byte) {
+	for i := range b {
+		b[i] = 0xDB
+	}
 }
 
 // NewEndpoint binds a QUIC endpoint to a UDP port of node.
@@ -77,12 +166,16 @@ func (e *Endpoint) Dial(remote netem.Addr, remotePort uint16, cfg Config) *Conne
 
 func (e *Endpoint) removeConn(id uint64) { delete(e.conns, id) }
 
+// receive handles one arriving datagram. The parsed packet lives in the
+// endpoint's scratch and its Data slices alias the wire buffer, which the
+// datapath recycles when this handler returns: whatever the connection
+// keeps, it copies.
 func (e *Endpoint) receive(pkt *netem.Packet) {
-	data, ok := pkt.Payload.([]byte)
+	w, ok := pkt.Payload.(*wireBuf)
 	if !ok {
 		return
 	}
-	p, err := Parse(data)
+	p, err := e.rx.parse(w.b)
 	if err != nil {
 		return // corrupted or foreign datagram
 	}
@@ -101,14 +194,14 @@ func (e *Endpoint) receive(pkt *netem.Packet) {
 }
 
 // sendDatagram wraps a serialized QUIC packet in a UDP packet and sends
-// it from the endpoint's node.
-func (e *Endpoint) sendDatagram(remote netem.Addr, remotePort uint16, payload []byte) {
+// it from the endpoint's node, handing the wire buffer to the datapath.
+func (e *Endpoint) sendDatagram(remote netem.Addr, remotePort uint16, payload *wireBuf) {
 	pkt := e.node.NewPacket()
 	pkt.Dst = remote
 	pkt.DstPort = remotePort
 	pkt.SrcPort = e.port
 	pkt.Proto = netem.ProtoUDP
-	pkt.Size = len(payload) + udpOverhead
+	pkt.Size = len(payload.b) + udpOverhead
 	pkt.Payload = payload
 	e.node.Send(pkt)
 }

@@ -289,9 +289,78 @@ func (f *ConnectionCloseFrame) String() string {
 	return fmt.Sprintf("CONNECTION_CLOSE(%d %q)", f.ErrorCode, f.Reason)
 }
 
-// ParseFrames decodes the frames in a packet payload.
+// ParseFrames decodes the frames in a packet payload into freshly
+// allocated frames. Data slices alias b.
 func ParseFrames(b []byte) ([]Frame, error) {
-	var frames []Frame
+	var ps parser
+	if err := ps.parseFrames(b); err != nil {
+		return nil, err
+	}
+	return ps.pkt.Frames, nil
+}
+
+// slab hands out reusable structs of one frame type: next returns the
+// first unused one (allocating only when every earlier one is taken),
+// reset makes all of them unused again. Callers overwrite every field.
+type slab[T any] struct {
+	items []*T
+	used  int
+}
+
+func (s *slab[T]) next() *T {
+	if s.used == len(s.items) {
+		s.items = append(s.items, new(T))
+	}
+	f := s.items[s.used]
+	s.used++
+	return f
+}
+
+// parser decodes packets into storage it owns and reuses: the Packet, its
+// frame list, one struct per frame and the ACK range arrays all survive
+// from one parse to the next, so an endpoint parsing packet after packet
+// does not allocate. Whatever a parse returns — Data slices included,
+// which alias the input — is valid until the next parse; nothing of the
+// previous packet shows through.
+type parser struct {
+	pkt Packet
+
+	padding       slab[PaddingFrame]
+	ack           slab[AckFrame]
+	crypto        slab[CryptoFrame]
+	stream        slab[StreamFrame]
+	maxData       slab[MaxDataFrame]
+	maxStreamData slab[MaxStreamDataFrame]
+	dataBlocked   slab[DataBlockedFrame]
+	connClose     slab[ConnectionCloseFrame]
+}
+
+// parse decodes a wire packet into the parser's Packet.
+func (ps *parser) parse(b []byte) (*Packet, error) {
+	if len(b) < headerOverhead {
+		return nil, ErrTruncated
+	}
+	if b[0]&0x40 == 0 {
+		return nil, fmt.Errorf("quic: fixed bit not set")
+	}
+	if err := ps.parseFrames(b[headerOverhead:]); err != nil {
+		return nil, err
+	}
+	p := &ps.pkt
+	p.Size = len(b)
+	p.Header.Handshake = b[0]&0x80 != 0
+	p.Header.ConnID = readUint64(b[1:9])
+	p.Header.Number = readUint64(b[9:17])
+	return p, nil
+}
+
+// parseFrames decodes a packet payload into ps.pkt.Frames.
+func (ps *parser) parseFrames(b []byte) error {
+	ps.padding.used, ps.ack.used, ps.crypto.used, ps.stream.used = 0, 0, 0, 0
+	ps.maxData.used, ps.maxStreamData.used, ps.dataBlocked.used, ps.connClose.used = 0, 0, 0, 0
+	frames := ps.pkt.Frames[:0]
+	// A failed parse leaves an empty frame list behind, not half a packet.
+	ps.pkt.Frames = frames
 	for len(b) > 0 {
 		t := b[0]
 		switch {
@@ -300,7 +369,9 @@ func ParseFrames(b []byte) ([]Frame, error) {
 			for n < len(b) && b[n] == frameTypePadding {
 				n++
 			}
-			frames = append(frames, &PaddingFrame{Length: n})
+			f := ps.padding.next()
+			f.Length = n
+			frames = append(frames, f)
 			b = b[n:]
 
 		case t == frameTypePing:
@@ -308,9 +379,10 @@ func ParseFrames(b []byte) ([]Frame, error) {
 			b = b[1:]
 
 		case t == frameTypeAck:
-			f, rest, err := parseAck(b[1:])
+			f := ps.ack.next()
+			rest, err := parseAck(f, b[1:])
 			if err != nil {
-				return nil, err
+				return err
 			}
 			frames = append(frames, f)
 			b = rest
@@ -319,24 +391,27 @@ func ParseFrames(b []byte) ([]Frame, error) {
 			b = b[1:]
 			off, n, err := ReadVarint(b)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			b = b[n:]
 			length, n, err := ReadVarint(b)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			b = b[n:]
 			if uint64(len(b)) < length {
-				return nil, ErrTruncated
+				return ErrTruncated
 			}
-			frames = append(frames, &CryptoFrame{Offset: off, Data: b[:length]})
+			f := ps.crypto.next()
+			f.Offset, f.Data = off, b[:length]
+			frames = append(frames, f)
 			b = b[length:]
 
 		case t >= frameTypeStreamBase && t <= frameTypeStreamBase|0x07:
-			f, rest, err := parseStream(t, b[1:])
+			f := ps.stream.next()
+			rest, err := parseStream(f, t, b[1:])
 			if err != nil {
-				return nil, err
+				return err
 			}
 			frames = append(frames, f)
 			b = rest
@@ -344,122 +419,133 @@ func ParseFrames(b []byte) ([]Frame, error) {
 		case t == frameTypeMaxData:
 			v, n, err := ReadVarint(b[1:])
 			if err != nil {
-				return nil, err
+				return err
 			}
-			frames = append(frames, &MaxDataFrame{Max: v})
+			f := ps.maxData.next()
+			f.Max = v
+			frames = append(frames, f)
 			b = b[1+n:]
 
 		case t == frameTypeMaxStreamData:
 			b = b[1:]
 			id, n, err := ReadVarint(b)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			b = b[n:]
 			v, n, err := ReadVarint(b)
 			if err != nil {
-				return nil, err
+				return err
 			}
-			frames = append(frames, &MaxStreamDataFrame{StreamID: id, Max: v})
+			f := ps.maxStreamData.next()
+			f.StreamID, f.Max = id, v
+			frames = append(frames, f)
 			b = b[n:]
 
 		case t == frameTypeDataBlocked:
 			v, n, err := ReadVarint(b[1:])
 			if err != nil {
-				return nil, err
+				return err
 			}
-			frames = append(frames, &DataBlockedFrame{Limit: v})
+			f := ps.dataBlocked.next()
+			f.Limit = v
+			frames = append(frames, f)
 			b = b[1+n:]
 
 		case t == frameTypeConnClose:
 			b = b[1:]
 			code, n, err := ReadVarint(b)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			b = b[n:]
 			rl, n, err := ReadVarint(b)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			b = b[n:]
 			if uint64(len(b)) < rl {
-				return nil, ErrTruncated
+				return ErrTruncated
 			}
-			frames = append(frames, &ConnectionCloseFrame{ErrorCode: code, Reason: string(b[:rl])})
+			f := ps.connClose.next()
+			f.ErrorCode, f.Reason = code, string(b[:rl])
+			frames = append(frames, f)
 			b = b[rl:]
 
 		default:
-			return nil, fmt.Errorf("quic: unknown frame type %#x", t)
+			return fmt.Errorf("quic: unknown frame type %#x", t)
 		}
 	}
-	return frames, nil
+	ps.pkt.Frames = frames
+	return nil
 }
 
-func parseAck(b []byte) (*AckFrame, []byte, error) {
+// parseAck decodes an ACK frame body into f, reusing f.Ranges' backing
+// array. The range count field is not trusted: every range costs at least
+// two input bytes, so a hostile count runs into ErrTruncated.
+func parseAck(f *AckFrame, b []byte) ([]byte, error) {
 	largest, n, err := ReadVarint(b)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	b = b[n:]
 	delayUS, n, err := ReadVarint(b)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	b = b[n:]
 	rangeCount, n, err := ReadVarint(b)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	b = b[n:]
 	firstLen, n, err := ReadVarint(b)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	b = b[n:]
 	if firstLen > largest {
-		return nil, nil, fmt.Errorf("quic: malformed ACK (first range underflows)")
+		return nil, fmt.Errorf("quic: malformed ACK (first range underflows)")
 	}
-	f := &AckFrame{
-		AckDelay: time.Duration(delayUS) * time.Microsecond,
-		Ranges:   []AckRange{{Smallest: largest - firstLen, Largest: largest}},
-	}
+	f.AckDelay = time.Duration(delayUS) * time.Microsecond
+	f.Ranges = append(f.Ranges[:0], AckRange{Smallest: largest - firstLen, Largest: largest})
 	prev := f.Ranges[0].Smallest
 	for i := uint64(0); i < rangeCount; i++ {
 		gap, n, err := ReadVarint(b)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		b = b[n:]
 		length, n, err := ReadVarint(b)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		b = b[n:]
 		if gap+2 > prev {
-			return nil, nil, fmt.Errorf("quic: malformed ACK (gap underflows)")
+			return nil, fmt.Errorf("quic: malformed ACK (gap underflows)")
 		}
 		largest := prev - gap - 2
 		if length > largest {
-			return nil, nil, fmt.Errorf("quic: malformed ACK (range underflows)")
+			return nil, fmt.Errorf("quic: malformed ACK (range underflows)")
 		}
 		f.Ranges = append(f.Ranges, AckRange{Smallest: largest - length, Largest: largest})
 		prev = largest - length
 	}
-	return f, b, nil
+	return b, nil
 }
 
-func parseStream(t byte, b []byte) (*StreamFrame, []byte, error) {
+// parseStream decodes a STREAM frame body into f; f.Data aliases b.
+func parseStream(f *StreamFrame, t byte, b []byte) ([]byte, error) {
 	id, n, err := ReadVarint(b)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	b = b[n:]
-	f := &StreamFrame{StreamID: id, Fin: t&streamFlagFin != 0}
+	*f = StreamFrame{StreamID: id, Fin: t&streamFlagFin != 0}
 	if t&streamFlagOff != 0 {
 		off, n, err := ReadVarint(b)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		f.Offset = off
 		b = b[n:]
@@ -467,11 +553,11 @@ func parseStream(t byte, b []byte) (*StreamFrame, []byte, error) {
 	if t&streamFlagLen != 0 {
 		length, n, err := ReadVarint(b)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		b = b[n:]
 		if uint64(len(b)) < length {
-			return nil, nil, ErrTruncated
+			return nil, ErrTruncated
 		}
 		f.Data = b[:length]
 		b = b[length:]
@@ -479,5 +565,5 @@ func parseStream(t byte, b []byte) (*StreamFrame, []byte, error) {
 		f.Data = b
 		b = nil
 	}
-	return f, b, nil
+	return b, nil
 }

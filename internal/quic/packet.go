@@ -49,13 +49,17 @@ func (p *Packet) String() string {
 	return fmt.Sprintf("pkt{pn=%d conn=%x frames=%d size=%d}", p.Header.Number, p.Header.ConnID, len(p.Frames), p.Size)
 }
 
-// Serialize encodes header and frames to wire bytes.
+// Serialize encodes header and frames to freshly allocated wire bytes.
 func Serialize(h PacketHeader, frames []Frame) []byte {
 	size := headerOverhead
 	for _, f := range frames {
 		size += f.WireLen()
 	}
-	b := make([]byte, 0, size)
+	return appendPacket(make([]byte, 0, size), h, frames)
+}
+
+// appendPacket appends the wire encoding of header and frames to b.
+func appendPacket(b []byte, h PacketHeader, frames []Frame) []byte {
 	var t byte = 0x40 // fixed bit
 	if h.Handshake {
 		t |= 0x80 // long-header flavour
@@ -69,24 +73,10 @@ func Serialize(h PacketHeader, frames []Frame) []byte {
 	return b
 }
 
-// Parse decodes a wire packet.
+// Parse decodes a wire packet into a freshly allocated Packet. Frame Data
+// slices alias b.
 func Parse(b []byte) (*Packet, error) {
-	if len(b) < headerOverhead {
-		return nil, ErrTruncated
-	}
-	if b[0]&0x40 == 0 {
-		return nil, fmt.Errorf("quic: fixed bit not set")
-	}
-	p := &Packet{Size: len(b)}
-	p.Header.Handshake = b[0]&0x80 != 0
-	p.Header.ConnID = readUint64(b[1:9])
-	p.Header.Number = readUint64(b[9:17])
-	frames, err := ParseFrames(b[headerOverhead:])
-	if err != nil {
-		return nil, err
-	}
-	p.Frames = frames
-	return p, nil
+	return new(parser).parse(b)
 }
 
 func appendUint64(b []byte, v uint64) []byte {

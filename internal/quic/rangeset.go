@@ -105,19 +105,15 @@ func (s *rangeSet) Largest() (uint64, bool) {
 // Ranges returns the ranges ascending (shared slice; do not mutate).
 func (s *rangeSet) Ranges() []AckRange { return s.ranges }
 
-// AckRanges returns up to maxRanges of the most recent ranges in the
-// descending order ACK frames use.
-func (s *rangeSet) AckRanges(maxRanges int) []AckRange {
+// AckRanges appends to dst up to maxRanges of the most recent ranges in
+// the descending order ACK frames use.
+func (s *rangeSet) AckRanges(dst []AckRange, maxRanges int) []AckRange {
 	n := len(s.ranges)
-	if n == 0 {
-		return nil
-	}
 	if maxRanges > 0 && n > maxRanges {
 		n = maxRanges
 	}
-	out := make([]AckRange, 0, n)
 	for i := 0; i < n; i++ {
-		out = append(out, s.ranges[len(s.ranges)-1-i])
+		dst = append(dst, s.ranges[len(s.ranges)-1-i])
 	}
-	return out
+	return dst
 }

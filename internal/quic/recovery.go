@@ -15,15 +15,15 @@ type sentPacket struct {
 	sentAt       sim.Time
 	size         int
 	ackEliciting bool
-	// frames holds the retransmittable frames for requeueing on loss.
+	// frames holds the retransmittable frames for requeueing on loss. The
+	// packet is their only owner: a PTO probe carries clones, never the
+	// original's structs.
 	frames []Frame
-	// ptoProbe marks probe retransmissions (their frames are clones of
-	// data already owned by an earlier packet, so double-requeue on loss
-	// is suppressed by the stream layer's offset tracking).
-	ptoProbe bool
 }
 
-// ackResult is what processing one ACK frame yields.
+// ackResult is what processing one ACK frame yields. Newly and Lost share
+// the detector's result arrays and are valid until its next onAck or
+// detectTimeLosses.
 type ackResult struct {
 	Newly      []*sentPacket
 	Lost       []*sentPacket
@@ -43,6 +43,9 @@ type lossDetector struct {
 	haveAcked      bool
 	bytesInFlight  int
 	elicitingCount int
+
+	// newly and lost back the slices onAck and detectTimeLosses return.
+	newly, lost []*sentPacket
 }
 
 func (ld *lossDetector) onPacketSent(sp *sentPacket) {
@@ -70,7 +73,7 @@ func (ld *lossDetector) remove(sp *sentPacket) {
 // onAck processes an ACK frame at now, classifying packets as newly
 // acked or lost. lossDelay is the current time threshold.
 func (ld *lossDetector) onAck(ack *AckFrame, now sim.Time, lossDelay time.Duration) ackResult {
-	var res ackResult
+	res := ackResult{Newly: ld.newly[:0], Lost: ld.lost[:0]}
 	largest := ack.Largest()
 	if !ld.haveAcked || largest > ld.largestAcked {
 		ld.largestAcked = largest
@@ -119,13 +122,15 @@ func (ld *lossDetector) onAck(ack *AckFrame, now sim.Time, lossDelay time.Durati
 		}
 	}
 	ld.candidates = kept
+	ld.newly, ld.lost = res.Newly, res.Lost
 	return res
 }
 
 // detectTimeLosses declares candidates lost by the time threshold alone
-// (called when the loss timer fires).
+// (called when the loss timer fires). The result is valid until the
+// detector's next onAck or detectTimeLosses.
 func (ld *lossDetector) detectTimeLosses(now sim.Time, lossDelay time.Duration) []*sentPacket {
-	var lost []*sentPacket
+	lost := ld.lost[:0]
 	kept := ld.candidates[:0]
 	for _, sp := range ld.candidates {
 		if now.Sub(sp.sentAt) >= lossDelay {
@@ -136,6 +141,7 @@ func (ld *lossDetector) detectTimeLosses(now sim.Time, lossDelay time.Duration) 
 		}
 	}
 	ld.candidates = kept
+	ld.lost = lost
 	return lost
 }
 

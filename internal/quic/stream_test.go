@@ -66,7 +66,7 @@ func TestStreamReassemblyRandomOrder(t *testing.T) {
 				Offset:   uint64(c.off),
 				Data:     make([]byte, c.end-c.off),
 				Fin:      c.end == total,
-			}, s.conn)
+			})
 		}
 		if got != total {
 			t.Fatalf("trial %d: delivered %d of %d", trial, got, total)
@@ -85,9 +85,9 @@ func TestStreamOverlappingSegments(t *testing.T) {
 	got := 0
 	s.OnData = func(data []byte, fin bool) { got += len(data) }
 	// Overlapping deliveries: [0,100), [50,150), [100,300).
-	s.receive(&StreamFrame{Offset: 0, Data: make([]byte, 100)}, s.conn)
-	s.receive(&StreamFrame{Offset: 50, Data: make([]byte, 100)}, s.conn)
-	s.receive(&StreamFrame{Offset: 100, Data: make([]byte, 200)}, s.conn)
+	s.receive(&StreamFrame{Offset: 0, Data: make([]byte, 100)})
+	s.receive(&StreamFrame{Offset: 50, Data: make([]byte, 100)})
+	s.receive(&StreamFrame{Offset: 100, Data: make([]byte, 200)})
 	if got != 300 {
 		t.Fatalf("delivered %d, want exactly 300 (no double delivery)", got)
 	}
@@ -101,8 +101,8 @@ func TestStreamFinOnEmptyFrame(t *testing.T) {
 			finSeen = true
 		}
 	}
-	s.receive(&StreamFrame{Offset: 0, Data: make([]byte, 10)}, s.conn)
-	s.receive(&StreamFrame{Offset: 10, Data: nil, Fin: true}, s.conn)
+	s.receive(&StreamFrame{Offset: 0, Data: make([]byte, 10)})
+	s.receive(&StreamFrame{Offset: 10, Data: nil, Fin: true})
 	if !finSeen || !s.Done() {
 		t.Fatal("empty FIN frame not delivered")
 	}
@@ -122,7 +122,7 @@ func TestStreamWriteAfterClosePanics(t *testing.T) {
 func TestStreamFlowControlBudget(t *testing.T) {
 	s := fakeStream()
 	s.maxSendData = 1000
-	s.sendBuf = make([]byte, 5000)
+	s.queueZeroes(5000)
 	f := s.nextFrame(1 << 20)
 	if f == nil || len(f.Data) != 1000 {
 		t.Fatalf("frame should be clipped to the stream limit, got %v", f)

@@ -239,7 +239,7 @@ func TestRangeSetAckRangesOrder(t *testing.T) {
 	for _, pn := range []uint64{1, 2, 3, 10, 11, 20} {
 		s.Insert(pn)
 	}
-	ar := s.AckRanges(2)
+	ar := s.AckRanges(nil, 2)
 	if len(ar) != 2 {
 		t.Fatalf("got %d ranges", len(ar))
 	}
