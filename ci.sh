@@ -37,6 +37,19 @@ echo "== QUIC datapath allocation gate (0 allocs/packet, 0 bytes/payload byte, n
 # not allocate per packet, nor anything proportional to the payload.
 go test ./internal/quic -run 'TestAllocGate' -count=1
 
+echo "== TCP datapath allocation gate (0 allocs/segment, no race detector)"
+# The steady-state bulk-transfer cycle with loss — segment from the
+# network's pool, record into the in-flight ring, both sides' scoreboards
+# updated in place, SACK recovery and retransmission, segment released —
+# must not allocate per segment.
+go test ./internal/tcpsim -run 'TestAllocGate' -count=1
+
+echo "== SACK scoreboard fuzz smoke (10 s against the fresh-slice oracle)"
+# The seed corpus already runs in the -race pass above; this adds ten
+# seconds of mutation of insert/consume/trim/query programs, every step
+# compared with the fresh-slice implementation kept in the test file.
+go test ./internal/tcpsim -run '^$' -fuzz 'FuzzByteRanges' -fuzztime 10s
+
 echo "== fleet reassignment allocation gate (0 allocs/epoch, no race detector)"
 # Same idea for the planet-scale fleet: the per-epoch cell-indexed
 # reassignment (snapshot lookup, candidate build, terminal scan, beam

@@ -1,10 +1,14 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
+	"starlinkperf/internal/measure"
 	"starlinkperf/internal/quic"
+	"starlinkperf/internal/tcpsim"
+	"starlinkperf/internal/wehe"
 )
 
 // Every wire buffer a QUIC endpoint hands to the datapath comes back once
@@ -52,5 +56,95 @@ func TestWireBufferPoolConservation(t *testing.T) {
 	ref.RunH3Campaign(1, 1<<20, true, 5*time.Second)
 	if st := ref.H3Server.Endpoint.WirePoolStats(); st.Gets == 0 || st.Hits != 0 || st.Puts != 0 {
 		t.Errorf("reference datapath recycled wire buffers: %+v", st)
+	}
+}
+
+// tcpTransfers runs the three TCP shapes the campaigns are made of — a
+// parallel-connection speedtest over Starlink, one over SatCom through the
+// split-connection PEP, and a Wehe service replayed as original and as
+// control — on one testbed, calling after with the stage's name once each
+// has run its scheduler dry of the stage's packets.
+func tcpTransfers(t *testing.T, tb *Testbed, after func(stage string)) (starlink, satcom []measure.SpeedtestResult, det wehe.Detection) {
+	t.Helper()
+	starlink = tb.RunSpeedtestCampaign(TechStarlink, 1, time.Second)
+	after("starlink speedtest")
+	satcom = tb.RunSpeedtestCampaign(TechSatCom, 1, time.Second)
+	after("satcom speedtest")
+
+	traces := wehe.DefaultServices(tb.Sched.RNG().Stream("wehe"))
+	cfg := tb.WebTCP
+	cfg.TLSRounds = 0
+	wehe.Server(tb.UCLServer, traces, cfg)
+	done := false
+	wehe.Detect(tb.PCStarlink, tb.UCLServer.Addr(), &traces[0], 2, cfg, func(d wehe.Detection) { det, done = d, true })
+	tb.Sched.RunFor(4 * (traces[0].Duration() + time.Minute))
+	after("wehe service")
+
+	if len(starlink) != 1 || starlink[0].DownloadMbps <= 0 || len(satcom) != 1 || satcom[0].DownloadMbps <= 0 || !done {
+		t.Fatalf("transfers did not complete: starlink %+v satcom %+v wehe done=%v", starlink, satcom, done)
+	}
+	return starlink, satcom, det
+}
+
+// Every TCP segment drawn from the network's pool is back in it once its
+// packet reached a terminal point — delivered, consumed by the PEP,
+// dropped by a queue, a loss model or an outage — unless an ICMP error
+// quoted it (a late segment to a port already closed), which takes it out
+// of the pool for good.
+func TestSegmentPoolConservation(t *testing.T) {
+	tb := NewTestbed(DefaultConfig())
+	var prev tcpsim.PoolStats
+	tcpTransfers(t, tb, func(stage string) {
+		st := tcpsim.SegmentPoolStats(tb.Net)
+		if st.Gets == prev.Gets || st.Gets != st.Puts+st.Shared {
+			t.Errorf("after the %s: %d segments drawn (%d before it), %d returned, %d shared: %d unaccounted for",
+				stage, st.Gets, prev.Gets, st.Puts, st.Shared, int64(st.Gets)-int64(st.Puts+st.Shared))
+		}
+		// The pool outlives its connections: the speedtests filled it, so
+		// the connections Wehe dials afterwards allocate a segment only to
+		// replace one an ICMP quote took away.
+		misses, shared := (st.Gets-st.Hits)-(prev.Gets-prev.Hits), st.Shared-prev.Shared
+		if stage == "wehe service" && misses > shared {
+			t.Errorf("the %s allocated %d segments (%d shared) from a pool the speedtests had filled", stage, misses, shared)
+		}
+		prev = st
+	})
+	if prev.HitRate() < 0.98 {
+		t.Errorf("only %.1f%% of %d segments came from the freelist", 100*prev.HitRate(), prev.Gets)
+	}
+	if prev.Puts == prev.Gets {
+		t.Error("no segment was quoted by an ICMP error: the shared path is not covered")
+	}
+
+	cfg := DefaultConfig()
+	cfg.ReferenceDatapath = true
+	ref := NewTestbed(cfg)
+	ref.RunSpeedtestCampaign(TechStarlink, 1, time.Second)
+	if st := tcpsim.SegmentPoolStats(ref.Net); st != (tcpsim.PoolStats{}) {
+		t.Errorf("reference datapath pooled segments: %+v", st)
+	}
+}
+
+// A segment is poisoned the moment it enters the freelist and zeroed only
+// when it is drawn again, so on a pooling network every transfer runs over
+// scribbled recycled segments: anything still reading one after its
+// packet's terminal point acts on sequence numbers no connection has. The
+// reference datapath never recycles; results must not differ.
+func TestPoisonedSegmentPoolMatchesReference(t *testing.T) {
+	run := func(reference bool) (a, b []measure.SpeedtestResult, d wehe.Detection) {
+		cfg := DefaultConfig()
+		cfg.ReferenceDatapath = reference
+		return tcpTransfers(t, NewTestbed(cfg), func(string) {})
+	}
+	starlink, satcom, det := run(false)
+	refStarlink, refSatcom, refDet := run(true)
+	if !reflect.DeepEqual(starlink, refStarlink) {
+		t.Errorf("starlink speedtest differs:\n pooled    %+v\n reference %+v", starlink, refStarlink)
+	}
+	if !reflect.DeepEqual(satcom, refSatcom) {
+		t.Errorf("satcom speedtest differs:\n pooled    %+v\n reference %+v", satcom, refSatcom)
+	}
+	if !reflect.DeepEqual(det, refDet) {
+		t.Errorf("wehe detection differs:\n pooled    %+v\n reference %+v", det, refDet)
 	}
 }

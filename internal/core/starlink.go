@@ -108,6 +108,17 @@ type starlinkAccess struct {
 	// extraDelay lets scenario events (the paper's late-April load
 	// episode) add RTT for a window of the campaign.
 	extraDelay func(at sim.Time) time.Duration
+
+	// Per-packet memos: both links ask delay and down for every packet,
+	// and the answers' expensive parts change once per gateway move and
+	// once per epoch. fiberGW is the gateway fiberLeg was computed for;
+	// outageEp the epoch outages/nOutages belong to (valid when outageOK).
+	fiberGW  *leo.Gateway
+	fiberLeg time.Duration
+	outages  [2]outageWindow
+	nOutages int
+	outageEp uint64
+	outageOK bool
 }
 
 func (a *starlinkAccess) epochOf(at sim.Time) uint64 {
@@ -122,11 +133,14 @@ func (a *starlinkAccess) delay(at sim.Time) time.Duration {
 	if !ok {
 		d = 30 * time.Millisecond // no-coverage fallback; outages drop anyway
 	}
-	gw := a.terminal.GatewayAt(at)
-	if gw != nil {
-		if pop, ok := a.popPos[gw.PoP]; ok {
-			d += geo.FiberRouteDelay(gw.Pos, pop, 1.6)
+	if gw := a.terminal.GatewayAt(at); gw != nil {
+		if gw != a.fiberGW {
+			a.fiberGW, a.fiberLeg = gw, 0
+			if pop, ok := a.popPos[gw.PoP]; ok {
+				a.fiberLeg = geo.FiberRouteDelay(gw.Pos, pop, 1.6)
+			}
 		}
+		d += a.fiberLeg
 	}
 	d += a.params.AccessOverhead
 	if a.extraDelay != nil {
@@ -177,9 +191,12 @@ func (a *starlinkAccess) epochOutages(ep uint64) (wins [2]outageWindow, n int) {
 func (a *starlinkAccess) down(at sim.Time) bool {
 	ep := a.epochOf(at)
 	into := time.Duration(int64(at) - int64(ep)*int64(a.params.Epoch))
-	wins, n := a.epochOutages(ep)
-	for i := 0; i < n; i++ {
-		if into >= wins[i].start && into < wins[i].start+wins[i].dur {
+	if !a.outageOK || ep != a.outageEp {
+		a.outages, a.nOutages = a.epochOutages(ep)
+		a.outageEp, a.outageOK = ep, true
+	}
+	for _, w := range a.outages[:a.nOutages] {
+		if into >= w.start && into < w.start+w.dur {
 			return true
 		}
 	}

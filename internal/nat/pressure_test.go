@@ -42,7 +42,7 @@ func TestNATExpiresIdleMappings(t *testing.T) {
 	if n.MappingCount() != 1 {
 		t.Fatalf("mappings after expiry = %d, want 1 (idle flow dropped, fresh kept)", n.MappingCount())
 	}
-	if _, alive := n.reverse[stale]; alive {
+	if _, alive := n.reverse[stale.extPort]; alive {
 		t.Error("idle mapping survived an expiry sweep past MappingTimeout")
 	}
 }
@@ -59,9 +59,9 @@ func TestNATAllocPortAfterEviction(t *testing.T) {
 	for p := 10000; p <= 65535; p++ {
 		ext := uint16(p)
 		key := mapKey{addr: netem.MustParseAddr("192.168.1.2"), port: ext, proto: netem.ProtoUDP}
-		n.table[key] = ext
-		n.reverse[ext] = key
-		n.lastUsed[ext] = n.now
+		m := &mapping{inside: key, extPort: ext, lastUsed: n.now}
+		n.table[key] = m
+		n.reverse[ext] = m
 	}
 	// 1<<17 scan tries over the 55536-port cycle starting here end on
 	// 65535, so the eviction path's increment is exactly the wrapping one.

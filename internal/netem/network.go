@@ -37,6 +37,10 @@ type Network struct {
 	pktFree   []*Packet
 	icmpFree  []*ICMP
 	poolStats PoolStats
+	// tcpSegPool is tcpsim's segment freelist, opaque here because netem
+	// cannot import the transport: it hangs off the network to share the
+	// packet pool's lifetime and single-scheduler concurrency domain.
+	tcpSegPool any
 
 	// crossLinks lists the links of this network that terminate in
 	// another partition's network (see crosslink.go).

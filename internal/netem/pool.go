@@ -164,3 +164,11 @@ func (nw *Network) releaseICMP(ic *ICMP) {
 	*ic = ICMP{owner: nw, pooled: true}
 	nw.icmpFree = append(nw.icmpFree, ic)
 }
+
+// TCPSegmentPool returns what SetTCPSegmentPool stored, nil before. Only
+// internal/tcpsim uses the pair: every pooling connection on the network
+// shares one segment freelist that outlives each of them.
+func (nw *Network) TCPSegmentPool() any { return nw.tcpSegPool }
+
+// SetTCPSegmentPool stores the network's TCP segment freelist.
+func (nw *Network) SetTCPSegmentPool(pool any) { nw.tcpSegPool = pool }

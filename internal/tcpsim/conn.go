@@ -132,6 +132,35 @@ type txRecord struct {
 	retx       bool
 }
 
+// txRing is the FIFO of in-flight records in transmission order: a
+// power-of-two ring of values that doubles up to the connection's
+// high-water mark and is reused from then on.
+type txRing struct {
+	buf     []txRecord
+	head, n int
+}
+
+func (q *txRing) push(r txRecord) {
+	if q.n == len(q.buf) {
+		grown := make([]txRecord, max(16, 2*len(q.buf)))
+		k := copy(grown, q.buf[q.head:])
+		copy(grown[k:], q.buf[:q.head])
+		q.buf, q.head = grown, 0
+	}
+	q.buf[(q.head+q.n)&(len(q.buf)-1)] = r
+	q.n++
+}
+
+// pop removes the oldest record; the ring must not be empty.
+func (q *txRing) pop() txRecord {
+	r := q.buf[q.head]
+	q.head = (q.head + 1) & (len(q.buf) - 1)
+	q.n--
+	return r
+}
+
+func (q *txRing) reset() { q.head, q.n = 0, 0 }
+
 // Conn is one endpoint of a TCP connection.
 type Conn struct {
 	sched    *sim.Scheduler
@@ -139,13 +168,12 @@ type Conn struct {
 	transmit func(*netem.Packet)
 	isClient bool
 
-	// node, when set, supplies pooled packet wrappers; pool additionally
-	// enables the per-connection segment freelist (both off in the
-	// network's reference mode). Segments return here from the datapath
-	// via Segment.ReleasePayload once the carrying packet is consumed.
-	node    *netem.Node
-	pool    bool
-	segFree []*Segment
+	// node, when set, supplies pooled packet wrappers and pool its
+	// network's segment freelist (nil in the network's reference mode).
+	// Segments return there from the datapath via Segment.ReleasePayload
+	// once the carrying packet is consumed.
+	node *netem.Node
+	pool *segPool
 
 	localAddr  netem.Addr
 	localPort  uint16
@@ -166,9 +194,9 @@ type Conn struct {
 	sndUna           uint64
 	sndNxt           uint64
 	retxQueue        byteRanges
-	inflightQ        []*txRecord
-	inflightH        int
-	candidates       []*txRecord
+	inflight         txRing     // sent, not yet overtaken by highestDelivered
+	candidates       []txRecord // overtaken but neither delivered nor yet lost
+	lost             []txRecord // processAck scratch
 	pipe             int        // bytes in flight (RFC 6675 pipe estimate)
 	sacked           byteRanges // peer-reported SACK state, persistent
 	highestDelivered uint64
@@ -278,7 +306,7 @@ func NewConn(p ConnParams) *Conn {
 		transmit:   p.Transmit,
 		isClient:   p.IsClient,
 		node:       p.Node,
-		pool:       p.Node != nil && !p.Node.Network().Reference(),
+		pool:       poolOf(p.Node),
 		localAddr:  p.LocalAddr,
 		localPort:  p.LocalPort,
 		remoteAddr: p.RemoteAddr,
@@ -542,22 +570,15 @@ func (c *Conn) advertisedWnd() uint64 {
 	return w
 }
 
-// newSegment returns a zeroed segment for sending: from the connection's
+// newSegment returns a zeroed segment for sending: from the network's
 // freelist when pooling, a plain allocation otherwise (the datapath never
 // recycles owner-less segments, so reference mode reproduces the seed
 // allocation pattern exactly).
 func (c *Conn) newSegment() *Segment {
-	if !c.pool {
+	if c.pool == nil {
 		return &Segment{}
 	}
-	if n := len(c.segFree); n > 0 {
-		s := c.segFree[n-1]
-		c.segFree[n-1] = nil
-		c.segFree = c.segFree[:n-1]
-		s.pooled = false
-		return s
-	}
-	return &Segment{owner: c}
+	return c.pool.get()
 }
 
 // send transmits a segment with common fields stamped.
@@ -624,7 +645,7 @@ func (c *Conn) maybeSend() {
 		if len(c.retxQueue.ranges) > 0 {
 			r := c.retxQueue.ranges[0]
 			if r.End <= c.sndUna {
-				c.retxQueue.ranges = c.retxQueue.ranges[1:]
+				c.retxQueue.popFront(1)
 				continue
 			}
 			start := r.Start
@@ -633,7 +654,7 @@ func (c *Conn) maybeSend() {
 			}
 			if start >= c.sendEnd {
 				// The range covers only the FIN's virtual byte.
-				c.retxQueue.ranges = c.retxQueue.ranges[1:]
+				c.retxQueue.popFront(1)
 				seg := c.newSegment()
 				seg.Flags, seg.Seq, seg.Ack, seg.Retx = FlagACK|FlagFIN, c.sendEnd, c.ackValue(), true
 				c.trackTx(c.sendEnd, c.sendEnd+1, true)
@@ -649,7 +670,7 @@ func (c *Conn) maybeSend() {
 				n = c.cfg.MSS
 			}
 			if start+uint64(n) >= r.End {
-				c.retxQueue.ranges = c.retxQueue.ranges[1:]
+				c.retxQueue.popFront(1)
 			} else {
 				c.retxQueue.ranges[0].Start = start + uint64(n)
 			}
@@ -726,7 +747,7 @@ func boolTo64(b bool) uint64 {
 }
 
 func (c *Conn) trackTx(start, end uint64, retx bool) {
-	c.inflightQ = append(c.inflightQ, &txRecord{start: start, end: end, sentAt: c.sched.Now(), retx: retx})
+	c.inflight.push(txRecord{start: start, end: end, sentAt: c.sched.Now(), retx: retx})
 	c.pipe += int(end - start)
 	// First transmissions only: TCP retransmits reuse sequence space, so
 	// counting them again would double a rate-sampling controller's
@@ -769,8 +790,7 @@ func (c *Conn) onRTO() {
 	}
 	// Timeout: everything in flight is presumed lost. Collapse the pipe
 	// and requeue the un-SACKed parts of the outstanding window.
-	c.inflightQ = c.inflightQ[:0]
-	c.inflightH = 0
+	c.inflight.reset()
 	c.candidates = c.candidates[:0]
 	c.pipe = 0
 	start := c.sndUna
@@ -886,9 +906,6 @@ func (c *Conn) processAck(seg *Segment, now sim.Time) {
 		c.maybeFinish()
 	}
 
-	delivered := func(start, end uint64) bool {
-		return end <= c.sndUna || c.sacked.covered(start, end)
-	}
 	maxD := seg.Ack
 	for _, b := range seg.Sack {
 		if b.End > maxD {
@@ -900,25 +917,15 @@ func (c *Conn) processAck(seg *Segment, now sim.Time) {
 	}
 
 	lossDelay := c.rtt.LossDelay()
-	var lost []*txRecord
+	lost := c.lost[:0]
 
 	// Drain the in-order queue up to the highest delivered byte.
-	for c.inflightH < len(c.inflightQ) {
-		r := c.inflightQ[c.inflightH]
-		if r.end > c.highestDelivered {
-			break
-		}
-		c.inflightH++
-		if delivered(r.start, r.end) {
+	for q := &c.inflight; q.n > 0 && q.buf[q.head].end <= c.highestDelivered; {
+		if r := q.pop(); c.delivered(r) {
 			c.onRecordAcked(r, now)
 		} else {
 			c.candidates = append(c.candidates, r)
 		}
-	}
-	if c.inflightH > 64 && c.inflightH*2 >= len(c.inflightQ) {
-		n := copy(c.inflightQ, c.inflightQ[c.inflightH:])
-		c.inflightQ = c.inflightQ[:n]
-		c.inflightH = 0
 	}
 
 	kept := c.candidates[:0]
@@ -928,7 +935,7 @@ func (c *Conn) processAck(seg *Segment, now sim.Time) {
 		// the time threshold applies (RACK-style).
 		seqLost := !r.retx && c.highestDelivered >= r.end+uint64(3*c.cfg.MSS)
 		switch {
-		case delivered(r.start, r.end):
+		case c.delivered(r):
 			c.onRecordAcked(r, now)
 		case seqLost, now.Sub(r.sentAt) >= lossDelay:
 			lost = append(lost, r)
@@ -936,7 +943,7 @@ func (c *Conn) processAck(seg *Segment, now sim.Time) {
 			kept = append(kept, r)
 		}
 	}
-	c.candidates = kept
+	c.candidates, c.lost = kept, lost
 
 	for _, r := range lost {
 		c.pipe -= int(r.end - r.start)
@@ -959,7 +966,13 @@ func (c *Conn) processAck(seg *Segment, now sim.Time) {
 	}
 }
 
-func (c *Conn) onRecordAcked(r *txRecord, now sim.Time) {
+// delivered reports whether the peer has r's bytes: cumulatively
+// acknowledged, or inside one SACKed range.
+func (c *Conn) delivered(r txRecord) bool {
+	return r.end <= c.sndUna || c.sacked.covered(r.start, r.end)
+}
+
+func (c *Conn) onRecordAcked(r txRecord, now sim.Time) {
 	c.pipe -= int(r.end - r.start)
 	c.ccc.OnPacketAcked(now, int(r.end-r.start), &c.rtt)
 	if c.obs != nil {

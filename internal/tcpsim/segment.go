@@ -16,7 +16,9 @@
 package tcpsim
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"starlinkperf/internal/netem"
 	"starlinkperf/internal/sim"
@@ -87,30 +89,99 @@ type Segment struct {
 	// inside this segment's payload (see Conn.WriteMsg).
 	Msgs []AppMsg
 
-	// Pool bookkeeping: owner is the connection whose freelist the segment
-	// returns to (nil for literals, which are never recycled); pooled
-	// guards double release. The receiver copies everything it needs out
-	// of a delivered segment, so the datapath can recycle it at the
-	// packet's terminal point via ReleasePayload.
-	owner  *Conn
+	// Pool bookkeeping: owner is the freelist the segment returns to (nil
+	// for literals, which are never recycled); pooled guards double
+	// release. The receiver copies everything it needs out of a delivered
+	// segment, so the datapath can recycle it at the packet's terminal
+	// point via ReleasePayload.
+	owner  *segPool
 	pooled bool
 }
 
+// segPool is the segment freelist of one netem.Network: every pooling
+// connection on it draws from the pool and the datapath returns to it, so
+// the high-water mark — the most segments alive at once — is reached once
+// per network, not once per connection. One scheduler drives a network
+// and cross links between partitions carry no TCP, hence no lock.
+type segPool struct {
+	free  []*Segment
+	stats PoolStats
+}
+
+// PoolStats counts a network's segment-pool traffic. Once every packet
+// reached a terminal point, Gets == Puts + Shared, Shared being segments
+// an ICMP quote took out of the pool (netem.PayloadSharer). Reference-mode
+// networks have no pool and read zero.
+type PoolStats struct {
+	netem.PoolStats
+	Shared uint64
+}
+
+// SegmentPoolStats returns the counters of nw's segment pool.
+func SegmentPoolStats(nw *netem.Network) PoolStats {
+	if p, ok := nw.TCPSegmentPool().(*segPool); ok {
+		return p.stats
+	}
+	return PoolStats{}
+}
+
+// poolOf returns the segment pool of node's network, creating it on first
+// use; nil — plain allocation — without a node or in reference mode.
+func poolOf(node *netem.Node) *segPool {
+	if node == nil || node.Network().Reference() {
+		return nil
+	}
+	p, ok := node.Network().TCPSegmentPool().(*segPool)
+	if !ok {
+		p = &segPool{}
+		node.Network().SetTCPSegmentPool(p)
+	}
+	return p
+}
+
+// get returns a zeroed segment that keeps its Sack and Msgs backing.
+func (p *segPool) get() *Segment {
+	p.stats.Gets++
+	n := len(p.free)
+	if n == 0 {
+		return &Segment{owner: p}
+	}
+	s := p.free[n-1]
+	p.free[n-1] = nil
+	p.free = p.free[:n-1]
+	p.stats.Hits++
+	*s = Segment{owner: p, Sack: s.Sack[:0], Msgs: s.Msgs[:0]}
+	return s
+}
+
+// poisonSeq is what a segment in the freelist holds for sequence numbers.
+const poisonSeq uint64 = 0xDBDBDBDBDBDBDBDB
+
 // ReleasePayload implements netem.PayloadReleaser: the segment returns to
-// its owning connection's freelist, keeping the Sack and Msgs backing
-// arrays. Foreign (owner-nil) or already-pooled segments are inert.
+// its pool, keeping the Sack and Msgs backing arrays. It sits there
+// poisoned (get zeroes it again), so a reader that kept it past its
+// packet's terminal point acts on values no connection has rather than on
+// plausible stale ones. Foreign (owner-nil) or already-pooled segments are
+// inert.
 func (s *Segment) ReleasePayload() {
-	c := s.owner
-	if c == nil || s.pooled {
+	p := s.owner
+	if p == nil || s.pooled {
 		return
 	}
-	sack := s.Sack[:0]
-	msgs := s.Msgs[:0]
-	for i := range s.Msgs {
-		s.Msgs[i] = AppMsg{} // drop payload references so the GC can collect them
+	clear(s.Msgs) // drop payload references so the GC can collect them
+	s.Flags, s.Seq, s.Ack, s.Len = 0xF0, poisonSeq, poisonSeq, -1
+	s.Sack, s.Msgs, s.pooled = s.Sack[:0], s.Msgs[:0], true
+	p.stats.Puts++
+	p.free = append(p.free, s)
+}
+
+// SharePayload implements netem.PayloadSharer: a second packet now
+// references the segment, so it leaves its pool for good.
+func (s *Segment) SharePayload() {
+	if p := s.owner; p != nil {
+		p.stats.Shared++
+		s.owner = nil
 	}
-	*s = Segment{owner: c, pooled: true, Sack: sack, Msgs: msgs}
-	c.segFree = append(c.segFree, s)
 }
 
 // AppMsg is an application message anchored at a stream offset. Payloads
@@ -159,53 +230,56 @@ func keyOf(pkt *netem.Packet) flowKey {
 }
 
 // byteRanges tracks received byte ranges [start, end) above a cumulative
-// floor, merging as they become contiguous.
+// floor, merging as they become contiguous. Every mutation happens inside
+// one backing array that always starts at ranges[0], so a set reaches its
+// high-water capacity once and stops allocating.
 type byteRanges struct {
 	ranges []SackBlock // sorted by Start, disjoint, non-touching
 }
 
-// insert adds [start, end).
+// search returns the index of the first range with End >= x.
+func (b *byteRanges) search(x uint64) int {
+	i, _ := slices.BinarySearchFunc(b.ranges, x, func(r SackBlock, x uint64) int { return cmp.Compare(r.End, x) })
+	return i
+}
+
+// insert adds [start, end), merging it with every range it overlaps or
+// touches.
 func (b *byteRanges) insert(start, end uint64) {
 	if end <= start {
 		return
 	}
-	// A fresh slice is required: writing in place can clobber unread
-	// elements when the new range is placed mid-slice.
-	out := make([]SackBlock, 0, len(b.ranges)+1)
-	placed := false
-	for _, r := range b.ranges {
-		switch {
-		case r.End < start: // strictly before, no touch
-			out = append(out, r)
-		case end < r.Start: // strictly after, no touch
-			if !placed {
-				out = append(out, SackBlock{start, end})
-				placed = true
-			}
-			out = append(out, r)
-		default: // overlap or touch: merge
-			if r.Start < start {
-				start = r.Start
-			}
-			if r.End > end {
-				end = r.End
-			}
-		}
+	rs := b.ranges
+	i := b.search(start)
+	j := i // one past the run [i, j) the new range overlaps or touches
+	for ; j < len(rs) && rs[j].Start <= end; j++ {
+		start = min(start, rs[j].Start)
+		end = max(end, rs[j].End)
 	}
-	if !placed {
-		out = append(out, SackBlock{start, end})
+	if j == i { // touches nothing: open a slot
+		rs = append(rs, SackBlock{})
+		copy(rs[i+1:], rs[i:])
+	} else { // the run collapses into its first slot
+		rs = append(rs[:i+1], rs[j:]...)
 	}
-	b.ranges = out
+	rs[i] = SackBlock{start, end}
+	b.ranges = rs
+}
+
+// popFront drops the n lowest ranges, copying the rest down.
+func (b *byteRanges) popFront(n int) {
+	b.ranges = b.ranges[:copy(b.ranges, b.ranges[n:])]
 }
 
 // contiguousFrom returns the end of the contiguous region starting at
 // floor, removing fully consumed ranges.
 func (b *byteRanges) contiguousFrom(floor uint64) uint64 {
-	for len(b.ranges) > 0 && b.ranges[0].Start <= floor {
-		if b.ranges[0].End > floor {
-			floor = b.ranges[0].End
-		}
-		b.ranges = b.ranges[1:]
+	n := 0
+	for ; n < len(b.ranges) && b.ranges[n].Start <= floor; n++ {
+		floor = max(floor, b.ranges[n].End)
+	}
+	if n > 0 {
+		b.popFront(n)
 	}
 	return floor
 }
@@ -228,25 +302,16 @@ func (b *byteRanges) trimBelow(floor uint64) {
 
 // covered reports whether [start, end) is fully contained in the set.
 func (b *byteRanges) covered(start, end uint64) bool {
-	for _, r := range b.ranges {
-		if start >= r.Start && end <= r.End {
-			return true
-		}
-	}
-	return false
+	i := b.search(end)
+	return i < len(b.ranges) && b.ranges[i].Start <= start
 }
 
-// blocks returns up to n ranges in ascending order, nearest the
-// cumulative ACK first. Wire TCP rotates 3 most-recent blocks and lets
-// the sender accumulate coverage over many ACKs; reporting the
-// lowest-lying blocks directly converges to the same sender knowledge
-// with far fewer ACKs, which is what matters for the emulation.
-func (b *byteRanges) blocks(n int) []SackBlock {
-	return b.appendBlocks(nil, n)
-}
-
-// appendBlocks appends up to n lowest-lying ranges to dst (see blocks),
-// reusing its backing array.
+// appendBlocks appends up to n ranges to dst[:0] in ascending order,
+// nearest the cumulative ACK first, reusing dst's backing array. Wire TCP
+// rotates 3 most-recent blocks and lets the sender accumulate coverage
+// over many ACKs; reporting the lowest-lying blocks directly converges to
+// the same sender knowledge with far fewer ACKs, which is what matters for
+// the emulation.
 func (b *byteRanges) appendBlocks(dst []SackBlock, n int) []SackBlock {
 	if n > len(b.ranges) {
 		n = len(b.ranges)

@@ -157,11 +157,7 @@ func Replay(node *netem.Node, server netem.Addr, tr *ServiceTrace, original bool
 	c := tcpsim.Dial(node, server, port, cfg)
 	var res RunResult
 	bucket := 0
-	var bucketStart sim.Time
-	c.OnEstablished = func() {
-		bucketStart = sched.Now()
-		c.WriteMsg(200, tr.Name)
-	}
+	c.OnEstablished = func() { c.WriteMsg(200, tr.Name) }
 	c.OnData = func(n int, fin bool) {
 		res.Bytes += n
 		bucket += n
@@ -178,7 +174,6 @@ func Replay(node *netem.Node, server netem.Addr, tr *ServiceTrace, original bool
 		sched.After(sampleInterval, tick)
 	}
 	sched.After(sampleInterval, tick)
-	_ = bucketStart
 	sched.After(tr.Duration()+8*time.Second, func() {
 		c.Abort()
 		done(res)
