@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet build test race bench bench-json bench-compare
+.PHONY: check fmt vet build test race bench
 
 check: ## gofmt + vet + build + race-enabled tests (what CI runs)
 	./ci.sh
@@ -20,18 +20,8 @@ test:
 race:
 	$(GO) test -race ./...
 
+# One short run of the repo benchmark (BENCHMARK.json, benchmark/README.md):
+# builds from this checkout and prints the end-to-end metric set. A
+# performance claim needs ten alternating pairs against the parent, not this.
 bench:
-	$(GO) test -bench . -benchtime 1x -v .
-
-# One machine-readable perf datapoint per day: campaign headline metrics
-# plus the geometry fast-path microbenchmarks. Commit the file to extend
-# the perf trajectory.
-BENCH_JSON ?= BENCH_$(shell date +%Y%m%d).json
-bench-json:
-	$(GO) run ./cmd/starlink-bench -quick -bench.json $(BENCH_JSON)
-
-# Diff the metrics sections of two trajectory datapoints with per-key
-# percent deltas: make bench-compare OLD=BENCH_20260805.json NEW=BENCH_20260808.json
-bench-compare:
-	@test -n "$(OLD)" && test -n "$(NEW)" || { echo "usage: make bench-compare OLD=a.json NEW=b.json" >&2; exit 2; }
-	$(GO) run ./cmd/bench-compare $(OLD) $(NEW)
+	bash benchmark/run.sh --workload small_packets --seed 1 --seconds 2 --trace 0

@@ -3,263 +3,9 @@ package main
 import (
 	"fmt"
 	"io"
-	"reflect"
-	"runtime"
-	"time"
 
 	"starlinkperf/internal/fleet"
-	"starlinkperf/internal/sim"
 )
-
-// fleetReport is the bench.json section for the planet-scale terminal
-// fleet scenario: the campaign's per-region distributions plus a
-// microbench pitting the spatial cell index against the naive O(N×M)
-// reference scan kept in-tree. Tracking both keeps the index's speedup
-// and zero-allocation claims honest across PRs.
-type fleetReport struct {
-	Terminals       int     `json:"terminals"`
-	Epochs          int     `json:"epochs"`
-	Cells           int     `json:"cells"`
-	Satellites      int     `json:"satellites"`
-	OutagePct       float64 `json:"outage_pct"`
-	CellNsPerEpoch  float64 `json:"cell_ns_per_epoch"`
-	RefNsPerEpoch   float64 `json:"ref_ns_per_epoch"`
-	ReassignSpeedup float64 `json:"reassign_speedup"`
-	AllocsPerEpoch  float64 `json:"allocs_per_epoch"`
-
-	Regions []fleetRegionReport `json:"regions"`
-
-	// Scale is the partitioned epoch campaign's terminal-count sweep:
-	// 10k/100k/1M-terminal epochs through the pooled fork/join path and
-	// the in-tree sequential reference, each held to zero steady-state
-	// allocations.
-	Scale fleetScaleReport `json:"scale"`
-}
-
-// fleetScalePoint is one row of the terminal-count sweep: steady-state
-// epoch cost (pooled and sequential) and allocations at one fleet size.
-type fleetScalePoint struct {
-	Terminals     int     `json:"terminals"`
-	Workers       int     `json:"workers"`
-	NsPerEpoch    float64 `json:"ns_per_epoch"`
-	SeqNsPerEpoch float64 `json:"seq_ns_per_epoch"`
-	// ParallelSpeedup is seq/pooled wall per epoch. Only meaningful on a
-	// machine with cores behind the workers; the validator gates it at
-	// the 1M point only when speedup_gate_armed.
-	ParallelSpeedup float64 `json:"parallel_speedup"`
-	AllocsPerEpoch  float64 `json:"allocs_per_epoch"`
-}
-
-// fleetScaleReport is the bench.json section for the partitioned epoch
-// campaign at scale. ResultsMatch compares a full multi-worker
-// 100k-terminal campaign against the single-worker reference
-// (reflect.DeepEqual on the campaign result; ci.sh byte-diffs the
-// exports on top of this).
-type fleetScaleReport struct {
-	Points           []fleetScalePoint `json:"points"`
-	ResultsMatch     bool              `json:"results_match"`
-	SpeedupGateArmed bool              `json:"speedup_gate_armed"`
-}
-
-// fleetScaleSizes is the sweep axis; the validator requires exactly
-// these sizes so a trajectory file can never silently drop the 1M point.
-var fleetScaleSizes = [3]int{10000, 100000, 1000000}
-
-// fleetScaleSweep times steady-state epochs at each fleet size. Instants
-// cycle the constellation's 8-slot snapshot ring after a warmup (as in
-// fleetMicrobench), so the measured epochs never recompute positions and
-// allocs/epoch comes from the cumulative malloc counter — the pooled
-// path genuinely reads zero at every size, which is what makes the 1M
-// point affordable even in the quick profile.
-func fleetScaleSweep(seed uint64) fleetScaleReport {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > 8 {
-		workers = 8
-	}
-	if workers < 2 {
-		// Always exercise the pooled fork/join path: on a small box the
-		// sweep still proves determinism and zero allocation, it just
-		// cannot express a speedup (the gate stays disarmed).
-		workers = 2
-	}
-	rep := fleetScaleReport{SpeedupGateArmed: speedupGatesArmed()}
-	var instants [8]sim.Time
-	for i := range instants {
-		instants[i] = sim.Time(int64(i) * int64(15*time.Second))
-	}
-	for _, terms := range fleetScaleSizes {
-		warm, measureN, seqN := 2, 8, 4
-		if terms >= 1000000 {
-			warm, measureN, seqN = 1, 4, 2
-		}
-		fl := fleet.New(fleet.Config{Seed: seed, Terminals: terms, Workers: workers})
-		for r := 0; r < warm; r++ {
-			for e, at := range instants {
-				fl.RunEpoch(e, at)
-			}
-		}
-		var ms0, ms1 runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&ms0)
-		start := time.Now()
-		for i := 0; i < measureN; i++ {
-			fl.RunEpoch(i%len(instants), instants[i%len(instants)])
-		}
-		elapsed := time.Since(start)
-		runtime.ReadMemStats(&ms1)
-		pt := fleetScalePoint{
-			Terminals:      terms,
-			Workers:        workers,
-			NsPerEpoch:     float64(elapsed.Nanoseconds()) / float64(measureN),
-			AllocsPerEpoch: float64(ms1.Mallocs-ms0.Mallocs) / float64(measureN),
-		}
-		fl.RunEpochSequential(0, instants[0])
-		start = time.Now()
-		for i := 0; i < seqN; i++ {
-			fl.RunEpochSequential(i%len(instants), instants[i%len(instants)])
-		}
-		pt.SeqNsPerEpoch = float64(time.Since(start).Nanoseconds()) / float64(seqN)
-		pt.ParallelSpeedup = pt.SeqNsPerEpoch / pt.NsPerEpoch
-		fl.Close()
-		rep.Points = append(rep.Points, pt)
-	}
-	// Determinism at scale: a whole 100k-terminal campaign (eight
-	// epochs) pooled vs single-worker must agree exactly.
-	cfg := fleet.Config{Seed: seed, Terminals: 100000, Horizon: 2 * time.Minute, Workers: workers}
-	pooled := fleet.Run(cfg)
-	cfg.Workers = 1
-	single := fleet.Run(cfg)
-	rep.ResultsMatch = reflect.DeepEqual(pooled, single)
-	return rep
-}
-
-// renderFleetScale prints the terminal-count sweep for the
-// human-readable report.
-func renderFleetScale(w io.Writer, rep fleetScaleReport) {
-	fmt.Fprintf(w, "\n=== fleet scale sweep (partitioned epoch campaign) ===\n")
-	for _, pt := range rep.Points {
-		fmt.Fprintf(w, "%8d terminals: %8.2f ms/epoch on %d workers (sequential %8.2f ms, %.2fx, %.2f allocs/epoch)\n",
-			pt.Terminals, pt.NsPerEpoch/1e6, pt.Workers, pt.SeqNsPerEpoch/1e6, pt.ParallelSpeedup, pt.AllocsPerEpoch)
-	}
-	gate := "skipped (needs >= 8-way parallelism)"
-	if rep.SpeedupGateArmed {
-		gate = "armed"
-	}
-	fmt.Fprintf(w, "speedup gate %s; 100k campaign matches single-worker reference: %v\n", gate, rep.ResultsMatch)
-}
-
-// validateFleetScale checks the scale section: all three sizes present
-// in order, every point timed and allocation-free, the 100k campaign
-// equivalence holding, and — only on machines that armed the gate — a
-// real parallel speedup at the 1M point.
-func validateFleetScale(s fleetScaleReport) error {
-	if len(s.Points) != len(fleetScaleSizes) {
-		return fmt.Errorf("fleet scale sweep has %d points, want %d", len(s.Points), len(fleetScaleSizes))
-	}
-	for i, pt := range s.Points {
-		if pt.Terminals != fleetScaleSizes[i] {
-			return fmt.Errorf("fleet scale point %d has %d terminals, want %d", i, pt.Terminals, fleetScaleSizes[i])
-		}
-		if pt.Workers < 2 || pt.NsPerEpoch <= 0 || pt.SeqNsPerEpoch <= 0 {
-			return fmt.Errorf("fleet scale point incomplete: %+v", pt)
-		}
-		if pt.AllocsPerEpoch < 0 || pt.AllocsPerEpoch >= 1 {
-			return fmt.Errorf("fleet scale %d-terminal allocs_per_epoch = %v, want < 1", pt.Terminals, pt.AllocsPerEpoch)
-		}
-	}
-	if !s.ResultsMatch {
-		return fmt.Errorf("fleet scale results_match = false: pooled campaign diverged from single-worker reference")
-	}
-	if s.SpeedupGateArmed {
-		if last := s.Points[len(s.Points)-1]; last.ParallelSpeedup < 1.5 {
-			return fmt.Errorf("fleet scale 1M parallel_speedup = %.2f with the gate armed, want >= 1.5", last.ParallelSpeedup)
-		}
-	}
-	return nil
-}
-
-// fleetRegionReport flattens one region's campaign distributions.
-type fleetRegionReport struct {
-	Region         string  `json:"region"`
-	Terminals      int     `json:"terminals"`
-	OutagePct      float64 `json:"outage_pct"`
-	LatencyP50Ms   float64 `json:"latency_p50_ms"`
-	LatencyP95Ms   float64 `json:"latency_p95_ms"`
-	Handovers      int64   `json:"handovers"`
-	PeakMbpsP50    float64 `json:"peak_mbps_p50"`
-	OffPeakMbpsP50 float64 `json:"offpeak_mbps_p50"`
-	PeakDipPct     float64 `json:"peak_dip_pct"`
-}
-
-func makeFleetReport(res *fleet.Result, quick bool) fleetReport {
-	rep := fleetReport{
-		Terminals:  res.Terminals,
-		Epochs:     res.Epochs,
-		Cells:      res.Cells,
-		Satellites: res.Satellites,
-	}
-	outages := int64(0)
-	for _, rr := range res.Regions {
-		outages += rr.OutageTermEpochs
-		rep.Regions = append(rep.Regions, fleetRegionReport{
-			Region:         rr.Region,
-			Terminals:      rr.Terminals,
-			OutagePct:      rr.OutagePct,
-			LatencyP50Ms:   rr.LatencyP50Ms,
-			LatencyP95Ms:   rr.LatencyP95Ms,
-			Handovers:      rr.Handovers,
-			PeakMbpsP50:    rr.PeakMbpsP50,
-			OffPeakMbpsP50: rr.OffPeakMbpsP50,
-			PeakDipPct:     rr.PeakDipPct,
-		})
-	}
-	if res.Terminals > 0 && res.Epochs > 0 {
-		rep.OutagePct = 100 * float64(outages) / (float64(res.Terminals) * float64(res.Epochs))
-	}
-	rep.CellNsPerEpoch, rep.RefNsPerEpoch, rep.AllocsPerEpoch = fleetMicrobench(quick)
-	rep.ReassignSpeedup = rep.RefNsPerEpoch / rep.CellNsPerEpoch
-	return rep
-}
-
-// fleetMicrobench times one reassignment epoch through the cell index
-// and through the reference scan on the same fleet. Instants cycle the
-// constellation's 8-slot snapshot ring after a warmup, so the measured
-// steady state never recomputes positions — allocs/epoch comes from the
-// runtime's cumulative malloc counter and genuinely reads zero.
-func fleetMicrobench(quick bool) (cellNs, refNs, allocsPerEpoch float64) {
-	terms, cellN, refN := 10000, 192, 16
-	if quick {
-		terms, cellN, refN = 4000, 64, 6
-	}
-	fl := fleet.New(fleet.Config{Seed: 1, Terminals: terms, Workers: 1})
-	var instants [8]sim.Time
-	for i := range instants {
-		instants[i] = sim.Time(int64(i) * int64(15*time.Second))
-	}
-	for r := 0; r < 2; r++ {
-		for _, at := range instants {
-			fl.ReassignAt(at)
-		}
-	}
-	var ms0, ms1 runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&ms0)
-	start := time.Now()
-	for i := 0; i < cellN; i++ {
-		fl.ReassignAt(instants[i%len(instants)])
-	}
-	elapsed := time.Since(start)
-	runtime.ReadMemStats(&ms1)
-	cellNs = float64(elapsed.Nanoseconds()) / float64(cellN)
-	allocsPerEpoch = float64(ms1.Mallocs-ms0.Mallocs) / float64(cellN)
-
-	start = time.Now()
-	for i := 0; i < refN; i++ {
-		fl.ReferenceReassignAt(instants[i%len(instants)])
-	}
-	refNs = float64(time.Since(start).Nanoseconds()) / float64(refN)
-	return cellNs, refNs, allocsPerEpoch
-}
 
 // renderFleet prints the per-region distribution table of the fleet
 // scenario — the global-coverage story (latency by region, high-latitude
@@ -278,35 +24,18 @@ func renderFleet(w io.Writer, res *fleet.Result) {
 	}
 }
 
-// validateFleetReport checks the fleet section of a bench.json: the
-// campaign must have covered a real fleet and the cell index must beat
-// the reference scan by the floor without allocating.
-func validateFleetReport(f fleetReport) error {
-	if f.Terminals <= 0 || f.Epochs <= 0 || f.Cells <= 0 || f.Satellites <= 0 {
-		return fmt.Errorf("fleet section incomplete: %+v", f)
+// renderTraffic prints the per-region probe table of the packet-level
+// fleet scenario — measured RTT distributions from actual ICMP exchanges
+// through the emulated bent-pipe network, as opposed to the analytic
+// latency model of the epoch campaign.
+func renderTraffic(w io.Writer, res *fleet.TrafficResult) {
+	fmt.Fprintf(w, "=== starlink-fleet traffic scenario (conservative PDES) ===\n")
+	fmt.Fprintf(w, "%d terminals, %d partitions, %d probes sent, %d received, %d skipped (outage)\n\n",
+		res.Terminals, res.Partitions, res.ProbesSent, res.ProbesRecv, res.ProbesSkipped)
+	fmt.Fprintf(w, "%-14s %9s %9s %9s %7s %8s %8s\n",
+		"region", "sent", "recv", "skipped", "loss%", "rtt p50", "rtt p95")
+	for _, rr := range res.Regions {
+		fmt.Fprintf(w, "%-14s %9d %9d %9d %7.2f %8.1f %8.1f\n",
+			rr.Region, rr.Sent, rr.Recv, rr.Skipped, rr.LossPct, rr.RTTP50Ms, rr.RTTP95Ms)
 	}
-	if f.OutagePct < 0 || f.OutagePct > 100 {
-		return fmt.Errorf("fleet outage_pct = %v, want in [0, 100]", f.OutagePct)
-	}
-	if f.CellNsPerEpoch <= 0 || f.RefNsPerEpoch <= 0 {
-		return fmt.Errorf("fleet microbench timings missing: %+v", f)
-	}
-	if f.ReassignSpeedup < 3 {
-		return fmt.Errorf("fleet reassign_speedup = %.2f, want >= 3", f.ReassignSpeedup)
-	}
-	if f.AllocsPerEpoch < 0 || f.AllocsPerEpoch >= 1 {
-		return fmt.Errorf("fleet allocs_per_epoch = %v, want < 1", f.AllocsPerEpoch)
-	}
-	if len(f.Regions) == 0 {
-		return fmt.Errorf("fleet regions missing")
-	}
-	for _, rr := range f.Regions {
-		if rr.Region == "" || rr.Terminals <= 0 {
-			return fmt.Errorf("fleet region entry incomplete: %+v", rr)
-		}
-		if rr.OutagePct < 0 || rr.OutagePct > 100 {
-			return fmt.Errorf("fleet region %s outage_pct = %v", rr.Region, rr.OutagePct)
-		}
-	}
-	return validateFleetScale(f.Scale)
 }

@@ -1,311 +1,97 @@
 package main
 
 import (
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 )
 
-func TestRunQuickSmoke(t *testing.T) {
+// TestRunVariantMatrix is the report-level equivalence proof: the quick
+// report on one campaign worker and one PDES worker against a row with
+// every result-neutral axis flipped at once — eight workers of each kind,
+// full-fidelity emulation under the traffic scenario, the paper transport
+// profile selected explicitly. Figures, event trace and metrics registry
+// must come out byte-identical. A difference here says only that some axis
+// leaks; the per-stage tests (TestSweepWorkerInvariance,
+// TestFleetScenarioWorkerInvariance, TestFleetTrafficScenarioWorkerInvariance,
+// TestTrafficFidelityModesBitIdentical, TestTransportPaperBitIdentical,
+// TestEpochCampaignWorkerInvariance) say which. A new result-neutral
+// option is one more flag on the flipped row, or one more row.
+func TestRunVariantMatrix(t *testing.T) {
 	if testing.Short() {
-		t.Skip("quick bench run still takes ~10s")
+		t.Skip("two quick reports take ~7s")
 	}
 	dir := t.TempDir()
-	jsonPath := filepath.Join(dir, "bench.json")
 	cpuPath := filepath.Join(dir, "cpu.pprof")
 	memPath := filepath.Join(dir, "mem.pprof")
-	var out, errOut strings.Builder
-	args := []string{"-quick", "-workers", "2",
-		"-bench.json", jsonPath, "-cpuprofile", cpuPath, "-memprofile", memPath}
-	if err := run(args, &out, &errOut); err != nil {
-		t.Fatalf("run: %v\nstderr:\n%s", err, errOut.String())
+	rows := []struct {
+		name string
+		args []string
+	}{
+		// The profiles ride the baseline row: they must be written, and
+		// must not change a byte of the report.
+		{"baseline", []string{"-workers", "1", "-scenario.workers", "1", "-cpuprofile", cpuPath, "-memprofile", memPath}},
+		{"flipped", []string{"-workers", "8", "-scenario.workers", "8", "-fidelity", "full", "-transport", "paper"}},
+	}
+	// What each row produced, by artifact name. stderr is kept apart: it
+	// names the worker count.
+	got := make([]map[string]string, len(rows))
+	stderrs := make([]string, len(rows))
+	t.Run("rows", func(t *testing.T) {
+		for i, row := range rows {
+			t.Run(row.name, func(t *testing.T) {
+				t.Parallel()
+				tracePath := filepath.Join(dir, row.name+".trace.bin")
+				metricsPath := filepath.Join(dir, row.name+".metrics.json")
+				args := append([]string{"-quick", "-trace", tracePath, "-metrics.json", metricsPath}, row.args...)
+				var out, errOut strings.Builder
+				if err := run(args, &out, &errOut); err != nil {
+					t.Fatalf("run %v: %v\nstderr:\n%s", args, err, errOut.String())
+				}
+				got[i] = map[string]string{"figures": out.String()}
+				stderrs[i] = errOut.String()
+				for name, path := range map[string]string{"-trace": tracePath, "-metrics.json": metricsPath} {
+					blob, err := os.ReadFile(path)
+					if err != nil || len(blob) == 0 {
+						t.Fatalf("%s export: %d bytes, %v", name, len(blob), err)
+					}
+					got[i][name] = string(blob)
+				}
+			})
+		}
+	})
+	if t.Failed() {
+		return
 	}
 
-	blob, err := os.ReadFile(jsonPath)
-	if err != nil {
-		t.Fatalf("bench.json not written: %v", err)
-	}
-	var rep benchReport
-	if err := json.Unmarshal(blob, &rep); err != nil {
-		t.Fatalf("bench.json not parseable: %v", err)
-	}
-	if rep.Schema != "starlink-bench/v1" {
-		t.Errorf("schema = %q", rep.Schema)
-	}
-	if !rep.Quick || rep.Workers != 2 || rep.Seed != 1 {
-		t.Errorf("run parameters not recorded: %+v", rep)
-	}
-	if rep.WallSeconds <= 0 {
-		t.Error("wall_seconds not recorded")
-	}
-	for _, key := range []string{
-		"latency_samples", "loss_h3_down_pct", "speedtest_starlink_down_p50_mbps",
-	} {
-		if _, ok := rep.Metrics[key]; !ok {
-			t.Errorf("metric %q missing", key)
+	base := got[0]
+	for i, row := range rows[1:] {
+		for name, want := range base {
+			if got[i+1][name] != want {
+				t.Errorf("%s: %s differs from the baseline row", row.name, name)
+			}
 		}
 	}
-	g := rep.Geometry
-	if g.FastNsPerEpoch <= 0 || g.NaiveNsPerEpoch <= 0 || g.DelayNsPerCall <= 0 || g.ISLPathNsPerCall <= 0 {
-		t.Errorf("geometry microbench timings missing: %+v", g)
-	}
-	if g.AssignmentSpeedup < 5 {
-		t.Errorf("assignment speedup %.1fx below the 5x floor", g.AssignmentSpeedup)
-	}
-	s := rep.Scheduler
-	if s.Events == 0 || s.NsPerEvent <= 0 || s.EventsPerSec <= 0 || s.RefNsPerEvent <= 0 {
-		t.Errorf("scheduler microbench timings missing: %+v", s)
-	}
-	if s.AllocReduction < 5 {
-		t.Errorf("scheduler alloc reduction %.1fx below the 5x floor", s.AllocReduction)
-	}
-	fl := rep.Fleet
-	if fl.Terminals != 10000 || fl.Epochs != 480 || len(fl.Regions) == 0 {
-		t.Errorf("fleet campaign shape wrong: %+v", fl)
-	}
-	if fl.ReassignSpeedup < 3 {
-		t.Errorf("fleet reassign speedup %.1fx below the 3x floor", fl.ReassignSpeedup)
-	}
-	if fl.AllocsPerEpoch >= 1 {
-		t.Errorf("fleet reassignment allocates %.2f per epoch", fl.AllocsPerEpoch)
-	}
 
-	// The report the binary just wrote must pass its own validator.
-	var vOut, vErr strings.Builder
-	if err := run([]string{"-validate", jsonPath}, &vOut, &vErr); err != nil {
-		t.Errorf("-validate rejected a fresh report: %v", err)
+	for _, want := range []string{
+		"Table 1", "Figure 1", "Figure 2", "Figure 3", "Table 2",
+		"Figure 5", "Figure 6", "Wired-baseline H3 downloads",
+		"starlink-fleet scenario", "high-north", "starlink-fleet traffic scenario",
+	} {
+		if !strings.Contains(base["figures"], want) {
+			t.Errorf("report missing %q", want)
+		}
 	}
-	if !strings.Contains(vOut.String(), "valid starlink-bench/v1 report") {
-		t.Errorf("-validate output = %q", vOut.String())
+	if !strings.Contains(stderrs[0], "campaigns:") {
+		t.Error("progress lines missing from stderr")
 	}
-
 	for name, p := range map[string]string{"cpuprofile": cpuPath, "memprofile": memPath} {
-		st, err := os.Stat(p)
-		if err != nil {
+		if st, err := os.Stat(p); err != nil {
 			t.Errorf("%s not written: %v", name, err)
 		} else if st.Size() == 0 {
 			t.Errorf("%s is empty", name)
 		}
-	}
-	for _, want := range []string{
-		"Table 1", "Figure 1", "Figure 2", "Figure 3", "Table 2",
-		"Figure 5", "Figure 6", "Wired-baseline H3 downloads",
-		"starlink-fleet scenario", "high-north",
-	} {
-		if !strings.Contains(out.String(), want) {
-			t.Errorf("output missing %q", want)
-		}
-	}
-	if !strings.Contains(errOut.String(), "campaigns:") {
-		t.Error("progress lines missing from stderr")
-	}
-}
-
-// TestValidateBenchJSON exercises the validator on synthetic reports so
-// the schema checks are covered without a second campaign run.
-func TestValidateBenchJSON(t *testing.T) {
-	valid := benchReport{
-		Schema:            benchSchema,
-		Date:              "2026-08-05T00:00:00Z",
-		GoVersion:         "go1.22",
-		Scale:             1,
-		Quick:             true,
-		Workers:           2,
-		Cores:             8,
-		GoMaxProcs:        8,
-		SpeedupGatesArmed: true,
-		Seed:              1,
-		WallSeconds:       9.5,
-		Metrics: map[string]float64{
-			"latency_samples": 1, "loss_h3_down_pct": 0.1, "loss_msg_down_pct": 0.1,
-			"speedtest_starlink_down_p50_mbps": 100, "h3_starlink_down_p50_mbps": 50,
-		},
-		Geometry: geometryReport{
-			FastNsPerEpoch: 1000, NaiveNsPerEpoch: 50000,
-			DelayNsPerCall: 100, ISLPathNsPerCall: 1e6, ISLPathMemoNsPerCall: 50,
-		},
-		Scheduler: schedulerReport{
-			Events: 1 << 20, NsPerEvent: 70, AllocsPerEvent: 0, EventsPerSec: 1.4e7,
-			RefNsPerEvent: 250, RefAllocsPerEvent: 2, AllocReduction: 1e6, EventSpeedup: 3.5,
-		},
-		PacketPath: packetPathReport{
-			Packets: 200000, NsPerPacket: 160, AllocsPerPacket: 0, PacketsPerSec: 6e6,
-			RefNsPerPacket: 280, RefAllocsPerPacket: 2, AllocReduction: 4e5,
-			PacketSpeedup: 1.7, PoolHitRate: 0.9999,
-		},
-		Fleet: fleetReport{
-			Terminals: 10000, Epochs: 480, Cells: 4000, Satellites: 1584,
-			OutagePct: 4.2, CellNsPerEpoch: 6e6, RefNsPerEpoch: 9e7,
-			ReassignSpeedup: 15, AllocsPerEpoch: 0,
-			Regions: []fleetRegionReport{
-				{Region: "europe", Terminals: 2500, OutagePct: 1.1, LatencyP50Ms: 35,
-					LatencyP95Ms: 60, Handovers: 12000, PeakMbpsP50: 40, OffPeakMbpsP50: 70, PeakDipPct: 42},
-			},
-			Scale: fleetScaleReport{
-				Points: []fleetScalePoint{
-					{Terminals: 10000, Workers: 8, NsPerEpoch: 4e5, SeqNsPerEpoch: 2e6, ParallelSpeedup: 5, AllocsPerEpoch: 0},
-					{Terminals: 100000, Workers: 8, NsPerEpoch: 4e6, SeqNsPerEpoch: 2e7, ParallelSpeedup: 5, AllocsPerEpoch: 0},
-					{Terminals: 1000000, Workers: 8, NsPerEpoch: 4e7, SeqNsPerEpoch: 2e8, ParallelSpeedup: 5, AllocsPerEpoch: 0},
-				},
-				ResultsMatch:     true,
-				SpeedupGateArmed: true,
-			},
-		},
-		Pdes: pdesReport{
-			Terminals: 2000, Partitions: 16, ProbesSent: 20000, ProbesRecv: 19000,
-			Windows: 2700, Events: 500000, Cores: 8,
-			RefWallSeconds: 1.0,
-			WorkerSweep: []pdesWorkerPoint{
-				{Workers: 1, WallSeconds: 1.05, Speedup: 0.95},
-				{Workers: 2, WallSeconds: 0.6, Speedup: 1.67},
-				{Workers: 4, WallSeconds: 0.35, Speedup: 2.86},
-				{Workers: 8, WallSeconds: 0.3, Speedup: 3.33},
-			},
-			Speedup8W: 3.33, OneWorkerOverheadPct: 5, ResultsMatch: true,
-		},
-		Fidelity: fidelityReport{
-			Terminals: 2000, Partitions: 16, ProbeIntervalMs: 250,
-			LinksFull: 0, LinksDelayOnly: 4000, LinksFast: 304,
-			WallFullSeconds: 0.18, WallTiersSeconds: 0.13, WallAutoSeconds: 0.045,
-			EventsFull: 1000000, EventsTiers: 550000, EventsAuto: 180000,
-			EventsSkipped: 370000, FastForwarded: 54000, AbsorbedSharePct: 93.5,
-			SpeedupTiers: 1.38, SpeedupTotal: 4.0, ResultsMatch: true,
-		},
-		Transport: transportReport{
-			PaperName: "paper", ModernName: "modern",
-			MsgUpP50PaperMs: 62, MsgUpP95PaperMs: 110,
-			MsgUpP50ModernMs: 58, MsgUpP95ModernMs: 95,
-			H3DownPaperMbps: 110, H3DownModernMbps: 120,
-			MsgUpLossPaperPct: 0.4, MsgUpLossModernPct: 0.3,
-			PaperIdentical: true, ModernDiffers: true,
-		},
-	}
-	write := func(t *testing.T, rep benchReport) string {
-		t.Helper()
-		blob, err := json.Marshal(rep)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p := filepath.Join(t.TempDir(), "bench.json")
-		if err := os.WriteFile(p, blob, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return p
-	}
-	if err := validateBenchJSON(write(t, valid)); err != nil {
-		t.Errorf("valid report rejected: %v", err)
-	}
-
-	broken := map[string]func(*benchReport){
-		"wrong schema":         func(r *benchReport) { r.Schema = "starlink-bench/v0" },
-		"bad date":             func(r *benchReport) { r.Date = "yesterday" },
-		"missing metric":       func(r *benchReport) { delete(r.Metrics, "latency_samples") },
-		"no geometry":          func(r *benchReport) { r.Geometry = geometryReport{} },
-		"no scheduler":         func(r *benchReport) { r.Scheduler = schedulerReport{} },
-		"alloc regression":     func(r *benchReport) { r.Scheduler.AllocsPerEvent = 3 },
-		"reduction below 5x":   func(r *benchReport) { r.Scheduler.AllocReduction = 4.5 },
-		"zero wall":            func(r *benchReport) { r.WallSeconds = 0 },
-		"scheduler ns missing": func(r *benchReport) { r.Scheduler.NsPerEvent = 0 },
-		"no packet_path":       func(r *benchReport) { r.PacketPath = packetPathReport{} },
-		"packet alloc regression": func(r *benchReport) {
-			r.PacketPath.AllocsPerPacket = r.PacketPath.RefAllocsPerPacket
-		},
-		"pool hit rate zero":    func(r *benchReport) { r.PacketPath.PoolHitRate = 0 },
-		"pool hit rate above 1": func(r *benchReport) { r.PacketPath.PoolHitRate = 1.5 },
-		"no fleet":              func(r *benchReport) { r.Fleet = fleetReport{} },
-		"fleet speedup below 3": func(r *benchReport) { r.Fleet.ReassignSpeedup = 2.5 },
-		"fleet alloc regression": func(r *benchReport) {
-			r.Fleet.AllocsPerEpoch = 1
-		},
-		"fleet no regions":      func(r *benchReport) { r.Fleet.Regions = nil },
-		"fleet bad outage":      func(r *benchReport) { r.Fleet.OutagePct = 101 },
-		"fleet timings missing": func(r *benchReport) { r.Fleet.CellNsPerEpoch = 0 },
-		"memo timing missing":   func(r *benchReport) { r.Geometry.ISLPathMemoNsPerCall = 0 },
-		"memo slower than full search": func(r *benchReport) {
-			r.Geometry.ISLPathMemoNsPerCall = r.Geometry.ISLPathNsPerCall
-		},
-		"no pdes":                func(r *benchReport) { r.Pdes = pdesReport{} },
-		"pdes results mismatch":  func(r *benchReport) { r.Pdes.ResultsMatch = false },
-		"pdes 1w overhead >=10%": func(r *benchReport) { r.Pdes.OneWorkerOverheadPct = 12 },
-		"pdes sweep truncated":   func(r *benchReport) { r.Pdes.WorkerSweep = r.Pdes.WorkerSweep[:2] },
-		"pdes speedup below floor on 8 cores": func(r *benchReport) {
-			r.Pdes.Cores = 8
-			r.Pdes.Speedup8W = 2.0
-		},
-		"no fidelity":               func(r *benchReport) { r.Fidelity = fidelityReport{} },
-		"fidelity results mismatch": func(r *benchReport) { r.Fidelity.ResultsMatch = false },
-		"fidelity speedup below 3x": func(r *benchReport) { r.Fidelity.SpeedupTotal = 2.5 },
-		"fidelity nothing downgraded": func(r *benchReport) {
-			r.Fidelity.LinksDelayOnly, r.Fidelity.LinksFast = 0, 0
-		},
-		"fidelity events not decreasing": func(r *benchReport) {
-			r.Fidelity.EventsAuto = r.Fidelity.EventsTiers
-		},
-		"fidelity ff absorbed nothing": func(r *benchReport) {
-			r.Fidelity.FastForwarded, r.Fidelity.EventsSkipped = 0, 0
-		},
-		"fidelity absorbed share at PR8 baseline": func(r *benchReport) {
-			r.Fidelity.AbsorbedSharePct = 69.8
-		},
-		"fidelity absorbed share above 100": func(r *benchReport) {
-			r.Fidelity.AbsorbedSharePct = 101
-		},
-		"cores missing":      func(r *benchReport) { r.Cores = 0 },
-		"gomaxprocs missing": func(r *benchReport) { r.GoMaxProcs = 0 },
-		"speedup gate flag inconsistent": func(r *benchReport) {
-			r.GoMaxProcs, r.SpeedupGatesArmed = 2, true
-		},
-		"fleet scale missing 1M point": func(r *benchReport) {
-			r.Fleet.Scale.Points = r.Fleet.Scale.Points[:2]
-		},
-		"fleet scale wrong size": func(r *benchReport) {
-			pts := make([]fleetScalePoint, len(r.Fleet.Scale.Points))
-			copy(pts, r.Fleet.Scale.Points)
-			pts[2].Terminals = 500000
-			r.Fleet.Scale.Points = pts
-		},
-		"fleet scale alloc regression": func(r *benchReport) {
-			pts := make([]fleetScalePoint, len(r.Fleet.Scale.Points))
-			copy(pts, r.Fleet.Scale.Points)
-			pts[1].AllocsPerEpoch = 2
-			r.Fleet.Scale.Points = pts
-		},
-		"fleet scale results mismatch": func(r *benchReport) {
-			r.Fleet.Scale.ResultsMatch = false
-		},
-		"fleet scale speedup below floor when armed": func(r *benchReport) {
-			pts := make([]fleetScalePoint, len(r.Fleet.Scale.Points))
-			copy(pts, r.Fleet.Scale.Points)
-			pts[2].ParallelSpeedup = 1.1
-			r.Fleet.Scale.Points = pts
-		},
-		"no transport":             func(r *benchReport) { r.Transport = transportReport{} },
-		"transport paper diverged": func(r *benchReport) { r.Transport.PaperIdentical = false },
-		"transport modern no-op":   func(r *benchReport) { r.Transport.ModernDiffers = false },
-		"transport incomplete":     func(r *benchReport) { r.Transport.H3DownModernMbps = 0 },
-	}
-	for name, mutate := range broken {
-		rep := valid
-		rep.Metrics = make(map[string]float64, len(valid.Metrics))
-		for k, v := range valid.Metrics {
-			rep.Metrics[k] = v
-		}
-		mutate(&rep)
-		if err := validateBenchJSON(write(t, rep)); err == nil {
-			t.Errorf("%s: accepted", name)
-		}
-	}
-	if err := validateBenchJSON(filepath.Join(t.TempDir(), "absent.json")); err == nil {
-		t.Error("missing file accepted")
-	}
-	p := filepath.Join(t.TempDir(), "garbage.json")
-	if err := os.WriteFile(p, []byte("not json"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := validateBenchJSON(p); err == nil {
-		t.Error("unparseable file accepted")
 	}
 }
 
@@ -320,5 +106,23 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	// The profile file opens before any campaign runs, so this fails fast.
 	if err := run([]string{"-cpuprofile", "/no/such/dir/cpu.pprof"}, &out, &errOut); err == nil {
 		t.Error("unwritable cpuprofile accepted")
+	}
+	// So do the export files, and a negative count is not another spelling
+	// of "default": an error before the first campaign starts, not after
+	// the whole run.
+	var early, earlyErr strings.Builder
+	for _, args := range [][]string{
+		{"-trace", "/no/such/dir/trace.bin"},
+		{"-metrics.json", "/no/such/dir/metrics.json"},
+		{"-workers", "-1"},
+		{"-scenario.workers", "-1"},
+		{"-fleet.terminals", "-1"},
+	} {
+		if err := run(append([]string{"-quick"}, args...), &early, &earlyErr); err == nil {
+			t.Errorf("%v accepted", args)
+		}
+	}
+	if early.Len() != 0 || strings.Contains(earlyErr.String(), "running") {
+		t.Errorf("a rejected invocation got as far as the campaigns:\n%s", earlyErr.String())
 	}
 }

@@ -95,8 +95,8 @@ func TestBBRStateMachineTraversal(t *testing.T) {
 }
 
 // TestBBRDeterminism pins bit-determinism: the controller's trajectory is
-// a pure function of its inputs. ci.sh runs this under -race alongside
-// the core modern-profile determinism suite.
+// a pure function of its inputs. It matters most under -race (ci.sh),
+// with the core modern-profile determinism suite.
 func TestBBRDeterminism(t *testing.T) {
 	a := runBBRLink(1.25e6, 20*time.Millisecond, 12*time.Second)
 	b := runBBRLink(1.25e6, 20*time.Millisecond, 12*time.Second)

@@ -39,10 +39,10 @@ func RunFleetScenario(cfg fleet.Config, opts Options) *fleet.Result {
 // under the shared Options semantics. This is the conservative-PDES entry
 // point: the scenario graph is partitioned spatially and executed by
 // opts.ScenarioWorkers goroutines in barrier windows, with outputs
-// bit-identical for any worker count (the fleet equivalence suite and
-// ci.sh byte-diff enforce it). opts.Obs receives one source per
-// partition plus the embedded fleet campaign's sink, all named through
-// obs.ShardSource so exports stay worker-invariant.
+// bit-identical for any worker count (TestTrafficWorkerInvariance and
+// TestFleetTrafficScenarioWorkerInvariance enforce it). opts.Obs receives
+// one source per partition plus the embedded fleet campaign's sink, all
+// named through obs.ShardSource so exports stay worker-invariant.
 func RunFleetTraffic(cfg fleet.TrafficConfig, opts Options) *fleet.TrafficResult {
 	if opts.Seed != 0 {
 		cfg.Fleet.Seed = opts.Seed

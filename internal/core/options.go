@@ -39,8 +39,9 @@ type Options struct {
 	// Fidelity selects the emulation fidelity for scenarios that support
 	// link tiers and analytic fast-forward (RunFleetTraffic). The zero
 	// value is fleet.FidelityAuto. Like the worker knobs, it never
-	// changes results, only wall clock — the fidelity equivalence suite
-	// and ci.sh's byte-diff hold every mode bit-identical.
+	// changes results, only wall clock —
+	// fleet.TestTrafficFidelityModesBitIdentical holds every mode
+	// bit-identical.
 	Fidelity fleet.FidelityMode
 }
 

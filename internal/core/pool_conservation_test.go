@@ -48,14 +48,12 @@ func TestWireBufferPoolConservation(t *testing.T) {
 		t.Errorf("server endpoint reused only %.0f%% of its buffers", 100*srv.HitRate())
 	}
 
-	// The seed datapath never releases a payload: every buffer is a fresh
-	// allocation left to the garbage collector.
-	cfg := DefaultConfig()
-	cfg.ReferenceDatapath = true
-	ref := NewTestbed(cfg)
+	// A network in no-recycle mode never releases a payload: every buffer
+	// is a fresh allocation left to the garbage collector.
+	ref := noRecycleTestbed(DefaultConfig())
 	ref.RunH3Campaign(1, 1<<20, true, 5*time.Second)
 	if st := ref.H3Server.Endpoint.WirePoolStats(); st.Gets == 0 || st.Hits != 0 || st.Puts != 0 {
-		t.Errorf("reference datapath recycled wire buffers: %+v", st)
+		t.Errorf("no-recycle network recycled wire buffers: %+v", st)
 	}
 }
 
@@ -116,28 +114,25 @@ func TestSegmentPoolConservation(t *testing.T) {
 		t.Error("no segment was quoted by an ICMP error: the shared path is not covered")
 	}
 
-	cfg := DefaultConfig()
-	cfg.ReferenceDatapath = true
-	ref := NewTestbed(cfg)
+	// Nor a segment: the no-recycle network's pool only ever allocates.
+	ref := noRecycleTestbed(DefaultConfig())
 	ref.RunSpeedtestCampaign(TechStarlink, 1, time.Second)
-	if st := tcpsim.SegmentPoolStats(ref.Net); st != (tcpsim.PoolStats{}) {
-		t.Errorf("reference datapath pooled segments: %+v", st)
+	if st := tcpsim.SegmentPoolStats(ref.Net); st.Gets == 0 || st.Hits != 0 || st.Puts != 0 {
+		t.Errorf("no-recycle network recycled segments: %+v", st)
 	}
 }
 
 // A segment is poisoned the moment it enters the freelist and zeroed only
 // when it is drawn again, so on a pooling network every transfer runs over
 // scribbled recycled segments: anything still reading one after its
-// packet's terminal point acts on sequence numbers no connection has. The
-// reference datapath never recycles; results must not differ.
+// packet's terminal point acts on sequence numbers no connection has. A
+// network in no-recycle mode never reuses one; results must not differ.
 func TestPoisonedSegmentPoolMatchesReference(t *testing.T) {
-	run := func(reference bool) (a, b []measure.SpeedtestResult, d wehe.Detection) {
-		cfg := DefaultConfig()
-		cfg.ReferenceDatapath = reference
-		return tcpTransfers(t, NewTestbed(cfg), func(string) {})
+	run := func(build func(Config) *Testbed) (a, b []measure.SpeedtestResult, d wehe.Detection) {
+		return tcpTransfers(t, build(DefaultConfig()), func(string) {})
 	}
-	starlink, satcom, det := run(false)
-	refStarlink, refSatcom, refDet := run(true)
+	starlink, satcom, det := run(NewTestbed)
+	refStarlink, refSatcom, refDet := run(noRecycleTestbed)
 	if !reflect.DeepEqual(starlink, refStarlink) {
 		t.Errorf("starlink speedtest differs:\n pooled    %+v\n reference %+v", starlink, refStarlink)
 	}

@@ -84,16 +84,6 @@ type Config struct {
 	// stacks (see TransportProfile). The zero value is the paper
 	// baseline and changes nothing.
 	Transport TransportProfile
-	// ReferenceScheduler drives the testbed with the seed container/heap
-	// event queue instead of the allocation-free 4-ary heap. Campaign
-	// output must be bit-identical either way; the equivalence suite in
-	// scheduler_equivalence_test.go enforces it across seeds.
-	ReferenceScheduler bool
-	// ReferenceDatapath runs the network on the seed packet datapath:
-	// fresh allocations instead of pools, map-based handler lookup, and
-	// the linear longest-prefix route scan. Campaign output must be
-	// bit-identical either way; datapath_equivalence_test.go enforces it.
-	ReferenceDatapath bool
 	// Obs enables the deterministic observability layer for this testbed:
 	// metrics and trace events from the link, LEO, transport, PEP, and
 	// probe layers land in Testbed.Obs. The zero value disables it, which
@@ -181,13 +171,7 @@ func terrLink(a, b geo.LatLon, stretch float64, extra time.Duration, rateBps flo
 // NewTestbed wires the full environment.
 func NewTestbed(cfg Config) *Testbed {
 	sched := sim.NewScheduler(cfg.Seed)
-	if cfg.ReferenceScheduler {
-		sched = sim.NewReferenceScheduler(cfg.Seed)
-	}
 	nw := netem.New(sched)
-	if cfg.ReferenceDatapath {
-		nw.SetReference(true)
-	}
 	tb := &Testbed{Cfg: cfg, Sched: sched, Net: nw}
 	if cfg.Obs.Enabled {
 		tb.Obs = obs.NewSink(cfg.Obs.TraceCap)

@@ -38,7 +38,8 @@ func TestParseTransport(t *testing.T) {
 // TestTransportPaperBitIdentical is the profile-plumbing identity gate:
 // explicitly selecting the paper profile must produce byte-for-byte the
 // same campaign output as the default zero value, across worker counts.
-// ci.sh additionally byte-diffs full bench artifacts for this.
+// (cmd/starlink-bench's TestRunVariantMatrix byte-diffs the whole report
+// with -transport paper on its flipped row.)
 func TestTransportPaperBitIdentical(t *testing.T) {
 	base := DefaultConfig()
 	withProfile := DefaultConfig()
@@ -58,7 +59,7 @@ func TestTransportPaperBitIdentical(t *testing.T) {
 // TestTransportModernWorkerInvariance pins the modern profile's
 // determinism: BBR + pacing + 0-RTT must stay a pure function of
 // (config, seed), bit-identical across worker counts and stable per
-// seed. ci.sh runs this under -race alongside TestBBRDeterminism.
+// seed. It matters most under -race (ci.sh), with TestBBRDeterminism.
 func TestTransportModernWorkerInvariance(t *testing.T) {
 	for _, seed := range []uint64{1, 42} {
 		cfg := DefaultConfig()

@@ -69,11 +69,10 @@ func TestAllocGateObserveEpoch(t *testing.T) {
 
 // TestAllocGateFleetEpoch100k holds the 100k-terminal partitioned epoch
 // path — pooled multi-worker reassignment plus the scratch-and-merge
-// observation phase — to zero steady-state allocations. This is the
-// regime the 1M bench sweep scales from: the pool hands out channel
-// tokens instead of spawning goroutines, every worker observes into
-// preallocated scratch, and the merge is pure integer adds, so epoch
-// cost is flat at any fleet size once warm.
+// observation phase — to zero steady-state allocations: the pool hands
+// out channel tokens instead of spawning goroutines, every worker
+// observes into preallocated scratch, and the merge is pure integer adds,
+// so epoch cost is flat at any fleet size once warm.
 func TestAllocGateFleetEpoch100k(t *testing.T) {
 	fl := New(Config{Seed: 5, Terminals: 100000, Workers: 4})
 	defer fl.Close()
@@ -110,14 +109,14 @@ func BenchmarkReassignCellIndex(b *testing.B) {
 	}
 }
 
-// BenchmarkReassignReference is the naive O(N×M) scan on the same fleet,
-// for the speedup figure starlink-bench reports.
+// BenchmarkReassignReference is the oracle's naive O(N×M) scan on the same
+// fleet: what the cell index saves.
 func BenchmarkReassignReference(b *testing.B) {
 	fl := New(Config{Seed: 5, Terminals: 10000, Workers: 1})
 	instants := ringInstants()
-	fl.ReferenceReassignAt(instants[0])
+	fl.referenceReassignAt(instants[0])
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		fl.ReferenceReassignAt(instants[i%len(instants)])
+		fl.referenceReassignAt(instants[i%len(instants)])
 	}
 }

@@ -43,7 +43,7 @@ func (f *Fleet) ReassignAt(at sim.Time) {
 // high-water mark. Enumeration is ascending in flat satellite id, and a
 // satellite is admitted to a given cell at most once, so every cell's
 // candidate list is strictly increasing — which is what makes the
-// argmax tie-break below match the ascending reference scan exactly.
+// argmax tie-break below match an ascending scan of all satellites.
 func (f *Fleet) buildCandidates(snap *leo.Snapshot) {
 	for si := range f.shells {
 		f.shellPos[si] = snap.ShellPositions(si)
@@ -153,8 +153,9 @@ func (f *Fleet) admitRow(row *gridRow, kLo, kHi int, s int32, fill bool) {
 }
 
 // sinElevation returns sin(elevation) of a satellite position seen from
-// terminal t — the one shared formula both assignment paths compare, so
-// fast and reference argmax decisions are bitwise identical.
+// terminal t — the one formula the cell-indexed scan and the test oracle's
+// all-satellites scan both compare, so their argmax decisions are bitwise
+// identical.
 func (f *Fleet) sinElevation(t int, sp geo.ECEF) float64 {
 	dx := sp.X - f.px[t]
 	dy := sp.Y - f.py[t]
@@ -175,37 +176,6 @@ func (f *Fleet) assignRange(lo, hi int) {
 				continue
 			}
 			best, bestSin = s, sinEl
-		}
-		f.finishAssignment(t, best)
-	}
-}
-
-// ReferenceReassignAt is the naive O(terminals × constellation) scan the
-// equivalence suite holds the cell-indexed path to: every terminal tests
-// every enabled satellite, ascending in flat id, with the same
-// sinElevation comparison and the same gateway/delay finish. Kept
-// in-tree, never fast-pathed.
-func (f *Fleet) ReferenceReassignAt(at sim.Time) {
-	snap := f.con.SnapshotAt(at)
-	for si := range f.shells {
-		f.shellPos[si] = snap.ShellPositions(si)
-	}
-	for t := range f.sat {
-		best := int32(-1)
-		bestSin := -2.0
-		for si := range f.shells {
-			m := &f.shells[si]
-			pos := f.shellPos[si]
-			for j, en := range m.enabled {
-				if !en {
-					continue
-				}
-				sinEl := f.sinElevation(t, pos[j])
-				if sinEl < f.sinMask || sinEl <= bestSin {
-					continue
-				}
-				best, bestSin = int32(m.offset+j), sinEl
-			}
 		}
 		f.finishAssignment(t, best)
 	}

@@ -65,6 +65,36 @@ func equivConfig(seed uint64, band string) Config {
 	}
 }
 
+// referenceReassignAt is the reassignment oracle: the naive
+// O(terminals × constellation) scan. Every terminal tests every enabled
+// satellite, ascending in flat id, with the same sinElevation comparison
+// and the same gateway/delay finish as the cell-indexed path.
+func (f *Fleet) referenceReassignAt(at sim.Time) {
+	snap := f.con.SnapshotAt(at)
+	for si := range f.shells {
+		f.shellPos[si] = snap.ShellPositions(si)
+	}
+	for t := range f.sat {
+		best := int32(-1)
+		bestSin := -2.0
+		for si := range f.shells {
+			m := &f.shells[si]
+			pos := f.shellPos[si]
+			for j, en := range m.enabled {
+				if !en {
+					continue
+				}
+				sinEl := f.sinElevation(t, pos[j])
+				if sinEl < f.sinMask || sinEl <= bestSin {
+					continue
+				}
+				best, bestSin = int32(m.offset+j), sinEl
+			}
+		}
+		f.finishAssignment(t, best)
+	}
+}
+
 // TestCellIndexMatchesReference is the core equivalence suite: for every
 // (seed, latitude band) case, the cell-indexed reassignment must produce
 // bit-identical serving satellites, gateways and delays to the naive
@@ -78,7 +108,7 @@ func TestCellIndexMatchesReference(t *testing.T) {
 			for e := 0; e < 16; e++ {
 				at := sim.Time(int64(e) * int64(cfg.Epoch))
 				fast.ReassignAt(at)
-				ref.ReferenceReassignAt(at)
+				ref.referenceReassignAt(at)
 				if !reflect.DeepEqual(fast.sat, ref.sat) {
 					t.Fatalf("seed %d band %s epoch %d: serving sats diverge", seed, band, e)
 				}
@@ -99,21 +129,41 @@ func runWithSink(cfg Config) (*Result, []byte, []byte) {
 	sink := obs.NewSink(0)
 	cfg.Obs = sink
 	res := Run(cfg)
+	metrics, trace := exportSink(sink)
+	return res, metrics, trace
+}
+
+// runReferenceWithSink is runWithSink with every epoch's reassignment done
+// by the oracle scan (single worker, like the scan itself).
+func runReferenceWithSink(cfg Config) (*Result, []byte, []byte) {
+	sink := obs.NewSink(0)
+	cfg.Obs = sink
+	f := New(cfg)
+	epochs := int(f.cfg.Horizon / f.cfg.Epoch)
+	for e := 0; e < epochs; e++ {
+		at := sim.Time(int64(e) * int64(f.cfg.Epoch))
+		f.referenceReassignAt(at)
+		f.observeEpoch(e, at)
+	}
+	metrics, trace := exportSink(sink)
+	return f.result(epochs), metrics, trace
+}
+
+func exportSink(sink *obs.Sink) (metrics, trace []byte) {
 	col := obs.NewCollector()
 	col.Add("fleet/0000", sink)
-	return res, col.ExportMetricsJSON(), col.ExportTraceBinary()
+	return col.ExportMetricsJSON(), col.ExportTraceBinary()
 }
 
 // TestRunReferenceEquivalence drives two whole campaigns — cell-indexed
-// and reference — through the full pipeline including beam contention and
-// observability, and demands identical results and identical exported
-// bytes.
+// and through the oracle scan — through the full pipeline including beam
+// contention and observability, and demands identical results and
+// identical exported bytes.
 func TestRunReferenceEquivalence(t *testing.T) {
 	cfg := equivConfig(3, "mid")
 	cfg.Horizon = 4 * time.Minute
 	fast, fastMetrics, fastTrace := runWithSink(cfg)
-	cfg.Reference = true
-	ref, refMetrics, refTrace := runWithSink(cfg)
+	ref, refMetrics, refTrace := runReferenceWithSink(cfg)
 	if !reflect.DeepEqual(fast, ref) {
 		t.Fatalf("results diverge:\nfast: %+v\nref:  %+v", fast, ref)
 	}
@@ -148,58 +198,47 @@ func TestRunWorkerInvariance(t *testing.T) {
 
 // TestEpochCampaignWorkerInvariance is the partitioned epoch campaign's
 // proof obligation: full campaigns — results, metrics exports, trace
-// exports — must be bit-identical between the single-threaded reference
+// exports — must be bit-identical between the single-threaded path
 // (Workers 1, direct accumulation) and the pooled fork/join path
 // (Workers 2 and 8, per-worker scratch with ordered merge) across
-// several seeds and latitude bands. The ci.sh 100k-terminal byte-diff
-// runs the same comparison at scale.
+// several seeds and latitude bands, and — outside -short — at 100 000
+// terminals on the full Gen1 shell and world population, the scale the
+// steal ranges and the 8-ranges-per-worker balance are sized for.
 func TestEpochCampaignWorkerInvariance(t *testing.T) {
-	cases := []struct {
+	type campaign struct {
+		name string
+		cfg  Config
+	}
+	var cases []campaign
+	for _, tc := range []struct {
 		seed uint64
 		band string
-	}{{3, "mid"}, {17, "equatorial"}, {29, "high"}}
-	for _, tc := range cases {
+	}{{3, "mid"}, {17, "equatorial"}, {29, "high"}} {
 		cfg := equivConfig(tc.seed, tc.band)
 		cfg.Horizon = 4 * time.Minute
+		cases = append(cases, campaign{tc.band, cfg})
+	}
+	if !testing.Short() {
+		cases = append(cases, campaign{"world-100k", Config{Seed: 1, Terminals: 100000, Horizon: time.Minute}})
+	}
+	for _, tc := range cases {
+		cfg := tc.cfg
 		cfg.Workers = 1
 		want, wantMetrics, wantTrace := runWithSink(cfg)
 		for _, w := range []int{2, 8} {
 			cfg.Workers = w
 			got, gotMetrics, gotTrace := runWithSink(cfg)
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("seed %d band %s: %d-worker campaign result diverges from reference:\n got: %+v\nwant: %+v",
-					tc.seed, tc.band, w, got, want)
+				t.Fatalf("%s seed %d: %d-worker campaign result diverges from 1 worker:\n got: %+v\nwant: %+v",
+					tc.name, cfg.Seed, w, got, want)
 			}
 			if !bytes.Equal(gotMetrics, wantMetrics) {
-				t.Errorf("seed %d band %s: %d-worker metrics export differs from reference", tc.seed, tc.band, w)
+				t.Errorf("%s seed %d: %d-worker metrics export differs from 1 worker", tc.name, cfg.Seed, w)
 			}
 			if !bytes.Equal(gotTrace, wantTrace) {
-				t.Errorf("seed %d band %s: %d-worker trace export differs from reference", tc.seed, tc.band, w)
+				t.Errorf("%s seed %d: %d-worker trace export differs from 1 worker", tc.name, cfg.Seed, w)
 			}
 		}
-	}
-}
-
-// TestRunEpochSequentialMatchesPooled pins RunEpochSequential — the
-// in-tree single-threaded epoch the bench scale sweep times speedup
-// against — to the pooled path on the same fleet state.
-func TestRunEpochSequentialMatchesPooled(t *testing.T) {
-	cfg := equivConfig(5, "mid")
-	cfg.Workers = 4
-	pooled := New(cfg)
-	defer pooled.Close()
-	seq := New(cfg)
-	defer seq.Close()
-	for e := 0; e < 8; e++ {
-		at := sim.Time(int64(e) * int64(cfg.Epoch))
-		pooled.RunEpoch(e, at)
-		seq.RunEpochSequential(e, at)
-		if !reflect.DeepEqual(pooled.sat, seq.sat) || !reflect.DeepEqual(pooled.delayNs, seq.delayNs) {
-			t.Fatalf("epoch %d: assignments diverge between pooled and sequential epoch", e)
-		}
-	}
-	if !reflect.DeepEqual(pooled.result(8), seq.result(8)) {
-		t.Fatal("campaign results diverge between pooled and sequential epochs")
 	}
 }
 

@@ -70,23 +70,22 @@ func checkFidelityEquivalence(t *testing.T, c TrafficConfig, wantFF bool) {
 }
 
 // TestTrafficFidelityModesBitIdentical is the tentpole equivalence gate:
-// for several seeds and partition counts (including the reference path),
-// the tiered datapath and the analytic fast-forward must be
-// bit-identical to full emulation on results, metrics and traces.
+// for several seeds and partition counts, the tiered datapath and the
+// analytic fast-forward must be bit-identical to full emulation on
+// results, metrics and traces.
 func TestTrafficFidelityModesBitIdentical(t *testing.T) {
 	for _, seed := range []uint64{1, 42, 20260808} {
 		c := testTrafficConfig(seed)
 		c.Partitions = 4
 		checkFidelityEquivalence(t, c, true)
 	}
-	// Reference path (single scheduler, no PDES driver) and a partition
-	// count that forces plenty of cross-partition gateway traffic.
-	c := testTrafficConfig(7)
-	c.ReferencePartitioning = true
-	checkFidelityEquivalence(t, c, true)
-	c = testTrafficConfig(7)
-	c.Partitions = 8
-	checkFidelityEquivalence(t, c, true)
+	// One partition (no cross edge at all), and a partition count that
+	// forces plenty of cross-partition gateway traffic.
+	for _, parts := range []int{1, 8} {
+		c := testTrafficConfig(7)
+		c.Partitions = parts
+		checkFidelityEquivalence(t, c, true)
+	}
 }
 
 // TestTrafficFidelityShortInterval stresses the fast-forward's

@@ -14,13 +14,12 @@
 // peak-hour throughput dip), and per-region latency/throughput/outage
 // distributions come out the other end.
 //
-// The fast reassignment path follows the discipline of the geometry,
-// scheduler and datapath fast paths before it: a naive O(N×M) reference
-// scan (ReferenceReassignAt) stays in-tree, and the equivalence suite
-// proves the cell-indexed path bit-identical to it across seeds,
-// latitude bands and worker counts. Steady-state reassignment allocates
-// nothing: candidate CSR scratch, snapshot ring entries and per-cell
-// beam lists are all reused across epochs.
+// The equivalence suite holds the cell-indexed reassignment bit-identical
+// to a naive O(N×M) scan of every satellite for every terminal (the
+// oracle in equivalence_test.go) across seeds, latitude bands and worker
+// counts. Steady-state reassignment allocates nothing: candidate CSR
+// scratch, snapshot ring entries and per-cell beam lists are all reused
+// across epochs.
 package fleet
 
 import (
@@ -70,10 +69,6 @@ type Config struct {
 	// Workers parallelizes reassignment and placement over this many
 	// goroutines (default 1). Results are worker-count invariant.
 	Workers int
-	// Reference runs every epoch through the naive O(N×M) scan instead
-	// of the cell index — the ground truth the equivalence suite
-	// compares against.
-	Reference bool
 	// Clusters is the population grid (default WorldClusters).
 	Clusters []Cluster
 	// Gateways is the ground-station set (default WorldGateways).
@@ -378,9 +373,8 @@ type RegionResult struct {
 	PeakDipPct     float64
 }
 
-// Run executes the campaign: one reassignment per epoch (cell-indexed,
-// or the reference scan when cfg.Reference is set) followed by the beam
-// contention and distribution accounting pass.
+// Run executes the campaign: one cell-indexed reassignment per epoch
+// followed by the beam contention and distribution accounting pass.
 func (f *Fleet) Run() *Result {
 	epochs := int(f.cfg.Horizon / f.cfg.Epoch)
 	if epochs < 1 {
@@ -393,30 +387,15 @@ func (f *Fleet) Run() *Result {
 }
 
 // RunEpoch executes one campaign epoch at instant at: reassignment
-// (reference scan when cfg.Reference is set) followed by the
-// beam-contention accounting pass, both on the configured worker count.
+// followed by the beam-contention accounting pass, both on the configured
+// worker count.
 func (f *Fleet) RunEpoch(e int, at sim.Time) {
-	if f.cfg.Reference {
-		f.ReferenceReassignAt(at)
-	} else {
-		f.ReassignAt(at)
-	}
+	f.ReassignAt(at)
 	if f.pool != nil {
 		f.observeEpochParallel(e, at)
 	} else {
 		f.observeEpoch(e, at)
 	}
-}
-
-// RunEpochSequential executes one epoch pinned to the single-threaded
-// cell-indexed path regardless of cfg.Workers — the in-tree reference
-// the partitioned campaign is byte-diffed against, and the baseline the
-// bench scale sweep times speedup from.
-func (f *Fleet) RunEpochSequential(e int, at sim.Time) {
-	snap := f.con.SnapshotAt(at)
-	f.buildCandidates(snap)
-	f.assignRange(0, len(f.sat))
-	f.observeEpoch(e, at)
 }
 
 // Run builds and runs a fleet scenario in one call.

@@ -40,8 +40,8 @@ import (
 // outputs — TrafficResult, per-partition metrics, traces — are
 // bit-identical for any ScenarioWorkers value, because workers only pick
 // which CPU runs which partition (see sim.PartitionedDriver). The
-// single-scheduler reference path (ReferencePartitioning) stays in-tree
-// as ground truth; the equivalence suite holds PDES output equal to it.
+// equivalence suite holds PDES output equal to the same topology run on
+// one plain scheduler (the oracle in traffic_test.go).
 
 // probeSize is the on-wire size of one ICMP probe, roughly the 100-byte
 // pings the paper's RIPE Atlas campaign used.
@@ -53,9 +53,9 @@ const maxTrafficPartitions = 255
 
 // FidelityMode selects how much of the emulation machinery the traffic
 // scenario runs. The zero value is FidelityAuto — the fast path — because
-// the lower modes are proven bit-identical to FidelityFull on every
-// output (results, metrics, traces) by the equivalence suite and the
-// ci.sh byte-diff, so there is no correctness reason to default slower.
+// the lower modes are held bit-identical to FidelityFull on every output
+// (results, metrics, traces) by TestTrafficFidelityModesBitIdentical, so
+// there is no correctness reason to default slower.
 type FidelityMode uint8
 
 const (
@@ -65,7 +65,7 @@ const (
 	FidelityAuto FidelityMode = iota
 	// FidelityTiers downgrades link tiers but fires every probe event.
 	FidelityTiers
-	// FidelityFull runs the complete reference datapath everywhere and
+	// FidelityFull runs the complete datapath under every packet and
 	// never fast-forwards — the ground truth the other modes are held to.
 	FidelityFull
 )
@@ -100,11 +100,6 @@ type TrafficConfig struct {
 	// ScenarioWorkers is the number of goroutines driving PDES windows
 	// (default 1). Never affects results, only wall-clock time.
 	ScenarioWorkers int
-	// ReferencePartitioning runs the whole scenario on one plain
-	// scheduler with no PDES driver — the ground-truth path the
-	// equivalence suite compares against. Forces Partitions to 1, and is
-	// byte-identical to the PDES path at one partition.
-	ReferencePartitioning bool
 	// Collector, when non-nil, receives one observability sink per
 	// partition (registered as "fleettraffic/0000"...) plus the fleet
 	// campaign's sink at index Partitions. Source naming goes through
@@ -128,9 +123,6 @@ func (c TrafficConfig) withDefaults() TrafficConfig {
 	}
 	if c.ScenarioWorkers <= 0 {
 		c.ScenarioWorkers = 1
-	}
-	if c.ReferencePartitioning {
-		c.Partitions = 1
 	}
 	return c
 }
@@ -246,8 +238,7 @@ type Traffic struct {
 	lookahead time.Duration
 	horizon   sim.Time
 
-	driver *sim.PartitionedDriver // nil on the reference path
-	sched  *sim.Scheduler         // the reference path's single scheduler
+	driver *sim.PartitionedDriver
 	parts  []*trafficPart
 
 	// Fast-forward state (FidelityAuto): precomputed integer-ns constants
@@ -261,7 +252,7 @@ type Traffic struct {
 	gwTo, gwFrom []*netem.Link
 	// mesh[p][q] is the boundary link from partition p's egress to q's
 	// ingress (meshSelf on the diagonal); edges[p][q] is the raw cross
-	// edge under it (nil on the diagonal and on the reference path). The
+	// edge under it (nil on the diagonal). The
 	// cross-partition fast-forward credits the p-owned request crossing
 	// directly and sends the q-owned half of the credit over the edge.
 	mesh  [][]*netem.Link
@@ -288,6 +279,21 @@ func gatewayAddr(g int) netem.Addr {
 // network per partition, the mesh of boundary links (cross edges where
 // they span partitions), and every terminal's probe chain.
 func NewTraffic(cfg TrafficConfig) *Traffic {
+	tr := prepareTraffic(cfg)
+	tr.driver = sim.NewPartitionedDriver(tr.fleet.cfg.Seed, tr.pm.Parts)
+	scheds := make([]*sim.Scheduler, tr.pm.Parts)
+	for p := range scheds {
+		scheds[p] = tr.driver.Scheduler(p)
+	}
+	tr.build(scheds)
+	return tr
+}
+
+// prepareTraffic does everything that comes before the engine: defaults,
+// the fleet, the partition map and the fast-forward's constants. What is
+// left is build on one scheduler per partition — the driver's, or in the
+// tests' single-scheduler oracle a plain one.
+func prepareTraffic(cfg TrafficConfig) *Traffic {
 	cfg = cfg.withDefaults()
 	var fleetSink *obs.Sink
 	if cfg.Collector != nil {
@@ -305,43 +311,25 @@ func NewTraffic(cfg TrafficConfig) *Traffic {
 	tr.ivlNs = int64(cfg.Interval)
 	tr.epochNs = int64(f.cfg.Epoch)
 	tr.lookNs = int64(tr.lookahead)
-	epochs := int64(f.cfg.Horizon / f.cfg.Epoch)
-	if epochs < 1 {
-		epochs = 1
-	}
-	tr.lastEpochAt = (epochs - 1) * tr.epochNs
+	tr.lastEpochAt = int64(tr.epochs()-1) * tr.epochNs
 	tr.pm = f.PartitionTerminals(cfg.Partitions)
-	nParts := tr.pm.Parts
-
-	// Every scheduler is seeded identically in PDES and reference mode,
-	// which is one of the two ingredients (with identical build order) of
-	// the byte-identity between the reference path and PDES at one
-	// partition.
-	scheds := make([]*sim.Scheduler, nParts)
-	if cfg.ReferencePartitioning {
-		tr.sched = sim.NewScheduler(sim.DeriveSeed(f.cfg.Seed, "pdes/partition", 0))
-		scheds[0] = tr.sched
-	} else {
-		tr.driver = sim.NewPartitionedDriver(f.cfg.Seed, nParts)
-		for p := range scheds {
-			scheds[p] = tr.driver.Scheduler(p)
-		}
-	}
-	tr.build(scheds)
-
 	if cfg.Collector != nil {
-		for p, part := range tr.parts {
-			cfg.Collector.Add(obs.ShardSource("fleettraffic", p), part.sink)
-		}
-		cfg.Collector.Add(obs.ShardSource("fleettraffic", nParts), fleetSink)
+		// The fleet campaign's sink takes the index after the partitions'
+		// own, which build registers as it creates them.
+		cfg.Collector.Add(obs.ShardSource("fleettraffic", tr.pm.Parts), fleetSink)
 	}
 	return tr
 }
 
-// build wires the whole topology in a fixed order — partitions ascending,
-// and within the mesh pass source-major — so cross-edge creation order
-// (and with it every partition's inbox drain order) is a pure function of
-// the configuration.
+// epochs is the number of fleet reassignments in the horizon, at least one.
+func (tr *Traffic) epochs() int {
+	return max(1, int(tr.fleet.cfg.Horizon/tr.fleet.cfg.Epoch))
+}
+
+// build wires the whole topology onto one scheduler per partition in a
+// fixed order — partitions ascending, and within the mesh pass
+// source-major — so cross-edge creation order (and with it every
+// partition's inbox drain order) is a pure function of the configuration.
 func (tr *Traffic) build(scheds []*sim.Scheduler) {
 	f := tr.fleet
 	nParts := len(scheds)
@@ -357,6 +345,7 @@ func (tr *Traffic) build(scheds []*sim.Scheduler) {
 		pt.net = netem.New(pt.sched)
 		if tr.cfg.Collector != nil {
 			pt.sink = obs.NewSink(0)
+			tr.cfg.Collector.Add(obs.ShardSource("fleettraffic", p), pt.sink)
 			pt.net.Observe(pt.sink)
 			reg := pt.sink.Registry()
 			pt.cSent = reg.Counter("traffic.probes_sent")
@@ -407,7 +396,7 @@ func (tr *Traffic) build(scheds []*sim.Scheduler) {
 	// cross-edge traffic (and with it the conservative engine's per-window
 	// overhead) scales with the partition map's real cut, not with the
 	// gateway count. The mapping is a pure function of (config, partition
-	// count), hence identical in PDES and reference mode. Every egress
+	// count). Every egress
 	// router can still reach every gateway through the mesh, and routes
 	// replies by terminal /16 prefix, so homing never affects delivery or
 	// delay — only which edges carry the packets, and with them which
@@ -475,8 +464,8 @@ func (tr *Traffic) build(scheds []*sim.Scheduler) {
 				pt.hRTT.Observe(int64(rtt))
 			})
 			// Phase within the interval derives from the terminal's own
-			// seed: probe instants are a pure function of placement, so
-			// they are identical in PDES and reference mode.
+			// seed: probe instants are a pure function of placement,
+			// whatever engine drives the partitions.
 			pt.sched.AtFunc(sim.Time(int64(f.seed[t]%uint64(interval))), probeFire, ref)
 		}
 	}
@@ -485,7 +474,7 @@ func (tr *Traffic) build(scheds []*sim.Scheduler) {
 	// by construction, so auto-selection downgrades all of them — access
 	// links (which carry an outage predicate) to delay-only, the mesh and
 	// gateway links to fast. FidelityFull skips the pass and keeps the
-	// complete reference datapath under every packet.
+	// complete datapath under every packet.
 	if tr.cfg.Fidelity != FidelityFull {
 		for _, pt := range tr.parts {
 			pt.net.AutoSelectFidelity()
@@ -667,41 +656,23 @@ func probeFire(arg any) {
 	pt.cSent.Inc()
 }
 
-// epoch runs one fleet reassignment plus the beam/accounting pass. In
-// PDES mode it executes as a barrier global — single-threaded, with every
-// partition's clock exactly at the epoch instant — so the shared fleet
-// arrays are never written while a window runs.
-func (tr *Traffic) epoch(e int, at sim.Time) {
-	tr.fleet.RunEpoch(e, at)
-}
-
 // Run executes the scenario to the horizon and returns the merged result.
+// Each fleet epoch — reassignment plus the beam/accounting pass — executes
+// as a barrier global: single-threaded, with every partition's clock
+// exactly at the epoch instant, so the shared fleet arrays are never
+// written while a window runs.
 func (tr *Traffic) Run() *TrafficResult {
 	f := tr.fleet
 	defer f.Close()
-	epochs := int(f.cfg.Horizon / f.cfg.Epoch)
-	if epochs < 1 {
-		epochs = 1
+	epochs := tr.epochs()
+	for e := 0; e < epochs; e++ {
+		at := sim.Time(int64(e) * int64(f.cfg.Epoch))
+		tr.driver.GlobalAt(at, func(at sim.Time) { f.RunEpoch(e, at) })
 	}
-	if tr.driver != nil {
-		for e := 0; e < epochs; e++ {
-			e := e
-			at := sim.Time(int64(e) * int64(f.cfg.Epoch))
-			tr.driver.GlobalAt(at, func(at sim.Time) { tr.epoch(e, at) })
-		}
-		tr.driver.Run(tr.horizon, tr.cfg.ScenarioWorkers)
-	} else {
-		// The reference loop advances with RunBefore — the same half-open
-		// window the PDES driver uses — so an event at exactly an epoch
-		// boundary observes the reassigned fleet in both modes.
-		for e := 0; e < epochs; e++ {
-			at := sim.Time(int64(e) * int64(f.cfg.Epoch))
-			tr.sched.RunBefore(at)
-			tr.epoch(e, at)
-		}
-		tr.sched.RunBefore(tr.horizon)
-	}
-	return tr.result(f.result(epochs))
+	tr.driver.Run(tr.horizon, tr.cfg.ScenarioWorkers)
+	res := tr.result(f.result(epochs))
+	res.Windows, res.Events = tr.driver.Windows, tr.driver.Events()
+	return res
 }
 
 // RunTraffic builds and runs a packet-level fleet scenario in one call.
@@ -725,12 +696,7 @@ func (tr *Traffic) FastForwarded() int64 {
 // EventsSkipped returns how many scheduler events the fast-forward
 // displaced — the work full-per-event emulation would have executed.
 // Processed + skipped is comparable across fidelity modes.
-func (tr *Traffic) EventsSkipped() uint64 {
-	if tr.driver != nil {
-		return tr.driver.EventsSkipped()
-	}
-	return tr.sched.Skipped
-}
+func (tr *Traffic) EventsSkipped() uint64 { return tr.driver.EventsSkipped() }
 
 // LinkTiers sums the per-partition link tier counts — how many links the
 // fidelity auto-selection left at full and downgraded to delay-only and
@@ -751,8 +717,8 @@ func (tr *Traffic) LinkTiers() (full, delayOnly, fast int) {
 type TrafficResult struct {
 	Terminals  int
 	Partitions int
-	// Windows counts PDES barrier windows (0 on the reference path);
-	// Events counts executed simulation events.
+	// Windows counts PDES barrier windows; Events counts executed
+	// simulation events.
 	Windows uint64
 	Events  uint64
 
@@ -783,18 +749,13 @@ type TrafficRegionResult struct {
 	RTTP95Ms float64
 }
 
-// result merges the per-partition accumulators in partition order.
+// result merges the per-partition accumulators in partition order; the
+// engine counters (Windows, Events) are the caller's to fill in.
 func (tr *Traffic) result(fl *Result) *TrafficResult {
 	res := &TrafficResult{
 		Terminals:  len(tr.fleet.sat),
 		Partitions: len(tr.parts),
 		Fleet:      fl,
-	}
-	if tr.driver != nil {
-		res.Windows = tr.driver.Windows
-		res.Events = tr.driver.Events()
-	} else {
-		res.Events = tr.sched.Processed
 	}
 	merged := make([]trafficAccum, len(tr.fleet.regions))
 	for ri := range merged {

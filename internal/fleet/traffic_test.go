@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"starlinkperf/internal/obs"
+	"starlinkperf/internal/sim"
 )
 
 // testTrafficConfig is the small-but-global scenario the equivalence
@@ -34,17 +35,38 @@ func scrub(r *TrafficResult) *TrafficResult {
 	return &c
 }
 
+// runTrafficSingleScheduler is the PDES engine's oracle: the same builder
+// wires the whole scenario as one partition onto one plain scheduler —
+// seeded like the driver's partition 0 — and a plain loop advances it from
+// epoch to epoch. No driver, no windows, no cross edges. The loop uses
+// RunBefore, the same half-open window as the driver, so an event at
+// exactly an epoch boundary observes the reassigned fleet in both.
+func runTrafficSingleScheduler(cfg TrafficConfig) *TrafficResult {
+	cfg.Partitions = 1
+	tr := prepareTraffic(cfg)
+	f := tr.fleet
+	defer f.Close()
+	sched := sim.NewScheduler(sim.DeriveSeed(f.cfg.Seed, "pdes/partition", 0))
+	tr.build([]*sim.Scheduler{sched})
+	epochs := tr.epochs()
+	for e := 0; e < epochs; e++ {
+		at := sim.Time(int64(e) * int64(f.cfg.Epoch))
+		sched.RunBefore(at)
+		f.RunEpoch(e, at)
+	}
+	sched.RunBefore(tr.horizon)
+	res := tr.result(f.result(epochs))
+	res.Events = sched.Processed
+	return res
+}
+
 // TestTrafficReferenceVsPDES holds the PDES engine to the single-
-// scheduler reference path: for several seeds and partition counts, the
-// merged result — probe counts, per-region RTT quantiles, the embedded
-// fleet campaign — must be exactly equal.
+// scheduler oracle: for several seeds and partition counts, the merged
+// result — probe counts, per-region RTT quantiles, the embedded fleet
+// campaign — must be exactly equal.
 func TestTrafficReferenceVsPDES(t *testing.T) {
 	for _, seed := range []uint64{1, 42, 20260808} {
-		ref := RunTraffic(func() TrafficConfig {
-			c := testTrafficConfig(seed)
-			c.ReferencePartitioning = true
-			return c
-		}())
+		ref := runTrafficSingleScheduler(testTrafficConfig(seed))
 		if ref.ProbesSent == 0 || ref.ProbesRecv == 0 {
 			t.Fatalf("seed %d: reference run sent %d, received %d probes", seed, ref.ProbesSent, ref.ProbesRecv)
 		}
@@ -96,20 +118,19 @@ func TestTrafficWorkerInvariance(t *testing.T) {
 
 // TestTrafficOnePartitionByteIdentical pins the strongest equivalence:
 // PDES with one partition produces byte-for-byte the same exports as the
-// reference path — same events, same order, same trace stream — because
-// the builder, seeds and half-open window semantics are shared.
+// single-scheduler oracle — same events, same order, same trace stream —
+// because the builder, seeds and half-open window semantics are shared.
 func TestTrafficOnePartitionByteIdentical(t *testing.T) {
-	run := func(reference bool) (m, j []byte) {
+	run := func(runTraffic func(TrafficConfig) *TrafficResult) (m, j []byte) {
 		col := obs.NewCollector()
 		c := testTrafficConfig(7)
 		c.Partitions = 1
-		c.ReferencePartitioning = reference
 		c.Collector = col
-		RunTraffic(c)
+		runTraffic(c)
 		return col.ExportMetricsJSON(), col.ExportTraceJSONL()
 	}
-	refM, refJ := run(true)
-	gotM, gotJ := run(false)
+	refM, refJ := run(runTrafficSingleScheduler)
+	gotM, gotJ := run(RunTraffic)
 	if !bytes.Equal(gotM, refM) {
 		t.Error("one-partition PDES metrics differ from reference path")
 	}

@@ -11,8 +11,57 @@ import (
 // The geometry fast path (ECEF-native elevation, per-plane candidate
 // pruning, shared snapshots, the delay ring) must be a pure optimization:
 // assignments and delays have to come out bit-identical to the naive
-// full scan the seed shipped, which is kept in-tree as
-// ReferenceAssignmentAt / computeAssignmentReference.
+// full scan below.
+
+// referenceAssignmentAt is the assignment oracle: for the epoch containing
+// at, scan every enabled satellite, round-trip positions through LatLon,
+// compare elevations in degrees — uncached, unpruned, the way the code
+// read before the geometry fast path.
+func (t *Terminal) referenceAssignmentAt(at sim.Time) Assignment {
+	ep := t.epochOf(at)
+	return t.computeAssignmentReference(sim.Time(ep * t.epochNS))
+}
+
+func (t *Terminal) computeAssignmentReference(at sim.Time) Assignment {
+	best := Assignment{}
+	bestElev := -1.0
+	t.con.ForEach(func(id SatID) {
+		satPos := t.con.Position(id, at)
+		satLL := satPos.ToLatLon()
+		elev := geo.ElevationDeg(t.cfg.Pos, satLL)
+		if elev < t.cfg.MinElevationDeg || elev <= bestElev {
+			return
+		}
+		gw := t.referenceBestGateway(satLL, satPos)
+		if gw < 0 {
+			return
+		}
+		best = Assignment{Sat: id, Gateway: gw, OK: true}
+		bestElev = elev
+	})
+	return best
+}
+
+// referenceBestGateway is the naive per-candidate gateway selection, with
+// the default-mask rule applied inside the loop as the original code did.
+func (t *Terminal) referenceBestGateway(satLL geo.LatLon, satPos geo.ECEF) int {
+	best := -1
+	bestRange := 0.0
+	for i, gw := range t.gateways {
+		mask := gw.MinElevationDeg
+		if mask == 0 {
+			mask = 10
+		}
+		if geo.ElevationDeg(gw.Pos, satLL) < mask {
+			continue
+		}
+		r := gw.Pos.ToECEF().Distance(satPos)
+		if best < 0 || r < bestRange {
+			best, bestRange = i, r
+		}
+	}
+	return best
+}
 
 // referenceDelayAt recomputes DelayAt the way the pre-fast-path code did,
 // from a reference assignment and per-call ToECEF conversions.
@@ -37,7 +86,7 @@ func checkEquivalence(t *testing.T, pos geo.LatLon, gws []Gateway, horizon time.
 	for ep := int64(0); ep <= last; ep += strideEpochs {
 		at := sim.Time(ep * epoch)
 		fast := term.AssignmentAt(at)
-		ref := term.ReferenceAssignmentAt(at)
+		ref := term.referenceAssignmentAt(at)
 		if fast != ref {
 			t.Fatalf("epoch %d (%v): fast %+v != reference %+v", ep, at, fast, ref)
 		}
@@ -119,7 +168,7 @@ func TestFastPathMatchesReferencePartialShell(t *testing.T) {
 	for ep := int64(0); ep < 400; ep++ {
 		at := sim.Time(ep * int64(15*time.Second))
 		fast := term.AssignmentAt(at)
-		ref := term.ReferenceAssignmentAt(at)
+		ref := term.referenceAssignmentAt(at)
 		if fast != ref {
 			t.Fatalf("epoch %d: fast %+v != reference %+v", ep, fast, ref)
 		}
@@ -146,7 +195,7 @@ func TestNoCoverageAboveInclinationPlusFootprint(t *testing.T) {
 		if a := term.AssignmentAt(at); a.OK {
 			t.Fatalf("epoch %d: serving satellite %+v above latitude 75°", ep, a)
 		}
-		if a := term.ReferenceAssignmentAt(at); a.OK {
+		if a := term.referenceAssignmentAt(at); a.OK {
 			t.Fatalf("epoch %d: reference found %+v — test premise wrong", ep, a)
 		}
 	}
@@ -164,7 +213,7 @@ func TestPruningAtInclinationLatitude(t *testing.T) {
 	for ep := int64(0); ep < 1000; ep++ {
 		at := sim.Time(ep * int64(15*time.Second))
 		fast := term.AssignmentAt(at)
-		ref := term.ReferenceAssignmentAt(at)
+		ref := term.referenceAssignmentAt(at)
 		if fast != ref {
 			t.Fatalf("epoch %d: fast %+v != reference %+v", ep, fast, ref)
 		}
@@ -218,7 +267,7 @@ func TestDelayRingInterleavedFlows(t *testing.T) {
 		for _, q := range quanta {
 			at := q + sim.Time(round)*sim.Time(time.Microsecond)
 			d, ok := term.DelayAt(at)
-			wantD, wantOK := referenceDelayAt(term, term.ReferenceAssignmentAt(at), at)
+			wantD, wantOK := referenceDelayAt(term, term.referenceAssignmentAt(at), at)
 			if d != wantD || ok != wantOK {
 				t.Fatalf("round %d at %v: DelayAt (%v,%v) != reference (%v,%v)",
 					round, at, d, ok, wantD, wantOK)

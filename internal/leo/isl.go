@@ -130,8 +130,8 @@ func (p *pq) pop() pqItem {
 // in an 8-entry ring: positions are a pure function of (shell geometry,
 // at), so the tuple fully determines the route, and repeated queries
 // within a position-snapshot epoch cost a ring probe instead of a fresh
-// Dijkstra. ReferencePathDelay bypasses the memo; the equivalence test in
-// isl_memo_test.go holds the two bit-identical.
+// Dijkstra. isl_memo_test.go holds a memoized router bit-identical to the
+// plain computation.
 func (r *ISLRouter) PathDelay(at sim.Time, src, dst geo.LatLon, minElevationDeg float64) (d time.Duration, islHops int, ok bool) {
 	gen := r.shell.Gen()
 	for i := range r.memo {
@@ -141,7 +141,7 @@ func (r *ISLRouter) PathDelay(at sim.Time, src, dst geo.LatLon, minElevationDeg 
 			return e.d, e.islHops, e.ok
 		}
 	}
-	d, islHops, ok = r.ReferencePathDelay(at, src, dst, minElevationDeg)
+	d, islHops, ok = r.searchPathDelay(at, src, dst, minElevationDeg)
 	r.memo[r.memoNext] = islMemoEntry{
 		valid: true, at: at, src: src, dst: dst, mask: minElevationDeg,
 		gen: gen, d: d, islHops: islHops, ok: ok,
@@ -150,10 +150,9 @@ func (r *ISLRouter) PathDelay(at sim.Time, src, dst geo.LatLon, minElevationDeg 
 	return d, islHops, ok
 }
 
-// ReferencePathDelay is the unmemoized route computation: the full
-// visibility scan plus Dijkstra, kept as the correctness reference for
-// the memo ring.
-func (r *ISLRouter) ReferencePathDelay(at sim.Time, src, dst geo.LatLon, minElevationDeg float64) (d time.Duration, islHops int, ok bool) {
+// searchPathDelay is the route computation PathDelay runs on a memo miss:
+// the full visibility scan plus Dijkstra.
+func (r *ISLRouter) searchPathDelay(at sim.Time, src, dst geo.LatLon, minElevationDeg float64) (d time.Duration, islHops int, ok bool) {
 	cfg := r.shell.Config()
 	planes, per := cfg.Planes, cfg.SatsPerPlane
 

@@ -9,7 +9,7 @@ import (
 )
 
 // TestISLMemoEquivalence holds the memoized PathDelay bit-identical to
-// ReferencePathDelay across distinct instants (more than the ring holds,
+// the plain computation across distinct instants (more than the ring holds,
 // so eviction paths run), repeated queries (memo hits), and interleaved
 // endpoint pairs.
 func TestISLMemoEquivalence(t *testing.T) {
@@ -26,7 +26,7 @@ func TestISLMemoEquivalence(t *testing.T) {
 	check := func(at sim.Time, src, dst geo.LatLon, mask float64) {
 		t.Helper()
 		gd, gh, gok := memoR.PathDelay(at, src, dst, mask)
-		wd, wh, wok := refR.ReferencePathDelay(at, src, dst, mask)
+		wd, wh, wok := refR.searchPathDelay(at, src, dst, mask)
 		if gd != wd || gh != wh || gok != wok {
 			t.Fatalf("at=%v src=%v dst=%v mask=%v: memo (%v,%d,%v) != reference (%v,%d,%v)",
 				at, src, dst, mask, gd, gh, gok, wd, wh, wok)
@@ -78,7 +78,7 @@ func TestISLMemoInvalidatedByMembership(t *testing.T) {
 			memoShell.SetEnabled(p, i, false)
 			refShell.SetEnabled(p, i, false)
 		}
-		wd, wh, wok := refR.ReferencePathDelay(at, src, dst, 25)
+		wd, wh, wok := refR.searchPathDelay(at, src, dst, 25)
 		changed = wd != d0 || wh != h0 || wok != ok0
 		gd, gh, gok := memoR.PathDelay(at, src, dst, 25)
 		if gd != wd || gh != wh || gok != wok {

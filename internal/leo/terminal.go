@@ -81,10 +81,10 @@ const pruneMarginRad = 0.005
 // mask is within ~9° great-circle of the observer, so each plane
 // contributes at most a few candidates), and all visibility checks are
 // ECEF-native sine comparisons against precomputed observer geometry. The
-// result is identical to the naive all-satellite scan, which is kept as
-// ReferenceAssignmentAt and re-run by the equivalence tests; when the
-// pruned window finds no serving satellite the terminal falls back to a
-// full scan, so correctness never rests on the pruning bound.
+// result is identical to the naive all-satellite scan in degrees, which
+// the equivalence tests keep as their oracle; when the pruned window finds
+// no serving satellite the terminal falls back to a full scan, so
+// correctness never rests on the pruning bound.
 //
 // Terminal is not safe for concurrent use; the simulation is
 // single-threaded.
@@ -369,58 +369,6 @@ func (t *Terminal) bestGateway(satPos geo.ECEF) int {
 		}
 		if best < 0 || dn < bestRange {
 			best, bestRange = i, dn
-		}
-	}
-	return best
-}
-
-// ReferenceAssignmentAt recomputes the assignment for the epoch
-// containing at with the naive pre-fast-path algorithm: scan every
-// enabled satellite, round-trip positions through LatLon, compare
-// elevations in degrees. It is deliberately kept in-tree (uncached) as
-// the ground truth the equivalence tests and the naive-vs-fast benchmarks
-// run against.
-func (t *Terminal) ReferenceAssignmentAt(at sim.Time) Assignment {
-	ep := t.epochOf(at)
-	return t.computeAssignmentReference(sim.Time(ep * t.epochNS))
-}
-
-func (t *Terminal) computeAssignmentReference(at sim.Time) Assignment {
-	best := Assignment{}
-	bestElev := -1.0
-	t.con.ForEach(func(id SatID) {
-		satPos := t.con.Position(id, at)
-		satLL := satPos.ToLatLon()
-		elev := geo.ElevationDeg(t.cfg.Pos, satLL)
-		if elev < t.cfg.MinElevationDeg || elev <= bestElev {
-			return
-		}
-		gw := t.referenceBestGateway(satLL, satPos)
-		if gw < 0 {
-			return
-		}
-		best = Assignment{Sat: id, Gateway: gw, OK: true}
-		bestElev = elev
-	})
-	return best
-}
-
-// referenceBestGateway is the naive per-candidate gateway selection, with
-// the default-mask rule applied inside the loop as the original code did.
-func (t *Terminal) referenceBestGateway(satLL geo.LatLon, satPos geo.ECEF) int {
-	best := -1
-	bestRange := 0.0
-	for i, gw := range t.gateways {
-		mask := gw.MinElevationDeg
-		if mask == 0 {
-			mask = 10
-		}
-		if geo.ElevationDeg(gw.Pos, satLL) < mask {
-			continue
-		}
-		r := gw.Pos.ToECEF().Distance(satPos)
-		if best < 0 || r < bestRange {
-			best, bestRange = i, r
 		}
 	}
 	return best

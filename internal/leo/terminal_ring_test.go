@@ -13,7 +13,7 @@ import (
 // reference assignment path, bypassing both the assignment cache and the
 // delay ring.
 func ringRefDelay(term *Terminal, at sim.Time) (time.Duration, bool) {
-	a := term.ReferenceAssignmentAt(at)
+	a := term.referenceAssignmentAt(at)
 	if !a.OK {
 		return -1, false
 	}

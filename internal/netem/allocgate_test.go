@@ -128,12 +128,12 @@ func BenchmarkPacketPath(b *testing.B) {
 	}
 }
 
-// BenchmarkPacketPathReference is the same traversal on the seed
-// datapath, for the allocs/packet comparison in starlink-bench.
-func BenchmarkPacketPathReference(b *testing.B) {
+// BenchmarkPacketPathNoRecycle is the same traversal with recycling off:
+// what the packet and ICMP pools save per packet.
+func BenchmarkPacketPathNoRecycle(b *testing.B) {
 	s := sim.NewScheduler(1)
 	nw := New(s)
-	nw.SetReference(true)
+	nw.DisableRecycling()
 	nodes := buildChainOn(nw, 3, time.Millisecond)
 	a, c := nodes[0], nodes[2]
 	c.Bind(ProtoUDP, 9, func(*Packet) {})

@@ -2,15 +2,14 @@ package netem
 
 import "sort"
 
-// Flat FIB: the fast-path replacement for the per-hop routes map plus
-// linear prefixRoutes scan. The maps/slices written by AddRoute,
-// AddPrefixRoute and SetDefaultRoute stay the source of truth (and the
-// reference lookup walks them exactly like the seed code did); the flat
-// tables below are rebuilt from them lazily after any change, and a
-// 4-entry direct-mapped last-destination cache in front of the lookup is
-// cleared on every rebuild. Decisions are identical by construction —
-// exact beats prefix, longest mask wins, earliest-inserted wins ties,
-// default last — and fib_test.go proves it against randomized tables.
+// Flat FIB: the per-hop route lookup. The map and slices written by
+// AddRoute, AddPrefixRoute and SetDefaultRoute stay the source of truth;
+// the flat tables below are rebuilt from them lazily after any change, and
+// a 4-entry direct-mapped last-destination cache in front of the lookup is
+// cleared on every rebuild. The decision rule — exact beats prefix,
+// longest mask wins, earliest-inserted wins ties, default last — is the
+// one a map probe plus a linear longest-prefix scan makes; fib_test.go
+// keeps that scan as the oracle and compares on randomized tables.
 
 // fibExact is one exact-destination route in the sorted fast table.
 type fibExact struct {
@@ -19,12 +18,12 @@ type fibExact struct {
 }
 
 // fibPrefixEntry is one prefix route. key is the prefix's significant
-// bits (prefix >> (32-bits)); for mask lengths of 32 or more — which the
-// seed scan treats as exact equality — it is the full address.
+// bits (prefix >> (32-bits)); for mask lengths of 32 or more — which mean
+// exact equality — it is the full address.
 type fibPrefixEntry struct {
 	key  Addr
 	bits int32
-	seq  int32 // insertion order, the seed scan's tie-break
+	seq  int32 // insertion order, the tie-break among equal prefixes
 	link *Link
 }
 
@@ -69,9 +68,9 @@ func (n *Node) rebuildFIB() {
 	n.fibPrefix = n.fibPrefix[:0]
 	for i, pr := range n.prefixRoutes {
 		if pr.bits < 0 {
-			// The linear scan can never select a negative mask (its best
-			// starts at -1 and requires a strict improvement), so such
-			// entries are dead; excluding them preserves that.
+			// A negative mask length can never win a longest-prefix match
+			// (the best starts at -1 and needs a strict improvement), so
+			// such entries are dead.
 			continue
 		}
 		n.fibPrefix = append(n.fibPrefix, fibPrefixEntry{
@@ -142,7 +141,7 @@ func (n *Node) lookupLink(dst Addr) *Link {
 	return n.defaultRoute
 }
 
-// lookupRoute is the cached fast-path lookup used by route().
+// lookupRoute is the cached lookup used by route().
 func (n *Node) lookupRoute(dst Addr) *Link {
 	if n.fibDirty {
 		n.rebuildFIB()
@@ -156,27 +155,6 @@ func (n *Node) lookupRoute(dst Addr) *Link {
 		*e = routeCacheEntry{dst: dst, link: l}
 	}
 	return l
-}
-
-// referenceLookup replicates the seed route decision exactly: exact map,
-// then the linear longest-prefix scan in insertion order with a strict
-// improvement test, then the default route.
-func (n *Node) referenceLookup(dst Addr) *Link {
-	if l, ok := n.routes[dst]; ok {
-		return l
-	}
-	var best *Link
-	bestBits := -1
-	for _, pr := range n.prefixRoutes {
-		if pr.bits > bestBits && matchPrefix(dst, pr.prefix, pr.bits) {
-			best = pr.link
-			bestBits = pr.bits
-		}
-	}
-	if best != nil {
-		return best
-	}
-	return n.defaultRoute
 }
 
 // handlerEntry is one bound handler in the sorted fast table; key packs
@@ -216,9 +194,8 @@ func (n *Node) searchHandler(key uint32) Handler {
 	return nil
 }
 
-// lookupHandler is the fast-path replacement for the two-probe handlers
-// map lookup in deliver: the exact (proto, port), then the protocol's
-// port-0 wildcard.
+// lookupHandler resolves a delivery: the exact (proto, port), then the
+// protocol's port-0 wildcard.
 func (n *Node) lookupHandler(proto Proto, port uint16) Handler {
 	if n.hDirty {
 		n.rebuildHandlers()

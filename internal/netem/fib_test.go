@@ -9,7 +9,7 @@ import (
 )
 
 // fibBitsChoices covers the mask-length edge cases: negative (dead in the
-// seed scan), 0 (matches everything), 32 and beyond (exact equality), and
+// linear scan), 0 (matches everything), 32 and beyond (exact equality), and
 // ordinary interior lengths.
 var fibBitsChoices = []int{-1, 0, 1, 5, 8, 15, 16, 24, 31, 32, 33, 40}
 
@@ -51,6 +51,84 @@ func fibRandAddr(rng *rand.Rand) Addr {
 	return Addr(rng.Uint32())
 }
 
+// referenceLookup is the route oracle — the decision rule spelled out the
+// slow way: the exact map, then a linear longest-prefix scan in insertion
+// order with a strict improvement test, then the default route.
+func (n *Node) referenceLookup(dst Addr) *Link {
+	if l, ok := n.routes[dst]; ok {
+		return l
+	}
+	var best *Link
+	bestBits := -1
+	for _, pr := range n.prefixRoutes {
+		if pr.bits > bestBits && matchPrefix(dst, pr.prefix, pr.bits) {
+			best = pr.link
+			bestBits = pr.bits
+		}
+	}
+	if best != nil {
+		return best
+	}
+	return n.defaultRoute
+}
+
+func matchPrefix(a, prefix Addr, bits int) bool {
+	if bits <= 0 {
+		return true
+	}
+	if bits >= 32 {
+		return a == prefix
+	}
+	shift := 32 - bits
+	return a>>shift == prefix>>shift
+}
+
+// referenceHandler is the delivery oracle: two probes of the handlers map
+// Bind and Unbind write, the exact (proto, port) then the port-0 wildcard.
+func (n *Node) referenceHandler(proto Proto, port uint16) Handler {
+	if h, ok := n.handlers[protoPort{proto, port}]; ok {
+		return h
+	}
+	return n.handlers[protoPort{proto, 0}]
+}
+
+// The sorted handler table must dispatch like the map it is rebuilt from,
+// through any sequence of binds and unbinds, wildcards included.
+func TestHandlerTableMatchesMapProbe(t *testing.T) {
+	rng := rand.New(rand.NewSource(20260805))
+	protos := []Proto{ProtoUDP, ProtoTCP, ProtoICMP}
+	for trial := 0; trial < 100; trial++ {
+		nw := New(sim.NewScheduler(1))
+		n := nw.NewNode("n", MustParseAddr("10.0.0.1"))
+		called := -1
+		for step := 0; step < 40; step++ {
+			proto, port := protos[rng.Intn(len(protos))], uint16(rng.Intn(6)) // port 0 binds the wildcard
+			if _, bound := n.handlers[protoPort{proto, port}]; bound {
+				n.Unbind(proto, port)
+			} else {
+				id := step
+				n.Bind(proto, port, func(*Packet) { called = id })
+			}
+			for _, proto := range protos {
+				for port := uint16(0); port < 8; port++ {
+					got, want := -1, -1
+					if h := n.lookupHandler(proto, port); h != nil {
+						h(nil)
+						got = called
+					}
+					if h := n.referenceHandler(proto, port); h != nil {
+						h(nil)
+						want = called
+					}
+					if got != want {
+						t.Fatalf("trial %d step %d: (%v, %d) dispatches to handler %d, the map probe to %d", trial, step, proto, port, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
 func checkFIBAgainstReference(t *testing.T, n *Node, dst Addr) {
 	t.Helper()
 	got, want := n.lookupRoute(dst), n.referenceLookup(dst)
@@ -67,8 +145,8 @@ func linkName(l *Link) string {
 	return l.name
 }
 
-// The flat FIB must make the same decision as the seed's exact-map +
-// linear-scan + default lookup for every destination, on randomized
+// The flat FIB must make the same decision as the exact-map +
+// linear-scan + default oracle for every destination, on randomized
 // tables including duplicate prefixes, /0 and /32+ masks, and negative
 // (dead) mask lengths — and keep agreeing after mid-trial table changes
 // that force rebuilds and cache invalidation.

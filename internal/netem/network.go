@@ -30,10 +30,10 @@ type Network struct {
 	packetID uint64
 	obs      *netObs
 
-	// Packet/ICMP freelists and reference-mode switch (see pool.go). The
+	// Packet/ICMP freelists and the no-recycle switch (see pool.go). The
 	// freelists' high-water mark is the peak number of packets alive at
 	// once; past it the datapath stops allocating.
-	reference bool
+	noRecycle bool
 	pktFree   []*Packet
 	icmpFree  []*ICMP
 	poolStats PoolStats

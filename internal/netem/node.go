@@ -236,17 +236,7 @@ func (n *Node) deliver(pkt *Packet) {
 			return
 		}
 	}
-	var h Handler
-	if n.net.reference {
-		if hh, ok := n.handlers[protoPort{pkt.Proto, pkt.DstPort}]; ok {
-			h = hh
-		} else if hh, ok := n.handlers[protoPort{pkt.Proto, 0}]; ok {
-			h = hh
-		}
-	} else {
-		h = n.lookupHandler(pkt.Proto, pkt.DstPort)
-	}
-	if h != nil {
+	if h := n.lookupHandler(pkt.Proto, pkt.DstPort); h != nil {
 		h(pkt)
 		// Handlers consume synchronously; anything they keep (the quoted
 		// probe of an ICMP error, a whole error message) is excluded by
@@ -299,13 +289,7 @@ func (n *Node) route(pkt *Packet) {
 			}
 		}
 	}
-	var l *Link
-	if n.net.reference {
-		l = n.referenceLookup(pkt.Dst)
-	} else {
-		l = n.lookupRoute(pkt.Dst)
-	}
-	if l != nil {
+	if l := n.lookupRoute(pkt.Dst); l != nil {
 		l.send(pkt)
 		return
 	}
@@ -315,15 +299,4 @@ func (n *Node) route(pkt *Packet) {
 		return
 	}
 	n.net.releaseConsumed(pkt)
-}
-
-func matchPrefix(a, prefix Addr, bits int) bool {
-	if bits <= 0 {
-		return true
-	}
-	if bits >= 32 {
-		return a == prefix
-	}
-	shift := 32 - bits
-	return a>>shift == prefix>>shift
 }

@@ -23,10 +23,11 @@ package netem
 // no-ops. A handler or device that wants to keep a delivered packet past
 // its synchronous call must Detach it first.
 //
-// Reference mode (SetReference) turns every constructor into a plain
-// allocation and every release into a no-op, reproducing the seed
-// datapath byte for byte; the equivalence suite in internal/core compares
-// full campaigns both ways.
+// No-recycle mode (DisableRecycling) turns every constructor into a plain
+// allocation and every release into a no-op: nothing is ever reused, so
+// nothing can be read after reuse. It exists for tests — it is the
+// use-after-release oracle whole campaigns are compared against — and no
+// Config, Options or flag reaches it.
 
 // PayloadReleaser is implemented by pooled payload types (the TCP
 // segment, the QUIC wire buffer). The datapath calls ReleasePayload once
@@ -65,22 +66,22 @@ func (st PoolStats) HitRate() float64 {
 // PoolStats returns a copy of the packet-pool counters.
 func (nw *Network) PoolStats() PoolStats { return nw.poolStats }
 
-// SetReference switches the network to the seed datapath: fresh
-// allocations everywhere, map-based handler lookup, and the linear
-// longest-prefix route scan. Call it before any traffic flows; campaign
-// output must be bit-identical either way (datapath_equivalence_test.go
-// in internal/core enforces it).
-func (nw *Network) SetReference(on bool) { nw.reference = on }
+// DisableRecycling puts the network in no-recycle mode for good: packets
+// and ICMP bodies become plain owner-less allocations, and since the
+// datapath releases only what it owns, the payloads they carry (TCP
+// segments, QUIC wire buffers) never return to their pools either. For
+// tests, before any traffic flows: a campaign must produce the same bytes
+// whether or not anything is ever recycled, which is how a read of a
+// released packet, segment or buffer shows up
+// (TestDatapathCampaignEquivalence and TestPoisonedSegmentPoolMatchesReference
+// in internal/core).
+func (nw *Network) DisableRecycling() { nw.noRecycle = true }
 
-// Reference reports whether the network runs the seed datapath.
-func (nw *Network) Reference() bool { return nw.reference }
-
-// NewPacket returns a zeroed packet for sending on this network. On the
-// fast path it comes from the freelist (keeping its Hops backing array);
-// in reference mode it is a plain allocation the pool never touches
-// again.
+// NewPacket returns a zeroed packet for sending on this network, from the
+// freelist (keeping its Hops backing array) when there is one; in
+// no-recycle mode it is a plain allocation the pool never touches again.
 func (nw *Network) NewPacket() *Packet {
-	if nw.reference {
+	if nw.noRecycle {
 		return &Packet{}
 	}
 	nw.poolStats.Gets++
@@ -140,9 +141,9 @@ func (nw *Network) releaseConsumed(p *Packet) {
 }
 
 // NewICMP returns a zeroed ICMP body from the pool (or a plain
-// allocation in reference mode).
+// allocation in no-recycle mode).
 func (nw *Network) NewICMP() *ICMP {
-	if nw.reference {
+	if nw.noRecycle {
 		return &ICMP{}
 	}
 	if n := len(nw.icmpFree); n > 0 {

@@ -106,20 +106,33 @@ func TestQuotedICMPNeverRecycled(t *testing.T) {
 
 func TestReferenceModeAllocatesPlainly(t *testing.T) {
 	_, nw := testNet(t)
-	nw.SetReference(true)
-	if !nw.Reference() {
-		t.Fatal("Reference() must report the mode")
-	}
+	early := nw.NewPacket()
+	nw.DisableRecycling()
 	p := nw.NewPacket()
 	if p.Pooled() {
-		t.Fatal("reference mode must hand out owner-less packets")
+		t.Fatal("no-recycle mode must hand out owner-less packets")
+	}
+	payload := &sharedOncePayload{}
+	p.Payload = payload
+	nw.releaseConsumed(p)
+	nw.ReleasePacket(p, p.Gen())
+	if payload.released {
+		t.Fatal("no-recycle mode released a payload to its pool")
 	}
 	ic := nw.NewICMP()
 	p.Payload = ic
 	nw.releaseConsumed(p)
-	nw.ReleasePacket(p, p.Gen())
-	if st := nw.PoolStats(); st.Gets != 0 || st.Puts != 0 {
-		t.Fatalf("reference mode touched the pool: %+v", st)
+	// A packet handed out before the switch still returns, but nothing
+	// is ever drawn from the freelist again.
+	nw.releaseConsumed(early)
+	if again := nw.NewPacket(); again == early || again == p {
+		t.Fatal("no-recycle mode reused a released packet")
+	}
+	if again := nw.NewICMP(); again == ic {
+		t.Fatal("no-recycle mode reused a released ICMP body")
+	}
+	if st := nw.PoolStats(); st.Gets != 1 || st.Hits != 0 {
+		t.Fatalf("no-recycle mode drew from the pool: %+v", st)
 	}
 }
 

@@ -167,8 +167,8 @@ func (c *Collector) ExportTraceBinary() []byte {
 	return b.Bytes()
 }
 
-// Snapshot returns the merged registry flattened for bench.json, or nil
-// when c is nil.
+// Snapshot returns the merged registry flattened to name → value pairs,
+// or nil when c is nil.
 func (c *Collector) Snapshot() map[string]float64 {
 	if c == nil {
 		return nil

@@ -9,7 +9,7 @@
 //     wall-clock timestamps, no map-iteration order, no pointer values.
 //     Registries merge commutatively and exports sort by name, so the
 //     bytes are identical across repeated runs and across worker counts —
-//     which is what lets ci.sh byte-diff two campaign runs as a
+//     which is what lets the tests byte-diff two campaign runs as a
 //     nondeterminism detector.
 //   - Zero-alloc hot path. Counter.Inc, Gauge.Set, Histogram.Observe and
 //     Tracer.Emit allocate nothing; the trace ring and histogram buckets
@@ -376,7 +376,7 @@ func (r *Registry) exportJSON(b *bytes.Buffer) {
 	b.WriteString(`}}`)
 }
 
-// Snapshot flattens the registry into name → value pairs for bench.json:
+// Snapshot flattens the registry into name → value pairs for a report:
 // counters as-is, gauges as <name>.max, histograms as <name>.count and
 // <name>.sum.
 func (r *Registry) Snapshot() map[string]float64 {

@@ -52,7 +52,7 @@ type wireBuf struct {
 
 // WirePoolStats counts an endpoint's wire-buffer pool traffic. Once every
 // packet the endpoint sent reached a terminal point on a pooling network,
-// Gets == Puts + Shared; a reference-mode network never returns buffers.
+// Gets == Puts + Shared; a network in no-recycle mode never returns buffers.
 type WirePoolStats struct {
 	netem.PoolStats
 	// Shared counts buffers that left the pool because a second packet

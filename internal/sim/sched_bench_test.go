@@ -47,9 +47,3 @@ func runChurn(b *testing.B, s *Scheduler) {
 func BenchmarkSchedulerChurn(b *testing.B) {
 	runChurn(b, NewScheduler(1))
 }
-
-// BenchmarkSchedulerChurnReference runs the identical workload on the
-// seed container/heap queue for an honest before/after.
-func BenchmarkSchedulerChurnReference(b *testing.B) {
-	runChurn(b, NewReferenceScheduler(1))
-}

@@ -61,15 +61,13 @@ func (h TimerHandle) Stop() bool {
 	}
 	t.stopped = true
 	s := t.s
-	if s.ref == nil {
-		s.nstopped++
-		// Lazy compaction: once stopped timers outnumber live ones the
-		// queue is mostly garbage — sweep them back to the freelist so
-		// campaigns that cancel millions of retransmit timers keep a
-		// bounded queue (and Pending() stays honest).
-		if s.nstopped*2 > len(s.heap) && len(s.heap) >= compactMin {
-			s.compact()
-		}
+	s.nstopped++
+	// Lazy compaction: once stopped timers outnumber live ones the
+	// queue is mostly garbage — sweep them back to the freelist so
+	// campaigns that cancel millions of retransmit timers keep a
+	// bounded queue (and Pending() stays honest).
+	if s.nstopped*2 > len(s.heap) && len(s.heap) >= compactMin {
+		s.compact()
 	}
 	return true
 }
@@ -87,17 +85,14 @@ func (h TimerHandle) Pending() bool {
 // The queue is a typed 4-ary min-heap ordered by (at, seq) — FIFO among
 // equal timestamps — with no interface boxing. Fired and compacted
 // timers are recycled through a freelist, so the steady-state event loop
-// allocates nothing. NewReferenceScheduler builds the same Scheduler on
-// the seed container/heap queue instead; both fire the identical
-// (at, seq) sequence, which the equivalence suite in internal/core
-// verifies campaign-by-campaign.
+// allocates nothing. The package's tests hold it, operation by operation,
+// to a container/heap model of the same contract (model_test.go).
 type Scheduler struct {
 	now      Time
 	seq      uint64
 	heap     []*Timer
 	nstopped int      // stopped timers still sitting in heap
 	free     []*Timer // recycled nodes
-	ref      *refQueue
 	rng      *RNG
 	stopped  bool
 	// hollow marks heap[0] as the node of the event being fired: dead to
@@ -134,19 +129,6 @@ const compactMin = 64
 func NewScheduler(seed uint64) *Scheduler {
 	return &Scheduler{rng: NewRNG(seed)}
 }
-
-// NewReferenceScheduler returns a scheduler driven by the seed
-// container/heap event queue, kept in-tree as the correctness reference
-// for the allocation-free fast path. It fires the same events in the
-// same order and draws the same RNG sequence; it just allocates per
-// event the way the seed did.
-func NewReferenceScheduler(seed uint64) *Scheduler {
-	return &Scheduler{rng: NewRNG(seed), ref: &refQueue{}}
-}
-
-// IsReference reports whether this scheduler runs on the reference
-// container/heap queue rather than the allocation-free 4-ary heap.
-func (s *Scheduler) IsReference() bool { return s.ref != nil }
 
 // Now returns the current virtual time.
 func (s *Scheduler) Now() Time { return s.now }
@@ -222,21 +204,14 @@ func (s *Scheduler) enqueue(at Time, seq uint64, fn Event, efn EventFunc, arg an
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", at, s.now))
 	}
 	var t *Timer
-	switch {
-	case s.ref != nil:
-		// Reference path: fresh node per event, never recycled — the
-		// seed's allocation behavior, preserved for honest comparison.
-		t = &Timer{s: s, at: at, seq: seq, fn: fn, efn: efn, arg: arg}
-		s.ref.push(t)
-		s.queuePeak = max(s.queuePeak, s.ref.len())
-	case s.hollow:
+	if s.hollow {
 		// Take over the root the firing event left: one sift-down instead
 		// of its pop's sift-down plus this push's sift-up.
 		s.hollow = false
 		t = s.heap[0]
 		t.at, t.seq, t.fn, t.efn, t.arg = at, seq, fn, efn, arg
 		s.siftDown(0)
-	default:
+	} else {
 		t = s.alloc()
 		t.at, t.seq, t.fn, t.efn, t.arg = at, seq, fn, efn, arg
 		s.heapPush(t)
@@ -274,9 +249,6 @@ func (s *Scheduler) recycle(t *Timer) {
 // it, discarding (and recycling) stopped timers it passes over. It never
 // perturbs the firing order of live events.
 func (s *Scheduler) peek() *Timer {
-	if s.ref != nil {
-		return s.ref.peek()
-	}
 	if s.hollow {
 		s.settle()
 	}
@@ -316,12 +288,8 @@ func (s *Scheduler) step(limit Time) bool {
 	s.now, s.firing = t.at, t.seq
 	s.Processed++
 	fn, efn, arg := t.fn, t.efn, t.arg
-	if s.ref != nil {
-		s.ref.popMin()
-	} else {
-		t.gen++
-		s.hollow = true
-	}
+	t.gen++
+	s.hollow = true
 	if efn != nil {
 		efn(arg)
 	} else {
@@ -372,20 +340,14 @@ func (s *Scheduler) runTo(limit, end Time) {
 func (s *Scheduler) Stop() { s.stopped = true }
 
 // Pending returns the number of armed, un-stopped timers — live events
-// only, never cancelled ones. The fast path keeps the count honest across
-// its lazy compaction: a Stop() increments an internal stopped counter
-// immediately (so the count drops the moment the timer is cancelled, not
-// when the node is eventually swept), and compaction removes nodes and
-// counter together. Callers must not infer queue memory from Pending():
-// stopped nodes may sit in the heap until a sweep, and peek-driven
-// operations (Step, NextEventTime) recycle stopped nodes they pass over.
-// (The seed scheduler counted stopped-but-unpopped timers too; the
-// reference queue preserves that for comparison, the fast path does not
-// have them outlive compaction.)
+// only, never cancelled ones. The count stays honest across lazy
+// compaction: a Stop() increments an internal stopped counter immediately
+// (so the count drops the moment the timer is cancelled, not when the node
+// is eventually swept), and compaction removes nodes and counter together.
+// Callers must not infer queue memory from Pending(): stopped nodes may
+// sit in the heap until a sweep, and peek-driven operations (Step,
+// NextEventTime) recycle stopped nodes they pass over.
 func (s *Scheduler) Pending() int {
-	if s.ref != nil {
-		return s.ref.len()
-	}
 	if s.hollow {
 		s.settle()
 	}

@@ -206,62 +206,6 @@ func TestTimerHandleGenerationSafety(t *testing.T) {
 	}
 }
 
-// randomWorkload drives one scheduler through a deterministic mix of
-// scheduling, nested scheduling, stops and RunUntil windows, recording
-// every fire as (now, id). Both implementations must produce the same
-// trace and the same Processed count.
-func randomWorkload(s *Scheduler, seed int64) (trace []int64, processed uint64) {
-	r := rand.New(rand.NewSource(seed))
-	id := 0
-	var handles []TimerHandle
-	var schedule func(depth int, at Time)
-	schedule = func(depth int, at Time) {
-		myID := id
-		id++
-		h := s.At(at, func() {
-			trace = append(trace, int64(s.Now()), int64(myID))
-			if depth < 3 && r.Intn(3) == 0 {
-				schedule(depth+1, s.Now()+Time(r.Intn(5))*Time(Millisecond))
-			}
-			if len(handles) > 0 && r.Intn(4) == 0 {
-				handles[r.Intn(len(handles))].Stop()
-			}
-		})
-		handles = append(handles, h)
-	}
-	for i := 0; i < 300; i++ {
-		schedule(0, Time(r.Intn(100))*Time(Millisecond))
-	}
-	for i := 0; i < len(handles); i += 5 {
-		handles[i].Stop()
-	}
-	s.RunUntil(Time(40 * Millisecond))
-	s.NextEventTime()
-	s.RunUntil(Time(80 * Millisecond))
-	s.Run()
-	return trace, s.Processed
-}
-
-// The fast scheduler and the reference container/heap scheduler must be
-// observationally identical: same fire trace, same event count.
-func TestFastMatchesReferenceScheduler(t *testing.T) {
-	for _, seed := range []int64{1, 7, 42} {
-		fastTrace, fastN := randomWorkload(NewScheduler(uint64(seed)), seed)
-		refTrace, refN := randomWorkload(NewReferenceScheduler(uint64(seed)), seed)
-		if fastN != refN {
-			t.Fatalf("seed %d: processed %d events fast, %d reference", seed, fastN, refN)
-		}
-		if len(fastTrace) != len(refTrace) {
-			t.Fatalf("seed %d: trace lengths differ: %d vs %d", seed, len(fastTrace), len(refTrace))
-		}
-		for i := range fastTrace {
-			if fastTrace[i] != refTrace[i] {
-				t.Fatalf("seed %d: trace diverges at %d: %d vs %d", seed, i, fastTrace[i], refTrace[i])
-			}
-		}
-	}
-}
-
 // compact used to index an empty heap when every queued timer had been
 // stopped ((0-2)/heapArity truncates to 0). Stops below compactMin sweep
 // nothing, so a queue can fill with dead timers; the stop that takes it to
@@ -372,14 +316,13 @@ func TestHollowRootInvisibleToCallbacks(t *testing.T) {
 }
 
 func TestQueuePeak(t *testing.T) {
-	for _, s := range []*Scheduler{NewScheduler(1), NewReferenceScheduler(1)} {
-		for i := 0; i < 10; i++ {
-			s.After(time.Duration(i)*time.Millisecond, func() {})
-		}
-		s.Run()
-		s.After(time.Millisecond, func() {})
-		if got := s.QueuePeak(); got != 10 {
-			t.Errorf("QueuePeak = %d, want 10", got)
-		}
+	s := NewScheduler(1)
+	for i := 0; i < 10; i++ {
+		s.After(time.Duration(i)*time.Millisecond, func() {})
+	}
+	s.Run()
+	s.After(time.Millisecond, func() {})
+	if got := s.QueuePeak(); got != 10 {
+		t.Errorf("QueuePeak = %d, want 10", got)
 	}
 }

@@ -35,16 +35,14 @@ func TestAtFuncSeqMisuse(t *testing.T) {
 		}},
 	}
 	for _, c := range cases {
-		for _, s := range []*Scheduler{NewScheduler(1), NewReferenceScheduler(1)} {
-			func() {
-				defer func() {
-					if msg, _ := recover().(string); !strings.Contains(msg, c.want) {
-						t.Errorf("%s: recovered %q, want a panic mentioning %q", c.name, msg, c.want)
-					}
-				}()
-				c.do(s)
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.Contains(msg, c.want) {
+					t.Errorf("%s: recovered %q, want a panic mentioning %q", c.name, msg, c.want)
+				}
 			}()
-		}
+			c.do(NewScheduler(1))
+		}()
 	}
 
 	// Not misuse: an old key at the current instant once the clock was
@@ -66,49 +64,49 @@ func TestAtFuncSeqMisuse(t *testing.T) {
 }
 
 // Keys reserved in one order and inserted in another fire sorted by
-// (at, seq), interleaved correctly with ordinary timers, on the 4-ary heap
-// and on the reference queue alike.
+// (at, seq), interleaved correctly with ordinary timers. (The FIFO use of
+// reserved keys — arm the head only, re-arm from its callback — runs
+// against the model in randomWorkload.)
 func TestReservedKeysFireSorted(t *testing.T) {
 	type key struct {
 		at  Time
 		seq uint64
 	}
 	for trial := int64(0); trial < 50; trial++ {
-		for _, s := range []*Scheduler{NewScheduler(1), NewReferenceScheduler(1)} {
-			r := rand.New(rand.NewSource(trial))
-			var got, want, reserved []key
-			record := func(arg any) { got = append(got, arg.(key)) }
-			for i := 0; i < 300; i++ {
-				k := key{at: Time(r.Intn(20)) * Time(Millisecond)} // few instants, many ties
-				if r.Intn(3) == 0 {
-					// An ordinary timer takes its seq at scheduling time.
-					k.seq = s.seq
-					s.AtFunc(k.at, record, k)
-				} else {
-					k.seq = s.ReserveSeq()
-					reserved = append(reserved, k)
-				}
-				want = append(want, k)
+		s := NewScheduler(1)
+		r := rand.New(rand.NewSource(trial))
+		var got, want, reserved []key
+		record := func(arg any) { got = append(got, arg.(key)) }
+		for i := 0; i < 300; i++ {
+			k := key{at: Time(r.Intn(20)) * Time(Millisecond)} // few instants, many ties
+			if r.Intn(3) == 0 {
+				// An ordinary timer takes its seq at scheduling time.
+				k.seq = s.seq
+				s.AtFunc(k.at, record, k)
+			} else {
+				k.seq = s.ReserveSeq()
+				reserved = append(reserved, k)
 			}
-			r.Shuffle(len(reserved), func(i, j int) { reserved[i], reserved[j] = reserved[j], reserved[i] })
-			for _, k := range reserved {
-				s.AtFuncSeq(k.at, k.seq, record, k)
+			want = append(want, k)
+		}
+		r.Shuffle(len(reserved), func(i, j int) { reserved[i], reserved[j] = reserved[j], reserved[i] })
+		for _, k := range reserved {
+			s.AtFuncSeq(k.at, k.seq, record, k)
+		}
+		sort.Slice(want, func(i, j int) bool {
+			if want[i].at != want[j].at {
+				return want[i].at < want[j].at
 			}
-			sort.Slice(want, func(i, j int) bool {
-				if want[i].at != want[j].at {
-					return want[i].at < want[j].at
-				}
-				return want[i].seq < want[j].seq
-			})
-			s.RunUntil(Time(7 * time.Millisecond)) // split across run calls
-			s.Run()
-			if len(got) != len(want) {
-				t.Fatalf("trial %d: fired %d of %d", trial, len(got), len(want))
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("trial %d (reference=%v): fire %d = %+v, want %+v", trial, s.IsReference(), i, got[i], want[i])
-				}
+			return want[i].seq < want[j].seq
+		})
+		s.RunUntil(Time(7 * time.Millisecond)) // split across run calls
+		s.Run()
+		if len(got) != len(want) {
+			t.Fatalf("trial %d: fired %d of %d", trial, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("trial %d: fire %d = %+v, want %+v", trial, i, got[i], want[i])
 			}
 		}
 	}

@@ -137,10 +137,7 @@ func TestSegmentPoolLifecycle(t *testing.T) {
 		t.Errorf("shared or literal segment re-entered the pool: %+v, %d in the freelist", st, len(c1.pool.free))
 	}
 
-	ref := netem.New(s)
-	ref.SetReference(true)
-	rc := conn(ref.NewNode("r", netem.MustParseAddr("10.0.0.2")))
-	if rs := rc.newSegment(); rc.pool != nil || rs.owner != nil {
-		t.Error("reference-mode connection pools its segments")
+	if ls := conn(nil).newSegment(); ls.owner != nil {
+		t.Error("a connection without a node pools its segments")
 	}
 }

@@ -169,9 +169,8 @@ type Conn struct {
 	isClient bool
 
 	// node, when set, supplies pooled packet wrappers and pool its
-	// network's segment freelist (nil in the network's reference mode).
-	// Segments return there from the datapath via Segment.ReleasePayload
-	// once the carrying packet is consumed.
+	// network's segment freelist. Segments return there from the datapath
+	// via Segment.ReleasePayload once the carrying packet is consumed.
 	node *netem.Node
 	pool *segPool
 
@@ -266,8 +265,8 @@ type ConnParams struct {
 	Sched    *sim.Scheduler
 	Transmit func(*netem.Packet)
 	// Node, when set, identifies the node this endpoint lives on; the
-	// connection then draws packet wrappers (and, outside reference mode,
-	// TCP segments) from pools instead of allocating per send.
+	// connection then draws packet wrappers and TCP segments from the
+	// network's pools instead of allocating per send.
 	Node       *netem.Node
 	LocalAddr  netem.Addr
 	LocalPort  uint16
@@ -571,9 +570,9 @@ func (c *Conn) advertisedWnd() uint64 {
 }
 
 // newSegment returns a zeroed segment for sending: from the network's
-// freelist when pooling, a plain allocation otherwise (the datapath never
-// recycles owner-less segments, so reference mode reproduces the seed
-// allocation pattern exactly).
+// freelist, or a plain allocation for a connection without a node. (On a
+// network in no-recycle mode the datapath releases nothing, so the
+// freelist stays empty and every draw allocates.)
 func (c *Conn) newSegment() *Segment {
 	if c.pool == nil {
 		return &Segment{}

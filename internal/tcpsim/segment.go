@@ -110,8 +110,8 @@ type segPool struct {
 
 // PoolStats counts a network's segment-pool traffic. Once every packet
 // reached a terminal point, Gets == Puts + Shared, Shared being segments
-// an ICMP quote took out of the pool (netem.PayloadSharer). Reference-mode
-// networks have no pool and read zero.
+// an ICMP quote took out of the pool (netem.PayloadSharer). On a network
+// in no-recycle mode nothing comes back: Puts and Hits stay zero.
 type PoolStats struct {
 	netem.PoolStats
 	Shared uint64
@@ -126,9 +126,9 @@ func SegmentPoolStats(nw *netem.Network) PoolStats {
 }
 
 // poolOf returns the segment pool of node's network, creating it on first
-// use; nil — plain allocation — without a node or in reference mode.
+// use; nil — plain allocation — without a node.
 func poolOf(node *netem.Node) *segPool {
-	if node == nil || node.Network().Reference() {
+	if node == nil {
 		return nil
 	}
 	p, ok := node.Network().TCPSegmentPool().(*segPool)
