@@ -1,9 +1,9 @@
 #!/bin/sh
 # ci.sh — the full gate: formatting, vet, build, the test suite under the
-# race detector, the allocation gates in a plain pass, a fuzz smoke and one
-# run of the repo benchmark. Equivalence is proven by tests, not here: every
-# fast path is compared with an oracle in its package's _test.go files, and
-# the report-level byte-diffs (worker counts, fidelity, transport profile)
+# race detector, the allocation gates in a plain pass, two fuzz smokes and
+# two short runs of the repo benchmark. Equivalence is proven by tests, not
+# here: every fast path is compared with an oracle in its package's _test.go
+# files, and the report-level byte-diffs (worker counts, transport profile)
 # are cmd/starlink-bench's TestRunVariantMatrix. See DESIGN.md §6.
 set -eu
 
@@ -44,18 +44,29 @@ echo "== SACK scoreboard fuzz smoke (10 s against the fresh-slice oracle)"
 # fresh-slice implementation kept in the test file.
 go test ./internal/tcpsim -run '^$' -fuzz 'FuzzByteRanges' -fuzztime 10s
 
-echo "== benchmark smoke (one short small_packets run)"
+echo "== link pipe ring fuzz smoke (10 s against the slice model)"
+# Push/pop programs with early keys: the ring's sorted insert is reached by
+# no send any more, so this is what keeps it honest.
+go test ./internal/netem -run '^$' -fuzz 'FuzzPktRing' -fuzztime 10s
+
+echo "== benchmark smoke (one short run each of small_packets and fleet_scale)"
 # The benchmark must build from a clean checkout, run, and report a correct
-# run with no failed operation. Performance claims need ten alternating
-# pairs against the parent (benchmark/README.md); this is not that.
-last=$(bash benchmark/run.sh --workload small_packets --seed 1 --seconds 2 --trace 0 | tail -n 1)
-echo "$last"
-case "$last" in
-*'"correct":true'*'"failed":0'*) ;;
-*)
-    echo "benchmark smoke: last line does not report correct:true, failed:0" >&2
-    exit 1
-    ;;
-esac
+# run with no failed operation. small_packets covers the rated testbed
+# links and the transports; fleet_scale the queue-less links, the epoch
+# pool and the fast-forward, and counts a run correct only when every
+# terminal-epoch was accounted and every probe answered. Performance claims
+# need ten alternating pairs against the parent (benchmark/README.md); this
+# is not that.
+for workload in small_packets fleet_scale; do
+    last=$(bash benchmark/run.sh --workload "$workload" --seed 1 --seconds 2 --trace 0 | tail -n 1)
+    echo "$last"
+    case "$last" in
+    *'"correct":true'*'"failed":0'*) ;;
+    *)
+        echo "benchmark smoke: $workload: last line does not report correct:true, failed:0" >&2
+        exit 1
+        ;;
+    esac
+done
 
 echo "CI: all green"

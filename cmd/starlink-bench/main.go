@@ -88,7 +88,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	seed := fs.Uint64("seed", 1, "simulation seed")
 	workers := fs.Int("workers", 0, "parallel campaign workers (0 = GOMAXPROCS)")
 	scenarioWorkers := fs.Int("scenario.workers", 0, "PDES workers inside the fleet traffic scenario (0 = GOMAXPROCS); never changes results")
-	fidelity := fs.String("fidelity", "auto", "fleet traffic emulation fidelity: auto (tiers + fast-forward), tiers, or full; never changes results, only wall clock")
 	transport := fs.String("transport", "paper", "transport profile for the campaigns: paper | modern | toggle list (bbr,pacing,zerortt,migration,minrtt,idledecay)")
 	quick := fs.Bool("quick", false, "tiny smoke-sized campaigns for CI (ignores -scale)")
 	fleetTerminals := fs.Int("fleet.terminals", 0, "override the fleet scenario's terminal count (0 = profile default); the partitioned epoch campaign is bit-identical for any worker count at any size")
@@ -105,17 +104,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if *workers < 0 || *scenarioWorkers < 0 || *fleetTerminals < 0 {
 		return fmt.Errorf("workers, scenario.workers and fleet.terminals must be >= 0 (0 selects the default), got %d, %d, %d",
 			*workers, *scenarioWorkers, *fleetTerminals)
-	}
-	var fidelityMode fleet.FidelityMode
-	switch *fidelity {
-	case "auto":
-		fidelityMode = fleet.FidelityAuto
-	case "tiers":
-		fidelityMode = fleet.FidelityTiers
-	case "full":
-		fidelityMode = fleet.FidelityFull
-	default:
-		return fmt.Errorf("fidelity must be auto, tiers or full, got %q", *fidelity)
 	}
 	profile, err := core.ParseTransport(*transport)
 	if err != nil {
@@ -141,8 +129,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}()
 	}
 
-	// The export files open before any campaign runs, like the profile
-	// above: an unwritable path costs milliseconds, not the whole run.
+	// The files written after the run open before any campaign runs, like
+	// the profile above: an unwritable path costs milliseconds, not the
+	// whole run.
 	traceFile, err := createOutput("trace", *tracePath)
 	if err != nil {
 		return err
@@ -153,6 +142,11 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 	defer metricsFile.Close()
+	memFile, err := createOutput("memprofile", *memProfile)
+	if err != nil {
+		return err
+	}
+	defer memFile.Close()
 
 	cfg := core.DefaultConfig()
 	cfg.Seed = *seed
@@ -254,7 +248,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		Workers:         *workers,
 		ScenarioWorkers: *scenarioWorkers,
 		Seed:            *seed,
-		Fidelity:        fidelityMode,
 		Obs:             collector,
 		Progress: func(done, total int) {
 			fmt.Fprintf(stderr, "campaigns: %d/%d done\n", done, total)
@@ -370,17 +363,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 		fmt.Fprintf(stderr, "wrote %s\n", *metricsJSON)
 	}
 
-	if *memProfile != "" {
-		f, err := os.Create(*memProfile)
-		if err != nil {
-			return fmt.Errorf("memprofile: %w", err)
-		}
+	if memFile != nil {
 		runtime.GC() // materialize final live-set statistics
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			f.Close()
+		if err := pprof.WriteHeapProfile(memFile); err != nil {
 			return fmt.Errorf("memprofile: %w", err)
 		}
-		if err := f.Close(); err != nil {
+		if err := memFile.Close(); err != nil {
 			return fmt.Errorf("memprofile: %w", err)
 		}
 	}

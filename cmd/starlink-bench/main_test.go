@@ -10,12 +10,11 @@ import (
 // TestRunVariantMatrix is the report-level equivalence proof: the quick
 // report on one campaign worker and one PDES worker against a row with
 // every result-neutral axis flipped at once — eight workers of each kind,
-// full-fidelity emulation under the traffic scenario, the paper transport
-// profile selected explicitly. Figures, event trace and metrics registry
-// must come out byte-identical. A difference here says only that some axis
-// leaks; the per-stage tests (TestSweepWorkerInvariance,
-// TestFleetScenarioWorkerInvariance, TestFleetTrafficScenarioWorkerInvariance,
-// TestTrafficFidelityModesBitIdentical, TestTransportPaperBitIdentical,
+// the paper transport profile selected explicitly. Figures, event trace
+// and metrics registry must come out byte-identical. A difference here
+// says only that some axis leaks; the per-stage tests
+// (TestSweepWorkerInvariance, TestFleetScenarioWorkerInvariance,
+// TestFleetTrafficScenarioWorkerInvariance, TestTransportPaperBitIdentical,
 // TestEpochCampaignWorkerInvariance) say which. A new result-neutral
 // option is one more flag on the flipped row, or one more row.
 func TestRunVariantMatrix(t *testing.T) {
@@ -32,7 +31,7 @@ func TestRunVariantMatrix(t *testing.T) {
 		// The profiles ride the baseline row: they must be written, and
 		// must not change a byte of the report.
 		{"baseline", []string{"-workers", "1", "-scenario.workers", "1", "-cpuprofile", cpuPath, "-memprofile", memPath}},
-		{"flipped", []string{"-workers", "8", "-scenario.workers", "8", "-fidelity", "full", "-transport", "paper"}},
+		{"flipped", []string{"-workers", "8", "-scenario.workers", "8", "-transport", "paper"}},
 	}
 	// What each row produced, by artifact name. stderr is kept apart: it
 	// names the worker count.
@@ -103,17 +102,23 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	if err := run([]string{"-no-such-flag"}, &out, &errOut); err == nil {
 		t.Error("unknown flag accepted")
 	}
+	// The fast-forward is not an option: the flag that once switched it off
+	// is unknown like any other.
+	if err := run([]string{"-quick", "-fidelity", "full"}, &out, &errOut); err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+		t.Errorf("-fidelity full: %v, want an unknown-flag error", err)
+	}
 	// The profile file opens before any campaign runs, so this fails fast.
 	if err := run([]string{"-cpuprofile", "/no/such/dir/cpu.pprof"}, &out, &errOut); err == nil {
 		t.Error("unwritable cpuprofile accepted")
 	}
-	// So do the export files, and a negative count is not another spelling
+	// So do the export files and the heap profile, and a negative count is not another spelling
 	// of "default": an error before the first campaign starts, not after
 	// the whole run.
 	var early, earlyErr strings.Builder
 	for _, args := range [][]string{
 		{"-trace", "/no/such/dir/trace.bin"},
 		{"-metrics.json", "/no/such/dir/metrics.json"},
+		{"-memprofile", "/no/such/dir/mem.pprof"},
 		{"-workers", "-1"},
 		{"-scenario.workers", "-1"},
 		{"-fleet.terminals", "-1"},

@@ -61,9 +61,6 @@ func RunFleetTraffic(cfg fleet.TrafficConfig, opts Options) *fleet.TrafficResult
 		}
 		cfg.ScenarioWorkers = w
 	}
-	if cfg.Fidelity == fleet.FidelityAuto {
-		cfg.Fidelity = opts.Fidelity
-	}
 	if opts.Obs != nil {
 		cfg.Collector = opts.Obs
 	}

@@ -3,7 +3,6 @@ package core
 import (
 	"runtime"
 
-	"starlinkperf/internal/fleet"
 	"starlinkperf/internal/obs"
 )
 
@@ -36,13 +35,6 @@ type Options struct {
 	// GOMAXPROCS. Like Workers, it never changes results — the
 	// conservative engine's output is bit-identical for any value.
 	ScenarioWorkers int
-	// Fidelity selects the emulation fidelity for scenarios that support
-	// link tiers and analytic fast-forward (RunFleetTraffic). The zero
-	// value is fleet.FidelityAuto. Like the worker knobs, it never
-	// changes results, only wall clock —
-	// fleet.TestTrafficFidelityModesBitIdentical holds every mode
-	// bit-identical.
-	Fidelity fleet.FidelityMode
 }
 
 // DefaultOptions returns the options every cmd starts from: all

@@ -5,13 +5,12 @@ import (
 	"sort"
 
 	"starlinkperf/internal/obs"
-	"starlinkperf/internal/sim"
 	"starlinkperf/internal/stats"
 )
 
-// regionAccum aggregates one region's campaign outcome. The beam pass is
-// sequential, so plain fields suffice and the totals are independent of
-// the reassignment worker count. Distributions use stats.FixedDist —
+// regionAccum aggregates one region's campaign outcome. Only the
+// single-threaded merge pass (mergeScratch) writes it, so plain fields
+// suffice. Distributions use stats.FixedDist —
 // bounded memory and deterministic quantiles over millions of
 // terminal-epoch observations.
 type regionAccum struct {
@@ -81,92 +80,6 @@ func localHour(utcHours, lonDeg float64) float64 {
 // the load shape behind the Multifaceted paper's peak-hour dip.
 func activeProb(hLocal float64) float64 {
 	return 0.30 + 0.225*(1+math.Cos(2*math.Pi*(hLocal-20)/24))
-}
-
-// observeEpoch runs the beam-contention and accounting pass for epoch e:
-// per cell, concurrently active terminals served by the same satellite
-// split one beam's capacity. Sequential by design — accumulation order
-// is then a pure function of terminal order, which placement fixed.
-func (f *Fleet) observeEpoch(e int, at sim.Time) {
-	utcHours := at.Seconds() / 3600
-	for ri := range f.epochOut {
-		f.epochOut[ri] = 0
-		f.epochHo[ri] = 0
-	}
-	for c := 0; c < f.grid.nCells; c++ {
-		lo, hi := int(f.cellStart[c]), int(f.cellStart[c+1])
-		if lo == hi {
-			continue
-		}
-		// Pass 1: per distinct serving satellite, count active served
-		// terminals sharing its beam over this cell.
-		f.satList = f.satList[:0]
-		f.satCnt = f.satCnt[:0]
-		for t := lo; t < hi; t++ {
-			h := localHour(utcHours, f.lon[t])
-			f.active[t] = activeDraw(f.seed[t], int64(e)) < activeProb(h)
-			if !f.active[t] || f.sat[t] < 0 || f.delayNs[t] < 0 {
-				continue
-			}
-			found := false
-			for k, s := range f.satList {
-				if s == f.sat[t] {
-					f.satCnt[k]++
-					found = true
-					break
-				}
-			}
-			if !found {
-				f.satList = append(f.satList, f.sat[t])
-				f.satCnt = append(f.satCnt, 1)
-			}
-		}
-		// Pass 2: account every terminal of the cell.
-		for t := lo; t < hi; t++ {
-			a := &f.acc[f.region[t]]
-			if f.delayNs[t] < 0 {
-				a.outages++
-				a.cOutage.Inc()
-				f.epochOut[f.region[t]]++
-				continue
-			}
-			rttNs := 2 * f.delayNs[t]
-			a.samples++
-			a.cSamples.Inc()
-			a.latency.Observe(float64(rttNs) / 1e6)
-			a.hLatencyNs.Observe(rttNs)
-			if e > 0 && f.prevSat[t] >= 0 && f.sat[t] != f.prevSat[t] {
-				a.handovers++
-				a.cHandover.Inc()
-				f.epochHo[f.region[t]]++
-			}
-			if f.active[t] {
-				share := f.cfg.MaxTermMbps
-				for k, s := range f.satList {
-					if s == f.sat[t] {
-						if per := f.cfg.BeamMbps / float64(f.satCnt[k]); per < share {
-							share = per
-						}
-						break
-					}
-				}
-				h := localHour(utcHours, f.lon[t])
-				if h >= 18 && h < 23 {
-					a.peak.Observe(share)
-				} else {
-					a.offPeak.Observe(share)
-				}
-				a.hTputKbps.Observe(int64(share * 1000))
-			}
-		}
-	}
-	if f.cfg.Obs != nil {
-		tr := f.cfg.Obs.Tracer()
-		for ri := range f.acc {
-			tr.Emit(at, obs.KindFleetEpoch, f.acc[ri].subj, f.epochOut[ri], f.epochHo[ri])
-		}
-	}
-	copy(f.prevSat, f.sat)
 }
 
 // result folds the accumulators into the per-region report, regions

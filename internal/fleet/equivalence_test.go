@@ -95,6 +95,94 @@ func (f *Fleet) referenceReassignAt(at sim.Time) {
 	}
 }
 
+// referenceObserveEpoch is the epoch-pass oracle: it accounts every
+// terminal straight into the campaign accumulators, one observation at a
+// time, with no scratch and no merge. Worker invariance alone could not
+// see a bug in mergeScratch — every worker count goes through it — so
+// TestRunReferenceEquivalence holds observeEpoch to this.
+func (f *Fleet) referenceObserveEpoch(e int, at sim.Time) {
+	utcHours := at.Seconds() / 3600
+	var satList, satCnt []int32
+	for ri := range f.epochOut {
+		f.epochOut[ri] = 0
+		f.epochHo[ri] = 0
+	}
+	for c := 0; c < f.grid.nCells; c++ {
+		lo, hi := int(f.cellStart[c]), int(f.cellStart[c+1])
+		if lo == hi {
+			continue
+		}
+		// Pass 1: per distinct serving satellite, count active served
+		// terminals sharing its beam over this cell.
+		satList = satList[:0]
+		satCnt = satCnt[:0]
+		for t := lo; t < hi; t++ {
+			h := localHour(utcHours, f.lon[t])
+			f.active[t] = activeDraw(f.seed[t], int64(e)) < activeProb(h)
+			if !f.active[t] || f.sat[t] < 0 || f.delayNs[t] < 0 {
+				continue
+			}
+			found := false
+			for k, s := range satList {
+				if s == f.sat[t] {
+					satCnt[k]++
+					found = true
+					break
+				}
+			}
+			if !found {
+				satList = append(satList, f.sat[t])
+				satCnt = append(satCnt, 1)
+			}
+		}
+		// Pass 2: account every terminal of the cell.
+		for t := lo; t < hi; t++ {
+			a := &f.acc[f.region[t]]
+			if f.delayNs[t] < 0 {
+				a.outages++
+				a.cOutage.Inc()
+				f.epochOut[f.region[t]]++
+				continue
+			}
+			rttNs := 2 * f.delayNs[t]
+			a.samples++
+			a.cSamples.Inc()
+			a.latency.Observe(float64(rttNs) / 1e6)
+			a.hLatencyNs.Observe(rttNs)
+			if e > 0 && f.prevSat[t] >= 0 && f.sat[t] != f.prevSat[t] {
+				a.handovers++
+				a.cHandover.Inc()
+				f.epochHo[f.region[t]]++
+			}
+			if f.active[t] {
+				share := f.cfg.MaxTermMbps
+				for k, s := range satList {
+					if s == f.sat[t] {
+						if per := f.cfg.BeamMbps / float64(satCnt[k]); per < share {
+							share = per
+						}
+						break
+					}
+				}
+				h := localHour(utcHours, f.lon[t])
+				if h >= 18 && h < 23 {
+					a.peak.Observe(share)
+				} else {
+					a.offPeak.Observe(share)
+				}
+				a.hTputKbps.Observe(int64(share * 1000))
+			}
+		}
+	}
+	if f.cfg.Obs != nil {
+		tr := f.cfg.Obs.Tracer()
+		for ri := range f.acc {
+			tr.Emit(at, obs.KindFleetEpoch, f.acc[ri].subj, f.epochOut[ri], f.epochHo[ri])
+		}
+	}
+	copy(f.prevSat, f.sat)
+}
+
 // TestCellIndexMatchesReference is the core equivalence suite: for every
 // (seed, latitude band) case, the cell-indexed reassignment must produce
 // bit-identical serving satellites, gateways and delays to the naive
@@ -133,8 +221,9 @@ func runWithSink(cfg Config) (*Result, []byte, []byte) {
 	return res, metrics, trace
 }
 
-// runReferenceWithSink is runWithSink with every epoch's reassignment done
-// by the oracle scan (single worker, like the scan itself).
+// runReferenceWithSink is runWithSink with every epoch done by the two
+// oracles: the all-satellites reassignment scan and the direct accounting
+// pass (single worker, like the oracles themselves).
 func runReferenceWithSink(cfg Config) (*Result, []byte, []byte) {
 	sink := obs.NewSink(0)
 	cfg.Obs = sink
@@ -143,7 +232,7 @@ func runReferenceWithSink(cfg Config) (*Result, []byte, []byte) {
 	for e := 0; e < epochs; e++ {
 		at := sim.Time(int64(e) * int64(f.cfg.Epoch))
 		f.referenceReassignAt(at)
-		f.observeEpoch(e, at)
+		f.referenceObserveEpoch(e, at)
 	}
 	metrics, trace := exportSink(sink)
 	return f.result(epochs), metrics, trace
@@ -156,9 +245,9 @@ func exportSink(sink *obs.Sink) (metrics, trace []byte) {
 }
 
 // TestRunReferenceEquivalence drives two whole campaigns — cell-indexed
-// and through the oracle scan — through the full pipeline including beam
-// contention and observability, and demands identical results and
-// identical exported bytes.
+// reassignment with scratch-and-merge accounting, and the two oracles —
+// through the full pipeline including beam contention and observability,
+// and demands identical results and identical exported bytes.
 func TestRunReferenceEquivalence(t *testing.T) {
 	cfg := equivConfig(3, "mid")
 	cfg.Horizon = 4 * time.Minute
@@ -194,13 +283,20 @@ func TestRunWorkerInvariance(t *testing.T) {
 	if !bytes.Equal(oneTrace, eightTrace) {
 		t.Error("trace exports differ across worker counts")
 	}
+	// A closed fleet keeps its eight scratches and has no pool: it runs the
+	// campaign on the calling goroutine.
+	closed := New(cfg)
+	closed.Close()
+	if res := closed.Run(); !reflect.DeepEqual(res, one) {
+		t.Errorf("closed 8-worker fleet diverges from 1 worker:\n got: %+v\nwant: %+v", res, one)
+	}
 }
 
 // TestEpochCampaignWorkerInvariance is the partitioned epoch campaign's
 // proof obligation: full campaigns — results, metrics exports, trace
-// exports — must be bit-identical between the single-threaded path
-// (Workers 1, direct accumulation) and the pooled fork/join path
-// (Workers 2 and 8, per-worker scratch with ordered merge) across
+// exports — must be bit-identical between the pool-less single worker
+// (one scratch, observed inline) and the pooled fork/join path (Workers 2
+// and 8, per-worker scratch with ordered merge) across
 // several seeds and latitude bands, and — outside -short — at 100 000
 // terminals on the full Gen1 shell and world population, the scale the
 // steal ranges and the 8-ranges-per-worker balance are sized for.

@@ -9,82 +9,76 @@ import (
 	"starlinkperf/internal/obs"
 )
 
-// fidExport is one run's full observability output, byte-compared across
-// fidelity modes: if the fast path changed anything observable — a
-// counter, a histogram bucket, a trace record, an RTT sample — it shows
-// up here.
+// fidExport is one run's full observability output, byte-compared between
+// the fast-forward and the every-probe-emulated oracle: if the closed form
+// changed anything observable — a counter, a histogram bucket, a trace
+// record, an RTT sample — it shows up here.
 type fidExport struct{ metrics, jsonl, binary []byte }
 
-func runFidelity(t *testing.T, c TrafficConfig, mode FidelityMode) (fidExport, *TrafficResult, *Traffic) {
+// runFidelity runs c with the fast-forward on, as everywhere outside this
+// package, or off: the oracle that fires and emulates every probe.
+func runFidelity(t *testing.T, c TrafficConfig, ff bool) (fidExport, *TrafficResult, *Traffic) {
 	t.Helper()
 	col := obs.NewCollector()
-	c.Fidelity = mode
 	c.Collector = col
 	tr := NewTraffic(c)
+	tr.ff = ff
 	res := tr.Run()
 	return fidExport{col.ExportMetricsJSON(), col.ExportTraceJSONL(), col.ExportTraceBinary()}, res, tr
 }
 
-// checkFidelityEquivalence runs one configuration under all three
-// fidelity modes and holds auto and tiers to the full-emulation ground
-// truth: equal results after scrubbing the engine-dependent fields, and
-// byte-identical observability exports.
-func checkFidelityEquivalence(t *testing.T, c TrafficConfig, wantFF bool) {
+// checkFidelityEquivalence holds one configuration's fast-forwarded run to
+// the emulated ground truth: equal results after scrubbing the
+// engine-dependent fields, byte-identical observability exports, and every
+// event the oracle executed either executed or credited as skipped.
+func checkFidelityEquivalence(t *testing.T, c TrafficConfig) {
 	t.Helper()
-	full, fullRes, fullTr := runFidelity(t, c, FidelityFull)
+	full, fullRes, fullTr := runFidelity(t, c, false)
 	if fullTr.FastForwarded() != 0 || fullTr.EventsSkipped() != 0 {
-		t.Fatalf("FidelityFull fast-forwarded %d probes, skipped %d events; want 0",
+		t.Fatalf("the oracle fast-forwarded %d probes, skipped %d events; want 0",
 			fullTr.FastForwarded(), fullTr.EventsSkipped())
 	}
-	for _, mode := range []FidelityMode{FidelityTiers, FidelityAuto} {
-		got, gotRes, gotTr := runFidelity(t, c, mode)
-		if !reflect.DeepEqual(scrub(gotRes), scrub(fullRes)) {
-			t.Errorf("%v: result diverges from full emulation\n got: %+v\nwant: %+v",
-				mode, scrub(gotRes), scrub(fullRes))
-		}
-		if !bytes.Equal(got.metrics, full.metrics) {
-			t.Errorf("%v: metrics export differs from full emulation", mode)
-		}
-		if !bytes.Equal(got.jsonl, full.jsonl) {
-			t.Errorf("%v: JSONL trace differs from full emulation", mode)
-		}
-		if !bytes.Equal(got.binary, full.binary) {
-			t.Errorf("%v: binary trace differs from full emulation", mode)
-		}
-		if mode == FidelityTiers && gotTr.FastForwarded() != 0 {
-			t.Errorf("FidelityTiers fast-forwarded %d probes; want 0", gotTr.FastForwarded())
-		}
-		if mode == FidelityAuto {
-			if wantFF && gotTr.FastForwarded() == 0 {
-				t.Error("FidelityAuto absorbed no probes; the fast-forward never engaged")
-			}
-			if wantFF && gotTr.EventsSkipped() == 0 {
-				t.Error("FidelityAuto skipped no events")
-			}
-		}
-		// The whole point: lower modes do strictly less per-event work.
-		if gotRes.Events >= fullRes.Events {
-			t.Errorf("%v executed %d events, full emulation %d; want fewer", mode, gotRes.Events, fullRes.Events)
-		}
+	got, gotRes, gotTr := runFidelity(t, c, true)
+	if !reflect.DeepEqual(scrub(gotRes), scrub(fullRes)) {
+		t.Errorf("result diverges from full emulation\n got: %+v\nwant: %+v", scrub(gotRes), scrub(fullRes))
+	}
+	if !bytes.Equal(got.metrics, full.metrics) {
+		t.Error("metrics export differs from full emulation")
+	}
+	if !bytes.Equal(got.jsonl, full.jsonl) {
+		t.Error("JSONL trace differs from full emulation")
+	}
+	if !bytes.Equal(got.binary, full.binary) {
+		t.Error("binary trace differs from full emulation")
+	}
+	if gotTr.FastForwarded() == 0 {
+		t.Error("absorbed no probes; the fast-forward never engaged")
+	}
+	// The whole point: strictly less per-event work, all of it accounted.
+	if gotRes.Events >= fullRes.Events {
+		t.Errorf("executed %d events, full emulation %d; want fewer", gotRes.Events, fullRes.Events)
+	}
+	if sum := gotRes.Events + gotTr.EventsSkipped(); sum != fullRes.Events {
+		t.Errorf("executed %d + skipped %d = %d events, full emulation executed %d",
+			gotRes.Events, gotTr.EventsSkipped(), sum, fullRes.Events)
 	}
 }
 
-// TestTrafficFidelityModesBitIdentical is the tentpole equivalence gate:
-// for several seeds and partition counts, the tiered datapath and the
-// analytic fast-forward must be bit-identical to full emulation on
-// results, metrics and traces.
+// TestTrafficFidelityModesBitIdentical is the fast-forward's equivalence
+// gate: for several seeds and partition counts, it must be bit-identical
+// to full emulation on results, metrics and traces.
 func TestTrafficFidelityModesBitIdentical(t *testing.T) {
 	for _, seed := range []uint64{1, 42, 20260808} {
 		c := testTrafficConfig(seed)
 		c.Partitions = 4
-		checkFidelityEquivalence(t, c, true)
+		checkFidelityEquivalence(t, c)
 	}
 	// One partition (no cross edge at all), and a partition count that
 	// forces plenty of cross-partition gateway traffic.
 	for _, parts := range []int{1, 8} {
 		c := testTrafficConfig(7)
 		c.Partitions = parts
-		checkFidelityEquivalence(t, c, true)
+		checkFidelityEquivalence(t, c)
 	}
 }
 
@@ -104,12 +98,12 @@ func TestTrafficFidelityShortInterval(t *testing.T) {
 		Interval:   20 * time.Millisecond,
 		Partitions: 4,
 	}
-	checkFidelityEquivalence(t, c, true)
+	checkFidelityEquivalence(t, c)
 
 	// Mixed-regime sanity: with RTTs spanning the bent-pipe range, some
 	// trains must absorb and some must stay emulated, or the test is not
 	// exercising the boundary it claims to.
-	_, res, tr := runFidelity(t, c, FidelityAuto)
+	_, res, tr := runFidelity(t, c, true)
 	ff := tr.FastForwarded()
 	if ff == 0 {
 		t.Fatal("short-interval run absorbed nothing")

@@ -178,15 +178,13 @@ type Fleet struct {
 	epochOut []int64
 	epochHo  []int64
 	active   []bool
-	satList  []int32
-	satCnt   []int32
 
-	// Partitioned epoch campaign state (Workers > 1, see pool.go): the
-	// persistent worker pool, one private scratch per worker, the
-	// cell-aligned observe ranges workers steal, and the epoch staged
-	// for the observe phase.
-	pool      *epochPool
+	// scratch is the observe phase's accumulation target, one per worker
+	// (see pool.go). The rest is the partitioned epoch campaign's state
+	// (Workers > 1): the persistent worker pool, the cell-aligned observe
+	// ranges workers steal, and the epoch staged for the observe phase.
 	scratch   []epochScratch
+	pool      *epochPool
 	obsRanges []int32
 	obsEpoch  int
 	obsUTC    float64
@@ -312,16 +310,15 @@ func New(cfg Config) *Fleet {
 	f.epochHo = make([]int64, len(f.regions))
 
 	f.initAccum()
+	f.scratch = make([]epochScratch, cfg.Workers)
+	for w := range f.scratch {
+		f.scratch[w] = f.newScratch()
+	}
 	if cfg.Workers > 1 {
 		// Partitioned epoch campaign: pre-balance the observe ranges
 		// (cell-aligned, several per worker so stealing evens out dense
-		// metro cells), give each worker a private scratch, and spawn
-		// the persistent pool.
+		// metro cells) and spawn the persistent pool.
 		f.obsRanges = f.PartitionTerminals(cfg.Workers * 8).TermStart
-		f.scratch = make([]epochScratch, cfg.Workers)
-		for w := range f.scratch {
-			f.scratch[w] = f.newScratch()
-		}
 		f.pool = newEpochPool(f, cfg.Workers)
 	}
 	return f
@@ -391,11 +388,7 @@ func (f *Fleet) Run() *Result {
 // worker count.
 func (f *Fleet) RunEpoch(e int, at sim.Time) {
 	f.ReassignAt(at)
-	if f.pool != nil {
-		f.observeEpochParallel(e, at)
-	} else {
-		f.observeEpoch(e, at)
-	}
+	f.observeEpoch(e, at)
 }
 
 // Run builds and runs a fleet scenario in one call.

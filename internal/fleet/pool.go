@@ -18,10 +18,12 @@ import (
 // cursor, observe into private integer-count distributions, and the
 // single-threaded merge pass drains the scratches in worker order.
 // Integer merges are order-invariant, so the final accumulators — and
-// therefore results, metrics exports and traces — are bit-identical to
-// the single-worker path (observeEpoch) for any worker count.
+// therefore results, metrics exports and traces — are bit-identical for
+// any worker count, including the pool-less single worker, which runs the
+// same observe body inline into the one scratch it has.
 // TestEpochCampaignWorkerInvariance enforces exactly that, up to 100 000
-// terminals.
+// terminals; TestRunReferenceEquivalence holds scratch + merge to an
+// independent direct accounting.
 
 // Phase tokens handed to pool workers.
 const (
@@ -160,18 +162,23 @@ func (f *Fleet) newScratch() epochScratch {
 	return sc
 }
 
-// observeEpochParallel is the partitioned form of observeEpoch: fan the
-// per-cell accounting out over the pool, then drain every worker's
-// scratch into the shared accumulators and emit the epoch trace exactly
-// as the sequential pass would.
-func (f *Fleet) observeEpochParallel(e int, at sim.Time) {
+// observeEpoch runs the beam-contention and accounting pass for epoch e:
+// per cell, concurrently active terminals served by the same satellite
+// split one beam's capacity. The per-cell accounting goes into scratch —
+// fanned out over the pool, or inline without one — then every scratch is
+// drained into the shared accumulators and the epoch trace is emitted.
+func (f *Fleet) observeEpoch(e int, at sim.Time) {
 	utcHours := at.Seconds() / 3600
 	for ri := range f.epochOut {
 		f.epochOut[ri] = 0
 		f.epochHo[ri] = 0
 	}
-	f.obsEpoch, f.obsUTC = e, utcHours
-	f.pool.runPhase(phaseObserve)
+	if f.pool != nil {
+		f.obsEpoch, f.obsUTC = e, utcHours
+		f.pool.runPhase(phaseObserve)
+	} else {
+		f.observeRange(&f.scratch[0], e, utcHours, 0, len(f.sat))
+	}
 	for w := range f.scratch {
 		f.mergeScratch(&f.scratch[w])
 	}
@@ -194,10 +201,7 @@ func (f *Fleet) observeRange(sc *epochScratch, e int, utcHours float64, lo, hi i
 	}
 }
 
-// observeCellInto mirrors observeEpoch's per-cell body exactly — same
-// expressions, same order — with sc as the accumulation target. The two
-// bodies must stay in lockstep; the worker-invariance suite catches any
-// divergence as a byte diff.
+// observeCellInto accounts the one cell holding terminals [lo, hi) into sc.
 func (f *Fleet) observeCellInto(sc *epochScratch, e int, utcHours float64, lo, hi int) {
 	// Pass 1: per distinct serving satellite, count active served
 	// terminals sharing its beam over this cell.
@@ -290,10 +294,10 @@ func (f *Fleet) mergeScratch(sc *epochScratch) {
 }
 
 // Close shuts the worker pool down. Idempotent; a Fleet built with
-// Workers <= 1 has no pool and Close is a no-op. Run(cfg) and
-// Traffic.Run close their fleets; callers that build a pooled Fleet via
-// New and keep it should Close it when done, or its worker goroutines
-// outlive it.
+// Workers <= 1 has no pool and Close is a no-op. A closed Fleet still
+// runs epochs, on the calling goroutine. Run(cfg) and Traffic.Run close
+// their fleets; callers that build a pooled Fleet via New and keep it
+// should Close it when done, or its worker goroutines outlive it.
 func (f *Fleet) Close() {
 	if f.pool != nil {
 		close(f.pool.work)

@@ -51,39 +51,6 @@ const probeSize = 100
 // fit the 10.p.0.0/16 addressing scheme.
 const maxTrafficPartitions = 255
 
-// FidelityMode selects how much of the emulation machinery the traffic
-// scenario runs. The zero value is FidelityAuto — the fast path — because
-// the lower modes are held bit-identical to FidelityFull on every output
-// (results, metrics, traces) by TestTrafficFidelityModesBitIdentical, so
-// there is no correctness reason to default slower.
-type FidelityMode uint8
-
-const (
-	// FidelityAuto downgrades link fidelity tiers where provably sound
-	// (netem.AutoSelectFidelity) and fast-forwards steady-state probe
-	// trains in closed form between epoch boundaries.
-	FidelityAuto FidelityMode = iota
-	// FidelityTiers downgrades link tiers but fires every probe event.
-	FidelityTiers
-	// FidelityFull runs the complete datapath under every packet and
-	// never fast-forwards — the ground truth the other modes are held to.
-	FidelityFull
-)
-
-// String implements fmt.Stringer.
-func (m FidelityMode) String() string {
-	switch m {
-	case FidelityAuto:
-		return "auto"
-	case FidelityTiers:
-		return "tiers"
-	case FidelityFull:
-		return "full"
-	default:
-		return "fidelity?"
-	}
-}
-
 // TrafficConfig parameterizes the packet-level fleet scenario.
 type TrafficConfig struct {
 	// Fleet configures the underlying terminal population and epoch
@@ -105,10 +72,6 @@ type TrafficConfig struct {
 	// campaign's sink at index Partitions. Source naming goes through
 	// obs.ShardSource, so exports are worker-invariant.
 	Collector *obs.Collector
-	// Fidelity selects the emulation mode (default FidelityAuto). Any
-	// mode produces bit-identical results, metrics and traces — only
-	// wall-clock time and engine event counts differ.
-	Fidelity FidelityMode
 }
 
 func (c TrafficConfig) withDefaults() TrafficConfig {
@@ -241,8 +204,10 @@ type Traffic struct {
 	driver *sim.PartitionedDriver
 	parts  []*trafficPart
 
-	// Fast-forward state (FidelityAuto): precomputed integer-ns constants
-	// of the epoch grid plus the topology handles the closed forms credit.
+	// Fast-forward state: precomputed integer-ns constants of the epoch
+	// grid plus the topology handles the closed forms credit. ff is always
+	// true outside the package's tests, which clear it after NewTraffic to
+	// get the every-probe-emulated ground truth.
 	ff           bool
 	ivlNs        int64
 	epochNs      int64
@@ -307,7 +272,7 @@ func prepareTraffic(cfg TrafficConfig) *Traffic {
 		lookahead: TrafficLookahead(f.cfg.Shells),
 		horizon:   sim.Time(int64(f.cfg.Horizon)),
 	}
-	tr.ff = cfg.Fidelity == FidelityAuto
+	tr.ff = true
 	tr.ivlNs = int64(cfg.Interval)
 	tr.epochNs = int64(f.cfg.Epoch)
 	tr.lookNs = int64(tr.lookahead)
@@ -469,17 +434,6 @@ func (tr *Traffic) build(scheds []*sim.Scheduler) {
 			pt.sched.AtFunc(sim.Time(int64(f.seed[t]%uint64(interval))), probeFire, ref)
 		}
 	}
-
-	// Fidelity pass: every link in this topology is rate-0 and queue-less
-	// by construction, so auto-selection downgrades all of them — access
-	// links (which carry an outage predicate) to delay-only, the mesh and
-	// gateway links to fast. FidelityFull skips the pass and keeps the
-	// complete datapath under every packet.
-	if tr.cfg.Fidelity != FidelityFull {
-		for _, pt := range tr.parts {
-			pt.net.AutoSelectFidelity()
-		}
-	}
 }
 
 // ffAbsorb tries to answer this probe fire — and the remainder of its
@@ -594,9 +548,9 @@ func ffAbsorb(ref *probeRef) bool {
 		pt.meshSelf.AccountBypassed(2*kk, 0)
 		tr.gwTo[g].AccountBypassed(kk, 0)
 		tr.gwFrom[g].AccountBypassed(kk, 0)
-		// Each emulated probe costs seven events on the delay-only/fast
-		// tiers (the fire plus six single-hop deliveries); this fire's
-		// own event did execute.
+		// Each emulated probe costs seven events (the fire plus six
+		// deliveries, one per queue-less hop); this fire's own event did
+		// execute.
 		pt.sched.CreditSkipped(7*kk - 1)
 	} else {
 		// Remote-homed gateway: credit the p-owned request crossing
@@ -681,10 +635,9 @@ func RunTraffic(cfg TrafficConfig) *TrafficResult {
 }
 
 // FastForwarded returns how many probe fires the analytic fast-forward
-// absorbed in closed form (0 except in FidelityAuto mode). Deliberately
-// not part of TrafficResult: the count depends on the fidelity mode,
-// while every TrafficResult field is fidelity-invariant (eligibility no
-// longer depends on gateway homing — cross-partition trains absorb too).
+// absorbed in closed form. Deliberately not part of TrafficResult: it
+// counts engine work saved, while every TrafficResult field is the same
+// whether a probe was absorbed or emulated.
 func (tr *Traffic) FastForwarded() int64 {
 	var n int64
 	for _, pt := range tr.parts {
@@ -694,20 +647,8 @@ func (tr *Traffic) FastForwarded() int64 {
 }
 
 // EventsSkipped returns how many scheduler events the fast-forward
-// displaced — the work full-per-event emulation would have executed.
-// Processed + skipped is comparable across fidelity modes.
+// displaced — the work emulating every probe would have executed.
 func (tr *Traffic) EventsSkipped() uint64 { return tr.driver.EventsSkipped() }
-
-// LinkTiers sums the per-partition link tier counts — how many links the
-// fidelity auto-selection left at full and downgraded to delay-only and
-// fast.
-func (tr *Traffic) LinkTiers() (full, delayOnly, fast int) {
-	for _, pt := range tr.parts {
-		f, d, fa := pt.net.TierCounts()
-		full, delayOnly, fast = full+f, delayOnly+d, fast+fa
-	}
-	return full, delayOnly, fast
-}
 
 // TrafficResult is the merged outcome of a packet-level fleet scenario.
 // All fields except Windows and Events are invariant to both the

@@ -86,7 +86,7 @@ func (nw *Network) CrossLinks() []*Link {
 	return nw.crossLinks
 }
 
-// stageCross runs in propagate's tail position for cross links: copy the
+// stageCross runs in transmit's tail position for cross links: copy the
 // packet into a wireRecord, release the source-side packet, and stage the
 // record at its arrival time. Delivered is counted here — the source side
 // owns the link stats, and once staged the record cannot be lost.

@@ -18,41 +18,6 @@ func ConstantDelay(d time.Duration) DelayFunc {
 	return func(sim.Time) time.Duration { return d }
 }
 
-// Fidelity selects how much of the link machinery a packet traverses.
-// The zero value is FidelityFull — the reference datapath every lower
-// tier is held bit-identical to (on configurations where the skipped
-// machinery is provably unreachable; see Network.AutoSelectFidelity).
-type Fidelity uint8
-
-const (
-	// FidelityFull is the complete datapath: DropTail queue, serialization
-	// at RateBps, outage and medium loss at the end of serialization, then
-	// propagation + jitter. Always correct; the in-tree reference.
-	FidelityFull Fidelity = iota
-	// FidelityDelayOnly skips the serialization/queue hop (sound only when
-	// RateBps == 0 and QueueBytes == 0, where the full path's queue
-	// machinery is unreachable) but still applies outage, medium loss,
-	// propagation and jitter — in one scheduler event instead of two.
-	FidelityDelayOnly
-	// FidelityFast is pure delay passthrough for infinite-rate lossless
-	// mesh/cross links: propagation only, nothing else evaluated.
-	FidelityFast
-)
-
-// String implements fmt.Stringer.
-func (f Fidelity) String() string {
-	switch f {
-	case FidelityFull:
-		return "full"
-	case FidelityDelayOnly:
-		return "delay-only"
-	case FidelityFast:
-		return "fast"
-	default:
-		return "fidelity?"
-	}
-}
-
 // LinkConfig describes one direction of a link.
 type LinkConfig struct {
 	// RateBps is the serialization rate in bits per second; 0 means
@@ -75,13 +40,6 @@ type LinkConfig struct {
 	// only stretch forward. A negative sample panics deterministically at
 	// the instant it is drawn rather than silently corrupting arrivals.
 	Jitter func(now sim.Time) time.Duration
-	// Fidelity selects the datapath tier (see the Fidelity constants).
-	// The zero value is FidelityFull. Most callers leave it zero and let
-	// Network.AutoSelectFidelity downgrade links whose configuration makes
-	// the skipped machinery unreachable; setting a lower tier explicitly
-	// on a link with a rate, queue, loss or outage changes semantics and
-	// is on the caller.
-	Fidelity Fidelity
 }
 
 // DropReason classifies why a link dropped a packet.
@@ -141,12 +99,6 @@ type Link struct {
 	lastArrival sim.Time
 	stats       LinkStats
 
-	// autoTier marks cfg.Fidelity as chosen by AutoSelectFidelity rather
-	// than the caller: the Set* mutators then re-derive the tier so a
-	// post-selection SetRate/SetLoss/SetDown can never leave a downgraded
-	// link with machinery the tier would skip.
-	autoTier bool
-
 	// obs is the shared network observability bundle, nil when disabled;
 	// obsSubj is this link's interned trace subject.
 	obs     *netObs
@@ -159,7 +111,7 @@ type Link struct {
 
 	// pipe holds the packets in flight (pipe.go), allocated on first send:
 	// a fleet builds ~100 k links that carry a probe or nothing at all, and
-	// one more word keeps Link in its 224-byte size class.
+	// one word keeps Link in its 208-byte size class.
 	pipe *linkPipe
 
 	// DropHook, when set, observes every packet the link drops.
@@ -179,69 +131,42 @@ func (l *Link) Stats() LinkStats { return l.stats }
 func (l *Link) QueuedBytes() int { return l.queuedBytes }
 
 // SetLoss replaces the link's medium loss model.
-func (l *Link) SetLoss(m LossModel) { l.cfg.Loss = m; l.retier() }
+func (l *Link) SetLoss(m LossModel) { l.cfg.Loss = m }
 
-// SetRate replaces the link's serialization rate.
-func (l *Link) SetRate(bps float64) { l.cfg.RateBps = bps; l.retier() }
+// SetRate replaces the link's serialization rate. Packets already
+// serializing keep their schedule; 0 lets later packets pass them.
+func (l *Link) SetRate(bps float64) { l.cfg.RateBps = bps }
 
 // SetDown replaces the link's outage predicate.
-func (l *Link) SetDown(down func(sim.Time) bool) { l.cfg.Down = down; l.retier() }
-
-// Fidelity returns the link's current datapath tier.
-func (l *Link) Fidelity() Fidelity { return l.cfg.Fidelity }
-
-// autoFidelity derives the highest-performing tier the configuration
-// provably supports: no rate and no queue cap means the queue machinery
-// is unreachable (FidelityDelayOnly); additionally no loss, no outage and
-// no jitter means nothing but propagation can happen (FidelityFast).
-func (c *LinkConfig) autoFidelity() Fidelity {
-	if c.RateBps > 0 || c.QueueBytes > 0 {
-		return FidelityFull
-	}
-	if c.Loss == nil && c.Down == nil && c.Jitter == nil {
-		return FidelityFast
-	}
-	return FidelityDelayOnly
-}
-
-// retier re-derives an auto-selected tier after a config mutation.
-// Explicitly configured tiers are left alone — the caller asked for that
-// semantics — but an auto-downgraded link must never keep a tier whose
-// skipped machinery a mutation just made reachable.
-func (l *Link) retier() {
-	if l.autoTier {
-		l.cfg.Fidelity = l.cfg.autoFidelity()
-	}
-}
+func (l *Link) SetDown(down func(sim.Time) bool) { l.cfg.Down = down }
 
 // Config returns the link configuration (by value).
 func (l *Link) Config() LinkConfig { return l.cfg }
 
 // send puts pkt on the link. Queue overflow drops immediately (congestion
-// loss); otherwise the packet serializes FIFO at the link rate, may be
-// lost to the medium or an outage at the end of serialization, and is
-// delivered to the far node after propagation. The lower fidelity tiers
-// collapse the serialization hop (see bypass).
+// loss). On a rated link the packet then serializes FIFO at the link rate
+// and is transmitted when that ends; a link without a rate has no
+// serialization hop, so the packet is transmitted at once — one scheduler
+// event per hop instead of two.
 func (l *Link) send(pkt *Packet) {
-	if l.cfg.Fidelity != FidelityFull {
-		if arrival, ok := l.bypass(pkt); ok {
-			l.enqueue(&l.pipes().prop, arrival, pkt, linkDeliver)
-		}
+	txDone, ok := l.admit(pkt)
+	if !ok {
 		return
 	}
-	if txDone, ok := l.admit(pkt); ok {
+	if l.cfg.RateBps > 0 {
 		l.enqueue(&l.pipes().ser, txDone, pkt, linkTxDone)
+	} else if arrival, ok := l.transmit(pkt); ok {
+		l.enqueue(&l.pipes().prop, arrival, pkt, linkDeliver)
 	}
 }
 
 // admit applies the DropTail cap and the serialization clock; it returns
-// the instant serialization of pkt ends, or false if the queue was full.
+// the instant serialization of pkt ends (now, without a rate), or false if
+// the queue was full.
 //
-// Queue-depth metrics and enqueue/dequeue trace records are emitted only
-// for links with a real queue (RateBps > 0): a rate-0 link's depth is
-// identically zero, and keeping those records out of the trace is what
-// lets the lower fidelity tiers (which collapse the serialization hop)
-// stay byte-identical to this path on the obs exports.
+// Only a rated link has a queue: occupancy, queue-depth metrics and the
+// enqueue/dequeue trace records exist for RateBps > 0 alone, and a rate-0
+// link's depth is identically zero.
 func (l *Link) admit(pkt *Packet) (txDone sim.Time, ok bool) {
 	now := l.net.sched.Now()
 
@@ -276,30 +201,20 @@ func (l *Link) admit(pkt *Packet) (txDone sim.Time, ok bool) {
 	return txDone, true
 }
 
-// bypass is the delay-only/fast datapath: one scheduler event instead of
-// the serialization + arrival pair. The queue machinery is skipped
-// outright (sound because auto-selection only picks these tiers when
-// RateBps == 0 and QueueBytes == 0, where the full path would compute
-// txDone == now with zero occupancy), and FidelityFast additionally skips
-// outage, loss and jitter (sound when all three are nil). Everything that
-// remains — drop checks, propagation, the FIFO arrival clamp, stats and
-// obs counters, cross-partition staging — evaluates at the same instant
-// with the same RNG draw order as the full path, which is what the
-// bit-identity suites pin. It returns the arrival instant, or false when
-// the packet was dropped or staged across partitions.
-func (l *Link) bypass(pkt *Packet) (arrival sim.Time, ok bool) {
-	now := l.net.sched.Now()
-	l.stats.Sent++
+// leaveQueue runs as pkt's serialization ends. Every packet the
+// serialization ring holds was counted by admit, whatever SetRate has made
+// of the rate since, so each one is un-counted here.
+func (l *Link) leaveQueue(pkt *Packet) {
+	l.queuedBytes -= pkt.Size
 	if l.obs != nil {
-		l.obs.sent.Inc()
+		l.obs.tr.Emit(l.net.sched.Now(), obs.KindDequeue, l.obsSubj, int64(l.queuedBytes), int64(pkt.Size))
 	}
-	return l.propagate(now, pkt, l.cfg.Fidelity == FidelityDelayOnly)
 }
 
 // jitterAt draws one jitter sample and enforces the LinkConfig.Jitter
-// contract: a negative sample panics at the draw instant, identically on
-// every tier, so closed-form delay math downstream can rely on jitter
-// only ever stretching arrivals forward.
+// contract: a negative sample panics at the draw instant, so closed-form
+// delay math downstream can rely on jitter only ever stretching arrivals
+// forward.
 func (l *Link) jitterAt(at sim.Time) time.Duration {
 	j := l.cfg.Jitter(at)
 	if j < 0 {
@@ -322,12 +237,12 @@ func (l *Link) LastArrival() sim.Time { return l.lastArrival }
 // the FIFO clamp state absorbs the last credited packet's raw arrival
 // (max-merge — exactly the value full emulation would have left, since
 // lastArrival is the max of raw arrivals in any order). Only meaningful
-// on queue-less tiers — a link with a rate has busyUntil and occupancy
+// on a link without a rate — a rated link has busyUntil and occupancy
 // state that closed forms upstream don't model, so crediting one is a
 // bug, caught here.
 func (l *Link) AccountBypassed(n uint64, lastArrival sim.Time) {
-	if l.cfg.Fidelity == FidelityFull || l.cfg.RateBps > 0 {
-		panic(fmt.Sprintf("netem: AccountBypassed on %s, which runs the full datapath", l.name))
+	if l.cfg.RateBps > 0 {
+		panic(fmt.Sprintf("netem: AccountBypassed on %s, which has a serialization queue", l.name))
 	}
 	l.stats.Sent += n
 	l.stats.Delivered += n
@@ -340,42 +255,27 @@ func (l *Link) AccountBypassed(n uint64, lastArrival sim.Time) {
 	}
 }
 
-// transmit runs at the end of serialization: dequeue, then outage, medium
-// loss and propagation. It returns the arrival instant, or false when the
-// packet was dropped or staged across partitions.
+// transmit puts pkt on the wire, now: outage, medium loss, propagation
+// delay and jitter, the FIFO arrival clamp, and the hand-off to the cross
+// edge on a cross-partition link. It returns the arrival instant, or false
+// when the packet was dropped or staged across partitions.
 func (l *Link) transmit(pkt *Packet) (arrival sim.Time, ok bool) {
 	at := l.net.sched.Now()
-	if l.cfg.RateBps > 0 {
-		l.queuedBytes -= pkt.Size
-		if l.obs != nil {
-			l.obs.tr.Emit(at, obs.KindDequeue, l.obsSubj, int64(l.queuedBytes), int64(pkt.Size))
-		}
+	if l.cfg.Down != nil && l.cfg.Down(at) {
+		l.stats.DropsDown++
+		l.drop(at, pkt, DropOutage)
+		return 0, false
 	}
-	return l.propagate(at, pkt, true)
-}
-
-// propagate is the tail both datapaths share: outage, medium loss and
-// jitter (when impaired — FidelityFast has none to evaluate), propagation
-// delay, the FIFO arrival clamp, and the hand-off to the cross edge on a
-// cross-partition link.
-func (l *Link) propagate(at sim.Time, pkt *Packet, impaired bool) (arrival sim.Time, ok bool) {
-	if impaired {
-		if l.cfg.Down != nil && l.cfg.Down(at) {
-			l.stats.DropsDown++
-			l.drop(at, pkt, DropOutage)
-			return 0, false
-		}
-		if l.cfg.Loss != nil && l.cfg.Loss.Lost(at) {
-			l.stats.DropsLoss++
-			l.drop(at, pkt, DropMedium)
-			return 0, false
-		}
+	if l.cfg.Loss != nil && l.cfg.Loss.Lost(at) {
+		l.stats.DropsLoss++
+		l.drop(at, pkt, DropMedium)
+		return 0, false
 	}
 	var prop time.Duration
 	if l.cfg.Delay != nil {
 		prop = l.cfg.Delay(at)
 	}
-	if impaired && l.cfg.Jitter != nil {
+	if l.cfg.Jitter != nil {
 		prop += l.jitterAt(at)
 	}
 	arrival = at.Add(prop)

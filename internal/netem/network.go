@@ -144,54 +144,6 @@ func (nw *Network) ConnectAsym(a, b *Node, ab, ba LinkConfig) (*Link, *Link) {
 	return nw.AddLink(a, b, ab), nw.AddLink(b, a, ba)
 }
 
-// AutoSelectFidelity walks the built topology and downgrades every link
-// still at FidelityFull whose configuration makes the skipped machinery
-// unreachable: RateBps == 0 && QueueBytes == 0 means the queue/
-// serialization hop is dead code (FidelityDelayOnly), and additionally
-// Loss == nil && Down == nil && Jitter == nil means nothing but
-// propagation can happen (FidelityFast). Links the caller already set to
-// a lower tier are left as configured. Downgraded links are marked so
-// later SetRate/SetLoss/SetDown calls re-derive their tier — a mutation
-// that resurrects skipped machinery promotes the link back to full.
-//
-// The downgrade is behavior-preserving by construction (the tiers only
-// skip branches the full path could never take), so it can run on any
-// topology at any time; the equivalence suites hold the resulting
-// datapath bit-identical to FidelityFull on stats, deliveries and obs
-// exports. Returns the number of links now at each of (delay-only, fast).
-func (nw *Network) AutoSelectFidelity() (delayOnly, fast int) {
-	for _, l := range nw.links {
-		if l.cfg.Fidelity == FidelityFull && !l.autoTier {
-			l.autoTier = true
-			l.cfg.Fidelity = l.cfg.autoFidelity()
-		}
-		switch l.cfg.Fidelity {
-		case FidelityDelayOnly:
-			delayOnly++
-		case FidelityFast:
-			fast++
-		}
-	}
-	return delayOnly, fast
-}
-
-// TierCounts reports how many links currently run at each fidelity
-// tier — the observability hook the bench report uses to show what
-// auto-selection actually downgraded.
-func (nw *Network) TierCounts() (full, delayOnly, fast int) {
-	for _, l := range nw.links {
-		switch l.cfg.Fidelity {
-		case FidelityDelayOnly:
-			delayOnly++
-		case FidelityFast:
-			fast++
-		default:
-			full++
-		}
-	}
-	return full, delayOnly, fast
-}
-
 func (nw *Network) nextPacketID() uint64 {
 	nw.packetID++
 	return nw.packetID

@@ -46,9 +46,9 @@ func (l *Link) pipes() *linkPipe {
 }
 
 // push inserts s, whose seq is newer than every seq in the ring, and
-// reports whether it became the head. Keys almost always arrive in order
-// and the loop exits at once; the exception is SetRate(0) on a link still
-// serializing a backlog, whose next packet is due now, ahead of it.
+// reports whether it became the head. Both hops hand out non-decreasing
+// instants (busyUntil, the lastArrival clamp), so the loop exits at once;
+// the sorted insert keeps the ring correct should one ever not.
 func (r *pktRing) push(s pipeSlot) (head bool) {
 	if r.n == len(r.buf) {
 		r.grow()
@@ -118,6 +118,7 @@ func (l *Link) dequeue(r *pktRing, fn sim.EventFunc) *Packet {
 func linkTxDone(arg any) {
 	l := arg.(*Link)
 	pkt := l.dequeue(&l.pipe.ser, linkTxDone)
+	l.leaveQueue(pkt)
 	if arrival, ok := l.transmit(pkt); ok {
 		l.enqueue(&l.pipe.prop, arrival, pkt, linkDeliver)
 	}

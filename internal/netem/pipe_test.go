@@ -14,9 +14,10 @@ import (
 // --- the per-packet-timer oracle ------------------------------------------
 //
 // What the datapath did before the link pipe: every packet in flight is its
-// own scheduler timer, one AtFunc per hop. It shares admit, bypass, transmit
-// and deliver with the production path, so the only thing under test is how
-// events are queued: pipe.go must fire them in this order exactly.
+// own scheduler timer, one AtFunc per hop. It shares admit, leaveQueue,
+// transmit and deliver with the production path, so the only thing under
+// test is how events are queued: pipe.go must fire them in this order
+// exactly.
 
 type oracleEvent struct {
 	link *Link
@@ -25,19 +26,20 @@ type oracleEvent struct {
 
 func oracleSend(l *Link, pkt *Packet) {
 	s := l.net.sched
-	if l.cfg.Fidelity != FidelityFull {
-		if arrival, ok := l.bypass(pkt); ok {
-			s.AtFunc(arrival, oracleDeliver, &oracleEvent{l, pkt})
-		}
+	txDone, ok := l.admit(pkt)
+	if !ok {
 		return
 	}
-	if txDone, ok := l.admit(pkt); ok {
+	if l.cfg.RateBps > 0 {
 		s.AtFunc(txDone, oracleTxDone, &oracleEvent{l, pkt})
+	} else if arrival, ok := l.transmit(pkt); ok {
+		s.AtFunc(arrival, oracleDeliver, &oracleEvent{l, pkt})
 	}
 }
 
 func oracleTxDone(arg any) {
 	ev := arg.(*oracleEvent)
+	ev.link.leaveQueue(ev.pkt)
 	if arrival, ok := ev.link.transmit(ev.pkt); ok {
 		ev.link.net.sched.AtFunc(arrival, oracleDeliver, ev)
 	}
@@ -72,7 +74,7 @@ type pipeOutcome struct {
 // outage windows; bursty traffic; SetRate (to zero and back), SetDown and
 // SetLoss while packets are in flight; and drop and deliver hooks that
 // re-send on the link that called them.
-func runPipeScenario(t *testing.T, seed int64, send func(*Link, *Packet), autoTier bool) pipeOutcome {
+func runPipeScenario(t *testing.T, seed int64, send func(*Link, *Packet)) pipeOutcome {
 	t.Helper()
 	const horizon = sim.Time(2 * time.Second)
 	r := rand.New(rand.NewSource(seed))
@@ -167,9 +169,6 @@ func runPipeScenario(t *testing.T, seed int64, send func(*Link, *Packet), autoTi
 	far.Bind(ProtoUDP, 9, func(pkt *Packet) {
 		out.log = append(out.log, pipeRecord{remote.Now(), pkt.ID, 5, -1})
 	})
-	if autoTier {
-		nw.AutoSelectFidelity()
-	}
 
 	// Bursts of back-to-back sends fill queues past their caps; between
 	// them, mutators change a link under the packets it is carrying.
@@ -212,9 +211,8 @@ func TestPipeMatchesPerPacketTimers(t *testing.T) {
 	delivered := 0
 	var dropped [3]int // by reason: queue-full, medium, outage
 	for seed := int64(1); seed <= 40; seed++ {
-		autoTier := seed%2 == 0
-		want := runPipeScenario(t, seed, oracleSend, autoTier)
-		got := runPipeScenario(t, seed, pipeSend, autoTier)
+		want := runPipeScenario(t, seed, oracleSend)
+		got := runPipeScenario(t, seed, pipeSend)
 		if got.processed != want.processed {
 			t.Errorf("seed %d: Scheduler.Processed = %v, per-packet timers ran %v", seed, got.processed, want.processed)
 		}
@@ -243,10 +241,9 @@ func TestPipeMatchesPerPacketTimers(t *testing.T) {
 	}
 }
 
-// SetRate(0) on a link with a serialization backlog is the one push that
-// arrives out of order: the next packet is due now, ahead of the backlog.
-// It must overtake exactly as its own timer would have, through the ring's
-// sorted insert and the re-armed head timer.
+// After SetRate(0) on a link with a serialization backlog the next packets
+// have no serialization hop: they go straight to the propagation ring and
+// overtake the backlog, exactly as their own timers would have.
 func TestPipeRateZeroOvertakesBacklog(t *testing.T) {
 	for _, send := range []func(*Link, *Packet){oracleSend, pipeSend} {
 		s := sim.NewScheduler(1)
@@ -274,8 +271,8 @@ func TestPipeRateZeroOvertakesBacklog(t *testing.T) {
 		if want := []uint64{1, 4, 5, 2, 3}; !reflect.DeepEqual(order, want) {
 			t.Errorf("delivery order %v, want %v", order, want)
 		}
-		if s.Processed != 11 { // 5 packets x 2 hops + the SetRate event
-			t.Errorf("Processed = %d, want 11", s.Processed)
+		if s.Processed != 9 { // 3 packets x 2 hops + 2 x 1 hop + the SetRate event
+			t.Errorf("Processed = %d, want 9", s.Processed)
 		}
 	}
 }
@@ -312,13 +309,14 @@ func TestPipeHoldsTwoTimersPerLink(t *testing.T) {
 }
 
 // fleet_scale builds ~100 k links per iteration and AddLink is a third of
-// its allocated bytes: Link sits in the 224-byte size class, and one word
-// more (let alone embedded rings: 296 B, 320-byte class) costs the
-// workload +10 % alloc_mb_per_iter against a 3 % bound. In-flight state
-// hangs off the single lazily allocated pipe pointer instead.
+// its allocated bytes: Link fills the 208-byte size class, one word more
+// moves it to the 224-byte one (+1.6 % alloc_mb_per_iter) and embedded
+// rings (280 B, 288-byte class) cost the workload +10 % against a 3 %
+// bound. In-flight state hangs off the single lazily allocated pipe
+// pointer instead.
 func TestLinkStaysInItsSizeClass(t *testing.T) {
-	if size := unsafe.Sizeof(Link{}); size > 224 {
-		t.Errorf("sizeof(Link) = %d, want <= 224", size)
+	if size := unsafe.Sizeof(Link{}); size > 208 {
+		t.Errorf("sizeof(Link) = %d, want <= 208", size)
 	}
 }
 
