@@ -1,7 +1,9 @@
 #!/bin/sh
-# ci.sh — the full gate: formatting, vet, build, the test suite under the
-# race detector, the allocation gates in a plain pass, two fuzz smokes and
-# two short runs of the repo benchmark. Equivalence is proven by tests, not
+# ci.sh — the full gate: formatting, vet, a guard against the deleted PDES
+# engine coming back through a merge, build, the test suite under the race
+# detector (which runs the traffic shards' goroutine fan-out), the
+# allocation gates in a plain pass, two fuzz smokes and two short runs of
+# the repo benchmark. Equivalence is proven by tests, not
 # here: every fast path is compared with an oracle in its package's _test.go
 # files, and the report-level byte-diffs (worker counts, transport profile)
 # are cmd/starlink-bench's TestRunVariantMatrix. See DESIGN.md §6.
@@ -19,6 +21,12 @@ fi
 
 echo "== go vet"
 go vet ./...
+
+echo "== no cross-partition engine in non-test code (DESIGN.md: Independent traffic shards)"
+if grep -rnE 'PartitionedDriver|CrossEdge|AddCrossLink' --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark .; then
+    echo "the deleted cross-partition engine is named above" >&2
+    exit 1
+fi
 
 echo "== go build"
 go build ./...
@@ -53,7 +61,7 @@ echo "== benchmark smoke (one short run each of small_packets and fleet_scale)"
 # The benchmark must build from a clean checkout, run, and report a correct
 # run with no failed operation. small_packets covers the rated testbed
 # links and the transports; fleet_scale the queue-less links, the epoch
-# pool and the fast-forward, and counts a run correct only when every
+# pool, the traffic shards and the fast-forward, and counts a run correct only when every
 # terminal-epoch was accounted and every probe answered. Performance claims
 # need ten alternating pairs against the parent (benchmark/README.md); this
 # is not that.

@@ -29,7 +29,7 @@ func renderFleet(w io.Writer, res *fleet.Result) {
 // through the emulated bent-pipe network, as opposed to the analytic
 // latency model of the epoch campaign.
 func renderTraffic(w io.Writer, res *fleet.TrafficResult) {
-	fmt.Fprintf(w, "=== starlink-fleet traffic scenario (conservative PDES) ===\n")
+	fmt.Fprintf(w, "=== starlink-fleet traffic scenario (independent shards) ===\n")
 	fmt.Fprintf(w, "%d terminals, %d partitions, %d probes sent, %d received, %d skipped (outage)\n\n",
 		res.Terminals, res.Partitions, res.ProbesSent, res.ProbesRecv, res.ProbesSkipped)
 	fmt.Fprintf(w, "%-14s %9s %9s %9s %7s %8s %8s\n",

@@ -87,7 +87,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	scale := fs.Int("scale", 1, "campaign scale factor")
 	seed := fs.Uint64("seed", 1, "simulation seed")
 	workers := fs.Int("workers", 0, "parallel campaign workers (0 = GOMAXPROCS)")
-	scenarioWorkers := fs.Int("scenario.workers", 0, "PDES workers inside the fleet traffic scenario (0 = GOMAXPROCS); never changes results")
+	scenarioWorkers := fs.Int("scenario.workers", 0, "goroutines advancing the fleet traffic scenario's shards (0 = GOMAXPROCS); never changes results")
 	transport := fs.String("transport", "paper", "transport profile for the campaigns: paper | modern | toggle list (bbr,pacing,zerortt,migration,minrtt,idledecay)")
 	quick := fs.Bool("quick", false, "tiny smoke-sized campaigns for CI (ignores -scale)")
 	fleetTerminals := fs.Int("fleet.terminals", 0, "override the fleet scenario's terminal count (0 = profile default); the partitioned epoch campaign is bit-identical for any worker count at any size")
@@ -286,12 +286,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fmt.Fprintf(stderr, "fleet: %d terminals over %v...\n", sz.fleetTerms, sz.fleetSpan)
 	fleetRes := core.RunFleetScenario(fleet.Config{Terminals: sz.fleetTerms, Horizon: sz.fleetSpan}, opts)
 
-	// The packet-level traffic scenario exercises the conservative-PDES
-	// engine: the same fleet, but every terminal actually probing its
-	// gateway through the emulated network, partitioned spatially and
-	// driven by -scenario.workers goroutines. Output is bit-identical for
+	// The packet-level traffic scenario: the same fleet, but every
+	// terminal actually probing its gateway through the emulated network,
+	// partitioned spatially into independent shards that
+	// -scenario.workers goroutines advance between epoch barriers. Output is bit-identical for
 	// any worker count (TestRunVariantMatrix byte-diffs it).
-	fmt.Fprintf(stderr, "traffic: %d terminals over %v (PDES)...\n", sz.trafficTerms, sz.trafficSpan)
+	fmt.Fprintf(stderr, "traffic: %d terminals over %v (sharded)...\n", sz.trafficTerms, sz.trafficSpan)
 	trafficRes := core.RunFleetTraffic(fleet.TrafficConfig{
 		Fleet: fleet.Config{Terminals: sz.trafficTerms, Horizon: sz.trafficSpan, Epoch: 15 * time.Second},
 	}, opts)

@@ -8,7 +8,7 @@ import (
 )
 
 // TestRunVariantMatrix is the report-level equivalence proof: the quick
-// report on one campaign worker and one PDES worker against a row with
+// report on one campaign worker and one scenario worker against a row with
 // every result-neutral axis flipped at once — eight workers of each kind,
 // the paper transport profile selected explicitly. Figures, event trace
 // and metrics registry must come out byte-identical. A difference here

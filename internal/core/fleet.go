@@ -36,10 +36,10 @@ func RunFleetScenario(cfg fleet.Config, opts Options) *fleet.Result {
 
 // RunFleetTraffic runs the packet-level fleet scenario — every terminal
 // probing its serving gateway through the emulated bent-pipe network —
-// under the shared Options semantics. This is the conservative-PDES entry
-// point: the scenario graph is partitioned spatially and executed by
-// opts.ScenarioWorkers goroutines in barrier windows, with outputs
-// bit-identical for any worker count (TestTrafficWorkerInvariance and
+// under the shared Options semantics. The fleet is partitioned spatially
+// into self-contained shards that opts.ScenarioWorkers goroutines advance
+// from one epoch barrier to the next, with outputs bit-identical for any
+// worker count (TestTrafficWorkerInvariance and
 // TestFleetTrafficScenarioWorkerInvariance enforce it). opts.Obs receives
 // one source per partition plus the embedded fleet campaign's sink, all
 // named through obs.ShardSource so exports stay worker-invariant.

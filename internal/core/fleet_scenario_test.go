@@ -37,7 +37,7 @@ func TestFleetScenarioWorkerInvariance(t *testing.T) {
 }
 
 // TestFleetTrafficScenarioWorkerInvariance holds RunFleetTraffic — the
-// conservative-PDES packet scenario — to the same contract: results and
+// sharded packet scenario — to the same contract: results and
 // observability exports are byte-identical for any ScenarioWorkers value.
 func TestFleetTrafficScenarioWorkerInvariance(t *testing.T) {
 	runAt := func(workers int) (*fleet.TrafficResult, []byte, []byte) {

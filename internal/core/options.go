@@ -29,11 +29,12 @@ type Options struct {
 	// zero-padded "<family>/<shard>" source names, so the collector's
 	// sorted exports are invariant to worker count and completion order.
 	Obs *obs.Collector
-	// ScenarioWorkers caps the goroutines driving PDES windows *inside*
-	// one scenario (RunFleetTraffic), as opposed to Workers, which
-	// parallelizes *across* independent shards. Zero or negative means
-	// GOMAXPROCS. Like Workers, it never changes results — the
-	// conservative engine's output is bit-identical for any value.
+	// ScenarioWorkers caps the goroutines advancing the traffic shards
+	// *inside* one scenario (RunFleetTraffic), as opposed to Workers,
+	// which parallelizes *across* independent campaign shards. Zero or
+	// negative means GOMAXPROCS. Like Workers, it never changes results —
+	// shards share nothing between epoch barriers, so the output is
+	// bit-identical for any value.
 	ScenarioWorkers int
 }
 

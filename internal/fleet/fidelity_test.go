@@ -73,8 +73,8 @@ func TestTrafficFidelityModesBitIdentical(t *testing.T) {
 		c.Partitions = 4
 		checkFidelityEquivalence(t, c)
 	}
-	// One partition (no cross edge at all), and a partition count that
-	// forces plenty of cross-partition gateway traffic.
+	// One shard holding every terminal, and a count that leaves each shard
+	// few terminals per gateway replica.
 	for _, parts := range []int{1, 8} {
 		c := testTrafficConfig(7)
 		c.Partitions = parts

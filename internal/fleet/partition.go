@@ -1,11 +1,11 @@
 package fleet
 
 // PartitionMap splits the fleet into contiguous runs of geodesic cells,
-// balanced by terminal count — the spatial decomposition the PDES traffic
-// scenario runs its partitions on. Cutting on cell boundaries keeps every
-// per-cell structure (the reassignment candidate lists, the beam
-// contention pass) wholly inside one partition, and because terminals are
-// sorted by (cell, placement index), each partition also owns one
+// balanced by terminal count — the spatial decomposition the traffic
+// scenario builds its independent shards on. Cutting on cell boundaries
+// keeps every per-cell structure (the reassignment candidate lists, the
+// beam contention pass) wholly inside one partition, and because terminals
+// are sorted by (cell, placement index), each partition also owns one
 // contiguous terminal range. The map is a pure function of (placement,
 // part count): it never looks at worker counts, wall clocks or anything
 // else that varies between runs.
@@ -13,9 +13,6 @@ type PartitionMap struct {
 	// Parts is the partition count actually used (never more than the
 	// number of cells holding terminals).
 	Parts int
-	// CellPart maps each cell to its partition; cells are assigned in
-	// ascending order, so each partition is one contiguous cell range.
-	CellPart []int32
 	// TermStart is the CSR over the cell-sorted terminal array: partition
 	// p owns terminals [TermStart[p], TermStart[p+1]).
 	TermStart []int32
@@ -34,10 +31,7 @@ func (f *Fleet) PartitionTerminals(parts int) *PartitionMap {
 	if parts > n && n > 0 {
 		parts = n
 	}
-	pm := &PartitionMap{
-		CellPart:  make([]int32, f.grid.nCells),
-		TermStart: make([]int32, 1, parts+1),
-	}
+	pm := &PartitionMap{TermStart: make([]int32, 1, parts+1)}
 	part := int32(0)
 	cum := int32(0)
 	for c := 0; c < f.grid.nCells; c++ {
@@ -47,21 +41,9 @@ func (f *Fleet) PartitionTerminals(parts int) *PartitionMap {
 			pm.TermStart = append(pm.TermStart, cum)
 			part++
 		}
-		pm.CellPart[c] = part
 		cum += f.cellStart[c+1] - f.cellStart[c]
 	}
 	pm.TermStart = append(pm.TermStart, int32(n))
 	pm.Parts = int(part) + 1
 	return pm
-}
-
-// PartitionOf returns the partition owning terminal t (an index into the
-// cell-sorted terminal array).
-func (pm *PartitionMap) PartitionOf(t int) int {
-	for p := 0; p < pm.Parts; p++ {
-		if int32(t) < pm.TermStart[p+1] {
-			return p
-		}
-	}
-	return pm.Parts - 1
 }

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"starlinkperf/internal/geo"
@@ -16,40 +18,36 @@ import (
 
 // This file is the packet-level fleet scenario: every terminal of the
 // planet-scale fleet pings its serving gateway once per interval through
-// an emulated bent-pipe network, and the whole thing runs as one
-// conservative PDES scenario — the simulation graph is partitioned into
-// contiguous cell ranges (PartitionTerminals), each partition owns a
-// netem.Network on its own sim.Scheduler, and partitions exchange packets
-// only through sim.CrossEdges whose lookahead is the provable lower bound
-// of the bent-pipe propagation delay.
+// an emulated bent-pipe network. The fleet is split into contiguous cell
+// ranges (PartitionTerminals) and each range is a self-contained shard: its
+// own sim.Scheduler and netem.Network holding the shard's terminals, an
+// egress/ingress router pair and an echo-responder node for every gateway.
+// No packet ever leaves its shard; shards meet only at the epoch barriers,
+// where the fleet reassignment runs single-threaded (Run).
 //
-// Topology per partition p (addresses in dotted-quad):
+// Topology of one shard (addresses in dotted-quad; they are shard-local):
 //
-//	terminals 10.p.0.0/16 --(D(t)-L)--> egress 172.16.p.1
-//	egress p --(L, cross edge when p!=q)--> ingress 172.16.q.2
-//	ingress q --(0)--> gateways 192.168.g (those with g mod P == q)
+//	terminals 10.0.0.0/8 --(D(t)-L)--> egress 172.16.0.1
+//	egress --(L)--> ingress 172.16.0.2
+//	ingress --(0)--> gateways 192.168.g --(0)--> egress
+//	ingress --(D(t)-L)--> terminals
 //
-// and the mirror path for echo replies. The per-terminal access links
-// carry D(t)-L where D(t) is the fleet's current one-way bent-pipe delay
-// and L the lookahead, so every end-to-end direction sums to exactly D(t)
-// while every partition-crossing hop carries the constant L — the
-// conservative engine's lookahead promise is met by construction, not by
-// clamping.
+// The per-terminal access links carry D(t)-L where D(t) is the fleet's
+// current one-way bent-pipe delay and L (TrafficLookahead) the fixed leg
+// between the routers, so every end-to-end direction sums to exactly D(t).
+// A gateway is a stateless echo responder behind zero-delay links without a
+// rate, so replicating it per shard changes no probe's path or timing.
 //
-// Determinism contract: for a fixed (config, seed, partition count) the
-// outputs — TrafficResult, per-partition metrics, traces — are
-// bit-identical for any ScenarioWorkers value, because workers only pick
-// which CPU runs which partition (see sim.PartitionedDriver). The
-// equivalence suite holds PDES output equal to the same topology run on
-// one plain scheduler (the oracle in traffic_test.go).
+// Determinism contract: the outputs — TrafficResult, merged metrics, trace
+// records — do not depend on ScenarioWorkers (workers only pick which CPU
+// runs which shard) and, Windows/Events aside, not on the partition count
+// either: the per-region accumulators merge by integer sums. The
+// equivalence suite holds the shards equal to the same topology run as one
+// shard on one plain scheduler loop (the oracle in traffic_test.go).
 
 // probeSize is the on-wire size of one ICMP probe, roughly the 100-byte
 // pings the paper's RIPE Atlas campaign used.
 const probeSize = 100
-
-// maxTrafficPartitions bounds the partition count so partition indices
-// fit the 10.p.0.0/16 addressing scheme.
-const maxTrafficPartitions = 255
 
 // TrafficConfig parameterizes the packet-level fleet scenario.
 type TrafficConfig struct {
@@ -59,13 +57,15 @@ type TrafficConfig struct {
 	// Interval is the per-terminal probe period (default 1s). Each
 	// terminal's phase within the interval derives from its seed.
 	Interval time.Duration
-	// Partitions is the spatial partition count (default 16, max 255).
-	// Results depend on it only through rounding-free accumulators: the
-	// per-region outcome is partition-count invariant, and for a fixed
-	// count the full output is byte-identical across worker counts.
+	// Partitions is the spatial partition count (default 16, at most one
+	// per terminal). Results depend on it only through rounding-free
+	// accumulators: the per-region outcome and the merged metrics are
+	// partition-count invariant, and for a fixed count the full output is
+	// byte-identical across worker counts.
 	Partitions int
-	// ScenarioWorkers is the number of goroutines driving PDES windows
-	// (default 1). Never affects results, only wall-clock time.
+	// ScenarioWorkers is the number of goroutines advancing shards between
+	// epoch barriers (default 1). Never affects results, only wall-clock
+	// time.
 	ScenarioWorkers int
 	// Collector, when non-nil, receives one observability sink per
 	// partition (registered as "fleettraffic/0000"...) plus the fleet
@@ -81,16 +81,14 @@ func (c TrafficConfig) withDefaults() TrafficConfig {
 	if c.Partitions <= 0 {
 		c.Partitions = 16
 	}
-	if c.Partitions > maxTrafficPartitions {
-		c.Partitions = maxTrafficPartitions
-	}
 	if c.ScenarioWorkers <= 0 {
 		c.ScenarioWorkers = 1
 	}
 	return c
 }
 
-// TrafficLookahead returns the cross-partition lookahead for a
+// TrafficLookahead returns the fixed leg of the emulated bent pipe — the
+// delay of the egress->ingress hop every probe crosses twice — for a
 // constellation: the propagation delay of twice the lowest shell
 // altitude, shaved by 0.1%. Any bent-pipe path travels up to a satellite
 // (slant range >= altitude) and down to a gateway (same bound), so every
@@ -108,7 +106,7 @@ func TrafficLookahead(shells []leo.ShellConfig) time.Duration {
 
 // trafficAccum aggregates one region's probe outcome within one
 // partition. Plain fields: each partition's accumulators are written only
-// by its own goroutine during windows; merging across partitions is
+// by the goroutine advancing it; merging across partitions is
 // commutative (sums and FixedDist.Merge), which is what makes the
 // per-region result partition-count invariant.
 type trafficAccum struct {
@@ -133,60 +131,26 @@ type probeRef struct {
 	// fast-forward can credit their stats and carry their FIFO arrival
 	// clamp forward in closed form.
 	up, down *netem.Link
-	// credit is the reusable cross-partition stats credit (see ffAbsorb's
-	// cross branch): at most one is ever in flight per terminal, because
-	// the credit's delivery stamp precedes the train's next fire by more
-	// than the lookahead, so the window that executes it has fully
-	// completed — with a barrier in between — before this terminal can
-	// absorb again and rewrite the struct.
-	credit ffCredit
 }
 
-// ffCredit carries the bulk stats credit an absorbed cross-partition
-// probe train owes its gateway partition: k probes through the gateway
-// link pair and k echo replies over the q->p return mesh crossing. It
-// travels over the same cross edge real request packets use, so
-// delivery respects the conservative lookahead by construction.
-type ffCredit struct {
-	tr   *Traffic
-	g    int32 // gateway index
-	from int32 // source partition p (the absorbed terminal's)
-	k    uint64
-}
-
-// ffRemoteCredit executes on the gateway partition's scheduler. All
-// three links it touches have their stats owned by that partition in
-// full emulation too (cross-link counters are source-side, and the
-// return crossing's source is the gateway partition), so the crediting
-// goroutine matches the emulating one exactly.
-func ffRemoteCredit(arg any) {
-	c := arg.(*ffCredit)
-	tr := c.tr
-	tr.gwTo[c.g].AccountBypassed(c.k, 0)
-	tr.gwFrom[c.g].AccountBypassed(c.k, 0)
-	tr.mesh[tr.home[c.g]][c.from].AccountBypassed(c.k, 0)
-}
-
-// trafficPart is one partition's share of the scenario: a network on the
-// partition's scheduler, its boundary routers, its terminal range, and
-// its private accumulators.
+// trafficPart is one shard of the scenario: a network on its own
+// scheduler, the router pair, an echo node per gateway, its terminal range
+// and its private accumulators.
 type trafficPart struct {
-	tr      *Traffic
-	idx     int
-	sched   *sim.Scheduler
-	net     *netem.Network
-	egress  *netem.Node
-	ingress *netem.Node
-	lo, hi  int // terminal range [lo, hi)
-	probes  []probeRef
-	acc     []trafficAccum
-	// meshSelf is the intra-partition egress->ingress link — the one mesh
-	// link fast-forwarded probe trains traverse (twice per probe).
+	tr     *Traffic
+	sched  *sim.Scheduler
+	net    *netem.Network
+	probes []probeRef // one per terminal of the shard's range
+	acc    []trafficAccum
+	// meshSelf is the egress->ingress link carrying the fixed leg L; every
+	// probe crosses it twice (request and echo).
 	meshSelf *netem.Link
+	// gwTo[g]/gwFrom[g] are the ingress->gateway and gateway->egress links
+	// of this shard's echo node for gateway g.
+	gwTo, gwFrom []*netem.Link
 	// ffProbes counts probes answered in closed form by the fast-forward.
 	ffProbes int64
 
-	sink     *obs.Sink
 	cSent    *obs.Counter
 	cRecv    *obs.Counter
 	cSkipped *obs.Counter
@@ -195,70 +159,36 @@ type trafficPart struct {
 
 // Traffic is an instantiated packet-level fleet scenario.
 type Traffic struct {
-	cfg       TrafficConfig
-	fleet     *Fleet
-	pm        *PartitionMap
-	lookahead time.Duration
-	horizon   sim.Time
+	cfg     TrafficConfig
+	fleet   *Fleet
+	horizon sim.Time
 
-	driver *sim.PartitionedDriver
-	parts  []*trafficPart
+	parts []*trafficPart
 
 	// Fast-forward state: precomputed integer-ns constants of the epoch
-	// grid plus the topology handles the closed forms credit. ff is always
-	// true outside the package's tests, which clear it after NewTraffic to
-	// get the every-probe-emulated ground truth.
-	ff           bool
-	ivlNs        int64
-	epochNs      int64
-	lastEpochAt  int64 // instant of the final reassignment; delays are constant from here to the horizon
-	lookNs       int64
-	home         []int // gateway -> home partition, from the build-time tally
-	gwTo, gwFrom []*netem.Link
-	// mesh[p][q] is the boundary link from partition p's egress to q's
-	// ingress (meshSelf on the diagonal); edges[p][q] is the raw cross
-	// edge under it (nil on the diagonal). The
-	// cross-partition fast-forward credits the p-owned request crossing
-	// directly and sends the q-owned half of the credit over the edge.
-	mesh  [][]*netem.Link
-	edges [][]*sim.CrossEdge
+	// grid. ff is always true outside the package's tests, which clear it
+	// after NewTraffic to get the every-probe-emulated ground truth.
+	ff          bool
+	ivlNs       int64
+	epochNs     int64
+	lastEpochAt int64 // instant of the final reassignment; delays are constant from here to the horizon
+	lookNs      int64
 }
 
-func terminalAddr(part, i int) netem.Addr {
-	return netem.Addr(10<<24 | part<<16 | i)
-}
+// Addresses are shard-local: every shard numbers its terminals from
+// 10.0.0.0 and has the same two routers and the same gateway addresses.
+const (
+	egressAddr  = netem.Addr(172<<24 | 16<<16 | 1)
+	ingressAddr = netem.Addr(172<<24 | 16<<16 | 2)
+)
 
-func egressAddr(part int) netem.Addr {
-	return netem.Addr(172<<24 | 16<<16 | part<<8 | 1)
-}
+func terminalAddr(i int) netem.Addr { return netem.Addr(10<<24 | i) }
 
-func ingressAddr(part int) netem.Addr {
-	return netem.Addr(172<<24 | 16<<16 | part<<8 | 2)
-}
+func gatewayAddr(g int) netem.Addr { return netem.Addr(192<<24 | 168<<16 | g) }
 
-func gatewayAddr(g int) netem.Addr {
-	return netem.Addr(192<<24 | 168<<16 | g)
-}
-
-// NewTraffic builds the scenario: fleet placement, partition map, one
-// network per partition, the mesh of boundary links (cross edges where
-// they span partitions), and every terminal's probe chain.
+// NewTraffic builds the scenario: fleet placement, partition map, and one
+// self-contained shard per partition with every terminal's probe chain.
 func NewTraffic(cfg TrafficConfig) *Traffic {
-	tr := prepareTraffic(cfg)
-	tr.driver = sim.NewPartitionedDriver(tr.fleet.cfg.Seed, tr.pm.Parts)
-	scheds := make([]*sim.Scheduler, tr.pm.Parts)
-	for p := range scheds {
-		scheds[p] = tr.driver.Scheduler(p)
-	}
-	tr.build(scheds)
-	return tr
-}
-
-// prepareTraffic does everything that comes before the engine: defaults,
-// the fleet, the partition map and the fast-forward's constants. What is
-// left is build on one scheduler per partition — the driver's, or in the
-// tests' single-scheduler oracle a plain one.
-func prepareTraffic(cfg TrafficConfig) *Traffic {
 	cfg = cfg.withDefaults()
 	var fleetSink *obs.Sink
 	if cfg.Collector != nil {
@@ -267,22 +197,21 @@ func prepareTraffic(cfg TrafficConfig) *Traffic {
 	}
 	f := New(cfg.Fleet)
 	tr := &Traffic{
-		cfg:       cfg,
-		fleet:     f,
-		lookahead: TrafficLookahead(f.cfg.Shells),
-		horizon:   sim.Time(int64(f.cfg.Horizon)),
+		cfg:     cfg,
+		fleet:   f,
+		horizon: sim.Time(int64(f.cfg.Horizon)),
 	}
 	tr.ff = true
 	tr.ivlNs = int64(cfg.Interval)
 	tr.epochNs = int64(f.cfg.Epoch)
-	tr.lookNs = int64(tr.lookahead)
+	tr.lookNs = int64(TrafficLookahead(f.cfg.Shells))
 	tr.lastEpochAt = int64(tr.epochs()-1) * tr.epochNs
-	tr.pm = f.PartitionTerminals(cfg.Partitions)
-	if cfg.Collector != nil {
-		// The fleet campaign's sink takes the index after the partitions'
-		// own, which build registers as it creates them.
-		cfg.Collector.Add(obs.ShardSource("fleettraffic", tr.pm.Parts), fleetSink)
+	pm := f.PartitionTerminals(cfg.Partitions)
+	for p := 0; p < pm.Parts; p++ {
+		tr.parts = append(tr.parts, tr.buildShard(p, int(pm.TermStart[p]), int(pm.TermStart[p+1])))
 	}
+	// The fleet campaign's sink takes the index after the shards' own.
+	cfg.Collector.Add(obs.ShardSource("fleettraffic", pm.Parts), fleetSink)
 	return tr
 }
 
@@ -291,149 +220,89 @@ func (tr *Traffic) epochs() int {
 	return max(1, int(tr.fleet.cfg.Horizon/tr.fleet.cfg.Epoch))
 }
 
-// build wires the whole topology onto one scheduler per partition in a
-// fixed order — partitions ascending, and within the mesh pass
-// source-major — so cross-edge creation order (and with it every
-// partition's inbox drain order) is a pure function of the configuration.
-func (tr *Traffic) build(scheds []*sim.Scheduler) {
+// buildShard wires shard p — terminals [lo, hi) — onto its own scheduler
+// and network. The seed derivation string predates the shards; it stays so
+// no RNG stream moves.
+func (tr *Traffic) buildShard(p, lo, hi int) *trafficPart {
 	f := tr.fleet
-	nParts := len(scheds)
-	look := tr.lookahead
-
-	// Pass 1: networks, routers, gateway and terminal nodes.
-	for p := 0; p < nParts; p++ {
-		lo, hi := int(tr.pm.TermStart[p]), int(tr.pm.TermStart[p+1])
-		if hi-lo >= 1<<16 {
-			panic(fmt.Sprintf("fleet: partition %d holds %d terminals, exceeding the 10.p.0.0/16 address space", p, hi-lo))
-		}
-		pt := &trafficPart{tr: tr, idx: p, sched: scheds[p], lo: lo, hi: hi}
-		pt.net = netem.New(pt.sched)
-		if tr.cfg.Collector != nil {
-			pt.sink = obs.NewSink(0)
-			tr.cfg.Collector.Add(obs.ShardSource("fleettraffic", p), pt.sink)
-			pt.net.Observe(pt.sink)
-			reg := pt.sink.Registry()
-			pt.cSent = reg.Counter("traffic.probes_sent")
-			pt.cRecv = reg.Counter("traffic.probes_recv")
-			pt.cSkipped = reg.Counter("traffic.probes_skipped")
-			pt.hRTT = reg.Histogram("traffic.rtt_ns", obs.DurationBounds())
-		}
-		pt.egress = pt.net.NewNode(fmt.Sprintf("egress%d", p), egressAddr(p))
-		pt.ingress = pt.net.NewNode(fmt.Sprintf("ingress%d", p), ingressAddr(p))
-		pt.acc = make([]trafficAccum, len(f.regions))
-		for ri := range pt.acc {
-			pt.acc[ri].rtt = stats.NewFixedDist(0.5, 600)
-		}
-		pt.probes = make([]probeRef, hi-lo)
-		tr.parts = append(tr.parts, pt)
+	look := time.Duration(tr.lookNs)
+	if hi-lo >= 1<<24 {
+		panic(fmt.Sprintf("fleet: partition %d holds %d terminals, exceeding the 10.0.0.0/8 address space", p, hi-lo))
+	}
+	pt := &trafficPart{tr: tr}
+	pt.sched = sim.NewScheduler(sim.DeriveSeed(f.cfg.Seed, "pdes/partition", p))
+	pt.net = netem.New(pt.sched)
+	if tr.cfg.Collector != nil {
+		sink := obs.NewSink(0)
+		tr.cfg.Collector.Add(obs.ShardSource("fleettraffic", p), sink)
+		pt.net.Observe(sink)
+		reg := sink.Registry()
+		pt.cSent = reg.Counter("traffic.probes_sent")
+		pt.cRecv = reg.Counter("traffic.probes_recv")
+		pt.cSkipped = reg.Counter("traffic.probes_skipped")
+		pt.hRTT = reg.Histogram("traffic.rtt_ns", obs.DurationBounds())
+	}
+	pt.acc = make([]trafficAccum, len(f.regions))
+	for ri := range pt.acc {
+		pt.acc[ri].rtt = stats.NewFixedDist(0.5, 600)
 	}
 
-	// Pass 2: the boundary mesh. Source-major order fixes each
-	// destination's cross-edge list (ascending source), and with it the
-	// deterministic inbox drain order inside sim.PartitionedDriver.
-	mesh := make([][]*netem.Link, nParts)
-	edges := make([][]*sim.CrossEdge, nParts)
-	meshCfg := netem.LinkConfig{Delay: netem.ConstantDelay(look)}
-	for p := 0; p < nParts; p++ {
-		mesh[p] = make([]*netem.Link, nParts)
-		edges[p] = make([]*sim.CrossEdge, nParts)
-		for q := 0; q < nParts; q++ {
-			if p == q {
-				mesh[p][q] = tr.parts[p].net.AddLink(tr.parts[p].egress, tr.parts[p].ingress, meshCfg)
-				tr.parts[p].meshSelf = mesh[p][q]
-				continue
-			}
-			edge, err := tr.driver.Connect(p, q, look)
-			if err != nil {
-				panic(err)
-			}
-			edges[p][q] = edge
-			mesh[p][q] = tr.parts[p].net.AddCrossLink(tr.parts[p].egress, tr.parts[q].ingress, edge, meshCfg)
-		}
-	}
-	tr.mesh, tr.edges = mesh, edges
+	// Routers and the fixed leg: everything leaving the egress — requests
+	// and echo replies alike — crosses L to the ingress, which holds the
+	// exact routes to the gateways and the terminals.
+	egress := pt.net.NewNode(fmt.Sprintf("egress%d", p), egressAddr)
+	ingress := pt.net.NewNode(fmt.Sprintf("ingress%d", p), ingressAddr)
+	pt.meshSelf = pt.net.AddLink(egress, ingress, netem.LinkConfig{Delay: netem.ConstantDelay(look)})
+	egress.SetDefaultRoute(pt.meshSelf)
 
-	// Pass 3: gateways and routes. Each gateway is homed in the partition
-	// owning its own grid cell: assignment picks the gateway with the
-	// shortest slant range from the (roughly overhead) serving satellite,
-	// so a terminal's gateway is almost always geographically nearby, and
-	// homing by the gateway's position keeps most probes intra-partition —
-	// cross-edge traffic (and with it the conservative engine's per-window
-	// overhead) scales with the partition map's real cut, not with the
-	// gateway count. The mapping is a pure function of (config, partition
-	// count). Every egress
-	// router can still reach every gateway through the mesh, and routes
-	// replies by terminal /16 prefix, so homing never affects delivery or
-	// delay — only which edges carry the packets, and with them which
-	// partition owns the stats the fast-forward's cross branch must
-	// credit remotely.
-	home := make([]int, len(f.cfg.Gateways))
-	for g, gwc := range f.cfg.Gateways {
-		home[g] = int(tr.pm.CellPart[f.grid.cellOf(gwc.Pos.LatDeg, gwc.Pos.LonDeg)])
-	}
-	tr.home = home
-	tr.gwTo = make([]*netem.Link, len(f.cfg.Gateways))
-	tr.gwFrom = make([]*netem.Link, len(f.cfg.Gateways))
+	// This shard's echo node for every gateway.
+	pt.gwTo = make([]*netem.Link, len(f.cfg.Gateways))
+	pt.gwFrom = make([]*netem.Link, len(f.cfg.Gateways))
 	for g := range f.cfg.Gateways {
-		p := home[g]
-		pt := tr.parts[p]
 		gw := pt.net.NewNode(fmt.Sprintf("gw%d", g), gatewayAddr(g))
 		gw.EchoResponder = true
-		toGw := pt.net.AddLink(pt.ingress, gw, netem.LinkConfig{})
-		fromGw := pt.net.AddLink(gw, pt.egress, netem.LinkConfig{})
-		gw.SetDefaultRoute(fromGw)
-		pt.ingress.AddRoute(gw.Addr(), toGw)
-		tr.gwTo[g], tr.gwFrom[g] = toGw, fromGw
-	}
-	for p := 0; p < nParts; p++ {
-		pt := tr.parts[p]
-		for g := range f.cfg.Gateways {
-			pt.egress.AddRoute(gatewayAddr(g), mesh[p][home[g]])
-		}
-		for q := 0; q < nParts; q++ {
-			pt.egress.AddPrefixRoute(terminalAddr(q, 0), 16, mesh[p][q])
-		}
+		pt.gwTo[g] = pt.net.AddLink(ingress, gw, netem.LinkConfig{})
+		pt.gwFrom[g] = pt.net.AddLink(gw, egress, netem.LinkConfig{})
+		gw.SetDefaultRoute(pt.gwFrom[g])
+		ingress.AddRoute(gw.Addr(), pt.gwTo[g])
 	}
 
-	// Pass 4: terminals — access links carrying D(t)-L, reply handlers,
-	// and the first probe of each re-arm chain.
+	// Terminals: access links carrying D(t)-L, reply handlers, and the
+	// first probe of each re-arm chain.
 	interval := int64(tr.cfg.Interval)
-	for p := 0; p < nParts; p++ {
-		pt := tr.parts[p]
-		for t := pt.lo; t < pt.hi; t++ {
-			t := t
-			node := pt.net.NewNode(fmt.Sprintf("term%d", t), terminalAddr(p, t-pt.lo))
-			access := netem.LinkConfig{
-				Delay: func(sim.Time) time.Duration { return time.Duration(f.delayNs[t]) - look },
-				Down:  func(sim.Time) bool { return f.delayNs[t] < 0 },
-			}
-			up := pt.net.AddLink(node, pt.egress, access)
-			down := pt.net.AddLink(pt.ingress, node, access)
-			node.SetDefaultRoute(up)
-			pt.ingress.AddRoute(node.Addr(), down)
-
-			ref := &pt.probes[t-pt.lo]
-			ref.part, ref.term, ref.node = pt, int32(t), node
-			ref.up, ref.down = up, down
-			node.Bind(netem.ProtoICMP, 0, func(pkt *netem.Packet) {
-				ic, ok := pkt.Payload.(*netem.ICMP)
-				if !ok || ic.Type != netem.ICMPEchoReply || !ref.wait || ic.Seq != ref.seq {
-					return
-				}
-				ref.wait = false
-				rtt := pt.sched.Now().Sub(ref.sent)
-				a := &pt.acc[f.region[t]]
-				a.recv++
-				a.rtt.Observe(float64(rtt) / 1e6)
-				pt.cRecv.Inc()
-				pt.hRTT.Observe(int64(rtt))
-			})
-			// Phase within the interval derives from the terminal's own
-			// seed: probe instants are a pure function of placement,
-			// whatever engine drives the partitions.
-			pt.sched.AtFunc(sim.Time(int64(f.seed[t]%uint64(interval))), probeFire, ref)
+	pt.probes = make([]probeRef, hi-lo)
+	for t := lo; t < hi; t++ {
+		node := pt.net.NewNode(fmt.Sprintf("term%d", t), terminalAddr(t-lo))
+		access := netem.LinkConfig{
+			Delay: func(sim.Time) time.Duration { return time.Duration(f.delayNs[t]) - look },
+			Down:  func(sim.Time) bool { return f.delayNs[t] < 0 },
 		}
+		up := pt.net.AddLink(node, egress, access)
+		down := pt.net.AddLink(ingress, node, access)
+		node.SetDefaultRoute(up)
+		ingress.AddRoute(node.Addr(), down)
+
+		ref := &pt.probes[t-lo]
+		ref.part, ref.term, ref.node = pt, int32(t), node
+		ref.up, ref.down = up, down
+		node.Bind(netem.ProtoICMP, 0, func(pkt *netem.Packet) {
+			ic, ok := pkt.Payload.(*netem.ICMP)
+			if !ok || ic.Type != netem.ICMPEchoReply || !ref.wait || ic.Seq != ref.seq {
+				return
+			}
+			ref.wait = false
+			rtt := pt.sched.Now().Sub(ref.sent)
+			a := &pt.acc[f.region[t]]
+			a.recv++
+			a.rtt.Observe(float64(rtt) / 1e6)
+			pt.cRecv.Inc()
+			pt.hRTT.Observe(int64(rtt))
+		})
+		// Phase within the interval derives from the terminal's own seed:
+		// probe instants are a pure function of placement.
+		pt.sched.AtFunc(sim.Time(int64(f.seed[t]%uint64(interval))), probeFire, ref)
 	}
+	return pt
 }
 
 // ffAbsorb tries to answer this probe fire — and the remainder of its
@@ -456,22 +325,11 @@ func (tr *Traffic) build(scheds []*sim.Scheduler) {
 //     so the clamp can only bind against carryover from a previous
 //     epoch — the entry check below — and the final clamp state is
 //     restored through AccountBypassed's max-merge.
-//   - The shared mesh/gateway links have constant delay, so real sends
+//   - The shard's mesh/gateway links have constant delay, so real sends
 //     (always chronological) can never be clamped; their clamp state is
 //     deliberately NOT advanced to a virtual future arrival, which
 //     could otherwise clamp another terminal's live packet in a way
 //     full emulation never would.
-//   - A train homed to a remote-partition gateway absorbs too: the
-//     cross crossings carry the same constant lookahead both ways, so
-//     the raw access-link arrivals — and with them every eligibility
-//     bound above — are identical to the intra-partition case. Only
-//     the stats ownership differs: the gateway pair and the return
-//     crossing are counted by the gateway partition in full emulation,
-//     so their credit travels over the request cross edge (stamped
-//     inside the conservative horizon by the same d > L bound real
-//     packets rely on) and lands as one remote event — which also
-//     keeps processed+skipped exactly equal to full emulation's event
-//     count.
 //
 // Anything aperiodic — epoch boundary inside the train, a reply that
 // would cross the boundary or the horizon, clamp carryover — fails an
@@ -544,27 +402,12 @@ func ffAbsorb(ref *probeRef) bool {
 	ref.up.AccountBypassed(kk, sim.Time(last+d-tr.lookNs))
 	ref.down.AccountBypassed(kk, sim.Time(last+rtt))
 	pt.ffProbes += k
-	if q := tr.home[g]; q == pt.idx {
-		pt.meshSelf.AccountBypassed(2*kk, 0)
-		tr.gwTo[g].AccountBypassed(kk, 0)
-		tr.gwFrom[g].AccountBypassed(kk, 0)
-		// Each emulated probe costs seven events (the fire plus six
-		// deliveries, one per queue-less hop); this fire's own event did
-		// execute.
-		pt.sched.CreditSkipped(7*kk - 1)
-	} else {
-		// Remote-homed gateway: credit the p-owned request crossing
-		// here; the q-owned gateway pair and return crossing travel as
-		// one ffCredit over the request edge. The stamp now+d clears the
-		// edge's lookahead (d > L strictly) and precedes the train's
-		// next possible fire by more than a window, so reusing
-		// ref.credit is race-free. Seven events per probe minus the two
-		// that execute (this fire and the credit delivery).
-		tr.mesh[pt.idx][q].AccountBypassed(kk, 0)
-		ref.credit = ffCredit{tr: tr, g: g, from: int32(pt.idx), k: kk}
-		tr.edges[pt.idx][q].Send(sim.Time(nowNs+d), ffRemoteCredit, &ref.credit)
-		pt.sched.CreditSkipped(7*kk - 2)
-	}
+	pt.meshSelf.AccountBypassed(2*kk, 0)
+	pt.gwTo[g].AccountBypassed(kk, 0)
+	pt.gwFrom[g].AccountBypassed(kk, 0)
+	// Each emulated probe costs seven events (the fire plus six deliveries,
+	// one per queue-less hop); this fire's own event did execute.
+	pt.sched.CreditSkipped(7*kk - 1)
 	if next := sim.Time(last + ivl); next < tr.horizon {
 		pt.sched.AtFunc(next, probeFire, ref)
 	}
@@ -612,21 +455,51 @@ func probeFire(arg any) {
 
 // Run executes the scenario to the horizon and returns the merged result.
 // Each fleet epoch — reassignment plus the beam/accounting pass — executes
-// as a barrier global: single-threaded, with every partition's clock
-// exactly at the epoch instant, so the shared fleet arrays are never
-// written while a window runs.
+// at a barrier: single-threaded, with every shard's clock exactly at the
+// epoch instant and every event before it executed, so the shared fleet
+// arrays are never written while a shard runs. RunBefore's half-open window
+// leaves an event at exactly the epoch instant for after the reassignment.
 func (tr *Traffic) Run() *TrafficResult {
 	f := tr.fleet
 	defer f.Close()
 	epochs := tr.epochs()
 	for e := 0; e < epochs; e++ {
 		at := sim.Time(int64(e) * int64(f.cfg.Epoch))
-		tr.driver.GlobalAt(at, func(at sim.Time) { f.RunEpoch(e, at) })
+		tr.advance(at)
+		f.RunEpoch(e, at)
 	}
-	tr.driver.Run(tr.horizon, tr.cfg.ScenarioWorkers)
+	tr.advance(tr.horizon)
 	res := tr.result(f.result(epochs))
-	res.Windows, res.Events = tr.driver.Windows, tr.driver.Events()
+	res.Windows = uint64(epochs) + 1
+	for _, pt := range tr.parts {
+		res.Events += pt.sched.Processed
+	}
 	return res
+}
+
+// advance runs every shard up to (excluding) t on ScenarioWorkers
+// goroutines claiming shard indices. Shards share nothing while they run,
+// so which goroutine advances which is invisible to the results.
+func (tr *Traffic) advance(t sim.Time) {
+	workers := min(tr.cfg.ScenarioWorkers, len(tr.parts))
+	if workers <= 1 {
+		for _, pt := range tr.parts {
+			pt.sched.RunBefore(t)
+		}
+		return
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1) - 1); i < len(tr.parts); i = int(next.Add(1) - 1) {
+				tr.parts[i].sched.RunBefore(t)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // RunTraffic builds and runs a packet-level fleet scenario in one call.
@@ -648,18 +521,23 @@ func (tr *Traffic) FastForwarded() int64 {
 
 // EventsSkipped returns how many scheduler events the fast-forward
 // displaced — the work emulating every probe would have executed.
-func (tr *Traffic) EventsSkipped() uint64 { return tr.driver.EventsSkipped() }
+func (tr *Traffic) EventsSkipped() uint64 {
+	var n uint64
+	for _, pt := range tr.parts {
+		n += pt.sched.Skipped
+	}
+	return n
+}
 
 // TrafficResult is the merged outcome of a packet-level fleet scenario.
-// All fields except Windows and Events are invariant to both the
-// partition count and the worker count; Windows/Events additionally
-// depend on the partition count (more partitions, more cross traffic) but
-// never on workers.
+// All fields except Partitions, Windows and Events are invariant to both
+// the partition count and the worker count; those three never depend on
+// workers.
 type TrafficResult struct {
 	Terminals  int
 	Partitions int
-	// Windows counts PDES barrier windows; Events counts executed
-	// simulation events.
+	// Windows counts barrier-to-barrier advances (epochs + 1); Events
+	// counts executed simulation events.
 	Windows uint64
 	Events  uint64
 

@@ -35,19 +35,18 @@ func scrub(r *TrafficResult) *TrafficResult {
 	return &c
 }
 
-// runTrafficSingleScheduler is the PDES engine's oracle: the same builder
-// wires the whole scenario as one partition onto one plain scheduler —
-// seeded like the driver's partition 0 — and a plain loop advances it from
-// epoch to epoch. No driver, no windows, no cross edges. The loop uses
-// RunBefore, the same half-open window as the driver, so an event at
-// exactly an epoch boundary observes the reassigned fleet in both.
+// runTrafficSingleScheduler is the shards' oracle: the same builder wires
+// the whole scenario as one shard — every terminal on one scheduler, one
+// timer heap, one set of gateway nodes — and a plain loop advances it from
+// epoch to epoch, with no fan-out and nothing to merge. The loop uses
+// RunBefore, the same half-open window as Run, so an event at exactly an
+// epoch boundary observes the reassigned fleet in both.
 func runTrafficSingleScheduler(cfg TrafficConfig) *TrafficResult {
 	cfg.Partitions = 1
-	tr := prepareTraffic(cfg)
+	tr := NewTraffic(cfg)
 	f := tr.fleet
 	defer f.Close()
-	sched := sim.NewScheduler(sim.DeriveSeed(f.cfg.Seed, "pdes/partition", 0))
-	tr.build([]*sim.Scheduler{sched})
+	sched := tr.parts[0].sched
 	epochs := tr.epochs()
 	for e := 0; e < epochs; e++ {
 		at := sim.Time(int64(e) * int64(f.cfg.Epoch))
@@ -60,22 +59,22 @@ func runTrafficSingleScheduler(cfg TrafficConfig) *TrafficResult {
 	return res
 }
 
-// TestTrafficReferenceVsPDES holds the PDES engine to the single-
-// scheduler oracle: for several seeds and partition counts, the merged
-// result — probe counts, per-region RTT quantiles, the embedded fleet
-// campaign — must be exactly equal.
-func TestTrafficReferenceVsPDES(t *testing.T) {
+// TestTrafficShardsMatchSingleScheduler holds the independent shards to
+// the single-scheduler oracle: for several seeds and partition counts, the
+// merged result — probe counts, per-region RTT quantiles, the embedded
+// fleet campaign — must be exactly equal.
+func TestTrafficShardsMatchSingleScheduler(t *testing.T) {
 	for _, seed := range []uint64{1, 42, 20260808} {
 		ref := runTrafficSingleScheduler(testTrafficConfig(seed))
 		if ref.ProbesSent == 0 || ref.ProbesRecv == 0 {
 			t.Fatalf("seed %d: reference run sent %d, received %d probes", seed, ref.ProbesSent, ref.ProbesRecv)
 		}
-		for _, parts := range []int{1, 2, 4, 8} {
+		for _, parts := range []int{1, 2, 4, 8, 16} {
 			c := testTrafficConfig(seed)
 			c.Partitions = parts
 			got := RunTraffic(c)
 			if !reflect.DeepEqual(scrub(got), scrub(ref)) {
-				t.Errorf("seed %d, %d partitions: PDES result diverges from reference\n got: %+v\nwant: %+v",
+				t.Errorf("seed %d, %d partitions: sharded result diverges from reference\n got: %+v\nwant: %+v",
 					seed, parts, scrub(got), scrub(ref))
 			}
 		}
@@ -117,7 +116,7 @@ func TestTrafficWorkerInvariance(t *testing.T) {
 }
 
 // TestTrafficOnePartitionByteIdentical pins the strongest equivalence:
-// PDES with one partition produces byte-for-byte the same exports as the
+// Run with one partition produces byte-for-byte the same exports as the
 // single-scheduler oracle — same events, same order, same trace stream —
 // because the builder, seeds and half-open window semantics are shared.
 func TestTrafficOnePartitionByteIdentical(t *testing.T) {
@@ -132,10 +131,63 @@ func TestTrafficOnePartitionByteIdentical(t *testing.T) {
 	refM, refJ := run(runTrafficSingleScheduler)
 	gotM, gotJ := run(RunTraffic)
 	if !bytes.Equal(gotM, refM) {
-		t.Error("one-partition PDES metrics differ from reference path")
+		t.Error("one-partition metrics differ from reference path")
 	}
 	if !bytes.Equal(gotJ, refJ) {
-		t.Error("one-partition PDES trace differs from reference path")
+		t.Error("one-partition trace differs from reference path")
+	}
+}
+
+// TestTrafficMergedMetricsPartitionInvariant pins the merged metrics to
+// the partition count: every link a probe crosses is counted inside the
+// probe's own shard, at the instant it happens, so the sums cannot depend
+// on where the fleet was cut. (A cross-partition link counted a packet as
+// delivered when it staged it, so net.link.delivered grew with the number
+// of probes in flight across a boundary at the horizon.)
+func TestTrafficMergedMetricsPartitionInvariant(t *testing.T) {
+	merged := func(seed uint64, parts int) []byte {
+		col := obs.NewCollector()
+		c := testTrafficConfig(seed)
+		c.Fleet.Terminals = 2000
+		c.Partitions = parts
+		c.Collector = col
+		RunTraffic(c)
+		m := col.ExportMetricsJSON()
+		i := bytes.Index(m, []byte(`,"sources":`))
+		if i < 0 {
+			t.Fatal("metrics export has no sources section")
+		}
+		return m[:i]
+	}
+	for _, seed := range []uint64{1, 42, 20260808} {
+		base := merged(seed, 1)
+		for _, parts := range []int{2, 4, 16} {
+			if got := merged(seed, parts); !bytes.Equal(got, base) {
+				t.Errorf("seed %d: merged metrics differ between 1 and %d partitions\n got: %s\nwant: %s", seed, parts, got, base)
+			}
+		}
+	}
+}
+
+// TestTrafficLargeShard builds and runs one shard past the 65 536
+// terminals a 10.p.0.0/16 range could address: shard-local addresses have
+// 24 bits for the terminal index.
+func TestTrafficLargeShard(t *testing.T) {
+	const terminals = 70000
+	res := RunTraffic(TrafficConfig{
+		Fleet:      Config{Seed: 3, Terminals: terminals, Horizon: 2 * time.Second, Epoch: time.Second},
+		Partitions: 1,
+	})
+	if res.Terminals != terminals || res.Partitions != 1 {
+		t.Fatalf("built %d terminals in %d partitions, want %d in 1", res.Terminals, res.Partitions, terminals)
+	}
+	// Two probes per terminal, each sent or skipped; all but those still
+	// in flight at the horizon answered.
+	if fired := res.ProbesSent + res.ProbesSkipped; fired != 2*terminals {
+		t.Errorf("%d probes fired, want %d", fired, 2*terminals)
+	}
+	if res.ProbesRecv == 0 || res.ProbesRecv > res.ProbesSent {
+		t.Errorf("received %d of %d probes", res.ProbesRecv, res.ProbesSent)
 	}
 }
 
@@ -194,12 +246,16 @@ func TestPartitionTerminals(t *testing.T) {
 				t.Fatalf("parts=%d: empty partition %d: %v", parts, p, pm.TermStart)
 			}
 		}
-		// Cells must never split: every terminal's cell maps back to the
-		// partition owning the terminal.
-		for i := 0; i < f.Terminals(); i++ {
-			if got, want := int(pm.CellPart[f.cell[i]]), pm.PartitionOf(i); got != want {
-				t.Fatalf("parts=%d: terminal %d in cell %d: cell says partition %d, CSR says %d",
-					parts, i, f.cell[i], got, want)
+		// Cells must never split: every partition boundary is a cell
+		// boundary of the cell-sorted terminal array.
+		cellEdge := make(map[int32]bool, len(f.cellStart))
+		for _, s := range f.cellStart {
+			cellEdge[s] = true
+		}
+		for p, s := range pm.TermStart {
+			if !cellEdge[s] {
+				t.Fatalf("parts=%d: partition %d starts at terminal %d, inside cell %d",
+					parts, p, s, f.cell[s])
 			}
 		}
 	}

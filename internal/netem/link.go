@@ -104,11 +104,6 @@ type Link struct {
 	obs     *netObs
 	obsSubj obs.Subj
 
-	// cross, when non-nil, marks this as a cross-partition link: instead
-	// of scheduling delivery locally, transmit stages a copied record on
-	// the PDES cross edge (crosslink.go).
-	cross *crossEndpoint
-
 	// pipe holds the packets in flight (pipe.go), allocated on first send:
 	// a fleet builds ~100 k links that carry a probe or nothing at all, and
 	// one word keeps Link in its 208-byte size class.
@@ -256,9 +251,8 @@ func (l *Link) AccountBypassed(n uint64, lastArrival sim.Time) {
 }
 
 // transmit puts pkt on the wire, now: outage, medium loss, propagation
-// delay and jitter, the FIFO arrival clamp, and the hand-off to the cross
-// edge on a cross-partition link. It returns the arrival instant, or false
-// when the packet was dropped or staged across partitions.
+// delay and jitter, and the FIFO arrival clamp. It returns the arrival
+// instant, or false when the packet was dropped.
 func (l *Link) transmit(pkt *Packet) (arrival sim.Time, ok bool) {
 	at := l.net.sched.Now()
 	if l.cfg.Down != nil && l.cfg.Down(at) {
@@ -285,12 +279,6 @@ func (l *Link) transmit(pkt *Packet) (arrival sim.Time, ok bool) {
 		arrival = l.lastArrival
 	}
 	l.lastArrival = arrival
-	if l.cross != nil {
-		// Cross-partition link: the propagation hop happens on the
-		// destination partition's clock via the cross edge (crosslink.go).
-		l.stageCross(arrival, pkt)
-		return 0, false
-	}
 	return arrival, true
 }
 

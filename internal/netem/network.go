@@ -41,10 +41,6 @@ type Network struct {
 	// cannot import the transport: it hangs off the network to share the
 	// packet pool's lifetime and single-scheduler concurrency domain.
 	tcpSegPool any
-
-	// crossLinks lists the links of this network that terminate in
-	// another partition's network (see crosslink.go).
-	crossLinks []*Link
 }
 
 // Observe attaches an observability sink to the network: every existing

@@ -78,7 +78,7 @@ func NewCollector() *Collector { return &Collector{} }
 // ShardSource formats the canonical source name for shard i of a family:
 // zero-padded to four digits so lexicographic order equals shard order,
 // the property that makes every export worker-invariant. All shard
-// registrations — campaign repetitions and PDES scenario partitions alike
+// registrations — campaign repetitions and traffic scenario shards alike
 // — go through this one formatter.
 func ShardSource(family string, i int) string {
 	return fmt.Sprintf("%s/%04d", family, i)

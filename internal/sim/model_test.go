@@ -151,13 +151,6 @@ func (m *modelScheduler) Pending() int {
 	return n
 }
 
-func (m *modelScheduler) NextEventTime() (Time, bool) {
-	if t := m.head(); t != nil {
-		return t.at, true
-	}
-	return 0, false
-}
-
 func (m *modelScheduler) processed() uint64  { return m.events }
 func (m *modelScheduler) zeroHandle() handle { return modelHandle{} }
 
@@ -178,7 +171,6 @@ type queue interface {
 	Run()
 	RunUntil(deadline Time)
 	Pending() int
-	NextEventTime() (Time, bool)
 	processed() uint64
 	zeroHandle() handle
 }
@@ -212,7 +204,6 @@ type pipeEntry struct {
 const (
 	recStop = -1 - iota
 	recPending
-	recNext
 	recStep
 	recHandle
 )
@@ -222,7 +213,7 @@ const (
 // of reserved keys, mass arm-and-stop rounds big enough to compact the
 // real queue down to nothing, single steps and RunUntil windows. The
 // trace holds every observable: each fire as (now, id), the result of
-// every Stop, and Pending, NextEventTime and handle states at
+// every Stop, and Pending and handle states at
 // checkpoints. Callbacks draw from the same rand stream, so the two
 // implementations stay in step exactly as long as they fire in the same
 // order.
@@ -307,8 +298,6 @@ func randomWorkload(q queue, seed int64) (trace []int64) {
 	}
 	checkpoint := func() {
 		rec(recPending, int64(q.Pending()))
-		at, ok := q.NextEventTime()
-		rec(recNext, int64(at), b(ok))
 		for i := 0; i < len(handles); i += 7 {
 			rec(recHandle, int64(i), b(handles[i].Pending()))
 		}
@@ -346,7 +335,7 @@ func randomWorkload(q queue, seed int64) (trace []int64) {
 
 // The scheduler and the model must be observationally identical: same
 // firing order at the same instants, same Stop results on live, stopped,
-// fired, stale and zero handles, same Pending and NextEventTime wherever
+// fired, stale and zero handles, same Pending wherever
 // the program looks, same Processed and final clock.
 func TestFastMatchesReferenceScheduler(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42, 20260808} {

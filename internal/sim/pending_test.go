@@ -5,9 +5,11 @@ import (
 	"time"
 )
 
-// TestRunBeforeHalfOpenWindow pins the PDES window semantics: RunBefore
-// executes strictly below the horizon, leaves events at the horizon for
-// the next window, and lands the clock exactly on it.
+// TestRunBeforeHalfOpenWindow pins the window contract of the fleet traffic
+// scenario's barrier loop, which has no engine of its own beyond this call:
+// RunBefore executes strictly below the horizon, leaves events at the
+// horizon for the next window (after the epoch reassignment at the
+// barrier), and lands the clock exactly on it.
 func TestRunBeforeHalfOpenWindow(t *testing.T) {
 	s := NewScheduler(1)
 	var log []Time
@@ -49,8 +51,8 @@ func TestPendingLiveCountAcrossCompaction(t *testing.T) {
 	if got := s.Pending(); got != n {
 		t.Fatalf("pending = %d, want %d", got, n)
 	}
-	// Stop three quarters: nstopped*2 > len(heap) holds, so the next
-	// peek-driven operation compacts.
+	// Stop three quarters: once nstopped*2 > len(heap) holds, a Stop
+	// compacts.
 	stopped := 0
 	for i := 0; i < n; i++ {
 		if i%4 != 0 {
@@ -64,9 +66,9 @@ func TestPendingLiveCountAcrossCompaction(t *testing.T) {
 		}
 	}
 	live := n - stopped
-	// Force compaction via a peek-driven path and re-check.
-	if at, ok := s.NextEventTime(); !ok || at != Time(Millisecond) {
-		t.Fatalf("next event = %v/%v, want 1ms", at, ok)
+	// The earliest live timer survived the sweep.
+	if head := s.peek(); head == nil || head.at != Time(Millisecond) {
+		t.Fatalf("next event = %+v, want the 1ms timer", head)
 	}
 	if got := s.Pending(); got != live {
 		t.Fatalf("pending after compaction = %d, want %d", got, live)

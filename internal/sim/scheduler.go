@@ -317,10 +317,9 @@ func (s *Scheduler) RunUntil(deadline Time) { s.runTo(deadline, deadline) }
 func (s *Scheduler) RunFor(d Duration) { s.RunUntil(s.now.Add(d)) }
 
 // RunBefore executes events with timestamps strictly before horizon, then
-// advances the clock to exactly horizon. The half-open window is what the
-// conservative PDES driver needs: events at the horizon itself belong to
-// the next window, after the barrier has delivered any cross-partition
-// arrivals stamped exactly at it.
+// advances the clock to exactly horizon. The half-open window is what a
+// barrier loop needs (fleet.Traffic.Run): events at the horizon itself
+// belong to the next window, after whatever the caller does at the barrier.
 func (s *Scheduler) RunBefore(horizon Time) { s.runTo(horizon-1, horizon) }
 
 // runTo fires events due at or before limit until Stop is called, then
@@ -345,24 +344,13 @@ func (s *Scheduler) Stop() { s.stopped = true }
 // (so the count drops the moment the timer is cancelled, not when the node
 // is eventually swept), and compaction removes nodes and counter together.
 // Callers must not infer queue memory from Pending(): stopped nodes may
-// sit in the heap until a sweep, and peek-driven operations (Step,
-// NextEventTime) recycle stopped nodes they pass over.
+// sit in the heap until a sweep, and Step recycles stopped nodes it passes
+// over.
 func (s *Scheduler) Pending() int {
 	if s.hollow {
 		s.settle()
 	}
 	return len(s.heap) - s.nstopped
-}
-
-// NextEventTime returns the timestamp of the earliest pending event and
-// whether one exists. It is side-effect-free with respect to the firing
-// order: the only mutation is sweeping already-stopped timers off the
-// top of the queue (back to the freelist).
-func (s *Scheduler) NextEventTime() (Time, bool) {
-	if t := s.peek(); t != nil {
-		return t.at, true
-	}
-	return 0, false
 }
 
 // QueuePeak returns the high-water mark of the event queue's length,
@@ -375,8 +363,8 @@ func (s *Scheduler) QueuePeak() int { return s.queuePeak }
 // would-have-been events in closed form instead of scheduling them. The
 // scheduler takes no action — the caller already applied the events'
 // net effect — it only keeps the ledger so engine introspection
-// (Processed vs Skipped, PartitionedDriver.EventsSkipped) can report how
-// much emulation the closed forms displaced.
+// (Processed vs Skipped, fleet.Traffic.EventsSkipped) can report how much
+// emulation the closed forms displaced.
 func (s *Scheduler) CreditSkipped(n uint64) { s.Skipped += n }
 
 // --- typed 4-ary min-heap ----------------------------------------------

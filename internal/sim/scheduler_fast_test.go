@@ -60,52 +60,6 @@ func TestStoppedTimersCompacted(t *testing.T) {
 	checkHeap(t, s)
 }
 
-// NextEventTime must not perturb the firing order of live events, and
-// the stopped timers it sweeps off the top must return to the freelist.
-func TestNextEventTimeSideEffectFree(t *testing.T) {
-	fires := func(probe bool) []Time {
-		s := NewScheduler(1)
-		var got []Time
-		fn := func() { got = append(got, s.Now()) }
-		var handles []TimerHandle
-		r := rand.New(rand.NewSource(99))
-		for i := 0; i < 200; i++ {
-			handles = append(handles, s.At(Time(r.Intn(50))*Time(Millisecond), fn))
-		}
-		for i := 0; i < len(handles); i += 3 {
-			handles[i].Stop()
-		}
-		if probe {
-			for i := 0; i < 100; i++ {
-				s.NextEventTime()
-			}
-		}
-		s.Run()
-		return got
-	}
-	plain, probed := fires(false), fires(true)
-	if len(plain) != len(probed) {
-		t.Fatalf("probing NextEventTime changed fire count: %d vs %d", len(plain), len(probed))
-	}
-	for i := range plain {
-		if plain[i] != probed[i] {
-			t.Fatalf("fire %d at %v with probing, %v without", i, probed[i], plain[i])
-		}
-	}
-
-	// Sweeping a stopped head must recycle it.
-	s := NewScheduler(1)
-	early := s.At(Time(Second), func() {})
-	s.At(Time(2*Second), func() {})
-	early.Stop()
-	if at, ok := s.NextEventTime(); !ok || at != Time(2*Second) {
-		t.Fatalf("NextEventTime = %v,%v want 2s,true", at, ok)
-	}
-	if len(s.free) != 1 {
-		t.Errorf("swept stopped timer not recycled: freelist = %d", len(s.free))
-	}
-}
-
 // FIFO-among-equal-timestamps property: random bursts of same-instant
 // events must fire in schedule order, interleaved correctly with the
 // other bursts.
@@ -260,8 +214,8 @@ func TestCompactAllStopped(t *testing.T) {
 }
 
 // The root fired in place must be invisible from inside its own callback:
-// dead to its handle, not counted as pending, never returned by
-// NextEventTime — whether the callback schedules nothing, one event (which
+// dead to its handle and not counted as pending — whether the callback
+// schedules nothing, one event (which
 // takes the root slot over) or several, and whatever it stops.
 func TestHollowRootInvisibleToCallbacks(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
@@ -290,11 +244,6 @@ func TestHollowRootInvisibleToCallbacks(t *testing.T) {
 		}
 		if r.Intn(3) == 0 && handles[r.Intn(len(handles))].Stop() {
 			live--
-		}
-		if r.Intn(3) == 0 {
-			if at, ok := s.NextEventTime(); ok && at < s.Now() {
-				t.Fatalf("NextEventTime %v is before now %v", at, s.Now())
-			}
 		}
 		if got := s.Pending(); got != live {
 			t.Fatalf("Pending = %d inside a callback, want %d", got, live)

@@ -135,22 +135,6 @@ func TestStopHaltsRun(t *testing.T) {
 	}
 }
 
-func TestNextEventTime(t *testing.T) {
-	s := NewScheduler(1)
-	if _, ok := s.NextEventTime(); ok {
-		t.Fatal("empty scheduler reported a next event")
-	}
-	tm := s.At(Time(5*Second), func() {})
-	s.At(Time(7*Second), func() {})
-	if at, ok := s.NextEventTime(); !ok || at != Time(5*Second) {
-		t.Fatalf("next = %v,%v want 5s,true", at, ok)
-	}
-	tm.Stop()
-	if at, ok := s.NextEventTime(); !ok || at != Time(7*Second) {
-		t.Fatalf("next after stop = %v,%v want 7s,true", at, ok)
-	}
-}
-
 func TestRNGDeterminism(t *testing.T) {
 	a := NewRNG(42).Stream("loss")
 	b := NewRNG(42).Stream("loss")

@@ -57,7 +57,7 @@ func (d *FixedDist) N() int64 { return d.n }
 // the same width and bucket count (they were built for the same metric).
 // Merging is commutative and associative, so folding per-partition
 // distributions in any order yields the same histogram as observing every
-// value into one — the property the PDES traffic scenario's per-region
+// value into one — the property the sharded traffic scenario's per-region
 // merge relies on.
 func (d *FixedDist) Merge(o *FixedDist) {
 	if d.width != o.width || len(d.counts) != len(o.counts) {
