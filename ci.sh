@@ -1,6 +1,6 @@
 #!/bin/sh
-# ci.sh — the full gate: formatting, vet, a guard against the deleted PDES
-# engine coming back through a merge, build, the test suite under the race
+# ci.sh — the full gate: formatting, vet, a guard against deleted
+# mechanisms coming back through a merge, build, the test suite under the race
 # detector (which runs the traffic shards' goroutine fan-out), the
 # allocation gates in a plain pass, two fuzz smokes and two short runs of
 # the repo benchmark. Equivalence is proven by tests, not
@@ -22,9 +22,11 @@ fi
 echo "== go vet"
 go vet ./...
 
-echo "== no cross-partition engine in non-test code (DESIGN.md: Independent traffic shards)"
-if grep -rnE 'PartitionedDriver|CrossEdge|AddCrossLink' --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark .; then
-    echo "the deleted cross-partition engine is named above" >&2
+echo "== no deleted mechanism in non-test code (DESIGN.md: Independent traffic shards, §7 Geometry fast path)"
+# The cross-partition engine, and the geometry memo rings that became one
+# slot each and caller-owned snapshots.
+if grep -rnE 'PartitionedDriver|CrossEdge|AddCrossLink|snapshotRing|peekSnapshot|delayRing|islMemo' --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark .; then
+    echo "a deleted mechanism is named above" >&2
     exit 1
 fi
 
@@ -53,8 +55,9 @@ echo "== SACK scoreboard fuzz smoke (10 s against the fresh-slice oracle)"
 go test ./internal/tcpsim -run '^$' -fuzz 'FuzzByteRanges' -fuzztime 10s
 
 echo "== link pipe ring fuzz smoke (10 s against the slice model)"
-# Push/pop programs with early keys: the ring's sorted insert is reached by
-# no send any more, so this is what keeps it honest.
+# Push/pop programs with early keys: the ring is a FIFO that refuses an
+# instant before its tail's, which no send produces, so this is what
+# reaches the guard.
 go test ./internal/netem -run '^$' -fuzz 'FuzzPktRing' -fuzztime 10s
 
 echo "== benchmark smoke (one short run each of small_packets and fleet_scale)"

@@ -1,7 +1,7 @@
 // Command speedtest runs Ookla-style measurements (closest-server
 // selection, parallel TCP connections) from one of the three vantage
-// points. With the default connection count the tests fan out across
-// -workers goroutines, one deterministically seeded testbed per shard.
+// points. The tests fan out across -workers goroutines, one
+// deterministically seeded testbed per shard.
 package main
 
 import (
@@ -13,7 +13,6 @@ import (
 
 	"starlinkperf/internal/core"
 	"starlinkperf/internal/measure"
-	"starlinkperf/internal/netem"
 	"starlinkperf/internal/stats"
 )
 
@@ -38,12 +37,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 
-	tech, ok := parseTech(*techName)
-	if !ok {
-		return fmt.Errorf("unknown tech %q", *techName)
+	tech, err := core.ParseTech(*techName)
+	if err != nil {
+		return err
 	}
-	if *count < 1 {
-		return fmt.Errorf("count must be >= 1")
+	if *count < 1 || *conns < 1 {
+		return fmt.Errorf("count and conns must be >= 1")
 	}
 	cfg := core.DefaultConfig()
 	cfg.Seed = *seed
@@ -52,17 +51,13 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 	cfg.Transport = profile
+	cfg.Speedtest = measure.DefaultSpeedtestConfig()
+	cfg.Speedtest.Connections = *conns
 
-	node := map[core.Tech]string{core.TechStarlink: "pc-starlink", core.TechSatCom: "pc-satcom", core.TechWired: "pc-wired"}[tech]
-	fmt.Fprintf(stdout, "speedtest from %s (%d tests, %d connections):\n", node, *count, *conns)
+	fmt.Fprintf(stdout, "speedtest from pc-%s (%d tests, %d connections):\n", tech, *count, *conns)
 
-	var results []measure.SpeedtestResult
-	if *conns == measure.DefaultSpeedtestConfig().Connections {
-		opts := core.Options{Workers: *workers, Seed: *seed}
-		results = core.RunSpeedtestCampaignParallel(cfg, tech, *count, *gap, opts)
-	} else {
-		results = runCustomConns(core.NewTestbed(cfg), tech, *count, *gap, *conns)
-	}
+	opts := core.Options{Workers: *workers, Seed: *seed}
+	results := core.RunSpeedtestCampaignParallel(cfg, tech, *count, *gap, opts)
 	var down, up []float64
 	for i, r := range results {
 		fmt.Fprintf(stdout, "  #%02d  server=%-14s ping=%-8s down=%7.1f Mbit/s  up=%6.1f Mbit/s\n",
@@ -74,50 +69,4 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fmt.Fprintf(stdout, "download: med=%.1f p25=%.1f p75=%.1f max=%.1f Mbit/s\n", d.P50, d.P25, d.P75, d.Max)
 	_, err = fmt.Fprintf(stdout, "upload:   med=%.1f p25=%.1f p75=%.1f max=%.1f Mbit/s\n", u.P50, u.P25, u.P75, u.Max)
 	return err
-}
-
-func parseTech(s string) (core.Tech, bool) {
-	switch s {
-	case "starlink":
-		return core.TechStarlink, true
-	case "satcom":
-		return core.TechSatCom, true
-	case "wired":
-		return core.TechWired, true
-	}
-	return 0, false
-}
-
-// runCustomConns drives measure directly for a non-default connection
-// count, sequentially on one testbed. The testbed's SpeedtestConfig
-// carries the transport profile overlay.
-func runCustomConns(tb *core.Testbed, tech core.Tech, n int, gap time.Duration, conns int) []measure.SpeedtestResult {
-	var out []measure.SpeedtestResult
-	prober := measure.NewProber(vantageNode(tb, tech))
-	cfg := tb.SpeedtestConfig()
-	cfg.Connections = conns
-	var runOne func(i int)
-	runOne = func(i int) {
-		if i >= n {
-			return
-		}
-		measure.RunSpeedtest(prober, tb.OoklaServers, cfg, func(r measure.SpeedtestResult) {
-			out = append(out, r)
-			tb.Sched.After(gap, func() { runOne(i + 1) })
-		})
-	}
-	runOne(0)
-	tb.Sched.RunFor(time.Duration(n) * (gap + time.Minute))
-	return out
-}
-
-func vantageNode(tb *core.Testbed, tech core.Tech) *netem.Node {
-	switch tech {
-	case core.TechSatCom:
-		return tb.PCSatCom
-	case core.TechWired:
-		return tb.PCWired
-	default:
-		return tb.PCStarlink
-	}
 }

@@ -29,16 +29,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 
-	var tech core.Tech
-	switch *techName {
-	case "starlink":
-		tech = core.TechStarlink
-	case "satcom":
-		tech = core.TechSatCom
-	case "wired":
-		tech = core.TechWired
-	default:
-		return fmt.Errorf("unknown tech %q", *techName)
+	tech, err := core.ParseTech(*techName)
+	if err != nil {
+		return err
 	}
 	cfg := core.DefaultConfig()
 	cfg.Seed = *seed
@@ -46,6 +39,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	audit := tb.RunMiddleboxAudit(tech)
 	var out strings.Builder
 	core.RenderMiddleboxAudit(&out, *techName, audit)
-	_, err := io.WriteString(stdout, out.String())
+	_, err = io.WriteString(stdout, out.String())
 	return err
 }

@@ -35,16 +35,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 
-	var tech core.Tech
-	switch *techName {
-	case "starlink":
-		tech = core.TechStarlink
-	case "satcom":
-		tech = core.TechSatCom
-	case "wired":
-		tech = core.TechWired
-	default:
-		return fmt.Errorf("unknown tech %q", *techName)
+	tech, err := core.ParseTech(*techName)
+	if err != nil {
+		return err
 	}
 	if *visits < 1 {
 		return fmt.Errorf("visits must be >= 1")

@@ -102,9 +102,6 @@ func (c *Cubic) Window() int { return c.cwnd }
 // InSlowStart implements CongestionController.
 func (c *Cubic) InSlowStart() bool { return c.cwnd < c.ssthresh }
 
-// DebugSSThresh exposes ssthresh for calibration tooling.
-func (c *Cubic) DebugSSThresh() int { return c.ssthresh }
-
 // OnPacketSent implements CongestionController. With IdleDecay enabled it
 // is also the idle detector: the first send after an idle period longer
 // than the restart timeout decays the window before any data leaves.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"sort"
 	"time"
 
@@ -255,6 +256,16 @@ func (t Tech) String() string {
 	default:
 		return "wired"
 	}
+}
+
+// ParseTech is the inverse of Tech.String.
+func ParseTech(s string) (Tech, error) {
+	for _, t := range []Tech{TechStarlink, TechSatCom, TechWired} {
+		if s == t.String() {
+			return t, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown tech %q", s)
 }
 
 // SpeedtestConfig resolves the testbed's speedtest client configuration:

@@ -303,3 +303,14 @@ func TestRenderersProduceOutput(t *testing.T) {
 		}
 	}
 }
+
+func TestParseTechInvertsString(t *testing.T) {
+	for _, tech := range []Tech{TechStarlink, TechSatCom, TechWired} {
+		if got, err := ParseTech(tech.String()); err != nil || got != tech {
+			t.Errorf("ParseTech(%q) = %v, %v", tech.String(), got, err)
+		}
+	}
+	if _, err := ParseTech("dialup"); err == nil {
+		t.Error("unknown tech accepted")
+	}
+}

@@ -38,10 +38,6 @@ type Options struct {
 	ScenarioWorkers int
 }
 
-// DefaultOptions returns the options every cmd starts from: all
-// processors, seed taken from the Config.
-func DefaultOptions() Options { return Options{} }
-
 // workerCount resolves Workers, clamped to [1, n] for n shards.
 func (o Options) workerCount(n int) int {
 	w := o.Workers

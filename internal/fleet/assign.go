@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"starlinkperf/internal/geo"
-	"starlinkperf/internal/leo"
 	"starlinkperf/internal/sim"
 )
 
@@ -22,14 +21,14 @@ const assignBlock = 2048
 // (position, snapshot), so results are bit-identical for any worker
 // count.
 //
-// Steady state allocates nothing for any worker count once the snapshot
-// ring and the candidate scratch have warmed up — the pool replaced the
-// old per-epoch goroutine spawns with channel tokens, which is what lets
-// the 100k-terminal alloc gate run the multi-worker path; the fleet
-// alloc gates hold both paths to zero.
+// A fresh epoch allocates nothing for any worker count once the candidate
+// scratch has grown to its working size: the position snapshot is one
+// table the fleet owns and refills in place, and the pool hands out work
+// with channel tokens. The fleet alloc gates hold both paths to zero
+// while the clock advances.
 func (f *Fleet) ReassignAt(at sim.Time) {
-	snap := f.con.SnapshotAt(at)
-	f.buildCandidates(snap)
+	f.con.FillSnapshot(&f.snap, at)
+	f.buildCandidates()
 	if f.pool == nil {
 		f.assignRange(0, len(f.sat))
 		return
@@ -38,16 +37,13 @@ func (f *Fleet) ReassignAt(at sim.Time) {
 }
 
 // buildCandidates fills the per-cell candidate CSR (candStart, cands)
-// from the snapshot: two identical enumeration passes — count, then fill
-// — so the only allocation ever needed is growing cands toward its
-// high-water mark. Enumeration is ascending in flat satellite id, and a
-// satellite is admitted to a given cell at most once, so every cell's
-// candidate list is strictly increasing — which is what makes the
-// argmax tie-break below match an ascending scan of all satellites.
-func (f *Fleet) buildCandidates(snap *leo.Snapshot) {
-	for si := range f.shells {
-		f.shellPos[si] = snap.ShellPositions(si)
-	}
+// from the epoch's snapshot (f.snap): two identical enumeration passes —
+// count, then fill — so the only allocation ever needed is growing cands
+// to its working size. Enumeration is ascending in flat satellite id, and
+// a satellite is admitted to a given cell at most once, so every cell's
+// candidate list is strictly increasing — which is what makes the argmax
+// tie-break below match an ascending scan of all satellites.
+func (f *Fleet) buildCandidates() {
 	for c := range f.candCount {
 		f.candCount[c] = 0
 	}
@@ -60,7 +56,9 @@ func (f *Fleet) buildCandidates(snap *leo.Snapshot) {
 	f.candStart[len(f.candCount)] = total
 	copy(f.candFill, f.candStart[:len(f.candCount)])
 	if cap(f.cands) < int(total) {
-		f.cands = make([]int32, total)
+		// The total drifts by under 1 % from epoch to epoch; 3 % headroom
+		// makes the first epoch's table the working size.
+		f.cands = make([]int32, total, total+total/32)
 	} else {
 		f.cands = f.cands[:total]
 	}
@@ -84,7 +82,7 @@ func (f *Fleet) buildCandidates(snap *leo.Snapshot) {
 func (f *Fleet) scanSats(fill bool) {
 	for si := range f.shells {
 		m := &f.shells[si]
-		pos := f.shellPos[si]
+		pos := f.snap.ShellPositions(si)
 		for j, en := range m.enabled {
 			if !en {
 				continue
@@ -182,11 +180,11 @@ func (f *Fleet) assignRange(lo, hi int) {
 }
 
 // satPos resolves a flat satellite id against the current epoch's
-// snapshot slices.
+// snapshot.
 func (f *Fleet) satPos(s int32) geo.ECEF {
 	for si := len(f.shells) - 1; si >= 0; si-- {
 		if m := &f.shells[si]; int(s) >= m.offset {
-			return f.shellPos[si][int(s)-m.offset]
+			return f.snap.ShellPositions(si)[int(s)-m.offset]
 		}
 	}
 	return geo.ECEF{}

@@ -70,16 +70,13 @@ func equivConfig(seed uint64, band string) Config {
 // satellite, ascending in flat id, with the same sinElevation comparison
 // and the same gateway/delay finish as the cell-indexed path.
 func (f *Fleet) referenceReassignAt(at sim.Time) {
-	snap := f.con.SnapshotAt(at)
-	for si := range f.shells {
-		f.shellPos[si] = snap.ShellPositions(si)
-	}
+	f.con.FillSnapshot(&f.snap, at)
 	for t := range f.sat {
 		best := int32(-1)
 		bestSin := -2.0
 		for si := range f.shells {
 			m := &f.shells[si]
-			pos := f.shellPos[si]
+			pos := f.snap.ShellPositions(si)
 			for j, en := range m.enabled {
 				if !en {
 					continue

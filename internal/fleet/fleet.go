@@ -17,9 +17,9 @@
 // The equivalence suite holds the cell-indexed reassignment bit-identical
 // to a naive O(N×M) scan of every satellite for every terminal (the
 // oracle in equivalence_test.go) across seeds, latitude bands and worker
-// counts. Steady-state reassignment allocates nothing: candidate CSR
-// scratch, snapshot ring entries and per-cell beam lists are all reused
-// across epochs.
+// counts. Steady-state reassignment allocates nothing: the candidate CSR
+// scratch, the one position snapshot and the per-cell beam lists are all
+// refilled in place every epoch.
 package fleet
 
 import (
@@ -167,7 +167,7 @@ type Fleet struct {
 
 	// Per-epoch scratch, reused so steady-state reassignment is
 	// allocation-free once every buffer has grown to its working size.
-	shellPos  [][]geo.ECEF
+	snap      leo.Snapshot
 	candCount []int32
 	candStart []int32 // len nCells+1
 	candFill  []int32
@@ -302,7 +302,6 @@ func New(cfg Config) *Fleet {
 		f.cellStart[c+1] += f.cellStart[c]
 	}
 
-	f.shellPos = make([][]geo.ECEF, len(f.shells))
 	f.candCount = make([]int32, f.grid.nCells)
 	f.candStart = make([]int32, f.grid.nCells+1)
 	f.candFill = make([]int32, f.grid.nCells)
@@ -324,17 +323,8 @@ func New(cfg Config) *Fleet {
 	return f
 }
 
-// Config returns the fleet configuration with defaults applied.
-func (f *Fleet) Config() Config { return f.cfg }
-
 // Terminals returns the fleet size.
 func (f *Fleet) Terminals() int { return len(f.sat) }
-
-// Cells returns the number of geodesic cells in the index.
-func (f *Fleet) Cells() int { return f.grid.nCells }
-
-// Satellites returns the constellation slot count.
-func (f *Fleet) Satellites() int { return f.nSats }
 
 // Result is the per-region outcome of a fleet campaign.
 type Result struct {

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"starlinkperf/internal/geo"
-	"starlinkperf/internal/sim"
 )
 
 // TestRunGlobalSmoke runs a reduced global campaign on the real Gen1
@@ -166,19 +165,5 @@ func TestCellOfEdges(t *testing.T) {
 	// Wrapped longitudes map consistently.
 	if a, b := g.cellOf(10, 370), g.cellOf(10, 10); a != b {
 		t.Errorf("lon wrap: cell(10,370)=%d != cell(10,10)=%d", a, b)
-	}
-}
-
-// TestSnapshotSharing: reassignments at instants already in the
-// constellation snapshot ring must reuse the cached positions (the
-// shared-ring requirement of the tentpole).
-func TestSnapshotSharing(t *testing.T) {
-	f := New(Config{Seed: 1, Terminals: 200})
-	at := sim.Time(int64(30 * time.Second))
-	s1 := f.con.SnapshotAt(at)
-	f.ReassignAt(at)
-	s2 := f.con.SnapshotAt(at)
-	if s1 != s2 {
-		t.Error("ReassignAt did not reuse the cached snapshot for a warm instant")
 	}
 }

@@ -73,7 +73,8 @@ func FuzzCellIndex(f *testing.F) {
 			fl = fleets[1]
 		}
 		at := sim.Time(int64(step%16) * int64(15*time.Second))
-		fl.buildCandidates(fl.con.SnapshotAt(at))
+		fl.con.FillSnapshot(&fl.snap, at)
+		fl.buildCandidates()
 
 		cell := fl.grid.cellOf(lat, lon)
 		have := make(map[int32]bool)
@@ -89,7 +90,7 @@ func FuzzCellIndex(f *testing.F) {
 				if !enabled {
 					continue
 				}
-				p := fl.shellPos[si][j]
+				p := fl.snap.ShellPositions(si)[j]
 				dx, dy, dz := p.X-e.X, p.Y-e.Y, p.Z-e.Z
 				dn := math.Sqrt(dx*dx + dy*dy + dz*dz)
 				sinEl := (dx*e.X + dy*e.Y + dz*e.Z) / (dn * en)

@@ -10,9 +10,9 @@ import (
 
 // The naive/fast benchmark pair quantifies the geometry fast path; both
 // are kept in-tree so the speedup in DESIGN.md stays reproducible. Each
-// iteration computes one fresh epoch assignment (the epoch varies per
-// iteration, so neither the assignment memo nor the snapshot ring can
-// short-circuit the work being measured).
+// iteration computes one fresh epoch assignment by calling
+// computeAssignment below the one-slot memo, at an epoch that varies per
+// iteration.
 
 func benchTerminal() *Terminal {
 	return NewTerminal(DefaultTerminalConfig(louvain),
@@ -48,8 +48,8 @@ func BenchmarkDelayAt(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		// Sweep time so the quantum ring and assignment memo behave as in
-		// a campaign: mostly hits, a miss per new quantum/epoch.
+		// Sweep time forward so the delay and assignment memos behave as
+		// in a campaign: mostly hits, a miss per new quantum/epoch.
 		at := sim.Time(int64(i) * int64(10*time.Millisecond))
 		term.DelayAt(at)
 	}

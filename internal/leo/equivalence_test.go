@@ -1,6 +1,7 @@
 package leo
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -9,7 +10,7 @@ import (
 )
 
 // The geometry fast path (ECEF-native elevation, per-plane candidate
-// pruning, shared snapshots, the delay ring) must be a pure optimization:
+// pruning, the assignment and delay memos) must be a pure optimization:
 // assignments and delays have to come out bit-identical to the naive
 // full scan below.
 
@@ -96,7 +97,7 @@ func checkEquivalence(t *testing.T, pos geo.LatLon, gws []Gateway, horizon time.
 			gapEpochs++
 		}
 		// Delays inside the epoch, off the epoch boundary, through the
-		// ring cache.
+		// delay memo.
 		for _, off := range []time.Duration{0, 3 * time.Second, 7300 * time.Millisecond} {
 			probe := at + sim.Time(off)
 			gotD, gotOK := term.DelayAt(probe)
@@ -226,40 +227,96 @@ func TestPruningAtInclinationLatitude(t *testing.T) {
 	}
 }
 
-// TestSnapshotSharing pins the snapshot cache contract: same instant →
-// same snapshot object, positions bit-identical to Position, small ring
-// evicts oldest, and peeking never computes.
-func TestSnapshotSharing(t *testing.T) {
+// snapshotsEqual reports whether two snapshots describe the same instant
+// with bit-identical tables.
+func snapshotsEqual(a, b *Snapshot) bool {
+	return a.At == b.At && slices.Equal(a.stride, b.stride) &&
+		slices.EqualFunc(a.pos, b.pos, func(x, y []geo.ECEF) bool { return slices.Equal(x, y) })
+}
+
+// TestFillSnapshotReuse pins the caller-owned snapshot contract: refilling
+// one Snapshot is bit-identical to a fresh SnapshotAt at every instant,
+// whatever it held before — an earlier or later instant, a membership
+// change in between, or a constellation with other shell sizes — and each
+// position is what Shell.Position computes.
+func TestFillSnapshotReuse(t *testing.T) {
 	con := NewConstellation(NewShell(StarlinkGen1()))
-	at := sim.Time(42 * time.Second)
-	if con.peekSnapshot(at) != nil {
-		t.Fatal("peek computed a snapshot")
+	var reused Snapshot
+	check := func(c *Constellation, at sim.Time) {
+		t.Helper()
+		c.FillSnapshot(&reused, at)
+		if fresh := c.SnapshotAt(at); !snapshotsEqual(&reused, fresh) {
+			t.Fatalf("at %v: refilled snapshot differs from a fresh one", at)
+		}
+		c.ForEach(func(id SatID) {
+			if got, want := reused.Position(id), c.Position(id, at); got != want {
+				t.Fatalf("at %v sat %+v: snapshot %v != Position %v", at, id, got, want)
+			}
+		})
 	}
-	s1 := con.SnapshotAt(at)
-	if s2 := con.SnapshotAt(at); s2 != s1 {
-		t.Error("second SnapshotAt did not reuse the cached snapshot")
+	// Forward, backward and repeated instants.
+	for _, sec := range []int64{0, 15, 30, 15, 7200, 42, 42} {
+		check(con, sim.Time(sec*int64(time.Second)))
 	}
-	if con.peekSnapshot(at) != s1 {
-		t.Error("peek missed the cached snapshot")
+	// Membership flips change no position: disabled slots are still filled.
+	sh := con.Shells()[0]
+	sh.SetEnabled(7, 13, false)
+	sh.SetEnabled(0, 0, false)
+	check(con, sim.Time(45*time.Second))
+	if got, want := reused.Position(SatID{Plane: 7, Index: 13}), sh.Position(7, 13, reused.At); got != want {
+		t.Errorf("disabled slot: snapshot %v != Position %v", got, want)
 	}
-	id := SatID{Shell: 0, Plane: 7, Index: 13}
-	if got, want := s1.Position(id), con.Position(id, at); got != want {
-		t.Errorf("snapshot position %v != Position %v", got, want)
+	sh.SetEnabled(7, 13, true)
+	check(con, sim.Time(60*time.Second))
+
+	// Other shapes through the same storage: smaller, two shells (one of
+	// them larger than anything held so far), then back.
+	small := ShellConfig{Name: "small", AltKm: 600, InclinationDeg: 70, Planes: 6, SatsPerPlane: 5, PhasingF: 1}
+	big := ShellConfig{Name: "big", AltKm: 1100, InclinationDeg: 80, Planes: 80, SatsPerPlane: 30, PhasingF: 7}
+	check(NewConstellation(NewShell(small)), sim.Time(75*time.Second))
+	check(NewConstellation(NewShell(small), NewShell(big)), sim.Time(90*time.Second))
+	check(con, sim.Time(105*time.Second))
+}
+
+// TestAssignmentOutOfOrderEpochs queries epochs the way Handovers
+// back-fills them — behind the last answer, ahead of it, the same one
+// twice — and holds every answer to the from-scratch oracle: the one-slot
+// memo must never serve another epoch's assignment.
+func TestAssignmentOutOfOrderEpochs(t *testing.T) {
+	term := NewTerminal(DefaultTerminalConfig(louvain),
+		NewConstellation(NewShell(StarlinkGen1())), testGateways())
+	epoch := sim.Time(term.epochNS)
+	distinct := map[Assignment]bool{}
+	for _, ep := range []int64{40, 39, 38, 40, 40, 0, 41, 2, 1, 0, 300, 41, 299, 300} {
+		// Off the boundary: AssignmentAt keys on the epoch, not the instant.
+		at := sim.Time(ep)*epoch + epoch/3
+		got, want := term.AssignmentAt(at), term.referenceAssignmentAt(at)
+		if got != want {
+			t.Fatalf("epoch %d: AssignmentAt %+v != reference %+v (stale slot?)", ep, got, want)
+		}
+		distinct[got] = true
 	}
-	// Fill the ring with other instants; the original must age out.
-	for i := 0; i < snapshotRing; i++ {
-		con.SnapshotAt(at + sim.Time(i+1)*sim.Time(time.Second))
+	if len(distinct) < 3 {
+		t.Errorf("only %d distinct assignments over the walk; a stale slot would go unnoticed", len(distinct))
 	}
-	if con.peekSnapshot(at) != nil {
-		t.Error("snapshot survived a full ring of evictions")
+
+	// A Handovers call that ends behind the clock, then the same window
+	// again after the clock moved on: same list.
+	first := term.Handovers(0, sim.Time(20*time.Minute))
+	term.AssignmentAt(sim.Time(2 * time.Hour))
+	if again := term.Handovers(0, sim.Time(20*time.Minute)); !slices.Equal(first, again) {
+		t.Errorf("Handovers over one window differ after the clock moved: %d vs %d entries", len(first), len(again))
+	}
+	if len(first) == 0 {
+		t.Error("no handovers in 20 minutes; back-fill pattern unexercised")
 	}
 }
 
-// TestDelayRingInterleavedFlows replays the access pattern that thrashed
-// the old single-entry cache — multiple flows probing alternating time
-// quanta — and checks every cached answer against an uncached naive
-// recomputation.
-func TestDelayRingInterleavedFlows(t *testing.T) {
+// TestDelaySlotInterleavedFlows replays the access pattern the one-slot
+// delay memo does not absorb — multiple flows probing alternating time
+// quanta, which no campaign on a single forward clock produces — and
+// checks every answer against an uncached naive recomputation.
+func TestDelaySlotInterleavedFlows(t *testing.T) {
 	term := NewTerminal(DefaultTerminalConfig(louvain),
 		NewConstellation(NewShell(StarlinkGen1())), testGateways())
 	quanta := []sim.Time{0, sim.Time(250 * time.Millisecond), sim.Time(510 * time.Millisecond)}

@@ -21,40 +21,12 @@ type ISLRouter struct {
 
 	// Scratch reused across PathDelay calls (the router, like the rest
 	// of the simulation objects, is single-threaded per shard).
+	snap    Snapshot
 	dist    []float64
 	hops    []int
 	exitUp  []float64 // -1 marks "not an exit"
 	entries []islEntry
 	q       pq
-
-	// memo is the per-router route cache: PathDelay is ~330 µs of
-	// visibility scan + Dijkstra, and epoch-aligned callers ask for the
-	// same (instant, endpoints, mask) route many times per snapshot. The
-	// ring mirrors the position-snapshot ring's shape (8 entries, FIFO
-	// replacement); entries are keyed on the full argument tuple plus the
-	// shell's membership generation, so a cached route can never outlive
-	// either the snapshot instant that produced it or a fleet-growth
-	// membership change.
-	memo     [islMemoSize]islMemoEntry
-	memoNext int
-}
-
-// islMemoSize matches the constellation's snapshot ring: one route per
-// live instant is the reuse pattern, and a stale entry dies by FIFO
-// replacement within one ring turn.
-const islMemoSize = 8
-
-// islMemoEntry caches one PathDelay result under its complete key.
-type islMemoEntry struct {
-	valid    bool
-	at       sim.Time
-	src, dst geo.LatLon
-	mask     float64
-	gen      uint64
-
-	d       time.Duration
-	islHops int
-	ok      bool
 }
 
 // islEntry is an uplink candidate: a satellite visible from the source.
@@ -125,42 +97,14 @@ func (p *pq) pop() pqItem {
 // positions at instant at, going up to the best visible satellite at each
 // end and across the +Grid ISL mesh, plus the number of ISL hops used.
 // ok=false when either endpoint has no visible satellite.
-//
-// Results are memoized per (instant, endpoints, mask, shell membership)
-// in an 8-entry ring: positions are a pure function of (shell geometry,
-// at), so the tuple fully determines the route, and repeated queries
-// within a position-snapshot epoch cost a ring probe instead of a fresh
-// Dijkstra. isl_memo_test.go holds a memoized router bit-identical to the
-// plain computation.
 func (r *ISLRouter) PathDelay(at sim.Time, src, dst geo.LatLon, minElevationDeg float64) (d time.Duration, islHops int, ok bool) {
-	gen := r.shell.Gen()
-	for i := range r.memo {
-		e := &r.memo[i]
-		if e.valid && e.at == at && e.src == src && e.dst == dst &&
-			e.mask == minElevationDeg && e.gen == gen {
-			return e.d, e.islHops, e.ok
-		}
-	}
-	d, islHops, ok = r.searchPathDelay(at, src, dst, minElevationDeg)
-	r.memo[r.memoNext] = islMemoEntry{
-		valid: true, at: at, src: src, dst: dst, mask: minElevationDeg,
-		gen: gen, d: d, islHops: islHops, ok: ok,
-	}
-	r.memoNext = (r.memoNext + 1) % islMemoSize
-	return d, islHops, ok
-}
-
-// searchPathDelay is the route computation PathDelay runs on a memo miss:
-// the full visibility scan plus Dijkstra.
-func (r *ISLRouter) searchPathDelay(at sim.Time, src, dst geo.LatLon, minElevationDeg float64) (d time.Duration, islHops int, ok bool) {
 	cfg := r.shell.Config()
 	planes, per := cfg.Planes, cfg.SatsPerPlane
 
-	// Positions come from the constellation's shared snapshot, so a
-	// terminal, another router or a repeated PathDelay at the same
-	// instant reuses one propagation pass instead of recomputing 1,584
-	// satellite positions per call.
-	pos := r.con.SnapshotAt(at).shellPositions(r.shellIdx)
+	// One propagation pass per call into the router's own table: Dijkstra
+	// reads each position several times.
+	r.con.FillSnapshot(&r.snap, at)
+	pos := r.snap.ShellPositions(r.shellIdx)
 	idxOf := func(n satNode) int { return n.plane*per + n.idx }
 
 	// Endpoint geometry once per call; per-candidate visibility is the

@@ -262,6 +262,41 @@ func TestISLNoPathWithoutSatellites(t *testing.T) {
 	}
 }
 
+// A router reuses its position table, distance arrays and heap between
+// calls; a call must not see what an earlier one left there. Instants out
+// of order, two endpoint pairs and a membership change in between, each
+// answer compared with a router that has never been used.
+func TestISLRouterReuseMatchesFresh(t *testing.T) {
+	con := NewConstellation(NewShell(StarlinkGen1()))
+	router := NewISLRouter(con, 0)
+	dsts := []geo.LatLon{{LatDeg: 1.35, LonDeg: 103.82}, {LatDeg: 40.7, LonDeg: -74.0}}
+	check := func(sec int64) {
+		t.Helper()
+		at := sim.Time(sec * int64(time.Second))
+		for _, dst := range dsts {
+			gd, gh, gok := router.PathDelay(at, louvain, dst, 25)
+			wd, wh, wok := NewISLRouter(con, 0).PathDelay(at, louvain, dst, 25)
+			if gd != wd || gh != wh || gok != wok {
+				t.Fatalf("t=%ds dst=%v: reused router (%v,%d,%v) != fresh (%v,%d,%v)", sec, dst, gd, gh, gok, wd, wh, wok)
+			}
+		}
+	}
+	for _, sec := range []int64{0, 60, 15, 60, 7200, 0} {
+		check(sec)
+	}
+	before, _, _ := router.PathDelay(0, louvain, dsts[0], 25)
+	sh := con.Shells()[0]
+	for p := 0; p < sh.Config().Planes; p += 2 {
+		for i := 0; i < sh.Config().SatsPerPlane; i++ {
+			sh.SetEnabled(p, i, false)
+		}
+	}
+	check(0)
+	if after, _, ok := router.PathDelay(0, louvain, dsts[0], 25); ok && after == before {
+		t.Error("disabling every other plane left the route delay unchanged; membership change unexercised")
+	}
+}
+
 func TestConstellationForEachCount(t *testing.T) {
 	con := NewConstellation(NewShell(StarlinkGen1()))
 	n := 0

@@ -63,10 +63,6 @@ type Shell struct {
 	// additional satellites mid-campaign.
 	enabled [][]bool
 	nAlive  int
-	// gen counts membership changes; caches keyed on satellite positions
-	// plus membership (the ISL route memo) include it so mid-campaign
-	// fleet growth invalidates them.
-	gen uint64
 }
 
 // NewShell instantiates a shell with all satellites enabled.
@@ -122,7 +118,6 @@ func (s *Shell) Alive() int { return s.nAlive }
 func (s *Shell) SetEnabled(plane, idx int, on bool) {
 	if s.enabled[plane][idx] != on {
 		s.enabled[plane][idx] = on
-		s.gen++
 		if on {
 			s.nAlive++
 		} else {
@@ -130,10 +125,6 @@ func (s *Shell) SetEnabled(plane, idx int, on bool) {
 		}
 	}
 }
-
-// Gen returns the membership generation: it changes whenever a
-// satellite's existence is toggled, never otherwise.
-func (s *Shell) Gen() uint64 { return s.gen }
 
 // Enabled reports whether a satellite exists.
 func (s *Shell) Enabled(plane, idx int) bool { return s.enabled[plane][idx] }
@@ -166,13 +157,11 @@ func (s *Shell) Position(plane, idx int, t sim.Time) geo.ECEF {
 	}
 }
 
-// Constellation is a set of shells. It owns a small per-instant position
-// snapshot cache (see snapshot.go) so terminals, the ISL router and
-// handover scans share one position computation per satellite per epoch.
+// Constellation is a set of shells. It holds no per-instant state:
+// positions are a pure function of (shell geometry, instant), and callers
+// that want a whole-shell table own the Snapshot they fill (snapshot.go).
 type Constellation struct {
-	shells   []*Shell
-	snaps    [snapshotRing]*Snapshot
-	snapNext int
+	shells []*Shell
 }
 
 // NewConstellation builds a constellation from shells.

@@ -10,6 +10,9 @@ import (
 // too (propagation is well-defined either way), so mid-campaign fleet
 // growth never invalidates a snapshot — callers filter on Enabled at use
 // time, exactly like ForEach does.
+//
+// A Snapshot is storage its caller owns: the zero value is ready for
+// FillSnapshot, and refilling it for the next instant reuses the tables.
 type Snapshot struct {
 	At     sim.Time
 	pos    [][]geo.ECEF // [shell][plane*satsPerPlane+idx]
@@ -23,68 +26,49 @@ func (s *Snapshot) Position(id SatID) geo.ECEF {
 	return s.pos[id.Shell][id.Plane*s.stride[id.Shell]+id.Index]
 }
 
-// shellPositions returns the flat position slice of one shell, indexed by
-// plane*SatsPerPlane+idx.
-func (s *Snapshot) shellPositions(shell int) []geo.ECEF {
-	return s.pos[shell]
-}
-
-// ShellPositions exposes shellPositions to other packages: the fleet cell
-// index sweeps entire shells per epoch and indexes positions by flat id,
-// so handing out the backing slice avoids a SatID round-trip per
-// satellite. The slice is shared storage — callers must not mutate it.
+// ShellPositions returns the flat position slice of one shell, indexed by
+// plane*SatsPerPlane+idx: whole-shell sweeps (the ISL router, the fleet
+// cell index) index positions by flat id, so handing out the backing
+// slice avoids a SatID round-trip per satellite.
+// The slice is the snapshot's storage — valid until the next FillSnapshot
+// into it, and not to be mutated.
 func (s *Snapshot) ShellPositions(shell int) []geo.ECEF {
 	return s.pos[shell]
 }
 
-// snapshotRing is the number of distinct instants the constellation keeps
-// positions for. Epoch-aligned callers (terminals, Handovers) share one
-// entry per epoch; the ISL router and delay probes add a few more. The
-// ring is deliberately small: entries are ~38 KB for the Gen1 shell.
-const snapshotRing = 8
-
-// SnapshotAt returns the position snapshot for instant at, computing and
-// caching it on first request. The cache is owned by the Constellation
-// instance — one per simulation shard, no globals — so PR 1's parallel
-// runner keeps its determinism: a snapshot's values depend only on (shell
-// geometry, at), never on which caller primed it.
-//
-// Like the rest of the simulation objects, the cache is not safe for
-// concurrent use; each shard owns its own Constellation.
-func (c *Constellation) SnapshotAt(at sim.Time) *Snapshot {
-	if s := c.peekSnapshot(at); s != nil {
-		return s
+// FillSnapshot overwrites s with every satellite position at instant at,
+// growing s's tables only when they are too small for this constellation.
+// The constellation keeps nothing: a caller that reads each position many
+// times per instant (fleet reassignment, an ISL router) holds one Snapshot
+// and refills it, so a fresh instant costs the propagation arithmetic and
+// no allocation.
+func (c *Constellation) FillSnapshot(s *Snapshot, at sim.Time) {
+	n := len(c.shells)
+	if cap(s.pos) < n {
+		s.pos = make([][]geo.ECEF, n)
+		s.stride = make([]int, n)
 	}
-	s := &Snapshot{
-		At:     at,
-		pos:    make([][]geo.ECEF, len(c.shells)),
-		stride: make([]int, len(c.shells)),
-	}
+	s.At, s.pos, s.stride = at, s.pos[:n], s.stride[:n]
 	for si, sh := range c.shells {
-		cfg := sh.cfg
-		flat := make([]geo.ECEF, cfg.Planes*cfg.SatsPerPlane)
-		for p := 0; p < cfg.Planes; p++ {
-			for i := 0; i < cfg.SatsPerPlane; i++ {
-				flat[p*cfg.SatsPerPlane+i] = sh.Position(p, i, at)
+		planes, per := sh.cfg.Planes, sh.cfg.SatsPerPlane
+		flat := s.pos[si]
+		if cap(flat) < planes*per {
+			flat = make([]geo.ECEF, planes*per)
+		}
+		flat = flat[:planes*per]
+		for p := 0; p < planes; p++ {
+			for i := 0; i < per; i++ {
+				flat[p*per+i] = sh.Position(p, i, at)
 			}
 		}
 		s.pos[si] = flat
-		s.stride[si] = cfg.SatsPerPlane
+		s.stride[si] = per
 	}
-	c.snaps[c.snapNext] = s
-	c.snapNext = (c.snapNext + 1) % snapshotRing
-	return s
 }
 
-// peekSnapshot returns the cached snapshot for at without computing one.
-// Hot paths that only need a handful of positions (the pruned assignment
-// scan) peek: they reuse shared work when it exists but never force a
-// whole-shell computation.
-func (c *Constellation) peekSnapshot(at sim.Time) *Snapshot {
-	for _, s := range c.snaps {
-		if s != nil && s.At == at {
-			return s
-		}
-	}
-	return nil
+// SnapshotAt returns a freshly allocated snapshot for instant at.
+func (c *Constellation) SnapshotAt(at sim.Time) *Snapshot {
+	s := new(Snapshot)
+	c.FillSnapshot(s, at)
+	return s
 }

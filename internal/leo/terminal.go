@@ -52,18 +52,6 @@ type gatewayGeom struct {
 	sinMask float64 // sin of the normalized mask (0 => 10°)
 }
 
-// delayRingSize is the number of delay-quantum entries Terminal.DelayAt
-// memoizes. Interleaved flows on one testbed (a ping train and a
-// speedtest, say) probe a handful of nearby quanta; a small ring stops
-// them from thrashing what used to be a single-entry cache.
-const delayRingSize = 8
-
-type delayEntry struct {
-	key int64
-	val time.Duration // -1 records a no-coverage window
-	ok  bool
-}
-
 // pruneMarginRad pads the orbital candidate window beyond the exact
 // visibility bound. The bound itself is exact spherical geometry; the pad
 // only has to dominate floating-point rounding in the window arithmetic,
@@ -93,8 +81,14 @@ type Terminal struct {
 	con      *Constellation
 	gateways []Gateway
 
+	// assign memoizes the assignment of the last epoch asked for. Every
+	// campaign walks one forward-moving clock, so one slot holds all the
+	// reuse there is (EXPERIMENTS.md "Cache audit"); a caller that goes
+	// back in time recomputes. A memo, never state.
 	epochNS     int64
-	assignCache map[int64]Assignment
+	assignEpoch int64
+	assign      Assignment
+	assignValid bool
 
 	// Observer geometry, fixed for the terminal's lifetime.
 	posECEF geo.ECEF
@@ -104,12 +98,13 @@ type Terminal struct {
 	sinMask       float64
 	gwGeom        []gatewayGeom
 
-	// delayRing memoizes computed delays on a coarse time quantum:
+	// delay memoizes the last computed delay on a coarse time quantum:
 	// satellites move at ~7.5 km/s, so the slant range drifts by well
 	// under a microsecond of propagation per 100 ms quantum.
 	delayQuantumNS int64
-	delayRing      [delayRingSize]delayEntry
-	delayNext      int
+	delayQuantum   int64
+	delay          time.Duration // -1 records a no-coverage window
+	delayValid     bool
 
 	obs *termObs
 }
@@ -148,7 +143,6 @@ func NewTerminal(cfg TerminalConfig, con *Constellation, gateways []Gateway) *Te
 		con:            con,
 		gateways:       gateways,
 		epochNS:        int64(cfg.Epoch),
-		assignCache:    make(map[int64]Assignment),
 		delayQuantumNS: int64(100 * time.Millisecond),
 	}
 	t.posECEF = cfg.Pos.ToECEF()
@@ -171,29 +165,17 @@ func NewTerminal(cfg TerminalConfig, con *Constellation, gateways []Gateway) *Te
 	return t
 }
 
-// Config returns the terminal configuration.
-func (t *Terminal) Config() TerminalConfig { return t.cfg }
-
-// Gateways returns the gateway set.
-func (t *Terminal) Gateways() []Gateway { return t.gateways }
-
 // epochOf returns the epoch number containing instant at.
 func (t *Terminal) epochOf(at sim.Time) int64 { return int64(at) / t.epochNS }
 
 // AssignmentAt returns the serving assignment for the epoch containing at.
 func (t *Terminal) AssignmentAt(at sim.Time) Assignment {
 	ep := t.epochOf(at)
-	if a, ok := t.assignCache[ep]; ok {
-		return a
+	if !t.assignValid || t.assignEpoch != ep {
+		t.assign = t.computeAssignment(sim.Time(ep * t.epochNS))
+		t.assignEpoch, t.assignValid = ep, true
 	}
-	a := t.computeAssignment(sim.Time(ep * t.epochNS))
-	if len(t.assignCache) > 1<<16 {
-		// The cache is a memo, not state: dropping it only costs
-		// recomputation.
-		t.assignCache = make(map[int64]Assignment)
-	}
-	t.assignCache[ep] = a
-	return a
+	return t.assign
 }
 
 // computeAssignment selects, at the epoch start, the visible satellite
@@ -276,10 +258,6 @@ func (t *Terminal) computeAssignmentPruned(at sim.Time) Assignment {
 		sinI, cosI := math.Sincos(sh.incRad)
 		motion := 2 * math.Pi * tSec / sh.periodSec
 		step := 2 * math.Pi / float64(per)
-		var snapPos []geo.ECEF
-		if snap := t.con.peekSnapshot(at); snap != nil {
-			snapPos = snap.shellPositions(si)
-		}
 		for p := 0; p < planes; p++ {
 			raan := 2 * math.Pi * float64(p) / float64(planes)
 			node := raan - geo.EarthRotationRadS*tSec
@@ -318,13 +296,7 @@ func (t *Terminal) computeAssignmentPruned(at sim.Time) Assignment {
 				if !sh.enabled[p][idx] {
 					continue
 				}
-				var satPos geo.ECEF
-				if snapPos != nil {
-					satPos = snapPos[p*per+idx]
-				} else {
-					satPos = sh.Position(p, idx, at)
-				}
-				t.consider(&st, SatID{Shell: si, Plane: p, Index: idx}, satPos)
+				t.consider(&st, SatID{Shell: si, Plane: p, Index: idx}, sh.Position(p, idx, at))
 			}
 		}
 	}
@@ -332,21 +304,17 @@ func (t *Terminal) computeAssignmentPruned(at sim.Time) Assignment {
 }
 
 // computeAssignmentFull is the ECEF-native full scan over every enabled
-// satellite — the pruned path's fallback. It fills the constellation's
-// shared snapshot: a full scan needs every position anyway, and other
-// callers at the same instant then reuse them.
+// satellite — the pruned path's fallback. Each position is read once, so
+// it is computed where it is used; no table.
 func (t *Terminal) computeAssignmentFull(at sim.Time) Assignment {
 	st := newScanState()
-	snap := t.con.SnapshotAt(at)
 	for si, sh := range t.con.shells {
-		per := sh.cfg.SatsPerPlane
-		pos := snap.shellPositions(si)
 		for p := 0; p < sh.cfg.Planes; p++ {
-			for i := 0; i < per; i++ {
+			for i := 0; i < sh.cfg.SatsPerPlane; i++ {
 				if !sh.enabled[p][i] {
 					continue
 				}
-				t.consider(&st, SatID{Shell: si, Plane: p, Index: i}, pos[p*per+i])
+				t.consider(&st, SatID{Shell: si, Plane: p, Index: i}, sh.Position(p, i, at))
 			}
 		}
 	}
@@ -379,13 +347,11 @@ func (t *Terminal) bestGateway(satPos geo.ECEF) int {
 // serving (constellation gap), it returns ok=false.
 func (t *Terminal) DelayAt(at sim.Time) (time.Duration, bool) {
 	q := int64(at) / t.delayQuantumNS
-	for i := range t.delayRing {
-		if e := &t.delayRing[i]; e.ok && e.key == q {
-			if t.obs != nil {
-				t.obs.delayHit.Inc()
-			}
-			return e.val, e.val >= 0
+	if t.delayValid && t.delayQuantum == q {
+		if t.obs != nil {
+			t.obs.delayHit.Inc()
 		}
+		return t.delay, t.delay >= 0
 	}
 	if t.obs != nil {
 		t.obs.delayMiss.Inc()
@@ -398,8 +364,7 @@ func (t *Terminal) DelayAt(at sim.Time) (time.Duration, bool) {
 		down := satPos.Distance(t.gwGeom[a.Gateway].ecef)
 		d = geo.RadioDelay(up + down)
 	}
-	t.delayRing[t.delayNext] = delayEntry{key: q, val: d, ok: true}
-	t.delayNext = (t.delayNext + 1) % delayRingSize
+	t.delayQuantum, t.delay, t.delayValid = q, d, true
 	return d, d >= 0
 }
 

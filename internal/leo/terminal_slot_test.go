@@ -9,10 +9,10 @@ import (
 	"starlinkperf/internal/sim"
 )
 
-// ringRefDelay recomputes the bent-pipe delay from scratch through the
-// reference assignment path, bypassing both the assignment cache and the
-// delay ring.
-func ringRefDelay(term *Terminal, at sim.Time) (time.Duration, bool) {
+// slotRefDelay recomputes the bent-pipe delay from scratch through the
+// reference assignment path, bypassing both the assignment memo and the
+// delay memo.
+func slotRefDelay(term *Terminal, at sim.Time) (time.Duration, bool) {
 	a := term.referenceAssignmentAt(at)
 	if !a.OK {
 		return -1, false
@@ -23,14 +23,13 @@ func ringRefDelay(term *Terminal, at sim.Time) (time.Duration, bool) {
 	return geo.RadioDelay(up + down), true
 }
 
-// TestDelayRingOutOfOrderEpochs is the regression test for the DelayAt
-// memo ring under more distinct time quanta than it has slots
-// (delayRingSize = 8). Interleaved, out-of-order queries across 12
-// distinct quanta must never surface a stale entry: every answer has to
-// match a from-scratch reference computation, evicted quanta must
-// recompute (visible as cache misses), and a back-to-back repeat must
-// hit.
-func TestDelayRingOutOfOrderEpochs(t *testing.T) {
+// TestDelaySlotOutOfOrderEpochs is the regression test for the DelayAt
+// memo under more distinct time quanta than its one slot. Interleaved,
+// out-of-order queries across 12 distinct quanta must never surface a
+// stale entry: every answer has to match a from-scratch reference
+// computation, a replaced quantum must recompute (visible as a cache
+// miss), and a back-to-back repeat must hit.
+func TestDelaySlotOutOfOrderEpochs(t *testing.T) {
 	con := NewConstellation(NewShell(StarlinkGen1()))
 	term := NewTerminal(DefaultTerminalConfig(louvain), con, testGateways())
 	reg := obs.NewRegistry()
@@ -40,8 +39,8 @@ func TestDelayRingOutOfOrderEpochs(t *testing.T) {
 	if quantum != int64(100*time.Millisecond) {
 		t.Fatalf("delay quantum = %d ns, expected 100 ms", quantum)
 	}
-	// 12 distinct quanta — 1.5× the ring size — visited out of order with
-	// repeats, so every slot gets evicted and revisited at least once.
+	// 12 distinct quanta visited out of order with repeats, so the slot is
+	// replaced and every quantum revisited at least once.
 	order := []int{0, 5, 3, 0, 7, 2, 9, 5, 11, 1, 8, 3, 10, 4, 6, 0, 11, 2, 7, 9, 1, 10}
 	distinct := map[int]bool{}
 	for _, q := range order {
@@ -50,12 +49,12 @@ func TestDelayRingOutOfOrderEpochs(t *testing.T) {
 		// the raw instant.
 		at := sim.Time(int64(q)*quantum + quantum/3)
 		got, ok := term.DelayAt(at)
-		want, wok := ringRefDelay(term, at)
+		want, wok := slotRefDelay(term, at)
 		if ok != wok {
 			t.Fatalf("quantum %d: DelayAt ok=%v, reference ok=%v", q, ok, wok)
 		}
 		if ok && got != want {
-			t.Fatalf("quantum %d: DelayAt = %v, reference = %v (stale ring entry?)", q, got, want)
+			t.Fatalf("quantum %d: DelayAt = %v, reference = %v (stale slot?)", q, got, want)
 		}
 	}
 
@@ -66,15 +65,15 @@ func TestDelayRingOutOfOrderEpochs(t *testing.T) {
 		t.Errorf("hits (%v) + misses (%v) != %d queries", hits, misses, len(order))
 	}
 	// Every distinct quantum misses at least once, and the out-of-order
-	// revisits after eviction force additional misses beyond that.
+	// revisits after replacement force additional misses beyond that.
 	if int(misses) < len(distinct) {
 		t.Errorf("%v misses for %d distinct quanta, want at least one each", misses, len(distinct))
 	}
 	if int(misses) == len(distinct) {
-		t.Errorf("exactly %d misses: no eviction recompute observed across %d out-of-order queries", len(distinct), len(order))
+		t.Errorf("exactly %d misses: no recompute of a replaced quantum observed across %d out-of-order queries", len(distinct), len(order))
 	}
 
-	// A repeat within the last delayRingSize distinct quanta is a hit.
+	// A back-to-back repeat is a hit.
 	at := sim.Time(9*quantum + quantum/2)
 	term.DelayAt(at)
 	before := reg.Snapshot()["leo.delay.cache_hit"]

@@ -90,9 +90,6 @@ func NewProber(node *netem.Node) *Prober {
 	return p
 }
 
-// Node returns the prober's node.
-func (p *Prober) Node() *netem.Node { return p.node }
-
 func (p *Prober) receive(pkt *netem.Packet) {
 	icmp, ok := pkt.Payload.(*netem.ICMP)
 	if !ok {

@@ -135,9 +135,6 @@ func (l *Link) SetRate(bps float64) { l.cfg.RateBps = bps }
 // SetDown replaces the link's outage predicate.
 func (l *Link) SetDown(down func(sim.Time) bool) { l.cfg.Down = down }
 
-// Config returns the link configuration (by value).
-func (l *Link) Config() LinkConfig { return l.cfg }
-
 // send puts pkt on the link. Queue overflow drops immediately (congestion
 // loss). On a rated link the packet then serializes FIFO at the link rate
 // and is transmitted when that ends; a link without a rate has no

@@ -75,12 +75,6 @@ func New(sched *sim.Scheduler) *Network {
 	}
 }
 
-// Scheduler returns the simulation scheduler.
-func (nw *Network) Scheduler() *sim.Scheduler { return nw.sched }
-
-// Now returns the current virtual time.
-func (nw *Network) Now() sim.Time { return nw.sched.Now() }
-
 // NewNode creates and registers a node. Names and addresses must be
 // unique within the network.
 func (nw *Network) NewNode(name string, addr Addr) *Node {
@@ -101,9 +95,6 @@ func (nw *Network) NewNode(name string, addr Addr) *Node {
 	nw.byName[name] = n
 	return n
 }
-
-// Node returns the node with the given address, or nil.
-func (nw *Network) Node(addr Addr) *Node { return nw.nodes[addr] }
 
 // NodeByName returns the node with the given name, or nil.
 func (nw *Network) NodeByName(name string) *Node { return nw.byName[name] }
@@ -132,12 +123,6 @@ func (nw *Network) AddLink(from, to *Node, cfg LinkConfig) *Link {
 // both ways) and returns (a->b, b->a).
 func (nw *Network) Connect(a, b *Node, cfg LinkConfig) (*Link, *Link) {
 	return nw.AddLink(a, b, cfg), nw.AddLink(b, a, cfg)
-}
-
-// ConnectAsym creates an asymmetric pair of links — the common case for
-// access networks (Starlink: ~200 Mbit/s down, ~20 Mbit/s up).
-func (nw *Network) ConnectAsym(a, b *Node, ab, ba LinkConfig) (*Link, *Link) {
-	return nw.AddLink(a, b, ab), nw.AddLink(b, a, ba)
 }
 
 func (nw *Network) nextPacketID() uint64 {

@@ -1,6 +1,10 @@
 package netem
 
-import "starlinkperf/internal/sim"
+import (
+	"fmt"
+
+	"starlinkperf/internal/sim"
+)
 
 // A link is a FIFO at both of its hops — the end of serialization is
 // monotone through busyUntil, arrival through the lastArrival clamp — so
@@ -10,8 +14,9 @@ import "starlinkperf/internal/sim"
 // The firing order of the whole simulation is the one per-packet timers
 // would produce. The scheduler orders purely by (at, seq); enqueue takes
 // the packet's seq with ReserveSeq at the very instant its own timer would
-// have taken it, so every packet keeps its key. The ring is sorted by that
-// key and its head is armed under it, so the scheduler's queue always
+// have taken it, so every packet keeps its key. The ring is in key order
+// because it is filled in key order (push refuses anything else), and its
+// head is armed under its key, so the scheduler's queue always
 // holds the minimum pending key of every link, which is all it needs to
 // pick the global minimum. What changes is the queue's size:
 // O(links + connection timers) rather than O(packets in flight).
@@ -23,7 +28,7 @@ type pipeSlot struct {
 	pkt *Packet
 }
 
-// pktRing is a growable ring of slots sorted by (at, seq). len(buf) is a
+// pktRing is a growable FIFO of slots in (at, seq) order. len(buf) is a
 // power of two (or zero before the first push).
 type pktRing struct {
 	buf   []pipeSlot
@@ -45,26 +50,19 @@ func (l *Link) pipes() *linkPipe {
 	return l.pipe
 }
 
-// push inserts s, whose seq is newer than every seq in the ring, and
-// reports whether it became the head. Both hops hand out non-decreasing
-// instants (busyUntil, the lastArrival clamp), so the loop exits at once;
-// the sorted insert keeps the ring correct should one ever not.
-func (r *pktRing) push(s pipeSlot) (head bool) {
+// push appends s, whose seq is newer than every seq in the ring, and
+// reports whether s.at kept the ring in order; an instant earlier than the
+// tail's is refused and leaves the ring untouched.
+func (r *pktRing) push(s pipeSlot) bool {
+	if r.n > 0 && s.at < r.buf[(r.head+r.n-1)&(len(r.buf)-1)].at {
+		return false
+	}
 	if r.n == len(r.buf) {
 		r.grow()
 	}
-	mask := len(r.buf) - 1
-	i := r.n
-	for ; i > 0; i-- {
-		prev := &r.buf[(r.head+i-1)&mask]
-		if prev.at <= s.at {
-			break
-		}
-		r.buf[(r.head+i)&mask] = *prev
-	}
-	r.buf[(r.head+i)&mask] = s
+	r.buf[(r.head+r.n)&(len(r.buf)-1)] = s
 	r.n++
-	return i == 0
+	return true
 }
 
 // pop removes the head and returns its packet.
@@ -88,14 +86,16 @@ func (r *pktRing) grow() {
 
 // enqueue puts pkt in flight on one hop, due at the given instant. It
 // reserves the event's sequence number here and arms the hop's timer only
-// when pkt is the new head — for an in-order push, when the ring was empty.
+// when the ring was empty. Both hops hand out non-decreasing instants
+// (busyUntil, the lastArrival clamp); one that did not would fire its
+// packets out of key order, so it stops the run here.
 func (l *Link) enqueue(r *pktRing, at sim.Time, pkt *Packet, fn sim.EventFunc) {
 	s := l.net.sched
 	seq := s.ReserveSeq()
-	if r.push(pipeSlot{at: at, seq: seq, pkt: pkt}) {
-		if r.n > 1 {
-			r.timer.Stop() // pkt displaced the head the timer was armed for
-		}
+	if !r.push(pipeSlot{at: at, seq: seq, pkt: pkt}) {
+		panic(fmt.Sprintf("netem: link %s: packet due at t=%d, before one already in flight on the same hop", l.name, int64(at)))
+	}
+	if r.n == 1 {
 		r.timer = s.AtFuncSeq(at, seq, fn, l)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 	"unsafe"
@@ -304,10 +305,11 @@ func TestLinkStaysInItsSizeClass(t *testing.T) {
 // --- the ring itself -------------------------------------------------------
 
 // FuzzPktRing checks push/pop against a slice model across wrap-around and
-// growth, with the occasional early key that has to be inserted in order.
+// growth. The occasional early key — an instant before the tail's, which
+// no hop hands out — has to be refused and leave the ring as it was.
 func FuzzPktRing(f *testing.F) {
 	f.Add([]byte{1, 1, 1, 1, 1, 0, 0, 1, 1, 1, 1, 1, 1, 0, 1, 0, 0, 0})
-	f.Add([]byte{9, 9, 9, 9, 2, 0, 9, 3, 9, 9, 9, 0, 0, 0, 0, 0, 0, 0})
+	f.Add([]byte{9, 9, 9, 9, 2, 0, 9, 4, 9, 8, 9, 0, 0, 0, 0, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		var r pktRing
 		var model []pipeSlot
@@ -328,21 +330,20 @@ func FuzzPktRing(f *testing.F) {
 				}
 				continue
 			}
-			// Mostly later than everything queued; op%4 == 0 lands early.
-			slot := pipeSlot{at: at + sim.Time(op), seq: seq, pkt: &Packet{ID: seq}}
+			// Mostly no earlier than everything queued; op%4 == 0 aims at
+			// the head's instant, early whenever the tail is later.
+			slot := pipeSlot{at: at + sim.Time(op%8), seq: seq, pkt: &Packet{ID: seq}}
 			if op%4 == 0 && len(model) > 0 {
 				slot.at = model[0].at + sim.Time(op%3)
-			} else {
-				at = slot.at
 			}
 			seq++
-			i := len(model)
-			for i > 0 && model[i-1].at > slot.at {
-				i--
+			early := len(model) > 0 && slot.at < model[len(model)-1].at
+			if ok := r.push(slot); ok == early {
+				t.Fatalf("push of at=%d behind tail at=%d returned %v", slot.at, at, ok)
 			}
-			model = append(model[:i], append([]pipeSlot{slot}, model[i:]...)...)
-			if head := r.push(slot); head != (i == 0) {
-				t.Fatalf("push reported head=%v, model inserted at %d", head, i)
+			if !early {
+				model = append(model, slot)
+				at = slot.at
 			}
 		}
 		if r.n != len(model) {
@@ -357,4 +358,27 @@ func FuzzPktRing(f *testing.F) {
 			}
 		}
 	})
+}
+
+// A hop that hands enqueue an instant before its last one is a broken
+// FIFO invariant; the panic names the link.
+func TestPipeEnqueueBackwardsPanics(t *testing.T) {
+	s := sim.NewScheduler(1)
+	nw := New(s)
+	a := nw.NewNode("a", MustParseAddr("10.0.0.1"))
+	b := nw.NewNode("b", MustParseAddr("10.0.0.2"))
+	l := nw.AddLink(a, b, LinkConfig{})
+	l.enqueue(&l.pipes().prop, sim.Time(20), nw.NewPacket(), linkDeliver)
+	l.enqueue(&l.pipes().prop, sim.Time(20), nw.NewPacket(), linkDeliver) // ties are in order
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, l.Name()) || !strings.Contains(msg, "t=19") {
+			t.Errorf("panic %q does not name link %q and the instant", msg, l.Name())
+		}
+		if n := l.pipe.prop.n; n != 2 {
+			t.Errorf("ring holds %d after the refused push, want 2", n)
+		}
+	}()
+	l.enqueue(&l.pipes().prop, sim.Time(19), nw.NewPacket(), linkDeliver)
+	t.Error("enqueue accepted an instant before the tail's")
 }

@@ -258,9 +258,6 @@ func (k flowKey) reverse() flowKey {
 	return flowKey{srcAddr: k.dstAddr, srcPort: k.dstPort, dstAddr: k.srcAddr, dstPort: k.srcPort}
 }
 
-// ActiveFlows returns the number of live split connections.
-func (p *Proxy) ActiveFlows() int { return len(p.legs) / 2 }
-
 // throttled wraps fn so it runs at most once per interval, with a
 // trailing invocation when calls arrived during the quiet period.
 func throttled(sched *sim.Scheduler, interval time.Duration, fn func()) func() {

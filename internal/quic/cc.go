@@ -11,9 +11,6 @@ type CongestionController = cc.CongestionController
 // Cubic is the CUBIC controller (RFC 8312).
 type Cubic = cc.Cubic
 
-// NewReno is the RFC 9002 baseline controller.
-type NewReno = cc.NewReno
-
 // RTTEstimator maintains RFC 9002 §5 round-trip time state.
 type RTTEstimator = cc.RTTEstimator
 
@@ -26,17 +23,8 @@ const InitialRTT = cc.InitialRTT
 // NewCubic returns a CUBIC controller sized for QUIC's payload budget.
 func NewCubic() *Cubic { return cc.NewCubic(MaxPayloadSize) }
 
-// NewNewReno returns a NewReno controller sized for QUIC's payload budget.
-func NewNewReno() *NewReno { return cc.NewNewReno(MaxPayloadSize) }
-
 // BBR is the deterministic BBR-style model controller.
 type BBR = cc.BBR
 
 // NewBBR returns a BBR controller sized for QUIC's payload budget.
 func NewBBR() *BBR { return cc.NewBBR(MaxPayloadSize) }
-
-// MinWindowPackets is the congestion window floor in packets.
-const MinWindowPackets = cc.MinWindowPackets
-
-// InitialWindowPackets is the RFC 9002 initial window in packets.
-const InitialWindowPackets = cc.InitialWindowPackets

@@ -202,9 +202,8 @@ type Connection struct {
 	// OnRTTSample observes every RTT sample the ACK processing takes —
 	// the paper's Figure 3 series.
 	OnRTTSample func(at sim.Time, rtt time.Duration)
-	// TraceSent and TraceReceived observe every packet for the capture
+	// TraceReceived observes every received packet for the capture
 	// tooling.
-	TraceSent     func(at sim.Time, pn uint64, size int, eliciting bool)
 	TraceReceived func(at sim.Time, pn uint64, size int)
 
 	obs *quicObs
@@ -329,9 +328,6 @@ func (c *Connection) Closed() bool { return c.state == stateClosed }
 // RTT returns the connection's RTT estimator (read-only use).
 func (c *Connection) RTT() *RTTEstimator { return &c.rtt }
 
-// CC returns the congestion controller (read-only use).
-func (c *Connection) CC() CongestionController { return c.cc }
-
 // ReceivedPacketRanges returns the packet-number ranges received so far,
 // ascending. Gaps are exactly the packets the network lost towards us —
 // the paper's download loss-accounting methodology.
@@ -386,9 +382,6 @@ func (c *Connection) newStream(id uint64) *Stream {
 	c.streams[id] = s
 	return s
 }
-
-// Stream returns an existing stream by ID, or nil.
-func (c *Connection) Stream(id uint64) *Stream { return c.streams[id] }
 
 // Close terminates the connection, emitting CONNECTION_CLOSE.
 func (c *Connection) Close(code uint64, reason string) {
@@ -1072,9 +1065,6 @@ func (c *Connection) sendPacket(frames []Frame) {
 		}
 		c.ld.onPacketSent(sp)
 		c.cc.OnPacketSent(now, size)
-	}
-	if c.TraceSent != nil {
-		c.TraceSent(now, hdr.Number, size, eliciting)
 	}
 	// Last: frames is scratch and the wire buffer is the datapath's now.
 	c.ep.sendDatagram(c.remote, c.remotePort, w)

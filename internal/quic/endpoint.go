@@ -132,9 +132,6 @@ func NewEndpoint(node *netem.Node, port uint16) *Endpoint {
 // Node returns the underlying emulated node.
 func (e *Endpoint) Node() *netem.Node { return e.node }
 
-// Port returns the bound UDP port.
-func (e *Endpoint) Port() uint16 { return e.port }
-
 // Close unbinds the endpoint.
 func (e *Endpoint) Close() {
 	e.node.Unbind(netem.ProtoUDP, e.port)

@@ -14,7 +14,6 @@ const (
 	frameTypeMaxData       = 0x10
 	frameTypeMaxStreamData = 0x11
 	frameTypeDataBlocked   = 0x14
-	frameTypeStreamBlocked = 0x15
 	frameTypeConnClose     = 0x1c
 	// STREAM frames use 0x08..0x0f; the three low bits signal the
 	// presence of OFF/LEN fields and FIN. The encoder always includes

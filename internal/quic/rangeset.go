@@ -82,9 +82,6 @@ func (s *rangeSet) Contains(pn uint64) bool {
 	return lo < len(s.ranges) && pn >= s.ranges[lo].Smallest
 }
 
-// Len returns the number of disjoint ranges.
-func (s *rangeSet) Len() int { return len(s.ranges) }
-
 // Count returns the number of packet numbers in the set.
 func (s *rangeSet) Count() uint64 {
 	var n uint64

@@ -77,9 +77,6 @@ type segment struct {
 // ID returns the stream identifier.
 func (s *Stream) ID() uint64 { return s.id }
 
-// Conn returns the owning connection.
-func (s *Stream) Conn() *Connection { return s.conn }
-
 // Write queues a copy of data for transmission and kicks the send path.
 // It never blocks; the bytes wait until flow control and the congestion
 // window let them out.
@@ -127,10 +124,6 @@ func (s *Stream) Close() {
 	s.conn.markActive(s)
 	s.conn.maybeSend()
 }
-
-// Finished reports whether the peer acknowledged everything including the
-// FIN.
-func (s *Stream) Finished() bool { return s.finAcked }
 
 // pendingSend reports whether the stream has bytes or a FIN to transmit,
 // within its flow-control limit.

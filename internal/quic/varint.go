@@ -32,9 +32,6 @@ const (
 // MaxVarint is the largest value representable as a QUIC varint.
 const MaxVarint = uint64(maxVarint8)
 
-// ErrVarintRange reports a value too large for varint encoding.
-var ErrVarintRange = errors.New("quic: value exceeds varint range")
-
 // ErrTruncated reports a buffer ending mid-field.
 var ErrTruncated = errors.New("quic: truncated input")
 

@@ -66,14 +66,8 @@ func (r *RNG) Uint64() uint64 { return r.src.Uint64() }
 // IntN returns a uniform sample in [0,n).
 func (r *RNG) IntN(n int) int { return r.src.IntN(n) }
 
-// Int64N returns a uniform sample in [0,n).
-func (r *RNG) Int64N(n int64) int64 { return r.src.Int64N(n) }
-
 // NormFloat64 returns a standard normal sample.
 func (r *RNG) NormFloat64() float64 { return r.src.NormFloat64() }
-
-// ExpFloat64 returns an exponentially distributed sample with rate 1.
-func (r *RNG) ExpFloat64() float64 { return r.src.ExpFloat64() }
 
 // Bool returns true with probability p.
 func (r *RNG) Bool(p float64) bool {
@@ -84,12 +78,6 @@ func (r *RNG) Bool(p float64) bool {
 		return true
 	}
 	return r.src.Float64() < p
-}
-
-// Normal returns a normal sample with the given mean and standard
-// deviation.
-func (r *RNG) Normal(mean, stddev float64) float64 {
-	return mean + stddev*r.src.NormFloat64()
 }
 
 // LogNormal returns a log-normal sample parameterized by the mean and
@@ -114,9 +102,3 @@ func (r *RNG) Pareto(xm, alpha float64) float64 {
 	u := 1 - r.src.Float64() // (0,1]
 	return xm / math.Pow(u, 1/alpha)
 }
-
-// Perm returns a deterministic pseudo-random permutation of [0,n).
-func (r *RNG) Perm(n int) []int { return r.src.Perm(n) }
-
-// Shuffle pseudo-randomly permutes n elements using swap.
-func (r *RNG) Shuffle(n int, swap func(i, j int)) { r.src.Shuffle(n, swap) }

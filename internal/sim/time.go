@@ -52,9 +52,6 @@ func (t Time) After(u Time) bool { return t > u }
 // Seconds returns the instant expressed in seconds since simulation start.
 func (t Time) Seconds() float64 { return float64(t) / float64(time.Second) }
 
-// Duration returns the instant as a duration since simulation start.
-func (t Time) Duration() time.Duration { return time.Duration(t) }
-
 // String formats the instant as a duration since simulation start, which is
 // the most readable form for logs and test failures.
 func (t Time) String() string {

@@ -24,9 +24,6 @@ func (s *Series) Add(at time.Duration, v float64) {
 	s.samples = append(s.samples, Sample{At: at, Value: v})
 }
 
-// Len returns the number of samples.
-func (s *Series) Len() int { return len(s.samples) }
-
 // Values returns the raw values in insertion order.
 func (s *Series) Values() []float64 {
 	vs := make([]float64, len(s.samples))

@@ -7,14 +7,10 @@
 package stats
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"sort"
 )
-
-// ErrNoData is returned by estimators that need at least one sample.
-var ErrNoData = errors.New("stats: no data")
 
 // Percentile returns the p-th percentile (0 <= p <= 100) of xs using
 // linear interpolation between closest ranks (the "linear" / type-7

@@ -343,12 +343,6 @@ func (c *Conn) State() State { return c.state }
 // Ready reports whether the connection is usable for application data.
 func (c *Conn) Ready() bool { return c.tlsReady }
 
-// RTT returns the RTT estimator.
-func (c *Conn) RTT() *cc.RTTEstimator { return &c.rtt }
-
-// CC returns the congestion controller.
-func (c *Conn) CC() cc.CongestionController { return c.ccc }
-
 // SetupTime returns the connection + TLS establishment duration, valid
 // once Ready.
 func (c *Conn) SetupTime() time.Duration { return c.ReadyAt.Sub(c.StartAt) }
@@ -1150,28 +1144,9 @@ func (c *Conn) ForceAck() {
 // DebugUna returns snd.una.
 func (c *Conn) DebugUna() uint64 { return c.sndUna }
 
-// DebugNxt returns snd.nxt.
-func (c *Conn) DebugNxt() uint64 { return c.sndNxt }
-
-// DebugPipe returns the pipe estimate.
-func (c *Conn) DebugPipe() int { return c.pipe }
-
-// DebugPeerWnd returns the peer's advertised window.
-func (c *Conn) DebugPeerWnd() uint64 { return c.peerWnd }
-
-// DebugRetxQ returns the number of queued retransmission ranges.
-func (c *Conn) DebugRetxQ() int { return len(c.retxQueue.ranges) }
-
-// DebugSackedLen returns the number of sender-known SACK ranges.
-func (c *Conn) DebugSackedLen() int { return len(c.sacked.ranges) }
-
 // FinAcked reports whether our FIN was acknowledged (sender-side
 // completion).
 func (c *Conn) FinAcked() bool { return c.finAcked }
-
-// FinReceived reports whether the peer's FIN was delivered in order
-// (receiver-side completion).
-func (c *Conn) FinReceived() bool { return c.finDelivered }
 
 // Scheduler trampolines: package-level sim.EventFunc adapters so the
 // per-segment timers (RTO re-arm, delayed ACK) and the rarer handshake

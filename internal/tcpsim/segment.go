@@ -202,7 +202,6 @@ func (s *Segment) String() string {
 const (
 	headerOverhead = 52
 	synSize        = 60
-	ackSize        = headerOverhead
 )
 
 // wireSize returns the on-the-wire size of the segment.
@@ -219,10 +218,6 @@ type flowKey struct {
 	srcPort uint16
 	dstAddr netem.Addr
 	dstPort uint16
-}
-
-func (k flowKey) reverse() flowKey {
-	return flowKey{srcAddr: k.dstAddr, srcPort: k.dstPort, dstAddr: k.srcAddr, dstPort: k.srcPort}
 }
 
 func keyOf(pkt *netem.Packet) flowKey {

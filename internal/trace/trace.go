@@ -20,25 +20,16 @@ type PacketRecord struct {
 	Size int
 }
 
-// Capture accumulates packet events on one side of a connection.
+// Capture accumulates the packet events of a connection's receive side.
 type Capture struct {
 	// Received holds receiver-side events in arrival order.
 	Received []PacketRecord
-	// Sent holds sender-side events in send order.
-	Sent []PacketRecord
 }
 
 // AttachReceiver hooks the capture to a connection's receive path.
 func (c *Capture) AttachReceiver(conn *quic.Connection) {
 	conn.TraceReceived = func(at sim.Time, pn uint64, size int) {
 		c.Received = append(c.Received, PacketRecord{At: at, PN: pn, Size: size})
-	}
-}
-
-// AttachSender hooks the capture to a connection's send path.
-func (c *Capture) AttachSender(conn *quic.Connection) {
-	conn.TraceSent = func(at sim.Time, pn uint64, size int, _ bool) {
-		c.Sent = append(c.Sent, PacketRecord{At: at, PN: pn, Size: size})
 	}
 }
 
