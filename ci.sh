@@ -1,12 +1,14 @@
 #!/bin/sh
-# ci.sh — the full gate: formatting, vet, a guard against deleted
-# mechanisms coming back through a merge, build, the test suite under the race
+# ci.sh — the full gate: formatting, vet, guards against deleted
+# mechanisms and hand-declared shared flags coming back through a merge,
+# build, a run of the four examples, the test suite under the race
 # detector (which runs the traffic shards' goroutine fan-out), the
 # allocation gates in a plain pass, two fuzz smokes and two short runs of
 # the repo benchmark. Equivalence is proven by tests, not
 # here: every fast path is compared with an oracle in its package's _test.go
 # files, and the report-level byte-diffs (worker counts, transport profile)
-# are cmd/starlink-bench's TestRunVariantMatrix. See DESIGN.md §6.
+# are cmd/starlink-bench's TestRunVariantMatrix; what each command prints is
+# pinned by cmd/internal/cli's golden table. See DESIGN.md §6.
 set -eu
 
 cd "$(dirname "$0")"
@@ -30,12 +32,36 @@ if grep -rnE 'PartitionedDriver|CrossEdge|AddCrossLink|snapshotRing|peekSnapshot
     exit 1
 fi
 
+echo "== one flag binder, one campaign driver (DESIGN.md §4: One campaign shape, One command surface)"
+# -seed, -workers, -transport and -tech are declared in cmd/internal/cli/cli.go
+# and nowhere else; the run-one-then-gap loop is core's repeat and nowhere
+# else (it used to be a closure called runOne, five times).
+if grep -rnE '\((&[A-Za-z_.]+, *)?"(seed|workers|transport|tech)",' --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark . |
+    grep -v '^./cmd/internal/cli/cli.go:'; then
+    echo "a shared flag is declared by hand above; take it from the binder (cmd/internal/cli/cli.go)" >&2
+    exit 1
+fi
+if grep -rn 'runOne' --include='*.go' --exclude='*_test.go' internal/core; then
+    echo "a hand-written repetition loop is named above; use repeat (internal/core/campaigns.go)" >&2
+    exit 1
+fi
+
 echo "== go build"
 go build ./...
 
+echo "== examples run (non-zero exit or empty stdout fails)"
+for ex in examples/*/; do
+    out=$(go run "./$ex")
+    if [ -z "$out" ]; then
+        echo "$ex printed nothing" >&2
+        exit 1
+    fi
+done
+
 echo "== go test -race"
-# The parallel campaign runner's tests force Workers=4, so the concurrent
-# path is exercised even on a single-CPU machine.
+# The sharded campaign driver's tests (internal/core/parallel_test.go) and
+# the golden table's sharded rows force 4 workers, so the concurrent path
+# is exercised even on a single-CPU machine.
 go test -race ./...
 
 echo "== allocation gates (0 allocs per event / packet / segment / epoch, no race detector)"

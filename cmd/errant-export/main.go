@@ -5,101 +5,6 @@
 // -workers goroutines via the deterministic sweep runner.
 package main
 
-import (
-	"flag"
-	"fmt"
-	"io"
-	"os"
-	"sort"
-	"time"
+import "starlinkperf/cmd/internal/cli"
 
-	"starlinkperf/internal/core"
-	"starlinkperf/internal/errant"
-)
-
-func main() {
-	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-}
-
-func run(args []string, stdout, stderr io.Writer) error {
-	fs := flag.NewFlagSet("errant-export", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	outPath := fs.String("o", "errant-profiles.json", "output file")
-	tests := fs.Int("tests", 12, "speedtests per technology to fit from")
-	seed := fs.Uint64("seed", 1, "simulation seed")
-	workers := fs.Int("workers", 0, "parallel campaign workers (0 = GOMAXPROCS)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if *tests < 1 {
-		return fmt.Errorf("tests must be >= 1")
-	}
-
-	cfg := core.DefaultConfig()
-	cfg.Seed = *seed
-
-	fmt.Fprintln(stderr, "measuring starlink...")
-	var (
-		rtts, down, up []float64
-		lossPct        float64
-		stOK           int
-	)
-	jobs := []core.SweepJob{
-		{Name: "latency", Cfg: cfg, Run: func(tb *core.Testbed) any {
-			lat := tb.RunLatencyCampaign(12*time.Hour, 10*time.Minute)
-			for _, s := range lat.EuropeanSeries().Samples() {
-				rtts = append(rtts, s.Value)
-			}
-			return nil
-		}},
-		{Name: "speedtest", Cfg: cfg, Run: func(tb *core.Testbed) any {
-			for _, r := range tb.RunSpeedtestCampaign(core.TechStarlink, *tests, 30*time.Minute) {
-				// A test whose server selection failed (all probe pings
-				// lost, e.g. during an outage) reports zero throughput;
-				// it must not enter the fit.
-				if r.DownloadMbps <= 0 {
-					continue
-				}
-				down = append(down, r.DownloadMbps)
-				up = append(up, r.UploadMbps)
-				stOK++
-			}
-			return nil
-		}},
-		{Name: "messages", Cfg: cfg, Run: func(tb *core.Testbed) any {
-			lossPct = 100 * tb.RunMessagesCampaign(4, 2*time.Minute, true).LossRatio()
-			return nil
-		}},
-	}
-	core.RunSweep(jobs, core.Options{Workers: *workers, Seed: *seed})
-	fmt.Fprintf(stderr, "speedtest: %d/%d tests succeeded\n", stOK, *tests)
-
-	profiles := errant.Builtin()
-	profiles["starlink-fitted"] = errant.Fit("starlink-fitted", down, up, rtts, 7, lossPct)
-
-	data, err := errant.MarshalProfiles(profiles)
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(*outPath, data, 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(stdout, "wrote %d profiles to %s\n", len(profiles), *outPath)
-	names := make([]string, 0, len(profiles))
-	for name := range profiles {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	var werr error
-	for _, name := range names {
-		p := profiles[name]
-		if _, err := fmt.Fprintf(stdout, "  %-16s down~%.0f up~%.1f rtt~%.0fms loss=%.2f%%\n",
-			name, p.DownMbps.Median(), p.UpMbps.Median(), p.RTTms.Median(), p.LossPct); err != nil {
-			werr = err
-		}
-	}
-	return werr
-}
+func main() { cli.Main("errant-export") }

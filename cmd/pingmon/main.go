@@ -5,69 +5,6 @@
 // -workers goroutines with deterministic per-shard seeds.
 package main
 
-import (
-	"flag"
-	"fmt"
-	"io"
-	"os"
-	"strings"
-	"time"
+import "starlinkperf/cmd/internal/cli"
 
-	"starlinkperf/internal/core"
-)
-
-func main() {
-	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-}
-
-func run(args []string, stdout, stderr io.Writer) error {
-	fs := flag.NewFlagSet("pingmon", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	days := fs.Int("days", 7, "campaign length in days")
-	interval := fs.Duration("interval", 5*time.Minute, "probe round interval")
-	seed := fs.Uint64("seed", 1, "simulation seed")
-	growth := fs.Bool("scenario", false, "include the fleet-growth and load-episode scenario events")
-	reps := fs.Int("reps", 1, "independent campaign repetitions to merge")
-	workers := fs.Int("workers", 0, "parallel workers for -reps > 1 (0 = GOMAXPROCS)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if *days < 1 || *reps < 1 {
-		return fmt.Errorf("days and reps must be >= 1")
-	}
-
-	cfg := core.DefaultConfig()
-	cfg.Seed = *seed
-	if *growth {
-		cfg.InitialShellFraction = 0.86
-		cfg.FleetGrowthAt = 53 * 24 * time.Hour
-		cfg.Load = core.LoadEpisode{
-			Start: 125 * 24 * time.Hour, End: 139 * 24 * time.Hour,
-			ExtraOneWay: 4 * time.Millisecond,
-		}
-	}
-	dur := time.Duration(*days) * 24 * time.Hour
-
-	var lat *core.LatencyData
-	var anchors []core.Anchor
-	if *reps > 1 {
-		opts := core.Options{Workers: *workers, Seed: *seed}
-		lat = core.RunLatencyCampaignParallel(cfg, *reps, dur, *interval, opts)
-		anchors = core.NewTestbed(cfg).Anchors
-	} else {
-		tb := core.NewTestbed(cfg)
-		lat = tb.RunLatencyCampaign(dur, *interval)
-		anchors = tb.Anchors
-	}
-
-	var out strings.Builder
-	core.RenderFigure1(&out, core.Figure1(lat, anchors))
-	out.WriteString("\n")
-	core.RenderFigure2(&out, core.Figure2(lat))
-	_, err := fmt.Fprintf(stdout, "%s\nprobes sent=%d lost=%d (%.2f%%)\n",
-		out.String(), lat.Sent, lat.Lost, 100*float64(lat.Lost)/float64(lat.Sent))
-	return err
-}
+func main() { cli.Main("pingmon") }

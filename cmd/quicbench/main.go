@@ -6,97 +6,6 @@
 // own deterministically seeded testbed.
 package main
 
-import (
-	"flag"
-	"fmt"
-	"io"
-	"os"
-	"strings"
-	"time"
+import "starlinkperf/cmd/internal/cli"
 
-	"starlinkperf/internal/core"
-	"starlinkperf/internal/stats"
-	"starlinkperf/internal/trace"
-)
-
-func main() {
-	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-}
-
-func run(args []string, stdout, stderr io.Writer) error {
-	fs := flag.NewFlagSet("quicbench", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	mode := fs.String("mode", "h3", "workload: h3 | messages")
-	dir := fs.String("dir", "down", "direction: down | up")
-	n := fs.Int("n", 5, "transfers or sessions")
-	sizeMB := fs.Int("size", 100, "transfer size in MB (h3 mode)")
-	msgDur := fs.Duration("dur", 2*time.Minute, "session length (messages mode)")
-	pcapPath := fs.String("pcap", "", "write the receiver capture of the first transfer to this pcap file")
-	seed := fs.Uint64("seed", 1, "simulation seed")
-	workers := fs.Int("workers", 0, "parallel campaign workers (0 = GOMAXPROCS)")
-	transport := fs.String("transport", "paper", "transport profile: paper | modern | toggle list (bbr,pacing,zerortt,migration,minrtt,idledecay)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if *n < 1 {
-		return fmt.Errorf("n must be >= 1")
-	}
-
-	download := *dir == "down"
-	cfg := core.DefaultConfig()
-	cfg.Seed = *seed
-	profile, err := core.ParseTransport(*transport)
-	if err != nil {
-		return err
-	}
-	cfg.Transport = profile
-	opts := core.Options{Workers: *workers, Seed: *seed}
-	var out strings.Builder
-
-	switch *mode {
-	case "h3":
-		camp := core.RunH3CampaignParallel(cfg, *n, *sizeMB<<20, download, 15*time.Second, opts)
-		r := stats.Summarize(camp.RTTSamplesMs())
-		g := stats.Summarize(camp.Goodputs())
-		fmt.Fprintf(&out, "H3 %s: %d x %dMB transfers\n", *dir, len(camp.Records), *sizeMB)
-		fmt.Fprintf(&out, "  goodput: med=%.1f p25=%.1f p75=%.1f Mbit/s\n", g.P50, g.P25, g.P75)
-		fmt.Fprintf(&out, "  RTT: n=%d p50=%.0f p95=%.0f p99=%.0f ms\n", r.N, r.P50, r.P95, r.P99)
-		fmt.Fprintf(&out, "  loss: %.2f%% in %d events\n", 100*camp.LossRatio(), len(camp.BurstLengths()))
-		core.LossDurations(&out, "loss events", camp.EventDurations())
-		if *pcapPath != "" && len(camp.Records) > 0 {
-			f, err := os.Create(*pcapPath)
-			if err != nil {
-				return err
-			}
-			w := trace.NewPcapWriter(f)
-			if err := w.WriteCapture(camp.Records[0].Result.ReceiverCapture); err != nil {
-				f.Close()
-				return err
-			}
-			if err := f.Close(); err != nil {
-				return err
-			}
-			fmt.Fprintf(&out, "  wrote %d capture records to %s\n", w.Packets, *pcapPath)
-		}
-	case "messages":
-		camp := core.RunMessagesCampaignParallel(cfg, *n, *msgDur, download, opts)
-		r := stats.Summarize(camp.RTTsMs)
-		fmt.Fprintf(&out, "messages %s: %d sessions of %s at 25 msg/s (5-25kB)\n", *dir, *n, *msgDur)
-		fmt.Fprintf(&out, "  RTT: n=%d p50=%.0f p95=%.0f p99=%.0f ms\n", r.N, r.P50, r.P95, r.P99)
-		fmt.Fprintf(&out, "  loss: %.2f%% (bursts: %v...)\n", 100*camp.LossRatio(), head(camp.BurstLengths(), 12))
-	default:
-		return fmt.Errorf("unknown mode %q", *mode)
-	}
-	_, err = io.WriteString(stdout, out.String())
-	return err
-}
-
-func head(xs []int, n int) []int {
-	if len(xs) > n {
-		return xs[:n]
-	}
-	return xs
-}
+func main() { cli.Main("quicbench") }

@@ -1,11 +1,18 @@
 package main
 
 import (
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"starlinkperf/cmd/internal/cli"
 )
+
+func run(args []string, stdout, stderr io.Writer) error {
+	return cli.Run("starlink-bench", args, stdout, stderr)
+}
 
 // TestRunVariantMatrix is the report-level equivalence proof: the quick
 // report on one campaign worker and one scenario worker against a row with

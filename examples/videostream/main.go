@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"starlinkperf"
-	"starlinkperf/internal/core"
 	"starlinkperf/internal/stats"
 )
 
@@ -40,7 +39,7 @@ func main() {
 	fmt.Printf("  late segments (rebuffer risk): %d/%d\n", late, segments)
 
 	// Headroom: what a speedtest sees on the same link.
-	st := tb.RunSpeedtestCampaign(core.TechStarlink, 3, time.Minute)
+	st := tb.RunSpeedtestCampaign(starlinkperf.TechStarlink, 3, time.Minute)
 	var down []float64
 	for _, r := range st {
 		down = append(down, r.DownloadMbps)

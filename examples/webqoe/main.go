@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"starlinkperf"
-	"starlinkperf/internal/core"
 	"starlinkperf/internal/stats"
 )
 
@@ -19,11 +18,11 @@ func main() {
 
 	techs := []struct {
 		name string
-		tech core.Tech
+		tech starlinkperf.Tech
 	}{
-		{"wired", core.TechWired},
-		{"starlink", core.TechStarlink},
-		{"satcom", core.TechSatCom},
+		{"wired", starlinkperf.TechWired},
+		{"starlink", starlinkperf.TechStarlink},
+		{"satcom", starlinkperf.TechSatCom},
 	}
 	medians := map[string]float64{}
 	fmt.Printf("%-10s %12s %14s %14s\n", "access", "onLoad med", "SpeedIndex med", "conn setup")
@@ -37,7 +36,7 @@ func main() {
 			ol = append(ol, v.OnLoad.Seconds())
 			si = append(si, v.SpeedIndex.Seconds())
 		}
-		setup := core.ConnSetupStats(results)
+		setup := starlinkperf.ConnSetupStats(results)
 		medians[t.name] = stats.Median(ol)
 		fmt.Printf("%-10s %11.2fs %13.2fs %12.0fms\n",
 			t.name, stats.Median(ol), stats.Median(si), setup.Mean)

@@ -20,6 +20,10 @@ type LatencyData struct {
 	PerAnchor map[string]*stats.Series
 	// Regions maps anchor name to region.
 	Regions map[string]string
+	// Anchors lists the anchors in testbed order — Figure 1's row order —
+	// by name and region only (Node is nil), so a merged campaign needs no
+	// testbed to render.
+	Anchors []Anchor
 	// Sent and Lost count probes.
 	Sent, Lost int
 }
@@ -55,6 +59,7 @@ func (tb *Testbed) RunLatencyCampaign(dur, interval time.Duration) *LatencyData 
 	}
 	byAddr := make(map[netem.Addr]string)
 	for _, a := range tb.Anchors {
+		data.Anchors = append(data.Anchors, Anchor{Name: a.Name, Region: a.Region})
 		data.PerAnchor[a.Name] = &stats.Series{}
 		data.Regions[a.Name] = a.Region
 		byAddr[a.Node.Addr()] = a.Name
@@ -76,6 +81,38 @@ func (tb *Testbed) RunLatencyCampaign(dur, interval time.Duration) *LatencyData 
 	return data
 }
 
+// noGap, as repeat's gap, starts the next repetition inside the finishing
+// callback itself, with no scheduler event in between.
+const noGap time.Duration = -1
+
+// repeat is the campaign driver: it runs repetitions first … first+n-1 of
+// a callback-reporting measurement on tb, one after another. start begins
+// repetition i and calls done with its result when it finishes; the next
+// repetition begins gap later. The scheduler then runs for budget of
+// virtual time, so a repetition whose callback never fires ends the
+// campaign there with fewer than n results. Results come back in
+// repetition order.
+func repeat[T any](tb *Testbed, first, n int, gap, budget time.Duration, start func(i int, done func(T))) []T {
+	var out []T
+	var next func(i int)
+	next = func(i int) {
+		if i >= first+n {
+			return
+		}
+		start(i, func(r T) {
+			out = append(out, r)
+			if gap == noGap {
+				next(i + 1)
+				return
+			}
+			tb.Sched.After(gap, func() { next(i + 1) })
+		})
+	}
+	next(first)
+	tb.Sched.RunFor(budget)
+	return out
+}
+
 // H3Record is one bulk transfer's outcome.
 type H3Record struct {
 	Result measure.TransferResult
@@ -84,8 +121,7 @@ type H3Record struct {
 
 // H3Campaign aggregates a set of transfers in one direction.
 type H3Campaign struct {
-	Download bool
-	Records  []H3Record
+	Records []H3Record
 }
 
 // RTTSamplesMs pools every RTT sample of the campaign (Figure 3 series).
@@ -149,41 +185,42 @@ func (tb *Testbed) RunH3Campaign(n int, size int, download bool, gap time.Durati
 // with an explicit transport configuration — the wired-baseline check and
 // the pacing/receive-window ablations use this.
 func (tb *Testbed) RunH3CampaignFrom(client *netem.Node, n int, size int, download bool, gap time.Duration, qcfg quic.Config) *H3Campaign {
-	camp := &H3Campaign{Download: download}
-	srvAddr := tb.UCLServer.Addr()
-	var runOne func(i int)
-	runOne = func(i int) {
-		if i >= n {
-			return
-		}
-		handle := func(res measure.TransferResult) {
-			rec := H3Record{Result: res}
-			rec.Loss = trace.AnalyzeLosses(res.ReceiverCapture.Received)
-			camp.Records = append(camp.Records, rec)
-			tb.Sched.After(gap, func() { runOne(i + 1) })
-		}
-		if download {
-			measure.H3Download(client, tb.H3Server, srvAddr, H3Port, size, qcfg, handle)
-		} else {
-			measure.H3Upload(client, tb.H3Server, srvAddr, H3Port, size, qcfg, handle)
-		}
-	}
-	runOne(0)
 	// Generous horizon: transfers self-pace.
 	perTransfer := time.Duration(float64(size*8)/(10e6))*time.Second + gap + 2*time.Minute
-	tb.Sched.RunFor(time.Duration(n) * perTransfer)
-	return camp
+	recs := repeat(tb, 0, n, gap, time.Duration(n)*perTransfer, func(_ int, done func(H3Record)) {
+		measure.H3Transfer(client, tb.H3Server, tb.UCLServer.Addr(), H3Port, download, size, qcfg, func(res measure.TransferResult) {
+			done(H3Record{Result: res, Loss: trace.AnalyzeLosses(res.ReceiverCapture.Received)})
+		})
+	})
+	return &H3Campaign{Records: recs}
+}
+
+// msgSession is one message session's outcome.
+type msgSession struct {
+	rttsMs []float64
+	loss   trace.LossReport
 }
 
 // MsgCampaign aggregates message sessions of one direction.
 type MsgCampaign struct {
-	Download bool
-	RTTsMs   []float64
-	Loss     trace.LossReport
-	sent     uint64
-	lost     uint64
-	bursts   []int
-	durs     []float64
+	RTTsMs []float64
+	sent   uint64
+	lost   uint64
+	bursts []int
+	durs   []float64
+}
+
+// foldMessages pools sessions, in order, into one campaign.
+func foldMessages(sessions []msgSession) *MsgCampaign {
+	camp := &MsgCampaign{}
+	for _, s := range sessions {
+		camp.RTTsMs = append(camp.RTTsMs, s.rttsMs...)
+		camp.sent += s.loss.PacketsSent
+		camp.lost += s.loss.PacketsLost
+		camp.bursts = append(camp.bursts, s.loss.BurstLengths()...)
+		camp.durs = append(camp.durs, s.loss.EventDurations()...)
+	}
+	return camp
 }
 
 // LossRatio returns pooled lost/sent.
@@ -209,31 +246,15 @@ func (tb *Testbed) RunMessagesCampaign(n int, sessionDur time.Duration, download
 // RunMessagesCampaignCfg is RunMessagesCampaign with an explicit QUIC
 // configuration (the pacing ablation flips EnablePacing).
 func (tb *Testbed) RunMessagesCampaignCfg(n int, sessionDur time.Duration, download bool, qcfg quic.Config) *MsgCampaign {
-	camp := &MsgCampaign{Download: download}
-	srvAddr := tb.UCLServer.Addr()
-	var runOne func(i int)
-	runOne = func(i int) {
-		if i >= n {
-			return
-		}
-		handle := func(res measure.MessageSessionResult) {
-			camp.RTTsMs = append(camp.RTTsMs, res.RTTs.Milliseconds()...)
-			rep := trace.AnalyzeLosses(res.ReceiverCapture.Received)
-			camp.sent += rep.PacketsSent
-			camp.lost += rep.PacketsLost
-			camp.bursts = append(camp.bursts, rep.BurstLengths()...)
-			camp.durs = append(camp.durs, rep.EventDurations()...)
-			tb.Sched.After(30*time.Second, func() { runOne(i + 1) })
-		}
-		if download {
-			measure.MessagesDownload(tb.PCStarlink, tb.H3Server, srvAddr, H3Port, 25, sessionDur, 5000, 25000, qcfg, handle)
-		} else {
-			measure.MessagesUpload(tb.PCStarlink, tb.H3Server, srvAddr, H3Port, 25, sessionDur, 5000, 25000, qcfg, handle)
-		}
-	}
-	runOne(0)
-	tb.Sched.RunFor(time.Duration(n) * (sessionDur + time.Minute))
-	return camp
+	return foldMessages(tb.runMessageSessions(n, sessionDur, download, qcfg))
+}
+
+func (tb *Testbed) runMessageSessions(n int, sessionDur time.Duration, download bool, qcfg quic.Config) []msgSession {
+	return repeat(tb, 0, n, 30*time.Second, time.Duration(n)*(sessionDur+time.Minute), func(_ int, done func(msgSession)) {
+		measure.MessageSession(tb.PCStarlink, tb.H3Server, tb.UCLServer.Addr(), H3Port, download, 25, sessionDur, 5000, 25000, qcfg, func(res measure.Session) {
+			done(msgSession{res.RTTs.Milliseconds(), trace.AnalyzeLosses(res.ReceiverCapture.Received)})
+		})
+	})
 }
 
 // Tech selects a vantage point.
@@ -297,19 +318,10 @@ func (tb *Testbed) RunSpeedtestCampaign(t Tech, n int, gap time.Duration) []meas
 	prober := measure.NewProber(node)
 	prober.Observe(tb.Obs)
 	cfg := tb.SpeedtestConfig()
-	var out []measure.SpeedtestResult
-	var runOne func(i int)
-	runOne = func(i int) {
-		if i >= n {
-			return
-		}
-		measure.RunSpeedtest(prober, tb.OoklaServers, cfg, func(r measure.SpeedtestResult) {
-			out = append(out, r)
-			tb.Sched.After(gap, func() { runOne(i + 1) })
-		})
-	}
-	runOne(0)
-	tb.Sched.RunFor(time.Duration(n) * (cfg.Warmup*2 + cfg.Window*2 + gap + 30*time.Second))
+	budget := time.Duration(n) * (cfg.Warmup*2 + cfg.Window*2 + gap + 30*time.Second)
+	out := repeat(tb, 0, n, gap, budget, func(_ int, done func(measure.SpeedtestResult)) {
+		measure.RunSpeedtest(prober, tb.OoklaServers, cfg, done)
+	})
 	node.Unbind(netem.ProtoICMP, 0)
 	return out
 }
@@ -325,27 +337,16 @@ func (tb *Testbed) RunWebCampaign(t Tech, nVisits int, gap time.Duration) []web.
 // would.
 func (tb *Testbed) runWebVisits(t Tech, start, n int, gap time.Duration) []web.VisitResult {
 	node := tb.vantage(t)
-	var out []web.VisitResult
-	var runOne func(i int)
-	runOne = func(i int) {
-		if i >= n {
-			return
-		}
-		site := &tb.Sites[(start+i)%len(tb.Sites)]
+	return repeat(tb, start, n, gap, time.Duration(n)*(90*time.Second+gap), func(i int, done func(web.VisitResult)) {
+		site := &tb.Sites[i%len(tb.Sites)]
 		b := &web.Browser{
 			Node:     node,
 			Resolve:  tb.WebResolver(site),
 			TCP:      tb.WebTCP,
 			Deadline: 90 * time.Second,
 		}
-		b.Visit(site, func(r web.VisitResult) {
-			out = append(out, r)
-			tb.Sched.After(gap, func() { runOne(i + 1) })
-		})
-	}
-	runOne(0)
-	tb.Sched.RunFor(time.Duration(n) * (90*time.Second + gap))
-	return out
+		b.Visit(site, done)
+	})
 }
 
 // MiddleboxAudit is the §3.5 result set for one vantage point.
@@ -396,20 +397,11 @@ func (tb *Testbed) RunWeheAudit(t Tech, repeats int) []wehe.Detection {
 	// The replay server lives next to the UCLouvain host.
 	wehe.Server(tb.UCLServer, traces, cfg)
 
-	var out []wehe.Detection
-	var runOne func(i int)
-	runOne = func(i int) {
-		if i >= len(traces) {
-			return
-		}
-		wehe.Detect(node, tb.UCLServer.Addr(), &traces[i], repeats, cfg, func(d wehe.Detection) {
-			out = append(out, d)
-			runOne(i + 1)
-		})
-	}
-	runOne(0)
-	tb.Sched.RunFor(time.Duration(len(traces)*repeats) * 2 * 40 * time.Second)
-	return out
+	// One detection per service, back to back.
+	budget := time.Duration(len(traces)*repeats) * 2 * 40 * time.Second
+	return repeat(tb, 0, len(traces), noGap, budget, func(i int, done func(wehe.Detection)) {
+		wehe.Detect(node, tb.UCLServer.Addr(), &traces[i], repeats, cfg, done)
+	})
 }
 
 // ConnSetupStats measures TCP+TLS connection setup from a vantage point,

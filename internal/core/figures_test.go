@@ -12,8 +12,8 @@ import (
 // fabricate small campaign objects so the renderers can be exercised
 // without running expensive experiments.
 
-func fabH3(down bool) *H3Campaign {
-	c := &H3Campaign{Download: down}
+func fabH3() *H3Campaign {
+	c := &H3Campaign{}
 	rec := H3Record{}
 	rec.Result.Completed = true
 	rec.Result.GoodputMbps = 123
@@ -40,7 +40,7 @@ func fabMsg() *MsgCampaign {
 }
 
 func TestFigure3AndTable2Renderers(t *testing.T) {
-	down, up := fabH3(true), fabH3(false)
+	down, up := fabH3(), fabH3()
 	f3 := MakeFigure3(down, up)
 	if f3.Download.N != 50 || f3.Upload.N != 50 {
 		t.Fatalf("sample counts: %d/%d", f3.Download.N, f3.Upload.N)
@@ -75,7 +75,7 @@ func TestFigure4Renderer(t *testing.T) {
 func TestFigure5Renderer(t *testing.T) {
 	sl := []measure.SpeedtestResult{{DownloadMbps: 180, UploadMbps: 18}, {DownloadMbps: 160, UploadMbps: 16}}
 	sc := []measure.SpeedtestResult{{DownloadMbps: 84, UploadMbps: 4.5}}
-	f := MakeFigure5(sl, sc, fabH3(true), fabH3(false))
+	f := MakeFigure5(sl, sc, fabH3(), fabH3())
 	if f.StarlinkDown.P50 != 170 {
 		t.Errorf("starlink down median = %v", f.StarlinkDown.P50)
 	}

@@ -6,9 +6,9 @@ import (
 	"starlinkperf/internal/obs"
 )
 
-// Options is the shared knob set of the parallel campaign runners: every
-// cmd exposes the same worker-count, seed and progress semantics by
-// passing one of these through to the Run*Parallel variants.
+// Options is the shared knob set of the sharded campaign runners: every
+// cmd gets one from its flag binder and passes it through to the
+// Run*Parallel variants, RunSweep and the fleet scenarios.
 type Options struct {
 	// Workers caps the number of goroutines executing shards. Zero or
 	// negative means GOMAXPROCS. The value never changes results, only
@@ -38,20 +38,18 @@ type Options struct {
 	ScenarioWorkers int
 }
 
-// workerCount resolves Workers, clamped to [1, n] for n shards.
-func (o Options) workerCount(n int) int {
-	w := o.Workers
+// defaultWorkers resolves a worker-count knob: zero or negative means
+// GOMAXPROCS. Every such knob (Workers, ScenarioWorkers) goes through
+// here.
+func defaultWorkers(w int) int {
 	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > n {
-		w = n
-	}
-	if w < 1 {
-		w = 1
+		return runtime.GOMAXPROCS(0)
 	}
 	return w
 }
+
+// WorkerCount is Workers with the default applied.
+func (o Options) WorkerCount() int { return defaultWorkers(o.Workers) }
 
 // baseSeed resolves the campaign seed against a Config.
 func (o Options) baseSeed(cfg Config) uint64 {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -12,76 +13,64 @@ import (
 	"starlinkperf/internal/web"
 )
 
-// This file is the parallel campaign runner: it shards embarrassingly
-// parallel campaign repetitions over a worker pool. Every shard builds its
-// own Testbed from a seed derived per shard index (sim.DeriveSeed), so
-// shards share no state — not even an RNG — and results are written to the
-// shard's own slot and merged in shard order. Both properties together
-// make the output a pure function of (config, seed, shard count):
-// bit-for-bit identical whether one worker runs all shards or GOMAXPROCS
-// workers race through them.
+// This file is the sharded side of the campaign driver: it spreads
+// embarrassingly parallel campaign repetitions over a worker pool. Every
+// shard builds its own Testbed from a seed derived per shard index
+// (sim.DeriveSeed), so shards share no state — not even an RNG — and
+// results are written to the shard's own slot and concatenated in shard
+// order. Both properties together make the output a pure function of
+// (config, seed, shard count): bit-for-bit identical whether one worker
+// runs all shards or GOMAXPROCS workers race through them.
 
 // forEachShard runs body(i) for every i in [0,n) on opts.Workers
-// goroutines and reports per-shard completion through opts.Progress.
-// With one worker the shards run inline on the caller's goroutine.
+// goroutines, at most n — the caller's is one of them, so a single worker
+// runs the shards inline — and reports per-shard completion through
+// opts.Progress.
 func forEachShard(opts Options, n int, body func(shard int)) {
-	if n <= 0 {
-		return
-	}
-	var mu sync.Mutex
-	completed := 0
-	finished := func() {
-		if opts.Progress == nil {
-			return
-		}
-		mu.Lock()
-		defer mu.Unlock()
-		completed++
-		opts.Progress(completed, n)
-	}
-	workers := opts.workerCount(n)
-	if workers == 1 {
-		for i := 0; i < n; i++ {
+	var (
+		next      atomic.Int64
+		mu        sync.Mutex
+		completed int
+		wg        sync.WaitGroup
+	)
+	work := func() {
+		defer wg.Done()
+		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
 			body(i)
-			finished()
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				body(i)
-				finished()
+			if opts.Progress != nil {
+				mu.Lock()
+				completed++
+				opts.Progress(completed, n)
+				mu.Unlock()
 			}
-		}()
+		}
 	}
+	workers := max(1, min(opts.WorkerCount(), n))
+	wg.Add(workers)
+	for w := 1; w < workers; w++ {
+		go work()
+	}
+	work()
 	wg.Wait()
 }
 
-// RunShards executes n independent shards of the named family and returns
-// their results in shard order. Shard i receives the deterministic seed
-// sim.DeriveSeed(base, family, i); the worker count in opts changes only
-// wall-clock time, never the returned slice.
-func RunShards[T any](opts Options, base uint64, family string, n int, run func(shard int, seed uint64) T) []T {
-	out := make([]T, n)
-	forEachShard(opts, n, func(i int) {
-		out[i] = run(i, sim.DeriveSeed(base, family, i))
+// runSharded is the sharded form of repeat: n repetitions split into
+// shards of per repetitions each — a constant, never worker-derived, so
+// the shard plan and therefore the output are independent of the worker
+// count. Shard i builds its own testbed from the deterministic seed
+// sim.DeriveSeed(base, family, i) and runs repetitions i*per onwards on
+// it; the results are concatenated in shard order.
+func runSharded[T any](cfg Config, opts Options, family string, n, per int, run func(tb *Testbed, first, count int) []T) []T {
+	if n <= 0 {
+		return nil
+	}
+	parts := make([][]T, (n+per-1)/per)
+	base := opts.baseSeed(cfg)
+	forEachShard(opts, len(parts), func(i int) {
+		tb := shardTestbed(cfg, sim.DeriveSeed(base, family, i), opts, family, i)
+		parts[i] = run(tb, i*per, min(per, n-i*per))
 	})
-	return out
-}
-
-// shardConfig is cfg reseeded for one shard.
-func shardConfig(cfg Config, seed uint64) Config {
-	cfg.Seed = seed
-	return cfg
+	return slices.Concat(parts...)
 }
 
 // shardTestbed builds the testbed for one shard of the named family.
@@ -90,7 +79,7 @@ func shardConfig(cfg Config, seed uint64) Config {
 // zero-padded index, so lexicographic source order equals shard order —
 // the property that makes the collector's exports worker-invariant.
 func shardTestbed(cfg Config, seed uint64, opts Options, family string, shard int) *Testbed {
-	cfg = shardConfig(cfg, seed)
+	cfg.Seed = seed
 	if opts.Obs != nil {
 		cfg.Obs.Enabled = true
 	}
@@ -101,20 +90,30 @@ func shardTestbed(cfg Config, seed uint64, opts Options, family string, shard in
 	return tb
 }
 
+// Shard sizes of the repetition-based campaigns: small enough that the
+// pool load-balances, large enough to amortize building a Testbed per
+// shard.
+const (
+	speedtestShardTests = 2
+	webShardVisits      = 10
+	h3ShardTransfers    = 1
+	msgShardSessions    = 2
+)
+
 // RunLatencyCampaignParallel runs reps independent latency campaigns of
 // dur each and merges them into one LatencyData whose timeline
 // concatenates the repetitions (shard i's samples are offset by i*dur).
 func RunLatencyCampaignParallel(cfg Config, reps int, dur, interval time.Duration, opts Options) *LatencyData {
-	shards := RunShards(opts, opts.baseSeed(cfg), "latency", reps, func(i int, seed uint64) *LatencyData {
-		tb := shardTestbed(cfg, seed, opts, "latency", i)
-		return tb.RunLatencyCampaign(dur, interval)
+	shards := runSharded(cfg, opts, "latency", reps, 1, func(tb *Testbed, _, _ int) []*LatencyData {
+		return []*LatencyData{tb.RunLatencyCampaign(dur, interval)}
 	})
 	return MergeLatency(shards, dur)
 }
 
 // MergeLatency concatenates shard campaign results in shard order. Each
 // shard's samples are shifted by shard*window so the merged data reads as
-// one long campaign; counters are summed.
+// one long campaign; counters are summed and the anchor order is the
+// first shard's.
 func MergeLatency(shards []*LatencyData, window time.Duration) *LatencyData {
 	out := &LatencyData{
 		PerAnchor: make(map[string]*stats.Series),
@@ -123,6 +122,9 @@ func MergeLatency(shards []*LatencyData, window time.Duration) *LatencyData {
 	for i, sh := range shards {
 		if sh == nil {
 			continue
+		}
+		if out.Anchors == nil {
+			out.Anchors = sh.Anchors
 		}
 		out.Sent += sh.Sent
 		out.Lost += sh.Lost
@@ -142,91 +144,40 @@ func MergeLatency(shards []*LatencyData, window time.Duration) *LatencyData {
 	return out
 }
 
-// Shard sizes of the repetition-based campaigns: small enough that the
-// pool load-balances, large enough to amortize building a Testbed per
-// shard. They are constants (never worker-derived) so the shard plan — and
-// therefore the output — is independent of the worker count.
-const (
-	speedtestShardTests = 2
-	webShardVisits      = 10
-	h3ShardTransfers    = 1
-	msgShardSessions    = 2
-)
-
-// shardCounts splits n repetitions into fixed-size shards and returns the
-// per-shard counts.
-func shardCounts(n, per int) []int {
-	if n <= 0 {
-		return nil
-	}
-	counts := make([]int, 0, (n+per-1)/per)
-	for n > 0 {
-		c := per
-		if n < c {
-			c = n
-		}
-		counts = append(counts, c)
-		n -= c
-	}
-	return counts
-}
-
 // RunSpeedtestCampaignParallel shards n speedtests from the vantage point
 // over the worker pool and returns the results in shard order.
 func RunSpeedtestCampaignParallel(cfg Config, t Tech, n int, gap time.Duration, opts Options) []measure.SpeedtestResult {
-	counts := shardCounts(n, speedtestShardTests)
-	shards := RunShards(opts, opts.baseSeed(cfg), "speedtest/"+t.String(), len(counts), func(i int, seed uint64) []measure.SpeedtestResult {
-		tb := shardTestbed(cfg, seed, opts, "speedtest/"+t.String(), i)
-		return tb.RunSpeedtestCampaign(t, counts[i], gap)
+	return runSharded(cfg, opts, "speedtest/"+t.String(), n, speedtestShardTests, func(tb *Testbed, _, count int) []measure.SpeedtestResult {
+		return tb.RunSpeedtestCampaign(t, count, gap)
 	})
-	return flatten(shards)
 }
 
 // RunWebCampaignParallel shards nVisits page visits from the vantage point
 // over the worker pool. Every shard walks the same global site cycle the
-// sequential campaign would (shard i starts at visit offset i*shardSize),
-// so the visited-site sequence matches RunWebCampaign.
+// sequential campaign would, so the visited-site sequence matches
+// RunWebCampaign.
 func RunWebCampaignParallel(cfg Config, t Tech, nVisits int, gap time.Duration, opts Options) []web.VisitResult {
-	counts := shardCounts(nVisits, webShardVisits)
-	shards := RunShards(opts, opts.baseSeed(cfg), "web/"+t.String(), len(counts), func(i int, seed uint64) []web.VisitResult {
-		tb := shardTestbed(cfg, seed, opts, "web/"+t.String(), i)
-		return tb.runWebVisits(t, i*webShardVisits, counts[i], gap)
+	return runSharded(cfg, opts, "web/"+t.String(), nVisits, webShardVisits, func(tb *Testbed, first, count int) []web.VisitResult {
+		return tb.runWebVisits(t, first, count, gap)
 	})
-	return flatten(shards)
 }
 
-// RunH3CampaignParallel shards n bulk transfers over the worker pool and
-// merges the per-shard campaigns in shard order.
+// RunH3CampaignParallel shards n bulk transfers over the worker pool; the
+// campaign holds the records in shard order.
 func RunH3CampaignParallel(cfg Config, n, size int, download bool, gap time.Duration, opts Options) *H3Campaign {
-	counts := shardCounts(n, h3ShardTransfers)
-	shards := RunShards(opts, opts.baseSeed(cfg), "h3/"+dirName(download), len(counts), func(i int, seed uint64) *H3Campaign {
-		tb := shardTestbed(cfg, seed, opts, "h3/"+dirName(download), i)
-		return tb.RunH3Campaign(counts[i], size, download, gap)
+	recs := runSharded(cfg, opts, "h3/"+dirName(download), n, h3ShardTransfers, func(tb *Testbed, _, count int) []H3Record {
+		return tb.RunH3Campaign(count, size, download, gap).Records
 	})
-	out := &H3Campaign{Download: download}
-	for _, sh := range shards {
-		out.Records = append(out.Records, sh.Records...)
-	}
-	return out
+	return &H3Campaign{Records: recs}
 }
 
 // RunMessagesCampaignParallel shards n message sessions over the worker
-// pool and merges the per-shard campaigns in shard order.
+// pool and folds the sessions, in shard order, into one campaign.
 func RunMessagesCampaignParallel(cfg Config, n int, sessionDur time.Duration, download bool, opts Options) *MsgCampaign {
-	counts := shardCounts(n, msgShardSessions)
-	shards := RunShards(opts, opts.baseSeed(cfg), "messages/"+dirName(download), len(counts), func(i int, seed uint64) *MsgCampaign {
-		tb := shardTestbed(cfg, seed, opts, "messages/"+dirName(download), i)
-		return tb.RunMessagesCampaign(counts[i], sessionDur, download)
+	sessions := runSharded(cfg, opts, "messages/"+dirName(download), n, msgShardSessions, func(tb *Testbed, _, count int) []msgSession {
+		return tb.runMessageSessions(count, sessionDur, download, tb.QUICConf)
 	})
-	out := &MsgCampaign{Download: download}
-	for _, sh := range shards {
-		out.RTTsMs = append(out.RTTsMs, sh.RTTsMs...)
-		out.sent += sh.sent
-		out.lost += sh.lost
-		out.bursts = append(out.bursts, sh.bursts...)
-		out.durs = append(out.durs, sh.durs...)
-	}
-	return out
+	return foldMessages(sessions)
 }
 
 func dirName(download bool) string {
@@ -234,14 +185,6 @@ func dirName(download bool) string {
 		return "down"
 	}
 	return "up"
-}
-
-func flatten[T any](shards [][]T) []T {
-	var out []T
-	for _, sh := range shards {
-		out = append(out, sh...)
-	}
-	return out
 }
 
 // SweepJob is one whole-campaign unit of a sweep: a named configuration

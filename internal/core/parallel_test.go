@@ -8,10 +8,11 @@ import (
 	"time"
 
 	"starlinkperf/internal/measure"
+	"starlinkperf/internal/sim"
 )
 
-// The tests in this file pin down the two contracts of the parallel
-// runner: (1) the same seed always reproduces the same campaign
+// The tests in this file pin down the two contracts of the sharded
+// campaign driver: (1) the same seed always reproduces the same campaign
 // bit-for-bit, and (2) the worker count never changes results, only
 // wall-clock time. They run with explicit Workers > 1 so `go test -race`
 // exercises the concurrent path even on a single-CPU machine.
@@ -28,8 +29,22 @@ func quickConfig() Config {
 	return cfg
 }
 
+// shardInfo is what one runSharded shard saw.
+type shardInfo struct {
+	First, Count int
+	Seed         uint64
+}
+
+func shardInfos(opts Options, n, per int) []shardInfo {
+	cfg := DefaultConfig()
+	cfg.Seed = 7
+	return runSharded(cfg, opts, "fam", n, per, func(tb *Testbed, first, count int) []shardInfo {
+		return []shardInfo{{first, count, tb.Cfg.Seed}}
+	})
+}
+
 func TestRunShardsOrderSeedsProgress(t *testing.T) {
-	opts := Options{Workers: raceWorkers, Seed: 7}
+	opts := Options{Workers: raceWorkers}
 	var dones []int
 	opts.Progress = func(done, total int) {
 		if total != 6 {
@@ -37,20 +52,21 @@ func TestRunShardsOrderSeedsProgress(t *testing.T) {
 		}
 		dones = append(dones, done)
 	}
-	type shardInfo struct {
-		Shard int
-		Seed  uint64
-	}
-	got := RunShards(opts, 7, "fam", 6, func(shard int, seed uint64) shardInfo {
-		return shardInfo{Shard: shard, Seed: seed}
-	})
+	got := shardInfos(opts, 11, 2)
 	if len(got) != 6 {
 		t.Fatalf("len = %d", len(got))
 	}
 	seen := map[uint64]bool{}
 	for i, g := range got {
-		if g.Shard != i {
-			t.Errorf("slot %d holds shard %d: results must merge in shard order", i, g.Shard)
+		want := 2
+		if i == 5 {
+			want = 1 // the last shard takes the remainder
+		}
+		if g.First != 2*i || g.Count != want {
+			t.Errorf("slot %d holds repetitions %d+%d: results must concatenate in shard order, %d a shard", i, g.First, g.Count, 2)
+		}
+		if g.Seed != sim.DeriveSeed(7, "fam", i) {
+			t.Errorf("shard %d built from seed %#x, want DeriveSeed(7, fam, %d)", i, g.Seed, i)
 		}
 		if seen[g.Seed] {
 			t.Errorf("duplicate shard seed %#x", g.Seed)
@@ -63,13 +79,40 @@ func TestRunShardsOrderSeedsProgress(t *testing.T) {
 			t.Fatalf("progress sequence %v, want 1..6", dones)
 		}
 	}
-	// Seeds are a pure function of (base, family, index): a second run
-	// yields the same slice.
-	again := RunShards(Options{Workers: 1, Seed: 7}, 7, "fam", 6, func(shard int, seed uint64) shardInfo {
-		return shardInfo{Shard: shard, Seed: seed}
+	// The plan is a pure function of (base, family, n, per): one worker,
+	// and the base seed given through Options instead of Config, yield the
+	// same slice.
+	if again := shardInfos(Options{Workers: 1, Seed: 7}, 11, 2); !reflect.DeepEqual(got, again) {
+		t.Error("shard plan differs between runs with the same base seed")
+	}
+	if none := shardInfos(opts, 0, 2); none != nil {
+		t.Errorf("zero repetitions ran %d shards", len(none))
+	}
+}
+
+// A repetition whose callback never fires must end the campaign at its
+// budget with the results so far — not hang, and not skip ahead.
+func TestRepeatStopsAtBudget(t *testing.T) {
+	tb := NewTestbed(DefaultConfig())
+	var started []int
+	got := repeat(tb, 3, 5, time.Second, time.Minute, func(i int, done func(int)) {
+		started = append(started, i)
+		if i == 5 {
+			return // stuck: never reports
+		}
+		tb.Sched.After(time.Second, func() { done(10 * i) })
 	})
-	if !reflect.DeepEqual(got, again) {
-		t.Error("shard seeds differ between runs with the same base seed")
+	if !reflect.DeepEqual(got, []int{30, 40}) || !reflect.DeepEqual(started, []int{3, 4, 5}) {
+		t.Errorf("results %v from repetitions %v, want [30 40] from [3 4 5]", got, started)
+	}
+	if now := tb.Sched.Now(); now != sim.Time(time.Minute) {
+		t.Errorf("campaign ended at %v, want the one-minute budget", now)
+	}
+	// noGap chains inside the callback: same results, no event between.
+	before := tb.Sched.Processed
+	got = repeat(tb, 0, 3, noGap, time.Second, func(i int, done func(int)) { done(i) })
+	if !reflect.DeepEqual(got, []int{0, 1, 2}) || tb.Sched.Processed != before {
+		t.Errorf("noGap: results %v, %d events", got, tb.Sched.Processed-before)
 	}
 }
 
@@ -124,8 +167,7 @@ func TestLatencyParallelWorkerInvariance(t *testing.T) {
 	// Rendered figures must match byte for byte.
 	renderAll := func(d *LatencyData) string {
 		var out strings.Builder
-		tb := NewTestbed(cfg) // anchor order only
-		RenderFigure1(&out, Figure1(d, tb.Anchors))
+		RenderFigure1(&out, Figure1(d, d.Anchors))
 		RenderFigure2(&out, Figure2(d))
 		return out.String()
 	}
@@ -156,13 +198,15 @@ func TestWebParallelWorkerInvariance(t *testing.T) {
 	if !reflect.DeepEqual(seq, par) {
 		t.Errorf("web visit results differ between 1 and %d workers", raceWorkers)
 	}
-	// The sharded campaign must walk the sequential site cycle: visit i
-	// lands on site rank i%len(Sites).
-	tb := NewTestbed(cfg)
+	// The sharded campaign must walk the sequential site cycle: its second
+	// shard starts at visit 10, where one testbed running all 12 would be.
+	one := NewTestbed(cfg).RunWebCampaign(TechWired, 12, time.Second)
+	if len(one) != len(seq) {
+		t.Fatalf("%d sharded visits, %d sequential", len(seq), len(one))
+	}
 	for i, v := range seq {
-		if v.Site.Rank != tb.Sites[i%len(tb.Sites)].Rank {
-			t.Errorf("visit %d hit site rank %d, want the sequential cycle's %d",
-				i, v.Site.Rank, tb.Sites[i%len(tb.Sites)].Rank)
+		if v.Site.Rank != one[i].Site.Rank {
+			t.Errorf("visit %d hit site rank %d, the sequential campaign's hit %d", i, v.Site.Rank, one[i].Site.Rank)
 		}
 	}
 }

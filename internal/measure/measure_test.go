@@ -108,6 +108,24 @@ func TestMonitorCadence(t *testing.T) {
 	}
 }
 
+// A non-positive interval would re-arm the round at one instant forever
+// (`pingmon -interval 0` hung): Monitor refuses it before sending a probe.
+func TestMonitorRefusesNonPositiveInterval(t *testing.T) {
+	_, client, server, _ := testPath(t, false, false)
+	for _, interval := range []time.Duration{0, -time.Minute} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Monitor accepted interval %v", interval)
+				}
+			}()
+			NewProber(client).Monitor([]netem.Addr{server.Addr()}, interval, 3, sim.Time(time.Hour), func(PingResult) {
+				t.Errorf("interval %v: a probe was sent", interval)
+			})
+		}()
+	}
+}
+
 func TestTracerouteDiscoversPath(t *testing.T) {
 	s, client, server, _ := testPath(t, false, false)
 	p := NewProber(client)
@@ -275,7 +293,7 @@ func TestH3DownloadAndUpload(t *testing.T) {
 	srv := NewH3Server(server, 443, quic.DefaultConfig())
 
 	var down TransferResult
-	H3Download(client, srv, server.Addr(), 443, 4<<20, quic.DefaultConfig(), func(r TransferResult) { down = r })
+	H3Transfer(client, srv, server.Addr(), 443, true, 4<<20, quic.DefaultConfig(), func(r TransferResult) { down = r })
 	s.RunFor(2 * time.Minute)
 	if !down.Completed || down.Bytes != 4<<20 {
 		t.Fatalf("download: %+v", down)
@@ -291,7 +309,7 @@ func TestH3DownloadAndUpload(t *testing.T) {
 	}
 
 	var up TransferResult
-	H3Upload(client, srv, server.Addr(), 443, 2<<20, quic.DefaultConfig(), func(r TransferResult) { up = r })
+	H3Transfer(client, srv, server.Addr(), 443, false, 2<<20, quic.DefaultConfig(), func(r TransferResult) { up = r })
 	s.RunFor(2 * time.Minute)
 	if !up.Completed {
 		t.Fatalf("upload incomplete")
@@ -304,12 +322,46 @@ func TestH3DownloadAndUpload(t *testing.T) {
 	}
 }
 
+// The shared server's OnConn hook belongs to the session that set it only
+// until the connection it dialed is accepted: every workload, in both
+// directions, must have handed it back by the time its handshake is done,
+// and must report the connection the hook caught.
+func TestSessionReleasesServerHookOnAccept(t *testing.T) {
+	for _, download := range []bool{true, false} {
+		s, client, server, _ := testPath(t, false, false)
+		srv := NewH3Server(server, 443, quic.DefaultConfig())
+		var bulk TransferResult
+		H3Transfer(client, srv, server.Addr(), 443, download, 1<<20, quic.DefaultConfig(), func(r TransferResult) { bulk = r })
+		if srv.OnConn == nil {
+			t.Fatalf("download=%v: bulk transfer did not hook the server", download)
+		}
+		s.RunFor(time.Second)
+		if srv.OnConn != nil {
+			t.Errorf("download=%v: bulk transfer still holds the hook a second in", download)
+		}
+		s.RunFor(time.Minute)
+		var msgs Session
+		MessageSession(client, srv, server.Addr(), 443, download, 25, 2*time.Second, 5000, 25000, quic.DefaultConfig(), func(r Session) { msgs = r })
+		s.RunFor(time.Second)
+		if srv.OnConn != nil {
+			t.Errorf("download=%v: message session still holds the hook a second in", download)
+		}
+		s.RunFor(time.Minute)
+		if !bulk.Completed || bulk.Server == nil || msgs.Server == nil || msgs.Server == bulk.Server {
+			t.Errorf("download=%v: bulk completed=%v, server connections %p and %p", download, bulk.Completed, bulk.Server, msgs.Server)
+		}
+		if len(msgs.RTTs.Samples) == 0 || len(msgs.ReceiverCapture.Received) == 0 {
+			t.Errorf("download=%v: message session recorded %d RTT samples, %d packets", download, len(msgs.RTTs.Samples), len(msgs.ReceiverCapture.Received))
+		}
+	}
+}
+
 func TestMessageWorkloadRate(t *testing.T) {
 	s, client, server, _ := testPath(t, false, false)
 	srv := NewH3Server(server, 443, quic.DefaultConfig())
-	var res MessageSessionResult
+	var res Session
 	finished := false
-	MessagesUpload(client, srv, server.Addr(), 443, 25, 10*time.Second, 5000, 25000, quic.DefaultConfig(), func(r MessageSessionResult) {
+	MessageSession(client, srv, server.Addr(), 443, false, 25, 10*time.Second, 5000, 25000, quic.DefaultConfig(), func(r Session) {
 		res = r
 		finished = true
 	})
@@ -347,8 +399,8 @@ func TestMessageWorkloadRate(t *testing.T) {
 func TestMessageUploadStreamsAreNotBuffered(t *testing.T) {
 	s, client, server, _ := testPath(t, false, false)
 	srv := NewH3Server(server, 443, quic.DefaultConfig())
-	var res MessageSessionResult
-	MessagesUpload(client, srv, server.Addr(), 443, 25, 10*time.Second, 5000, 25000, quic.DefaultConfig(), func(r MessageSessionResult) {
+	var res Session
+	MessageSession(client, srv, server.Addr(), 443, false, 25, 10*time.Second, 5000, 25000, quic.DefaultConfig(), func(r Session) {
 		res = r
 	})
 	var m0, m1 runtime.MemStats

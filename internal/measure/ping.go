@@ -6,6 +6,7 @@
 package measure
 
 import (
+	"fmt"
 	"time"
 
 	"starlinkperf/internal/netem"
@@ -170,8 +171,12 @@ func (p *Prober) Ping(dst netem.Addr, count int, done func([]PingResult)) {
 
 // Monitor runs the paper's anchor campaign: every interval, ping each
 // target probes times, delivering each result to onResult. It stops when
-// the scheduler passes `until`.
+// the scheduler passes `until`. A non-positive interval would re-arm the
+// round at the same instant forever, so it panics instead.
 func (p *Prober) Monitor(targets []netem.Addr, interval time.Duration, probes int, until sim.Time, onResult func(PingResult)) {
+	if interval <= 0 {
+		panic(fmt.Sprintf("measure: Monitor interval %v, must be positive", interval))
+	}
 	var round func()
 	round = func() {
 		if p.sched.Now() >= until {

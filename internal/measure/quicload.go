@@ -24,8 +24,6 @@ const (
 // H3Server serves bulk transfers and the message workload over QUIC.
 type H3Server struct {
 	Endpoint *quic.Endpoint
-	// Conns exposes accepted connections for capture attachment.
-	Conns []*quic.Connection
 	// OnConn, when set, observes each accepted connection before data.
 	OnConn func(*quic.Connection)
 	rng    *sim.RNG
@@ -38,7 +36,6 @@ func NewH3Server(node *netem.Node, port uint16, cfg quic.Config) *H3Server {
 		rng:      node.Scheduler().RNG().Stream(node.Name() + "/h3srv"),
 	}
 	srv.Endpoint.Listen(cfg, func(c *quic.Connection) {
-		srv.Conns = append(srv.Conns, c)
 		if srv.OnConn != nil {
 			srv.OnConn(c)
 		}
@@ -94,7 +91,7 @@ func (srv *H3Server) runMessageSender(c *quic.Connection, params uint64) {
 	durS := int(params >> 32 & 0xffff)
 	minSz := int(params>>16&0xffff) * 100
 	maxSz := int(params&0xffff) * 100
-	SendMessages(c, srv.rng, rate, time.Duration(durS)*time.Second, minSz, maxSz, nil)
+	SendMessages(c, srv.rng, rate, time.Duration(durS)*time.Second, minSz, maxSz)
 }
 
 // MessageParams encodes the message-workload parameters for the request.
@@ -106,9 +103,8 @@ func MessageParams(rate int, dur time.Duration, minSize, maxSize int) uint64 {
 // SendMessages opens a fresh stream every 1/rate seconds carrying a
 // uniformly sized message in [minSize, maxSize], for dur. This mirrors
 // the paper's real-time-video-like workload: 25 messages/s of 5–25 kB
-// for two minutes (~3 Mbit/s). done, if non-nil, runs after the last
-// message is queued.
-func SendMessages(c *quic.Connection, rng *sim.RNG, rate int, dur time.Duration, minSize, maxSize int, done func()) {
+// for two minutes (~3 Mbit/s).
+func SendMessages(c *quic.Connection, rng *sim.RNG, rate int, dur time.Duration, minSize, maxSize int) {
 	sched := c.Sched()
 	interval := time.Duration(int64(time.Second) / int64(rate))
 	total := int(dur / interval)
@@ -116,9 +112,6 @@ func SendMessages(c *quic.Connection, rng *sim.RNG, rate int, dur time.Duration,
 	var tick func()
 	tick = func() {
 		if c.Closed() || count >= total {
-			if done != nil {
-				done()
-			}
 			return
 		}
 		count++
@@ -131,12 +124,13 @@ func SendMessages(c *quic.Connection, rng *sim.RNG, rate int, dur time.Duration,
 	tick()
 }
 
-// TransferResult summarizes one bulk transfer.
-type TransferResult struct {
-	Start, End  sim.Time
-	Bytes       uint64
-	GoodputMbps float64
-	// RTTs holds the per-ACK samples observed at the data sender.
+// Session is one client connection to the shared server and the peer
+// connection the server accepted for it, instrumented for the direction
+// the workload's data flows in.
+type Session struct {
+	// RTTs holds the per-ACK samples observed at the data sender (the
+	// server for downloads — the paper captured there — the client for
+	// uploads).
 	RTTs *trace.RTTRecorder
 	// ReceiverCapture holds the receive-side packet events for loss
 	// analysis (client side for downloads, server side for uploads).
@@ -145,150 +139,118 @@ type TransferResult struct {
 	Client *quic.Connection
 	// Server is the peer connection.
 	Server *quic.Connection
+}
+
+// dial opens the session: it connects from node to the server at
+// addr:port, attaches the RTT recorder to the sending side and the
+// capture to the receiving side, and runs begin once the handshake
+// completes. srv must be the H3Server listening there: its OnConn hook
+// is how the accepted connection is reached, and this is the one place
+// that sets it and — when that connection arrives — clears it. The
+// returned function tears the session down.
+func (s *Session) dial(node *netem.Node, srv *H3Server, addr netem.Addr, port uint16, cfg quic.Config, download bool, begin func(*quic.Connection)) (finish func()) {
+	s.RTTs, s.ReceiverCapture = &trace.RTTRecorder{}, &trace.Capture{}
+	srv.OnConn = func(sc *quic.Connection) {
+		srv.OnConn = nil
+		s.Server = sc
+		if download {
+			s.RTTs.Attach(sc)
+		} else {
+			s.ReceiverCapture.AttachReceiver(sc)
+		}
+	}
+	ep := quic.NewEndpoint(node, ephemeralUDP(node))
+	conn := ep.Dial(addr, port, cfg)
+	s.Client = conn
+	if download {
+		s.ReceiverCapture.AttachReceiver(conn)
+	} else {
+		s.RTTs.Attach(conn)
+	}
+	conn.OnEstablished = func() { begin(conn) }
+	return func() {
+		conn.Close(0, "done")
+		ep.Close()
+	}
+}
+
+// sendRequest opens a stream and writes the 9-byte request on it.
+func sendRequest(conn *quic.Connection, kind byte, arg uint64) *quic.Stream {
+	st := conn.OpenStream()
+	req := make([]byte, 9)
+	req[0] = kind
+	binary.BigEndian.PutUint64(req[1:], arg)
+	st.Write(req)
+	return st
+}
+
+// TransferResult summarizes one bulk transfer.
+type TransferResult struct {
+	Session
+	Start, End  sim.Time
+	Bytes       uint64
+	GoodputMbps float64
 	// Completed reports whether the FIN was delivered.
 	Completed bool
 }
 
-// H3Download runs one bulk download of size bytes from the server
-// reachable at addr:port, attaching captures and the RTT recorder to the
-// appropriate sides. The server's H3Server must be passed so the transfer
-// can hook the accepted connection (the paper captured on the server for
-// the download RTT series).
-func H3Download(node *netem.Node, srv *H3Server, addr netem.Addr, port uint16, size int, cfg quic.Config, done func(TransferResult)) {
-	res := TransferResult{
-		RTTs:            &trace.RTTRecorder{},
-		ReceiverCapture: &trace.Capture{},
-	}
-	srv.OnConn = func(sc *quic.Connection) {
-		res.Server = sc
-		res.RTTs.Attach(sc) // download RTTs are measured at the sending server
-	}
-	ep := quic.NewEndpoint(node, ephemeralUDP(node))
-	conn := ep.Dial(addr, port, cfg)
-	res.Client = conn
-	res.ReceiverCapture.AttachReceiver(conn)
-	conn.OnEstablished = func() {
+// H3Transfer runs one bulk transfer of size bytes, down from or up to the
+// server reachable at addr:port, and reports it through done. A download
+// completes on the response's FIN, an upload on the server's 1-byte
+// receipt.
+func H3Transfer(node *netem.Node, srv *H3Server, addr netem.Addr, port uint16, download bool, size int, cfg quic.Config, done func(TransferResult)) {
+	var res TransferResult
+	var finish func()
+	finish = res.dial(node, srv, addr, port, cfg, download, func(conn *quic.Connection) {
 		res.Start = node.Scheduler().Now()
-		st := conn.OpenStream()
-		req := make([]byte, 9)
-		req[0] = reqDownload
-		binary.BigEndian.PutUint64(req[1:], uint64(size))
-		st.Write(req)
-		st.OnData = func(data []byte, fin bool) {
-			res.Bytes += uint64(len(data))
-			if fin {
-				res.End = node.Scheduler().Now()
-				res.Completed = true
-				if d := res.End.Sub(res.Start).Seconds(); d > 0 {
-					res.GoodputMbps = float64(res.Bytes) * 8 / d / 1e6
-				}
-				srv.OnConn = nil
-				conn.Close(0, "done")
-				ep.Close()
-				done(res)
-			}
+		var st *quic.Stream
+		if download {
+			st = sendRequest(conn, reqDownload, uint64(size))
+		} else {
+			st = sendRequest(conn, reqUpload, uint64(size))
+			st.WriteZeroes(size)
+			st.Close()
 		}
-	}
-}
-
-// H3Upload runs one bulk upload of size bytes to the server.
-func H3Upload(node *netem.Node, srv *H3Server, addr netem.Addr, port uint16, size int, cfg quic.Config, done func(TransferResult)) {
-	res := TransferResult{
-		RTTs:            &trace.RTTRecorder{},
-		ReceiverCapture: &trace.Capture{},
-	}
-	srv.OnConn = func(sc *quic.Connection) {
-		res.Server = sc
-		res.ReceiverCapture.AttachReceiver(sc) // server receives the upload
-	}
-	ep := quic.NewEndpoint(node, ephemeralUDP(node))
-	conn := ep.Dial(addr, port, cfg)
-	res.Client = conn
-	res.RTTs.Attach(conn) // upload RTTs measured at the sending client
-	conn.OnEstablished = func() {
-		res.Start = node.Scheduler().Now()
-		st := conn.OpenStream()
-		req := make([]byte, 9)
-		req[0] = reqUpload
-		binary.BigEndian.PutUint64(req[1:], uint64(size))
-		st.Write(req)
-		st.WriteZeroes(size)
-		st.Close()
 		st.OnData = func(data []byte, fin bool) {
-			// The 1-byte receipt marks server-side completion.
-			if len(data) > 0 {
-				res.End = node.Scheduler().Now()
-				res.Completed = true
+			if download {
+				res.Bytes += uint64(len(data))
+				if !fin {
+					return
+				}
+			} else {
+				if len(data) == 0 {
+					return
+				}
 				res.Bytes = uint64(size)
-				if d := res.End.Sub(res.Start).Seconds(); d > 0 {
-					res.GoodputMbps = float64(res.Bytes) * 8 / d / 1e6
-				}
-				srv.OnConn = nil
-				conn.Close(0, "done")
-				ep.Close()
-				done(res)
 			}
+			res.End = node.Scheduler().Now()
+			res.Completed = true
+			if d := res.End.Sub(res.Start).Seconds(); d > 0 {
+				res.GoodputMbps = float64(res.Bytes) * 8 / d / 1e6
+			}
+			finish()
+			done(res)
 		}
-	}
-}
-
-// MessageSessionResult summarizes one messaging session.
-type MessageSessionResult struct {
-	// RTTs are the sender-side per-ACK samples.
-	RTTs *trace.RTTRecorder
-	// ReceiverCapture records receive-side packets for loss analysis.
-	ReceiverCapture *trace.Capture
-	Client          *quic.Connection
-	Server          *quic.Connection
-}
-
-// MessagesDownload runs the message workload server→client.
-func MessagesDownload(node *netem.Node, srv *H3Server, addr netem.Addr, port uint16, rate int, dur time.Duration, minSize, maxSize int, cfg quic.Config, done func(MessageSessionResult)) {
-	res := MessageSessionResult{RTTs: &trace.RTTRecorder{}, ReceiverCapture: &trace.Capture{}}
-	srv.OnConn = func(sc *quic.Connection) {
-		res.Server = sc
-		res.RTTs.Attach(sc)
-	}
-	ep := quic.NewEndpoint(node, ephemeralUDP(node))
-	conn := ep.Dial(addr, port, cfg)
-	res.Client = conn
-	res.ReceiverCapture.AttachReceiver(conn)
-	conn.OnEstablished = func() {
-		st := conn.OpenStream()
-		req := make([]byte, 9)
-		req[0] = reqMessages
-		binary.BigEndian.PutUint64(req[1:], MessageParams(rate, dur, minSize, maxSize))
-		st.Write(req)
-		st.Close()
-		srv.OnConn = nil
-	}
-	node.Scheduler().After(dur+10*time.Second, func() {
-		conn.Close(0, "done")
-		ep.Close()
-		done(res)
 	})
 }
 
-// MessagesUpload runs the message workload client→server.
-func MessagesUpload(node *netem.Node, srv *H3Server, addr netem.Addr, port uint16, rate int, dur time.Duration, minSize, maxSize int, cfg quic.Config, done func(MessageSessionResult)) {
-	res := MessageSessionResult{RTTs: &trace.RTTRecorder{}, ReceiverCapture: &trace.Capture{}}
-	srv.OnConn = func(sc *quic.Connection) {
-		res.Server = sc
-		res.ReceiverCapture.AttachReceiver(sc)
-		srv.OnConn = nil
-	}
-	ep := quic.NewEndpoint(node, ephemeralUDP(node))
-	conn := ep.Dial(addr, port, cfg)
-	res.Client = conn
-	res.RTTs.Attach(conn)
-	rng := node.Scheduler().RNG().Stream(node.Name() + "/msgs")
-	conn.OnEstablished = func() {
-		SendMessages(conn, rng, rate, dur, minSize, maxSize, nil)
-	}
+// MessageSession runs the message workload for dur — rate messages a
+// second of minSize to maxSize bytes, sent by the server on request for a
+// download, by the client for an upload — and reports the session ten
+// seconds after the last message is due.
+func MessageSession(node *netem.Node, srv *H3Server, addr netem.Addr, port uint16, download bool, rate int, dur time.Duration, minSize, maxSize int, cfg quic.Config, done func(Session)) {
+	res := &Session{}
+	finish := res.dial(node, srv, addr, port, cfg, download, func(conn *quic.Connection) {
+		if download {
+			sendRequest(conn, reqMessages, MessageParams(rate, dur, minSize, maxSize)).Close()
+			return
+		}
+		rng := node.Scheduler().RNG().Stream(node.Name() + "/msgs")
+		SendMessages(conn, rng, rate, dur, minSize, maxSize)
+	})
 	node.Scheduler().After(dur+10*time.Second, func() {
-		conn.Close(0, "done")
-		ep.Close()
-		done(res)
+		finish()
+		done(*res)
 	})
 }
 

@@ -22,32 +22,16 @@
 // paper-vs-measured record.
 package starlinkperf
 
-import (
-	"starlinkperf/internal/core"
-	"starlinkperf/internal/errant"
-	"starlinkperf/internal/sim"
-)
+import "starlinkperf/internal/core"
 
 // Config parameterizes the testbed (seed, Starlink access model, SatCom
 // model, web corpus size, campaign scenario events).
 type Config = core.Config
 
-// StarlinkParams models the Starlink access link.
-type StarlinkParams = core.StarlinkParams
-
-// SatComParams models the GEO access.
-type SatComParams = core.SatComParams
-
-// LoadEpisode adds extra delay during a campaign window (the paper's
-// late-April RTT bump).
-type LoadEpisode = core.LoadEpisode
-
 // Testbed is the wired emulation environment with its three vantage
-// points and all destination infrastructure.
+// points and all destination infrastructure; the campaigns are its
+// methods.
 type Testbed = core.Testbed
-
-// Anchor is one latency target of the ping campaign.
-type Anchor = core.Anchor
 
 // Tech selects a vantage point for comparative campaigns.
 type Tech = core.Tech
@@ -59,67 +43,19 @@ const (
 	TechWired    = core.TechWired
 )
 
-// Campaign result types.
-type (
-	// LatencyData is the anchor ping campaign output (Figures 1 and 2).
-	LatencyData = core.LatencyData
-	// H3Campaign aggregates bulk QUIC transfers (Figure 3, Table 2,
-	// Figures 4 and 5).
-	H3Campaign = core.H3Campaign
-	// MsgCampaign aggregates low-rate message sessions (Table 2,
-	// Figure 4b).
-	MsgCampaign = core.MsgCampaign
-	// MiddleboxAudit holds the §3.5 traceroute/Tracebox/PEP findings.
-	MiddleboxAudit = core.MiddleboxAudit
-)
-
-// Figure/table builders and renderers.
-type (
-	// Figure1Row is one anchor's RTT boxplot.
-	Figure1Row = core.Figure1Row
-	// Figure2Bin is one 6-hour bin of the European RTT timeline.
-	Figure2Bin = core.Figure2Bin
-	// Figure3 is the RTT-under-load CDF pair.
-	Figure3 = core.Figure3
-	// Table2 is the QUIC loss-ratio table.
-	Table2 = core.Table2
-	// Figure4 is a loss-burst-length CDF pair.
-	Figure4 = core.Figure4
-	// Figure5 is the throughput distribution set.
-	Figure5 = core.Figure5
-	// Figure6 is the web QoE ECDF set.
-	Figure6 = core.Figure6
-)
-
 // DefaultConfig returns the calibrated testbed configuration (see
 // EXPERIMENTS.md for the calibration record).
 func DefaultConfig() Config { return core.DefaultConfig() }
 
-// DefaultStarlinkParams returns the calibrated Starlink access model.
-func DefaultStarlinkParams() StarlinkParams { return core.DefaultStarlinkParams() }
-
-// DefaultSatComParams returns the calibrated GEO SatCom model.
-func DefaultSatComParams() SatComParams { return core.DefaultSatComParams() }
-
 // NewTestbed builds the full emulated environment.
 func NewTestbed(cfg Config) *Testbed { return core.NewTestbed(cfg) }
 
-// Figure builders (see the core package for the Render* printers).
+// What the examples compute from campaign results.
 var (
-	Figure1     = core.Figure1
-	Figure2     = core.Figure2
-	MakeFigure3 = core.MakeFigure3
-	MakeTable2  = core.MakeTable2
-	MakeFigure4 = core.MakeFigure4
-	MakeFigure5 = core.MakeFigure5
-	MakeFigure6 = core.MakeFigure6
+	// Figure1 computes the per-anchor RTT distributions of a latency
+	// campaign.
+	Figure1 = core.Figure1
+	// ConnSetupStats summarizes TCP+TLS connection setup over a web
+	// campaign's visits.
+	ConnSetupStats = core.ConnSetupStats
 )
-
-// ErrantProfiles returns the data-driven emulator models the paper
-// released as its artifact (plus comparison technologies), usable without
-// the full testbed.
-func ErrantProfiles() map[string]errant.Profile { return errant.Builtin() }
-
-// NewRNG returns a deterministic random source compatible with the
-// profile draw APIs.
-func NewRNG(seed uint64) *sim.RNG { return sim.NewRNG(seed) }
