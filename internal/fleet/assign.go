@@ -28,12 +28,30 @@ const assignBlock = 2048
 // while the clock advances.
 func (f *Fleet) ReassignAt(at sim.Time) {
 	f.con.FillSnapshot(&f.snap, at)
+	f.fillSatTable()
 	f.buildCandidates()
 	if f.pool == nil {
 		f.assignRange(0, len(f.sat))
 		return
 	}
 	f.pool.runPhase(phaseAssign)
+}
+
+// fillSatTable refills the epoch's flat per-satellite table from the
+// snapshot, single-threaded before the per-terminal phase: every position
+// under its flat id and, for enabled satellites (only they are candidates),
+// the gateway and slant range to it — a function of the satellite alone.
+func (f *Fleet) fillSatTable() {
+	for si := range f.shells {
+		m := &f.shells[si]
+		pos := f.satPos[m.offset : m.offset+len(m.enabled)]
+		copy(pos, f.snap.ShellPositions(si))
+		for j, en := range m.enabled {
+			if en {
+				f.satGw[m.offset+j], f.satGwKm[m.offset+j] = f.bestGateway(pos[j])
+			}
+		}
+	}
 }
 
 // buildCandidates fills the per-cell candidate CSR (candStart, cands)
@@ -169,7 +187,7 @@ func (f *Fleet) assignRange(lo, hi int) {
 		best := int32(-1)
 		bestSin := -2.0
 		for _, s := range f.cands[f.candStart[c]:f.candStart[c+1]] {
-			sinEl := f.sinElevation(t, f.satPos(s))
+			sinEl := f.sinElevation(t, f.satPos[s])
 			if sinEl < f.sinMask || sinEl <= bestSin {
 				continue
 			}
@@ -179,19 +197,9 @@ func (f *Fleet) assignRange(lo, hi int) {
 	}
 }
 
-// satPos resolves a flat satellite id against the current epoch's
-// snapshot.
-func (f *Fleet) satPos(s int32) geo.ECEF {
-	for si := len(f.shells) - 1; si >= 0; si-- {
-		if m := &f.shells[si]; int(s) >= m.offset {
-			return f.snap.ShellPositions(si)[int(s)-m.offset]
-		}
-	}
-	return geo.ECEF{}
-}
-
-// finishAssignment records terminal t's serving satellite and derives
-// the gateway and bent-pipe delay. A terminal with no satellite, or
+// finishAssignment records terminal t's serving satellite and derives the
+// bent-pipe delay through that satellite's gateway (fillSatTable: the down
+// leg is the range bestGateway measured). A terminal with no satellite, or
 // whose satellite reaches no gateway, is in outage (delay -1). The
 // gateway does not feed back into satellite choice — unlike
 // leo.Terminal, which skips satellites without ground paths, the fleet
@@ -204,29 +212,23 @@ func (f *Fleet) finishAssignment(t int, best int32) {
 		f.delayNs[t] = -1
 		return
 	}
-	sp := f.satPos(best)
-	g := f.bestGateway(sp)
-	f.gw[t] = g
-	if g < 0 {
+	f.gw[t] = f.satGw[best]
+	if f.gw[t] < 0 {
 		f.delayNs[t] = -1
 		return
 	}
-	dx := sp.X - f.px[t]
-	dy := sp.Y - f.py[t]
-	dz := sp.Z - f.pz[t]
+	sp := f.satPos[best]
+	dx, dy, dz := sp.X-f.px[t], sp.Y-f.py[t], sp.Z-f.pz[t]
 	up := math.Sqrt(dx*dx + dy*dy + dz*dz)
-	e := f.gwEcef[g]
-	dx, dy, dz = sp.X-e.X, sp.Y-e.Y, sp.Z-e.Z
-	down := math.Sqrt(dx*dx + dy*dy + dz*dz)
-	f.delayNs[t] = int64(geo.RadioDelay(up + down))
+	f.delayNs[t] = int64(geo.RadioDelay(up + f.satGwKm[best]))
 }
 
 // bestGateway returns the gateway with the shortest slant range that
-// sees the satellite above its mask, or -1. Same cross-multiplied sine
-// test as leo.Terminal.bestGateway; ties keep the first (lowest index).
-func (f *Fleet) bestGateway(sp geo.ECEF) int32 {
-	best := int32(-1)
-	bestRange := 0.0
+// sees the satellite above its mask and that range in km, or -1. Same
+// cross-multiplied sine test as leo.Terminal.bestGateway; ties keep the
+// first (lowest index).
+func (f *Fleet) bestGateway(sp geo.ECEF) (best int32, bestRange float64) {
+	best = -1
 	for i := range f.gwEcef {
 		e := f.gwEcef[i]
 		dx := sp.X - e.X
@@ -240,5 +242,5 @@ func (f *Fleet) bestGateway(sp geo.ECEF) int32 {
 			best, bestRange = int32(i), dn
 		}
 	}
-	return best
+	return best, bestRange
 }

@@ -89,7 +89,7 @@ func (f *Fleet) result(epochs int) *Result {
 		Terminals:  len(f.sat),
 		Epochs:     epochs,
 		Cells:      f.grid.nCells,
-		Satellites: f.nSats,
+		Satellites: len(f.satPos),
 	}
 	for ri, name := range f.regions {
 		a := &f.acc[ri]

@@ -2,6 +2,8 @@ package fleet
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -67,8 +69,10 @@ func equivConfig(seed uint64, band string) Config {
 
 // referenceReassignAt is the reassignment oracle: the naive
 // O(terminals × constellation) scan. Every terminal tests every enabled
-// satellite, ascending in flat id, with the same sinElevation comparison
-// and the same gateway/delay finish as the cell-indexed path.
+// satellite, ascending in flat id, with the same sinElevation comparison as
+// the cell-indexed path, and finishes with its own per-terminal gateway
+// scan and down leg (referenceFinish) — it neither fills nor reads the
+// per-satellite table.
 func (f *Fleet) referenceReassignAt(at sim.Time) {
 	f.con.FillSnapshot(&f.snap, at)
 	for t := range f.sat {
@@ -88,8 +92,51 @@ func (f *Fleet) referenceReassignAt(at sim.Time) {
 				best, bestSin = int32(m.offset+j), sinEl
 			}
 		}
-		f.finishAssignment(t, best)
+		f.referenceFinish(t, best)
 	}
+}
+
+// referenceSatPos resolves a flat satellite id against the snapshot by walking the
+// shells, as the oracle's finish did before there was a flat table.
+func referenceSatPos(f *Fleet, s int32) geo.ECEF {
+	for si := len(f.shells) - 1; si >= 0; si-- {
+		if m := &f.shells[si]; int(s) >= m.offset {
+			return f.snap.ShellPositions(si)[int(s)-m.offset]
+		}
+	}
+	return geo.ECEF{}
+}
+
+// referenceFinish is the per-terminal finish the table replaced, kept as
+// the oracle's own code: scan every gateway for the one with the shortest
+// slant range that sees the satellite above its mask (first wins ties),
+// then sum the up leg and a freshly computed down leg.
+func (f *Fleet) referenceFinish(t int, best int32) {
+	f.sat[t], f.gw[t], f.delayNs[t] = best, -1, -1
+	if best < 0 {
+		return
+	}
+	sp := referenceSatPos(f, best)
+	bestRange := 0.0
+	for i, e := range f.gwEcef {
+		d := geo.ECEF{X: sp.X - e.X, Y: sp.Y - e.Y, Z: sp.Z - e.Z}
+		dn := math.Sqrt(d.X*d.X + d.Y*d.Y + d.Z*d.Z)
+		if d.X*e.X+d.Y*e.Y+d.Z*e.Z < f.gwSinMask[i]*dn*f.gwNorm[i] {
+			continue
+		}
+		if f.gw[t] < 0 || dn < bestRange {
+			f.gw[t], bestRange = int32(i), dn
+		}
+	}
+	if f.gw[t] < 0 {
+		return
+	}
+	dx, dy, dz := sp.X-f.px[t], sp.Y-f.py[t], sp.Z-f.pz[t]
+	up := math.Sqrt(dx*dx + dy*dy + dz*dz)
+	e := f.gwEcef[f.gw[t]]
+	dx, dy, dz = sp.X-e.X, sp.Y-e.Y, sp.Z-e.Z
+	down := math.Sqrt(dx*dx + dy*dy + dz*dz)
+	f.delayNs[t] = int64(geo.RadioDelay(up + down))
 }
 
 // referenceObserveEpoch is the epoch-pass oracle: it accounts every
@@ -180,31 +227,109 @@ func (f *Fleet) referenceObserveEpoch(e int, at sim.Time) {
 	copy(f.prevSat, f.sat)
 }
 
+// checkReassignMatchesReference steps a cell-indexed fleet and an oracle
+// fleet of the same config through 16 epochs and demands bit-identical
+// serving satellites, gateways and delays after each. prep, if non-nil, is
+// applied to both fleets before the first epoch. It returns the
+// cell-indexed fleet in its final epoch for case-specific checks.
+func checkReassignMatchesReference(t *testing.T, name string, cfg Config, prep func(*Fleet)) *Fleet {
+	t.Helper()
+	fast := New(cfg)
+	ref := New(cfg)
+	defer fast.Close()
+	if prep != nil {
+		prep(fast)
+		prep(ref)
+	}
+	for e := 0; e < 16; e++ {
+		at := sim.Time(int64(e) * int64(cfg.Epoch))
+		fast.ReassignAt(at)
+		ref.referenceReassignAt(at)
+		if !reflect.DeepEqual(fast.sat, ref.sat) {
+			t.Fatalf("%s epoch %d: serving sats diverge", name, e)
+		}
+		if !reflect.DeepEqual(fast.gw, ref.gw) {
+			t.Fatalf("%s epoch %d: gateways diverge", name, e)
+		}
+		if !reflect.DeepEqual(fast.delayNs, ref.delayNs) {
+			t.Fatalf("%s epoch %d: delays diverge", name, e)
+		}
+	}
+	return fast
+}
+
 // TestCellIndexMatchesReference is the core equivalence suite: for every
-// (seed, latitude band) case, the cell-indexed reassignment must produce
-// bit-identical serving satellites, gateways and delays to the naive
-// all-satellites scan, epoch by epoch.
+// (seed, latitude band, worker count) case, the cell-indexed reassignment
+// reading the per-satellite gateway table must produce bit-identical
+// serving satellites, gateways and delays to the naive all-satellites scan
+// with its per-terminal gateway finish, epoch by epoch.
 func TestCellIndexMatchesReference(t *testing.T) {
 	for _, seed := range []uint64{1, 7, 42} {
 		for _, band := range []string{"equatorial", "mid", "high"} {
-			cfg := equivConfig(seed, band)
-			fast := New(cfg)
-			ref := New(cfg)
-			for e := 0; e < 16; e++ {
-				at := sim.Time(int64(e) * int64(cfg.Epoch))
-				fast.ReassignAt(at)
-				ref.referenceReassignAt(at)
-				if !reflect.DeepEqual(fast.sat, ref.sat) {
-					t.Fatalf("seed %d band %s epoch %d: serving sats diverge", seed, band, e)
-				}
-				if !reflect.DeepEqual(fast.gw, ref.gw) {
-					t.Fatalf("seed %d band %s epoch %d: gateways diverge", seed, band, e)
-				}
-				if !reflect.DeepEqual(fast.delayNs, ref.delayNs) {
-					t.Fatalf("seed %d band %s epoch %d: delays diverge", seed, band, e)
-				}
+			for _, workers := range []int{1, 4} {
+				cfg := equivConfig(seed, band)
+				cfg.Workers = workers
+				checkReassignMatchesReference(t, fmt.Sprintf("seed %d band %s workers %d", seed, band, workers), cfg, nil)
 			}
 		}
+	}
+}
+
+// TestGatewayTableEdgeCases covers what the world configs above never
+// reach: a serving satellite no gateway sees (the table holds -1, the
+// terminal is in outage although a satellite is overhead), disabled
+// satellite slots (never candidates, their table entries never read), and a
+// second shell (flat ids past the first shell's offset).
+func TestGatewayTableEdgeCases(t *testing.T) {
+	// Only Sydney has a ground station: Brussels and Seattle dishes see
+	// satellites that reach no gateway.
+	cfg := equivConfig(5, "mid")
+	cfg.Gateways = []leo.Gateway{{Name: "sydney-gw", Pos: geo.LatLon{LatDeg: -33.94, LonDeg: 150.94}}}
+	f := checkReassignMatchesReference(t, "one gateway", cfg, nil)
+	var noGw, served int
+	for i := range f.sat {
+		if f.sat[i] >= 0 && f.gw[i] < 0 {
+			noGw++
+			if f.delayNs[i] != -1 {
+				t.Fatalf("terminal %d: satellite %d reaches no gateway but delay is %d", i, f.sat[i], f.delayNs[i])
+			}
+		}
+		if f.gw[i] >= 0 {
+			served++
+		}
+	}
+	if noGw == 0 || served == 0 {
+		t.Fatalf("one-gateway case has %d satellite-without-gateway outages and %d served terminals; want both", noGw, served)
+	}
+
+	// Every third slot of the shell is empty.
+	cfg = equivConfig(5, "mid")
+	f = checkReassignMatchesReference(t, "disabled slots", cfg, func(f *Fleet) {
+		for j := range f.shells[0].enabled {
+			f.shells[0].enabled[j] = j%3 != 0
+		}
+	})
+	for i, s := range f.sat {
+		if s >= 0 && s%3 == 0 {
+			t.Fatalf("terminal %d is served by disabled slot %d", i, s)
+		}
+	}
+
+	// Two shells: the higher one wins some terminals, so flat ids beyond
+	// the first shell's range are assigned and resolved.
+	cfg = equivConfig(5, "mid")
+	upper := miniShell()
+	upper.Name, upper.AltKm, upper.InclinationDeg = "upper", 1100, 70
+	cfg.Shells = append(cfg.Shells, upper)
+	f = checkReassignMatchesReference(t, "two shells", cfg, nil)
+	second := 0
+	for _, s := range f.sat {
+		if int(s) >= f.shells[1].offset {
+			second++
+		}
+	}
+	if second == 0 {
+		t.Fatal("two-shell case never assigned a satellite of the second shell")
 	}
 }
 

@@ -157,7 +157,6 @@ type Fleet struct {
 	cellStart []int32 // CSR over terminals by cell, len nCells+1
 
 	shells  []shellMeta
-	nSats   int
 	sinMask float64
 
 	// Gateway geometry, precomputed once (mirrors leo.gatewayGeom).
@@ -167,7 +166,12 @@ type Fleet struct {
 
 	// Per-epoch scratch, reused so steady-state reassignment is
 	// allocation-free once every buffer has grown to its working size.
+	// satPos/satGw/satGwKm are the flat per-satellite table fillSatTable
+	// refills: position, serving gateway (-1: none in view) and range to it.
 	snap      leo.Snapshot
+	satPos    []geo.ECEF
+	satGw     []int32
+	satGwKm   []float64
 	candCount []int32
 	candStart []int32 // len nCells+1
 	candFill  []int32
@@ -231,7 +235,7 @@ func New(cfg Config) *Fleet {
 		f.shells = append(f.shells, m)
 	}
 	f.con = leo.NewConstellation(shells...)
-	f.nSats = offset
+	f.satPos, f.satGw, f.satGwKm = make([]geo.ECEF, offset), make([]int32, offset), make([]float64, offset)
 	f.sinMask = math.Sin(geo.Radians(cfg.MaskDeg))
 	f.grid = newCellGrid(cfg.CellDeg)
 

@@ -99,7 +99,7 @@ func WorldGateways() []leo.Gateway {
 // sim.DeriveSeed(seed, "fleet/terminal", i).
 func TerminalSite(seed uint64, i int, clusters []Cluster) (geo.LatLon, int) {
 	cum, total := clusterWeights(clusters)
-	return placeOne(seed, i, clusters, cum, total)
+	return placeOne(sim.NewRNG(sim.DeriveSeed(seed, "fleet/terminal", i)), clusters, cum, total)
 }
 
 func clusterWeights(clusters []Cluster) ([]float64, float64) {
@@ -116,8 +116,8 @@ func clusterWeights(clusters []Cluster) ([]float64, float64) {
 	return cum, total
 }
 
-func placeOne(seed uint64, i int, clusters []Cluster, cum []float64, total float64) (geo.LatLon, int) {
-	rng := sim.NewRNG(sim.DeriveSeed(seed, "fleet/terminal", i))
+// placeOne draws one terminal's site from rng, freshly seeded for it.
+func placeOne(rng *sim.RNG, clusters []Cluster, cum []float64, total float64) (geo.LatLon, int) {
 	ci := sort.SearchFloat64s(cum, rng.Float64()*total)
 	if ci >= len(clusters) {
 		ci = len(clusters) - 1
@@ -153,11 +153,14 @@ func placeTerminals(seed uint64, n int, clusters []Cluster, workers int) (lat, l
 	seeds = make([]uint64, n)
 	cum, total := clusterWeights(clusters)
 	fill := func(lo, hi int) {
+		// One generator per worker, reseeded per terminal: NewRNG's stream.
+		rng := sim.NewRNG(0)
 		for i := lo; i < hi; i++ {
-			p, ci := placeOne(seed, i, clusters, cum, total)
+			seeds[i] = sim.DeriveSeed(seed, "fleet/terminal", i)
+			rng.Reseed(seeds[i])
+			p, ci := placeOne(rng, clusters, cum, total)
 			lat[i], lon[i] = p.LatDeg, p.LonDeg
 			cluster[i] = int32(ci)
-			seeds[i] = sim.DeriveSeed(seed, "fleet/terminal", i)
 		}
 	}
 	if workers <= 1 || n < 2*1024 {

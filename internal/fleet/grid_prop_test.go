@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"starlinkperf/internal/geo"
+	"starlinkperf/internal/sim"
 )
 
 // TestPlacementWorkerInvariant: the population-weighted grid sampling is
@@ -41,6 +42,31 @@ func TestPlacementRederivable(t *testing.T) {
 			int32(ci) != cluster[i] {
 			t.Errorf("terminal %d: TerminalSite gives (%v, %v, cluster %d), placement gave (%v, %v, cluster %d)",
 				i, p.LatDeg, p.LonDeg, ci, lat[i], lon[i], cluster[i])
+		}
+	}
+}
+
+// TestPlacementMatchesPerTerminalRNG holds the per-worker reseeded generator
+// to the form it replaced — a fresh sim.NewRNG from every terminal's derived
+// seed, kept here — on every index, field and worker split, including the
+// ranges' first and last terminals, where a stale stream would show.
+func TestPlacementMatchesPerTerminalRNG(t *testing.T) {
+	cl := WorldClusters()
+	cum, total := clusterWeights(cl)
+	for _, seed := range []uint64{1, 77} {
+		for _, w := range []int{1, 3, 8} {
+			const n = 4099
+			lat, lon, cluster, seeds := placeTerminals(seed, n, cl, w)
+			for i := 0; i < n; i++ {
+				ts := sim.DeriveSeed(seed, "fleet/terminal", i)
+				p, ci := placeOne(sim.NewRNG(ts), cl, cum, total)
+				if math.Float64bits(p.LatDeg) != math.Float64bits(lat[i]) ||
+					math.Float64bits(p.LonDeg) != math.Float64bits(lon[i]) ||
+					int32(ci) != cluster[i] || ts != seeds[i] {
+					t.Fatalf("seed %d workers %d: terminal %d is (%v, %v, cluster %d, seed %x), per-terminal RNG gives (%v, %v, cluster %d, seed %x)",
+						seed, w, i, lat[i], lon[i], cluster[i], seeds[i], p.LatDeg, p.LonDeg, ci, ts)
+				}
+			}
 		}
 	}
 }

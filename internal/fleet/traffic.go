@@ -25,6 +25,10 @@ import (
 // No packet ever leaves its shard; shards meet only at the epoch barriers,
 // where the fleet reassignment runs single-threaded (Run).
 //
+// A terminal's node, access links, ingress route and reply handler are built
+// by materialize on its first emulated probe — for 99 % of a world fleet,
+// never; until then its probeRef keeps the access links' account.
+//
 // Topology of one shard (addresses in dotted-quad; they are shard-local):
 //
 //	terminals 10.0.0.0/8 --(D(t)-L)--> egress 172.16.0.1
@@ -123,33 +127,36 @@ type trafficAccum struct {
 type probeRef struct {
 	part *trafficPart
 	term int32 // global index into the fleet SoA
-	node *netem.Node
 	seq  int
 	sent sim.Time
 	wait bool
-	// up/down are this terminal's private access links, kept so the
-	// fast-forward can credit their stats and carry their FIFO arrival
-	// clamp forward in closed form.
+	// node and its private access links exist from materialize on; the
+	// fast-forward credits their stats and carries their FIFO clamp forward.
+	node     *netem.Node
 	up, down *netem.Link
+	// Until then the ref is both links' account: traversals credited to each
+	// and each one's clamp state (max raw arrival, as Link.LastArrival).
+	credited       uint64
+	upArr, downArr sim.Time
 }
 
 // trafficPart is one shard of the scenario: a network on its own
 // scheduler, the router pair, an echo node per gateway, its terminal range
 // and its private accumulators.
 type trafficPart struct {
-	tr     *Traffic
-	sched  *sim.Scheduler
-	net    *netem.Network
-	probes []probeRef // one per terminal of the shard's range
-	acc    []trafficAccum
+	tr              *Traffic
+	sched           *sim.Scheduler
+	net             *netem.Network
+	probes          []probeRef // one per terminal of the shard's range
+	acc             []trafficAccum
+	egress, ingress *netem.Node // the router pair every access link hangs off
 	// meshSelf is the egress->ingress link carrying the fixed leg L; every
 	// probe crosses it twice (request and echo).
 	meshSelf *netem.Link
 	// gwTo[g]/gwFrom[g] are the ingress->gateway and gateway->egress links
 	// of this shard's echo node for gateway g.
 	gwTo, gwFrom []*netem.Link
-	// ffProbes counts probes answered in closed form by the fast-forward.
-	ffProbes int64
+	ffStats      FastForwardStats // this shard's share of Traffic.FastForwardStats
 
 	cSent    *obs.Counter
 	cRecv    *obs.Counter
@@ -232,10 +239,12 @@ func (tr *Traffic) buildShard(p, lo, hi int) *trafficPart {
 	pt := &trafficPart{tr: tr}
 	pt.sched = sim.NewScheduler(sim.DeriveSeed(f.cfg.Seed, "pdes/partition", p))
 	pt.net = netem.New(pt.sched)
+	var subjects *obs.Tracer
 	if tr.cfg.Collector != nil {
 		sink := obs.NewSink(0)
 		tr.cfg.Collector.Add(obs.ShardSource("fleettraffic", p), sink)
 		pt.net.Observe(sink)
+		subjects = sink.Tracer()
 		reg := sink.Registry()
 		pt.cSent = reg.Counter("traffic.probes_sent")
 		pt.cRecv = reg.Counter("traffic.probes_recv")
@@ -250,10 +259,10 @@ func (tr *Traffic) buildShard(p, lo, hi int) *trafficPart {
 	// Routers and the fixed leg: everything leaving the egress — requests
 	// and echo replies alike — crosses L to the ingress, which holds the
 	// exact routes to the gateways and the terminals.
-	egress := pt.net.NewNode(fmt.Sprintf("egress%d", p), egressAddr)
-	ingress := pt.net.NewNode(fmt.Sprintf("ingress%d", p), ingressAddr)
-	pt.meshSelf = pt.net.AddLink(egress, ingress, netem.LinkConfig{Delay: netem.ConstantDelay(look)})
-	egress.SetDefaultRoute(pt.meshSelf)
+	pt.egress = pt.net.NewNode(fmt.Sprintf("egress%d", p), egressAddr)
+	pt.ingress = pt.net.NewNode(fmt.Sprintf("ingress%d", p), ingressAddr)
+	pt.meshSelf = pt.net.AddLink(pt.egress, pt.ingress, netem.LinkConfig{Delay: netem.ConstantDelay(look)})
+	pt.egress.SetDefaultRoute(pt.meshSelf)
 
 	// This shard's echo node for every gateway.
 	pt.gwTo = make([]*netem.Link, len(f.cfg.Gateways))
@@ -261,48 +270,64 @@ func (tr *Traffic) buildShard(p, lo, hi int) *trafficPart {
 	for g := range f.cfg.Gateways {
 		gw := pt.net.NewNode(fmt.Sprintf("gw%d", g), gatewayAddr(g))
 		gw.EchoResponder = true
-		pt.gwTo[g] = pt.net.AddLink(ingress, gw, netem.LinkConfig{})
-		pt.gwFrom[g] = pt.net.AddLink(gw, egress, netem.LinkConfig{})
+		pt.gwTo[g] = pt.net.AddLink(pt.ingress, gw, netem.LinkConfig{})
+		pt.gwFrom[g] = pt.net.AddLink(gw, pt.egress, netem.LinkConfig{})
 		gw.SetDefaultRoute(pt.gwFrom[g])
-		ingress.AddRoute(gw.Addr(), pt.gwTo[g])
+		pt.ingress.AddRoute(gw.Addr(), pt.gwTo[g])
 	}
 
-	// Terminals: access links carrying D(t)-L, reply handlers, and the
-	// first probe of each re-arm chain.
-	interval := int64(tr.cfg.Interval)
+	// Terminals: probe state and the first fire of each re-arm chain; the rest
+	// is materialize's. Under a collector the access links' trace subjects
+	// (AddLink's "from->to") are interned here, in terminal order, not at birth.
 	pt.probes = make([]probeRef, hi-lo)
 	for t := lo; t < hi; t++ {
-		node := pt.net.NewNode(fmt.Sprintf("term%d", t), terminalAddr(t-lo))
-		access := netem.LinkConfig{
-			Delay: func(sim.Time) time.Duration { return time.Duration(f.delayNs[t]) - look },
-			Down:  func(sim.Time) bool { return f.delayNs[t] < 0 },
-		}
-		up := pt.net.AddLink(node, egress, access)
-		down := pt.net.AddLink(ingress, node, access)
-		node.SetDefaultRoute(up)
-		ingress.AddRoute(node.Addr(), down)
-
 		ref := &pt.probes[t-lo]
-		ref.part, ref.term, ref.node = pt, int32(t), node
-		ref.up, ref.down = up, down
-		node.Bind(netem.ProtoICMP, 0, func(pkt *netem.Packet) {
-			ic, ok := pkt.Payload.(*netem.ICMP)
-			if !ok || ic.Type != netem.ICMPEchoReply || !ref.wait || ic.Seq != ref.seq {
-				return
-			}
-			ref.wait = false
-			rtt := pt.sched.Now().Sub(ref.sent)
-			a := &pt.acc[f.region[t]]
-			a.recv++
-			a.rtt.Observe(float64(rtt) / 1e6)
-			pt.cRecv.Inc()
-			pt.hRTT.Observe(int64(rtt))
-		})
+		ref.part, ref.term = pt, int32(t)
+		if subjects != nil {
+			subjects.Subject(fmt.Sprintf("term%d->%s", t, pt.egress.Name()))
+			subjects.Subject(fmt.Sprintf("%s->term%d", pt.ingress.Name(), t))
+		}
 		// Phase within the interval derives from the terminal's own seed:
 		// probe instants are a pure function of placement.
-		pt.sched.AtFunc(sim.Time(int64(f.seed[t]%uint64(interval))), probeFire, ref)
+		pt.sched.AtFunc(sim.Time(int64(f.seed[t]%uint64(tr.ivlNs))), probeFire, ref)
 	}
 	return pt
+}
+
+// materialize builds the terminal's netem presence on its first emulated
+// probe: node, access links carrying D(t)-L, routes and reply handler. The
+// links adopt the account the ref kept, so from here on they are what they
+// would be had they existed, and been credited, since t = 0.
+func materialize(ref *probeRef) {
+	pt := ref.part
+	f := pt.tr.fleet
+	t := int(ref.term)
+	// Addresses are shard-local: the index within the shard's range.
+	ref.node = pt.net.NewNode(fmt.Sprintf("term%d", t), terminalAddr(t-int(pt.probes[0].term)))
+	access := netem.LinkConfig{
+		Delay: func(sim.Time) time.Duration { return time.Duration(f.delayNs[t] - pt.tr.lookNs) },
+		Down:  func(sim.Time) bool { return f.delayNs[t] < 0 },
+	}
+	ref.up = pt.net.AddLink(ref.node, pt.egress, access)
+	ref.down = pt.net.AddLink(pt.ingress, ref.node, access)
+	ref.up.Adopt(ref.credited, ref.upArr)
+	ref.down.Adopt(ref.credited, ref.downArr)
+	ref.node.SetDefaultRoute(ref.up)
+	pt.ingress.AddRoute(ref.node.Addr(), ref.down)
+	ref.node.Bind(netem.ProtoICMP, 0, func(pkt *netem.Packet) {
+		ic, ok := pkt.Payload.(*netem.ICMP)
+		if !ok || ic.Type != netem.ICMPEchoReply || !ref.wait || ic.Seq != ref.seq {
+			return
+		}
+		ref.wait = false
+		rtt := pt.sched.Now().Sub(ref.sent)
+		a := &pt.acc[f.region[t]]
+		a.recv++
+		a.rtt.Observe(float64(rtt) / 1e6)
+		pt.cRecv.Inc()
+		pt.hRTT.Observe(int64(rtt))
+	})
+	pt.ffStats.Materialized++
 }
 
 // ffAbsorb tries to answer this probe fire — and the remainder of its
@@ -359,7 +384,7 @@ func ffAbsorb(ref *probeRef) bool {
 		k := (constEnd-1-nowNs)/ivl + 1
 		a.skipped += k
 		pt.cSkipped.Add(uint64(k))
-		pt.ffProbes += k
+		pt.ffStats.Absorbed += k
 		pt.sched.CreditSkipped(uint64(k - 1))
 		if next := sim.Time(nowNs + k*ivl); next < tr.horizon {
 			pt.sched.AtFunc(next, probeFire, ref)
@@ -368,18 +393,25 @@ func ffAbsorb(ref *probeRef) bool {
 	}
 
 	rtt := 2 * d
-	if rtt >= ivl || nowNs+rtt >= constEnd {
-		// Overlapping probes, or a train too close to the boundary (its
-		// reply would land in the next window, or — at the horizon —
-		// never land at all, which plain emulation reproduces as an
-		// in-flight loss).
+	if rtt >= ivl {
+		pt.ffStats.Overlap++ // more than one probe in flight
 		return false
 	}
-	if sim.Time(nowNs+d-tr.lookNs) < ref.up.LastArrival() ||
-		sim.Time(nowNs+rtt) < ref.down.LastArrival() {
+	if nowNs+rtt >= constEnd {
+		// The reply would land in the next window, or — at the horizon —
+		// never, which plain emulation reproduces as an in-flight loss.
+		pt.ffStats.Boundary++
+		return false
+	}
+	upArr, downArr := ref.upArr, ref.downArr
+	if ref.node != nil {
+		upArr, downArr = ref.up.LastArrival(), ref.down.LastArrival()
+	}
+	if sim.Time(nowNs+d-tr.lookNs) < upArr || sim.Time(nowNs+rtt) < downArr {
 		// A previous epoch's larger delay left a FIFO clamp that would
 		// bind on this fire; emulate it (the clamp applies identically
 		// there) and retry on the next, whose raw arrivals are later.
+		pt.ffStats.Clamp++
 		return false
 	}
 
@@ -399,9 +431,17 @@ func ffAbsorb(ref *probeRef) bool {
 	// Per probe: one packet up, two mesh traversals (request + echo),
 	// one each through the gateway pair, one packet down.
 	kk := uint64(k)
-	ref.up.AccountBypassed(kk, sim.Time(last+d-tr.lookNs))
-	ref.down.AccountBypassed(kk, sim.Time(last+rtt))
-	pt.ffProbes += k
+	upArr, downArr = sim.Time(last+d-tr.lookNs), sim.Time(last+rtt)
+	if ref.node != nil {
+		ref.up.AccountBypassed(kk, upArr)
+		ref.down.AccountBypassed(kk, downArr)
+	} else {
+		// Not built: the ref keeps the account; the network counts now.
+		ref.credited += kk
+		ref.upArr, ref.downArr = max(ref.upArr, upArr), max(ref.downArr, downArr)
+		pt.net.CountBypassed(2 * kk)
+	}
+	pt.ffStats.Absorbed += k
 	pt.meshSelf.AccountBypassed(2*kk, 0)
 	pt.gwTo[g].AccountBypassed(kk, 0)
 	pt.gwFrom[g].AccountBypassed(kk, 0)
@@ -448,6 +488,9 @@ func probeFire(arg any) {
 	ic.Type = netem.ICMPEchoRequest
 	ic.Seq = ref.seq
 	pkt.Payload = ic
+	if ref.node == nil {
+		materialize(ref)
+	}
 	ref.node.Send(pkt)
 	pt.acc[f.region[t]].sent++
 	pt.cSent.Inc()
@@ -511,12 +554,29 @@ func RunTraffic(cfg TrafficConfig) *TrafficResult {
 // absorbed in closed form. Deliberately not part of TrafficResult: it
 // counts engine work saved, while every TrafficResult field is the same
 // whether a probe was absorbed or emulated.
-func (tr *Traffic) FastForwarded() int64 {
-	var n int64
+func (tr *Traffic) FastForwarded() int64 { return tr.FastForwardStats().Absorbed }
+
+// FastForwardStats is the fast-forward's engine telemetry — no part of
+// TrafficResult or of any sim-clock export: probe fires absorbed, fires
+// declined by cause, and the terminals that therefore had to be built.
+type FastForwardStats struct {
+	Absorbed     int64
+	Overlap      int64 // declined: RTT >= interval, probes overlap
+	Boundary     int64 // declined: the reply would cross the epoch boundary or the horizon
+	Clamp        int64 // declined: FIFO-clamp carryover from a previous epoch's delay
+	Materialized int64 // terminals that got a netem node and links
+}
+
+// FastForwardStats sums the shards' fast-forward telemetry.
+func (tr *Traffic) FastForwardStats() (sum FastForwardStats) {
 	for _, pt := range tr.parts {
-		n += pt.ffProbes
+		sum.Absorbed += pt.ffStats.Absorbed
+		sum.Overlap += pt.ffStats.Overlap
+		sum.Boundary += pt.ffStats.Boundary
+		sum.Clamp += pt.ffStats.Clamp
+		sum.Materialized += pt.ffStats.Materialized
 	}
-	return n
+	return sum
 }
 
 // EventsSkipped returns how many scheduler events the fast-forward

@@ -105,8 +105,8 @@ type Link struct {
 	obsSubj obs.Subj
 
 	// pipe holds the packets in flight (pipe.go), allocated on first send:
-	// a fleet builds ~100 k links that carry a probe or nothing at all, and
-	// one word keeps Link in its 208-byte size class.
+	// a fleet shard's gateway links mostly carry a probe or nothing at all,
+	// and one word keeps Link in its 208-byte size class.
 	pipe *linkPipe
 
 	// DropHook, when set, observes every packet the link drops.
@@ -224,26 +224,27 @@ func (l *Link) jitterAt(at sim.Time) time.Duration {
 func (l *Link) LastArrival() sim.Time { return l.lastArrival }
 
 // AccountBypassed credits n packets that an analytic fast-forward proved
-// this link would have carried and delivered: Sent/Delivered stats and
-// the obs counters advance as if each packet had traversed the link, and
-// the FIFO clamp state absorbs the last credited packet's raw arrival
-// (max-merge — exactly the value full emulation would have left, since
-// lastArrival is the max of raw arrivals in any order). Only meaningful
-// on a link without a rate — a rated link has busyUntil and occupancy
-// state that closed forms upstream don't model, so crediting one is a
-// bug, caught here.
+// this link would have carried and delivered, as if each had traversed it:
+// Adopt for the link's own state, CountBypassed for the network's counters.
 func (l *Link) AccountBypassed(n uint64, lastArrival sim.Time) {
+	l.Adopt(n, lastArrival)
+	l.net.CountBypassed(n)
+}
+
+// Adopt is AccountBypassed less the network counters, for a link created
+// after CountBypassed counted its traversals: Sent/Delivered advance and the
+// FIFO clamp max-merges the last credited raw arrival (what full emulation
+// would have left: lastArrival is the max of raw arrivals in any order). A
+// rated link has busyUntil and occupancy state that closed forms upstream
+// don't model, so crediting one is a bug, caught here.
+func (l *Link) Adopt(n uint64, lastArrival sim.Time) {
 	if l.cfg.RateBps > 0 {
-		panic(fmt.Sprintf("netem: AccountBypassed on %s, which has a serialization queue", l.name))
+		panic(fmt.Sprintf("netem: bypass credit on %s, which has a serialization queue", l.name))
 	}
 	l.stats.Sent += n
 	l.stats.Delivered += n
 	if lastArrival > l.lastArrival {
 		l.lastArrival = lastArrival
-	}
-	if l.obs != nil {
-		l.obs.sent.Add(n)
-		l.obs.delivered.Add(n)
 	}
 }
 

@@ -66,6 +66,15 @@ func (nw *Network) Observe(s *obs.Sink) {
 	}
 }
 
+// CountBypassed is the network half of Link.AccountBypassed: n bypassed link
+// traversals, on its own for a link not built yet (Link.Adopt, when it is).
+func (nw *Network) CountBypassed(n uint64) {
+	if nw.obs != nil {
+		nw.obs.sent.Add(n)
+		nw.obs.delivered.Add(n)
+	}
+}
+
 // New creates an empty network on the given scheduler.
 func New(sched *sim.Scheduler) *Network {
 	return &Network{

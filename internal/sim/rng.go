@@ -14,12 +14,28 @@ import (
 // experiments reproducible as the codebase evolves.
 type RNG struct {
 	seed uint64
+	pcg  *rand.PCG
 	src  *rand.Rand
 }
 
+// rootSalt derives a root RNG's second PCG word from its seed.
+const rootSalt = 0x9e3779b97f4a7c15
+
+func newRNG(seed, seed2 uint64) *RNG {
+	pcg := rand.NewPCG(seed, seed2)
+	return &RNG{seed: seed, pcg: pcg, src: rand.New(pcg)}
+}
+
 // NewRNG returns the root RNG for seed.
-func NewRNG(seed uint64) *RNG {
-	return &RNG{seed: seed, src: rand.New(rand.NewPCG(seed, seed^0x9e3779b97f4a7c15))}
+func NewRNG(seed uint64) *RNG { return newRNG(seed, seed^rootSalt) }
+
+// Reseed restarts r in place as the root RNG for seed: from here on it
+// yields exactly the stream NewRNG(seed) would, without allocating. A loop
+// that needs one short stream per item (fleet placement) keeps one
+// generator and reseeds it per item.
+func (r *RNG) Reseed(seed uint64) {
+	r.seed = seed
+	r.pcg.Seed(seed, seed^rootSalt)
 }
 
 // Stream derives an independent deterministic sub-stream identified by
@@ -29,7 +45,7 @@ func (r *RNG) Stream(name string) *RNG {
 	h := fnv.New64a()
 	h.Write([]byte(name))
 	sub := r.seed ^ h.Sum64()
-	return &RNG{seed: sub, src: rand.New(rand.NewPCG(sub, sub^0xdeadbeefcafef00d))}
+	return newRNG(sub, sub^0xdeadbeefcafef00d)
 }
 
 // Derive returns a deterministic seed for the i-th shard of a named

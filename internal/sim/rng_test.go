@@ -60,3 +60,31 @@ func TestDeriveSeedShardsReproduceSequences(t *testing.T) {
 		t.Error("sibling shards produced identical sequences")
 	}
 }
+
+// TestReseedMatchesNewRNG: a reseeded generator — whatever it drew before,
+// root or derived stream — continues exactly as a fresh NewRNG(seed), on
+// every sampler, and reseeding allocates nothing.
+func TestReseedMatchesNewRNG(t *testing.T) {
+	for _, r := range []*RNG{NewRNG(99), NewRNG(99).Stream("other")} {
+		r.NormFloat64()
+		for _, seed := range []uint64{0, 1, 42, 1 << 63} {
+			r.Reseed(seed)
+			want := NewRNG(seed)
+			for i := 0; i < 16; i++ {
+				if g, w := r.Float64(), want.Float64(); g != w {
+					t.Fatalf("seed %d draw %d: Float64 %v, want %v", seed, i, g, w)
+				}
+				if g, w := r.Uint64(), want.Uint64(); g != w {
+					t.Fatalf("seed %d draw %d: Uint64 %v, want %v", seed, i, g, w)
+				}
+			}
+			if g, w := r.Derive("x", 3), want.Derive("x", 3); g != w {
+				t.Fatalf("seed %d: Derive %v, want %v", seed, g, w)
+			}
+		}
+	}
+	r := NewRNG(1)
+	if avg := testing.AllocsPerRun(100, func() { r.Reseed(7); r.Float64() }); avg != 0 {
+		t.Errorf("Reseed: %v allocs, want 0", avg)
+	}
+}
