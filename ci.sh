@@ -3,11 +3,12 @@
 # mechanisms and hand-declared shared flags coming back through a merge,
 # build, a run of the four examples, the test suite under the race
 # detector (which runs the traffic shards' goroutine fan-out), the
-# allocation gates in a plain pass, two fuzz smokes and two short runs of
-# the repo benchmark. Equivalence is proven by tests, not
-# here: every fast path is compared with an oracle in its package's _test.go
-# files, and the report-level byte-diffs (worker counts, transport profile)
-# are cmd/starlink-bench's TestRunVariantMatrix; what each command prints is
+# allocation gates in a plain pass, four fuzz smokes, ten race-detector
+# rounds of the fleet's pooled scan and two short runs of the repo
+# benchmark. Equivalence is proven by tests, not here: every fast path is
+# compared with an oracle in its package's _test.go files, and the
+# report-level byte-diffs (worker counts, transport profile) are
+# cmd/starlink-bench's TestRunVariantMatrix; what each command prints is
 # pinned by cmd/internal/cli's golden table. See DESIGN.md §6.
 set -eu
 
@@ -25,9 +26,12 @@ echo "== go vet"
 go vet ./...
 
 echo "== no deleted mechanism in non-test code (DESIGN.md: Independent traffic shards, §7 Geometry fast path)"
-# The cross-partition engine, and the geometry memo rings that became one
-# slot each and caller-owned snapshots.
-if grep -rnE 'PartitionedDriver|CrossEdge|AddCrossLink|snapshotRing|peekSnapshot|delayRing|islMemo' --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark .; then
+# The cross-partition engine, the geometry memo rings that became one slot
+# each and caller-owned snapshots, and the fleet's count-then-fill candidate
+# sweep over every cell (candCount; the sweep is one pass over populated
+# cells now, and the only unpruned scan is the all-satellites oracle in
+# internal/fleet/equivalence_test.go).
+if grep -rnE 'PartitionedDriver|CrossEdge|AddCrossLink|snapshotRing|peekSnapshot|delayRing|islMemo|candCount|referenceReassignAt' --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark .; then
     echo "a deleted mechanism is named above" >&2
     exit 1
 fi
@@ -85,6 +89,21 @@ echo "== link pipe ring fuzz smoke (10 s against the slice model)"
 # instant before its tail's, which no send produces, so this is what
 # reaches the guard.
 go test ./internal/netem -run '^$' -fuzz 'FuzzPktRing' -fuzztime 10s
+
+echo "== fleet cell index fuzz smoke (10 s against the all-satellites scan)"
+# Any position a terminal can stand at: every satellite it sees is in its
+# cell's candidates, and the bound-pruned scan keeps what a scan of every
+# satellite keeps, unseeded and seeded.
+go test ./internal/fleet -run '^$' -fuzz 'FuzzCellIndex' -fuzztime 10s
+
+echo "== fleet bound fuzz smoke (5 s: stored bound >= exact sinElevation)"
+# The property every skipped candidate rests on.
+go test ./internal/fleet -run '^$' -fuzz 'FuzzSinElevationBound' -fuzztime 5s
+
+echo "== fleet pooled scan, ten rounds under the race detector"
+# 1/2/4/8 workers read the shared candidate and bound tables and write their
+# own scratch; assignments and scan counts must not depend on the count.
+go test -race ./internal/fleet -run 'TestReassignWorkerInvariance|TestScanStats' -count=10
 
 echo "== benchmark smoke (one short run each of small_packets and fleet_scale)"
 # The benchmark must build from a clean checkout, run, and report a correct

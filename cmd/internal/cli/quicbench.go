@@ -45,8 +45,8 @@ func quicbench(args []string, stdout, stderr io.Writer) error {
 		r := stats.Summarize(camp.RTTSamplesMs())
 		g := stats.Summarize(camp.Goodputs())
 		fmt.Fprintf(&out, "H3 %s: %d x %dMB transfers\n", *dir, len(camp.Records), *sizeMB)
-		fmt.Fprintf(&out, "  goodput: med=%.1f p25=%.1f p75=%.1f Mbit/s\n", g.P50, g.P25, g.P75)
-		fmt.Fprintf(&out, "  RTT: n=%d p50=%.0f p95=%.0f p99=%.0f ms\n", r.N, r.P50, r.P95, r.P99)
+		stats.Fprintf(&out, "  goodput: med=%.1f p25=%.1f p75=%.1f Mbit/s\n", g.P50, g.P25, g.P75)
+		stats.Fprintf(&out, "  RTT: n=%d p50=%.0f p95=%.0f p99=%.0f ms\n", r.N, r.P50, r.P95, r.P99)
 		fmt.Fprintf(&out, "  loss: %.2f%% in %d events\n", 100*camp.LossRatio(), len(camp.BurstLengths()))
 		core.LossDurations(&out, "loss events", camp.EventDurations())
 		if *pcapPath != "" && len(camp.Records) > 0 {
@@ -65,7 +65,7 @@ func quicbench(args []string, stdout, stderr io.Writer) error {
 		r := stats.Summarize(camp.RTTsMs)
 		bursts := camp.BurstLengths()
 		fmt.Fprintf(&out, "messages %s: %d sessions of %s at 25 msg/s (5-25kB)\n", *dir, *n, *msgDur)
-		fmt.Fprintf(&out, "  RTT: n=%d p50=%.0f p95=%.0f p99=%.0f ms\n", r.N, r.P50, r.P95, r.P99)
+		stats.Fprintf(&out, "  RTT: n=%d p50=%.0f p95=%.0f p99=%.0f ms\n", r.N, r.P50, r.P95, r.P99)
 		fmt.Fprintf(&out, "  loss: %.2f%% (bursts: %v...)\n", 100*camp.LossRatio(), bursts[:min(12, len(bursts))])
 	}
 	_, err = io.WriteString(stdout, out.String())

@@ -40,7 +40,7 @@ func speedtest(args []string, stdout, stderr io.Writer) error {
 		up = append(up, r.UploadMbps)
 	}
 	d, u := stats.Summarize(down), stats.Summarize(up)
-	fmt.Fprintf(stdout, "download: med=%.1f p25=%.1f p75=%.1f max=%.1f Mbit/s\n", d.P50, d.P25, d.P75, d.Max)
-	_, err = fmt.Fprintf(stdout, "upload:   med=%.1f p25=%.1f p75=%.1f max=%.1f Mbit/s\n", u.P50, u.P25, u.P75, u.Max)
+	stats.Fprintf(stdout, "download: med=%.1f p25=%.1f p75=%.1f max=%.1f Mbit/s\n", d.P50, d.P25, d.P75, d.Max)
+	_, err = stats.Fprintf(stdout, "upload:   med=%.1f p25=%.1f p75=%.1f max=%.1f Mbit/s\n", u.P50, u.P25, u.P75, u.Max)
 	return err
 }

@@ -43,8 +43,8 @@ func webbench(args []string, stdout, stderr io.Writer) error {
 	}
 	o, s, st := stats.Summarize(onload), stats.Summarize(si), stats.Summarize(setup)
 	fmt.Fprintf(stdout, "%s: %d visits (%d failed)\n", fs.Tech, len(results), fails)
-	fmt.Fprintf(stdout, "  onLoad:     med=%.2fs IQR=[%.2f, %.2f]s\n", o.P50, o.P25, o.P75)
-	fmt.Fprintf(stdout, "  SpeedIndex: med=%.2fs IQR=[%.2f, %.2f]s\n", s.P50, s.P25, s.P75)
-	_, err = fmt.Fprintf(stdout, "  conn setup: mean=%.0fms med=%.0fms (n=%d)\n", st.Mean, st.P50, st.N)
+	stats.Fprintf(stdout, "  onLoad:     med=%.2fs IQR=[%.2f, %.2f]s\n", o.P50, o.P25, o.P75)
+	stats.Fprintf(stdout, "  SpeedIndex: med=%.2fs IQR=[%.2f, %.2f]s\n", s.P50, s.P25, s.P75)
+	_, err = stats.Fprintf(stdout, "  conn setup: mean=%.0fms med=%.0fms (n=%d)\n", st.Mean, st.P50, st.N)
 	return err
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"time"
@@ -19,15 +20,15 @@ import (
 
 // RenderTable1 prints the dataset overview (Table 1).
 func RenderTable1(w *strings.Builder, latencyDur, tputDur, webDur, quicDur time.Duration, anchors, sites int) {
-	fmt.Fprintf(w, "Table 1: Overview of the datasets\n")
-	fmt.Fprintf(w, "  %-14s %-9s %-10s %s\n", "Measure", "Network", "Duration", "Target")
-	fmt.Fprintf(w, "  %-14s %-9s %-10s %d anchors\n", "Latency", "Starlink", days(latencyDur), anchors)
-	fmt.Fprintf(w, "  %-14s %-9s %-10s Ookla servers\n", "Throughput", "Starlink", days(tputDur))
-	fmt.Fprintf(w, "  %-14s %-9s %-10s Ookla servers\n", "", "SatCom", days(tputDur))
-	fmt.Fprintf(w, "  %-14s %-9s %-10s %d websites\n", "Web Browsing", "Starlink", days(webDur), sites)
-	fmt.Fprintf(w, "  %-14s %-9s %-10s %d websites\n", "", "SatCom", days(webDur), sites)
-	fmt.Fprintf(w, "  %-14s %-9s %-10s our server\n", "QUIC H3", "Starlink", days(quicDur))
-	fmt.Fprintf(w, "  %-14s %-9s %-10s our server\n", "QUIC messages", "Starlink", days(quicDur))
+	stats.Fprintf(w, "Table 1: Overview of the datasets\n")
+	stats.Fprintf(w, "  %-14s %-9s %-10s %s\n", "Measure", "Network", "Duration", "Target")
+	stats.Fprintf(w, "  %-14s %-9s %-10s %d anchors\n", "Latency", "Starlink", days(latencyDur), anchors)
+	stats.Fprintf(w, "  %-14s %-9s %-10s Ookla servers\n", "Throughput", "Starlink", days(tputDur))
+	stats.Fprintf(w, "  %-14s %-9s %-10s Ookla servers\n", "", "SatCom", days(tputDur))
+	stats.Fprintf(w, "  %-14s %-9s %-10s %d websites\n", "Web Browsing", "Starlink", days(webDur), sites)
+	stats.Fprintf(w, "  %-14s %-9s %-10s %d websites\n", "", "SatCom", days(webDur), sites)
+	stats.Fprintf(w, "  %-14s %-9s %-10s our server\n", "QUIC H3", "Starlink", days(quicDur))
+	stats.Fprintf(w, "  %-14s %-9s %-10s our server\n", "QUIC messages", "Starlink", days(quicDur))
 }
 
 func days(d time.Duration) string {
@@ -60,12 +61,12 @@ func Figure1(data *LatencyData, order []Anchor) []Figure1Row {
 // RenderFigure1 prints the boxplot series (whiskers p5/p95, box p25/p75,
 // median stroke, absolute minimum on the top axis — the paper's layout).
 func RenderFigure1(w *strings.Builder, rows []Figure1Row) {
-	fmt.Fprintf(w, "Figure 1: RTT distribution per anchor [ms]\n")
-	fmt.Fprintf(w, "  %-16s %-8s %6s %6s %6s %6s %6s %6s\n",
+	stats.Fprintf(w, "Figure 1: RTT distribution per anchor [ms]\n")
+	stats.Fprintf(w, "  %-16s %-8s %6s %6s %6s %6s %6s %6s\n",
 		"anchor", "region", "min", "p5", "p25", "p50", "p75", "p95")
 	for _, r := range rows {
 		s := r.Summary
-		fmt.Fprintf(w, "  %-16s %-8s %6.1f %6.1f %6.1f %6.1f %6.1f %6.1f\n",
+		stats.Fprintf(w, "  %-16s %-8s %6.1f %6.1f %6.1f %6.1f %6.1f %6.1f\n",
 			r.Anchor, r.Region, s.Min, s.P5, s.P25, s.P50, s.P75, s.P95)
 	}
 }
@@ -88,10 +89,10 @@ func Figure2(data *LatencyData) []Figure2Bin {
 
 // RenderFigure2 prints the timeline percentiles.
 func RenderFigure2(w *strings.Builder, bins []Figure2Bin) {
-	fmt.Fprintf(w, "Figure 2: RTT towards the European anchors over time [ms, 6h bins]\n")
-	fmt.Fprintf(w, "  %10s %6s %6s %6s %6s %6s %6s\n", "t", "min", "p5", "p25", "p50", "p75", "p95")
+	stats.Fprintf(w, "Figure 2: RTT towards the European anchors over time [ms, 6h bins]\n")
+	stats.Fprintf(w, "  %10s %6s %6s %6s %6s %6s %6s\n", "t", "min", "p5", "p25", "p50", "p75", "p95")
 	for _, b := range bins {
-		fmt.Fprintf(w, "  %9.1fd %6.1f %6.1f %6.1f %6.1f %6.1f %6.1f\n",
+		stats.Fprintf(w, "  %9.1fd %6.1f %6.1f %6.1f %6.1f %6.1f %6.1f\n",
 			b.Start.Hours()/24, b.Min, b.P5, b.P25, b.P50, b.P75, b.P95)
 	}
 }
@@ -116,11 +117,11 @@ func MakeFigure3(down, up *H3Campaign) Figure3 {
 
 // RenderFigure3 prints the distribution summary and CDF series.
 func RenderFigure3(w *strings.Builder, f Figure3) {
-	fmt.Fprintf(w, "Figure 3: RTT of acknowledged packets during H3 transfers [ms]\n")
-	fmt.Fprintf(w, "  download: n=%d p50=%.0f p95=%.0f p99=%.0f\n", f.Download.N, f.Download.P50, f.Download.P95, f.Download.P99)
-	fmt.Fprintf(w, "  upload:   n=%d p50=%.0f p95=%.0f p99=%.0f\n", f.Upload.N, f.Upload.P50, f.Upload.P95, f.Upload.P99)
-	fmt.Fprintf(w, "  download CDF: %s\n", cdfString(f.DownCDF))
-	fmt.Fprintf(w, "  upload CDF:   %s\n", cdfString(f.UpCDF))
+	stats.Fprintf(w, "Figure 3: RTT of acknowledged packets during H3 transfers [ms]\n")
+	stats.Fprintf(w, "  download: n=%d p50=%.0f p95=%.0f p99=%.0f\n", f.Download.N, f.Download.P50, f.Download.P95, f.Download.P99)
+	stats.Fprintf(w, "  upload:   n=%d p50=%.0f p95=%.0f p99=%.0f\n", f.Upload.N, f.Upload.P50, f.Upload.P95, f.Upload.P99)
+	stats.Fprintf(w, "  download CDF: %s\n", cdfString(f.DownCDF))
+	stats.Fprintf(w, "  upload CDF:   %s\n", cdfString(f.UpCDF))
 }
 
 func cdfString(pts []stats.Point) string {
@@ -151,9 +152,9 @@ func MakeTable2(h3Down, h3Up *H3Campaign, msgDown, msgUp *MsgCampaign) Table2 {
 
 // RenderTable2 prints the loss ratios in the paper's column order.
 func RenderTable2(w *strings.Builder, t Table2) {
-	fmt.Fprintf(w, "Table 2: QUIC packet loss ratios\n")
-	fmt.Fprintf(w, "  %-8s %-8s %-12s %-12s\n", "H3 dn", "H3 up", "Messages dn", "Messages up")
-	fmt.Fprintf(w, "  %-8s %-8s %-12s %-12s\n",
+	stats.Fprintf(w, "Table 2: QUIC packet loss ratios\n")
+	stats.Fprintf(w, "  %-8s %-8s %-12s %-12s\n", "H3 dn", "H3 up", "Messages dn", "Messages up")
+	stats.Fprintf(w, "  %-8s %-8s %-12s %-12s\n",
 		pct(t.H3Down), pct(t.H3Up), pct(t.MsgDown), pct(t.MsgUp))
 }
 
@@ -187,10 +188,10 @@ func MakeFigure4(label string, down, up []int) Figure4 {
 
 // RenderFigure4 prints the burst-length CDFs.
 func RenderFigure4(w *strings.Builder, f Figure4) {
-	fmt.Fprintf(w, "Figure 4 (%s): loss burst length CDF\n", f.Label)
-	fmt.Fprintf(w, "  download: %s\n", cdfString(f.Download))
-	fmt.Fprintf(w, "  upload:   %s\n", cdfString(f.Upload))
-	fmt.Fprintf(w, "  download multi-packet loss events: %.0f%%; upload single-packet: %.0f%%\n",
+	stats.Fprintf(w, "Figure 4 (%s): loss burst length CDF\n", f.Label)
+	stats.Fprintf(w, "  download: %s\n", cdfString(f.Download))
+	stats.Fprintf(w, "  upload:   %s\n", cdfString(f.Upload))
+	stats.Fprintf(w, "  download multi-packet loss events: %.0f%%; upload single-packet: %.0f%%\n",
 		100*f.MultiPacketFracDown, 100*f.SinglePacketFracUp)
 }
 
@@ -224,10 +225,10 @@ func MakeFigure5(starlink, satcom []measure.SpeedtestResult, h3Down, h3Up *H3Cam
 
 // RenderFigure5 prints the three distributions per direction.
 func RenderFigure5(w *strings.Builder, f Figure5) {
-	fmt.Fprintf(w, "Figure 5: throughput distributions [Mbit/s]\n")
-	fmt.Fprintf(w, "  %-22s %6s %6s %6s %6s %6s\n", "series", "p5", "p25", "p50", "p75", "max")
+	stats.Fprintf(w, "Figure 5: throughput distributions [Mbit/s]\n")
+	stats.Fprintf(w, "  %-22s %6s %6s %6s %6s %6s\n", "series", "p5", "p25", "p50", "p75", "max")
 	row := func(name string, s stats.Summary) {
-		fmt.Fprintf(w, "  %-22s %6.1f %6.1f %6.1f %6.1f %6.1f\n", name, s.P5, s.P25, s.P50, s.P75, s.Max)
+		stats.Fprintf(w, "  %-22s %6.1f %6.1f %6.1f %6.1f %6.1f\n", name, s.P5, s.P25, s.P50, s.P75, s.Max)
 	}
 	row("starlink ookla down", f.StarlinkDown)
 	row("starlink h3 down", f.H3Down)
@@ -281,7 +282,7 @@ func MakeFigure6(visits map[string][]web.VisitResult) Figure6 {
 
 // RenderFigure6 prints the QoE ECDF medians and series.
 func RenderFigure6(w *strings.Builder, f Figure6) {
-	fmt.Fprintf(w, "Figure 6: web QoE\n")
+	stats.Fprintf(w, "Figure 6: web QoE\n")
 	techs := make([]string, 0, len(f.Medians))
 	for t := range f.Medians {
 		techs = append(techs, t)
@@ -289,56 +290,59 @@ func RenderFigure6(w *strings.Builder, f Figure6) {
 	sort.Strings(techs)
 	for _, t := range techs {
 		m := f.Medians[t]
-		fmt.Fprintf(w, "  %-9s onLoad med=%.2fs  SpeedIndex med=%.2fs  conn setup mean=%.0fms\n",
+		stats.Fprintf(w, "  %-9s onLoad med=%.2fs  SpeedIndex med=%.2fs  conn setup mean=%.0fms\n",
 			t, m[0], m[1], f.Setup[t])
 	}
 	for _, t := range techs {
-		fmt.Fprintf(w, "  onLoad CDF %-9s: %s\n", t, cdfString(f.OnLoad[t]))
+		stats.Fprintf(w, "  onLoad CDF %-9s: %s\n", t, cdfString(f.OnLoad[t]))
 	}
 }
 
 // RenderMiddleboxAudit prints the §3.5 findings.
 func RenderMiddleboxAudit(w *strings.Builder, tech string, a MiddleboxAudit) {
-	fmt.Fprintf(w, "Middleboxes (%s):\n", tech)
+	stats.Fprintf(w, "Middleboxes (%s):\n", tech)
 	for _, h := range a.Hops {
 		if h.Timeout {
-			fmt.Fprintf(w, "  hop %2d: *\n", h.TTL)
+			stats.Fprintf(w, "  hop %2d: *\n", h.TTL)
 			continue
 		}
-		fmt.Fprintf(w, "  hop %2d: %-16s rtt=%s", h.TTL, h.Addr, h.RTT.Round(100*time.Microsecond))
+		stats.Fprintf(w, "  hop %2d: %-16s rtt=%s", h.TTL, h.Addr, h.RTT.Round(100*time.Microsecond))
 		for _, ch := range h.Changes {
-			fmt.Fprintf(w, "  [%s %s->%s]", ch.Field, ch.Original, ch.Observed)
+			stats.Fprintf(w, "  [%s %s->%s]", ch.Field, ch.Original, ch.Observed)
 		}
 		fmt.Fprintln(w)
 	}
-	fmt.Fprintf(w, "  NAT levels detected: %d\n", a.NATLevels)
+	stats.Fprintf(w, "  NAT levels detected: %d\n", a.NATLevels)
 	if a.PEP.ProxyDetected() {
-		fmt.Fprintf(w, "  PEP: detected (SYN-ACK at TTL %d of %d)\n", a.PEP.SynAckAtTTL, a.PEP.PathHops)
+		stats.Fprintf(w, "  PEP: detected (SYN-ACK at TTL %d of %d)\n", a.PEP.SynAckAtTTL, a.PEP.PathHops)
 	} else {
-		fmt.Fprintf(w, "  PEP: none (handshake completes at the destination, TTL %d)\n", a.PEP.SynAckAtTTL)
+		stats.Fprintf(w, "  PEP: none (handshake completes at the destination, TTL %d)\n", a.PEP.SynAckAtTTL)
 	}
 }
 
 // RenderWehe prints the traffic-discrimination verdicts.
 func RenderWehe(w *strings.Builder, tech string, ds []wehe.Detection) {
-	fmt.Fprintf(w, "Traffic discrimination (%s, Wehe %d services):\n", tech, len(ds))
+	stats.Fprintf(w, "Traffic discrimination (%s, Wehe %d services):\n", tech, len(ds))
 	diff := 0
 	for _, d := range ds {
-		fmt.Fprintf(w, "  %s\n", d)
+		stats.Fprintf(w, "  %s\n", d)
 		if d.Differentiated {
 			diff++
 		}
 	}
-	fmt.Fprintf(w, "  => %d/%d services differentiated\n", diff, len(ds))
+	stats.Fprintf(w, "  => %d/%d services differentiated\n", diff, len(ds))
 }
 
 // LossDurations renders the §3.2 loss-event duration percentiles.
 func LossDurations(w *strings.Builder, label string, durationsSec []float64) {
 	s := stats.Summarize(durationsSec)
-	fmt.Fprintf(w, "Loss event durations (%s): n=%d p50=%s p75=%s p90=%s p95=%s p99=%s\n",
+	stats.Fprintf(w, "Loss event durations (%s): n=%d p50=%s p75=%s p90=%s p95=%s p99=%s\n",
 		label, s.N, secStr(s.P50), secStr(s.P75), secStr(s.P90), secStr(s.P95), secStr(s.P99))
 }
 
 func secStr(s float64) string {
+	if math.IsNaN(s) {
+		return stats.NoSample
+	}
 	return time.Duration(s * float64(time.Second)).Round(time.Microsecond).String()
 }

@@ -6,7 +6,9 @@ import (
 	"time"
 
 	"starlinkperf/internal/measure"
+	"starlinkperf/internal/stats"
 	"starlinkperf/internal/trace"
+	"starlinkperf/internal/web"
 )
 
 // fabricate small campaign objects so the renderers can be exercised
@@ -94,5 +96,34 @@ func TestLossDurationsRenderer(t *testing.T) {
 	out := b.String()
 	if !strings.Contains(out, "test") || !strings.Contains(out, "n=3") {
 		t.Errorf("output: %s", out)
+	}
+}
+
+// TestRenderersNoSamples: every quantile renderer shows an empty sample as
+// "—" — never as NaN, and never as the duration NaN converts to
+// (LossDurations used to print p50=-2562047h47m16.854775808s for n=0). An
+// ECDF of no samples stays an empty series: the benchmark's paper_report
+// digest folds Figure 4's text, and its quick sizes have one.
+func TestRenderersNoSamples(t *testing.T) {
+	var b strings.Builder
+	LossDurations(&b, "none", nil)
+	if want := "Loss event durations (none): n=0 p50=— p75=— p90=— p95=— p99=—\n"; b.String() != want {
+		t.Errorf("LossDurations of no events:\n got %q\nwant %q", b.String(), want)
+	}
+	empty := &H3Campaign{}
+	RenderFigure1(&b, []Figure1Row{{Anchor: "nowhere", Region: "EU", Summary: stats.Summarize(nil)}})
+	RenderFigure3(&b, MakeFigure3(empty, empty))
+	RenderFigure5(&b, MakeFigure5(nil, nil, empty, empty))
+	RenderFigure6(&b, MakeFigure6(map[string][]web.VisitResult{"starlink": nil}))
+	out := b.String()
+	for _, bad := range []string{"NaN", "-2562047h"} {
+		if strings.Contains(out, bad) {
+			t.Errorf("a renderer printed %q for an empty sample:\n%s", bad, out)
+		}
+	}
+	for _, want := range []string{"nowhere", "download: n=0 p50=— p95=— p99=—", "starlink h3 down            —", "onLoad med=—s"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("output lacks %q:\n%s", want, out)
+		}
 	}
 }

@@ -79,8 +79,23 @@ func localHour(utcHours, lonDeg float64) float64 {
 // peaking at 20:00 (75% of terminals active) with an 08:00 trough (30%),
 // the load shape behind the Multifaceted paper's peak-hour dip.
 func activeProb(hLocal float64) float64 {
-	return 0.30 + 0.225*(1+math.Cos(2*math.Pi*(hLocal-20)/24))
+	return activeProbOfCos(math.Cos(2 * math.Pi * (hLocal - 20) / 24))
 }
+
+func activeProbOfCos(c float64) float64 { return 0.30 + 0.225*(1+c) }
+
+// activeProbMin and activeProbMax are the smallest and largest values
+// activeProb returns: math.Cos stays within [-1, 1] and float64 addition
+// and multiplication by a positive number are monotone, so the formula at
+// the two ends brackets it at every hour. They come from the same run-time
+// operations on variables — a constant expression would be folded at
+// arbitrary precision and could round the other way. A draw below the
+// minimum is active and one at or above the maximum idle, whatever the hour.
+var (
+	cosLo, cosHi  = -1.0, 1.0
+	activeProbMin = activeProbOfCos(cosLo)
+	activeProbMax = activeProbOfCos(cosHi)
+)
 
 // result folds the accumulators into the per-region report, regions
 // sorted by name.

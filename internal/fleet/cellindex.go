@@ -13,12 +13,13 @@ import (
 //
 // The grid is the pivot of the O(cells-in-view) reassignment: instead of
 // testing every terminal against every satellite, each epoch walks the
-// satellites once and admits each into the cells its coverage disk can
-// overlap; terminals then scan only their own cell's candidate list. The
-// admission test is deliberately one-sided — it may admit satellites a
-// terminal cannot actually see (the mask test rejects them later), but
-// must never miss one a terminal could see. FuzzCellIndex hammers
-// exactly that superset property.
+// satellites once and admits each into the cells that hold terminals and
+// that its coverage disk can overlap; terminals then search only their own
+// cell's candidate list, skipping candidates whose per-cell bound cannot
+// win (assign.go). The admission test is deliberately one-sided — it may
+// admit satellites a terminal cannot actually see (the mask test rejects
+// them later), but must never miss one a terminal could see. FuzzCellIndex
+// hammers exactly that superset property, FuzzSinElevationBound the bound.
 type cellGrid struct {
 	cellDeg float64
 	rows    []gridRow

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -147,6 +148,7 @@ func (f *Fleet) referenceFinish(t int, best int32) {
 func (f *Fleet) referenceObserveEpoch(e int, at sim.Time) {
 	utcHours := at.Seconds() / 3600
 	var satList, satCnt []int32
+	active := make([]bool, len(f.sat))
 	for ri := range f.epochOut {
 		f.epochOut[ri] = 0
 		f.epochHo[ri] = 0
@@ -162,8 +164,8 @@ func (f *Fleet) referenceObserveEpoch(e int, at sim.Time) {
 		satCnt = satCnt[:0]
 		for t := lo; t < hi; t++ {
 			h := localHour(utcHours, f.lon[t])
-			f.active[t] = activeDraw(f.seed[t], int64(e)) < activeProb(h)
-			if !f.active[t] || f.sat[t] < 0 || f.delayNs[t] < 0 {
+			active[t] = activeDraw(f.seed[t], int64(e)) < activeProb(h)
+			if !active[t] || f.sat[t] < 0 || f.delayNs[t] < 0 {
 				continue
 			}
 			found := false
@@ -198,7 +200,7 @@ func (f *Fleet) referenceObserveEpoch(e int, at sim.Time) {
 				a.cHandover.Inc()
 				f.epochHo[f.region[t]]++
 			}
-			if f.active[t] {
+			if active[t] {
 				share := f.cfg.MaxTermMbps
 				for k, s := range satList {
 					if s == f.sat[t] {
@@ -228,31 +230,51 @@ func (f *Fleet) referenceObserveEpoch(e int, at sim.Time) {
 }
 
 // checkReassignMatchesReference steps a cell-indexed fleet and an oracle
-// fleet of the same config through 16 epochs and demands bit-identical
-// serving satellites, gateways and delays after each. prep, if non-nil, is
-// applied to both fleets before the first epoch. It returns the
+// fleet of the same config through 16 consecutive epochs and demands
+// bit-identical serving satellites, gateways and delays after each. prep, if
+// non-nil, is applied to both fleets before the first epoch. It returns the
 // cell-indexed fleet in its final epoch for case-specific checks.
 func checkReassignMatchesReference(t *testing.T, name string, cfg Config, prep func(*Fleet)) *Fleet {
 	t.Helper()
+	instants := make([]sim.Time, 16)
+	for e := range instants {
+		instants[e] = sim.Time(int64(e) * int64(cfg.withDefaults().Epoch))
+	}
+	return checkReassignAt(t, name, cfg, prep, instants, nil)
+}
+
+// checkReassignAt is checkReassignMatchesReference over any sequence of
+// instants — repeated, out of order, far apart. The oracle has no memory, so
+// it also holds the pruned scan to forgetting where it started: each
+// terminal's previous satellite may only decide how much is scored. before,
+// if non-nil, sees the cell-indexed fleet ahead of every ReassignAt with the
+// snapshot and candidate index of the instant about to be assigned.
+func checkReassignAt(t *testing.T, name string, cfg Config, prep func(*Fleet), instants []sim.Time, before func(step int, fast *Fleet)) *Fleet {
+	t.Helper()
 	fast := New(cfg)
 	ref := New(cfg)
-	defer fast.Close()
+	t.Cleanup(fast.Close)
 	if prep != nil {
 		prep(fast)
 		prep(ref)
 	}
-	for e := 0; e < 16; e++ {
-		at := sim.Time(int64(e) * int64(cfg.Epoch))
+	for i, at := range instants {
+		if before != nil {
+			fast.con.FillSnapshot(&fast.snap, at)
+			fast.fillSatTable()
+			fast.buildCandidates()
+			before(i, fast)
+		}
 		fast.ReassignAt(at)
 		ref.referenceReassignAt(at)
 		if !reflect.DeepEqual(fast.sat, ref.sat) {
-			t.Fatalf("%s epoch %d: serving sats diverge", name, e)
+			t.Fatalf("%s step %d (%v): serving sats diverge", name, i, at)
 		}
 		if !reflect.DeepEqual(fast.gw, ref.gw) {
-			t.Fatalf("%s epoch %d: gateways diverge", name, e)
+			t.Fatalf("%s step %d (%v): gateways diverge", name, i, at)
 		}
 		if !reflect.DeepEqual(fast.delayNs, ref.delayNs) {
-			t.Fatalf("%s epoch %d: delays diverge", name, e)
+			t.Fatalf("%s step %d (%v): delays diverge", name, i, at)
 		}
 	}
 	return fast
@@ -330,6 +352,251 @@ func TestGatewayTableEdgeCases(t *testing.T) {
 	}
 	if second == 0 {
 		t.Fatal("two-shell case never assigned a satellite of the second shell")
+	}
+}
+
+// nearPolarShell reaches the poles, which Gen1's 53° never does.
+func nearPolarShell() leo.ShellConfig {
+	return leo.ShellConfig{Name: "near-polar", AltKm: 560, InclinationDeg: 86, Planes: 20, SatsPerPlane: 10, PhasingF: 3}
+}
+
+// twoAltitudeShells is a dense low shell under a sparse high one, so that
+// each serves some terminals: one bound formula, two satellite radii, and a
+// coverage angle per shell.
+func twoAltitudeShells() []leo.ShellConfig {
+	low, high := miniShell(), miniShell()
+	low.Name, low.AltKm = "low", 340
+	high.Name, high.AltKm, high.InclinationDeg = "high", 1150, 70
+	high.Planes, high.SatsPerPlane, high.PhasingF = 8, 6, 1
+	return []leo.ShellConfig{low, high}
+}
+
+// Clusters the world population never produces: one on the polar cell ring
+// (the all-or-nothing admission window, central angles near zero where the
+// bound saturates at 1) and one over the antimeridian (its terminals fill
+// the first and last cell of their rows, and admission windows wrap).
+var (
+	poleCluster     = []Cluster{{"pole", "high-north", geo.LatLon{LatDeg: 89.2, LonDeg: 30}, 150, 1}}
+	datelineCluster = []Cluster{{"dateline", "oceania", geo.LatLon{LatDeg: -17, LonDeg: 179.95}, 150, 1}}
+)
+
+// TestPrunedScanEdgeCases holds the bound-pruned scan to the all-satellites
+// oracle where the bound is tightest or degenerate.
+func TestPrunedScanEdgeCases(t *testing.T) {
+	served := func(f *Fleet) (n int) {
+		for _, s := range f.sat {
+			if s >= 0 {
+				n++
+			}
+		}
+		return n
+	}
+	for _, workers := range []int{1, 4} {
+		cfg := equivConfig(5, "high")
+		cfg.Workers = workers
+		cfg.Shells = []leo.ShellConfig{nearPolarShell()}
+		cfg.Clusters = poleCluster
+		f := checkReassignMatchesReference(t, "polar row", cfg, nil)
+		top := f.grid.rows[len(f.grid.rows)-1]
+		for i, c := range f.cell {
+			if c < top.start {
+				t.Fatalf("polar row: terminal %d (lat %.3f) is in cell %d below the top row", i, f.lat[i], c)
+			}
+		}
+		if served(f) == 0 {
+			t.Fatal("polar row: no terminal served under a near-polar shell")
+		}
+
+		cfg = equivConfig(5, "mid")
+		cfg.Workers = workers
+		cfg.Clusters = datelineCluster
+		f = checkReassignMatchesReference(t, "antimeridian", cfg, nil)
+		var east, west int
+		for _, lon := range f.lon {
+			if lon > 0 {
+				east++
+			} else {
+				west++
+			}
+		}
+		if east == 0 || west == 0 || served(f) == 0 {
+			t.Fatalf("antimeridian: %d terminals east, %d west, %d served; want all non-zero", east, west, served(f))
+		}
+
+		// 75° N under a 53° shell: candidate lists may be non-empty (the
+		// window is one-sided) but nothing clears the mask, ever.
+		cfg = equivConfig(5, "high")
+		cfg.Workers = workers
+		cfg.Clusters = []Cluster{{"svalbard", "high-north", geo.LatLon{LatDeg: 75, LonDeg: 20}, 60, 1}}
+		f = checkReassignMatchesReference(t, "no satellite", cfg, nil)
+		if n := served(f); n != 0 {
+			t.Fatalf("no satellite: %d terminals at 75° N served by a 53° shell", n)
+		}
+
+		cfg = equivConfig(5, "mid")
+		cfg.Workers = workers
+		cfg.Shells = twoAltitudeShells()
+		f = checkReassignMatchesReference(t, "two altitudes", cfg, nil)
+		var perShell [2]int
+		for _, s := range f.sat {
+			if s >= 0 {
+				perShell[s/int32(f.shells[1].offset)]++
+			}
+		}
+		if perShell[0] == 0 || perShell[1] == 0 {
+			t.Fatalf("two altitudes: shells serve %v terminals; want both in use", perShell)
+		}
+
+		// A mask at the horizon and one below it (sinMask <= 0): the search
+		// starts from a non-positive value to beat. MaskDeg 0 itself selects
+		// the default, so the horizon case is the smallest mask above it.
+		for _, mask := range []float64{1e-9, -5} {
+			cfg = equivConfig(5, "mid")
+			cfg.Workers = workers
+			cfg.MaskDeg = mask
+			f = checkReassignMatchesReference(t, fmt.Sprintf("mask %g", mask), cfg, nil)
+			if mask < 0 && f.sinMask >= 0 {
+				t.Fatalf("mask %g: sinMask %g is not negative", mask, f.sinMask)
+			}
+			if served(f) != len(f.sat) {
+				t.Fatalf("mask %g: %d of %d mid-latitude terminals served", mask, served(f), len(f.sat))
+			}
+		}
+	}
+}
+
+// TestPrunedScanSeedCases walks the instants that decide what the seed is:
+// the first epoch (no previous satellite), the same instant twice (the seed
+// is the winner), consecutive epochs, and jumps of ten minutes and back, far
+// enough that the previous satellite has set below the mask or left the
+// cell's candidate list altogether. Each kind of stale seed must have
+// occurred, or the case proved nothing.
+func TestPrunedScanSeedCases(t *testing.T) {
+	sec := func(s int64) sim.Time { return sim.Time(s * int64(time.Second)) }
+	instants := []sim.Time{sec(0), sec(0), sec(15), sec(30), sec(30), sec(630), sec(645), sec(45), sec(3600), sec(3600), sec(0)}
+	for _, workers := range []int{1, 4} {
+		cfg := equivConfig(13, "mid")
+		cfg.Workers = workers
+		var fresh, belowMask, unlisted int
+		checkReassignAt(t, fmt.Sprintf("seed cases workers %d", workers), cfg, nil, instants, func(_ int, f *Fleet) {
+			for i, prev := range f.sat {
+				if prev < 0 {
+					fresh++
+					continue
+				}
+				c := f.cell[i]
+				if !slices.Contains(f.cands[f.candStart[c]:f.candStart[c+1]], prev) {
+					unlisted++
+				}
+				if f.sinElevation(i, f.satPos[prev]) < f.sinMask {
+					belowMask++
+				}
+			}
+		})
+		if fresh == 0 || belowMask == 0 || unlisted == 0 {
+			t.Fatalf("workers %d: %d fresh, %d below-mask and %d unlisted seeds; want all non-zero",
+				workers, fresh, belowMask, unlisted)
+		}
+	}
+}
+
+// TestPrunedScanTieRule makes every decision a tie: two copies of one shell
+// put two satellites at each position, and every terminal is seeded with the
+// higher-numbered twin of the satellite it held. An ascending scan keeps the
+// lower twin; the seeded scan reaches the same only by its explicit rule.
+func TestPrunedScanTieRule(t *testing.T) {
+	cfg := equivConfig(21, "mid")
+	cfg.Shells = []leo.ShellConfig{miniShell(), miniShell()}
+	swapped := 0
+	f := checkReassignAt(t, "twin shells", cfg, nil, []sim.Time{0, 0, sim.Time(15 * time.Second), sim.Time(30 * time.Second)},
+		func(_ int, f *Fleet) {
+			twin := int32(f.shells[1].offset)
+			for i, s := range f.sat {
+				if s >= 0 && s < twin {
+					f.sat[i] = s + twin
+					swapped++
+				}
+			}
+		})
+	if swapped == 0 {
+		t.Fatal("no terminal was seeded with a twin")
+	}
+	for i, s := range f.sat {
+		if s >= int32(f.shells[1].offset) {
+			t.Fatalf("terminal %d kept twin %d of the second shell", i, s)
+		}
+	}
+}
+
+// TestSinElevationBound is the bound property on whole fleets: for every
+// terminal and every candidate of its cell, over a campaign's epochs, the
+// stored bound is at least the exact sinElevation — on the world population
+// under Gen1, at the coverage edge, at the pole, across the antimeridian,
+// with two altitudes and with a mask below the horizon.
+func TestSinElevationBound(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"world", Config{Seed: 2, Terminals: 3000}},
+		{"high", equivConfig(3, "high")},
+		{"pole", Config{Seed: 4, Terminals: 300, Shells: []leo.ShellConfig{nearPolarShell()}, Clusters: poleCluster}},
+		{"dateline", Config{Seed: 5, Terminals: 300, Clusters: datelineCluster}},
+		{"two altitudes", Config{Seed: 6, Terminals: 600, Shells: twoAltitudeShells()}},
+		{"mask -5", Config{Seed: 7, Terminals: 600, MaskDeg: -5, Shells: []leo.ShellConfig{miniShell()}}},
+	} {
+		fl := New(tc.cfg)
+		pairs := 0
+		for e := 0; e < 12; e++ {
+			fl.ReassignAt(sim.Time(int64(e) * int64(40*time.Second)))
+			pairs += checkBounds(t, fl)
+		}
+		if pairs == 0 {
+			t.Errorf("%s: no (terminal, candidate) pair checked", tc.name)
+		}
+	}
+}
+
+// TestScanStats pins the scan telemetry: the bound never adds work
+// (evaluated <= listed), something is pruned, most terminals keep their
+// satellite across a 15 s step, the index covers exactly the populated
+// cells, and every count is the same for any worker count.
+func TestScanStats(t *testing.T) {
+	var want ScanStats
+	for _, workers := range []int{1, 2, 4} {
+		fl := New(Config{Seed: 9, Terminals: 9000, Workers: workers})
+		for e := 0; e < 8; e++ {
+			fl.ReassignAt(sim.Time(int64(e) * int64(15*time.Second)))
+		}
+		st := fl.ScanStats()
+		fl.Close()
+		if workers == 1 {
+			want = st
+			populated := 0
+			for c := 0; c < fl.grid.nCells; c++ {
+				if fl.cellStart[c] != fl.cellStart[c+1] {
+					populated++
+				} else if fl.candStart[c] != fl.candStart[c+1] {
+					t.Fatalf("cell %d holds no terminal but lists %d candidates", c, fl.candStart[c+1]-fl.candStart[c])
+				}
+			}
+			if st.Epochs != 8 || st.PopulatedCells != populated || st.CandEntries != len(fl.cands) || st.CandEntries == 0 {
+				t.Fatalf("index counts %+v; want 8 epochs, %d populated cells, %d entries", st, populated, len(fl.cands))
+			}
+			if st.Evaluated > st.Listed || st.BoundPassed > st.Evaluated || st.BoundPassed == 0 {
+				t.Fatalf("scan counts %+v; want 0 < passed <= evaluated <= listed", st)
+			}
+			if st.Evaluated*2 > st.Listed {
+				t.Errorf("bound pruned less than half: %d of %d listed candidates evaluated", st.Evaluated, st.Listed)
+			}
+			if served := st.Epochs * 9000; st.SeedWon*2 < served {
+				t.Errorf("seed won %d of %d terminal-epochs; want most", st.SeedWon, served)
+			}
+			continue
+		}
+		if st != want {
+			t.Errorf("%d workers: scan stats %+v, 1 worker %+v", workers, st, want)
+		}
 	}
 }
 
@@ -463,9 +730,9 @@ func TestEpochCampaignWorkerInvariance(t *testing.T) {
 // TestReassignWorkerInvariance checks the assignment arrays directly
 // across worker counts, epoch by epoch, on the full Gen1 shell.
 func TestReassignWorkerInvariance(t *testing.T) {
-	base := Config{Seed: 9, Terminals: 3000, Workers: 1}
+	base := Config{Seed: 9, Terminals: 9000, Workers: 1}
 	fleets := []*Fleet{New(base)}
-	for _, w := range []int{2, 8} {
+	for _, w := range []int{2, 4, 8} {
 		cfg := base
 		cfg.Workers = w
 		fleets = append(fleets, New(cfg))

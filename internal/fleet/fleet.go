@@ -14,12 +14,13 @@
 // peak-hour throughput dip), and per-region latency/throughput/outage
 // distributions come out the other end.
 //
-// The equivalence suite holds the cell-indexed reassignment bit-identical
-// to a naive O(N×M) scan of every satellite for every terminal (the
-// oracle in equivalence_test.go) across seeds, latitude bands and worker
-// counts. Steady-state reassignment allocates nothing: the candidate CSR
-// scratch, the one position snapshot and the per-cell beam lists are all
-// refilled in place every epoch.
+// The equivalence suite holds the cell-indexed, bound-pruned reassignment
+// bit-identical to a naive O(N×M) scan of every satellite for every
+// terminal (the oracle in equivalence_test.go) across seeds, latitude
+// bands, degenerate cells and masks, and worker counts. Steady-state
+// reassignment allocates nothing: the candidate CSR scratch, the one
+// position snapshot and the per-cell beam lists are all refilled in place
+// every epoch.
 package fleet
 
 import (
@@ -125,6 +126,9 @@ type shellMeta struct {
 	per     int
 	enabled []bool  // flat [plane*per+idx]; membership fixed for a run
 	reach   float64 // coverage central angle + margin, radians
+	// cosReach[r] is cos(reach + row r's radius): the admission window's
+	// threshold, a function of (shell, row) alone.
+	cosReach []float64
 }
 
 // Fleet is an instantiated scenario: terminal state in struct-of-arrays
@@ -155,6 +159,8 @@ type Fleet struct {
 	delayNs []int64 // one-way bent-pipe delay, -1 during outage
 
 	cellStart []int32 // CSR over terminals by cell, len nCells+1
+	popRows   []int32 // grid rows holding at least one terminal, ascending
+	minNorm   float64 // smallest pnorm: the observer radius the bound assumes
 
 	shells  []shellMeta
 	sinMask float64
@@ -168,20 +174,24 @@ type Fleet struct {
 	// allocation-free once every buffer has grown to its working size.
 	// satPos/satGw/satGwKm are the flat per-satellite table fillSatTable
 	// refills: position, serving gateway (-1: none in view) and range to it.
+	// admits/candStart/candFill/cands/candUB are buildCandidates' sweep list
+	// and the CSR it sorts into, over the cells that hold terminals.
 	snap      leo.Snapshot
 	satPos    []geo.ECEF
 	satGw     []int32
 	satGwKm   []float64
-	candCount []int32
+	admits    []admission
 	candStart []int32 // len nCells+1
 	candFill  []int32
 	cands     []int32
+	candUB    []float64 // beside cands: upper bound on sinElevation over the cell
+	scan      ScanStats
 
 	acc []regionAccum
 	// Per-epoch per-region scratch for trace emission.
 	epochOut []int64
 	epochHo  []int64
-	active   []bool
+	active   []uint8 // idle, activeOffPeak or activePeak (pool.go)
 
 	// scratch is the observe phase's accumulation target, one per worker
 	// (see pool.go). The rest is the partitioned epoch campaign's state
@@ -238,6 +248,13 @@ func New(cfg Config) *Fleet {
 	f.satPos, f.satGw, f.satGwKm = make([]geo.ECEF, offset), make([]int32, offset), make([]float64, offset)
 	f.sinMask = math.Sin(geo.Radians(cfg.MaskDeg))
 	f.grid = newCellGrid(cfg.CellDeg)
+	for si := range f.shells {
+		m := &f.shells[si]
+		m.cosReach = make([]float64, len(f.grid.rows))
+		for r, row := range f.grid.rows {
+			m.cosReach[r] = math.Cos(m.reach + row.radius)
+		}
+	}
 
 	f.gwEcef = make([]geo.ECEF, len(cfg.Gateways))
 	f.gwNorm = make([]float64, len(cfg.Gateways))
@@ -283,7 +300,7 @@ func New(cfg Config) *Fleet {
 	f.sat, f.prevSat, f.gw = slabI(), slabI(), slabI()
 	f.seed = make([]uint64, n)
 	f.delayNs = make([]int64, n)
-	f.active = make([]bool, n)
+	f.active = make([]uint8, n)
 	for t, k := range keys {
 		i := int(uint32(k))
 		f.orig[t] = int32(i)
@@ -299,14 +316,11 @@ func New(cfg Config) *Fleet {
 	}
 
 	f.cellStart = make([]int32, f.grid.nCells+1)
-	for _, c := range f.cell {
-		f.cellStart[c+1]++
-	}
-	for c := 0; c < f.grid.nCells; c++ {
-		f.cellStart[c+1] += f.cellStart[c]
-	}
+	f.indexTerminals()
 
-	f.candCount = make([]int32, f.grid.nCells)
+	// A populated cell lists some 18 Gen1 satellites; append grows the sweep
+	// list, and the CSR tables after it, if a constellation is denser.
+	f.admits = make([]admission, 0, 20*f.scan.PopulatedCells)
 	f.candStart = make([]int32, f.grid.nCells+1)
 	f.candFill = make([]int32, f.grid.nCells)
 	f.epochOut = make([]int64, len(f.regions))
@@ -325,6 +339,39 @@ func New(cfg Config) *Fleet {
 		f.pool = newEpochPool(f, cfg.Workers)
 	}
 	return f
+}
+
+// indexTerminals derives from the sorted terminal arrays what the epoch
+// reads per cell and per fleet: the CSR over terminals by cell, which rows
+// hold any (the admission sweep visits no other), and the smallest
+// geocentric radius a terminal has (the bound's observer radius).
+func (f *Fleet) indexTerminals() {
+	clear(f.cellStart)
+	for _, c := range f.cell {
+		f.cellStart[c+1]++
+	}
+	for c := 0; c < f.grid.nCells; c++ {
+		f.cellStart[c+1] += f.cellStart[c]
+	}
+	f.popRows = f.popRows[:0]
+	f.scan.PopulatedCells = 0
+	for r := range f.grid.rows {
+		row := &f.grid.rows[r]
+		cells := 0
+		for c := row.start; c < row.start+row.nLon; c++ {
+			if f.cellStart[c] != f.cellStart[c+1] {
+				cells++
+			}
+		}
+		if cells > 0 {
+			f.popRows = append(f.popRows, int32(r))
+			f.scan.PopulatedCells += cells
+		}
+	}
+	f.minNorm = math.Inf(1)
+	for _, n := range f.pnorm {
+		f.minNorm = min(f.minNorm, n)
+	}
 }
 
 // Terminals returns the fleet size.

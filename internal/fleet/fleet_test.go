@@ -167,3 +167,17 @@ func TestCellOfEdges(t *testing.T) {
 		t.Errorf("lon wrap: cell(10,370)=%d != cell(10,10)=%d", a, b)
 	}
 }
+
+// TestActiveProbRange: activeProbMin and activeProbMax bracket activeProb at
+// every hour and are attained at the trough and the peak — what lets the
+// epoch decide a draw outside them without the hour.
+func TestActiveProbRange(t *testing.T) {
+	if activeProb(8) != activeProbMin || activeProb(20) != activeProbMax {
+		t.Fatalf("activeProb(8) = %v, activeProb(20) = %v; range [%v, %v]", activeProb(8), activeProb(20), activeProbMin, activeProbMax)
+	}
+	for h := 0.0; h < 24; h += 1.0 / 512 {
+		if p := activeProb(h); p < activeProbMin || p > activeProbMax {
+			t.Fatalf("activeProb(%v) = %v outside [%v, %v]", h, p, activeProbMin, activeProbMax)
+		}
+	}
+}

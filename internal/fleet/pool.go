@@ -78,7 +78,7 @@ func (f *Fleet) poolWorker(p *epochPool, w int) {
 	for ph := range p.work {
 		switch ph {
 		case phaseAssign:
-			f.stealAssign(p)
+			f.stealAssign(p, &f.scratch[w])
 		case phaseObserve:
 			f.stealObserve(p, &f.scratch[w])
 		}
@@ -88,7 +88,7 @@ func (f *Fleet) poolWorker(p *epochPool, w int) {
 
 // stealAssign claims fixed-size terminal blocks until the fleet is
 // exhausted — same work unit as the pre-pool goroutine-per-epoch path.
-func (f *Fleet) stealAssign(p *epochPool) {
+func (f *Fleet) stealAssign(p *epochPool, sc *epochScratch) {
 	n := len(f.sat)
 	for {
 		lo := int(p.cursor.Add(1)-1) * assignBlock
@@ -99,7 +99,7 @@ func (f *Fleet) stealAssign(p *epochPool) {
 		if hi > n {
 			hi = n
 		}
-		f.assignRange(lo, hi)
+		f.assignRange(sc, lo, hi)
 	}
 }
 
@@ -117,13 +117,15 @@ func (f *Fleet) stealObserve(p *epochPool, sc *epochScratch) {
 	}
 }
 
-// epochScratch is one worker's private accumulation state for the
-// observation phase: per-region tallies and distributions plus the
-// per-cell beam list. Every field is integer-counted, so draining
-// scratches into the shared accumulators in worker order reproduces the
-// sequential accumulation bit-for-bit. Distribution geometries mirror
-// initAccum; keep them in sync.
+// epochScratch is one worker's private accumulation state: for the
+// observation phase per-region tallies and distributions plus the
+// per-cell beam list, for the assignment phase its share of the scan
+// telemetry (ReassignAt drains it at the barrier). Every field is
+// integer-counted, so draining scratches into the shared accumulators in
+// worker order reproduces the sequential accumulation bit-for-bit.
+// Distribution geometries mirror initAccum; keep them in sync.
 type epochScratch struct {
+	scan      ScanStats
 	samples   []int64
 	outages   []int64
 	handovers []int64
@@ -201,17 +203,46 @@ func (f *Fleet) observeRange(sc *epochScratch, e int, utcHours float64, lo, hi i
 	}
 }
 
+// Per-terminal activity for the epoch being observed: pass 1 of
+// observeCellInto writes it, pass 2 reads it.
+const (
+	idle uint8 = iota
+	activeOffPeak
+	activePeak // local 18:00-23:00
+)
+
 // observeCellInto accounts the one cell holding terminals [lo, hi) into sc.
 func (f *Fleet) observeCellInto(sc *epochScratch, e int, utcHours float64, lo, hi int) {
-	// Pass 1: per distinct serving satellite, count active served
-	// terminals sharing its beam over this cell.
+	// Pass 1: flip every terminal's activity coin and, per distinct serving
+	// satellite, count active served terminals sharing its beam over this
+	// cell. The coin is draw < activeProb(local hour); the local hour (a
+	// Mod) and the cosine are computed only when the draw lies inside
+	// activeProb's range, where they decide it, or when the terminal is
+	// active and served, where pass 2 files its share by the hour.
 	sc.satList = sc.satList[:0]
 	sc.satCnt = sc.satCnt[:0]
 	for t := lo; t < hi; t++ {
-		h := localHour(utcHours, f.lon[t])
-		f.active[t] = activeDraw(f.seed[t], int64(e)) < activeProb(h)
-		if !f.active[t] || f.sat[t] < 0 || f.delayNs[t] < 0 {
+		draw := activeDraw(f.seed[t], int64(e))
+		f.active[t] = idle
+		if draw >= activeProbMax {
 			continue
+		}
+		h := -1.0
+		if draw >= activeProbMin {
+			h = localHour(utcHours, f.lon[t])
+			if draw >= activeProb(h) {
+				continue
+			}
+		}
+		f.active[t] = activeOffPeak
+		if f.sat[t] < 0 || f.delayNs[t] < 0 {
+			continue
+		}
+		if h < 0 {
+			h = localHour(utcHours, f.lon[t])
+		}
+		if h >= 18 && h < 23 {
+			f.active[t] = activePeak
 		}
 		found := false
 		for k, s := range sc.satList {
@@ -240,7 +271,7 @@ func (f *Fleet) observeCellInto(sc *epochScratch, e int, utcHours float64, lo, h
 		if e > 0 && f.prevSat[t] >= 0 && f.sat[t] != f.prevSat[t] {
 			sc.handovers[ri]++
 		}
-		if f.active[t] {
+		if f.active[t] != idle {
 			share := f.cfg.MaxTermMbps
 			for k, s := range sc.satList {
 				if s == f.sat[t] {
@@ -250,8 +281,7 @@ func (f *Fleet) observeCellInto(sc *epochScratch, e int, utcHours float64, lo, h
 					break
 				}
 			}
-			h := localHour(utcHours, f.lon[t])
-			if h >= 18 && h < 23 {
+			if f.active[t] == activePeak {
 				sc.peak[ri].Observe(share)
 			} else {
 				sc.offPeak[ri].Observe(share)

@@ -376,3 +376,39 @@ func TestAllocGateSchedulerChurn(t *testing.T) {
 		t.Errorf("%v allocs per %d-event churn round, want 0", avg, events)
 	}
 }
+
+// TestAllocGateTimerSlab holds the cold side: a scheduler that must carry
+// many timers at once makes their nodes a chunk at a time, not one by one —
+// 5 000 pending timers are under 150 objects (sixteen single nodes,
+// chunks growing from slabUnit to slabMax, plus the heap's own growth). Every timer still fires
+// once, and a handle's Stop reaches only its own node.
+func countFire(arg any) { *arg.(*int)++ }
+
+func TestAllocGateTimerSlab(t *testing.T) {
+	const timers = 5000
+	var s *Scheduler
+	var handles []TimerHandle
+	fired := 0
+	fill := func(n int) {
+		s = NewScheduler(1)
+		handles = handles[:0]
+		for i := 0; i < n; i++ {
+			handles = append(handles, s.AfterFunc(Duration(n-i)*time.Microsecond, countFire, &fired))
+		}
+	}
+	fill(timers) // size handles
+	if avg := testing.AllocsPerRun(5, func() { fill(timers) }); avg > 150 {
+		t.Errorf("%v objects to hold %d pending timers, want under 150", avg, timers)
+	}
+	for i := 0; i < timers; i += 2 {
+		if !handles[i].Stop() {
+			t.Fatalf("timer %d: Stop on a pending timer returned false", i)
+		}
+	}
+	fired = 0
+	s.Run()
+	if fired != timers/2 {
+		t.Errorf("%d timers fired, want %d", fired, timers/2)
+	}
+
+}

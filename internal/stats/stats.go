@@ -8,8 +8,10 @@ package stats
 
 import (
 	"fmt"
+	"io"
 	"math"
 	"sort"
+	"strings"
 )
 
 // Percentile returns the p-th percentile (0 <= p <= 100) of xs using
@@ -139,8 +141,40 @@ func Summarize(xs []float64) Summary {
 
 // String renders the summary compactly for harness output.
 func (s Summary) String() string {
-	return fmt.Sprintf("n=%d min=%.3g p5=%.3g p25=%.3g p50=%.3g p75=%.3g p95=%.3g p99=%.3g max=%.3g",
+	var b strings.Builder
+	Fprintf(&b, "n=%d min=%.3g p5=%.3g p25=%.3g p50=%.3g p75=%.3g p95=%.3g p99=%.3g max=%.3g",
 		s.N, s.Min, s.P5, s.P25, s.P50, s.P75, s.P95, s.P99, s.Max)
+	return b.String()
+}
+
+// Fprintf is fmt.Fprintf for report lines that print quantiles: a NaN
+// float64 argument — what Summarize, Percentile, Median and Mean return for
+// no samples — is shown as NoSample in the verb's width instead of "NaN"
+// (or, converted to a duration on the way, as the most negative one).
+func Fprintf(w io.Writer, format string, args ...any) (int, error) {
+	for i, a := range args {
+		if v, ok := a.(float64); ok && math.IsNaN(v) {
+			args[i] = noSample{}
+		}
+	}
+	return fmt.Fprintf(w, format, args...)
+}
+
+// NoSample is how a statistic of an empty sample is printed.
+const NoSample = "—"
+
+type noSample struct{}
+
+func (noSample) Format(f fmt.State, _ rune) {
+	pad := 0
+	if w, ok := f.Width(); ok && w > 1 {
+		pad = w - 1
+	}
+	if f.Flag('-') {
+		fmt.Fprintf(f, "%s%*s", NoSample, pad, "")
+	} else {
+		fmt.Fprintf(f, "%*s%s", pad, "", NoSample)
+	}
 }
 
 // IQR returns the interquartile range p75-p25.

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand/v2"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -341,5 +342,17 @@ func TestMinMaxMeanStd(t *testing.T) {
 	}
 	if !math.IsNaN(StdDev([]float64{1})) {
 		t.Fatal("stddev of single sample should be NaN")
+	}
+}
+
+func TestFprintfNoSample(t *testing.T) {
+	var b strings.Builder
+	s := Summarize(nil)
+	Fprintf(&b, "n=%d [%6.1f] [%-6.1f] [%.0f] [%v] [%5.2f]", s.N, s.P50, s.Mean, Median(nil), s.Max, 1.5)
+	if want := "n=0 [     —] [—     ] [—] [—] [ 1.50]"; b.String() != want {
+		t.Errorf("got %q, want %q", b.String(), want)
+	}
+	if got := s.String(); strings.Contains(got, "NaN") || !strings.HasPrefix(got, "n=0 min=— ") {
+		t.Errorf("empty Summary renders as %q", got)
 	}
 }
