@@ -2,9 +2,9 @@
 # ci.sh — the full gate: formatting, vet, guards against deleted
 # mechanisms and hand-declared shared flags coming back through a merge,
 # build, a run of the four examples, the test suite under the race
-# detector (which runs the traffic shards' goroutine fan-out), the
-# allocation gates in a plain pass, four fuzz smokes, ten race-detector
-# rounds of the fleet's pooled scan and two short runs of the repo
+# detector (which runs every sim.Workers fan-out), the allocation gates in
+# a plain pass, four fuzz smokes, ten race-detector rounds of the fleet's
+# pooled scan and of the fork/join pool, and two short runs of the repo
 # benchmark. Equivalence is proven by tests, not here: every fast path is
 # compared with an oracle in its package's _test.go files, and the
 # report-level byte-diffs (worker counts, transport profile) are
@@ -30,9 +30,23 @@ echo "== no deleted mechanism in non-test code (DESIGN.md: Independent traffic s
 # each and caller-owned snapshots, and the fleet's count-then-fill candidate
 # sweep over every cell (candCount; the sweep is one pass over populated
 # cells now, and the only unpruned scan is the all-satellites oracle in
-# internal/fleet/equivalence_test.go).
-if grep -rnE 'PartitionedDriver|CrossEdge|AddCrossLink|snapshotRing|peekSnapshot|delayRing|islMemo|candCount|referenceReassignAt' --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark .; then
+# internal/fleet/equivalence_test.go), and the fleet's own epoch pool and
+# the per-type pool counters that sim.Workers and sim.PoolStats replaced.
+if grep -rnE 'PartitionedDriver|CrossEdge|AddCrossLink|snapshotRing|peekSnapshot|delayRing|islMemo|candCount|referenceReassignAt|epochPool|runPhase|phaseAssign|WirePoolStats struct' --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark .; then
     echo "a deleted mechanism is named above" >&2
+    exit 1
+fi
+
+echo "== one freelist, one fork/join pool (DESIGN.md §7: Recycling, Fork/join)"
+# Goroutines are started, and joined, by sim.Workers alone; a hand-written
+# freelist pop is sim.Freelist's alone.
+if grep -rnE '(^|[^A-Za-z_])go (func|[A-Za-z_][A-Za-z_0-9.]*\()|sync\.WaitGroup' --include='*.go' --exclude='*_test.go' internal |
+    grep -v '^internal/sim/workers.go:'; then
+    echo "a goroutine fan-out is written by hand above; use sim.Workers (internal/sim/workers.go)" >&2
+    exit 1
+fi
+if grep -rn '\[n-1\] = nil' --include='*.go' --exclude='*_test.go' internal | grep -v '^internal/sim/'; then
+    echo "a freelist is written by hand above; use sim.Freelist (internal/sim/freelist.go)" >&2
     exit 1
 fi
 
@@ -104,6 +118,13 @@ echo "== fleet pooled scan, ten rounds under the race detector"
 # 1/2/4/8 workers read the shared candidate and bound tables and write their
 # own scratch; assignments and scan counts must not depend on the count.
 go test -race ./internal/fleet -run 'TestReassignWorkerInvariance|TestScanStats' -count=10
+
+echo "== fork/join pool, ten rounds under the race detector"
+# The pool itself, then the whole epoch campaign on it: results, metrics
+# and traces equal for every worker count. -short leaves the 100k-terminal
+# case to the one -race pass above (~7 s for both lines on a 2-CPU host).
+go test -race ./internal/sim -run 'TestWorkers' -count=10
+go test -race -short ./internal/fleet -run 'TestEpochCampaignWorkerInvariance' -count=10
 
 echo "== benchmark smoke (one short run each of small_packets and fleet_scale)"
 # The benchmark must build from a clean checkout, run, and report a correct

@@ -15,9 +15,11 @@ import (
 // from the commands as they were before they moved into this package
 // (PR 22's parent commit) and hold for any change that claims the outputs
 // did not move — except the stdout of quicbench h3-pcap and h3-down and of
-// starlink-bench quick, re-captured in PR 24 for one line each: "Loss event
-// durations (…): n=0" used to print p50=-2562047h47m16.854775808s and now
-// prints p50=—. "{dir}" in args is the row's temporary directory; the same
+// starlink-bench quick, re-captured when "Loss event durations (…): n=0"
+// stopped printing p50=-2562047h47m16.854775808s for p50=—, and the stdout
+// of starlink-bench quick once more when the fleet and traffic tables
+// stopped printing 0.0 for a quantile of no samples (now —, with a
+// footnote). "{dir}" in args is the row's temporary directory; the same
 // substitution runs backwards on stdout, which names the files it wrote.
 var golden = []struct {
 	name, command, args string
@@ -74,7 +76,7 @@ var golden = []struct {
 	// second would add four seconds to every `go test ./...`.
 	{name: "quick", command: "starlink-bench", slow: true,
 		args:   "-quick -fleet.terminals 200 -workers 4 -trace {dir}/t.bin -metrics.json {dir}/m.json",
-		stdout: "48b3f93c2a926ee74a2893116127f42aba412da79abf07f2b2d263d7cb27ff64",
+		stdout: "14ecd4d5511fd9a24e8dc65e3f85f952699e3dfe1203ea6d839a1a619625a2c9",
 		files: map[string]string{
 			"t.bin":  "367c7b555ba4dcda7a3b3f290a89d9418703509e03919eba33d240f7d46894bb",
 			"m.json": "b5fc34c7e9fff385f1d7e442cdfc676209e2a9bb5d8befcb661160649bfb20c9"}},

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"starlinkperf/internal/fleet"
 	"starlinkperf/internal/measure"
 	"starlinkperf/internal/stats"
 	"starlinkperf/internal/trace"
@@ -124,6 +125,41 @@ func TestRenderersNoSamples(t *testing.T) {
 	for _, want := range []string{"nowhere", "download: n=0 p50=— p95=— p99=—", "starlink h3 down            —", "onLoad med=—s"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output lacks %q:\n%s", want, out)
+		}
+	}
+
+	// A fleet region whose window never entered (or never left) local
+	// 18-23 h, or that was in outage throughout, and a traffic region no
+	// reply came back from print "—" in those cells and one footnote.
+	b.Reset()
+	RenderFleet(&b, &fleet.Result{Regions: []fleet.RegionResult{
+		{Region: "full", Terminals: 1, Samples: 9, LatencyP50Ms: 30, LatencyP95Ms: 40, PeakMbpsP50: 80, OffPeakMbpsP50: 100, PeakDipPct: 20},
+		{Region: "nopeak", Terminals: 1, Samples: 9, LatencyP50Ms: 30, LatencyP95Ms: 40, OffPeakMbpsP50: 100},
+		{Region: "nooff", Terminals: 1, Samples: 9, LatencyP50Ms: 30, LatencyP95Ms: 40, PeakMbpsP50: 80},
+		{Region: "outage", Terminals: 1, OutagePct: 100},
+	}})
+	RenderTraffic(&b, &fleet.TrafficResult{Regions: []fleet.TrafficRegionResult{
+		{Region: "replied", Sent: 2, Recv: 2, RTTP50Ms: 30, RTTP95Ms: 40},
+		{Region: "silent", Sent: 2, LossPct: 100},
+	}})
+	out = b.String()
+	for _, want := range []string{
+		"full                1     0.00    30.0    40.0         0      80.0    100.0   20.0\n",
+		"nopeak              1     0.00    30.0    40.0         0         —    100.0      —\n",
+		"nooff               1     0.00    30.0    40.0         0      80.0        —      —\n",
+		"outage              1   100.00       —       —         0         —        —      —\n",
+		"—: no samples (",
+		"replied                2         2         0    0.00     30.0     40.0\n",
+		"silent                 2         0         0  100.00        —        —\n",
+		"—: no reply received\n",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("fleet tables lack %q:\n%s", want, out)
+		}
+	}
+	for _, bad := range []string{"NaN", " 0.0 "} {
+		if strings.Contains(out, bad) {
+			t.Errorf("a fleet table printed %q for an empty sample:\n%s", bad, out)
 		}
 	}
 }

@@ -3,9 +3,11 @@ package core
 import (
 	"fmt"
 	"io"
+	"math"
 
 	"starlinkperf/internal/fleet"
 	"starlinkperf/internal/obs"
+	"starlinkperf/internal/stats"
 )
 
 // RunFleetScenario runs the planet-scale terminal-fleet campaign under
@@ -59,18 +61,33 @@ func RunFleetTraffic(cfg fleet.TrafficConfig, opts Options) *fleet.TrafficResult
 // RenderFleet prints the per-region distribution table of the fleet
 // scenario — the global-coverage story (latency by region, high-latitude
 // outage, peak-hour dip) the paper's single-vantage campaigns cannot
-// show.
+// show. A statistic of no samples prints as stats.NoSample.
 func RenderFleet(w io.Writer, res *fleet.Result) {
 	fmt.Fprintf(w, "=== starlink-fleet scenario ===\n")
 	fmt.Fprintf(w, "%d terminals, %d epochs, %d cells, %d satellites\n\n",
 		res.Terminals, res.Epochs, res.Cells, res.Satellites)
 	fmt.Fprintf(w, "%-14s %6s %8s %7s %7s %9s %9s %8s %6s\n",
 		"region", "terms", "outage%", "p50ms", "p95ms", "handovers", "peak p50", "off p50", "dip%")
+	empty := false
 	for _, rr := range res.Regions {
-		fmt.Fprintf(w, "%-14s %6d %8.2f %7.1f %7.1f %9d %9.1f %8.1f %6.1f\n",
-			rr.Region, rr.Terminals, rr.OutagePct, rr.LatencyP50Ms, rr.LatencyP95Ms,
-			rr.Handovers, rr.PeakMbpsP50, rr.OffPeakMbpsP50, rr.PeakDipPct)
+		none, noPeak, noOff := rr.Samples == 0, rr.PeakMbpsP50 == 0, rr.OffPeakMbpsP50 == 0 // a served share is > 0
+		empty = empty || none || noPeak || noOff
+		stats.Fprintf(w, "%-14s %6d %8.2f %7.1f %7.1f %9d %9.1f %8.1f %6.1f\n",
+			rr.Region, rr.Terminals, rr.OutagePct, orNoSample(rr.LatencyP50Ms, none), orNoSample(rr.LatencyP95Ms, none),
+			rr.Handovers, orNoSample(rr.PeakMbpsP50, noPeak), orNoSample(rr.OffPeakMbpsP50, noOff), orNoSample(rr.PeakDipPct, noPeak || noOff))
 	}
+	if empty {
+		fmt.Fprintf(w, "%s: no samples (the region was in outage throughout, or the campaign never entered, or never left, its local 18-23 h)\n", stats.NoSample)
+	}
+}
+
+// orNoSample is v, or NaN — which stats.Fprintf prints as stats.NoSample —
+// when no sample lies behind it.
+func orNoSample(v float64, none bool) float64 {
+	if none {
+		return math.NaN()
+	}
+	return v
 }
 
 // RenderTraffic prints the per-region probe table of the packet-level
@@ -83,8 +100,13 @@ func RenderTraffic(w io.Writer, res *fleet.TrafficResult) {
 		res.Terminals, res.Partitions, res.ProbesSent, res.ProbesRecv, res.ProbesSkipped)
 	fmt.Fprintf(w, "%-14s %9s %9s %9s %7s %8s %8s\n",
 		"region", "sent", "recv", "skipped", "loss%", "rtt p50", "rtt p95")
+	empty := false
 	for _, rr := range res.Regions {
-		fmt.Fprintf(w, "%-14s %9d %9d %9d %7.2f %8.1f %8.1f\n",
-			rr.Region, rr.Sent, rr.Recv, rr.Skipped, rr.LossPct, rr.RTTP50Ms, rr.RTTP95Ms)
+		empty = empty || rr.Recv == 0
+		stats.Fprintf(w, "%-14s %9d %9d %9d %7.2f %8.1f %8.1f\n", rr.Region, rr.Sent, rr.Recv, rr.Skipped,
+			rr.LossPct, orNoSample(rr.RTTP50Ms, rr.Recv == 0), orNoSample(rr.RTTP95Ms, rr.Recv == 0))
+	}
+	if empty {
+		fmt.Fprintf(w, "%s: no reply received\n", stats.NoSample)
 	}
 }

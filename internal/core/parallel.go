@@ -3,7 +3,6 @@ package core
 import (
 	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"starlinkperf/internal/measure"
@@ -22,36 +21,26 @@ import (
 // (config, seed, shard count): bit-for-bit identical whether one worker
 // runs all shards or GOMAXPROCS workers race through them.
 
-// forEachShard runs body(i) for every i in [0,n) on opts.Workers
-// goroutines, at most n — the caller's is one of them, so a single worker
-// runs the shards inline — and reports per-shard completion through
+// forEachShard runs body(i) for every i in [0,n) on a pool of
+// opts.Workers workers, at most n — the caller is one of them, so a single
+// worker runs the shards inline — and reports per-shard completion through
 // opts.Progress.
 func forEachShard(opts Options, n int, body func(shard int)) {
 	var (
-		next      atomic.Int64
 		mu        sync.Mutex
 		completed int
-		wg        sync.WaitGroup
 	)
-	work := func() {
-		defer wg.Done()
-		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
-			body(i)
-			if opts.Progress != nil {
-				mu.Lock()
-				completed++
-				opts.Progress(completed, n)
-				mu.Unlock()
-			}
+	wk := sim.NewWorkers(min(opts.WorkerCount(), n))
+	defer wk.Close()
+	wk.Run(n, func(_, i int) {
+		body(i)
+		if opts.Progress != nil {
+			mu.Lock()
+			completed++
+			opts.Progress(completed, n)
+			mu.Unlock()
 		}
-	}
-	workers := max(1, min(opts.WorkerCount(), n))
-	wg.Add(workers)
-	for w := 1; w < workers; w++ {
-		go work()
-	}
-	work()
-	wg.Wait()
+	})
 }
 
 // runSharded is the sharded form of repeat: n repetitions split into

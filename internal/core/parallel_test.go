@@ -3,10 +3,12 @@ package core
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
+	"starlinkperf/internal/fleet"
 	"starlinkperf/internal/measure"
 	"starlinkperf/internal/sim"
 )
@@ -280,5 +282,42 @@ func TestSweepWorkerInvariance(t *testing.T) {
 		if seq[i].Name != j.Name {
 			t.Errorf("result %d is %q, want job order preserved (%q)", i, seq[i].Name, j.Name)
 		}
+	}
+}
+
+// Every fork/join pool stops its goroutines when its owner is done: a
+// sweep, a packet-level fleet scenario, and a fleet built with several
+// workers once it is closed.
+func TestPoolsLeaveNoGoroutines(t *testing.T) {
+	base := runtime.NumGoroutine()
+	RunSweep([]SweepJob{
+		{Name: "a", Cfg: DefaultConfig(), Run: func(*Testbed) any { return nil }},
+		{Name: "b", Cfg: DefaultConfig(), Run: func(*Testbed) any { return nil }},
+	}, Options{Workers: raceWorkers})
+	waitGoroutines(t, base, "RunSweep")
+
+	RunFleetTraffic(fleet.TrafficConfig{
+		Fleet:      fleet.Config{Terminals: 400, Horizon: 4 * time.Second, Epoch: 2 * time.Second},
+		Partitions: 4,
+	}, Options{Workers: raceWorkers, ScenarioWorkers: raceWorkers, Seed: 11})
+	waitGoroutines(t, base, "Traffic.Run")
+
+	f := fleet.New(fleet.Config{Terminals: 5000, Horizon: 30 * time.Second, Workers: raceWorkers})
+	f.Run()
+	f.Close()
+	waitGoroutines(t, base, "Fleet.Close")
+}
+
+// waitGoroutines fails t unless the goroutine count drops to at most base
+// within a second of what returned: an exiting goroutine may still be
+// counted for a moment.
+func waitGoroutines(t *testing.T, base int, after string) {
+	t.Helper()
+	deadline := time.Now().Add(time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("after %s: %d goroutines, %d before", after, runtime.NumGoroutine(), base)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

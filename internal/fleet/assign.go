@@ -7,7 +7,7 @@ import (
 	"starlinkperf/internal/sim"
 )
 
-// assignBlock is the unit of work the parallel reassignment hands to
+// assignBlock is the unit of work reassignment and placement hand to
 // workers: big enough to amortize the atomic fetch, small enough to
 // balance cells of very different terminal density.
 const assignBlock = 2048
@@ -17,26 +17,22 @@ const assignBlock = 2048
 // sweep over the constellation builds, for the cells that hold terminals,
 // candidate lists with an upper bound on sin(elevation) beside each entry
 // (CSR into reused scratch), then each terminal runs a bound-pruned argmax
-// over its cell's candidates. With cfg.Workers > 1 the per-terminal phase
-// fans out over the fleet's persistent worker pool (pool.go); every
+// over its cell's candidates. The per-terminal phase fans out over the
+// fleet's worker pool in assignBlock blocks (pool.go); every
 // terminal's result is a pure function of (position, snapshot) — its
 // previous satellite only decides how many candidates are scored — so
 // results are bit-identical for any worker count.
 //
 // A fresh epoch allocates nothing for any worker count once the candidate
 // scratch has grown to its working size: the position snapshot is one
-// table the fleet owns and refills in place, and the pool hands out work
-// with channel tokens. The fleet alloc gates hold both paths to zero
+// table the fleet owns and refills in place, and the pool runs a body bound
+// once in New. The fleet alloc gates hold one and several workers to zero
 // while the clock advances.
 func (f *Fleet) ReassignAt(at sim.Time) {
 	f.con.FillSnapshot(&f.snap, at)
 	f.fillSatTable()
 	f.buildCandidates()
-	if f.pool == nil {
-		f.assignRange(&f.scratch[0], 0, len(f.sat))
-	} else {
-		f.pool.runPhase(phaseAssign)
-	}
+	f.workers.Run((len(f.sat)+assignBlock-1)/assignBlock, f.assignBody)
 	f.scan.Epochs++
 	f.scan.CandEntries = len(f.cands)
 	for w := range f.scratch {

@@ -193,15 +193,15 @@ type Fleet struct {
 	epochHo  []int64
 	active   []uint8 // idle, activeOffPeak or activePeak (pool.go)
 
-	// scratch is the observe phase's accumulation target, one per worker
-	// (see pool.go). The rest is the partitioned epoch campaign's state
-	// (Workers > 1): the persistent worker pool, the cell-aligned observe
-	// ranges workers steal, and the epoch staged for the observe phase.
-	scratch   []epochScratch
-	pool      *epochPool
-	obsRanges []int32
-	obsEpoch  int
-	obsUTC    float64
+	// The epoch's worker pool and its two phase bodies, bound once; one
+	// scratch per worker, the observe ranges and the staged epoch (pool.go).
+	workers     *sim.Workers
+	assignBody  func(w, i int)
+	observeBody func(w, i int)
+	scratch     []epochScratch
+	obsRanges   []int32
+	obsEpoch    int
+	obsUTC      float64
 }
 
 // New builds a fleet: places terminals, sorts them by cell and sizes the
@@ -270,8 +270,9 @@ func New(cfg Config) *Fleet {
 		f.gwSinMask[i] = math.Sin(geo.Radians(mask))
 	}
 
+	f.workers = sim.NewWorkers(cfg.Workers)
 	n := cfg.Terminals
-	lat, lon, cluster, seeds := placeTerminals(cfg.Seed, n, cfg.Clusters, cfg.Workers)
+	lat, lon, cluster, seeds := placeTerminals(cfg.Seed, n, cfg.Clusters, f.workers)
 
 	// Sort terminals by (cell, placement index): per-cell slices become
 	// contiguous and the order stays a pure function of the placement.
@@ -331,12 +332,14 @@ func New(cfg Config) *Fleet {
 	for w := range f.scratch {
 		f.scratch[w] = f.newScratch()
 	}
-	if cfg.Workers > 1 {
-		// Partitioned epoch campaign: pre-balance the observe ranges
-		// (cell-aligned, several per worker so stealing evens out dense
-		// metro cells) and spawn the persistent pool.
-		f.obsRanges = f.PartitionTerminals(cfg.Workers * 8).TermStart
-		f.pool = newEpochPool(f, cfg.Workers)
+	// Cell-aligned observe ranges, several per worker to even out metro cells.
+	f.obsRanges = f.PartitionTerminals(cfg.Workers * 8).TermStart
+	f.assignBody = func(w, i int) {
+		lo := i * assignBlock
+		f.assignRange(&f.scratch[w], lo, min(lo+assignBlock, n))
+	}
+	f.observeBody = func(w, i int) {
+		f.observeRange(&f.scratch[w], f.obsEpoch, f.obsUTC, int(f.obsRanges[i]), int(f.obsRanges[i+1]))
 	}
 	return f
 }
@@ -405,7 +408,7 @@ type RegionResult struct {
 	LatencyP95Ms float64
 	// Median per-terminal throughput share during local peak hours
 	// (18:00–23:00) and off-peak, and the relative dip between them —
-	// the beam-contention signature.
+	// the beam-contention signature. 0 when a window held no samples.
 	PeakMbpsP50    float64
 	OffPeakMbpsP50 float64
 	PeakDipPct     float64

@@ -143,50 +143,29 @@ func placeOne(rng *sim.RNG, clusters []Cluster, cum []float64, total float64) (g
 	return geo.LatLon{LatDeg: lat, LonDeg: lon}, ci
 }
 
-// placeTerminals places n terminals in parallel. Each index is an
-// independent pure function of the seed, so workers write disjoint
-// ranges of the output and the result is identical for any worker count.
-func placeTerminals(seed uint64, n int, clusters []Cluster, workers int) (lat, lon []float64, cluster []int32, seeds []uint64) {
+// placeTerminals places n terminals on wk in assignBlock blocks. Each index
+// is a pure function of the seed, so the result is the same for any pool.
+func placeTerminals(seed uint64, n int, clusters []Cluster, wk *sim.Workers) (lat, lon []float64, cluster []int32, seeds []uint64) {
 	lat = make([]float64, n)
 	lon = make([]float64, n)
 	cluster = make([]int32, n)
 	seeds = make([]uint64, n)
 	cum, total := clusterWeights(clusters)
-	fill := func(lo, hi int) {
-		// One generator per worker, reseeded per terminal: NewRNG's stream.
-		rng := sim.NewRNG(0)
-		for i := lo; i < hi; i++ {
+	// One generator per worker, reseeded per terminal: NewRNG's stream.
+	rngs := make([]*sim.RNG, wk.Size())
+	wk.Run((n+assignBlock-1)/assignBlock, func(w, b int) {
+		if rngs[w] == nil {
+			rngs[w] = sim.NewRNG(0)
+		}
+		rng := rngs[w]
+		for i := b * assignBlock; i < min(n, (b+1)*assignBlock); i++ {
 			seeds[i] = sim.DeriveSeed(seed, "fleet/terminal", i)
 			rng.Reseed(seeds[i])
 			p, ci := placeOne(rng, clusters, cum, total)
 			lat[i], lon[i] = p.LatDeg, p.LonDeg
 			cluster[i] = int32(ci)
 		}
-	}
-	if workers <= 1 || n < 2*1024 {
-		fill(0, n)
-		return
-	}
-	per := (n + workers - 1) / workers
-	done := make(chan struct{}, workers)
-	for w := 0; w < workers; w++ {
-		lo := w * per
-		hi := lo + per
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			done <- struct{}{}
-			continue
-		}
-		go func(lo, hi int) {
-			fill(lo, hi)
-			done <- struct{}{}
-		}(lo, hi)
-	}
-	for w := 0; w < workers; w++ {
-		<-done
-	}
+	})
 	return
 }
 

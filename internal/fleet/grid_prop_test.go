@@ -8,15 +8,22 @@ import (
 	"starlinkperf/internal/sim"
 )
 
+// place runs placeTerminals on a pool of w workers.
+func place(seed uint64, n int, cl []Cluster, w int) (lat, lon []float64, cluster []int32, seeds []uint64) {
+	wk := sim.NewWorkers(w)
+	defer wk.Close()
+	return placeTerminals(seed, n, cl, wk)
+}
+
 // TestPlacementWorkerInvariant: the population-weighted grid sampling is
 // bit-identical for any worker count — each index is a pure function of
 // the campaign seed, so parallel placement writes the same bits.
 func TestPlacementWorkerInvariant(t *testing.T) {
 	cl := WorldClusters()
 	for _, seed := range []uint64{3, 99} {
-		lat1, lon1, cluster1, seeds1 := placeTerminals(seed, 5000, cl, 1)
+		lat1, lon1, cluster1, seeds1 := place(seed, 5000, cl, 1)
 		for _, w := range []int{2, 3, 8} {
-			latW, lonW, clusterW, seedsW := placeTerminals(seed, 5000, cl, w)
+			latW, lonW, clusterW, seedsW := place(seed, 5000, cl, w)
 			for i := range lat1 {
 				if math.Float64bits(lat1[i]) != math.Float64bits(latW[i]) ||
 					math.Float64bits(lon1[i]) != math.Float64bits(lonW[i]) ||
@@ -34,7 +41,7 @@ func TestPlacementWorkerInvariant(t *testing.T) {
 func TestPlacementRederivable(t *testing.T) {
 	cl := WorldClusters()
 	const seed, n = 77, 3000
-	lat, lon, cluster, _ := placeTerminals(seed, n, cl, 4)
+	lat, lon, cluster, _ := place(seed, n, cl, 4)
 	for _, i := range []int{0, 1, 500, 1723, n - 1} {
 		p, ci := TerminalSite(seed, i, cl)
 		if math.Float64bits(p.LatDeg) != math.Float64bits(lat[i]) ||
@@ -56,7 +63,7 @@ func TestPlacementMatchesPerTerminalRNG(t *testing.T) {
 	for _, seed := range []uint64{1, 77} {
 		for _, w := range []int{1, 3, 8} {
 			const n = 4099
-			lat, lon, cluster, seeds := placeTerminals(seed, n, cl, w)
+			lat, lon, cluster, seeds := place(seed, n, cl, w)
 			for i := 0; i < n; i++ {
 				ts := sim.DeriveSeed(seed, "fleet/terminal", i)
 				p, ci := placeOne(sim.NewRNG(ts), cl, cum, total)
@@ -75,8 +82,8 @@ func TestPlacementMatchesPerTerminalRNG(t *testing.T) {
 // move the fleet.
 func TestPlacementSeedSensitive(t *testing.T) {
 	cl := WorldClusters()
-	lat1, lon1, _, _ := placeTerminals(1, 1000, cl, 1)
-	lat2, lon2, _, _ := placeTerminals(2, 1000, cl, 1)
+	lat1, lon1, _, _ := place(1, 1000, cl, 1)
+	lat2, lon2, _, _ := place(2, 1000, cl, 1)
 	moved := 0
 	for i := range lat1 {
 		if lat1[i] != lat2[i] || lon1[i] != lon2[i] {
@@ -92,7 +99,7 @@ func TestPlacementSeedSensitive(t *testing.T) {
 // of) its cluster disk, with normalized coordinates.
 func TestPlacementGeometry(t *testing.T) {
 	cl := WorldClusters()
-	lat, lon, cluster, _ := placeTerminals(42, 4000, cl, 2)
+	lat, lon, cluster, _ := place(42, 4000, cl, 2)
 	for i := range lat {
 		if lat[i] < -89.9 || lat[i] > 89.9 {
 			t.Fatalf("terminal %d latitude %v out of range", i, lat[i])
@@ -115,7 +122,7 @@ func TestPlacementGeometry(t *testing.T) {
 // weights (within loose binomial tolerance).
 func TestPlacementWeighting(t *testing.T) {
 	cl := WorldClusters()
-	_, _, cluster, _ := placeTerminals(7, 20000, cl, 4)
+	_, _, cluster, _ := place(7, 20000, cl, 4)
 	counts := make([]int, len(cl))
 	for _, ci := range cluster {
 		counts[ci]++

@@ -1,121 +1,16 @@
 package fleet
 
 import (
-	"sync/atomic"
-
 	"starlinkperf/internal/obs"
 	"starlinkperf/internal/sim"
 	"starlinkperf/internal/stats"
 )
 
-// The partitioned epoch campaign: with cfg.Workers > 1 a Fleet owns a
-// persistent pool of worker goroutines that executes each epoch's two
-// data-parallel phases — terminal reassignment and the beam-contention
-// accounting pass — as a deterministic fork/join. Reassignment is
-// embarrassingly parallel (each terminal is a pure function of position
-// and snapshot). Observation is made so by giving every worker its own
-// epochScratch: workers claim cell-aligned terminal ranges off an atomic
-// cursor, observe into private integer-count distributions, and the
-// single-threaded merge pass drains the scratches in worker order.
-// Integer merges are order-invariant, so the final accumulators — and
-// therefore results, metrics exports and traces — are bit-identical for
-// any worker count, including the pool-less single worker, which runs the
-// same observe body inline into the one scratch it has.
-// TestEpochCampaignWorkerInvariance enforces exactly that, up to 100 000
-// terminals; TestRunReferenceEquivalence holds scratch + merge to an
-// independent direct accounting.
-
-// Phase tokens handed to pool workers.
-const (
-	phaseAssign int32 = iota
-	phaseObserve
-)
-
-// epochPool is the persistent fork/join pool. Workers block on the work
-// channel between epochs; runPhase resets the work-stealing cursor,
-// releases one token per worker and joins on the done channel. The
-// channel operations provide the happens-before edges: everything the
-// main goroutine wrote before runPhase is visible to workers, and every
-// scratch write is visible to the merge pass after the join. Steady
-// state allocates nothing — tokens are plain int32s and the cursor is a
-// single atomic — which is what keeps the multi-worker epoch path inside
-// the alloc gate.
-type epochPool struct {
-	workers int
-	work    chan int32
-	done    chan struct{}
-	cursor  atomic.Int64
-}
-
-func newEpochPool(f *Fleet, workers int) *epochPool {
-	p := &epochPool{
-		workers: workers,
-		work:    make(chan int32, workers),
-		done:    make(chan struct{}, workers),
-	}
-	for w := 0; w < workers; w++ {
-		go f.poolWorker(p, w)
-	}
-	return p
-}
-
-// runPhase executes one phase across all workers and blocks until every
-// worker has drained the cursor.
-func (p *epochPool) runPhase(ph int32) {
-	p.cursor.Store(0)
-	for w := 0; w < p.workers; w++ {
-		p.work <- ph
-	}
-	for w := 0; w < p.workers; w++ {
-		<-p.done
-	}
-}
-
-// poolWorker is the body of pool goroutine w. The scratch index is the
-// spawn id, not the token: workers may consume an uneven number of
-// ranges, but each always writes only its own scratch.
-func (f *Fleet) poolWorker(p *epochPool, w int) {
-	for ph := range p.work {
-		switch ph {
-		case phaseAssign:
-			f.stealAssign(p, &f.scratch[w])
-		case phaseObserve:
-			f.stealObserve(p, &f.scratch[w])
-		}
-		p.done <- struct{}{}
-	}
-}
-
-// stealAssign claims fixed-size terminal blocks until the fleet is
-// exhausted — same work unit as the pre-pool goroutine-per-epoch path.
-func (f *Fleet) stealAssign(p *epochPool, sc *epochScratch) {
-	n := len(f.sat)
-	for {
-		lo := int(p.cursor.Add(1)-1) * assignBlock
-		if lo >= n {
-			return
-		}
-		hi := lo + assignBlock
-		if hi > n {
-			hi = n
-		}
-		f.assignRange(sc, lo, hi)
-	}
-}
-
-// stealObserve claims pre-balanced cell-aligned terminal ranges (built
-// once at New time from PartitionTerminals) and observes each into this
-// worker's scratch.
-func (f *Fleet) stealObserve(p *epochPool, sc *epochScratch) {
-	nr := len(f.obsRanges) - 1
-	for {
-		i := int(p.cursor.Add(1) - 1)
-		if i >= nr {
-			return
-		}
-		f.observeRange(sc, f.obsEpoch, f.obsUTC, int(f.obsRanges[i]), int(f.obsRanges[i+1]))
-	}
-}
+// Both epoch phases run on the Fleet's sim.Workers: reassignment in
+// assignBlock blocks, observation over cell-aligned ranges into one
+// epochScratch per worker, drained in worker order by integer merges, so
+// results, metrics and traces are bit-identical for any worker count
+// (TestEpochCampaignWorkerInvariance; TestRunReferenceEquivalence).
 
 // epochScratch is one worker's private accumulation state: for the
 // observation phase per-region tallies and distributions plus the
@@ -166,8 +61,8 @@ func (f *Fleet) newScratch() epochScratch {
 
 // observeEpoch runs the beam-contention and accounting pass for epoch e:
 // per cell, concurrently active terminals served by the same satellite
-// split one beam's capacity. The per-cell accounting goes into scratch —
-// fanned out over the pool, or inline without one — then every scratch is
+// split one beam's capacity. The per-cell accounting goes into scratch,
+// fanned out over the worker pool, then every scratch is
 // drained into the shared accumulators and the epoch trace is emitted.
 func (f *Fleet) observeEpoch(e int, at sim.Time) {
 	utcHours := at.Seconds() / 3600
@@ -175,12 +70,8 @@ func (f *Fleet) observeEpoch(e int, at sim.Time) {
 		f.epochOut[ri] = 0
 		f.epochHo[ri] = 0
 	}
-	if f.pool != nil {
-		f.obsEpoch, f.obsUTC = e, utcHours
-		f.pool.runPhase(phaseObserve)
-	} else {
-		f.observeRange(&f.scratch[0], e, utcHours, 0, len(f.sat))
-	}
+	f.obsEpoch, f.obsUTC = e, utcHours
+	f.workers.Run(len(f.obsRanges)-1, f.observeBody)
 	for w := range f.scratch {
 		f.mergeScratch(&f.scratch[w])
 	}
@@ -323,14 +214,6 @@ func (f *Fleet) mergeScratch(sc *epochScratch) {
 	}
 }
 
-// Close shuts the worker pool down. Idempotent; a Fleet built with
-// Workers <= 1 has no pool and Close is a no-op. A closed Fleet still
-// runs epochs, on the calling goroutine. Run(cfg) and Traffic.Run close
-// their fleets; callers that build a pooled Fleet via New and keep it
-// should Close it when done, or its worker goroutines outlive it.
-func (f *Fleet) Close() {
-	if f.pool != nil {
-		close(f.pool.work)
-		f.pool = nil
-	}
-}
+// Close stops the worker pool's goroutines (idempotent; a closed Fleet runs
+// epochs on the caller). Whoever calls New closes; Run and Traffic.Run do.
+func (f *Fleet) Close() { f.workers.Close() }

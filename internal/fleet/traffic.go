@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"starlinkperf/internal/geo"
@@ -502,47 +500,30 @@ func probeFire(arg any) {
 // epoch instant and every event before it executed, so the shared fleet
 // arrays are never written while a shard runs. RunBefore's half-open window
 // leaves an event at exactly the epoch instant for after the reassignment.
+// Between barriers a pool of ScenarioWorkers advances the shards, which
+// share nothing, so which worker runs which is invisible to the results.
 func (tr *Traffic) Run() *TrafficResult {
 	f := tr.fleet
 	defer f.Close()
+	wk := sim.NewWorkers(min(tr.cfg.ScenarioWorkers, len(tr.parts)))
+	defer wk.Close()
+	var until sim.Time
+	advance := func(_, i int) { tr.parts[i].sched.RunBefore(until) }
 	epochs := tr.epochs()
 	for e := 0; e < epochs; e++ {
 		at := sim.Time(int64(e) * int64(f.cfg.Epoch))
-		tr.advance(at)
+		until = at
+		wk.Run(len(tr.parts), advance)
 		f.RunEpoch(e, at)
 	}
-	tr.advance(tr.horizon)
+	until = tr.horizon
+	wk.Run(len(tr.parts), advance)
 	res := tr.result(f.result(epochs))
 	res.Windows = uint64(epochs) + 1
 	for _, pt := range tr.parts {
 		res.Events += pt.sched.Processed
 	}
 	return res
-}
-
-// advance runs every shard up to (excluding) t on ScenarioWorkers
-// goroutines claiming shard indices. Shards share nothing while they run,
-// so which goroutine advances which is invisible to the results.
-func (tr *Traffic) advance(t sim.Time) {
-	workers := min(tr.cfg.ScenarioWorkers, len(tr.parts))
-	if workers <= 1 {
-		for _, pt := range tr.parts {
-			pt.sched.RunBefore(t)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := int(next.Add(1) - 1); i < len(tr.parts); i = int(next.Add(1) - 1) {
-				tr.parts[i].sched.RunBefore(t)
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // RunTraffic builds and runs a packet-level fleet scenario in one call.

@@ -34,9 +34,8 @@ type Network struct {
 	// freelists' high-water mark is the peak number of packets alive at
 	// once; past it the datapath stops allocating.
 	noRecycle bool
-	pktFree   []*Packet
-	icmpFree  []*ICMP
-	poolStats PoolStats
+	pktFree   sim.Freelist[Packet]
+	icmpFree  sim.Freelist[ICMP]
 	// tcpSegPool is tcpsim's segment freelist, opaque here because netem
 	// cannot import the transport: it hangs off the network to share the
 	// packet pool's lifetime and single-scheduler concurrency domain.

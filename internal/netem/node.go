@@ -264,11 +264,15 @@ func (n *Node) sendICMPError(offending *Packet, t ICMPType) {
 			return // never ICMP-error an ICMP error
 		}
 	}
+	// Traceroute keeps the quote: it leaves the pool (Shared) with any ICMP
+	// body it shares, which the wrapper-only release of offending never freed.
+	quote := offending.Clone()
+	quote.Detach()
 	n.Send(&Packet{
 		Dst:     offending.Src,
 		Proto:   ProtoICMP,
 		Size:    64,
-		Payload: &ICMP{Type: t, Quoted: offending.Clone()},
+		Payload: &ICMP{Type: t, Quoted: quote},
 	})
 }
 

@@ -76,8 +76,11 @@ func (p *Packet) Pooled() bool { return p.owner != nil }
 // Detach removes the packet — and a pooled ICMP payload — from its pool,
 // so every later release is a no-op and the value behaves like a plain
 // allocation. Handlers or devices that retain a delivered packet past
-// their synchronous call must detach it first.
+// their synchronous call must detach it first. The pool counts it Shared.
 func (p *Packet) Detach() {
+	if p.owner != nil && !p.inPool {
+		p.owner.pktFree.Share()
+	}
 	p.owner = nil
 	if ic, ok := p.Payload.(*ICMP); ok {
 		ic.owner = nil

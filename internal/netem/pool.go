@@ -1,5 +1,7 @@
 package netem
 
+import "starlinkperf/internal/sim"
+
 // Packet pooling: the datapath recycles packet wrappers (and the hot
 // payload types) through per-Network freelists so a steady-state campaign
 // forwards packets without allocating. The lifecycle is explicit:
@@ -15,7 +17,8 @@ package netem
 //     return to their owner, and everything else is left to the GC.
 //   - ICMP messages whose payload quotes another packet are never
 //     recycled: traceroute/Tracebox (and tests) retain the quote — and
-//     often the whole error packet — long after delivery.
+//     often the whole error packet — long after delivery. Both are
+//     Detached, so the pool counts them as Shared.
 //
 // Safety comes from ownership checks rather than trust: releasing a
 // foreign packet (owner nil or another network), releasing twice, or
@@ -47,24 +50,12 @@ type PayloadSharer interface {
 	SharePayload()
 }
 
-// PoolStats counts packet-pool traffic.
-type PoolStats struct {
-	Gets uint64 // NewPacket calls
-	Hits uint64 // calls served from the freelist
-	Puts uint64 // packets returned to the freelist
-}
-
-// HitRate returns the fraction of NewPacket calls served without
-// allocating, in [0, 1].
-func (st PoolStats) HitRate() float64 {
-	if st.Gets == 0 {
-		return 0
-	}
-	return float64(st.Hits) / float64(st.Gets)
-}
+// PoolStats counts packet-pool traffic; Shared counts Detached packets,
+// ICMP quotes among them.
+type PoolStats = sim.PoolStats
 
 // PoolStats returns a copy of the packet-pool counters.
-func (nw *Network) PoolStats() PoolStats { return nw.poolStats }
+func (nw *Network) PoolStats() PoolStats { return nw.pktFree.Stats() }
 
 // DisableRecycling puts the network in no-recycle mode for good: packets
 // and ICMP bodies become plain owner-less allocations, and since the
@@ -84,13 +75,8 @@ func (nw *Network) NewPacket() *Packet {
 	if nw.noRecycle {
 		return &Packet{}
 	}
-	nw.poolStats.Gets++
-	if n := len(nw.pktFree); n > 0 {
-		p := nw.pktFree[n-1]
-		nw.pktFree[n-1] = nil
-		nw.pktFree = nw.pktFree[:n-1]
+	if p := nw.pktFree.Get(); p != nil {
 		p.inPool = false
-		nw.poolStats.Hits++
 		return p
 	}
 	return &Packet{owner: nw}
@@ -115,8 +101,7 @@ func (nw *Network) releasePacket(p *Packet) {
 	}
 	hops := p.Hops[:0]
 	*p = Packet{owner: nw, gen: p.gen + 1, inPool: true, Hops: hops}
-	nw.poolStats.Puts++
-	nw.pktFree = append(nw.pktFree, p)
+	nw.pktFree.Put(p)
 }
 
 // releaseConsumed recycles a packet that reached a terminal point with
@@ -131,6 +116,7 @@ func (nw *Network) releaseConsumed(p *Packet) {
 	switch pl := p.Payload.(type) {
 	case *ICMP:
 		if pl.Quoted != nil {
+			p.Detach()
 			return
 		}
 		nw.releaseICMP(pl)
@@ -146,10 +132,7 @@ func (nw *Network) NewICMP() *ICMP {
 	if nw.noRecycle {
 		return &ICMP{}
 	}
-	if n := len(nw.icmpFree); n > 0 {
-		ic := nw.icmpFree[n-1]
-		nw.icmpFree[n-1] = nil
-		nw.icmpFree = nw.icmpFree[:n-1]
+	if ic := nw.icmpFree.Get(); ic != nil {
 		ic.pooled = false
 		return ic
 	}
@@ -163,7 +146,7 @@ func (nw *Network) releaseICMP(ic *ICMP) {
 		return
 	}
 	*ic = ICMP{owner: nw, pooled: true}
-	nw.icmpFree = append(nw.icmpFree, ic)
+	nw.icmpFree.Put(ic)
 }
 
 // TCPSegmentPool returns what SetTCPSegmentPool stored, nil before. Only

@@ -57,18 +57,18 @@ func TestStaleDoubleAndForeignReleasesAreInert(t *testing.T) {
 
 	q := nw.NewPacket()
 	nw.ReleasePacket(q, q.Gen()+1) // stale/wrong generation
-	if q.Pooled() && len(nw.pktFree) != 0 {
+	if q.Pooled() && len(nw.pktFree.All()) != 0 {
 		t.Fatal("stale-generation release must be a no-op")
 	}
 	other.ReleasePacket(q, q.Gen()) // foreign network
-	if len(other.pktFree) != 0 {
+	if len(other.pktFree.All()) != 0 {
 		t.Fatal("foreign release must be a no-op")
 	}
 
 	lit := &Packet{}
 	nw.ReleasePacket(lit, lit.Gen()) // literal: never pooled
 	nw.releaseConsumed(lit)
-	if len(nw.pktFree) != 0 {
+	if len(nw.pktFree.All()) != 0 {
 		t.Fatal("literal release must be a no-op")
 	}
 }
@@ -83,7 +83,7 @@ func TestDetachRemovesFromPool(t *testing.T) {
 		t.Fatal("detached packet still pool-owned")
 	}
 	nw.releaseConsumed(p)
-	if len(nw.pktFree) != 0 || len(nw.icmpFree) != 0 {
+	if len(nw.pktFree.All()) != 0 || len(nw.icmpFree.All()) != 0 {
 		t.Fatal("detached packet or its ICMP body returned to the pool")
 	}
 }
@@ -96,7 +96,7 @@ func TestQuotedICMPNeverRecycled(t *testing.T) {
 	ic.Quoted = &Packet{ID: 99}
 	p.Payload = ic
 	nw.releaseConsumed(p)
-	if len(nw.pktFree) != 0 || len(nw.icmpFree) != 0 {
+	if len(nw.pktFree.All()) != 0 || len(nw.icmpFree.All()) != 0 {
 		t.Fatal("error message carrying a quote must be left to the GC")
 	}
 	if ic.Quoted == nil || ic.Quoted.ID != 99 {
@@ -255,6 +255,46 @@ func TestQuotedPacketKeepsProbeID(t *testing.T) {
 	}
 	if q.SrcPort != 40000 || q.DstPort != 33436 || q.Checksum != probeSum {
 		t.Fatalf("quoted header fields diverge from the probe: %+v", q)
+	}
+}
+
+// A pooled echo request whose TTL expires is quoted in the TimeExceeded
+// with its ICMP body shared, not copied. The quote is Detached, body
+// included, so the body never returns to the freelist: ICMP bodies drawn
+// afterwards are fresh, and the quote a traceroute keeps stays intact.
+func TestExpiredEchoQuoteKeepsItsBody(t *testing.T) {
+	s, nw := testNet(t)
+	nodes := buildChain(nw, 4, time.Millisecond)
+
+	var reply *Packet
+	nodes[0].Bind(ProtoICMP, 0, func(p *Packet) {
+		if ic := p.Payload.(*ICMP); ic.Type == ICMPTimeExceeded {
+			reply = p
+		}
+	})
+	probe := nw.NewPacket()
+	body := nw.NewICMP()
+	body.Type, body.Seq = ICMPEchoRequest, 7
+	probe.Dst, probe.Proto, probe.Size, probe.TTL, probe.Payload = nodes[3].Addr(), ProtoICMP, 64, 2, body
+	nodes[0].Send(probe)
+	s.Run()
+
+	if reply == nil {
+		t.Fatal("no TimeExceeded came back")
+	}
+	q := reply.Payload.(*ICMP).Quoted
+	if q == nil || q.Payload != body || q.Pooled() || body.owner != nil {
+		t.Fatalf("quote %+v does not own its echo body %+v outside the pool", q, body)
+	}
+	for i := 0; i < 4; i++ {
+		ic := nw.NewICMP()
+		if ic == body {
+			t.Fatal("the quoted echo body came back out of the freelist")
+		}
+		ic.Type, ic.Seq = ICMPEchoReply, 100+i
+	}
+	if body.Type != ICMPEchoRequest || body.Seq != 7 {
+		t.Fatalf("quoted echo body overwritten: %+v", body)
 	}
 }
 

@@ -220,8 +220,8 @@ type Connection struct {
 	// chunks out-of-order stream data waits in.
 	ackFrame  AckFrame
 	frameBuf  []Frame
-	sentFree  []*sentPacket
-	frameFree []*StreamFrame
+	sentFree  sim.Freelist[sentPacket]
+	frameFree sim.Freelist[StreamFrame]
 	chunkFree [][]byte
 }
 
@@ -453,9 +453,7 @@ func (c *Connection) queueFrame(f Frame) {
 // completely; putStreamFrame takes it back once its single owner (an
 // in-flight packet, or the retransmission queue) is done with it.
 func (c *Connection) getStreamFrame() *StreamFrame {
-	if n := len(c.frameFree); n > 0 {
-		f := c.frameFree[n-1]
-		c.frameFree = c.frameFree[:n-1]
+	if f := c.frameFree.Get(); f != nil {
 		return f
 	}
 	return new(StreamFrame)
@@ -466,7 +464,7 @@ func (c *Connection) putStreamFrame(f *StreamFrame) {
 	if c.ep.scribble {
 		f.StreamID, f.Offset, f.Data = MaxVarint, MaxVarint, scribbled[:]
 	}
-	c.frameFree = append(c.frameFree, f)
+	c.frameFree.Put(f)
 }
 
 // scribbled is what a recycled frame struct points at under
@@ -483,8 +481,8 @@ func (c *Connection) recycleSent(sps []*sentPacket) {
 		if c.ep.scribble {
 			sp.pn, sp.size = MaxVarint, -1
 		}
+		c.sentFree.Put(sp)
 	}
-	c.sentFree = append(c.sentFree, sps...)
 }
 
 // getChunk returns an empty buffer with room for n bytes of out-of-order
@@ -1050,11 +1048,8 @@ func (c *Connection) sendPacket(frames []Frame) {
 	if eliciting {
 		c.Stats.AckElicitingSent++
 		c.lastElicitingSent = now
-		var sp *sentPacket
-		if n := len(c.sentFree); n > 0 {
-			sp = c.sentFree[n-1]
-			c.sentFree = c.sentFree[:n-1]
-		} else {
+		sp := c.sentFree.Get()
+		if sp == nil {
 			sp = new(sentPacket)
 		}
 		sp.pn, sp.sentAt, sp.size, sp.ackEliciting = hdr.Number, now, size, true

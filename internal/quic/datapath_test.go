@@ -427,7 +427,7 @@ func checkSingleOwnership(t *testing.T, c *Connection) {
 	for _, f := range queued {
 		claim(f, "the retransmission queue")
 	}
-	for _, f := range c.frameFree {
+	for _, f := range c.frameFree.All() {
 		claim(f, "the freelist")
 	}
 }

@@ -28,8 +28,7 @@ type Endpoint struct {
 	rx parser
 	// wireFree recycles the buffers this endpoint's packets are serialized
 	// into (see wireBuf).
-	wireFree []*wireBuf
-	wirePool WirePoolStats
+	wireFree sim.Freelist[wireBuf]
 	// scribble makes every buffer and frame struct that re-enters a
 	// freelist of this endpoint or its connections unusable (tests set it
 	// to prove nothing reads recycled memory).
@@ -50,29 +49,15 @@ type wireBuf struct {
 	pooled bool
 }
 
-// WirePoolStats counts an endpoint's wire-buffer pool traffic. Once every
-// packet the endpoint sent reached a terminal point on a pooling network,
-// Gets == Puts + Shared; a network in no-recycle mode never returns buffers.
-type WirePoolStats struct {
-	netem.PoolStats
-	// Shared counts buffers that left the pool because a second packet
-	// started referencing them (netem.PayloadSharer).
-	Shared uint64
-}
-
-// WirePoolStats returns a copy of the wire-buffer pool counters.
-func (e *Endpoint) WirePoolStats() WirePoolStats { return e.wirePool }
+// WirePoolStats returns a copy of the wire-buffer pool counters; Shared
+// counts buffers a second packet started referencing (netem.PayloadSharer).
+func (e *Endpoint) WirePoolStats() sim.PoolStats { return e.wireFree.Stats() }
 
 // getWire returns an empty wire buffer owned by the endpoint.
 func (e *Endpoint) getWire() *wireBuf {
-	e.wirePool.Gets++
-	var w *wireBuf
-	if n := len(e.wireFree); n > 0 {
-		w = e.wireFree[n-1]
-		e.wireFree[n-1] = nil
-		e.wireFree = e.wireFree[:n-1]
+	w := e.wireFree.Get()
+	if w != nil {
 		w.pooled = false
-		e.wirePool.Hits++
 	} else {
 		w = &wireBuf{owner: e}
 	}
@@ -92,15 +77,14 @@ func (w *wireBuf) ReleasePayload() {
 		scribble(w.arr[:])
 	}
 	w.b, w.pooled = nil, true
-	e.wirePool.Puts++
-	e.wireFree = append(e.wireFree, w)
+	e.wireFree.Put(w)
 }
 
 // SharePayload implements netem.PayloadSharer: a buffer referenced by two
 // packets is left to the garbage collector.
 func (w *wireBuf) SharePayload() {
 	if e := w.owner; e != nil && !w.pooled {
-		e.wirePool.Shared++
+		e.wireFree.Share()
 		w.owner = nil
 	}
 }

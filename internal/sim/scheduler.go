@@ -91,8 +91,8 @@ type Scheduler struct {
 	now      Time
 	seq      uint64
 	heap     []*Timer
-	nstopped int      // stopped timers still sitting in heap
-	free     []*Timer // recycled nodes
+	nstopped int             // stopped timers still sitting in heap
+	free     Freelist[Timer] // recycled nodes
 	// slab is the unissued rest of the newest chunk of nodes, made is how
 	// many nodes all chunks so far hold (see alloc).
 	slab    []Timer
@@ -248,10 +248,7 @@ const (
 
 // alloc takes a node from the freelist, or carves one off the slab.
 func (s *Scheduler) alloc() *Timer {
-	if n := len(s.free); n > 0 {
-		t := s.free[n-1]
-		s.free[n-1] = nil
-		s.free = s.free[:n-1]
+	if t := s.free.Get(); t != nil {
 		return t
 	}
 	if len(s.slab) == 0 {
@@ -276,7 +273,7 @@ func (s *Scheduler) recycle(t *Timer) {
 	t.fn, t.efn, t.arg = nil, nil, nil
 	t.index = -1
 	t.stopped = false
-	s.free = append(s.free, t)
+	s.free.Put(t)
 }
 
 // peek returns the earliest pending, non-stopped timer without removing

@@ -51,7 +51,7 @@ func TestStoppedTimersCompacted(t *testing.T) {
 	if got := s.Pending(); got != 1 {
 		t.Errorf("Pending = %d, want 1 (the sentinel)", got)
 	}
-	if got := len(s.free); got > 2*compactMin {
+	if got := len(s.free.All()); got > 2*compactMin {
 		t.Errorf("freelist grew to %d nodes; recycling is not reusing them", got)
 	}
 	if !sentinel.Pending() {

@@ -115,8 +115,8 @@ func TestSegmentPoolLifecycle(t *testing.T) {
 		t.Error("released segment still references its application message")
 	}
 	seg.ReleasePayload() // double release
-	if st := SegmentPoolStats(nw); st.Gets != 1 || st.Puts != 1 || len(c1.pool.free) != 1 {
-		t.Fatalf("after a double release: %+v, %d in the freelist", st, len(c1.pool.free))
+	if st := SegmentPoolStats(nw); st.Gets != 1 || st.Puts != 1 || len(c1.pool.All()) != 1 {
+		t.Fatalf("after a double release: %+v, %d in the freelist", st, len(c1.pool.All()))
 	}
 
 	again := c2.newSegment()
@@ -133,8 +133,8 @@ func TestSegmentPoolLifecycle(t *testing.T) {
 	again.SharePayload()
 	again.ReleasePayload()
 	(&Segment{}).ReleasePayload()
-	if st := SegmentPoolStats(nw); st.Gets != 2 || st.Hits != 1 || st.Puts != 1 || st.Shared != 1 || len(c1.pool.free) != 0 {
-		t.Errorf("shared or literal segment re-entered the pool: %+v, %d in the freelist", st, len(c1.pool.free))
+	if st := SegmentPoolStats(nw); st.Gets != 2 || st.Hits != 1 || st.Puts != 1 || st.Shared != 1 || len(c1.pool.All()) != 0 {
+		t.Errorf("shared or literal segment re-entered the pool: %+v, %d in the freelist", st, len(c1.pool.All()))
 	}
 
 	if ls := conn(nil).newSegment(); ls.owner != nil {

@@ -102,27 +102,16 @@ type Segment struct {
 // connection on it draws from the pool and the datapath returns to it, so
 // the high-water mark — the most segments alive at once — is reached once
 // per network, not once per connection. One scheduler drives a network
-// and cross links between partitions carry no TCP, hence no lock.
-type segPool struct {
-	free  []*Segment
-	stats PoolStats
-}
-
-// PoolStats counts a network's segment-pool traffic. Once every packet
-// reached a terminal point, Gets == Puts + Shared, Shared being segments
-// an ICMP quote took out of the pool (netem.PayloadSharer). On a network
-// in no-recycle mode nothing comes back: Puts and Hits stay zero.
-type PoolStats struct {
-	netem.PoolStats
-	Shared uint64
-}
+// and cross links between partitions carry no TCP, hence no lock. Shared
+// counts segments an ICMP quote took out of the pool (netem.PayloadSharer).
+type segPool struct{ sim.Freelist[Segment] }
 
 // SegmentPoolStats returns the counters of nw's segment pool.
-func SegmentPoolStats(nw *netem.Network) PoolStats {
+func SegmentPoolStats(nw *netem.Network) sim.PoolStats {
 	if p, ok := nw.TCPSegmentPool().(*segPool); ok {
-		return p.stats
+		return p.Stats()
 	}
-	return PoolStats{}
+	return sim.PoolStats{}
 }
 
 // poolOf returns the segment pool of node's network, creating it on first
@@ -141,15 +130,10 @@ func poolOf(node *netem.Node) *segPool {
 
 // get returns a zeroed segment that keeps its Sack and Msgs backing.
 func (p *segPool) get() *Segment {
-	p.stats.Gets++
-	n := len(p.free)
-	if n == 0 {
+	s := p.Get()
+	if s == nil {
 		return &Segment{owner: p}
 	}
-	s := p.free[n-1]
-	p.free[n-1] = nil
-	p.free = p.free[:n-1]
-	p.stats.Hits++
 	*s = Segment{owner: p, Sack: s.Sack[:0], Msgs: s.Msgs[:0]}
 	return s
 }
@@ -171,15 +155,14 @@ func (s *Segment) ReleasePayload() {
 	clear(s.Msgs) // drop payload references so the GC can collect them
 	s.Flags, s.Seq, s.Ack, s.Len = 0xF0, poisonSeq, poisonSeq, -1
 	s.Sack, s.Msgs, s.pooled = s.Sack[:0], s.Msgs[:0], true
-	p.stats.Puts++
-	p.free = append(p.free, s)
+	p.Put(s)
 }
 
 // SharePayload implements netem.PayloadSharer: a second packet now
 // references the segment, so it leaves its pool for good.
 func (s *Segment) SharePayload() {
 	if p := s.owner; p != nil {
-		p.stats.Shared++
+		p.Share()
 		s.owner = nil
 	}
 }
