@@ -30,16 +30,19 @@ echo "== no deleted mechanism in non-test code (DESIGN.md: Independent traffic s
 # each and caller-owned snapshots, and the fleet's count-then-fill candidate
 # sweep over every cell (candCount; the sweep is one pass over populated
 # cells now, and the only unpruned scan is the all-satellites oracle in
-# internal/fleet/equivalence_test.go), and the fleet's own epoch pool and
-# the per-type pool counters that sim.Workers and sim.PoolStats replaced.
-if grep -rnE 'PartitionedDriver|CrossEdge|AddCrossLink|snapshotRing|peekSnapshot|delayRing|islMemo|candCount|referenceReassignAt|epochPool|runPhase|phaseAssign|WirePoolStats struct' --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark .; then
+# internal/fleet/equivalence_test.go), the fleet's own epoch pool and
+# the per-type pool counters that sim.Workers and sim.PoolStats replaced,
+# and the hand-written FIFOs and interval sets that sim.Ring and
+# sim.Ranges replaced.
+if grep -rnE 'PartitionedDriver|CrossEdge|AddCrossLink|snapshotRing|peekSnapshot|delayRing|islMemo|candCount|referenceReassignAt|epochPool|runPhase|phaseAssign|WirePoolStats struct|pktRing|txRing|frameQueue|rangeSet|byteRanges|cryptoRecv|offRange' --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark .; then
     echo "a deleted mechanism is named above" >&2
     exit 1
 fi
 
-echo "== one freelist, one fork/join pool (DESIGN.md §7: Recycling, Fork/join)"
+echo "== one freelist, one fork/join pool, one ring (DESIGN.md §7: Recycling, Fork/join, Queues and range sets)"
 # Goroutines are started, and joined, by sim.Workers alone; a hand-written
-# freelist pop is sim.Freelist's alone.
+# freelist pop is sim.Freelist's alone, a power-of-two ring index
+# sim.Ring's alone.
 if grep -rnE '(^|[^A-Za-z_])go (func|[A-Za-z_][A-Za-z_0-9.]*\()|sync\.WaitGroup' --include='*.go' --exclude='*_test.go' internal |
     grep -v '^internal/sim/workers.go:'; then
     echo "a goroutine fan-out is written by hand above; use sim.Workers (internal/sim/workers.go)" >&2
@@ -47,6 +50,10 @@ if grep -rnE '(^|[^A-Za-z_])go (func|[A-Za-z_][A-Za-z_0-9.]*\()|sync\.WaitGroup'
 fi
 if grep -rn '\[n-1\] = nil' --include='*.go' --exclude='*_test.go' internal | grep -v '^internal/sim/'; then
     echo "a freelist is written by hand above; use sim.Freelist (internal/sim/freelist.go)" >&2
+    exit 1
+fi
+if grep -rnE '[^&]& *\(len\(' --include='*.go' --exclude='*_test.go' internal | grep -v '^internal/sim/'; then
+    echo "a ring is written by hand above; use sim.Ring (internal/sim/ring.go)" >&2
     exit 1
 fi
 
@@ -92,17 +99,17 @@ echo "== allocation gates (0 allocs per event / packet / segment / epoch, no rac
 go test ./internal/sim ./internal/netem ./internal/quic ./internal/tcpsim ./internal/fleet \
     -run 'TestAllocGate' -count=1
 
-echo "== SACK scoreboard fuzz smoke (10 s against the fresh-slice oracle)"
+echo "== range set fuzz smoke (10 s against the fresh-slice oracle)"
 # The seed corpus already ran in the -race pass; this adds ten seconds of
 # mutated insert/consume/trim/query programs, every step compared with the
-# fresh-slice implementation kept in the test file.
-go test ./internal/tcpsim -run '^$' -fuzz 'FuzzByteRanges' -fuzztime 10s
+# fresh-slice implementation kept in the test file. sim.Ranges is every
+# SACK scoreboard, received-packet set and crypto reassembly.
+go test ./internal/sim -run '^$' -fuzz 'FuzzRanges' -fuzztime 10s
 
-echo "== link pipe ring fuzz smoke (10 s against the slice model)"
-# Push/pop programs with early keys: the ring is a FIFO that refuses an
-# instant before its tail's, which no send produces, so this is what
-# reaches the guard.
-go test ./internal/netem -run '^$' -fuzz 'FuzzPktRing' -fuzztime 10s
+echo "== ring fuzz smoke (10 s against the slice model)"
+# Push/pushFront/pop/reset programs with in-place mutation through Front
+# and Back, across wrap-around and growth; sim.Ring is every FIFO.
+go test ./internal/sim -run '^$' -fuzz 'FuzzRing' -fuzztime 10s
 
 echo "== fleet cell index fuzz smoke (10 s against the all-satellites scan)"
 # Any position a terminal can stand at: every satellite it sees is in its

@@ -106,10 +106,10 @@ func (p TransportProfile) IsPaper() bool {
 func (p TransportProfile) applyQUIC(cfg *quic.Config, sessions *quic.SessionCache) {
 	switch {
 	case p.BBR:
-		cfg.NewCC = func() quic.CongestionController { return quic.NewBBR() }
+		cfg.NewCC = func() cc.CongestionController { return cc.NewBBR(quic.MaxPayloadSize) }
 	case p.CwndIdleDecay:
-		cfg.NewCC = func() quic.CongestionController {
-			c := quic.NewCubic()
+		cfg.NewCC = func() cc.CongestionController {
+			c := cc.NewCubic(quic.MaxPayloadSize)
 			c.IdleDecay = true
 			return c
 		}

@@ -80,7 +80,8 @@ func (f *Fleet) fillSatTable() {
 		copy(pos, f.snap.ShellPositions(si))
 		for j, en := range m.enabled {
 			if en {
-				f.satGw[m.offset+j], f.satGwKm[m.offset+j] = f.bestGateway(pos[j])
+				gw, km := f.gws.Best(pos[j])
+				f.satGw[m.offset+j], f.satGwKm[m.offset+j] = int32(gw), km
 			}
 		}
 	}
@@ -306,7 +307,7 @@ func (f *Fleet) assignRange(sc *epochScratch, lo, hi int) {
 
 // finishAssignment records terminal t's serving satellite and derives the
 // bent-pipe delay through that satellite's gateway (fillSatTable: the down
-// leg is the range bestGateway measured). A terminal with no satellite, or
+// leg is the range leo.GatewayTable.Best measured). A terminal with no satellite, or
 // whose satellite reaches no gateway, is in outage (delay -1). The
 // gateway does not feed back into satellite choice — unlike
 // leo.Terminal, which skips satellites without ground paths, the fleet
@@ -328,26 +329,4 @@ func (f *Fleet) finishAssignment(t int, best int32) {
 	dx, dy, dz := sp.X-f.px[t], sp.Y-f.py[t], sp.Z-f.pz[t]
 	up := math.Sqrt(dx*dx + dy*dy + dz*dz)
 	f.delayNs[t] = int64(geo.RadioDelay(up + f.satGwKm[best]))
-}
-
-// bestGateway returns the gateway with the shortest slant range that
-// sees the satellite above its mask and that range in km, or -1. Same
-// cross-multiplied sine test as leo.Terminal.bestGateway; ties keep the
-// first (lowest index).
-func (f *Fleet) bestGateway(sp geo.ECEF) (best int32, bestRange float64) {
-	best = -1
-	for i := range f.gwEcef {
-		e := f.gwEcef[i]
-		dx := sp.X - e.X
-		dy := sp.Y - e.Y
-		dz := sp.Z - e.Z
-		dn := math.Sqrt(dx*dx + dy*dy + dz*dz)
-		if dx*e.X+dy*e.Y+dz*e.Z < f.gwSinMask[i]*dn*f.gwNorm[i] {
-			continue
-		}
-		if best < 0 || dn < bestRange {
-			best, bestRange = int32(i), dn
-		}
-	}
-	return best, bestRange
 }

@@ -119,10 +119,11 @@ func (f *Fleet) referenceFinish(t int, best int32) {
 	}
 	sp := referenceSatPos(f, best)
 	bestRange := 0.0
-	for i, e := range f.gwEcef {
+	for i, g := range f.gws {
+		e := g.ECEF
 		d := geo.ECEF{X: sp.X - e.X, Y: sp.Y - e.Y, Z: sp.Z - e.Z}
 		dn := math.Sqrt(d.X*d.X + d.Y*d.Y + d.Z*d.Z)
-		if d.X*e.X+d.Y*e.Y+d.Z*e.Z < f.gwSinMask[i]*dn*f.gwNorm[i] {
+		if d.X*e.X+d.Y*e.Y+d.Z*e.Z < g.SinMask*dn*g.Norm {
 			continue
 		}
 		if f.gw[t] < 0 || dn < bestRange {
@@ -134,7 +135,7 @@ func (f *Fleet) referenceFinish(t int, best int32) {
 	}
 	dx, dy, dz := sp.X-f.px[t], sp.Y-f.py[t], sp.Z-f.pz[t]
 	up := math.Sqrt(dx*dx + dy*dy + dz*dz)
-	e := f.gwEcef[f.gw[t]]
+	e := f.gws[f.gw[t]].ECEF
 	dx, dy, dz = sp.X-e.X, sp.Y-e.Y, sp.Z-e.Z
 	down := math.Sqrt(dx*dx + dy*dy + dz*dz)
 	f.delayNs[t] = int64(geo.RadioDelay(up + down))

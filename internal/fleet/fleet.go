@@ -164,11 +164,7 @@ type Fleet struct {
 
 	shells  []shellMeta
 	sinMask float64
-
-	// Gateway geometry, precomputed once (mirrors leo.gatewayGeom).
-	gwEcef    []geo.ECEF
-	gwNorm    []float64
-	gwSinMask []float64
+	gws     leo.GatewayTable
 
 	// Per-epoch scratch, reused so steady-state reassignment is
 	// allocation-free once every buffer has grown to its working size.
@@ -256,19 +252,7 @@ func New(cfg Config) *Fleet {
 		}
 	}
 
-	f.gwEcef = make([]geo.ECEF, len(cfg.Gateways))
-	f.gwNorm = make([]float64, len(cfg.Gateways))
-	f.gwSinMask = make([]float64, len(cfg.Gateways))
-	for i, g := range cfg.Gateways {
-		mask := g.MinElevationDeg
-		if mask == 0 {
-			mask = 10 // gateway dishes track lower than user terminals
-		}
-		e := g.Pos.ToECEF()
-		f.gwEcef[i] = e
-		f.gwNorm[i] = e.Norm()
-		f.gwSinMask[i] = math.Sin(geo.Radians(mask))
-	}
+	f.gws = leo.NewGatewayTable(cfg.Gateways)
 
 	f.workers = sim.NewWorkers(cfg.Workers)
 	n := cfg.Terminals

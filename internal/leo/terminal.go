@@ -43,13 +43,53 @@ type Assignment struct {
 	OK      bool
 }
 
-// gatewayGeom is the per-gateway geometry precomputed once in NewTerminal
-// so the candidate loops never redo a ToECEF conversion or re-apply the
-// default-mask rule per satellite per call.
-type gatewayGeom struct {
-	ecef    geo.ECEF
-	norm    float64 // |ecef|
-	sinMask float64 // sin of the normalized mask (0 => 10°)
+// GatewayGeom is one gateway's geometry as satellite-to-ground selection
+// uses it.
+type GatewayGeom struct {
+	ECEF    geo.ECEF
+	Norm    float64 // |ECEF|
+	SinMask float64 // sin of the antenna mask; a gateway that sets none gets 10°
+}
+
+// GatewayTable is a gateway set's geometry, precomputed once so that the
+// selection loops never redo a ToECEF conversion or re-apply the default
+// mask per satellite. leo.Terminal and the fleet both choose gateways with
+// its Best.
+type GatewayTable []GatewayGeom
+
+// NewGatewayTable precomputes the geometry of gws, in their order.
+func NewGatewayTable(gws []Gateway) GatewayTable {
+	gt := make(GatewayTable, len(gws))
+	for i, gw := range gws {
+		mask := gw.MinElevationDeg
+		if mask == 0 {
+			mask = 10 // gateway dishes track lower than user terminals
+		}
+		e := gw.Pos.ToECEF()
+		gt[i] = GatewayGeom{ECEF: e, Norm: e.Norm(), SinMask: math.Sin(geo.Radians(mask))}
+	}
+	return gt
+}
+
+// Best returns the index of the gateway with the shortest slant range that
+// sees the satellite above its mask, and that range in km; -1 when none
+// does. The mask test is the cross-multiplied sine comparison
+// d·ĝ ≥ sin(mask)·|d| on the precomputed geometry, and the slant range
+// reuses |d|. Ties keep the lowest index.
+func (gt GatewayTable) Best(satPos geo.ECEF) (best int, rangeKm float64) {
+	best = -1
+	for i := range gt {
+		g := &gt[i]
+		d := satPos.Sub(g.ECEF)
+		dn := d.Norm()
+		if d.Dot(g.ECEF) < g.SinMask*dn*g.Norm {
+			continue
+		}
+		if best < 0 || dn < rangeKm {
+			best, rangeKm = i, dn
+		}
+	}
+	return best, rangeKm
 }
 
 // pruneMarginRad pads the orbital candidate window beyond the exact
@@ -96,7 +136,7 @@ type Terminal struct {
 	// upX/upY/upZ is the unit local-up vector posECEF/|posECEF|.
 	upX, upY, upZ float64
 	sinMask       float64
-	gwGeom        []gatewayGeom
+	gws           GatewayTable
 
 	// delay memoizes the last computed delay on a coarse time quantum:
 	// satellites move at ~7.5 km/s, so the slant range drifts by well
@@ -153,15 +193,7 @@ func NewTerminal(cfg TerminalConfig, con *Constellation, gateways []Gateway) *Te
 		t.upZ = t.posECEF.Z / t.posNorm
 	}
 	t.sinMask = math.Sin(geo.Radians(cfg.MinElevationDeg))
-	t.gwGeom = make([]gatewayGeom, len(gateways))
-	for i, gw := range gateways {
-		mask := gw.MinElevationDeg
-		if mask == 0 {
-			mask = 10 // gateway dishes track lower than user terminals
-		}
-		e := gw.Pos.ToECEF()
-		t.gwGeom[i] = gatewayGeom{ecef: e, norm: e.Norm(), sinMask: math.Sin(geo.Radians(mask))}
-	}
+	t.gws = NewGatewayTable(gateways)
 	return t
 }
 
@@ -212,7 +244,9 @@ func newScanState() scanState {
 }
 
 // consider tests one candidate satellite position against the terminal
-// mask, the running best and gateway reachability.
+// mask, the running best and gateway reachability: a satellite that no
+// gateway sees is skipped (the fleet, which scans far more terminals,
+// declares an outage instead).
 func (t *Terminal) consider(st *scanState, id SatID, satPos geo.ECEF) {
 	d := satPos.Sub(t.posECEF)
 	dn := d.Norm()
@@ -220,7 +254,7 @@ func (t *Terminal) consider(st *scanState, id SatID, satPos geo.ECEF) {
 	if sinEl < t.sinMask || sinEl <= st.bestSin {
 		return
 	}
-	gw := t.bestGateway(satPos)
+	gw, _ := t.gws.Best(satPos)
 	if gw < 0 {
 		return
 	}
@@ -321,27 +355,6 @@ func (t *Terminal) computeAssignmentFull(at sim.Time) Assignment {
 	return st.best
 }
 
-// bestGateway returns the index of the gateway with the shortest slant
-// range that sees the satellite above its mask, or -1. The mask test is
-// the cross-multiplied sine comparison d·ĝ ≥ sin(mask)·|d| on the
-// precomputed gateway geometry, and the slant range reuses |d|.
-func (t *Terminal) bestGateway(satPos geo.ECEF) int {
-	best := -1
-	bestRange := 0.0
-	for i := range t.gwGeom {
-		g := &t.gwGeom[i]
-		d := satPos.Sub(g.ecef)
-		dn := d.Norm()
-		if d.Dot(g.ecef) < g.sinMask*dn*g.norm {
-			continue
-		}
-		if best < 0 || dn < bestRange {
-			best, bestRange = i, dn
-		}
-	}
-	return best
-}
-
 // DelayAt returns the one-way bent-pipe propagation delay (terminal →
 // serving satellite → gateway) at instant at. When no satellite is
 // serving (constellation gap), it returns ok=false.
@@ -361,7 +374,7 @@ func (t *Terminal) DelayAt(at sim.Time) (time.Duration, bool) {
 	if a.OK {
 		satPos := t.con.Position(a.Sat, at)
 		up := t.posECEF.Distance(satPos)
-		down := satPos.Distance(t.gwGeom[a.Gateway].ecef)
+		down := satPos.Distance(t.gws[a.Gateway].ECEF)
 		d = geo.RadioDelay(up + down)
 	}
 	t.delayQuantum, t.delay, t.delayValid = q, d, true

@@ -19,7 +19,7 @@ func slotRefDelay(term *Terminal, at sim.Time) (time.Duration, bool) {
 	}
 	satPos := term.con.Position(a.Sat, at)
 	up := term.posECEF.Distance(satPos)
-	down := satPos.Distance(term.gwGeom[a.Gateway].ecef)
+	down := satPos.Distance(term.gws[a.Gateway].ECEF)
 	return geo.RadioDelay(up + down), true
 }
 

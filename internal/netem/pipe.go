@@ -28,19 +28,17 @@ type pipeSlot struct {
 	pkt *Packet
 }
 
-// pktRing is a growable FIFO of slots in (at, seq) order. len(buf) is a
-// power of two (or zero before the first push).
-type pktRing struct {
-	buf   []pipeSlot
-	head  int
-	n     int
-	timer sim.TimerHandle // armed under buf[head]'s key while n > 0
+// hop is one hop's in-flight packets in (at, seq) order, and the timer
+// armed under the head's key while any is queued.
+type hop struct {
+	sim.Ring[pipeSlot]
+	timer sim.TimerHandle
 }
 
 // linkPipe is the in-flight state of one link: packets waiting for the end
 // of their serialization, and packets propagating to the far node.
 type linkPipe struct {
-	ser, prop pktRing
+	ser, prop hop
 }
 
 func (l *Link) pipes() *linkPipe {
@@ -50,38 +48,15 @@ func (l *Link) pipes() *linkPipe {
 	return l.pipe
 }
 
-// push appends s, whose seq is newer than every seq in the ring, and
-// reports whether s.at kept the ring in order; an instant earlier than the
-// tail's is refused and leaves the ring untouched.
-func (r *pktRing) push(s pipeSlot) bool {
-	if r.n > 0 && s.at < r.buf[(r.head+r.n-1)&(len(r.buf)-1)].at {
+// push appends s, whose seq is newer than every seq queued, and reports
+// whether s.at kept the hop in order; an instant earlier than the tail's is
+// refused and leaves the hop untouched.
+func (h *hop) push(s pipeSlot) bool {
+	if h.Len() > 0 && s.at < h.Back().at {
 		return false
 	}
-	if r.n == len(r.buf) {
-		r.grow()
-	}
-	r.buf[(r.head+r.n)&(len(r.buf)-1)] = s
-	r.n++
+	h.Push(s)
 	return true
-}
-
-// pop removes the head and returns its packet.
-func (r *pktRing) pop() *Packet {
-	slot := &r.buf[r.head]
-	pkt := slot.pkt
-	slot.pkt = nil
-	r.head = (r.head + 1) & (len(r.buf) - 1)
-	r.n--
-	return pkt
-}
-
-// grow doubles a full ring (4 slots at first: most links of a fleet carry
-// one probe at a time), unwrapping it to start at index 0.
-func (r *pktRing) grow() {
-	buf := make([]pipeSlot, max(4, 2*len(r.buf)))
-	k := copy(buf, r.buf[r.head:])
-	copy(buf[k:], r.buf[:r.head])
-	r.buf, r.head = buf, 0
 }
 
 // enqueue puts pkt in flight on one hop, due at the given instant. It
@@ -89,25 +64,25 @@ func (r *pktRing) grow() {
 // when the ring was empty. Both hops hand out non-decreasing instants
 // (busyUntil, the lastArrival clamp); one that did not would fire its
 // packets out of key order, so it stops the run here.
-func (l *Link) enqueue(r *pktRing, at sim.Time, pkt *Packet, fn sim.EventFunc) {
+func (l *Link) enqueue(h *hop, at sim.Time, pkt *Packet, fn sim.EventFunc) {
 	s := l.net.sched
 	seq := s.ReserveSeq()
-	if !r.push(pipeSlot{at: at, seq: seq, pkt: pkt}) {
+	if !h.push(pipeSlot{at: at, seq: seq, pkt: pkt}) {
 		panic(fmt.Sprintf("netem: link %s: packet due at t=%d, before one already in flight on the same hop", l.name, int64(at)))
 	}
-	if r.n == 1 {
-		r.timer = s.AtFuncSeq(at, seq, fn, l)
+	if h.Len() == 1 {
+		h.timer = s.AtFuncSeq(at, seq, fn, l)
 	}
 }
 
 // dequeue pops the packet whose event is firing and re-arms the hop's
 // timer under the next head's reserved key, which is never below the one
 // being fired.
-func (l *Link) dequeue(r *pktRing, fn sim.EventFunc) *Packet {
-	pkt := r.pop()
-	if r.n > 0 {
-		next := &r.buf[r.head]
-		r.timer = l.net.sched.AtFuncSeq(next.at, next.seq, fn, l)
+func (l *Link) dequeue(h *hop, fn sim.EventFunc) *Packet {
+	pkt := h.Pop().pkt
+	if h.Len() > 0 {
+		next := h.Front()
+		h.timer = l.net.sched.AtFuncSeq(next.at, next.seq, fn, l)
 	}
 	return pkt
 }

@@ -302,16 +302,17 @@ func TestLinkStaysInItsSizeClass(t *testing.T) {
 	}
 }
 
-// --- the ring itself -------------------------------------------------------
+// --- the hop's ring ----------------------------------------------------------
 
-// FuzzPktRing checks push/pop against a slice model across wrap-around and
-// growth. The occasional early key — an instant before the tail's, which
-// no hop hands out — has to be refused and leave the ring as it was.
+// FuzzPktRing checks a hop's push/pop against a slice model across
+// wrap-around and growth. The occasional early key — an instant before the
+// tail's, which no hop hands out — has to be refused and leave the hop as
+// it was.
 func FuzzPktRing(f *testing.F) {
 	f.Add([]byte{1, 1, 1, 1, 1, 0, 0, 1, 1, 1, 1, 1, 1, 0, 1, 0, 0, 0})
 	f.Add([]byte{9, 9, 9, 9, 2, 0, 9, 4, 9, 8, 9, 0, 0, 0, 0, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, ops []byte) {
-		var r pktRing
+		var h hop
 		var model []pipeSlot
 		var seq uint64
 		at := sim.Time(0)
@@ -322,10 +323,10 @@ func FuzzPktRing(f *testing.F) {
 				}
 				want := model[0]
 				model = model[1:]
-				if head := r.buf[r.head]; head.at != want.at || head.seq != want.seq {
+				if head := h.Front(); head.at != want.at || head.seq != want.seq {
 					t.Fatalf("head key (%d,%d), model has (%d,%d)", head.at, head.seq, want.at, want.seq)
 				}
-				if got := r.pop(); got != want.pkt {
+				if got := h.Pop().pkt; got != want.pkt {
 					t.Fatalf("pop returned the wrong packet")
 				}
 				continue
@@ -338,7 +339,7 @@ func FuzzPktRing(f *testing.F) {
 			}
 			seq++
 			early := len(model) > 0 && slot.at < model[len(model)-1].at
-			if ok := r.push(slot); ok == early {
+			if ok := h.push(slot); ok == early {
 				t.Fatalf("push of at=%d behind tail at=%d returned %v", slot.at, at, ok)
 			}
 			if !early {
@@ -346,14 +347,11 @@ func FuzzPktRing(f *testing.F) {
 				at = slot.at
 			}
 		}
-		if r.n != len(model) {
-			t.Fatalf("ring holds %d, model %d", r.n, len(model))
-		}
-		if n := len(r.buf); n&(n-1) != 0 {
-			t.Fatalf("ring capacity %d is not a power of two", n)
+		if h.Len() != len(model) {
+			t.Fatalf("hop holds %d, model %d", h.Len(), len(model))
 		}
 		for _, want := range model {
-			if got := r.pop(); got != want.pkt {
+			if got := h.Pop().pkt; got != want.pkt {
 				t.Fatalf("drain order diverges from the model")
 			}
 		}
@@ -375,8 +373,8 @@ func TestPipeEnqueueBackwardsPanics(t *testing.T) {
 		if !strings.Contains(msg, l.Name()) || !strings.Contains(msg, "t=19") {
 			t.Errorf("panic %q does not name link %q and the instant", msg, l.Name())
 		}
-		if n := l.pipe.prop.n; n != 2 {
-			t.Errorf("ring holds %d after the refused push, want 2", n)
+		if n := l.pipe.prop.Len(); n != 2 {
+			t.Errorf("hop holds %d after the refused push, want 2", n)
 		}
 	}()
 	l.enqueue(&l.pipes().prop, sim.Time(19), nw.NewPacket(), linkDeliver)

@@ -3,6 +3,7 @@ package quic
 import (
 	"time"
 
+	"starlinkperf/internal/cc"
 	"starlinkperf/internal/netem"
 	"starlinkperf/internal/obs"
 	"starlinkperf/internal/sim"
@@ -51,7 +52,7 @@ type Config struct {
 	// immediate ACK (2, per RFC 9000 §13.2.2).
 	AckElicitingThreshold int
 	// NewCC constructs the congestion controller; nil means CUBIC.
-	NewCC func() CongestionController
+	NewCC func() cc.CongestionController
 	// EnablePacing spaces ack-eliciting departures at the pacing rate
 	// (1.25x cwnd/SRTT, or the controller's own rate when it implements
 	// cc.PacingRater) with a max-burst token bucket. quiche at the
@@ -155,25 +156,28 @@ type Connection struct {
 	// Send side.
 	nextPN            uint64
 	ld                lossDetector
-	cc                CongestionController
-	pacer             Pacer
-	rtt               RTTEstimator
+	cc                cc.CongestionController
+	pacer             cc.Pacer
+	rtt               cc.RTTEstimator
 	ptoCount          int
 	timer             sim.TimerHandle
 	lastElicitingSent sim.Time
-	retxQueue         frameQueue
+	retxQueue         sim.Ring[Frame] // frames awaiting (re)transmission
 	pacingTimer       sim.TimerHandle
 
 	// Crypto (opaque handshake bytes, offset-tracked like a stream: the
 	// sender counts what is left to packetize, the receiver keeps the
-	// offset ranges that arrived ahead of a gap).
-	cryptoOut     int
-	cryptoBase    uint64
-	cryptoRecv    []offRange
-	cryptoRecvOff uint64
+	// offset ranges that arrived ahead of a gap and the end of the
+	// contiguous prefix).
+	cryptoOut   int
+	cryptoBase  uint64
+	cryptoIn    sim.Ranges
+	cryptoInOff uint64
 
-	// Receive side / ACK generation.
-	recvSet        rangeSet
+	// Receive side / ACK generation. Packet numbers are never skipped, so
+	// the gaps in recvSet are exactly the packets lost towards us — the
+	// paper's download loss methodology.
+	recvSet        sim.Ranges
 	ackPending     bool
 	elicitingSince int
 	ackTimer       sim.TimerHandle
@@ -191,7 +195,7 @@ type Connection struct {
 
 	// Streams.
 	streams      map[uint64]*Stream
-	active       []uint64 // round-robin send order
+	active       sim.Ring[uint64] // round-robin send order
 	activeSet    map[uint64]bool
 	nextStreamID uint64
 
@@ -225,48 +229,6 @@ type Connection struct {
 	chunkFree [][]byte
 }
 
-// offRange is a half-open range of crypto-stream offsets.
-type offRange struct{ off, end uint64 }
-
-// frameQueue is the FIFO of frames awaiting (re)transmission. Pops advance
-// a head index over one backing array, which is reused from the start
-// whenever the queue drains.
-type frameQueue struct {
-	buf  []Frame
-	head int
-}
-
-func (q *frameQueue) len() int     { return len(q.buf) - q.head }
-func (q *frameQueue) front() Frame { return q.buf[q.head] }
-
-func (q *frameQueue) push(f Frame) {
-	if q.head > 0 && len(q.buf) == cap(q.buf) {
-		n := copy(q.buf, q.buf[q.head:])
-		clear(q.buf[n:])
-		q.buf, q.head = q.buf[:n], 0
-	}
-	q.buf = append(q.buf, f)
-}
-
-func (q *frameQueue) pop() {
-	q.buf[q.head] = nil
-	if q.head++; q.head == len(q.buf) {
-		q.buf, q.head = q.buf[:0], 0
-	}
-}
-
-// pushFront puts fs back ahead of everything queued, keeping their order.
-func (q *frameQueue) pushFront(fs []Frame) {
-	if len(fs) > q.head {
-		n := len(q.buf)
-		q.buf = append(q.buf, fs[:len(fs)-q.head]...)
-		copy(q.buf[len(fs):], q.buf[q.head:n])
-		q.head = len(fs)
-	}
-	q.head -= len(fs)
-	copy(q.buf[q.head:], fs)
-}
-
 func newConnection(ep *Endpoint, cfg Config, isClient bool, connID uint64, remote netem.Addr, remotePort uint16) *Connection {
 	if cfg.InitialMaxData == 0 {
 		cfg.InitialMaxData = DefaultConfig().InitialMaxData
@@ -282,7 +244,7 @@ func newConnection(ep *Endpoint, cfg Config, isClient bool, connID uint64, remot
 	}
 	newCC := cfg.NewCC
 	if newCC == nil {
-		newCC = func() CongestionController { return NewCubic() }
+		newCC = func() cc.CongestionController { return cc.NewCubic(MaxPayloadSize) }
 	}
 	c := &Connection{
 		ep:            ep,
@@ -293,7 +255,7 @@ func newConnection(ep *Endpoint, cfg Config, isClient bool, connID uint64, remot
 		remote:        remote,
 		remotePort:    remotePort,
 		cc:            newCC(),
-		pacer:         Pacer{Enabled: cfg.EnablePacing, BurstPackets: cfg.PacingBurst},
+		pacer:         cc.Pacer{Enabled: cfg.EnablePacing, BurstPackets: cfg.PacingBurst},
 		maxDataLocal:  cfg.InitialMaxData,
 		connWindow:    cfg.InitialMaxData,
 		maxDataRemote: cfg.InitialMaxData, // peers use symmetric configs in the testbed
@@ -326,12 +288,7 @@ func (c *Connection) Established() bool { return c.state == stateEstablished }
 func (c *Connection) Closed() bool { return c.state == stateClosed }
 
 // RTT returns the connection's RTT estimator (read-only use).
-func (c *Connection) RTT() *RTTEstimator { return &c.rtt }
-
-// ReceivedPacketRanges returns the packet-number ranges received so far,
-// ascending. Gaps are exactly the packets the network lost towards us —
-// the paper's download loss-accounting methodology.
-func (c *Connection) ReceivedPacketRanges() []AckRange { return c.recvSet.Ranges() }
+func (c *Connection) RTT() *cc.RTTEstimator { return &c.rtt }
 
 // LargestSentPN returns the next packet number to be used minus one.
 func (c *Connection) LargestSentPN() (uint64, bool) {
@@ -411,14 +368,13 @@ func (c *Connection) teardown() {
 func (c *Connection) markActive(s *Stream) {
 	if !c.activeSet[s.id] {
 		c.activeSet[s.id] = true
-		c.active = append(c.active, s.id)
+		c.active.Push(s.id)
 	}
 }
 
 // dropActive removes the stream at the head of the send order.
 func (c *Connection) dropActive() {
-	delete(c.activeSet, c.active[0])
-	c.active = c.active[:copy(c.active, c.active[1:])]
+	delete(c.activeSet, c.active.Pop())
 }
 
 // onStreamConsumed returns flow-control credit after the application
@@ -446,7 +402,7 @@ func (c *Connection) onStreamConsumed(s *Stream, n uint64) {
 }
 
 func (c *Connection) queueFrame(f Frame) {
-	c.retxQueue.push(f)
+	c.retxQueue.Push(f)
 }
 
 // getStreamFrame returns a STREAM frame struct for the caller to fill in
@@ -525,11 +481,12 @@ func (c *Connection) handlePacket(p *Packet, from netem.Addr, fromPort uint16) {
 		c.remote, c.remotePort = from, fromPort
 		c.Stats.PathMigrations++
 	}
-	if c.recvSet.Contains(p.Header.Number) {
+	pn := p.Header.Number
+	if c.recvSet.Covered(pn, pn+1) {
 		c.Stats.DuplicatesRecv++
 		return
 	}
-	c.recvSet.Insert(p.Header.Number)
+	c.recvSet.Insert(pn, pn+1)
 	c.largestRecvAt = now
 	c.Stats.BytesReceived += uint64(p.Size)
 
@@ -577,29 +534,8 @@ func (c *Connection) handlePacket(p *Packet, from netem.Addr, fromPort uint16) {
 }
 
 func (c *Connection) onCrypto(f *CryptoFrame) {
-	end := f.Offset + uint64(len(f.Data))
-	if end > c.cryptoRecvOff {
-		off := f.Offset
-		if off < c.cryptoRecvOff {
-			off = c.cryptoRecvOff
-		}
-		// Insert sorted and advance over what is now contiguous.
-		i := 0
-		for i < len(c.cryptoRecv) && c.cryptoRecv[i].off < off {
-			i++
-		}
-		c.cryptoRecv = append(c.cryptoRecv, offRange{})
-		copy(c.cryptoRecv[i+1:], c.cryptoRecv[i:])
-		c.cryptoRecv[i] = offRange{off: off, end: end}
-		n := 0
-		for n < len(c.cryptoRecv) && c.cryptoRecv[n].off <= c.cryptoRecvOff {
-			if e := c.cryptoRecv[n].end; e > c.cryptoRecvOff {
-				c.cryptoRecvOff = e
-			}
-			n++
-		}
-		c.cryptoRecv = c.cryptoRecv[:copy(c.cryptoRecv, c.cryptoRecv[n:])]
-	}
+	c.cryptoIn.Insert(f.Offset, f.Offset+uint64(len(f.Data)))
+	c.cryptoInOff = c.cryptoIn.ContiguousFrom(c.cryptoInOff)
 	c.handshakeProgress()
 }
 
@@ -607,16 +543,16 @@ func (c *Connection) onCrypto(f *CryptoFrame) {
 // delivery.
 func (c *Connection) handshakeProgress() {
 	switch {
-	case !c.isClient && c.state == stateHandshaking && c.cryptoRecvOff >= clientHelloSize && c.cryptoOut == 0:
+	case !c.isClient && c.state == stateHandshaking && c.cryptoInOff >= clientHelloSize && c.cryptoOut == 0:
 		// Server: ClientHello in, emit the server flight and (like TLS
 		// 1.3 0.5-RTT) consider the connection usable.
 		c.cryptoOut = serverFlightSize
 		c.establish()
-	case c.isClient && c.state == stateHandshaking && c.cryptoRecvOff >= serverFlightSize:
+	case c.isClient && c.state == stateHandshaking && c.cryptoInOff >= serverFlightSize:
 		// Client: full server flight received; send Finished, done.
 		c.cryptoOut += clientFinishedSize
 		c.establish()
-	case c.isClient && c.resumed && !c.hsConfirmed && c.cryptoRecvOff >= serverFlightSize:
+	case c.isClient && c.resumed && !c.hsConfirmed && c.cryptoInOff >= serverFlightSize:
 		// Resumed client: the connection has been usable since the first
 		// flight; the server flight merely confirms the ticket exchange.
 		c.hsConfirmed = true
@@ -725,7 +661,7 @@ func (c *Connection) handleLost(lost []*sentPacket, now sim.Time) {
 				if c.obs != nil {
 					c.obs.retxFrms.Inc()
 				}
-				c.retxQueue.push(f)
+				c.retxQueue.Push(f)
 			}
 		}
 	}
@@ -811,10 +747,16 @@ func (c *Connection) cloneForProbe(f Frame) Frame {
 // buildAck returns the pending ACK frame, or nil. The frame is the
 // connection's scratch: it is good until the next buildAck.
 func (c *Connection) buildAck() *AckFrame {
-	ack := &c.ackFrame
-	ack.Ranges = c.recvSet.AckRanges(ack.Ranges[:0], 32)
-	if len(ack.Ranges) == 0 {
+	spans := c.recvSet.Spans()
+	if len(spans) == 0 {
 		return nil
+	}
+	// The 32 most recent spans, descending, as the closed ranges the frame
+	// carries.
+	ack := &c.ackFrame
+	ack.Ranges = ack.Ranges[:0]
+	for i := len(spans) - 1; i >= max(0, len(spans)-32); i-- {
+		ack.Ranges = append(ack.Ranges, AckRange{Smallest: spans[i].Start, Largest: spans[i].End - 1})
 	}
 	ack.AckDelay = max(c.sched.Now().Sub(c.largestRecvAt), 0)
 	return ack
@@ -863,7 +805,9 @@ func (c *Connection) maybeSend() {
 						keep = append(keep, f)
 					}
 				}
-				c.retxQueue.pushFront(keep)
+				for i := len(keep) - 1; i >= 0; i-- {
+					c.retxQueue.PushFront(keep[i])
+				}
 				if !c.pacingTimer.Pending() {
 					c.pacingTimer = c.sched.AfterFunc(d, qcMaybeSend, c)
 				}
@@ -917,8 +861,8 @@ func (c *Connection) buildPacket(canSendData bool) (frames []Frame, eliciting bo
 		}
 
 		// Retransmissions and queued control frames.
-		for c.retxQueue.len() > 0 && remaining > 0 {
-			f := c.retxQueue.front()
+		for c.retxQueue.Len() > 0 && remaining > 0 {
+			f := *c.retxQueue.Front()
 			if f.WireLen() > remaining {
 				// Split oversized stream frames; other frames wait.
 				if sf, ok := f.(*StreamFrame); ok && remaining > 16 {
@@ -935,15 +879,15 @@ func (c *Connection) buildPacket(canSendData bool) (frames []Frame, eliciting bo
 				}
 				break
 			}
-			c.retxQueue.pop()
+			c.retxQueue.Pop()
 			frames = append(frames, f)
 			remaining -= f.WireLen()
 		}
 
 		// Fresh stream data, round-robin, within connection flow control.
 		if c.state == stateEstablished {
-			for remaining > 16 && len(c.active) > 0 {
-				id := c.active[0]
+			for remaining > 16 && c.active.Len() > 0 {
+				id := *c.active.Front()
 				s := c.streams[id]
 				if s == nil || !s.pendingSend() {
 					c.dropActive()
@@ -973,8 +917,7 @@ func (c *Connection) buildPacket(canSendData bool) (frames []Frame, eliciting bo
 				frames = append(frames, f)
 				remaining -= f.WireLen()
 				// Rotate for fairness.
-				copy(c.active, c.active[1:])
-				c.active[len(c.active)-1] = id
+				c.active.Push(c.active.Pop())
 			}
 		}
 	}

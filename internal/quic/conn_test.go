@@ -1,6 +1,7 @@
 package quic
 
 import (
+	"math/rand/v2"
 	"testing"
 	"time"
 
@@ -134,6 +135,16 @@ func TestBulkTransferWithLossCompletesAndRetransmits(t *testing.T) {
 
 func srvAddr(n *netem.Node) netem.Addr { return n.Addr() }
 
+// fakeConn builds a connection on a minimal one-node network, for tests
+// that drive its receive side directly.
+func fakeConn(isClient bool) *Connection {
+	node := netem.New(sim.NewScheduler(1)).NewNode("x", netem.MustParseAddr("10.0.0.1"))
+	ep := NewEndpoint(node, 1)
+	c := newConnection(ep, DefaultConfig(), isClient, 1, netem.MustParseAddr("10.0.0.2"), 1)
+	ep.conns[1] = c
+	return c
+}
+
 func TestReceiverSeesPacketNumberGapsOnLoss(t *testing.T) {
 	const total = 1 << 20
 	s := sim.NewScheduler(13)
@@ -181,8 +192,8 @@ func TestReceiverSeesPacketNumberGapsOnLoss(t *testing.T) {
 		t.Fatal("nothing sent")
 	}
 	var receivedCount uint64
-	for _, r := range serverConn.ReceivedPacketRanges() {
-		receivedCount += r.Largest - r.Smallest + 1
+	for _, r := range serverConn.recvSet.Spans() {
+		receivedCount += r.End - r.Start
 	}
 	lostOnWire := largest + 1 - receivedCount
 	if lostOnWire == 0 {
@@ -330,7 +341,7 @@ func TestNoPacingSendsBackToBackBursts(t *testing.T) {
 		// Pin the window so the two runs differ only in packet spacing:
 		// slow-start overshoot would otherwise dominate the max-RTT sample
 		// in both runs and drown the burst-queueing signal under test.
-		ccfg.NewCC = func() CongestionController { return cc.NewFixed(50000) }
+		ccfg.NewCC = func() cc.CongestionController { return cc.NewFixed(50000) }
 		conn := cep.Dial(b.Addr(), 443, ccfg)
 		var maxRTT time.Duration
 		conn.OnRTTSample = func(_ sim.Time, rtt time.Duration) {
@@ -453,5 +464,87 @@ func TestDuplicateDeliveryIgnored(t *testing.T) {
 	}
 	if sconn.Stats.DuplicatesRecv == 0 {
 		t.Error("server should have counted duplicate packets")
+	}
+}
+
+// CRYPTO frames that arrive out of order, twice, or overlapping one
+// another advance the emulated handshake exactly when the contiguous prefix
+// of the crypto stream reaches the peer's flight size — never on bytes that
+// lie beyond a gap. Scripted cases name the shapes; seeded random pieces
+// cover the rest against a bitmap of the bytes received.
+func TestCryptoReassemblyAdvancesHandshakeAtPrefix(t *testing.T) {
+	type piece struct{ off, end uint64 }
+	check := func(t *testing.T, isClient bool, pieces []piece) {
+		t.Helper()
+		c := fakeConn(isClient)
+		need := uint64(clientHelloSize)
+		if isClient {
+			need = serverFlightSize
+		}
+		var got []bool
+		crossedAt := -1
+		for i, p := range pieces {
+			for uint64(len(got)) < p.end {
+				got = append(got, false)
+			}
+			for b := p.off; b < p.end; b++ {
+				got[b] = true
+			}
+			prefix := uint64(0)
+			for prefix < uint64(len(got)) && got[prefix] {
+				prefix++
+			}
+			c.onCrypto(&CryptoFrame{Offset: p.off, Data: make([]byte, p.end-p.off)})
+			if established := c.state == stateEstablished; established != (prefix >= need) {
+				t.Fatalf("piece %d [%d,%d): established=%v with a contiguous prefix of %d (flight %d)",
+					i, p.off, p.end, established, prefix, need)
+			}
+			if prefix >= need && crossedAt < 0 {
+				crossedAt = i
+			}
+		}
+		if crossedAt < 0 {
+			t.Fatalf("the pieces never complete the %d-byte flight", need)
+		}
+	}
+	for _, tc := range []struct {
+		name     string
+		isClient bool
+		pieces   []piece
+	}{
+		{"server-in-order", false, []piece{{0, 100}, {100, 320}}},
+		{"server-reversed", false, []piece{{200, 320}, {100, 200}, {0, 100}}},
+		{"server-duplicate-beyond-gap", false, []piece{{100, 320}, {100, 320}, {50, 99}, {0, 50}, {99, 100}}},
+		{"server-overlap-swallows", false, []piece{{10, 20}, {30, 40}, {5, 310}, {0, 6}, {300, 330}}},
+		{"server-stale-below-prefix", false, []piece{{0, 200}, {0, 100}, {150, 250}, {250, 320}}},
+		{"client-three-datagrams-late-first", true, []piece{{1150, 2300}, {2300, 3000}, {0, 1150}}},
+		{"client-overlapping-retransmits", true, []piece{{0, 1000}, {2000, 3000}, {500, 1500}, {1400, 2001}, {0, 3000}}},
+		{"client-gap-at-one-byte", true, []piece{{0, 1999}, {2000, 3000}, {2000, 3000}, {1999, 2000}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) { check(t, tc.isClient, tc.pieces) })
+	}
+	r := rand.New(rand.NewPCG(28, 3))
+	for trial := 0; trial < 200; trial++ {
+		isClient := trial%2 == 1
+		size := uint64(clientHelloSize)
+		if isClient {
+			size = serverFlightSize
+		}
+		var pieces []piece
+		for covered := uint64(0); covered < size; {
+			// Pieces land anywhere below the flight end, some past a gap;
+			// the last one closes the prefix whatever came before.
+			off := r.Uint64N(size)
+			end := min(off+1+r.Uint64N(size/3), size)
+			if r.IntN(4) == 0 {
+				off, end = covered, min(covered+1+r.Uint64N(size/4), size)
+				covered = end
+			}
+			pieces = append(pieces, piece{off, end})
+			if r.IntN(5) == 0 {
+				pieces = append(pieces, piece{off, end}) // a duplicate
+			}
+		}
+		t.Run("random", func(t *testing.T) { check(t, isClient, pieces) })
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"starlinkperf/internal/cc"
 	"starlinkperf/internal/netem"
 	"starlinkperf/internal/sim"
 )
@@ -221,24 +222,25 @@ func firstDiff(a, b []byte) int {
 	return min(len(a), len(b))
 }
 
-// The head-indexed retransmission queue must behave like the slice it
-// replaced under any mix of push, pop and the pacer's put-back.
+// The retransmission queue must behave like a slice under any mix of
+// push, pop and the pacer's put-back, which pushes the withheld frames
+// back to the front last-first so they leave in their original order.
 func TestFrameQueueMatchesSliceOracle(t *testing.T) {
 	r := rand.New(rand.NewPCG(8, 9))
-	var q frameQueue
+	var q sim.Ring[Frame]
 	var oracle []Frame
 	for step := 0; step < 20000; step++ {
 		switch op := r.IntN(10); {
 		case op < 4:
 			f := &MaxDataFrame{Max: uint64(step)}
-			q.push(f)
+			q.Push(f)
 			oracle = append(oracle, f)
 		case op < 8:
 			if len(oracle) > 0 {
-				if q.front() != oracle[0] {
-					t.Fatalf("step %d: front %v, want %v", step, q.front(), oracle[0])
+				if *q.Front() != oracle[0] {
+					t.Fatalf("step %d: front %v, want %v", step, *q.Front(), oracle[0])
 				}
-				q.pop()
+				q.Pop()
 				oracle = oracle[1:]
 			}
 		default:
@@ -246,14 +248,16 @@ func TestFrameQueueMatchesSliceOracle(t *testing.T) {
 			for i := range fs {
 				fs[i] = &MaxDataFrame{Max: uint64(step*10 + i)}
 			}
-			q.pushFront(fs)
+			for i := len(fs) - 1; i >= 0; i-- {
+				q.PushFront(fs[i])
+			}
 			oracle = append(append([]Frame(nil), fs...), oracle...)
 		}
-		if q.len() != len(oracle) {
-			t.Fatalf("step %d: len %d, want %d", step, q.len(), len(oracle))
+		if q.Len() != len(oracle) {
+			t.Fatalf("step %d: len %d, want %d", step, q.Len(), len(oracle))
 		}
-		for i, f := range q.buf[q.head:] {
-			if f != oracle[i] {
+		for i := range q.Len() {
+			if f := *q.At(i); f != oracle[i] {
 				t.Fatalf("step %d: element %d is %v, want %v", step, i, f, oracle[i])
 			}
 		}
@@ -315,12 +319,13 @@ type oneInFlight struct{}
 
 func (oneInFlight) Window() int                                     { return MaxDatagramSize }
 func (oneInFlight) OnPacketSent(sim.Time, int)                      {}
-func (oneInFlight) OnPacketAcked(sim.Time, int, *RTTEstimator)      {}
+func (oneInFlight) OnPacketAcked(sim.Time, int, *cc.RTTEstimator)   {}
 func (oneInFlight) OnCongestionEvent(now sim.Time, sentAt sim.Time) {}
 func (oneInFlight) InSlowStart() bool                               { return false }
 func (oneInFlight) Name() string                                    { return "one-in-flight" }
 func (c *Connection) queuedFrames() (out []string, frames []*StreamFrame) {
-	for _, f := range c.retxQueue.buf[c.retxQueue.head:] {
+	for i := range c.retxQueue.Len() {
+		f := *c.retxQueue.At(i)
 		out = append(out, f.String())
 		if sf, ok := f.(*StreamFrame); ok {
 			frames = append(frames, sf)
@@ -359,7 +364,7 @@ func TestPTOProbeAndOriginalBothLost(t *testing.T) {
 		}
 	})
 	cfg := DefaultConfig()
-	cfg.NewCC = func() CongestionController { return oneInFlight{} }
+	cfg.NewCC = func() cc.CongestionController { return oneInFlight{} }
 	conn := cep.Dial(b.Addr(), 443, cfg)
 	payload := bytes.Repeat([]byte("0123456789abcdef"), 75) // 1200 bytes: one packet
 	s.After(150*time.Millisecond, func() {
@@ -417,7 +422,10 @@ func checkSingleOwnership(t *testing.T, c *Connection) {
 		}
 		owner[sf] = who
 	}
-	inFlight := append(append([]*sentPacket(nil), c.ld.deque[c.ld.head:]...), c.ld.candidates...)
+	inFlight := append([]*sentPacket(nil), c.ld.candidates...)
+	for i := range c.ld.sent.Len() {
+		inFlight = append(inFlight, *c.ld.sent.At(i))
+	}
 	for _, sp := range inFlight {
 		for _, f := range sp.frames {
 			claim(f, fmt.Sprintf("packet %d", sp.pn))

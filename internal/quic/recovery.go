@@ -31,12 +31,11 @@ type ackResult struct {
 }
 
 // lossDetector implements sender-side RFC 9002 loss detection with the
-// packet-number and time thresholds. Packets move from the in-order deque
+// packet-number and time thresholds. Packets move from the in-order queue
 // into a small candidate list once overtaken by an ACK, and from there to
 // acked or lost.
 type lossDetector struct {
-	deque      []*sentPacket
-	head       int
+	sent       sim.Ring[*sentPacket] // in packet-number order
 	candidates []*sentPacket
 
 	largestAcked   uint64
@@ -49,7 +48,7 @@ type lossDetector struct {
 }
 
 func (ld *lossDetector) onPacketSent(sp *sentPacket) {
-	ld.deque = append(ld.deque, sp)
+	ld.sent.Push(sp)
 	ld.bytesInFlight += sp.size
 	if sp.ackEliciting {
 		ld.elicitingCount++
@@ -80,14 +79,9 @@ func (ld *lossDetector) onAck(ack *AckFrame, now sim.Time, lossDelay time.Durati
 		ld.haveAcked = true
 	}
 
-	// Drain the in-order deque up to the largest acked number.
-	for ld.head < len(ld.deque) {
-		sp := ld.deque[ld.head]
-		if sp.pn > ld.largestAcked {
-			break
-		}
-		ld.head++
-		if ack.Contains(sp.pn) {
+	// Drain the in-order queue up to the largest acked number.
+	for ld.sent.Len() > 0 && (*ld.sent.Front()).pn <= ld.largestAcked {
+		if sp := ld.sent.Pop(); ack.Contains(sp.pn) {
 			ld.remove(sp)
 			res.Newly = append(res.Newly, sp)
 			if res.LargestNew == nil || sp.pn > res.LargestNew.pn {
@@ -96,11 +90,6 @@ func (ld *lossDetector) onAck(ack *AckFrame, now sim.Time, lossDelay time.Durati
 		} else {
 			ld.candidates = append(ld.candidates, sp)
 		}
-	}
-	if ld.head > 64 && ld.head*2 >= len(ld.deque) {
-		n := copy(ld.deque, ld.deque[ld.head:])
-		ld.deque = ld.deque[:n]
-		ld.head = 0
 	}
 
 	// Re-examine candidates against this ACK and the loss thresholds.
@@ -168,9 +157,9 @@ func (ld *lossDetector) oldestEliciting() *sentPacket {
 			return sp
 		}
 	}
-	for i := ld.head; i < len(ld.deque); i++ {
-		if ld.deque[i].ackEliciting {
-			return ld.deque[i]
+	for i := range ld.sent.Len() {
+		if sp := *ld.sent.At(i); sp.ackEliciting {
+			return sp
 		}
 	}
 	return nil

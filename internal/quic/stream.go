@@ -3,6 +3,8 @@ package quic
 import (
 	"fmt"
 	"sort"
+
+	"starlinkperf/internal/sim"
 )
 
 // Stream is a bidirectional QUIC stream. The API is event-driven to match
@@ -15,10 +17,8 @@ type Stream struct {
 	conn *Connection
 
 	// Send state: the bytes not yet packetized, starting at sendBase, as
-	// a FIFO of runs (live entries are sendQ[sendHead:], sendLen bytes in
-	// all).
-	sendQ       []sendRun
-	sendHead    int
+	// a FIFO of runs, sendLen bytes in all.
+	sendQ       sim.Ring[sendRun]
 	sendLen     int
 	sendBase    uint64 // offset of the first queued byte
 	finQueued   bool
@@ -85,7 +85,7 @@ func (s *Stream) Write(data []byte) {
 		panic(fmt.Sprintf("quic: write to stream %d after Close", s.id))
 	}
 	if len(data) > 0 {
-		s.sendQ = append(s.sendQ, sendRun{data: append([]byte(nil), data...), n: len(data)})
+		s.sendQ.Push(sendRun{data: append([]byte(nil), data...), n: len(data)})
 		s.sendLen += len(data)
 	}
 	s.conn.markActive(s)
@@ -107,10 +107,10 @@ func (s *Stream) queueZeroes(n int) {
 	if n <= 0 {
 		return
 	}
-	if k := len(s.sendQ); k > s.sendHead && s.sendQ[k-1].data == nil {
-		s.sendQ[k-1].n += n
+	if s.sendQ.Len() > 0 && s.sendQ.Back().data == nil {
+		s.sendQ.Back().n += n
 	} else {
-		s.sendQ = append(s.sendQ, sendRun{n: n})
+		s.sendQ.Push(sendRun{n: n})
 	}
 	s.sendLen += n
 }
@@ -172,12 +172,12 @@ func (s *Stream) cut(n int) []byte {
 		return nil
 	}
 	s.sendLen -= n
-	if r := &s.sendQ[s.sendHead]; n <= r.n {
+	if r := s.sendQ.Front(); n <= r.n {
 		return s.cutRun(r, n)
 	}
 	out := make([]byte, 0, n)
 	for len(out) < n {
-		r := &s.sendQ[s.sendHead]
+		r := s.sendQ.Front()
 		out = append(out, s.cutRun(r, min(n-len(out), r.n))...)
 	}
 	return out
@@ -195,10 +195,7 @@ func (s *Stream) cutRun(r *sendRun, k int) []byte {
 		out = make([]byte, k)
 	}
 	if r.n -= k; r.n == 0 {
-		*r = sendRun{}
-		if s.sendHead++; s.sendHead == len(s.sendQ) {
-			s.sendQ, s.sendHead = s.sendQ[:0], 0
-		}
+		s.sendQ.Pop()
 	}
 	return out
 }

@@ -3,23 +3,14 @@ package quic
 import (
 	"math/rand/v2"
 	"testing"
-
-	"starlinkperf/internal/netem"
-	"starlinkperf/internal/sim"
 )
 
 // fakeStream builds a stream on a minimal one-node network, sufficient
 // for receive-side logic.
 func fakeStream() *Stream {
-	sched := sim.NewScheduler(1)
-	nw := netem.New(sched)
-	node := nw.NewNode("x", netem.MustParseAddr("10.0.0.1"))
-	ep := NewEndpoint(node, 1)
-	c := newConnection(ep, DefaultConfig(), true, 1, netem.MustParseAddr("10.0.0.2"), 1)
-	ep.conns[1] = c
 	return &Stream{
 		id:          0,
-		conn:        c,
+		conn:        fakeConn(true),
 		maxSendData: 10 << 20,
 		maxRecvData: 10 << 20,
 		recvWindow:  10 << 20,

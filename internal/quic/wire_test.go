@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"starlinkperf/internal/cc"
 	simt "starlinkperf/internal/sim"
 )
 
@@ -202,58 +203,130 @@ func TestParseRejectsShortAndBadFixedBit(t *testing.T) {
 	}
 }
 
+// The received-packet set stays sorted, disjoint and non-adjacent, with
+// exact membership, whatever order and however often packets arrive.
 func TestRangeSetInsertProperty(t *testing.T) {
 	r := rand.New(rand.NewPCG(3, 4))
 	for trial := 0; trial < 200; trial++ {
-		var s rangeSet
+		c := fakeConn(false)
 		ref := make(map[uint64]bool)
 		for i := 0; i < 300; i++ {
 			pn := uint64(r.IntN(150))
-			s.Insert(pn)
+			c.handlePacket(&Packet{Header: PacketHeader{ConnID: 1, Number: pn}}, c.remote, c.remotePort)
 			ref[pn] = true
 		}
-		// Invariants: sorted, disjoint, non-adjacent.
-		rs := s.Ranges()
+		s := &c.recvSet
+		rs := s.Spans()
+		count := uint64(0)
 		for i := range rs {
-			if rs[i].Smallest > rs[i].Largest {
-				t.Fatalf("inverted range %+v", rs[i])
+			if rs[i].Start >= rs[i].End {
+				t.Fatalf("empty or inverted span %+v", rs[i])
 			}
-			if i > 0 && rs[i].Smallest <= rs[i-1].Largest+1 {
-				t.Fatalf("overlapping/adjacent ranges %+v %+v", rs[i-1], rs[i])
+			if i > 0 && rs[i].Start <= rs[i-1].End {
+				t.Fatalf("overlapping/adjacent spans %+v %+v", rs[i-1], rs[i])
 			}
+			count += rs[i].End - rs[i].Start
 		}
-		// Exact membership.
 		for pn := uint64(0); pn < 160; pn++ {
-			if s.Contains(pn) != ref[pn] {
-				t.Fatalf("Contains(%d) = %v, want %v (ranges %v)", pn, s.Contains(pn), ref[pn], rs)
+			if s.Covered(pn, pn+1) != ref[pn] {
+				t.Fatalf("Covered(%d) = %v, want %v (spans %v)", pn, s.Covered(pn, pn+1), ref[pn], rs)
 			}
 		}
-		if int(s.Count()) != len(ref) {
-			t.Fatalf("Count = %d, want %d", s.Count(), len(ref))
+		if int(count) != len(ref) {
+			t.Fatalf("count = %d, want %d", count, len(ref))
 		}
 	}
 }
 
 func TestRangeSetAckRangesOrder(t *testing.T) {
-	var s rangeSet
+	c := fakeConn(false)
 	for _, pn := range []uint64{1, 2, 3, 10, 11, 20} {
-		s.Insert(pn)
+		c.handlePacket(&Packet{Header: PacketHeader{ConnID: 1, Number: pn}}, c.remote, c.remotePort)
 	}
-	ar := s.AckRanges(nil, 2)
-	if len(ar) != 2 {
-		t.Fatalf("got %d ranges", len(ar))
+	ack := c.buildAck()
+	if ack == nil || len(ack.Ranges) != 3 {
+		t.Fatalf("got ACK %v, want 3 ranges", ack)
 	}
-	if ar[0].Largest != 20 || ar[1].Largest != 11 {
-		t.Errorf("AckRanges = %v, want most recent first", ar)
+	if ar := ack.Ranges; ar[0].Largest != 20 || ar[1].Largest != 11 || ar[2].Largest != 3 {
+		t.Errorf("ACK ranges = %v, want most recent first", ar)
 	}
-	if l, ok := s.Largest(); !ok || l != 20 {
-		t.Errorf("Largest = %v %v", l, ok)
+	if spans := c.recvSet.Spans(); spans[len(spans)-1].End-1 != 20 {
+		t.Errorf("largest received = %d, want 20", spans[len(spans)-1].End-1)
+	}
+}
+
+// buildAck reports the received-packet set as the ACK frame's ranges: the
+// 32 most recent runs of packet numbers, descending, each a closed range,
+// whatever order and however often the packets arrived. The oracle is the
+// runs of a bitmap of what arrived.
+func TestBuildAckRanges(t *testing.T) {
+	check := func(t *testing.T, pns []uint64) {
+		t.Helper()
+		c := fakeConn(false)
+		got := map[uint64]bool{}
+		dups := uint64(0)
+		for _, pn := range pns {
+			if got[pn] {
+				dups++
+			}
+			got[pn] = true
+			c.handlePacket(&Packet{Header: PacketHeader{ConnID: 1, Number: pn}}, c.remote, c.remotePort)
+		}
+		if c.Stats.DuplicatesRecv != dups {
+			t.Errorf("DuplicatesRecv = %d, want %d", c.Stats.DuplicatesRecv, dups)
+		}
+		var runs []AckRange // ascending
+		for pn := uint64(0); pn <= 1<<12; pn++ {
+			switch {
+			case !got[pn]:
+			case len(runs) > 0 && runs[len(runs)-1].Largest+1 == pn:
+				runs[len(runs)-1].Largest = pn
+			default:
+				runs = append(runs, AckRange{Smallest: pn, Largest: pn})
+			}
+		}
+		var want []AckRange
+		for i := len(runs) - 1; i >= 0 && len(want) < 32; i-- {
+			want = append(want, runs[i])
+		}
+		ack := c.buildAck()
+		if len(want) == 0 {
+			if ack != nil {
+				t.Fatalf("ACK %v with nothing received", ack.Ranges)
+			}
+			return
+		}
+		if ack == nil || !reflect.DeepEqual(ack.Ranges, want) {
+			t.Fatalf("ACK ranges %v, want %v", ack, want)
+		}
+	}
+	for name, pns := range map[string][]uint64{
+		"none":                     nil,
+		"most-recent-first":        {1, 2, 3, 10, 11, 20},
+		"reordered-and-duplicated": {5, 3, 4, 4, 9, 0, 7, 8, 1, 2, 9},
+		"more-than-32": func() (pns []uint64) {
+			for pn := uint64(0); pn <= 100; pn += 2 {
+				pns = append(pns, pn)
+			}
+			return pns
+		}(),
+	} {
+		t.Run(name, func(t *testing.T) { check(t, pns) })
+	}
+	r := rand.New(rand.NewPCG(3, 4))
+	for trial := 0; trial < 200; trial++ {
+		space := 40 + r.IntN(400) // small spaces leave a few runs, large ones more than 32
+		pns := make([]uint64, 300)
+		for i := range pns {
+			pns[i] = uint64(r.IntN(space))
+		}
+		t.Run("random", func(t *testing.T) { check(t, pns) })
 	}
 }
 
 func TestRTTEstimator(t *testing.T) {
-	var r RTTEstimator
-	if r.Smoothed() != InitialRTT {
+	var r cc.RTTEstimator
+	if r.Smoothed() != cc.InitialRTT {
 		t.Error("pre-sample smoothed should be InitialRTT")
 	}
 	r.Update(100*time.Millisecond, 0)
@@ -278,7 +351,7 @@ func TestRTTEstimator(t *testing.T) {
 }
 
 func TestRTTAckDelaySubtraction(t *testing.T) {
-	var r RTTEstimator
+	var r cc.RTTEstimator
 	r.Update(100*time.Millisecond, 0)
 	r.Update(150*time.Millisecond, 25*time.Millisecond)
 	// Adjusted sample 125ms: srtt = 7/8*100 + 1/8*125 = 103.125ms
@@ -286,7 +359,7 @@ func TestRTTAckDelaySubtraction(t *testing.T) {
 		t.Errorf("srtt = %v, want 103.125ms", got)
 	}
 	// Delay subtraction must not go below min.
-	r2 := RTTEstimator{}
+	r2 := cc.RTTEstimator{}
 	r2.Update(100*time.Millisecond, 0)
 	r2.Update(101*time.Millisecond, 50*time.Millisecond) // 101-50 < min
 	if r2.Latest() != 101*time.Millisecond {
@@ -295,7 +368,7 @@ func TestRTTAckDelaySubtraction(t *testing.T) {
 }
 
 func TestRTTLossDelayAndPTO(t *testing.T) {
-	var r RTTEstimator
+	var r cc.RTTEstimator
 	r.Update(80*time.Millisecond, 0)
 	if got, want := r.LossDelay(), 90*time.Millisecond; got != want {
 		t.Errorf("loss delay = %v, want %v", got, want)
@@ -308,12 +381,12 @@ func TestRTTLossDelayAndPTO(t *testing.T) {
 }
 
 func TestCubicSlowStartAndBackoff(t *testing.T) {
-	c := NewCubic()
+	c := cc.NewCubic(MaxPayloadSize)
 	w0 := c.Window()
 	if !c.InSlowStart() {
 		t.Fatal("should start in slow start")
 	}
-	var r RTTEstimator
+	var r cc.RTTEstimator
 	r.Update(50*time.Millisecond, 0)
 	c.OnPacketAcked(0, 1350, &r)
 	if c.Window() != w0+1350 {

@@ -105,7 +105,7 @@ func TestSegmentPoolLifecycle(t *testing.T) {
 
 	seg := c1.newSegment()
 	seg.Flags, seg.Seq, seg.Len, seg.Ack = FlagACK, 1000, 1460, 7
-	seg.Sack = append(seg.Sack, SackBlock{1, 2})
+	seg.Sack = append(seg.Sack, SackBlock{Start: 1, End: 2})
 	seg.Msgs = append(seg.Msgs, AppMsg{Off: 1000, Msg: "x"})
 	seg.ReleasePayload()
 	if seg.Seq != poisonSeq || seg.Ack != poisonSeq || seg.Len >= 0 || seg.Flags&(FlagSYN|FlagACK|FlagFIN|FlagRST) != 0 {

@@ -132,35 +132,6 @@ type txRecord struct {
 	retx       bool
 }
 
-// txRing is the FIFO of in-flight records in transmission order: a
-// power-of-two ring of values that doubles up to the connection's
-// high-water mark and is reused from then on.
-type txRing struct {
-	buf     []txRecord
-	head, n int
-}
-
-func (q *txRing) push(r txRecord) {
-	if q.n == len(q.buf) {
-		grown := make([]txRecord, max(16, 2*len(q.buf)))
-		k := copy(grown, q.buf[q.head:])
-		copy(grown[k:], q.buf[:q.head])
-		q.buf, q.head = grown, 0
-	}
-	q.buf[(q.head+q.n)&(len(q.buf)-1)] = r
-	q.n++
-}
-
-// pop removes the oldest record; the ring must not be empty.
-func (q *txRing) pop() txRecord {
-	r := q.buf[q.head]
-	q.head = (q.head + 1) & (len(q.buf) - 1)
-	q.n--
-	return r
-}
-
-func (q *txRing) reset() { q.head, q.n = 0, 0 }
-
 // Conn is one endpoint of a TCP connection.
 type Conn struct {
 	sched    *sim.Scheduler
@@ -192,12 +163,12 @@ type Conn struct {
 	sendEnd          uint64 // total bytes queued for sending (TLS + app)
 	sndUna           uint64
 	sndNxt           uint64
-	retxQueue        byteRanges
-	inflight         txRing     // sent, not yet overtaken by highestDelivered
-	candidates       []txRecord // overtaken but neither delivered nor yet lost
-	lost             []txRecord // processAck scratch
-	pipe             int        // bytes in flight (RFC 6675 pipe estimate)
-	sacked           byteRanges // peer-reported SACK state, persistent
+	retxQueue        sim.Ranges
+	inflight         sim.Ring[txRecord] // sent, not yet overtaken by highestDelivered, in send order
+	candidates       []txRecord         // overtaken but neither delivered nor yet lost
+	lost             []txRecord         // processAck scratch
+	pipe             int                // bytes in flight (RFC 6675 pipe estimate)
+	sacked           sim.Ranges         // peer-reported SACK state, persistent
 	highestDelivered uint64
 	peerWnd          uint64
 	finQueued        bool
@@ -215,7 +186,7 @@ type Conn struct {
 
 	// Receive state.
 	rcvNxt         uint64
-	recvRanges     byteRanges
+	recvRanges     sim.Ranges
 	peerFinSeq     uint64
 	peerFinSeen    bool
 	finDelivered   bool
@@ -624,7 +595,7 @@ func (c *Conn) maybeSend() {
 		// segment size in bulk flows; short tails over-charge a few bytes
 		// of bucket, which only ever delays, never bursts). Deferral
 		// leaves all send state untouched and retries on the timer.
-		if c.pacer.Enabled && (len(c.retxQueue.ranges) > 0 || c.sndNxt < c.sendEnd) {
+		if c.pacer.Enabled && (len(c.retxQueue.Spans()) > 0 || c.sndNxt < c.sendEnd) {
 			d := c.pacer.DelayFor(c.sched.Now(), headerOverhead+c.cfg.MSS, c.ccc, &c.rtt)
 			if d > 0 {
 				if !c.pacingTimer.Pending() {
@@ -635,10 +606,10 @@ func (c *Conn) maybeSend() {
 		}
 
 		// Retransmissions first.
-		if len(c.retxQueue.ranges) > 0 {
-			r := c.retxQueue.ranges[0]
+		if spans := c.retxQueue.Spans(); len(spans) > 0 {
+			r := spans[0]
 			if r.End <= c.sndUna {
-				c.retxQueue.popFront(1)
+				c.retxQueue.TrimBelow(r.End)
 				continue
 			}
 			start := r.Start
@@ -647,7 +618,7 @@ func (c *Conn) maybeSend() {
 			}
 			if start >= c.sendEnd {
 				// The range covers only the FIN's virtual byte.
-				c.retxQueue.popFront(1)
+				c.retxQueue.TrimBelow(r.End)
 				seg := c.newSegment()
 				seg.Flags, seg.Seq, seg.Ack, seg.Retx = FlagACK|FlagFIN, c.sendEnd, c.ackValue(), true
 				c.trackTx(c.sendEnd, c.sendEnd+1, true)
@@ -662,11 +633,7 @@ func (c *Conn) maybeSend() {
 			if n > c.cfg.MSS {
 				n = c.cfg.MSS
 			}
-			if start+uint64(n) >= r.End {
-				c.retxQueue.popFront(1)
-			} else {
-				c.retxQueue.ranges[0].Start = start + uint64(n)
-			}
+			c.retxQueue.TrimBelow(start + uint64(n)) // the head range, or what is left of it
 			c.Stats.BytesRetx += uint64(n)
 			fin := c.finSent && start+uint64(n) == c.sendEnd && r.End > c.sendEnd
 			seg := c.newSegment()
@@ -740,7 +707,7 @@ func boolTo64(b bool) uint64 {
 }
 
 func (c *Conn) trackTx(start, end uint64, retx bool) {
-	c.inflight.push(txRecord{start: start, end: end, sentAt: c.sched.Now(), retx: retx})
+	c.inflight.Push(txRecord{start: start, end: end, sentAt: c.sched.Now(), retx: retx})
 	c.pipe += int(end - start)
 	// First transmissions only: TCP retransmits reuse sequence space, so
 	// counting them again would double a rate-sampling controller's
@@ -783,11 +750,11 @@ func (c *Conn) onRTO() {
 	}
 	// Timeout: everything in flight is presumed lost. Collapse the pipe
 	// and requeue the un-SACKed parts of the outstanding window.
-	c.inflight.reset()
+	c.inflight.Reset()
 	c.candidates = c.candidates[:0]
 	c.pipe = 0
 	start := c.sndUna
-	for _, b := range c.sacked.ranges {
+	for _, b := range c.sacked.Spans() {
 		if b.End <= start {
 			continue
 		}
@@ -796,12 +763,12 @@ func (c *Conn) onRTO() {
 			if hole > c.sndNxt {
 				hole = c.sndNxt
 			}
-			c.retxQueue.insert(start, hole)
+			c.retxQueue.Insert(start, hole)
 		}
 		start = b.End
 	}
 	if start < c.sndNxt {
-		c.retxQueue.insert(start, c.sndNxt)
+		c.retxQueue.Insert(start, c.sndNxt)
 	}
 	c.ccc.OnCongestionEvent(c.sched.Now(), c.sched.Now())
 	c.maybeSend()
@@ -891,9 +858,9 @@ func (c *Conn) processAck(seg *Segment, now sim.Time) {
 		}
 	}
 	for _, b := range seg.Sack {
-		c.sacked.insert(b.Start, b.End)
+		c.sacked.Insert(b.Start, b.End)
 	}
-	c.sacked.trimBelow(c.sndUna)
+	c.sacked.TrimBelow(c.sndUna)
 	if c.finSent && c.sndUna >= c.sendEnd+1 && !c.finAcked {
 		c.finAcked = true
 		c.maybeFinish()
@@ -913,8 +880,8 @@ func (c *Conn) processAck(seg *Segment, now sim.Time) {
 	lost := c.lost[:0]
 
 	// Drain the in-order queue up to the highest delivered byte.
-	for q := &c.inflight; q.n > 0 && q.buf[q.head].end <= c.highestDelivered; {
-		if r := q.pop(); c.delivered(r) {
+	for q := &c.inflight; q.Len() > 0 && q.Front().end <= c.highestDelivered; {
+		if r := q.Pop(); c.delivered(r) {
 			c.onRecordAcked(r, now)
 		} else {
 			c.candidates = append(c.candidates, r)
@@ -949,7 +916,7 @@ func (c *Conn) processAck(seg *Segment, now sim.Time) {
 			start = c.sndUna
 		}
 		if start < r.end {
-			c.retxQueue.insert(start, r.end)
+			c.retxQueue.Insert(start, r.end)
 		}
 		c.ccc.OnCongestionEvent(now, r.sentAt)
 	}
@@ -962,7 +929,7 @@ func (c *Conn) processAck(seg *Segment, now sim.Time) {
 // delivered reports whether the peer has r's bytes: cumulatively
 // acknowledged, or inside one SACKed range.
 func (c *Conn) delivered(r txRecord) bool {
-	return r.end <= c.sndUna || c.sacked.covered(r.start, r.end)
+	return r.end <= c.sndUna || c.sacked.Covered(r.start, r.end)
 }
 
 func (c *Conn) onRecordAcked(r txRecord, now sim.Time) {
@@ -991,10 +958,10 @@ func (c *Conn) processData(seg *Segment) {
 	}
 	inOrder := seg.Seq <= c.rcvNxt
 	if seg.Len > 0 {
-		c.recvRanges.insert(seg.Seq, seg.Seq+uint64(seg.Len))
+		c.recvRanges.Insert(seg.Seq, seg.Seq+uint64(seg.Len))
 	}
 	prev := c.rcvNxt
-	c.rcvNxt = c.recvRanges.contiguousFrom(c.rcvNxt)
+	c.rcvNxt = c.recvRanges.ContiguousFrom(c.rcvNxt)
 	newBytes := c.rcvNxt - prev
 
 	finNow := false
@@ -1086,6 +1053,11 @@ func (c *Conn) autotune(newBytes uint64) {
 	}
 }
 
+// sendAck acknowledges rcvNxt with up to 8 SACK blocks, the lowest-lying
+// first, nearest the cumulative ACK. Wire TCP rotates 3 most-recent blocks
+// and lets the sender accumulate coverage over many ACKs; reporting the
+// lowest-lying blocks directly converges to the same sender knowledge with
+// far fewer ACKs, which is what matters for the emulation.
 func (c *Conn) sendAck() {
 	if c.state != StateEstablished {
 		return
@@ -1094,7 +1066,8 @@ func (c *Conn) sendAck() {
 	c.ackTimer.Stop()
 	seg := c.newSegment()
 	seg.Flags, seg.Ack, seg.Wnd = FlagACK, c.ackValue(), c.advertisedWnd()
-	seg.Sack = c.recvRanges.appendBlocks(seg.Sack, 8)
+	blocks := c.recvRanges.Spans()
+	seg.Sack = append(seg.Sack[:0], blocks[:min(8, len(blocks))]...)
 	if !c.lastRecvTSRetx {
 		seg.Echo = c.lastRecvTS
 	}

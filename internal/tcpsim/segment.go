@@ -16,9 +16,7 @@
 package tcpsim
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 
 	"starlinkperf/internal/netem"
 	"starlinkperf/internal/sim"
@@ -58,9 +56,7 @@ func (f Flags) String() string {
 
 // SackBlock reports a received byte range [Start, End) above the
 // cumulative ACK.
-type SackBlock struct {
-	Start, End uint64
-}
+type SackBlock = sim.Span
 
 // Segment is the TCP header + abstract payload carried as a netem packet
 // payload.
@@ -205,105 +201,4 @@ type flowKey struct {
 
 func keyOf(pkt *netem.Packet) flowKey {
 	return flowKey{srcAddr: pkt.Src, srcPort: pkt.SrcPort, dstAddr: pkt.Dst, dstPort: pkt.DstPort}
-}
-
-// byteRanges tracks received byte ranges [start, end) above a cumulative
-// floor, merging as they become contiguous. Every mutation happens inside
-// one backing array that always starts at ranges[0], so a set reaches its
-// high-water capacity once and stops allocating.
-type byteRanges struct {
-	ranges []SackBlock // sorted by Start, disjoint, non-touching
-}
-
-// search returns the index of the first range with End >= x.
-func (b *byteRanges) search(x uint64) int {
-	i, _ := slices.BinarySearchFunc(b.ranges, x, func(r SackBlock, x uint64) int { return cmp.Compare(r.End, x) })
-	return i
-}
-
-// insert adds [start, end), merging it with every range it overlaps or
-// touches.
-func (b *byteRanges) insert(start, end uint64) {
-	if end <= start {
-		return
-	}
-	rs := b.ranges
-	i := b.search(start)
-	j := i // one past the run [i, j) the new range overlaps or touches
-	for ; j < len(rs) && rs[j].Start <= end; j++ {
-		start = min(start, rs[j].Start)
-		end = max(end, rs[j].End)
-	}
-	if j == i { // touches nothing: open a slot
-		rs = append(rs, SackBlock{})
-		copy(rs[i+1:], rs[i:])
-	} else { // the run collapses into its first slot
-		rs = append(rs[:i+1], rs[j:]...)
-	}
-	rs[i] = SackBlock{start, end}
-	b.ranges = rs
-}
-
-// popFront drops the n lowest ranges, copying the rest down.
-func (b *byteRanges) popFront(n int) {
-	b.ranges = b.ranges[:copy(b.ranges, b.ranges[n:])]
-}
-
-// contiguousFrom returns the end of the contiguous region starting at
-// floor, removing fully consumed ranges.
-func (b *byteRanges) contiguousFrom(floor uint64) uint64 {
-	n := 0
-	for ; n < len(b.ranges) && b.ranges[n].Start <= floor; n++ {
-		floor = max(floor, b.ranges[n].End)
-	}
-	if n > 0 {
-		b.popFront(n)
-	}
-	return floor
-}
-
-// trimBelow clips away everything below floor, preserving coverage at and
-// above it (unlike contiguousFrom, which consumes).
-func (b *byteRanges) trimBelow(floor uint64) {
-	out := b.ranges[:0]
-	for _, r := range b.ranges {
-		if r.End <= floor {
-			continue
-		}
-		if r.Start < floor {
-			r.Start = floor
-		}
-		out = append(out, r)
-	}
-	b.ranges = out
-}
-
-// covered reports whether [start, end) is fully contained in the set.
-func (b *byteRanges) covered(start, end uint64) bool {
-	i := b.search(end)
-	return i < len(b.ranges) && b.ranges[i].Start <= start
-}
-
-// appendBlocks appends up to n ranges to dst[:0] in ascending order,
-// nearest the cumulative ACK first, reusing dst's backing array. Wire TCP
-// rotates 3 most-recent blocks and lets the sender accumulate coverage
-// over many ACKs; reporting the lowest-lying blocks directly converges to
-// the same sender knowledge with far fewer ACKs, which is what matters for
-// the emulation.
-func (b *byteRanges) appendBlocks(dst []SackBlock, n int) []SackBlock {
-	if n > len(b.ranges) {
-		n = len(b.ranges)
-	}
-	return append(dst[:0], b.ranges[:n]...)
-}
-
-// maxEnd returns the highest received byte, or floor when empty.
-func (b *byteRanges) maxEnd(floor uint64) uint64 {
-	if len(b.ranges) == 0 {
-		return floor
-	}
-	if e := b.ranges[len(b.ranges)-1].End; e > floor {
-		return e
-	}
-	return floor
 }

@@ -20,49 +20,6 @@ func pairNet(t *testing.T, cfg netem.LinkConfig) (*sim.Scheduler, *netem.Node, *
 	return s, a, b
 }
 
-func TestByteRangesInsertMerge(t *testing.T) {
-	var b byteRanges
-	b.insert(10, 20)
-	b.insert(30, 40)
-	b.insert(20, 30) // bridges
-	if len(b.ranges) != 1 || b.ranges[0] != (SackBlock{10, 40}) {
-		t.Fatalf("ranges = %v", b.ranges)
-	}
-	b.insert(0, 5)
-	if len(b.ranges) != 2 {
-		t.Fatalf("ranges = %v", b.ranges)
-	}
-	if !b.covered(12, 35) || b.covered(4, 11) {
-		t.Error("covered() wrong")
-	}
-	if got := b.contiguousFrom(0); got != 5 {
-		t.Errorf("contiguousFrom(0) = %d", got)
-	}
-	if got := b.contiguousFrom(10); got != 40 {
-		t.Errorf("contiguousFrom(10) = %d", got)
-	}
-	if len(b.ranges) != 0 {
-		t.Errorf("consumed ranges remain: %v", b.ranges)
-	}
-}
-
-func TestByteRangesOverlaps(t *testing.T) {
-	var b byteRanges
-	b.insert(0, 100)
-	b.insert(50, 60) // fully inside
-	if len(b.ranges) != 1 || b.ranges[0] != (SackBlock{0, 100}) {
-		t.Fatalf("ranges = %v", b.ranges)
-	}
-	b.insert(90, 150) // extends
-	if b.ranges[0] != (SackBlock{0, 150}) {
-		t.Fatalf("ranges = %v", b.ranges)
-	}
-	b.insert(200, 200) // empty, ignored
-	if len(b.ranges) != 1 {
-		t.Fatalf("empty insert changed ranges: %v", b.ranges)
-	}
-}
-
 func TestHandshakeSetupTimePlainTCP(t *testing.T) {
 	s, a, b := pairNet(t, netem.LinkConfig{Delay: netem.ConstantDelay(50 * time.Millisecond)})
 	cfg := DefaultConfig()

@@ -58,9 +58,9 @@ type Browser struct {
 // visitConn tracks one connection of a visit.
 type visitConn struct {
 	conn      *tcpsim.Conn
-	queue     []fetchItem // awaiting request (pre-establishment)
-	responses []fetchItem // requested, awaiting response bytes
-	delivered int         // bytes received toward responses[0]
+	queue     []fetchItem         // awaiting request (pre-establishment)
+	responses sim.Ring[fetchItem] // requested, awaiting response bytes
+	delivered int                 // bytes received toward the front response
 }
 
 // fetchItem is one resource in flight; idx == -1 is the HTML document.
@@ -200,16 +200,15 @@ func (b *Browser) Visit(site *Site, done func(VisitResult)) {
 			res.ConnSetupTimes = append(res.ConnSetupTimes, vc.conn.SetupTime())
 			for _, it := range vc.queue {
 				vc.conn.WriteMsg(RequestBytes, Request{Size: it.obj.Size, Proc: it.obj.Proc})
-				vc.responses = append(vc.responses, it)
+				vc.responses.Push(it)
 			}
 			vc.queue = nil
 		}
 		vc.conn.OnData = func(n int, fin bool) {
 			vc.delivered += n
-			for len(vc.responses) > 0 && vc.delivered >= vc.responses[0].obj.Size {
-				vc.delivered -= vc.responses[0].obj.Size
-				it := vc.responses[0]
-				vc.responses = vc.responses[1:]
+			for vc.responses.Len() > 0 && vc.delivered >= vc.responses.Front().obj.Size {
+				it := vc.responses.Pop()
+				vc.delivered -= it.obj.Size
 				objectDone(it)
 			}
 		}
@@ -220,7 +219,7 @@ func (b *Browser) Visit(site *Site, done func(VisitResult)) {
 		vc := openConn(item.obj.Domain)
 		if vc.conn.Ready() {
 			vc.conn.WriteMsg(RequestBytes, Request{Size: item.obj.Size, Proc: item.obj.Proc})
-			vc.responses = append(vc.responses, item)
+			vc.responses.Push(item)
 		} else {
 			vc.queue = append(vc.queue, item)
 		}
