@@ -32,9 +32,10 @@ echo "== no deleted mechanism in non-test code (DESIGN.md: Independent traffic s
 # cells now, and the only unpruned scan is the all-satellites oracle in
 # internal/fleet/equivalence_test.go), the fleet's own epoch pool and
 # the per-type pool counters that sim.Workers and sim.PoolStats replaced,
-# and the hand-written FIFOs and interval sets that sim.Ring and
-# sim.Ranges replaced.
-if grep -rnE 'PartitionedDriver|CrossEdge|AddCrossLink|snapshotRing|peekSnapshot|delayRing|islMemo|candCount|referenceReassignAt|epochPool|runPhase|phaseAssign|WirePoolStats struct|pktRing|txRing|frameQueue|rangeSet|byteRanges|cryptoRecv|offRange' --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark .; then
+# the hand-written FIFOs and interval sets that sim.Ring and sim.Ranges
+# replaced, and the scheduler's lazy compaction that Scheduler.Rearm
+# made unnecessary.
+if grep -rnE 'PartitionedDriver|CrossEdge|AddCrossLink|snapshotRing|peekSnapshot|delayRing|islMemo|candCount|referenceReassignAt|epochPool|runPhase|phaseAssign|WirePoolStats struct|pktRing|txRing|frameQueue|rangeSet|byteRanges|cryptoRecv|offRange|compactMin|nstopped|\) compact\(' --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark .; then
     echo "a deleted mechanism is named above" >&2
     exit 1
 fi
@@ -54,6 +55,15 @@ if grep -rn '\[n-1\] = nil' --include='*.go' --exclude='*_test.go' internal | gr
 fi
 if grep -rnE '[^&]& *\(len\(' --include='*.go' --exclude='*_test.go' internal | grep -v '^internal/sim/'; then
     echo "a ring is written by hand above; use sim.Ring (internal/sim/ring.go)" >&2
+    exit 1
+fi
+
+echo "== connection timers re-armed in place (DESIGN.md §7: Event loop)"
+# A TCP or QUIC timer is moved with Scheduler.Rearm, which reuses its queued
+# node; a fresh AfterFunc/AtFunc into a timer field leaves the old node
+# behind dead.
+if grep -rnE 'Timer = c\.sched\.(AfterFunc|AtFunc)\(' --include='*.go' --exclude='*_test.go' internal/tcpsim internal/quic; then
+    echo "a connection timer is re-armed by a fresh schedule above; use sched.Rearm" >&2
     exit 1
 fi
 

@@ -28,11 +28,10 @@ type pipeSlot struct {
 	pkt *Packet
 }
 
-// hop is one hop's in-flight packets in (at, seq) order, and the timer
-// armed under the head's key while any is queued.
+// hop is one hop's in-flight packets in (at, seq) order. While any is
+// queued, one timer is armed under the head's key.
 type hop struct {
 	sim.Ring[pipeSlot]
-	timer sim.TimerHandle
 }
 
 // linkPipe is the in-flight state of one link: packets waiting for the end
@@ -71,7 +70,7 @@ func (l *Link) enqueue(h *hop, at sim.Time, pkt *Packet, fn sim.EventFunc) {
 		panic(fmt.Sprintf("netem: link %s: packet due at t=%d, before one already in flight on the same hop", l.name, int64(at)))
 	}
 	if h.Len() == 1 {
-		h.timer = s.AtFuncSeq(at, seq, fn, l)
+		s.AtFuncSeq(at, seq, fn, l)
 	}
 }
 
@@ -82,7 +81,7 @@ func (l *Link) dequeue(h *hop, fn sim.EventFunc) *Packet {
 	pkt := h.Pop().pkt
 	if h.Len() > 0 {
 		next := h.Front()
-		h.timer = l.net.sched.AtFuncSeq(next.at, next.seq, fn, l)
+		l.net.sched.AtFuncSeq(next.at, next.seq, fn, l)
 	}
 	return pkt
 }

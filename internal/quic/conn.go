@@ -527,7 +527,7 @@ func (c *Connection) handlePacket(p *Packet, from netem.Addr, fromPort uint16) {
 		if c.elicitingSince >= c.cfg.AckElicitingThreshold {
 			c.ackPending = true
 		} else if !c.ackTimer.Pending() {
-			c.ackTimer = c.sched.AfterFunc(c.cfg.MaxAckDelay, qcAckTimeout, c)
+			c.ackTimer = c.sched.Rearm(c.ackTimer, c.sched.Now().Add(c.cfg.MaxAckDelay), qcAckTimeout, c)
 		}
 	}
 	c.maybeSend()
@@ -669,27 +669,21 @@ func (c *Connection) handleLost(lost []*sentPacket, now sim.Time) {
 }
 
 // setTimer arms the single recovery timer: loss-time mode when candidates
-// exist, PTO mode while ack-eliciting packets are in flight.
+// exist, PTO mode while ack-eliciting packets are in flight, stopped
+// otherwise.
 func (c *Connection) setTimer() {
-	c.timer.Stop()
-	c.timer = sim.TimerHandle{}
-	if c.state == stateClosed {
-		return
-	}
-	if at, ok := c.ld.earliestLossTime(c.rtt.LossDelay()); ok {
-		if at < c.sched.Now() {
-			at = c.sched.Now()
-		}
-		c.timer = c.sched.AtFunc(at, qcLossTimer, c)
-		return
-	}
-	if c.ld.HasUnacked() {
+	now := c.sched.Now()
+	at, lossMode := c.ld.earliestLossTime(c.rtt.LossDelay())
+	switch {
+	case c.state == stateClosed:
+		c.timer.Stop()
+	case lossMode:
+		c.timer = c.sched.Rearm(c.timer, max(at, now), qcLossTimer, c)
+	case c.ld.HasUnacked():
 		pto := c.rtt.PTO(c.cfg.MaxAckDelay) << uint(c.ptoCount)
-		at := c.lastElicitingSent.Add(pto)
-		if now := c.sched.Now(); at < now {
-			at = now
-		}
-		c.timer = c.sched.AtFunc(at, qcPTO, c)
+		c.timer = c.sched.Rearm(c.timer, max(c.lastElicitingSent.Add(pto), now), qcPTO, c)
+	default:
+		c.timer.Stop()
 	}
 }
 
@@ -766,7 +760,6 @@ func (c *Connection) ackSent() {
 	c.ackPending = false
 	c.elicitingSince = 0
 	c.ackTimer.Stop()
-	c.ackTimer = sim.TimerHandle{}
 }
 
 // hasCryptoToSend reports pending handshake bytes.
@@ -809,7 +802,7 @@ func (c *Connection) maybeSend() {
 					c.retxQueue.PushFront(keep[i])
 				}
 				if !c.pacingTimer.Pending() {
-					c.pacingTimer = c.sched.AfterFunc(d, qcMaybeSend, c)
+					c.pacingTimer = c.sched.Rearm(c.pacingTimer, c.sched.Now().Add(d), qcMaybeSend, c)
 				}
 				break
 			}

@@ -9,10 +9,10 @@ import (
 
 // This file is the scheduler's oracle: the obvious implementation of the
 // same contract — container/heap over (at, seq), a fresh node per event,
-// nothing recycled, nothing fired in place, no compaction — and a random
+// nothing recycled, nothing fired or re-armed in place — and a random
 // program that drives it and the real Scheduler through the same
 // operations. The model started life as the seed event queue; the 4-ary
-// heap, the timer freelist, the hollow root and lazy compaction all have
+// heap, the timer freelist, the hollow root and re-arming in place all have
 // to be invisible next to it.
 
 type modelTimer struct {
@@ -99,6 +99,12 @@ func (m *modelScheduler) AtFuncSeq(at Time, seq uint64, fn EventFunc, arg any) h
 	return m.push(at, seq, nil, fn, arg)
 }
 
+// Rearm is the contract itself: stop the old event, schedule a new one.
+func (m *modelScheduler) Rearm(h handle, at Time, fn EventFunc, arg any) handle {
+	h.Stop()
+	return m.AtFunc(at, fn, arg)
+}
+
 // head drops stopped timers off the top and returns the earliest live one.
 func (m *modelScheduler) head() *modelTimer {
 	for len(m.q) > 0 {
@@ -167,6 +173,7 @@ type queue interface {
 	AtFunc(at Time, fn EventFunc, arg any) handle
 	ReserveSeq() uint64
 	AtFuncSeq(at Time, seq uint64, fn EventFunc, arg any) handle
+	Rearm(h handle, at Time, fn EventFunc, arg any) handle
 	Step() bool
 	Run()
 	RunUntil(deadline Time)
@@ -185,6 +192,9 @@ func (r realQueue) AtFunc(at Time, fn EventFunc, arg any) handle {
 }
 func (r realQueue) AtFuncSeq(at Time, seq uint64, fn EventFunc, arg any) handle {
 	return r.Scheduler.AtFuncSeq(at, seq, fn, arg)
+}
+func (r realQueue) Rearm(h handle, at Time, fn EventFunc, arg any) handle {
+	return r.Scheduler.Rearm(h.(TimerHandle), at, fn, arg)
 }
 func (r realQueue) processed() uint64  { return r.Processed }
 func (r realQueue) zeroHandle() handle { return TimerHandle{} }
@@ -206,17 +216,19 @@ const (
 	recPending
 	recStep
 	recHandle
+	recRearm
 )
 
 // randomWorkload drives q through a deterministic mix of scheduling,
-// nested scheduling, stops of live, stale, fired and zero handles, a FIFO
-// of reserved keys, mass arm-and-stop rounds big enough to compact the
-// real queue down to nothing, single steps and RunUntil windows. The
-// trace holds every observable: each fire as (now, id), the result of
-// every Stop, and Pending and handle states at
-// checkpoints. Callbacks draw from the same rand stream, so the two
-// implementations stay in step exactly as long as they fire in the same
-// order.
+// nested scheduling, stops and re-arms of live, stopped, stale, fired and
+// zero handles, a FIFO of reserved keys, mass arm-and-stop rounds that
+// leave the queue full of dead nodes, re-arms of those, a timer re-armed
+// and stopped over and over, single steps and RunUntil windows. The trace
+// holds every observable: each fire as (now, id), the result of every
+// Stop, the state of the old and new handle after every Rearm, and Pending
+// and handle states at checkpoints. Callbacks draw from the same rand
+// stream, so the two implementations stay in step exactly as long as they
+// fire in the same order.
 func randomWorkload(q queue, seed int64) (trace []int64) {
 	r := rand.New(rand.NewSource(seed))
 	id := 0
@@ -261,6 +273,18 @@ func randomWorkload(q queue, seed int64) (trace []int64) {
 		}
 	}
 
+	// rearm moves handles[i] to a random instant up to 5 ms out and keeps
+	// both handles: the old one must be dead, the new one pending.
+	rearm := func(i int) {
+		myID := id
+		id++
+		at := q.Now() + Time(r.Intn(6))*Time(Millisecond)
+		h := q.Rearm(handles[i], at, func(any) { rec(int64(q.Now()), int64(myID)) }, nil)
+		rec(recRearm, int64(i), b(handles[i].Pending()), b(h.Pending()))
+		handles = append(handles, h)
+	}
+	rearmRandom := func() { rearm(r.Intn(len(handles))) }
+
 	var schedule func(depth int, at Time)
 	schedule = func(depth int, at Time) {
 		myID := id
@@ -273,6 +297,9 @@ func randomWorkload(q queue, seed int64) (trace []int64) {
 			if r.Intn(4) == 0 {
 				stopRandom()
 			}
+			if r.Intn(4) == 0 {
+				rearmRandom()
+			}
 			if r.Intn(6) == 0 {
 				pipePush()
 			}
@@ -282,7 +309,7 @@ func randomWorkload(q queue, seed int64) (trace []int64) {
 		}))
 	}
 	// massStop arms n timers and stops them all (bar the survivors): with
-	// little else queued, the real scheduler compacts an all-stopped heap.
+	// little else queued, the real queue is all but dead nodes.
 	massStop := func(n, survivors int) {
 		var hs []handle
 		for i := 0; i < n; i++ {
@@ -294,6 +321,24 @@ func randomWorkload(q queue, seed int64) (trace []int64) {
 			rec(recStop, -1, b(h.Stop()))
 		}
 		handles = append(handles, hs[0], hs[n-1])
+		rec(recPending, int64(q.Pending()))
+		// Revive a few of the dead on their own nodes.
+		for _, h := range hs[n-3:] {
+			handles = append(handles, h)
+			rearm(len(handles) - 1)
+		}
+		rec(recPending, int64(q.Pending()))
+	}
+	// churn re-arms one timer n times, stopping it now and then: a
+	// connection's retransmit timer.
+	churn := func(n int) {
+		handles = append(handles, q.zeroHandle())
+		for k := 0; k < n; k++ {
+			rearm(len(handles) - 1)
+			if r.Intn(5) == 0 {
+				rec(recStop, -1, b(handles[len(handles)-1].Stop()))
+			}
+		}
 		rec(recPending, int64(q.Pending()))
 	}
 	checkpoint := func() {
@@ -318,14 +363,20 @@ func randomWorkload(q queue, seed int64) (trace []int64) {
 		if i%5 == 0 {
 			stopRandom()
 		}
+		if i%3 == 0 {
+			rearmRandom()
+		}
 	}
-	massStop(3*compactMin, 1)
+	churn(200)
+	massStop(192, 1)
 	q.RunUntil(Time(80 * Millisecond))
 	checkpoint()
 	q.Run()
 	checkpoint()
 	// An empty queue, then nothing but dead timers in it.
-	massStop(compactMin+1, 0)
+	massStop(65, 0)
+	checkpoint()
+	churn(50)
 	checkpoint()
 	schedule(0, q.Now()+Time(Hour))
 	q.Run()
@@ -334,9 +385,9 @@ func randomWorkload(q queue, seed int64) (trace []int64) {
 }
 
 // The scheduler and the model must be observationally identical: same
-// firing order at the same instants, same Stop results on live, stopped,
-// fired, stale and zero handles, same Pending wherever
-// the program looks, same Processed and final clock.
+// firing order at the same instants, same Stop and Rearm results on live,
+// stopped, fired, stale and zero handles, same Pending wherever the
+// program looks, same Processed and final clock.
 func TestFastMatchesReferenceScheduler(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42, 20260808} {
 		s := NewScheduler(uint64(seed))

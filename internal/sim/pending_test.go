@@ -37,13 +37,13 @@ func TestRunBeforeHalfOpenWindow(t *testing.T) {
 }
 
 // TestPendingLiveCountAcrossCompaction is the regression pin for
-// Pending's live-only semantics: stopped timers leave the count the
-// moment Stop returns, and the lazy heap compaction that later reclaims
-// their nodes must not change what Pending reports. The sizes are chosen
-// to cross the compactMin threshold so the compaction path actually runs.
+// Pending's live-only semantics: a stopped timer leaves the count the
+// moment Stop returns, though its node stays queued; a Rearm that revives
+// it puts it back; and dropping dead nodes as they surface does not change
+// what Pending reports.
 func TestPendingLiveCountAcrossCompaction(t *testing.T) {
 	s := NewScheduler(1)
-	n := 4 * compactMin
+	const n = 256
 	handles := make([]TimerHandle, n)
 	for i := 0; i < n; i++ {
 		handles[i] = s.After(time.Duration(i+1)*time.Millisecond, func() {})
@@ -51,8 +51,7 @@ func TestPendingLiveCountAcrossCompaction(t *testing.T) {
 	if got := s.Pending(); got != n {
 		t.Fatalf("pending = %d, want %d", got, n)
 	}
-	// Stop three quarters: once nstopped*2 > len(heap) holds, a Stop
-	// compacts.
+	// Stop three quarters: every Stop drops the count, none the queue.
 	stopped := 0
 	for i := 0; i < n; i++ {
 		if i%4 != 0 {
@@ -65,22 +64,33 @@ func TestPendingLiveCountAcrossCompaction(t *testing.T) {
 			}
 		}
 	}
+	if len(s.heap) != n {
+		t.Fatalf("queue holds %d nodes after the stops, want all %d", len(s.heap), n)
+	}
+	// Revive one stopped timer a little later: counted again, on its own
+	// node.
+	handles[1] = s.Rearm(handles[1], Time(n+1)*Time(Millisecond), func(any) {}, nil)
+	stopped--
 	live := n - stopped
-	// The earliest live timer survived the sweep.
+	if got := s.Pending(); got != live || len(s.heap) != n {
+		t.Fatalf("after a revival: pending = %d, queue = %d; want %d, %d", got, len(s.heap), live, n)
+	}
+	// The earliest live timer is the head; the dead nodes before it go.
 	if head := s.peek(); head == nil || head.at != Time(Millisecond) {
 		t.Fatalf("next event = %+v, want the 1ms timer", head)
 	}
-	if got := s.Pending(); got != live {
-		t.Fatalf("pending after compaction = %d, want %d", got, live)
-	}
-	// The live timers all still fire, exactly once each.
+	// The live timers all still fire, exactly once each, and the dead
+	// nodes surface and leave without changing the count.
 	prev := s.Processed
-	s.Run()
-	ran := int(s.Processed - prev)
-	if ran != live {
+	for s.Step() {
+		if got, want := s.Pending(), live-int(s.Processed-prev); got != want {
+			t.Fatalf("after %d events: pending = %d, want %d", s.Processed-prev, got, want)
+		}
+	}
+	if ran := int(s.Processed - prev); ran != live {
 		t.Fatalf("ran %d events, want %d", ran, live)
 	}
-	if got := s.Pending(); got != 0 {
-		t.Fatalf("pending after drain = %d, want 0", got)
+	if len(s.heap) != 0 {
+		t.Fatalf("queue holds %d nodes after the drain, want none", len(s.heap))
 	}
 }

@@ -6,9 +6,9 @@ import (
 )
 
 // churnConn mimics a TCP sender's timer life cycle: every data event
-// stops the previous retransmit timer, re-arms it further out, and
-// schedules the next data event — the arm/fire/re-arm churn that
-// dominates scheduler traffic in the transfer campaigns.
+// re-arms the retransmit timer further out and schedules the next data
+// event — the arm/fire/re-arm churn that dominates scheduler traffic in
+// the transfer campaigns.
 type churnConn struct {
 	s      *Scheduler
 	retx   TimerHandle
@@ -20,8 +20,7 @@ func churnNop(arg any) {}
 
 func churnFire(arg any) {
 	c := arg.(*churnConn)
-	c.retx.Stop()
-	c.retx = c.s.AfterFunc(10*c.period, churnNop, c)
+	c.retx = c.s.Rearm(c.retx, c.s.Now().Add(10*c.period), churnNop, c)
 	if c.left > 0 {
 		c.left--
 		c.s.AfterFunc(c.period, churnFire, c)
@@ -42,8 +41,9 @@ func runChurn(b *testing.B, s *Scheduler) {
 }
 
 // BenchmarkSchedulerChurn must report 0 allocs/op: the retransmit
-// pattern reuses pooled Timer nodes and schedules through package-level
-// EventFuncs, so the steady-state event loop produces no garbage.
+// timer is re-armed in place, the data events reuse pooled Timer nodes,
+// and everything schedules through package-level EventFuncs, so the
+// steady-state event loop produces no garbage.
 func BenchmarkSchedulerChurn(b *testing.B) {
 	runChurn(b, NewScheduler(1))
 }

@@ -17,12 +17,12 @@ type Event func()
 type EventFunc func(arg any)
 
 // Timer is a pooled event-queue node. Nodes are owned by the Scheduler:
-// once fired or compacted away they return to a freelist and are reused
-// by later At/After calls, so steady-state scheduling allocates nothing.
-// External code never holds a *Timer; it holds a TimerHandle, which
-// carries the generation the node had when it was issued.
+// once fired, or dropped stopped off the top of the queue, they return to
+// a freelist and are reused by later At/After calls, so steady-state
+// scheduling allocates nothing. External code never holds a *Timer; it
+// holds a TimerHandle, which carries the generation the node had when it
+// was issued.
 type Timer struct {
-	s       *Scheduler
 	at      Time
 	seq     uint64
 	fn      Event
@@ -43,39 +43,26 @@ type TimerHandle struct {
 	gen uint32
 }
 
-// At returns the virtual time the timer is scheduled to fire, or 0 if
-// the handle is stale (the timer fired, was stopped, or was recycled).
-func (h TimerHandle) At() Time {
-	if h.t == nil || h.t.gen != h.gen {
-		return 0
-	}
-	return h.t.at
+// queued reports whether the handle's node is still in the heap for it,
+// stopped or not.
+func (h TimerHandle) queued() bool {
+	return h.t != nil && h.t.gen == h.gen && h.t.index >= 0
 }
 
 // Stop cancels the timer. It reports whether the timer was still pending
-// (i.e. the call prevented the event from running).
+// (i.e. the call prevented the event from running). The node stays queued
+// until it surfaces at the top of the queue or Rearm revives it.
 func (h TimerHandle) Stop() bool {
-	t := h.t
-	if t == nil || t.gen != h.gen || t.stopped || t.index < 0 {
+	if !h.queued() || h.t.stopped {
 		return false
 	}
-	t.stopped = true
-	s := t.s
-	s.nstopped++
-	// Lazy compaction: once stopped timers outnumber live ones the
-	// queue is mostly garbage — sweep them back to the freelist so
-	// campaigns that cancel millions of retransmit timers keep a
-	// bounded queue (and Pending() stays honest).
-	if s.nstopped*2 > len(s.heap) && len(s.heap) >= compactMin {
-		s.compact()
-	}
+	h.t.stopped = true
 	return true
 }
 
 // Pending reports whether the timer is still queued and not stopped.
 func (h TimerHandle) Pending() bool {
-	t := h.t
-	return t != nil && t.gen == h.gen && t.index >= 0 && !t.stopped
+	return h.queued() && !h.t.stopped
 }
 
 // Scheduler owns the virtual clock and the pending-event queue.
@@ -83,16 +70,15 @@ func (h TimerHandle) Pending() bool {
 // design, which is what makes it deterministic.
 //
 // The queue is a typed 4-ary min-heap ordered by (at, seq) — FIFO among
-// equal timestamps — with no interface boxing. Fired and compacted
+// equal timestamps — with no interface boxing. Fired and stopped
 // timers are recycled through a freelist, so the steady-state event loop
 // allocates nothing. The package's tests hold it, operation by operation,
 // to a container/heap model of the same contract (model_test.go).
 type Scheduler struct {
-	now      Time
-	seq      uint64
-	heap     []*Timer
-	nstopped int             // stopped timers still sitting in heap
-	free     Freelist[Timer] // recycled nodes
+	now  Time
+	seq  uint64
+	heap []*Timer
+	free Freelist[Timer] // recycled nodes
 	// slab is the unissued rest of the newest chunk of nodes, made is how
 	// many nodes all chunks so far hold (see alloc).
 	slab    []Timer
@@ -123,10 +109,6 @@ type Scheduler struct {
 // halves the tree depth of a binary heap and keeps each sibling group in
 // one or two cache lines, which is where sift-down spends its time.
 const heapArity = 4
-
-// compactMin is the queue length below which compaction is not worth
-// the sweep.
-const compactMin = 64
 
 // NewScheduler returns a scheduler with its clock at zero and all RNG
 // streams derived from seed.
@@ -169,6 +151,28 @@ func (s *Scheduler) AtFunc(at Time, fn EventFunc, arg any) TimerHandle {
 // AfterFunc schedules fn(arg) to run d after the current virtual time.
 func (s *Scheduler) AfterFunc(d Duration, fn EventFunc, arg any) TimerHandle {
 	return s.AtFunc(s.now.Add(d), fn, arg)
+}
+
+// Rearm moves a timer to a new deadline: h.Stop() followed by
+// AtFunc(at, fn, arg), the re-arm of a per-connection retransmit,
+// delayed-ACK or pacing timer. While h's node is still queued, pending or
+// stopped, it takes the new key in place with one sift instead of leaving
+// a dead node behind; otherwise the event is scheduled afresh. Either way
+// it takes the sequence number AtFunc would have, and h is dead afterwards.
+func (s *Scheduler) Rearm(h TimerHandle, at Time, fn EventFunc, arg any) TimerHandle {
+	if !h.queued() || fn == nil || at < s.now {
+		return s.AtFunc(at, fn, arg) // afresh, or its panic on misuse
+	}
+	t := h.t
+	t.at, t.seq, t.fn, t.efn, t.arg = at, s.ReserveSeq(), nil, fn, arg
+	t.stopped = false
+	t.gen++
+	if i := int(t.index); i > 0 && timerLess(t, s.heap[(i-1)/heapArity]) {
+		s.siftUp(i)
+	} else {
+		s.siftDown(i)
+	}
+	return TimerHandle{t: t, gen: t.gen}
 }
 
 // ReserveSeq hands out the sequence number a timer scheduled at this
@@ -232,14 +236,13 @@ type Duration = time.Duration
 // than a handful. The first slabFirst are made singly, as all once were;
 // after that a chunk is slabUnit·2^k nodes, at most a sixteenth of the
 // nodes made before it and at most slabMax, so a scheduler never holds more
-// than a sixteenth more nodes than it has used. A node is 72 bytes in a
-// chunk against 80 on its own, and slabUnit is chosen for the allocator:
-// 7 nodes are 504 bytes, one 512-byte size class, and 7·2^k nodes plus the
-// 8-byte header of a pointerful object above 512 bytes stay inside the
-// 512·2^k class (8 or 16 would each spill into the next class up, +10 %).
-// A packet testbed's few dozen to few hundred timers so cost no more than
-// they did one by one, while a scenario with a timer per terminal makes a
-// chunk per 224 of them instead of 50 000 objects.
+// than a sixteenth more nodes than it has used. A node is 64 bytes, a size
+// class of its own, so a chunk saves objects, not bytes: 7 nodes are the
+// 448-byte class, and 7·2^k nodes plus the 8-byte header of a pointerful
+// object above 512 bytes take the 512·2^k class, about 12 % over their
+// size. A packet testbed's few dozen to few hundred timers so cost a few
+// kilobytes at most over one by one, while a scenario with a timer per
+// terminal makes a chunk per 224 of them instead of 50 000 objects.
 const (
 	slabFirst = 16
 	slabUnit  = 7
@@ -262,7 +265,7 @@ func (s *Scheduler) alloc() *Timer {
 	}
 	t := &s.slab[0]
 	s.slab = s.slab[1:]
-	t.s, t.index = s, -1
+	t.index = -1
 	return t
 }
 
@@ -289,7 +292,6 @@ func (s *Scheduler) peek() *Timer {
 			return t
 		}
 		s.heapPopMin()
-		s.nstopped--
 		s.recycle(t)
 	}
 	return nil
@@ -370,18 +372,20 @@ func (s *Scheduler) runTo(limit, end Time) {
 func (s *Scheduler) Stop() { s.stopped = true }
 
 // Pending returns the number of armed, un-stopped timers — live events
-// only, never cancelled ones. The count stays honest across lazy
-// compaction: a Stop() increments an internal stopped counter immediately
-// (so the count drops the moment the timer is cancelled, not when the node
-// is eventually swept), and compaction removes nodes and counter together.
-// Callers must not infer queue memory from Pending(): stopped nodes may
-// sit in the heap until a sweep, and Step recycles stopped nodes it passes
-// over.
+// only, never cancelled ones. It scans the queue, so it is for tests and
+// diagnostics: stopped nodes stay queued until they surface or are
+// re-armed, and Step recycles the stopped nodes it passes over.
 func (s *Scheduler) Pending() int {
 	if s.hollow {
 		s.settle()
 	}
-	return len(s.heap) - s.nstopped
+	n := 0
+	for _, t := range s.heap {
+		if !t.stopped {
+			n++
+		}
+	}
+	return n
 }
 
 // QueuePeak returns the high-water mark of the event queue's length,
@@ -476,35 +480,4 @@ func (s *Scheduler) siftDown(i int) {
 	}
 	h[i] = t
 	t.index = int32(i)
-}
-
-// compact sweeps stopped timers out of the heap into the freelist and
-// re-establishes the heap property in place (Floyd heapify, O(n)).
-// Relative order of the survivors is untouched: it is defined entirely
-// by (at, seq), which compaction does not modify.
-func (s *Scheduler) compact() {
-	live := s.heap[:0]
-	for _, t := range s.heap {
-		if t.stopped {
-			s.recycle(t)
-		} else {
-			live = append(live, t)
-		}
-	}
-	for i := len(live); i < len(s.heap); i++ {
-		s.heap[i] = nil
-	}
-	s.heap = live
-	s.nstopped = 0
-	for i, t := range live {
-		t.index = int32(i)
-	}
-	// With fewer than two survivors there is nothing to order — and for
-	// none, (0-2)/heapArity truncates to 0 and would index the empty heap.
-	if len(live) < 2 {
-		return
-	}
-	for i := (len(live) - 2) / heapArity; i >= 0; i-- {
-		s.siftDown(i)
-	}
 }

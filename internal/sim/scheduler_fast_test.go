@@ -2,21 +2,17 @@ package sim
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 	"time"
 )
 
-// checkHeap validates the 4-ary heap invariant and the index bookkeeping,
-// and that nstopped matches the stopped timers actually in the heap.
+// checkHeap validates the 4-ary heap invariant and the index bookkeeping.
 func checkHeap(t *testing.T, s *Scheduler) {
 	t.Helper()
-	stopped := 0
 	for i, tm := range s.heap {
 		if int(tm.index) != i {
 			t.Fatalf("heap[%d].index = %d", i, tm.index)
-		}
-		if tm.stopped {
-			stopped++
 		}
 		if i > 0 {
 			p := (i - 1) / heapArity
@@ -26,38 +22,92 @@ func checkHeap(t *testing.T, s *Scheduler) {
 			}
 		}
 	}
-	if stopped != s.nstopped {
-		t.Fatalf("nstopped = %d, heap holds %d stopped timers", s.nstopped, stopped)
-	}
 }
 
 // The regression test for unbounded Stop() retention: a long campaign
-// arming and cancelling a million retransmit timers must keep both the
-// queue and Pending() bounded, with cancelled nodes recycled rather than
-// accumulated.
+// re-arming and cancelling a million retransmit timers on one handle must
+// keep both the queue and Pending() bounded — the sentinel plus the one
+// node the handle re-arms in place, nothing left behind and nothing taken
+// from the freelist.
 func TestStoppedTimersCompacted(t *testing.T) {
 	s := NewScheduler(1)
 	sentinel := s.At(Time(2*Hour), func() {})
 	const n = 1_000_000
+	var h TimerHandle
 	for i := 0; i < n; i++ {
-		h := s.After(time.Hour, func() {})
+		h = s.Rearm(h, s.Now().Add(time.Hour), churnNop, nil)
 		if !h.Stop() {
-			t.Fatal("Stop on a fresh timer reported false")
+			t.Fatal("Stop on a re-armed timer reported false")
 		}
 	}
-	if got := len(s.heap); got > 2*compactMin {
-		t.Errorf("heap length after %d arm/stop cycles = %d, want <= %d", n, got, 2*compactMin)
+	if got := len(s.heap); got != 2 {
+		t.Errorf("queue length after %d re-arm/stop cycles = %d, want 2 (sentinel and the re-armed node)", n, got)
 	}
 	if got := s.Pending(); got != 1 {
 		t.Errorf("Pending = %d, want 1 (the sentinel)", got)
 	}
-	if got := len(s.free.All()); got > 2*compactMin {
-		t.Errorf("freelist grew to %d nodes; recycling is not reusing them", got)
+	if s.made != 2 {
+		t.Errorf("%d nodes made, want 2", s.made)
 	}
 	if !sentinel.Pending() {
-		t.Error("sentinel lost across compactions")
+		t.Error("sentinel lost")
 	}
 	checkHeap(t, s)
+}
+
+// A stopped timer whose node is still queued is revived by Rearm on that
+// node: the queue does not grow, the old handle is dead, and the event
+// fires once, at the new instant and after everything already armed for
+// it. The deadlines move the node to the root, among its peers and to a
+// leaf.
+func TestRearmRevivesStoppedNode(t *testing.T) {
+	const revived = 99
+	for _, to := range []Time{0, Time(5 * Millisecond), Time(15 * Millisecond), Time(30 * Millisecond)} {
+		s := NewScheduler(1)
+		var got []int
+		note := func(arg any) { got = append(got, arg.(int)) }
+		h := s.AtFunc(Time(10*Millisecond), note, revived)
+		type ev struct {
+			at Time
+			id int
+		}
+		var want []ev
+		for i := 0; i < 20; i++ {
+			at := Time(i*7%20+1) * Time(Millisecond)
+			s.AtFunc(at, note, i)
+			want = append(want, ev{at, i})
+		}
+		if !h.Stop() {
+			t.Fatal("Stop on a pending timer reported false")
+		}
+		queued := len(s.heap)
+		h2 := s.Rearm(h, to, note, revived)
+		if h2.t != h.t {
+			t.Fatalf("to=%v: Rearm took a new node for a queued one", to)
+		}
+		if len(s.heap) != queued {
+			t.Fatalf("to=%v: queue grew from %d to %d", to, queued, len(s.heap))
+		}
+		if h.Pending() || h.Stop() {
+			t.Fatalf("to=%v: the old handle still reaches the revived timer", to)
+		}
+		if !h2.Pending() {
+			t.Fatalf("to=%v: the revived timer is not pending", to)
+		}
+		checkHeap(t, s)
+		s.Run()
+		// Armed last, the revived event fires after every peer at its instant.
+		want = append(want, ev{to, revived})
+		sort.SliceStable(want, func(i, j int) bool { return want[i].at < want[j].at })
+		if len(got) != len(want) {
+			t.Fatalf("to=%v: %d events fired, want %d", to, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i].id {
+				t.Fatalf("to=%v: fired %v, want the order %v", to, got, want)
+			}
+		}
+	}
 }
 
 // FIFO-among-equal-timestamps property: random bursts of same-instant
@@ -101,7 +151,7 @@ func TestSchedulerFIFOBurstProperty(t *testing.T) {
 	}
 }
 
-// Fuzz-style invariant check: after every random Push/Stop/Step the
+// Fuzz-style invariant check: after every random Push/Stop/Rearm/Step the
 // 4-ary heap must stay a valid min-heap with correct indices.
 func TestSchedulerHeapInvariantFuzz(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
@@ -109,7 +159,7 @@ func TestSchedulerHeapInvariantFuzz(t *testing.T) {
 	var handles []TimerHandle
 	nop := func() {}
 	for op := 0; op < 20000; op++ {
-		switch r.Intn(4) {
+		switch r.Intn(5) {
 		case 0, 1: // push (biased so the queue actually grows)
 			h := s.At(s.Now()+Time(r.Intn(1000)), nop)
 			handles = append(handles, h)
@@ -119,6 +169,11 @@ func TestSchedulerHeapInvariantFuzz(t *testing.T) {
 			}
 		case 3: // fire the earliest
 			s.Step()
+		case 4: // re-arm a random handle (live, stopped, fired or stale)
+			if len(handles) > 0 {
+				i := r.Intn(len(handles))
+				handles[i] = s.Rearm(handles[i], s.Now()+Time(r.Intn(1000)), churnNop, nil)
+			}
 		}
 		checkHeap(t, s)
 	}
@@ -151,24 +206,18 @@ func TestTimerHandleGenerationSafety(t *testing.T) {
 	if h1.Pending() {
 		t.Fatal("stale handle reports pending")
 	}
-	if h1.At() != 0 {
-		t.Fatal("stale handle reports a fire time")
-	}
 	s.Run()
 	if !fired {
 		t.Fatal("recycled timer did not fire")
 	}
 }
 
-// compact used to index an empty heap when every queued timer had been
-// stopped ((0-2)/heapArity truncates to 0). Stops below compactMin sweep
-// nothing, so a queue can fill with dead timers; the stop that takes it to
-// compactMin entries, all dead, then compacts down to none — a plain
-// two-node TCP transfer followed by Run reached it. All stopped, one
-// survivor, and both again from inside a callback, where the heap also
-// holds the hollow root.
+// A queue holding nothing but stopped timers, or those and one survivor,
+// must drain the dead as they surface and still take and fire new events:
+// outside a callback and inside one, where the heap also holds the hollow
+// root. A plain two-node TCP transfer followed by Run leaves such a queue.
 func TestCompactAllStopped(t *testing.T) {
-	for _, n := range []int{compactMin, compactMin + 1, 1000} {
+	for _, n := range []int{64, 65, 1000} {
 		for _, survivors := range []int{0, 1} {
 			for _, inCallback := range []bool{false, true} {
 				s := NewScheduler(1)
@@ -184,10 +233,7 @@ func TestCompactAllStopped(t *testing.T) {
 							t.Fatal("Stop on a pending timer reported false")
 						}
 					}
-					// What is left sits below compactMin, unswept. Arm and
-					// stop one timer at a time until a sweep finds nothing
-					// (or only the survivor) alive.
-					for i := 0; i < 2*compactMin; i++ {
+					for i := 0; i < 128; i++ {
 						s.After(time.Minute, count).Stop()
 						checkHeap(t, s)
 					}
@@ -206,6 +252,9 @@ func TestCompactAllStopped(t *testing.T) {
 				s.Run()
 				if fired != survivors+1 {
 					t.Errorf("n=%d inCallback=%v: %d counted events fired, want %d", n, inCallback, fired, survivors+1)
+				}
+				if len(s.heap) != 0 {
+					t.Errorf("n=%d inCallback=%v: %d nodes left after Run, want none", n, inCallback, len(s.heap))
 				}
 				checkHeap(t, s)
 			}

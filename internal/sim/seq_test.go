@@ -33,6 +33,15 @@ func TestAtFuncSeqMisuse(t *testing.T) {
 			s.At(Time(Second), func() { s.AtFuncSeq(s.Now(), early, nop, nil) })
 			s.Run()
 		}},
+		// Rearm of a queued node refuses what AtFunc refuses.
+		{"re-armed into the past", "before now", func(s *Scheduler) {
+			h := s.AtFunc(Time(2*Second), nop, nil)
+			s.RunUntil(Time(Second))
+			s.Rearm(h, Time(Millisecond), nop, nil)
+		}},
+		{"re-armed with a nil event", "nil event", func(s *Scheduler) {
+			s.Rearm(s.AtFunc(Time(Second), nop, nil), Time(Second), nil, nil)
+		}},
 	}
 	for _, c := range cases {
 		func() {

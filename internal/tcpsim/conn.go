@@ -339,7 +339,7 @@ func (c *Conn) sendSYN() {
 	seg.Flags, seg.Wnd = flags, c.rcvWnd
 	c.send(seg)
 	backoff := time.Second << uint(min(c.rtoCount, 6))
-	c.synTimer = c.sched.AfterFunc(backoff, connSynRetry, c)
+	c.synTimer = c.sched.Rearm(c.synTimer, c.sched.Now().Add(backoff), connSynRetry, c)
 }
 
 func (c *Conn) onSynRetry() {
@@ -599,7 +599,7 @@ func (c *Conn) maybeSend() {
 			d := c.pacer.DelayFor(c.sched.Now(), headerOverhead+c.cfg.MSS, c.ccc, &c.rtt)
 			if d > 0 {
 				if !c.pacingTimer.Pending() {
-					c.pacingTimer = c.sched.AfterFunc(d, connPaceSend, c)
+					c.pacingTimer = c.sched.Rearm(c.pacingTimer, c.sched.Now().Add(d), connPaceSend, c)
 				}
 				break
 			}
@@ -729,13 +729,12 @@ func (c *Conn) armRTO() {
 }
 
 func (c *Conn) restartRTO() {
-	c.rtoTimer.Stop()
 	rto := c.rtt.PTO(0)
 	if rto < c.cfg.MinRTO {
 		rto = c.cfg.MinRTO
 	}
 	rto <<= uint(min(c.rtoCount, 8))
-	c.rtoTimer = c.sched.AfterFunc(rto, connRTO, c)
+	c.rtoTimer = c.sched.Rearm(c.rtoTimer, c.sched.Now().Add(rto), connRTO, c)
 }
 
 func (c *Conn) onRTO() {
@@ -986,7 +985,7 @@ func (c *Conn) processData(seg *Segment) {
 	if !inOrder || c.segsSinceAck >= 2 || finNow {
 		c.sendAck()
 	} else if !c.ackTimer.Pending() {
-		c.ackTimer = c.sched.AfterFunc(c.cfg.DelayedAck, connSendAck, c)
+		c.ackTimer = c.sched.Rearm(c.ackTimer, c.sched.Now().Add(c.cfg.DelayedAck), connSendAck, c)
 	}
 }
 

@@ -1,6 +1,7 @@
 package tcpsim
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -397,5 +398,35 @@ func TestWriteMsgSurvivesLoss(t *testing.T) {
 		if v != i {
 			t.Fatalf("msgs out of order at %d: %v", i, v)
 		}
+	}
+}
+
+// A duplicate SYN on the passive side (the client retried while our
+// SYN-ACK was lost) re-sends the SYN-ACK and moves the one retry timer;
+// it must not start a second retry chain beside the first. With the SYN
+// repeated at 0.5 s and no SYN-ACK ever answered, one chain backs off
+// 1, 2, 4 s from the latest send.
+func TestDuplicateSYNKeepsOneRetryChain(t *testing.T) {
+	s := sim.NewScheduler(1)
+	var sent []time.Duration
+	c := NewConn(ConnParams{
+		Sched:      s,
+		Transmit:   func(pkt *netem.Packet) { sent = append(sent, time.Duration(s.Now())) },
+		LocalAddr:  netem.MustParseAddr("10.0.0.2"),
+		LocalPort:  80,
+		RemoteAddr: netem.MustParseAddr("10.0.0.1"),
+		RemotePort: 40000,
+		Config:     DefaultConfig(),
+	})
+	syn := func() { c.HandleSegment(&netem.Packet{Payload: &Segment{Flags: FlagSYN, Wnd: 65535}}) }
+	syn()
+	s.At(sim.Time(500*time.Millisecond), syn)
+	s.RunFor(10 * time.Second)
+	want := []time.Duration{0, 500 * time.Millisecond, 1500 * time.Millisecond, 3500 * time.Millisecond, 7500 * time.Millisecond}
+	if fmt.Sprint(sent) != fmt.Sprint(want) {
+		t.Errorf("SYN-ACKs sent at %v, want %v", sent, want)
+	}
+	if c.Stats.RTOs != 3 {
+		t.Errorf("%d SYN-ACK retries by 10 s, want 3", c.Stats.RTOs)
 	}
 }
