@@ -3,7 +3,7 @@
 # mechanisms and hand-declared shared flags coming back through a merge,
 # build, a run of the four examples, the test suite under the race
 # detector (which runs every sim.Workers fan-out), the allocation gates in
-# a plain pass, four fuzz smokes, ten race-detector rounds of the fleet's
+# a plain pass, five fuzz smokes, ten race-detector rounds of the fleet's
 # pooled scan and of the fork/join pool, and two short runs of the repo
 # benchmark. Equivalence is proven by tests, not here: every fast path is
 # compared with an oracle in its package's _test.go files, and the
@@ -33,9 +33,11 @@ echo "== no deleted mechanism in non-test code (DESIGN.md: Independent traffic s
 # internal/fleet/equivalence_test.go), the fleet's own epoch pool and
 # the per-type pool counters that sim.Workers and sim.PoolStats replaced,
 # the hand-written FIFOs and interval sets that sim.Ring and sim.Ranges
-# replaced, and the scheduler's lazy compaction that Scheduler.Rearm
-# made unnecessary.
-if grep -rnE 'PartitionedDriver|CrossEdge|AddCrossLink|snapshotRing|peekSnapshot|delayRing|islMemo|candCount|referenceReassignAt|epochPool|runPhase|phaseAssign|WirePoolStats struct|pktRing|txRing|frameQueue|rangeSet|byteRanges|cryptoRecv|offRange|compactMin|nstopped|\) compact\(' --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark .; then
+# replaced, the scheduler's lazy compaction that Scheduler.Rearm
+# made unnecessary, and the second copies of netem's route and handler
+# tables and of tcpsim's message index, with the dirty flags and lazy
+# rebuilds that kept them in step (each table is one sorted slice now).
+if grep -rnE 'PartitionedDriver|CrossEdge|AddCrossLink|snapshotRing|peekSnapshot|delayRing|islMemo|candCount|referenceReassignAt|epochPool|runPhase|phaseAssign|WirePoolStats struct|pktRing|txRing|frameQueue|rangeSet|byteRanges|cryptoRecv|offRange|compactMin|nstopped|\) compact\(|rebuildFIB|rebuildHandlers|fibDirty|hDirty|fibGroups|msgsInOrder|insertMsgKey' --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark .; then
     echo "a deleted mechanism is named above" >&2
     exit 1
 fi
@@ -55,6 +57,14 @@ if grep -rn '\[n-1\] = nil' --include='*.go' --exclude='*_test.go' internal | gr
 fi
 if grep -rnE '[^&]& *\(len\(' --include='*.go' --exclude='*_test.go' internal | grep -v '^internal/sim/'; then
     echo "a ring is written by hand above; use sim.Ring (internal/sim/ring.go)" >&2
+    exit 1
+fi
+
+echo "== one splitmix64 (internal/sim/rng.go: SplitMix64)"
+# The splitmix64 step is written once; a second copy is recognised by its
+# first multiplier.
+if grep -rn '0xbf58476d1ce4e5b9' --include='*.go' --exclude='*_test.go' . | grep -v '^./internal/sim/'; then
+    echo "splitmix64 is written by hand above; use sim.SplitMix64" >&2
     exit 1
 fi
 
@@ -120,6 +130,12 @@ echo "== ring fuzz smoke (10 s against the slice model)"
 # Push/pushFront/pop/reset programs with in-place mutation through Front
 # and Back, across wrap-around and growth; sim.Ring is every FIFO.
 go test ./internal/sim -run '^$' -fuzz 'FuzzRing' -fuzztime 10s
+
+echo "== route table fuzz smoke (5 s against the edit-log oracle)"
+# Random route tables (re-added destinations, duplicate prefixes, /0, /32+
+# and negative masks, a default or none) and a fuzzed destination: the
+# sorted tables and the cache decide as the linear scan over the edits.
+go test ./internal/netem -run '^$' -fuzz 'FuzzFlatFIB' -fuzztime 5s
 
 echo "== fleet cell index fuzz smoke (10 s against the all-satellites scan)"
 # Any position a terminal can stand at: every satellite it sees is in its

@@ -80,20 +80,13 @@ func DefaultStarlinkParams() StarlinkParams {
 	}
 }
 
-// splitmix64 hashes an epoch number into deterministic per-epoch
-// randomness, so outage and rate decisions need no precomputed schedule.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ x>>30) * 0xbf58476d1ce4e5b9
-	x = (x ^ x>>27) * 0x94d049bb133111eb
-	return x ^ x>>31
-}
-
 // epochRand returns a uniform float64 in [0,1) and a second independent
-// one for the given (seed, epoch, salt).
+// one for the given (seed, epoch, salt): splitmix64 hashes the epoch
+// number into deterministic per-epoch randomness, so outage and rate
+// decisions need no precomputed schedule.
 func epochRand(seed, epoch, salt uint64) (float64, float64) {
-	h1 := splitmix64(seed ^ epoch*0x9e3779b97f4a7c15 ^ salt)
-	h2 := splitmix64(h1)
+	h1 := sim.SplitMix64(seed ^ epoch*0x9e3779b97f4a7c15 ^ salt)
+	h2 := sim.SplitMix64(h1)
 	return float64(h1>>11) / (1 << 53), float64(h2>>11) / (1 << 53)
 }
 

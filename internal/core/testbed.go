@@ -434,7 +434,7 @@ func NewTestbed(cfg Config) *Testbed {
 	cfg.Transport.applyTCP(&tb.WebTCP)
 	stTCP := measure.DefaultSpeedtestConfig().TCP
 	cfg.Transport.applyTCP(&stTCP)
-	for i, spec := range []struct {
+	for _, spec := range []struct {
 		name string
 		addr string
 		city geo.LatLon
@@ -449,7 +449,6 @@ func NewTestbed(cfg Config) *Testbed {
 		popFRA.AddRoute(n.Addr(), fa)
 		measure.NewSpeedtestServer(n, stTCP)
 		tb.OoklaServers = append(tb.OoklaServers, n.Addr())
-		_ = i
 	}
 
 	// --- QUIC server --------------------------------------------------
@@ -478,14 +477,13 @@ func NewTestbed(cfg Config) *Testbed {
 		{"151.101.1.3", geo.LatLon{LatDeg: 51.51, LonDeg: -0.13}, 1600 * time.Microsecond},
 		{"151.101.2.1", geo.LatLon{LatDeg: 39.04, LonDeg: -77.49}, 1400 * time.Microsecond},
 	}
-	for i, spec := range webSpecs {
+	for _, spec := range webSpecs {
 		n := nw.NewNode("web-"+spec.addr, netem.MustParseAddr(spec.addr))
 		n.EchoResponder = true
 		attach(n, popAMS, terrLink(posAms, spec.city, 1.6, spec.last, 10e9))
 		popFRA.AddRoute(n.Addr(), fa)
 		web.Server(n, 443, tb.WebTCP)
 		tb.WebPool = append(tb.WebPool, n)
-		_ = i
 	}
 	tb.Sites = web.GenerateCorpus(rng.Stream("webcorpus"), cfg.WebSites)
 

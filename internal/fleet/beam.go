@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"starlinkperf/internal/obs"
+	"starlinkperf/internal/sim"
 	"starlinkperf/internal/stats"
 )
 
@@ -53,17 +54,11 @@ func (f *Fleet) initAccum() {
 	}
 }
 
-// activeDraw is an inline splitmix64 over (terminal seed, epoch): the
-// per-epoch activity coin. Deliberately not sim.DeriveSeed — the fnv
-// hash there allocates, and this runs per terminal per epoch.
+// activeDraw is the per-epoch activity coin: one sim.SplitMix64 step over
+// (terminal seed, epoch). Deliberately not sim.DeriveSeed — the fnv hash
+// there allocates, and this runs per terminal per epoch.
 func activeDraw(seed uint64, epoch int64) float64 {
-	z := seed + 0x9e3779b97f4a7c15*uint64(epoch+1)
-	z ^= z >> 30
-	z *= 0xbf58476d1ce4e5b9
-	z ^= z >> 27
-	z *= 0x94d049bb133111eb
-	z ^= z >> 31
-	return float64(z>>11) / (1 << 53)
+	return float64(sim.SplitMix64(seed+0x9e3779b97f4a7c15*uint64(epoch))>>11) / (1 << 53)
 }
 
 // localHour returns the mean-solar local hour-of-day at a longitude.

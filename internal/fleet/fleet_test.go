@@ -181,3 +181,24 @@ func TestActiveProbRange(t *testing.T) {
 		}
 	}
 }
+
+// TestActiveDrawPinned: the activity coin is bit-for-bit the inline
+// splitmix64 it was before it moved onto sim.SplitMix64 (values captured
+// from that inline copy), so every fleet campaign draws the same terminals.
+func TestActiveDrawPinned(t *testing.T) {
+	for _, c := range []struct {
+		seed  uint64
+		epoch int64
+		want  float64
+	}{
+		{0x0, 0, 0.8833108082136426},
+		{0x1, 0, 0.5665615751722809},
+		{0x2a, 7, 0.8006318767135033},
+		{0xdeadbeefcafef00d, 1234, 0.8059373472284959},
+		{0xffffffffffffffff, 99999, 0.11379565773508638},
+	} {
+		if got := activeDraw(c.seed, c.epoch); got != c.want {
+			t.Errorf("activeDraw(%#x, %d) = %v, want %v", c.seed, c.epoch, got, c.want)
+		}
+	}
+}

@@ -92,13 +92,7 @@ func (nw *Network) NewNode(name string, addr Addr) *Node {
 	if _, dup := nw.byName[name]; dup {
 		panic(fmt.Sprintf("netem: duplicate node name %q", name))
 	}
-	n := &Node{
-		name:     name,
-		addr:     addr,
-		net:      nw,
-		routes:   make(map[Addr]*Link),
-		handlers: make(map[protoPort]Handler),
-	}
+	n := &Node{name: name, addr: addr, net: nw}
 	nw.nodes[addr] = n
 	nw.byName[name] = n
 	return n

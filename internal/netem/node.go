@@ -1,10 +1,6 @@
 package netem
 
-import (
-	"fmt"
-
-	"starlinkperf/internal/sim"
-)
+import "starlinkperf/internal/sim"
 
 // Handler receives packets delivered to a bound (proto, port) of a node.
 type Handler func(pkt *Packet)
@@ -29,40 +25,28 @@ type EgressDevice interface {
 	ProcessEgress(n *Node, pkt *Packet) (forward bool)
 }
 
-type protoPort struct {
-	proto Proto
-	port  uint16
-}
-
 // Node is a host or router in the emulated network.
 type Node struct {
 	name string
 	addr Addr
 	net  *Network
 
-	routes       map[Addr]*Link
-	prefixRoutes []prefixRoute
+	// Route and handler tables, each one slice sorted by its lookup key
+	// and edited in place (fib.go); the route cache is cleared at every
+	// route edit.
+	exact        []exactRoute
+	prefixes     []prefixRoute
 	defaultRoute *Link
+	routeCache   [routeCacheSize]exactRoute
+	handlers     []handlerEntry
 
-	// Flat FIB and handler fast tables (fib.go), rebuilt lazily from the
-	// maps above after any route/bind change; the route cache is cleared
-	// on every rebuild.
-	fibExact   []fibExact
-	fibPrefix  []fibPrefixEntry
-	fibGroups  []fibGroup
-	fibDirty   bool
-	routeCache [routeCacheSize]routeCacheEntry
-	hTable     []handlerEntry
-	hDirty     bool
+	devices []Device
 
-	devices  []Device
-	handlers map[protoPort]Handler
-
-	// ephemeral tracks the last client source port handed out per
-	// protocol. It lives on the node (not in a package-level map) so
-	// independent simulations running on different goroutines never
+	// ephemeral tracks the last client source port handed out, one entry
+	// per protocol. It lives on the node (not in a package-level table)
+	// so independent simulations running on different goroutines never
 	// share an allocator.
-	ephemeral map[Proto]uint16
+	ephemeral []ephemeralPort
 
 	// EchoResponder makes the node answer ICMP echo requests, like the
 	// RIPE anchors and speedtest servers do.
@@ -71,12 +55,6 @@ type Node struct {
 	// Forwarded counts transit packets; Delivered counts local ones.
 	Forwarded uint64
 	Delivered uint64
-}
-
-type prefixRoute struct {
-	prefix Addr
-	bits   int
-	link   *Link
 }
 
 // Name returns the node name.
@@ -92,18 +70,27 @@ func (n *Node) Network() *Network { return n.net }
 // timers.
 func (n *Node) Scheduler() *sim.Scheduler { return n.net.sched }
 
+type ephemeralPort struct {
+	proto Proto
+	last  uint16
+}
+
 // EphemeralPort allocates the next client source port for proto. Ports
 // count up from floor+1; each call returns a fresh port. Allocation is
 // per-node and deterministic in call order.
 func (n *Node) EphemeralPort(proto Proto, floor uint16) uint16 {
-	if n.ephemeral == nil {
-		n.ephemeral = make(map[Proto]uint16)
+	i := 0
+	for i < len(n.ephemeral) && n.ephemeral[i].proto != proto {
+		i++
+	}
+	if i == len(n.ephemeral) {
+		n.ephemeral = append(n.ephemeral, ephemeralPort{proto: proto})
 	}
 	if floor == 0xffff {
 		// Degenerate floor: keep at least one allocatable port above it.
 		floor = 0xfffe
 	}
-	p := n.ephemeral[proto]
+	p := n.ephemeral[i].last
 	if p < floor {
 		p = floor
 	}
@@ -114,29 +101,8 @@ func (n *Node) EphemeralPort(proto Proto, floor uint16) uint16 {
 		// class as the NAT allocPort wrap fixed earlier.
 		p = floor + 1
 	}
-	n.ephemeral[proto] = p
+	n.ephemeral[i].last = p
 	return p
-}
-
-// AddRoute installs an exact-destination route.
-func (n *Node) AddRoute(dst Addr, via *Link) {
-	n.routes[dst] = via
-	n.fibDirty = true
-}
-
-// AddPrefixRoute installs a route for a prefix of the given bit length.
-// Longest prefix wins; exact routes beat prefix routes.
-func (n *Node) AddPrefixRoute(prefix Addr, bits int, via *Link) {
-	n.prefixRoutes = append(n.prefixRoutes, prefixRoute{prefix: prefix, bits: bits, link: via})
-	n.fibDirty = true
-}
-
-// SetDefaultRoute installs the fallback route.
-func (n *Node) SetDefaultRoute(via *Link) {
-	n.defaultRoute = via
-	// The flat tables don't include the default, but the destination
-	// cache may hold decisions it produced: force a rebuild to clear it.
-	n.fibDirty = true
 }
 
 // NewPacket returns a packet for sending from this node (see
@@ -145,24 +111,6 @@ func (n *Node) NewPacket() *Packet { return n.net.NewPacket() }
 
 // AttachDevice appends a middlebox device to the node's processing chain.
 func (n *Node) AttachDevice(d Device) { n.devices = append(n.devices, d) }
-
-// Bind registers a handler for packets addressed to this node with the
-// given protocol and destination port. Port 0 binds all ports of the
-// protocol (used by ICMP).
-func (n *Node) Bind(proto Proto, port uint16, h Handler) {
-	key := protoPort{proto, port}
-	if _, dup := n.handlers[key]; dup {
-		panic(fmt.Sprintf("netem: %s: duplicate bind %v port %d", n.name, proto, port))
-	}
-	n.handlers[key] = h
-	n.hDirty = true
-}
-
-// Unbind removes a handler installed with Bind.
-func (n *Node) Unbind(proto Proto, port uint16) {
-	delete(n.handlers, protoPort{proto, port})
-	n.hDirty = true
-}
 
 // Send originates a packet from this node: it stamps defaults (TTL,
 // checksum, send time, unique ID) and routes it. Stamping skips packets

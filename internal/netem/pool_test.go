@@ -319,6 +319,17 @@ func TestEphemeralPortWrapStaysAboveFloor(t *testing.T) {
 		t.Fatal("EphemeralPort handed out port 0 after wrap")
 	}
 
+	// Each protocol counts on its own.
+	m := nw.NewNode("m", MustParseAddr("10.0.0.2"))
+	for i, c := range []struct {
+		proto       Proto
+		floor, want uint16
+	}{{ProtoTCP, floor, floor + 1}, {ProtoUDP, 52000, 52001}, {ProtoTCP, floor, floor + 2}, {ProtoUDP, 52000, 52002}} {
+		if p := m.EphemeralPort(c.proto, c.floor); p != c.want {
+			t.Fatalf("allocation %d (%v): port %d, want %d", i, c.proto, p, c.want)
+		}
+	}
+
 	// Degenerate floor: the only allocatable port above 0xfffe is 0xffff.
 	for i := 0; i < 10; i++ {
 		if p := n.EphemeralPort(ProtoUDP, 0xffff); p != 0xffff {

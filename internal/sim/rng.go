@@ -73,6 +73,18 @@ func DeriveSeed(base uint64, name string, i int) uint64 {
 	return base ^ h.Sum64() ^ 0x6a09e667f3bcc909
 }
 
+// SplitMix64 is one step of the splitmix64 generator: x advanced by the
+// golden-ratio increment, then finalized. It is an allocation-free hash of
+// one word for per-item draws on hot paths (a fleet terminal's activity
+// coin per epoch, the access link's per-epoch decisions), where
+// DeriveSeed's name hash would allocate.
+func SplitMix64(x uint64) uint64 {
+	x += 0x9e3779b97f4a7c15
+	x = (x ^ x>>30) * 0xbf58476d1ce4e5b9
+	x = (x ^ x>>27) * 0x94d049bb133111eb
+	return x ^ x>>31
+}
+
 // Float64 returns a uniform sample in [0,1).
 func (r *RNG) Float64() float64 { return r.src.Float64() }
 

@@ -88,3 +88,17 @@ func TestReseedMatchesNewRNG(t *testing.T) {
 		t.Errorf("Reseed: %v allocs, want 0", avg)
 	}
 }
+
+// TestSplitMix64Pinned: the published splitmix64 step. The fleet's activity
+// coin and the access link's per-epoch draws both rest on these words.
+func TestSplitMix64Pinned(t *testing.T) {
+	for _, c := range []struct{ x, want uint64 }{
+		{0, 0xe220a8397b1dcdaf},
+		{1, 0x910a2dec89025cc1},
+		{0xdeadbeef, 0x4adfb90f68c9eb9b},
+	} {
+		if got := SplitMix64(c.x); got != c.want {
+			t.Errorf("SplitMix64(%#x) = %#x, want %#x", c.x, got, c.want)
+		}
+	}
+}

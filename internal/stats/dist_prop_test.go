@@ -4,6 +4,8 @@ import (
 	"math"
 	"reflect"
 	"testing"
+
+	"starlinkperf/internal/sim"
 )
 
 // Property tests for FixedDist at the 1M-terminal campaign regime: a
@@ -14,23 +16,12 @@ import (
 // so the properties to pin are exact count/sum integrity, merge
 // associativity, and that ceil(q·n) stays exact for n far beyond 2^32.
 
-// propSplitmix is a deterministic value stream (splitmix64) so the
-// properties run on an adversarially bucketed spread without test-order
-// dependence.
-func propSplitmix(i uint64) uint64 {
-	z := i + 0x9e3779b97f4a7c15
-	z ^= z >> 30
-	z *= 0xbf58476d1ce4e5b9
-	z ^= z >> 27
-	z *= 0x94d049bb133111eb
-	z ^= z >> 31
-	return z
-}
-
 // propValue maps stream index i to an observation in [-50, 450) — wide
-// enough to clamp into both edge buckets of a [0, 300) distribution.
+// enough to clamp into both edge buckets of a [0, 300) distribution. The
+// stream is splitmix64 over i, so the properties run on an adversarially
+// bucketed spread without test-order dependence.
 func propValue(i uint64) float64 {
-	return float64(propSplitmix(i)%5000)/10 - 50
+	return float64(sim.SplitMix64(i)%5000)/10 - 50
 }
 
 // sumCounts recomputes N from the raw buckets.
@@ -115,7 +106,7 @@ func TestFixedDistObserveNLargeCounts(t *testing.T) {
 	bulk := NewFixedDist(0.5, 600)
 	for i := uint64(0); i < 2000; i++ {
 		v := propValue(i)
-		k := int64(propSplitmix(i)%700) - 100 // exercises the n <= 0 no-op too
+		k := int64(sim.SplitMix64(i)%700) - 100 // exercises the n <= 0 no-op too
 		for j := int64(0); j < k; j++ {
 			loop.Observe(v)
 		}

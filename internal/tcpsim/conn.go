@@ -1,6 +1,8 @@
 package tcpsim
 
 import (
+	"cmp"
+	"slices"
 	"time"
 
 	"starlinkperf/internal/cc"
@@ -196,9 +198,8 @@ type Conn struct {
 	ackTimer       sim.TimerHandle
 
 	// Application messages.
-	msgsOut     []AppMsg       // pending, sorted by offset
-	msgsIn      map[uint64]any // received, awaiting in-order delivery
-	msgsInOrder []uint64       // sorted keys of msgsIn
+	msgsOut []AppMsg // pending, sorted by offset
+	msgsIn  []AppMsg // received, awaiting in-order delivery, sorted by offset
 
 	// TLS bookkeeping.
 	tlsSendQueued uint64 // TLS bytes we queued (prefix of the stream)
@@ -250,21 +251,21 @@ type ConnParams struct {
 // NewConn constructs a connection. Clients start the handshake with
 // Start; servers wait for a SYN via HandleSegment.
 func NewConn(p ConnParams) *Conn {
-	cfg := p.Config
+	cfg, def := p.Config, DefaultConfig()
 	if cfg.MSS == 0 {
-		cfg.MSS = 1460
+		cfg.MSS = def.MSS
 	}
 	if cfg.InitialRcvWnd == 0 {
-		cfg.InitialRcvWnd = 131072
+		cfg.InitialRcvWnd = def.InitialRcvWnd
 	}
 	if cfg.MaxRcvWnd == 0 {
-		cfg.MaxRcvWnd = 6291456
+		cfg.MaxRcvWnd = def.MaxRcvWnd
 	}
 	if cfg.MinRTO == 0 {
-		cfg.MinRTO = 200 * time.Millisecond
+		cfg.MinRTO = def.MinRTO
 	}
 	if cfg.DelayedAck == 0 {
-		cfg.DelayedAck = 40 * time.Millisecond
+		cfg.DelayedAck = def.DelayedAck
 	}
 	newCC := cfg.NewCC
 	if newCC == nil {
@@ -941,14 +942,12 @@ func (c *Conn) onRecordAcked(r txRecord, now sim.Time) {
 
 func (c *Conn) processData(seg *Segment) {
 	for _, m := range seg.Msgs {
-		if m.Off >= c.rcvNxt {
-			if c.msgsIn == nil {
-				c.msgsIn = make(map[uint64]any)
-			}
-			if _, dup := c.msgsIn[m.Off]; !dup {
-				c.msgsIn[m.Off] = m.Msg
-				c.insertMsgKey(m.Off)
-			}
+		if m.Off < c.rcvNxt {
+			continue // delivered already
+		}
+		// The first copy of a message wins.
+		if i, dup := slices.BinarySearchFunc(c.msgsIn, m.Off, cmpMsgOff); !dup {
+			c.msgsIn = slices.Insert(c.msgsIn, i, m)
 		}
 	}
 	if seg.Flags&FlagFIN != 0 {
@@ -1006,26 +1005,16 @@ func (c *Conn) deliverApp(from, to uint64, fin bool) {
 	}
 }
 
-func (c *Conn) insertMsgKey(off uint64) {
-	i := 0
-	for i < len(c.msgsInOrder) && c.msgsInOrder[i] < off {
-		i++
-	}
-	c.msgsInOrder = append(c.msgsInOrder, 0)
-	copy(c.msgsInOrder[i+1:], c.msgsInOrder[i:])
-	c.msgsInOrder[i] = off
-}
+func cmpMsgOff(m AppMsg, off uint64) int { return cmp.Compare(m.Off, off) }
 
 // deliverSpan delivers the newly in-order bytes [from, to) interleaved
 // with any application messages anchored inside: bytes before an anchor
 // first, then the message, then the rest. The precise interleaving lets
 // relays (PEPs) re-anchor messages on their second leg exactly.
 func (c *Conn) deliverSpan(from, to uint64, fin bool) {
-	for len(c.msgsInOrder) > 0 && c.msgsInOrder[0] < to {
-		a := c.msgsInOrder[0]
-		c.msgsInOrder = c.msgsInOrder[1:]
-		msg := c.msgsIn[a]
-		delete(c.msgsIn, a)
+	for len(c.msgsIn) > 0 && c.msgsIn[0].Off < to {
+		a, msg := c.msgsIn[0].Off, c.msgsIn[0].Msg
+		c.msgsIn = slices.Delete(c.msgsIn, 0, 1)
 		if a > from {
 			c.deliverApp(from, a, false)
 			from = a

@@ -2,6 +2,7 @@ package tcpsim
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -398,6 +399,101 @@ func TestWriteMsgSurvivesLoss(t *testing.T) {
 		if v != i {
 			t.Fatalf("msgs out of order at %d: %v", i, v)
 		}
+	}
+}
+
+// The receiver's message index, driven segment by segment: reordered,
+// duplicated and retransmitted segments that carry messages. Each case
+// lists the segments in arrival order and the exact OnData/OnMsg
+// interleaving they must produce — bytes before an anchor, then its
+// message, then the rest — with every message delivered once and the
+// first copy of a message winning over a retransmitted one.
+func TestMsgDeliveryInterleaving(t *testing.T) {
+	type seg struct {
+		seq, n uint64
+		fin    bool
+		msgs   []AppMsg
+	}
+	m := func(off uint64, v string) AppMsg { return AppMsg{Off: off, Msg: v} }
+	for _, tc := range []struct {
+		name string
+		segs []seg
+		want string
+	}{
+		{"in order", []seg{
+			{seq: 0, n: 100, msgs: []AppMsg{m(0, "a")}},
+			{seq: 100, n: 100, msgs: []AppMsg{m(150, "b")}},
+		}, "a d100 | d50 b d50"},
+		{"several anchors in one segment", []seg{
+			{seq: 0, n: 300, msgs: []AppMsg{m(50, "a"), m(120, "b"), m(299, "c")}},
+		}, "d50 a d70 b d179 c d1"},
+		{"reordered", []seg{
+			{seq: 100, n: 100, msgs: []AppMsg{m(150, "b")}},
+			{seq: 0, n: 100, msgs: []AppMsg{m(0, "a")}},
+		}, "| a d150 b d50"},
+		{"hole filled last", []seg{
+			{seq: 200, n: 100, msgs: []AppMsg{m(200, "c")}},
+			{seq: 0, n: 100, msgs: []AppMsg{m(0, "a")}},
+			{seq: 100, n: 100, msgs: []AppMsg{m(100, "b")}},
+		}, "| a d100 | b d100 c d100"},
+		{"duplicate after delivery", []seg{
+			{seq: 0, n: 100, msgs: []AppMsg{m(10, "a")}},
+			{seq: 0, n: 100, msgs: []AppMsg{m(10, "a")}},
+			{seq: 100, n: 100},
+		}, "d10 a d90 | | d100"},
+		{"retransmitted while pending: first copy wins", []seg{
+			{seq: 100, n: 100, msgs: []AppMsg{m(100, "b")}},
+			{seq: 100, n: 100, msgs: []AppMsg{m(100, "b-retx")}},
+			{seq: 0, n: 100},
+		}, "| | d100 b d100"},
+		{"coalesced retransmission over a pending message", []seg{
+			{seq: 100, n: 100, msgs: []AppMsg{m(150, "b")}},
+			{seq: 0, n: 200, msgs: []AppMsg{m(0, "a"), m(150, "b-retx")}},
+		}, "| a d150 b d50"},
+		{"partial overlap", []seg{
+			{seq: 0, n: 100},
+			{seq: 50, n: 100, msgs: []AppMsg{m(60, "x"), m(120, "y")}},
+		}, "d100 | d20 y d30"},
+		{"message at the FIN", []seg{
+			{seq: 100, n: 50, fin: true, msgs: []AppMsg{m(120, "z")}},
+			{seq: 0, n: 100, msgs: []AppMsg{m(30, "w")}},
+		}, "| d30 w d90 z d30 fin"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := sim.NewScheduler(1)
+			cfg := DefaultConfig()
+			cfg.TLSRounds = 0
+			c := NewConn(ConnParams{Sched: s, Transmit: func(*netem.Packet) {}, Config: cfg})
+			var log []string
+			c.OnData = func(n int, fin bool) {
+				log = append(log, fmt.Sprintf("d%d", n))
+				if fin {
+					log = append(log, "fin")
+				}
+			}
+			c.OnMsg = func(msg any) { log = append(log, msg.(string)) }
+			c.HandleSegment(&netem.Packet{Payload: &Segment{Flags: FlagSYN, Wnd: 65535}})
+			c.HandleSegment(&netem.Packet{Payload: &Segment{Flags: FlagACK, Wnd: 65535}})
+			if c.State() != StateEstablished {
+				t.Fatalf("state %v after the handshake", c.State())
+			}
+			for i, sg := range tc.segs {
+				if i > 0 {
+					log = append(log, "|")
+				}
+				flags := FlagACK
+				if sg.fin {
+					flags |= FlagFIN
+				}
+				c.HandleSegment(&netem.Packet{Payload: &Segment{Flags: flags, Seq: sg.seq, Len: int(sg.n), Wnd: 65535, Msgs: sg.msgs}})
+			}
+			if got := strings.Join(log, " "); got != tc.want {
+				t.Errorf("delivered %q, want %q", got, tc.want)
+			}
+			if len(c.msgsIn) != 0 {
+				t.Errorf("%d messages still held after the stream is complete", len(c.msgsIn))
+			}
+		})
 	}
 }
 
