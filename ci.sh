@@ -3,7 +3,7 @@
 # mechanisms and hand-declared shared flags coming back through a merge,
 # build, a run of the four examples, the test suite under the race
 # detector (which runs every sim.Workers fan-out), the allocation gates in
-# a plain pass, five fuzz smokes, ten race-detector rounds of the fleet's
+# a plain pass, six fuzz smokes, ten race-detector rounds of the fleet's
 # pooled scan and of the fork/join pool, and two short runs of the repo
 # benchmark. Equivalence is proven by tests, not here: every fast path is
 # compared with an oracle in its package's _test.go files, and the
@@ -127,7 +127,7 @@ echo "== range set fuzz smoke (10 s against the fresh-slice oracle)"
 go test ./internal/sim -run '^$' -fuzz 'FuzzRanges' -fuzztime 10s
 
 echo "== ring fuzz smoke (10 s against the slice model)"
-# Push/pushFront/pop/reset programs with in-place mutation through Front
+# Push/pushFront/pop/popBack/reset programs with in-place mutation through Front
 # and Back, across wrap-around and growth; sim.Ring is every FIFO.
 go test ./internal/sim -run '^$' -fuzz 'FuzzRing' -fuzztime 10s
 
@@ -136,6 +136,13 @@ echo "== route table fuzz smoke (5 s against the edit-log oracle)"
 # and negative masks, a default or none) and a fuzzed destination: the
 # sorted tables and the cache decide as the linear scan over the edits.
 go test ./internal/netem -run '^$' -fuzz 'FuzzFlatFIB' -fuzztime 5s
+
+echo "== link pipe fuzz smoke (5 s against per-packet timers)"
+# A fuzzed scenario seed, on and off the whole-microsecond grid: rated links
+# in one event and in two, mutators while packets serialize. The pipe
+# delivers and drops as one timer per packet event would, and runs one
+# event fewer for each packet it carried in one.
+go test ./internal/netem -run '^$' -fuzz 'FuzzLinkPipe' -fuzztime 5s
 
 echo "== fleet cell index fuzz smoke (10 s against the all-satellites scan)"
 # Any position a terminal can stand at: every satellite it sees is in its

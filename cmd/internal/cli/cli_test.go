@@ -19,7 +19,10 @@ import (
 // stopped printing p50=-2562047h47m16.854775808s for p50=—, and the stdout
 // of starlink-bench quick once more when the fleet and traffic tables
 // stopped printing 0.0 for a quantile of no samples (now —, with a
-// footnote). "{dir}" in args is the row's temporary directory; the same
+// footnote), and errant-export profiles (stdout and p.json) when a
+// speedtest whose first round of server-selection pings was lost started
+// pinging again: its one test used to fail, fitting starlink-fitted to
+// down~1 up~1.0, and now succeeds (down~126 up~12.6). "{dir}" in args is the row's temporary directory; the same
 // substitution runs backwards on stdout, which names the files it wrote.
 var golden = []struct {
 	name, command, args string
@@ -68,8 +71,8 @@ var golden = []struct {
 	{name: "satcom", command: "tracebox", args: "-tech satcom -seed 3",
 		stdout: "053b60010b67205c52e768e4941060b3b46fe2943decadd1a3b213bf0d6f2a0b"},
 	{name: "profiles", command: "errant-export", args: "-tests 1 -o {dir}/p.json", sharded: true,
-		stdout: "77feabeb2899e995c3c6910918deb9a4c523db47ed4b61816e9c22ce372fe0f1",
-		files:  map[string]string{"p.json": "64cb92e7cf3dd01ed992ef9105561f0ec58bb29758475419982fa678469329f1"}},
+		stdout: "ffa9adebb78f498d09e44573eabf5982f4a597c0747ddccccd0337fe1f161c8e",
+		files:  map[string]string{"p.json": "ee4f042696a8a467294728296cb1b3db5b4fb21f1d0da5c32c9356f1fa0cdd80"}},
 	// One worker count only: TestRunVariantMatrix (cmd/starlink-bench)
 	// already holds the quick report, its trace and its metrics byte-equal
 	// between -workers 1 and 8, so one hashed run pins them all, and a

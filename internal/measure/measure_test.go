@@ -266,6 +266,40 @@ func TestSpeedtestMeasuresLinkRate(t *testing.T) {
 	}
 }
 
+// A world that starts inside an outage loses every server-selection ping
+// of the first round; the test pings again once they have timed out and
+// measures as usual. An outage that outlasts every round still ends the
+// test, with the zero result.
+func TestSpeedtestSurvivesOutageAtStart(t *testing.T) {
+	for _, c := range []struct {
+		outage time.Duration
+		want   bool
+	}{{time.Second, true}, {time.Hour, false}} {
+		s, client, server, nw := testPath(t, false, false)
+		for _, l := range nw.Links() {
+			if l.Name() == "client->r1" {
+				end := sim.Time(c.outage)
+				l.SetDown(func(now sim.Time) bool { return now < end })
+			}
+		}
+		cfg := DefaultSpeedtestConfig()
+		NewSpeedtestServer(server, cfg.TCP)
+		var res SpeedtestResult
+		finished := false
+		RunSpeedtest(NewProber(client), []netem.Addr{server.Addr()}, cfg, func(r SpeedtestResult) { res, finished = r, true })
+		s.RunFor(2 * time.Minute)
+		if !finished {
+			t.Fatalf("outage %v: speedtest did not finish", c.outage)
+		}
+		if got := res.Server == server.Addr() && res.DownloadMbps > 0 && res.UploadMbps > 0; got != c.want {
+			t.Errorf("outage %v: result %+v, want measured = %v", c.outage, res, c.want)
+		}
+		if !c.want && res.At != sim.Time(selectionRounds*PingTimeout) {
+			t.Errorf("outage %v: gave up at %v, want after %d rounds of %v", c.outage, res.At, selectionRounds, PingTimeout)
+		}
+	}
+}
+
 func TestSpeedtestPicksNearestServer(t *testing.T) {
 	s, client, _, nw := testPath(t, false, false)
 	far := nw.NewNode("far", netem.MustParseAddr("9.9.9.9"))

@@ -78,8 +78,16 @@ type SpeedtestResult struct {
 	PingRTT      time.Duration
 }
 
+// selectionRounds bounds how many rounds of server-selection pings
+// RunSpeedtest sends before it gives up. A round in which every ping is
+// lost — the client sat in an outage, such as a handover at t = 0 — is
+// followed by another as its last ping times out.
+const selectionRounds = 3
+
 // RunSpeedtest selects the nearest server by ping, then measures download
-// and upload back to back, delivering the result to done.
+// and upload back to back, delivering the result to done. If no server
+// answered in selectionRounds rounds, the result is the zero value at the
+// instant it gave up.
 func RunSpeedtest(p *Prober, servers []netem.Addr, cfg SpeedtestConfig, done func(SpeedtestResult)) {
 	if len(servers) == 0 {
 		done(SpeedtestResult{})
@@ -91,28 +99,34 @@ func RunSpeedtest(p *Prober, servers []netem.Addr, cfg SpeedtestConfig, done fun
 		rtt  time.Duration
 		ok   bool
 	}
-	cands := make([]cand, len(servers))
-	remaining := len(servers)
-	for i, srv := range servers {
-		i, srv := i, srv
-		p.Echo(srv, 64, func(rtt time.Duration, ok bool) {
-			cands[i] = cand{addr: srv, rtt: rtt, ok: ok}
-			remaining--
-			if remaining == 0 {
+	var round func(n int)
+	round = func(n int) {
+		cands := make([]cand, len(servers))
+		remaining := len(servers)
+		for i, srv := range servers {
+			p.Echo(srv, 64, func(rtt time.Duration, ok bool) {
+				cands[i] = cand{addr: srv, rtt: rtt, ok: ok}
+				if remaining--; remaining > 0 {
+					return
+				}
 				best := -1
 				for j, c := range cands {
 					if c.ok && (best < 0 || c.rtt < cands[best].rtt) {
 						best = j
 					}
 				}
-				if best < 0 {
+				switch {
+				case best >= 0:
+					runAgainst(p, cands[best].addr, cands[best].rtt, cfg, done)
+				case n+1 < selectionRounds:
+					round(n + 1)
+				default:
 					done(SpeedtestResult{At: p.sched.Now()})
-					return
 				}
-				runAgainst(p, cands[best].addr, cands[best].rtt, cfg, done)
-			}
-		})
+			})
+		}
 	}
+	round(0)
 }
 
 func runAgainst(p *Prober, server netem.Addr, rtt time.Duration, cfg SpeedtestConfig, done func(SpeedtestResult)) {

@@ -123,30 +123,44 @@ func (l *Link) Name() string { return l.name }
 func (l *Link) Stats() LinkStats { return l.stats }
 
 // QueuedBytes returns the current egress queue occupancy.
-func (l *Link) QueuedBytes() int { return l.queuedBytes }
+func (l *Link) QueuedBytes() int {
+	l.settle()
+	return l.queuedBytes
+}
 
-// SetLoss replaces the link's medium loss model.
-func (l *Link) SetLoss(m LossModel) { l.cfg.Loss = m }
+// SetLoss replaces the link's medium loss model. Packets still serializing
+// meet it as their serialization ends.
+func (l *Link) SetLoss(m LossModel) {
+	l.unhold()
+	l.cfg.Loss = m
+}
 
 // SetRate replaces the link's serialization rate. Packets already
 // serializing keep their schedule; 0 lets later packets pass them.
-func (l *Link) SetRate(bps float64) { l.cfg.RateBps = bps }
+func (l *Link) SetRate(bps float64) {
+	l.unhold()
+	l.cfg.RateBps = bps
+}
 
-// SetDown replaces the link's outage predicate.
-func (l *Link) SetDown(down func(sim.Time) bool) { l.cfg.Down = down }
+// SetDown replaces the link's outage predicate. Packets still serializing
+// meet it as their serialization ends.
+func (l *Link) SetDown(down func(sim.Time) bool) {
+	l.unhold()
+	l.cfg.Down = down
+}
 
 // send puts pkt on the link. Queue overflow drops immediately (congestion
 // loss). On a rated link the packet then serializes FIFO at the link rate
-// and is transmitted when that ends; a link without a rate has no
-// serialization hop, so the packet is transmitted at once — one scheduler
-// event per hop instead of two.
+// and is transmitted when that ends (pipe.go: one scheduler event or two);
+// a link without a rate has no serialization hop, so the packet is
+// transmitted at once, in one event.
 func (l *Link) send(pkt *Packet) {
 	txDone, ok := l.admit(pkt)
 	if !ok {
 		return
 	}
 	if l.cfg.RateBps > 0 {
-		l.enqueue(&l.pipes().ser, txDone, pkt, linkTxDone)
+		l.sendRated(pkt, txDone)
 	} else if arrival, ok := l.transmit(pkt); ok {
 		l.enqueue(&l.pipes().prop, arrival, pkt, linkDeliver)
 	}
@@ -161,6 +175,7 @@ func (l *Link) send(pkt *Packet) {
 // link's depth is identically zero.
 func (l *Link) admit(pkt *Packet) (txDone sim.Time, ok bool) {
 	now := l.net.sched.Now()
+	l.settle()
 
 	if l.cfg.QueueBytes > 0 && l.queuedBytes+pkt.Size > l.cfg.QueueBytes {
 		l.stats.DropsQueue++
@@ -193,9 +208,11 @@ func (l *Link) admit(pkt *Packet) (txDone sim.Time, ok bool) {
 	return txDone, true
 }
 
-// leaveQueue runs as pkt's serialization ends. Every packet the
-// serialization ring holds was counted by admit, whatever SetRate has made
-// of the rate since, so each one is un-counted here.
+// leaveQueue runs as pkt's serialization ends in its own event. Every
+// packet the serialization ring holds was counted by admit, whatever
+// SetRate has made of the rate since, so each one is un-counted here.
+// (A held packet is un-counted by settle, untraced: its link is not
+// observed.)
 func (l *Link) leaveQueue(pkt *Packet) {
 	l.queuedBytes -= pkt.Size
 	if l.obs != nil {
@@ -221,7 +238,10 @@ func (l *Link) jitterAt(at sim.Time) time.Duration {
 // maximum raw arrival over all packets sent so far, which is what lets
 // analytic fast-forwards both test it (would the next packet be
 // clamped?) and maintain it exactly (AccountBypassed).
-func (l *Link) LastArrival() sim.Time { return l.lastArrival }
+func (l *Link) LastArrival() sim.Time {
+	l.settle()
+	return l.lastArrival
+}
 
 // AccountBypassed credits n packets that an analytic fast-forward proved
 // this link would have carried and delivered, as if each had traversed it:

@@ -8,8 +8,9 @@ import (
 )
 
 // BenchmarkLinkForward measures one packet's full trip through a rated
-// link: enqueue, serialization event, propagation, delivery. With the
-// link pipe and the allocation-free scheduler this is 0
+// link: enqueue, serialization, propagation, delivery — one event, since
+// the link has no loss, outage or jitter to decide as serialization ends.
+// With the link pipe and the allocation-free scheduler this is 0
 // allocs/op in steady state.
 func BenchmarkLinkForward(b *testing.B) {
 	s := sim.NewScheduler(1)

@@ -60,6 +60,7 @@ func (nw *Network) Observe(s *obs.Sink) {
 		queueDepth: reg.Histogram("net.link.queue_bytes", obs.SizeBounds()),
 	}
 	for _, l := range nw.links {
+		l.unhold() // an observed link traces every dequeue
 		l.obs = nw.obs
 		l.obsSubj = tr.Subject(l.name)
 	}

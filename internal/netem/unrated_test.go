@@ -114,13 +114,21 @@ func TestMutatorsTakeEffectOnNextSend(t *testing.T) {
 		t.Errorf("no rate: QueuedPeak = %d, want 0", peak)
 	}
 
+	// Rated but with nothing to decide as serialization ends: one event
+	// per packet still, the arrival.
 	l.SetRate(8e6)
-	if got := burst(3); got != 6 {
-		t.Errorf("after SetRate(8e6): %d events for 3 packets, want 6", got)
+	if got := burst(3); got != 3 {
+		t.Errorf("after SetRate(8e6): %d events for 3 packets, want 3", got)
 	}
 	if peak := l.Stats().QueuedPeak; peak != 3000 {
 		t.Errorf("after SetRate(8e6): QueuedPeak = %d, want 3000", peak)
 	}
+	// A loss process is drawn as serialization ends: two events.
+	l.SetLoss(&BernoulliLoss{P: 0, Rng: sim.NewRNG(1)})
+	if got := burst(3); got != 6 {
+		t.Errorf("after SetLoss on a rated link: %d events for 3 packets, want 6", got)
+	}
+	l.SetLoss(nil)
 
 	l.SetRate(0)
 	if got := burst(3); got != 3 {
@@ -138,8 +146,8 @@ func TestMutatorsTakeEffectOnNextSend(t *testing.T) {
 	l.SetDown(nil)
 	l.SetLoss(&BernoulliLoss{P: 1, Rng: sim.NewRNG(2)})
 	burst(1)
-	if st := l.Stats(); st.DropsLoss != 1 || st.Delivered != 9 {
-		t.Errorf("after SetLoss: DropsLoss = %d, Delivered = %d; want 1 and 9", st.DropsLoss, st.Delivered)
+	if st := l.Stats(); st.DropsLoss != 1 || st.Delivered != 12 {
+		t.Errorf("after SetLoss: DropsLoss = %d, Delivered = %d; want 1 and 12", st.DropsLoss, st.Delivered)
 	}
 }
 

@@ -463,3 +463,113 @@ func TestAllocGateTimerSlab(t *testing.T) {
 	}
 
 }
+
+// Passed answers for a key whether an event armed under it would have fired
+// by now, whether or not one was: the cases a reader of the clock and the
+// firing event alone gets wrong.
+func TestPassed(t *testing.T) {
+	ms := func(n int) Time { return Time(n) * Time(Millisecond) }
+	check := func(s *Scheduler, when string, at Time, seq uint64, want bool) {
+		t.Helper()
+		if got := s.Passed(at, seq); got != want {
+			t.Errorf("%s: Passed(%v, %d) = %v, want %v", when, at, seq, got, want)
+		}
+	}
+
+	s := NewScheduler(1)
+	first := s.ReserveSeq()
+	check(s, "before the first event", 0, first, false)
+	check(s, "before the first event", ms(1), first, false)
+
+	// Inside an event at 5 ms: keys at 5 ms reserved before it and sorting
+	// before it have passed, its own has, later ones have not; any key at
+	// an earlier instant has, any at a later one has not.
+	before := s.ReserveSeq()
+	s.At(ms(5), func() {
+		firing := s.firing
+		check(s, "inside an event, earlier instant", ms(4), s.ReserveSeq(), true)
+		check(s, "inside an event, its own key", ms(5), firing, true)
+		check(s, "inside an event, older key", ms(5), before, true)
+		check(s, "inside an event, key reserved inside it", ms(5), s.ReserveSeq(), false)
+		check(s, "inside an event, later instant", ms(6), before, false)
+	})
+	later := s.ReserveSeq() // sorts after the 5 ms event
+	s.RunUntil(ms(5))
+	// RunUntil has fired everything at its deadline: a key there reserved
+	// before the run ended has passed even with a larger seq than the last
+	// event fired; one reserved afterwards has not.
+	check(s, "after RunUntil, key at the deadline", ms(5), later, true)
+	check(s, "after RunUntil, key at the deadline reserved after it", ms(5), s.ReserveSeq(), false)
+	s.RunUntil(ms(8)) // nothing fires: the clock advances to the deadline
+	check(s, "after an empty RunUntil, key at the deadline", ms(8), later, true)
+	check(s, "after an empty RunUntil, key past the deadline", ms(8)+1, first, false)
+
+	// RunBefore stops short of its horizon: nothing there has passed, and
+	// everything before it has.
+	s.At(ms(9), func() {})
+	at10 := s.ReserveSeq()
+	s.At(ms(10), func() {})
+	s.RunBefore(ms(10))
+	check(s, "after RunBefore, key at the horizon", ms(10), at10, false)
+	check(s, "after RunBefore, key at the horizon reserved early", ms(10), first, false)
+	check(s, "after RunBefore, key before the horizon", ms(10)-1, s.ReserveSeq(), true)
+	// Step fires the 10 ms event: keys at 10 ms up to its own have passed.
+	s.Step()
+	check(s, "after Step", ms(10), at10, true)
+	check(s, "after Step, key reserved after the event", ms(10), s.ReserveSeq(), false)
+}
+
+// Passed on reserved keys against events armed under the same keys: at
+// every point a random program looks — inside events, after RunUntil,
+// RunBefore and Step windows — a key has passed exactly when its probe has
+// fired.
+func TestPassedMatchesArmedProbes(t *testing.T) {
+	for _, seed := range []int64{1, 2, 3, 4, 5} {
+		r := rand.New(rand.NewSource(seed))
+		s := NewScheduler(uint64(seed))
+		type probe struct {
+			at    Time
+			seq   uint64
+			fired bool
+		}
+		var probes []*probe
+		verify := func(where string) {
+			for _, p := range probes {
+				if got := s.Passed(p.at, p.seq); got != p.fired {
+					t.Fatalf("seed %d %s at t=%v: Passed(%v, %d) = %v, probe fired = %v", seed, where, s.Now(), p.at, p.seq, got, p.fired)
+				}
+			}
+		}
+		var arm func()
+		arm = func() {
+			p := &probe{at: s.Now() + Time(r.Intn(4))*Time(Millisecond), seq: s.ReserveSeq()}
+			probes = append(probes, p)
+			s.AtFuncSeq(p.at, p.seq, func(any) {
+				p.fired = true
+				verify("inside a probe")
+				if r.Intn(2) == 0 {
+					arm()
+				}
+			}, nil)
+		}
+		for i := 0; i < 40; i++ {
+			arm()
+		}
+		for i := 0; i < 60; i++ {
+			switch r.Intn(4) {
+			case 0:
+				s.RunUntil(s.Now() + Time(r.Intn(3))*Time(Millisecond))
+				verify("after RunUntil")
+			case 1:
+				s.RunBefore(s.Now() + Time(1+r.Intn(3))*Time(Millisecond))
+				verify("after RunBefore")
+			case 2:
+				s.Step()
+				verify("after Step")
+			default:
+				arm()
+				verify("after arming")
+			}
+		}
+	}
+}

@@ -44,6 +44,17 @@ func (r *Ring[T]) Pop() T {
 	return x
 }
 
+// PopBack removes and returns the back element, zeroing its slot; the ring
+// must not be empty.
+func (r *Ring[T]) PopBack() T {
+	var zero T
+	r.n--
+	i := (r.head + r.n) & (len(r.buf) - 1)
+	x := r.buf[i]
+	r.buf[i] = zero
+	return x
+}
+
 // Front returns the front element; the ring must not be empty.
 func (r *Ring[T]) Front() *T { return &r.buf[r.head] }
 

@@ -11,7 +11,7 @@ import (
 func ringStep(t *testing.T, r *Ring[*int], model *[]*int, op, arg byte) {
 	t.Helper()
 	m := *model
-	switch op % 6 {
+	switch op % 7 {
 	case 0, 1: // push twice as often as anything else: the ring must grow
 		x := new(int)
 		*x = int(arg)
@@ -39,6 +39,14 @@ func ringStep(t *testing.T, r *Ring[*int], model *[]*int, op, arg byte) {
 		}
 		*r.Front(), *r.Back() = m[len(m)-1], m[0]
 		m[0], m[len(m)-1] = m[len(m)-1], m[0]
+	case 6:
+		if len(m) == 0 {
+			return
+		}
+		if got := r.PopBack(); got != m[len(m)-1] {
+			t.Fatalf("PopBack = %p, model back %p", got, m[len(m)-1])
+		}
+		m = m[:len(m)-1]
 	case 5:
 		if arg%16 == 0 {
 			r.Reset()
@@ -66,13 +74,14 @@ func ringStep(t *testing.T, r *Ring[*int], model *[]*int, op, arg byte) {
 	}
 }
 
-// FuzzRing holds push, pushFront, pop, reset and in-place mutation through
+// FuzzRing holds push, pushFront, pop, popBack, reset and in-place mutation through
 // Front and Back to a slice model across wrap-around and growth. A program
 // is a sequence of (op, arg) byte pairs.
 func FuzzRing(f *testing.F) {
 	f.Add([]byte{0, 1, 0, 2, 0, 3, 3, 0, 3, 0, 0, 4, 0, 5, 0, 6, 4, 0, 3, 0})
 	f.Add([]byte{2, 1, 2, 2, 0, 3, 2, 4, 2, 5, 3, 0, 3, 0, 4, 0, 5, 16, 0, 9, 3, 0})
 	f.Add([]byte{0, 1, 0, 2, 0, 3, 0, 4, 3, 0, 3, 0, 0, 5, 0, 6, 0, 7, 2, 8, 2, 9, 4, 0, 3, 0})
+	f.Add([]byte{0, 1, 0, 2, 0, 3, 0, 4, 0, 5, 6, 0, 2, 6, 6, 0, 3, 0, 6, 0, 0, 7, 6, 0})
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		var r Ring[*int]
 		var model []*int

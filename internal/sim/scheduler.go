@@ -92,6 +92,9 @@ type Scheduler struct {
 	// firing is the sequence number of the event being (or last) fired at
 	// now; an explicit-seq event at the same instant must not sort before it.
 	firing uint64
+	// passed bounds the keys at now that have passed (see Passed): those
+	// with a smaller seq.
+	passed uint64
 	// queuePeak is the high-water mark of the queue length: engine
 	// telemetry, never part of the deterministic exports.
 	queuePeak int
@@ -184,6 +187,20 @@ func (s *Scheduler) ReserveSeq() uint64 {
 	seq := s.seq
 	s.seq++
 	return seq
+}
+
+// Passed reports whether an event armed under the key (at, seq) would have
+// fired by now, whether or not one was: at is before the clock, or at the
+// clock and the key sorts no later than the event being fired. A run that
+// has returned has passed every key it was allowed to fire: after
+// RunUntil(deadline) the keys at the deadline reserved so far, after
+// RunBefore(horizon) none at the horizon. The owner of a key reserved but
+// never armed (the end of serialization of a netem packet that takes its
+// link in one event) so learns that its instant is behind it without an
+// event. (A run cut short by Stop still moves the clock to its end; the
+// keys it skipped read as passed.)
+func (s *Scheduler) Passed(at Time, seq uint64) bool {
+	return at < s.now || at == s.now && seq < s.passed
 }
 
 // AtFuncSeq is AtFunc under a sequence number reserved earlier with
@@ -318,7 +335,7 @@ func (s *Scheduler) step(limit Time) bool {
 	if t == nil || t.at > limit {
 		return false
 	}
-	s.now, s.firing = t.at, t.seq
+	s.now, s.firing, s.passed = t.at, t.seq, t.seq+1
 	s.Processed++
 	fn, efn, arg := t.fn, t.efn, t.arg
 	t.gen++
@@ -364,7 +381,11 @@ func (s *Scheduler) runTo(limit, end Time) {
 	if s.now < end {
 		// Nothing has fired at the new instant yet, so no key there can
 		// sort before a fired one.
-		s.now, s.firing = end, 0
+		s.now, s.firing, s.passed = end, 0, 0
+	}
+	if s.now <= limit {
+		// Every key at the clock reserved so far was the run's to fire.
+		s.passed = s.seq
 	}
 }
 

@@ -101,12 +101,20 @@ const replayPort = 9999
 
 // Server installs the replay responder on a node: the client's request
 // message names the trace; the server then plays the downstream bursts.
+// Burst offsets must be non-decreasing; a trace whose offsets decrease
+// panics here.
 func Server(node *netem.Node, traces []ServiceTrace, cfg tcpsim.Config) {
 	byName := make(map[string]*ServiceTrace, len(traces))
 	ports := make(map[uint16]bool)
 	for i := range traces {
-		byName[traces[i].Name] = &traces[i]
-		ports[traces[i].Port] = true
+		tr := &traces[i]
+		for j := 1; j < len(tr.Bursts); j++ {
+			if tr.Bursts[j].Offset < tr.Bursts[j-1].Offset {
+				panic(fmt.Sprintf("wehe: trace %s: burst %d at %v, before burst %d at %v", tr.Name, j, tr.Bursts[j].Offset, j-1, tr.Bursts[j-1].Offset))
+			}
+		}
+		byName[tr.Name] = tr
+		ports[tr.Port] = true
 	}
 	handler := func(c *tcpsim.Conn) {
 		sched := node.Scheduler()
@@ -115,17 +123,9 @@ func Server(node *netem.Node, traces []ServiceTrace, cfg tcpsim.Config) {
 			if !ok {
 				return
 			}
-			tr := byName[name]
-			if tr == nil {
-				return
-			}
-			for _, b := range tr.Bursts {
-				b := b
-				sched.After(b.Offset, func() {
-					if c.State() != tcpsim.StateClosed {
-						c.Write(b.Bytes)
-					}
-				})
+			if tr := byName[name]; tr != nil && len(tr.Bursts) > 0 {
+				p := &player{c: c, sched: sched, start: sched.Now(), bursts: tr.Bursts}
+				sched.AtFunc(p.start.Add(p.bursts[0].Offset), playBurst, p)
 			}
 		}
 	}
@@ -133,6 +133,26 @@ func Server(node *netem.Node, traces []ServiceTrace, cfg tcpsim.Config) {
 		tcpsim.Listen(node, port, cfg, handler)
 	}
 	tcpsim.Listen(node, replayPort, cfg, handler)
+}
+
+// player plays one replay's bursts down the server's connection with one
+// timer: each burst arms the next, at its offset from the trace start.
+type player struct {
+	c      *tcpsim.Conn
+	sched  *sim.Scheduler
+	start  sim.Time
+	bursts []Burst // from the one due now
+}
+
+func playBurst(arg any) {
+	p := arg.(*player)
+	if p.c.State() == tcpsim.StateClosed {
+		return
+	}
+	p.c.Write(p.bursts[0].Bytes)
+	if p.bursts = p.bursts[1:]; len(p.bursts) > 0 {
+		p.sched.AtFunc(p.start.Add(p.bursts[0].Offset), playBurst, p)
+	}
 }
 
 // RunResult is one replay's throughput series.

@@ -1,6 +1,7 @@
 package wehe
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -54,7 +55,50 @@ func TestDefaultServices(t *testing.T) {
 		if tr.TotalBytes() <= 0 || tr.Duration() <= 0 {
 			t.Errorf("%s: degenerate trace", tr.Name)
 		}
+		for i := 1; i < len(tr.Bursts); i++ {
+			if tr.Bursts[i].Offset < tr.Bursts[i-1].Offset {
+				t.Errorf("%s: burst %d at %v, before burst %d at %v; the server plays them in order", tr.Name, i, tr.Bursts[i].Offset, i-1, tr.Bursts[i-1].Offset)
+			}
+		}
 	}
+}
+
+// The server plays a replay's bursts with one timer, each arming the next
+// at its offset from the trace start: every burst goes out, ties included,
+// and while the replay runs the server never holds more than one of them.
+func TestServerPlaysEveryBurst(t *testing.T) {
+	s, client, server := testbed(t, false, 0, 0)
+	cfg := tcpsim.DefaultConfig()
+	cfg.TLSRounds = 0
+	tr := ServiceTrace{Name: "probe", Port: 7001, Bursts: []Burst{
+		{0, 1000}, {200 * time.Millisecond, 2000}, {200 * time.Millisecond, 3000}, {time.Second, 4000},
+	}}
+	Server(server, []ServiceTrace{tr}, cfg)
+	var res RunResult
+	done := false
+	Replay(client, server.Addr(), &tr, true, cfg, func(r RunResult) { res, done = r, true })
+	peak := 0
+	for s.Step() && !done {
+		peak = max(peak, s.Pending())
+	}
+	if !done || res.Bytes != tr.TotalBytes() {
+		t.Errorf("replay received %d bytes (done %v), want all %d", res.Bytes, done, tr.TotalBytes())
+	}
+	// Connection timers, the client's sampler and abort, the link hops and
+	// one burst: 7, where arming all four bursts at the request made 9.
+	if peak > 7 {
+		t.Errorf("peak of %d pending timers during a 4-burst replay", peak)
+	}
+}
+
+func TestServerRefusesDecreasingOffsets(t *testing.T) {
+	_, _, server := testbed(t, false, 0, 0)
+	defer func() {
+		if msg, _ := recover().(string); !strings.Contains(msg, "back") {
+			t.Errorf("recovered %q, want a panic naming the trace", msg)
+		}
+	}()
+	Server(server, []ServiceTrace{{Name: "back", Port: 7001, Bursts: []Burst{{time.Second, 1}, {0, 1}}}}, tcpsim.DefaultConfig())
 }
 
 func TestNoDifferentiationOnNeutralPath(t *testing.T) {
