@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet build test race bench pairs
+.PHONY: check fmt vet build test race bench pairs testtime
 
 check: ## gofmt + vet + build + race-enabled tests (what CI runs)
 	./ci.sh
@@ -19,6 +19,12 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# Wall time per package and the ten slowest tests of one uncached tier-1 run
+# (cmd/internal/testtime); make testtime TESTFLAGS=-race for the race pass.
+TESTFLAGS ?=
+testtime:
+	$(GO) test -json -count=1 $(TESTFLAGS) ./... | $(GO) run ./cmd/internal/testtime
 
 # One short run of the repo benchmark (BENCHMARK.json, benchmark/README.md):
 # builds from this checkout and prints the end-to-end metric set. A

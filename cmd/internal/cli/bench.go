@@ -189,27 +189,37 @@ func starlinkBench(args []string, stdout, stderr io.Writer) error {
 		fmt.Fprintf(stderr, "campaigns: %d/%d done\n", done, total)
 	}
 	// Engine telemetry, on stderr only: how many events each campaign's
-	// scheduler ran and how deep its queue got, so a queue twenty thousand
-	// timers deep shows without a profiler. Never part of the byte-diffed
-	// report or the deterministic exports.
+	// scheduler ran, how deep its queue got and how long it took, so a
+	// queue twenty thousand timers deep or a job that runs alone at the
+	// end of the sweep shows without a profiler. Never part of the
+	// byte-diffed report or the deterministic exports.
 	type queueStat struct {
 		events uint64
 		peak   int
+		wall   time.Duration
 	}
 	queues := make([]queueStat, len(jobs))
 	for i := range jobs {
 		run := jobs[i].Run
 		jobs[i].Run = func(tb *core.Testbed) any {
+			start := time.Now()
 			res := run(tb)
-			queues[i] = queueStat{tb.Sched.Processed, tb.Sched.QueuePeak()}
+			queues[i] = queueStat{tb.Sched.Processed, tb.Sched.QueuePeak(), time.Since(start)}
 			return res
 		}
 	}
+	workers := min(opts.WorkerCount(), len(jobs))
 	fmt.Fprintf(stderr, "running %d campaigns on %d workers...\n", len(jobs), opts.WorkerCount())
+	start := time.Now()
 	core.RunSweep(jobs, opts)
+	makespan := time.Since(start)
+	var busy time.Duration
 	for i, q := range queues {
-		fmt.Fprintf(stderr, "scheduler: %-18s %9d events, queue peak %d\n", jobs[i].Name, q.events, q.peak)
+		busy += q.wall
+		fmt.Fprintf(stderr, "scheduler: %-18s %9d events, queue peak %d, wall %.3fs\n", jobs[i].Name, q.events, q.peak, q.wall.Seconds())
 	}
+	fmt.Fprintf(stderr, "sweep: makespan %.3fs, busy %.3fs, imbalance %.2f (workers*makespan/busy)\n",
+		makespan.Seconds(), busy.Seconds(), float64(workers)*makespan.Seconds()/busy.Seconds())
 
 	// The fleet scenario runs after the sweep on the same options: seed
 	// and worker count flow through, and its per-region metrics/trace

@@ -314,3 +314,17 @@ func TestParseTechInvertsString(t *testing.T) {
 		t.Error("unknown tech accepted")
 	}
 }
+
+// ParseTech never panics, and what it accepts is exactly a name String
+// prints for the tech it returns.
+func FuzzParseTech(f *testing.F) {
+	for _, s := range []string{"starlink", "satcom", "wired", "", "Starlink", " wired", "dialup"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		tech, err := ParseTech(s)
+		if err == nil && tech.String() != s {
+			t.Errorf("ParseTech(%q) = %v, which prints as %q", s, tech, tech.String())
+		}
+	})
+}

@@ -1,15 +1,18 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"reflect"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"starlinkperf/internal/fleet"
 	"starlinkperf/internal/measure"
+	"starlinkperf/internal/obs"
 	"starlinkperf/internal/sim"
 )
 
@@ -283,6 +286,138 @@ func TestSweepWorkerInvariance(t *testing.T) {
 			t.Errorf("result %d is %q, want job order preserved (%q)", i, seq[i].Name, j.Name)
 		}
 	}
+}
+
+// The dispatch order moves wall time only: a sweep after the cost table
+// was primed longest-last or longest-first returns the same results and
+// byte-identical exports as one whose jobs never ran, at one worker and
+// at many.
+func TestSweepDispatchOrderInvariance(t *testing.T) {
+	names := []string{"dispatch-inv/a", "dispatch-inv/b", "dispatch-inv/c", "dispatch-inv/d"}
+	type sweepRun struct {
+		res            []SweepResult
+		trace, metrics []byte
+		order          []int
+	}
+	sweep := func(workers int) sweepRun {
+		jobs := make([]SweepJob, len(names))
+		for i, name := range names {
+			jobs[i] = SweepJob{Name: name, Cfg: DefaultConfig(), Run: func(tb *Testbed) any {
+				lat := tb.RunLatencyCampaign(10*time.Minute, 5*time.Minute)
+				var out strings.Builder
+				RenderFigure1(&out, Figure1(lat, tb.Anchors))
+				return out.String()
+			}}
+		}
+		var log dispatchLog
+		col := obs.NewCollector()
+		res := RunSweep(log.wrap(jobs), Options{Workers: workers, Obs: col})
+		return sweepRun{res, col.ExportTraceBinary(), col.ExportMetricsJSON(), log.order}
+	}
+	const ms = time.Millisecond
+	for _, workers := range []int{1, raceWorkers} {
+		forgetSweepCosts(names)
+		want := sweep(workers)
+		if want.res[0].Value == want.res[1].Value || len(want.trace) == 0 {
+			t.Fatal("jobs return equal values or leave no trace: a result in the wrong slot would go unseen")
+		}
+		for _, prime := range []struct {
+			name string
+			naps []time.Duration
+		}{
+			{"longest last", []time.Duration{0, 20 * ms, 40 * ms, 60 * ms}},
+			{"longest first", []time.Duration{60 * ms, 40 * ms, 20 * ms, 0}},
+		} {
+			primeSweepCosts(names, prime.naps...)
+			got := sweep(workers)
+			if !reflect.DeepEqual(got.res, want.res) {
+				t.Errorf("%d workers, primed %s: results differ from the unprimed sweep", workers, prime.name)
+			}
+			if !bytes.Equal(got.trace, want.trace) || !bytes.Equal(got.metrics, want.metrics) {
+				t.Errorf("%d workers, primed %s: collector exports differ from the unprimed sweep", workers, prime.name)
+			}
+			if workers == 1 && prime.name == "longest last" && got.order[0] != len(names)-1 {
+				t.Errorf("primed %s, one worker ran jobs in order %v: the priming changed nothing", prime.name, got.order)
+			}
+		}
+	}
+}
+
+// With one worker a sweep runs its jobs in the cost table's order: jobs
+// never seen first, in job order, then longest first, equals in job
+// order. The table keeps one entry per job name.
+func TestSweepDispatchLongestFirst(t *testing.T) {
+	const p, ms = "dispatch-lpt/", time.Millisecond
+	primeSweepCosts([]string{p + "a", p + "b", p + "c"}, 60*ms, 180*ms, 0)
+	forgetSweepCosts([]string{p + "x", p + "y"})
+	names := []string{p + "c", p + "x", p + "a", p + "b", p + "a", p + "y"}
+	jobs := make([]SweepJob, len(names))
+	for i, name := range names {
+		jobs[i] = SweepJob{Name: name, Cfg: DefaultConfig(), Run: func(*Testbed) any { return nil }}
+	}
+	var log dispatchLog
+	RunSweep(log.wrap(jobs), Options{Workers: 1})
+	// x and y are new; b took longest, then a (twice, a tie), then c.
+	if want := []int{1, 5, 3, 2, 4, 0}; !reflect.DeepEqual(log.order, want) {
+		t.Errorf("jobs ran in order %v, want %v", log.order, want)
+	}
+	sweepCosts.mu.Lock()
+	defer sweepCosts.mu.Unlock()
+	entries := 0
+	for name := range sweepCosts.last {
+		if strings.HasPrefix(name, p) {
+			entries++
+		}
+	}
+	if entries != 5 {
+		t.Errorf("cost table holds %d entries for 5 job names", entries)
+	}
+	if d := sweepCosts.last[p+"b"]; d >= 180*ms {
+		t.Errorf("b's entry is %v: the table must hold its last run, not its priming", d)
+	}
+}
+
+// forgetSweepCosts removes names from the sweep cost table, so a test
+// that owns them sees a process that never ran them.
+func forgetSweepCosts(names []string) {
+	sweepCosts.mu.Lock()
+	defer sweepCosts.mu.Unlock()
+	for _, name := range names {
+		delete(sweepCosts.last, name)
+	}
+}
+
+// primeSweepCosts runs a one-worker sweep of names whose job i only
+// sleeps naps[i], so that the cost table ranks the names as naps does.
+func primeSweepCosts(names []string, naps ...time.Duration) {
+	forgetSweepCosts(names)
+	jobs := make([]SweepJob, len(names))
+	for i, name := range names {
+		jobs[i] = SweepJob{Name: name, Cfg: DefaultConfig(), Run: func(*Testbed) any {
+			time.Sleep(naps[i])
+			return nil
+		}}
+	}
+	RunSweep(jobs, Options{Workers: 1})
+}
+
+// dispatchLog records the index of each job as its body starts.
+type dispatchLog struct {
+	mu    sync.Mutex
+	order []int
+}
+
+func (d *dispatchLog) wrap(jobs []SweepJob) []SweepJob {
+	for i := range jobs {
+		run := jobs[i].Run
+		jobs[i].Run = func(tb *Testbed) any {
+			d.mu.Lock()
+			d.order = append(d.order, i)
+			d.mu.Unlock()
+			return run(tb)
+		}
+	}
+	return jobs
 }
 
 // Every fork/join pool stops its goroutines when its owner is done: a

@@ -2,6 +2,7 @@ package core
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 )
@@ -33,6 +34,27 @@ func TestParseTransport(t *testing.T) {
 	if !PaperTransport().IsPaper() || ModernTransport().IsPaper() {
 		t.Error("IsPaper misclassifies the named profiles")
 	}
+}
+
+// ParseTransport never panics, and what it accepts parses to the same
+// profile once surrounding whitespace is trimmed, and again from the name
+// it gave the profile.
+func FuzzParseTransport(f *testing.F) {
+	for _, s := range []string{"", "paper", "modern", " modern ", "bbr,pacing", "zerortt, migration", "minrtt,idledecay", "bbr,", ",", "warp-drive", "\tbbr\n"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		p, err := ParseTransport(s)
+		if err != nil {
+			return
+		}
+		if again, err := ParseTransport(strings.TrimSpace(s)); err != nil || again != p {
+			t.Errorf("ParseTransport(%q) = %+v, but the trimmed %q parses to %+v, %v", s, p, strings.TrimSpace(s), again, err)
+		}
+		if again, err := ParseTransport(p.Name); err != nil || again != p {
+			t.Errorf("ParseTransport(%q) = %+v, but its name %q parses to %+v, %v", s, p, p.Name, again, err)
+		}
+	})
 }
 
 // TestTransportPaperBitIdentical is the profile-plumbing identity gate:
