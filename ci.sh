@@ -36,8 +36,11 @@ echo "== no deleted mechanism in non-test code (DESIGN.md: Independent traffic s
 # replaced, the scheduler's lazy compaction that Scheduler.Rearm
 # made unnecessary, and the second copies of netem's route and handler
 # tables and of tcpsim's message index, with the dirty flags and lazy
-# rebuilds that kept them in step (each table is one sorted slice now).
-if grep -rnE 'PartitionedDriver|CrossEdge|AddCrossLink|snapshotRing|peekSnapshot|delayRing|islMemo|candCount|referenceReassignAt|epochPool|runPhase|phaseAssign|WirePoolStats struct|pktRing|txRing|frameQueue|rangeSet|byteRanges|cryptoRecv|offRange|compactMin|nstopped|\) compact\(|rebuildFIB|rebuildHandlers|fibDirty|hDirty|fibGroups|msgsInOrder|insertMsgKey' --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark .; then
+# rebuilds that kept them in step (each table is one sorted slice now), and
+# the per-packet hop log `Packet.Hops` that only tests read (a link's
+# DeliverHook sees every hop; MiddleboxAudit.Hops is traceroute's own
+# []TraceboxHop and does not match).
+if grep -rnE 'PartitionedDriver|CrossEdge|AddCrossLink|snapshotRing|peekSnapshot|delayRing|islMemo|candCount|referenceReassignAt|epochPool|runPhase|phaseAssign|WirePoolStats struct|pktRing|txRing|frameQueue|rangeSet|byteRanges|cryptoRecv|offRange|compactMin|nstopped|\) compact\(|rebuildFIB|rebuildHandlers|fibDirty|hDirty|fibGroups|msgsInOrder|insertMsgKey|Hops \[\]Addr' --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark .; then
     echo "a deleted mechanism is named above" >&2
     exit 1
 fi

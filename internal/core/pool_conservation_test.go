@@ -60,7 +60,7 @@ func (r *tcpRun) check(t *testing.T) {
 }
 
 // poolSnap is every pool's counters at one moment.
-type poolSnap struct{ pkt, seg, wire sim.PoolStats }
+type poolSnap struct{ pkt, seg, ring, wire sim.PoolStats }
 
 // runPoolStages runs stages one after another on tb and checks after each
 // that every object drawn from a pool — a packet, a TCP segment, a QUIC
@@ -68,14 +68,16 @@ type poolSnap struct{ pkt, seg, wire sim.PoolStats }
 // a terminal point (delivered, consumed by the PEP, dropped by a queue, a
 // loss model or an outage) unless something kept referencing it: an ICMP
 // error's quote, or a packet a holder Detached. Gets == Puts + Shared, for
-// every pool and every endpoint. It returns the counters after each stage.
+// every pool and every endpoint; for TCP in-flight rings, which nothing
+// shares, that is every connection the stage opened having closed. It
+// returns the counters after each stage.
 func runPoolStages(t *testing.T, tb *Testbed, stages []poolStage, endpoints func() []*quic.Endpoint) []poolSnap {
 	t.Helper()
 	snaps := make([]poolSnap, 0, len(stages))
 	var prev poolSnap
 	for _, st := range stages {
 		st.run()
-		now := poolSnap{pkt: tb.Net.PoolStats(), seg: tcpsim.SegmentPoolStats(tb.Net)}
+		now := poolSnap{pkt: tb.Net.PoolStats(), seg: tcpsim.SegmentPoolStats(tb.Net), ring: tcpsim.RingPoolStats(tb.Net)}
 		for i, ep := range endpoints() {
 			w := ep.WirePoolStats()
 			if w.Gets != w.Puts+w.Shared {
@@ -93,6 +95,7 @@ func runPoolStages(t *testing.T, tb *Testbed, stages []poolStage, endpoints func
 		}{
 			{"packet", now.pkt, prev.pkt, true},
 			{"segment", now.seg, prev.seg, st.tcp},
+			{"in-flight ring", now.ring, prev.ring, st.tcp},
 			{"wire-buffer", now.wire, prev.wire, st.h3},
 		} {
 			if p.drawn && p.now.Gets == p.before.Gets {
@@ -163,8 +166,9 @@ func TestWireBufferPoolConservation(t *testing.T) {
 // Every TCP segment drawn from the network's pool, and every packet, is
 // back in it once its packet reached a terminal point, unless an ICMP
 // error quoted it (a late segment to a port already closed, a traceroute
-// probe), which takes it out of the pool for good. Checked after each TCP
-// campaign shape and after pings and traceroutes, on one testbed.
+// probe), which takes it out of the pool for good; every in-flight ring is
+// back once its connection closed. Checked after each TCP campaign shape
+// and after pings and traceroutes, on one testbed.
 func TestSegmentPoolConservation(t *testing.T) {
 	tb := NewTestbed(DefaultConfig())
 	var tcp tcpRun
@@ -182,6 +186,12 @@ func TestSegmentPoolConservation(t *testing.T) {
 	if misses, shared := (seg.Gets-seg.Hits)-(prev.Gets-prev.Hits), seg.Shared-prev.Shared; misses > shared {
 		t.Errorf("wehe allocated %d segments (%d shared) from a pool the speedtests had filled", misses, shared)
 	}
+	// So do the in-flight rings: each connection Wehe dials takes one a
+	// speedtest connection grew and gave back.
+	ring, before := snaps[2].ring, snaps[1].ring
+	if misses := (ring.Gets - ring.Hits) - (before.Gets - before.Hits); ring.Gets == before.Gets || misses != 0 {
+		t.Errorf("wehe opened %d connections and allocated %d in-flight rings from a pool the speedtests had filled", ring.Gets-before.Gets, misses)
+	}
 	last := snaps[len(snaps)-1]
 
 	// Every path back to the pool and out of it is covered.
@@ -196,8 +206,8 @@ func TestSegmentPoolConservation(t *testing.T) {
 	}
 
 	// A network in no-recycle mode never reuses anything: packets are plain
-	// allocations the pool never sees, and segments are drawn but never
-	// released.
+	// allocations the pool never sees, and segments and in-flight rings are
+	// drawn but never released.
 	ref := noRecycleTestbed(DefaultConfig())
 	ref.RunSpeedtestCampaign(TechStarlink, 1, time.Second)
 	if st := ref.Net.PoolStats(); st != (sim.PoolStats{}) {
@@ -205,6 +215,9 @@ func TestSegmentPoolConservation(t *testing.T) {
 	}
 	if st := tcpsim.SegmentPoolStats(ref.Net); st.Gets == 0 || st.Hits != 0 || st.Puts != 0 {
 		t.Errorf("no-recycle network recycled segments: %+v", st)
+	}
+	if st := tcpsim.RingPoolStats(ref.Net); st.Gets == 0 || st.Hits != 0 || st.Puts != 0 {
+		t.Errorf("no-recycle network recycled in-flight rings: %+v", st)
 	}
 }
 

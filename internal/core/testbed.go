@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"time"
 
 	"starlinkperf/internal/cc"
@@ -170,6 +171,9 @@ func terrLink(a, b geo.LatLon, stretch float64, extra time.Duration, rateBps flo
 
 // NewTestbed wires the full environment.
 func NewTestbed(cfg Config) *Testbed {
+	if cfg.WebSites < 0 {
+		panic(fmt.Sprintf("core: Config.WebSites = %d, want a corpus size >= 0", cfg.WebSites))
+	}
 	sched := sim.NewScheduler(cfg.Seed)
 	nw := netem.New(sched)
 	tb := &Testbed{Cfg: cfg, Sched: sched, Net: nw}

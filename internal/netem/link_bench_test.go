@@ -29,11 +29,10 @@ func BenchmarkLinkForward(b *testing.B) {
 	pkt := &Packet{Dst: dst.Addr(), DstPort: 9, Proto: ProtoUDP, Size: 1200}
 	send := func() {
 		pkt.TTL = 0 // Send refills the TTL
-		pkt.Hops = pkt.Hops[:0]
 		src.Send(pkt)
 		s.Run()
 	}
-	send() // warm the event pool and Hops capacity
+	send() // warm the event pool
 
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -134,8 +134,6 @@ func (n *Node) Send(pkt *Packet) {
 
 // receive processes a packet arriving at this node from a link.
 func (n *Node) receive(pkt *Packet) {
-	pkt.Hops = append(pkt.Hops, n.addr)
-
 	for _, d := range n.devices {
 		if !d.Process(n, pkt) {
 			// Consumed: the device dropped it or fed it synchronously

@@ -50,11 +50,6 @@ type Packet struct {
 	Checksum uint16
 	Payload  any
 	SentAt   sim.Time
-	// Hops records the addresses of nodes the packet transited, most
-	// recent last. It is emulator-side ground truth used by tests; the
-	// measurement tools must not read it (they must discover paths the
-	// way real tools do, with TTL probing).
-	Hops []Addr
 
 	// Pool bookkeeping (see pool.go). owner is the network whose freelist
 	// the packet belongs to — nil for literals, which the datapath never
@@ -106,11 +101,11 @@ func (p *Packet) FixChecksum() {
 	p.Checksum = PseudoChecksum(p.Src, p.Dst, p.SrcPort, p.DstPort, p.Proto)
 }
 
-// Clone returns a shallow copy of the packet with its own Hops slice.
-// Payloads are shared: transports treat delivered payloads as immutable,
-// and a pooled payload that would not stay so is told (PayloadSharer).
-// Cloning a pooled packet draws the copy from the pool (with its own
-// identity and Hops backing); cloning a literal allocates, as before.
+// Clone returns a shallow copy of the packet. Payloads are shared:
+// transports treat delivered payloads as immutable, and a pooled payload
+// that would not stay so is told (PayloadSharer). Cloning a pooled packet
+// draws the copy from the pool (with its own identity); cloning a literal
+// allocates, as before.
 func (p *Packet) Clone() *Packet {
 	if s, ok := p.Payload.(PayloadSharer); ok {
 		s.SharePayload()
@@ -121,10 +116,9 @@ func (p *Packet) Clone() *Packet {
 	} else {
 		q = &Packet{}
 	}
-	owner, gen, hops := q.owner, q.gen, q.Hops
+	owner, gen := q.owner, q.gen
 	*q = *p
 	q.owner, q.gen, q.inPool = owner, gen, false
-	q.Hops = append(hops[:0], p.Hops...)
 	return q
 }
 

@@ -558,6 +558,14 @@ func TestLinkStaysInItsSizeClass(t *testing.T) {
 	}
 }
 
+// Every packet in flight is one Packet, so a field that pushes it past 96
+// bytes moves every packet of every campaign up a size class (112 bytes).
+func TestPacketStaysInItsSizeClass(t *testing.T) {
+	if size := unsafe.Sizeof(Packet{}); size > 96 {
+		t.Errorf("sizeof(Packet) = %d, want <= 96", size)
+	}
+}
+
 // --- the hop's ring ----------------------------------------------------------
 
 // FuzzPktRing checks a hop's push/pop against a slice model across

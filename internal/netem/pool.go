@@ -68,9 +68,14 @@ func (nw *Network) PoolStats() PoolStats { return nw.pktFree.Stats() }
 // in internal/core).
 func (nw *Network) DisableRecycling() { nw.noRecycle = true }
 
+// Recycling reports whether the network reuses what its pools take back:
+// false after DisableRecycling. Pools kept outside netem (tcpsim's
+// in-flight rings) read it to follow the same mode.
+func (nw *Network) Recycling() bool { return !nw.noRecycle }
+
 // NewPacket returns a zeroed packet for sending on this network, from the
-// freelist (keeping its Hops backing array) when there is one; in
-// no-recycle mode it is a plain allocation the pool never touches again.
+// freelist when there is one; in no-recycle mode it is a plain allocation
+// the pool never touches again.
 func (nw *Network) NewPacket() *Packet {
 	if nw.noRecycle {
 		return &Packet{}
@@ -99,8 +104,7 @@ func (nw *Network) releasePacket(p *Packet) {
 	if p == nil || p.owner != nw || p.inPool {
 		return
 	}
-	hops := p.Hops[:0]
-	*p = Packet{owner: nw, gen: p.gen + 1, inPool: true, Hops: hops}
+	*p = Packet{owner: nw, gen: p.gen + 1, inPool: true}
 	nw.pktFree.Put(p)
 }
 

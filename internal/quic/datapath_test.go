@@ -271,9 +271,10 @@ func TestClonedDatagramLeavesThePool(t *testing.T) {
 	s, cep, sep, srv := pair(t, netem.LinkConfig{RateBps: 20e6, Delay: netem.ConstantDelay(5 * time.Millisecond)})
 	cep.scribble, sep.scribble = true, true
 	// Every client datagram arrives twice, the copy 3 ms late — by then
-	// the sender has long reused whatever the first delivery released.
+	// the sender has long reused whatever the first delivery released. A
+	// datagram straight off the client's link still has its full TTL.
 	sep.Node().AttachDevice(netem.DeviceFunc(func(n *netem.Node, pkt *netem.Packet) bool {
-		if pkt.Proto == netem.ProtoUDP && len(pkt.Hops) == 1 {
+		if pkt.Proto == netem.ProtoUDP && pkt.TTL == netem.DefaultTTL {
 			cp := pkt.Clone()
 			n.Scheduler().After(3*time.Millisecond, func() { n.Send(cp) })
 		}

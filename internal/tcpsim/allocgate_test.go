@@ -1,6 +1,7 @@
 package tcpsim
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -140,4 +141,83 @@ func TestSegmentPoolLifecycle(t *testing.T) {
 	if ls := conn(nil).newSegment(); ls.owner != nil {
 		t.Error("a connection without a node pools its segments")
 	}
+}
+
+// A connection's in-flight ring outlives it: torn down, the connection
+// hands the ring back to its network's pool emptied, and the next one dialed
+// there takes it, so pushing as many records as the first ever held grows
+// no array. A network in no-recycle mode never hands one on.
+func TestAllocGateRingOutlivesItsConnection(t *testing.T) {
+	for _, recycle := range []bool{true, false} {
+		s, a, b := pairNet(t, netem.LinkConfig{
+			RateBps: 50e6, Delay: netem.ConstantDelay(20 * time.Millisecond), QueueBytes: 256 << 10,
+		})
+		if !recycle {
+			a.Network().DisableRecycling()
+		}
+		cfg := DefaultConfig()
+		cfg.TLSRounds = 0
+		// The server resets the connection once the upload is in, so the
+		// client tears down last and its ring is the one the pool lends next.
+		Listen(b, 80, cfg, func(sc *Conn) {
+			sc.OnData = func(_ int, fin bool) {
+				if fin {
+					sc.Abort()
+				}
+			}
+		})
+		first := Dial(a, b.Addr(), 80, cfg)
+		ring, held := first.inflight, 0
+		first.OnEstablished = func() {
+			first.Write(1 << 20)
+			first.Close()
+		}
+		for _, l := range a.Network().Links() {
+			l.DeliverHook = func(sim.Time, *netem.Packet) {
+				if first.inflight != nil {
+					held = max(held, first.inflight.Len())
+				}
+			}
+		}
+		s.RunFor(30 * time.Second)
+		if first.State() != StateClosed || first.inflight != nil {
+			t.Fatalf("recycle=%v: first connection still holds its ring (state %v)", recycle, first.State())
+		}
+		if held < 16 {
+			t.Fatalf("recycle=%v: the first connection never had more than %d records in flight", recycle, held)
+		}
+
+		second := Dial(a, b.Addr(), 80, cfg)
+		if got := second.inflight == ring; got != recycle {
+			t.Fatalf("recycle=%v: second connection took the first one's ring: %v", recycle, got)
+		}
+		if n := second.inflight.Len(); n != 0 {
+			t.Fatalf("recycle=%v: a new connection starts with %d records in flight", recycle, n)
+		}
+		grow := mallocs(func() {
+			for range held {
+				second.inflight.Push(txRecord{})
+			}
+		})
+		if recycle && grow != 0 {
+			t.Errorf("%v allocs pushing %d records into a reused ring, want 0", grow, held)
+		}
+		if !recycle && grow == 0 {
+			t.Errorf("pushing %d records into a ring on a no-recycle network allocated nothing: it was reused", held)
+		}
+		if st := RingPoolStats(a.Network()); recycle && (st.Gets != 3 || st.Hits != 1 || st.Puts != 2) || !recycle && (st.Hits != 0 || st.Puts != 0) {
+			t.Errorf("recycle=%v: ring pool %+v", recycle, st)
+		}
+	}
+}
+
+// mallocs counts the heap allocations of one call of f, the first one
+// included (testing.AllocsPerRun discards it as a warm-up).
+func mallocs(f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
 }

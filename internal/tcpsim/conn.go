@@ -166,11 +166,11 @@ type Conn struct {
 	sndUna           uint64
 	sndNxt           uint64
 	retxQueue        sim.Ranges
-	inflight         sim.Ring[txRecord] // sent, not yet overtaken by highestDelivered, in send order
-	candidates       []txRecord         // overtaken but neither delivered nor yet lost
-	lost             []txRecord         // processAck scratch
-	pipe             int                // bytes in flight (RFC 6675 pipe estimate)
-	sacked           sim.Ranges         // peer-reported SACK state, persistent
+	inflight         *sim.Ring[txRecord] // sent, not yet overtaken by highestDelivered, in send order; pooled
+	candidates       []txRecord          // overtaken but neither delivered nor yet lost
+	lost             []txRecord          // processAck scratch
+	pipe             int                 // bytes in flight (RFC 6675 pipe estimate)
+	sacked           sim.Ranges          // peer-reported SACK state, persistent
 	highestDelivered uint64
 	peerWnd          uint64
 	finQueued        bool
@@ -288,6 +288,11 @@ func NewConn(p ConnParams) *Conn {
 		peerWnd:    cfg.InitialRcvWnd,
 		StartAt:    p.Sched.Now(),
 		obs:        newTCPObs(cfg.Obs),
+	}
+	if c.pool != nil {
+		c.inflight = c.pool.getRing()
+	} else {
+		c.inflight = new(sim.Ring[txRecord])
 	}
 	c.rtt.MinWindow = cfg.RTTMinWindow
 	// How many TLS bytes will the peer send before application data?
@@ -430,6 +435,12 @@ func (c *Conn) teardown() {
 	c.synTimer.Stop()
 	c.ackTimer.Stop()
 	c.pacingTimer.Stop()
+	// A closed connection sends nothing, so its ring can serve the next
+	// one; nil here makes any later push fail loudly.
+	if c.pool != nil {
+		c.pool.putRing(c.inflight)
+		c.inflight = nil
+	}
 	if c.closeHook != nil {
 		c.closeHook()
 	}
@@ -880,7 +891,7 @@ func (c *Conn) processAck(seg *Segment, now sim.Time) {
 	lost := c.lost[:0]
 
 	// Drain the in-order queue up to the highest delivered byte.
-	for q := &c.inflight; q.Len() > 0 && q.Front().end <= c.highestDelivered; {
+	for q := c.inflight; q.Len() > 0 && q.Front().end <= c.highestDelivered; {
 		if r := q.Pop(); c.delivered(r) {
 			c.onRecordAcked(r, now)
 		} else {

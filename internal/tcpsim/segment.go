@@ -94,18 +94,35 @@ type Segment struct {
 	pooled bool
 }
 
-// segPool is the segment freelist of one netem.Network: every pooling
-// connection on it draws from the pool and the datapath returns to it, so
-// the high-water mark — the most segments alive at once — is reached once
-// per network, not once per connection. One scheduler drives a network
-// and cross links between partitions carry no TCP, hence no lock. Shared
-// counts segments an ICMP quote took out of the pool (netem.PayloadSharer).
-type segPool struct{ sim.Freelist[Segment] }
+// segPool is the TCP freelist of one netem.Network: every pooling
+// connection on it draws its segments from the pool and the datapath
+// returns them to it, so the high-water mark — the most segments alive at
+// once — is reached once per network, not once per connection. The same
+// goes for in-flight rings: a connection takes one at NewConn and gives it
+// back, emptied, at teardown, so a connection dialed after another one
+// closed starts with the array that one grew. One scheduler drives a
+// network and cross links between partitions carry no TCP, hence no lock.
+// Shared counts segments an ICMP quote took out of the pool
+// (netem.PayloadSharer).
+type segPool struct {
+	sim.Freelist[Segment]
+	rings sim.Freelist[sim.Ring[txRecord]]
+	nw    *netem.Network
+}
 
 // SegmentPoolStats returns the counters of nw's segment pool.
 func SegmentPoolStats(nw *netem.Network) sim.PoolStats {
 	if p, ok := nw.TCPSegmentPool().(*segPool); ok {
 		return p.Stats()
+	}
+	return sim.PoolStats{}
+}
+
+// RingPoolStats returns the counters of nw's in-flight ring pool: Gets
+// counts connections opened, Puts connections torn down.
+func RingPoolStats(nw *netem.Network) sim.PoolStats {
+	if p, ok := nw.TCPSegmentPool().(*segPool); ok {
+		return p.rings.Stats()
 	}
 	return sim.PoolStats{}
 }
@@ -118,7 +135,7 @@ func poolOf(node *netem.Node) *segPool {
 	}
 	p, ok := node.Network().TCPSegmentPool().(*segPool)
 	if !ok {
-		p = &segPool{}
+		p = &segPool{nw: node.Network()}
 		node.Network().SetTCPSegmentPool(p)
 	}
 	return p
@@ -132,6 +149,25 @@ func (p *segPool) get() *Segment {
 	}
 	*s = Segment{owner: p, Sack: s.Sack[:0], Msgs: s.Msgs[:0]}
 	return s
+}
+
+// getRing returns an empty in-flight ring, keeping the array of a
+// connection that closed earlier.
+func (p *segPool) getRing() *sim.Ring[txRecord] {
+	if r := p.rings.Get(); r != nil {
+		return r
+	}
+	return new(sim.Ring[txRecord])
+}
+
+// putRing empties the in-flight ring of a connection that closed and lists
+// it for the next getRing; a network in no-recycle mode never reuses one.
+func (p *segPool) putRing(r *sim.Ring[txRecord]) {
+	if !p.nw.Recycling() {
+		return
+	}
+	r.Reset()
+	p.rings.Put(r)
 }
 
 // poisonSeq is what a segment in the freelist holds for sequence numbers.

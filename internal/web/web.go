@@ -79,6 +79,7 @@ func generateSite(rng *sim.RNG, rank int) Site {
 		// HTML: log-normal, median ~90 kB.
 		HTMLSize: clamp(int(rng.LogNormal(11.4, 0.7)), 8_000, 900_000),
 		Domains:  nDom,
+		Objects:  make([]Object, 0, nObj),
 	}
 	// Above-fold resources: the first ~80% of objects in discovery
 	// order contribute to the viewport's visual completeness.
