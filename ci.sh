@@ -36,25 +36,27 @@ echo "== no deleted mechanism in non-test code (DESIGN.md: Independent traffic s
 # replaced, the scheduler's lazy compaction that Scheduler.Rearm
 # made unnecessary, and the second copies of netem's route and handler
 # tables and of tcpsim's message index, with the dirty flags and lazy
-# rebuilds that kept them in step (each table is one sorted slice now), and
+# rebuilds that kept them in step (each table is one sorted slice now),
 # the per-packet hop log `Packet.Hops` that only tests read (a link's
 # DeliverHook sees every hop; MiddleboxAudit.Hops is traceroute's own
-# []TraceboxHop and does not match).
-if grep -rnE 'PartitionedDriver|CrossEdge|AddCrossLink|snapshotRing|peekSnapshot|delayRing|islMemo|candCount|referenceReassignAt|epochPool|runPhase|phaseAssign|WirePoolStats struct|pktRing|txRing|frameQueue|rangeSet|byteRanges|cryptoRecv|offRange|compactMin|nstopped|\) compact\(|rebuildFIB|rebuildHandlers|fibDirty|hDirty|fibGroups|msgsInOrder|insertMsgKey|Hops \[\]Addr' --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark .; then
+# []TraceboxHop and does not match), QUIC's per-endpoint wire freelist and
+# per-connection chunk freelist that the network's one buffer pool
+# replaced, and trace's AnalyzeSenderView, which nothing called.
+if grep -rnE 'PartitionedDriver|CrossEdge|AddCrossLink|snapshotRing|peekSnapshot|delayRing|islMemo|candCount|referenceReassignAt|epochPool|runPhase|phaseAssign|WirePoolStats struct|pktRing|txRing|frameQueue|rangeSet|byteRanges|cryptoRecv|offRange|compactMin|nstopped|\) compact\(|rebuildFIB|rebuildHandlers|fibDirty|hDirty|fibGroups|msgsInOrder|insertMsgKey|Hops \[\]Addr|wireFree|chunkFree|AnalyzeSenderView' --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark .; then
     echo "a deleted mechanism is named above" >&2
     exit 1
 fi
 
 echo "== one freelist, one fork/join pool, one ring (DESIGN.md §7: Recycling, Fork/join, Queues and range sets)"
 # Goroutines are started, and joined, by sim.Workers alone; a hand-written
-# freelist pop is sim.Freelist's alone, a power-of-two ring index
-# sim.Ring's alone.
+# freelist pop (`xs[k-1] = nil`, whatever the index is called) is
+# sim.Freelist's alone, a power-of-two ring index sim.Ring's alone.
 if grep -rnE '(^|[^A-Za-z_])go (func|[A-Za-z_][A-Za-z_0-9.]*\()|sync\.WaitGroup' --include='*.go' --exclude='*_test.go' internal |
     grep -v '^internal/sim/workers.go:'; then
     echo "a goroutine fan-out is written by hand above; use sim.Workers (internal/sim/workers.go)" >&2
     exit 1
 fi
-if grep -rn '\[n-1\] = nil' --include='*.go' --exclude='*_test.go' internal | grep -v '^internal/sim/'; then
+if grep -rnE '\[[A-Za-z_]+-1\] = nil' --include='*.go' --exclude='*_test.go' internal | grep -v '^internal/sim/'; then
     echo "a freelist is written by hand above; use sim.Freelist (internal/sim/freelist.go)" >&2
     exit 1
 fi

@@ -145,6 +145,7 @@ func TestBadInput(t *testing.T) {
 		{"quicbench", "-size 0"},
 		{"quicbench", "-mode messages -dur 0"},
 		{"quicbench", "-mode messages -dur -1s"},
+		{"quicbench", "-mode messages -dur 18h12m16s"},
 		{"quicbench", "-mode messages -pcap x.pcap"},
 		{"speedtest", "-gap -1s"},
 		// Unknown names.

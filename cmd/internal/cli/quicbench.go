@@ -34,6 +34,8 @@ func quicbench(args []string, stdout, stderr io.Writer) error {
 		return fmt.Errorf("n and size must be >= 1")
 	case *msgDur < time.Second:
 		return fmt.Errorf("dur must be at least 1s, got %v", *msgDur)
+	case *msgDur >= 1<<16*time.Second: // a download request carries 16 bits of seconds
+		return fmt.Errorf("dur must be under 65536s, got %v", *msgDur)
 	case *pcapPath != "" && *mode != "h3":
 		return fmt.Errorf("pcap is written in h3 mode only")
 	}

@@ -33,41 +33,48 @@ type LatencyData struct {
 // map directly made the sample order (and any export or tie-sensitive
 // consumer downstream) vary run to run.
 func (d *LatencyData) EuropeanSeries() *stats.Series {
-	names := make([]string, 0, len(d.PerAnchor))
-	for name := range d.PerAnchor {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	var out stats.Series
-	for _, name := range names {
+	var names []string
+	n := 0
+	for name, ser := range d.PerAnchor {
 		switch d.Regions[name] {
 		case "BE", "NL", "DE":
-			for _, smp := range d.PerAnchor[name].Samples() {
-				out.Add(smp.At, smp.Value)
-			}
+			names = append(names, name)
+			n += len(ser.Samples())
 		}
 	}
-	return &out
+	sort.Strings(names)
+	out := stats.NewSeries(n)
+	for _, name := range names {
+		for _, smp := range d.PerAnchor[name].Samples() {
+			out.Add(smp.At, smp.Value)
+		}
+	}
+	return out
 }
 
 // RunLatencyCampaign pings every anchor (3 probes per round) each
-// interval for dur, like the paper's 5-month / 5-minute campaign.
+// interval for dur, like the paper's 5-month / 5-minute campaign. Each
+// anchor's series is made once with room for every probe of every round.
 func (tb *Testbed) RunLatencyCampaign(dur, interval time.Duration) *LatencyData {
 	data := &LatencyData{
 		PerAnchor: make(map[string]*stats.Series),
 		Regions:   make(map[string]string),
 	}
+	var rounds int
+	if interval > 0 { // Monitor refuses the rest
+		rounds = int((dur + interval - 1) / interval)
+	}
 	byAddr := make(map[netem.Addr]string)
 	for _, a := range tb.Anchors {
 		data.Anchors = append(data.Anchors, Anchor{Name: a.Name, Region: a.Region})
-		data.PerAnchor[a.Name] = &stats.Series{}
+		data.PerAnchor[a.Name] = stats.NewSeries(latencyProbes * rounds)
 		data.Regions[a.Name] = a.Region
 		byAddr[a.Node.Addr()] = a.Name
 	}
 	prober := measure.NewProber(tb.PCStarlink)
 	prober.Observe(tb.Obs)
 	end := tb.Sched.Now().Add(dur)
-	prober.Monitor(tb.AnchorAddrs(), interval, 3, end, func(r measure.PingResult) {
+	prober.Monitor(tb.AnchorAddrs(), interval, latencyProbes, end, func(r measure.PingResult) {
 		data.Sent++
 		if !r.OK {
 			data.Lost++
@@ -80,6 +87,10 @@ func (tb *Testbed) RunLatencyCampaign(dur, interval time.Duration) *LatencyData 
 	tb.PCStarlink.Unbind(netem.ProtoICMP, 0)
 	return data
 }
+
+// latencyProbes is how many pings the latency campaign sends each anchor
+// per round.
+const latencyProbes = 3
 
 // noGap, as repeat's gap, starts the next repetition inside the finishing
 // callback itself, with no scheduler event in between.
@@ -124,11 +135,18 @@ type H3Campaign struct {
 	Records []H3Record
 }
 
-// RTTSamplesMs pools every RTT sample of the campaign (Figure 3 series).
+// RTTSamplesMs pools every RTT sample of the campaign (Figure 3 series),
+// in milliseconds as trace.RTTRecorder.Milliseconds converts them.
 func (c *H3Campaign) RTTSamplesMs() []float64 {
-	var out []float64
+	n := 0
 	for _, r := range c.Records {
-		out = append(out, r.Result.RTTs.Milliseconds()...)
+		n += len(r.Result.RTTs.Samples)
+	}
+	out := make([]float64, 0, n)
+	for _, r := range c.Records {
+		for _, s := range r.Result.RTTs.Samples {
+			out = append(out, s.RTT.Seconds()*1000)
+		}
 	}
 	return out
 }
@@ -212,7 +230,11 @@ type MsgCampaign struct {
 
 // foldMessages pools sessions, in order, into one campaign.
 func foldMessages(sessions []msgSession) *MsgCampaign {
-	camp := &MsgCampaign{}
+	n := 0
+	for _, s := range sessions {
+		n += len(s.rttsMs)
+	}
+	camp := &MsgCampaign{RTTsMs: make([]float64, 0, n)}
 	for _, s := range sessions {
 		camp.RTTsMs = append(camp.RTTsMs, s.rttsMs...)
 		camp.sent += s.loss.PacketsSent

@@ -64,29 +64,24 @@ type poolSnap struct{ pkt, seg, ring, wire sim.PoolStats }
 
 // runPoolStages runs stages one after another on tb and checks after each
 // that every object drawn from a pool — a packet, a TCP segment, a QUIC
-// wire buffer of any of endpoints — is back in it once its packet reached
+// wire buffer or reassembly chunk — is back in it once its packet reached
 // a terminal point (delivered, consumed by the PEP, dropped by a queue, a
-// loss model or an outage) unless something kept referencing it: an ICMP
-// error's quote, or a packet a holder Detached. Gets == Puts + Shared, for
-// every pool and every endpoint; for TCP in-flight rings, which nothing
-// shares, that is every connection the stage opened having closed. It
-// returns the counters after each stage.
-func runPoolStages(t *testing.T, tb *Testbed, stages []poolStage, endpoints func() []*quic.Endpoint) []poolSnap {
+// loss model or an outage) or its data was delivered, unless something
+// kept referencing it: an ICMP error's quote, or a packet a holder
+// Detached. Gets == Puts + Shared, for every pool; for TCP in-flight
+// rings, which nothing shares, that is every connection the stage opened
+// having closed. It returns the counters after each stage.
+func runPoolStages(t *testing.T, tb *Testbed, stages []poolStage) []poolSnap {
 	t.Helper()
 	snaps := make([]poolSnap, 0, len(stages))
 	var prev poolSnap
 	for _, st := range stages {
 		st.run()
-		now := poolSnap{pkt: tb.Net.PoolStats(), seg: tcpsim.SegmentPoolStats(tb.Net), ring: tcpsim.RingPoolStats(tb.Net)}
-		for i, ep := range endpoints() {
-			w := ep.WirePoolStats()
-			if w.Gets != w.Puts+w.Shared {
-				t.Errorf("after %s: endpoint %d: %+v", st.name, i, w)
-			}
-			now.wire.Gets += w.Gets
-			now.wire.Hits += w.Hits
-			now.wire.Puts += w.Puts
-			now.wire.Shared += w.Shared
+		now := poolSnap{
+			pkt:  tb.Net.PoolStats(),
+			seg:  tcpsim.SegmentPoolStats(tb.Net),
+			ring: tcpsim.RingPoolStats(tb.Net),
+			wire: quic.WirePoolStats(tb.Net),
 		}
 		for _, p := range []struct {
 			pool        string
@@ -96,7 +91,7 @@ func runPoolStages(t *testing.T, tb *Testbed, stages []poolStage, endpoints func
 			{"packet", now.pkt, prev.pkt, true},
 			{"segment", now.seg, prev.seg, st.tcp},
 			{"in-flight ring", now.ring, prev.ring, st.tcp},
-			{"wire-buffer", now.wire, prev.wire, st.h3},
+			{"QUIC buffer", now.wire, prev.wire, st.h3},
 		} {
 			if p.drawn && p.now.Gets == p.before.Gets {
 				t.Errorf("%s: drew nothing from the %s pool", st.name, p.pool)
@@ -114,14 +109,14 @@ func runPoolStages(t *testing.T, tb *Testbed, stages []poolStage, endpoints func
 
 // Every wire buffer a QUIC endpoint hands to the datapath, and every
 // packet carrying one, comes back once its packet reached a terminal
-// point, after completed transfers in each direction over Starlink and
-// over the wired path, on both ends of every connection.
+// point, and every reassembly chunk once its data was delivered, after
+// completed transfers in each direction over Starlink and over the wired
+// path, on both ends of every connection. The buffers are the network's:
+// each transfer dials a fresh client endpoint, and all of them draw from
+// one pool.
 func TestWireBufferPoolConservation(t *testing.T) {
 	tb := NewTestbed(DefaultConfig())
-	var (
-		clients []*quic.Endpoint
-		lost    uint64
-	)
+	var lost, sent uint64
 	h3 := func(name string, run func() *H3Campaign) poolStage {
 		return poolStage{name: name, h3: true, run: func() {
 			camp := run()
@@ -130,7 +125,7 @@ func TestWireBufferPoolConservation(t *testing.T) {
 			}
 			res := camp.Records[0].Result
 			lost += res.Client.Stats.PacketsLost + res.Server.Stats.PacketsLost
-			clients = append(clients, res.Client.Endpoint())
+			sent += res.Client.Stats.PacketsSent + res.Server.Stats.PacketsSent
 		}}
 	}
 	stages := []poolStage{
@@ -140,26 +135,30 @@ func TestWireBufferPoolConservation(t *testing.T) {
 			return tb.RunH3CampaignFrom(tb.PCWired, 1, 4<<20, true, 5*time.Second, tb.QUICConf)
 		}),
 	}
-	endpoints := func() []*quic.Endpoint { return append([]*quic.Endpoint{tb.H3Server.Endpoint}, clients...) }
-	runPoolStages(t, tb, stages, endpoints)
+	runPoolStages(t, tb, stages)
 
 	if lost == 0 {
 		t.Error("no QUIC packet was lost: buffers released at a drop are not covered")
 	}
-	if srv := tb.H3Server.Endpoint.WirePoolStats(); srv.HitRate() < 0.5 {
-		t.Errorf("server endpoint reused only %.0f%% of its buffers", 100*srv.HitRate())
+	// Every packet sent took one buffer; the rest were reassembly chunks.
+	st := quic.WirePoolStats(tb.Net)
+	if st.Gets <= sent {
+		t.Error("no data waited in a reassembly chunk: the chunk path is not covered")
+	}
+	if st.HitRate() < 0.5 {
+		t.Errorf("the network reused only %.0f%% of its buffers", 100*st.HitRate())
 	}
 
 	// A network in no-recycle mode never reuses anything: packets are plain
-	// allocations the pool never sees, and wire buffers are drawn but never
-	// released.
+	// allocations the pool never sees, and wire buffers and chunks (the
+	// draws beyond one per packet sent) are drawn but never released.
 	ref := noRecycleTestbed(DefaultConfig())
-	ref.RunH3Campaign(1, 1<<20, true, 5*time.Second)
+	res := ref.RunH3Campaign(1, 16<<20, true, 5*time.Second).Records[0].Result
 	if st := ref.Net.PoolStats(); st != (sim.PoolStats{}) {
 		t.Errorf("no-recycle network drew packets from its pool: %+v", st)
 	}
-	if st := ref.H3Server.Endpoint.WirePoolStats(); st.Gets == 0 || st.Hits != 0 || st.Puts != 0 {
-		t.Errorf("no-recycle network recycled wire buffers: %+v", st)
+	if st := quic.WirePoolStats(ref.Net); st.Gets <= res.Client.Stats.PacketsSent+res.Server.Stats.PacketsSent || st.Hits != 0 || st.Puts != 0 {
+		t.Errorf("no-recycle network recycled QUIC buffers: %+v", st)
 	}
 }
 
@@ -176,7 +175,7 @@ func TestSegmentPoolConservation(t *testing.T) {
 		tb.RunLatencyCampaign(30*time.Minute, 5*time.Minute)
 		tb.RunMiddleboxAudit(TechStarlink)
 	}})
-	snaps := runPoolStages(t, tb, stages, func() []*quic.Endpoint { return nil })
+	snaps := runPoolStages(t, tb, stages)
 	tcp.check(t)
 
 	// The segment pool outlives its connections: the speedtests filled it,

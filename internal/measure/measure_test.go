@@ -1,8 +1,10 @@
 package measure
 
 import (
+	"fmt"
 	"math"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -463,4 +465,66 @@ func median(xs []float64) float64 {
 		}
 	}
 	return cp[len(cp)/2]
+}
+
+// A message workload SendMessages cannot run (no rate, a size range upside
+// down) or a download MessageParams cannot encode in its 16-bit fields is
+// refused at the call, naming the argument, instead of dividing by zero,
+// panicking in the RNG or wrapping. Uploads never encode their parameters,
+// so only the first kind binds them. A bulk transfer of no bytes, or fewer,
+// still runs: its logs are sized at no less than nothing.
+func TestWorkloadInputs(t *testing.T) {
+	msgs := func(download bool, rate int, dur time.Duration, minSize, maxSize int) func(*netem.Node, *H3Server, netem.Addr) {
+		return func(client *netem.Node, srv *H3Server, addr netem.Addr) {
+			MessageSession(client, srv, addr, 443, download, rate, dur, minSize, maxSize, quic.DefaultConfig(), func(Session) {})
+		}
+	}
+	bulk := func(download bool, size int) func(*netem.Node, *H3Server, netem.Addr) {
+		return func(client *netem.Node, srv *H3Server, addr netem.Addr) {
+			H3Transfer(client, srv, addr, 443, download, size, quic.DefaultConfig(), func(TransferResult) {})
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		run  func(*netem.Node, *H3Server, netem.Addr)
+		want string // in the panic; "" runs
+	}{
+		{"rate 0", msgs(false, 0, time.Second, 5000, 25000), "rate 0"},
+		{"negative rate", msgs(true, -25, time.Second, 5000, 25000), "rate -25"},
+		{"rate past a nanosecond", msgs(false, 2e9, time.Second, 5000, 25000), "rate 2000000000"},
+		{"minSize above maxSize", msgs(false, 25, time.Second, 25000, 5000), "minSize 25000 above maxSize 5000"},
+		{"negative minSize", msgs(true, 25, time.Second, -1, 5000), "minSize -1"},
+		{"negative dur", msgs(false, 25, -time.Second, 5000, 25000), "dur -1s"},
+		{"download rate past 16 bits", msgs(true, 1<<16, time.Second, 5000, 25000), "rate 65536"},
+		{"download dur past 16 bits", msgs(true, 25, 1<<16*time.Second, 5000, 25000), "dur 18h12m16s"},
+		{"download maxSize past 16 bits", msgs(true, 25, time.Second, 5000, 6553600), "maxSize 6553600"},
+		{"upload rate past 16 bits", msgs(false, 1<<16, time.Millisecond, 1, 1), ""},
+		{"upload maxSize past 16 bits", msgs(false, 1, time.Second, 5000, 6553600), ""},
+		{"largest download", msgs(true, 1<<16-1, time.Millisecond, 100, 6553599), ""},
+		{"download of nothing", bulk(true, 0), ""},
+		{"upload of nothing", bulk(false, 0), ""},
+		{"download of less than nothing", bulk(true, -1), ""},
+		{"upload of less than nothing", bulk(false, -1), ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, client, server, _ := testPath(t, false, false)
+			srv := NewH3Server(server, 443, quic.DefaultConfig())
+			var got string
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						got = fmt.Sprint(r)
+					}
+				}()
+				tc.run(client, srv, server.Addr())
+				s.RunFor(20 * time.Second)
+			}()
+			switch {
+			case tc.want == "" && got != "":
+				t.Fatalf("panicked: %s", got)
+			case tc.want != "" && !strings.Contains(got, tc.want):
+				t.Fatalf("panic %q, want one naming %q", got, tc.want)
+			}
+		})
+	}
 }

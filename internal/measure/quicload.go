@@ -2,6 +2,7 @@ package measure
 
 import (
 	"encoding/binary"
+	"fmt"
 	"time"
 
 	"starlinkperf/internal/netem"
@@ -95,9 +96,47 @@ func (srv *H3Server) runMessageSender(c *quic.Connection, params uint64) {
 }
 
 // MessageParams encodes the message-workload parameters for the request.
+// Rate, whole seconds of dur and both sizes in units of 100 bytes travel
+// in 16 bits each; it panics, naming the argument, on a workload
+// SendMessages cannot run or one that does not fit.
+//
+// Known defect: the duration travels in whole seconds, so a download
+// session's server sends for dur truncated to the second while an upload
+// sends for all of it. With a jittered 59.981 s session at 25 messages a
+// second, a download carries 1 475 messages and an upload 1 499. Fixing
+// it changes what every message download sends.
 func MessageParams(rate int, dur time.Duration, minSize, maxSize int) uint64 {
+	checkMessages(rate, dur, minSize, maxSize)
+	switch {
+	case rate > 0xffff:
+		panic(fmt.Sprintf("measure: message rate %d does not fit the request (at most 65535)", rate))
+	case dur/time.Second > 0xffff:
+		panic(fmt.Sprintf("measure: message dur %v does not fit the request (under 65536 s)", dur))
+	case maxSize/100 > 0xffff:
+		panic(fmt.Sprintf("measure: message maxSize %d does not fit the request (under 6553600 bytes)", maxSize))
+	}
 	return uint64(rate)<<48 | uint64(dur/time.Second)<<32 |
 		uint64(minSize/100)<<16 | uint64(maxSize/100)
+}
+
+// checkMessages panics, naming the argument, unless rate, dur and the
+// size range describe a workload SendMessages can run.
+func checkMessages(rate int, dur time.Duration, minSize, maxSize int) {
+	switch {
+	case rate <= 0 || rate > int(time.Second):
+		panic(fmt.Sprintf("measure: message rate %d, must be 1 to 1e9 a second", rate))
+	case dur < 0:
+		panic(fmt.Sprintf("measure: message dur %v, must not be negative", dur))
+	case minSize < 0:
+		panic(fmt.Sprintf("measure: message minSize %d, must not be negative", minSize))
+	case minSize > maxSize:
+		panic(fmt.Sprintf("measure: message minSize %d above maxSize %d", minSize, maxSize))
+	}
+}
+
+// messageInterval is the gap between two messages at rate a second.
+func messageInterval(rate int) time.Duration {
+	return time.Duration(int64(time.Second) / int64(rate))
 }
 
 // SendMessages opens a fresh stream every 1/rate seconds carrying a
@@ -106,7 +145,7 @@ func MessageParams(rate int, dur time.Duration, minSize, maxSize int) uint64 {
 // for two minutes (~3 Mbit/s).
 func SendMessages(c *quic.Connection, rng *sim.RNG, rate int, dur time.Duration, minSize, maxSize int) {
 	sched := c.Sched()
-	interval := time.Duration(int64(time.Second) / int64(rate))
+	interval := messageInterval(rate)
 	total := int(dur / interval)
 	count := 0
 	var tick func()
@@ -141,15 +180,41 @@ type Session struct {
 	Server *quic.Connection
 }
 
+// streamPayload is the stream data one full packet carries: the frame
+// budget less a STREAM frame's type byte, one-byte stream ID and four-byte
+// offset, and the four bytes the sender keeps for the length.
+const streamPayload = quic.MaxPayloadSize - 1 - 1 - 4 - 4
+
+// logSizes returns how many packets the receiver capture and how many RTT
+// samples the sender's recorder of a session will hold, when it carries
+// msgs messages of msgBytes each on average (a bulk transfer is one
+// message) and the receiver acknowledges every ackThreshold-th packet.
+// Each message fills msgBytes/streamPayload packets, ends in a partial one
+// and may send its FIN in one of its own, and the last ACK of a message
+// may cover a single packet. A 1/32 share and 64 more cover the
+// handshake, packets that carry an ACK or a flow-control update beside
+// their data, retransmissions split around one, and probes.
+func logSizes(msgs, msgBytes, ackThreshold int) (packets, samples int) {
+	if msgs < 0 || msgBytes < 0 {
+		msgs, msgBytes = 0, 0
+	}
+	perMsg := msgBytes/streamPayload + 2
+	packets = msgs * perMsg
+	samples = msgs * ((perMsg + ackThreshold - 1) / ackThreshold)
+	return packets + packets/32 + 64, samples + samples/32 + 64
+}
+
 // dial opens the session: it connects from node to the server at
 // addr:port, attaches the RTT recorder to the sending side and the
 // capture to the receiving side, and runs begin once the handshake
-// completes. srv must be the H3Server listening there: its OnConn hook
-// is how the accepted connection is reached, and this is the one place
-// that sets it and — when that connection arrives — clears it. The
-// returned function tears the session down.
-func (s *Session) dial(node *netem.Node, srv *H3Server, addr netem.Addr, port uint16, cfg quic.Config, download bool, begin func(*quic.Connection)) (finish func()) {
-	s.RTTs, s.ReceiverCapture = &trace.RTTRecorder{}, &trace.Capture{}
+// completes. Both logs are made once, here, sized by logSizes for msgs
+// messages of msgBytes; the testbed's peers share one configuration, so
+// the client's ACK threshold is the receiver's either way. srv must be
+// the H3Server listening there: its OnConn hook is how the accepted
+// connection is reached, and this is the one place that sets it and —
+// when that connection arrives — clears it. The returned function tears
+// the session down.
+func (s *Session) dial(node *netem.Node, srv *H3Server, addr netem.Addr, port uint16, cfg quic.Config, download bool, msgs, msgBytes int, begin func(*quic.Connection)) (finish func()) {
 	srv.OnConn = func(sc *quic.Connection) {
 		srv.OnConn = nil
 		s.Server = sc
@@ -162,6 +227,9 @@ func (s *Session) dial(node *netem.Node, srv *H3Server, addr netem.Addr, port ui
 	ep := quic.NewEndpoint(node, ephemeralUDP(node))
 	conn := ep.Dial(addr, port, cfg)
 	s.Client = conn
+	packets, samples := logSizes(msgs, msgBytes, conn.Config().AckElicitingThreshold)
+	s.ReceiverCapture = &trace.Capture{Received: make([]trace.PacketRecord, 0, packets)}
+	s.RTTs = &trace.RTTRecorder{Samples: make([]trace.RTTSample, 0, samples)}
 	if download {
 		s.ReceiverCapture.AttachReceiver(conn)
 	} else {
@@ -201,7 +269,7 @@ type TransferResult struct {
 func H3Transfer(node *netem.Node, srv *H3Server, addr netem.Addr, port uint16, download bool, size int, cfg quic.Config, done func(TransferResult)) {
 	var res TransferResult
 	var finish func()
-	finish = res.dial(node, srv, addr, port, cfg, download, func(conn *quic.Connection) {
+	finish = res.dial(node, srv, addr, port, cfg, download, 1, size, func(conn *quic.Connection) {
 		res.Start = node.Scheduler().Now()
 		var st *quic.Stream
 		if download {
@@ -237,12 +305,21 @@ func H3Transfer(node *netem.Node, srv *H3Server, addr netem.Addr, port uint16, d
 // MessageSession runs the message workload for dur — rate messages a
 // second of minSize to maxSize bytes, sent by the server on request for a
 // download, by the client for an upload — and reports the session ten
-// seconds after the last message is due.
+// seconds after the last message is due. It panics, naming the argument,
+// on a workload SendMessages cannot run or, for a download, one
+// MessageParams cannot encode.
 func MessageSession(node *netem.Node, srv *H3Server, addr netem.Addr, port uint16, download bool, rate int, dur time.Duration, minSize, maxSize int, cfg quic.Config, done func(Session)) {
+	var params uint64
+	if download {
+		params = MessageParams(rate, dur, minSize, maxSize) // checks them too
+	} else {
+		checkMessages(rate, dur, minSize, maxSize)
+	}
 	res := &Session{}
-	finish := res.dial(node, srv, addr, port, cfg, download, func(conn *quic.Connection) {
+	msgs := int(dur / messageInterval(rate))
+	finish := res.dial(node, srv, addr, port, cfg, download, msgs, (minSize+maxSize)/2, func(conn *quic.Connection) {
 		if download {
-			sendRequest(conn, reqMessages, MessageParams(rate, dur, minSize, maxSize)).Close()
+			sendRequest(conn, reqMessages, params).Close()
 			return
 		}
 		rng := node.Scheduler().RNG().Stream(node.Name() + "/msgs")

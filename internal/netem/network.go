@@ -36,10 +36,12 @@ type Network struct {
 	noRecycle bool
 	pktFree   sim.Freelist[Packet]
 	icmpFree  sim.Freelist[ICMP]
-	// tcpSegPool is tcpsim's segment freelist, opaque here because netem
-	// cannot import the transport: it hangs off the network to share the
-	// packet pool's lifetime and single-scheduler concurrency domain.
-	tcpSegPool any
+	// tcpSegPool is tcpsim's segment freelist and quicWirePool quic's
+	// buffer freelist, opaque here because netem cannot import the
+	// transports: they hang off the network to share the packet pool's
+	// lifetime and single-scheduler concurrency domain.
+	tcpSegPool   any
+	quicWirePool any
 }
 
 // Observe attaches an observability sink to the network: every existing

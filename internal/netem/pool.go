@@ -70,7 +70,8 @@ func (nw *Network) DisableRecycling() { nw.noRecycle = true }
 
 // Recycling reports whether the network reuses what its pools take back:
 // false after DisableRecycling. Pools kept outside netem (tcpsim's
-// in-flight rings) read it to follow the same mode.
+// in-flight rings, quic's reassembly chunks) read it to follow the same
+// mode.
 func (nw *Network) Recycling() bool { return !nw.noRecycle }
 
 // NewPacket returns a zeroed packet for sending on this network, from the
@@ -160,3 +161,11 @@ func (nw *Network) TCPSegmentPool() any { return nw.tcpSegPool }
 
 // SetTCPSegmentPool stores the network's TCP segment freelist.
 func (nw *Network) SetTCPSegmentPool(pool any) { nw.tcpSegPool = pool }
+
+// QUICWirePool returns what SetQUICWirePool stored, nil before. Only
+// internal/quic uses the pair: every endpoint and connection on the
+// network shares one buffer freelist that outlives each of them.
+func (nw *Network) QUICWirePool() any { return nw.quicWirePool }
+
+// SetQUICWirePool stores the network's QUIC buffer freelist.
+func (nw *Network) SetQUICWirePool(pool any) { nw.quicWirePool = pool }

@@ -1,6 +1,7 @@
 package quic
 
 import (
+	"bytes"
 	"runtime"
 	"testing"
 	"time"
@@ -85,5 +86,50 @@ func BenchmarkBulkTransferPacket(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		run()
+	}
+}
+
+// A connection dialed after an identical one closed on the same network
+// draws every wire buffer and reassembly chunk from what the first one gave
+// back: the pool belongs to the network, not to the client endpoint each
+// transfer dials. The path loses, reorders and goes down, so
+// retransmissions, PTO probes and out-of-order chunks are all in play. A
+// network in no-recycle mode reuses nothing.
+func TestAllocGateBuffersOutliveTheirConnection(t *testing.T) {
+	for _, recycle := range []bool{true, false} {
+		p := newReorderPath()
+		nw := p.client.Network()
+		if !recycle {
+			nw.DisableRecycling()
+		}
+		var first [2]Stats
+		for run := range 2 {
+			before := WirePoolStats(nw)
+			want, got, client, server := p.transfer(t)
+			st := WirePoolStats(nw)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("recycle=%v run %d: payload corrupted", recycle, run)
+			}
+			if run == 0 {
+				first = [2]Stats{client, server}
+			} else if first != [2]Stats{client, server} {
+				t.Fatalf("recycle=%v: the second transfer differs from the first:\n client %+v\n    was %+v\n server %+v\n    was %+v",
+					recycle, client, first[0], server, first[1])
+			}
+			gets, misses := st.Gets-before.Gets, (st.Gets-st.Hits)-(before.Gets-before.Hits)
+			// Every packet either end sent took one buffer; the rest were
+			// reassembly chunks.
+			if sent := client.PacketsSent + server.PacketsSent; gets <= sent {
+				t.Fatalf("recycle=%v run %d: %d buffers drawn for %d packets: no data waited in a reassembly chunk", recycle, run, gets, sent)
+			}
+			switch {
+			case !recycle && (st.Hits != 0 || st.Puts != 0):
+				t.Errorf("run %d: a no-recycle network reused buffers: %+v", run, st)
+			case recycle && st.Gets != st.Puts+st.Shared:
+				t.Errorf("run %d: %d buffers drawn, %d returned, %d shared", run, st.Gets, st.Puts, st.Shared)
+			case recycle && run == 1 && misses != 0:
+				t.Errorf("the second connection allocated %d of its %d buffers and chunks", misses, gets)
+			}
+		}
 	}
 }

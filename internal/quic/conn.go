@@ -220,13 +220,13 @@ type Connection struct {
 	// not allocate. ackFrame and frameBuf are scratch for the packet being
 	// built (dead once sendPacket serialized it); the freelists recycle
 	// what an in-flight packet owns — its sentPacket record and STREAM
-	// frame structs, back when it is acked or declared lost — and the
-	// chunks out-of-order stream data waits in.
+	// frame structs, back when it is acked or declared lost. Wire buffers
+	// and the chunks out-of-order stream data waits in come from the
+	// network's pool (ep.pool).
 	ackFrame  AckFrame
 	frameBuf  []Frame
 	sentFree  sim.Freelist[sentPacket]
 	frameFree sim.Freelist[StreamFrame]
-	chunkFree [][]byte
 }
 
 func newConnection(ep *Endpoint, cfg Config, isClient bool, connID uint64, remote netem.Addr, remotePort uint16) *Connection {
@@ -274,6 +274,10 @@ func newConnection(ep *Endpoint, cfg Config, isClient bool, connID uint64, remot
 
 // ConnID returns the connection identifier.
 func (c *Connection) ConnID() uint64 { return c.connID }
+
+// Config returns the connection's transport parameters, defaults filled
+// in.
+func (c *Connection) Config() Config { return c.cfg }
 
 // Endpoint returns the endpoint the connection runs on.
 func (c *Connection) Endpoint() *Endpoint { return c.ep }
@@ -359,6 +363,9 @@ func (c *Connection) teardown() {
 	c.ackTimer.Stop()
 	c.pacingTimer.Stop()
 	c.ep.removeConn(c.connID)
+	for _, s := range c.streams {
+		s.dropSegments()
+	}
 	if c.OnClosed != nil {
 		c.OnClosed()
 	}
@@ -417,14 +424,14 @@ func (c *Connection) getStreamFrame() *StreamFrame {
 
 func (c *Connection) putStreamFrame(f *StreamFrame) {
 	*f = StreamFrame{}
-	if c.ep.scribble {
+	if c.ep.pool.scribble {
 		f.StreamID, f.Offset, f.Data = MaxVarint, MaxVarint, scribbled[:]
 	}
 	c.frameFree.Put(f)
 }
 
 // scribbled is what a recycled frame struct points at under
-// Endpoint.scribble.
+// wirePool.scribble.
 var scribbled = [...]byte{0xDB, 0xDB, 0xDB, 0xDB, 0xDB, 0xDB, 0xDB, 0xDB}
 
 // recycleSent returns packets that left loss detection to the freelist.
@@ -434,30 +441,11 @@ func (c *Connection) recycleSent(sps []*sentPacket) {
 	for _, sp := range sps {
 		clear(sp.frames)
 		*sp = sentPacket{frames: sp.frames[:0]}
-		if c.ep.scribble {
+		if c.ep.pool.scribble {
 			sp.pn, sp.size = MaxVarint, -1
 		}
 		c.sentFree.Put(sp)
 	}
-}
-
-// getChunk returns an empty buffer with room for n bytes of out-of-order
-// stream data; putChunk takes it back after delivery.
-func (c *Connection) getChunk(n int) []byte {
-	if k := len(c.chunkFree); k > 0 && cap(c.chunkFree[k-1]) >= n {
-		b := c.chunkFree[k-1]
-		c.chunkFree[k-1] = nil
-		c.chunkFree = c.chunkFree[:k-1]
-		return b
-	}
-	return make([]byte, 0, max(n, MaxPayloadSize))
-}
-
-func (c *Connection) putChunk(b []byte) {
-	if c.ep.scribble {
-		scribble(b[:cap(b)])
-	}
-	c.chunkFree = append(c.chunkFree, b[:0])
 }
 
 // ---------------------------------------------------------------------
@@ -963,7 +951,7 @@ func (c *Connection) sendPacket(frames []Frame) {
 		}
 	}
 	c.nextPN++
-	w := c.ep.getWire()
+	w := c.ep.pool.get()
 	w.b = appendPacket(w.b, hdr, frames)
 	size := len(w.b)
 

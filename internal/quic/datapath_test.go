@@ -113,52 +113,80 @@ func TestSendQueueMatchesByteBufferOracle(t *testing.T) {
 	}
 }
 
-// scribbleRun moves a patterned payload over a lossy, reordering path with
-// an outage long enough to provoke PTO probes, and returns what the server
-// read plus both connections' counters.
-func scribbleRun(t *testing.T, scribble bool) (want, got []byte, client, server Stats) {
-	t.Helper()
+// reorderPath is a client -> pop -> server path that loses 3 % of the
+// packets on the way in and 1 % on the way back, goes down from 300 to
+// 900 ms after each transfer starts — long enough to provoke PTO probes —
+// and flips the pop between two propagation delays every 50 ms, so late
+// packets overtake earlier ones and data waits in reassembly chunks.
+type reorderPath struct {
+	s              *sim.Scheduler
+	client, pop    *netem.Node
+	server         *Endpoint
+	fwd, rev       *netem.BernoulliLoss
+	slow, fast     *netem.Link
+	start          sim.Time
+	nextClientPort uint16
+}
+
+func newReorderPath() *reorderPath {
 	s := sim.NewScheduler(29)
 	nw := netem.New(s)
-	a := nw.NewNode("client", netem.MustParseAddr("10.0.0.1"))
-	m := nw.NewNode("pop", netem.MustParseAddr("10.0.0.254"))
-	b := nw.NewNode("server", netem.MustParseAddr("10.0.0.2"))
-	outage := func(at sim.Time) bool {
-		return at >= sim.Time(300*time.Millisecond) && at < sim.Time(900*time.Millisecond)
+	p := &reorderPath{
+		s:              s,
+		client:         nw.NewNode("client", netem.MustParseAddr("10.0.0.1")),
+		pop:            nw.NewNode("pop", netem.MustParseAddr("10.0.0.254")),
+		fwd:            &netem.BernoulliLoss{P: 0.03},
+		rev:            &netem.BernoulliLoss{P: 0.01},
+		nextClientPort: 5000,
 	}
+	a, m := p.client, p.pop
+	b := nw.NewNode("server", netem.MustParseAddr("10.0.0.2"))
 	am := nw.AddLink(a, m, netem.LinkConfig{
 		RateBps: 20e6,
-		Loss:    &netem.BernoulliLoss{P: 0.03, Rng: s.RNG().Stream("fwd")},
-		Down:    outage,
+		Loss:    p.fwd,
+		Down: func(at sim.Time) bool {
+			return at >= p.start.Add(300*time.Millisecond) && at < p.start.Add(900*time.Millisecond)
+		},
 	})
-	slow := nw.AddLink(m, b, netem.LinkConfig{Delay: netem.ConstantDelay(6 * time.Millisecond)})
-	fast := nw.AddLink(m, b, netem.LinkConfig{Delay: netem.ConstantDelay(5 * time.Millisecond)})
+	p.slow = nw.AddLink(m, b, netem.LinkConfig{Delay: netem.ConstantDelay(6 * time.Millisecond)})
+	p.fast = nw.AddLink(m, b, netem.LinkConfig{Delay: netem.ConstantDelay(5 * time.Millisecond)})
 	bm := nw.AddLink(b, m, netem.LinkConfig{
 		Delay: netem.ConstantDelay(5 * time.Millisecond),
-		Loss:  &netem.BernoulliLoss{P: 0.01, Rng: s.RNG().Stream("rev")},
+		Loss:  p.rev,
 	})
 	ma := nw.AddLink(m, a, netem.LinkConfig{RateBps: 20e6})
 	a.AddRoute(b.Addr(), am)
-	m.AddRoute(b.Addr(), slow)
 	b.AddRoute(a.Addr(), bm)
 	m.AddRoute(a.Addr(), ma)
-	// Flip between the two propagation delays all along: late packets
-	// overtake earlier ones, so data waits in reassembly chunks.
+	p.server = NewEndpoint(b, 443)
+	return p
+}
+
+// transfer moves a patterned payload from a fresh client endpoint and
+// returns what the server read plus both connections' counters. The
+// outage and the route flips are timed from its start and the loss draws
+// restart from the same streams, so every transfer over the path sees the
+// same losses and reordering. It closes the client after 30 s and runs
+// 30 s more, so every packet reaches its terminal point.
+func (p *reorderPath) transfer(t *testing.T) (want, got []byte, client, server Stats) {
+	t.Helper()
+	s, b := p.s, p.server.Node()
+	p.start = s.Now()
+	p.fwd.Rng, p.rev.Rng = s.RNG().Stream("fwd"), s.RNG().Stream("rev")
+	p.pop.AddRoute(b.Addr(), p.slow)
 	for i := 1; i <= 40; i++ {
-		via := fast
+		via := p.fast
 		if i%2 == 0 {
-			via = slow
+			via = p.slow
 		}
-		s.After(time.Duration(i)*50*time.Millisecond, func() { m.AddRoute(b.Addr(), via) })
+		s.After(time.Duration(i)*50*time.Millisecond, func() { p.pop.AddRoute(b.Addr(), via) })
 	}
 
-	cep := NewEndpoint(a, 5000)
-	sep := NewEndpoint(b, 443)
-	cep.scribble, sep.scribble = scribble, scribble
-
+	cep := NewEndpoint(p.client, p.nextClientPort)
+	p.nextClientPort++
 	done := false
 	var sconn *Connection
-	sep.Listen(DefaultConfig(), func(c *Connection) {
+	p.server.Listen(DefaultConfig(), func(c *Connection) {
 		sconn = c
 		c.OnStream = func(st *Stream) {
 			st.OnData = func(data []byte, fin bool) {
@@ -184,11 +212,23 @@ func scribbleRun(t *testing.T, scribble bool) (want, got []byte, client, server 
 		}
 		st.Close()
 	}
-	s.RunFor(60 * time.Second)
+	s.RunFor(30 * time.Second)
 	if !done {
-		t.Fatalf("scribble=%v: transfer incomplete: %d/%d bytes", scribble, len(got), len(want))
+		t.Fatalf("transfer incomplete: %d/%d bytes", len(got), len(want))
 	}
+	conn.Close(0, "done")
+	cep.Close()
+	s.RunFor(30 * time.Second)
 	return want, got, conn.Stats, sconn.Stats
+}
+
+// scribbleRun moves the patterned payload over a reorderPath, every
+// recycled buffer and struct poisoned or not.
+func scribbleRun(t *testing.T, scribble bool) (want, got []byte, client, server Stats) {
+	t.Helper()
+	p := newReorderPath()
+	p.server.pool.scribble = scribble
+	return p.transfer(t)
 }
 
 // Every wire buffer, reassembly chunk, frame struct and sent-packet record
@@ -269,7 +309,7 @@ func TestFrameQueueMatchesSliceOracle(t *testing.T) {
 // first packet's delivery, it would be rewritten under the second.
 func TestClonedDatagramLeavesThePool(t *testing.T) {
 	s, cep, sep, srv := pair(t, netem.LinkConfig{RateBps: 20e6, Delay: netem.ConstantDelay(5 * time.Millisecond)})
-	cep.scribble, sep.scribble = true, true
+	cep.pool.scribble = true
 	// Every client datagram arrives twice, the copy 3 ms late — by then
 	// the sender has long reused whatever the first delivery released. A
 	// datagram straight off the client's link still has its full TTL.
@@ -307,9 +347,68 @@ func TestClonedDatagramLeavesThePool(t *testing.T) {
 	if sconn.Stats.DuplicatesRecv == 0 {
 		t.Error("no duplicate reached the server")
 	}
-	st := cep.WirePoolStats()
+	st := WirePoolStats(cep.Node().Network())
 	if st.Shared == 0 || st.Gets != st.Puts+st.Shared {
-		t.Errorf("client pool: %d taken, %d returned, %d shared", st.Gets, st.Puts, st.Shared)
+		t.Errorf("buffer pool: %d taken, %d returned, %d shared", st.Gets, st.Puts, st.Shared)
+	}
+}
+
+// A buffer released twice — a datapath bug, or a chunk handed back by
+// both its delivery and its connection's teardown — is listed once: two
+// later draws must never hand out the same buffer.
+func TestWireBufferReleasedTwiceIsListedOnce(t *testing.T) {
+	nw := netem.New(sim.NewScheduler(1))
+	p := wirePoolOf(nw)
+	w := p.get()
+	w.ReleasePayload()
+	w.ReleasePayload()
+	p.put(w)
+	if a, b := p.get(), p.get(); a == b {
+		t.Fatal("one buffer handed out twice")
+	}
+	if st := p.Stats(); st.Puts != 1 || st.Gets != 3 || st.Hits != 1 {
+		t.Errorf("pool %+v, want 3 drawn, 1 returned, 1 reused", st)
+	}
+}
+
+// A connection torn down while stream data waits behind a gap gives the
+// waiting chunks back to the pool: the server never sees the client's
+// tenth datagram and closes as soon as data queues behind it.
+func TestTeardownReturnsWaitingChunks(t *testing.T) {
+	s, cep, sep, srv := pair(t, netem.LinkConfig{RateBps: 20e6, Delay: netem.ConstantDelay(20 * time.Millisecond)})
+	n := 0
+	sep.Node().AttachDevice(netem.DeviceFunc(func(_ *netem.Node, pkt *netem.Packet) bool {
+		if pkt.Proto == netem.ProtoUDP && pkt.Src == cep.Node().Addr() {
+			n++
+			return n != 10
+		}
+		return true
+	}))
+	var sconn *Connection
+	sep.Listen(DefaultConfig(), func(c *Connection) { sconn = c })
+	conn := cep.Dial(srv, 443, DefaultConfig())
+	conn.OnEstablished = func() { conn.OpenStream().WriteZeroes(1 << 20) }
+	waiting := 0
+	var watch func()
+	watch = func() {
+		if sconn != nil {
+			for _, st := range sconn.streams {
+				waiting += len(st.segments) - st.segHead
+			}
+			if waiting > 0 {
+				sconn.Close(0, "gone")
+				return
+			}
+		}
+		s.After(time.Millisecond, watch)
+	}
+	watch()
+	s.RunFor(30 * time.Second)
+	if waiting == 0 {
+		t.Fatal("no data waited behind the gap")
+	}
+	if st := WirePoolStats(cep.Node().Network()); st.Gets != st.Puts+st.Shared {
+		t.Errorf("%d chunks waited at teardown; pool: %d drawn, %d returned, %d shared", waiting, st.Gets, st.Puts, st.Shared)
 	}
 }
 

@@ -26,65 +26,100 @@ type Endpoint struct {
 	// rx is the receive scratch: every arriving packet is parsed into it
 	// and handled before the next one arrives.
 	rx parser
-	// wireFree recycles the buffers this endpoint's packets are serialized
-	// into (see wireBuf).
-	wireFree sim.Freelist[wireBuf]
-	// scribble makes every buffer and frame struct that re-enters a
-	// freelist of this endpoint or its connections unusable (tests set it
-	// to prove nothing reads recycled memory).
-	scribble bool
+	// pool is the network's buffer freelist (see wirePool).
+	pool *wirePool
 }
 
 // wireBuf is one serialized packet on its way through the network, carried
-// as the netem packet's payload. It belongs to the sending endpoint from
-// getWire until sendDatagram, to the datapath while in flight — which
-// returns it through ReleasePayload at the packet's terminal point
-// (delivery, once the receiving endpoint's handler returned, or a drop) —
-// and to the endpoint's freelist after that. Receivers therefore read b
-// only inside their handler.
+// as the netem packet's payload, or — the same type from the same pool — a
+// reassembly chunk that out-of-order stream data waits in. A packet's
+// buffer belongs to the sending endpoint from get until sendDatagram, to
+// the datapath while in flight — which returns it through ReleasePayload
+// at the packet's terminal point (delivery, once the receiving endpoint's
+// handler returned, or a drop) — and to the pool after that. Receivers
+// therefore read b only inside their handler. A chunk belongs to its
+// stream until the data is delivered or the connection is torn down.
 type wireBuf struct {
-	b      []byte // the datagram; aliases arr unless it outgrew it
+	b      []byte // the datagram or chunk; aliases arr unless it outgrew it
 	arr    [MaxDatagramSize]byte
-	owner  *Endpoint // nil once shared: never recycled
+	owner  *wirePool // nil once shared: never recycled
 	pooled bool
 }
 
-// WirePoolStats returns a copy of the wire-buffer pool counters; Shared
-// counts buffers a second packet started referencing (netem.PayloadSharer).
-func (e *Endpoint) WirePoolStats() sim.PoolStats { return e.wireFree.Stats() }
+// wirePool is the QUIC buffer freelist of one netem.Network: every
+// endpoint on it serializes its packets into the pool's buffers and every
+// connection on it buffers out-of-order stream data in them, so the most
+// buffers alive at once is reached once per network, not once per
+// endpoint (campaigns dial a fresh client endpoint per transfer). One
+// scheduler drives a network, hence no lock. Shared counts buffers a
+// second packet started referencing (netem.PayloadSharer); a network in
+// no-recycle mode takes none back.
+type wirePool struct {
+	sim.Freelist[wireBuf]
+	nw *netem.Network
+	// scribble makes every buffer, frame struct and sent-packet record
+	// that re-enters a freelist on this network unusable (tests set it to
+	// prove nothing reads recycled memory).
+	scribble bool
+}
 
-// getWire returns an empty wire buffer owned by the endpoint.
-func (e *Endpoint) getWire() *wireBuf {
-	w := e.wireFree.Get()
+// wirePoolOf returns the buffer pool of nw, creating it on first use.
+func wirePoolOf(nw *netem.Network) *wirePool {
+	p, ok := nw.QUICWirePool().(*wirePool)
+	if !ok {
+		p = &wirePool{nw: nw}
+		nw.SetQUICWirePool(p)
+	}
+	return p
+}
+
+// WirePoolStats returns the counters of nw's buffer pool, wire buffers
+// and reassembly chunks together.
+func WirePoolStats(nw *netem.Network) sim.PoolStats {
+	if p, ok := nw.QUICWirePool().(*wirePool); ok {
+		return p.Stats()
+	}
+	return sim.PoolStats{}
+}
+
+// get returns an empty buffer owned by the pool.
+func (p *wirePool) get() *wireBuf {
+	w := p.Get()
 	if w != nil {
 		w.pooled = false
 	} else {
-		w = &wireBuf{owner: e}
+		w = &wireBuf{owner: p}
 	}
 	w.b = w.arr[:0]
 	return w
 }
 
-// ReleasePayload implements netem.PayloadReleaser: the buffer returns to
-// the sending endpoint's freelist. Shared or already-pooled buffers are
-// inert.
-func (w *wireBuf) ReleasePayload() {
-	e := w.owner
-	if e == nil || w.pooled {
+// put lists w, drawn from p, for the next get. An already-pooled buffer
+// is inert, and a network in no-recycle mode reuses none.
+func (p *wirePool) put(w *wireBuf) {
+	if w.pooled || !p.nw.Recycling() {
 		return
 	}
-	if e.scribble {
+	if p.scribble {
 		scribble(w.arr[:])
 	}
 	w.b, w.pooled = nil, true
-	e.wireFree.Put(w)
+	p.Put(w)
+}
+
+// ReleasePayload implements netem.PayloadReleaser: the buffer returns to
+// its pool.
+func (w *wireBuf) ReleasePayload() {
+	if p := w.owner; p != nil {
+		p.put(w)
+	}
 }
 
 // SharePayload implements netem.PayloadSharer: a buffer referenced by two
 // packets is left to the garbage collector.
 func (w *wireBuf) SharePayload() {
-	if e := w.owner; e != nil && !w.pooled {
-		e.wireFree.Share()
+	if p := w.owner; p != nil && !w.pooled {
+		p.Share()
 		w.owner = nil
 	}
 }
@@ -108,6 +143,7 @@ func NewEndpoint(node *netem.Node, port uint16) *Endpoint {
 		// at a server whose previous connection is still live.
 		rng:   node.Scheduler().RNG().Stream(fmt.Sprintf("%s/quic/%d", node.Name(), port)),
 		conns: make(map[uint64]*Connection),
+		pool:  wirePoolOf(node.Network()),
 	}
 	node.Bind(netem.ProtoUDP, port, e.receive)
 	return e

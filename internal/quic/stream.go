@@ -66,12 +66,11 @@ type sendRun struct {
 // only ever copied out of it into a wire buffer.
 var zeroPage [MaxPayloadSize]byte
 
-// segment is buffered out-of-order stream data. data is a reassembly
-// chunk owned by the connection (getChunk/putChunk), never the datagram
-// it arrived in.
+// segment is buffered out-of-order stream data: a copy in a reassembly
+// chunk from the network's pool, never the datagram it arrived in.
 type segment struct {
-	off  uint64
-	data []byte
+	off   uint64
+	chunk *wireBuf
 }
 
 // ID returns the stream identifier.
@@ -256,7 +255,19 @@ func (s *Stream) insertSegment(off uint64, data []byte) {
 	i := s.segHead + sort.Search(len(live), func(i int) bool { return live[i].off >= off })
 	s.segments = append(s.segments, segment{})
 	copy(s.segments[i+1:], s.segments[i:])
-	s.segments[i] = segment{off: off, data: append(s.conn.getChunk(len(data)), data...)}
+	chunk := s.conn.ep.pool.get()
+	chunk.b = append(chunk.b, data...)
+	s.segments[i] = segment{off: off, chunk: chunk}
+}
+
+// dropSegments gives every buffered chunk back to the pool: the
+// connection is torn down and will deliver nothing more.
+func (s *Stream) dropSegments() {
+	for _, seg := range s.segments[s.segHead:] {
+		s.conn.ep.pool.put(seg.chunk)
+	}
+	clear(s.segments)
+	s.segments, s.segHead = s.segments[:0], 0
 }
 
 // deliverData hands the next in-order bytes to the application and
@@ -286,10 +297,10 @@ func (s *Stream) deliver() {
 		if s.segHead++; s.segHead == len(s.segments) {
 			s.segments, s.segHead = s.segments[:0], 0
 		}
-		if seg.off+uint64(len(seg.data)) > s.recvOffset { // not fully duplicate
-			s.deliverData(seg.data[s.recvOffset-seg.off:])
+		if data := seg.chunk.b; seg.off+uint64(len(data)) > s.recvOffset { // not fully duplicate
+			s.deliverData(data[s.recvOffset-seg.off:])
 		}
-		s.conn.putChunk(seg.data)
+		s.conn.ep.pool.put(seg.chunk)
 	}
 	if s.haveFinal && s.recvOffset == s.finalSize && !s.finDelivered {
 		s.finDelivered = true

@@ -19,6 +19,12 @@ type Series struct {
 	samples []Sample
 }
 
+// NewSeries returns an empty series with room for capacity samples, for
+// a caller that knows how many it will add.
+func NewSeries(capacity int) *Series {
+	return &Series{samples: make([]Sample, 0, max(capacity, 0))}
+}
+
 // Add appends a sample.
 func (s *Series) Add(at time.Duration, v float64) {
 	s.samples = append(s.samples, Sample{At: at, Value: v})

@@ -51,7 +51,7 @@ func (e LossEvent) Duration() time.Duration { return e.End.Sub(e.Start) }
 
 // LossReport summarizes the losses of one direction of one transfer.
 type LossReport struct {
-	PacketsSent     uint64 // highest PN observed + 1 (sender view when available)
+	PacketsSent     uint64 // highest PN observed + 1
 	PacketsReceived uint64
 	PacketsLost     uint64
 	Events          []LossEvent
@@ -127,33 +127,6 @@ func AnalyzeLosses(received []PacketRecord) LossReport {
 		prev = rec
 	}
 	rep.PacketsSent = highest + 1
-	return rep
-}
-
-// AnalyzeSenderView computes the loss report from sender stats: the set
-// of packets the peer eventually acknowledged is not directly visible, so
-// this uses the connection's receiver-range view exposed by the peer —
-// used for upload loss accounting, where the paper reads ACK frames at
-// the server.
-func AnalyzeSenderView(sent uint64, peerRanges []quic.AckRange) LossReport {
-	var rep LossReport
-	rep.PacketsSent = sent
-	var got uint64
-	next := uint64(0)
-	for _, r := range peerRanges {
-		got += r.Largest - r.Smallest + 1
-		if r.Smallest > next {
-			rep.Events = append(rep.Events, LossEvent{
-				FirstPN: next,
-				Burst:   int(r.Smallest - next),
-			})
-		}
-		next = r.Largest + 1
-	}
-	rep.PacketsReceived = got
-	if sent > got {
-		rep.PacketsLost = sent - got
-	}
 	return rep
 }
 

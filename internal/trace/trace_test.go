@@ -84,17 +84,6 @@ func TestAnalyzeLossesIgnoresRetransmissionArrivalOrder(t *testing.T) {
 	}
 }
 
-func TestAnalyzeSenderView(t *testing.T) {
-	ranges := []quic.AckRange{{Smallest: 0, Largest: 4}, {Smallest: 7, Largest: 9}}
-	rep := AnalyzeSenderView(10, ranges)
-	if rep.PacketsLost != 2 || rep.PacketsReceived != 8 {
-		t.Fatalf("report = %+v", rep)
-	}
-	if len(rep.Events) != 1 || rep.Events[0].FirstPN != 5 || rep.Events[0].Burst != 2 {
-		t.Fatalf("events = %+v", rep.Events)
-	}
-}
-
 func TestCaptureEndToEnd(t *testing.T) {
 	// Drive a real lossy QUIC transfer and verify capture-based loss
 	// accounting agrees with link drop counters.
