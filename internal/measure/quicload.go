@@ -45,42 +45,43 @@ func NewH3Server(node *netem.Node, port uint16, cfg quic.Config) *H3Server {
 	return srv
 }
 
+// h3Stream is the server's parse state for one request stream: the 9
+// request bytes, copied as they arrive — data is only valid during the
+// callback — and nothing more. What follows them, or a stream that never
+// sends a known request (a message upload is all zero bytes), is
+// discarded.
+type h3Stream struct {
+	srv    *H3Server
+	c      *quic.Connection
+	st     *quic.Stream
+	header [9]byte
+	n      int // request bytes collected
+}
+
 func (srv *H3Server) handleStream(c *quic.Connection, st *quic.Stream) {
-	// header collects the 9 request bytes — copied, data is only valid
-	// during the callback — and nothing more: what follows them, or a
-	// stream that never sends a known request (a message upload is all
-	// zero bytes), is counted and discarded.
-	var header []byte
-	var parsed bool
-	var dir byte
-	var got uint64
-	st.OnData = func(data []byte, fin bool) {
-		if !parsed {
-			need := 9 - len(header)
-			if need > len(data) {
-				header = append(header, data...)
-				return
-			}
-			header = append(header, data[:need]...)
-			data = data[need:]
-			parsed = true
-			dir = header[0]
-			switch dir {
-			case reqDownload:
-				st.WriteZeroes(int(binary.BigEndian.Uint64(header[1:9])))
-				st.Close()
-				return
-			case reqMessages:
-				srv.runMessageSender(c, binary.BigEndian.Uint64(header[1:9]))
-				return
-			}
+	h := &h3Stream{srv: srv, c: c, st: st}
+	st.OnData = h.onData
+}
+
+func (h *h3Stream) onData(data []byte, fin bool) {
+	if h.n < len(h.header) {
+		h.n += copy(h.header[h.n:], data)
+		if h.n < len(h.header) {
+			return
 		}
-		// Upload accounting.
-		got += uint64(len(data))
-		if fin && dir == reqUpload {
-			st.Write([]byte{0xAA}) // receipt
-			st.Close()
+		switch h.header[0] {
+		case reqDownload:
+			h.st.WriteZeroes(int(binary.BigEndian.Uint64(h.header[1:])))
+			h.st.Close()
+			return
+		case reqMessages:
+			h.srv.runMessageSender(h.c, binary.BigEndian.Uint64(h.header[1:]))
+			return
 		}
+	}
+	if fin && h.header[0] == reqUpload {
+		h.st.Write([]byte{0xAA}) // receipt
+		h.st.Close()
 	}
 }
 
