@@ -41,8 +41,13 @@ echo "== no deleted mechanism in non-test code (DESIGN.md: Independent traffic s
 # DeliverHook sees every hop; MiddleboxAudit.Hops is traceroute's own
 # []TraceboxHop and does not match), QUIC's per-endpoint wire freelist and
 # per-connection chunk freelist that the network's one buffer pool
-# replaced, and trace's AnalyzeSenderView, which nothing called.
-if grep -rnE 'PartitionedDriver|CrossEdge|AddCrossLink|snapshotRing|peekSnapshot|delayRing|islMemo|candCount|referenceReassignAt|epochPool|runPhase|phaseAssign|WirePoolStats struct|pktRing|txRing|frameQueue|rangeSet|byteRanges|cryptoRecv|offRange|compactMin|nstopped|\) compact\(|rebuildFIB|rebuildHandlers|fibDirty|hDirty|fibGroups|msgsInOrder|insertMsgKey|Hops \[\]Addr|wireFree|chunkFree|AnalyzeSenderView' --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark .; then
+# replaced, trace's AnalyzeSenderView, which nothing called, the
+# hand-threaded observability switches (obs.Options, the probers' and
+# proxies' Observe methods, pep.New without its node) that
+# netem.Network.Sink replaced, since a layer is observed iff its network
+# is (DESIGN.md §7 Observability), and cc's NewReno, which nothing
+# selected.
+if grep -rnE 'PartitionedDriver|CrossEdge|AddCrossLink|snapshotRing|peekSnapshot|delayRing|islMemo|candCount|referenceReassignAt|epochPool|runPhase|phaseAssign|WirePoolStats struct|pktRing|txRing|frameQueue|rangeSet|byteRanges|cryptoRecv|offRange|compactMin|nstopped|\) compact\(|rebuildFIB|rebuildHandlers|fibDirty|hDirty|fibGroups|msgsInOrder|insertMsgKey|Hops \[\]Addr|wireFree|chunkFree|AnalyzeSenderView|obs\.Options|\(p \*Prober\) Observe|\(p \*Proxy\) Observe|pep\.New\(|NewNewReno' --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark .; then
     echo "a deleted mechanism is named above" >&2
     exit 1
 fi

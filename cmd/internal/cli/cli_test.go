@@ -81,8 +81,8 @@ var golden = []struct {
 		args:   "-quick -fleet.terminals 200 -workers 4 -trace {dir}/t.bin -metrics.json {dir}/m.json",
 		stdout: "14ecd4d5511fd9a24e8dc65e3f85f952699e3dfe1203ea6d839a1a619625a2c9",
 		files: map[string]string{
-			"t.bin":  "367c7b555ba4dcda7a3b3f290a89d9418703509e03919eba33d240f7d46894bb",
-			"m.json": "b5fc34c7e9fff385f1d7e442cdfc676209e2a9bb5d8befcb661160649bfb20c9"}},
+			"t.bin":  "d5dceb95d65060cf88e41010222c364748ad407cf94243d2cdd38819cebb53d5",
+			"m.json": "e648bf4ea8295c87ce0f1b067b144c6547c009861578559d6b0eb10745022e88"}},
 }
 
 func sha(b []byte) string {

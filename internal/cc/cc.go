@@ -1,7 +1,7 @@
 // Package cc implements the congestion controllers and round-trip-time
 // estimation shared by the QUIC and TCP transports: CUBIC (RFC 8312, the
 // algorithm both the paper's quiche build and the Linux testbed kernels
-// used), NewReno as an ablation baseline, and an optional pacer.
+// used), and an optional pacer.
 package cc
 
 import (
@@ -273,69 +273,6 @@ func (c *Cubic) OnCongestionEvent(now sim.Time, sentAt sim.Time) {
 	}
 	c.ssthresh = c.cwnd
 	c.haveEpoch = false
-}
-
-// NewReno implements the RFC 9002 baseline controller, available for
-// ablation comparisons.
-type NewReno struct {
-	mss        int
-	cwnd       int
-	ssthresh   int
-	recovery   sim.Time
-	inRecovery bool
-	acked      int
-}
-
-// NewNewReno returns a NewReno controller for the given maximum segment
-// size.
-func NewNewReno(mss int) *NewReno {
-	return &NewReno{mss: mss, cwnd: InitialWindowPackets * mss, ssthresh: math.MaxInt32}
-}
-
-// Name implements CongestionController.
-func (n *NewReno) Name() string { return "newreno" }
-
-// Window implements CongestionController.
-func (n *NewReno) Window() int { return n.cwnd }
-
-// InSlowStart implements CongestionController.
-func (n *NewReno) InSlowStart() bool { return n.cwnd < n.ssthresh }
-
-// OnPacketSent implements CongestionController.
-func (n *NewReno) OnPacketSent(sim.Time, int) {}
-
-// OnPacketAcked implements CongestionController.
-func (n *NewReno) OnPacketAcked(now sim.Time, bytes int, rtt *RTTEstimator) {
-	if n.inRecovery {
-		if now.Sub(n.recovery) > rtt.Smoothed() {
-			n.inRecovery = false
-		} else {
-			return
-		}
-	}
-	if n.InSlowStart() {
-		n.cwnd += bytes
-		return
-	}
-	n.acked += bytes
-	if n.acked >= n.cwnd {
-		n.acked -= n.cwnd
-		n.cwnd += n.mss
-	}
-}
-
-// OnCongestionEvent implements CongestionController.
-func (n *NewReno) OnCongestionEvent(now sim.Time, sentAt sim.Time) {
-	if n.inRecovery && sentAt <= n.recovery {
-		return
-	}
-	n.inRecovery = true
-	n.recovery = now
-	n.cwnd /= 2
-	if min := MinWindowPackets * n.mss; n.cwnd < min {
-		n.cwnd = min
-	}
-	n.ssthresh = n.cwnd
 }
 
 // DefaultBurstPackets is the pacer's default max-burst allowance: after

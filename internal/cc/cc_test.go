@@ -85,35 +85,17 @@ func TestCubicConcaveThenConvex(t *testing.T) {
 	}
 }
 
-func TestNewRenoHalvesOnLoss(t *testing.T) {
-	n := NewNewReno(testMSS)
-	var r RTTEstimator
-	r.Update(50*time.Millisecond, 0)
-	for i := 0; i < 100; i++ {
-		n.OnPacketAcked(at(0.001*float64(i)), testMSS, &r)
-	}
-	w := n.Window()
-	n.OnCongestionEvent(at(1), at(0.9))
-	if n.Window() != w/2 {
-		t.Errorf("post-loss window = %d, want %d", n.Window(), w/2)
-	}
-	if n.InSlowStart() {
-		t.Error("should have exited slow start")
-	}
-}
-
 func TestCCSameEpochLossIgnored(t *testing.T) {
-	for _, ctl := range []CongestionController{NewCubic(testMSS), NewNewReno(testMSS)} {
-		ctl.OnCongestionEvent(at(1), at(0.5))
-		w := ctl.Window()
-		ctl.OnCongestionEvent(at(1.01), at(0.9)) // sent before recovery start
-		if ctl.Window() != w {
-			t.Errorf("%s: same-episode loss reduced window", ctl.Name())
-		}
-		ctl.OnCongestionEvent(at(2), at(1.5)) // sent after recovery start
-		if ctl.Window() >= w {
-			t.Errorf("%s: new-episode loss did not reduce window", ctl.Name())
-		}
+	ctl := NewCubic(testMSS)
+	ctl.OnCongestionEvent(at(1), at(0.5))
+	w := ctl.Window()
+	ctl.OnCongestionEvent(at(1.01), at(0.9)) // sent before recovery start
+	if ctl.Window() != w {
+		t.Errorf("%s: same-episode loss reduced window", ctl.Name())
+	}
+	ctl.OnCongestionEvent(at(2), at(1.5)) // sent after recovery start
+	if ctl.Window() >= w {
+		t.Errorf("%s: new-episode loss did not reduce window", ctl.Name())
 	}
 }
 

@@ -72,7 +72,6 @@ func (tb *Testbed) RunLatencyCampaign(dur, interval time.Duration) *LatencyData 
 		byAddr[a.Node.Addr()] = a.Name
 	}
 	prober := measure.NewProber(tb.PCStarlink)
-	prober.Observe(tb.Obs)
 	end := tb.Sched.Now().Add(dur)
 	prober.Monitor(tb.AnchorAddrs(), interval, latencyProbes, end, func(r measure.PingResult) {
 		data.Sent++
@@ -338,7 +337,6 @@ func (tb *Testbed) vantage(t Tech) *netem.Node {
 func (tb *Testbed) RunSpeedtestCampaign(t Tech, n int, gap time.Duration) []measure.SpeedtestResult {
 	node := tb.vantage(t)
 	prober := measure.NewProber(node)
-	prober.Observe(tb.Obs)
 	cfg := tb.SpeedtestConfig()
 	budget := time.Duration(n) * (cfg.Warmup*2 + cfg.Window*2 + gap + 30*time.Second)
 	out := repeat(tb, 0, n, gap, budget, func(_ int, done func(measure.SpeedtestResult)) {
@@ -386,7 +384,6 @@ type MiddleboxAudit struct {
 func (tb *Testbed) RunMiddleboxAudit(t Tech) MiddleboxAudit {
 	node := tb.vantage(t)
 	prober := measure.NewProber(node)
-	prober.Observe(tb.Obs)
 	var audit MiddleboxAudit
 	prober.Tracebox(tb.UCLServer.Addr(), 24, func(hops []measure.TraceboxHop) {
 		audit.Hops = hops

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/json"
 	"reflect"
 	"strings"
 	"testing"
@@ -73,6 +74,65 @@ func TestObsDoesNotPerturbCampaign(t *testing.T) {
 	if plain != observed {
 		t.Errorf("enabling observability changed campaign output:\n--- without\n%s\n--- with\n%s",
 			plain, observed)
+	}
+}
+
+// TestObservedNetworkReportsEveryLayer holds the one attachment rule: a
+// layer is observed iff the network it is built on is. One sweep job per
+// campaign family runs on an observed network, and each job's own source
+// must carry the keys of every layer it drives — the speedtest's TCP
+// connections and selection pings included, which no hand-threaded
+// config used to reach.
+func TestObservedNetworkReportsEveryLayer(t *testing.T) {
+	want := map[string][]string{
+		"latency":            {"probe.echo_sent"},
+		"speedtest-starlink": {"tcp.cwnd_bytes", "probe.echo_sent"},
+		"speedtest-satcom":   {"tcp.cwnd_bytes", "probe.echo_sent", "pep.splits"},
+		"web-satcom":         {"tcp.cwnd_bytes", "pep.splits"},
+		"wehe":               {"tcp.cwnd_bytes"},
+		"h3-down":            {"quic.cwnd_bytes"},
+		"middlebox-satcom":   {"pep.splits"},
+	}
+	jobs := []SweepJob{
+		{Name: "latency", Run: func(tb *Testbed) any { return tb.RunLatencyCampaign(time.Hour, 30*time.Minute) }},
+		{Name: "speedtest-starlink", Run: func(tb *Testbed) any { return tb.RunSpeedtestCampaign(TechStarlink, 1, time.Second) }},
+		{Name: "speedtest-satcom", Run: func(tb *Testbed) any { return tb.RunSpeedtestCampaign(TechSatCom, 1, time.Second) }},
+		{Name: "web-satcom", Run: func(tb *Testbed) any { return tb.RunWebCampaign(TechSatCom, 1, time.Second) }},
+		{Name: "wehe", Run: func(tb *Testbed) any { return tb.RunWeheAudit(TechStarlink, 1) }},
+		{Name: "h3-down", Run: func(tb *Testbed) any { return tb.RunH3Campaign(1, 1<<20, true, time.Second) }},
+		{Name: "middlebox-satcom", Run: func(tb *Testbed) any { return tb.RunMiddleboxAudit(TechSatCom) }},
+	}
+	for i := range jobs {
+		jobs[i].Cfg = quickConfig()
+	}
+	col := obs.NewCollector()
+	RunSweep(jobs, Options{Workers: raceWorkers, Obs: col})
+
+	var doc struct {
+		Sources map[string]struct {
+			Counters   map[string]uint64
+			Histograms map[string]struct{ Count uint64 }
+		}
+	}
+	if err := json.Unmarshal(col.ExportMetricsJSON(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	for i, job := range jobs {
+		src := obs.ShardSource("sweep/"+job.Name, i)
+		reg, ok := doc.Sources[src]
+		if !ok {
+			t.Errorf("%s: no metrics source", src)
+			continue
+		}
+		for _, key := range append(want[job.Name], "net.link.sent") {
+			n, counted := reg.Counters[key]
+			if h, ok := reg.Histograms[key]; ok {
+				n, counted = h.Count, true
+			}
+			if !counted || n == 0 {
+				t.Errorf("%s: %s = %d (registered %v), want > 0", src, key, n, counted)
+			}
+		}
 	}
 }
 

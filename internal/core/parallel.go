@@ -65,20 +65,18 @@ func runSharded[T any](cfg Config, opts Options, family string, n, per int, run 
 }
 
 // shardTestbed builds the testbed for one shard of the named family.
-// When opts carries a collector, the shard's config enables
-// observability and its sink registers as "<family>/<shard>" with a
-// zero-padded index, so lexicographic source order equals shard order —
-// the property that makes the collector's exports worker-invariant.
+// When opts carries a collector, the shard's network is observed through
+// a sink of its own, registered as "<family>/<shard>" with a zero-padded
+// index, so lexicographic source order equals shard order — the property
+// that makes the collector's exports worker-invariant.
 func shardTestbed(cfg Config, seed uint64, opts Options, family string, shard int) *Testbed {
 	cfg.Seed = seed
-	if opts.Obs != nil {
-		cfg.Obs.Enabled = true
+	if opts.Obs == nil {
+		return NewTestbed(cfg)
 	}
-	tb := NewTestbed(cfg)
-	if opts.Obs != nil {
-		opts.Obs.Add(obs.ShardSource(family, shard), tb.Obs)
-	}
-	return tb
+	sink := obs.NewSink(0)
+	opts.Obs.Add(obs.ShardSource(family, shard), sink)
+	return newTestbed(cfg, sink)
 }
 
 // Shard sizes of the repetition-based campaigns: small enough that the

@@ -85,12 +85,6 @@ type Config struct {
 	// stacks (see TransportProfile). The zero value is the paper
 	// baseline and changes nothing.
 	Transport TransportProfile
-	// Obs enables the deterministic observability layer for this testbed:
-	// metrics and trace events from the link, LEO, transport, PEP, and
-	// probe layers land in Testbed.Obs. The zero value disables it, which
-	// costs one nil-check branch per instrumented site and changes no
-	// campaign output.
-	Obs obs.Options
 }
 
 // DefaultConfig returns the calibrated testbed configuration.
@@ -150,11 +144,6 @@ type Testbed struct {
 	// transport profile threads it into QUICConf when 0-RTT is enabled
 	// so resumption survives the campaigns' endpoint-per-transfer churn.
 	Sessions *quic.SessionCache
-
-	// Obs is the testbed's observability sink (nil when Config.Obs is
-	// disabled). Every instrumented layer writes into it; the parallel
-	// runner registers it with the campaign collector after each shard.
-	Obs *obs.Sink
 }
 
 // H3Port is where the UCLouvain QUIC server listens.
@@ -169,18 +158,20 @@ func terrLink(a, b geo.LatLon, stretch float64, extra time.Duration, rateBps flo
 	}
 }
 
-// NewTestbed wires the full environment.
-func NewTestbed(cfg Config) *Testbed {
+// NewTestbed wires the full environment, unobserved.
+func NewTestbed(cfg Config) *Testbed { return newTestbed(cfg, nil) }
+
+// newTestbed wires the full environment on a network observed through
+// sink (nil: unobserved). The network is the one attachment point: every
+// layer built on it below reads the sink from there.
+func newTestbed(cfg Config, sink *obs.Sink) *Testbed {
 	if cfg.WebSites < 0 {
 		panic(fmt.Sprintf("core: Config.WebSites = %d, want a corpus size >= 0", cfg.WebSites))
 	}
 	sched := sim.NewScheduler(cfg.Seed)
 	nw := netem.New(sched)
 	tb := &Testbed{Cfg: cfg, Sched: sched, Net: nw}
-	if cfg.Obs.Enabled {
-		tb.Obs = obs.NewSink(cfg.Obs.TraceCap)
-		nw.Observe(tb.Obs)
-	}
+	nw.Observe(sink)
 
 	// --- Constellation & terminal -----------------------------------
 	if cfg.InitialShellFraction > 0 && cfg.InitialShellFraction < 1 {
@@ -194,7 +185,7 @@ func NewTestbed(cfg Config) *Testbed {
 		{Name: "de-gw", Pos: posFra, PoP: "FRA"},
 	}
 	tb.Terminal = leo.NewTerminal(leo.DefaultTerminalConfig(posLouvain), con, gateways)
-	tb.Terminal.Observe(tb.Obs.Registry())
+	tb.Terminal.Observe(sink.Registry())
 	tb.access = &starlinkAccess{
 		params:   cfg.Starlink,
 		terminal: tb.Terminal,
@@ -416,25 +407,19 @@ func NewTestbed(cfg Config) *Testbed {
 	pepCfg.FastOpen = true
 	// The fixed windows are provisioned per flow assuming the Ookla-like
 	// four-connection share of the segment.
-	pepCfg.Obs = tb.Obs
 	if !cfg.DisableSatComPEP {
-		tb.ModemPEP = pep.New(pepCfg)
+		tb.ModemPEP = pep.Attach(tb.SatModem, pepCfg)
 		tb.ModemPEP.ServerLegCC = func(mss int) cc.CongestionController {
 			return cc.NewFixed(150 << 10)
 		}
-		tb.TeleportPEP = pep.New(pepCfg)
+		tb.TeleportPEP = pep.Attach(tb.Teleport, pepCfg)
 		tb.TeleportPEP.ClientLegCC = func(mss int) cc.CongestionController {
 			return cc.NewFixed(2 << 20)
 		}
-		tb.ModemPEP.Observe(tb.Obs, "pep/modem")
-		tb.TeleportPEP.Observe(tb.Obs, "pep/teleport")
-		tb.SatModem.AttachDevice(tb.ModemPEP)
-		tb.Teleport.AttachDevice(tb.TeleportPEP)
 	}
 
 	// --- Ookla-like speedtest servers ---------------------------------
 	tb.WebTCP = tcpsim.DefaultConfig() // TLS 1.2 web mix
-	tb.WebTCP.Obs = tb.Obs
 	cfg.Transport.applyTCP(&tb.WebTCP)
 	stTCP := measure.DefaultSpeedtestConfig().TCP
 	cfg.Transport.applyTCP(&stTCP)
@@ -457,7 +442,6 @@ func NewTestbed(cfg Config) *Testbed {
 
 	// --- QUIC server --------------------------------------------------
 	tb.QUICConf = quic.DefaultConfig()
-	tb.QUICConf.Obs = tb.Obs
 	tb.Sessions = quic.NewSessionCache()
 	cfg.Transport.applyQUIC(&tb.QUICConf, tb.Sessions)
 	tb.H3Server = measure.NewH3Server(tb.UCLServer, H3Port, tb.QUICConf)
@@ -496,13 +480,14 @@ func NewTestbed(cfg Config) *Testbed {
 
 // newEpochSampler builds the per-epoch observability callback: serving
 // satellite changes (handovers, gateway moves), serving gaps, and the
-// epoch's scheduled outage windows. Returns nil when observability is
-// disabled so the modulation loop pays one nil test.
+// epoch's scheduled outage windows. Returns nil when the network is
+// unobserved so the modulation loop pays one nil test.
 func (tb *Testbed) newEpochSampler() func(now sim.Time) {
-	if tb.Obs == nil {
+	sink := tb.Net.Sink()
+	if sink == nil {
 		return nil
 	}
-	reg, tr := tb.Obs.Registry(), tb.Obs.Tracer()
+	reg, tr := sink.Registry(), sink.Tracer()
 	subj := tr.Subject("starlink/access")
 	handovers := reg.Counter("leo.handovers")
 	gwMoves := reg.Counter("leo.gateway_moves")

@@ -34,9 +34,9 @@ func runFidelity(t *testing.T, c TrafficConfig, ff bool) (fidExport, *TrafficRes
 func checkFidelityEquivalence(t *testing.T, c TrafficConfig) {
 	t.Helper()
 	full, fullRes, fullTr := runFidelity(t, c, false)
-	if fullTr.FastForwarded() != 0 || fullTr.EventsSkipped() != 0 {
+	if fullTr.FastForwardStats().Absorbed != 0 || fullTr.EventsSkipped() != 0 {
 		t.Fatalf("the oracle fast-forwarded %d probes, skipped %d events; want 0",
-			fullTr.FastForwarded(), fullTr.EventsSkipped())
+			fullTr.FastForwardStats().Absorbed, fullTr.EventsSkipped())
 	}
 	got, gotRes, gotTr := runFidelity(t, c, true)
 	if !reflect.DeepEqual(scrub(gotRes), scrub(fullRes)) {
@@ -51,7 +51,7 @@ func checkFidelityEquivalence(t *testing.T, c TrafficConfig) {
 	if !bytes.Equal(got.binary, full.binary) {
 		t.Error("binary trace differs from full emulation")
 	}
-	if gotTr.FastForwarded() == 0 {
+	if gotTr.FastForwardStats().Absorbed == 0 {
 		t.Error("absorbed no probes; the fast-forward never engaged")
 	}
 	// The whole point: strictly less per-event work, all of it accounted.
@@ -104,7 +104,7 @@ func TestTrafficFidelityShortInterval(t *testing.T) {
 	// trains must absorb and some must stay emulated, or the test is not
 	// exercising the boundary it claims to.
 	_, res, tr := runFidelity(t, c, true)
-	ff := tr.FastForwarded()
+	ff := tr.FastForwardStats().Absorbed
 	if ff == 0 {
 		t.Fatal("short-interval run absorbed nothing")
 	}

@@ -69,9 +69,9 @@ func TestTrafficLazyMatchesEager(t *testing.T) {
 		if !bytes.Equal(lazy.binary, eager.binary) {
 			t.Errorf("seed %d: binary trace differs between lazy and eager terminals", name)
 		}
-		if lazyTr.FastForwarded() != eagerTr.FastForwarded() || lazyTr.EventsSkipped() != eagerTr.EventsSkipped() {
+		if lazyTr.FastForwardStats().Absorbed != eagerTr.FastForwardStats().Absorbed || lazyTr.EventsSkipped() != eagerTr.EventsSkipped() {
 			t.Errorf("seed %d: lazy absorbed %d probes / skipped %d events, eager %d / %d", name,
-				lazyTr.FastForwarded(), lazyTr.EventsSkipped(), eagerTr.FastForwarded(), eagerTr.EventsSkipped())
+				lazyTr.FastForwardStats().Absorbed, lazyTr.EventsSkipped(), eagerTr.FastForwardStats().Absorbed, eagerTr.EventsSkipped())
 		}
 		lf, ef := lazyTr.FastForwardStats(), eagerTr.FastForwardStats()
 		if ef.Materialized != int64(lazyRes.Terminals) {

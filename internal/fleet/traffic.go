@@ -531,15 +531,12 @@ func RunTraffic(cfg TrafficConfig) *TrafficResult {
 	return NewTraffic(cfg).Run()
 }
 
-// FastForwarded returns how many probe fires the analytic fast-forward
-// absorbed in closed form. Deliberately not part of TrafficResult: it
-// counts engine work saved, while every TrafficResult field is the same
-// whether a probe was absorbed or emulated.
-func (tr *Traffic) FastForwarded() int64 { return tr.FastForwardStats().Absorbed }
-
-// FastForwardStats is the fast-forward's engine telemetry — no part of
-// TrafficResult or of any sim-clock export: probe fires absorbed, fires
-// declined by cause, and the terminals that therefore had to be built.
+// FastForwardStats is the fast-forward's engine telemetry: probe fires
+// absorbed in closed form, fires declined by cause, and the terminals
+// that therefore had to be built. It is no part of TrafficResult or of
+// any sim-clock export: it counts engine work saved, while every
+// TrafficResult field is the same whether a probe was absorbed or
+// emulated.
 type FastForwardStats struct {
 	Absorbed     int64
 	Overlap      int64 // declined: RTT >= interval, probes overlap

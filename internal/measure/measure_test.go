@@ -43,7 +43,7 @@ func testPath(t *testing.T, withNAT, withPEP bool) (*sim.Scheduler, *netem.Node,
 		r1.AttachDevice(nat.New(netem.MustParseAddr("100.64.0.7"), nat.PrefixInside(netem.MustParseAddr("192.168.0.0"), 16)))
 	}
 	if withPEP {
-		r2.AttachDevice(pep.New(tcpsim.DefaultConfig()))
+		pep.Attach(r2, tcpsim.DefaultConfig())
 	}
 	server.EchoResponder = true
 	return s, client, server, nw

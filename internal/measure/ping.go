@@ -14,7 +14,7 @@ import (
 	"starlinkperf/internal/sim"
 )
 
-// probeObs caches the prober's metric handles; nil when disabled.
+// probeObs caches the prober's metric handles; nil when unobserved.
 type probeObs struct {
 	tr   *obs.Tracer
 	subj obs.Subj
@@ -44,16 +44,18 @@ type Prober struct {
 	obs *probeObs
 }
 
-// Observe attaches probe metrics (echoes sent/lost, RTT histogram) and
-// probe-loss trace events to the prober. A nil sink is a no-op.
-func (p *Prober) Observe(s *obs.Sink) {
+// newProbeObs returns the probe metrics (echoes sent/lost, RTT
+// histogram) and probe-loss trace subject of a prober on node, or nil
+// when node's network is not observed.
+func newProbeObs(node *netem.Node) *probeObs {
+	s := node.Network().Sink()
 	if s == nil {
-		return
+		return nil
 	}
 	reg, tr := s.Registry(), s.Tracer()
-	p.obs = &probeObs{
+	return &probeObs{
 		tr:   tr,
-		subj: tr.Subject("probe/" + p.node.Name()),
+		subj: tr.Subject("probe/" + node.Name()),
 		sent: reg.Counter("probe.echo_sent"),
 		lost: reg.Counter("probe.echo_lost"),
 		rtt:  reg.Histogram("probe.rtt_ns", obs.DurationBounds()),
@@ -95,13 +97,15 @@ func (p *Prober) release(w *echoWait) func(rtt time.Duration, ok bool) {
 	return cb
 }
 
-// NewProber binds the prober to the node's ICMP traffic.
+// NewProber binds the prober to the node's ICMP traffic. It reports to
+// the node's network sink when the network is observed.
 func NewProber(node *netem.Node) *Prober {
 	p := &Prober{
 		node:    node,
 		sched:   node.Scheduler(),
 		echoCBs: make(map[int]*echoWait),
 		icmpID:  100,
+		obs:     newProbeObs(node),
 	}
 	node.Bind(netem.ProtoICMP, 0, p.receive)
 	return p

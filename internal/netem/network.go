@@ -29,6 +29,7 @@ type Network struct {
 	links    []*Link
 	packetID uint64
 	obs      *netObs
+	sink     *obs.Sink
 
 	// Packet/ICMP freelists and the no-recycle switch (see pool.go). The
 	// freelists' high-water mark is the peak number of packets alive at
@@ -46,11 +47,14 @@ type Network struct {
 
 // Observe attaches an observability sink to the network: every existing
 // and future link reports counters, queue-depth samples, and
-// enqueue/dequeue/drop trace events through it. A nil sink is a no-op.
+// enqueue/dequeue/drop trace events through it, and every layer built on
+// the network afterwards (TCP and QUIC connections, probers, PEPs) reads
+// it through Sink. A nil sink is a no-op.
 func (nw *Network) Observe(s *obs.Sink) {
 	if s == nil {
 		return
 	}
+	nw.sink = s
 	reg, tr := s.Registry(), s.Tracer()
 	nw.obs = &netObs{
 		tr:         tr,
@@ -67,6 +71,10 @@ func (nw *Network) Observe(s *obs.Sink) {
 		l.obsSubj = tr.Subject(l.name)
 	}
 }
+
+// Sink returns the sink the network is observed through, or nil when it
+// is not: the one place a layer on the network learns whether it reports.
+func (nw *Network) Sink() *obs.Sink { return nw.sink }
 
 // CountBypassed is the network half of Link.AccountBypassed: n bypassed link
 // traversals, on its own for a link not built yet (Link.Adopt, when it is).

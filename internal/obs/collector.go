@@ -7,18 +7,8 @@ import (
 	"sync"
 )
 
-// Options selects observability for a testbed. The zero value (disabled)
-// is the default everywhere; enabling costs one pointer nil-check per
-// instrumented site plus the ring/registry memory.
-type Options struct {
-	// Enabled turns on metric and trace collection.
-	Enabled bool
-	// TraceCap bounds the per-shard event ring. 0 means DefaultTraceCap.
-	TraceCap int
-}
-
-// DefaultTraceCap is the per-shard trace ring size when Options.TraceCap
-// is zero: large enough to hold a quick campaign's full event stream,
+// DefaultTraceCap is the per-shard trace ring size NewSink(0) gives:
+// large enough to hold a quick campaign's full event stream,
 // small enough (~1.5 MB per shard) to be negligible.
 const DefaultTraceCap = 1 << 15
 

@@ -25,7 +25,7 @@ import (
 	"starlinkperf/internal/tcpsim"
 )
 
-// pepObs caches the proxy's metric handles; nil when disabled.
+// pepObs caches the proxy's metric handles; nil when unobserved.
 type pepObs struct {
 	tr      *obs.Tracer
 	subj    obs.Subj
@@ -58,8 +58,8 @@ type legRef struct {
 	role legRole
 }
 
-// Proxy is the PEP device. Attach it to the node all client↔server
-// traffic transits (the teleport).
+// Proxy is the PEP device on the node all client↔server traffic
+// transits (the teleport); Attach builds one there.
 type Proxy struct {
 	// Config is used for both legs (TLSRounds is forced to 0: the PEP
 	// splits TCP, never TLS).
@@ -85,28 +85,26 @@ type Proxy struct {
 	Relayed uint64
 }
 
-// Observe attaches metrics and splice trace events to the proxy under
-// the given subject name (e.g. "pep/teleport"). The proxy's legs pick up
-// TCP-level instrumentation separately through Config.Obs. A nil sink is
-// a no-op.
-func (p *Proxy) Observe(s *obs.Sink, name string) {
-	if s == nil {
-		return
-	}
-	reg, tr := s.Registry(), s.Tracer()
-	p.obs = &pepObs{
-		tr:      tr,
-		subj:    tr.Subject(name),
-		splits:  reg.Counter("pep.splits"),
-		relayed: reg.Counter("pep.relayed_bytes"),
-		flows:   reg.Gauge("pep.active_flows"),
-	}
-}
-
-// New returns a PEP with the given leg configuration.
-func New(cfg tcpsim.Config) *Proxy {
+// Attach builds a PEP with the given leg configuration and attaches it
+// to node as a device. On an observed network the proxy registers its
+// metrics and splice trace subject ("pep/<node>") at once, so a proxy
+// that never splits still reports zeros; its legs report as any TCP
+// connection on the network does.
+func Attach(node *netem.Node, cfg tcpsim.Config) *Proxy {
 	cfg.TLSRounds = 0
-	return &Proxy{Config: cfg, legs: make(map[flowKey]legRef)}
+	p := &Proxy{Config: cfg, legs: make(map[flowKey]legRef)}
+	if s := node.Network().Sink(); s != nil {
+		reg, tr := s.Registry(), s.Tracer()
+		p.obs = &pepObs{
+			tr:      tr,
+			subj:    tr.Subject("pep/" + node.Name()),
+			splits:  reg.Counter("pep.splits"),
+			relayed: reg.Counter("pep.relayed_bytes"),
+			flows:   reg.Gauge("pep.active_flows"),
+		}
+	}
+	node.AttachDevice(p)
+	return p
 }
 
 func keyOf(pkt *netem.Packet) flowKey {
@@ -183,13 +181,15 @@ func (p *Proxy) split(node *netem.Node, syn *netem.Packet, key flowKey) {
 
 	// Backpressure: each leg's advertised window shrinks by the bytes
 	// its relay twin has not yet pushed out, and window updates flow as
-	// the twin drains.
+	// the twin drains. The window to close is the leg's own largest one,
+	// after tcpsim's defaults: a zero MaxRcvWnd is 6 MiB there, not 0.
 	maxBacklog := p.MaxBacklog
 	if maxBacklog <= 0 {
 		maxBacklog = 8 << 20
 	}
-	f.clientLeg.BacklogFn = func() int { return scaleBacklog(f.serverLeg.Backlog(), maxBacklog, int(p.Config.MaxRcvWnd)) }
-	f.serverLeg.BacklogFn = func() int { return scaleBacklog(f.clientLeg.Backlog(), maxBacklog, int(p.Config.MaxRcvWnd)) }
+	cliWnd, srvWnd := int(f.clientLeg.Config().MaxRcvWnd), int(f.serverLeg.Config().MaxRcvWnd)
+	f.clientLeg.BacklogFn = func() int { return scaleBacklog(f.serverLeg.Backlog(), maxBacklog, cliWnd) }
+	f.serverLeg.BacklogFn = func() int { return scaleBacklog(f.clientLeg.Backlog(), maxBacklog, srvWnd) }
 	// Window updates as the twin drains, throttled so the updates do
 	// not saturate thin return paths.
 	sched := node.Scheduler()

@@ -1,11 +1,13 @@
 package pep
 
 import (
+	"bytes"
 	"testing"
 	"time"
 
 	"starlinkperf/internal/cc"
 	"starlinkperf/internal/netem"
+	"starlinkperf/internal/obs"
 	"starlinkperf/internal/quic"
 	"starlinkperf/internal/sim"
 	"starlinkperf/internal/tcpsim"
@@ -48,9 +50,8 @@ func geoTopo(t *testing.T, withPEP bool) (*sim.Scheduler, *netem.Node, *netem.No
 		cfg.MaxRcvWnd = 64 << 20
 		cfg.FastOpen = true
 		cfg.NewCC = func(mss int) cc.CongestionController { return cc.NewFixed(8 << 20) }
-		proxy = New(cfg)
-		modem.AttachDevice(proxy)
-		teleport.AttachDevice(New(cfg))
+		proxy = Attach(modem, cfg)
+		Attach(teleport, cfg)
 	}
 	return s, client, server, proxy
 }
@@ -210,5 +211,84 @@ func TestPEPMatchRestriction(t *testing.T) {
 	// The non-split flow pays the full e2e handshake.
 	if c8443.SetupTime() <= c80.SetupTime() {
 		t.Error("unsplit flow should have a slower TCP setup")
+	}
+}
+
+// TestAttachOnObservedNetworkRegistersBeforeSplit: a proxy on an observed
+// network reports from the moment it is attached, so a proxy no flow ever
+// crosses still exports its pep.* keys (as zeros) and its trace subject.
+func TestAttachOnObservedNetworkRegistersBeforeSplit(t *testing.T) {
+	nw := netem.New(sim.NewScheduler(1))
+	sink := obs.NewSink(0)
+	nw.Observe(sink)
+	Attach(nw.NewNode("teleport", netem.MustParseAddr("10.2.0.1")), tcpsim.Config{})
+
+	snap := sink.Registry().Snapshot()
+	for _, key := range []string{"pep.splits", "pep.relayed_bytes", "pep.active_flows.max"} {
+		if v, ok := snap[key]; !ok || v != 0 {
+			t.Errorf("%s = %v (registered %v), want a registered 0", key, v, ok)
+		}
+	}
+	col := obs.NewCollector()
+	col.Add("shard", sink)
+	if !bytes.Contains(col.ExportTraceBinary(), []byte("pep/teleport")) {
+		t.Error(`trace subject "pep/teleport" not registered at attach`)
+	}
+}
+
+// TestBackpressureWithZeroConfig: a proxy built from a zero tcpsim.Config
+// runs its legs with tcpsim's default 6 MiB receive window, and that is
+// the window its backpressure must close. A fast client uploads through
+// the proxy to a server behind a thin link; the relay backlog may
+// overshoot MaxBacklog by at most one window in flight, never grow with
+// the transfer.
+func TestBackpressureWithZeroConfig(t *testing.T) {
+	s := sim.NewScheduler(3)
+	nw := netem.New(s)
+	client := nw.NewNode("client", netem.MustParseAddr("10.1.0.2"))
+	proxyNode := nw.NewNode("pep", netem.MustParseAddr("10.1.0.1"))
+	server := nw.NewNode("server", netem.MustParseAddr("10.3.0.1"))
+	fast := netem.LinkConfig{RateBps: 1e9, Delay: netem.ConstantDelay(time.Millisecond), QueueBytes: 4 << 20}
+	thin := netem.LinkConfig{RateBps: 20e6, Delay: netem.ConstantDelay(5 * time.Millisecond), QueueBytes: 256 << 10}
+	c2p, p2c := nw.Connect(client, proxyNode, fast)
+	p2s, s2p := nw.Connect(proxyNode, server, thin)
+	client.SetDefaultRoute(c2p)
+	proxyNode.AddRoute(client.Addr(), p2c)
+	proxyNode.AddRoute(server.Addr(), p2s)
+	server.SetDefaultRoute(s2p)
+
+	proxy := Attach(proxyNode, tcpsim.Config{})
+	proxy.MaxBacklog = 512 << 10
+	window := int(tcpsim.DefaultConfig().MaxRcvWnd)
+
+	const total = 16 << 20
+	received := 0
+	tcpsim.Listen(server, 80, tcpsim.Config{}, func(sc *tcpsim.Conn) {
+		sc.OnData = func(n int, _ bool) { received += n }
+	})
+	c := tcpsim.Dial(client, server.Addr(), 80, tcpsim.Config{})
+	c.OnEstablished = func() {
+		c.Write(total)
+		c.Close()
+	}
+	peak := 0
+	var sample func()
+	sample = func() {
+		for _, ref := range proxy.legs {
+			peak = max(peak, ref.flow.clientLeg.Backlog(), ref.flow.serverLeg.Backlog())
+		}
+		s.After(5*time.Millisecond, sample)
+	}
+	s.After(0, sample)
+	s.RunFor(20 * time.Second)
+
+	if received != total {
+		t.Fatalf("server received %d/%d bytes", received, total)
+	}
+	if peak <= proxy.MaxBacklog/2 {
+		t.Fatalf("relay backlog peaked at %d bytes: the thin link never pressed back", peak)
+	}
+	if limit := proxy.MaxBacklog + window; peak > limit {
+		t.Errorf("relay backlog peaked at %d bytes, want <= MaxBacklog + window = %d", peak, limit)
 	}
 }

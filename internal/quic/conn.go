@@ -10,7 +10,7 @@ import (
 )
 
 // quicObs caches the metric handles a connection writes into, all
-// pointing at the shared per-testbed registry/tracer.
+// pointing at the shared registry/tracer of the network's sink.
 type quicObs struct {
 	tr       *obs.Tracer
 	subj     obs.Subj
@@ -81,9 +81,6 @@ type Config struct {
 	// or outage induces — instead of stranding replies at the stale
 	// mapping until the connection times out.
 	AllowMigration bool
-	// Obs, when non-nil, reports loss/PTO counters, trace events, and
-	// cwnd samples for every connection built with this config.
-	Obs *obs.Sink
 }
 
 // DefaultConfig returns the paper's quiche-equivalent configuration.
@@ -261,7 +258,7 @@ func newConnection(ep *Endpoint, cfg Config, isClient bool, connID uint64, remot
 		maxDataRemote: cfg.InitialMaxData, // peers use symmetric configs in the testbed
 		streams:       make(map[uint64]*Stream),
 		activeSet:     make(map[uint64]bool),
-		obs:           newQUICObs(cfg.Obs),
+		obs:           newQUICObs(ep.node.Network().Sink()),
 	}
 	c.rtt.MinWindow = cfg.RTTMinWindow
 	if isClient {

@@ -234,36 +234,6 @@ func (e *ECDF) Points(n int) []Point {
 // Point is a generic (x, y) sample of a curve.
 type Point struct{ X, Y float64 }
 
-// Histogram counts samples into equal-width bins over [lo, hi).
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int
-	Under  int // samples < Lo
-	Over   int // samples >= Hi
-	Total  int
-}
-
-// NewHistogram builds a histogram of xs with the given bin count.
-func NewHistogram(xs []float64, lo, hi float64, bins int) *Histogram {
-	if bins <= 0 || hi <= lo {
-		return &Histogram{Lo: lo, Hi: hi}
-	}
-	h := &Histogram{Lo: lo, Hi: hi, Counts: make([]int, bins)}
-	width := (hi - lo) / float64(bins)
-	for _, x := range xs {
-		h.Total++
-		switch {
-		case x < lo:
-			h.Under++
-		case x >= hi:
-			h.Over++
-		default:
-			h.Counts[int((x-lo)/width)]++
-		}
-	}
-	return h
-}
-
 // CountBursts turns a slice of integer burst lengths into an ECDF over
 // lengths, the form Figure 4 reports.
 func CountBursts(lengths []int) *ECDF {

@@ -147,22 +147,6 @@ func TestECDFPoints(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram([]float64{-1, 0, 0.5, 1, 5, 9.99, 10, 42}, 0, 10, 10)
-	if h.Under != 1 || h.Over != 2 {
-		t.Fatalf("under/over = %d/%d", h.Under, h.Over)
-	}
-	if h.Counts[0] != 2 { // 0 and 0.5
-		t.Fatalf("bin0 = %d", h.Counts[0])
-	}
-	if h.Counts[9] != 1 { // 9.99
-		t.Fatalf("bin9 = %d", h.Counts[9])
-	}
-	if h.Total != 8 {
-		t.Fatalf("total = %d", h.Total)
-	}
-}
-
 func TestMoodsMedianSameDistribution(t *testing.T) {
 	r := rand.New(rand.NewPCG(5, 6))
 	groups := make([][]float64, 8)

@@ -12,8 +12,8 @@ import (
 )
 
 // tcpObs caches the metric handles a connection writes into; one is
-// built per connection from Config.Obs, all pointing at the same shared
-// registry/tracer, so counters aggregate across connections.
+// built per connection from its network's sink, all pointing at the same
+// shared registry/tracer, so counters aggregate across connections.
 type tcpObs struct {
 	tr       *obs.Tracer
 	subj     obs.Subj
@@ -22,7 +22,13 @@ type tcpObs struct {
 	cwnd     *obs.Histogram
 }
 
-func newTCPObs(s *obs.Sink) *tcpObs {
+// newTCPObs returns the handles of a connection on node: nil —
+// unobserved — without a node or on a network nobody observes.
+func newTCPObs(node *netem.Node) *tcpObs {
+	if node == nil {
+		return nil
+	}
+	s := node.Network().Sink()
 	if s == nil {
 		return nil
 	}
@@ -76,11 +82,6 @@ type Config struct {
 	// RTTMinWindow bounds the age of the RTT estimator's minimum filter
 	// (see cc.RTTEstimator.MinWindow). Zero keeps the all-time minimum.
 	RTTMinWindow time.Duration
-	// Obs, when non-nil, reports retransmission counters, RTO trace
-	// events, and cwnd samples for every connection built with this
-	// config. Disabled observability is the nil default: one pointer
-	// test per instrumented site.
-	Obs *obs.Sink
 }
 
 // DefaultConfig returns the paper-testbed TCP configuration.
@@ -238,7 +239,8 @@ type ConnParams struct {
 	Transmit func(*netem.Packet)
 	// Node, when set, identifies the node this endpoint lives on; the
 	// connection then draws packet wrappers and TCP segments from the
-	// network's pools instead of allocating per send.
+	// network's pools instead of allocating per send, and reports to the
+	// network's observability sink when it has one.
 	Node       *netem.Node
 	LocalAddr  netem.Addr
 	LocalPort  uint16
@@ -287,7 +289,7 @@ func NewConn(p ConnParams) *Conn {
 		rcvWnd:     cfg.InitialRcvWnd,
 		peerWnd:    cfg.InitialRcvWnd,
 		StartAt:    p.Sched.Now(),
-		obs:        newTCPObs(cfg.Obs),
+		obs:        newTCPObs(p.Node),
 	}
 	if c.pool != nil {
 		c.inflight = c.pool.getRing()
@@ -316,6 +318,10 @@ func NewConn(p ConnParams) *Conn {
 
 // State returns the connection state.
 func (c *Conn) State() State { return c.state }
+
+// Config returns the connection's configuration with the defaults
+// NewConn filled in.
+func (c *Conn) Config() Config { return c.cfg }
 
 // Ready reports whether the connection is usable for application data.
 func (c *Conn) Ready() bool { return c.tlsReady }
