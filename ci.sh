@@ -122,7 +122,8 @@ go test -race ./...
 echo "== allocation gates (0 allocs per event / packet / segment / epoch, no race detector)"
 # testing.AllocsPerRun under -race can count instrumentation allocations,
 # so the zero-allocation gates get a plain pass: the scheduler's timer
-# churn, the netem send->route->deliver, echo and transit paths, the QUIC
+# churn, the netem send->route->deliver, echo, transit and ICMP-error
+# (error, body and quote from the pools) paths, the QUIC
 # and TCP bulk-transfer cycles, and the fleet's per-epoch reassignment up
 # to the pooled 100k-terminal epoch. Any regression that puts an allocation
 # back on one of those paths fails here.

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"starlinkperf/internal/measure"
+	"starlinkperf/internal/netem"
 	"starlinkperf/internal/quic"
 	"starlinkperf/internal/sim"
 	"starlinkperf/internal/tcpsim"
@@ -66,9 +67,9 @@ type poolSnap struct{ pkt, seg, ring, wire sim.PoolStats }
 // that every object drawn from a pool — a packet, a TCP segment, a QUIC
 // wire buffer or reassembly chunk — is back in it once its packet reached
 // a terminal point (delivered, consumed by the PEP, dropped by a queue, a
-// loss model or an outage) or its data was delivered, unless something
-// kept referencing it: an ICMP error's quote, or a packet a holder
-// Detached. Gets == Puts + Shared, for every pool; for TCP in-flight
+// loss model or an outage; quoted by an ICMP error that did) or its data
+// was delivered, unless a holder Detached the packet carrying it (a
+// traceroute keeping a quote). Gets == Puts + Shared, for every pool; for TCP in-flight
 // rings, which nothing shares, that is every connection the stage opened
 // having closed. It returns the counters after each stage.
 func runPoolStages(t *testing.T, tb *Testbed, stages []poolStage) []poolSnap {
@@ -163,27 +164,46 @@ func TestWireBufferPoolConservation(t *testing.T) {
 }
 
 // Every TCP segment drawn from the network's pool, and every packet, is
-// back in it once its packet reached a terminal point, unless an ICMP
-// error quoted it (a late segment to a port already closed, a traceroute
-// probe), which takes it out of the pool for good; every in-flight ring is
-// back once its connection closed. Checked after each TCP campaign shape
-// and after pings and traceroutes, on one testbed.
+// back in it once its packet reached a terminal point — an ICMP error's
+// quote and the segment it quotes (a late segment to a port already
+// closed) included, since the error owns both; every in-flight ring is
+// back once its connection closed. The only packets kept are the quotes a
+// traceroute's hops hold. Checked after each TCP campaign shape, after
+// pings and after a Tracebox run, on one testbed.
 func TestSegmentPoolConservation(t *testing.T) {
 	tb := NewTestbed(DefaultConfig())
+	// Count the errors that quote a segment where they land: data a
+	// speedtest server sends after the client aborted.
+	quotedSegs := 0
+	for _, name := range []string{"ookla-bru", "ookla-ams"} {
+		tb.Net.NodeByName(name).Bind(netem.ProtoICMP, 0, func(p *netem.Packet) {
+			if ic, ok := p.Payload.(*netem.ICMP); ok && ic.Quoted != nil {
+				if _, ok := ic.Quoted.Payload.(*tcpsim.Segment); ok {
+					quotedSegs++
+				}
+			}
+		})
+	}
 	var tcp tcpRun
-	stages := append(tcpStages(tb, &tcp), poolStage{name: "ping/traceroute", run: func() {
-		tb.RunLatencyCampaign(30*time.Minute, 5*time.Minute)
-		tb.RunMiddleboxAudit(TechStarlink)
-	}})
+	var hops []measure.TraceboxHop
+	stages := append(tcpStages(tb, &tcp),
+		poolStage{name: "ping", run: func() { tb.RunLatencyCampaign(30*time.Minute, 5*time.Minute) }},
+		poolStage{name: "tracebox", run: func() {
+			measure.NewProber(tb.PCStarlink).Tracebox(tb.UCLServer.Addr(), 24, func(h []measure.TraceboxHop) { hops = h })
+			tb.Sched.RunFor(3 * time.Minute)
+			tb.PCStarlink.Unbind(netem.ProtoICMP, 0)
+		}},
+		// The audit's PEP probe: TTL-limited SYNs, quoted on expiry.
+		poolStage{name: "middlebox audit", run: func() { tb.RunMiddleboxAudit(TechStarlink) }})
 	snaps := runPoolStages(t, tb, stages)
 	tcp.check(t)
 
 	// The segment pool outlives its connections: the speedtests filled it,
-	// so the connections Wehe dials afterwards (stage 2) allocate a segment
-	// only to replace one an ICMP quote took away.
+	// so the connections Wehe dials afterwards (stage 2) allocate no
+	// segment of their own.
 	seg, prev := snaps[2].seg, snaps[1].seg
-	if misses, shared := (seg.Gets-seg.Hits)-(prev.Gets-prev.Hits), seg.Shared-prev.Shared; misses > shared {
-		t.Errorf("wehe allocated %d segments (%d shared) from a pool the speedtests had filled", misses, shared)
+	if misses := (seg.Gets - seg.Hits) - (prev.Gets - prev.Hits); misses != 0 {
+		t.Errorf("wehe allocated %d segments from a pool the speedtests had filled", misses)
 	}
 	// So do the in-flight rings: each connection Wehe dials takes one a
 	// speedtest connection grew and gave back.
@@ -193,15 +213,29 @@ func TestSegmentPoolConservation(t *testing.T) {
 	}
 	last := snaps[len(snaps)-1]
 
-	// Every path back to the pool and out of it is covered.
+	// Every path back to the pool is covered, the quote's included: the
+	// SatCom speedtest's late segments draw DestUnreachable errors, whose
+	// quotes go home with them.
 	if last.seg.HitRate() < 0.98 {
 		t.Errorf("only %.1f%% of %d segments came from the freelist", 100*last.seg.HitRate(), last.seg.Gets)
 	}
-	if last.seg.Shared == 0 {
-		t.Error("no segment was quoted by an ICMP error: the shared path is not covered")
+	if quotedSegs == 0 {
+		t.Error("no ICMP error quoted a segment: the quote path is not covered")
 	}
-	if last.pkt.Shared == 0 {
-		t.Error("no packet was quoted by an ICMP error: the shared path is not covered")
+	pings, tracebox := snaps[len(snaps)-3], snaps[len(snaps)-2]
+	if pings.pkt.Shared != 0 || pings.seg.Shared != 0 {
+		t.Errorf("after the TCP campaigns and pings %d packets and %d segments were kept; nothing keeps one",
+			pings.pkt.Shared, pings.seg.Shared)
+	}
+	kept := uint64(0)
+	for _, h := range hops {
+		if h.Quoted != nil {
+			kept++
+		}
+	}
+	if kept == 0 || tracebox.pkt.Shared != kept || last.seg.Shared != 0 {
+		t.Errorf("Tracebox kept %d quotes; the packet pool counts %d Shared and the segment pool %d, want %d and 0",
+			kept, tracebox.pkt.Shared, last.seg.Shared, kept)
 	}
 
 	// A network in no-recycle mode never reuses anything: packets are plain

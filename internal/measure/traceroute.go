@@ -60,6 +60,11 @@ func (p *Prober) Traceroute(dst netem.Addr, maxTTL int, done func([]Hop)) {
 			timeout.Stop()
 			p.errCB = nil
 			icmp := pkt.Payload.(*netem.ICMP)
+			// The hop keeps the quote past delivery, where the error and
+			// what it owns return to the pools: take it out of them.
+			if icmp.Quoted != nil {
+				icmp.Quoted.Detach()
+			}
 			h := Hop{
 				TTL:     ttl,
 				Addr:    pkt.Src,
@@ -221,8 +226,8 @@ func (p *Prober) DetectPEP(dst netem.Addr, port uint16, maxTTL int, done func(PE
 			pkt.Proto = netem.ProtoTCP
 			pkt.Size = 60
 			pkt.TTL = ttl
-			// The segment stays a literal: probes are rare and the reply
-			// path quotes them, so pooling buys nothing here.
+			// The segment stays a literal: probes are rare, so pooling
+			// buys nothing here.
 			pkt.Payload = &tcpsim.Segment{Flags: tcpsim.FlagSYN, Wnd: 65535}
 			p.node.Send(pkt)
 		}

@@ -147,7 +147,7 @@ func TestNATICMPErrorTranslation(t *testing.T) {
 	// packet (the Tracebox observable).
 	s, client, _, _ := topo(t)
 	var icmpErr *netem.Packet
-	client.Bind(netem.ProtoICMP, 0, func(p *netem.Packet) { icmpErr = p })
+	client.Bind(netem.ProtoICMP, 0, func(p *netem.Packet) { p.Detach(); icmpErr = p })
 	client.Send(&netem.Packet{
 		Dst: netem.MustParseAddr("8.8.8.8"), DstPort: 33434, SrcPort: 6000,
 		Proto: netem.ProtoUDP, Size: 60, TTL: 2, // expires at core

@@ -103,6 +103,42 @@ func TestAllocGateTransitForward(t *testing.T) {
 	})
 }
 
+// countedPayload stands in for a pooled payload (a TCP segment): it
+// counts the times the datapath gives it back.
+type countedPayload struct{ released int }
+
+func (p *countedPayload) ReleasePayload() { p.released++ }
+
+// An unreachable-port and TTL-expiry storm must not allocate in steady
+// state: every error, its body and its quote come from the pools, and all
+// of them — the quoted payload too — go back when the error is consumed.
+func TestAllocGateICMPErrors(t *testing.T) {
+	s, nw, a, c := allocChain(t)
+	errs := 0
+	a.Bind(ProtoICMP, 0, func(p *Packet) {
+		if ic := p.Payload.(*ICMP); ic.Quoted != nil {
+			errs++
+		}
+	})
+	payload := &countedPayload{}
+	gateAllocs(t, "icmp-errors", func() {
+		for i := 0; i < 8; i++ {
+			pkt := nw.NewPacket()
+			pkt.Dst, pkt.DstPort, pkt.Proto, pkt.Size = c.Addr(), 4242, ProtoUDP, 1200
+			pkt.TTL = 1 + i%2 // odd packets expire at the middle hop
+			pkt.Payload = payload
+			a.Send(pkt)
+		}
+		s.Run()
+	})
+	if errs == 0 || payload.released != errs {
+		t.Fatalf("%d errors came back and %d quoted payloads were released", errs, payload.released)
+	}
+	if st := nw.PoolStats(); st.Gets != st.Puts || st.Shared != 0 {
+		t.Fatalf("packet pool %+v after the storm, want every packet back", st)
+	}
+}
+
 // BenchmarkPacketPath measures the steady-state cost of one packet
 // traversing the 3-node chain end to end (two link hops, one transit
 // forward, final delivery). Must report 0 allocs/op.

@@ -308,7 +308,7 @@ func TestTTLExpiryGeneratesTimeExceeded(t *testing.T) {
 	src := nodes[0]
 
 	var reply *Packet
-	src.Bind(ProtoICMP, 0, func(p *Packet) { reply = p })
+	src.Bind(ProtoICMP, 0, func(p *Packet) { p.Detach(); reply = p })
 
 	src.Send(&Packet{Dst: nodes[3].Addr(), DstPort: 33434, Proto: ProtoUDP, Size: 60, TTL: 2})
 	s.Run()
@@ -355,7 +355,7 @@ func TestDestUnreachableWhenNoListener(t *testing.T) {
 	nodes := buildChain(nw, 2, time.Millisecond)
 
 	var reply *Packet
-	nodes[0].Bind(ProtoICMP, 0, func(p *Packet) { reply = p })
+	nodes[0].Bind(ProtoICMP, 0, func(p *Packet) { p.Detach(); reply = p })
 	nodes[0].Send(&Packet{Dst: nodes[1].Addr(), DstPort: 4242, Proto: ProtoUDP, Size: 60})
 	s.Run()
 
@@ -372,7 +372,7 @@ func TestNoRouteAnswersUnreachable(t *testing.T) {
 	nodes := buildChain(nw, 2, time.Millisecond)
 	// Node 1 has no route for 10.9.9.9 and no default.
 	var reply *Packet
-	nodes[0].Bind(ProtoICMP, 0, func(p *Packet) { reply = p })
+	nodes[0].Bind(ProtoICMP, 0, func(p *Packet) { p.Detach(); reply = p })
 	nodes[0].Send(&Packet{Dst: MustParseAddr("10.9.9.9"), DstPort: 1, Proto: ProtoUDP, Size: 60})
 	s.Run()
 	if reply == nil {

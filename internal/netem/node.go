@@ -153,8 +153,7 @@ func (n *Node) receive(pkt *Packet) {
 	pkt.TTL--
 	if pkt.TTL <= 0 {
 		n.sendICMPError(pkt, ICMPTimeExceeded)
-		// The quote above shares the payload, so only the wrapper can
-		// return to the pool.
+		// The quote took the payload, so only the wrapper is left.
 		n.net.releasePacket(pkt)
 		return
 	}
@@ -185,8 +184,7 @@ func (n *Node) deliver(pkt *Packet) {
 	if h := n.lookupHandler(pkt.Proto, pkt.DstPort); h != nil {
 		h(pkt)
 		// Handlers consume synchronously; anything they keep (the quoted
-		// probe of an ICMP error, a whole error message) is excluded by
-		// the release policy or must be Detached.
+		// probe of an ICMP error, a whole error message) must be Detached.
 		n.net.releaseConsumed(pkt)
 		return
 	}
@@ -194,7 +192,7 @@ func (n *Node) deliver(pkt *Packet) {
 	// port unreachable; the emulator folds both into DestUnreachable.
 	if pkt.Proto != ProtoICMP {
 		n.sendICMPError(pkt, ICMPDestUnreachable)
-		n.net.releasePacket(pkt) // quote shares the payload: wrapper only
+		n.net.releasePacket(pkt) // the quote took the payload: wrapper only
 		return
 	}
 	n.net.releaseConsumed(pkt)
@@ -210,16 +208,16 @@ func (n *Node) sendICMPError(offending *Packet, t ICMPType) {
 			return // never ICMP-error an ICMP error
 		}
 	}
-	// Traceroute keeps the quote: it leaves the pool (Shared) with any ICMP
-	// body it shares, which the wrapper-only release of offending never freed.
-	quote := offending.Clone()
-	quote.Detach()
-	n.Send(&Packet{
-		Dst:     offending.Src,
-		Proto:   ProtoICMP,
-		Size:    64,
-		Payload: &ICMP{Type: t, Quoted: quote},
-	})
+	// The error, its body and its quote come from the pools; the quote
+	// takes offending's payload, so callers release only its wrapper.
+	quote := n.net.NewPacket()
+	offending.copyTo(quote)
+	offending.Payload = nil
+	body := n.net.NewICMP()
+	body.Type, body.Quoted = t, quote
+	msg := n.net.NewPacket()
+	msg.Dst, msg.Proto, msg.Size, msg.Payload = offending.Src, ProtoICMP, 64, body
+	n.Send(msg)
 }
 
 // route forwards pkt out of the best matching route. Packets without a
@@ -245,7 +243,7 @@ func (n *Node) route(pkt *Packet) {
 	}
 	if pkt.Src != n.addr {
 		n.sendICMPError(pkt, ICMPDestUnreachable)
-		n.net.releasePacket(pkt) // quote shares the payload: wrapper only
+		n.net.releasePacket(pkt) // the quote took the payload: wrapper only
 		return
 	}
 	n.net.releaseConsumed(pkt)

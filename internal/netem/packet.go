@@ -68,17 +68,24 @@ func (p *Packet) Gen() uint32 { return p.gen }
 // Pooled reports whether the packet belongs to a network's packet pool.
 func (p *Packet) Pooled() bool { return p.owner != nil }
 
-// Detach removes the packet — and a pooled ICMP payload — from its pool,
-// so every later release is a no-op and the value behaves like a plain
-// allocation. Handlers or devices that retain a delivered packet past
-// their synchronous call must detach it first. The pool counts it Shared.
+// Detach removes the packet and its pooled payload from their pools, so
+// every later release is a no-op and the value behaves like a plain
+// allocation. Detaching an ICMP error detaches its quote too. Handlers or
+// devices that retain a delivered packet past their synchronous call must
+// detach it first. The pool counts it Shared.
 func (p *Packet) Detach() {
 	if p.owner != nil && !p.inPool {
 		p.owner.pktFree.Share()
 	}
 	p.owner = nil
-	if ic, ok := p.Payload.(*ICMP); ok {
-		ic.owner = nil
+	switch pl := p.Payload.(type) {
+	case *ICMP:
+		pl.owner = nil
+		if pl.Quoted != nil {
+			pl.Quoted.Detach()
+		}
+	case PayloadSharer:
+		pl.SharePayload()
 	}
 }
 
@@ -116,10 +123,16 @@ func (p *Packet) Clone() *Packet {
 	} else {
 		q = &Packet{}
 	}
+	p.copyTo(q)
+	return q
+}
+
+// copyTo copies p's header and payload reference into q, which keeps its
+// own pool identity.
+func (p *Packet) copyTo(q *Packet) {
 	owner, gen := q.owner, q.gen
 	*q = *p
 	q.owner, q.gen, q.inPool = owner, gen, false
-	return q
 }
 
 // ICMPType enumerates the ICMP-like messages the emulator itself
@@ -159,9 +172,8 @@ type ICMP struct {
 	Quoted *Packet // for TimeExceeded / DestUnreachable
 	Data   any     // opaque echo payload
 
-	// Pool bookkeeping, mirroring Packet's (see pool.go). Bodies carrying
-	// a quote are never recycled: the quote — often the whole message —
-	// outlives delivery in traceroute and the tests.
+	// Pool bookkeeping, mirroring Packet's (see pool.go). The body owns
+	// its quote: both return to the pools when the message is released.
 	owner  *Network
 	pooled bool
 }

@@ -11,14 +11,15 @@ import "starlinkperf/internal/sim"
 //     (after the bound handler or echo responder returns), device
 //     consumption, link drop, TTL expiry, or no-route — via the release
 //     helpers below.
-//   - Payloads are released together with the wrapper only when they are
-//     provably unshared: *ICMP bodies without a quote go back to the ICMP
-//     freelist, PayloadReleaser payloads (TCP segments, QUIC wire buffers)
-//     return to their owner, and everything else is left to the GC.
-//   - ICMP messages whose payload quotes another packet are never
-//     recycled: traceroute/Tracebox (and tests) retain the quote — and
-//     often the whole error packet — long after delivery. Both are
-//     Detached, so the pool counts them as Shared.
+//   - Payloads are released together with the wrapper: *ICMP bodies go
+//     back to the ICMP freelist, PayloadReleaser payloads (TCP segments,
+//     QUIC wire buffers) return to their owner, and everything else is
+//     left to the GC.
+//   - An ICMP error owns its quote, and the quote owns the offending
+//     packet's payload (sendICMPError moves it, it does not share it), so
+//     releasing the error releases the quote and its payload too. A
+//     holder that keeps the quote past delivery (traceroute/Tracebox)
+//     Detaches it, and what it keeps counts as Shared.
 //
 // Safety comes from ownership checks rather than trust: releasing a
 // foreign packet (owner nil or another network), releasing twice, or
@@ -43,15 +44,16 @@ type PayloadReleaser interface {
 
 // PayloadSharer is implemented by pooled payloads whose bytes are
 // rewritten on reuse. Packet.Clone calls SharePayload before a second
-// packet starts referencing the payload (an ICMP quote, a duplicating
-// device); the implementation leaves its pool for good, so neither
-// packet's terminal point can recycle it under the other.
+// packet starts referencing the payload (a duplicating device), and
+// Packet.Detach when a holder keeps it (a kept ICMP quote); the
+// implementation leaves its pool for good, so no terminal point can
+// recycle it under a holder.
 type PayloadSharer interface {
 	SharePayload()
 }
 
 // PoolStats counts packet-pool traffic; Shared counts Detached packets,
-// ICMP quotes among them.
+// kept ICMP quotes among them.
 type PoolStats = sim.PoolStats
 
 // PoolStats returns a copy of the packet-pool counters.
@@ -109,21 +111,16 @@ func (nw *Network) releasePacket(p *Packet) {
 	nw.pktFree.Put(p)
 }
 
-// releaseConsumed recycles a packet that reached a terminal point with
-// its payload unshared: final delivery, device consumption, or a link
-// drop. Payloads are recycled by type per the policy above; error
-// messages carrying a quote are left entirely to the GC because callers
-// retain them.
+// releaseConsumed recycles a packet that reached a terminal point, with
+// its payload per the policy above: an ICMP error's quote goes first, so
+// the quoted segment, wire buffer or ICMP body goes home with it.
 func (nw *Network) releaseConsumed(p *Packet) {
 	if p == nil || p.owner != nw || p.inPool {
 		return
 	}
 	switch pl := p.Payload.(type) {
 	case *ICMP:
-		if pl.Quoted != nil {
-			p.Detach()
-			return
-		}
+		nw.releaseConsumed(pl.Quoted)
 		nw.releaseICMP(pl)
 	case PayloadReleaser:
 		pl.ReleasePayload()

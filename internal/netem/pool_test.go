@@ -85,19 +85,63 @@ func TestDetachRemovesFromPool(t *testing.T) {
 	}
 }
 
-func TestQuotedICMPNeverRecycled(t *testing.T) {
+// An ICMP error owns its quote and the quote its payload: releasing the
+// error returns all of them to their pools, the quoted payload first.
+func TestQuotedICMPRecycledWithItsError(t *testing.T) {
 	_, nw := testNet(t)
-	p := nw.NewPacket()
+	payload := &sharedOncePayload{}
+	quote := nw.NewPacket()
+	quote.ID, quote.Payload = 99, payload
 	ic := nw.NewICMP()
-	ic.Type = ICMPTimeExceeded
-	ic.Quoted = &Packet{ID: 99}
+	ic.Type, ic.Quoted = ICMPTimeExceeded, quote
+	p := nw.NewPacket()
 	p.Payload = ic
 	nw.releaseConsumed(p)
-	if len(nw.pktFree.All()) != 0 || len(nw.icmpFree.All()) != 0 {
-		t.Fatal("error message carrying a quote must be left to the GC")
+	if len(nw.pktFree.All()) != 2 || len(nw.icmpFree.All()) != 1 || !payload.released {
+		t.Fatalf("error, quote or quoted payload not recycled: %d packets, %d bodies, payload %+v",
+			len(nw.pktFree.All()), len(nw.icmpFree.All()), payload)
 	}
-	if ic.Quoted == nil || ic.Quoted.ID != 99 {
-		t.Fatal("quote scrubbed")
+	if st := nw.PoolStats(); st.Gets != st.Puts || st.Shared != 0 {
+		t.Fatalf("pool counters %+v, want every draw returned", st)
+	}
+}
+
+// Detaching an ICMP error detaches its quote and shares the quoted
+// payload out, so the holder keeps all of it intact and the pool counts
+// both packets Shared.
+func TestDetachedErrorKeepsItsQuote(t *testing.T) {
+	_, nw := testNet(t)
+	payload := &sharedOncePayload{}
+	quote := nw.NewPacket()
+	quote.ID, quote.Payload = 99, payload
+	ic := nw.NewICMP()
+	ic.Type, ic.Quoted = ICMPTimeExceeded, quote
+	p := nw.NewPacket()
+	p.Payload = ic
+	p.Detach()
+	nw.releaseConsumed(p)
+	if len(nw.pktFree.All()) != 0 || len(nw.icmpFree.All()) != 0 {
+		t.Fatal("a detached error returned its body or quote to the pool")
+	}
+	if ic.Quoted != quote || quote.ID != 99 || quote.Pooled() || !payload.shared || payload.released {
+		t.Fatalf("quote %+v or its payload %+v not kept", quote, payload)
+	}
+	if st := nw.PoolStats(); st.Gets != st.Puts+st.Shared || st.Shared != 2 {
+		t.Fatalf("pool counters %+v, want the error and its quote Shared", st)
+	}
+
+	// Detaching only the quote keeps it; the error around it goes home.
+	quote = nw.NewPacket()
+	quote.ID = 7
+	ic = nw.NewICMP()
+	ic.Type, ic.Quoted = ICMPDestUnreachable, quote
+	p = nw.NewPacket()
+	p.Payload = ic
+	quote.Detach()
+	nw.releaseConsumed(p)
+	if quote.ID != 7 || len(nw.pktFree.All()) != 1 || len(nw.icmpFree.All()) != 1 {
+		t.Fatalf("kept quote %+v; %d packets, %d bodies pooled, want the error's 1 and 1",
+			quote, len(nw.pktFree.All()), len(nw.icmpFree.All()))
 	}
 }
 
@@ -218,7 +262,7 @@ func TestQuotedPacketKeepsProbeID(t *testing.T) {
 	nodes := buildChain(nw, 4, time.Millisecond)
 
 	var reply *Packet
-	nodes[0].Bind(ProtoICMP, 0, func(p *Packet) { reply = p })
+	nodes[0].Bind(ProtoICMP, 0, func(p *Packet) { p.Detach(); reply = p })
 
 	probe := nw.NewPacket()
 	probe.Dst = nodes[3].Addr()
@@ -251,9 +295,10 @@ func TestQuotedPacketKeepsProbeID(t *testing.T) {
 }
 
 // A pooled echo request whose TTL expires is quoted in the TimeExceeded
-// with its ICMP body shared, not copied. The quote is Detached, body
-// included, so the body never returns to the freelist: ICMP bodies drawn
-// afterwards are fresh, and the quote a traceroute keeps stays intact.
+// with its ICMP body moved, not copied: the quote owns it. A handler that
+// keeps the error Detaches it, quote and body included, so the body never
+// returns to the freelist: ICMP bodies drawn afterwards are fresh, and the
+// quote a traceroute keeps stays intact.
 func TestExpiredEchoQuoteKeepsItsBody(t *testing.T) {
 	s, nw := testNet(t)
 	nodes := buildChain(nw, 4, time.Millisecond)
@@ -261,6 +306,7 @@ func TestExpiredEchoQuoteKeepsItsBody(t *testing.T) {
 	var reply *Packet
 	nodes[0].Bind(ProtoICMP, 0, func(p *Packet) {
 		if ic := p.Payload.(*ICMP); ic.Type == ICMPTimeExceeded {
+			p.Detach()
 			reply = p
 		}
 	})

@@ -44,6 +44,9 @@ func (b *Ranges) Insert(start, end uint64) {
 		return
 	}
 	i := b.search(start)
+	if i < len(rs) && rs[i].Start <= start && end <= rs[i].End {
+		return // already inside one span: the common re-sent SACK block
+	}
 	j := i // one past the run [i, j) the new span overlaps or touches
 	for ; j < len(rs) && rs[j].Start <= end; j++ {
 		start = min(start, rs[j].Start)

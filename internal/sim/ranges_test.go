@@ -306,6 +306,10 @@ func FuzzRanges(f *testing.F) {
 	f.Add([]byte{0, 10, 20, 0, 30, 40, 0, 20, 30, 3, 10, 0})
 	f.Add([]byte{0, 10, 20, 0, 30, 40, 0, 50, 60, 0, 5, 70, 4, 33, 0, 5, 0, 9})
 	f.Add([]byte{1, 200, 255, 1, 0, 1, 2, 7, 0, 2, 9, 0, 2, 8, 0, 5, 0, 255, 3, 0, 0, 3, 200, 0})
+	// Blocks already inside one span, below the last (a re-sent SACK
+	// block), then one byte past either edge of it.
+	f.Add([]byte{0, 10, 20, 0, 30, 40, 0, 50, 60, 0, 32, 38, 0, 30, 40, 1, 10, 15, 2, 19, 0, 5, 30, 40,
+		0, 30, 41, 0, 29, 41, 5, 29, 41, 5, 11, 14})
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		var d rangesDiff
 		for ; len(prog) >= 3; prog = prog[3:] {

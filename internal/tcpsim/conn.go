@@ -843,6 +843,12 @@ func (c *Conn) HandleSegment(pkt *netem.Packet) {
 		return
 	}
 
+	if seg.Flags&FlagACK != 0 && seg.Ack > c.sndNxt {
+		// An ACK for data never sent: answer with an ACK and drop the
+		// segment (RFC 9293 §3.10.7.4).
+		c.sendAck()
+		return
+	}
 	if seg.Flags&FlagACK != 0 || seg.Len > 0 {
 		c.peerWnd = seg.Wnd
 	}
@@ -874,20 +880,20 @@ func (c *Conn) processAck(seg *Segment, now sim.Time) {
 			c.OnSendProgress()
 		}
 	}
+	// Only blocks ending in (sndUna, sndNxt] carry news; one past sndNxt
+	// would count bytes never sent as delivered (Linux's
+	// tcp_is_sackblock_valid).
+	maxD := seg.Ack
 	for _, b := range seg.Sack {
-		c.sacked.Insert(b.Start, b.End)
+		if c.sackValid(b) {
+			c.sacked.Insert(b.Start, b.End)
+			maxD = max(maxD, b.End)
+		}
 	}
 	c.sacked.TrimBelow(c.sndUna)
 	if c.finSent && c.sndUna >= c.sendEnd+1 && !c.finAcked {
 		c.finAcked = true
 		c.maybeFinish()
-	}
-
-	maxD := seg.Ack
-	for _, b := range seg.Sack {
-		if b.End > maxD {
-			maxD = b.End
-		}
 	}
 	if maxD > c.highestDelivered {
 		c.highestDelivered = maxD
@@ -905,6 +911,11 @@ func (c *Conn) processAck(seg *Segment, now sim.Time) {
 		}
 	}
 
+	// A candidate was not delivered when it was last scanned, and only a
+	// cumulative ACK past its end or one of this ACK's blocks that
+	// overlaps or touches it can change that: sacked merges touching
+	// spans, and TrimBelow only shrinks it. The scoreboard is searched
+	// for those alone.
 	kept := c.candidates[:0]
 	for _, r := range c.candidates {
 		// A retransmission keeps its original sequence numbers, so the
@@ -912,7 +923,7 @@ func (c *Conn) processAck(seg *Segment, now sim.Time) {
 		// the time threshold applies (RACK-style).
 		seqLost := !r.retx && c.highestDelivered >= r.end+uint64(3*c.cfg.MSS)
 		switch {
-		case c.delivered(r):
+		case r.end <= c.sndUna || c.sackTouches(seg.Sack, r) && c.sacked.Covered(r.start, r.end):
 			c.onRecordAcked(r, now)
 		case seqLost, now.Sub(r.sentAt) >= lossDelay:
 			lost = append(lost, r)
@@ -947,6 +958,23 @@ func (c *Conn) processAck(seg *Segment, now sim.Time) {
 // acknowledged, or inside one SACKed range.
 func (c *Conn) delivered(r txRecord) bool {
 	return r.end <= c.sndUna || c.sacked.Covered(r.start, r.end)
+}
+
+// sackValid reports whether block b of an ACK is applied: non-empty and
+// ending in (sndUna, sndNxt]. A block reaching past sndNxt reports bytes
+// never sent; one ending at or below sndUna says nothing new.
+func (c *Conn) sackValid(b SackBlock) bool {
+	return b.Start < b.End && b.End > c.sndUna && b.End <= c.sndNxt
+}
+
+// sackTouches reports whether a valid block of sack overlaps or touches r.
+func (c *Conn) sackTouches(sack []SackBlock, r txRecord) bool {
+	for _, b := range sack {
+		if b.Start <= r.end && b.End >= r.start && c.sackValid(b) {
+			return true
+		}
+	}
+	return false
 }
 
 func (c *Conn) onRecordAcked(r txRecord, now sim.Time) {

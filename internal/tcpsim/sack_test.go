@@ -131,3 +131,58 @@ func TestRTODuringRecoveryRequeuesHoles(t *testing.T) {
 	check("third timeout", 3*mss, 5*mss, []SackBlock{{Start: 14 * mss, End: 27594}}, holes,
 		retx(3*mss, 6*mss, 9*mss, 10*mss, 12*mss))
 }
+
+// A segment acknowledging data never sent is answered with an ACK and
+// dropped (RFC 9293 §3.10.7.4), and SACK blocks reaching past snd.nxt are
+// ignored: neither may count bytes the peer cannot have as delivered,
+// grow the window or acknowledge a FIN not yet sent.
+func TestAckBeyondSndNxtIsDropped(t *testing.T) {
+	const mss = 1460
+	s := sim.NewScheduler(1)
+	cfg := DefaultConfig()
+	cfg.TLSRounds = 0
+	acks := 0
+	c := NewConn(ConnParams{
+		Sched: s, IsClient: true, Config: cfg,
+		Transmit: func(p *netem.Packet) {
+			if seg := p.Payload.(*Segment); seg.Flags == FlagACK && seg.Len == 0 {
+				acks++
+			}
+		},
+	})
+	feed := func(seg *Segment) {
+		seg.Flags, seg.Wnd = FlagACK, 1<<20
+		c.HandleSegment(&netem.Packet{Payload: seg})
+	}
+	c.Start()
+	s.RunFor(50 * time.Millisecond)
+	c.HandleSegment(&netem.Packet{Payload: &Segment{Flags: FlagSYN | FlagACK, Wnd: 1 << 20}})
+	c.Write(20 * mss)
+	c.Close()
+	s.RunFor(10 * time.Millisecond)
+	feed(&Segment{Ack: 2 * mss})
+	una, nxt, pipe, wnd, delivered := c.sndUna, c.sndNxt, c.pipe, c.ccc.Window(), c.highestDelivered
+	if nxt >= c.sendEnd || c.finSent {
+		t.Fatalf("snd.nxt %d with %d bytes queued: the window let everything out", nxt, c.sendEnd)
+	}
+
+	acks = 0
+	feed(&Segment{Ack: c.sendEnd + 1}) // acknowledges the FIN, never sent
+	if acks != 1 {
+		t.Errorf("the hostile ACK drew %d ACKs, want 1", acks)
+	}
+	feed(&Segment{Ack: una, Sack: []SackBlock{{Start: nxt - mss, End: nxt + 4*mss}, {Start: nxt + 5*mss, End: nxt + 9*mss}}})
+	if c.sndUna != una || c.finAcked || c.pipe != pipe || c.ccc.Window() != wnd || c.highestDelivered != delivered {
+		t.Errorf("after bytes never sent were acknowledged: snd.una %d finAcked %v pipe %d cwnd %d highest delivered %d, want %d false %d %d %d",
+			c.sndUna, c.finAcked, c.pipe, c.ccc.Window(), c.highestDelivered, una, pipe, wnd, delivered)
+	}
+	if len(c.sacked.Spans()) != 0 {
+		t.Errorf("SACK blocks past snd.nxt %d entered the scoreboard: %v", nxt, c.sacked.Spans())
+	}
+
+	// The connection goes on: acknowledging what was sent still counts.
+	feed(&Segment{Ack: nxt})
+	if c.sndUna != nxt {
+		t.Errorf("snd.una %d after a valid ACK, want %d", c.sndUna, nxt)
+	}
+}

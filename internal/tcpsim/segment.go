@@ -102,8 +102,8 @@ type Segment struct {
 // back, emptied, at teardown, so a connection dialed after another one
 // closed starts with the array that one grew. One scheduler drives a
 // network and cross links between partitions carry no TCP, hence no lock.
-// Shared counts segments an ICMP quote took out of the pool
-// (netem.PayloadSharer).
+// Shared counts segments a holder kept: the payload of a Detached or
+// Cloned packet (netem.PayloadSharer).
 type segPool struct {
 	sim.Freelist[Segment]
 	rings sim.Freelist[sim.Ring[txRecord]]
