@@ -45,9 +45,10 @@ echo "== no deleted mechanism in non-test code (DESIGN.md: Independent traffic s
 # hand-threaded observability switches (obs.Options, the probers' and
 # proxies' Observe methods, pep.New without its node) that
 # netem.Network.Sink replaced, since a layer is observed iff its network
-# is (DESIGN.md §7 Observability), and cc's NewReno, which nothing
-# selected.
-if grep -rnE 'PartitionedDriver|CrossEdge|AddCrossLink|snapshotRing|peekSnapshot|delayRing|islMemo|candCount|referenceReassignAt|epochPool|runPhase|phaseAssign|WirePoolStats struct|pktRing|txRing|frameQueue|rangeSet|byteRanges|cryptoRecv|offRange|compactMin|nstopped|\) compact\(|rebuildFIB|rebuildHandlers|fibDirty|hDirty|fibGroups|msgsInOrder|insertMsgKey|Hops \[\]Addr|wireFree|chunkFree|AnalyzeSenderView|obs\.Options|\(p \*Prober\) Observe|\(p \*Proxy\) Observe|pep\.New\(|NewNewReno' --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark .; then
+# is (DESIGN.md §7 Observability), cc's NewReno, which nothing
+# selected, and the per-packet link enqueue/dequeue trace records, which
+# filled the trace rings and gave observed links a second datapath.
+if grep -rnE 'PartitionedDriver|CrossEdge|AddCrossLink|snapshotRing|peekSnapshot|delayRing|islMemo|candCount|referenceReassignAt|epochPool|runPhase|phaseAssign|WirePoolStats struct|pktRing|txRing|frameQueue|rangeSet|byteRanges|cryptoRecv|offRange|compactMin|nstopped|\) compact\(|rebuildFIB|rebuildHandlers|fibDirty|hDirty|fibGroups|msgsInOrder|insertMsgKey|Hops \[\]Addr|wireFree|chunkFree|AnalyzeSenderView|obs\.Options|\(p \*Prober\) Observe|\(p \*Proxy\) Observe|pep\.New\(|NewNewReno|KindEnqueue|KindDequeue' --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark .; then
     echo "a deleted mechanism is named above" >&2
     exit 1
 fi

@@ -296,6 +296,9 @@ func starlinkBench(args []string, stdout, stderr io.Writer) error {
 			return fmt.Errorf("trace: %w", err)
 		}
 		fmt.Fprintf(stderr, "wrote %s (%d bytes)\n", *tracePath, len(blob))
+		if over := collector.Overwritten(); over != "" {
+			fmt.Fprintf(stderr, "trace: incomplete, full rings overwrote %s\n", over)
+		}
 	}
 	if metricsFile != nil {
 		if err := writeOutput(metricsFile, collector.ExportMetricsJSON()); err != nil {

@@ -22,7 +22,9 @@ import (
 // footnote), and errant-export profiles (stdout and p.json) when a
 // speedtest whose first round of server-selection pings was lost started
 // pinging again: its one test used to fail, fitting starlink-fitted to
-// down~1 up~1.0, and now succeeds (down~126 up~12.6). "{dir}" in args is the row's temporary directory; the same
+// down~1 up~1.0, and now succeeds (down~126 up~12.6), and starlink-bench
+// quick's t.bin when the per-packet link enqueue/dequeue records left the
+// trace. "{dir}" in args is the row's temporary directory; the same
 // substitution runs backwards on stdout, which names the files it wrote.
 var golden = []struct {
 	name, command, args string
@@ -76,12 +78,14 @@ var golden = []struct {
 	// One worker count only: TestRunVariantMatrix (cmd/starlink-bench)
 	// already holds the quick report, its trace and its metrics byte-equal
 	// between -workers 1 and 8, so one hashed run pins them all, and a
-	// second would add four seconds to every `go test ./...`.
+	// second would add four seconds to every `go test ./...`. Its trace
+	// and metrics must also agree cause by cause
+	// (checkTraceAgreesWithMetrics).
 	{name: "quick", command: "starlink-bench", slow: true,
 		args:   "-quick -fleet.terminals 200 -workers 4 -trace {dir}/t.bin -metrics.json {dir}/m.json",
 		stdout: "14ecd4d5511fd9a24e8dc65e3f85f952699e3dfe1203ea6d839a1a619625a2c9",
 		files: map[string]string{
-			"t.bin":  "d5dceb95d65060cf88e41010222c364748ad407cf94243d2cdd38819cebb53d5",
+			"t.bin":  "f61eab4c32335d021f86d7a60a3961736d4f40b54674072d38ab5bd24ff8b4c0",
 			"m.json": "e648bf4ea8295c87ce0f1b067b144c6547c009861578559d6b0eb10745022e88"}},
 }
 
@@ -116,6 +120,7 @@ func TestGolden(t *testing.T) {
 				if got := sha([]byte(strings.ReplaceAll(out.String(), dir, "{dir}"))); got != row.stdout {
 					t.Errorf("stdout hashes to %s, want %s:\n%s", got, row.stdout, out.String())
 				}
+				written := map[string][]byte{}
 				for name, want := range row.files {
 					blob, err := os.ReadFile(filepath.Join(dir, name))
 					if err != nil {
@@ -123,6 +128,10 @@ func TestGolden(t *testing.T) {
 					} else if got := sha(blob); got != want {
 						t.Errorf("%s (%d bytes) hashes to %s, want %s", name, len(blob), got, want)
 					}
+					written[name] = blob
+				}
+				if row.command == "starlink-bench" {
+					checkTraceAgreesWithMetrics(t, written["t.bin"], written["m.json"], errOut.String())
 				}
 			})
 		}

@@ -58,7 +58,8 @@ func TestObsExportsByteIdenticalAcrossRunsAndWorkers(t *testing.T) {
 
 // TestObsDoesNotPerturbCampaign is the "one branch when disabled, zero
 // behaviour change when enabled" guarantee: the rendered figures of an
-// instrumented run match an uninstrumented one byte for byte.
+// instrumented run match an uninstrumented one byte for byte, and a
+// campaign over rated links fires the same events either way.
 func TestObsDoesNotPerturbCampaign(t *testing.T) {
 	render := func(col *obs.Collector) string {
 		lat := RunLatencyCampaignParallel(DefaultConfig(), 2, 30*time.Minute, 5*time.Minute,
@@ -74,6 +75,24 @@ func TestObsDoesNotPerturbCampaign(t *testing.T) {
 	if plain != observed {
 		t.Errorf("enabling observability changed campaign output:\n--- without\n%s\n--- with\n%s",
 			plain, observed)
+	}
+
+	// A speedtest crosses rated links with nothing to decide at the end of
+	// serialization (the LAN and terrestrial hops): observing them must
+	// not give their packets a second event.
+	speedtest := func(col *obs.Collector) (res any, events uint64) {
+		job := SweepJob{Name: "speedtest", Cfg: quickConfig(), Run: func(tb *Testbed) any {
+			r := tb.RunSpeedtestCampaign(TechStarlink, 1, time.Second)
+			events = tb.Sched.Processed
+			return r
+		}}
+		return RunSweep([]SweepJob{job}, Options{Workers: 1, Obs: col})[0].Value, events
+	}
+	plainRes, plainEvents := speedtest(nil)
+	obsRes, obsEvents := speedtest(obs.NewCollector())
+	if !reflect.DeepEqual(plainRes, obsRes) || plainEvents != obsEvents {
+		t.Errorf("observing a speedtest changed it: %d events, %+v; unobserved %d events, %+v",
+			obsEvents, obsRes, plainEvents, plainRes)
 	}
 }
 

@@ -61,17 +61,17 @@ func (r *tcpRun) check(t *testing.T) {
 }
 
 // poolSnap is every pool's counters at one moment.
-type poolSnap struct{ pkt, seg, ring, wire sim.PoolStats }
+type poolSnap struct{ pkt, icmp, seg, ring, wire sim.PoolStats }
 
 // runPoolStages runs stages one after another on tb and checks after each
-// that every object drawn from a pool — a packet, a TCP segment, a QUIC
-// wire buffer or reassembly chunk — is back in it once its packet reached
-// a terminal point (delivered, consumed by the PEP, dropped by a queue, a
-// loss model or an outage; quoted by an ICMP error that did) or its data
-// was delivered, unless a holder Detached the packet carrying it (a
-// traceroute keeping a quote). Gets == Puts + Shared, for every pool; for TCP in-flight
-// rings, which nothing shares, that is every connection the stage opened
-// having closed. It returns the counters after each stage.
+// that every object drawn from a pool — a packet, an ICMP body, a TCP
+// segment, a QUIC wire buffer or reassembly chunk — is back in it once its
+// packet reached a terminal point (delivered, consumed by the PEP, dropped
+// by a queue, a loss model or an outage; quoted by an ICMP error that did)
+// or its data was delivered, unless a holder Detached the packet carrying
+// it. Gets == Puts + Shared, for every pool; for TCP in-flight rings, which
+// nothing shares, that is every connection the stage opened having closed.
+// It returns the counters after each stage.
 func runPoolStages(t *testing.T, tb *Testbed, stages []poolStage) []poolSnap {
 	t.Helper()
 	snaps := make([]poolSnap, 0, len(stages))
@@ -80,6 +80,7 @@ func runPoolStages(t *testing.T, tb *Testbed, stages []poolStage) []poolSnap {
 		st.run()
 		now := poolSnap{
 			pkt:  tb.Net.PoolStats(),
+			icmp: tb.Net.ICMPPoolStats(),
 			seg:  tcpsim.SegmentPoolStats(tb.Net),
 			ring: tcpsim.RingPoolStats(tb.Net),
 			wire: quic.WirePoolStats(tb.Net),
@@ -90,6 +91,7 @@ func runPoolStages(t *testing.T, tb *Testbed, stages []poolStage) []poolSnap {
 			drawn       bool
 		}{
 			{"packet", now.pkt, prev.pkt, true},
+			{"ICMP body", now.icmp, prev.icmp, false},
 			{"segment", now.seg, prev.seg, st.tcp},
 			{"in-flight ring", now.ring, prev.ring, st.tcp},
 			{"QUIC buffer", now.wire, prev.wire, st.h3},
@@ -167,9 +169,10 @@ func TestWireBufferPoolConservation(t *testing.T) {
 // back in it once its packet reached a terminal point — an ICMP error's
 // quote and the segment it quotes (a late segment to a port already
 // closed) included, since the error owns both; every in-flight ring is
-// back once its connection closed. The only packets kept are the quotes a
-// traceroute's hops hold. Checked after each TCP campaign shape, after
-// pings and after a Tracebox run, on one testbed.
+// back once its connection closed. Nothing keeps a packet or an ICMP body:
+// a traceroute's hops copy the quoted header. Checked after each TCP
+// campaign shape, after pings, after a Tracebox run and after a middlebox
+// audit, on one testbed.
 func TestSegmentPoolConservation(t *testing.T) {
 	tb := NewTestbed(DefaultConfig())
 	// Count the errors that quote a segment where they land: data a
@@ -222,20 +225,23 @@ func TestSegmentPoolConservation(t *testing.T) {
 	if quotedSegs == 0 {
 		t.Error("no ICMP error quoted a segment: the quote path is not covered")
 	}
-	pings, tracebox := snaps[len(snaps)-3], snaps[len(snaps)-2]
-	if pings.pkt.Shared != 0 || pings.seg.Shared != 0 {
-		t.Errorf("after the TCP campaigns and pings %d packets and %d segments were kept; nothing keeps one",
-			pings.pkt.Shared, pings.seg.Shared)
-	}
-	kept := uint64(0)
+	quotes := 0
 	for _, h := range hops {
 		if h.Quoted != nil {
-			kept++
+			quotes++
 		}
 	}
-	if kept == 0 || tracebox.pkt.Shared != kept || last.seg.Shared != 0 {
-		t.Errorf("Tracebox kept %d quotes; the packet pool counts %d Shared and the segment pool %d, want %d and 0",
-			kept, tracebox.pkt.Shared, last.seg.Shared, kept)
+	if quotes == 0 {
+		t.Error("no Tracebox hop carried a quote: the traceroute quote path is not covered")
+	}
+	if last.icmp.Gets == 0 {
+		t.Error("no ICMP body was drawn: the ICMP pool is not covered")
+	}
+	for i, st := range stages {
+		if s := snaps[i]; s.pkt.Shared != 0 || s.icmp.Shared != 0 || s.seg.Shared != 0 {
+			t.Errorf("after %s %d packets, %d ICMP bodies and %d segments were kept; nothing keeps one",
+				st.name, s.pkt.Shared, s.icmp.Shared, s.seg.Shared)
+		}
 	}
 
 	// A network in no-recycle mode never reuses anything: packets are plain

@@ -16,9 +16,19 @@ type Hop struct {
 	RTT     time.Duration
 	Reached bool // destination answered (dest-unreachable / port probe)
 	Timeout bool
-	// Quoted is the probe as the responding node saw it — the Tracebox
-	// evidence for middlebox rewriting.
-	Quoted *netem.Packet
+	// Quoted is the probe's header as the responding node saw it — the
+	// Tracebox evidence for middlebox rewriting — or nil without a quote.
+	Quoted *QuotedHeader
+}
+
+// QuotedHeader is the header fields of a quoted probe that Tracebox
+// compares with what was sent. A hop copies them at delivery, so it holds
+// no packet: the error and its quote go back to the pools.
+type QuotedHeader struct {
+	Src, Dst         netem.Addr
+	SrcPort, DstPort uint16
+	Proto            netem.Proto
+	Checksum         uint16
 }
 
 // probeTimeout bounds each TTL-limited probe.
@@ -60,17 +70,14 @@ func (p *Prober) Traceroute(dst netem.Addr, maxTTL int, done func([]Hop)) {
 			timeout.Stop()
 			p.errCB = nil
 			icmp := pkt.Payload.(*netem.ICMP)
-			// The hop keeps the quote past delivery, where the error and
-			// what it owns return to the pools: take it out of them.
-			if icmp.Quoted != nil {
-				icmp.Quoted.Detach()
-			}
 			h := Hop{
 				TTL:     ttl,
 				Addr:    pkt.Src,
 				RTT:     p.sched.Now().Sub(sent),
 				Reached: icmp.Type == netem.ICMPDestUnreachable,
-				Quoted:  icmp.Quoted,
+			}
+			if q := icmp.Quoted; q != nil {
+				h.Quoted = &QuotedHeader{Src: q.Src, Dst: q.Dst, SrcPort: q.SrcPort, DstPort: q.DstPort, Proto: q.Proto, Checksum: q.Checksum}
 			}
 			hops = append(hops, h)
 			if h.Reached {

@@ -170,9 +170,8 @@ func (l *Link) send(pkt *Packet) {
 // the instant serialization of pkt ends (now, without a rate), or false if
 // the queue was full.
 //
-// Only a rated link has a queue: occupancy, queue-depth metrics and the
-// enqueue/dequeue trace records exist for RateBps > 0 alone, and a rate-0
-// link's depth is identically zero.
+// Only a rated link has a queue: occupancy and queue-depth metrics exist
+// for RateBps > 0 alone, and a rate-0 link's depth is identically zero.
 func (l *Link) admit(pkt *Packet) (txDone sim.Time, ok bool) {
 	now := l.net.sched.Now()
 	l.settle()
@@ -198,7 +197,6 @@ func (l *Link) admit(pkt *Packet) (txDone sim.Time, ok bool) {
 		}
 		if l.obs != nil {
 			l.obs.queueDepth.Observe(int64(l.queuedBytes))
-			l.obs.tr.Emit(now, obs.KindEnqueue, l.obsSubj, int64(l.queuedBytes), int64(pkt.Size))
 		}
 	}
 	l.stats.Sent++
@@ -206,18 +204,6 @@ func (l *Link) admit(pkt *Packet) (txDone sim.Time, ok bool) {
 		l.obs.sent.Inc()
 	}
 	return txDone, true
-}
-
-// leaveQueue runs as pkt's serialization ends in its own event. Every
-// packet the serialization ring holds was counted by admit, whatever
-// SetRate has made of the rate since, so each one is un-counted here.
-// (A held packet is un-counted by settle, untraced: its link is not
-// observed.)
-func (l *Link) leaveQueue(pkt *Packet) {
-	l.queuedBytes -= pkt.Size
-	if l.obs != nil {
-		l.obs.tr.Emit(l.net.sched.Now(), obs.KindDequeue, l.obsSubj, int64(l.queuedBytes), int64(pkt.Size))
-	}
 }
 
 // jitterAt draws one jitter sample and enforces the LinkConfig.Jitter
@@ -314,14 +300,7 @@ func (l *Link) deliver(pkt *Packet) {
 
 func (l *Link) drop(now sim.Time, pkt *Packet, reason DropReason) {
 	if l.obs != nil {
-		switch reason {
-		case DropQueueFull:
-			l.obs.dropQueue.Inc()
-		case DropMedium:
-			l.obs.dropMedium.Inc()
-		case DropOutage:
-			l.obs.dropOutage.Inc()
-		}
+		l.obs.drops[reason].Inc()
 		l.obs.tr.Emit(now, obs.KindDrop, l.obsSubj, int64(reason), int64(pkt.Size))
 	}
 	if l.DropHook != nil {

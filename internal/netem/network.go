@@ -14,9 +14,7 @@ type netObs struct {
 	tr         *obs.Tracer
 	sent       *obs.Counter
 	delivered  *obs.Counter
-	dropQueue  *obs.Counter
-	dropMedium *obs.Counter
-	dropOutage *obs.Counter
+	drops      [DropOutage + 1]*obs.Counter // by the reasons a link drops for
 	queueDepth *obs.Histogram
 }
 
@@ -46,10 +44,10 @@ type Network struct {
 }
 
 // Observe attaches an observability sink to the network: every existing
-// and future link reports counters, queue-depth samples, and
-// enqueue/dequeue/drop trace events through it, and every layer built on
-// the network afterwards (TCP and QUIC connections, probers, PEPs) reads
-// it through Sink. A nil sink is a no-op.
+// and future link reports counters, queue-depth samples and drop trace
+// events through it, and every layer built on the network afterwards (TCP
+// and QUIC connections, probers, PEPs) reads it through Sink. Observing
+// only reads: it changes no event the network fires. A nil sink is a no-op.
 func (nw *Network) Observe(s *obs.Sink) {
 	if s == nil {
 		return
@@ -57,16 +55,17 @@ func (nw *Network) Observe(s *obs.Sink) {
 	nw.sink = s
 	reg, tr := s.Registry(), s.Tracer()
 	nw.obs = &netObs{
-		tr:         tr,
-		sent:       reg.Counter("net.link.sent"),
-		delivered:  reg.Counter("net.link.delivered"),
-		dropQueue:  reg.Counter("net.link.drops.queue"),
-		dropMedium: reg.Counter("net.link.drops.medium"),
-		dropOutage: reg.Counter("net.link.drops.outage"),
+		tr:        tr,
+		sent:      reg.Counter("net.link.sent"),
+		delivered: reg.Counter("net.link.delivered"),
+		drops: [...]*obs.Counter{
+			DropQueueFull: reg.Counter("net.link.drops.queue"),
+			DropMedium:    reg.Counter("net.link.drops.medium"),
+			DropOutage:    reg.Counter("net.link.drops.outage"),
+		},
 		queueDepth: reg.Histogram("net.link.queue_bytes", obs.SizeBounds()),
 	}
 	for _, l := range nw.links {
-		l.unhold() // an observed link traces every dequeue
 		l.obs = nw.obs
 		l.obsSubj = tr.Subject(l.name)
 	}

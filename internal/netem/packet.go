@@ -72,7 +72,8 @@ func (p *Packet) Pooled() bool { return p.owner != nil }
 // every later release is a no-op and the value behaves like a plain
 // allocation. Detaching an ICMP error detaches its quote too. Handlers or
 // devices that retain a delivered packet past their synchronous call must
-// detach it first. The pool counts it Shared.
+// detach it first. The packet and ICMP body pools count what they lose
+// Shared.
 func (p *Packet) Detach() {
 	if p.owner != nil && !p.inPool {
 		p.owner.pktFree.Share()
@@ -80,6 +81,9 @@ func (p *Packet) Detach() {
 	p.owner = nil
 	switch pl := p.Payload.(type) {
 	case *ICMP:
+		if pl.owner != nil && !pl.pooled {
+			pl.owner.icmpFree.Share()
+		}
 		pl.owner = nil
 		if pl.Quoted != nil {
 			pl.Quoted.Detach()

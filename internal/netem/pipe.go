@@ -25,10 +25,9 @@ import (
 //
 // One event or two. The end of serialization has something to decide only
 // on a link with a loss process, an outage predicate or jitter, all drawn
-// at that instant, or on an observed link, which traces the dequeue there.
-// On any other rated link (the LAN and terrestrial hops) a packet whose
-// link has nothing serializing in two-event form goes straight to the
-// propagation ring at admit, arriving at max(lastArrival, txDone +
+// at that instant. On any other rated link (the LAN and terrestrial hops) a
+// packet whose link has nothing serializing in two-event form goes straight
+// to the propagation ring at admit, arriving at max(lastArrival, txDone +
 // Delay(txDone)), and fires only its arrival — whose timer is armed at
 // admit, so it takes its sequence number there too, the one right after
 // its serialization end's. Until that serialization-end key has passed
@@ -36,19 +35,16 @@ import (
 // queue, and its arrival is not yet the link's clamp. Whoever next needs
 // those — a later admit, QueuedBytes, LastArrival, the arrival itself —
 // settles the held packets whose key is behind the clock. A mutator
-// (SetRate, SetLoss, SetDown) or Observe gives the held packets still
-// serializing their serialization-end event back, under the key they
-// reserved, so the mutation applies to them exactly as it would have to
-// their own timers, and their arrival takes a sequence number as that
-// event fires.
+// (SetRate, SetLoss, SetDown) gives the held packets still serializing
+// their serialization-end event back, under the key they reserved, so the
+// mutation applies to them exactly as it would have to their own timers,
+// and their arrival takes a sequence number as that event fires.
 //
 // An arrival thus sorts among the events at its instant by when it was
 // armed, which differs between the forms: an event armed while the packet
 // serializes, for the instant it arrives, fires after a one-event arrival
-// and before a two-event one. An observed network takes the two-event form
-// on every link, so its traces do not depend on which links could have
-// taken one; an unobserved run fires in the same order except at such
-// exact ties.
+// and before a two-event one. Observing a link changes neither: an
+// observer only counts and records.
 
 // pipeSlot is one in-flight packet and the key its event fires under.
 type pipeSlot struct {
@@ -137,7 +133,7 @@ func (l *Link) sendRated(pkt *Packet, txDone sim.Time) {
 		p.rated = new(ratedPipe)
 	}
 	r := p.rated
-	if l.cfg.Loss != nil || l.cfg.Down != nil || l.cfg.Jitter != nil || l.obs != nil || r.ser.Len() > 0 {
+	if l.cfg.Loss != nil || l.cfg.Down != nil || l.cfg.Jitter != nil || r.ser.Len() > 0 {
 		l.enqueue(&r.ser, txDone, pkt, linkTxDone)
 		return
 	}
@@ -207,7 +203,7 @@ func (l *Link) unhold() {
 func linkTxDone(arg any) {
 	l := arg.(*Link)
 	pkt := l.dequeue(&l.pipe.rated.ser, linkTxDone)
-	l.leaveQueue(pkt)
+	l.queuedBytes -= pkt.Size // admitted at a rate, whatever SetRate did since
 	if arrival, ok := l.transmit(pkt); ok {
 		l.enqueue(&l.pipe.prop, arrival, pkt, linkDeliver)
 	}

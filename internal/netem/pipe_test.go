@@ -18,13 +18,13 @@ import (
 // What the datapath did before the link pipe: every packet in flight is its
 // own scheduler timer, one per event — the end of its serialization on a
 // rated link, then its arrival — each armed as soon as its instant is
-// known. It shares admit, leaveQueue, transmit and deliver with the
-// production path, so the only thing under test is how events are queued:
-// pipe.go must fire them in this order exactly.
+// known. It shares admit, transmit and deliver with the production path,
+// so the only thing under test is how events are queued: pipe.go must fire
+// them in this order exactly.
 //
 // The oracle also works out, from its own events, which packets the pipe
 // carries in one event: rated, admitted onto a link with no loss process,
-// outage predicate, jitter or observer and with no two-event packet still
+// outage predicate or jitter and with no two-event packet still
 // serializing, and not touched by a mutator before their serialization
 // ended. Such a packet's arrival is known at admit, so its key is reserved
 // there, and the pipe must run exactly one event fewer for it.
@@ -74,7 +74,7 @@ func (o *oracle) send(l *Link, pkt *Packet) {
 		return
 	}
 	ol := o.link(l)
-	ev.oneEvent = l.cfg.Loss == nil && l.cfg.Down == nil && l.cfg.Jitter == nil && l.obs == nil && ol.twoEvent == 0
+	ev.oneEvent = l.cfg.Loss == nil && l.cfg.Down == nil && l.cfg.Jitter == nil && ol.twoEvent == 0
 	s.AtFunc(txDone, oracleTxDone, ev)
 	if ev.oneEvent {
 		ev.arrSeq = s.ReserveSeq()
@@ -104,7 +104,7 @@ func oracleTxDone(arg any) {
 	} else {
 		ol.twoEvent--
 	}
-	l.leaveQueue(ev.pkt)
+	l.queuedBytes -= ev.pkt.Size
 	arrival, ok := l.transmit(ev.pkt)
 	switch {
 	case !ok:
@@ -153,8 +153,7 @@ type pipeOutcome struct {
 // pipeWorld varies runPipeScenario. ties puts every rate, size, delay,
 // jitter, cliff and burst on a whole-microsecond grid, so that keys tie at
 // one instant all the time and their order rests on the sequence numbers
-// alone. observe attaches an observer before any traffic, which gives every
-// rated packet its serialization-end event.
+// alone. observe attaches an observer before any traffic.
 type pipeWorld struct{ ties, observe bool }
 
 // runPipeScenario drives one seeded world through dp: five links out of a
@@ -387,25 +386,17 @@ func TestPipeForcedTies(t *testing.T) {
 	}
 }
 
-// An observed link traces every dequeue, so each of its rated packets fires
-// its serialization end and arms its arrival there, as every packet did
-// before the one-event form: the observed pipe must match per-packet timers
-// that give no packet one event. Away from exact ties it also delivers
-// what the unobserved pipe does.
+// Observing only counts and records: an observed pipe fires the events an
+// unobserved one does, in the same order, at exact ties too, and delivers
+// and drops the same packets.
 func TestPipeObservedFiresInOneOrder(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		for _, ties := range []bool{false, true} {
-			w := pipeWorld{ties: ties, observe: true}
-			o := newOracle()
-			want := runPipeScenario(seed, o, w)
-			got := runPipeScenario(seed, pipePath{}, w)
-			samePipeOutcome(t, fmt.Sprintf("seed %d %+v: observed pipe against per-packet timers", seed, w), got, want)
-			if got.processed != want.processed || o.oneEvent != 0 {
-				t.Errorf("seed %d %+v: observed pipe ran %d events, per-packet timers %d with %d in one event", seed, w, got.processed, want.processed, o.oneEvent)
-			}
-			if !ties {
-				plain := runPipeScenario(seed, pipePath{}, pipeWorld{})
-				samePipeOutcome(t, fmt.Sprintf("seed %d: observed against unobserved pipe", seed), got, plain)
+			got := runPipeScenario(seed, pipePath{}, pipeWorld{ties: ties, observe: true})
+			plain := runPipeScenario(seed, pipePath{}, pipeWorld{ties: ties})
+			samePipeOutcome(t, fmt.Sprintf("seed %d ties %v: observed against unobserved pipe", seed, ties), got, plain)
+			if got.processed != plain.processed {
+				t.Errorf("seed %d ties %v: observed pipe ran %d events, unobserved %d", seed, ties, got.processed, plain.processed)
 			}
 		}
 	}
@@ -643,35 +634,4 @@ func TestPipeEnqueueBackwardsPanics(t *testing.T) {
 	}()
 	l.enqueue(&l.pipes().prop, sim.Time(19), nw.NewPacket(), linkDeliver)
 	t.Error("enqueue accepted an instant before the tail's")
-}
-
-// Observe on a link carrying packets in one event gives those still
-// serializing their serialization-end event back: each is traced as it
-// leaves the queue, as it would have been on a link observed from the
-// start. Packets whose serialization had ended stay as they were.
-func TestObserveUnholdsSerializingPackets(t *testing.T) {
-	s, nw := testNet(t)
-	a := nw.NewNode("a", MustParseAddr("10.0.0.1"))
-	b := nw.NewNode("b", MustParseAddr("10.0.0.2"))
-	b.Bind(ProtoUDP, 9, func(*Packet) {})
-	l := nw.AddLink(a, b, LinkConfig{RateBps: 8e6, Delay: ConstantDelay(time.Millisecond)}) // 1000 B = 1 ms
-	for i := 0; i < 4; i++ {
-		l.send(&Packet{Dst: b.Addr(), Proto: ProtoUDP, DstPort: 9, Size: 1000, TTL: DefaultTTL})
-	}
-	sink := obs.NewSink(0)
-	s.At(sim.Time(2500*time.Microsecond), func() { nw.Observe(sink) }) // 1 and 2 are out, 3 and 4 serialize
-	s.Run()
-	var dequeues []sim.Time
-	for _, ev := range sink.Tracer().Events() {
-		if ev.Kind == obs.KindDequeue {
-			dequeues = append(dequeues, ev.At)
-		}
-	}
-	if want := []sim.Time{sim.Time(3 * time.Millisecond), sim.Time(4 * time.Millisecond)}; !reflect.DeepEqual(dequeues, want) {
-		t.Errorf("dequeues traced at %v, want %v", dequeues, want)
-	}
-	// The Observe event, four arrivals and the two serialization ends.
-	if s.Processed != 7 || l.Stats().Delivered != 4 || l.QueuedBytes() != 0 {
-		t.Errorf("Processed = %d, stats %+v, QueuedBytes %d", s.Processed, l.Stats(), l.QueuedBytes())
-	}
 }

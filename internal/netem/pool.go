@@ -59,6 +59,9 @@ type PoolStats = sim.PoolStats
 // PoolStats returns a copy of the packet-pool counters.
 func (nw *Network) PoolStats() PoolStats { return nw.pktFree.Stats() }
 
+// ICMPPoolStats returns a copy of the ICMP body pool's counters.
+func (nw *Network) ICMPPoolStats() PoolStats { return nw.icmpFree.Stats() }
+
 // DisableRecycling puts the network in no-recycle mode for good: packets
 // and ICMP bodies become plain owner-less allocations, and since the
 // datapath releases only what it owns, the payloads they carry (TCP

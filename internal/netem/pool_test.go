@@ -129,6 +129,9 @@ func TestDetachedErrorKeepsItsQuote(t *testing.T) {
 	if st := nw.PoolStats(); st.Gets != st.Puts+st.Shared || st.Shared != 2 {
 		t.Fatalf("pool counters %+v, want the error and its quote Shared", st)
 	}
+	if st := nw.ICMPPoolStats(); st.Gets != st.Puts+st.Shared || st.Shared != 1 {
+		t.Fatalf("ICMP body pool counters %+v, want the error's body Shared", st)
+	}
 
 	// Detaching only the quote keeps it; the error around it goes home.
 	quote = nw.NewPacket()
@@ -142,6 +145,9 @@ func TestDetachedErrorKeepsItsQuote(t *testing.T) {
 	if quote.ID != 7 || len(nw.pktFree.All()) != 1 || len(nw.icmpFree.All()) != 1 {
 		t.Fatalf("kept quote %+v; %d packets, %d bodies pooled, want the error's 1 and 1",
 			quote, len(nw.pktFree.All()), len(nw.icmpFree.All()))
+	}
+	if st := nw.ICMPPoolStats(); st.Gets != st.Puts+st.Shared || st.Shared != 1 {
+		t.Fatalf("ICMP body pool counters %+v, want only the first error's body Shared", st)
 	}
 }
 

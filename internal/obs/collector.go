@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 )
 
@@ -155,6 +156,28 @@ func (c *Collector) ExportTraceBinary() []byte {
 		s.sink.Tr.appendBinary(&b, s.name)
 	}
 	return b.Bytes()
+}
+
+// Overwritten names, per source in name order, each kind whose records
+// its full trace ring overwrote, with the count ("src kind=n kind=n; src
+// ..."), or "" when every ring kept every record.
+func (c *Collector) Overwritten() string {
+	if c == nil {
+		return ""
+	}
+	var parts []string
+	for _, s := range c.sorted() {
+		part := s.name
+		for k, n := range s.sink.Tr.over {
+			if n > 0 {
+				part += fmt.Sprintf(" %s=%d", Kind(k), n)
+			}
+		}
+		if part != s.name {
+			parts = append(parts, part)
+		}
+	}
+	return strings.Join(parts, "; ")
 }
 
 // Snapshot returns the merged registry flattened to name → value pairs,

@@ -24,14 +24,11 @@ func TestNilSafety(t *testing.T) {
 	var g *Gauge
 	g.Set(3)
 	g.Add(2)
-	if g.Value() != 0 || g.Max() != 0 {
+	if g.Value() != 0 {
 		t.Fatal("nil gauge value")
 	}
 	var h *Histogram
 	h.Observe(9)
-	if h.Total() != 0 || h.Sum() != 0 {
-		t.Fatal("nil histogram value")
-	}
 	var r *Registry
 	if r.Counter("x") != nil || r.Gauge("x") != nil || r.Histogram("x", DurationBounds()) != nil {
 		t.Fatal("nil registry must hand out nil metrics")
@@ -49,7 +46,7 @@ func TestNilSafety(t *testing.T) {
 	var col *Collector
 	col.Add("a", NewSink(0))
 	if col.MergedRegistry() != nil || col.ExportMetricsJSON() != nil ||
-		col.ExportTraceJSONL() != nil || col.ExportTraceBinary() != nil || col.Snapshot() != nil {
+		col.ExportTraceJSONL() != nil || col.ExportTraceBinary() != nil || col.Snapshot() != nil || col.Overwritten() != "" {
 		t.Fatal("nil collector exports")
 	}
 }
@@ -70,16 +67,16 @@ func TestCounterGaugeHistogram(t *testing.T) {
 	g.Set(4)
 	g.Add(3)
 	g.Set(2)
-	if g.Value() != 2 || g.Max() != 7 {
-		t.Fatalf("gauge last=%d max=%d, want 2/7", g.Value(), g.Max())
+	if g.Value() != 2 || g.max != 7 {
+		t.Fatalf("gauge last=%d max=%d, want 2/7", g.Value(), g.max)
 	}
 
 	h := r.Histogram("lat", []int64{10, 100, 1000})
 	for _, v := range []int64{5, 10, 11, 100, 5000} {
 		h.Observe(v)
 	}
-	if h.Total() != 5 || h.Sum() != 5126 {
-		t.Fatalf("hist total=%d sum=%d", h.Total(), h.Sum())
+	if h.total != 5 || h.sum != 5126 {
+		t.Fatalf("hist total=%d sum=%d", h.total, h.sum)
 	}
 	want := []uint64{2, 2, 0, 1} // ≤10: {5,10}; ≤100: {11,100}; ≤1000: {}; overflow: {5000}
 	for i, w := range want {
@@ -115,12 +112,19 @@ func TestRegistryMergeCommutative(t *testing.T) {
 	ba := NewRegistry()
 	ba.Merge(build(50))
 	ba.Merge(build(3))
-	if !bytes.Equal(ab.ExportJSON(), ba.ExportJSON()) {
-		t.Fatalf("merge not commutative:\n%s\n%s", ab.ExportJSON(), ba.ExportJSON())
+	if !bytes.Equal(registryJSON(ab), registryJSON(ba)) {
+		t.Fatalf("merge not commutative:\n%s\n%s", registryJSON(ab), registryJSON(ba))
 	}
-	if ab.Counter("c").Value() != 53 || ab.Gauge("g").Max() != 50 || ab.Histogram("h", []int64{10, 100}).Total() != 2 {
+	if ab.Counter("c").Value() != 53 || ab.Gauge("g").max != 50 || ab.Histogram("h", []int64{10, 100}).total != 2 {
 		t.Fatal("merged values wrong")
 	}
+}
+
+// registryJSON is r's canonical JSON, as ExportMetricsJSON writes it.
+func registryJSON(r *Registry) []byte {
+	var b bytes.Buffer
+	r.exportJSON(&b)
+	return b.Bytes()
 }
 
 func TestExportJSONCanonicalAndValid(t *testing.T) {
@@ -130,7 +134,7 @@ func TestExportJSONCanonicalAndValid(t *testing.T) {
 	r.Counter("alpha").Add(2)
 	r.Gauge("mid").Set(-4)
 	r.Histogram("h", []int64{1}).Observe(0)
-	out := r.ExportJSON()
+	out := registryJSON(r)
 	var decoded map[string]any
 	if err := json.Unmarshal(out, &decoded); err != nil {
 		t.Fatalf("export is not valid JSON: %v\n%s", err, out)
@@ -144,16 +148,42 @@ func TestTracerRingWrap(t *testing.T) {
 	tr := NewTracer(4)
 	s := tr.Subject("link")
 	for i := 0; i < 6; i++ {
-		tr.Emit(sim.Time(i), KindEnqueue, s, int64(i), 0)
+		tr.Emit(sim.Time(i), KindDrop, s, int64(i), 0)
 	}
 	if tr.Len() != 4 {
 		t.Fatalf("len = %d, want 4", tr.Len())
+	}
+	if n := tr.over[KindDrop]; n != 2 {
+		t.Fatalf("overwritten = %d, want 2 (6 emits into a ring of 4)", n)
 	}
 	ev := tr.Events()
 	for i, e := range ev {
 		if e.A != int64(i+2) {
 			t.Fatalf("event %d has A=%d, want %d (oldest-first after wrap)", i, e.A, i+2)
 		}
+	}
+}
+
+// The collector names each source whose ring overwrote records, with the
+// count per kind, in source order; a source that kept everything is left
+// out.
+func TestCollectorNamesOverwrittenKinds(t *testing.T) {
+	c := NewCollector()
+	for _, name := range []string{"b", "a", "c"} {
+		s := NewSink(2)
+		subj := s.Tr.Subject("x")
+		if name != "c" {
+			for i := 0; i < 4; i++ {
+				s.Tr.Emit(sim.Time(i), KindRTO, subj, 0, 0)
+			}
+			s.Tr.Emit(5, KindDrop, subj, 0, 0)
+		}
+		c.Add(name, s)
+	}
+	// Four RTO records then a drop into a ring of two: the drop and the
+	// last RTO stay, three RTO records are overwritten.
+	if got, want := c.Overwritten(), "a rto=3; b rto=3"; got != want {
+		t.Errorf("Overwritten() = %q, want %q", got, want)
 	}
 }
 
@@ -297,7 +327,7 @@ func BenchmarkTracerEmit(b *testing.B) {
 	s := tr.Subject("l")
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		tr.Emit(sim.Time(i), KindEnqueue, s, int64(i), 64)
+		tr.Emit(sim.Time(i), KindDrop, s, int64(i), 64)
 	}
 }
 
@@ -327,9 +357,9 @@ func TestHistogramObserveN(t *testing.T) {
 		}
 	}
 	bulk.ObserveN(7, 0)
-	if bulk.Total() != loop.Total() || bulk.Sum() != loop.Sum() {
+	if bulk.total != loop.total || bulk.sum != loop.sum {
 		t.Errorf("bulk total/sum = %d/%d, looped = %d/%d",
-			bulk.Total(), bulk.Sum(), loop.Total(), loop.Sum())
+			bulk.total, bulk.sum, loop.total, loop.sum)
 	}
 	if !reflect.DeepEqual(bulk.counts, loop.counts) {
 		t.Errorf("bucket counts diverge:\n bulk %v\n loop %v", bulk.counts, loop.counts)
@@ -337,9 +367,6 @@ func TestHistogramObserveN(t *testing.T) {
 
 	var nilH *Histogram
 	nilH.ObserveN(1, 10) // must not panic
-	if nilH.Total() != 0 {
-		t.Error("nil histogram accumulated observations")
-	}
 }
 
 // TestHistogramDrainInto checks the per-worker scratch handoff the
@@ -356,14 +383,14 @@ func TestHistogramDrainInto(t *testing.T) {
 		want.Observe(v)
 	}
 	scratch.DrainInto(dst)
-	if dst.Total() != want.Total() || dst.Sum() != want.Sum() || !reflect.DeepEqual(dst.counts, want.counts) {
-		t.Errorf("drained histogram differs: total %d/%d sum %d/%d", dst.Total(), want.Total(), dst.Sum(), want.Sum())
+	if dst.total != want.total || dst.sum != want.sum || !reflect.DeepEqual(dst.counts, want.counts) {
+		t.Errorf("drained histogram differs: total %d/%d sum %d/%d", dst.total, want.total, dst.sum, want.sum)
 	}
-	if scratch.Total() != 0 || scratch.Sum() != 0 {
+	if scratch.total != 0 || scratch.sum != 0 {
 		t.Error("scratch not reset after DrainInto")
 	}
 	scratch.DrainInto(dst) // empty drain: no-op
-	if dst.Total() != want.Total() {
+	if dst.total != want.total {
 		t.Error("empty drain changed the destination")
 	}
 

@@ -94,14 +94,6 @@ func (g *Gauge) Value() int64 {
 	return g.last
 }
 
-// Max returns the maximum level ever set (0 for nil).
-func (g *Gauge) Max() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.max
-}
-
 // Histogram is a fixed-bucket histogram of int64 observations (durations
 // in nanoseconds, sizes in bytes). Bounds are inclusive upper bounds in
 // ascending order; counts has one extra overflow bucket. Observation is
@@ -201,22 +193,6 @@ func (h *Histogram) DrainInto(dst *Histogram) {
 		dst.counts[i] += c
 		h.counts[i] = 0
 	}
-}
-
-// Total returns the number of observations (0 for nil).
-func (h *Histogram) Total() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.total
-}
-
-// Sum returns the sum of observations (0 for nil).
-func (h *Histogram) Sum() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.sum
 }
 
 // Registry owns named metrics. Metric registration (Counter, Gauge,
@@ -326,15 +302,9 @@ func sortedKeys[V any](m map[string]V) []string {
 	return out
 }
 
-// ExportJSON renders the registry as canonical JSON: sections in fixed
+// exportJSON renders the registry as canonical JSON: sections in fixed
 // order, names sorted, integers only — byte-identical for equal metric
 // state regardless of registration or merge order.
-func (r *Registry) ExportJSON() []byte {
-	var b bytes.Buffer
-	r.exportJSON(&b)
-	return b.Bytes()
-}
-
 func (r *Registry) exportJSON(b *bytes.Buffer) {
 	b.WriteString(`{"counters":{`)
 	for i, name := range sortedKeys(r.counters) {

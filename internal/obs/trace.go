@@ -9,16 +9,17 @@ import (
 )
 
 // Kind identifies the type of a trace event. The numeric values are part
-// of the binary export format; append new kinds, never renumber.
+// of the binary export format; append new kinds, never renumber or reuse.
 type Kind uint8
 
 const (
 	// KindDrop: a packet was dropped. A = DropReason code, B = packet bytes.
 	KindDrop Kind = iota
-	// KindEnqueue: a packet entered a link queue. A = queued bytes after, B = packet bytes.
-	KindEnqueue
-	// KindDequeue: a packet left a link queue for transmission. A = queued bytes after, B = packet bytes.
-	KindDequeue
+	// Kinds 1 and 2 are retired: per-packet link enqueue and dequeue
+	// records, which filled the ring and explained nothing the queue-depth
+	// histogram does not. Older traces still decode with their names.
+	_
+	_
 	// KindHandover: the terminal's serving satellite changed. A = old sat index, B = new sat index.
 	KindHandover
 	// KindOutage: the access link entered an outage window. A = duration ns, B = 1 for long outage, 0 for handover micro-outage.
@@ -66,13 +67,15 @@ type Event struct {
 
 // Tracer is a fixed-capacity ring of Events. Emit never allocates; once
 // the ring is full the oldest events are overwritten, bounding memory on
-// arbitrarily long campaigns. Within one tracer events are naturally
-// time-ordered (single-threaded scheduler, monotone clock), so export is
-// a rotation, not a sort.
+// arbitrarily long campaigns, and counted per kind, so a cause's records
+// plus its overwritten ones still equal its counter. Within one tracer
+// events are naturally time-ordered (single-threaded scheduler, monotone
+// clock), so export is a rotation, not a sort.
 type Tracer struct {
 	ring  []Event
-	next  int  // next write slot
-	wrap  bool // ring has wrapped at least once
+	next  int              // next write slot
+	wrap  bool             // ring has wrapped at least once
+	over  [numKinds]uint64 // records overwritten, by kind
 	names []string
 	subjs map[string]Subj
 }
@@ -107,6 +110,9 @@ func (t *Tracer) Subject(name string) Subj {
 func (t *Tracer) Emit(at sim.Time, kind Kind, subj Subj, a, b int64) {
 	if t == nil {
 		return
+	}
+	if t.wrap {
+		t.over[t.ring[t.next].Kind]++
 	}
 	t.ring[t.next] = Event{At: at, Kind: kind, Subj: subj, A: a, B: b}
 	t.next++
