@@ -1,21 +1,13 @@
 package starlinkperf
 
-// The benchmark harness regenerates every table and figure of the paper's
-// evaluation. Each Benchmark* corresponds to one artifact (see the
-// per-experiment index in DESIGN.md); the rendered rows/series are
-// emitted through b.Log so `go test -bench . -v` shows them, and headline
-// values are reported as custom benchmark metrics so regressions are
-// machine-comparable.
-//
-// Campaign sizes are scaled so each bench completes in tens of seconds of
-// wall time; cmd/starlink-bench runs the full-scale version. Absolute
-// numbers come from a simulator, so the comparison with the paper is
-// about shape: who wins, by what factor, where the orderings fall
-// (EXPERIMENTS.md records both sides).
+// The ablations of the design choices DESIGN.md calls out: pacing,
+// parallel connections, the SatCom PEP, inter-satellite links and the
+// receive window. Each reruns one campaign with one choice flipped and
+// reports both sides as custom benchmark metrics (`go test -bench
+// Ablation -v` also logs them). The paper's tables and figures are
+// cmd/starlink-bench's report, not benchmarks.
 
 import (
-	"runtime"
-	"strings"
 	"testing"
 	"time"
 
@@ -27,297 +19,6 @@ import (
 	"starlinkperf/internal/stats"
 	"starlinkperf/internal/web"
 )
-
-func BenchmarkTable1Datasets(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tb := core.NewTestbed(core.DefaultConfig())
-		var out strings.Builder
-		core.RenderTable1(&out, 150*24*time.Hour, 107*24*time.Hour, 107*24*time.Hour,
-			150*24*time.Hour, len(tb.Anchors), len(tb.Sites))
-		if i == 0 {
-			b.Log("\n" + out.String())
-		}
-	}
-}
-
-func BenchmarkFigure1AnchorRTT(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tb := core.NewTestbed(core.DefaultConfig())
-		lat := tb.RunLatencyCampaign(48*time.Hour, 5*time.Minute)
-		rows := core.Figure1(lat, tb.Anchors)
-		var out strings.Builder
-		core.RenderFigure1(&out, rows)
-		if i == 0 {
-			b.Log("\n" + out.String())
-			b.ReportMetric(rows[0].Summary.P50, "BE1-med-ms")
-			b.ReportMetric(rows[6].Summary.Min, "DE1-min-ms")
-			b.ReportMetric(rows[9].Summary.P50, "fremont-med-ms")
-			b.ReportMetric(rows[10].Summary.P50, "sin-med-ms")
-		}
-	}
-}
-
-func BenchmarkFigure2RTTTimeline(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		cfg := core.DefaultConfig()
-		// The paper's five-month window with the Feb-11 fleet-growth
-		// step and the late-April load episode.
-		cfg.InitialShellFraction = 0.86
-		cfg.FleetGrowthAt = 53 * 24 * time.Hour
-		cfg.Load = core.LoadEpisode{
-			Start: 125 * 24 * time.Hour, End: 139 * 24 * time.Hour,
-			ExtraOneWay: 4 * time.Millisecond,
-		}
-		tb := core.NewTestbed(cfg)
-		lat := tb.RunLatencyCampaign(150*24*time.Hour, 30*time.Minute)
-		bins := core.Figure2(lat)
-		if i == 0 {
-			var out strings.Builder
-			core.RenderFigure2(&out, bins[:min(8, len(bins))])
-			out.WriteString("  ...\n")
-			core.RenderFigure2(&out, bins[max(0, len(bins)-8):])
-			b.Log("\n" + out.String())
-			// The step: median before day 53 vs after.
-			eu := lat.EuropeanSeries()
-			before := stats.Median(eu.Window(30*24*time.Hour, 53*24*time.Hour))
-			after := stats.Median(eu.Window(53*24*time.Hour, 80*24*time.Hour))
-			busy := stats.Median(eu.Window(125*24*time.Hour, 139*24*time.Hour))
-			b.ReportMetric(before, "med-before-growth-ms")
-			b.ReportMetric(after, "med-after-growth-ms")
-			b.ReportMetric(busy, "med-load-episode-ms")
-		}
-	}
-}
-
-func BenchmarkFigure3RTTUnderLoad(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tb := core.NewTestbed(core.DefaultConfig())
-		down := tb.RunH3Campaign(6, 100<<20, true, 20*time.Second)
-		up := tb.RunH3Campaign(4, 100<<20, false, 20*time.Second)
-		f := core.MakeFigure3(down, up)
-		if i == 0 {
-			var out strings.Builder
-			core.RenderFigure3(&out, f)
-			b.Log("\n" + out.String())
-			b.ReportMetric(f.Download.P50, "down-p50-ms")
-			b.ReportMetric(f.Download.P95, "down-p95-ms")
-			b.ReportMetric(f.Upload.P50, "up-p50-ms")
-			b.ReportMetric(f.Upload.P95, "up-p95-ms")
-		}
-	}
-}
-
-func BenchmarkTable2LossRatios(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tb := core.NewTestbed(core.DefaultConfig())
-		h3d := tb.RunH3Campaign(5, 100<<20, true, 15*time.Second)
-		h3u := tb.RunH3Campaign(3, 100<<20, false, 15*time.Second)
-		md := tb.RunMessagesCampaign(6, 2*time.Minute, true)
-		mu := tb.RunMessagesCampaign(6, 2*time.Minute, false)
-		t2 := core.MakeTable2(h3d, h3u, md, mu)
-		if i == 0 {
-			var out strings.Builder
-			core.RenderTable2(&out, t2)
-			b.Log("\n" + out.String())
-			b.ReportMetric(100*t2.H3Down, "h3-down-loss-pct")
-			b.ReportMetric(100*t2.H3Up, "h3-up-loss-pct")
-			b.ReportMetric(100*t2.MsgDown, "msg-down-loss-pct")
-			b.ReportMetric(100*t2.MsgUp, "msg-up-loss-pct")
-		}
-	}
-}
-
-func BenchmarkFigure4aLossBurstsH3(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tb := core.NewTestbed(core.DefaultConfig())
-		down := tb.RunH3Campaign(5, 100<<20, true, 15*time.Second)
-		up := tb.RunH3Campaign(3, 100<<20, false, 15*time.Second)
-		f := core.MakeFigure4("H3 transfers", down.BurstLengths(), up.BurstLengths())
-		if i == 0 {
-			var out strings.Builder
-			core.RenderFigure4(&out, f)
-			b.Log("\n" + out.String())
-			b.ReportMetric(100*f.MultiPacketFracDown, "down-multipkt-pct")
-			b.ReportMetric(100*f.SinglePacketFracUp, "up-singlepkt-pct")
-		}
-	}
-}
-
-func BenchmarkFigure4bLossBurstsMsgs(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tb := core.NewTestbed(core.DefaultConfig())
-		md := tb.RunMessagesCampaign(8, 2*time.Minute, true)
-		mu := tb.RunMessagesCampaign(8, 2*time.Minute, false)
-		f := core.MakeFigure4("messaging transfers", md.BurstLengths(), mu.BurstLengths())
-		if i == 0 {
-			var out strings.Builder
-			core.RenderFigure4(&out, f)
-			b.Log("\n" + out.String())
-		}
-	}
-}
-
-func BenchmarkLossEventDurations(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tb := core.NewTestbed(core.DefaultConfig())
-		down := tb.RunH3Campaign(5, 100<<20, true, 15*time.Second)
-		md := tb.RunMessagesCampaign(6, 2*time.Minute, true)
-		if i == 0 {
-			var out strings.Builder
-			core.LossDurations(&out, "H3 downloads", down.EventDurations())
-			core.LossDurations(&out, "message downloads", md.EventDurations())
-			b.Log("\n" + out.String())
-			s := stats.Summarize(down.EventDurations())
-			b.ReportMetric(s.P50*1e6, "h3-down-p50-us")
-			b.ReportMetric(s.P99*1e3, "h3-down-p99-ms")
-		}
-	}
-}
-
-func BenchmarkWiredBaselineLoss(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tb := core.NewTestbed(core.DefaultConfig())
-		// The paper's sanity check: downloads to a wired machine near
-		// the exit point see essentially zero loss, proving the losses
-		// live inside the access network.
-		camp := tb.RunH3CampaignFrom(tb.PCWired, 4, 100<<20, true, 5*time.Second, tb.QUICConf)
-		if i == 0 {
-			var sent, lost uint64
-			for _, r := range camp.Records {
-				sent += r.Loss.PacketsSent
-				lost += r.Loss.PacketsLost
-			}
-			b.Logf("wired baseline: %d packets sent, %d lost", sent, lost)
-			b.ReportMetric(float64(lost), "lost-packets")
-			b.ReportMetric(float64(sent), "sent-packets")
-		}
-	}
-}
-
-func BenchmarkFigure5Throughput(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tb := core.NewTestbed(core.DefaultConfig())
-		sl := tb.RunSpeedtestCampaign(core.TechStarlink, 24, 30*time.Minute)
-		sc := tb.RunSpeedtestCampaign(core.TechSatCom, 10, 30*time.Minute)
-		h3d := tb.RunH3Campaign(5, 100<<20, true, 15*time.Second)
-		h3u := tb.RunH3Campaign(3, 100<<20, false, 15*time.Second)
-		f := core.MakeFigure5(sl, sc, h3d, h3u)
-		if i == 0 {
-			var out strings.Builder
-			core.RenderFigure5(&out, f)
-			b.Log("\n" + out.String())
-			b.ReportMetric(f.StarlinkDown.P50, "sl-ookla-down-med")
-			b.ReportMetric(f.StarlinkUp.P50, "sl-ookla-up-med")
-			b.ReportMetric(f.SatComDown.P50, "sc-ookla-down-med")
-			b.ReportMetric(f.SatComUp.P50, "sc-ookla-up-med")
-			b.ReportMetric(f.H3Down.P50, "sl-h3-down-med")
-		}
-	}
-}
-
-func benchWebFigure(b *testing.B, metric func(web.VisitResult) float64, unit string) {
-	for i := 0; i < b.N; i++ {
-		tb := core.NewTestbed(core.DefaultConfig())
-		visits := map[string][]web.VisitResult{
-			"starlink": tb.RunWebCampaign(core.TechStarlink, 60, 2*time.Second),
-			"satcom":   tb.RunWebCampaign(core.TechSatCom, 60, 2*time.Second),
-			"wired":    tb.RunWebCampaign(core.TechWired, 60, 2*time.Second),
-		}
-		f := core.MakeFigure6(visits)
-		if i == 0 {
-			var out strings.Builder
-			core.RenderFigure6(&out, f)
-			b.Log("\n" + out.String())
-			for tech, vs := range visits {
-				var xs []float64
-				for _, v := range vs {
-					if !v.Failed {
-						xs = append(xs, metric(v))
-					}
-				}
-				b.ReportMetric(stats.Median(xs), tech+"-"+unit)
-			}
-		}
-	}
-}
-
-func BenchmarkFigure6aOnLoad(b *testing.B) {
-	benchWebFigure(b, func(v web.VisitResult) float64 { return v.OnLoad.Seconds() }, "onload-med-s")
-}
-
-func BenchmarkFigure6bSpeedIndex(b *testing.B) {
-	benchWebFigure(b, func(v web.VisitResult) float64 { return v.SpeedIndex.Seconds() }, "si-med-s")
-}
-
-func BenchmarkMiddleboxDetection(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tb := core.NewTestbed(core.DefaultConfig())
-		sl := tb.RunMiddleboxAudit(core.TechStarlink)
-		tb2 := core.NewTestbed(core.DefaultConfig())
-		sc := tb2.RunMiddleboxAudit(core.TechSatCom)
-		if i == 0 {
-			var out strings.Builder
-			core.RenderMiddleboxAudit(&out, "starlink", sl)
-			core.RenderMiddleboxAudit(&out, "satcom", sc)
-			b.Log("\n" + out.String())
-			b.ReportMetric(float64(sl.NATLevels), "starlink-nat-levels")
-			b.ReportMetric(boolMetric(sl.PEP.ProxyDetected()), "starlink-pep")
-			b.ReportMetric(boolMetric(sc.PEP.ProxyDetected()), "satcom-pep")
-		}
-	}
-}
-
-func BenchmarkTrafficDiscrimination(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tb := core.NewTestbed(core.DefaultConfig())
-		ds := tb.RunWeheAudit(core.TechStarlink, 2)
-		if i == 0 {
-			var out strings.Builder
-			core.RenderWehe(&out, "starlink", ds)
-			b.Log("\n" + out.String())
-			diff := 0
-			for _, d := range ds {
-				if d.Differentiated {
-					diff++
-				}
-			}
-			b.ReportMetric(float64(diff), "differentiated-services")
-		}
-	}
-}
-
-func BenchmarkMessageRTT(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tb := core.NewTestbed(core.DefaultConfig())
-		md := tb.RunMessagesCampaign(5, 2*time.Minute, true)
-		mu := tb.RunMessagesCampaign(5, 2*time.Minute, false)
-		if i == 0 {
-			d := stats.Summarize(md.RTTsMs)
-			u := stats.Summarize(mu.RTTsMs)
-			b.Logf("messages RTT down p50/p95/p99 = %.0f/%.0f/%.0f ms (paper 50/71/87)", d.P50, d.P95, d.P99)
-			b.Logf("messages RTT up   p50/p95/p99 = %.0f/%.0f/%.0f ms (paper 66/87/143)", u.P50, u.P95, u.P99)
-			b.ReportMetric(d.P50, "down-p50-ms")
-			b.ReportMetric(u.P50, "up-p50-ms")
-		}
-	}
-}
-
-func BenchmarkConnectionSetup(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tb := core.NewTestbed(core.DefaultConfig())
-		sl := tb.RunWebCampaign(core.TechStarlink, 15, time.Second)
-		sc := tb.RunWebCampaign(core.TechSatCom, 15, time.Second)
-		if i == 0 {
-			mSL := core.ConnSetupStats(sl).Mean
-			mSC := core.ConnSetupStats(sc).Mean
-			b.Logf("connection setup (TCP+TLS): starlink %.0fms, satcom %.0fms (paper 167 vs 2030)", mSL, mSC)
-			b.ReportMetric(mSL, "starlink-setup-ms")
-			b.ReportMetric(mSC, "satcom-setup-ms")
-		}
-	}
-}
-
-// --- Ablations (design choices DESIGN.md calls out) -------------------
 
 func BenchmarkAblationPacing(b *testing.B) {
 	for i := 0; i < b.N; i++ {
@@ -445,53 +146,7 @@ func BenchmarkAblationRwnd(b *testing.B) {
 	}
 }
 
-// --- parallel campaign runner ------------------------------------------
-
-// benchLatencyReps runs the same 8-repetition latency campaign with a
-// fixed worker count; comparing the Sequential and Parallel variants
-// (e.g. with benchstat) measures the speedup of the sharded runner. The
-// result is worker-count invariant, so the two variants do identical
-// work — on a multi-core machine the parallel one should be >=2x faster
-// with 4+ workers, while on a single CPU it only measures pool overhead.
-func benchLatencyReps(b *testing.B, workers int) *core.LatencyData {
-	var lat *core.LatencyData
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		lat = core.RunLatencyCampaignParallel(core.DefaultConfig(), 8, 12*time.Hour, 5*time.Minute,
-			core.Options{Workers: workers, Seed: 1})
-	}
-	b.ReportMetric(float64(workers), "workers")
-	b.ReportMetric(float64(lat.Sent), "probes")
-	return lat
-}
-
-func BenchmarkLatencyCampaignSequential(b *testing.B) {
-	benchLatencyReps(b, 1)
-}
-
-func BenchmarkLatencyCampaignParallel(b *testing.B) {
-	seq := benchLatencyReps(b, max(4, runtime.GOMAXPROCS(0)))
-	b.StopTimer()
-	if lone := benchOnce(); seq.Sent != lone.Sent || seq.Lost != lone.Lost {
-		b.Fatalf("parallel run diverged from 1-worker run: %d/%d vs %d/%d",
-			seq.Sent, seq.Lost, lone.Sent, lone.Lost)
-	}
-}
-
-// benchOnce reruns the campaign on one worker for the invariance check.
-func benchOnce() *core.LatencyData {
-	return core.RunLatencyCampaignParallel(core.DefaultConfig(), 8, 12*time.Hour, 5*time.Minute,
-		core.Options{Workers: 1, Seed: 1})
-}
-
 // --- helpers -----------------------------------------------------------
-
-func boolMetric(v bool) float64 {
-	if v {
-		return 1
-	}
-	return 0
-}
 
 func medOnLoad(vs []web.VisitResult) float64 {
 	var xs []float64

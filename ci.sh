@@ -46,9 +46,13 @@ echo "== no deleted mechanism in non-test code (DESIGN.md: Independent traffic s
 # proxies' Observe methods, pep.New without its node) that
 # netem.Network.Sink replaced, since a layer is observed iff its network
 # is (DESIGN.md §7 Observability), cc's NewReno, which nothing
-# selected, and the per-packet link enqueue/dequeue trace records, which
-# filled the trace rings and gave observed links a second datapath.
-if grep -rnE 'PartitionedDriver|CrossEdge|AddCrossLink|snapshotRing|peekSnapshot|delayRing|islMemo|candCount|referenceReassignAt|epochPool|runPhase|phaseAssign|WirePoolStats struct|pktRing|txRing|frameQueue|rangeSet|byteRanges|cryptoRecv|offRange|compactMin|nstopped|\) compact\(|rebuildFIB|rebuildHandlers|fibDirty|hDirty|fibGroups|msgsInOrder|insertMsgKey|Hops \[\]Addr|wireFree|chunkFree|AnalyzeSenderView|obs\.Options|\(p \*Prober\) Observe|\(p \*Proxy\) Observe|pep\.New\(|NewNewReno|KindEnqueue|KindDequeue' --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark .; then
+# selected, the per-packet link enqueue/dequeue trace records, which
+# filled the trace rings and gave observed links a second datapath, and
+# the transport mechanisms no run reached or only the retired
+# -transport toggle list did (CUBIC idle cwnd decay, QUIC migration, the
+# pacer burst knobs), errant's unused import/draw half and the
+# -scenario.workers flag, which duplicated -workers.
+if grep -rnE 'PartitionedDriver|CrossEdge|AddCrossLink|snapshotRing|peekSnapshot|delayRing|islMemo|candCount|referenceReassignAt|epochPool|runPhase|phaseAssign|WirePoolStats struct|pktRing|txRing|frameQueue|rangeSet|byteRanges|cryptoRecv|offRange|compactMin|nstopped|\) compact\(|rebuildFIB|rebuildHandlers|fibDirty|hDirty|fibGroups|msgsInOrder|insertMsgKey|Hops \[\]Addr|wireFree|chunkFree|AnalyzeSenderView|obs\.Options|\(p \*Prober\) Observe|\(p \*Proxy\) Observe|pep\.New\(|NewNewReno|KindEnqueue|KindDequeue|IdleDecay|decayAfterIdle|AllowMigration|PathMigrations|PacingBurst|UnmarshalProfiles|LinkConfigs|"scenario\.workers"' --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark .; then
     echo "a deleted mechanism is named above" >&2
     exit 1
 fi

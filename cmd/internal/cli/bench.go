@@ -69,7 +69,6 @@ func sizesFor(scale int, quick bool) sizes {
 func starlinkBench(args []string, stdout, stderr io.Writer) error {
 	fs := newFlagSet("starlink-bench", stderr, withWorkers|withTransport)
 	scale := fs.Int("scale", 1, "campaign scale factor")
-	scenarioWorkers := fs.Int("scenario.workers", 0, "goroutines advancing the fleet traffic scenario's shards (0 = GOMAXPROCS); never changes results")
 	quick := fs.Bool("quick", false, "tiny smoke-sized campaigns for CI (ignores -scale)")
 	fleetTerminals := fs.Int("fleet.terminals", 0, "override the fleet scenario's terminal count (0 = profile default); the partitioned epoch campaign is bit-identical for any worker count at any size")
 	tracePath := fs.String("trace", "", "write the event trace here (.jsonl extension selects JSON Lines, anything else the OTR1 binary format)")
@@ -83,9 +82,8 @@ func starlinkBench(args []string, stdout, stderr io.Writer) error {
 	if *scale < 1 {
 		return fmt.Errorf("scale must be >= 1")
 	}
-	if *scenarioWorkers < 0 || *fleetTerminals < 0 {
-		return fmt.Errorf("scenario.workers and fleet.terminals must be >= 0 (0 selects the default), got %d, %d",
-			*scenarioWorkers, *fleetTerminals)
+	if *fleetTerminals < 0 {
+		return fmt.Errorf("fleet.terminals must be >= 0 (0 selects the default), got %d", *fleetTerminals)
 	}
 	sz := sizesFor(*scale, *quick)
 	if *fleetTerminals > 0 {
@@ -183,7 +181,6 @@ func starlinkBench(args []string, stdout, stderr io.Writer) error {
 	if traceFile != nil || metricsFile != nil {
 		collector = obs.NewCollector()
 	}
-	opts.ScenarioWorkers = *scenarioWorkers
 	opts.Obs = collector
 	opts.Progress = func(done, total int) {
 		fmt.Fprintf(stderr, "campaigns: %d/%d done\n", done, total)
@@ -230,8 +227,9 @@ func starlinkBench(args []string, stdout, stderr io.Writer) error {
 	// The packet-level traffic scenario: the same fleet, but every
 	// terminal actually probing its gateway through the emulated network,
 	// partitioned spatially into independent shards that
-	// -scenario.workers goroutines advance between epoch barriers. Output is bit-identical for
-	// any worker count (TestRunVariantMatrix byte-diffs it).
+	// -workers goroutines advance between epoch barriers. Output is
+	// bit-identical for any worker count (TestRunVariantMatrix byte-diffs
+	// it).
 	fmt.Fprintf(stderr, "traffic: %d terminals over %v (sharded)...\n", sz.trafficTerms, sz.trafficSpan)
 	trafficRes := core.RunFleetTraffic(fleet.TrafficConfig{
 		Fleet: fleet.Config{Terminals: sz.trafficTerms, Horizon: sz.trafficSpan, Epoch: 15 * time.Second},

@@ -72,7 +72,7 @@ func newFlagSet(name string, stderr io.Writer, with shared) *flagSet {
 		fs.workers = fs.Int("workers", 0, "parallel campaign workers (0 = GOMAXPROCS)")
 	}
 	if with&withTransport != 0 {
-		fs.transport = fs.String("transport", "paper", "transport profile: paper | modern | toggle list (bbr,pacing,zerortt,migration,minrtt,idledecay)")
+		fs.transport = fs.String("transport", "paper", "transport stack: paper | modern")
 	}
 	if with&withTech != 0 {
 		fs.tech = fs.String("tech", "starlink", "vantage point: starlink | satcom | wired")

@@ -64,8 +64,6 @@ var golden = []struct {
 		stdout: "4823cfe2f67dc3844e7cdbe065a83904027490dc6d7b43bd5fcab684c871ca93"},
 	{name: "sharded", command: "webbench", args: "-visits 12", sharded: true,
 		stdout: "d3497ea5151e2cadd1666424216bd2f7fa4308c42d0347f5edde2444fe233996"},
-	{name: "toggles", command: "webbench", args: "-visits 2 -tech satcom -transport bbr,pacing",
-		stdout: "03b9e8e6f3dc53f3f89ca4c68a0a82098042e0d27e5843d8d2a51d5ece59fd99"},
 	{name: "starlink", command: "tracebox", args: "",
 		stdout: "c55b5ce45a7e2b7905cbd315b5156b90b6775b31ace728d78c577cbac89b3738"},
 	{name: "wired", command: "tracebox", args: "-tech wired",
@@ -165,6 +163,7 @@ func TestBadInput(t *testing.T) {
 		{"quicbench", "-transport warp"},
 		{"speedtest", "-transport warp"},
 		{"webbench", "-transport bbr,warp"},
+		{"webbench", "-transport bbr,pacing"},
 		{"starlink-bench", "-quick -transport warp"},
 		// Counts below one.
 		{"pingmon", "-days 0"},
@@ -216,7 +215,7 @@ func TestFlagSets(t *testing.T) {
 		"pingmon":        "-days -interval -reps -scenario -seed -workers",
 		"quicbench":      "-dir -dur -mode -n -pcap -seed -size -transport -workers",
 		"speedtest":      "-conns -count -gap -seed -tech -transport -workers",
-		"starlink-bench": "-cpuprofile -fleet.terminals -memprofile -metrics.json -quick -scale -scenario.workers -seed -trace -transport -workers",
+		"starlink-bench": "-cpuprofile -fleet.terminals -memprofile -metrics.json -quick -scale -seed -trace -transport -workers",
 		"tracebox":       "-seed -tech",
 		"webbench":       "-seed -tech -transport -v -visits -workers",
 	}

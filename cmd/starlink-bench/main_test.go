@@ -15,9 +15,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 }
 
 // TestRunVariantMatrix is the report-level equivalence proof: the quick
-// report on one campaign worker and one scenario worker against a row with
-// every result-neutral axis flipped at once — eight workers of each kind,
-// the paper transport profile selected explicitly. Figures, event trace
+// report on one worker against a row with every result-neutral axis
+// flipped at once — eight workers (campaign shards and traffic scenario
+// shards alike), the paper transport selected explicitly. Figures, event trace
 // and metrics registry must come out byte-identical. A difference here
 // says only that some axis leaks; the per-stage tests
 // (TestSweepWorkerInvariance, TestFleetScenarioWorkerInvariance,
@@ -37,8 +37,8 @@ func TestRunVariantMatrix(t *testing.T) {
 	}{
 		// The profiles ride the baseline row: they must be written, and
 		// must not change a byte of the report.
-		{"baseline", []string{"-workers", "1", "-scenario.workers", "1", "-cpuprofile", cpuPath, "-memprofile", memPath}},
-		{"flipped", []string{"-workers", "8", "-scenario.workers", "8", "-transport", "paper"}},
+		{"baseline", []string{"-workers", "1", "-cpuprofile", cpuPath, "-memprofile", memPath}},
+		{"flipped", []string{"-workers", "8", "-transport", "paper"}},
 	}
 	// What each row produced, by artifact name. stderr is kept apart: it
 	// names the worker count.
@@ -127,7 +127,6 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"-metrics.json", "/no/such/dir/metrics.json"},
 		{"-memprofile", "/no/such/dir/mem.pprof"},
 		{"-workers", "-1"},
-		{"-scenario.workers", "-1"},
 		{"-fleet.terminals", "-1"},
 	} {
 		if err := run(append([]string{"-quick"}, args...), &early, &earlyErr); err == nil {

@@ -70,17 +70,6 @@ type Cubic struct {
 	hsRoundBytes   int
 	hsRoundMin     time.Duration
 	hsRoundSamples int
-
-	// IdleDecay enables RFC 7661-style congestion window validation: a
-	// flow that idles (no sends, no acks) through an outage halves its
-	// window per idle RTO instead of bursting the stale pre-outage cwnd
-	// into the freshly restored link. Off by default — the paper's
-	// quiche build had no CWV, and the reproduction profile keeps its
-	// post-idle line-rate burst.
-	IdleDecay   bool
-	lastActive  sim.Time
-	activeValid bool
-	idleSRTT    time.Duration
 }
 
 // NewCubic returns a CUBIC controller with the standard initial window
@@ -102,58 +91,11 @@ func (c *Cubic) Window() int { return c.cwnd }
 // InSlowStart implements CongestionController.
 func (c *Cubic) InSlowStart() bool { return c.cwnd < c.ssthresh }
 
-// OnPacketSent implements CongestionController. With IdleDecay enabled it
-// is also the idle detector: the first send after an idle period longer
-// than the restart timeout decays the window before any data leaves.
-func (c *Cubic) OnPacketSent(now sim.Time, _ int) {
-	if !c.IdleDecay {
-		return
-	}
-	if c.activeValid {
-		c.decayAfterIdle(now.Sub(c.lastActive))
-	}
-	c.lastActive = now
-	c.activeValid = true
-}
-
-// decayAfterIdle applies RFC 7661 semantics, simplified to this
-// simulator's controller granularity: per full restart timeout of idle
-// the window halves toward the initial window, ssthresh is raised so the
-// flow can ramp back in slow start, and the cubic epoch restarts so the
-// next congestion-avoidance phase grows from the decayed point instead of
-// the stale pre-idle curve.
-func (c *Cubic) decayAfterIdle(idle time.Duration) {
-	rto := 2 * c.idleSRTT
-	if rto < 200*time.Millisecond {
-		rto = 200 * time.Millisecond
-	}
-	if idle < rto {
-		return
-	}
-	floor := InitialWindowPackets * c.mss
-	if c.cwnd <= floor {
-		return
-	}
-	if half := c.cwnd * 3 / 4; c.ssthresh < half {
-		c.ssthresh = half
-	}
-	for ; idle >= rto && c.cwnd > floor; idle -= rto {
-		c.cwnd /= 2
-	}
-	if c.cwnd < floor {
-		c.cwnd = floor
-	}
-	c.haveEpoch = false
-	c.hsRoundBytes, c.hsRoundSamples, c.hsRoundMin = 0, 0, 0
-}
+// OnPacketSent implements CongestionController.
+func (c *Cubic) OnPacketSent(sim.Time, int) {}
 
 // OnPacketAcked implements CongestionController.
 func (c *Cubic) OnPacketAcked(now sim.Time, bytes int, rtt *RTTEstimator) {
-	if c.IdleDecay {
-		c.lastActive = now
-		c.activeValid = true
-		c.idleSRTT = rtt.Smoothed()
-	}
 	if c.inRecovery {
 		// Still draining the episode: window frozen until a packet sent
 		// after the recovery point is acked, which the connection

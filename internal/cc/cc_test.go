@@ -99,69 +99,6 @@ func TestCCSameEpochLossIgnored(t *testing.T) {
 	}
 }
 
-// growCubic drives a controller to a large window with a steady ack clock.
-func growCubic(c *Cubic, r *RTTEstimator, acks int) {
-	for i := 0; i < acks; i++ {
-		now := at(0.001 * float64(i))
-		c.OnPacketSent(now, testMSS)
-		c.OnPacketAcked(now, testMSS, r)
-	}
-}
-
-// TestCubicIdleDecayOutageResume is the regression test for the missing
-// congestion-window validation: a flow that idles through an outage must
-// not resume with its full pre-outage window (the RFC 7661 behavior the
-// IdleDecay flag adds). The default controller keeps the seed's burst
-// behavior, asserted alongside.
-func TestCubicIdleDecayOutageResume(t *testing.T) {
-	var r RTTEstimator
-	r.Update(50*time.Millisecond, 0)
-
-	legacy := NewCubic(testMSS)
-	fixed := NewCubic(testMSS)
-	fixed.IdleDecay = true
-	growCubic(legacy, &r, 400)
-	growCubic(fixed, &r, 400)
-	if legacy.Window() != fixed.Window() {
-		t.Fatalf("controllers diverged while active: %d vs %d", legacy.Window(), fixed.Window())
-	}
-	pre := fixed.Window()
-	if pre <= 2*InitialWindowPackets*testMSS {
-		t.Fatalf("window %d too small for the test to be meaningful", pre)
-	}
-
-	// 15 s outage: no sends, no acks. The first send after the link comes
-	// back is where validation must bite.
-	resume := at(0.4 + 15)
-	legacy.OnPacketSent(resume, testMSS)
-	fixed.OnPacketSent(resume, testMSS)
-
-	if legacy.Window() != pre {
-		t.Errorf("seed-profile controller changed window on idle: %d -> %d", pre, legacy.Window())
-	}
-	if fixed.Window() >= pre {
-		t.Errorf("IdleDecay window %d did not decay from %d after 15s idle", fixed.Window(), pre)
-	}
-	if floor := InitialWindowPackets * testMSS; fixed.Window() < floor {
-		t.Errorf("IdleDecay window %d fell below the restart floor %d", fixed.Window(), floor)
-	}
-}
-
-// TestCubicIdleDecayShortGapUntouched: pauses shorter than the restart
-// timeout (normal ack clocking) must not decay anything.
-func TestCubicIdleDecayShortGapUntouched(t *testing.T) {
-	var r RTTEstimator
-	r.Update(50*time.Millisecond, 0)
-	c := NewCubic(testMSS)
-	c.IdleDecay = true
-	growCubic(c, &r, 400)
-	pre := c.Window()
-	c.OnPacketSent(at(0.4+0.15), testMSS) // 150ms gap < 200ms restart timeout
-	if c.Window() != pre {
-		t.Errorf("window %d changed after a sub-RTO pause (pre %d)", c.Window(), pre)
-	}
-}
-
 func TestPacerDisabledIsZero(t *testing.T) {
 	p := Pacer{}
 	var r RTTEstimator

@@ -36,9 +36,10 @@ func RunFleetScenario(cfg fleet.Config, opts Options) *fleet.Result {
 // RunFleetTraffic runs the packet-level fleet scenario — every terminal
 // probing its serving gateway through the emulated bent-pipe network —
 // under the shared Options semantics. The fleet is partitioned spatially
-// into self-contained shards that opts.ScenarioWorkers goroutines advance
-// from one epoch barrier to the next, with outputs bit-identical for any
-// worker count (TestTrafficWorkerInvariance and
+// into self-contained shards that opts.ScenarioWorkers goroutines
+// (default: the campaign worker count) advance from one epoch barrier to
+// the next, with outputs bit-identical for any worker count
+// (TestTrafficWorkerInvariance and
 // TestFleetTrafficScenarioWorkerInvariance enforce it). opts.Obs receives
 // one source per partition plus the embedded fleet campaign's sink, all
 // named through obs.ShardSource so exports stay worker-invariant.
@@ -50,7 +51,10 @@ func RunFleetTraffic(cfg fleet.TrafficConfig, opts Options) *fleet.TrafficResult
 		cfg.Fleet.Workers = opts.WorkerCount()
 	}
 	if cfg.ScenarioWorkers <= 0 {
-		cfg.ScenarioWorkers = defaultWorkers(opts.ScenarioWorkers)
+		cfg.ScenarioWorkers = opts.WorkerCount()
+		if opts.ScenarioWorkers > 0 {
+			cfg.ScenarioWorkers = opts.ScenarioWorkers
+		}
 	}
 	if opts.Obs != nil {
 		cfg.Collector = opts.Obs

@@ -32,24 +32,19 @@ type Options struct {
 	// ScenarioWorkers caps the goroutines advancing the traffic shards
 	// *inside* one scenario (RunFleetTraffic), as opposed to Workers,
 	// which parallelizes *across* independent campaign shards. Zero or
-	// negative means GOMAXPROCS. Like Workers, it never changes results —
+	// negative means Workers. Like Workers, it never changes results —
 	// shards share nothing between epoch barriers, so the output is
 	// bit-identical for any value.
 	ScenarioWorkers int
 }
 
-// defaultWorkers resolves a worker-count knob: zero or negative means
-// GOMAXPROCS. Every such knob (Workers, ScenarioWorkers) goes through
-// here.
-func defaultWorkers(w int) int {
-	if w <= 0 {
+// WorkerCount is Workers with the default (GOMAXPROCS) applied.
+func (o Options) WorkerCount() int {
+	if o.Workers <= 0 {
 		return runtime.GOMAXPROCS(0)
 	}
-	return w
+	return o.Workers
 }
-
-// WorkerCount is Workers with the default applied.
-func (o Options) WorkerCount() int { return defaultWorkers(o.Workers) }
 
 // baseSeed resolves the campaign seed against a Config.
 func (o Options) baseSeed(cfg Config) uint64 {

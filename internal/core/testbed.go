@@ -81,10 +81,9 @@ type Config struct {
 	// DisableSatComPEP removes the dual PEP from the SatCom path (the
 	// ablation showing what the proxies buy).
 	DisableSatComPEP bool
-	// Transport selects the transport profile shared by the QUIC and TCP
-	// stacks (see TransportProfile). The zero value is the paper
-	// baseline and changes nothing.
-	Transport TransportProfile
+	// Transport selects the stack shared by the QUIC and TCP models. The
+	// zero value is the paper's and changes nothing.
+	Transport Transport
 }
 
 // DefaultConfig returns the calibrated testbed configuration.
@@ -141,7 +140,7 @@ type Testbed struct {
 	WebTCP   tcpsim.Config
 	QUICConf quic.Config
 	// Sessions is the testbed-owned QUIC session-ticket cache; the
-	// transport profile threads it into QUICConf when 0-RTT is enabled
+	// modern transport threads it into QUICConf (0-RTT is modern-only)
 	// so resumption survives the campaigns' endpoint-per-transfer churn.
 	Sessions *quic.SessionCache
 }

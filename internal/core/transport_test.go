@@ -5,19 +5,18 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"starlinkperf/internal/measure"
 )
 
 func TestParseTransport(t *testing.T) {
 	for _, tc := range []struct {
 		in   string
-		want TransportProfile
+		want Transport
 	}{
-		{"", PaperTransport()},
-		{"paper", PaperTransport()},
-		{"modern", ModernTransport()},
-		{"bbr,pacing", TransportProfile{Name: "bbr,pacing", BBR: true, Pacing: true}},
-		{"minrtt", TransportProfile{Name: "minrtt", RTTMinWindow: 10 * time.Second}},
-		{"zerortt, migration", TransportProfile{Name: "zerortt, migration", ZeroRTT: true, Migration: true}},
+		{"", TransportPaper},
+		{"paper", TransportPaper},
+		{"modern", TransportModern},
 	} {
 		got, err := ParseTransport(tc.in)
 		if err != nil {
@@ -25,20 +24,19 @@ func TestParseTransport(t *testing.T) {
 			continue
 		}
 		if got != tc.want {
-			t.Errorf("ParseTransport(%q) = %+v, want %+v", tc.in, got, tc.want)
+			t.Errorf("ParseTransport(%q) = %v, want %v", tc.in, got, tc.want)
 		}
 	}
-	if _, err := ParseTransport("warp-drive"); err == nil {
-		t.Error("unknown toggle accepted")
-	}
-	if !PaperTransport().IsPaper() || ModernTransport().IsPaper() {
-		t.Error("IsPaper misclassifies the named profiles")
+	for _, in := range []string{"warp-drive", "bbr,pacing", " modern", "Modern"} {
+		if _, err := ParseTransport(in); err == nil {
+			t.Errorf("ParseTransport(%q) accepted", in)
+		}
 	}
 }
 
 // ParseTransport never panics, and what it accepts parses to the same
-// profile once surrounding whitespace is trimmed, and again from the name
-// it gave the profile.
+// stack once surrounding whitespace is trimmed, and again from the name
+// the stack prints as.
 func FuzzParseTransport(f *testing.F) {
 	for _, s := range []string{"", "paper", "modern", " modern ", "bbr,pacing", "zerortt, migration", "minrtt,idledecay", "bbr,", ",", "warp-drive", "\tbbr\n"} {
 		f.Add(s)
@@ -49,23 +47,26 @@ func FuzzParseTransport(f *testing.F) {
 			return
 		}
 		if again, err := ParseTransport(strings.TrimSpace(s)); err != nil || again != p {
-			t.Errorf("ParseTransport(%q) = %+v, but the trimmed %q parses to %+v, %v", s, p, strings.TrimSpace(s), again, err)
+			t.Errorf("ParseTransport(%q) = %v, but the trimmed %q parses to %v, %v", s, p, strings.TrimSpace(s), again, err)
 		}
-		if again, err := ParseTransport(p.Name); err != nil || again != p {
-			t.Errorf("ParseTransport(%q) = %+v, but its name %q parses to %+v, %v", s, p, p.Name, again, err)
+		if again, err := ParseTransport(p.String()); err != nil || again != p {
+			t.Errorf("ParseTransport(%q) = %v, but its name %q parses to %v, %v", s, p, p.String(), again, err)
 		}
 	})
 }
 
-// TestTransportPaperBitIdentical is the profile-plumbing identity gate:
-// explicitly selecting the paper profile must produce byte-for-byte the
-// same campaign output as the default zero value, across worker counts.
+// TestTransportPaperBitIdentical is the transport-plumbing identity gate:
+// selecting -transport paper must produce byte-for-byte the same campaign
+// output as the default configuration, across worker counts.
 // (cmd/starlink-bench's TestRunVariantMatrix byte-diffs the whole report
 // with -transport paper on its flipped row.)
 func TestTransportPaperBitIdentical(t *testing.T) {
 	base := DefaultConfig()
 	withProfile := DefaultConfig()
-	withProfile.Transport = PaperTransport()
+	var err error
+	if withProfile.Transport, err = ParseTransport("paper"); err != nil {
+		t.Fatal(err)
+	}
 	for _, workers := range []int{1, raceWorkers} {
 		a := RunMessagesCampaignParallel(base, 2, 20*time.Second, false, Options{Workers: workers})
 		b := RunMessagesCampaignParallel(withProfile, 2, 20*time.Second, false, Options{Workers: workers})
@@ -86,7 +87,7 @@ func TestTransportModernWorkerInvariance(t *testing.T) {
 	for _, seed := range []uint64{1, 42} {
 		cfg := DefaultConfig()
 		cfg.Seed = seed
-		cfg.Transport = ModernTransport()
+		cfg.Transport = TransportModern
 		run := func(workers int) *MsgCampaign {
 			return RunMessagesCampaignParallel(cfg, 2, 20*time.Second, false, Options{Workers: workers})
 		}
@@ -115,9 +116,37 @@ func TestTransportModernWorkerInvariance(t *testing.T) {
 func TestTransportModernChangesOutput(t *testing.T) {
 	paper := RunMessagesCampaignParallel(DefaultConfig(), 1, 20*time.Second, false, Options{Workers: 1})
 	cfg := DefaultConfig()
-	cfg.Transport = ModernTransport()
+	cfg.Transport = TransportModern
 	modern := RunMessagesCampaignParallel(cfg, 1, 20*time.Second, false, Options{Workers: 1})
 	if reflect.DeepEqual(paper.RTTsMs, modern.RTTsMs) {
 		t.Error("modern profile produced identical output to paper — profile not applied")
+	}
+}
+
+// TestTransportModernResumesWithZeroRTT: the modern stack reaches 0-RTT
+// through the testbed. Of two message sessions from the Starlink PC to
+// the H3 server, dialed with the testbed's QUIC configuration, the second
+// resumes from the ticket the first left in tb.Sessions; under paper it
+// runs the full handshake again.
+func TestTransportModernResumesWithZeroRTT(t *testing.T) {
+	for _, tr := range []Transport{TransportPaper, TransportModern} {
+		cfg := DefaultConfig()
+		cfg.Transport = tr
+		tb := NewTestbed(cfg)
+		var resumed []bool
+		var dial func()
+		dial = func() {
+			measure.MessageSession(tb.PCStarlink, tb.H3Server, tb.UCLServer.Addr(), H3Port, false, 25, 5*time.Second, 5000, 25000, tb.QUICConf, func(s measure.Session) {
+				resumed = append(resumed, s.Client.Stats.ZeroRTTResumed)
+				if len(resumed) < 2 {
+					tb.Sched.After(time.Second, dial)
+				}
+			})
+		}
+		dial()
+		tb.Sched.RunFor(time.Minute)
+		if want := []bool{false, tr == TransportModern}; !reflect.DeepEqual(resumed, want) {
+			t.Errorf("%v: sessions resumed with 0-RTT %v, want %v", tr, resumed, want)
+		}
 	}
 }

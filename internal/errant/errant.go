@@ -6,18 +6,13 @@
 // hardware.
 //
 // Rates and RTTs are modeled log-normally (the standard fit for access
-// network measurements); each Apply draw instantiates one emulated
-// network condition.
+// network measurements). The package fits and exports the profiles; the
+// emulator that draws conditions from them is ERRANT itself.
 package errant
 
 import (
 	"encoding/json"
-	"fmt"
 	"math"
-	"time"
-
-	"starlinkperf/internal/netem"
-	"starlinkperf/internal/sim"
 )
 
 // LogNormal parameterizes a log-normal distribution by the mean (Mu) and
@@ -29,9 +24,6 @@ type LogNormal struct {
 
 // Median returns exp(mu).
 func (l LogNormal) Median() float64 { return math.Exp(l.Mu) }
-
-// Draw samples the distribution.
-func (l LogNormal) Draw(rng *sim.RNG) float64 { return rng.LogNormal(l.Mu, l.Sigma) }
 
 // FitLogNormal estimates parameters from positive samples.
 func FitLogNormal(samples []float64) LogNormal {
@@ -76,61 +68,6 @@ type Profile struct {
 	// applied as a bursty Gilbert-Elliott process (mean burst 4), per
 	// the paper's finding that medium losses come in longer bursts.
 	LossPct float64 `json:"loss_pct"`
-}
-
-// Condition is one drawn network condition.
-type Condition struct {
-	DownMbps, UpMbps float64
-	RTT              time.Duration
-	JitterMs         float64
-	LossPct          float64
-}
-
-// Draw samples a concrete condition from the profile.
-func (p Profile) Draw(rng *sim.RNG) Condition {
-	return Condition{
-		DownMbps: p.DownMbps.Draw(rng),
-		UpMbps:   p.UpMbps.Draw(rng),
-		RTT:      time.Duration(p.RTTms.Draw(rng) * float64(time.Millisecond)),
-		JitterMs: p.JitterMs,
-		LossPct:  p.LossPct,
-	}
-}
-
-// LinkConfigs materializes the condition as a netem link pair
-// (down = toward the client, up = from the client). Queue depth follows
-// the usual 1.5x BDP provisioning.
-func (c Condition) LinkConfigs(rng *sim.RNG) (down, up netem.LinkConfig) {
-	owd := c.RTT / 2
-	mk := func(mbps float64, stream string) netem.LinkConfig {
-		bdp := mbps * 1e6 / 8 * c.RTT.Seconds()
-		queue := int(1.5 * bdp)
-		if queue < 64<<10 {
-			queue = 64 << 10
-		}
-		cfg := netem.LinkConfig{
-			RateBps:    mbps * 1e6,
-			Delay:      netem.ConstantDelay(owd),
-			QueueBytes: queue,
-		}
-		if c.JitterMs > 0 {
-			cfg.Jitter = netem.DelayJitterFunc(rng.Stream(stream+"/jitter"),
-				time.Duration(c.JitterMs*float64(time.Millisecond)))
-		}
-		if c.LossPct > 0 {
-			p := c.LossPct / 100
-			const pbg = 0.25 // mean burst length 4
-			cfg.Loss = &netem.GilbertElliott{
-				PGB:      pbg * p / (1 - p),
-				PBG:      pbg,
-				LossGood: 0,
-				LossBad:  1,
-				Rng:      rng.Stream(stream + "/loss"),
-			}
-		}
-		return cfg
-	}
-	return mk(c.DownMbps, "down"), mk(c.UpMbps, "up")
 }
 
 // Builtin returns the shipped profiles. The starlink and satcom entries
@@ -198,13 +135,4 @@ func Fit(name string, downMbps, upMbps, rttMs []float64, jitterMs, lossPct float
 // MarshalProfiles renders profiles as the JSON artifact format.
 func MarshalProfiles(profiles map[string]Profile) ([]byte, error) {
 	return json.MarshalIndent(profiles, "", "  ")
-}
-
-// UnmarshalProfiles parses the JSON artifact format.
-func UnmarshalProfiles(data []byte) (map[string]Profile, error) {
-	var out map[string]Profile
-	if err := json.Unmarshal(data, &out); err != nil {
-		return nil, fmt.Errorf("errant: %w", err)
-	}
-	return out, nil
 }

@@ -1,14 +1,11 @@
 package errant
 
 import (
+	"encoding/json"
 	"math"
 	"testing"
-	"testing/quick"
-	"time"
 
-	"starlinkperf/internal/netem"
 	"starlinkperf/internal/sim"
-	"starlinkperf/internal/tcpsim"
 )
 
 func TestFitLogNormalRecoversParameters(t *testing.T) {
@@ -16,7 +13,7 @@ func TestFitLogNormalRecoversParameters(t *testing.T) {
 	truth := LogNormal{Mu: math.Log(178), Sigma: 0.25}
 	samples := make([]float64, 5000)
 	for i := range samples {
-		samples[i] = truth.Draw(rng)
+		samples[i] = rng.LogNormal(truth.Mu, truth.Sigma)
 	}
 	fit := FitLogNormal(samples)
 	if math.Abs(fit.Mu-truth.Mu) > 0.02 {
@@ -41,16 +38,16 @@ func TestFitLogNormalEdgeCases(t *testing.T) {
 }
 
 func TestBuiltinProfilesSane(t *testing.T) {
-	rng := sim.NewRNG(2).Stream("draw")
 	profiles := Builtin()
 	for _, name := range []string{"starlink", "satcom-geo", "4g", "3g", "wired"} {
 		p, ok := profiles[name]
 		if !ok {
 			t.Fatalf("missing profile %q", name)
 		}
-		c := p.Draw(rng)
-		if c.DownMbps <= 0 || c.UpMbps <= 0 || c.RTT <= 0 {
-			t.Errorf("%s: degenerate condition %+v", name, c)
+		for _, d := range []LogNormal{p.DownMbps, p.UpMbps, p.RTTms} {
+			if d.Median() <= 0 || d.Sigma <= 0 {
+				t.Errorf("%s: degenerate distribution %+v", name, d)
+			}
 		}
 	}
 	// Ordering facts the paper reports.
@@ -71,8 +68,8 @@ func TestProfileJSONRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := UnmarshalProfiles(data)
-	if err != nil {
+	var out map[string]Profile
+	if err := json.Unmarshal(data, &out); err != nil {
 		t.Fatal(err)
 	}
 	if len(out) != len(in) {
@@ -82,93 +79,5 @@ func TestProfileJSONRoundTrip(t *testing.T) {
 		if out[k] != p {
 			t.Errorf("%s: %+v != %+v", k, out[k], p)
 		}
-	}
-	if _, err := UnmarshalProfiles([]byte("{broken")); err == nil {
-		t.Error("broken JSON accepted")
-	}
-}
-
-func TestConditionLinkConfigs(t *testing.T) {
-	rng := sim.NewRNG(3).Stream("x")
-	c := Condition{DownMbps: 100, UpMbps: 10, RTT: 60 * time.Millisecond, JitterMs: 5, LossPct: 1}
-	down, up := c.LinkConfigs(rng)
-	if down.RateBps != 100e6 || up.RateBps != 10e6 {
-		t.Errorf("rates: %v / %v", down.RateBps, up.RateBps)
-	}
-	if down.Delay(0) != 30*time.Millisecond {
-		t.Errorf("one-way delay = %v", down.Delay(0))
-	}
-	// Queue ~1.5x BDP: 100Mbps x 60ms = 750kB -> ~1125kB.
-	if down.QueueBytes < 1000<<10 || down.QueueBytes > 1300<<10 {
-		t.Errorf("down queue = %d", down.QueueBytes)
-	}
-	if down.Loss == nil || down.Jitter == nil {
-		t.Error("loss/jitter not configured")
-	}
-	ge := down.Loss.(*netem.GilbertElliott)
-	if r := ge.StationaryLossRate(); math.Abs(r-0.01) > 1e-9 {
-		t.Errorf("stationary loss = %v, want 0.01", r)
-	}
-	if j := down.Jitter(0); j < 0 {
-		t.Error("negative jitter")
-	}
-}
-
-func TestDrawProperty(t *testing.T) {
-	rng := sim.NewRNG(4).Stream("q")
-	p := Builtin()["starlink"]
-	f := func(uint8) bool {
-		c := p.Draw(rng)
-		return c.DownMbps > 0 && c.UpMbps > 0 && c.RTT > 0
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestEmulatedStarlinkEndToEnd(t *testing.T) {
-	// Use the profile the way a third party would: draw a condition,
-	// build a two-node network, run a transfer, check the throughput
-	// lands near the drawn rate.
-	sched := sim.NewScheduler(5)
-	rng := sched.RNG().Stream("errant")
-	cond := Builtin()["starlink"].Draw(rng)
-	down, up := cond.LinkConfigs(rng)
-
-	nw := netem.New(sched)
-	client := nw.NewNode("client", netem.MustParseAddr("10.0.0.2"))
-	server := nw.NewNode("server", netem.MustParseAddr("10.0.0.1"))
-	s2c := nw.AddLink(server, client, down)
-	c2s := nw.AddLink(client, server, up)
-	client.SetDefaultRoute(c2s)
-	server.AddRoute(client.Addr(), s2c)
-
-	cfg := tcpsim.DefaultConfig()
-	cfg.TLSRounds = 0
-	received := 0
-	var done sim.Time
-	tcpsim.Listen(client, 80, cfg, func(c *tcpsim.Conn) {
-		c.OnData = func(n int, fin bool) {
-			received += n
-			if fin {
-				done = sched.Now()
-			}
-		}
-	})
-	const total = 20 << 20
-	var start sim.Time
-	c := tcpsim.Dial(server, client.Addr(), 80, cfg)
-	c.OnEstablished = func() {
-		start = sched.Now()
-		c.Write(total)
-		c.Close()
-	}
-	sched.RunFor(5 * time.Minute)
-	if received != total {
-		t.Fatalf("received %d/%d (cond %+v)", received, total, cond)
-	}
-	mbps := float64(total) * 8 / done.Sub(start).Seconds() / 1e6
-	if mbps < cond.DownMbps*0.25 || mbps > cond.DownMbps*1.05 {
-		t.Errorf("goodput %.1f Mbit/s vs drawn capacity %.1f", mbps, cond.DownMbps)
 	}
 }

@@ -17,7 +17,7 @@ func TestSessionLogsNeverRegrow(t *testing.T) {
 	const size = 16 << 20
 	check := func(what string, s measure.Session, msgs, msgBytes int) {
 		t.Helper()
-		packets, samples := measure.LogSizes(msgs, msgBytes, s.Client.Config().AckElicitingThreshold)
+		packets, samples := measure.LogSizes(msgs, msgBytes)
 		rec, smp := s.ReceiverCapture.Received, s.RTTs.Samples
 		if len(rec) == 0 || len(smp) == 0 {
 			t.Fatalf("%s: %d packets and %d RTT samples logged", what, len(rec), len(smp))

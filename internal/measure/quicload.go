@@ -189,19 +189,20 @@ const streamPayload = quic.MaxPayloadSize - 1 - 1 - 4 - 4
 // logSizes returns how many packets the receiver capture and how many RTT
 // samples the sender's recorder of a session will hold, when it carries
 // msgs messages of msgBytes each on average (a bulk transfer is one
-// message) and the receiver acknowledges every ackThreshold-th packet.
-// Each message fills msgBytes/streamPayload packets, ends in a partial one
-// and may send its FIN in one of its own, and the last ACK of a message
-// may cover a single packet. A 1/32 share and 64 more cover the
+// message) and the receiver acknowledges every
+// quic.AckElicitingThreshold-th packet. Each message fills
+// msgBytes/streamPayload packets, ends in a partial one and may send its
+// FIN in one of its own, and the last ACK of a message may cover a single
+// packet. A 1/32 share and 64 more cover the
 // handshake, packets that carry an ACK or a flow-control update beside
 // their data, retransmissions split around one, and probes.
-func logSizes(msgs, msgBytes, ackThreshold int) (packets, samples int) {
+func logSizes(msgs, msgBytes int) (packets, samples int) {
 	if msgs < 0 || msgBytes < 0 {
 		msgs, msgBytes = 0, 0
 	}
 	perMsg := msgBytes/streamPayload + 2
 	packets = msgs * perMsg
-	samples = msgs * ((perMsg + ackThreshold - 1) / ackThreshold)
+	samples = msgs * ((perMsg + quic.AckElicitingThreshold - 1) / quic.AckElicitingThreshold)
 	return packets + packets/32 + 64, samples + samples/32 + 64
 }
 
@@ -209,12 +210,10 @@ func logSizes(msgs, msgBytes, ackThreshold int) (packets, samples int) {
 // addr:port, attaches the RTT recorder to the sending side and the
 // capture to the receiving side, and runs begin once the handshake
 // completes. Both logs are made once, here, sized by logSizes for msgs
-// messages of msgBytes; the testbed's peers share one configuration, so
-// the client's ACK threshold is the receiver's either way. srv must be
-// the H3Server listening there: its OnConn hook is how the accepted
-// connection is reached, and this is the one place that sets it and —
-// when that connection arrives — clears it. The returned function tears
-// the session down.
+// messages of msgBytes. srv must be the H3Server listening there: its
+// OnConn hook is how the accepted connection is reached, and this is the
+// one place that sets it and — when that connection arrives — clears it.
+// The returned function tears the session down.
 func (s *Session) dial(node *netem.Node, srv *H3Server, addr netem.Addr, port uint16, cfg quic.Config, download bool, msgs, msgBytes int, begin func(*quic.Connection)) (finish func()) {
 	srv.OnConn = func(sc *quic.Connection) {
 		srv.OnConn = nil
@@ -228,7 +227,7 @@ func (s *Session) dial(node *netem.Node, srv *H3Server, addr netem.Addr, port ui
 	ep := quic.NewEndpoint(node, ephemeralUDP(node))
 	conn := ep.Dial(addr, port, cfg)
 	s.Client = conn
-	packets, samples := logSizes(msgs, msgBytes, conn.Config().AckElicitingThreshold)
+	packets, samples := logSizes(msgs, msgBytes)
 	s.ReceiverCapture = &trace.Capture{Received: make([]trace.PacketRecord, 0, packets)}
 	s.RTTs = &trace.RTTRecorder{Samples: make([]trace.RTTSample, 0, samples)}
 	if download {

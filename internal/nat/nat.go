@@ -188,16 +188,6 @@ func (n *NAT) allocPort() uint16 {
 	return n.nextPort
 }
 
-// Expire removes mappings idle for longer than MappingTimeout as of now.
-// The lazy sweep in allocPort only runs under port-space pressure; this
-// lets scenario code model a CGNAT timing out an idle flow's binding at a
-// specific instant (the paper's outage traces show exactly this: flows
-// resuming after a long gap come back on a fresh external port).
-func (n *NAT) Expire(now sim.Time) {
-	n.now = now
-	n.expire()
-}
-
 // expire removes mappings idle for longer than MappingTimeout.
 func (n *NAT) expire() {
 	for ext, m := range n.reverse {

@@ -48,9 +48,6 @@ type Config struct {
 	MaxReceiveWindow uint64
 	// MaxAckDelay bounds how long an ACK may be withheld.
 	MaxAckDelay time.Duration
-	// AckElicitingThreshold is the packet count that forces an
-	// immediate ACK (2, per RFC 9000 §13.2.2).
-	AckElicitingThreshold int
 	// NewCC constructs the congestion controller; nil means CUBIC.
 	NewCC func() cc.CongestionController
 	// EnablePacing spaces ack-eliciting departures at the pacing rate
@@ -58,9 +55,6 @@ type Config struct {
 	// cc.PacingRater) with a max-burst token bucket. quiche at the
 	// paper's commit did not pace; the default is off.
 	EnablePacing bool
-	// PacingBurst caps the pacer's back-to-back burst allowance in
-	// packets; 0 means cc.DefaultBurstPackets.
-	PacingBurst int
 	// RTTMinWindow, when positive, makes the connection's min-RTT filter
 	// windowed over that much sim time instead of all-time, so a
 	// handover that raises the path RTT stops pinning stale state. 0
@@ -76,21 +70,19 @@ type Config struct {
 	// (address, port) on every completed handshake and consult it on
 	// Dial when EnableZeroRTT is set.
 	Sessions *SessionCache
-	// AllowMigration lets an established connection follow the peer's
-	// address/port change (RFC 9000 §9) — the NAT rebinding a handover
-	// or outage induces — instead of stranding replies at the stale
-	// mapping until the connection times out.
-	AllowMigration bool
 }
+
+// AckElicitingThreshold is the count of ack-eliciting packets received
+// that forces an immediate ACK (2, per RFC 9000 §13.2.2).
+const AckElicitingThreshold = 2
 
 // DefaultConfig returns the paper's quiche-equivalent configuration.
 func DefaultConfig() Config {
 	return Config{
-		InitialMaxData:        10 << 20,
-		InitialMaxStreamData:  10 << 20,
-		MaxReceiveWindow:      40 << 20,
-		MaxAckDelay:           25 * time.Millisecond,
-		AckElicitingThreshold: 2,
+		InitialMaxData:       10 << 20,
+		InitialMaxStreamData: 10 << 20,
+		MaxReceiveWindow:     40 << 20,
+		MaxAckDelay:          25 * time.Millisecond,
 	}
 }
 
@@ -103,8 +95,7 @@ type Stats struct {
 	PacketsAcked        uint64 // our packets acked by the peer
 	PacketsLost         uint64 // sender-declared losses
 	ProbesSent          uint64
-	PathMigrations      uint64 // peer address/port changes followed
-	ZeroRTTResumed      bool   // connection skipped the handshake RTT
+	ZeroRTTResumed      bool // connection skipped the handshake RTT
 	BytesSent           uint64
 	BytesReceived       uint64
 	FramesRetransmitted uint64
@@ -236,9 +227,6 @@ func newConnection(ep *Endpoint, cfg Config, isClient bool, connID uint64, remot
 	if cfg.MaxAckDelay == 0 {
 		cfg.MaxAckDelay = DefaultConfig().MaxAckDelay
 	}
-	if cfg.AckElicitingThreshold == 0 {
-		cfg.AckElicitingThreshold = DefaultConfig().AckElicitingThreshold
-	}
 	newCC := cfg.NewCC
 	if newCC == nil {
 		newCC = func() cc.CongestionController { return cc.NewCubic(MaxPayloadSize) }
@@ -252,7 +240,7 @@ func newConnection(ep *Endpoint, cfg Config, isClient bool, connID uint64, remot
 		remote:        remote,
 		remotePort:    remotePort,
 		cc:            newCC(),
-		pacer:         cc.Pacer{Enabled: cfg.EnablePacing, BurstPackets: cfg.PacingBurst},
+		pacer:         cc.Pacer{Enabled: cfg.EnablePacing},
 		maxDataLocal:  cfg.InitialMaxData,
 		connWindow:    cfg.InitialMaxData,
 		maxDataRemote: cfg.InitialMaxData, // peers use symmetric configs in the testbed
@@ -271,10 +259,6 @@ func newConnection(ep *Endpoint, cfg Config, isClient bool, connID uint64, remot
 
 // ConnID returns the connection identifier.
 func (c *Connection) ConnID() uint64 { return c.connID }
-
-// Config returns the connection's transport parameters, defaults filled
-// in.
-func (c *Connection) Config() Config { return c.cfg }
 
 // Endpoint returns the endpoint the connection runs on.
 func (c *Connection) Endpoint() *Endpoint { return c.ep }
@@ -448,7 +432,7 @@ func (c *Connection) recycleSent(sps []*sentPacket) {
 // ---------------------------------------------------------------------
 // Receive path.
 
-func (c *Connection) handlePacket(p *Packet, from netem.Addr, fromPort uint16) {
+func (c *Connection) handlePacket(p *Packet) {
 	if c.state == stateClosed {
 		return
 	}
@@ -456,15 +440,6 @@ func (c *Connection) handlePacket(p *Packet, from netem.Addr, fromPort uint16) {
 	c.Stats.PacketsReceived++
 	if c.TraceReceived != nil {
 		c.TraceReceived(now, p.Header.Number, p.Size)
-	}
-	if c.cfg.AllowMigration && c.state == stateEstablished &&
-		(from != c.remote || fromPort != c.remotePort) {
-		// Connection migration (RFC 9000 §9): the peer's packets arrive
-		// from a new address/port — a handover/outage expired its NAT
-		// mapping and the rebinding allocated a fresh one. Follow the
-		// new path so replies stop dying at the stale mapping.
-		c.remote, c.remotePort = from, fromPort
-		c.Stats.PathMigrations++
 	}
 	pn := p.Header.Number
 	if c.recvSet.Covered(pn, pn+1) {
@@ -509,7 +484,7 @@ func (c *Connection) handlePacket(p *Packet, from netem.Addr, fromPort uint16) {
 
 	if p.AckEliciting() {
 		c.elicitingSince++
-		if c.elicitingSince >= c.cfg.AckElicitingThreshold {
+		if c.elicitingSince >= AckElicitingThreshold {
 			c.ackPending = true
 		} else if !c.ackTimer.Pending() {
 			c.ackTimer = c.sched.Rearm(c.ackTimer, c.sched.Now().Add(c.cfg.MaxAckDelay), qcAckTimeout, c)

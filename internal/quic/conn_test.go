@@ -335,14 +335,14 @@ func TestNoPacingSendsBackToBackBursts(t *testing.T) {
 		sep.Listen(scfg, func(c *Connection) {})
 		ccfg := DefaultConfig()
 		ccfg.EnablePacing = pacing
-		// Strictest spacing: every packet paced, no burst allowance, so
-		// the queue-buildup contrast against the unpaced run is sharp.
-		ccfg.PacingBurst = 1
 		// Pin the window so the two runs differ only in packet spacing:
 		// slow-start overshoot would otherwise dominate the max-RTT sample
 		// in both runs and drown the burst-queueing signal under test.
 		ccfg.NewCC = func() cc.CongestionController { return cc.NewFixed(50000) }
 		conn := cep.Dial(b.Addr(), 443, ccfg)
+		// Strictest spacing: every packet paced, no burst allowance, so
+		// the queue-buildup contrast against the unpaced run is sharp.
+		conn.pacer.BurstPackets = 1
 		var maxRTT time.Duration
 		conn.OnRTTSample = func(_ sim.Time, rtt time.Duration) {
 			if rtt > maxRTT {

@@ -207,7 +207,7 @@ func (e *Endpoint) receive(pkt *netem.Packet) {
 			e.onConn(c)
 		}
 	}
-	c.handlePacket(p, pkt.Src, pkt.SrcPort)
+	c.handlePacket(p)
 }
 
 // sendDatagram wraps a serialized QUIC packet in a UDP packet and sends

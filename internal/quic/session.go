@@ -11,7 +11,7 @@ type sessionKey struct {
 // server (address, port). The measurement campaigns build a fresh
 // Endpoint per transfer (like the paper's tools fork a fresh client per
 // test), so the cache lives above the endpoints — the testbed owns one
-// per transport profile and threads it through Config.Sessions. A cache
+// and the modern transport threads it through Config.Sessions. A cache
 // is bound to one scheduler's connections; it is not safe for concurrent
 // use across shards (each shard testbed owns its own).
 type SessionCache struct {

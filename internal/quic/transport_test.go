@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"starlinkperf/internal/nat"
 	"starlinkperf/internal/netem"
 	"starlinkperf/internal/sim"
 )
@@ -88,96 +87,6 @@ func TestZeroRTTResumptionSkipsHandshakeRTT(t *testing.T) {
 	if saved < rtt/2 || saved > 3*rtt/2 {
 		t.Errorf("0-RTT saved %v, want ~%v (full %v, resumed %v)",
 			saved, rtt, time.Duration(d1), d2)
-	}
-}
-
-// migrationTopology wires client --- CGNAT router --- server with the NAT
-// translating the client's RFC 1918 source, returning the pieces the
-// migration tests poke at.
-func migrationTopology(s *sim.Scheduler) (nw *netem.Network, cl, sv *netem.Node, box *nat.NAT) {
-	nw = netem.New(s)
-	cl = nw.NewNode("client", netem.MustParseAddr("192.168.1.2"))
-	rt := nw.NewNode("cgnat", netem.MustParseAddr("100.64.0.1"))
-	sv = nw.NewNode("server", netem.MustParseAddr("1.1.1.1"))
-	link := netem.LinkConfig{RateBps: 20e6, Delay: netem.ConstantDelay(10 * time.Millisecond)}
-	clrt, rtcl := nw.Connect(cl, rt, link)
-	rtsv, svrt := nw.Connect(rt, sv, link)
-	cl.AddRoute(sv.Addr(), clrt)
-	rt.AddRoute(sv.Addr(), rtsv)
-	rt.AddRoute(cl.Addr(), rtcl)
-	sv.AddRoute(rt.Addr(), svrt)
-
-	box = nat.New(rt.Addr(), nat.PrefixInside(netem.MustParseAddr("192.168.1.0"), 24))
-	box.MappingTimeout = 30 * time.Second
-	rt.AttachDevice(box)
-	return nw, cl, sv, box
-}
-
-// TestConnectionMigrationSurvivesNATRebind: an outage-length idle period
-// expires the CGNAT mapping, so the client's next request arrives at the
-// server from a fresh external port. With AllowMigration the server
-// follows the new path and its response reaches the client; without it
-// the response keeps flowing to the dead mapping and the client starves.
-func TestConnectionMigrationSurvivesNATRebind(t *testing.T) {
-	const respSize = 20000
-	run := func(allowMigration bool) (respBytes [2]int, serverConn *Connection) {
-		s := sim.NewScheduler(31)
-		_, cl, sv, box := migrationTopology(s)
-
-		sep := NewEndpoint(sv, 443)
-		scfg := DefaultConfig()
-		scfg.AllowMigration = allowMigration
-		sep.Listen(scfg, func(c *Connection) {
-			serverConn = c
-			// Echo server: respond to each one-byte request with respSize
-			// bytes on the same stream.
-			c.OnStream = func(st *Stream) {
-				st.OnData = func(data []byte, fin bool) {
-					if fin {
-						st.WriteZeroes(respSize)
-						st.Close()
-					}
-				}
-			}
-		})
-
-		cep := NewEndpoint(cl, 5000)
-		conn := cep.Dial(sv.Addr(), 443, DefaultConfig())
-		request := func(i int) {
-			st := conn.OpenStream()
-			st.OnData = func(data []byte, fin bool) { respBytes[i] += len(data) }
-			st.WriteZeroes(1)
-			st.Close()
-		}
-		conn.OnEstablished = func() { request(0) }
-		// Idle long past MappingTimeout, model the CGNAT sweeping its
-		// state, then issue the second request over the rebound path.
-		s.After(59*time.Second, func() { box.Expire(s.Now()) })
-		s.After(60*time.Second, func() { request(1) })
-		s.RunFor(90 * time.Second)
-		return respBytes, serverConn
-	}
-
-	resp, srv := run(true)
-	if resp[0] != respSize {
-		t.Fatalf("pre-rebind response %d/%d bytes", resp[0], respSize)
-	}
-	if resp[1] != respSize {
-		t.Errorf("post-rebind response %d/%d bytes with migration on", resp[1], respSize)
-	}
-	if srv.Stats.PathMigrations == 0 {
-		t.Error("server followed no path migration")
-	}
-
-	resp, srv = run(false)
-	if resp[0] != respSize {
-		t.Fatalf("pre-rebind response %d/%d bytes", resp[0], respSize)
-	}
-	if resp[1] != 0 {
-		t.Errorf("post-rebind response delivered %d bytes with migration off (stale mapping should eat it)", resp[1])
-	}
-	if srv.Stats.PathMigrations != 0 {
-		t.Errorf("PathMigrations = %d with migration disabled", srv.Stats.PathMigrations)
 	}
 }
 

@@ -12,8 +12,9 @@
 //
 // It deliberately omits what the paper's measurements cannot observe:
 // TLS 1.3 key exchange (the handshake costs the right round trips but
-// carries opaque bytes), version negotiation, connection migration and
-// 0-RTT. See DESIGN.md for the substitution argument.
+// carries opaque bytes), version negotiation and connection migration.
+// 0-RTT resumption (EnableZeroRTT) exists for the post-paper stack only.
+// See DESIGN.md for the substitution argument.
 package quic
 
 import (

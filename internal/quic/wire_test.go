@@ -212,7 +212,7 @@ func TestRangeSetInsertProperty(t *testing.T) {
 		ref := make(map[uint64]bool)
 		for i := 0; i < 300; i++ {
 			pn := uint64(r.IntN(150))
-			c.handlePacket(&Packet{Header: PacketHeader{ConnID: 1, Number: pn}}, c.remote, c.remotePort)
+			c.handlePacket(&Packet{Header: PacketHeader{ConnID: 1, Number: pn}})
 			ref[pn] = true
 		}
 		s := &c.recvSet
@@ -241,7 +241,7 @@ func TestRangeSetInsertProperty(t *testing.T) {
 func TestRangeSetAckRangesOrder(t *testing.T) {
 	c := fakeConn(false)
 	for _, pn := range []uint64{1, 2, 3, 10, 11, 20} {
-		c.handlePacket(&Packet{Header: PacketHeader{ConnID: 1, Number: pn}}, c.remote, c.remotePort)
+		c.handlePacket(&Packet{Header: PacketHeader{ConnID: 1, Number: pn}})
 	}
 	ack := c.buildAck()
 	if ack == nil || len(ack.Ranges) != 3 {
@@ -270,7 +270,7 @@ func TestBuildAckRanges(t *testing.T) {
 				dups++
 			}
 			got[pn] = true
-			c.handlePacket(&Packet{Header: PacketHeader{ConnID: 1, Number: pn}}, c.remote, c.remotePort)
+			c.handlePacket(&Packet{Header: PacketHeader{ConnID: 1, Number: pn}})
 		}
 		if c.Stats.DuplicatesRecv != dups {
 			t.Errorf("DuplicatesRecv = %d, want %d", c.Stats.DuplicatesRecv, dups)

@@ -66,7 +66,7 @@ func referenceProcessAck(c *Conn, seg *Segment, now sim.Time) {
 		// A retransmission keeps its original sequence numbers, so the
 		// sequence-overtaken rule would misfire on it instantly; only
 		// the time threshold applies (RACK-style).
-		seqLost := !r.retx && c.highestDelivered >= r.end+uint64(3*c.cfg.MSS)
+		seqLost := !r.retx && c.highestDelivered >= r.end+uint64(3*MSS)
 		switch {
 		case c.delivered(r):
 			c.onRecordAcked(r, now)

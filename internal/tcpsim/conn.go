@@ -44,8 +44,6 @@ func newTCPObs(node *netem.Node) *tcpObs {
 
 // Config carries the TCP/TLS parameters of one endpoint.
 type Config struct {
-	// MSS is the maximum segment size (payload bytes).
-	MSS int
 	// InitialRcvWnd and MaxRcvWnd bound the receive window autotuning;
 	// the defaults are the Linux testbed kernel's 131072 and 6291456.
 	InitialRcvWnd uint64
@@ -56,9 +54,6 @@ type Config struct {
 	// byte counts, not negotiated: both endpoints of a connection must
 	// be configured with the same value.
 	TLSRounds int
-	// ServerProcessing is the server-side compute delay before TLS
-	// responses.
-	ServerProcessing time.Duration
 	// NewCC builds the congestion controller per connection; nil means
 	// CUBIC, as on the paper's testbed.
 	NewCC func(mss int) cc.CongestionController
@@ -67,18 +62,11 @@ type Config struct {
 	// how satellite PEPs run their pre-provisioned space-segment
 	// connections (TFO-style 0-RTT).
 	FastOpen bool
-	// MinRTO floors the retransmission timeout (Linux: 200 ms).
-	MinRTO time.Duration
-	// DelayedAck is the delayed-ACK timer (Linux: 40 ms).
-	DelayedAck time.Duration
 	// EnablePacing spaces data-segment departures at the rate derived
 	// from the congestion controller (gain x cwnd/SRTT, or the
 	// controller's own rate when it implements cc.PacingRater). Off by
 	// default: the paper's testbed kernel ran without fq pacing.
 	EnablePacing bool
-	// PacingBurst caps the pacer's back-to-back burst allowance in
-	// segments; zero means cc.DefaultBurstPackets.
-	PacingBurst int
 	// RTTMinWindow bounds the age of the RTT estimator's minimum filter
 	// (see cc.RTTEstimator.MinWindow). Zero keeps the all-time minimum.
 	RTTMinWindow time.Duration
@@ -87,15 +75,24 @@ type Config struct {
 // DefaultConfig returns the paper-testbed TCP configuration.
 func DefaultConfig() Config {
 	return Config{
-		MSS:              1460,
-		InitialRcvWnd:    131072,
-		MaxRcvWnd:        6291456,
-		TLSRounds:        2,
-		ServerProcessing: 10 * time.Millisecond,
-		MinRTO:           200 * time.Millisecond,
-		DelayedAck:       40 * time.Millisecond,
+		InitialRcvWnd: 131072,
+		MaxRcvWnd:     6291456,
+		TLSRounds:     2,
 	}
 }
+
+// Endpoint constants of the paper's Linux testbed.
+const (
+	// MSS is the maximum segment size (payload bytes).
+	MSS = 1460
+	// minRTO floors the retransmission timeout.
+	minRTO = 200 * time.Millisecond
+	// delayedAck is the delayed-ACK timer.
+	delayedAck = 40 * time.Millisecond
+	// serverProcessing is the server-side compute delay before each TLS
+	// response flight.
+	serverProcessing = 10 * time.Millisecond
+)
 
 // TLS flight sizes in bytes.
 const (
@@ -254,20 +251,11 @@ type ConnParams struct {
 // Start; servers wait for a SYN via HandleSegment.
 func NewConn(p ConnParams) *Conn {
 	cfg, def := p.Config, DefaultConfig()
-	if cfg.MSS == 0 {
-		cfg.MSS = def.MSS
-	}
 	if cfg.InitialRcvWnd == 0 {
 		cfg.InitialRcvWnd = def.InitialRcvWnd
 	}
 	if cfg.MaxRcvWnd == 0 {
 		cfg.MaxRcvWnd = def.MaxRcvWnd
-	}
-	if cfg.MinRTO == 0 {
-		cfg.MinRTO = def.MinRTO
-	}
-	if cfg.DelayedAck == 0 {
-		cfg.DelayedAck = def.DelayedAck
 	}
 	newCC := cfg.NewCC
 	if newCC == nil {
@@ -284,8 +272,8 @@ func NewConn(p ConnParams) *Conn {
 		localPort:  p.LocalPort,
 		remoteAddr: p.RemoteAddr,
 		remotePort: p.RemotePort,
-		ccc:        newCC(cfg.MSS),
-		pacer:      cc.Pacer{Enabled: cfg.EnablePacing, BurstPackets: cfg.PacingBurst},
+		ccc:        newCC(MSS),
+		pacer:      cc.Pacer{Enabled: cfg.EnablePacing},
 		rcvWnd:     cfg.InitialRcvWnd,
 		peerWnd:    cfg.InitialRcvWnd,
 		StartAt:    p.Sched.Now(),
@@ -520,7 +508,7 @@ func (c *Conn) tlsProgress() {
 	switch {
 	case c.tlsStage == 0 && got >= tlsClientHello:
 		c.tlsStage = 1
-		c.sched.After(c.cfg.ServerProcessing, func() {
+		c.sched.After(serverProcessing, func() {
 			if c.state != StateClosed {
 				c.queueTLS(tlsServerFlight)
 			}
@@ -529,7 +517,7 @@ func (c *Conn) tlsProgress() {
 		c.becomeReady()
 	case c.tlsStage == 1 && c.cfg.TLSRounds == 2 && got >= tlsClientHello+tlsClientFlight12:
 		c.tlsStage = 2
-		c.sched.After(c.cfg.ServerProcessing, func() {
+		c.sched.After(serverProcessing, func() {
 			if c.state != StateClosed {
 				c.queueTLS(tlsServerFinish12)
 				c.becomeReady()
@@ -614,7 +602,7 @@ func (c *Conn) maybeSend() {
 		// of bucket, which only ever delays, never bursts). Deferral
 		// leaves all send state untouched and retries on the timer.
 		if c.pacer.Enabled && (len(c.retxQueue.Spans()) > 0 || c.sndNxt < c.sendEnd) {
-			d := c.pacer.DelayFor(c.sched.Now(), headerOverhead+c.cfg.MSS, c.ccc, &c.rtt)
+			d := c.pacer.DelayFor(c.sched.Now(), headerOverhead+MSS, c.ccc, &c.rtt)
 			if d > 0 {
 				if !c.pacingTimer.Pending() {
 					c.pacingTimer = c.sched.Rearm(c.pacingTimer, c.sched.Now().Add(d), connPaceSend, c)
@@ -648,8 +636,8 @@ func (c *Conn) maybeSend() {
 			if start+uint64(n) > c.sendEnd {
 				n = int(c.sendEnd - start) // keep the FIN byte separate
 			}
-			if n > c.cfg.MSS {
-				n = c.cfg.MSS
+			if n > MSS {
+				n = MSS
 			}
 			c.retxQueue.TrimBelow(start + uint64(n)) // the head range, or what is left of it
 			c.Stats.BytesRetx += uint64(n)
@@ -672,8 +660,8 @@ func (c *Conn) maybeSend() {
 		if c.sndNxt < c.sendEnd {
 			rwndBudget := int64(c.peerWnd) - int64(c.outstanding())
 			n := int(c.sendEnd - c.sndNxt)
-			if n > c.cfg.MSS {
-				n = c.cfg.MSS
+			if n > MSS {
+				n = MSS
 			}
 			if int64(n) > ccBudget {
 				n = int(ccBudget)
@@ -748,8 +736,8 @@ func (c *Conn) armRTO() {
 
 func (c *Conn) restartRTO() {
 	rto := c.rtt.PTO(0)
-	if rto < c.cfg.MinRTO {
-		rto = c.cfg.MinRTO
+	if rto < minRTO {
+		rto = minRTO
 	}
 	rto <<= uint(min(c.rtoCount, 8))
 	c.rtoTimer = c.sched.Rearm(c.rtoTimer, c.sched.Now().Add(rto), connRTO, c)
@@ -921,7 +909,7 @@ func (c *Conn) processAck(seg *Segment, now sim.Time) {
 		// A retransmission keeps its original sequence numbers, so the
 		// sequence-overtaken rule would misfire on it instantly; only
 		// the time threshold applies (RACK-style).
-		seqLost := !r.retx && c.highestDelivered >= r.end+uint64(3*c.cfg.MSS)
+		seqLost := !r.retx && c.highestDelivered >= r.end+uint64(3*MSS)
 		switch {
 		case r.end <= c.sndUna || c.sackTouches(seg.Sack, r) && c.sacked.Covered(r.start, r.end):
 			c.onRecordAcked(r, now)
@@ -1029,7 +1017,7 @@ func (c *Conn) processData(seg *Segment) {
 	if !inOrder || c.segsSinceAck >= 2 || finNow {
 		c.sendAck()
 	} else if !c.ackTimer.Pending() {
-		c.ackTimer = c.sched.Rearm(c.ackTimer, c.sched.Now().Add(c.cfg.DelayedAck), connSendAck, c)
+		c.ackTimer = c.sched.Rearm(c.ackTimer, c.sched.Now().Add(delayedAck), connSendAck, c)
 	}
 }
 
