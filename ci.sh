@@ -7,9 +7,9 @@
 # pooled scan and of the fork/join pool, and two short runs of the repo
 # benchmark. Equivalence is proven by tests, not here: every fast path is
 # compared with an oracle in its package's _test.go files, and the
-# report-level byte-diffs (worker counts, transport profile) are
-# cmd/starlink-bench's TestRunVariantMatrix; what each command prints is
-# pinned by cmd/internal/cli's golden table. See DESIGN.md §6.
+# report-level byte-diffs (worker counts, transport profile) are the two
+# runs of the `starlink-bench quick` row of cmd/internal/cli's golden
+# table, which pins what each command prints. See DESIGN.md §6.
 set -eu
 
 cd "$(dirname "$0")"
@@ -51,8 +51,10 @@ echo "== no deleted mechanism in non-test code (DESIGN.md: Independent traffic s
 # the transport mechanisms no run reached or only the retired
 # -transport toggle list did (CUBIC idle cwnd decay, QUIC migration, the
 # pacer burst knobs), errant's unused import/draw half and the
-# -scenario.workers flag, which duplicated -workers.
-if grep -rnE 'PartitionedDriver|CrossEdge|AddCrossLink|snapshotRing|peekSnapshot|delayRing|islMemo|candCount|referenceReassignAt|epochPool|runPhase|phaseAssign|WirePoolStats struct|pktRing|txRing|frameQueue|rangeSet|byteRanges|cryptoRecv|offRange|compactMin|nstopped|\) compact\(|rebuildFIB|rebuildHandlers|fibDirty|hDirty|fibGroups|msgsInOrder|insertMsgKey|Hops \[\]Addr|wireFree|chunkFree|AnalyzeSenderView|obs\.Options|\(p \*Prober\) Observe|\(p \*Proxy\) Observe|pep\.New\(|NewNewReno|KindEnqueue|KindDequeue|IdleDecay|decayAfterIdle|AllowMigration|PathMigrations|PacingBurst|UnmarshalProfiles|LinkConfigs|"scenario\.workers"' --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark .; then
+# -scenario.workers flag, which duplicated -workers, and starlink-bench's
+# own copy of the report's sizes and scenario (the job list, sizes and
+# scenario live in internal/core/report.go).
+if grep -rnE 'PartitionedDriver|CrossEdge|AddCrossLink|snapshotRing|peekSnapshot|delayRing|islMemo|candCount|referenceReassignAt|epochPool|runPhase|phaseAssign|WirePoolStats struct|pktRing|txRing|frameQueue|rangeSet|byteRanges|cryptoRecv|offRange|compactMin|nstopped|\) compact\(|rebuildFIB|rebuildHandlers|fibDirty|hDirty|fibGroups|msgsInOrder|insertMsgKey|Hops \[\]Addr|wireFree|chunkFree|AnalyzeSenderView|obs\.Options|\(p \*Prober\) Observe|\(p \*Proxy\) Observe|pep\.New\(|NewNewReno|KindEnqueue|KindDequeue|IdleDecay|decayAfterIdle|AllowMigration|PathMigrations|PacingBurst|UnmarshalProfiles|LinkConfigs|"scenario\.workers"|sizesFor|paperScenario' --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark .; then
     echo "a deleted mechanism is named above" >&2
     exit 1
 fi

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"time"
 
 	"starlinkperf/internal/core"
 )
@@ -104,16 +103,6 @@ func (fs *flagSet) parse(args []string) (cfg core.Config, opts core.Options, err
 		fs.Tech, err = core.ParseTech(*fs.tech)
 	}
 	return
-}
-
-// paperScenario adds the events of the paper's five-month campaign to cfg:
-// the constellation growing from 86 % on day 53, and the late-April load
-// episode.
-func paperScenario(cfg core.Config) core.Config {
-	cfg.InitialShellFraction = 0.86
-	cfg.FleetGrowthAt = 53 * 24 * time.Hour
-	cfg.Load = core.LoadEpisode{Start: 125 * 24 * time.Hour, End: 139 * 24 * time.Hour, ExtraOneWay: 4 * time.Millisecond}
-	return cfg
 }
 
 // job is a sweep job whose body keeps its results in the caller's

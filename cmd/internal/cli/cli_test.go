@@ -32,8 +32,12 @@ var golden = []struct {
 	// both runs must produce the one hash.
 	sharded bool
 	slow    bool // skipped under -short
-	stdout  string
-	files   map[string]string
+	// runs, when set, run the row once per entry, each as a subtest named
+	// by its first element with its second appended to args, and every
+	// run must produce the one hash.
+	runs   [][2]string
+	stdout string
+	files  map[string]string
 }{
 	{name: "smoke", command: "pingmon", args: "-days 1 -interval 2h",
 		stdout: "c14fc956933c74b05946a3c22d470547be7cad71b2c16b11423592ac5c134237"},
@@ -73,14 +77,25 @@ var golden = []struct {
 	{name: "profiles", command: "errant-export", args: "-tests 1 -o {dir}/p.json", sharded: true,
 		stdout: "ffa9adebb78f498d09e44573eabf5982f4a597c0747ddccccd0337fe1f161c8e",
 		files:  map[string]string{"p.json": "ee4f042696a8a467294728296cb1b3db5b4fb21f1d0da5c32c9356f1fa0cdd80"}},
-	// One worker count only: TestRunVariantMatrix (cmd/starlink-bench)
-	// already holds the quick report, its trace and its metrics byte-equal
-	// between -workers 1 and 8, so one hashed run pins them all, and a
-	// second would add four seconds to every `go test ./...`. Its trace
-	// and metrics must also agree cause by cause
-	// (checkTraceAgreesWithMetrics).
+	// The report-level equivalence proof: the quick report on one worker
+	// with both profiles written, against a run with every
+	// result-neutral axis flipped at once — eight workers (campaign
+	// shards and traffic scenario shards alike), the paper transport
+	// selected explicitly. Figures, event trace and metrics registry
+	// must hash alike, and the trace must agree with the metrics cause
+	// by cause (checkTraceAgreesWithMetrics). A difference says only
+	// that some axis leaks; the per-stage tests say which — among them
+	// TestFleetScenarioWorkerInvariance,
+	// TestFleetTrafficScenarioWorkerInvariance and
+	// TestEpochCampaignWorkerInvariance, which hold the fleet at its
+	// default 10 000 terminals and above, where this row runs 200. A new
+	// result-neutral option is one more flag on the flipped run.
 	{name: "quick", command: "starlink-bench", slow: true,
-		args:   "-quick -fleet.terminals 200 -workers 4 -trace {dir}/t.bin -metrics.json {dir}/m.json",
+		args: "-quick -fleet.terminals 200 -trace {dir}/t.bin -metrics.json {dir}/m.json",
+		runs: [][2]string{
+			{"baseline", "-workers 1 -cpuprofile {dir}/cpu.pprof -memprofile {dir}/mem.pprof"},
+			{"flipped", "-workers 8 -transport paper"},
+		},
 		stdout: "14ecd4d5511fd9a24e8dc65e3f85f952699e3dfe1203ea6d839a1a619625a2c9",
 		files: map[string]string{
 			"t.bin":  "f61eab4c32335d021f86d7a60a3961736d4f40b54674072d38ab5bd24ff8b4c0",
@@ -104,34 +119,72 @@ func TestGolden(t *testing.T) {
 					t.Skip("a quick report takes ~4s")
 				}
 				t.Parallel()
-				dir := t.TempDir()
-				args := strings.Fields(strings.ReplaceAll(row.args+v, "{dir}", dir))
-				var out, errOut strings.Builder
-				if err := Run(row.command, args, &out, &errOut); err != nil {
-					t.Fatalf("%s %v: %v\nstderr:\n%s", row.command, args, err, errOut.String())
+				if row.runs == nil {
+					checkGolden(t, row.command, row.args+v, row.stdout, row.files)
 				}
-				// An empty sample rendered as a duration: NaN seconds become
-				// math.MinInt64 ns, "-2562047h47m16.854775808s".
-				if strings.Contains(out.String(), "-2562047h") || strings.Contains(out.String(), "NaN") {
-					t.Errorf("stdout renders an empty sample as a number:\n%s", out.String())
-				}
-				if got := sha([]byte(strings.ReplaceAll(out.String(), dir, "{dir}"))); got != row.stdout {
-					t.Errorf("stdout hashes to %s, want %s:\n%s", got, row.stdout, out.String())
-				}
-				written := map[string][]byte{}
-				for name, want := range row.files {
-					blob, err := os.ReadFile(filepath.Join(dir, name))
-					if err != nil {
-						t.Errorf("%s not written: %v", name, err)
-					} else if got := sha(blob); got != want {
-						t.Errorf("%s (%d bytes) hashes to %s, want %s", name, len(blob), got, want)
-					}
-					written[name] = blob
-				}
-				if row.command == "starlink-bench" {
-					checkTraceAgreesWithMetrics(t, written["t.bin"], written["m.json"], errOut.String())
+				for _, run := range row.runs {
+					t.Run(run[0], func(t *testing.T) {
+						t.Parallel()
+						checkGolden(t, row.command, row.args+" "+run[1], row.stdout, row.files)
+					})
 				}
 			})
+		}
+	}
+}
+
+// checkGolden runs command with args ("{dir}" naming a fresh temporary
+// directory) and holds its stdout and the files it wrote to their hashes.
+func checkGolden(t *testing.T, command, args, stdout string, files map[string]string) {
+	dir := t.TempDir()
+	argv := strings.Fields(strings.ReplaceAll(args, "{dir}", dir))
+	var out, errOut strings.Builder
+	if err := Run(command, argv, &out, &errOut); err != nil {
+		t.Fatalf("%s %v: %v\nstderr:\n%s", command, argv, err, errOut.String())
+	}
+	// An empty sample rendered as a duration: NaN seconds become
+	// math.MinInt64 ns, "-2562047h47m16.854775808s".
+	if strings.Contains(out.String(), "-2562047h") || strings.Contains(out.String(), "NaN") {
+		t.Errorf("stdout renders an empty sample as a number:\n%s", out.String())
+	}
+	if got := sha([]byte(strings.ReplaceAll(out.String(), dir, "{dir}"))); got != stdout {
+		t.Errorf("stdout hashes to %s, want %s:\n%s", got, stdout, out.String())
+	}
+	written := map[string][]byte{}
+	for name, want := range files {
+		blob, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Errorf("%s not written: %v", name, err)
+		} else if got := sha(blob); got != want {
+			t.Errorf("%s (%d bytes) hashes to %s, want %s", name, len(blob), got, want)
+		}
+		written[name] = blob
+	}
+	if command != "starlink-bench" {
+		return
+	}
+	checkTraceAgreesWithMetrics(t, written["t.bin"], written["m.json"], errOut.String())
+	for _, want := range []string{
+		"Table 1", "Figure 1", "Figure 2", "Figure 3", "Table 2",
+		"Figure 5", "Figure 6", "Wired-baseline H3 downloads",
+		"starlink-fleet scenario", "high-north", "starlink-fleet traffic scenario",
+	} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("report missing %q", want)
+		}
+	}
+	if !strings.Contains(errOut.String(), "campaigns:") {
+		t.Error("progress lines missing from stderr")
+	}
+	// The profiles must be written, and must not change a byte of the
+	// report.
+	for i, a := range argv[:len(argv)-1] {
+		if a == "-cpuprofile" || a == "-memprofile" {
+			if st, err := os.Stat(argv[i+1]); err != nil {
+				t.Errorf("%s not written: %v", a, err)
+			} else if st.Size() == 0 {
+				t.Errorf("%s is empty", a)
+			}
 		}
 	}
 }

@@ -27,7 +27,7 @@ func pingmon(args []string, stdout, stderr io.Writer) error {
 		return fmt.Errorf("interval must be positive, got %v", *interval)
 	}
 	if *growth {
-		cfg = paperScenario(cfg)
+		cfg = core.PaperScenario(cfg)
 	}
 	dur := time.Duration(*days) * 24 * time.Hour
 

@@ -55,30 +55,6 @@ func FuzzParseTransport(f *testing.F) {
 	})
 }
 
-// TestTransportPaperBitIdentical is the transport-plumbing identity gate:
-// selecting -transport paper must produce byte-for-byte the same campaign
-// output as the default configuration, across worker counts.
-// (cmd/starlink-bench's TestRunVariantMatrix byte-diffs the whole report
-// with -transport paper on its flipped row.)
-func TestTransportPaperBitIdentical(t *testing.T) {
-	base := DefaultConfig()
-	withProfile := DefaultConfig()
-	var err error
-	if withProfile.Transport, err = ParseTransport("paper"); err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{1, raceWorkers} {
-		a := RunMessagesCampaignParallel(base, 2, 20*time.Second, false, Options{Workers: workers})
-		b := RunMessagesCampaignParallel(withProfile, 2, 20*time.Second, false, Options{Workers: workers})
-		if len(a.RTTsMs) == 0 {
-			t.Fatal("no RTT samples")
-		}
-		if !reflect.DeepEqual(a.RTTsMs, b.RTTsMs) || a.LossRatio() != b.LossRatio() {
-			t.Errorf("workers=%d: paper profile diverges from default output", workers)
-		}
-	}
-}
-
 // TestTransportModernWorkerInvariance pins the modern profile's
 // determinism: BBR + pacing + 0-RTT must stay a pure function of
 // (config, seed), bit-identical across worker counts and stable per
