@@ -40,8 +40,8 @@ echo "== no deleted mechanism in non-test code (DESIGN.md: Independent traffic s
 # the per-packet hop log `Packet.Hops` that only tests read (a link's
 # DeliverHook sees every hop; MiddleboxAudit.Hops is traceroute's own
 # []TraceboxHop and does not match), QUIC's per-endpoint wire freelist and
-# per-connection chunk freelist that the network's one buffer pool
-# replaced, trace's AnalyzeSenderView, which nothing called, the
+# per-connection chunk, sent-record and frame freelists that the network's
+# one QUIC pool replaced, trace's AnalyzeSenderView, which nothing called, the
 # hand-threaded observability switches (obs.Options, the probers' and
 # proxies' Observe methods, pep.New without its node) that
 # netem.Network.Sink replaced, since a layer is observed iff its network
@@ -54,7 +54,7 @@ echo "== no deleted mechanism in non-test code (DESIGN.md: Independent traffic s
 # -scenario.workers flag, which duplicated -workers, and starlink-bench's
 # own copy of the report's sizes and scenario (the job list, sizes and
 # scenario live in internal/core/report.go).
-if grep -rnE 'PartitionedDriver|CrossEdge|AddCrossLink|snapshotRing|peekSnapshot|delayRing|islMemo|candCount|referenceReassignAt|epochPool|runPhase|phaseAssign|WirePoolStats struct|pktRing|txRing|frameQueue|rangeSet|byteRanges|cryptoRecv|offRange|compactMin|nstopped|\) compact\(|rebuildFIB|rebuildHandlers|fibDirty|hDirty|fibGroups|msgsInOrder|insertMsgKey|Hops \[\]Addr|wireFree|chunkFree|AnalyzeSenderView|obs\.Options|\(p \*Prober\) Observe|\(p \*Proxy\) Observe|pep\.New\(|NewNewReno|KindEnqueue|KindDequeue|IdleDecay|decayAfterIdle|AllowMigration|PathMigrations|PacingBurst|UnmarshalProfiles|LinkConfigs|"scenario\.workers"|sizesFor|paperScenario' --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark .; then
+if grep -rnE 'PartitionedDriver|CrossEdge|AddCrossLink|snapshotRing|peekSnapshot|delayRing|islMemo|candCount|referenceReassignAt|epochPool|runPhase|phaseAssign|WirePoolStats struct|pktRing|txRing|frameQueue|rangeSet|byteRanges|cryptoRecv|offRange|compactMin|nstopped|\) compact\(|rebuildFIB|rebuildHandlers|fibDirty|hDirty|fibGroups|msgsInOrder|insertMsgKey|Hops \[\]Addr|wireFree|chunkFree|sentFree|frameFree|AnalyzeSenderView|obs\.Options|\(p \*Prober\) Observe|\(p \*Proxy\) Observe|pep\.New\(|NewNewReno|KindEnqueue|KindDequeue|IdleDecay|decayAfterIdle|AllowMigration|PathMigrations|PacingBurst|UnmarshalProfiles|LinkConfigs|"scenario\.workers"|sizesFor|paperScenario' --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark .; then
     echo "a deleted mechanism is named above" >&2
     exit 1
 fi
@@ -131,10 +131,12 @@ echo "== allocation gates (0 allocs per event / packet / segment / epoch, no rac
 # so the zero-allocation gates get a plain pass: the scheduler's timer
 # churn, the netem send->route->deliver, echo, transit and ICMP-error
 # (error, body and quote from the pools) paths, the QUIC
-# and TCP bulk-transfer cycles, and the fleet's per-epoch reassignment up
-# to the pooled 100k-terminal epoch. Any regression that puts an allocation
-# back on one of those paths fails here.
-go test ./internal/sim ./internal/netem ./internal/quic ./internal/tcpsim ./internal/fleet \
+# and TCP bulk-transfer cycles, the fleet's per-epoch reassignment up
+# to the pooled 100k-terminal epoch, and a sweep worker's second identical
+# job drawing every pooled object from what its first testbed handed over.
+# Any regression that puts an allocation back on one of those paths fails
+# here.
+go test ./internal/sim ./internal/netem ./internal/quic ./internal/tcpsim ./internal/fleet ./internal/core \
     -run 'TestAllocGate' -count=1
 
 echo "== range set fuzz smoke (10 s against the fresh-slice oracle)"

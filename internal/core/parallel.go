@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"starlinkperf/internal/measure"
+	"starlinkperf/internal/netem"
 	"starlinkperf/internal/obs"
 	"starlinkperf/internal/sim"
 	"starlinkperf/internal/stats"
@@ -23,19 +24,22 @@ import (
 // (config, seed, shard count): bit-for-bit identical whether one worker
 // runs all shards or GOMAXPROCS workers race through them.
 
-// forEachShard runs body(i) for every i in [0,n) on a pool of
+// forEachShard runs body(i, slot) for every i in [0,n) on a pool of
 // opts.Workers workers, at most n — the caller is one of them, so a single
 // worker runs the shards inline — and reports per-shard completion through
-// opts.Progress.
-func forEachShard(opts Options, n int, body func(shard int)) {
+// opts.Progress. slot is the running worker's own: a testbed body builds
+// with shardTestbed takes over the freelists of the one the same worker
+// built before it, so pools live as long as the sweep, not the testbed.
+func forEachShard(opts Options, n int, body func(shard int, slot *poolSlot)) {
 	var (
 		mu        sync.Mutex
 		completed int
 	)
 	wk := sim.NewWorkers(min(opts.WorkerCount(), n))
 	defer wk.Close()
-	wk.Run(n, func(_, i int) {
-		body(i)
+	slots := make([]poolSlot, wk.Size())
+	wk.Run(n, func(w, i int) {
+		body(i, &slots[w])
 		if opts.Progress != nil {
 			mu.Lock()
 			completed++
@@ -43,6 +47,20 @@ func forEachShard(opts Options, n int, body func(shard int)) {
 			mu.Unlock()
 		}
 	})
+}
+
+// poolSlot is one sweep worker's handover point: the network of the
+// testbed it built last, whose listed pool objects the next testbed it
+// builds inherits before its first packet (netem.Network.Inherit). What a
+// job's result depends on never includes what ran before it on its
+// worker: every pooled object is reset when it is drawn.
+type poolSlot struct{ last *netem.Network }
+
+// handOver gives nw the pools of the worker's previous network and keeps
+// nw for the next one.
+func (s *poolSlot) handOver(nw *netem.Network) {
+	nw.Inherit(s.last)
+	s.last = nw
 }
 
 // runSharded is the sharded form of repeat: n repetitions split into
@@ -57,26 +75,31 @@ func runSharded[T any](cfg Config, opts Options, family string, n, per int, run 
 	}
 	parts := make([][]T, (n+per-1)/per)
 	base := opts.baseSeed(cfg)
-	forEachShard(opts, len(parts), func(i int) {
-		tb := shardTestbed(cfg, sim.DeriveSeed(base, family, i), opts, family, i)
+	forEachShard(opts, len(parts), func(i int, slot *poolSlot) {
+		tb := shardTestbed(cfg, sim.DeriveSeed(base, family, i), opts, family, i, slot)
 		parts[i] = run(tb, i*per, min(per, n-i*per))
 	})
 	return slices.Concat(parts...)
 }
 
-// shardTestbed builds the testbed for one shard of the named family.
-// When opts carries a collector, the shard's network is observed through
-// a sink of its own, registered as "<family>/<shard>" with a zero-padded
-// index, so lexicographic source order equals shard order — the property
-// that makes the collector's exports worker-invariant.
-func shardTestbed(cfg Config, seed uint64, opts Options, family string, shard int) *Testbed {
+// shardTestbed builds the testbed for one shard of the named family, its
+// network inheriting the pools of slot's previous one. When opts carries
+// a collector, the shard's network is observed through a sink of its
+// own, registered as "<family>/<shard>" with a zero-padded index, so
+// lexicographic source order equals shard order — the property that
+// makes the collector's exports worker-invariant.
+func shardTestbed(cfg Config, seed uint64, opts Options, family string, shard int, slot *poolSlot) *Testbed {
 	cfg.Seed = seed
+	var tb *Testbed
 	if opts.Obs == nil {
-		return NewTestbed(cfg)
+		tb = NewTestbed(cfg)
+	} else {
+		sink := obs.NewSink(0)
+		opts.Obs.Add(obs.ShardSource(family, shard), sink)
+		tb = newTestbed(cfg, sink)
 	}
-	sink := obs.NewSink(0)
-	opts.Obs.Add(obs.ShardSource(family, shard), sink)
-	return newTestbed(cfg, sink)
+	slot.handOver(tb.Net)
+	return tb
 }
 
 // Shard sizes of the repetition-based campaigns: small enough that the
@@ -205,12 +228,12 @@ type SweepResult struct {
 func RunSweep(jobs []SweepJob, opts Options) []SweepResult {
 	out := make([]SweepResult, len(jobs))
 	order := longestFirst(jobs)
-	forEachShard(opts, len(jobs), func(k int) {
+	forEachShard(opts, len(jobs), func(k int, slot *poolSlot) {
 		i := order[k]
 		job := jobs[i]
 		start := time.Now()
 		seed := sim.DeriveSeed(opts.baseSeed(job.Cfg), "sweep/"+job.Name, i)
-		tb := shardTestbed(job.Cfg, seed, opts, "sweep/"+job.Name, i)
+		tb := shardTestbed(job.Cfg, seed, opts, "sweep/"+job.Name, i, slot)
 		out[i] = SweepResult{Name: job.Name, Seed: seed, Value: job.Run(tb)}
 		wall := time.Since(start)
 		sweepCosts.mu.Lock()

@@ -31,7 +31,9 @@ type Network struct {
 
 	// Packet/ICMP freelists and the no-recycle switch (see pool.go). The
 	// freelists' high-water mark is the peak number of packets alive at
-	// once; past it the datapath stops allocating.
+	// once; past it the datapath stops allocating. A sweep worker's next
+	// network inherits them (Inherit), so the mark is reached once per
+	// worker, not once per network.
 	noRecycle bool
 	pktFree   sim.Freelist[Packet]
 	icmpFree  sim.Freelist[ICMP]
@@ -39,8 +41,8 @@ type Network struct {
 	// buffer freelist, opaque here because netem cannot import the
 	// transports: they hang off the network to share the packet pool's
 	// lifetime and single-scheduler concurrency domain.
-	tcpSegPool   any
-	quicWirePool any
+	tcpSegPool   TransportPool
+	quicWirePool TransportPool
 }
 
 // Observe attaches an observability sink to the network: every existing

@@ -70,7 +70,8 @@ func (nw *Network) ICMPPoolStats() PoolStats { return nw.icmpFree.Stats() }
 // whether or not anything is ever recycled, which is how a read of a
 // released packet, segment or buffer shows up
 // (TestDatapathCampaignEquivalence and TestPoisonedSegmentPoolMatchesReference
-// in internal/core).
+// in internal/core). Such a network neither gives nor takes pools in
+// Inherit, so switch it before that too.
 func (nw *Network) DisableRecycling() { nw.noRecycle = true }
 
 // Recycling reports whether the network reuses what its pools take back:
@@ -154,18 +155,57 @@ func (nw *Network) releaseICMP(ic *ICMP) {
 	nw.icmpFree.Put(ic)
 }
 
+// Inherit hands prev's pools to nw, before nw's first packet: every
+// packet, ICMP body, TCP segment and ring and QUIC buffer, sent record and
+// frame listed on prev's freelists moves onto nw's, re-stamped as nw's,
+// and prev's lists are left empty. What prev still holds (packets in
+// flight when its campaign hit its budget) keeps prev as its owner, so
+// releasing it later never reaches nw. The counters stay with their
+// network, so each keeps Gets = Puts + Shared for its own traffic. A nil
+// prev, prev itself or a network in no-recycle mode on either side hands
+// nothing over. A sweep worker calls it on each testbed it builds with the
+// network of the one before, so a pool's high-water mark is reached once
+// per worker rather than once per network.
+func (nw *Network) Inherit(prev *Network) {
+	if prev == nil || prev == nw || nw.noRecycle || prev.noRecycle {
+		return
+	}
+	for _, p := range prev.pktFree.All() {
+		p.owner = nw
+	}
+	nw.pktFree.Adopt(&prev.pktFree)
+	for _, ic := range prev.icmpFree.All() {
+		ic.owner = nw
+	}
+	nw.icmpFree.Adopt(&prev.icmpFree)
+	for _, tp := range [...]TransportPool{prev.tcpSegPool, prev.quicWirePool} {
+		if tp != nil {
+			tp.HandOver(nw)
+		}
+	}
+}
+
+// TransportPool is a transport's freelists on one network, stored with
+// SetTCPSegmentPool or SetQUICWirePool: opaque to netem, which cannot
+// import the transports, except for the handover Inherit asks of it.
+type TransportPool interface {
+	// HandOver moves the listed objects onto the same pool of nw,
+	// creating it there if need be, and re-stamps their owner.
+	HandOver(nw *Network)
+}
+
 // TCPSegmentPool returns what SetTCPSegmentPool stored, nil before. Only
 // internal/tcpsim uses the pair: every pooling connection on the network
 // shares one segment freelist that outlives each of them.
-func (nw *Network) TCPSegmentPool() any { return nw.tcpSegPool }
+func (nw *Network) TCPSegmentPool() TransportPool { return nw.tcpSegPool }
 
 // SetTCPSegmentPool stores the network's TCP segment freelist.
-func (nw *Network) SetTCPSegmentPool(pool any) { nw.tcpSegPool = pool }
+func (nw *Network) SetTCPSegmentPool(pool TransportPool) { nw.tcpSegPool = pool }
 
 // QUICWirePool returns what SetQUICWirePool stored, nil before. Only
 // internal/quic uses the pair: every endpoint and connection on the
 // network shares one buffer freelist that outlives each of them.
-func (nw *Network) QUICWirePool() any { return nw.quicWirePool }
+func (nw *Network) QUICWirePool() TransportPool { return nw.quicWirePool }
 
 // SetQUICWirePool stores the network's QUIC buffer freelist.
-func (nw *Network) SetQUICWirePool(pool any) { nw.quicWirePool = pool }
+func (nw *Network) SetQUICWirePool(pool TransportPool) { nw.quicWirePool = pool }

@@ -381,3 +381,54 @@ func TestEphemeralPortWrapStaysAboveFloor(t *testing.T) {
 		}
 	}
 }
+
+// Inherit moves what the old network lists, not what it holds: the listed
+// packet and ICMP body become the new network's and are its next draws,
+// while a packet still in flight at the handover goes home to the old
+// network when it is released, never to the new one. Counters stay with
+// their network, and a network in no-recycle mode neither gives nor takes.
+func TestInheritMovesOnlyListedObjects(t *testing.T) {
+	_, old := testNet(t)
+	_, nw := testNet(t)
+	held, listed := old.NewPacket(), old.NewPacket()
+	ic := old.NewICMP()
+	old.releasePacket(listed)
+	old.releaseICMP(ic)
+	oldStats, oldICMP := old.PoolStats(), old.ICMPPoolStats()
+
+	nw.Inherit(old)
+	if len(old.pktFree.All()) != 0 || len(old.icmpFree.All()) != 0 {
+		t.Fatal("the old network still lists objects after the handover")
+	}
+	if old.PoolStats() != oldStats || old.ICMPPoolStats() != oldICMP || nw.PoolStats() != (PoolStats{}) {
+		t.Fatalf("counters moved: old %+v %+v, new %+v", old.PoolStats(), old.ICMPPoolStats(), nw.PoolStats())
+	}
+	old.ReleasePacket(held, held.Gen())
+	if len(nw.pktFree.All()) != 1 || held.owner != old {
+		t.Fatal("a packet in flight at the handover joined the new network's list")
+	}
+	if p := nw.NewPacket(); p != listed || p.owner != nw {
+		t.Fatal("the new network's first packet is not the one the old one listed, re-owned")
+	}
+	if got := nw.NewICMP(); got != ic || got.owner != nw {
+		t.Fatal("the new network's first ICMP body is not the one the old one listed, re-owned")
+	}
+	if st := nw.PoolStats(); st.Gets != 1 || st.Hits != 1 {
+		t.Fatalf("new network's packet counters %+v, want one Get, a Hit", st)
+	}
+
+	for _, giver := range []bool{true, false} {
+		_, a := testNet(t)
+		_, b := testNet(t)
+		a.releasePacket(a.NewPacket())
+		if giver {
+			a.DisableRecycling()
+		} else {
+			b.DisableRecycling()
+		}
+		b.Inherit(a)
+		if len(a.pktFree.All()) != 1 || len(b.pktFree.All()) != 0 {
+			t.Errorf("no-recycle giver=%v: objects moved", giver)
+		}
+	}
+}

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"starlinkperf/internal/netem"
+	"starlinkperf/internal/sim"
 )
 
 // allocBulk starts an endless client->server bulk transfer over a
@@ -90,11 +91,12 @@ func BenchmarkBulkTransferPacket(b *testing.B) {
 }
 
 // A connection dialed after an identical one closed on the same network
-// draws every wire buffer and reassembly chunk from what the first one gave
-// back: the pool belongs to the network, not to the client endpoint each
-// transfer dials. The path loses, reorders and goes down, so
-// retransmissions, PTO probes and out-of-order chunks are all in play. A
-// network in no-recycle mode reuses nothing.
+// draws every wire buffer, reassembly chunk, sent-packet record and STREAM
+// frame struct from what the first one gave back: the pool belongs to the
+// network, not to the client endpoint each transfer dials nor to the
+// connection. The path loses, reorders and goes down, so retransmissions,
+// PTO probes and out-of-order chunks are all in play. A network in
+// no-recycle mode reuses nothing.
 func TestAllocGateBuffersOutliveTheirConnection(t *testing.T) {
 	for _, recycle := range []bool{true, false} {
 		p := newReorderPath()
@@ -105,6 +107,7 @@ func TestAllocGateBuffersOutliveTheirConnection(t *testing.T) {
 		var first [2]Stats
 		for run := range 2 {
 			before := WirePoolStats(nw)
+			records := [2]sim.PoolStats{SentPoolStats(nw), FramePoolStats(nw)}
 			want, got, client, server := p.transfer(t)
 			st := WirePoolStats(nw)
 			if !bytes.Equal(got, want) {
@@ -129,6 +132,17 @@ func TestAllocGateBuffersOutliveTheirConnection(t *testing.T) {
 				t.Errorf("run %d: %d buffers drawn, %d returned, %d shared", run, st.Gets, st.Puts, st.Shared)
 			case recycle && run == 1 && misses != 0:
 				t.Errorf("the second connection allocated %d of its %d buffers and chunks", misses, gets)
+			}
+			for i, now := range [2]sim.PoolStats{SentPoolStats(nw), FramePoolStats(nw)} {
+				what := [2]string{"sent records", "STREAM frames"}[i]
+				switch gets := now.Gets - records[i].Gets; {
+				case gets == 0:
+					t.Fatalf("recycle=%v run %d: no %s drawn", recycle, run, what)
+				case !recycle && (now.Hits != 0 || now.Puts != 0):
+					t.Errorf("run %d: a no-recycle network reused %s: %+v", run, what, now)
+				case recycle && run == 1 && now.Hits-records[i].Hits != gets:
+					t.Errorf("the second connection allocated %d of its %d %s", gets-(now.Hits-records[i].Hits), gets, what)
+				}
 			}
 		}
 	}

@@ -206,15 +206,13 @@ type Connection struct {
 
 	// Per-packet storage, reused so that the steady-state datapath does
 	// not allocate. ackFrame and frameBuf are scratch for the packet being
-	// built (dead once sendPacket serialized it); the freelists recycle
-	// what an in-flight packet owns — its sentPacket record and STREAM
-	// frame structs, back when it is acked or declared lost. Wire buffers
-	// and the chunks out-of-order stream data waits in come from the
-	// network's pool (ep.pool).
-	ackFrame  AckFrame
-	frameBuf  []Frame
-	sentFree  sim.Freelist[sentPacket]
-	frameFree sim.Freelist[StreamFrame]
+	// built (dead once sendPacket serialized it). What an in-flight packet
+	// owns — its sentPacket record and STREAM frame structs, back when it
+	// is acked or declared lost — its wire buffer, and the chunks
+	// out-of-order stream data waits in all come from the network's pool
+	// (ep.pool), whose lists a sweep worker's next network inherits.
+	ackFrame AckFrame
+	frameBuf []Frame
 }
 
 func newConnection(ep *Endpoint, cfg Config, isClient bool, connID uint64, remote netem.Addr, remotePort uint16) *Connection {
@@ -397,35 +395,46 @@ func (c *Connection) queueFrame(f Frame) {
 // completely; putStreamFrame takes it back once its single owner (an
 // in-flight packet, or the retransmission queue) is done with it.
 func (c *Connection) getStreamFrame() *StreamFrame {
-	if f := c.frameFree.Get(); f != nil {
+	if f := c.ep.pool.frames.Get(); f != nil {
 		return f
 	}
 	return new(StreamFrame)
 }
 
+// putStreamFrame lists f for the next getStreamFrame on the network; a
+// network in no-recycle mode reuses none.
 func (c *Connection) putStreamFrame(f *StreamFrame) {
+	p := c.ep.pool
+	if !p.nw.Recycling() {
+		return
+	}
 	*f = StreamFrame{}
-	if c.ep.pool.scribble {
+	if p.scribble {
 		f.StreamID, f.Offset, f.Data = MaxVarint, MaxVarint, scribbled[:]
 	}
-	c.frameFree.Put(f)
+	p.frames.Put(f)
 }
 
 // scribbled is what a recycled frame struct points at under
 // wirePool.scribble.
 var scribbled = [...]byte{0xDB, 0xDB, 0xDB, 0xDB, 0xDB, 0xDB, 0xDB, 0xDB}
 
-// recycleSent returns packets that left loss detection to the freelist.
-// Their frames have moved on by now: acked STREAM frames went back in
-// onAckReceived, lost frames to the retransmission queue.
+// recycleSent returns packets that left loss detection to the network's
+// freelist; a network in no-recycle mode reuses none. Their frames have
+// moved on by now: acked STREAM frames went back in onAckReceived, lost
+// frames to the retransmission queue.
 func (c *Connection) recycleSent(sps []*sentPacket) {
+	p := c.ep.pool
+	if !p.nw.Recycling() {
+		return
+	}
 	for _, sp := range sps {
 		clear(sp.frames)
 		*sp = sentPacket{frames: sp.frames[:0]}
-		if c.ep.pool.scribble {
+		if p.scribble {
 			sp.pn, sp.size = MaxVarint, -1
 		}
-		c.sentFree.Put(sp)
+		p.sent.Put(sp)
 	}
 }
 
@@ -944,7 +953,7 @@ func (c *Connection) sendPacket(frames []Frame) {
 	if eliciting {
 		c.Stats.AckElicitingSent++
 		c.lastElicitingSent = now
-		sp := c.sentFree.Get()
+		sp := c.ep.pool.sent.Get()
 		if sp == nil {
 			sp = new(sentPacket)
 		}

@@ -371,6 +371,41 @@ func TestWireBufferReleasedTwiceIsListedOnce(t *testing.T) {
 	}
 }
 
+// A network that inherits another's pools (netem.Network.Inherit) takes
+// the listed buffers, sent records and frame structs; a buffer the old
+// network still held at the handover (a datagram in flight when its
+// campaign stopped) goes home to the old pool when released, never to the
+// new one.
+func TestInheritedWirePool(t *testing.T) {
+	s := sim.NewScheduler(1)
+	oldNw, nw := netem.New(s), netem.New(s)
+	old := wirePoolOf(oldNw)
+	held, listed := old.get(), old.get()
+	listed.ReleasePayload()
+	sp, sf := new(sentPacket), new(StreamFrame)
+	old.sent.Put(sp)
+	old.frames.Put(sf)
+
+	nw.Inherit(oldNw)
+	held.ReleasePayload()
+	if held.owner != old || len(old.All()) != 1 {
+		t.Fatal("a buffer held at the handover did not go home to the old pool")
+	}
+	p := wirePoolOf(nw)
+	if p == old || len(old.sent.All())+len(old.frames.All()) != 0 {
+		t.Fatal("the old pool was shared or kept its records")
+	}
+	if got := p.get(); got != listed || got.owner != p {
+		t.Error("the new network's first buffer is not the listed one, re-owned")
+	}
+	if p.sent.Get() != sp || p.frames.Get() != sf {
+		t.Error("the listed sent record or frame struct did not move")
+	}
+	if st := WirePoolStats(nw); st != (sim.PoolStats{Gets: 1, Hits: 1}) {
+		t.Errorf("new pool counters %+v, want one Get, a Hit", st)
+	}
+}
+
 // A connection torn down while stream data waits behind a gap gives the
 // waiting chunks back to the pool: the server never sees the client's
 // tenth datagram and closes as soon as data queues behind it.
@@ -535,7 +570,7 @@ func checkSingleOwnership(t *testing.T, c *Connection) {
 	for _, f := range queued {
 		claim(f, "the retransmission queue")
 	}
-	for _, f := range c.frameFree.All() {
+	for _, f := range c.ep.pool.frames.All() {
 		claim(f, "the freelist")
 	}
 }

@@ -46,17 +46,22 @@ type wireBuf struct {
 	pooled bool
 }
 
-// wirePool is the QUIC buffer freelist of one netem.Network: every
-// endpoint on it serializes its packets into the pool's buffers and every
-// connection on it buffers out-of-order stream data in them, so the most
-// buffers alive at once is reached once per network, not once per
-// endpoint (campaigns dial a fresh client endpoint per transfer). One
-// scheduler drives a network, hence no lock. Shared counts buffers a
+// wirePool is the QUIC freelists of one netem.Network: every endpoint on
+// it serializes its packets into the pool's buffers and every connection
+// on it buffers out-of-order stream data in them, and keeps its in-flight
+// packets' sent records and STREAM frame structs in the pool's other two
+// lists. Campaigns dial a fresh client endpoint per transfer, and a sweep
+// worker's next network inherits all three lists
+// (netem.Network.Inherit), so the most objects alive at once is reached
+// once per sweep worker, not once per network, endpoint or connection.
+// One scheduler drives a network, hence no lock. Shared counts buffers a
 // second packet started referencing (netem.PayloadSharer); a network in
-// no-recycle mode takes none back.
+// no-recycle mode takes nothing back.
 type wirePool struct {
 	sim.Freelist[wireBuf]
-	nw *netem.Network
+	sent   sim.Freelist[sentPacket]
+	frames sim.Freelist[StreamFrame]
+	nw     *netem.Network
 	// scribble makes every buffer, frame struct and sent-packet record
 	// that re-enters a freelist on this network unusable (tests set it to
 	// prove nothing reads recycled memory).
@@ -73,11 +78,40 @@ func wirePoolOf(nw *netem.Network) *wirePool {
 	return p
 }
 
+// HandOver implements netem.TransportPool: the listed buffers become nw's,
+// and the listed sent records and frame structs, which carry no owner, go
+// with them.
+func (p *wirePool) HandOver(nw *netem.Network) {
+	to := wirePoolOf(nw)
+	for _, w := range p.All() {
+		w.owner = to
+	}
+	to.Adopt(&p.Freelist)
+	to.sent.Adopt(&p.sent)
+	to.frames.Adopt(&p.frames)
+}
+
 // WirePoolStats returns the counters of nw's buffer pool, wire buffers
 // and reassembly chunks together.
 func WirePoolStats(nw *netem.Network) sim.PoolStats {
 	if p, ok := nw.QUICWirePool().(*wirePool); ok {
 		return p.Stats()
+	}
+	return sim.PoolStats{}
+}
+
+// SentPoolStats returns the counters of nw's sent-packet records.
+func SentPoolStats(nw *netem.Network) sim.PoolStats {
+	if p, ok := nw.QUICWirePool().(*wirePool); ok {
+		return p.sent.Stats()
+	}
+	return sim.PoolStats{}
+}
+
+// FramePoolStats returns the counters of nw's STREAM frame structs.
+func FramePoolStats(nw *netem.Network) sim.PoolStats {
+	if p, ok := nw.QUICWirePool().(*wirePool); ok {
+		return p.frames.Stats()
 	}
 	return sim.PoolStats{}
 }

@@ -51,5 +51,14 @@ func (l *Freelist[T]) Share() { l.stats.Shared++ }
 // Stats returns a copy of the counters.
 func (l *Freelist[T]) Stats() PoolStats { return l.stats }
 
+// Adopt moves every object listed on from beneath l's own, keeping their
+// order, and leaves from empty; both lists' counters stay as they were, so
+// each still counts only its own Gets and Puts. The caller re-stamps
+// the owner of what it takes over (read from.All() first).
+func (l *Freelist[T]) Adopt(from *Freelist[T]) {
+	l.free = append(from.free, l.free...)
+	from.free = nil
+}
+
 // All returns the listed objects, the next Get's last; read, do not keep.
 func (l *Freelist[T]) All() []*T { return l.free }

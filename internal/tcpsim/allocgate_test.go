@@ -221,3 +221,44 @@ func mallocs(f func()) uint64 {
 	runtime.ReadMemStats(&after)
 	return after.Mallocs - before.Mallocs
 }
+
+// A network that inherits another's pools (netem.Network.Inherit) takes
+// its listed segments, Sack and Msgs arrays kept, and its listed rings;
+// a segment the old network still held at the handover goes home to the
+// old pool when released, never to the new one.
+func TestInheritedSegmentPool(t *testing.T) {
+	s := sim.NewScheduler(1)
+	oldNw, nw := netem.New(s), netem.New(s)
+	conn := func(nw *netem.Network) *Conn {
+		return NewConn(ConnParams{Sched: s, Node: nw.NewNode("n", netem.MustParseAddr("10.0.0.1")), Transmit: func(*netem.Packet) {}})
+	}
+	c := conn(oldNw)
+	held, listed := c.newSegment(), c.newSegment()
+	listed.Sack = append(listed.Sack, SackBlock{Start: 1, End: 2})
+	listed.ReleasePayload()
+	ring := new(sim.Ring[txRecord])
+	c.pool.putRing(ring)
+	before := SegmentPoolStats(oldNw)
+
+	nw.Inherit(oldNw)
+	held.ReleasePayload()
+	if held.owner != c.pool || len(c.pool.All()) != 1 {
+		t.Fatal("a segment held at the handover did not go home to the old pool")
+	}
+	if st := SegmentPoolStats(oldNw); st.Puts != before.Puts+1 || st.Gets != before.Gets {
+		t.Errorf("old pool counters %+v after the late release, were %+v", st, before)
+	}
+	c2 := conn(nw)
+	if c2.pool == c.pool {
+		t.Fatal("the new network shares the old network's pool")
+	}
+	if c2.inflight != ring {
+		t.Error("the new network's first connection did not take the inherited ring")
+	}
+	if got := c2.newSegment(); got != listed || got.owner != c2.pool || cap(got.Sack) == 0 {
+		t.Error("the new network's first segment is not the listed one, re-owned with its Sack array")
+	}
+	if st := SegmentPoolStats(nw); st != (sim.PoolStats{Gets: 1, Hits: 1}) {
+		t.Errorf("new pool counters %+v, want one Get, a Hit", st)
+	}
+}

@@ -96,14 +96,15 @@ type Segment struct {
 
 // segPool is the TCP freelist of one netem.Network: every pooling
 // connection on it draws its segments from the pool and the datapath
-// returns them to it, so the high-water mark — the most segments alive at
-// once — is reached once per network, not once per connection. The same
-// goes for in-flight rings: a connection takes one at NewConn and gives it
-// back, emptied, at teardown, so a connection dialed after another one
-// closed starts with the array that one grew. One scheduler drives a
-// network and cross links between partitions carry no TCP, hence no lock.
-// Shared counts segments a holder kept: the payload of a Detached or
-// Cloned packet (netem.PayloadSharer).
+// returns them to it. The same goes for in-flight rings: a connection
+// takes one at NewConn and gives it back, emptied, at teardown, so a
+// connection dialed after another one closed starts with the array that
+// one grew. A sweep worker's next network inherits both lists
+// (netem.Network.Inherit), so the high-water mark — the most segments
+// alive at once — is reached once per sweep worker, not once per network
+// or connection. One scheduler drives a network and cross links between
+// partitions carry no TCP, hence no lock. Shared counts segments a holder
+// kept: the payload of a Detached or Cloned packet (netem.PayloadSharer).
 type segPool struct {
 	sim.Freelist[Segment]
 	rings sim.Freelist[sim.Ring[txRecord]]
@@ -133,12 +134,28 @@ func poolOf(node *netem.Node) *segPool {
 	if node == nil {
 		return nil
 	}
-	p, ok := node.Network().TCPSegmentPool().(*segPool)
+	return segPoolOf(node.Network())
+}
+
+// segPoolOf returns nw's segment pool, creating it on first use.
+func segPoolOf(nw *netem.Network) *segPool {
+	p, ok := nw.TCPSegmentPool().(*segPool)
 	if !ok {
-		p = &segPool{nw: node.Network()}
-		node.Network().SetTCPSegmentPool(p)
+		p = &segPool{nw: nw}
+		nw.SetTCPSegmentPool(p)
 	}
 	return p
+}
+
+// HandOver implements netem.TransportPool: the listed segments, Sack and
+// Msgs arrays kept, become nw's, and the listed rings go with them.
+func (p *segPool) HandOver(nw *netem.Network) {
+	to := segPoolOf(nw)
+	for _, s := range p.All() {
+		s.owner = to
+	}
+	to.Adopt(&p.Freelist)
+	to.rings.Adopt(&p.rings)
 }
 
 // get returns a zeroed segment that keeps its Sack and Msgs backing.
