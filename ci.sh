@@ -32,6 +32,10 @@ echo "== no deleted mechanism in non-test code (DESIGN.md: Independent traffic s
 # cells now, and the only unpruned scan is the all-satellites oracle in
 # internal/fleet/equivalence_test.go), the fleet's own epoch pool and
 # the per-type pool counters that sim.Workers and sim.PoolStats replaced,
+# the fleet's two-phase epoch (assign blocks, an observe pass and the
+# prevSat copy between them) and its longitude-window admission sweep
+# with its scatter into the CSR, which one cell walk and a direct
+# dot-product admission per populated cell replaced,
 # the hand-written FIFOs and interval sets that sim.Ring and sim.Ranges
 # replaced, the scheduler's lazy compaction that Scheduler.Rearm
 # made unnecessary, and the second copies of netem's route and handler
@@ -54,7 +58,7 @@ echo "== no deleted mechanism in non-test code (DESIGN.md: Independent traffic s
 # -scenario.workers flag, which duplicated -workers, and starlink-bench's
 # own copy of the report's sizes and scenario (the job list, sizes and
 # scenario live in internal/core/report.go).
-if grep -rnE 'PartitionedDriver|CrossEdge|AddCrossLink|snapshotRing|peekSnapshot|delayRing|islMemo|candCount|referenceReassignAt|epochPool|runPhase|phaseAssign|WirePoolStats struct|pktRing|txRing|frameQueue|rangeSet|byteRanges|cryptoRecv|offRange|compactMin|nstopped|\) compact\(|rebuildFIB|rebuildHandlers|fibDirty|hDirty|fibGroups|msgsInOrder|insertMsgKey|Hops \[\]Addr|wireFree|chunkFree|sentFree|frameFree|AnalyzeSenderView|obs\.Options|\(p \*Prober\) Observe|\(p \*Proxy\) Observe|pep\.New\(|NewNewReno|KindEnqueue|KindDequeue|IdleDecay|decayAfterIdle|AllowMigration|PathMigrations|PacingBurst|UnmarshalProfiles|LinkConfigs|"scenario\.workers"|sizesFor|paperScenario' --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark .; then
+if grep -rnE 'PartitionedDriver|CrossEdge|AddCrossLink|snapshotRing|peekSnapshot|delayRing|islMemo|candCount|referenceReassignAt|epochPool|runPhase|phaseAssign|WirePoolStats struct|pktRing|txRing|frameQueue|rangeSet|byteRanges|cryptoRecv|offRange|compactMin|nstopped|\) compact\(|rebuildFIB|rebuildHandlers|fibDirty|hDirty|fibGroups|msgsInOrder|insertMsgKey|Hops \[\]Addr|wireFree|chunkFree|sentFree|frameFree|AnalyzeSenderView|obs\.Options|\(p \*Prober\) Observe|\(p \*Proxy\) Observe|pep\.New\(|NewNewReno|KindEnqueue|KindDequeue|IdleDecay|decayAfterIdle|AllowMigration|PathMigrations|PacingBurst|UnmarshalProfiles|LinkConfigs|"scenario\.workers"|sizesFor|paperScenario|prevSat|observeEpoch|observeCellInto|observeRange|assignRange|assignBlock|admitRow|candFill|scanSats' --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark .; then
     echo "a deleted mechanism is named above" >&2
     exit 1
 fi
@@ -135,7 +139,9 @@ echo "== allocation gates (0 allocs per event / packet / segment / epoch, no rac
 # to the pooled 100k-terminal epoch, and a sweep worker's second identical
 # job drawing every pooled object from what its first testbed handed over.
 # Any regression that puts an allocation back on one of those paths fails
-# here.
+# here. TestAllocGateFleetBytesPerTerminal gates bytes, not allocations:
+# the live heap of a standing 100k-terminal fleet, at most 64 B per
+# terminal.
 go test ./internal/sim ./internal/netem ./internal/quic ./internal/tcpsim ./internal/fleet ./internal/core \
     -run 'TestAllocGate' -count=1
 
@@ -175,8 +181,9 @@ echo "== fleet bound fuzz smoke (5 s: stored bound >= exact sinElevation)"
 go test ./internal/fleet -run '^$' -fuzz 'FuzzSinElevationBound' -fuzztime 5s
 
 echo "== fleet pooled scan, ten rounds under the race detector"
-# 1/2/4/8 workers read the shared candidate and bound tables and write their
-# own scratch; assignments and scan counts must not depend on the count.
+# 1/2/4/8 workers walk disjoint runs of cells: they read the shared
+# candidate and bound tables, write their cells' terminals and their own
+# scratch; assignments and scan counts must not depend on the count.
 go test -race ./internal/fleet -run 'TestReassignWorkerInvariance|TestScanStats' -count=10
 
 echo "== fork/join pool, ten rounds under the race detector"

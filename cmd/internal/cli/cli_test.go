@@ -173,8 +173,10 @@ func checkGolden(t *testing.T, command, args, stdout string, files map[string]st
 			t.Errorf("report missing %q", want)
 		}
 	}
-	if !strings.Contains(errOut.String(), "campaigns:") {
-		t.Error("progress lines missing from stderr")
+	for _, want := range []string{"campaigns:", "\nsweep: makespan", "\nfleet: ", "\ntraffic: "} {
+		if !strings.Contains(errOut.String(), want) {
+			t.Errorf("stderr misses %q:\n%s", want, errOut.String())
+		}
 	}
 	// The profiles must be written, and must not change a byte of the
 	// report.

@@ -87,9 +87,11 @@ type Report struct {
 	Traffic                            *fleet.TrafficResult
 
 	// Engine telemetry, never rendered: each sweep job's scheduler and
-	// wall time in job order, and the sweep's makespan.
-	Jobs     []JobStat
-	Makespan time.Duration
+	// wall time in job order, the sweep's makespan, and the walls of the
+	// fleet and traffic scenarios that run after it.
+	Jobs                   []JobStat
+	Makespan               time.Duration
+	FleetWall, TrafficWall time.Duration
 }
 
 // JobStat is how many events one sweep job's scheduler ran, how deep its
@@ -148,10 +150,14 @@ func RunReport(cfg Config, sz Sizes, opts Options) *Report {
 	RunSweep(jobs, opts)
 	r.Makespan = time.Since(start)
 
+	start = time.Now()
 	r.Fleet = RunFleetScenario(fleet.Config{Terminals: sz.FleetTerminals, Horizon: sz.FleetSpan}, opts)
+	r.FleetWall = time.Since(start)
+	start = time.Now()
 	r.Traffic = RunFleetTraffic(fleet.TrafficConfig{
 		Fleet: fleet.Config{Terminals: sz.TrafficTerminals, Horizon: sz.TrafficSpan, Epoch: 15 * time.Second},
 	}, opts)
+	r.TrafficWall = time.Since(start)
 	return r
 }
 

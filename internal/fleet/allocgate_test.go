@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -24,41 +25,38 @@ func (c *epochClock) next() (int, sim.Time) {
 const warmEpochs = 8
 
 // TestAllocGateFleetReassign holds the per-epoch cell-indexed
-// reassignment path — snapshot refill, candidate CSR build, per-terminal
-// scan, gateway selection, delay derivation — to zero allocations per
-// fresh epoch on a single worker.
+// reassignment walk — snapshot refill, candidate CSR build with the
+// listed satellites' gateways, per-terminal scan, delay derivation — to
+// zero allocations per fresh epoch on a single worker.
 func TestAllocGateFleetReassign(t *testing.T) {
 	fl := New(Config{Seed: 5, Terminals: 3000, Workers: 1})
 	var clk epochClock
 	for i := 0; i < warmEpochs; i++ {
 		_, at := clk.next()
-		fl.ReassignAt(at)
+		fl.reassignAt(at)
 	}
 	if avg := testing.AllocsPerRun(80, func() {
 		_, at := clk.next()
-		fl.ReassignAt(at)
+		fl.reassignAt(at)
 	}); avg != 0 {
 		t.Errorf("fleet reassign: %v allocs per fresh epoch, want 0", avg)
 	}
 }
 
-// TestAllocGateObserveEpoch extends the gate over the beam-contention
-// accounting pass (without obs attached — tracer emission is itself
-// alloc-free but counter registration happens at New time either way).
+// TestAllocGateObserveEpoch extends the gate over the walk's
+// beam-contention accounting and the merge on a single worker (without obs
+// attached — tracer emission is itself alloc-free but counter registration
+// happens at New time either way).
 func TestAllocGateObserveEpoch(t *testing.T) {
 	fl := New(Config{Seed: 5, Terminals: 3000, Workers: 1})
 	var clk epochClock
 	for i := 0; i < warmEpochs; i++ {
-		e, at := clk.next()
-		fl.ReassignAt(at)
-		fl.observeEpoch(e, at)
+		fl.RunEpoch(clk.next())
 	}
 	if avg := testing.AllocsPerRun(40, func() {
-		e, at := clk.next()
-		fl.ReassignAt(at)
-		fl.observeEpoch(e, at)
+		fl.RunEpoch(clk.next())
 	}); avg != 0 {
-		t.Errorf("reassign+observe: %v allocs per fresh epoch, want 0", avg)
+		t.Errorf("assign+account: %v allocs per fresh epoch, want 0", avg)
 	}
 }
 
@@ -82,6 +80,36 @@ func TestAllocGateFleetEpoch100k(t *testing.T) {
 	}
 }
 
+// liveHeap returns the bytes the heap holds live after two collections.
+func liveHeap() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+// TestAllocGateFleetBytesPerTerminal holds the standing state of a
+// 100k-terminal fleet on two workers — terminal SoA, cell index, candidate
+// and satellite tables, accumulators and worker scratch, after one epoch —
+// to 64 B per terminal: the 51 B of terminal state plus what the index and
+// the accumulators cost spread over the fleet. The SoA keeps only what an
+// epoch reads, at the width its values need (DESIGN.md §7 Memory budget).
+func TestAllocGateFleetBytesPerTerminal(t *testing.T) {
+	const n = 100000
+	before := liveHeap()
+	fl := New(Config{Seed: 1, Terminals: n, Workers: 2})
+	defer fl.Close()
+	fl.RunEpoch(0, 0)
+	after := liveHeap()
+	runtime.KeepAlive(fl)
+	per := (float64(after) - float64(before)) / n
+	t.Logf("standing 100k fleet: %.2f B/terminal", per)
+	if per > 64 {
+		t.Errorf("standing 100k fleet holds %.2f B per terminal, want <= 64", per)
+	}
+}
+
 // BenchmarkReassignCellIndex measures the per-epoch cost of the
 // cell-indexed path on a 10k-terminal Gen1 fleet, one fresh epoch per
 // iteration. Must report 0 allocs/op.
@@ -90,13 +118,13 @@ func BenchmarkReassignCellIndex(b *testing.B) {
 	var clk epochClock
 	for i := 0; i < warmEpochs; i++ {
 		_, at := clk.next()
-		fl.ReassignAt(at)
+		fl.reassignAt(at)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_, at := clk.next()
-		fl.ReassignAt(at)
+		fl.reassignAt(at)
 	}
 }
 

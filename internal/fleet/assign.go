@@ -7,32 +7,26 @@ import (
 	"starlinkperf/internal/sim"
 )
 
-// assignBlock is the unit of work reassignment and placement hand to
-// workers: big enough to amortize the atomic fetch, small enough to
-// balance cells of very different terminal density.
-const assignBlock = 2048
+// reassignAt assigns every terminal its serving satellite, gateway and
+// bent-pipe delay for the instant at: RunEpoch's walk without the
+// accounting, which the equivalence tests hold to the all-satellites
+// oracle at arbitrary instants.
+func (f *Fleet) reassignAt(at sim.Time) { f.walk(at, false) }
 
-// ReassignAt recomputes every terminal's serving satellite, gateway and
-// bent-pipe delay for the epoch instant at, using the cell index: one
-// sweep over the constellation builds, for the cells that hold terminals,
-// candidate lists with an upper bound on sin(elevation) beside each entry
-// (CSR into reused scratch), then each terminal runs a bound-pruned argmax
-// over its cell's candidates. The per-terminal phase fans out over the
-// fleet's worker pool in assignBlock blocks (pool.go); every
-// terminal's result is a pure function of (position, snapshot) — its
-// previous satellite only decides how many candidates are scored — so
-// results are bit-identical for any worker count.
-//
-// A fresh epoch allocates nothing for any worker count once the candidate
-// scratch has grown to its working size: the position snapshot is one
-// table the fleet owns and refills in place, and the pool runs a body bound
-// once in New. The fleet alloc gates hold one and several workers to zero
-// while the clock advances.
-func (f *Fleet) ReassignAt(at sim.Time) {
-	f.con.FillSnapshot(&f.snap, at)
-	f.fillSatTable()
-	f.buildCandidates()
-	f.workers.Run((len(f.sat)+assignBlock-1)/assignBlock, f.assignBody)
+// walk runs one epoch's cell walk at instant at: the satellite-side tables
+// (prepare), then every populated cell on the fleet's worker pool in the
+// cell-aligned ranges New bound (walkCell), and the workers' scan counts.
+// Every terminal's assignment is a pure function of (position, snapshot) —
+// its previous satellite only decides how many candidates are scored — and
+// the accounting merges by integer sums, so results are bit-identical for
+// any worker count. A fresh epoch allocates nothing once the candidate
+// tables have grown to their working size: the snapshot is one table the
+// fleet owns and refills in place, and the pool runs a body bound once in
+// New.
+func (f *Fleet) walk(at sim.Time, account bool) {
+	f.prepare(at)
+	f.account = account
+	f.workers.Run(len(f.walkRanges)-1, f.walkBody)
 	f.scan.Epochs++
 	f.scan.CandEntries = len(f.cands)
 	for w := range f.scratch {
@@ -40,12 +34,21 @@ func (f *Fleet) ReassignAt(at sim.Time) {
 	}
 }
 
+// prepare fills the epoch's satellite-side tables for instant at, single
+// threaded ahead of the walk: the snapshot, the flat position table and the
+// candidate CSR with the gateway of every listed satellite.
+func (f *Fleet) prepare(at sim.Time) {
+	f.con.FillSnapshot(&f.snap, at)
+	f.fillSatTable()
+	f.buildCandidates()
+}
+
 // ScanStats is the reassignment scan's engine telemetry — no part of Result
 // or of any sim-clock export, and equal for any worker count: how many
 // candidates the terminals' cells listed, how many of those the bound let
 // through, how many exact sinElevation evaluations that cost with the
 // seeds, and how often the previous satellite was kept. The first five
-// count every ReassignAt since New; the last two describe the index.
+// count every epoch walked since New; the last two describe the index.
 type ScanStats struct {
 	Epochs      int64
 	Listed      int64 // candidates in each terminal's cell list, summed over terminal-epochs
@@ -69,155 +72,78 @@ func (s *ScanStats) merge(w *ScanStats) {
 	*w = ScanStats{}
 }
 
-// fillSatTable refills the epoch's flat per-satellite table from the
-// snapshot, single-threaded before the per-terminal phase: every position
-// under its flat id and, for enabled satellites (only they are candidates),
-// the gateway and slant range to it — a function of the satellite alone.
+// skySat is one enabled satellite as admission reads it: the direction of
+// its position, its geocentric radius and its flat id.
+type skySat struct {
+	dir  geo.ECEF
+	norm float64
+	id   int32
+}
+
+// fillSatTable refills the flat position table from the snapshot, every
+// position under its flat id, and lists the enabled satellites (only they
+// are candidates) for admission, shell by shell in flat-id order.
 func (f *Fleet) fillSatTable() {
+	f.sky = f.sky[:0]
 	for si := range f.shells {
 		m := &f.shells[si]
 		pos := f.satPos[m.offset : m.offset+len(m.enabled)]
 		copy(pos, f.snap.ShellPositions(si))
 		for j, en := range m.enabled {
 			if en {
-				gw, km := f.gws.Best(pos[j])
-				f.satGw[m.offset+j], f.satGwKm[m.offset+j] = int32(gw), km
+				p := pos[j]
+				n := p.Norm()
+				f.sky = append(f.sky, skySat{geo.ECEF{X: p.X / n, Y: p.Y / n, Z: p.Z / n}, n, int32(m.offset + j)})
 			}
 		}
+		m.skyEnd = len(f.sky)
 	}
 }
 
-// admission is one (populated cell, satellite) pair of the epoch's sweep
-// with the bound computed at admission, kept in sweep order until
-// buildCandidates sorts the pairs by cell.
-type admission struct {
-	cell, sat int32
-	ub        float64
-}
-
-// buildCandidates fills the per-cell candidate CSR (candStart, cands) and
-// the bound beside each entry (candUB) from the epoch's snapshot (f.snap):
-// one admission sweep lists the (cell, satellite) pairs and counts them per
-// cell, a prefix sum turns the counts into offsets, and a stable scatter
-// moves each pair to its cell's run. Only cells that hold terminals are
-// admitted into, so the tables are as long as the populated part of the
-// planet is wide (some 18 candidates each for some dozens of cells), and the
-// only allocations ever needed are growing them to their working size. The
-// sweep is ascending in flat satellite id and admits a satellite to a given
-// cell at most once, so every cell's list is strictly increasing.
+// buildCandidates writes the candidate CSR (candStart, cands) over the
+// populated cells and the bound beside each entry (candUB), cell by cell
+// and, within a cell, ascending in flat satellite id, so every list is
+// strictly increasing. A satellite is admitted to a cell iff the cosine of
+// the central angle between the subsatellite point and the cell's center,
+// ŝ·ĉ, is at least cosReach of its shell and the cell's row: on the sphere
+// a terminal sees a satellite only within the shell's coverage angle of
+// the subsatellite point, and every point of the cell lies within
+// row.radius of its center, so the test admits every satellite any of the
+// cell's terminals can see (reach carries reachMarginRad for rounding). It
+// is deliberately one-sided: the mask test rejects what it admits in
+// excess. The dot product is also the bound's argument. The first time an
+// epoch lists a satellite, its gateway and the range to it are filled in:
+// a function of the satellite alone, and what finishAssignment reads for
+// the winner, which is always listed.
 func (f *Fleet) buildCandidates() {
-	clear(f.candStart)
-	f.admits = f.admits[:0]
-	f.scanSats()
-	for c := 0; c < f.grid.nCells; c++ {
-		f.candStart[c+1] += f.candStart[c]
-	}
-	copy(f.candFill, f.candStart)
-	if cap(f.cands) < len(f.admits) {
-		// The sweep list is the working size: it starts from New's estimate,
-		// append has already grown it with headroom if that fell short, and
-		// the tables follow it, so epochs whose totals drift allocate nothing.
-		f.cands = make([]int32, 0, cap(f.admits))
-		f.candUB = make([]float64, 0, cap(f.admits))
-	}
-	f.cands, f.candUB = f.cands[:len(f.admits)], f.candUB[:len(f.admits)]
-	for _, a := range f.admits {
-		i := f.candFill[a.cell]
-		f.candFill[a.cell]++
-		f.cands[i], f.candUB[i] = a.sat, a.ub
-	}
-}
-
-// satView is what the admission sweep knows about one satellite: computed
-// once per epoch, read for every row and cell the satellite is tried on.
-type satView struct {
-	id             int32
-	lon            float64 // subsatellite longitude, radians
-	sinLat, cosLat float64 // of the subsatellite latitude
-	norm           float64 // geocentric radius, km
-}
-
-// scanSats runs the satellite→cell admission sweep over the rows that hold
-// terminals.
-//
-// Admission reasons on the sphere: a terminal in cell c can see
-// satellite s only if the central angle between the terminal and the
-// subsatellite point is at most the shell's coverage angle λ. Any point
-// of c is within row.radius of c's center, so it suffices to admit s
-// into every cell whose center is within reach = λ + margin + row.radius
-// of the subsatellite point. Per row that is a latitude band test plus
-// an exact longitude window: with Δ the center-to-subsatellite angle,
-// cos Δ = A + B·cos(lonS − lonC), A = sin latS·sin latC,
-// B = cos latS·cos latC, so cos(lonS − lonC) ≥ (cos reach − A)/B.
-func (f *Fleet) scanSats() {
-	for si := range f.shells {
-		m := &f.shells[si]
-		pos := f.snap.ShellPositions(si)
-		for j, en := range m.enabled {
-			if !en {
-				continue
-			}
-			p := pos[j]
-			sv := satView{id: int32(m.offset + j), norm: math.Sqrt(p.X*p.X + p.Y*p.Y + p.Z*p.Z)}
-			lat := math.Asin(p.Z / sv.norm)
-			sv.lon = math.Atan2(p.Y, p.X)
-			sv.sinLat, sv.cosLat = math.Sincos(lat)
-			for _, r := range f.popRows {
-				row := &f.grid.rows[r]
-				if math.Abs(lat-row.midLat) > m.reach+row.radius {
+	f.stamp++
+	f.cands, f.candUB = f.cands[:0], f.candUB[:0]
+	for k, u := range f.popCenter {
+		f.candStart[k] = int32(len(f.cands))
+		r := f.popRow[k]
+		slack := f.grid.rows[r].radius + reachMarginRad
+		lo := 0
+		for si := range f.shells {
+			m := &f.shells[si]
+			cosReach := m.cosReach[r]
+			sky := f.sky[lo:m.skyEnd]
+			lo = m.skyEnd
+			for i := range sky {
+				sv := &sky[i]
+				cos := sv.dir.X*u.X + sv.dir.Y*u.Y + sv.dir.Z*u.Z
+				if cos < cosReach {
 					continue
 				}
-				cosReach := m.cosReach[r]
-				a := sv.sinLat * row.sinMid
-				b := sv.cosLat * row.cosMid
-				if b <= 1e-12 {
-					// Polar degeneracy: the window is all-or-nothing.
-					if a >= cosReach {
-						f.admitRow(row, 0, int(row.nLon)-1, &sv)
-					}
-					continue
+				f.cands = append(f.cands, sv.id)
+				f.candUB = append(f.candUB, sinElevationBound(cos, slack, sv.norm, f.minNorm))
+				if f.satGwAt[sv.id] != f.stamp {
+					gw, km := f.gws.Best(f.satPos[sv.id])
+					f.satGw[sv.id], f.satGwKm[sv.id], f.satGwAt[sv.id] = int16(gw), km, f.stamp
 				}
-				x := (cosReach - a) / b
-				if x > 1 {
-					continue
-				}
-				if x <= -1 {
-					f.admitRow(row, 0, int(row.nLon)-1, &sv)
-					continue
-				}
-				dlon := math.Acos(x)
-				w := row.width
-				kLo := int(math.Ceil((sv.lon+math.Pi-dlon)/w - 0.5))
-				kHi := int(math.Floor((sv.lon+math.Pi+dlon)/w - 0.5))
-				if kHi-kLo+1 >= int(row.nLon) {
-					f.admitRow(row, 0, int(row.nLon)-1, &sv)
-					continue
-				}
-				f.admitRow(row, kLo, kHi, &sv)
 			}
 		}
 	}
-}
-
-// admitRow admits the satellite into the populated cells among kLo..kHi of
-// a row (inclusive, wrapping modulo the row width), each with its bound.
-func (f *Fleet) admitRow(row *gridRow, kLo, kHi int, sv *satView) {
-	n := int(row.nLon)
-	for k := kLo; k <= kHi; k++ {
-		kk := k % n
-		if kk < 0 {
-			kk += n
-		}
-		c := row.start + int32(kk)
-		if f.cellStart[c] == f.cellStart[c+1] {
-			continue
-		}
-		lonC := (float64(kk)+0.5)*row.width - math.Pi
-		cosCenter := sv.sinLat*row.sinMid + sv.cosLat*row.cosMid*math.Cos(sv.lon-lonC)
-		ub := sinElevationBound(cosCenter, row.radius+reachMarginRad, sv.norm, f.minNorm)
-		f.admits = append(f.admits, admission{cell: c, sat: sv.id, ub: ub})
-		f.candStart[c+1]++
-	}
+	f.candStart[len(f.popCenter)] = int32(len(f.cands))
 }
 
 // boundPad is added to every bound: it only has to dominate the rounding
@@ -244,72 +170,66 @@ func sinElevationBound(cosCenter, slack, rs, ro float64) float64 {
 	return (rs*c-ro)/math.Sqrt(rs*rs+ro*ro-2*rs*ro*c) + boundPad
 }
 
-// sinElevation returns sin(elevation) of a satellite position seen from
-// terminal t — the one formula the pruned scan and the test oracle's
-// all-satellites scan both compare, so their argmax decisions are bitwise
-// identical.
-func (f *Fleet) sinElevation(t int, sp geo.ECEF) float64 {
-	dx := sp.X - f.px[t]
-	dy := sp.Y - f.py[t]
-	dz := sp.Z - f.pz[t]
-	dn := math.Sqrt(dx*dx + dy*dy + dz*dz)
-	return (dx*f.px[t] + dy*f.py[t] + dz*f.pz[t]) / (dn * f.pnorm[t])
+// site is a terminal's position and geocentric radius: what every
+// sinElevation evaluation of the terminal reads, loaded once per epoch.
+type site struct{ x, y, z, norm float64 }
+
+func (f *Fleet) site(t int) site {
+	x, y, z := f.px[t], f.py[t], f.pz[t]
+	return site{x, y, z, math.Sqrt(x*x + y*y + z*z)}
 }
 
-// assignRange assigns terminals [lo, hi): for each, the satellite with the
+// sinElevation returns sin(elevation) of a satellite position seen from
+// the site — the one formula the pruned scan and the test oracle's
+// all-satellites scan both compare, so their argmax decisions are bitwise
+// identical.
+func (o *site) sinElevation(sp geo.ECEF) float64 {
+	dx := sp.X - o.x
+	dy := sp.Y - o.y
+	dz := sp.Z - o.z
+	dn := math.Sqrt(dx*dx + dy*dy + dz*dz)
+	return (dx*o.x + dy*o.y + dz*o.z) / (dn * o.norm)
+}
+
+// assign returns the satellite that serves a terminal standing at o and
+// entering the epoch with satellite prev (-1: none): the one with the
 // largest sinElevation at or above the mask among its cell's candidates,
 // the lowest flat id among equals — what an ascending scan of every
-// satellite keeps. The search starts from the terminal's previous
-// satellite, which fifteen seconds later is usually still the best or close
-// to it, and skips every candidate whose bound is below the value to beat:
-// such a candidate can neither win nor tie. A skip never rests on anything
-// but bound < value with the bound proven an upper bound
+// satellite keeps — and how many candidates it scored exactly. The search
+// starts from prev, which fifteen seconds later is usually still the best
+// or close to it, and skips every candidate whose bound is below the value
+// to beat: such a candidate can neither win nor tie. A skip never rests on
+// anything but bound < value with the bound proven an upper bound
 // (TestSinElevationBound, FuzzSinElevationBound); every kept decision
 // compares exact sinElevation values.
-func (f *Fleet) assignRange(sc *epochScratch, lo, hi int) {
-	var listed, passed, seeded, seedWon int64
-	for t := lo; t < hi; t++ {
-		// need is the value a candidate must reach: the mask until a
-		// satellite is held, that satellite's sinElevation from then on.
-		best, need := int32(-1), f.sinMask
-		prev := f.sat[t]
-		if prev >= 0 {
-			seeded++
-			if sinEl := f.sinElevation(t, f.satPos[prev]); sinEl >= need {
-				best, need = prev, sinEl
-			}
+func (f *Fleet) assign(o *site, prev int32, cands []int32, ub []float64) (best int32, passed int64) {
+	// need is the value a candidate must reach: the mask until a
+	// satellite is held, that satellite's sinElevation from then on.
+	best, need := int32(-1), f.sinMask
+	if prev >= 0 {
+		if sinEl := o.sinElevation(f.satPos[prev]); sinEl >= need {
+			best, need = prev, sinEl
 		}
-		c := f.cell[t]
-		cands := f.cands[f.candStart[c]:f.candStart[c+1]]
-		ub := f.candUB[f.candStart[c]:f.candStart[c+1]]
-		listed += int64(len(cands))
-		for i, s := range cands {
-			if ub[i] < need || s == prev {
-				continue
-			}
-			passed++
-			sinEl := f.sinElevation(t, f.satPos[s])
-			if sinEl < need || (sinEl == need && best >= 0 && s > best) {
-				continue
-			}
-			best, need = s, sinEl
-		}
-		if best == prev && best >= 0 {
-			seedWon++
-		}
-		f.finishAssignment(t, best)
 	}
-	sc.scan.Listed += listed
-	sc.scan.BoundPassed += passed
-	sc.scan.Evaluated += passed + seeded
-	sc.scan.SeedWon += seedWon
+	for i, s := range cands {
+		if ub[i] < need || s == prev {
+			continue
+		}
+		passed++
+		sinEl := o.sinElevation(f.satPos[s])
+		if sinEl < need || (sinEl == need && best >= 0 && s > best) {
+			continue
+		}
+		best, need = s, sinEl
+	}
+	return best, passed
 }
 
 // finishAssignment records terminal t's serving satellite and derives the
-// bent-pipe delay through that satellite's gateway (fillSatTable: the down
-// leg is the range leo.GatewayTable.Best measured). A terminal with no satellite, or
-// whose satellite reaches no gateway, is in outage (delay -1). The
-// gateway does not feed back into satellite choice — unlike
+// bent-pipe delay through that satellite's gateway (buildCandidates: the
+// down leg is the range leo.GatewayTable.Best measured). A terminal with
+// no satellite, or whose satellite reaches no gateway, is in outage (delay
+// -1). The gateway does not feed back into satellite choice — unlike
 // leo.Terminal, which skips satellites without ground paths, the fleet
 // model treats "satellite overhead but no gateway" as an outage, the
 // situation remote-area dishes actually experience.
@@ -328,5 +248,5 @@ func (f *Fleet) finishAssignment(t int, best int32) {
 	sp := f.satPos[best]
 	dx, dy, dz := sp.X-f.px[t], sp.Y-f.py[t], sp.Z-f.pz[t]
 	up := math.Sqrt(dx*dx + dy*dy + dz*dz)
-	f.delayNs[t] = int64(geo.RadioDelay(up + f.satGwKm[best]))
+	f.delayNs[t] = int32(geo.RadioDelay(up + f.satGwKm[best]))
 }

@@ -12,9 +12,9 @@ import (
 // ids are dense: row r owns [rows[r].start, rows[r].start+rows[r].nLon).
 //
 // The grid is the pivot of the O(cells-in-view) reassignment: instead of
-// testing every terminal against every satellite, each epoch walks the
-// satellites once and admits each into the cells that hold terminals and
-// that its coverage disk can overlap; terminals then search only their own
+// testing every terminal against every satellite, each epoch tests every
+// satellite once against each cell that holds terminals, admitting those
+// whose coverage disk can overlap it; terminals then search only their own
 // cell's candidate list, skipping candidates whose per-cell bound cannot
 // win (assign.go). The admission test is deliberately one-sided — it may
 // admit satellites a terminal cannot actually see (the mask test rejects

@@ -6,6 +6,7 @@ import (
 	"math"
 	"reflect"
 	"slices"
+	"sort"
 	"testing"
 	"time"
 
@@ -68,6 +69,26 @@ func equivConfig(seed uint64, band string) Config {
 	}
 }
 
+// popOrdinal returns the index in popCells of terminal t's cell.
+func (f *Fleet) popOrdinal(t int) int {
+	return sort.Search(len(f.popCells), func(k int) bool { return f.cellStart[f.popCells[k]+1] > int32(t) })
+}
+
+// candidatesOf returns the candidate list of terminal t's cell and the
+// bound beside each entry.
+func (f *Fleet) candidatesOf(t int) ([]int32, []float64) {
+	k := f.popOrdinal(t)
+	lo, hi := f.candStart[k], f.candStart[k+1]
+	return f.cands[lo:hi], f.candUB[lo:hi]
+}
+
+// sinElevation is site.sinElevation for terminal t: the formula the walk
+// compares, for the oracle and the property tests.
+func (f *Fleet) sinElevation(t int, sp geo.ECEF) float64 {
+	o := f.site(t)
+	return o.sinElevation(sp)
+}
+
 // referenceReassignAt is the reassignment oracle: the naive
 // O(terminals × constellation) scan. Every terminal tests every enabled
 // satellite, ascending in flat id, with the same sinElevation comparison as
@@ -127,7 +148,7 @@ func (f *Fleet) referenceFinish(t int, best int32) {
 			continue
 		}
 		if f.gw[t] < 0 || dn < bestRange {
-			f.gw[t], bestRange = int32(i), dn
+			f.gw[t], bestRange = int16(i), dn
 		}
 	}
 	if f.gw[t] < 0 {
@@ -138,15 +159,16 @@ func (f *Fleet) referenceFinish(t int, best int32) {
 	e := f.gws[f.gw[t]].ECEF
 	dx, dy, dz = sp.X-e.X, sp.Y-e.Y, sp.Z-e.Z
 	down := math.Sqrt(dx*dx + dy*dy + dz*dz)
-	f.delayNs[t] = int64(geo.RadioDelay(up + down))
+	f.delayNs[t] = int32(geo.RadioDelay(up + down))
 }
 
 // referenceObserveEpoch is the epoch-pass oracle: it accounts every
 // terminal straight into the campaign accumulators, one observation at a
 // time, with no scratch and no merge. Worker invariance alone could not
 // see a bug in mergeScratch — every worker count goes through it — so
-// TestRunReferenceEquivalence holds observeEpoch to this.
-func (f *Fleet) referenceObserveEpoch(e int, at sim.Time) {
+// TestRunReferenceEquivalence holds RunEpoch's accounting to this. prev is
+// every terminal's satellite entering the epoch.
+func (f *Fleet) referenceObserveEpoch(e int, at sim.Time, prev []int32) {
 	utcHours := at.Seconds() / 3600
 	var satList, satCnt []int32
 	active := make([]bool, len(f.sat))
@@ -191,12 +213,12 @@ func (f *Fleet) referenceObserveEpoch(e int, at sim.Time) {
 				f.epochOut[f.region[t]]++
 				continue
 			}
-			rttNs := 2 * f.delayNs[t]
+			rttNs := 2 * int64(f.delayNs[t])
 			a.samples++
 			a.cSamples.Inc()
 			a.latency.Observe(float64(rttNs) / 1e6)
 			a.hLatencyNs.Observe(rttNs)
-			if e > 0 && f.prevSat[t] >= 0 && f.sat[t] != f.prevSat[t] {
+			if e > 0 && prev[t] >= 0 && f.sat[t] != prev[t] {
 				a.handovers++
 				a.cHandover.Inc()
 				f.epochHo[f.region[t]]++
@@ -227,7 +249,6 @@ func (f *Fleet) referenceObserveEpoch(e int, at sim.Time) {
 			tr.Emit(at, obs.KindFleetEpoch, f.acc[ri].subj, f.epochOut[ri], f.epochHo[ri])
 		}
 	}
-	copy(f.prevSat, f.sat)
 }
 
 // checkReassignMatchesReference steps a cell-indexed fleet and an oracle
@@ -248,7 +269,7 @@ func checkReassignMatchesReference(t *testing.T, name string, cfg Config, prep f
 // instants — repeated, out of order, far apart. The oracle has no memory, so
 // it also holds the pruned scan to forgetting where it started: each
 // terminal's previous satellite may only decide how much is scored. before,
-// if non-nil, sees the cell-indexed fleet ahead of every ReassignAt with the
+// if non-nil, sees the cell-indexed fleet ahead of every reassignAt with the
 // snapshot and candidate index of the instant about to be assigned.
 func checkReassignAt(t *testing.T, name string, cfg Config, prep func(*Fleet), instants []sim.Time, before func(step int, fast *Fleet)) *Fleet {
 	t.Helper()
@@ -261,12 +282,10 @@ func checkReassignAt(t *testing.T, name string, cfg Config, prep func(*Fleet), i
 	}
 	for i, at := range instants {
 		if before != nil {
-			fast.con.FillSnapshot(&fast.snap, at)
-			fast.fillSatTable()
-			fast.buildCandidates()
+			fast.prepare(at)
 			before(i, fast)
 		}
-		fast.ReassignAt(at)
+		fast.reassignAt(at)
 		ref.referenceReassignAt(at)
 		if !reflect.DeepEqual(fast.sat, ref.sat) {
 			t.Fatalf("%s step %d (%v): serving sats diverge", name, i, at)
@@ -399,10 +418,8 @@ func TestPrunedScanEdgeCases(t *testing.T) {
 		cfg.Clusters = poleCluster
 		f := checkReassignMatchesReference(t, "polar row", cfg, nil)
 		top := f.grid.rows[len(f.grid.rows)-1]
-		for i, c := range f.cell {
-			if c < top.start {
-				t.Fatalf("polar row: terminal %d (lat %.3f) is in cell %d below the top row", i, f.lat[i], c)
-			}
+		if below := f.cellStart[top.start]; below != 0 {
+			t.Fatalf("polar row: %d terminals in cells below the top row", below)
 		}
 		if served(f) == 0 {
 			t.Fatal("polar row: no terminal served under a near-polar shell")
@@ -485,8 +502,7 @@ func TestPrunedScanSeedCases(t *testing.T) {
 					fresh++
 					continue
 				}
-				c := f.cell[i]
-				if !slices.Contains(f.cands[f.candStart[c]:f.candStart[c+1]], prev) {
+				if cands, _ := f.candidatesOf(i); !slices.Contains(cands, prev) {
 					unlisted++
 				}
 				if f.sinElevation(i, f.satPos[prev]) < f.sinMask {
@@ -549,7 +565,7 @@ func TestSinElevationBound(t *testing.T) {
 		fl := New(tc.cfg)
 		pairs := 0
 		for e := 0; e < 12; e++ {
-			fl.ReassignAt(sim.Time(int64(e) * int64(40*time.Second)))
+			fl.reassignAt(sim.Time(int64(e) * int64(40*time.Second)))
 			pairs += checkBounds(t, fl)
 		}
 		if pairs == 0 {
@@ -567,7 +583,7 @@ func TestScanStats(t *testing.T) {
 	for _, workers := range []int{1, 2, 4} {
 		fl := New(Config{Seed: 9, Terminals: 9000, Workers: workers})
 		for e := 0; e < 8; e++ {
-			fl.ReassignAt(sim.Time(int64(e) * int64(15*time.Second)))
+			fl.reassignAt(sim.Time(int64(e) * int64(15*time.Second)))
 		}
 		st := fl.ScanStats()
 		fl.Close()
@@ -577,9 +593,10 @@ func TestScanStats(t *testing.T) {
 			for c := 0; c < fl.grid.nCells; c++ {
 				if fl.cellStart[c] != fl.cellStart[c+1] {
 					populated++
-				} else if fl.candStart[c] != fl.candStart[c+1] {
-					t.Fatalf("cell %d holds no terminal but lists %d candidates", c, fl.candStart[c+1]-fl.candStart[c])
 				}
+			}
+			if len(fl.candStart) != populated+1 {
+				t.Fatalf("candidate CSR has %d offsets for %d populated cells", len(fl.candStart), populated)
 			}
 			if st.Epochs != 8 || st.PopulatedCells != populated || st.CandEntries != len(fl.cands) || st.CandEntries == 0 {
 				t.Fatalf("index counts %+v; want 8 epochs, %d populated cells, %d entries", st, populated, len(fl.cands))
@@ -621,8 +638,9 @@ func runReferenceWithSink(cfg Config) (*Result, []byte, []byte) {
 	epochs := int(f.cfg.Horizon / f.cfg.Epoch)
 	for e := 0; e < epochs; e++ {
 		at := sim.Time(int64(e) * int64(f.cfg.Epoch))
+		prev := slices.Clone(f.sat)
 		f.referenceReassignAt(at)
-		f.referenceObserveEpoch(e, at)
+		f.referenceObserveEpoch(e, at, prev)
 	}
 	metrics, trace := exportSink(sink)
 	return f.result(epochs), metrics, trace
@@ -741,7 +759,7 @@ func TestReassignWorkerInvariance(t *testing.T) {
 	for e := 0; e < 6; e++ {
 		at := sim.Time(int64(e) * int64(15*time.Second))
 		for _, fl := range fleets {
-			fl.ReassignAt(at)
+			fl.reassignAt(at)
 		}
 		for i, fl := range fleets[1:] {
 			if !reflect.DeepEqual(fleets[0].sat, fl.sat) || !reflect.DeepEqual(fleets[0].delayNs, fl.delayNs) {

@@ -14,16 +14,18 @@
 // peak-hour throughput dip), and per-region latency/throughput/outage
 // distributions come out the other end.
 //
-// The equivalence suite holds the cell-indexed, bound-pruned reassignment
-// bit-identical to a naive O(N×M) scan of every satellite for every
-// terminal (the oracle in equivalence_test.go) across seeds, latitude
-// bands, degenerate cells and masks, and worker counts. Steady-state
-// reassignment allocates nothing: the candidate CSR scratch, the one
-// position snapshot and the per-cell beam lists are all refilled in place
-// every epoch.
+// An epoch is one walk over the populated cells: each cell assigns its
+// terminals and accounts them in the same pass (pool.go). The equivalence
+// suite holds the cell-indexed, bound-pruned reassignment bit-identical to
+// a naive O(N×M) scan of every satellite for every terminal (the oracle in
+// equivalence_test.go) across seeds, latitude bands, degenerate cells and
+// masks, and worker counts. A steady-state epoch allocates nothing: the
+// candidate CSR, the one position snapshot and the per-cell beam lists are
+// all refilled in place every epoch.
 package fleet
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"time"
@@ -67,7 +69,7 @@ type Config struct {
 	// MaxTermMbps caps what a single terminal can draw from an
 	// uncontended beam (default 250).
 	MaxTermMbps float64
-	// Workers parallelizes reassignment and placement over this many
+	// Workers parallelizes the epoch walk and placement over this many
 	// goroutines (default 1). Results are worker-count invariant.
 	Workers int
 	// Clusters is the population grid (default WorldClusters).
@@ -121,64 +123,68 @@ func (c Config) withDefaults() Config {
 // shellMeta is the per-shell geometry the scan paths need, flattened so
 // the hot loops never chase into leo internals.
 type shellMeta struct {
-	offset  int // first flat sat id of this shell
-	planes  int
-	per     int
+	offset  int     // first flat sat id of this shell
 	enabled []bool  // flat [plane*per+idx]; membership fixed for a run
 	reach   float64 // coverage central angle + margin, radians
-	// cosReach[r] is cos(reach + row r's radius): the admission window's
-	// threshold, a function of (shell, row) alone.
+	// cosReach[r] is cos(reach + row r's radius): the admission threshold
+	// on ŝ·ĉ for a cell of row r, a function of (shell, row) alone.
 	cosReach []float64
+	skyEnd   int // end of this shell's run of the epoch's sky list
 }
 
 // Fleet is an instantiated scenario: terminal state in struct-of-arrays
 // form, sorted by (cell, placement index) so per-cell passes are
-// contiguous. A Fleet is not safe for concurrent use; ReassignAt
-// parallelizes internally over disjoint index ranges.
+// contiguous. A Fleet is not safe for concurrent use; RunEpoch
+// parallelizes internally over disjoint runs of cells.
 type Fleet struct {
 	cfg     Config
 	con     *leo.Constellation
 	grid    *cellGrid
 	regions []string
 
-	// Terminal SoA, sorted by (cell, original placement index). orig
-	// maps back to the placement index i that derived the terminal.
-	orig    []int32
-	lat     []float64
+	// Terminal SoA, sorted by (cell, original placement index): only what
+	// an epoch reads, 51 B per terminal. lon places the local hour, the
+	// position the argmax (its radius is re-derived, not stored), seed the
+	// activity coin; sat, gw and delayNs are the epoch's outcome, and sat,
+	// read before it is overwritten, is also the handover test's memory.
+	// New checks that region, gateway and delay fit their widths.
 	lon     []float64
 	px      []float64
 	py      []float64
 	pz      []float64
-	pnorm   []float64
-	region  []int32
-	cell    []int32
 	seed    []uint64
 	sat     []int32 // serving flat sat id, -1 during outage
-	prevSat []int32
-	gw      []int32 // serving gateway index, -1 when unreachable
-	delayNs []int64 // one-way bent-pipe delay, -1 during outage
+	delayNs []int32 // one-way bent-pipe delay, -1 during outage
+	gw      []int16 // serving gateway index, -1 when unreachable
+	region  []uint8
 
-	cellStart []int32 // CSR over terminals by cell, len nCells+1
-	popRows   []int32 // grid rows holding at least one terminal, ascending
-	minNorm   float64 // smallest pnorm: the observer radius the bound assumes
+	cellStart []int32    // CSR over terminals by cell, len nCells+1
+	popCells  []int32    // cells holding at least one terminal, ascending
+	popRow    []int32    // beside popCells: the cell's grid row
+	popCenter []geo.ECEF // beside popCells: unit vector to the cell's center
+	maxCell   int        // most terminals one cell holds
+	minNorm   float64    // smallest terminal radius: the observer radius the bound assumes
 
 	shells  []shellMeta
 	sinMask float64
 	gws     leo.GatewayTable
 
-	// Per-epoch scratch, reused so steady-state reassignment is
+	// Per-epoch tables, refilled in place so a steady-state epoch is
 	// allocation-free once every buffer has grown to its working size.
-	// satPos/satGw/satGwKm are the flat per-satellite table fillSatTable
-	// refills: position, serving gateway (-1: none in view) and range to it.
-	// admits/candStart/candFill/cands/candUB are buildCandidates' sweep list
-	// and the CSR it sorts into, over the cells that hold terminals.
+	// satPos is the flat per-satellite position table and sky the enabled
+	// satellites as admission reads them; satGw/satGwKm are the serving
+	// gateway (-1: none in view) and the range to it, filled for the
+	// satellites some cell lists (satGwAt: the stamp of the epoch that
+	// filled them). candStart/cands/candUB are the candidate CSR over
+	// popCells with the bound beside each entry.
 	snap      leo.Snapshot
+	stamp     uint32
 	satPos    []geo.ECEF
-	satGw     []int32
+	sky       []skySat
+	satGw     []int16
 	satGwKm   []float64
-	admits    []admission
-	candStart []int32 // len nCells+1
-	candFill  []int32
+	satGwAt   []uint32
+	candStart []int32 // len(popCells)+1
 	cands     []int32
 	candUB    []float64 // beside cands: upper bound on sinElevation over the cell
 	scan      ScanStats
@@ -187,36 +193,40 @@ type Fleet struct {
 	// Per-epoch per-region scratch for trace emission.
 	epochOut []int64
 	epochHo  []int64
-	active   []uint8 // idle, activeOffPeak or activePeak (pool.go)
 
-	// The epoch's worker pool and its two phase bodies, bound once; one
-	// scratch per worker, the observe ranges and the staged epoch (pool.go).
-	workers     *sim.Workers
-	assignBody  func(w, i int)
-	observeBody func(w, i int)
-	scratch     []epochScratch
-	obsRanges   []int32
-	obsEpoch    int
-	obsUTC      float64
+	// The epoch's worker pool and the walk body, bound once; one scratch
+	// per worker, the walk's cell-aligned ranges (ordinals into popCells)
+	// and the staged epoch (pool.go).
+	workers    *sim.Workers
+	walkBody   func(w, i int)
+	scratch    []epochScratch
+	walkRanges []int32
+	account    bool
+	epoch      int
+	utcHours   float64
 }
 
 // New builds a fleet: places terminals, sorts them by cell and sizes the
 // scratch buffers. Placement is a pure function of (cfg.Seed, index, cfg.
 // Clusters) and parallelizes over cfg.Workers without affecting results.
+// It panics, naming the limit, when the config outgrows a narrowed
+// terminal field: more than 256 regions, more than 32768 gateways, or
+// shells high enough for a bent-pipe delay past 2³¹−1 ns.
 func New(cfg Config) *Fleet {
 	cfg = cfg.withDefaults()
 	f := &Fleet{cfg: cfg}
 
-	regionOf := make(map[string]int32)
-	clusterRegion := make([]int32, len(cfg.Clusters))
-	for ci, cl := range cfg.Clusters {
-		ri, ok := regionOf[cl.Region]
-		if !ok {
-			ri = int32(len(f.regions))
-			regionOf[cl.Region] = ri
+	regionOf := make(map[string]int)
+	clusterRegion := make([]uint8, len(cfg.Clusters))
+	for _, cl := range cfg.Clusters {
+		if _, ok := regionOf[cl.Region]; !ok {
+			regionOf[cl.Region] = len(f.regions)
 			f.regions = append(f.regions, cl.Region)
 		}
-		clusterRegion[ci] = ri
+	}
+	checkLimits(cfg, len(f.regions))
+	for ci, cl := range cfg.Clusters {
+		clusterRegion[ci] = uint8(regionOf[cl.Region])
 	}
 
 	shells := make([]*leo.Shell, len(cfg.Shells))
@@ -226,8 +236,6 @@ func New(cfg Config) *Fleet {
 		shells[si] = sh
 		m := shellMeta{
 			offset:  offset,
-			planes:  sc.Planes,
-			per:     sc.SatsPerPlane,
 			enabled: make([]bool, sc.Planes*sc.SatsPerPlane),
 			reach: geo.CoverageCentralAngleRad(geo.EarthRadiusKm,
 				geo.EarthRadiusKm+sc.AltKm, cfg.MaskDeg) + reachMarginRad,
@@ -241,7 +249,8 @@ func New(cfg Config) *Fleet {
 		f.shells = append(f.shells, m)
 	}
 	f.con = leo.NewConstellation(shells...)
-	f.satPos, f.satGw, f.satGwKm = make([]geo.ECEF, offset), make([]int32, offset), make([]float64, offset)
+	f.satPos, f.sky = make([]geo.ECEF, offset), make([]skySat, 0, offset)
+	f.satGw, f.satGwKm, f.satGwAt = make([]int16, offset), make([]float64, offset), make([]uint32, offset)
 	f.sinMask = math.Sin(geo.Radians(cfg.MaskDeg))
 	f.grid = newCellGrid(cfg.CellDeg)
 	for si := range f.shells {
@@ -263,51 +272,35 @@ func New(cfg Config) *Fleet {
 	// The key packs (cell, index) into one uint64 so slices.Sort runs on
 	// plain integers — at 1M terminals a comparator-based sort dominates
 	// construction time.
-	cells := make([]int32, n)
 	keys := make([]uint64, n)
 	for i := 0; i < n; i++ {
-		cells[i] = f.grid.cellOf(lat[i], lon[i])
-		keys[i] = uint64(uint32(cells[i]))<<32 | uint64(uint32(i))
+		keys[i] = uint64(uint32(f.grid.cellOf(lat[i], lon[i])))<<32 | uint64(uint32(i))
 	}
 	slices.Sort(keys)
 
-	// The SoA arrays come out of two slabs (one per element width)
-	// instead of thirteen separate allocations: capacity planning for
-	// the 1M-terminal build, ~89 B/terminal all in.
-	fslab := make([]float64, 6*n)
+	// The SoA arrays come out of one slab per element width: capacity
+	// planning for the 1M-terminal build, 51 B/terminal all in.
+	fslab := make([]float64, 4*n)
 	slabF := func() (s []float64) { s, fslab = fslab[:n:n], fslab[n:]; return }
-	f.lat, f.lon = slabF(), slabF()
-	f.px, f.py, f.pz = slabF(), slabF(), slabF()
-	f.pnorm = slabF()
-	islab := make([]int32, 6*n)
-	slabI := func() (s []int32) { s, islab = islab[:n:n], islab[n:]; return }
-	f.orig, f.region, f.cell = slabI(), slabI(), slabI()
-	f.sat, f.prevSat, f.gw = slabI(), slabI(), slabI()
+	f.lon, f.px, f.py, f.pz = slabF(), slabF(), slabF(), slabF()
+	islab := make([]int32, 2*n)
+	f.sat, f.delayNs = islab[:n:n], islab[n:]
 	f.seed = make([]uint64, n)
-	f.delayNs = make([]int64, n)
-	f.active = make([]uint8, n)
+	f.gw = make([]int16, n)
+	f.region = make([]uint8, n)
+	cells := make([]int32, n) // in sorted order, for the index only
 	for t, k := range keys {
 		i := int(uint32(k))
-		f.orig[t] = int32(i)
-		f.lat[t] = lat[i]
+		cells[t] = int32(k >> 32)
 		f.lon[t] = lon[i]
 		e := geo.LatLon{LatDeg: lat[i], LonDeg: lon[i]}.ToECEF()
 		f.px[t], f.py[t], f.pz[t] = e.X, e.Y, e.Z
-		f.pnorm[t] = e.Norm()
 		f.region[t] = clusterRegion[cluster[i]]
-		f.cell[t] = cells[i]
 		f.seed[t] = seeds[i]
-		f.sat[t], f.prevSat[t], f.gw[t], f.delayNs[t] = -1, -1, -1, -1
+		f.sat[t], f.gw[t], f.delayNs[t] = -1, -1, -1
 	}
+	f.indexTerminals(cells)
 
-	f.cellStart = make([]int32, f.grid.nCells+1)
-	f.indexTerminals()
-
-	// A populated cell lists some 18 Gen1 satellites; append grows the sweep
-	// list, and the CSR tables after it, if a constellation is denser.
-	f.admits = make([]admission, 0, 20*f.scan.PopulatedCells)
-	f.candStart = make([]int32, f.grid.nCells+1)
-	f.candFill = make([]int32, f.grid.nCells)
 	f.epochOut = make([]int64, len(f.regions))
 	f.epochHo = make([]int64, len(f.regions))
 
@@ -316,48 +309,103 @@ func New(cfg Config) *Fleet {
 	for w := range f.scratch {
 		f.scratch[w] = f.newScratch()
 	}
-	// Cell-aligned observe ranges, several per worker to even out metro cells.
-	f.obsRanges = f.PartitionTerminals(cfg.Workers * 8).TermStart
-	f.assignBody = func(w, i int) {
-		lo := i * assignBlock
-		f.assignRange(&f.scratch[w], lo, min(lo+assignBlock, n))
+	// The walk's ranges are the cell-aligned partition, several per worker
+	// to even out metro cells, as runs of populated cells.
+	pm := f.PartitionTerminals(cfg.Workers * 8)
+	f.walkRanges = make([]int32, 0, len(pm.TermStart))
+	k := 0
+	for _, ts := range pm.TermStart {
+		for k < len(f.popCells) && f.cellStart[f.popCells[k]] < ts {
+			k++
+		}
+		f.walkRanges = append(f.walkRanges, int32(k))
 	}
-	f.observeBody = func(w, i int) {
-		f.observeRange(&f.scratch[w], f.obsEpoch, f.obsUTC, int(f.obsRanges[i]), int(f.obsRanges[i+1]))
+	f.walkBody = func(w, i int) {
+		for k := f.walkRanges[i]; k < f.walkRanges[i+1]; k++ {
+			f.walkCell(&f.scratch[w], int(k))
+		}
 	}
 	return f
 }
 
-// indexTerminals derives from the sorted terminal arrays what the epoch
-// reads per cell and per fleet: the CSR over terminals by cell, which rows
-// hold any (the admission sweep visits no other), and the smallest
+// checkLimits panics, naming the limit, when cfg, whose clusters name
+// regions distinct regions, outgrows a narrowed terminal field: the region
+// index is a uint8 and the gateway index an
+// int16 with -1 for none, and the one-way delay, an int32 of nanoseconds,
+// is at most the radio delay over the longest bent pipe the shells allow:
+// each leg, up from a terminal and down to a gateway, is at most the
+// diameter through the satellite's orbit plus the ground site's height.
+func checkLimits(cfg Config, regions int) {
+	if regions > math.MaxUint8+1 {
+		panic(fmt.Sprintf("fleet: %d regions exceed the %d a uint8 region index holds", regions, math.MaxUint8+1))
+	}
+	if len(cfg.Gateways) > math.MaxInt16+1 {
+		panic(fmt.Sprintf("fleet: %d gateways exceed the %d an int16 gateway index holds", len(cfg.Gateways), math.MaxInt16+1))
+	}
+	maxAlt, maxGwAlt := 0.0, 0.0
+	for _, sc := range cfg.Shells {
+		maxAlt = max(maxAlt, sc.AltKm)
+	}
+	for _, g := range cfg.Gateways {
+		maxGwAlt = max(maxGwAlt, g.Pos.AltKm)
+	}
+	leg := 2*geo.EarthRadiusKm + maxAlt
+	if d := geo.RadioDelay(2*leg + maxGwAlt); d > math.MaxInt32 || d < 0 {
+		panic(fmt.Sprintf("fleet: shells up to %.0f km allow a %v bent-pipe delay, past the %v an int32 delay holds",
+			maxAlt, d, time.Duration(math.MaxInt32)))
+	}
+}
+
+// indexTerminals derives from the sorted terminals and their cells what
+// the epoch reads per cell and per fleet: the CSR over terminals by cell,
+// the populated cells with their rows and center directions (admission
+// and the walk visit no other), the largest cell, and the smallest
 // geocentric radius a terminal has (the bound's observer radius).
-func (f *Fleet) indexTerminals() {
+func (f *Fleet) indexTerminals(cells []int32) {
+	if f.cellStart == nil {
+		f.cellStart = make([]int32, f.grid.nCells+1)
+	}
 	clear(f.cellStart)
-	for _, c := range f.cell {
+	for _, c := range cells {
 		f.cellStart[c+1]++
 	}
 	for c := 0; c < f.grid.nCells; c++ {
 		f.cellStart[c+1] += f.cellStart[c]
 	}
-	f.popRows = f.popRows[:0]
-	f.scan.PopulatedCells = 0
-	for r := range f.grid.rows {
-		row := &f.grid.rows[r]
-		cells := 0
-		for c := row.start; c < row.start+row.nLon; c++ {
-			if f.cellStart[c] != f.cellStart[c+1] {
-				cells++
-			}
-		}
-		if cells > 0 {
-			f.popRows = append(f.popRows, int32(r))
-			f.scan.PopulatedCells += cells
+	populated := 0
+	for c := 0; c < f.grid.nCells; c++ {
+		if f.cellStart[c] != f.cellStart[c+1] {
+			populated++
 		}
 	}
+	f.popCells = make([]int32, 0, populated)
+	f.popRow = make([]int32, 0, populated)
+	f.popCenter = make([]geo.ECEF, 0, populated)
+	// A populated cell lists some 18 Gen1 satellites; append grows the
+	// candidate tables if a constellation is denser.
+	f.candStart = make([]int32, populated+1)
+	f.cands = make([]int32, 0, 20*populated)
+	f.candUB = make([]float64, 0, 20*populated)
+	f.maxCell = 0
+	for r := range f.grid.rows {
+		row := &f.grid.rows[r]
+		for k := int32(0); k < row.nLon; k++ {
+			c := row.start + k
+			held := int(f.cellStart[c+1] - f.cellStart[c])
+			if held == 0 {
+				continue
+			}
+			sinLon, cosLon := math.Sincos((float64(k)+0.5)*row.width - math.Pi)
+			f.popCells = append(f.popCells, c)
+			f.popRow = append(f.popRow, int32(r))
+			f.popCenter = append(f.popCenter, geo.ECEF{X: row.cosMid * cosLon, Y: row.cosMid * sinLon, Z: row.sinMid})
+			f.maxCell = max(f.maxCell, held)
+		}
+	}
+	f.scan.PopulatedCells = populated
 	f.minNorm = math.Inf(1)
-	for _, n := range f.pnorm {
-		f.minNorm = min(f.minNorm, n)
+	for t := range f.px {
+		f.minNorm = min(f.minNorm, f.site(t).norm)
 	}
 }
 
@@ -398,8 +446,8 @@ type RegionResult struct {
 	PeakDipPct     float64
 }
 
-// Run executes the campaign: one cell-indexed reassignment per epoch
-// followed by the beam contention and distribution accounting pass.
+// Run executes the campaign: one RunEpoch per epoch, then the per-region
+// report.
 func (f *Fleet) Run() *Result {
 	epochs := int(f.cfg.Horizon / f.cfg.Epoch)
 	if epochs < 1 {
@@ -411,12 +459,24 @@ func (f *Fleet) Run() *Result {
 	return f.result(epochs)
 }
 
-// RunEpoch executes one campaign epoch at instant at: reassignment
-// followed by the beam-contention accounting pass, both on the configured
-// worker count.
+// RunEpoch executes one campaign epoch at instant at: one walk over the
+// populated cells on the configured worker count, in which each cell
+// assigns its terminals and accounts them (pool.go), then the ordered merge
+// of the workers' scratch and the epoch's trace records.
 func (f *Fleet) RunEpoch(e int, at sim.Time) {
-	f.ReassignAt(at)
-	f.observeEpoch(e, at)
+	f.epoch, f.utcHours = e, at.Seconds()/3600
+	f.walk(at, true)
+	clear(f.epochOut)
+	clear(f.epochHo)
+	for w := range f.scratch {
+		f.mergeScratch(&f.scratch[w])
+	}
+	if f.cfg.Obs != nil {
+		tr := f.cfg.Obs.Tracer()
+		for ri := range f.acc {
+			tr.Emit(at, obs.KindFleetEpoch, f.acc[ri].subj, f.epochOut[ri], f.epochHo[ri])
+		}
+	}
 }
 
 // Run builds and runs a fleet scenario in one call.

@@ -1,10 +1,16 @@
 package fleet
 
 import (
+	"cmp"
+	"fmt"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
 	"starlinkperf/internal/geo"
+	"starlinkperf/internal/leo"
+	"starlinkperf/internal/sim"
 )
 
 // TestRunGlobalSmoke runs a reduced global campaign on the real Gen1
@@ -116,22 +122,33 @@ func TestSeedSensitivity(t *testing.T) {
 }
 
 // TestFleetSortedByCell: the SoA order is (cell, placement index) and
-// cellStart is a consistent CSR over it.
+// cellStart is a consistent CSR over it. The fleet keeps neither latitude
+// nor placement index, so the test re-derives both from placeTerminals and
+// sorts the indices its own way, with a comparator.
 func TestFleetSortedByCell(t *testing.T) {
-	f := New(Config{Seed: 3, Terminals: 2000})
-	for t2 := 1; t2 < len(f.cell); t2++ {
-		if f.cell[t2] < f.cell[t2-1] {
-			t.Fatalf("terminal %d: cell %d after cell %d", t2, f.cell[t2], f.cell[t2-1])
-		}
-		if f.cell[t2] == f.cell[t2-1] && f.orig[t2] <= f.orig[t2-1] {
-			t.Fatalf("terminal %d: placement order not preserved within cell", t2)
-		}
+	cfg := Config{Seed: 3, Terminals: 2000}.withDefaults()
+	f := New(cfg)
+	defer f.Close()
+	wk := sim.NewWorkers(1)
+	defer wk.Close()
+	lat, lon, _, seeds := placeTerminals(cfg.Seed, cfg.Terminals, cfg.Clusters, wk)
+	cell := func(i int) int32 { return f.grid.cellOf(lat[i], lon[i]) }
+	order := make([]int, cfg.Terminals)
+	for i := range order {
+		order[i] = i
 	}
-	for c := 0; c < f.grid.nCells; c++ {
-		for i := f.cellStart[c]; i < f.cellStart[c+1]; i++ {
-			if f.cell[i] != int32(c) {
-				t.Fatalf("cellStart CSR inconsistent at cell %d", c)
-			}
+	slices.SortFunc(order, func(a, b int) int {
+		if c := cmp.Compare(cell(a), cell(b)); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
+	for t2, i := range order {
+		if f.lon[t2] != lon[i] || f.seed[t2] != seeds[i] {
+			t.Fatalf("terminal %d: holds lon %v seed %#x, want placement %d's %v %#x", t2, f.lon[t2], f.seed[t2], i, lon[i], seeds[i])
+		}
+		if c := cell(i); f.cellStart[c] > int32(t2) || f.cellStart[c+1] <= int32(t2) {
+			t.Fatalf("terminal %d (cell %d) outside its cellStart run [%d, %d)", t2, c, f.cellStart[c], f.cellStart[c+1])
 		}
 	}
 }
@@ -201,4 +218,47 @@ func TestActiveDrawPinned(t *testing.T) {
 			t.Errorf("activeDraw(%#x, %d) = %v, want %v", c.seed, c.epoch, got, c.want)
 		}
 	}
+}
+
+// TestNewLimits: New refuses, naming the limit, a config whose values
+// outgrow a narrowed terminal field, before it places a terminal.
+func TestNewLimits(t *testing.T) {
+	tooMany := func(n int, f func(i int) Cluster) []Cluster {
+		cl := make([]Cluster, n)
+		for i := range cl {
+			cl[i] = f(i)
+		}
+		return cl
+	}
+	regions := tooMany(257, func(i int) Cluster {
+		return Cluster{fmt.Sprint("c", i), fmt.Sprint("region-", i), geo.LatLon{LatDeg: 40, LonDeg: float64(i % 360)}, 10, 1}
+	})
+	gateways := make([]leo.Gateway, 32769)
+	for i := range gateways {
+		gateways[i] = leo.Gateway{Name: fmt.Sprint("gw", i), Pos: geo.LatLon{LatDeg: 40, LonDeg: float64(i % 360)}}
+	}
+	high := leo.StarlinkGen1()
+	high.AltKm = 400000
+	for _, tc := range []struct {
+		name, want string
+		cfg        Config
+	}{
+		{"regions", "257 regions exceed the 256 a uint8 region index holds", Config{Terminals: 10, Clusters: regions}},
+		{"gateways", "32769 gateways exceed the 32768 an int16 gateway index holds", Config{Terminals: 10, Gateways: gateways}},
+		{"delay", "past the 2.147483647s an int32 delay holds", Config{Terminals: 10, Shells: []leo.ShellConfig{high}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, tc.want) {
+					t.Errorf("New panicked with %q, want it to name %q", msg, tc.want)
+				}
+			}()
+			New(tc.cfg).Close()
+		})
+	}
+	// At each limit New builds.
+	regions, gateways = regions[:256], gateways[:32768]
+	New(Config{Terminals: 10, Clusters: regions, Gateways: gateways[:24]}).Close()
+	checkLimits(Config{Gateways: gateways, Shells: []leo.ShellConfig{leo.StarlinkGen1()}}, 256)
 }

@@ -37,11 +37,10 @@ func fuzzFleets() []*Fleet {
 // terminal arrays. With one terminal the (cell, placement) order is trivial.
 func (f *Fleet) placeProbe(lat, lon float64) {
 	e := geo.LatLon{LatDeg: lat, LonDeg: lon}.ToECEF()
-	f.lat[0], f.lon[0] = lat, lon
-	f.px[0], f.py[0], f.pz[0], f.pnorm[0] = e.X, e.Y, e.Z, e.Norm()
-	f.cell[0] = f.grid.cellOf(lat, lon)
+	f.lon[0] = lon
+	f.px[0], f.py[0], f.pz[0] = e.X, e.Y, e.Z
 	f.sat[0] = -1
-	f.indexTerminals()
+	f.indexTerminals([]int32{f.grid.cellOf(lat, lon)})
 }
 
 // fuzzProbe is the two targets' shared front: it rejects inputs that are
@@ -97,11 +96,12 @@ func FuzzCellIndex(f *testing.F) {
 		fl := fuzzProbe(t, lat, lon, polar)
 		for _, e := range []int64{int64(step % 16), int64(step%16) + 1} {
 			at := sim.Time(e * int64(15*time.Second))
-			fl.ReassignAt(at)
+			fl.reassignAt(at)
 
-			cell := fl.cell[0]
+			cell := fl.popCells[0]
 			have := make(map[int32]bool)
-			for _, s := range fl.cands[fl.candStart[cell]:fl.candStart[cell+1]] {
+			cands, _ := fl.candidatesOf(0)
+			for _, s := range cands {
 				have[s] = true
 			}
 			want, wantSin := int32(-1), -2.0
@@ -142,7 +142,7 @@ func FuzzSinElevationBound(f *testing.F) {
 		fuzzMu.Lock()
 		defer fuzzMu.Unlock()
 		fl := fuzzProbe(t, lat, lon, polar)
-		fl.ReassignAt(sim.Time(int64(step%16) * int64(15*time.Second)))
+		fl.reassignAt(sim.Time(int64(step%16) * int64(15*time.Second)))
 		checkBounds(t, fl)
 	})
 }
@@ -151,12 +151,12 @@ func FuzzSinElevationBound(f *testing.F) {
 // fleet's current epoch to bound >= exact value.
 func checkBounds(t *testing.T, fl *Fleet) (pairs int) {
 	t.Helper()
-	for i, c := range fl.cell {
-		for k := fl.candStart[c]; k < fl.candStart[c+1]; k++ {
-			s := fl.cands[k]
-			if sinEl := fl.sinElevation(i, fl.satPos[s]); fl.candUB[k] < sinEl {
-				t.Errorf("terminal %d (%.6f, %.6f) cell %d: satellite %d has sinElevation %.17g above its bound %.17g",
-					i, fl.lat[i], fl.lon[i], c, s, sinEl, fl.candUB[k])
+	for i := range fl.sat {
+		cands, ub := fl.candidatesOf(i)
+		for k, s := range cands {
+			if sinEl := fl.sinElevation(i, fl.satPos[s]); ub[k] < sinEl {
+				t.Errorf("terminal %d (%.6f, %.6f, %.6f) cell %d: satellite %d has sinElevation %.17g above its bound %.17g",
+					i, fl.px[i], fl.py[i], fl.pz[i], fl.popCells[fl.popOrdinal(i)], s, sinEl, ub[k])
 			}
 			pairs++
 		}

@@ -143,7 +143,11 @@ func placeOne(rng *sim.RNG, clusters []Cluster, cum []float64, total float64) (g
 	return geo.LatLon{LatDeg: lat, LonDeg: lon}, ci
 }
 
-// placeTerminals places n terminals on wk in assignBlock blocks. Each index
+// placeBlock is the unit of work placement hands to workers: big enough to
+// amortize the atomic fetch, small enough to balance.
+const placeBlock = 2048
+
+// placeTerminals places n terminals on wk in placeBlock blocks. Each index
 // is a pure function of the seed, so the result is the same for any pool.
 func placeTerminals(seed uint64, n int, clusters []Cluster, wk *sim.Workers) (lat, lon []float64, cluster []int32, seeds []uint64) {
 	lat = make([]float64, n)
@@ -153,12 +157,12 @@ func placeTerminals(seed uint64, n int, clusters []Cluster, wk *sim.Workers) (la
 	cum, total := clusterWeights(clusters)
 	// One generator per worker, reseeded per terminal: NewRNG's stream.
 	rngs := make([]*sim.RNG, wk.Size())
-	wk.Run((n+assignBlock-1)/assignBlock, func(w, b int) {
+	wk.Run((n+placeBlock-1)/placeBlock, func(w, b int) {
 		if rngs[w] == nil {
 			rngs[w] = sim.NewRNG(0)
 		}
 		rng := rngs[w]
-		for i := b * assignBlock; i < min(n, (b+1)*assignBlock); i++ {
+		for i := b * placeBlock; i < min(n, (b+1)*placeBlock); i++ {
 			seeds[i] = sim.DeriveSeed(seed, "fleet/terminal", i)
 			rng.Reseed(seeds[i])
 			p, ci := placeOne(rng, clusters, cum, total)

@@ -2,20 +2,19 @@ package fleet
 
 import (
 	"starlinkperf/internal/obs"
-	"starlinkperf/internal/sim"
 	"starlinkperf/internal/stats"
 )
 
-// Both epoch phases run on the Fleet's sim.Workers: reassignment in
-// assignBlock blocks, observation over cell-aligned ranges into one
-// epochScratch per worker, drained in worker order by integer merges, so
-// results, metrics and traces are bit-identical for any worker count
+// An epoch is one walk over the populated cells on the Fleet's
+// sim.Workers, in the cell-aligned ranges New bound: each cell assigns its
+// terminals and, in a RunEpoch, accounts them into one epochScratch per
+// worker, drained in worker order by integer merges, so results, metrics
+// and traces are bit-identical for any worker count
 // (TestEpochCampaignWorkerInvariance; TestRunReferenceEquivalence).
 
-// epochScratch is one worker's private accumulation state: for the
-// observation phase per-region tallies and distributions plus the
-// per-cell beam list, for the assignment phase its share of the scan
-// telemetry (ReassignAt drains it at the barrier). Every field is
+// epochScratch is one worker's private state: per-region tallies and
+// distributions, the per-cell beam list and terminal flags, and its share
+// of the scan telemetry (walk drains it at the barrier). Every field is
 // integer-counted, so draining scratches into the shared accumulators in
 // worker order reproduces the sequential accumulation bit-for-bit.
 // Distribution geometries mirror initAccum; keep them in sync.
@@ -31,6 +30,7 @@ type epochScratch struct {
 	hTput     []*obs.Histogram
 	satList   []int32
 	satCnt    []int32
+	flags     []uint8 // one per terminal of the cell being walked, sized to the largest
 }
 
 func (f *Fleet) newScratch() epochScratch {
@@ -46,6 +46,7 @@ func (f *Fleet) newScratch() epochScratch {
 		hTput:     make([]*obs.Histogram, nr),
 		satList:   make([]int32, 0, 64),
 		satCnt:    make([]int32, 0, 64),
+		flags:     make([]uint8, f.maxCell),
 	}
 	for ri := 0; ri < nr; ri++ {
 		sc.latency[ri] = stats.NewFixedDist(0.5, 600)
@@ -59,126 +60,132 @@ func (f *Fleet) newScratch() epochScratch {
 	return sc
 }
 
-// observeEpoch runs the beam-contention and accounting pass for epoch e:
-// per cell, concurrently active terminals served by the same satellite
-// split one beam's capacity. The per-cell accounting goes into scratch,
-// fanned out over the worker pool, then every scratch is
-// drained into the shared accumulators and the epoch trace is emitted.
-func (f *Fleet) observeEpoch(e int, at sim.Time) {
-	utcHours := at.Seconds() / 3600
-	for ri := range f.epochOut {
-		f.epochOut[ri] = 0
-		f.epochHo[ri] = 0
-	}
-	f.obsEpoch, f.obsUTC = e, utcHours
-	f.workers.Run(len(f.obsRanges)-1, f.observeBody)
-	for w := range f.scratch {
-		f.mergeScratch(&f.scratch[w])
-	}
-	if f.cfg.Obs != nil {
-		tr := f.cfg.Obs.Tracer()
-		for ri := range f.acc {
-			tr.Emit(at, obs.KindFleetEpoch, f.acc[ri].subj, f.epochOut[ri], f.epochHo[ri])
-		}
-	}
-	copy(f.prevSat, f.sat)
-}
-
-// observeRange accounts terminals [lo, hi) — always a whole number of
-// cells — of the staged epoch into sc, cell by cell.
-func (f *Fleet) observeRange(sc *epochScratch, e int, utcHours float64, lo, hi int) {
-	for t := lo; t < hi; {
-		ce := int(f.cellStart[f.cell[t]+1])
-		f.observeCellInto(sc, e, utcHours, t, ce)
-		t = ce
-	}
-}
-
-// Per-terminal activity for the epoch being observed: pass 1 of
-// observeCellInto writes it, pass 2 reads it.
+// A terminal's flags for the epoch being walked: the first pass over a
+// cell writes them, the second reads them.
 const (
-	idle uint8 = iota
-	activeOffPeak
-	activePeak // local 18:00-23:00
+	active   uint8 = 1 << iota // the activity coin came up
+	peakHour                   // active, served, and local 18:00-23:00
+	handover                   // served by another satellite than entering the epoch
 )
 
-// observeCellInto accounts the one cell holding terminals [lo, hi) into sc.
-func (f *Fleet) observeCellInto(sc *epochScratch, e int, utcHours float64, lo, hi int) {
-	// Pass 1: flip every terminal's activity coin and, per distinct serving
-	// satellite, count active served terminals sharing its beam over this
-	// cell. The coin is draw < activeProb(local hour); the local hour (a
-	// Mod) and the cosine are computed only when the draw lies inside
-	// activeProb's range, where they decide it, or when the terminal is
-	// active and served, where pass 2 files its share by the hour.
-	sc.satList = sc.satList[:0]
-	sc.satCnt = sc.satCnt[:0]
+// walkCell runs the epoch for populated cell k into sc. Pass 1 gives every
+// terminal its satellite (assign, against the satellite it held entering
+// the epoch) and, in a RunEpoch, flips its activity coin and counts, per
+// distinct serving satellite, the active served terminals sharing its beam
+// over the cell. Pass 2 accounts every terminal of the cell.
+func (f *Fleet) walkCell(sc *epochScratch, k int) {
+	c := f.popCells[k]
+	lo, hi := int(f.cellStart[c]), int(f.cellStart[c+1])
+	cands := f.cands[f.candStart[k]:f.candStart[k+1]]
+	ub := f.candUB[f.candStart[k]:f.candStart[k+1]]
+	sc.satList, sc.satCnt = sc.satList[:0], sc.satCnt[:0]
+	var passed, seeded, seedWon int64
 	for t := lo; t < hi; t++ {
-		draw := activeDraw(f.seed[t], int64(e))
-		f.active[t] = idle
-		if draw >= activeProbMax {
-			continue
-		}
-		h := -1.0
-		if draw >= activeProbMin {
-			h = localHour(utcHours, f.lon[t])
-			if draw >= activeProb(h) {
-				continue
+		o := f.site(t)
+		prev := f.sat[t]
+		best, n := f.assign(&o, prev, cands, ub)
+		passed += n
+		if prev >= 0 {
+			seeded++
+			if best == prev {
+				seedWon++
 			}
 		}
-		f.active[t] = activeOffPeak
-		if f.sat[t] < 0 || f.delayNs[t] < 0 {
-			continue
-		}
-		if h < 0 {
-			h = localHour(utcHours, f.lon[t])
-		}
-		if h >= 18 && h < 23 {
-			f.active[t] = activePeak
-		}
-		found := false
-		for k, s := range sc.satList {
-			if s == f.sat[t] {
-				sc.satCnt[k]++
-				found = true
-				break
-			}
-		}
-		if !found {
-			sc.satList = append(sc.satList, f.sat[t])
-			sc.satCnt = append(sc.satCnt, 1)
+		f.finishAssignment(t, best)
+		if f.account {
+			sc.flags[t-lo] = f.flipCoin(sc, t, prev)
 		}
 	}
-	// Pass 2: account every terminal of the cell.
+	sc.scan.Listed += int64(len(cands)) * int64(hi-lo)
+	sc.scan.BoundPassed += passed
+	sc.scan.Evaluated += passed + seeded
+	sc.scan.SeedWon += seedWon
+	if f.account {
+		f.accountCell(sc, lo, hi)
+	}
+}
+
+// flipCoin returns terminal t's flags for the epoch and, if it is active
+// and served, counts it as a sharer of its satellite's beam. The coin is
+// draw < activeProb(local hour); the local hour (a Mod) and the cosine are
+// computed only when the draw lies inside activeProb's range, where they
+// decide it, or when the terminal is active and served, where pass 2 files
+// its share by the hour.
+func (f *Fleet) flipCoin(sc *epochScratch, t int, prev int32) uint8 {
+	var fl uint8
+	s := f.sat[t]
+	if f.epoch > 0 && prev >= 0 && s != prev {
+		fl = handover
+	}
+	draw := activeDraw(f.seed[t], int64(f.epoch))
+	if draw >= activeProbMax {
+		return fl
+	}
+	h := -1.0
+	if draw >= activeProbMin {
+		h = localHour(f.utcHours, f.lon[t])
+		if draw >= activeProb(h) {
+			return fl
+		}
+	}
+	fl |= active
+	if s < 0 || f.delayNs[t] < 0 {
+		return fl
+	}
+	if h < 0 {
+		h = localHour(f.utcHours, f.lon[t])
+	}
+	if h >= 18 && h < 23 {
+		fl |= peakHour
+	}
+	for k, x := range sc.satList {
+		if x == s {
+			sc.satCnt[k]++
+			return fl
+		}
+	}
+	sc.satList = append(sc.satList, s)
+	sc.satCnt = append(sc.satCnt, 1)
+	return fl
+}
+
+// accountCell is pass 2: it accounts the terminals [lo, hi) of the cell
+// just assigned into sc — an outage, or a latency sample, a handover and,
+// when active, the terminal's share of its satellite's beam, split evenly
+// among the beam's sharers over the cell and capped per terminal.
+func (f *Fleet) accountCell(sc *epochScratch, lo, hi int) {
 	for t := lo; t < hi; t++ {
 		ri := f.region[t]
 		if f.delayNs[t] < 0 {
 			sc.outages[ri]++
 			continue
 		}
-		rttNs := 2 * f.delayNs[t]
+		rttNs := 2 * int64(f.delayNs[t])
 		sc.samples[ri]++
 		sc.latency[ri].Observe(float64(rttNs) / 1e6)
 		sc.hLatency[ri].Observe(rttNs)
-		if e > 0 && f.prevSat[t] >= 0 && f.sat[t] != f.prevSat[t] {
+		fl := sc.flags[t-lo]
+		if fl&handover != 0 {
 			sc.handovers[ri]++
 		}
-		if f.active[t] != idle {
-			share := f.cfg.MaxTermMbps
-			for k, s := range sc.satList {
-				if s == f.sat[t] {
-					if per := f.cfg.BeamMbps / float64(sc.satCnt[k]); per < share {
-						share = per
-					}
-					break
-				}
-			}
-			if f.active[t] == activePeak {
-				sc.peak[ri].Observe(share)
-			} else {
-				sc.offPeak[ri].Observe(share)
-			}
-			sc.hTput[ri].Observe(int64(share * 1000))
+		if fl&active == 0 {
+			continue
 		}
+		share := f.cfg.MaxTermMbps
+		for k, s := range sc.satList {
+			if s == f.sat[t] {
+				if per := f.cfg.BeamMbps / float64(sc.satCnt[k]); per < share {
+					share = per
+				}
+				break
+			}
+		}
+		if fl&peakHour != 0 {
+			sc.peak[ri].Observe(share)
+		} else {
+			sc.offPeak[ri].Observe(share)
+		}
+		sc.hTput[ri].Observe(int64(share * 1000))
 	}
 }
 

@@ -21,7 +21,7 @@ import (
 // own sim.Scheduler and netem.Network holding the shard's terminals, an
 // egress/ingress router pair and an echo-responder node for every gateway.
 // No packet ever leaves its shard; shards meet only at the epoch barriers,
-// where the fleet reassignment runs single-threaded (Run).
+// where the fleet epoch runs while no shard does (Run).
 //
 // A terminal's node, access links, ingress route and reply handler are built
 // by materialize on its first emulated probe — for 99 % of a world fleet,
@@ -303,7 +303,7 @@ func materialize(ref *probeRef) {
 	// Addresses are shard-local: the index within the shard's range.
 	ref.node = pt.net.NewNode(fmt.Sprintf("term%d", t), terminalAddr(t-int(pt.probes[0].term)))
 	access := netem.LinkConfig{
-		Delay: func(sim.Time) time.Duration { return time.Duration(f.delayNs[t] - pt.tr.lookNs) },
+		Delay: func(sim.Time) time.Duration { return time.Duration(int64(f.delayNs[t]) - pt.tr.lookNs) },
 		Down:  func(sim.Time) bool { return f.delayNs[t] < 0 },
 	}
 	ref.up = pt.net.AddLink(ref.node, pt.egress, access)
@@ -373,7 +373,7 @@ func ffAbsorb(ref *probeRef) bool {
 	}
 	a := &pt.acc[f.region[t]]
 
-	d := f.delayNs[t]
+	d := int64(f.delayNs[t])
 	g := f.gw[t]
 	if d < 0 || g < 0 {
 		// Outage: every fire up to the boundary is a skip. The re-arm
@@ -495,8 +495,8 @@ func probeFire(arg any) {
 }
 
 // Run executes the scenario to the horizon and returns the merged result.
-// Each fleet epoch — reassignment plus the beam/accounting pass — executes
-// at a barrier: single-threaded, with every shard's clock exactly at the
+// Each fleet epoch — the cell walk that reassigns and accounts — executes
+// at a barrier, while no shard runs, with every shard's clock exactly at the
 // epoch instant and every event before it executed, so the shared fleet
 // arrays are never written while a shard runs. RunBefore's half-open window
 // leaves an event at exactly the epoch instant for after the reassignment.

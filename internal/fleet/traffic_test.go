@@ -255,7 +255,7 @@ func TestPartitionTerminals(t *testing.T) {
 		for p, s := range pm.TermStart {
 			if !cellEdge[s] {
 				t.Fatalf("parts=%d: partition %d starts at terminal %d, inside cell %d",
-					parts, p, s, f.cell[s])
+					parts, p, s, f.popCells[f.popOrdinal(int(s))])
 			}
 		}
 	}
