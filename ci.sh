@@ -35,7 +35,10 @@ echo "== no deleted mechanism in non-test code (DESIGN.md: Independent traffic s
 # the fleet's two-phase epoch (assign blocks, an observe pass and the
 # prevSat copy between them) and its longitude-window admission sweep
 # with its scatter into the CSR, which one cell walk and a direct
-# dot-product admission per populated cell replaced,
+# dot-product admission per populated cell replaced, and the serial
+# admission pass with its shared candidate CSR and per-satellite gateway
+# table (buildCandidates, candStart/candUB, satGwAt), which admission per
+# cell inside the walk and a per-worker gateway cache replaced,
 # the hand-written FIFOs and interval sets that sim.Ring and sim.Ranges
 # replaced, the scheduler's lazy compaction that Scheduler.Rearm
 # made unnecessary, and the second copies of netem's route and handler
@@ -58,7 +61,7 @@ echo "== no deleted mechanism in non-test code (DESIGN.md: Independent traffic s
 # -scenario.workers flag, which duplicated -workers, and starlink-bench's
 # own copy of the report's sizes and scenario (the job list, sizes and
 # scenario live in internal/core/report.go).
-if grep -rnE 'PartitionedDriver|CrossEdge|AddCrossLink|snapshotRing|peekSnapshot|delayRing|islMemo|candCount|referenceReassignAt|epochPool|runPhase|phaseAssign|WirePoolStats struct|pktRing|txRing|frameQueue|rangeSet|byteRanges|cryptoRecv|offRange|compactMin|nstopped|\) compact\(|rebuildFIB|rebuildHandlers|fibDirty|hDirty|fibGroups|msgsInOrder|insertMsgKey|Hops \[\]Addr|wireFree|chunkFree|sentFree|frameFree|AnalyzeSenderView|obs\.Options|\(p \*Prober\) Observe|\(p \*Proxy\) Observe|pep\.New\(|NewNewReno|KindEnqueue|KindDequeue|IdleDecay|decayAfterIdle|AllowMigration|PathMigrations|PacingBurst|UnmarshalProfiles|LinkConfigs|"scenario\.workers"|sizesFor|paperScenario|prevSat|observeEpoch|observeCellInto|observeRange|assignRange|assignBlock|admitRow|candFill|scanSats' --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark .; then
+if grep -rnE 'PartitionedDriver|CrossEdge|AddCrossLink|snapshotRing|peekSnapshot|delayRing|islMemo|candCount|referenceReassignAt|epochPool|runPhase|phaseAssign|WirePoolStats struct|pktRing|txRing|frameQueue|rangeSet|byteRanges|cryptoRecv|offRange|compactMin|nstopped|\) compact\(|rebuildFIB|rebuildHandlers|fibDirty|hDirty|fibGroups|msgsInOrder|insertMsgKey|Hops \[\]Addr|wireFree|chunkFree|sentFree|frameFree|AnalyzeSenderView|obs\.Options|\(p \*Prober\) Observe|\(p \*Proxy\) Observe|pep\.New\(|NewNewReno|KindEnqueue|KindDequeue|IdleDecay|decayAfterIdle|AllowMigration|PathMigrations|PacingBurst|UnmarshalProfiles|LinkConfigs|"scenario\.workers"|sizesFor|paperScenario|prevSat|observeEpoch|observeCellInto|observeRange|assignRange|assignBlock|admitRow|candFill|scanSats|buildCandidates|candStart|candUB|satGwAt' --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark .; then
     echo "a deleted mechanism is named above" >&2
     exit 1
 fi
@@ -181,17 +184,18 @@ echo "== fleet bound fuzz smoke (5 s: stored bound >= exact sinElevation)"
 go test ./internal/fleet -run '^$' -fuzz 'FuzzSinElevationBound' -fuzztime 5s
 
 echo "== fleet pooled scan, ten rounds under the race detector"
-# 1/2/4/8 workers walk disjoint runs of cells: they read the shared
-# candidate and bound tables, write their cells' terminals and their own
-# scratch; assignments and scan counts must not depend on the count.
-go test -race ./internal/fleet -run 'TestReassignWorkerInvariance|TestScanStats' -count=10
+# 1/2/4/8 workers walk disjoint runs of cells: they read only the
+# snapshot's position and sky tables, and write their cells' terminals
+# and their own scratch, candidate lists and gateway caches included;
+# assignments, scan counts and whole campaigns (results, metrics and
+# traces) must not depend on the count, with cells on different workers
+# listing the same satellites. -short leaves the 100k-terminal campaign
+# to the one -race pass above.
+go test -race -short ./internal/fleet -run 'TestReassignWorkerInvariance|TestScanStats|TestEpochCampaignWorkerInvariance' -count=10
 
 echo "== fork/join pool, ten rounds under the race detector"
-# The pool itself, then the whole epoch campaign on it: results, metrics
-# and traces equal for every worker count. -short leaves the 100k-terminal
-# case to the one -race pass above (~7 s for both lines on a 2-CPU host).
+# The pool itself; the whole epoch campaign on it is in the stanza above.
 go test -race ./internal/sim -run 'TestWorkers' -count=10
-go test -race -short ./internal/fleet -run 'TestEpochCampaignWorkerInvariance' -count=10
 
 echo "== benchmark smoke (one short run each of small_packets and fleet_scale)"
 # The benchmark must build from a clean checkout, run, and report a correct

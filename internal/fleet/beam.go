@@ -92,6 +92,55 @@ var (
 	activeProbMax = activeProbOfCos(cosHi)
 )
 
+// activeBins splits the local day into the coin's bracket bins, each
+// 24/activeBins hours (an exact binary fraction) wide.
+const activeBins = 1024
+
+// activePad widens every bracket: it only has to dominate the rounding
+// of activeProb and of the bin index (both near 1e-16).
+const activePad = 1e-9
+
+// activeBracket holds, per bin of the local day, a lower and an upper
+// bound on activeProb over the bin. activeProb is monotone between 08:00
+// and 20:00 and between 20:00 and 08:00, so over a bin that holds neither
+// its extremes are the values at the bin's edges; the bins holding 08:00
+// and 20:00 take activeProbMin and activeProbMax instead. The pad covers
+// the formula's rounding between the edges and an hour whose index
+// rounds into a neighbouring bin.
+var activeBracket = func() (b [activeBins]struct{ lo, hi float64 }) {
+	const w = 24.0 / activeBins
+	for i := range b {
+		h0, h1 := float64(i)*w, float64(i+1)*w
+		p0, p1 := activeProb(h0), activeProb(h1)
+		lo, hi := min(p0, p1), max(p0, p1)
+		if h0 <= 8 && 8 <= h1 {
+			lo = activeProbMin
+		}
+		if h0 <= 20 && 20 <= h1 {
+			hi = activeProbMax
+		}
+		b[i].lo, b[i].hi = lo-activePad, hi+activePad
+	}
+	return b
+}()
+
+// activeAt reports draw < activeProb(h) for a local hour h in [0, 24]:
+// from h's bracket when the draw lies outside it (below the bracket the
+// draw is under activeProb(h), at or above it not), and from the cosine
+// only inside it, a fraction of a percent of the draws. The index is a
+// float product — activeBins/24 as integers would be 42 — and h = 24,
+// which localHour can return, falls in the last bin.
+func activeAt(h, draw float64) bool {
+	b := &activeBracket[min(int(h*(activeBins/24.0)), activeBins-1)]
+	if draw < b.lo {
+		return true
+	}
+	if draw >= b.hi {
+		return false
+	}
+	return draw < activeProb(h)
+}
+
 // result folds the accumulators into the per-region report, regions
 // sorted by name.
 func (f *Fleet) result(epochs int) *Result {

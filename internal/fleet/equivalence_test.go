@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"math/rand/v2"
 	"reflect"
 	"slices"
 	"sort"
@@ -74,12 +75,15 @@ func (f *Fleet) popOrdinal(t int) int {
 	return sort.Search(len(f.popCells), func(k int) bool { return f.cellStart[f.popCells[k]+1] > int32(t) })
 }
 
-// candidatesOf returns the candidate list of terminal t's cell and the
-// bound beside each entry.
-func (f *Fleet) candidatesOf(t int) ([]int32, []float64) {
-	k := f.popOrdinal(t)
-	lo, hi := f.candStart[k], f.candStart[k+1]
-	return f.cands[lo:hi], f.candUB[lo:hi]
+// candidatesOf returns the candidate list of terminal t's cell for the
+// epoch prepare last filled, built by the walk's own admission.
+func (f *Fleet) candidatesOf(t int) []cand {
+	return f.admit(f.popOrdinal(t), nil)
+}
+
+// listed reports whether satellite s is on the candidate list.
+func listed(list []cand, s int32) bool {
+	return slices.ContainsFunc(list, func(c cand) bool { return c.id == s })
 }
 
 // sinElevation is site.sinElevation for terminal t: the formula the walk
@@ -502,7 +506,7 @@ func TestPrunedScanSeedCases(t *testing.T) {
 					fresh++
 					continue
 				}
-				if cands, _ := f.candidatesOf(i); !slices.Contains(cands, prev) {
+				if !listed(f.candidatesOf(i), prev) {
 					unlisted++
 				}
 				if f.sinElevation(i, f.satPos[prev]) < f.sinMask {
@@ -545,6 +549,63 @@ func TestPrunedScanTieRule(t *testing.T) {
 	}
 }
 
+// TestAssignOrderIndependent: the winner is the maximum of (sinElevation
+// descending, id ascending) over a cell's candidates at or above the mask,
+// which no order of the list changes. On twin shells every satellite has a
+// twin at the same position, so every decision is an exact sinElevation
+// and bound tie. Each terminal's list is shuffled with its bounds, put
+// best bound first again (sortCands) and scanned with no seed, seeded with
+// the winner, with the winner's twin and with a random candidate; each
+// scan must keep what a scan of the whole list without bounds keeps.
+func TestAssignOrderIndependent(t *testing.T) {
+	cfg := equivConfig(31, "mid")
+	cfg.Shells = []leo.ShellConfig{miniShell(), miniShell()}
+	f := New(cfg)
+	defer f.Close()
+	twin := int32(f.shells[1].offset)
+	rng := rand.New(rand.NewPCG(48, 2))
+	ties := 0
+	for e := 0; e < 4; e++ {
+		f.prepare(sim.Time(int64(e) * int64(40*time.Second)))
+		for k, c := range f.popCells {
+			list := f.admit(k, nil)
+			if len(list) == 0 {
+				continue
+			}
+			for i := int(f.cellStart[c]); i < int(f.cellStart[c+1]); i++ {
+				o := f.site(i)
+				want, wantSin := int32(-1), 0.0
+				for _, e := range list {
+					sinEl := o.sinElevation(f.satPos[e.id])
+					if sinEl >= f.sinMask && (want < 0 || sinEl > wantSin || sinEl == wantSin && e.id < want) {
+						want, wantSin = e.id, sinEl
+					}
+				}
+				seeds := []int32{-1, want, list[rng.IntN(len(list))].id}
+				if want >= 0 && want < twin {
+					if o.sinElevation(f.satPos[want+twin]) != wantSin {
+						t.Fatalf("satellite %d and its twin %d differ in sinElevation", want, want+twin)
+					}
+					seeds = append(seeds, want+twin)
+					ties++
+				}
+				for range 3 {
+					rng.Shuffle(len(list), func(a, b int) { list[a], list[b] = list[b], list[a] })
+					sortCands(list)
+					for _, prev := range seeds {
+						if got, _ := f.assign(&o, prev, list); got != want {
+							t.Fatalf("epoch %d terminal %d seeded with %d: assign kept %d, the whole list %d (list %v)", e, i, prev, got, want, list)
+						}
+					}
+				}
+			}
+		}
+	}
+	if ties == 0 {
+		t.Fatal("no tie between twins was decided")
+	}
+}
+
 // TestSinElevationBound is the bound property on whole fleets: for every
 // terminal and every candidate of its cell, over a campaign's epochs, the
 // stored bound is at least the exact sinElevation — on the world population
@@ -577,7 +638,8 @@ func TestSinElevationBound(t *testing.T) {
 // TestScanStats pins the scan telemetry: the bound never adds work
 // (evaluated <= listed), something is pruned, most terminals keep their
 // satellite across a 15 s step, the index covers exactly the populated
-// cells, and every count is the same for any worker count.
+// cells, the last epoch's entries are its per-cell list lengths summed,
+// and every count is the same for any worker count.
 func TestScanStats(t *testing.T) {
 	var want ScanStats
 	for _, workers := range []int{1, 2, 4} {
@@ -595,11 +657,12 @@ func TestScanStats(t *testing.T) {
 					populated++
 				}
 			}
-			if len(fl.candStart) != populated+1 {
-				t.Fatalf("candidate CSR has %d offsets for %d populated cells", len(fl.candStart), populated)
+			entries := 0
+			for k := range fl.popCells {
+				entries += len(fl.admit(k, nil))
 			}
-			if st.Epochs != 8 || st.PopulatedCells != populated || st.CandEntries != len(fl.cands) || st.CandEntries == 0 {
-				t.Fatalf("index counts %+v; want 8 epochs, %d populated cells, %d entries", st, populated, len(fl.cands))
+			if len(fl.popCells) != populated || st.Epochs != 8 || st.PopulatedCells != populated || st.CandEntries != entries || entries == 0 {
+				t.Fatalf("index counts %+v over %d listed cells; want 8 epochs, %d populated cells, %d entries", st, len(fl.popCells), populated, entries)
 			}
 			if st.Evaluated > st.Listed || st.BoundPassed > st.Evaluated || st.BoundPassed == 0 {
 				t.Fatalf("scan counts %+v; want 0 < passed <= evaluated <= listed", st)

@@ -20,8 +20,8 @@
 // a naive O(N×M) scan of every satellite for every terminal (the oracle in
 // equivalence_test.go) across seeds, latitude bands, degenerate cells and
 // masks, and worker counts. A steady-state epoch allocates nothing: the
-// candidate CSR, the one position snapshot and the per-cell beam lists are
-// all refilled in place every epoch.
+// one position snapshot and the workers' per-cell candidate and beam lists
+// are all refilled in place every epoch.
 package fleet
 
 import (
@@ -169,25 +169,15 @@ type Fleet struct {
 	sinMask float64
 	gws     leo.GatewayTable
 
-	// Per-epoch tables, refilled in place so a steady-state epoch is
-	// allocation-free once every buffer has grown to its working size.
-	// satPos is the flat per-satellite position table and sky the enabled
-	// satellites as admission reads them; satGw/satGwKm are the serving
-	// gateway (-1: none in view) and the range to it, filled for the
-	// satellites some cell lists (satGwAt: the stamp of the epoch that
-	// filled them). candStart/cands/candUB are the candidate CSR over
-	// popCells with the bound beside each entry.
-	snap      leo.Snapshot
-	stamp     uint32
-	satPos    []geo.ECEF
-	sky       []skySat
-	satGw     []int16
-	satGwKm   []float64
-	satGwAt   []uint32
-	candStart []int32 // len(popCells)+1
-	cands     []int32
-	candUB    []float64 // beside cands: upper bound on sinElevation over the cell
-	scan      ScanStats
+	// Per-epoch tables, refilled in place by prepare: satPos is the flat
+	// per-satellite position table and sky the enabled satellites as
+	// admission reads them; stamp numbers the epoch for the workers'
+	// gateway caches. The walk only reads them.
+	snap   leo.Snapshot
+	stamp  uint32
+	satPos []geo.ECEF
+	sky    []skySat
+	scan   ScanStats
 
 	acc []regionAccum
 	// Per-epoch per-region scratch for trace emission.
@@ -250,7 +240,6 @@ func New(cfg Config) *Fleet {
 	}
 	f.con = leo.NewConstellation(shells...)
 	f.satPos, f.sky = make([]geo.ECEF, offset), make([]skySat, 0, offset)
-	f.satGw, f.satGwKm, f.satGwAt = make([]int16, offset), make([]float64, offset), make([]uint32, offset)
 	f.sinMask = math.Sin(geo.Radians(cfg.MaskDeg))
 	f.grid = newCellGrid(cfg.CellDeg)
 	for si := range f.shells {
@@ -267,16 +256,17 @@ func New(cfg Config) *Fleet {
 	n := cfg.Terminals
 	lat, lon, cluster, seeds := placeTerminals(cfg.Seed, n, cfg.Clusters, f.workers)
 
-	// Sort terminals by (cell, placement index): per-cell slices become
-	// contiguous and the order stays a pure function of the placement.
-	// The key packs (cell, index) into one uint64 so slices.Sort runs on
-	// plain integers — at 1M terminals a comparator-based sort dominates
-	// construction time.
-	keys := make([]uint64, n)
-	for i := 0; i < n; i++ {
-		keys[i] = uint64(uint32(f.grid.cellOf(lat[i], lon[i])))<<32 | uint64(uint32(i))
+	// Sort terminals by (cell, placement index) with one counting pass:
+	// indexTerminals counts the cells into the CSR, and each terminal goes
+	// to the next free slot of its cell in placement order, so per-cell
+	// slices are contiguous and the order is a pure function of the
+	// placement.
+	cells := make([]int32, n) // by placement index
+	for i := range cells {
+		cells[i] = f.grid.cellOf(lat[i], lon[i])
 	}
-	slices.Sort(keys)
+	f.indexTerminals(cells)
+	next := slices.Clone(f.cellStart[:f.grid.nCells])
 
 	// The SoA arrays come out of one slab per element width: capacity
 	// planning for the 1M-terminal build, 51 B/terminal all in.
@@ -288,10 +278,9 @@ func New(cfg Config) *Fleet {
 	f.seed = make([]uint64, n)
 	f.gw = make([]int16, n)
 	f.region = make([]uint8, n)
-	cells := make([]int32, n) // in sorted order, for the index only
-	for t, k := range keys {
-		i := int(uint32(k))
-		cells[t] = int32(k >> 32)
+	for i, c := range cells {
+		t := next[c]
+		next[c]++
 		f.lon[t] = lon[i]
 		e := geo.LatLon{LatDeg: lat[i], LonDeg: lon[i]}.ToECEF()
 		f.px[t], f.py[t], f.pz[t] = e.X, e.Y, e.Z
@@ -299,7 +288,10 @@ func New(cfg Config) *Fleet {
 		f.seed[t] = seeds[i]
 		f.sat[t], f.gw[t], f.delayNs[t] = -1, -1, -1
 	}
-	f.indexTerminals(cells)
+	f.minNorm = math.Inf(1)
+	for t := range f.px {
+		f.minNorm = min(f.minNorm, f.site(t).norm)
+	}
 
 	f.epochOut = make([]int64, len(f.regions))
 	f.epochHo = make([]int64, len(f.regions))
@@ -356,11 +348,10 @@ func checkLimits(cfg Config, regions int) {
 	}
 }
 
-// indexTerminals derives from the sorted terminals and their cells what
-// the epoch reads per cell and per fleet: the CSR over terminals by cell,
-// the populated cells with their rows and center directions (admission
-// and the walk visit no other), the largest cell, and the smallest
-// geocentric radius a terminal has (the bound's observer radius).
+// indexTerminals derives from the terminals' cells, in any order, what
+// the epoch reads per cell: the CSR over terminals by cell, the populated
+// cells with their rows and center directions (admission and the walk
+// visit no other), and the largest cell.
 func (f *Fleet) indexTerminals(cells []int32) {
 	if f.cellStart == nil {
 		f.cellStart = make([]int32, f.grid.nCells+1)
@@ -381,11 +372,6 @@ func (f *Fleet) indexTerminals(cells []int32) {
 	f.popCells = make([]int32, 0, populated)
 	f.popRow = make([]int32, 0, populated)
 	f.popCenter = make([]geo.ECEF, 0, populated)
-	// A populated cell lists some 18 Gen1 satellites; append grows the
-	// candidate tables if a constellation is denser.
-	f.candStart = make([]int32, populated+1)
-	f.cands = make([]int32, 0, 20*populated)
-	f.candUB = make([]float64, 0, 20*populated)
 	f.maxCell = 0
 	for r := range f.grid.rows {
 		row := &f.grid.rows[r]
@@ -403,10 +389,6 @@ func (f *Fleet) indexTerminals(cells []int32) {
 		}
 	}
 	f.scan.PopulatedCells = populated
-	f.minNorm = math.Inf(1)
-	for t := range f.px {
-		f.minNorm = min(f.minNorm, f.site(t).norm)
-	}
 }
 
 // Terminals returns the fleet size.

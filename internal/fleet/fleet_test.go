@@ -3,6 +3,8 @@ package fleet
 import (
 	"cmp"
 	"fmt"
+	"math"
+	"math/rand/v2"
 	"slices"
 	"strings"
 	"testing"
@@ -196,6 +198,67 @@ func TestActiveProbRange(t *testing.T) {
 		if p := activeProb(h); p < activeProbMin || p > activeProbMax {
 			t.Fatalf("activeProb(%v) = %v outside [%v, %v]", h, p, activeProbMin, activeProbMax)
 		}
+	}
+}
+
+// checkActivityCoin holds activeAt to draw < activeProb(h) for draws at
+// activeProb(h) and its four float neighbours either side, where a
+// bracket that misses activeProb(h) by one ulp decides wrongly.
+func checkActivityCoin(t *testing.T, h float64) {
+	t.Helper()
+	p := activeProb(h)
+	d := p
+	for range 4 {
+		d = math.Nextafter(d, math.Inf(-1))
+	}
+	for range 9 {
+		if got, want := activeAt(h, d), d < p; got != want {
+			t.Fatalf("activeAt(%v, %v) = %v; activeProb(%v) = %v says %v", h, d, got, h, p, want)
+		}
+		d = math.Nextafter(d, math.Inf(1))
+	}
+}
+
+// TestActivityBracketMatchesCosine: the bracket table settles the coin
+// exactly as the cosine does — at every bin edge and 4 ulps either side,
+// around 08:00 and 20:00 (the bins whose bracket is the formula's range),
+// at h = 0 and h = 24 (which localHour can return), and at a million
+// random hours. Every bracket also holds activeProb 4 ulps beyond its
+// bin's edges, so an hour whose index rounds into the bin from a
+// neighbour is bracketed too: the room the pad buys.
+func TestActivityBracketMatchesCosine(t *testing.T) {
+	for i, b := range activeBracket {
+		h0, h1 := float64(i)*(24.0/activeBins), float64(i+1)*(24.0/activeBins)
+		for range 4 {
+			h0, h1 = math.Nextafter(h0, math.Inf(-1)), math.Nextafter(h1, math.Inf(1))
+		}
+		for _, h := range []float64{h0, h1} {
+			if p := activeProb(h); p < b.lo || p > b.hi {
+				t.Fatalf("bin %d: activeProb(%v) = %v outside its bracket [%v, %v]", i, h, p, b.lo, b.hi)
+			}
+		}
+	}
+	around := func(h float64, n int) {
+		checkActivityCoin(t, h)
+		lo, hi := h, h
+		for range n {
+			lo, hi = math.Nextafter(lo, math.Inf(-1)), math.Nextafter(hi, math.Inf(1))
+			if lo >= 0 {
+				checkActivityCoin(t, lo)
+			}
+			if hi <= 24 {
+				checkActivityCoin(t, hi)
+			}
+		}
+	}
+	for i := 0; i <= activeBins; i++ {
+		around(float64(i)*(24.0/activeBins), 4)
+	}
+	around(8, 64)
+	around(20, 64)
+	rng := rand.New(rand.NewPCG(48, 1))
+	for range 1_000_000 {
+		checkActivityCoin(t, 24*rng.Float64())
 	}
 }
 

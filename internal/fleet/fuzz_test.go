@@ -41,6 +41,7 @@ func (f *Fleet) placeProbe(lat, lon float64) {
 	f.px[0], f.py[0], f.pz[0] = e.X, e.Y, e.Z
 	f.sat[0] = -1
 	f.indexTerminals([]int32{f.grid.cellOf(lat, lon)})
+	f.minNorm = f.site(0).norm
 }
 
 // fuzzProbe is the two targets' shared front: it rejects inputs that are
@@ -100,9 +101,8 @@ func FuzzCellIndex(f *testing.F) {
 
 			cell := fl.popCells[0]
 			have := make(map[int32]bool)
-			cands, _ := fl.candidatesOf(0)
-			for _, s := range cands {
-				have[s] = true
+			for _, c := range fl.candidatesOf(0) {
+				have[c.id] = true
 			}
 			want, wantSin := int32(-1), -2.0
 			for si := range fl.shells {
@@ -151,15 +151,41 @@ func FuzzSinElevationBound(f *testing.F) {
 // fleet's current epoch to bound >= exact value.
 func checkBounds(t *testing.T, fl *Fleet) (pairs int) {
 	t.Helper()
-	for i := range fl.sat {
-		cands, ub := fl.candidatesOf(i)
-		for k, s := range cands {
-			if sinEl := fl.sinElevation(i, fl.satPos[s]); ub[k] < sinEl {
-				t.Errorf("terminal %d (%.6f, %.6f, %.6f) cell %d: satellite %d has sinElevation %.17g above its bound %.17g",
-					i, fl.px[i], fl.py[i], fl.pz[i], fl.popCells[fl.popOrdinal(i)], s, sinEl, ub[k])
+	for k, c := range fl.popCells {
+		list := fl.admit(k, nil)
+		for i := int(fl.cellStart[c]); i < int(fl.cellStart[c+1]); i++ {
+			for _, e := range list {
+				if sinEl := fl.sinElevation(i, fl.satPos[e.id]); e.ub < sinEl {
+					t.Errorf("terminal %d (%.6f, %.6f, %.6f) cell %d: satellite %d has sinElevation %.17g above its bound %.17g",
+						i, fl.px[i], fl.py[i], fl.pz[i], c, e.id, sinEl, e.ub)
+				}
+				pairs++
 			}
-			pairs++
 		}
 	}
 	return pairs
+}
+
+// FuzzActivityCoin is TestActivityBracketMatchesCosine on fuzzed input:
+// for any local hour in [0, 24] and any draw in [0, 1), the bracket's
+// decision is draw < activeProb(h), and so is the one at activeProb(h)
+// and its float neighbours.
+func FuzzActivityCoin(f *testing.F) {
+	f.Add(0.0, 0.3)
+	f.Add(24.0, 0.75)
+	f.Add(8.0, 0.3)
+	f.Add(20.0, 0.75)
+	f.Add(7.9921875, 0.30001)
+	f.Add(19.9921875, 0.74999)
+	f.Add(18.0, 0.5)
+	f.Add(math.Nextafter(24.0/activeBins, 0), 0.6)
+	f.Fuzz(func(t *testing.T, h, draw float64) {
+		if !(h >= 0 && h <= 24) || !(draw >= 0 && draw < 1) {
+			t.Skip()
+		}
+		if got, want := activeAt(h, draw), draw < activeProb(h); got != want {
+			t.Fatalf("activeAt(%v, %v) = %v; activeProb(%v) = %v says %v", h, draw, got, h, activeProb(h), want)
+		}
+		checkActivityCoin(t, h)
+	})
 }

@@ -13,8 +13,9 @@ import (
 // (TestEpochCampaignWorkerInvariance; TestRunReferenceEquivalence).
 
 // epochScratch is one worker's private state: per-region tallies and
-// distributions, the per-cell beam list and terminal flags, and its share
-// of the scan telemetry (walk drains it at the barrier). Every field is
+// distributions, the candidate list, beam list and terminal flags of the
+// cell being walked, the gateway cache, and its share of the scan
+// telemetry (walk drains it at the barrier). Every field is
 // integer-counted, so draining scratches into the shared accumulators in
 // worker order reproduces the sequential accumulation bit-for-bit.
 // Distribution geometries mirror initAccum; keep them in sync.
@@ -28,6 +29,8 @@ type epochScratch struct {
 	offPeak   []stats.FixedDist
 	hLatency  []*obs.Histogram // nil entries when observability is off
 	hTput     []*obs.Histogram
+	cands     []cand
+	gwCache   []gwEntry // by flat satellite id; a slot is valid when stamped with the epoch's stamp
 	satList   []int32
 	satCnt    []int32
 	flags     []uint8 // one per terminal of the cell being walked, sized to the largest
@@ -44,6 +47,8 @@ func (f *Fleet) newScratch() epochScratch {
 		offPeak:   make([]stats.FixedDist, nr),
 		hLatency:  make([]*obs.Histogram, nr),
 		hTput:     make([]*obs.Histogram, nr),
+		cands:     make([]cand, 0, 64),
+		gwCache:   make([]gwEntry, len(f.satPos)),
 		satList:   make([]int32, 0, 64),
 		satCnt:    make([]int32, 0, 64),
 		flags:     make([]uint8, f.maxCell),
@@ -68,22 +73,24 @@ const (
 	handover                   // served by another satellite than entering the epoch
 )
 
-// walkCell runs the epoch for populated cell k into sc. Pass 1 gives every
-// terminal its satellite (assign, against the satellite it held entering
-// the epoch) and, in a RunEpoch, flips its activity coin and counts, per
-// distinct serving satellite, the active served terminals sharing its beam
-// over the cell. Pass 2 accounts every terminal of the cell.
+// walkCell runs the epoch for populated cell k into sc. It first admits
+// the cell's candidates into sc's list, best bound first (admit). Pass 1
+// gives every terminal its satellite (assign, against the satellite it
+// held entering the epoch) and, in a RunEpoch, flips its activity coin and
+// counts, per distinct serving satellite, the active served terminals
+// sharing its beam over the cell. Pass 2 accounts every terminal of the
+// cell.
 func (f *Fleet) walkCell(sc *epochScratch, k int) {
 	c := f.popCells[k]
 	lo, hi := int(f.cellStart[c]), int(f.cellStart[c+1])
-	cands := f.cands[f.candStart[k]:f.candStart[k+1]]
-	ub := f.candUB[f.candStart[k]:f.candStart[k+1]]
+	sc.cands = f.admit(k, sc.cands[:0])
+	cands := sc.cands
 	sc.satList, sc.satCnt = sc.satList[:0], sc.satCnt[:0]
 	var passed, seeded, seedWon int64
 	for t := lo; t < hi; t++ {
 		o := f.site(t)
 		prev := f.sat[t]
-		best, n := f.assign(&o, prev, cands, ub)
+		best, n := f.assign(&o, prev, cands)
 		passed += n
 		if prev >= 0 {
 			seeded++
@@ -91,11 +98,12 @@ func (f *Fleet) walkCell(sc *epochScratch, k int) {
 				seedWon++
 			}
 		}
-		f.finishAssignment(t, best)
+		f.finishAssignment(sc, t, best)
 		if f.account {
 			sc.flags[t-lo] = f.flipCoin(sc, t, prev)
 		}
 	}
+	sc.scan.CandEntries += len(cands)
 	sc.scan.Listed += int64(len(cands)) * int64(hi-lo)
 	sc.scan.BoundPassed += passed
 	sc.scan.Evaluated += passed + seeded
@@ -107,10 +115,11 @@ func (f *Fleet) walkCell(sc *epochScratch, k int) {
 
 // flipCoin returns terminal t's flags for the epoch and, if it is active
 // and served, counts it as a sharer of its satellite's beam. The coin is
-// draw < activeProb(local hour); the local hour (a Mod) and the cosine are
-// computed only when the draw lies inside activeProb's range, where they
-// decide it, or when the terminal is active and served, where pass 2 files
-// its share by the hour.
+// draw < activeProb(local hour); the local hour (a Mod) is computed only
+// when the draw lies inside activeProb's range, where it decides it, or
+// when the terminal is active and served, where pass 2 files its share by
+// the hour. Inside the range, the hour's bracket settles the coin, and
+// the cosine is computed only for a draw inside the bracket (activeAt).
 func (f *Fleet) flipCoin(sc *epochScratch, t int, prev int32) uint8 {
 	var fl uint8
 	s := f.sat[t]
@@ -124,7 +133,7 @@ func (f *Fleet) flipCoin(sc *epochScratch, t int, prev int32) uint8 {
 	h := -1.0
 	if draw >= activeProbMin {
 		h = localHour(f.utcHours, f.lon[t])
-		if draw >= activeProb(h) {
+		if !activeAt(h, draw) {
 			return fl
 		}
 	}
