@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet build test race bench pairs testtime
+.PHONY: check fmt vet build test race bench pairs testtime reach
 
 check: ## gofmt + vet + build + race-enabled tests (what CI runs)
 	./ci.sh
@@ -52,3 +52,37 @@ pairs:
 		echo "== pair $$i"; $(GO) run ./benchmark -compare $(PAIRS)/parent.json $(PAIRS)/change.json | grep -v -e '^$$' -e 'missing from one set'; \
 	done
 	git worktree remove --force $(PAIRS)/parent
+
+# Which functions no run reaches: builds every command and the benchmark
+# with coverage over the whole module into a temporary directory, runs the
+# quick report (paper and modern transport, with its exports), each
+# single-campaign command at small sizes and every benchmark workload at
+# its tiny sizes, untraced and traced, and prints
+# the functions none of those runs entered. A function listed here that no
+# test uses as an oracle or a fake is a deletion candidate. Not part of
+# ci.sh or tier-1 (~2 min).
+reach:
+	@set -e; dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
+	mkdir "$$dir/bin" "$$dir/cov"; export GOCOVERDIR="$$dir/cov"; b="$$dir/bin"; \
+	$(GO) build -cover -coverpkg=starlinkperf/... -o "$$b/" ./cmd/... ./benchmark; \
+	run() { "$$@" >/dev/null 2>&1 || { echo "reach: $$* failed" >&2; exit 1; }; }; \
+	run "$$b/starlink-bench" -quick -workers 2 -trace "$$dir/t.bin" -metrics.json "$$dir/m.json"; \
+	run "$$b/starlink-bench" -quick -workers 2 -transport modern -trace "$$dir/t.jsonl"; \
+	run "$$b/pingmon" -days 1 -interval 2h -reps 3 -workers 2; \
+	run "$$b/pingmon" -days 1 -interval 6h -scenario; \
+	run "$$b/speedtest" -count 1 -gap 1s; \
+	run "$$b/speedtest" -count 1 -gap 1s -conns 2 -tech satcom; \
+	run "$$b/webbench" -visits 2 -tech wired -v; \
+	run "$$b/webbench" -visits 2 -tech satcom; \
+	run "$$b/quicbench" -mode h3 -n 1 -size 2 -pcap "$$dir/q.pcap"; \
+	run "$$b/quicbench" -mode h3 -n 1 -size 2 -dir up; \
+	run "$$b/quicbench" -mode messages -n 1 -dur 20s -transport modern; \
+	run "$$b/tracebox"; \
+	run "$$b/tracebox" -tech satcom; \
+	run "$$b/errant-export" -tests 1 -o "$$dir/p.json"; \
+	for w in paper_report quic_bulk tcp_bulk small_packets fleet_scale; do \
+		run "$$b/benchmark" --workload $$w --tiny --seconds 1 --trace 0; \
+		run "$$b/benchmark" --workload $$w --tiny --seconds 1 --trace 1; \
+	done; \
+	$(GO) tool covdata textfmt -i="$$dir/cov" -o "$$dir/cov.txt"; \
+	$(GO) tool cover -func="$$dir/cov.txt" | awk '$$NF == "0.0%" { sub(/^starlinkperf\//, "", $$1); print $$1, $$2 }'

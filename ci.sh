@@ -58,10 +58,16 @@ echo "== no deleted mechanism in non-test code (DESIGN.md: Independent traffic s
 # the transport mechanisms no run reached or only the retired
 # -transport toggle list did (CUBIC idle cwnd decay, QUIC migration, the
 # pacer burst knobs), errant's unused import/draw half and the
-# -scenario.workers flag, which duplicated -workers, and starlink-bench's
+# -scenario.workers flag, which duplicated -workers, starlink-bench's
 # own copy of the report's sizes and scenario (the job list, sizes and
-# scenario live in internal/core/report.go).
-if grep -rnE 'PartitionedDriver|CrossEdge|AddCrossLink|snapshotRing|peekSnapshot|delayRing|islMemo|candCount|referenceReassignAt|epochPool|runPhase|phaseAssign|WirePoolStats struct|pktRing|txRing|frameQueue|rangeSet|byteRanges|cryptoRecv|offRange|compactMin|nstopped|\) compact\(|rebuildFIB|rebuildHandlers|fibDirty|hDirty|fibGroups|msgsInOrder|insertMsgKey|Hops \[\]Addr|wireFree|chunkFree|sentFree|frameFree|AnalyzeSenderView|obs\.Options|\(p \*Prober\) Observe|\(p \*Proxy\) Observe|pep\.New\(|NewNewReno|KindEnqueue|KindDequeue|IdleDecay|decayAfterIdle|AllowMigration|PathMigrations|PacingBurst|UnmarshalProfiles|LinkConfigs|"scenario\.workers"|sizesFor|paperScenario|prevSat|observeEpoch|observeCellInto|observeRange|assignRange|assignBlock|admitRow|candFill|scanSats|buildCandidates|candStart|candUB|satGwAt' --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark .; then
+# scenario live in internal/core/report.go), the report's fleet traffic
+# table and its sizes and wall (RenderTraffic, TrafficWall,
+# TrafficTerminals, TrafficSpan; its per-region RTT quantiles equal the
+# epoch campaign's, fleet's TestTrafficRTTPlausibility), the testbed
+# terminal's full-scan fallback (computeAssignmentFull; the clamped window
+# is the one scan), its DelayFunc and Handovers, which only tests called,
+# and the fleet's accounting-free walk (reassignAt; tests drive RunEpoch).
+if grep -rnE 'PartitionedDriver|CrossEdge|AddCrossLink|snapshotRing|peekSnapshot|delayRing|islMemo|candCount|referenceReassignAt|epochPool|runPhase|phaseAssign|WirePoolStats struct|pktRing|txRing|frameQueue|rangeSet|byteRanges|cryptoRecv|offRange|compactMin|nstopped|\) compact\(|rebuildFIB|rebuildHandlers|fibDirty|hDirty|fibGroups|msgsInOrder|insertMsgKey|Hops \[\]Addr|wireFree|chunkFree|sentFree|frameFree|AnalyzeSenderView|obs\.Options|\(p \*Prober\) Observe|\(p \*Proxy\) Observe|pep\.New\(|NewNewReno|KindEnqueue|KindDequeue|IdleDecay|decayAfterIdle|AllowMigration|PathMigrations|PacingBurst|UnmarshalProfiles|LinkConfigs|"scenario\.workers"|sizesFor|paperScenario|prevSat|observeEpoch|observeCellInto|observeRange|assignRange|assignBlock|admitRow|candFill|scanSats|buildCandidates|candStart|candUB|satGwAt|RenderTraffic|TrafficWall|TrafficTerminals|TrafficSpan|computeAssignmentFull|reassignAt|\) DelayFunc\(|\) Handovers\(' --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark .; then
     echo "a deleted mechanism is named above" >&2
     exit 1
 fi

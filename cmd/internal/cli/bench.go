@@ -67,8 +67,8 @@ func starlinkBench(args []string, stdout, stderr io.Writer) error {
 	opts.Progress = func(done, total int) {
 		fmt.Fprintf(stderr, "campaigns: %d/%d done\n", done, total)
 	}
-	fmt.Fprintf(stderr, "running the report's campaigns on %d workers, then the fleet (%d terminals over %v) and traffic (%d terminals over %v, sharded) scenarios...\n",
-		opts.WorkerCount(), sz.FleetTerminals, sz.FleetSpan, sz.TrafficTerminals, sz.TrafficSpan)
+	fmt.Fprintf(stderr, "running the report's campaigns on %d workers, then the fleet (%d terminals over %v) scenario...\n",
+		opts.WorkerCount(), sz.FleetTerminals, sz.FleetSpan)
 	report := core.RunReport(cfg, sz, opts)
 
 	// Engine telemetry, on stderr only and never part of the byte-diffed
@@ -81,11 +81,9 @@ func starlinkBench(args []string, stdout, stderr io.Writer) error {
 	}
 	fmt.Fprintf(stderr, "sweep: makespan %.3fs, busy %.3fs, imbalance %.2f (workers*makespan/busy)\n", report.Makespan.Seconds(),
 		busy.Seconds(), float64(min(opts.WorkerCount(), len(report.Jobs)))*report.Makespan.Seconds()/busy.Seconds())
-	fl, tr := report.Fleet, report.Traffic
+	fl := report.Fleet
 	fmt.Fprintf(stderr, "fleet: %d terminals, %d epochs, wall %.3fs, %.0f µs/epoch\n", fl.Terminals, fl.Epochs,
 		report.FleetWall.Seconds(), float64(report.FleetWall.Microseconds())/float64(max(1, fl.Epochs)))
-	fmt.Fprintf(stderr, "traffic: %d terminals, %d partitions, %d events, wall %.3fs\n", tr.Terminals, tr.Partitions,
-		tr.Events, report.TrafficWall.Seconds())
 
 	if err := report.Render(stdout); err != nil {
 		return err

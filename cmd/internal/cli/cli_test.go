@@ -24,7 +24,10 @@ import (
 // pinging again: its one test used to fail, fitting starlink-fitted to
 // down~1 up~1.0, and now succeeds (down~126 up~12.6), and starlink-bench
 // quick's t.bin when the per-packet link enqueue/dequeue records left the
-// trace. "{dir}" in args is the row's temporary directory; the same
+// trace, and all three of starlink-bench quick's hashes when the report
+// dropped the fleet traffic scenario (stdout loses its table; t.bin and
+// m.json lose the fleettraffic/* sources, m.json also the
+// leo.assign.full_scan counter). "{dir}" in args is the row's temporary directory; the same
 // substitution runs backwards on stdout, which names the files it wrote.
 var golden = []struct {
 	name, command, args string
@@ -80,13 +83,12 @@ var golden = []struct {
 	// The report-level equivalence proof: the quick report on one worker
 	// with both profiles written, against a run with every
 	// result-neutral axis flipped at once — eight workers (campaign
-	// shards and traffic scenario shards alike), the paper transport
+	// shards and the fleet's epoch walk alike), the paper transport
 	// selected explicitly. Figures, event trace and metrics registry
 	// must hash alike, and the trace must agree with the metrics cause
 	// by cause (checkTraceAgreesWithMetrics). A difference says only
 	// that some axis leaks; the per-stage tests say which — among them
-	// TestFleetScenarioWorkerInvariance,
-	// TestFleetTrafficScenarioWorkerInvariance and
+	// TestFleetScenarioWorkerInvariance and
 	// TestEpochCampaignWorkerInvariance, which hold the fleet at its
 	// default 10 000 terminals and above, where this row runs 200. A new
 	// result-neutral option is one more flag on the flipped run.
@@ -96,10 +98,10 @@ var golden = []struct {
 			{"baseline", "-workers 1 -cpuprofile {dir}/cpu.pprof -memprofile {dir}/mem.pprof"},
 			{"flipped", "-workers 8 -transport paper"},
 		},
-		stdout: "14ecd4d5511fd9a24e8dc65e3f85f952699e3dfe1203ea6d839a1a619625a2c9",
+		stdout: "8ce43334eeb9d4a4b451adba9b0b3312a3d6284685e17e98c5f9d1e677980afa",
 		files: map[string]string{
-			"t.bin":  "f61eab4c32335d021f86d7a60a3961736d4f40b54674072d38ab5bd24ff8b4c0",
-			"m.json": "e648bf4ea8295c87ce0f1b067b144c6547c009861578559d6b0eb10745022e88"}},
+			"t.bin":  "ff296d40dac0f6ec8020b497cb25f3eb0639b41bd909d4e1573f25e3b3973f35",
+			"m.json": "d2d493495fa0f62b05e394b1bdfe36bb82bc0d11ca81e0f4e3435591abb30ee0"}},
 }
 
 func sha(b []byte) string {
@@ -167,13 +169,13 @@ func checkGolden(t *testing.T, command, args, stdout string, files map[string]st
 	for _, want := range []string{
 		"Table 1", "Figure 1", "Figure 2", "Figure 3", "Table 2",
 		"Figure 5", "Figure 6", "Wired-baseline H3 downloads",
-		"starlink-fleet scenario", "high-north", "starlink-fleet traffic scenario",
+		"starlink-fleet scenario", "high-north",
 	} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("report missing %q", want)
 		}
 	}
-	for _, want := range []string{"campaigns:", "\nsweep: makespan", "\nfleet: ", "\ntraffic: "} {
+	for _, want := range []string{"campaigns:", "\nsweep: makespan", "\nfleet: "} {
 		if !strings.Contains(errOut.String(), want) {
 			t.Errorf("stderr misses %q:\n%s", want, errOut.String())
 		}

@@ -93,24 +93,3 @@ func orNoSample(v float64, none bool) float64 {
 	}
 	return v
 }
-
-// RenderTraffic prints the per-region probe table of the packet-level
-// fleet scenario — measured RTT distributions from actual ICMP exchanges
-// through the emulated bent-pipe network, as opposed to the analytic
-// latency model of the epoch campaign.
-func RenderTraffic(w io.Writer, res *fleet.TrafficResult) {
-	fmt.Fprintf(w, "=== starlink-fleet traffic scenario (independent shards) ===\n")
-	fmt.Fprintf(w, "%d terminals, %d partitions, %d probes sent, %d received, %d skipped (outage)\n\n",
-		res.Terminals, res.Partitions, res.ProbesSent, res.ProbesRecv, res.ProbesSkipped)
-	fmt.Fprintf(w, "%-14s %9s %9s %9s %7s %8s %8s\n",
-		"region", "sent", "recv", "skipped", "loss%", "rtt p50", "rtt p95")
-	empty := false
-	for _, rr := range res.Regions {
-		empty = empty || rr.Recv == 0
-		stats.Fprintf(w, "%-14s %9d %9d %9d %7.2f %8.1f %8.1f\n", rr.Region, rr.Sent, rr.Recv, rr.Skipped,
-			rr.LossPct, orNoSample(rr.RTTP50Ms, rr.Recv == 0), orNoSample(rr.RTTP95Ms, rr.Recv == 0))
-	}
-	if empty {
-		fmt.Fprintf(w, "%s: no reply received\n", stats.NoSample)
-	}
-}

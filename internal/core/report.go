@@ -13,7 +13,7 @@ import (
 )
 
 // This file is the paper's evaluation as one value: its 14 campaigns, the
-// two fleet scenarios and the order Tables 1–2 and Figures 1–6 print in.
+// fleet scenario and the order Tables 1–2 and Figures 1–6 print in.
 // benchmark/stages.go keeps the last copy of its job list.
 
 // Sizes fixes every campaign dimension of one report.
@@ -24,8 +24,8 @@ type Sizes struct {
 	MsgDur                             time.Duration
 	SpeedtestStarlink, SpeedtestSatCom int
 	WebVisits, WeheRepeats, Baseline   int // visits per vantage point, Wehe repeats, wired H3 downloads
-	FleetTerminals, TrafficTerminals   int
-	FleetSpan, TrafficSpan             time.Duration
+	FleetTerminals                     int
+	FleetSpan                          time.Duration
 }
 
 // QuickSizes is the smoke-sized report CI and `starlink-bench -quick` run.
@@ -37,13 +37,12 @@ func QuickSizes() Sizes {
 		SpeedtestStarlink: 2, SpeedtestSatCom: 2,
 		WebVisits: 4, WeheRepeats: 1, Baseline: 1,
 		FleetTerminals: 10000, FleetSpan: 2 * time.Hour,
-		TrafficTerminals: 4000, TrafficSpan: 30 * time.Second,
 	}
 }
 
 // ScaleSizes lengthens the campaigns linearly with scale (>= 1) towards
 // the paper's sample sizes, capped at its 150-day latency campaign, 10
-// Wehe repeats, a one-day fleet horizon and 8 minutes of fleet traffic.
+// Wehe repeats and a one-day fleet horizon.
 func ScaleSizes(scale int) Sizes {
 	latInterval := 30 * time.Minute
 	if scale >= 4 {
@@ -56,7 +55,6 @@ func ScaleSizes(scale int) Sizes {
 		SpeedtestStarlink: 16 * scale, SpeedtestSatCom: 8 * scale,
 		WebVisits: 40 * scale, WeheRepeats: min(10, 2*scale), Baseline: 4,
 		FleetTerminals: 20000, FleetSpan: time.Duration(min(24, 6*scale)) * time.Hour,
-		TrafficTerminals: 10000, TrafficSpan: time.Duration(min(8, 2*scale)) * time.Minute,
 	}
 }
 
@@ -71,7 +69,7 @@ func PaperScenario(cfg Config) Config {
 }
 
 // Report is what one run of the paper's evaluation measured: one field
-// per campaign and per fleet scenario.
+// per campaign and one for the fleet scenario.
 type Report struct {
 	Sizes                              Sizes
 	Latency                            *LatencyData // under PaperScenario
@@ -84,14 +82,13 @@ type Report struct {
 	Wehe                               []wehe.Detection
 	Baseline                           *H3Campaign // wired H3 downloads
 	Fleet                              *fleet.Result
-	Traffic                            *fleet.TrafficResult
 
 	// Engine telemetry, never rendered: each sweep job's scheduler and
-	// wall time in job order, the sweep's makespan, and the walls of the
-	// fleet and traffic scenarios that run after it.
-	Jobs                   []JobStat
-	Makespan               time.Duration
-	FleetWall, TrafficWall time.Duration
+	// wall time in job order, the sweep's makespan, and the wall of the
+	// fleet scenario that runs after it.
+	Jobs      []JobStat
+	Makespan  time.Duration
+	FleetWall time.Duration
 }
 
 // JobStat is how many events one sweep job's scheduler ran, how deep its
@@ -106,9 +103,8 @@ type JobStat struct {
 // RunReport runs the paper's evaluation at sizes sz. The 14 campaigns are
 // independent sweep jobs, each on its own testbed seeded per job, so they
 // fan out over opts.Workers and the report is worker-count invariant; the
-// fleet scenario and the packet-level traffic scenario follow on the same
-// options. When opts.Obs carries a collector, every job, the fleet
-// ("fleet/0000") and the traffic shards register with it.
+// fleet scenario follows on the same options. When opts.Obs carries a
+// collector, every job and the fleet ("fleet/0000") register with it.
 func RunReport(cfg Config, sz Sizes, opts Options) *Report {
 	r := &Report{Sizes: sz}
 	job := func(name string, cfg Config, run func(tb *Testbed)) SweepJob {
@@ -153,11 +149,6 @@ func RunReport(cfg Config, sz Sizes, opts Options) *Report {
 	start = time.Now()
 	r.Fleet = RunFleetScenario(fleet.Config{Terminals: sz.FleetTerminals, Horizon: sz.FleetSpan}, opts)
 	r.FleetWall = time.Since(start)
-	start = time.Now()
-	r.Traffic = RunFleetTraffic(fleet.TrafficConfig{
-		Fleet: fleet.Config{Terminals: sz.TrafficTerminals, Horizon: sz.TrafficSpan, Epoch: 15 * time.Second},
-	}, opts)
-	r.TrafficWall = time.Since(start)
 	return r
 }
 
@@ -200,8 +191,6 @@ func (r *Report) Render(w io.Writer) error {
 	RenderWehe(&out, "starlink", r.Wehe)
 	out.WriteString("\n")
 	RenderFleet(&out, r.Fleet)
-	out.WriteString("\n")
-	RenderTraffic(&out, r.Traffic)
 
 	var sent, lost uint64
 	for _, rec := range r.Baseline.Records {

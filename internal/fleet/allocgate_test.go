@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"starlinkperf/internal/obs"
 	"starlinkperf/internal/sim"
 )
 
@@ -24,31 +25,28 @@ func (c *epochClock) next() (int, sim.Time) {
 // warmEpochs is how many epochs a gate runs before it measures.
 const warmEpochs = 8
 
-// TestAllocGateFleetReassign holds the per-epoch cell-indexed
-// reassignment walk — snapshot refill, candidate CSR build with the
-// listed satellites' gateways, per-terminal scan, delay derivation — to
-// zero allocations per fresh epoch on a single worker.
+// TestAllocGateFleetReassign holds the per-epoch cell walk — snapshot
+// refill, per-cell admission with the listed satellites' gateways,
+// per-terminal scan, delay derivation, beam-contention accounting and the
+// merge — to zero allocations per fresh epoch on a single worker.
 func TestAllocGateFleetReassign(t *testing.T) {
 	fl := New(Config{Seed: 5, Terminals: 3000, Workers: 1})
 	var clk epochClock
 	for i := 0; i < warmEpochs; i++ {
-		_, at := clk.next()
-		fl.reassignAt(at)
+		fl.RunEpoch(clk.next())
 	}
 	if avg := testing.AllocsPerRun(80, func() {
-		_, at := clk.next()
-		fl.reassignAt(at)
+		fl.RunEpoch(clk.next())
 	}); avg != 0 {
-		t.Errorf("fleet reassign: %v allocs per fresh epoch, want 0", avg)
+		t.Errorf("fleet epoch: %v allocs per fresh epoch, want 0", avg)
 	}
 }
 
-// TestAllocGateObserveEpoch extends the gate over the walk's
-// beam-contention accounting and the merge on a single worker (without obs
-// attached — tracer emission is itself alloc-free but counter registration
-// happens at New time either way).
+// TestAllocGateObserveEpoch extends the gate to an observed fleet: the
+// per-region histograms, counters and the epoch's trace records (counter
+// registration happens at New time).
 func TestAllocGateObserveEpoch(t *testing.T) {
-	fl := New(Config{Seed: 5, Terminals: 3000, Workers: 1})
+	fl := New(Config{Seed: 5, Terminals: 3000, Workers: 1, Obs: obs.NewSink(0)})
 	var clk epochClock
 	for i := 0; i < warmEpochs; i++ {
 		fl.RunEpoch(clk.next())
@@ -56,7 +54,7 @@ func TestAllocGateObserveEpoch(t *testing.T) {
 	if avg := testing.AllocsPerRun(40, func() {
 		fl.RunEpoch(clk.next())
 	}); avg != 0 {
-		t.Errorf("assign+account: %v allocs per fresh epoch, want 0", avg)
+		t.Errorf("observed epoch: %v allocs per fresh epoch, want 0", avg)
 	}
 }
 
@@ -117,14 +115,12 @@ func BenchmarkReassignCellIndex(b *testing.B) {
 	fl := New(Config{Seed: 5, Terminals: 10000, Workers: 1})
 	var clk epochClock
 	for i := 0; i < warmEpochs; i++ {
-		_, at := clk.next()
-		fl.reassignAt(at)
+		fl.RunEpoch(clk.next())
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, at := clk.next()
-		fl.reassignAt(at)
+		fl.RunEpoch(clk.next())
 	}
 }
 

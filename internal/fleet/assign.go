@@ -7,12 +7,6 @@ import (
 	"starlinkperf/internal/sim"
 )
 
-// reassignAt assigns every terminal its serving satellite, gateway and
-// bent-pipe delay for the instant at: RunEpoch's walk without the
-// accounting, which the equivalence tests hold to the all-satellites
-// oracle at arbitrary instants.
-func (f *Fleet) reassignAt(at sim.Time) { f.walk(at, false) }
-
 // walk runs one epoch's cell walk at instant at: the satellite-side tables
 // (prepare), then every populated cell on the fleet's worker pool in the
 // cell-aligned ranges New bound (walkCell: admission, then assignment),
@@ -23,9 +17,8 @@ func (f *Fleet) reassignAt(at sim.Time) { f.walk(at, false) }
 // allocates nothing once the workers' candidate lists have grown to their
 // working size: the snapshot is one table the fleet owns and refills in
 // place, and the pool runs a body bound once in New.
-func (f *Fleet) walk(at sim.Time, account bool) {
+func (f *Fleet) walk(at sim.Time) {
 	f.prepare(at)
-	f.account = account
 	f.workers.Run(len(f.walkRanges)-1, f.walkBody)
 	f.scan.Epochs++
 	f.scan.CandEntries = 0

@@ -6,6 +6,9 @@ import (
 	"starlinkperf/internal/geo"
 )
 
+// cellDeg is the geodesic cell height in degrees of latitude.
+const cellDeg = 2.5
+
 // cellGrid tiles the sphere into latitude rows of cellDeg height, each
 // split into longitude cells whose count shrinks with cos(latitude) so
 // cells stay roughly equal-area (~2.5° ≈ 280 km at the equator). Cell
@@ -21,9 +24,8 @@ import (
 // them later), but must never miss one a terminal could see. FuzzCellIndex
 // hammers exactly that superset property, FuzzSinElevationBound the bound.
 type cellGrid struct {
-	cellDeg float64
-	rows    []gridRow
-	nCells  int
+	rows   []gridRow
+	nCells int
 }
 
 type gridRow struct {
@@ -39,9 +41,9 @@ type gridRow struct {
 	radius float64
 }
 
-func newCellGrid(cellDeg float64) *cellGrid {
+func newCellGrid() *cellGrid {
 	nRows := int(math.Ceil(180 / cellDeg))
-	g := &cellGrid{cellDeg: cellDeg, rows: make([]gridRow, 0, nRows)}
+	g := &cellGrid{rows: make([]gridRow, 0, nRows)}
 	start := 0
 	for r := 0; r < nRows; r++ {
 		latLo := -90 + float64(r)*cellDeg
@@ -80,7 +82,7 @@ func (g *cellGrid) cellOf(latDeg, lonDeg float64) int32 {
 	if latDeg > 90 {
 		latDeg = 90
 	}
-	r := int((latDeg + 90) / g.cellDeg)
+	r := int((latDeg + 90) / cellDeg)
 	if r >= len(g.rows) {
 		r = len(g.rows) - 1
 	}

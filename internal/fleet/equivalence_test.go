@@ -228,7 +228,7 @@ func (f *Fleet) referenceObserveEpoch(e int, at sim.Time, prev []int32) {
 				f.epochHo[f.region[t]]++
 			}
 			if active[t] {
-				share := f.cfg.MaxTermMbps
+				share := maxTermMbps
 				for k, s := range satList {
 					if s == f.sat[t] {
 						if per := f.cfg.BeamMbps / float64(satCnt[k]); per < share {
@@ -273,7 +273,7 @@ func checkReassignMatchesReference(t *testing.T, name string, cfg Config, prep f
 // instants — repeated, out of order, far apart. The oracle has no memory, so
 // it also holds the pruned scan to forgetting where it started: each
 // terminal's previous satellite may only decide how much is scored. before,
-// if non-nil, sees the cell-indexed fleet ahead of every reassignAt with the
+// if non-nil, sees the cell-indexed fleet ahead of every RunEpoch with the
 // snapshot and candidate index of the instant about to be assigned.
 func checkReassignAt(t *testing.T, name string, cfg Config, prep func(*Fleet), instants []sim.Time, before func(step int, fast *Fleet)) *Fleet {
 	t.Helper()
@@ -289,7 +289,7 @@ func checkReassignAt(t *testing.T, name string, cfg Config, prep func(*Fleet), i
 			fast.prepare(at)
 			before(i, fast)
 		}
-		fast.reassignAt(at)
+		fast.RunEpoch(i, at)
 		ref.referenceReassignAt(at)
 		if !reflect.DeepEqual(fast.sat, ref.sat) {
 			t.Fatalf("%s step %d (%v): serving sats diverge", name, i, at)
@@ -626,7 +626,7 @@ func TestSinElevationBound(t *testing.T) {
 		fl := New(tc.cfg)
 		pairs := 0
 		for e := 0; e < 12; e++ {
-			fl.reassignAt(sim.Time(int64(e) * int64(40*time.Second)))
+			fl.RunEpoch(e, sim.Time(int64(e)*int64(40*time.Second)))
 			pairs += checkBounds(t, fl)
 		}
 		if pairs == 0 {
@@ -645,7 +645,7 @@ func TestScanStats(t *testing.T) {
 	for _, workers := range []int{1, 2, 4} {
 		fl := New(Config{Seed: 9, Terminals: 9000, Workers: workers})
 		for e := 0; e < 8; e++ {
-			fl.reassignAt(sim.Time(int64(e) * int64(15*time.Second)))
+			fl.RunEpoch(e, sim.Time(int64(e)*int64(15*time.Second)))
 		}
 		st := fl.ScanStats()
 		fl.Close()
@@ -822,7 +822,7 @@ func TestReassignWorkerInvariance(t *testing.T) {
 	for e := 0; e < 6; e++ {
 		at := sim.Time(int64(e) * int64(15*time.Second))
 		for _, fl := range fleets {
-			fl.reassignAt(at)
+			fl.RunEpoch(e, at)
 		}
 		for i, fl := range fleets[1:] {
 			if !reflect.DeepEqual(fleets[0].sat, fl.sat) || !reflect.DeepEqual(fleets[0].delayNs, fl.delayNs) {

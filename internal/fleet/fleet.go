@@ -41,6 +41,10 @@ import (
 // only has to dominate floating-point rounding in the window arithmetic.
 const reachMarginRad = 0.005
 
+// maxTermMbps caps what a single terminal can draw from an uncontended
+// beam.
+const maxTermMbps = 250.0
+
 // Config parameterizes a fleet scenario. The zero value of every field
 // selects a sensible default (see withDefaults), so Config{} runs the
 // quick global scenario.
@@ -56,19 +60,13 @@ type Config struct {
 	// Epoch is the reassignment interval (default 15s, the Starlink
 	// reallocation granularity the paper observes).
 	Epoch time.Duration
-	// MaskDeg is the terminal elevation mask (default 25°).
+	// MaskDeg is the terminal elevation mask (default
+	// leo.TerminalMaskDeg, 25°).
 	MaskDeg float64
-	// CellDeg is the geodesic cell height in degrees of latitude
-	// (default 2.5°; longitude widths shrink with cos(lat) so cells stay
-	// roughly equal-area).
-	CellDeg float64
 	// BeamMbps is the capacity of one satellite beam over one cell
 	// (default 800). Active terminals in a cell served by the same
 	// satellite split it evenly.
 	BeamMbps float64
-	// MaxTermMbps caps what a single terminal can draw from an
-	// uncontended beam (default 250).
-	MaxTermMbps float64
 	// Workers parallelizes the epoch walk and placement over this many
 	// goroutines (default 1). Results are worker-count invariant.
 	Workers int
@@ -94,16 +92,10 @@ func (c Config) withDefaults() Config {
 		c.Epoch = 15 * time.Second
 	}
 	if c.MaskDeg == 0 {
-		c.MaskDeg = 25
-	}
-	if c.CellDeg <= 0 {
-		c.CellDeg = 2.5
+		c.MaskDeg = leo.TerminalMaskDeg
 	}
 	if c.BeamMbps <= 0 {
 		c.BeamMbps = 800
-	}
-	if c.MaxTermMbps <= 0 {
-		c.MaxTermMbps = 250
 	}
 	if c.Workers <= 0 {
 		c.Workers = 1
@@ -191,7 +183,6 @@ type Fleet struct {
 	walkBody   func(w, i int)
 	scratch    []epochScratch
 	walkRanges []int32
-	account    bool
 	epoch      int
 	utcHours   float64
 }
@@ -241,7 +232,7 @@ func New(cfg Config) *Fleet {
 	f.con = leo.NewConstellation(shells...)
 	f.satPos, f.sky = make([]geo.ECEF, offset), make([]skySat, 0, offset)
 	f.sinMask = math.Sin(geo.Radians(cfg.MaskDeg))
-	f.grid = newCellGrid(cfg.CellDeg)
+	f.grid = newCellGrid()
 	for si := range f.shells {
 		m := &f.shells[si]
 		m.cosReach = make([]float64, len(f.grid.rows))
@@ -447,7 +438,7 @@ func (f *Fleet) Run() *Result {
 // of the workers' scratch and the epoch's trace records.
 func (f *Fleet) RunEpoch(e int, at sim.Time) {
 	f.epoch, f.utcHours = e, at.Seconds()/3600
-	f.walk(at, true)
+	f.walk(at)
 	clear(f.epochOut)
 	clear(f.epochHo)
 	for w := range f.scratch {

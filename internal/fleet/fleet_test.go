@@ -159,7 +159,7 @@ func TestFleetSortedByCell(t *testing.T) {
 // antimeridian: ±90° clamp into the polar rows, +180° and -180° are the
 // same cell, and every cell id is in range.
 func TestCellOfEdges(t *testing.T) {
-	g := newCellGrid(2.5)
+	g := newCellGrid()
 	if g.nCells <= 0 {
 		t.Fatal("empty grid")
 	}

@@ -97,7 +97,7 @@ func FuzzCellIndex(f *testing.F) {
 		fl := fuzzProbe(t, lat, lon, polar)
 		for _, e := range []int64{int64(step % 16), int64(step%16) + 1} {
 			at := sim.Time(e * int64(15*time.Second))
-			fl.reassignAt(at)
+			fl.RunEpoch(int(e), at)
 
 			cell := fl.popCells[0]
 			have := make(map[int32]bool)
@@ -142,7 +142,7 @@ func FuzzSinElevationBound(f *testing.F) {
 		fuzzMu.Lock()
 		defer fuzzMu.Unlock()
 		fl := fuzzProbe(t, lat, lon, polar)
-		fl.reassignAt(sim.Time(int64(step%16) * int64(15*time.Second)))
+		fl.RunEpoch(int(step%16), sim.Time(int64(step%16)*int64(15*time.Second)))
 		checkBounds(t, fl)
 	})
 }

@@ -7,9 +7,9 @@ import (
 
 // An epoch is one walk over the populated cells on the Fleet's
 // sim.Workers, in the cell-aligned ranges New bound: each cell assigns its
-// terminals and, in a RunEpoch, accounts them into one epochScratch per
-// worker, drained in worker order by integer merges, so results, metrics
-// and traces are bit-identical for any worker count
+// terminals and accounts them into one epochScratch per worker, drained in
+// worker order by integer merges, so results, metrics and traces are
+// bit-identical for any worker count
 // (TestEpochCampaignWorkerInvariance; TestRunReferenceEquivalence).
 
 // epochScratch is one worker's private state: per-region tallies and
@@ -76,10 +76,9 @@ const (
 // walkCell runs the epoch for populated cell k into sc. It first admits
 // the cell's candidates into sc's list, best bound first (admit). Pass 1
 // gives every terminal its satellite (assign, against the satellite it
-// held entering the epoch) and, in a RunEpoch, flips its activity coin and
-// counts, per distinct serving satellite, the active served terminals
-// sharing its beam over the cell. Pass 2 accounts every terminal of the
-// cell.
+// held entering the epoch), flips its activity coin and counts, per
+// distinct serving satellite, the active served terminals sharing its beam
+// over the cell. Pass 2 accounts every terminal of the cell.
 func (f *Fleet) walkCell(sc *epochScratch, k int) {
 	c := f.popCells[k]
 	lo, hi := int(f.cellStart[c]), int(f.cellStart[c+1])
@@ -99,18 +98,14 @@ func (f *Fleet) walkCell(sc *epochScratch, k int) {
 			}
 		}
 		f.finishAssignment(sc, t, best)
-		if f.account {
-			sc.flags[t-lo] = f.flipCoin(sc, t, prev)
-		}
+		sc.flags[t-lo] = f.flipCoin(sc, t, prev)
 	}
 	sc.scan.CandEntries += len(cands)
 	sc.scan.Listed += int64(len(cands)) * int64(hi-lo)
 	sc.scan.BoundPassed += passed
 	sc.scan.Evaluated += passed + seeded
 	sc.scan.SeedWon += seedWon
-	if f.account {
-		f.accountCell(sc, lo, hi)
-	}
+	f.accountCell(sc, lo, hi)
 }
 
 // flipCoin returns terminal t's flags for the epoch and, if it is active
@@ -180,7 +175,7 @@ func (f *Fleet) accountCell(sc *epochScratch, lo, hi int) {
 		if fl&active == 0 {
 			continue
 		}
-		share := f.cfg.MaxTermMbps
+		share := maxTermMbps
 		for k, s := range sc.satList {
 			if s == f.sat[t] {
 				if per := f.cfg.BeamMbps / float64(sc.satCnt[k]); per < share {

@@ -107,12 +107,6 @@ func GreatCircleKm(a, b LatLon) float64 {
 	return 2 * EarthRadiusKm * math.Asin(math.Min(1, math.Sqrt(h)))
 }
 
-// SlantRangeKm returns the straight-line distance between two geodetic
-// points (altitudes included) in kilometers.
-func SlantRangeKm(a, b LatLon) float64 {
-	return a.ToECEF().Distance(b.ToECEF())
-}
-
 // ElevationDeg returns the elevation angle, in degrees, of target as seen
 // from observer: 90° is the zenith, 0° the local horizon, negative values
 // below the horizon.
@@ -201,13 +195,6 @@ func OrbitalPeriod(altKm float64) time.Duration {
 	a := EarthRadiusKm + altKm // semi-major axis
 	sec := 2 * math.Pi * math.Sqrt(a*a*a/EarthMuKm3S2)
 	return time.Duration(sec * float64(time.Second))
-}
-
-// CoverageRadiusKm returns the radius, along the Earth surface, of the
-// footprint inside which a satellite at altKm is seen above
-// minElevationDeg. Standard spherical-triangle result.
-func CoverageRadiusKm(altKm, minElevationDeg float64) float64 {
-	return EarthRadiusKm * CoverageCentralAngleRad(EarthRadiusKm, EarthRadiusKm+altKm, minElevationDeg)
 }
 
 // CoverageCentralAngleRad returns the maximum Earth-central angle between

@@ -1,6 +1,7 @@
 package leo
 
 import (
+	"math"
 	"slices"
 	"testing"
 	"time"
@@ -30,7 +31,7 @@ func (t *Terminal) computeAssignmentReference(at sim.Time) Assignment {
 		satPos := t.con.Position(id, at)
 		satLL := satPos.ToLatLon()
 		elev := geo.ElevationDeg(t.cfg.Pos, satLL)
-		if elev < t.cfg.MinElevationDeg || elev <= bestElev {
+		if elev < t.maskDeg || elev <= bestElev {
 			return
 		}
 		gw := t.referenceBestGateway(satLL, satPos)
@@ -158,10 +159,10 @@ func TestFastPathMatchesReference48h(t *testing.T) {
 	}
 }
 
-// TestFastPathMatchesReferencePartialShell exercises the fallback-heavy
+// TestFastPathMatchesReferencePartialShell exercises the gap-heavy
 // regime: a sparse shell has real coverage gaps, so the pruned scan
-// frequently comes up empty and the full-scan fallback must still agree
-// with the reference.
+// frequently comes up empty, and every empty answer must be the
+// reference's too.
 func TestFastPathMatchesReferencePartialShell(t *testing.T) {
 	con := NewConstellation(NewPartialShell(StarlinkGen1(), 0.3))
 	term := NewTerminal(DefaultTerminalConfig(louvain), con, testGateways())
@@ -178,7 +179,7 @@ func TestFastPathMatchesReferencePartialShell(t *testing.T) {
 		}
 	}
 	if gaps == 0 {
-		t.Error("30% shell shows no gaps; fallback path not exercised")
+		t.Error("30% shell shows no gaps; empty windows not exercised")
 	}
 }
 
@@ -224,6 +225,36 @@ func TestPruningAtInclinationLatitude(t *testing.T) {
 	}
 	if served == 0 {
 		t.Error("no served epochs at the inclination latitude")
+	}
+}
+
+// TestUnboundedWindowMatchesReference lowers the mask to or below -90°,
+// where the coverage central angle reaches π and bounds nothing: the
+// clamped window must widen every plane to all of its satellites, so the
+// scan still finds the reference's answer — the satellite highest in the
+// sky (the reference seeds its argmax at -1°) that a gateway sees — on a
+// full shell and on a sparse one.
+func TestUnboundedWindowMatchesReference(t *testing.T) {
+	for _, maskDeg := range []float64{-90, -135} {
+		for _, frac := range []float64{1, 0.3} {
+			con := NewConstellation(NewPartialShell(StarlinkGen1(), frac))
+			term := NewTerminal(DefaultTerminalConfig(louvain), con, testGateways())
+			term.maskDeg, term.sinMask = maskDeg, math.Sin(geo.Radians(maskDeg))
+			served := 0
+			for ep := int64(0); ep < 300; ep++ {
+				at := sim.Time(ep * int64(15*time.Second))
+				fast, ref := term.AssignmentAt(at), term.referenceAssignmentAt(at)
+				if fast != ref {
+					t.Fatalf("mask %v°, shell %.0f%%, epoch %d: fast %+v != reference %+v", maskDeg, 100*frac, ep, fast, ref)
+				}
+				if fast.OK {
+					served++
+				}
+			}
+			if served == 0 {
+				t.Errorf("mask %v°, shell %.0f%%: no served epoch; the comparison is vacuous", maskDeg, 100*frac)
+			}
+		}
 	}
 }
 
@@ -278,7 +309,7 @@ func TestFillSnapshotReuse(t *testing.T) {
 	check(con, sim.Time(105*time.Second))
 }
 
-// TestAssignmentOutOfOrderEpochs queries epochs the way Handovers
+// TestAssignmentOutOfOrderEpochs queries epochs the way a handover walk
 // back-fills them — behind the last answer, ahead of it, the same one
 // twice — and holds every answer to the from-scratch oracle: the one-slot
 // memo must never serve another epoch's assignment.
@@ -300,12 +331,12 @@ func TestAssignmentOutOfOrderEpochs(t *testing.T) {
 		t.Errorf("only %d distinct assignments over the walk; a stale slot would go unnoticed", len(distinct))
 	}
 
-	// A Handovers call that ends behind the clock, then the same window
+	// A handover walk that ends behind the clock, then the same window
 	// again after the clock moved on: same list.
-	first := term.Handovers(0, sim.Time(20*time.Minute))
+	first := handoversIn(term, 0, sim.Time(20*time.Minute))
 	term.AssignmentAt(sim.Time(2 * time.Hour))
-	if again := term.Handovers(0, sim.Time(20*time.Minute)); !slices.Equal(first, again) {
-		t.Errorf("Handovers over one window differ after the clock moved: %d vs %d entries", len(first), len(again))
+	if again := handoversIn(term, 0, sim.Time(20*time.Minute)); !slices.Equal(first, again) {
+		t.Errorf("handovers over one window differ after the clock moved: %d vs %d entries", len(first), len(again))
 	}
 	if len(first) == 0 {
 		t.Error("no handovers in 20 minutes; back-fill pattern unexercised")

@@ -222,9 +222,3 @@ func (g GeoSatellite) BentPipeDelay(user, teleport geo.LatLon) time.Duration {
 	down := sat.Distance(teleport.ToECEF())
 	return geo.RadioDelay(up + down)
 }
-
-// Visible reports whether the GEO satellite clears minElevationDeg at the
-// user location.
-func (g GeoSatellite) Visible(user geo.LatLon, minElevationDeg float64) bool {
-	return geo.ElevationDegECEF(user.ToECEF(), g.Position()) >= minElevationDeg
-}

@@ -21,11 +21,14 @@ type Gateway struct {
 	MinElevationDeg float64
 }
 
+// TerminalMaskDeg is the elevation mask of a Starlink dish's phased
+// array: a satellite lower in its sky cannot serve it. The testbed
+// terminal and the fleet's default mask both read it.
+const TerminalMaskDeg = 25.0
+
 // TerminalConfig configures a user terminal.
 type TerminalConfig struct {
 	Pos geo.LatLon
-	// MinElevationDeg is the phased-array mask; Starlink dishes use 25°.
-	MinElevationDeg float64
 	// Epoch is the serving-satellite reallocation interval. Starlink
 	// reassigns every 15 s.
 	Epoch time.Duration
@@ -33,7 +36,7 @@ type TerminalConfig struct {
 
 // DefaultTerminalConfig returns the dishy defaults at a position.
 func DefaultTerminalConfig(pos geo.LatLon) TerminalConfig {
-	return TerminalConfig{Pos: pos, MinElevationDeg: 25, Epoch: 15 * time.Second}
+	return TerminalConfig{Pos: pos, Epoch: 15 * time.Second}
 }
 
 // Assignment is the serving satellite and gateway for one epoch.
@@ -110,9 +113,10 @@ const pruneMarginRad = 0.005
 // contributes at most a few candidates), and all visibility checks are
 // ECEF-native sine comparisons against precomputed observer geometry. The
 // result is identical to the naive all-satellite scan in degrees, which
-// the equivalence tests keep as their oracle; when the pruned window finds
-// no serving satellite the terminal falls back to a full scan, so
-// correctness never rests on the pruning bound.
+// the equivalence tests keep as their oracle. There is no second scan:
+// the window is exact spherical geometry padded by pruneMarginRad, and
+// where the bound is useless (λ ≥ π) it is clamped so every plane
+// contributes all of its satellites.
 //
 // Terminal is not safe for concurrent use; the simulation is
 // single-threaded.
@@ -130,7 +134,9 @@ type Terminal struct {
 	assign      Assignment
 	assignValid bool
 
-	// Observer geometry, fixed for the terminal's lifetime.
+	// Observer geometry, fixed for the terminal's lifetime: maskDeg is
+	// TerminalMaskDeg (in-package tests lower it with sinMask).
+	maskDeg float64
 	posECEF geo.ECEF
 	posNorm float64
 	// upX/upY/upZ is the unit local-up vector posECEF/|posECEF|.
@@ -154,7 +160,6 @@ type Terminal struct {
 // observability is disabled.
 type termObs struct {
 	assignPruned *obs.Counter
-	assignFull   *obs.Counter
 	delayHit     *obs.Counter
 	delayMiss    *obs.Counter
 }
@@ -166,7 +171,6 @@ func (t *Terminal) Observe(reg *obs.Registry) {
 	}
 	t.obs = &termObs{
 		assignPruned: reg.Counter("leo.assign.pruned"),
-		assignFull:   reg.Counter("leo.assign.full_scan"),
 		delayHit:     reg.Counter("leo.delay.cache_hit"),
 		delayMiss:    reg.Counter("leo.delay.cache_miss"),
 	}
@@ -182,6 +186,7 @@ func NewTerminal(cfg TerminalConfig, con *Constellation, gateways []Gateway) *Te
 		cfg:            cfg,
 		con:            con,
 		gateways:       gateways,
+		maskDeg:        TerminalMaskDeg,
 		epochNS:        int64(cfg.Epoch),
 		delayQuantumNS: int64(100 * time.Millisecond),
 	}
@@ -192,7 +197,7 @@ func NewTerminal(cfg TerminalConfig, con *Constellation, gateways []Gateway) *Te
 		t.upY = t.posECEF.Y / t.posNorm
 		t.upZ = t.posECEF.Z / t.posNorm
 	}
-	t.sinMask = math.Sin(geo.Radians(cfg.MinElevationDeg))
+	t.sinMask = math.Sin(geo.Radians(t.maskDeg))
 	t.gws = NewGatewayTable(gateways)
 	return t
 }
@@ -208,25 +213,6 @@ func (t *Terminal) AssignmentAt(at sim.Time) Assignment {
 		t.assignEpoch, t.assignValid = ep, true
 	}
 	return t.assign
-}
-
-// computeAssignment selects, at the epoch start, the visible satellite
-// with the highest elevation from the terminal among those that can also
-// reach a gateway; ties in gateway choice go to the shortest downlink.
-func (t *Terminal) computeAssignment(at sim.Time) Assignment {
-	if a := t.computeAssignmentPruned(at); a.OK {
-		if t.obs != nil {
-			t.obs.assignPruned.Inc()
-		}
-		return a
-	}
-	// Empty pruned set (coverage gap, exotic mask, latitude outside the
-	// shell): decide from the full scan so the answer never depends on
-	// the pruning bound.
-	if t.obs != nil {
-		t.obs.assignFull.Inc()
-	}
-	return t.computeAssignmentFull(at)
 }
 
 // scanState carries the running argmax of a candidate scan. Elevation is
@@ -262,18 +248,26 @@ func (t *Terminal) consider(st *scanState, id SatID, satPos geo.ECEF) {
 	st.bestSin = sinEl
 }
 
-// computeAssignmentPruned scans only the satellites whose argument of
-// latitude falls inside the per-plane window that can clear the mask.
+// computeAssignment selects, at the epoch start, the visible satellite
+// with the highest elevation from the terminal among those that can also
+// reach a gateway; ties in gateway choice go to the shortest downlink. It
+// scans only the satellites whose argument of latitude falls inside the
+// per-plane window that can clear the mask.
 //
 // For plane with ascending-node longitude N and inclination i, the unit
 // satellite direction at argument of latitude u is p̂·cos u + q̂·sin u with
 // p̂ = (cos N, sin N, 0) and q̂ = (-sin N·cos i, cos N·cos i, sin i). Its
 // dot product with the observer's unit up-vector û is therefore
 // A·cos u + B·sin u = C·cos(u-φ) with A = û·p̂, B = û·q̂. Visibility
-// requires that dot to exceed cos λmax (λmax the coverage central angle
-// from the mask and shell radius), i.e. |u-φ| ≤ acos(cos λmax / C) — and
-// no satellite of a plane with C < cos λmax is ever visible at all.
-func (t *Terminal) computeAssignmentPruned(at sim.Time) Assignment {
+// requires that dot to reach cos λmax (λmax the coverage central angle
+// from the mask and shell radius, clamped at π), i.e. |u-φ| ≤
+// acos(cos λmax / C) — and no satellite of a plane with C < cos λmax is
+// ever visible at all. A plane with C = 0 (its pole is the observer's
+// up) sees every satellite at a right angle, in view iff cos λmax ≤ 0.
+func (t *Terminal) computeAssignment(at sim.Time) Assignment {
+	if t.obs != nil {
+		t.obs.assignPruned.Inc()
+	}
 	st := newScanState()
 	tSec := at.Seconds()
 	for si, sh := range t.con.shells {
@@ -282,12 +276,10 @@ func (t *Terminal) computeAssignmentPruned(at sim.Time) Assignment {
 		if planes <= 0 || per <= 0 {
 			continue
 		}
-		lam := geo.CoverageCentralAngleRad(t.posNorm, sh.radiusKm, t.cfg.MinElevationDeg) + pruneMarginRad
-		if lam >= math.Pi {
-			// No useful bound (mask at/below -90°, or the "shell" is not
-			// above the observer): let the caller run the full scan.
-			return Assignment{}
-		}
+		// λ ≥ π (a mask at or below -90°, or a "shell" not above the
+		// observer) bounds nothing: cos λ = -1 widens each plane to all
+		// of its satellites.
+		lam := min(math.Pi, geo.CoverageCentralAngleRad(t.posNorm, sh.radiusKm, t.maskDeg)+pruneMarginRad)
 		cosLim := math.Cos(lam)
 		sinI, cosI := math.Sincos(sh.incRad)
 		motion := 2 * math.Pi * tSec / sh.periodSec
@@ -303,17 +295,14 @@ func (t *Terminal) computeAssignmentPruned(at sim.Time) Assignment {
 				continue // plane's closest approach never clears the mask
 			}
 			c := math.Sqrt(c2)
-			if c == 0 {
-				continue
-			}
-			var delta float64
-			switch x := cosLim / c; {
-			case x >= 1:
-				continue
-			case x <= -1:
-				delta = math.Pi
-			default:
-				delta = math.Acos(x)
+			delta := math.Pi // c = 0 here only when cosLim ≤ 0: all in view
+			if c > 0 {
+				switch x := cosLim / c; {
+				case x >= 1:
+					continue
+				case x > -1:
+					delta = math.Acos(x)
+				}
 			}
 			phi := math.Atan2(b, a)
 			base := 2*math.Pi*float64(cfg.PhasingF)*float64(p)/float64(planes*per) + motion
@@ -331,24 +320,6 @@ func (t *Terminal) computeAssignmentPruned(at sim.Time) Assignment {
 					continue
 				}
 				t.consider(&st, SatID{Shell: si, Plane: p, Index: idx}, sh.Position(p, idx, at))
-			}
-		}
-	}
-	return st.best
-}
-
-// computeAssignmentFull is the ECEF-native full scan over every enabled
-// satellite — the pruned path's fallback. Each position is read once, so
-// it is computed where it is used; no table.
-func (t *Terminal) computeAssignmentFull(at sim.Time) Assignment {
-	st := newScanState()
-	for si, sh := range t.con.shells {
-		for p := 0; p < sh.cfg.Planes; p++ {
-			for i := 0; i < sh.cfg.SatsPerPlane; i++ {
-				if !sh.enabled[p][i] {
-					continue
-				}
-				t.consider(&st, SatID{Shell: si, Plane: p, Index: i}, sh.Position(p, i, at))
 			}
 		}
 	}
@@ -381,18 +352,6 @@ func (t *Terminal) DelayAt(at sim.Time) (time.Duration, bool) {
 	return d, d >= 0
 }
 
-// DelayFunc adapts the terminal to the netem link interface: instants
-// with no serving satellite fall back to fallback (packets in that window
-// are typically dropped by the outage schedule anyway).
-func (t *Terminal) DelayFunc(fallback time.Duration) func(sim.Time) time.Duration {
-	return func(at sim.Time) time.Duration {
-		if d, ok := t.DelayAt(at); ok {
-			return d
-		}
-		return fallback
-	}
-}
-
 // GatewayAt returns the gateway in use at an instant, or nil during gaps.
 func (t *Terminal) GatewayAt(at sim.Time) *Gateway {
 	a := t.AssignmentAt(at)
@@ -400,37 +359,4 @@ func (t *Terminal) GatewayAt(at sim.Time) *Gateway {
 		return nil
 	}
 	return &t.gateways[a.Gateway]
-}
-
-// Handover marks a serving-satellite change at an epoch boundary.
-type Handover struct {
-	At          sim.Time
-	From, To    Assignment
-	GatewayMove bool
-}
-
-// Handovers lists the serving-satellite changes in [start, end). The
-// campaign turns these into micro-outage schedules for the access link.
-func (t *Terminal) Handovers(start, end sim.Time) []Handover {
-	var out []Handover
-	first := t.epochOf(start) + 1
-	last := t.epochOf(end)
-	prev := t.AssignmentAt(sim.Time((first - 1) * t.epochNS))
-	for ep := first; ep <= last; ep++ {
-		at := sim.Time(ep * t.epochNS)
-		if at >= end {
-			break
-		}
-		cur := t.AssignmentAt(at)
-		if cur != prev {
-			out = append(out, Handover{
-				At:          at,
-				From:        prev,
-				To:          cur,
-				GatewayMove: cur.Gateway != prev.Gateway,
-			})
-		}
-		prev = cur
-	}
-	return out
 }

@@ -13,12 +13,6 @@ type LossModel interface {
 	Lost(now sim.Time) bool
 }
 
-// NoLoss is the zero loss model.
-type NoLoss struct{}
-
-// Lost always reports false.
-func (NoLoss) Lost(sim.Time) bool { return false }
-
 // BernoulliLoss drops each packet independently with probability P.
 type BernoulliLoss struct {
 	P   float64

@@ -114,19 +114,7 @@ func (r *RNG) LogNormal(mu, sigma float64) float64 {
 	return math.Exp(mu + sigma*r.src.NormFloat64())
 }
 
-// Uniform returns a uniform sample in [lo, hi).
-func (r *RNG) Uniform(lo, hi float64) float64 {
-	return lo + (hi-lo)*r.src.Float64()
-}
-
 // Exponential returns an exponential sample with the given mean.
 func (r *RNG) Exponential(mean float64) float64 {
 	return mean * r.src.ExpFloat64()
-}
-
-// Pareto returns a (bounded-at-xm) Pareto sample with scale xm and shape
-// alpha. Heavy-tailed web object sizes use this.
-func (r *RNG) Pareto(xm, alpha float64) float64 {
-	u := 1 - r.src.Float64() // (0,1]
-	return xm / math.Pow(u, 1/alpha)
 }

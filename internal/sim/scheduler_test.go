@@ -2,7 +2,6 @@ package sim
 
 import (
 	"testing"
-	"testing/quick"
 	"time"
 )
 
@@ -168,27 +167,6 @@ func TestRNGBoolEdges(t *testing.T) {
 		}
 		if !r.Bool(1) {
 			t.Fatal("Bool(1) returned false")
-		}
-	}
-}
-
-func TestRNGUniformRange(t *testing.T) {
-	r := NewRNG(9)
-	f := func(a, b uint16) bool {
-		lo, hi := float64(a), float64(a)+float64(b)+1
-		v := r.Uniform(lo, hi)
-		return v >= lo && v < hi
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRNGParetoAtLeastScale(t *testing.T) {
-	r := NewRNG(11)
-	for i := 0; i < 1000; i++ {
-		if v := r.Pareto(3.0, 1.2); v < 3.0 {
-			t.Fatalf("Pareto sample %v below scale", v)
 		}
 	}
 }
