@@ -66,8 +66,16 @@ echo "== no deleted mechanism in non-test code (DESIGN.md: Independent traffic s
 # epoch campaign's, fleet's TestTrafficRTTPlausibility), the testbed
 # terminal's full-scan fallback (computeAssignmentFull; the clamped window
 # is the one scan), its DelayFunc and Handovers, which only tests called,
-# and the fleet's accounting-free walk (reassignAt; tests drive RunEpoch).
-if grep -rnE 'PartitionedDriver|CrossEdge|AddCrossLink|snapshotRing|peekSnapshot|delayRing|islMemo|candCount|referenceReassignAt|epochPool|runPhase|phaseAssign|WirePoolStats struct|pktRing|txRing|frameQueue|rangeSet|byteRanges|cryptoRecv|offRange|compactMin|nstopped|\) compact\(|rebuildFIB|rebuildHandlers|fibDirty|hDirty|fibGroups|msgsInOrder|insertMsgKey|Hops \[\]Addr|wireFree|chunkFree|sentFree|frameFree|AnalyzeSenderView|obs\.Options|\(p \*Prober\) Observe|\(p \*Proxy\) Observe|pep\.New\(|NewNewReno|KindEnqueue|KindDequeue|IdleDecay|decayAfterIdle|AllowMigration|PathMigrations|PacingBurst|UnmarshalProfiles|LinkConfigs|"scenario\.workers"|sizesFor|paperScenario|prevSat|observeEpoch|observeCellInto|observeRange|assignRange|assignBlock|admitRow|candFill|scanSats|buildCandidates|candStart|candUB|satGwAt|RenderTraffic|TrafficWall|TrafficTerminals|TrafficSpan|computeAssignmentFull|reassignAt|\) DelayFunc\(|\) Handovers\(' --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark .; then
+# the fleet's accounting-free walk (reassignAt; tests drive RunEpoch),
+# the options one production value served or that always equalled what
+# is already configured (EnableZeroRTT: a client resumes iff it has a
+# session cache; RTTMinWindow and core's modernMinRTTWindow: the window
+# comes from the controller, cc's bbrMinRTTWindow; a gateway's
+# MinElevationDeg: leo.GatewayMaskDeg; Config.WebSites: the paper's
+# top-120 corpus; the PEP's MaxBacklog, unexported), and API only tests
+# called (geo's CentralAngleRad, netem's NodeByName, quic's LargestSentPN
+# and ParseFrames; CoverageCentralAngleRad stays and does not match).
+if grep -rnE 'PartitionedDriver|CrossEdge|AddCrossLink|snapshotRing|peekSnapshot|delayRing|islMemo|candCount|referenceReassignAt|epochPool|runPhase|phaseAssign|WirePoolStats struct|pktRing|txRing|frameQueue|rangeSet|byteRanges|cryptoRecv|offRange|compactMin|nstopped|\) compact\(|rebuildFIB|rebuildHandlers|fibDirty|hDirty|fibGroups|msgsInOrder|insertMsgKey|Hops \[\]Addr|wireFree|chunkFree|sentFree|frameFree|AnalyzeSenderView|obs\.Options|\(p \*Prober\) Observe|\(p \*Proxy\) Observe|pep\.New\(|NewNewReno|KindEnqueue|KindDequeue|IdleDecay|decayAfterIdle|AllowMigration|PathMigrations|PacingBurst|UnmarshalProfiles|LinkConfigs|"scenario\.workers"|sizesFor|paperScenario|prevSat|observeEpoch|observeCellInto|observeRange|assignRange|assignBlock|admitRow|candFill|scanSats|buildCandidates|candStart|candUB|satGwAt|RenderTraffic|TrafficWall|TrafficTerminals|TrafficSpan|computeAssignmentFull|reassignAt|\) DelayFunc\(|\) Handovers\(|EnableZeroRTT|RTTMinWindow|modernMinRTTWindow|MinElevationDeg|WebSites|MaxBacklog|(^|[^A-Za-z])CentralAngleRad|NodeByName|LargestSentPN|ParseFrames' --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark .; then
     echo "a deleted mechanism is named above" >&2
     exit 1
 fi

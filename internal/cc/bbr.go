@@ -20,10 +20,11 @@ const (
 	// estimate has not grown by 25% for 3 consecutive rounds.
 	bbrFullBWThresh = 1.25
 	bbrFullBWRounds = 3
-	// bbrProbeRTTInterval / bbrProbeRTTDuration: every 10 s the window
-	// collapses to bbrMinWindowPackets for 200 ms to drain the queue and
-	// revalidate min RTT.
-	bbrProbeRTTInterval = 10 * time.Second
+	// bbrMinRTTWindow is BBR's min-RTT filter length: a connection running
+	// BBR trusts a min-RTT sample this long (NewRTTEstimator), and every
+	// bbrMinRTTWindow the window collapses to bbrMinWindowPackets for
+	// bbrProbeRTTDuration to drain the queue and revalidate min RTT.
+	bbrMinRTTWindow     = 10 * time.Second
 	bbrProbeRTTDuration = 200 * time.Millisecond
 	bbrMinWindowPackets = 4
 	// bbrDrainRoundLimit bounds the drain phase: the inflight estimate is
@@ -79,8 +80,9 @@ type bwSample struct {
 // (a round ends when everything that was in flight at its start has been
 // acked), and inflight is the sent-minus-acked estimate, clamped each
 // round so estimation drift from untracked losses stays bounded. Pair it
-// with an RTTEstimator whose MinWindow is set, or the prop-delay term
-// never expires (the exact bug the windowed min filter fixes).
+// with the estimator NewRTTEstimator returns for it, whose minimum ages
+// out after bbrMinRTTWindow, or the prop-delay term never expires (the
+// exact bug the windowed min filter fixes).
 //
 // Loss response is deliberately BBRv1-faithful: a congestion event only
 // trims the inflight estimate and applies packet conservation for the
@@ -264,7 +266,7 @@ func (b *BBR) tick(now sim.Time, rtt *RTTEstimator) {
 			b.cycleIdx = (b.cycleIdx + 1) % len(bbrPacingGainCycle)
 			b.cycleStart = now
 		}
-		if now.Sub(b.lastProbeRTT) >= bbrProbeRTTInterval {
+		if now.Sub(b.lastProbeRTT) >= bbrMinRTTWindow {
 			b.state = bbrProbeRTT
 			b.priorCwnd = b.cwnd
 			d := b.minRTT(rtt)

@@ -25,8 +25,7 @@ type bbrLinkResult struct {
 func runBBRLink(rate float64, prop time.Duration, dur time.Duration) bbrLinkResult {
 	const mss = 1200
 	b := NewBBR(mss)
-	var est RTTEstimator
-	est.MinWindow = 10 * time.Second
+	est := NewRTTEstimator(b)
 
 	type inFlight struct {
 		ackAt  sim.Time
@@ -155,7 +154,7 @@ func TestBBRProbeRTTCollapsesWindow(t *testing.T) {
 func TestBBRWindowedMinRTTAfterHandover(t *testing.T) {
 	const mss = 1200
 	mkEst := func(window time.Duration) *RTTEstimator {
-		e := &RTTEstimator{MinWindow: window}
+		e := &RTTEstimator{minWindow: window}
 		for s := 0.0; s < 5; s += 0.25 {
 			e.UpdateAt(at(s), 20*time.Millisecond, 0)
 		}
@@ -167,7 +166,7 @@ func TestBBRWindowedMinRTTAfterHandover(t *testing.T) {
 	b := NewBBR(mss)
 	b.recordBW(1e6)
 	stale := mkEst(0)
-	fresh := mkEst(10 * time.Second)
+	fresh := mkEst(bbrMinRTTWindow)
 	if got := b.bdp(stale, 1.0); got != 20000 {
 		t.Errorf("all-time-min BDP = %d, want 20000 (stale 20ms min)", got)
 	}

@@ -237,9 +237,6 @@ const DefaultBurstPackets = 10
 // which paced deferred flows at half the configured rate.)
 type Pacer struct {
 	Enabled bool
-	// Gain scales the cwnd/SRTT-derived pacing rate; 1.25 is the common
-	// choice. Ignored when the controller provides its own rate.
-	Gain float64
 	// BurstPackets caps the bucket depth — the number of back-to-back
 	// full-size departures allowed after idle (and right after
 	// slow-start-exit cwnd spurts). Zero means DefaultBurstPackets.
@@ -250,8 +247,12 @@ type Pacer struct {
 	primed     bool
 }
 
+// pacerGain scales the cwnd/SRTT-derived pacing rate (the common 1.25).
+// A controller that provides its own rate (PacingRater) is not scaled.
+const pacerGain = 1.25
+
 // Delay returns how long after now the next packet of the given size may
-// leave, pacing at Gain × cwnd/SRTT.
+// leave, pacing at pacerGain × cwnd/SRTT.
 func (p *Pacer) Delay(now sim.Time, size, cwnd int, rtt *RTTEstimator) time.Duration {
 	if !p.Enabled {
 		return 0
@@ -260,16 +261,12 @@ func (p *Pacer) Delay(now sim.Time, size, cwnd int, rtt *RTTEstimator) time.Dura
 	if srtt <= 0 || cwnd <= 0 {
 		return 0
 	}
-	gain := p.Gain
-	if gain <= 0 {
-		gain = 1.25
-	}
-	return p.DelayRate(now, size, gain*float64(cwnd)/srtt.Seconds())
+	return p.DelayRate(now, size, pacerGain*float64(cwnd)/srtt.Seconds())
 }
 
 // DelayFor is the profile-aware entry point shared by the QUIC and TCP
 // send paths: controllers that own a pacing rate (BBR) are consulted via
-// PacingRater, everything else paces at Gain × cwnd/SRTT.
+// PacingRater, everything else paces at pacerGain × cwnd/SRTT.
 func (p *Pacer) DelayFor(now sim.Time, size int, ctl CongestionController, rtt *RTTEstimator) time.Duration {
 	if !p.Enabled {
 		return 0

@@ -109,10 +109,10 @@ func TestPacerDisabledIsZero(t *testing.T) {
 }
 
 func TestPacerSpacesPackets(t *testing.T) {
-	p := Pacer{Enabled: true, Gain: 1, BurstPackets: 1}
+	p := Pacer{Enabled: true, BurstPackets: 1}
 	var r RTTEstimator
 	r.Update(100*time.Millisecond, 0)
-	cwnd := 10 * 1500 // 15 kB per 100ms = 150 kB/s
+	cwnd := 8 * 1500 // 12 kB per 100ms × pacerGain 1.25 = 150 kB/s
 	// First packet immediate, subsequent spaced at size/rate = 10ms.
 	if d := p.Delay(0, 1500, cwnd, &r); d != 0 {
 		t.Fatalf("first packet delayed %v", d)
@@ -127,10 +127,10 @@ func TestPacerMaxBurstAllowance(t *testing.T) {
 	// After idle the bucket holds exactly BurstPackets packets: that many
 	// leave back to back, then spacing resumes — a cwnd-growth spurt right
 	// after slow-start exit cannot emit an unbounded unpaced burst.
-	p := Pacer{Enabled: true, Gain: 1, BurstPackets: 4}
+	p := Pacer{Enabled: true, BurstPackets: 4}
 	var r RTTEstimator
 	r.Update(100*time.Millisecond, 0)
-	cwnd := 10 * 1500 // 150 kB/s -> 10ms per 1500B packet
+	cwnd := 8 * 1500 // × pacerGain: 150 kB/s -> 10ms per 1500B packet
 	granted := 0
 	for i := 0; i < 20; i++ {
 		if d := p.Delay(at(5), 1500, cwnd, &r); d == 0 {
@@ -153,10 +153,10 @@ func TestPacerDeferredPacketChargedOnce(t *testing.T) {
 	// re-offered after the wait was charged twice, pacing the flow at half
 	// the configured rate. Emulate the real send path — on a positive
 	// delay, wait it out and retry — and check the achieved rate.
-	p := Pacer{Enabled: true, Gain: 1, BurstPackets: 1}
+	p := Pacer{Enabled: true, BurstPackets: 1}
 	var r RTTEstimator
 	r.Update(100*time.Millisecond, 0)
-	cwnd := 10 * 1500 // 150 kB/s -> 10ms per 1500B packet
+	cwnd := 8 * 1500 // × pacerGain: 150 kB/s -> 10ms per 1500B packet
 	now := sim.Time(0)
 	const packets = 100
 	for i := 0; i < packets; i++ {
@@ -182,10 +182,10 @@ func TestPacerInterDepartureSpacingTrace(t *testing.T) {
 	// pacer, record every departure instant, and assert (a) no run of
 	// back-to-back departures longer than the burst allowance, (b) every
 	// gap after a burst respects the per-packet interval.
-	p := Pacer{Enabled: true, Gain: 1, BurstPackets: 3}
+	p := Pacer{Enabled: true, BurstPackets: 3}
 	var r RTTEstimator
 	r.Update(100*time.Millisecond, 0)
-	cwnd := 10 * 1500 // 150 kB/s -> 10ms per 1500B packet
+	cwnd := 8 * 1500 // × pacerGain: 150 kB/s -> 10ms per 1500B packet
 	interval := 10 * time.Millisecond
 	now := sim.Time(0)
 	var departures []sim.Time

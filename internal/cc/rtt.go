@@ -8,12 +8,12 @@ import (
 
 // RTTEstimator maintains the RFC 9002 §5 round-trip time state.
 //
-// The minimum filter has two modes. With MinWindow == 0 (the default, and
-// what the paper-reproduction profile uses) the minimum is all-time, which
-// is what the seed shipped. With MinWindow > 0 the minimum is taken over a
-// sliding window of simulated time, so a handover that permanently raises
-// the path RTT stops poisoning Hystart exits and BBR's ProbeRTT once the
-// pre-handover samples age out. Windowed callers must feed samples through
+// The minimum filter has two modes. The zero value (what CUBIC and Fixed
+// connections keep, and so the paper-reproduction profile) takes the
+// all-time minimum. The estimator NewRTTEstimator returns for BBR takes
+// it over a sliding window of simulated time, so a handover that
+// permanently raises the path RTT stops poisoning BBR's model once the
+// pre-handover samples age out. Windowed estimators must be fed through
 // UpdateAt (Update has no clock and keeps every sample forever).
 type RTTEstimator struct {
 	latest   time.Duration
@@ -22,10 +22,10 @@ type RTTEstimator struct {
 	variance time.Duration
 	samples  int
 
-	// MinWindow, when positive, bounds how long a min-RTT sample is
-	// trusted: Min returns the minimum over the last MinWindow of sim
+	// minWindow, when positive, bounds how long a min-RTT sample is
+	// trusted: Min returns the minimum over the last minWindow of sim
 	// time (as of the latest UpdateAt) instead of the all-time minimum.
-	MinWindow time.Duration
+	minWindow time.Duration
 	// minQ is the monotonic deque backing the windowed minimum: entries
 	// ascend in both timestamp and value, so the front is the windowed
 	// minimum and each sample is pushed/popped at most once.
@@ -37,25 +37,37 @@ type minSample struct {
 	rtt time.Duration
 }
 
+// NewRTTEstimator returns the estimator a connection running ctl keeps:
+// BBR's minimum ages out after bbrMinRTTWindow, because its model must
+// follow a path change; every other controller keeps the all-time
+// minimum, as the paper's stacks did.
+func NewRTTEstimator(ctl CongestionController) RTTEstimator {
+	var r RTTEstimator
+	if _, ok := ctl.(*BBR); ok {
+		r.minWindow = bbrMinRTTWindow
+	}
+	return r
+}
+
 // InitialRTT is the pre-handshake RTT assumption (RFC 9002 §6.2.2).
 const InitialRTT = 333 * time.Millisecond
 
 // Update folds an RTT sample in, subtracting ackDelay per RFC 9002 §5.3
 // when it does not underrun the minimum. It is the clockless form of
-// UpdateAt and only maintains the all-time minimum; estimators with
-// MinWindow set must use UpdateAt.
+// UpdateAt and only maintains the all-time minimum; windowed estimators
+// must use UpdateAt.
 func (r *RTTEstimator) Update(sample, ackDelay time.Duration) {
 	r.UpdateAt(0, sample, ackDelay)
 }
 
-// UpdateAt folds an RTT sample observed at sim-time now. With MinWindow
-// == 0 it is byte-for-byte equivalent to Update.
+// UpdateAt folds an RTT sample observed at sim-time now. On an all-time
+// estimator it is byte-for-byte equivalent to Update.
 func (r *RTTEstimator) UpdateAt(now sim.Time, sample, ackDelay time.Duration) {
 	if sample <= 0 {
 		return
 	}
 	r.latest = sample
-	if r.MinWindow > 0 {
+	if r.minWindow > 0 {
 		r.foldMin(now, sample)
 	}
 	if r.samples == 0 {
@@ -84,7 +96,7 @@ func (r *RTTEstimator) UpdateAt(now sim.Time, sample, ackDelay time.Duration) {
 // foldMin maintains the windowed-min deque: expire entries older than the
 // window, drop entries the new sample dominates, append.
 func (r *RTTEstimator) foldMin(now sim.Time, sample time.Duration) {
-	cutoff := now.Add(-r.MinWindow)
+	cutoff := now.Add(-r.minWindow)
 	drop := 0
 	for drop < len(r.minQ) && r.minQ[drop].at < cutoff {
 		drop++
@@ -101,11 +113,11 @@ func (r *RTTEstimator) foldMin(now sim.Time, sample time.Duration) {
 // Latest returns the most recent sample.
 func (r *RTTEstimator) Latest() time.Duration { return r.latest }
 
-// Min returns the minimum observed RTT: all-time when MinWindow == 0,
-// otherwise the minimum over the trailing MinWindow of sim time as of the
+// Min returns the minimum observed RTT: all-time, or on a windowed
+// estimator the minimum over its trailing window of sim time as of the
 // latest UpdateAt.
 func (r *RTTEstimator) Min() time.Duration {
-	if r.MinWindow > 0 && len(r.minQ) > 0 {
+	if r.minWindow > 0 && len(r.minQ) > 0 {
 		return r.minQ[0].rtt
 	}
 	return r.min

@@ -10,11 +10,11 @@ import (
 // TestRTTMinWindowHandoverStep is the regression test for the stale-min
 // bug: a handover permanently raising the path RTT from 40 ms to 60 ms
 // must eventually raise the reported minimum too. The all-time filter
-// (MinWindow == 0, the seed behavior) keeps 40 ms forever; the windowed
+// (the zero value, the seed behavior) keeps 40 ms forever; BBR's windowed
 // filter forgets it once the window slides past the handover.
 func TestRTTMinWindowHandoverStep(t *testing.T) {
-	var allTime, windowed RTTEstimator
-	windowed.MinWindow = 10 * time.Second
+	var allTime RTTEstimator
+	windowed := NewRTTEstimator(NewBBR(1200))
 
 	feed := func(r *RTTEstimator, from, to float64, rtt time.Duration) {
 		for s := from; s < to; s += 0.25 {
@@ -39,8 +39,7 @@ func TestRTTMinWindowHandoverStep(t *testing.T) {
 // TestRTTMinWindowTracksImprovement checks the other direction: a
 // handover lowering the RTT must be picked up immediately in both modes.
 func TestRTTMinWindowTracksImprovement(t *testing.T) {
-	var r RTTEstimator
-	r.MinWindow = 10 * time.Second
+	r := NewRTTEstimator(NewBBR(1200))
 	r.UpdateAt(at(1), 60*time.Millisecond, 0)
 	r.UpdateAt(at(2), 35*time.Millisecond, 0)
 	if got := r.Min(); got != 35*time.Millisecond {
@@ -51,8 +50,7 @@ func TestRTTMinWindowTracksImprovement(t *testing.T) {
 // TestRTTMinWindowInsideWindowKeepsMin: while the low sample is still
 // inside the window it must keep winning over higher recent samples.
 func TestRTTMinWindowInsideWindowKeepsMin(t *testing.T) {
-	var r RTTEstimator
-	r.MinWindow = 10 * time.Second
+	r := NewRTTEstimator(NewBBR(1200))
 	r.UpdateAt(at(1), 40*time.Millisecond, 0)
 	for s := 2.0; s < 10; s++ {
 		r.UpdateAt(at(s), 60*time.Millisecond, 0)
@@ -63,7 +61,7 @@ func TestRTTMinWindowInsideWindowKeepsMin(t *testing.T) {
 }
 
 // TestRTTUpdateAtZeroWindowMatchesUpdate pins the bit-identity contract:
-// with MinWindow unset, UpdateAt and Update produce identical estimator
+// on an all-time estimator, UpdateAt and Update produce identical estimator
 // state, which is what keeps the paper transport profile byte-identical
 // to the seed.
 func TestRTTUpdateAtZeroWindowMatchesUpdate(t *testing.T) {
@@ -84,6 +82,6 @@ func TestRTTUpdateAtZeroWindowMatchesUpdate(t *testing.T) {
 	if a.Min() != b.Min() || a.Smoothed() != b.Smoothed() ||
 		a.Variance() != b.Variance() || a.Latest() != b.Latest() ||
 		a.Samples() != b.Samples() {
-		t.Errorf("UpdateAt with MinWindow=0 diverged from Update: %+v vs %+v", a, b)
+		t.Errorf("all-time UpdateAt diverged from Update: %+v vs %+v", a, b)
 	}
 }

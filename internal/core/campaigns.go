@@ -356,9 +356,6 @@ func (tb *Testbed) RunWebCampaign(t Tech, nVisits int, gap time.Duration) []web.
 // start, so sharded campaigns walk the same site cycle a sequential run
 // would.
 func (tb *Testbed) runWebVisits(t Tech, start, n int, gap time.Duration) []web.VisitResult {
-	if n > 0 && len(tb.Sites) == 0 {
-		panic(fmt.Sprintf("core: %d web visits to make on an empty corpus (Config.WebSites = 0)", n))
-	}
 	node := tb.vantage(t)
 	return repeat(tb, start, n, gap, time.Duration(n)*(90*time.Second+gap), func(i int, done func(web.VisitResult)) {
 		site := &tb.Sites[i%len(tb.Sites)]

@@ -304,35 +304,6 @@ func TestRenderersProduceOutput(t *testing.T) {
 	}
 }
 
-// A corpus size below zero is refused when the testbed is built, and an
-// empty corpus when a web campaign has visits to make on it; both name the
-// field to fix rather than failing inside make or on a divide by zero.
-func TestWebCorpusSizeRefused(t *testing.T) {
-	for _, c := range []struct {
-		name  string
-		sites int
-		run   func(*Testbed)
-	}{
-		{"negative", -1, nil},
-		{"empty", 0, func(tb *Testbed) { tb.RunWebCampaign(TechWired, 1, time.Second) }},
-	} {
-		t.Run(c.name, func(t *testing.T) {
-			defer func() {
-				if msg, _ := recover().(string); !strings.Contains(msg, "Config.WebSites") {
-					t.Errorf("panic %q does not name Config.WebSites", msg)
-				}
-			}()
-			cfg := DefaultConfig()
-			cfg.WebSites = c.sites
-			tb := NewTestbed(cfg)
-			if got := tb.RunWebCampaign(TechWired, 0, time.Second); len(got) != 0 {
-				t.Errorf("no visits asked for, %d made", len(got))
-			}
-			c.run(tb)
-		})
-	}
-}
-
 func TestParseTechInvertsString(t *testing.T) {
 	for _, tech := range []Tech{TechStarlink, TechSatCom, TechWired} {
 		if got, err := ParseTech(tech.String()); err != nil || got != tech {

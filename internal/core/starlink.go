@@ -25,10 +25,9 @@ type StarlinkParams struct {
 	// and a fast one (per 15 s epoch — scheduler regrants).
 	DownMbpsMedian, DownSigma float64
 	UpMbpsMedian, UpSigma     float64
-	// SigmaFast is the per-epoch component (applies to both directions).
+	// SigmaFast is the per-epoch component (applies to both directions);
+	// an epoch is leo.Epoch.
 	SigmaFast float64
-	// Epoch is the capacity/path reallocation interval (15 s).
-	Epoch time.Duration
 	// AccessOverhead is the fixed per-direction processing + framing
 	// delay of the bent pipe.
 	AccessOverhead time.Duration
@@ -62,7 +61,6 @@ func DefaultStarlinkParams() StarlinkParams {
 		DownMbpsMedian: 205, DownSigma: 0.24,
 		UpMbpsMedian: 18, UpSigma: 0.22,
 		SigmaFast:          0.08,
-		Epoch:              15 * time.Second,
 		AccessOverhead:     4 * time.Millisecond,
 		JitterDown:         8 * time.Millisecond,
 		JitterUp:           10 * time.Millisecond,
@@ -115,7 +113,7 @@ type starlinkAccess struct {
 }
 
 func (a *starlinkAccess) epochOf(at sim.Time) uint64 {
-	return uint64(int64(at) / int64(a.params.Epoch))
+	return uint64(int64(at) / int64(leo.Epoch))
 }
 
 // delay is the one-way propagation + processing delay at an instant:
@@ -169,10 +167,10 @@ func (a *starlinkAccess) epochOutages(ep uint64) (wins [2]outageWindow, n int) {
 	if r3 < a.params.LongOutageProb {
 		dur := a.params.LongOutageMin +
 			time.Duration(r4*float64(a.params.LongOutageMax-a.params.LongOutageMin))
-		if dur > a.params.Epoch {
-			dur = a.params.Epoch
+		if dur > leo.Epoch {
+			dur = leo.Epoch
 		}
-		start := time.Duration(r4 * float64(a.params.Epoch-dur))
+		start := time.Duration(r4 * float64(leo.Epoch-dur))
 		wins[n] = outageWindow{start: start, dur: dur, long: true}
 		n++
 	}
@@ -183,7 +181,7 @@ func (a *starlinkAccess) epochOutages(ep uint64) (wins [2]outageWindow, n int) {
 // instant: per-epoch hashed handover micro-outages and rare long ones.
 func (a *starlinkAccess) down(at sim.Time) bool {
 	ep := a.epochOf(at)
-	into := time.Duration(int64(at) - int64(ep)*int64(a.params.Epoch))
+	into := time.Duration(int64(at) - int64(ep)*int64(leo.Epoch))
 	if !a.outageOK || ep != a.outageEp {
 		a.outages, a.nOutages = a.epochOutages(ep)
 		a.outageEp, a.outageOK = ep, true

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"time"
 
 	"starlinkperf/internal/cc"
@@ -60,13 +59,14 @@ type LoadEpisode struct {
 	ExtraOneWay time.Duration
 }
 
+// webSites is the web corpus size: the paper's top-120 sites for Belgium.
+const webSites = 120
+
 // Config parameterizes the whole testbed.
 type Config struct {
 	Seed     uint64
 	Starlink StarlinkParams
 	SatCom   SatComParams
-	// WebSites is the corpus size (paper: top-120 for Belgium).
-	WebSites int
 	// Speedtest overrides the Ookla-like client configuration used by
 	// the speedtest campaigns. The zero value (Connections == 0) means
 	// measure.DefaultSpeedtestConfig().
@@ -92,7 +92,6 @@ func DefaultConfig() Config {
 		Seed:                 1,
 		Starlink:             DefaultStarlinkParams(),
 		SatCom:               DefaultSatComParams(),
-		WebSites:             120,
 		InitialShellFraction: 1.0,
 	}
 }
@@ -164,9 +163,6 @@ func NewTestbed(cfg Config) *Testbed { return newTestbed(cfg, nil) }
 // sink (nil: unobserved). The network is the one attachment point: every
 // layer built on it below reads the sink from there.
 func newTestbed(cfg Config, sink *obs.Sink) *Testbed {
-	if cfg.WebSites < 0 {
-		panic(fmt.Sprintf("core: Config.WebSites = %d, want a corpus size >= 0", cfg.WebSites))
-	}
 	sched := sim.NewScheduler(cfg.Seed)
 	nw := netem.New(sched)
 	tb := &Testbed{Cfg: cfg, Sched: sched, Net: nw}
@@ -286,7 +282,7 @@ func newTestbed(cfg Config, sink *obs.Sink) *Testbed {
 		if sampleEpoch != nil {
 			sampleEpoch(now)
 		}
-		sched.After(sp.Epoch, modulate)
+		sched.After(leo.Epoch, modulate)
 	}
 	modulate()
 
@@ -472,7 +468,7 @@ func newTestbed(cfg Config, sink *obs.Sink) *Testbed {
 		web.Server(n, 443, tb.WebTCP)
 		tb.WebPool = append(tb.WebPool, n)
 	}
-	tb.Sites = web.GenerateCorpus(rng.Stream("webcorpus"), cfg.WebSites)
+	tb.Sites = web.GenerateCorpus(rng.Stream("webcorpus"), webSites)
 
 	return tb
 }

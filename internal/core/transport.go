@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"starlinkperf/internal/cc"
 	"starlinkperf/internal/quic"
@@ -14,7 +13,8 @@ import (
 // measurement tools exactly — unpaced quiche-style QUIC and the testbed
 // kernel's CUBIC TCP — and applying it changes nothing, so the default
 // campaign output stays bit-identical. TransportModern is the post-paper
-// stack: BBR, pacing, 0-RTT resumption and a windowed min-RTT filter.
+// stack: BBR (whose connections filter min RTT over BBR's window),
+// pacing and 0-RTT resumption.
 type Transport uint8
 
 // The two transport stacks.
@@ -22,11 +22,6 @@ const (
 	TransportPaper Transport = iota
 	TransportModern
 )
-
-// modernMinRTTWindow bounds the age of the modern stack's min-RTT filter
-// so BDP-derived state tracks path changes (the paper stack keeps the
-// all-time minimum).
-const modernMinRTTWindow = 10 * time.Second
 
 // String is the -transport flag value naming t.
 func (t Transport) String() string {
@@ -57,9 +52,7 @@ func (t Transport) applyQUIC(cfg *quic.Config, sessions *quic.SessionCache) {
 	}
 	cfg.NewCC = func() cc.CongestionController { return cc.NewBBR(quic.MaxPayloadSize) }
 	cfg.EnablePacing = true
-	cfg.EnableZeroRTT = true
 	cfg.Sessions = sessions
-	cfg.RTTMinWindow = modernMinRTTWindow
 }
 
 // applyTCP overlays the stack onto a TCP endpoint configuration. 0-RTT
@@ -70,5 +63,4 @@ func (t Transport) applyTCP(cfg *tcpsim.Config) {
 	}
 	cfg.NewCC = func(mss int) cc.CongestionController { return cc.NewBBR(mss) }
 	cfg.EnablePacing = true
-	cfg.RTTMinWindow = modernMinRTTWindow
 }

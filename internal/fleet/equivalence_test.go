@@ -143,12 +143,13 @@ func (f *Fleet) referenceFinish(t int, best int32) {
 		return
 	}
 	sp := referenceSatPos(f, best)
+	sinMask := math.Sin(geo.Radians(leo.GatewayMaskDeg))
 	bestRange := 0.0
 	for i, g := range f.gws {
 		e := g.ECEF
 		d := geo.ECEF{X: sp.X - e.X, Y: sp.Y - e.Y, Z: sp.Z - e.Z}
 		dn := math.Sqrt(d.X*d.X + d.Y*d.Y + d.Z*d.Z)
-		if d.X*e.X+d.Y*e.Y+d.Z*e.Z < g.SinMask*dn*g.Norm {
+		if d.X*e.X+d.Y*e.Y+d.Z*e.Z < sinMask*dn*g.Norm {
 			continue
 		}
 		if f.gw[t] < 0 || dn < bestRange {

@@ -57,8 +57,8 @@ type Config struct {
 	Terminals int
 	// Horizon is the simulated campaign length (default 2h).
 	Horizon time.Duration
-	// Epoch is the reassignment interval (default 15s, the Starlink
-	// reallocation granularity the paper observes).
+	// Epoch is the reassignment interval (default leo.Epoch, the
+	// Starlink reallocation granularity the paper observes).
 	Epoch time.Duration
 	// MaskDeg is the terminal elevation mask (default
 	// leo.TerminalMaskDeg, 25°).
@@ -89,7 +89,7 @@ func (c Config) withDefaults() Config {
 		c.Horizon = 2 * time.Hour
 	}
 	if c.Epoch <= 0 {
-		c.Epoch = 15 * time.Second
+		c.Epoch = leo.Epoch
 	}
 	if c.MaskDeg == 0 {
 		c.MaskDeg = leo.TerminalMaskDeg

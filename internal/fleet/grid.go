@@ -62,7 +62,7 @@ func WorldClusters() []Cluster {
 // WorldGateways is the default global ground-station set: one or more
 // sites near each served region, none in the high-north (which is why
 // high-latitude terminals see outages from both missing satellites and
-// missing ground paths). MinElevationDeg 0 selects the 10° default.
+// missing ground paths). Each sees satellites above leo.GatewayMaskDeg.
 func WorldGateways() []leo.Gateway {
 	return []leo.Gateway{
 		{Name: "redmond", Pos: geo.LatLon{LatDeg: 47.67, LonDeg: -122.12}, PoP: "seattle"},

@@ -139,33 +139,6 @@ func SinElevationECEF(observer, target ECEF) float64 {
 	return math.Max(-1, math.Min(1, sinEl))
 }
 
-// CentralAngleRad returns the Earth-central angle between two position
-// vectors, in radians. For two surface points this is the great-circle
-// distance divided by the radius; the fleet cell index uses it to reason
-// about coverage caps (a satellite serves an observer iff the central
-// angle between them is at most CoverageCentralAngleRad). Degenerate
-// zero-length inputs yield 0.
-func CentralAngleRad(a, b ECEF) float64 {
-	na, nb := a.Norm(), b.Norm()
-	if na == 0 || nb == 0 {
-		return 0
-	}
-	c := a.Dot(b) / (na * nb)
-	if c > 1 {
-		c = 1
-	}
-	if c < -1 {
-		c = -1
-	}
-	return math.Acos(c)
-}
-
-// Visible reports whether target is at or above minElevationDeg as seen
-// from observer.
-func Visible(observer, target LatLon, minElevationDeg float64) bool {
-	return ElevationDeg(observer, target) >= minElevationDeg
-}
-
 // RadioDelay returns the one-way propagation delay of a radio (free-space)
 // link of the given length.
 func RadioDelay(km float64) time.Duration {

@@ -91,16 +91,6 @@ func TestElevationDecreasesWithGroundDistance(t *testing.T) {
 	}
 }
 
-func TestVisible(t *testing.T) {
-	ground := LatLon{50, 4, 0}
-	if !Visible(ground, LatLon{50, 4, 550}, 25) {
-		t.Error("overhead satellite should be visible above 25°")
-	}
-	if Visible(ground, LatLon{50, 60, 550}, 25) {
-		t.Error("satellite 56° of longitude away should not clear a 25° mask")
-	}
-}
-
 func TestPropagationDelays(t *testing.T) {
 	// Light crosses ~300 km in ~1 ms.
 	approx(t, RadioDelay(299.792458).Seconds()*1000, 1.0, 1e-9, "radio 1ms")
@@ -245,36 +235,4 @@ func TestRadiansDegreesRoundTrip(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
-}
-
-// CentralAngleRad must agree with the great-circle distance for surface
-// points, be invariant to radial scaling, and clamp degenerate inputs.
-func TestCentralAngleRad(t *testing.T) {
-	pts := []LatLon{
-		{0, 0, 0}, {50.67, 4.61, 0}, {-33.87, 151.21, 0},
-		{89.9, 0, 0}, {-89.9, 180, 0}, {0, 179.99, 0}, {0, -179.99, 0},
-	}
-	for _, a := range pts {
-		for _, b := range pts {
-			ang := CentralAngleRad(a.ToECEF(), b.ToECEF())
-			// Sub-meter agreement; both formulas lose precision near
-			// antipodal pairs, where acos/asin arguments approach ±1.
-			approx(t, ang*EarthRadiusKm, GreatCircleKm(a, b), 1e-3, "angle vs great circle")
-		}
-	}
-	// Radial scaling (altitude) must not change the central angle.
-	ground := LatLon{20, 30, 0}
-	sat := LatLon{25, 40, 550}
-	approx(t, CentralAngleRad(ground.ToECEF(), sat.ToECEF()),
-		CentralAngleRad(ground.ToECEF(), LatLon{25, 40, 0}.ToECEF()), 1e-12, "altitude invariance")
-	// Identical vectors: rounding in the dot product must clamp to 0, and a
-	// zero vector degenerates to 0 rather than NaN.
-	p := LatLon{37.77, -122.42, 0}.ToECEF()
-	approx(t, CentralAngleRad(p, p), 0, 1e-9, "self angle")
-	if got := CentralAngleRad(ECEF{}, p); got != 0 {
-		t.Errorf("zero-vector angle = %v, want 0", got)
-	}
-	// Antipodal points: exactly Pi.
-	approx(t, CentralAngleRad(LatLon{0, 0, 0}.ToECEF(), LatLon{0, 180, 0}.ToECEF()),
-		math.Pi, 1e-9, "antipodal angle")
 }

@@ -21,7 +21,7 @@ import (
 // read before the geometry fast path.
 func (t *Terminal) referenceAssignmentAt(at sim.Time) Assignment {
 	ep := t.epochOf(at)
-	return t.computeAssignmentReference(sim.Time(ep * t.epochNS))
+	return t.computeAssignmentReference(sim.Time(ep * epochNS))
 }
 
 func (t *Terminal) computeAssignmentReference(at sim.Time) Assignment {
@@ -44,17 +44,13 @@ func (t *Terminal) computeAssignmentReference(at sim.Time) Assignment {
 	return best
 }
 
-// referenceBestGateway is the naive per-candidate gateway selection, with
-// the default-mask rule applied inside the loop as the original code did.
+// referenceBestGateway is the naive per-candidate gateway selection: an
+// elevation in degrees against the gateway mask, per gateway.
 func (t *Terminal) referenceBestGateway(satLL geo.LatLon, satPos geo.ECEF) int {
 	best := -1
 	bestRange := 0.0
 	for i, gw := range t.gateways {
-		mask := gw.MinElevationDeg
-		if mask == 0 {
-			mask = 10
-		}
-		if geo.ElevationDeg(gw.Pos, satLL) < mask {
+		if geo.ElevationDeg(gw.Pos, satLL) < GatewayMaskDeg {
 			continue
 		}
 		r := gw.Pos.ToECEF().Distance(satPos)
@@ -83,7 +79,7 @@ func checkEquivalence(t *testing.T, pos geo.LatLon, gws []Gateway, horizon time.
 	t.Helper()
 	con := NewConstellation(NewShell(StarlinkGen1()))
 	term := NewTerminal(DefaultTerminalConfig(pos), con, gws)
-	epoch := int64(term.cfg.Epoch)
+	epoch := epochNS
 	last := int64(horizon) / epoch
 	for ep := int64(0); ep <= last; ep += strideEpochs {
 		at := sim.Time(ep * epoch)
@@ -316,7 +312,7 @@ func TestFillSnapshotReuse(t *testing.T) {
 func TestAssignmentOutOfOrderEpochs(t *testing.T) {
 	term := NewTerminal(DefaultTerminalConfig(louvain),
 		NewConstellation(NewShell(StarlinkGen1())), testGateways())
-	epoch := sim.Time(term.epochNS)
+	epoch := sim.Time(epochNS)
 	distinct := map[Assignment]bool{}
 	for _, ep := range []int64{40, 39, 38, 40, 40, 0, 41, 2, 1, 0, 300, 41, 299, 300} {
 		// Off the boundary: AssignmentAt keys on the epoch, not the instant.

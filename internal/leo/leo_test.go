@@ -190,7 +190,7 @@ type handover struct {
 // handoversIn walks AssignmentAt epoch by epoch over [start, end) and
 // lists the serving-assignment changes at the epoch boundaries.
 func handoversIn(term *Terminal, start, end sim.Time) []handover {
-	epoch := sim.Time(term.epochNS)
+	epoch := sim.Time(epochNS)
 	var out []handover
 	prev := term.AssignmentAt(start)
 	for at := (start/epoch + 1) * epoch; at < end; at += epoch {

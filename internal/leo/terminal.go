@@ -17,9 +17,17 @@ type Gateway struct {
 	Pos  geo.LatLon
 	// PoP names the internet exchange the gateway feeds into.
 	PoP string
-	// MinElevationDeg is the gateway antenna mask.
-	MinElevationDeg float64
 }
+
+// GatewayMaskDeg is the elevation mask of a gateway antenna: gateway
+// dishes track lower than user terminals.
+const GatewayMaskDeg = 10.0
+
+// Epoch is the serving-satellite and capacity reallocation interval:
+// Starlink reassigns every 15 s (Pan et al. and the Multifaceted paper
+// both see steps on that grid). The testbed terminal, the access link's
+// per-epoch draws and the fleet's default epoch all read it.
+const Epoch = 15 * time.Second
 
 // TerminalMaskDeg is the elevation mask of a Starlink dish's phased
 // array: a satellite lower in its sky cannot serve it. The testbed
@@ -29,14 +37,11 @@ const TerminalMaskDeg = 25.0
 // TerminalConfig configures a user terminal.
 type TerminalConfig struct {
 	Pos geo.LatLon
-	// Epoch is the serving-satellite reallocation interval. Starlink
-	// reassigns every 15 s.
-	Epoch time.Duration
 }
 
 // DefaultTerminalConfig returns the dishy defaults at a position.
 func DefaultTerminalConfig(pos geo.LatLon) TerminalConfig {
-	return TerminalConfig{Pos: pos, Epoch: 15 * time.Second}
+	return TerminalConfig{Pos: pos}
 }
 
 // Assignment is the serving satellite and gateway for one epoch.
@@ -49,14 +54,16 @@ type Assignment struct {
 // GatewayGeom is one gateway's geometry as satellite-to-ground selection
 // uses it.
 type GatewayGeom struct {
-	ECEF    geo.ECEF
-	Norm    float64 // |ECEF|
-	SinMask float64 // sin of the antenna mask; a gateway that sets none gets 10°
+	ECEF geo.ECEF
+	Norm float64 // |ECEF|
 }
 
+// sinGatewayMask is the sine of GatewayMaskDeg, the form Best tests.
+var sinGatewayMask = math.Sin(geo.Radians(GatewayMaskDeg))
+
 // GatewayTable is a gateway set's geometry, precomputed once so that the
-// selection loops never redo a ToECEF conversion or re-apply the default
-// mask per satellite. leo.Terminal and the fleet both choose gateways with
+// selection loops never redo a ToECEF conversion or a mask sine per
+// satellite. leo.Terminal and the fleet both choose gateways with
 // its Best.
 type GatewayTable []GatewayGeom
 
@@ -64,19 +71,15 @@ type GatewayTable []GatewayGeom
 func NewGatewayTable(gws []Gateway) GatewayTable {
 	gt := make(GatewayTable, len(gws))
 	for i, gw := range gws {
-		mask := gw.MinElevationDeg
-		if mask == 0 {
-			mask = 10 // gateway dishes track lower than user terminals
-		}
 		e := gw.Pos.ToECEF()
-		gt[i] = GatewayGeom{ECEF: e, Norm: e.Norm(), SinMask: math.Sin(geo.Radians(mask))}
+		gt[i] = GatewayGeom{ECEF: e, Norm: e.Norm()}
 	}
 	return gt
 }
 
 // Best returns the index of the gateway with the shortest slant range that
-// sees the satellite above its mask, and that range in km; -1 when none
-// does. The mask test is the cross-multiplied sine comparison
+// sees the satellite above GatewayMaskDeg, and that range in km; -1 when
+// none does. The mask test is the cross-multiplied sine comparison
 // d·ĝ ≥ sin(mask)·|d| on the precomputed geometry, and the slant range
 // reuses |d|. Ties keep the lowest index.
 func (gt GatewayTable) Best(satPos geo.ECEF) (best int, rangeKm float64) {
@@ -85,7 +88,7 @@ func (gt GatewayTable) Best(satPos geo.ECEF) (best int, rangeKm float64) {
 		g := &gt[i]
 		d := satPos.Sub(g.ECEF)
 		dn := d.Norm()
-		if d.Dot(g.ECEF) < g.SinMask*dn*g.Norm {
+		if d.Dot(g.ECEF) < sinGatewayMask*dn*g.Norm {
 			continue
 		}
 		if best < 0 || dn < rangeKm {
@@ -129,7 +132,6 @@ type Terminal struct {
 	// campaign walks one forward-moving clock, so one slot holds all the
 	// reuse there is (EXPERIMENTS.md "Cache audit"); a caller that goes
 	// back in time recomputes. A memo, never state.
-	epochNS     int64
 	assignEpoch int64
 	assign      Assignment
 	assignValid bool
@@ -179,15 +181,11 @@ func (t *Terminal) Observe(reg *obs.Registry) {
 // NewTerminal creates a terminal using the given constellation and
 // gateway set.
 func NewTerminal(cfg TerminalConfig, con *Constellation, gateways []Gateway) *Terminal {
-	if cfg.Epoch <= 0 {
-		cfg.Epoch = 15 * time.Second
-	}
 	t := &Terminal{
 		cfg:            cfg,
 		con:            con,
 		gateways:       gateways,
 		maskDeg:        TerminalMaskDeg,
-		epochNS:        int64(cfg.Epoch),
 		delayQuantumNS: int64(100 * time.Millisecond),
 	}
 	t.posECEF = cfg.Pos.ToECEF()
@@ -202,14 +200,17 @@ func NewTerminal(cfg TerminalConfig, con *Constellation, gateways []Gateway) *Te
 	return t
 }
 
+// epochNS is Epoch in the nanoseconds of a sim.Time.
+const epochNS = int64(Epoch)
+
 // epochOf returns the epoch number containing instant at.
-func (t *Terminal) epochOf(at sim.Time) int64 { return int64(at) / t.epochNS }
+func (t *Terminal) epochOf(at sim.Time) int64 { return int64(at) / epochNS }
 
 // AssignmentAt returns the serving assignment for the epoch containing at.
 func (t *Terminal) AssignmentAt(at sim.Time) Assignment {
 	ep := t.epochOf(at)
 	if !t.assignValid || t.assignEpoch != ep {
-		t.assign = t.computeAssignment(sim.Time(ep * t.epochNS))
+		t.assign = t.computeAssignment(sim.Time(ep * epochNS))
 		t.assignEpoch, t.assignValid = ep, true
 	}
 	return t.assign

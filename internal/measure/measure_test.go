@@ -20,12 +20,18 @@ import (
 // NAT at r1 and PEP at r2.
 func testPath(t *testing.T, withNAT, withPEP bool) (*sim.Scheduler, *netem.Node, *netem.Node, *netem.Network) {
 	t.Helper()
-	s := sim.NewScheduler(101)
-	nw := netem.New(s)
-	client := nw.NewNode("client", netem.MustParseAddr("192.168.1.2"))
-	r1 := nw.NewNode("r1", netem.MustParseAddr("192.168.1.1"))
-	r2 := nw.NewNode("r2", netem.MustParseAddr("100.64.0.1"))
-	server := nw.NewNode("server", netem.MustParseAddr("8.8.8.8"))
+	s, nw, client, _, _, server := testHops(withNAT, withPEP)
+	return s, client, server, nw
+}
+
+// testHops is testPath that also returns the routers r1 and r2.
+func testHops(withNAT, withPEP bool) (s *sim.Scheduler, nw *netem.Network, client, r1, r2, server *netem.Node) {
+	s = sim.NewScheduler(101)
+	nw = netem.New(s)
+	client = nw.NewNode("client", netem.MustParseAddr("192.168.1.2"))
+	r1 = nw.NewNode("r1", netem.MustParseAddr("192.168.1.1"))
+	r2 = nw.NewNode("r2", netem.MustParseAddr("100.64.0.1"))
+	server = nw.NewNode("server", netem.MustParseAddr("8.8.8.8"))
 
 	d := netem.LinkConfig{RateBps: 200e6, Delay: netem.ConstantDelay(10 * time.Millisecond), QueueBytes: 1 << 20}
 	c2r1, r12c := nw.Connect(client, r1, d)
@@ -46,14 +52,22 @@ func testPath(t *testing.T, withNAT, withPEP bool) (*sim.Scheduler, *netem.Node,
 		pep.Attach(r2, tcpsim.DefaultConfig())
 	}
 	server.EchoResponder = true
-	return s, client, server, nw
+	return s, nw, client, r1, r2, server
 }
 
 func TestPingBasic(t *testing.T) {
 	s, client, server, _ := testPath(t, false, false)
 	p := NewProber(client)
 	var results []PingResult
-	p.Ping(server.Addr(), 3, func(rs []PingResult) { results = rs })
+	// Three echoes back to back, each sent when the previous one lands.
+	var echo func(rtt time.Duration, ok bool)
+	echo = func(rtt time.Duration, ok bool) {
+		results = append(results, PingResult{RTT: rtt, OK: ok})
+		if len(results) < 3 {
+			p.Echo(server.Addr(), 64, echo)
+		}
+	}
+	p.Echo(server.Addr(), 64, echo)
 	s.RunFor(time.Minute)
 	if len(results) != 3 {
 		t.Fatalf("got %d results", len(results))
@@ -72,7 +86,7 @@ func TestPingThroughNAT(t *testing.T) {
 	s, client, server, _ := testPath(t, true, false)
 	p := NewProber(client)
 	ok := false
-	p.Ping(server.Addr(), 1, func(rs []PingResult) { ok = rs[0].OK })
+	p.Echo(server.Addr(), 64, func(_ time.Duration, echoed bool) { ok = echoed })
 	s.RunFor(time.Minute)
 	if !ok {
 		t.Fatal("ping through NAT failed")
@@ -82,14 +96,17 @@ func TestPingThroughNAT(t *testing.T) {
 func TestPingTimeoutOnBlackhole(t *testing.T) {
 	s, client, _, _ := testPath(t, false, false)
 	p := NewProber(client)
-	var got PingResult
+	answered, ok := false, false
 	// 203.0.113.1 has no route at r2 -> unreachable comes back, but to a
 	// *blackholed* address we need a silent drop: use a link-down window.
 	// Simplest true blackhole: address routed nowhere beyond r2 returns
 	// dest-unreachable, which is still "not OK" for ping.
-	p.Ping(netem.MustParseAddr("203.0.113.1"), 1, func(rs []PingResult) { got = rs[0] })
+	p.Echo(netem.MustParseAddr("203.0.113.1"), 64, func(_ time.Duration, echoed bool) { answered, ok = true, echoed })
 	s.RunFor(time.Minute)
-	if got.OK {
+	if !answered {
+		t.Fatal("echo callback never ran")
+	}
+	if ok {
 		t.Fatal("ping to unroutable address succeeded")
 	}
 }
@@ -277,13 +294,13 @@ func TestSpeedtestSurvivesOutageAtStart(t *testing.T) {
 		outage time.Duration
 		want   bool
 	}{{time.Second, true}, {time.Hour, false}} {
-		s, client, server, nw := testPath(t, false, false)
-		for _, l := range nw.Links() {
-			if l.Name() == "client->r1" {
-				end := sim.Time(c.outage)
-				l.SetDown(func(now sim.Time) bool { return now < end })
-			}
-		}
+		s, nw, client, r1, _, server := testHops(false, false)
+		// The client's uplink is down for the first c.outage.
+		end := sim.Time(c.outage)
+		client.SetDefaultRoute(nw.AddLink(client, r1, netem.LinkConfig{
+			RateBps: 200e6, Delay: netem.ConstantDelay(10 * time.Millisecond), QueueBytes: 1 << 20,
+			Down: func(now sim.Time) bool { return now < end },
+		}))
 		cfg := DefaultSpeedtestConfig()
 		NewSpeedtestServer(server, cfg.TCP)
 		var res SpeedtestResult
@@ -303,14 +320,12 @@ func TestSpeedtestSurvivesOutageAtStart(t *testing.T) {
 }
 
 func TestSpeedtestPicksNearestServer(t *testing.T) {
-	s, client, _, nw := testPath(t, false, false)
+	s, nw, client, _, r2, near := testHops(false, false)
 	far := nw.NewNode("far", netem.MustParseAddr("9.9.9.9"))
-	r2 := nw.NodeByName("r2")
 	f1, f2 := nw.Connect(r2, far, netem.LinkConfig{Delay: netem.ConstantDelay(100 * time.Millisecond)})
 	r2.AddRoute(far.Addr(), f1)
 	far.SetDefaultRoute(f2)
 	far.EchoResponder = true
-	near := nw.NodeByName("server")
 	stCfg := DefaultSpeedtestConfig()
 	NewSpeedtestServer(near, stCfg.TCP)
 	NewSpeedtestServer(far, stCfg.TCP)

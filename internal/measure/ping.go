@@ -214,13 +214,6 @@ func (r *pingRun) onEcho(rtt time.Duration, ok bool) {
 	r.next()
 }
 
-// Ping sends count echoes back-to-back (like `ping -c count`) and calls
-// done with all results once the last reply or timeout lands. The results
-// slice is the caller's to keep.
-func (p *Prober) Ping(dst netem.Addr, count int, done func([]PingResult)) {
-	p.newPingRun(dst, count, done).start()
-}
-
 // Monitor runs the paper's anchor campaign: every interval, ping each
 // target probes times, delivering each result to onResult. It stops when
 // the scheduler passes `until`. A non-positive interval would re-arm the
@@ -228,8 +221,8 @@ func (p *Prober) Ping(dst netem.Addr, count int, done func([]PingResult)) {
 //
 // Each target's run is reused round after round. A round that finds it
 // still busy — its echoes outlast the interval on a lossy path — starts a
-// fresh run beside it, so overlapping rounds interleave as separate Pings
-// would.
+// fresh run beside it, so overlapping rounds interleave as separate ping
+// runs would.
 func (p *Prober) Monitor(targets []netem.Addr, interval time.Duration, probes int, until sim.Time, onResult func(PingResult)) {
 	if interval <= 0 {
 		panic(fmt.Sprintf("measure: Monitor interval %v, must be positive", interval))

@@ -197,6 +197,3 @@ func (n *NAT) expire() {
 		}
 	}
 }
-
-// MappingCount returns the number of active translations.
-func (n *NAT) MappingCount() int { return len(n.table) }

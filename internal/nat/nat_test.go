@@ -75,8 +75,8 @@ func TestNATRewritesAndRestores(t *testing.T) {
 	if back.Dst != client.Addr() || back.DstPort != 4444 {
 		t.Errorf("reply dst = %v:%d, want client:4444", back.Dst, back.DstPort)
 	}
-	if n.MappingCount() != 1 {
-		t.Errorf("mappings = %d", n.MappingCount())
+	if len(n.table) != 1 {
+		t.Errorf("mappings = %d", len(n.table))
 	}
 }
 
@@ -100,8 +100,8 @@ func TestNATMappingStableAcrossPackets(t *testing.T) {
 	if ports[5] == ports[0] {
 		t.Error("different inside tuples must map to different ports")
 	}
-	if n.MappingCount() != 2 {
-		t.Errorf("mappings = %d", n.MappingCount())
+	if len(n.table) != 2 {
+		t.Errorf("mappings = %d", len(n.table))
 	}
 }
 

@@ -39,8 +39,8 @@ func TestNATExpiresIdleMappings(t *testing.T) {
 
 	n.now = sim.Time(6 * time.Minute)
 	n.expire()
-	if n.MappingCount() != 1 {
-		t.Fatalf("mappings after expiry = %d, want 1 (idle flow dropped, fresh kept)", n.MappingCount())
+	if len(n.table) != 1 {
+		t.Fatalf("mappings after expiry = %d, want 1 (idle flow dropped, fresh kept)", len(n.table))
 	}
 	if _, alive := n.reverse[stale.extPort]; alive {
 		t.Error("idle mapping survived an expiry sweep past MappingTimeout")
@@ -71,8 +71,8 @@ func TestNATAllocPortAfterEviction(t *testing.T) {
 	if got < 10000 {
 		t.Fatalf("allocPort after eviction returned %d, want a port >= 10000", got)
 	}
-	if n.MappingCount() != 0 {
-		t.Errorf("eviction left %d mappings, want 0", n.MappingCount())
+	if len(n.table) != 0 {
+		t.Errorf("eviction left %d mappings, want 0", len(n.table))
 	}
 }
 
@@ -109,7 +109,7 @@ func TestNATEchoReplyRefreshesMapping(t *testing.T) {
 	// must keep the mapping alive.
 	n.now = sim.Time(8 * time.Minute)
 	n.expire()
-	if n.MappingCount() != 1 {
+	if len(n.table) != 1 {
 		t.Fatal("mapping kept alive only by echo replies expired mid-conversation")
 	}
 }

@@ -56,18 +56,3 @@ func MustParseAddr(s string) Addr {
 func (a Addr) String() string {
 	return fmt.Sprintf("%d.%d.%d.%d", byte(a>>24), byte(a>>16), byte(a>>8), byte(a))
 }
-
-// Private reports whether the address is in RFC 1918 space. The Starlink
-// CPE hands out 192.168.1.0/24 behind the dish.
-func (a Addr) Private() bool {
-	return a>>24 == 10 ||
-		a>>20 == 0xac1 || // 172.16/12
-		a>>16 == 0xc0a8 // 192.168/16
-}
-
-// CGNAT reports whether the address is in the RFC 6598 carrier-grade NAT
-// shared space 100.64.0.0/10 — the paper observes 100.64.0.1 as the
-// second hop out of the Starlink access.
-func (a Addr) CGNAT() bool {
-	return a>>22 == (100<<2 | 1) // 100.64/10
-}

@@ -142,13 +142,6 @@ func (l *Link) SetRate(bps float64) {
 	l.cfg.RateBps = bps
 }
 
-// SetDown replaces the link's outage predicate. Packets still serializing
-// meet it as their serialization ends.
-func (l *Link) SetDown(down func(sim.Time) bool) {
-	l.unhold()
-	l.cfg.Down = down
-}
-
 // send puts pkt on the link. Queue overflow drops immediately (congestion
 // loss). On a rated link the packet then serializes FIFO at the link rate
 // and is transmitted when that ends (pipe.go: one scheduler event or two);

@@ -54,27 +54,6 @@ func TestAddrStringRoundTrip(t *testing.T) {
 	}
 }
 
-func TestAddrClassification(t *testing.T) {
-	if !MustParseAddr("192.168.1.1").Private() {
-		t.Error("192.168.1.1 should be private")
-	}
-	if !MustParseAddr("10.20.30.40").Private() {
-		t.Error("10/8 should be private")
-	}
-	if !MustParseAddr("172.16.0.1").Private() || MustParseAddr("172.32.0.1").Private() {
-		t.Error("172.16/12 classification wrong")
-	}
-	if !MustParseAddr("100.64.0.1").CGNAT() {
-		t.Error("100.64.0.1 should be CGNAT space")
-	}
-	if !MustParseAddr("100.127.255.255").CGNAT() || MustParseAddr("100.128.0.0").CGNAT() {
-		t.Error("100.64/10 boundary wrong")
-	}
-	if MustParseAddr("8.8.8.8").Private() || MustParseAddr("8.8.8.8").CGNAT() {
-		t.Error("8.8.8.8 misclassified")
-	}
-}
-
 func TestChecksumChangesWithRewrite(t *testing.T) {
 	a := PseudoChecksum(MustParseAddr("192.168.1.2"), MustParseAddr("8.8.8.8"), 1000, 443, ProtoUDP)
 	b := PseudoChecksum(MustParseAddr("100.64.0.7"), MustParseAddr("8.8.8.8"), 1000, 443, ProtoUDP)

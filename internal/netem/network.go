@@ -110,9 +110,6 @@ func (nw *Network) NewNode(name string, addr Addr) *Node {
 	return n
 }
 
-// NodeByName returns the node with the given name, or nil.
-func (nw *Network) NodeByName(name string) *Node { return nw.byName[name] }
-
 // Links returns all links (for stats aggregation).
 func (nw *Network) Links() []*Link { return nw.links }
 

@@ -35,7 +35,7 @@ import (
 // queue, and its arrival is not yet the link's clamp. Whoever next needs
 // those — a later admit, QueuedBytes, LastArrival, the arrival itself —
 // settles the held packets whose key is behind the clock. A mutator
-// (SetRate, SetLoss, SetDown) gives the held packets still serializing
+// (SetRate, SetLoss) gives the held packets still serializing
 // their serialization-end event back, under the key they reserved, so the
 // mutation applies to them exactly as it would have to their own timers,
 // and their arrival takes a sequence number as that event fires.

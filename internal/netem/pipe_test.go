@@ -84,7 +84,16 @@ func (o *oracle) send(l *Link, pkt *Packet) {
 	}
 }
 
-// mutated runs after every SetRate, SetLoss and SetDown: the packets on
+// setDown replaces a link's outage predicate mid-run, as SetRate and
+// SetLoss replace theirs: packets still serializing meet it as their
+// serialization ends. No production caller changes a predicate after the
+// link is built; the scenarios do, to hold the pipe to the oracle.
+func setDown(l *Link, down func(sim.Time) bool) {
+	l.unhold()
+	l.cfg.Down = down
+}
+
+// mutated runs after every SetRate, SetLoss and setDown: the packets on
 // course for one event whose serialization has not ended take two.
 func (o *oracle) mutated(l *Link) {
 	ol := o.link(l)
@@ -160,7 +169,7 @@ type pipeWorld struct{ ties, observe bool }
 // single source, each with its own mix of rate, queue cap, jitter, delay
 // cliff, Gilbert-Elliott loss and outage windows, a third of the rated
 // ones with none of the last three; bursty traffic; SetRate (to zero and
-// back), SetDown and SetLoss (on and off) while packets are serializing;
+// back), setDown and SetLoss (on and off) while packets are serializing;
 // and drop and deliver hooks that re-send on the link that called them.
 func runPipeScenario(seed int64, dp datapath, w pipeWorld) pipeOutcome {
 	const horizon = sim.Time(2 * time.Second)
@@ -284,11 +293,11 @@ func runPipeScenario(seed int64, dp datapath, w pipeWorld) pipeOutcome {
 			mutate(at, l, func() { l.SetRate(rate) })
 		case n == 1:
 			down := r.Intn(2) == 0
-			mutate(at, l, func() { l.SetDown(func(sim.Time) bool { return down }) })
+			mutate(at, l, func() { setDown(l, func(sim.Time) bool { return down }) })
 		case n == 2:
 			mutate(at, l, func() { l.SetLoss(nil) })
 		case n == 3:
-			mutate(at, l, func() { l.SetDown(nil) })
+			mutate(at, l, func() { setDown(l, nil) })
 		case n == 4 && r.Intn(3) == 0:
 			loss := newLoss(fmt.Sprint("set", at))
 			mutate(at, l, func() { l.SetLoss(loss) })

@@ -34,8 +34,8 @@ func TestPacketPoolLifecycle(t *testing.T) {
 	if got := nw.PoolStats(); got.Hits != 1 {
 		t.Fatalf("Hits = %d, want 1", got.Hits)
 	}
-	if hr := nw.PoolStats().HitRate(); hr != 0.5 {
-		t.Fatalf("HitRate = %v, want 0.5", hr)
+	if got := nw.PoolStats(); got.Gets != 2 {
+		t.Fatalf("Gets = %d, want 2", got.Gets)
 	}
 }
 

@@ -138,12 +138,12 @@ func TestMutatorsTakeEffectOnNextSend(t *testing.T) {
 		t.Errorf("after SetRate(0): QueuedPeak = %d, QueuedBytes = %d; want 3000 and 0", st.QueuedPeak, l.QueuedBytes())
 	}
 
-	l.SetDown(func(sim.Time) bool { return true })
+	setDown(l, func(sim.Time) bool { return true })
 	burst(1)
 	if st := l.Stats(); st.DropsDown != 1 {
-		t.Errorf("after SetDown: DropsDown = %d, want 1", st.DropsDown)
+		t.Errorf("after a down predicate: DropsDown = %d, want 1", st.DropsDown)
 	}
-	l.SetDown(nil)
+	setDown(l, nil)
 	l.SetLoss(&BernoulliLoss{P: 1, Rng: sim.NewRNG(2)})
 	burst(1)
 	if st := l.Stats(); st.DropsLoss != 1 || st.Delivered != 12 {

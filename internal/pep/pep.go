@@ -53,6 +53,9 @@ type splitFlow struct {
 	serverLeg *tcpsim.Conn // spoofs the client towards the server
 }
 
+// maxRelayBacklog is the relay buffer a proxy holds per flow direction.
+const maxRelayBacklog = 8 << 20
+
 type legRef struct {
 	flow *splitFlow
 	role legRole
@@ -69,12 +72,11 @@ type Proxy struct {
 	// provisioned fixed window on the space-segment leg.
 	ClientLegCC func(mss int) cc.CongestionController
 	ServerLegCC func(mss int) cc.CongestionController
-	// MaxBacklog bounds the relay buffer per flow direction; beyond it
-	// the receiving leg's advertised window closes (backpressure).
-	// 0 means 8 MB.
-	MaxBacklog int
-	// Match restricts which TCP flows are split; nil splits all.
-	Match func(pkt *netem.Packet) bool
+
+	// maxBacklog bounds the relay buffer per flow direction; beyond it
+	// the receiving leg's advertised window closes (backpressure). It is
+	// maxRelayBacklog; in-package tests lower it.
+	maxBacklog int
 
 	legs map[flowKey]legRef
 	obs  *pepObs
@@ -92,7 +94,7 @@ type Proxy struct {
 // connection on the network does.
 func Attach(node *netem.Node, cfg tcpsim.Config) *Proxy {
 	cfg.TLSRounds = 0
-	p := &Proxy{Config: cfg, legs: make(map[flowKey]legRef)}
+	p := &Proxy{Config: cfg, maxBacklog: maxRelayBacklog, legs: make(map[flowKey]legRef)}
 	if s := node.Network().Sink(); s != nil {
 		reg, tr := s.Registry(), s.Tracer()
 		p.obs = &pepObs{
@@ -132,9 +134,6 @@ func (p *Proxy) Process(node *netem.Node, pkt *netem.Packet) bool {
 	}
 	if seg.Flags&tcpsim.FlagSYN == 0 || seg.Flags&tcpsim.FlagACK != 0 {
 		return true // mid-flow segment of an unknown flow: not ours
-	}
-	if p.Match != nil && !p.Match(pkt) {
-		return true
 	}
 	p.split(node, pkt, key)
 	return false
@@ -183,10 +182,7 @@ func (p *Proxy) split(node *netem.Node, syn *netem.Packet, key flowKey) {
 	// its relay twin has not yet pushed out, and window updates flow as
 	// the twin drains. The window to close is the leg's own largest one,
 	// after tcpsim's defaults: a zero MaxRcvWnd is 6 MiB there, not 0.
-	maxBacklog := p.MaxBacklog
-	if maxBacklog <= 0 {
-		maxBacklog = 8 << 20
-	}
+	maxBacklog := p.maxBacklog
 	cliWnd, srvWnd := int(f.clientLeg.Config().MaxRcvWnd), int(f.serverLeg.Config().MaxRcvWnd)
 	f.clientLeg.BacklogFn = func() int { return scaleBacklog(f.serverLeg.Backlog(), maxBacklog, cliWnd) }
 	f.serverLeg.BacklogFn = func() int { return scaleBacklog(f.clientLeg.Backlog(), maxBacklog, srvWnd) }

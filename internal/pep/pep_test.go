@@ -192,28 +192,6 @@ func TestPEPPassesQUICThrough(t *testing.T) {
 	}
 }
 
-func TestPEPMatchRestriction(t *testing.T) {
-	s, client, server, proxy := geoTopo(t, true)
-	proxy.Match = func(pkt *netem.Packet) bool { return pkt.DstPort == 80 }
-	cfg := tcpsim.DefaultConfig()
-	cfg.TLSRounds = 0
-	tcpsim.Listen(server, 80, cfg, nil)
-	tcpsim.Listen(server, 8443, cfg, nil)
-	c80 := tcpsim.Dial(client, server.Addr(), 80, cfg)
-	c8443 := tcpsim.Dial(client, server.Addr(), 8443, cfg)
-	s.RunFor(30 * time.Second)
-	if !c80.Ready() || !c8443.Ready() {
-		t.Fatal("handshakes incomplete")
-	}
-	if proxy.Splits != 1 {
-		t.Errorf("splits = %d, want exactly the port-80 flow", proxy.Splits)
-	}
-	// The non-split flow pays the full e2e handshake.
-	if c8443.SetupTime() <= c80.SetupTime() {
-		t.Error("unsplit flow should have a slower TCP setup")
-	}
-}
-
 // TestAttachOnObservedNetworkRegistersBeforeSplit: a proxy on an observed
 // network reports from the moment it is attached, so a proxy no flow ever
 // crosses still exports its pep.* keys (as zeros) and its trace subject.
@@ -240,7 +218,7 @@ func TestAttachOnObservedNetworkRegistersBeforeSplit(t *testing.T) {
 // runs its legs with tcpsim's default 6 MiB receive window, and that is
 // the window its backpressure must close. A fast client uploads through
 // the proxy to a server behind a thin link; the relay backlog may
-// overshoot MaxBacklog by at most one window in flight, never grow with
+// overshoot its maxBacklog by at most one window in flight, never grow with
 // the transfer.
 func TestBackpressureWithZeroConfig(t *testing.T) {
 	s := sim.NewScheduler(3)
@@ -258,7 +236,7 @@ func TestBackpressureWithZeroConfig(t *testing.T) {
 	server.SetDefaultRoute(s2p)
 
 	proxy := Attach(proxyNode, tcpsim.Config{})
-	proxy.MaxBacklog = 512 << 10
+	proxy.maxBacklog = 512 << 10
 	window := int(tcpsim.DefaultConfig().MaxRcvWnd)
 
 	const total = 16 << 20
@@ -285,10 +263,10 @@ func TestBackpressureWithZeroConfig(t *testing.T) {
 	if received != total {
 		t.Fatalf("server received %d/%d bytes", received, total)
 	}
-	if peak <= proxy.MaxBacklog/2 {
+	if peak <= proxy.maxBacklog/2 {
 		t.Fatalf("relay backlog peaked at %d bytes: the thin link never pressed back", peak)
 	}
-	if limit := proxy.MaxBacklog + window; peak > limit {
-		t.Errorf("relay backlog peaked at %d bytes, want <= MaxBacklog + window = %d", peak, limit)
+	if limit := proxy.maxBacklog + window; peak > limit {
+		t.Errorf("relay backlog peaked at %d bytes, want <= maxBacklog + window = %d", peak, limit)
 	}
 }

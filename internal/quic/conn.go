@@ -55,20 +55,13 @@ type Config struct {
 	// cc.PacingRater) with a max-burst token bucket. quiche at the
 	// paper's commit did not pace; the default is off.
 	EnablePacing bool
-	// RTTMinWindow, when positive, makes the connection's min-RTT filter
-	// windowed over that much sim time instead of all-time, so a
-	// handover that raises the path RTT stops pinning stale state. 0
-	// keeps the seed's all-time minimum.
-	RTTMinWindow time.Duration
-	// EnableZeroRTT resumes connections against servers recorded in
-	// Sessions without waiting a handshake round trip: Dial returns a
-	// connection that is immediately usable, with the session-ticket
-	// exchange completing in the background. Requires Sessions.
-	EnableZeroRTT bool
 	// Sessions is the session-ticket cache shared across endpoints (the
-	// testbed owns one per profile): clients record a ticket per
-	// (address, port) on every completed handshake and consult it on
-	// Dial when EnableZeroRTT is set.
+	// testbed owns one for the modern profile): clients record a ticket
+	// per (address, port) on every completed handshake, and a client that
+	// has one for its server resumes at 0-RTT: Dial returns a connection
+	// that is immediately usable, with the session-ticket exchange
+	// completing in the background. nil (the paper's quiche) never
+	// resumes.
 	Sessions *SessionCache
 }
 
@@ -246,7 +239,7 @@ func newConnection(ep *Endpoint, cfg Config, isClient bool, connID uint64, remot
 		activeSet:     make(map[uint64]bool),
 		obs:           newQUICObs(ep.node.Network().Sink()),
 	}
-	c.rtt.MinWindow = cfg.RTTMinWindow
+	c.rtt = cc.NewRTTEstimator(c.cc)
 	if isClient {
 		c.nextStreamID = 0
 	} else {
@@ -264,32 +257,21 @@ func (c *Connection) Endpoint() *Endpoint { return c.ep }
 // Sched returns the simulation scheduler driving the connection.
 func (c *Connection) Sched() *sim.Scheduler { return c.sched }
 
-// Established reports whether the handshake finished.
-func (c *Connection) Established() bool { return c.state == stateEstablished }
-
 // Closed reports whether the connection terminated.
 func (c *Connection) Closed() bool { return c.state == stateClosed }
 
 // RTT returns the connection's RTT estimator (read-only use).
 func (c *Connection) RTT() *cc.RTTEstimator { return &c.rtt }
 
-// LargestSentPN returns the next packet number to be used minus one.
-func (c *Connection) LargestSentPN() (uint64, bool) {
-	if c.nextPN == 0 {
-		return 0, false
-	}
-	return c.nextPN - 1, true
-}
-
 // startHandshake begins the client side of the handshake. With a cached
-// session ticket and EnableZeroRTT, the connection resumes at 0-RTT: it
+// session ticket in Sessions, the connection resumes at 0-RTT: it
 // is usable immediately (streams open and data rides the first flight
 // alongside the resumption hello) while the ticket exchange completes in
 // the background. The server needs no special handling — it already runs
 // 0.5-RTT, establishing on the hello.
 func (c *Connection) startHandshake() {
 	c.cryptoOut = clientHelloSize
-	if c.cfg.EnableZeroRTT && c.cfg.Sessions != nil && c.cfg.Sessions.Has(c.remote, c.remotePort) {
+	if c.cfg.Sessions != nil && c.cfg.Sessions.Has(c.remote, c.remotePort) {
 		c.resumed = true
 		c.Stats.ZeroRTTResumed = true
 		c.state = stateEstablished

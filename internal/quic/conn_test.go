@@ -33,7 +33,7 @@ func TestHandshakeCompletesInOneRTT(t *testing.T) {
 	conn.OnEstablished = func() { establishedAt = s.Now() }
 	s.RunFor(2 * time.Second)
 
-	if !conn.Established() {
+	if conn.state != stateEstablished {
 		t.Fatal("handshake did not complete")
 	}
 	// One RTT is 50ms; the server flight is 3 packets, all arriving
@@ -187,10 +187,10 @@ func TestReceiverSeesPacketNumberGapsOnLoss(t *testing.T) {
 
 	// Conservation: every sent packet number was either received or is a
 	// gap in the receiver's ranges.
-	largest, ok := conn.LargestSentPN()
-	if !ok {
+	if conn.nextPN == 0 {
 		t.Fatal("nothing sent")
 	}
+	largest := conn.nextPN - 1
 	var receivedCount uint64
 	for _, r := range serverConn.recvSet.Spans() {
 		receivedCount += r.End - r.Start
@@ -404,7 +404,7 @@ func TestHandshakeRetransmitsAfterTotalLossWindow(t *testing.T) {
 	sep.Listen(DefaultConfig(), func(c *Connection) {})
 	conn := cep.Dial(b.Addr(), 443, DefaultConfig())
 	s.RunFor(10 * time.Second)
-	if !conn.Established() {
+	if conn.state != stateEstablished {
 		t.Fatal("handshake never recovered from initial outage")
 	}
 	if conn.Stats.ProbesSent == 0 {

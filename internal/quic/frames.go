@@ -288,16 +288,6 @@ func (f *ConnectionCloseFrame) String() string {
 	return fmt.Sprintf("CONNECTION_CLOSE(%d %q)", f.ErrorCode, f.Reason)
 }
 
-// ParseFrames decodes the frames in a packet payload into freshly
-// allocated frames. Data slices alias b.
-func ParseFrames(b []byte) ([]Frame, error) {
-	var ps parser
-	if err := ps.parseFrames(b); err != nil {
-		return nil, err
-	}
-	return ps.pkt.Frames, nil
-}
-
 // slab hands out reusable structs of one frame type: next returns the
 // first unused one (allocating only when every earlier one is taken),
 // reset makes all of them unused again. Callers overwrite every field.

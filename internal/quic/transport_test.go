@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"starlinkperf/internal/cc"
 	"starlinkperf/internal/netem"
 	"starlinkperf/internal/sim"
 )
@@ -12,7 +13,9 @@ import (
 // TestZeroRTTResumptionSkipsHandshakeRTT: with a shared session cache, a
 // second connection to the same server resumes at 0-RTT — it is usable
 // immediately and the transfer completes one handshake RTT sooner than
-// the first (full-handshake) connection over the identical path.
+// the first (full-handshake) connection over the identical path. A third
+// client with no session cache never resumes, though the server is the
+// one the cache holds a ticket for: it pays the full handshake again.
 func TestZeroRTTResumptionSkipsHandshakeRTT(t *testing.T) {
 	const rtt = 80 * time.Millisecond
 	const size = 20000
@@ -44,10 +47,9 @@ func TestZeroRTTResumptionSkipsHandshakeRTT(t *testing.T) {
 	})
 
 	sessions := NewSessionCache()
-	dial := func(port uint16, start sim.Time) *Connection {
+	dial := func(port uint16, sessions *SessionCache) *Connection {
 		cep := NewEndpoint(a, port)
 		ccfg := DefaultConfig()
-		ccfg.EnableZeroRTT = true
 		ccfg.Sessions = sessions
 		conn := cep.Dial(b.Addr(), 443, ccfg)
 		conn.OnEstablished = func() {
@@ -58,10 +60,11 @@ func TestZeroRTTResumptionSkipsHandshakeRTT(t *testing.T) {
 		return conn
 	}
 
-	conn1 := dial(5000, 0)
-	var conn2 *Connection
+	conn1 := dial(5000, sessions)
+	var conn2, conn3 *Connection
 	const gap = 2 * time.Second
-	s.After(gap, func() { conn2 = dial(5001, s.Now()) })
+	s.After(gap, func() { conn2 = dial(5001, sessions) })
+	s.After(2*gap, func() { conn3 = dial(5002, nil) })
 	s.RunFor(10 * time.Second)
 
 	if conn1.Stats.ZeroRTTResumed {
@@ -73,8 +76,11 @@ func TestZeroRTTResumptionSkipsHandshakeRTT(t *testing.T) {
 	if sessions.Len() != 1 {
 		t.Errorf("session cache has %d tickets, want 1 (same server)", sessions.Len())
 	}
-	if len(order) != 2 {
-		t.Fatalf("server accepted %d connections, want 2", len(order))
+	if conn3 == nil || conn3.Stats.ZeroRTTResumed {
+		t.Error("a client with no session cache resumed at 0-RTT")
+	}
+	if len(order) != 3 {
+		t.Fatalf("server accepted %d connections, want 3", len(order))
 	}
 	d1 := finAt[order[0]]
 	d2 := finAt[order[1]].Sub(sim.Time(0).Add(gap))
@@ -87,6 +93,10 @@ func TestZeroRTTResumptionSkipsHandshakeRTT(t *testing.T) {
 	if saved < rtt/2 || saved > 3*rtt/2 {
 		t.Errorf("0-RTT saved %v, want ~%v (full %v, resumed %v)",
 			saved, rtt, time.Duration(d1), d2)
+	}
+	// The cacheless transfer takes the first one's full-handshake time.
+	if d3 := finAt[order[2]].Sub(sim.Time(0).Add(2 * gap)); d3 < time.Duration(d1)-rtt/2 {
+		t.Errorf("cacheless transfer took %v, want the full handshake's %v", d3, time.Duration(d1))
 	}
 }
 
@@ -156,6 +166,34 @@ func TestHandoverReorderingNoSpuriousLoss(t *testing.T) {
 			}
 			if conn.Stats.FramesRetransmitted != 0 {
 				t.Errorf("%d frames retransmitted on a loss-free network", conn.Stats.FramesRetransmitted)
+			}
+		})
+	}
+}
+
+// TestMinRTTFilterFollowsController: a connection takes its min-RTT
+// filter from its congestion controller. Under BBR a 40 ms sample is
+// forgotten once BBR's 10 s window has passed it; under CUBIC (the
+// default) and Fixed the all-time minimum keeps it.
+func TestMinRTTFilterFollowsController(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		newCC func() cc.CongestionController
+		want  time.Duration
+	}{
+		{"bbr", func() cc.CongestionController { return cc.NewBBR(MaxPayloadSize) }, 60 * time.Millisecond},
+		{"cubic", nil, 40 * time.Millisecond},
+		{"fixed", func() cc.CongestionController { return cc.NewFixed(64 << 10) }, 40 * time.Millisecond},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			node := netem.New(sim.NewScheduler(1)).NewNode("x", netem.MustParseAddr("10.0.0.1"))
+			cfg := DefaultConfig()
+			cfg.NewCC = c.newCC
+			conn := newConnection(NewEndpoint(node, 1), cfg, true, 1, netem.MustParseAddr("10.0.0.2"), 1)
+			conn.rtt.UpdateAt(0, 40*time.Millisecond, 0)
+			conn.rtt.UpdateAt(sim.Time(11*time.Second), 60*time.Millisecond, 0)
+			if got := conn.rtt.Min(); got != c.want {
+				t.Errorf("%s connection: min RTT %v 11 s after a 40 ms sample, want %v", conn.cc.Name(), got, c.want)
 			}
 		})
 	}

@@ -13,7 +13,8 @@
 // It deliberately omits what the paper's measurements cannot observe:
 // TLS 1.3 key exchange (the handshake costs the right round trips but
 // carries opaque bytes), version negotiation and connection migration.
-// 0-RTT resumption (EnableZeroRTT) exists for the post-paper stack only.
+// 0-RTT resumption (a client with a Config.Sessions cache) exists for the
+// post-paper stack only.
 // See DESIGN.md for the substitution argument.
 package quic
 

@@ -56,6 +56,16 @@ func TestVarintTruncated(t *testing.T) {
 
 func frameEqual(a, b Frame) bool { return reflect.DeepEqual(a, b) }
 
+// decodeFrames runs the packet parser's frame decoder on a bare payload,
+// into a parser of its own, so the frames are fresh and Data aliases b.
+func decodeFrames(b []byte) ([]Frame, error) {
+	var ps parser
+	if err := ps.parseFrames(b); err != nil {
+		return nil, err
+	}
+	return ps.pkt.Frames, nil
+}
+
 func TestFrameRoundTrip(t *testing.T) {
 	frames := []Frame{
 		&PingFrame{},
@@ -77,7 +87,7 @@ func TestFrameRoundTrip(t *testing.T) {
 		if len(b) != f.WireLen() {
 			t.Errorf("%v: WireLen %d != encoded %d", f, f.WireLen(), len(b))
 		}
-		got, err := ParseFrames(b)
+		got, err := decodeFrames(b)
 		if err != nil {
 			t.Errorf("%v: parse error %v", f, err)
 			continue
@@ -101,7 +111,7 @@ func TestMultipleFramesInPayload(t *testing.T) {
 	b = (&PingFrame{}).Append(b)
 	b = (&StreamFrame{StreamID: 0, Offset: 10, Data: []byte("abc")}).Append(b)
 	b = (&PaddingFrame{Length: 3}).Append(b)
-	frames, err := ParseFrames(b)
+	frames, err := decodeFrames(b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,12 +121,12 @@ func TestMultipleFramesInPayload(t *testing.T) {
 }
 
 func TestParseFramesRejectsGarbage(t *testing.T) {
-	if _, err := ParseFrames([]byte{0xff, 0x00}); err == nil {
+	if _, err := decodeFrames([]byte{0xff, 0x00}); err == nil {
 		t.Error("unknown frame type accepted")
 	}
 	// Truncated STREAM frame.
 	sf := (&StreamFrame{StreamID: 1, Offset: 5, Data: []byte("0123456789")}).Append(nil)
-	if _, err := ParseFrames(sf[:len(sf)-4]); err == nil {
+	if _, err := decodeFrames(sf[:len(sf)-4]); err == nil {
 		t.Error("truncated stream frame accepted")
 	}
 }
@@ -160,7 +170,7 @@ func TestAckFrameRoundTripProperty(t *testing.T) {
 			desc[i] = ranges[len(ranges)-1-i]
 		}
 		f := &AckFrame{Ranges: desc, AckDelay: time.Duration(r.IntN(100000)) * time.Microsecond}
-		got, err := ParseFrames(f.Append(nil))
+		got, err := decodeFrames(f.Append(nil))
 		if err != nil {
 			t.Fatalf("trial %d: %v (frame %v)", trial, err, f)
 		}

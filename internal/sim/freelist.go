@@ -17,14 +17,6 @@ type PoolStats struct {
 	Gets, Hits, Puts, Shared uint64 // Hits: Gets served from the list
 }
 
-// HitRate returns the fraction of Gets served without allocating.
-func (st PoolStats) HitRate() float64 {
-	if st.Gets == 0 {
-		return 0
-	}
-	return float64(st.Hits) / float64(st.Gets)
-}
-
 // Get pops the object put last, or returns nil.
 func (l *Freelist[T]) Get() *T {
 	l.stats.Gets++

@@ -25,12 +25,6 @@ func TestFreelistLIFOAndStats(t *testing.T) {
 	if st := l.Stats(); st != want {
 		t.Errorf("stats %+v, want %+v", st, want)
 	}
-	if hr := l.Stats().HitRate(); hr != 2.0/3 {
-		t.Errorf("hit rate %v, want 2/3", hr)
-	}
-	if hr := (PoolStats{}).HitRate(); hr != 0 {
-		t.Errorf("hit rate of no draws %v, want 0", hr)
-	}
 }
 
 // Adopt moves the listed objects beneath the adopter's own in their order,

@@ -48,28 +48,20 @@ func (r *RNG) Stream(name string) *RNG {
 	return newRNG(sub, sub^0xdeadbeefcafef00d)
 }
 
-// Derive returns a deterministic seed for the i-th shard of a named
-// family ("latency", "speedtest", ...). Unlike Stream it hands back a raw
-// seed rather than an RNG: the caller typically feeds it to a whole new
-// simulation (e.g. a per-shard Testbed) so that shards are statistically
-// independent yet fully reproducible. Derive never consumes state from r,
-// so the result is insensitive to how much randomness has already been
-// drawn.
-func (r *RNG) Derive(name string, i int) uint64 {
-	return DeriveSeed(r.seed, name, i)
-}
-
-// DeriveSeed is the underlying pure derivation used by Derive: it mixes a
-// base seed with a shard family name and index. Identical inputs always
-// produce identical seeds; distinct names or indices decorrelate.
+// DeriveSeed returns a deterministic seed for the i-th shard of a named
+// family ("latency", "speedtest", ...) under a base seed. Unlike Stream it
+// hands back a raw seed rather than an RNG: the caller typically feeds it
+// to a whole new simulation (e.g. a per-shard Testbed) so that shards are
+// statistically independent yet fully reproducible. Identical inputs
+// always produce identical seeds; distinct names or indices decorrelate.
 func DeriveSeed(base uint64, name string, i int) uint64 {
 	h := fnv.New64a()
 	h.Write([]byte(name))
 	var buf [8]byte
 	binary.LittleEndian.PutUint64(buf[:], uint64(i))
 	h.Write(buf[:])
-	// The extra odd constant separates Derive("x", 0) from Stream("x"),
-	// which uses the bare name hash.
+	// The extra odd constant separates DeriveSeed(base, "x", 0) from
+	// Stream("x"), which uses the bare name hash.
 	return base ^ h.Sum64() ^ 0x6a09e667f3bcc909
 }
 

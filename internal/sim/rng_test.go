@@ -3,37 +3,26 @@ package sim
 import "testing"
 
 func TestDeriveDeterministicAndDistinct(t *testing.T) {
-	r := NewRNG(42)
 	seen := map[uint64]string{}
 	for _, name := range []string{"latency", "speedtest", "web"} {
 		for i := 0; i < 16; i++ {
-			s := r.Derive(name, i)
+			s := DeriveSeed(42, name, i)
 			if prev, dup := seen[s]; dup {
-				t.Errorf("Derive(%q,%d) collides with %s", name, i, prev)
+				t.Errorf("DeriveSeed(42,%q,%d) collides with %s", name, i, prev)
 			}
 			seen[s] = name
 			if s != DeriveSeed(42, name, i) {
-				t.Errorf("Derive(%q,%d) != DeriveSeed with same base", name, i)
+				t.Errorf("DeriveSeed(42,%q,%d) is not deterministic", name, i)
 			}
 		}
 	}
-	// Derivation never consumes generator state: draws in between change
-	// nothing.
-	before := r.Derive("x", 3)
-	r.Float64()
-	r.Uint64()
-	if got := r.Derive("x", 3); got != before {
-		t.Error("Derive is sensitive to prior consumption")
-	}
 	// Different bases decorrelate.
-	if NewRNG(1).Derive("x", 0) == NewRNG(2).Derive("x", 0) {
+	if DeriveSeed(1, "x", 0) == DeriveSeed(2, "x", 0) {
 		t.Error("different base seeds derived the same shard seed")
 	}
-	// Derive must not alias Stream's seed for the same name.
-	r2 := NewRNG(9)
-	streamSeed := r2.Stream("x").seed
-	if r2.Derive("x", 0) == streamSeed {
-		t.Error("Derive(name, 0) aliases Stream(name)")
+	// A derived seed must not alias Stream's seed for the same name.
+	if DeriveSeed(9, "x", 0) == NewRNG(9).Stream("x").seed {
+		t.Error("DeriveSeed(base, name, 0) aliases Stream(name)")
 	}
 }
 
@@ -78,8 +67,8 @@ func TestReseedMatchesNewRNG(t *testing.T) {
 					t.Fatalf("seed %d draw %d: Uint64 %v, want %v", seed, i, g, w)
 				}
 			}
-			if g, w := r.Derive("x", 3), want.Derive("x", 3); g != w {
-				t.Fatalf("seed %d: Derive %v, want %v", seed, g, w)
+			if r.seed != want.seed {
+				t.Fatalf("seed %d: base seed %v, want %v", seed, r.seed, want.seed)
 			}
 		}
 	}

@@ -177,9 +177,6 @@ func (noSample) Format(f fmt.State, _ rune) {
 	}
 }
 
-// IQR returns the interquartile range p75-p25.
-func (s Summary) IQR() float64 { return s.P75 - s.P25 }
-
 // ECDF is an empirical cumulative distribution function.
 type ECDF struct {
 	sorted []float64

@@ -67,9 +67,6 @@ type Config struct {
 	// controller's own rate when it implements cc.PacingRater). Off by
 	// default: the paper's testbed kernel ran without fq pacing.
 	EnablePacing bool
-	// RTTMinWindow bounds the age of the RTT estimator's minimum filter
-	// (see cc.RTTEstimator.MinWindow). Zero keeps the all-time minimum.
-	RTTMinWindow time.Duration
 }
 
 // DefaultConfig returns the paper-testbed TCP configuration.
@@ -284,7 +281,7 @@ func NewConn(p ConnParams) *Conn {
 	} else {
 		c.inflight = new(sim.Ring[txRecord])
 	}
-	c.rtt.MinWindow = cfg.RTTMinWindow
+	c.rtt = cc.NewRTTEstimator(c.ccc)
 	// How many TLS bytes will the peer send before application data?
 	if p.IsClient {
 		switch cfg.TLSRounds {
@@ -1137,10 +1134,6 @@ func (c *Conn) ForceAck() {
 
 // DebugUna returns snd.una.
 func (c *Conn) DebugUna() uint64 { return c.sndUna }
-
-// FinAcked reports whether our FIN was acknowledged (sender-side
-// completion).
-func (c *Conn) FinAcked() bool { return c.finAcked }
 
 // Scheduler trampolines: package-level sim.EventFunc adapters so the
 // per-segment timers (RTO re-arm, delayed ACK) and the rarer handshake

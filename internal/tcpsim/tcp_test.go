@@ -99,7 +99,7 @@ func TestBulkTransferCleanLink(t *testing.T) {
 	if received != total || !finSeen {
 		t.Fatalf("received %d/%d fin=%v", received, total, finSeen)
 	}
-	if !c.FinAcked() {
+	if !c.finAcked {
 		t.Error("sender FIN not acked")
 	}
 	// Throughput sanity: 4MB over 50Mbit/s ≈ 0.7s + slow start; the

@@ -144,3 +144,32 @@ func TestTCPPacingSpacesDepartures(t *testing.T) {
 		t.Errorf("unpaced max run %d suspiciously small — the baseline burst is gone", unpaced)
 	}
 }
+
+// TestMinRTTFilterFollowsController: a connection takes its min-RTT
+// filter from its congestion controller. Under BBR a 40 ms sample is
+// forgotten once BBR's 10 s window has passed it; under CUBIC (the
+// default) and Fixed (the PEP's space-segment legs) the all-time minimum
+// keeps it.
+func TestMinRTTFilterFollowsController(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		newCC func(mss int) cc.CongestionController
+		want  time.Duration
+	}{
+		{"bbr", func(mss int) cc.CongestionController { return cc.NewBBR(mss) }, 60 * time.Millisecond},
+		{"cubic", nil, 40 * time.Millisecond},
+		{"fixed", func(int) cc.CongestionController { return cc.NewFixed(64 << 10) }, 40 * time.Millisecond},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			_, a, b := pairNet(t, netem.LinkConfig{RateBps: 10e6})
+			cfg := DefaultConfig()
+			cfg.NewCC = c.newCC
+			conn := Dial(a, b.Addr(), 80, cfg)
+			conn.rtt.UpdateAt(0, 40*time.Millisecond, 0)
+			conn.rtt.UpdateAt(sim.Time(11*time.Second), 60*time.Millisecond, 0)
+			if got := conn.rtt.Min(); got != c.want {
+				t.Errorf("%s connection: min RTT %v 11 s after a 40 ms sample, want %v", conn.ccc.Name(), got, c.want)
+			}
+		})
+	}
+}

@@ -45,15 +45,6 @@ type Site struct {
 	Objects []Object
 }
 
-// TotalBytes returns the page weight including HTML.
-func (s *Site) TotalBytes() int {
-	t := s.HTMLSize
-	for _, o := range s.Objects {
-		t += o.Size
-	}
-	return t
-}
-
 // GenerateCorpus builds n sites with statistics drawn from rng. The same
 // rng seed yields the same corpus, so campaigns are reproducible.
 func GenerateCorpus(rng *sim.RNG, n int) []Site {

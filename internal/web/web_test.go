@@ -19,7 +19,11 @@ func TestCorpusStatistics(t *testing.T) {
 	for _, s := range sites {
 		objs = append(objs, float64(len(s.Objects)))
 		doms = append(doms, float64(s.Domains))
-		weights = append(weights, float64(s.TotalBytes()))
+		weight := s.HTMLSize
+		for _, o := range s.Objects {
+			weight += o.Size
+		}
+		weights = append(weights, float64(weight))
 		if s.Domains < 2 || s.Domains > 32 {
 			t.Errorf("site %d domains = %d", s.Rank, s.Domains)
 		}

@@ -44,15 +44,6 @@ func (t *ServiceTrace) Duration() time.Duration {
 	return t.Bursts[len(t.Bursts)-1].Offset
 }
 
-// TotalBytes returns the downstream volume.
-func (t *ServiceTrace) TotalBytes() int {
-	n := 0
-	for _, b := range t.Bursts {
-		n += b.Bytes
-	}
-	return n
-}
-
 // DefaultServices generates the 22 service traces the detector replays,
 // shaped like their real counterparts: video streaming (rate-limited
 // chunked downloads), video calls (steady medium rate), and bulk-ish

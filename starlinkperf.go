@@ -25,7 +25,8 @@ package starlinkperf
 import "starlinkperf/internal/core"
 
 // Config parameterizes the testbed (seed, Starlink access model, SatCom
-// model, web corpus size, campaign scenario events).
+// model, transport stack, campaign scenario events). The web corpus is
+// always the paper's top-120 sites.
 type Config = core.Config
 
 // Testbed is the wired emulation environment with its three vantage
