@@ -26,7 +26,8 @@ func BenchmarkAblationPacing(b *testing.B) {
 		unpaced := tb.RunMessagesCampaign(4, 2*time.Minute, false)
 		paced := quic.DefaultConfig()
 		paced.EnablePacing = true
-		withPacing := tb.RunMessagesCampaignCfg(4, 2*time.Minute, false, paced)
+		tb.QUICConf = paced
+		withPacing := tb.RunMessagesCampaign(4, 2*time.Minute, false)
 		if i == 0 {
 			u := stats.Summarize(unpaced.RTTsMs)
 			p := stats.Summarize(withPacing.RTTsMs)

@@ -74,8 +74,16 @@ echo "== no deleted mechanism in non-test code (DESIGN.md: Independent traffic s
 # MinElevationDeg: leo.GatewayMaskDeg; Config.WebSites: the paper's
 # top-120 corpus; the PEP's MaxBacklog, unexported), and API only tests
 # called (geo's CentralAngleRad, netem's NodeByName, quic's LargestSentPN
-# and ParseFrames; CoverageCentralAngleRad stays and does not match).
-if grep -rnE 'PartitionedDriver|CrossEdge|AddCrossLink|snapshotRing|peekSnapshot|delayRing|islMemo|candCount|referenceReassignAt|epochPool|runPhase|phaseAssign|WirePoolStats struct|pktRing|txRing|frameQueue|rangeSet|byteRanges|cryptoRecv|offRange|compactMin|nstopped|\) compact\(|rebuildFIB|rebuildHandlers|fibDirty|hDirty|fibGroups|msgsInOrder|insertMsgKey|Hops \[\]Addr|wireFree|chunkFree|sentFree|frameFree|AnalyzeSenderView|obs\.Options|\(p \*Prober\) Observe|\(p \*Proxy\) Observe|pep\.New\(|NewNewReno|KindEnqueue|KindDequeue|IdleDecay|decayAfterIdle|AllowMigration|PathMigrations|PacingBurst|UnmarshalProfiles|LinkConfigs|"scenario\.workers"|sizesFor|paperScenario|prevSat|observeEpoch|observeCellInto|observeRange|assignRange|assignBlock|admitRow|candFill|scanSats|buildCandidates|candStart|candUB|satGwAt|RenderTraffic|TrafficWall|TrafficTerminals|TrafficSpan|computeAssignmentFull|reassignAt|\) DelayFunc\(|\) Handovers\(|EnableZeroRTT|RTTMinWindow|modernMinRTTWindow|MinElevationDeg|WebSites|MaxBacklog|(^|[^A-Za-z])CentralAngleRad|NodeByName|LargestSentPN|ParseFrames' --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark .; then
+# and ParseFrames; CoverageCentralAngleRad stays and does not match), the
+# packet-sharing protocol nothing but tests used (Packet.Detach/Clone/Gen/
+# Pooled, Network.ReleasePacket, PayloadSharer and both SharePayloads,
+# Freelist.Share and the PoolStats Shared counter: the datapath owns every
+# pooled object, so every pool reads Gets = Puts), the scheduler's
+# test-only Step/Stop/Pending, Time.Before/After, obs's Gauge.Add/Value,
+# cc's BBR.State and core's RunMessagesCampaignCfg (the pacing ablation
+# sets Testbed.QUICConf). The patterns are declarations, so that calls of
+# TimerHandle.Stop/Pending and time.Time.Before do not match.
+if grep -rnE 'PartitionedDriver|CrossEdge|AddCrossLink|snapshotRing|peekSnapshot|delayRing|islMemo|candCount|referenceReassignAt|epochPool|runPhase|phaseAssign|WirePoolStats struct|pktRing|txRing|frameQueue|rangeSet|byteRanges|cryptoRecv|offRange|compactMin|nstopped|\) compact\(|rebuildFIB|rebuildHandlers|fibDirty|hDirty|fibGroups|msgsInOrder|insertMsgKey|Hops \[\]Addr|wireFree|chunkFree|sentFree|frameFree|AnalyzeSenderView|obs\.Options|\(p \*Prober\) Observe|\(p \*Proxy\) Observe|pep\.New\(|NewNewReno|KindEnqueue|KindDequeue|IdleDecay|decayAfterIdle|AllowMigration|PathMigrations|PacingBurst|UnmarshalProfiles|LinkConfigs|"scenario\.workers"|sizesFor|paperScenario|prevSat|observeEpoch|observeCellInto|observeRange|assignRange|assignBlock|admitRow|candFill|scanSats|buildCandidates|candStart|candUB|satGwAt|RenderTraffic|TrafficWall|TrafficTerminals|TrafficSpan|computeAssignmentFull|reassignAt|\) DelayFunc\(|\) Handovers\(|EnableZeroRTT|RTTMinWindow|modernMinRTTWindow|MinElevationDeg|WebSites|MaxBacklog|(^|[^A-Za-z])CentralAngleRad|NodeByName|LargestSentPN|ParseFrames|func \(p \*Packet\) (Detach|Clone|Gen|Pooled)\(|\) ReleasePacket\(|PayloadSharer|SharePayload|\.Share\(\)|Shared +uint64|func \(s \*Scheduler\) (Step|Stop|Pending)\(|func \(t Time\) (Before|After)\(|func \(g \*Gauge\) (Add|Value)\(|func \(b \*BBR\) State\(|RunMessagesCampaignCfg' --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark .; then
     echo "a deleted mechanism is named above" >&2
     exit 1
 fi

@@ -48,21 +48,6 @@ const (
 	bbrProbeRTT
 )
 
-func (s bbrState) String() string {
-	switch s {
-	case bbrStartup:
-		return "startup"
-	case bbrDrain:
-		return "drain"
-	case bbrProbeBW:
-		return "probe-bw"
-	case bbrProbeRTT:
-		return "probe-rtt"
-	default:
-		return "bbr?"
-	}
-}
-
 type bwSample struct {
 	round uint64
 	bw    float64 // bytes per second
@@ -131,9 +116,6 @@ func NewBBR(mss int) *BBR {
 
 // Name implements CongestionController.
 func (b *BBR) Name() string { return "bbr" }
-
-// State returns the current state-machine phase, for tests and reporting.
-func (b *BBR) State() string { return b.state.String() }
 
 // Window implements CongestionController.
 func (b *BBR) Window() int {

@@ -10,8 +10,8 @@ import (
 // bbrLinkResult is the observable outcome of one synthetic-link run, used
 // both for behavior assertions and for bit-determinism comparison.
 type bbrLinkResult struct {
-	statesSeen map[string]bool
-	finalState string
+	statesSeen map[bbrState]bool
+	finalState bbrState
 	finalCwnd  int
 	acked      int
 	minRTT     time.Duration
@@ -35,7 +35,7 @@ func runBBRLink(rate float64, prop time.Duration, dur time.Duration) bbrLinkResu
 	var linkFree sim.Time
 	now := sim.Time(0)
 	end := sim.Time(dur)
-	res := bbrLinkResult{statesSeen: map[string]bool{b.State(): true}}
+	res := bbrLinkResult{statesSeen: map[bbrState]bool{b.state: true}}
 	outstanding := 0
 
 	for now < end {
@@ -62,10 +62,10 @@ func runBBRLink(rate float64, prop time.Duration, dur time.Duration) bbrLinkResu
 		outstanding -= mss
 		est.UpdateAt(now, nxt.sample, 0)
 		b.OnPacketAcked(now, mss, &est)
-		res.statesSeen[b.State()] = true
+		res.statesSeen[b.state] = true
 		res.acked++
 	}
-	res.finalState = b.State()
+	res.finalState = b.state
 	res.finalCwnd = b.Window()
 	res.minRTT = est.Min()
 	return res
@@ -77,7 +77,7 @@ func runBBRLink(rate float64, prop time.Duration, dur time.Duration) bbrLinkResu
 // queue, probe-bw cruises, and probe-rtt fires on its 10 s cadence.
 func TestBBRStateMachineTraversal(t *testing.T) {
 	res := runBBRLink(1.25e6, 20*time.Millisecond, 25*time.Second)
-	for _, st := range []string{"startup", "drain", "probe-bw", "probe-rtt"} {
+	for _, st := range []bbrState{bbrStartup, bbrDrain, bbrProbeBW, bbrProbeRTT} {
 		if !res.statesSeen[st] {
 			t.Errorf("state %q never entered (seen: %v)", st, res.statesSeen)
 		}
@@ -110,7 +110,7 @@ func TestBBRDeterminism(t *testing.T) {
 // run unbounded like pre-Hystart slow start.
 func TestBBRStartupExitsOnPlateau(t *testing.T) {
 	res := runBBRLink(250e3, 25*time.Millisecond, 5*time.Second)
-	if res.statesSeen["startup"] && res.finalState == "startup" {
+	if res.statesSeen[bbrStartup] && res.finalState == bbrStartup {
 		t.Error("still in startup after 5s on a 2 Mbps link")
 	}
 }
@@ -130,8 +130,8 @@ func TestBBRProbeRTTCollapsesWindow(t *testing.T) {
 	b.recordBW(1e6)
 	b.OnPacketSent(at(11), mss)
 	b.OnPacketAcked(at(11), mss, &est)
-	if b.State() != "probe-rtt" {
-		t.Fatalf("state %q after probe-rtt interval elapsed, want probe-rtt", b.State())
+	if b.state != bbrProbeRTT {
+		t.Fatalf("state %q after probe-rtt interval elapsed, want probe-rtt", b.state)
 	}
 	if b.Window() != 4*mss {
 		t.Errorf("probe-rtt window = %d, want %d", b.Window(), 4*mss)
@@ -139,8 +139,8 @@ func TestBBRProbeRTTCollapsesWindow(t *testing.T) {
 	// 250 ms later it must be back in probe-bw with the window restored.
 	b.OnPacketSent(at(11.3), mss)
 	b.OnPacketAcked(at(11.3), mss, &est)
-	if b.State() != "probe-bw" {
-		t.Errorf("state %q after probe-rtt duration, want probe-bw", b.State())
+	if b.state != bbrProbeBW {
+		t.Errorf("state %q after probe-rtt duration, want probe-bw", b.state)
 	}
 	if b.Window() <= 4*mss {
 		t.Errorf("window %d not restored after probe-rtt", b.Window())
@@ -172,5 +172,21 @@ func TestBBRWindowedMinRTTAfterHandover(t *testing.T) {
 	}
 	if got := b.bdp(fresh, 1.0); got != 60000 {
 		t.Errorf("windowed-min BDP = %d, want 60000 (post-handover 60ms)", got)
+	}
+}
+
+// String names the phase in test failures.
+func (s bbrState) String() string {
+	switch s {
+	case bbrStartup:
+		return "startup"
+	case bbrDrain:
+		return "drain"
+	case bbrProbeBW:
+		return "probe-bw"
+	case bbrProbeRTT:
+		return "probe-rtt"
+	default:
+		return "bbr?"
 	}
 }

@@ -139,9 +139,6 @@ func (r *RTTEstimator) Variance() time.Duration {
 	return r.variance
 }
 
-// Samples returns the number of samples folded in.
-func (r *RTTEstimator) Samples() int { return r.samples }
-
 // PTO returns the probe timeout period: smoothed + max(4*var, 1ms) +
 // maxAckDelay (RFC 9002 §6.2.1).
 func (r *RTTEstimator) PTO(maxAckDelay time.Duration) time.Duration {

@@ -81,7 +81,7 @@ func TestRTTUpdateAtZeroWindowMatchesUpdate(t *testing.T) {
 	}
 	if a.Min() != b.Min() || a.Smoothed() != b.Smoothed() ||
 		a.Variance() != b.Variance() || a.Latest() != b.Latest() ||
-		a.Samples() != b.Samples() {
+		a.samples != b.samples {
 		t.Errorf("all-time UpdateAt diverged from Update: %+v vs %+v", a, b)
 	}
 }

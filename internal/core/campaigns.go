@@ -259,20 +259,15 @@ func (c *MsgCampaign) BurstLengths() []int { return c.bursts }
 func (c *MsgCampaign) EventDurations() []float64 { return c.durs }
 
 // RunMessagesCampaign executes n message sessions (25 msg/s of 5–25 kB
-// for sessionDur each) in the given direction.
+// for sessionDur each) in the given direction, the clients configured by
+// tb.QUICConf.
 func (tb *Testbed) RunMessagesCampaign(n int, sessionDur time.Duration, download bool) *MsgCampaign {
-	return tb.RunMessagesCampaignCfg(n, sessionDur, download, tb.QUICConf)
+	return foldMessages(tb.runMessageSessions(n, sessionDur, download))
 }
 
-// RunMessagesCampaignCfg is RunMessagesCampaign with an explicit QUIC
-// configuration (the pacing ablation flips EnablePacing).
-func (tb *Testbed) RunMessagesCampaignCfg(n int, sessionDur time.Duration, download bool, qcfg quic.Config) *MsgCampaign {
-	return foldMessages(tb.runMessageSessions(n, sessionDur, download, qcfg))
-}
-
-func (tb *Testbed) runMessageSessions(n int, sessionDur time.Duration, download bool, qcfg quic.Config) []msgSession {
+func (tb *Testbed) runMessageSessions(n int, sessionDur time.Duration, download bool) []msgSession {
 	return repeat(tb, 0, n, 30*time.Second, time.Duration(n)*(sessionDur+time.Minute), func(_ int, done func(msgSession)) {
-		measure.MessageSession(tb.PCStarlink, tb.H3Server, tb.UCLServer.Addr(), H3Port, download, 25, sessionDur, 5000, 25000, qcfg, func(res measure.Session) {
+		measure.MessageSession(tb.PCStarlink, tb.H3Server, tb.UCLServer.Addr(), H3Port, download, 25, sessionDur, 5000, 25000, tb.QUICConf, func(res measure.Session) {
 			done(msgSession{res.RTTs.Milliseconds(), trace.AnalyzeLosses(res.ReceiverCapture.Received)})
 		})
 	})

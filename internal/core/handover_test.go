@@ -34,7 +34,7 @@ func poolsOf(tb *Testbed) netPools {
 // record, STREAM frame, TCP segment and in-flight ring of the second run
 // from what the first one listed — each testbed took its predecessor's
 // lists over before its first packet. Each network still accounts for its
-// own traffic: Gets = Puts + Shared.
+// own traffic: Gets = Puts.
 func TestAllocGateSweepWorkerInheritsPools(t *testing.T) {
 	cfg := quickConfig()
 	runs := []func(tb *Testbed){
@@ -51,8 +51,8 @@ func TestAllocGateSweepWorkerInheritsPools(t *testing.T) {
 		for pool, st := range map[string]sim.PoolStats{
 			"packet": p.pkt, "ICMP body": p.icmp, "segment": p.seg, "in-flight ring": p.ring, "QUIC buffer": p.wire,
 		} {
-			if st.Gets != st.Puts+st.Shared {
-				t.Errorf("network %d: %s pool %+v: Gets != Puts + Shared", i, pool, st)
+			if st.Gets != st.Puts {
+				t.Errorf("network %d: %s pool %+v: Gets != Puts", i, pool, st)
 			}
 		}
 	}

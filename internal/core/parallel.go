@@ -187,7 +187,7 @@ func RunH3CampaignParallel(cfg Config, n, size int, download bool, gap time.Dura
 // pool and folds the sessions, in shard order, into one campaign.
 func RunMessagesCampaignParallel(cfg Config, n int, sessionDur time.Duration, download bool, opts Options) *MsgCampaign {
 	sessions := runSharded(cfg, opts, "messages/"+dirName(download), n, msgShardSessions, func(tb *Testbed, _, count int) []msgSession {
-		return tb.runMessageSessions(count, sessionDur, download, tb.QUICConf)
+		return tb.runMessageSessions(count, sessionDur, download)
 	})
 	return foldMessages(sessions)
 }

@@ -382,9 +382,6 @@ func (f *Fleet) indexTerminals(cells []int32) {
 	f.scan.PopulatedCells = populated
 }
 
-// Terminals returns the fleet size.
-func (f *Fleet) Terminals() int { return len(f.sat) }
-
 // Result is the per-region outcome of a fleet campaign.
 type Result struct {
 	Terminals  int

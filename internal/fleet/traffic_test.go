@@ -256,7 +256,7 @@ func TestPartitionTerminals(t *testing.T) {
 		if len(pm.TermStart) != pm.Parts+1 {
 			t.Fatalf("parts=%d: CSR length %d for %d partitions", parts, len(pm.TermStart), pm.Parts)
 		}
-		if pm.TermStart[0] != 0 || int(pm.TermStart[pm.Parts]) != f.Terminals() {
+		if pm.TermStart[0] != 0 || int(pm.TermStart[pm.Parts]) != len(f.sat) {
 			t.Fatalf("parts=%d: CSR does not span the fleet: %v", parts, pm.TermStart)
 		}
 		for p := 0; p < pm.Parts; p++ {

@@ -62,7 +62,6 @@ type Shell struct {
 	// fleet-growth event in the paper is reproduced by launching
 	// additional satellites mid-campaign.
 	enabled [][]bool
-	nAlive  int
 }
 
 // NewShell instantiates a shell with all satellites enabled.
@@ -80,7 +79,6 @@ func NewShell(cfg ShellConfig) *Shell {
 			s.enabled[p][i] = true
 		}
 	}
-	s.nAlive = cfg.Planes * cfg.SatsPerPlane
 	return s
 }
 
@@ -96,13 +94,9 @@ func NewPartialShell(cfg ShellConfig, aliveFraction float64) *Shell {
 	if keep > cfg.SatsPerPlane {
 		keep = cfg.SatsPerPlane
 	}
-	s.nAlive = 0
 	for p := range s.enabled {
 		for i := range s.enabled[p] {
 			s.enabled[p][i] = i < keep
-			if s.enabled[p][i] {
-				s.nAlive++
-			}
 		}
 	}
 	return s
@@ -111,20 +105,8 @@ func NewPartialShell(cfg ShellConfig, aliveFraction float64) *Shell {
 // Config returns the shell configuration.
 func (s *Shell) Config() ShellConfig { return s.cfg }
 
-// Alive returns the number of enabled satellites.
-func (s *Shell) Alive() int { return s.nAlive }
-
 // SetEnabled marks a satellite as existing or not.
-func (s *Shell) SetEnabled(plane, idx int, on bool) {
-	if s.enabled[plane][idx] != on {
-		s.enabled[plane][idx] = on
-		if on {
-			s.nAlive++
-		} else {
-			s.nAlive--
-		}
-	}
-}
+func (s *Shell) SetEnabled(plane, idx int, on bool) { s.enabled[plane][idx] = on }
 
 // Enabled reports whether a satellite exists.
 func (s *Shell) Enabled(plane, idx int) bool { return s.enabled[plane][idx] }
@@ -188,15 +170,6 @@ func (c *Constellation) ForEach(fn func(id SatID)) {
 			}
 		}
 	}
-}
-
-// Alive returns the total number of enabled satellites.
-func (c *Constellation) Alive() int {
-	n := 0
-	for _, sh := range c.shells {
-		n += sh.Alive()
-	}
-	return n
 }
 
 // GeoSatellite is a geostationary satellite parked over a longitude.

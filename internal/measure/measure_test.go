@@ -249,14 +249,10 @@ func TestDetectPEPAbsent(t *testing.T) {
 func TestSpeedtestMeasuresLinkRate(t *testing.T) {
 	// Bottleneck 50/10 Mbit/s between r1 and r2.
 	s, client, server, nw := testPath(t, false, false)
-	// Tighten the middle links.
-	for _, l := range nw.Links() {
-		if l.Name() == "r1->r2" {
-			l.SetRate(50e6)
-		}
-		if l.Name() == "r2->r1" {
-			l.SetRate(50e6)
-		}
+	// Tighten the middle links: testHops connects client-r1 first and
+	// r1-r2 second, so they are the third and fourth link.
+	for _, l := range nw.Links()[2:4] {
+		l.SetRate(50e6)
 	}
 	cfg := DefaultSpeedtestConfig()
 	NewSpeedtestServer(server, cfg.TCP)

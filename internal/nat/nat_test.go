@@ -41,7 +41,8 @@ func TestNATRewritesAndRestores(t *testing.T) {
 
 	var atServer *netem.Packet
 	server.Bind(netem.ProtoUDP, 53, func(p *netem.Packet) {
-		atServer = p.Clone()
+		cp := *p
+		atServer = &cp
 		// Reply.
 		server.Send(&netem.Packet{
 			Dst: p.Src, DstPort: p.SrcPort, SrcPort: 53,
@@ -146,25 +147,31 @@ func TestNATICMPErrorTranslation(t *testing.T) {
 	// from an outside router must come back, quoting the rewritten
 	// packet (the Tracebox observable).
 	s, client, _, _ := topo(t)
-	var icmpErr *netem.Packet
-	client.Bind(netem.ProtoICMP, 0, func(p *netem.Packet) { p.Detach(); icmpErr = p })
+	// The error is recycled once the handler returns, so the handler
+	// copies what the test reads, as traceroute does.
+	var got *netem.ICMP
+	var quotedSrc netem.Addr
+	var quotedSum uint16
+	client.Bind(netem.ProtoICMP, 0, func(p *netem.Packet) {
+		ic := p.Payload.(*netem.ICMP)
+		got, quotedSrc, quotedSum = &netem.ICMP{Type: ic.Type}, ic.Quoted.Src, ic.Quoted.Checksum
+	})
 	client.Send(&netem.Packet{
 		Dst: netem.MustParseAddr("8.8.8.8"), DstPort: 33434, SrcPort: 6000,
 		Proto: netem.ProtoUDP, Size: 60, TTL: 2, // expires at core
 	})
 	s.Run()
-	if icmpErr == nil {
+	if got == nil {
 		t.Fatal("ICMP error did not come back through the NAT")
 	}
-	icmp := icmpErr.Payload.(*netem.ICMP)
-	if icmp.Type != netem.ICMPTimeExceeded {
-		t.Fatalf("got %v", icmp.Type)
+	if got.Type != netem.ICMPTimeExceeded {
+		t.Fatalf("got %v", got.Type)
 	}
-	if icmp.Quoted.Src != client.Addr() {
-		t.Errorf("quoted source = %v, want restored to the client (RFC 5508)", icmp.Quoted.Src)
+	if quotedSrc != client.Addr() {
+		t.Errorf("quoted source = %v, want restored to the client (RFC 5508)", quotedSrc)
 	}
 	origSum := netem.PseudoChecksum(client.Addr(), netem.MustParseAddr("8.8.8.8"), 6000, 33434, netem.ProtoUDP)
-	if icmp.Quoted.Checksum == origSum {
+	if quotedSum == origSum {
 		t.Error("quoted checksum should differ from the original (NAT fixed it up)")
 	}
 }

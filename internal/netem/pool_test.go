@@ -10,12 +10,12 @@ import (
 func TestPacketPoolLifecycle(t *testing.T) {
 	_, nw := testNet(t)
 	p := nw.NewPacket()
-	if !p.Pooled() {
+	if p.owner != nw {
 		t.Fatal("NewPacket must hand out a pool-owned packet")
 	}
 	p.ID, p.TTL, p.Payload = 9, 3, "x"
-	gen := p.Gen()
-	nw.ReleasePacket(p, gen)
+	gen := p.gen
+	nw.releasePacket(p)
 
 	st := nw.PoolStats()
 	if st.Gets != 1 || st.Puts != 1 || st.Hits != 0 {
@@ -25,8 +25,8 @@ func TestPacketPoolLifecycle(t *testing.T) {
 	if q != p {
 		t.Fatal("freelist must return the released packet")
 	}
-	if q.Gen() != gen+1 {
-		t.Fatalf("generation = %d, want %d", q.Gen(), gen+1)
+	if q.gen != gen+1 {
+		t.Fatalf("generation = %d, want %d", q.gen, gen+1)
 	}
 	if q.ID != 0 || q.Payload != nil || q.TTL != 0 {
 		t.Fatalf("recycled packet not scrubbed: %+v", q)
@@ -45,43 +45,23 @@ func TestStaleDoubleAndForeignReleasesAreInert(t *testing.T) {
 	other := New(s2)
 
 	p := nw.NewPacket()
-	gen := p.Gen()
-	nw.ReleasePacket(p, gen)
-	nw.ReleasePacket(p, gen) // double release: gen already advanced
+	nw.releasePacket(p)
+	nw.releasePacket(p) // double release of a stale reference
 	if st := nw.PoolStats(); st.Puts != 1 {
 		t.Fatalf("double release not inert: Puts = %d", st.Puts)
 	}
 
 	q := nw.NewPacket()
-	nw.ReleasePacket(q, q.Gen()+1) // stale/wrong generation
-	if q.Pooled() && len(nw.pktFree.All()) != 0 {
-		t.Fatal("stale-generation release must be a no-op")
-	}
-	other.ReleasePacket(q, q.Gen()) // foreign network
+	other.releasePacket(q) // foreign network
 	if len(other.pktFree.All()) != 0 {
 		t.Fatal("foreign release must be a no-op")
 	}
 
 	lit := &Packet{}
-	nw.ReleasePacket(lit, lit.Gen()) // literal: never pooled
+	nw.releasePacket(lit) // literal: never pooled
 	nw.releaseConsumed(lit)
 	if len(nw.pktFree.All()) != 0 {
 		t.Fatal("literal release must be a no-op")
-	}
-}
-
-func TestDetachRemovesFromPool(t *testing.T) {
-	_, nw := testNet(t)
-	p := nw.NewPacket()
-	ic := nw.NewICMP()
-	p.Payload = ic
-	p.Detach()
-	if p.Pooled() {
-		t.Fatal("detached packet still pool-owned")
-	}
-	nw.releaseConsumed(p)
-	if len(nw.pktFree.All()) != 0 || len(nw.icmpFree.All()) != 0 {
-		t.Fatal("detached packet or its ICMP body returned to the pool")
 	}
 }
 
@@ -89,7 +69,7 @@ func TestDetachRemovesFromPool(t *testing.T) {
 // error returns all of them to their pools, the quoted payload first.
 func TestQuotedICMPRecycledWithItsError(t *testing.T) {
 	_, nw := testNet(t)
-	payload := &sharedOncePayload{}
+	payload := &releasedPayload{}
 	quote := nw.NewPacket()
 	quote.ID, quote.Payload = 99, payload
 	ic := nw.NewICMP()
@@ -101,53 +81,8 @@ func TestQuotedICMPRecycledWithItsError(t *testing.T) {
 		t.Fatalf("error, quote or quoted payload not recycled: %d packets, %d bodies, payload %+v",
 			len(nw.pktFree.All()), len(nw.icmpFree.All()), payload)
 	}
-	if st := nw.PoolStats(); st.Gets != st.Puts || st.Shared != 0 {
+	if st := nw.PoolStats(); st.Gets != st.Puts {
 		t.Fatalf("pool counters %+v, want every draw returned", st)
-	}
-}
-
-// Detaching an ICMP error detaches its quote and shares the quoted
-// payload out, so the holder keeps all of it intact and the pool counts
-// both packets Shared.
-func TestDetachedErrorKeepsItsQuote(t *testing.T) {
-	_, nw := testNet(t)
-	payload := &sharedOncePayload{}
-	quote := nw.NewPacket()
-	quote.ID, quote.Payload = 99, payload
-	ic := nw.NewICMP()
-	ic.Type, ic.Quoted = ICMPTimeExceeded, quote
-	p := nw.NewPacket()
-	p.Payload = ic
-	p.Detach()
-	nw.releaseConsumed(p)
-	if len(nw.pktFree.All()) != 0 || len(nw.icmpFree.All()) != 0 {
-		t.Fatal("a detached error returned its body or quote to the pool")
-	}
-	if ic.Quoted != quote || quote.ID != 99 || quote.Pooled() || !payload.shared || payload.released {
-		t.Fatalf("quote %+v or its payload %+v not kept", quote, payload)
-	}
-	if st := nw.PoolStats(); st.Gets != st.Puts+st.Shared || st.Shared != 2 {
-		t.Fatalf("pool counters %+v, want the error and its quote Shared", st)
-	}
-	if st := nw.ICMPPoolStats(); st.Gets != st.Puts+st.Shared || st.Shared != 1 {
-		t.Fatalf("ICMP body pool counters %+v, want the error's body Shared", st)
-	}
-
-	// Detaching only the quote keeps it; the error around it goes home.
-	quote = nw.NewPacket()
-	quote.ID = 7
-	ic = nw.NewICMP()
-	ic.Type, ic.Quoted = ICMPDestUnreachable, quote
-	p = nw.NewPacket()
-	p.Payload = ic
-	quote.Detach()
-	nw.releaseConsumed(p)
-	if quote.ID != 7 || len(nw.pktFree.All()) != 1 || len(nw.icmpFree.All()) != 1 {
-		t.Fatalf("kept quote %+v; %d packets, %d bodies pooled, want the error's 1 and 1",
-			quote, len(nw.pktFree.All()), len(nw.icmpFree.All()))
-	}
-	if st := nw.ICMPPoolStats(); st.Gets != st.Puts+st.Shared || st.Shared != 1 {
-		t.Fatalf("ICMP body pool counters %+v, want only the first error's body Shared", st)
 	}
 }
 
@@ -156,13 +91,13 @@ func TestReferenceModeAllocatesPlainly(t *testing.T) {
 	early := nw.NewPacket()
 	nw.DisableRecycling()
 	p := nw.NewPacket()
-	if p.Pooled() {
+	if p.owner != nil {
 		t.Fatal("no-recycle mode must hand out owner-less packets")
 	}
-	payload := &sharedOncePayload{}
+	payload := &releasedPayload{}
 	p.Payload = payload
 	nw.releaseConsumed(p)
-	nw.ReleasePacket(p, p.Gen())
+	nw.releasePacket(p)
 	if payload.released {
 		t.Fatal("no-recycle mode released a payload to its pool")
 	}
@@ -183,58 +118,11 @@ func TestReferenceModeAllocatesPlainly(t *testing.T) {
 	}
 }
 
-func TestCloneOfPooledPacketIsIndependent(t *testing.T) {
-	_, nw := testNet(t)
-	p := nw.NewPacket()
-	p.ID, p.Dst, p.Size = 7, 42, 100
-	q := p.Clone()
-	if q == p || !q.Pooled() {
-		t.Fatal("clone of a pooled packet must be a distinct pooled packet")
-	}
-	if q.ID != 7 || q.Dst != 42 || q.Size != 100 {
-		t.Fatalf("clone fields wrong: %+v", q)
-	}
-	nw.releasePacket(p)
-	if q.ID != 7 {
-		t.Fatal("releasing the original corrupted the clone")
-	}
+// releasedPayload is a pooled payload in miniature: it notes that it went
+// back to its pool.
+type releasedPayload struct{ released bool }
 
-	lit := &Packet{ID: 5}
-	if c := lit.Clone(); c.Pooled() || c.ID != 5 {
-		t.Fatal("clone of a literal must stay a literal")
-	}
-}
-
-// sharedOncePayload is a pooled payload in miniature: it goes back to its
-// pool on release unless it was shared first.
-type sharedOncePayload struct{ shared, released bool }
-
-func (p *sharedOncePayload) SharePayload() { p.shared = true }
-func (p *sharedOncePayload) ReleasePayload() {
-	if !p.shared {
-		p.released = true
-	}
-}
-
-// Clone must tell a PayloadSharer before the copy references it, so that
-// the original's terminal point does not recycle it under the clone.
-func TestCloneSharesPooledPayload(t *testing.T) {
-	_, nw := testNet(t)
-	alone, cloned := &sharedOncePayload{}, &sharedOncePayload{}
-	p := nw.NewPacket()
-	p.Payload = alone
-	nw.releaseConsumed(p)
-	if !alone.released {
-		t.Fatal("unshared payload not released at the terminal point")
-	}
-	p = nw.NewPacket()
-	p.Payload = cloned
-	q := p.Clone()
-	nw.releaseConsumed(p)
-	if !cloned.shared || cloned.released || q.Payload != cloned {
-		t.Fatalf("cloned payload: %+v, want shared and not released", cloned)
-	}
-}
+func (p *releasedPayload) ReleasePayload() { p.released = true }
 
 // Regression for the Send stamping change: a packet that already carries
 // an ID (a re-injected or duplicated packet) must keep its ID and SentAt
@@ -268,7 +156,7 @@ func TestQuotedPacketKeepsProbeID(t *testing.T) {
 	nodes := buildChain(nw, 4, time.Millisecond)
 
 	var reply *Packet
-	nodes[0].Bind(ProtoICMP, 0, func(p *Packet) { p.Detach(); reply = p })
+	nodes[0].Bind(ProtoICMP, 0, func(p *Packet) { reply = copyICMP(p) })
 
 	probe := nw.NewPacket()
 	probe.Dst = nodes[3].Addr()
@@ -301,44 +189,39 @@ func TestQuotedPacketKeepsProbeID(t *testing.T) {
 }
 
 // A pooled echo request whose TTL expires is quoted in the TimeExceeded
-// with its ICMP body moved, not copied: the quote owns it. A handler that
-// keeps the error Detaches it, quote and body included, so the body never
-// returns to the freelist: ICMP bodies drawn afterwards are fresh, and the
-// quote a traceroute keeps stays intact.
+// with its ICMP body moved, not copied: the quote owns it, the error's
+// handler reads it there intact, and it goes back to the ICMP freelist
+// with the error.
 func TestExpiredEchoQuoteKeepsItsBody(t *testing.T) {
 	s, nw := testNet(t)
 	nodes := buildChain(nw, 4, time.Millisecond)
 
-	var reply *Packet
-	nodes[0].Bind(ProtoICMP, 0, func(p *Packet) {
-		if ic := p.Payload.(*ICMP); ic.Type == ICMPTimeExceeded {
-			p.Detach()
-			reply = p
-		}
-	})
 	probe := nw.NewPacket()
 	body := nw.NewICMP()
 	body.Type, body.Seq = ICMPEchoRequest, 7
+	errs := 0
+	nodes[0].Bind(ProtoICMP, 0, func(p *Packet) {
+		ic := p.Payload.(*ICMP)
+		if ic.Type != ICMPTimeExceeded {
+			return
+		}
+		errs++
+		if q := ic.Quoted; q == nil || q.Payload != body || body.Type != ICMPEchoRequest || body.Seq != 7 {
+			t.Fatalf("quote %+v does not own the echo body intact: %+v", q, body)
+		}
+	})
 	probe.Dst, probe.Proto, probe.Size, probe.TTL, probe.Payload = nodes[3].Addr(), ProtoICMP, 64, 2, body
 	nodes[0].Send(probe)
 	s.Run()
 
-	if reply == nil {
-		t.Fatal("no TimeExceeded came back")
+	if errs != 1 {
+		t.Fatalf("%d TimeExceeded came back, want 1", errs)
 	}
-	q := reply.Payload.(*ICMP).Quoted
-	if q == nil || q.Payload != body || q.Pooled() || body.owner != nil {
-		t.Fatalf("quote %+v does not own its echo body %+v outside the pool", q, body)
+	if body.owner != nw || !body.pooled {
+		t.Fatal("the quoted echo body did not go back to the freelist with its error")
 	}
-	for i := 0; i < 4; i++ {
-		ic := nw.NewICMP()
-		if ic == body {
-			t.Fatal("the quoted echo body came back out of the freelist")
-		}
-		ic.Type, ic.Seq = ICMPEchoReply, 100+i
-	}
-	if body.Type != ICMPEchoRequest || body.Seq != 7 {
-		t.Fatalf("quoted echo body overwritten: %+v", body)
+	if st := nw.ICMPPoolStats(); st.Gets != st.Puts {
+		t.Fatalf("ICMP body pool %+v, want every body back", st)
 	}
 }
 
@@ -403,7 +286,7 @@ func TestInheritMovesOnlyListedObjects(t *testing.T) {
 	if old.PoolStats() != oldStats || old.ICMPPoolStats() != oldICMP || nw.PoolStats() != (PoolStats{}) {
 		t.Fatalf("counters moved: old %+v %+v, new %+v", old.PoolStats(), old.ICMPPoolStats(), nw.PoolStats())
 	}
-	old.ReleasePacket(held, held.Gen())
+	old.releasePacket(held)
 	if len(nw.pktFree.All()) != 1 || held.owner != old {
 		t.Fatal("a packet in flight at the handover joined the new network's list")
 	}

@@ -23,10 +23,6 @@ func TestNilSafety(t *testing.T) {
 	}
 	var g *Gauge
 	g.Set(3)
-	g.Add(2)
-	if g.Value() != 0 {
-		t.Fatal("nil gauge value")
-	}
 	var h *Histogram
 	h.Observe(9)
 	var r *Registry
@@ -65,10 +61,10 @@ func TestCounterGaugeHistogram(t *testing.T) {
 
 	g := r.Gauge("depth")
 	g.Set(4)
-	g.Add(3)
+	g.Set(7)
 	g.Set(2)
-	if g.Value() != 2 || g.max != 7 {
-		t.Fatalf("gauge last=%d max=%d, want 2/7", g.Value(), g.max)
+	if g.last != 2 || g.max != 7 {
+		t.Fatalf("gauge last=%d max=%d, want 2/7", g.last, g.max)
 	}
 
 	h := r.Histogram("lat", []int64{10, 100, 1000})

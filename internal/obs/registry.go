@@ -78,22 +78,6 @@ func (g *Gauge) Set(v int64) {
 	}
 }
 
-// Add adjusts the current level by d. Safe on a nil receiver.
-func (g *Gauge) Add(d int64) {
-	if g == nil {
-		return
-	}
-	g.Set(g.last + d)
-}
-
-// Value returns the last set level (0 for nil).
-func (g *Gauge) Value() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.last
-}
-
 // Histogram is a fixed-bucket histogram of int64 observations (durations
 // in nanoseconds, sizes in bytes). Bounds are inclusive upper bounds in
 // ascending order; counts has one extra overflow bucket. Observation is

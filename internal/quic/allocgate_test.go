@@ -128,8 +128,8 @@ func TestAllocGateBuffersOutliveTheirConnection(t *testing.T) {
 			switch {
 			case !recycle && (st.Hits != 0 || st.Puts != 0):
 				t.Errorf("run %d: a no-recycle network reused buffers: %+v", run, st)
-			case recycle && st.Gets != st.Puts+st.Shared:
-				t.Errorf("run %d: %d buffers drawn, %d returned, %d shared", run, st.Gets, st.Puts, st.Shared)
+			case recycle && st.Gets != st.Puts:
+				t.Errorf("run %d: %d buffers drawn, %d returned", run, st.Gets, st.Puts)
 			case recycle && run == 1 && misses != 0:
 				t.Errorf("the second connection allocated %d of its %d buffers and chunks", misses, gets)
 			}

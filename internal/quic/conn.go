@@ -248,20 +248,11 @@ func newConnection(ep *Endpoint, cfg Config, isClient bool, connID uint64, remot
 	return c
 }
 
-// ConnID returns the connection identifier.
-func (c *Connection) ConnID() uint64 { return c.connID }
-
-// Endpoint returns the endpoint the connection runs on.
-func (c *Connection) Endpoint() *Endpoint { return c.ep }
-
 // Sched returns the simulation scheduler driving the connection.
 func (c *Connection) Sched() *sim.Scheduler { return c.sched }
 
 // Closed reports whether the connection terminated.
 func (c *Connection) Closed() bool { return c.state == stateClosed }
-
-// RTT returns the connection's RTT estimator (read-only use).
-func (c *Connection) RTT() *cc.RTTEstimator { return &c.rtt }
 
 // startHandshake begins the client side of the handshake. With a cached
 // session ticket in Sessions, the connection resumes at 0-RTT: it
@@ -653,18 +644,13 @@ func (c *Connection) onPTO() {
 		c.obs.ptos.Inc()
 		c.obs.tr.Emit(c.sched.Now(), obs.KindPTO, c.obs.subj, int64(c.ptoCount), 0)
 	}
-	// Probe with the oldest unacked ack-eliciting data under a fresh
-	// packet number; PING when nothing is outstanding.
+	// Probe with the frames of the oldest unacked ack-eliciting packet
+	// under a fresh packet number. setTimer arms a PTO only while such a
+	// packet is outstanding, and its record keeps its ack-eliciting frames
+	// (sendPacket), at least one, so a probe always repeats data.
 	frames := c.frameBuf[:0]
-	if sp := c.ld.oldestEliciting(); sp != nil {
-		for _, f := range sp.frames {
-			if f.AckEliciting() {
-				frames = append(frames, c.cloneForProbe(f))
-			}
-		}
-	}
-	if len(frames) == 0 {
-		frames = append(frames, &PingFrame{})
+	for _, f := range c.ld.oldestEliciting().frames {
+		frames = append(frames, c.cloneForProbe(f))
 	}
 	c.sendPacket(frames)
 	c.setTimer()

@@ -254,7 +254,7 @@ func TestMessageStreamsArriveIntact(t *testing.T) {
 	sep.Listen(DefaultConfig(), func(c *Connection) {
 		c.OnStream = func(st *Stream) {
 			m := &msg{}
-			got[st.ID()] = m
+			got[st.id] = m
 			st.OnData = func(d []byte, fin bool) {
 				m.bytes += len(d)
 				if fin {
@@ -308,7 +308,7 @@ func TestRTTSamplesReflectPathDelay(t *testing.T) {
 			t.Errorf("RTT sample %v outside [80ms, 130ms] on an unloaded 80ms path", rtt)
 		}
 	}
-	if got := conn.RTT().Min(); got < 80*time.Millisecond || got > 85*time.Millisecond {
+	if got := conn.rtt.Min(); got < 80*time.Millisecond || got > 85*time.Millisecond {
 		t.Errorf("min RTT %v, want ~80ms", got)
 	}
 }
@@ -417,6 +417,9 @@ func TestDuplicateDeliveryIgnored(t *testing.T) {
 	// duplicates and the stream must deliver exactly once.
 	s := sim.NewScheduler(23)
 	nw := netem.New(s)
+	// The duplicator keeps a packet past its synchronous call, which only
+	// a network that recycles nothing allows.
+	nw.DisableRecycling()
 	a := nw.NewNode("client", netem.MustParseAddr("10.0.0.1"))
 	m := nw.NewNode("dup", netem.MustParseAddr("10.0.0.9"))
 	b := nw.NewNode("server", netem.MustParseAddr("10.0.0.2"))
@@ -429,8 +432,8 @@ func TestDuplicateDeliveryIgnored(t *testing.T) {
 	// Duplicator device on m: forward + send a copy (client->server only).
 	m.AttachDevice(netem.DeviceFunc(func(n *netem.Node, pkt *netem.Packet) bool {
 		if pkt.Dst == b.Addr() && pkt.Proto == netem.ProtoUDP {
-			cp := pkt.Clone()
-			n.Scheduler().After(time.Millisecond, func() { n.Send(cp) })
+			cp := *pkt
+			n.Scheduler().After(time.Millisecond, func() { n.Send(&cp) })
 		}
 		return true
 	}))
@@ -546,5 +549,73 @@ func TestCryptoReassemblyAdvancesHandshakeAtPrefix(t *testing.T) {
 			}
 		}
 		t.Run("random", func(t *testing.T) { check(t, isClient, pieces) })
+	}
+}
+
+// A sender stalled on connection flow control says so once per limit: it
+// sends one DATA_BLOCKED for each MAX_DATA value it runs into, never a
+// second for the same one, and the transfer completes as the receiver's
+// MAX_DATA frames raise the limit. Without autotuning the 64 kB window
+// only slides, so a 1 MB transfer stalls on it again and again.
+func TestDataBlockedOncePerLimit(t *testing.T) {
+	s, cep, sep, srv := pair(t, netem.LinkConfig{RateBps: 20e6, Delay: netem.ConstantDelay(10 * time.Millisecond)})
+	cfg := DefaultConfig()
+	cfg.InitialMaxData, cfg.MaxReceiveWindow = 64<<10, 0
+	blocked := map[uint64]int{}
+	maxData := 0
+	frames := func(count func(Frame)) netem.DeviceFunc {
+		return func(_ *netem.Node, pkt *netem.Packet) bool {
+			if w, ok := pkt.Payload.(*wireBuf); ok {
+				p, err := Parse(w.b)
+				if err != nil {
+					t.Fatalf("undecodable datagram: %v", err)
+				}
+				for _, f := range p.Frames {
+					count(f)
+				}
+			}
+			return true
+		}
+	}
+	sep.node.AttachDevice(frames(func(f Frame) {
+		if db, ok := f.(*DataBlockedFrame); ok {
+			blocked[db.Limit]++
+		}
+	}))
+	cep.node.AttachDevice(frames(func(f Frame) {
+		if _, ok := f.(*MaxDataFrame); ok {
+			maxData++
+		}
+	}))
+	const total = 1 << 20
+	received, done := 0, false
+	sep.Listen(cfg, func(c *Connection) {
+		c.OnStream = func(st *Stream) {
+			st.OnData = func(d []byte, fin bool) {
+				received += len(d)
+				done = done || fin
+			}
+		}
+	})
+	conn := cep.Dial(srv, 443, cfg)
+	conn.OnEstablished = func() {
+		st := conn.OpenStream()
+		st.WriteZeroes(total)
+		st.Close()
+	}
+	s.RunFor(30 * time.Second)
+	if !done || received != total {
+		t.Fatalf("flow-controlled transfer: %d of %d bytes, fin %v", received, total, done)
+	}
+	if len(blocked) < 2 || maxData < len(blocked) {
+		t.Fatalf("%d limits reported blocked and %d MAX_DATA frames; want the sender to stall on several limits, each raised", len(blocked), maxData)
+	}
+	for limit, n := range blocked {
+		if n != 1 {
+			t.Errorf("%d DATA_BLOCKED frames at limit %d, want 1", n, limit)
+		}
+	}
+	if conn.Stats.ProbesSent != 0 {
+		t.Errorf("%d PTO probes on a lossless path", conn.Stats.ProbesSent)
 	}
 }

@@ -170,7 +170,7 @@ func newReorderPath() *reorderPath {
 // 30 s more, so every packet reaches its terminal point.
 func (p *reorderPath) transfer(t *testing.T) (want, got []byte, client, server Stats) {
 	t.Helper()
-	s, b := p.s, p.server.Node()
+	s, b := p.s, p.server.node
 	p.start = s.Now()
 	p.fwd.Rng, p.rev.Rng = s.RNG().Stream("fwd"), s.RNG().Stream("rev")
 	p.pop.AddRoute(b.Addr(), p.slow)
@@ -304,55 +304,6 @@ func TestFrameQueueMatchesSliceOracle(t *testing.T) {
 	}
 }
 
-// A device that clones a datagram makes two packets reference one wire
-// buffer. The buffer must leave the pool at that moment: recycled at the
-// first packet's delivery, it would be rewritten under the second.
-func TestClonedDatagramLeavesThePool(t *testing.T) {
-	s, cep, sep, srv := pair(t, netem.LinkConfig{RateBps: 20e6, Delay: netem.ConstantDelay(5 * time.Millisecond)})
-	cep.pool.scribble = true
-	// Every client datagram arrives twice, the copy 3 ms late — by then
-	// the sender has long reused whatever the first delivery released. A
-	// datagram straight off the client's link still has its full TTL.
-	sep.Node().AttachDevice(netem.DeviceFunc(func(n *netem.Node, pkt *netem.Packet) bool {
-		if pkt.Proto == netem.ProtoUDP && pkt.TTL == netem.DefaultTTL {
-			cp := pkt.Clone()
-			n.Scheduler().After(3*time.Millisecond, func() { n.Send(cp) })
-		}
-		return true
-	}))
-	var got []byte
-	var sconn *Connection
-	sep.Listen(DefaultConfig(), func(c *Connection) {
-		sconn = c
-		c.OnStream = func(st *Stream) {
-			st.OnData = func(data []byte, _ bool) { got = append(got, data...) }
-		}
-	})
-	want := make([]byte, 300<<10)
-	r := rand.New(rand.NewPCG(2, 3))
-	for i := range want {
-		want[i] = byte(1 + r.IntN(255))
-	}
-	conn := cep.Dial(srv, 443, DefaultConfig())
-	conn.OnEstablished = func() {
-		st := conn.OpenStream()
-		st.Write(want)
-		st.Close()
-	}
-	s.RunFor(20 * time.Second)
-	if !bytes.Equal(got, want) {
-		t.Fatalf("payload corrupted on the duplicating path: %d/%d bytes, first difference at %d",
-			len(got), len(want), firstDiff(got, want))
-	}
-	if sconn.Stats.DuplicatesRecv == 0 {
-		t.Error("no duplicate reached the server")
-	}
-	st := WirePoolStats(cep.Node().Network())
-	if st.Shared == 0 || st.Gets != st.Puts+st.Shared {
-		t.Errorf("buffer pool: %d taken, %d returned, %d shared", st.Gets, st.Puts, st.Shared)
-	}
-}
-
 // A buffer released twice — a datapath bug, or a chunk handed back by
 // both its delivery and its connection's teardown — is listed once: two
 // later draws must never hand out the same buffer.
@@ -412,8 +363,8 @@ func TestInheritedWirePool(t *testing.T) {
 func TestTeardownReturnsWaitingChunks(t *testing.T) {
 	s, cep, sep, srv := pair(t, netem.LinkConfig{RateBps: 20e6, Delay: netem.ConstantDelay(20 * time.Millisecond)})
 	n := 0
-	sep.Node().AttachDevice(netem.DeviceFunc(func(_ *netem.Node, pkt *netem.Packet) bool {
-		if pkt.Proto == netem.ProtoUDP && pkt.Src == cep.Node().Addr() {
+	sep.node.AttachDevice(netem.DeviceFunc(func(_ *netem.Node, pkt *netem.Packet) bool {
+		if pkt.Proto == netem.ProtoUDP && pkt.Src == cep.node.Addr() {
 			n++
 			return n != 10
 		}
@@ -442,8 +393,8 @@ func TestTeardownReturnsWaitingChunks(t *testing.T) {
 	if waiting == 0 {
 		t.Fatal("no data waited behind the gap")
 	}
-	if st := WirePoolStats(cep.Node().Network()); st.Gets != st.Puts+st.Shared {
-		t.Errorf("%d chunks waited at teardown; pool: %d drawn, %d returned, %d shared", waiting, st.Gets, st.Puts, st.Shared)
+	if st := WirePoolStats(cep.node.Network()); st.Gets != st.Puts {
+		t.Errorf("%d chunks waited at teardown; pool: %d drawn, %d returned", waiting, st.Gets, st.Puts)
 	}
 }
 
@@ -509,8 +460,15 @@ func TestPTOProbeAndOriginalBothLost(t *testing.T) {
 	})
 
 	var log []string
-	last := conn.Stats
-	for s.Now() < sim.Time(5*time.Second) && s.Step() {
+	last, events := conn.Stats, s.Processed
+	// Look after every microsecond in which an event ran; events that
+	// share one are checked together.
+	for s.Now() < sim.Time(5*time.Second) {
+		s.RunFor(time.Microsecond)
+		if s.Processed == events {
+			continue
+		}
+		events = s.Processed
 		checkSingleOwnership(t, conn)
 		if conn.Stats.FramesRetransmitted != last.FramesRetransmitted || conn.Stats.ProbesSent != last.ProbesSent {
 			queued, _ := conn.queuedFrames()

@@ -54,9 +54,8 @@ type wireBuf struct {
 // worker's next network inherits all three lists
 // (netem.Network.Inherit), so the most objects alive at once is reached
 // once per sweep worker, not once per network, endpoint or connection.
-// One scheduler drives a network, hence no lock. Shared counts buffers a
-// second packet started referencing (netem.PayloadSharer); a network in
-// no-recycle mode takes nothing back.
+// One scheduler drives a network, hence no lock. A network in no-recycle
+// mode takes nothing back.
 type wirePool struct {
 	sim.Freelist[wireBuf]
 	sent   sim.Freelist[sentPacket]
@@ -149,15 +148,6 @@ func (w *wireBuf) ReleasePayload() {
 	}
 }
 
-// SharePayload implements netem.PayloadSharer: a buffer referenced by two
-// packets is left to the garbage collector.
-func (w *wireBuf) SharePayload() {
-	if p := w.owner; p != nil && !w.pooled {
-		p.Share()
-		w.owner = nil
-	}
-}
-
 // scribble overwrites a recycled buffer so that a stale reader cannot
 // mistake it for the payload it used to hold.
 func scribble(b []byte) {
@@ -182,9 +172,6 @@ func NewEndpoint(node *netem.Node, port uint16) *Endpoint {
 	node.Bind(netem.ProtoUDP, port, e.receive)
 	return e
 }
-
-// Node returns the underlying emulated node.
-func (e *Endpoint) Node() *netem.Node { return e.node }
 
 // Close unbinds the endpoint.
 func (e *Endpoint) Close() {

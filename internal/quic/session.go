@@ -32,14 +32,6 @@ func (sc *SessionCache) Has(addr netem.Addr, port uint16) bool {
 	return ok
 }
 
-// Len returns the number of cached tickets.
-func (sc *SessionCache) Len() int {
-	if sc == nil {
-		return 0
-	}
-	return len(sc.m)
-}
-
 // put records a ticket after a completed handshake.
 func (sc *SessionCache) put(addr netem.Addr, port uint16) {
 	sc.m[sessionKey{addr: addr, port: port}] = struct{}{}

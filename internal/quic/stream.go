@@ -73,9 +73,6 @@ type segment struct {
 	chunk *wireBuf
 }
 
-// ID returns the stream identifier.
-func (s *Stream) ID() uint64 { return s.id }
-
 // Write queues a copy of data for transmission and kicks the send path.
 // It never blocks; the bytes wait until flow control and the congestion
 // window let them out.
@@ -309,6 +306,3 @@ func (s *Stream) deliver() {
 		}
 	}
 }
-
-// Done reports whether all incoming data including FIN was delivered.
-func (s *Stream) Done() bool { return s.finDelivered }

@@ -65,7 +65,7 @@ func TestStreamReassemblyRandomOrder(t *testing.T) {
 		if !finSeen {
 			t.Fatalf("trial %d: fin not delivered", trial)
 		}
-		if !s.Done() {
+		if !s.finDelivered {
 			t.Fatalf("trial %d: stream not done", trial)
 		}
 	}
@@ -94,7 +94,7 @@ func TestStreamFinOnEmptyFrame(t *testing.T) {
 	}
 	s.receive(&StreamFrame{Offset: 0, Data: make([]byte, 10)})
 	s.receive(&StreamFrame{Offset: 10, Data: nil, Fin: true})
-	if !finSeen || !s.Done() {
+	if !finSeen || !s.finDelivered {
 		t.Fatal("empty FIN frame not delivered")
 	}
 }

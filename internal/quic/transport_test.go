@@ -35,7 +35,7 @@ func TestZeroRTTResumptionSkipsHandshakeRTT(t *testing.T) {
 	finAt := make(map[uint64]sim.Time) // stream fin receipt per conn ID
 	var order []uint64
 	sep.Listen(DefaultConfig(), func(c *Connection) {
-		id := c.ConnID()
+		id := c.connID
 		order = append(order, id)
 		c.OnStream = func(st *Stream) {
 			st.OnData = func(data []byte, fin bool) {
@@ -73,8 +73,8 @@ func TestZeroRTTResumptionSkipsHandshakeRTT(t *testing.T) {
 	if conn2 == nil || !conn2.Stats.ZeroRTTResumed {
 		t.Fatal("second connection did not resume at 0-RTT")
 	}
-	if sessions.Len() != 1 {
-		t.Errorf("session cache has %d tickets, want 1 (same server)", sessions.Len())
+	if len(sessions.m) != 1 {
+		t.Errorf("session cache has %d tickets, want 1 (same server)", len(sessions.m))
 	}
 	if conn3 == nil || conn3.Stats.ZeroRTTResumed {
 		t.Error("a client with no session cache resumed at 0-RTT")

@@ -10,11 +10,11 @@ type Freelist[T any] struct {
 	stats PoolStats
 }
 
-// PoolStats counts a pool's traffic. Shared counts objects that left the
-// pool for good because something kept referencing them, so once every
-// object drawn reached a terminal point, Gets == Puts + Shared.
+// PoolStats counts a pool's traffic. Every object drawn goes back once its
+// one owner is done with it, so once every object drawn reached a terminal
+// point, Gets == Puts.
 type PoolStats struct {
-	Gets, Hits, Puts, Shared uint64 // Hits: Gets served from the list
+	Gets, Hits, Puts uint64 // Hits: Gets served from the list
 }
 
 // Get pops the object put last, or returns nil.
@@ -36,9 +36,6 @@ func (l *Freelist[T]) Put(x *T) {
 	l.stats.Puts++
 	l.free = append(l.free, x)
 }
-
-// Share counts one drawn object that will never come back.
-func (l *Freelist[T]) Share() { l.stats.Shared++ }
 
 // Stats returns a copy of the counters.
 func (l *Freelist[T]) Stats() PoolStats { return l.stats }

@@ -20,8 +20,7 @@ func TestFreelistLIFOAndStats(t *testing.T) {
 	if x := l.Get(); x != a {
 		t.Error("second Get did not return the object put first")
 	}
-	l.Share()
-	want := PoolStats{Gets: 3, Hits: 2, Puts: 2, Shared: 1}
+	want := PoolStats{Gets: 3, Hits: 2, Puts: 2}
 	if st := l.Stats(); st != want {
 		t.Errorf("stats %+v, want %+v", st, want)
 	}

@@ -132,7 +132,7 @@ func (m *modelScheduler) step(limit Time) bool {
 	return true
 }
 
-func (m *modelScheduler) Step() bool { return m.step(MaxTime) }
+func (m *modelScheduler) stepOne() bool { return m.step(MaxTime) }
 
 func (m *modelScheduler) Run() {
 	for m.step(MaxTime) {
@@ -147,7 +147,7 @@ func (m *modelScheduler) RunUntil(deadline Time) {
 	}
 }
 
-func (m *modelScheduler) Pending() int {
+func (m *modelScheduler) pending() int {
 	n := 0
 	for _, t := range m.q {
 		if !t.stopped {
@@ -174,10 +174,10 @@ type queue interface {
 	ReserveSeq() uint64
 	AtFuncSeq(at Time, seq uint64, fn EventFunc, arg any) handle
 	Rearm(h handle, at Time, fn EventFunc, arg any) handle
-	Step() bool
+	stepOne() bool
 	Run()
 	RunUntil(deadline Time)
-	Pending() int
+	pending() int
 	processed() uint64
 	zeroHandle() handle
 }
@@ -225,8 +225,8 @@ const (
 // leave the queue full of dead nodes, re-arms of those, a timer re-armed
 // and stopped over and over, single steps and RunUntil windows. The trace
 // holds every observable: each fire as (now, id), the result of every
-// Stop, the state of the old and new handle after every Rearm, and Pending
-// and handle states at checkpoints. Callbacks draw from the same rand
+// Stop, the state of the old and new handle after every Rearm, and the live
+// count and handle states at checkpoints. Callbacks draw from the same rand
 // stream, so the two implementations stay in step exactly as long as they
 // fire in the same order.
 func randomWorkload(q queue, seed int64) (trace []int64) {
@@ -304,7 +304,7 @@ func randomWorkload(q queue, seed int64) (trace []int64) {
 				pipePush()
 			}
 			if r.Intn(8) == 0 {
-				rec(recPending, int64(q.Pending()))
+				rec(recPending, int64(q.pending()))
 			}
 		}))
 	}
@@ -321,13 +321,13 @@ func randomWorkload(q queue, seed int64) (trace []int64) {
 			rec(recStop, -1, b(h.Stop()))
 		}
 		handles = append(handles, hs[0], hs[n-1])
-		rec(recPending, int64(q.Pending()))
+		rec(recPending, int64(q.pending()))
 		// Revive a few of the dead on their own nodes.
 		for _, h := range hs[n-3:] {
 			handles = append(handles, h)
 			rearm(len(handles) - 1)
 		}
-		rec(recPending, int64(q.Pending()))
+		rec(recPending, int64(q.pending()))
 	}
 	// churn re-arms one timer n times, stopping it now and then: a
 	// connection's retransmit timer.
@@ -339,10 +339,10 @@ func randomWorkload(q queue, seed int64) (trace []int64) {
 				rec(recStop, -1, b(handles[len(handles)-1].Stop()))
 			}
 		}
-		rec(recPending, int64(q.Pending()))
+		rec(recPending, int64(q.pending()))
 	}
 	checkpoint := func() {
-		rec(recPending, int64(q.Pending()))
+		rec(recPending, int64(q.pending()))
 		for i := 0; i < len(handles); i += 7 {
 			rec(recHandle, int64(i), b(handles[i].Pending()))
 		}
@@ -359,7 +359,7 @@ func randomWorkload(q queue, seed int64) (trace []int64) {
 	q.RunUntil(Time(40 * Millisecond))
 	checkpoint()
 	for i := 0; i < 25; i++ {
-		rec(recStep, b(q.Step()))
+		rec(recStep, b(q.stepOne()))
 		if i%5 == 0 {
 			stopRandom()
 		}
@@ -386,7 +386,7 @@ func randomWorkload(q queue, seed int64) (trace []int64) {
 
 // The scheduler and the model must be observationally identical: same
 // firing order at the same instants, same Stop and Rearm results on live,
-// stopped, fired, stale and zero handles, same Pending wherever the
+// stopped, fired, stale and zero handles, same live count wherever the
 // program looks, same Processed and final clock.
 func TestFastMatchesReferenceScheduler(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42, 20260808} {
@@ -513,15 +513,16 @@ func TestPassed(t *testing.T) {
 	check(s, "after RunBefore, key at the horizon", ms(10), at10, false)
 	check(s, "after RunBefore, key at the horizon reserved early", ms(10), first, false)
 	check(s, "after RunBefore, key before the horizon", ms(10)-1, s.ReserveSeq(), true)
-	// Step fires the 10 ms event: keys at 10 ms up to its own have passed.
-	s.Step()
-	check(s, "after Step", ms(10), at10, true)
-	check(s, "after Step, key reserved after the event", ms(10), s.ReserveSeq(), false)
+	// A single step fires the 10 ms event: keys at 10 ms up to its own
+	// have passed.
+	s.stepOne()
+	check(s, "after a step", ms(10), at10, true)
+	check(s, "after a step, key reserved after the event", ms(10), s.ReserveSeq(), false)
 }
 
 // Passed on reserved keys against events armed under the same keys: at
 // every point a random program looks — inside events, after RunUntil,
-// RunBefore and Step windows — a key has passed exactly when its probe has
+// RunBefore and single steps — a key has passed exactly when its probe has
 // fired.
 func TestPassedMatchesArmedProbes(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3, 4, 5} {
@@ -564,8 +565,8 @@ func TestPassedMatchesArmedProbes(t *testing.T) {
 				s.RunBefore(s.Now() + Time(1+r.Intn(3))*Time(Millisecond))
 				verify("after RunBefore")
 			case 2:
-				s.Step()
-				verify("after Step")
+				s.stepOne()
+				verify("after a step")
 			default:
 				arm()
 				verify("after arming")

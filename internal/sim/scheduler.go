@@ -81,10 +81,9 @@ type Scheduler struct {
 	free Freelist[Timer] // recycled nodes
 	// slab is the unissued rest of the newest chunk of nodes, made is how
 	// many nodes all chunks so far hold (see alloc).
-	slab    []Timer
-	made    int
-	rng     *RNG
-	stopped bool
+	slab []Timer
+	made int
+	rng  *RNG
 	// hollow marks heap[0] as the node of the event being fired: dead to
 	// its handles but still in place, waiting for the first event its
 	// callback schedules to take the slot over (see step).
@@ -351,11 +350,7 @@ func (s *Scheduler) step(limit Time) bool {
 	return true
 }
 
-// Step runs the single earliest pending event, advancing the clock to its
-// timestamp. It reports whether an event ran.
-func (s *Scheduler) Step() bool { return s.step(MaxTime) }
-
-// Run executes events until the queue is empty or Stop is called.
+// Run executes events until the queue is empty.
 func (s *Scheduler) Run() { s.runTo(MaxTime, s.now) }
 
 // RunUntil executes events with timestamps <= deadline, then advances the
@@ -372,11 +367,10 @@ func (s *Scheduler) RunFor(d Duration) { s.RunUntil(s.now.Add(d)) }
 // belong to the next window, after whatever the caller does at the barrier.
 func (s *Scheduler) RunBefore(horizon Time) { s.runTo(horizon-1, horizon) }
 
-// runTo fires events due at or before limit until Stop is called, then
-// advances the clock to end if it is not there yet.
+// runTo fires every event due at or before limit, then advances the clock
+// to end if it is not there yet.
 func (s *Scheduler) runTo(limit, end Time) {
-	s.stopped = false
-	for !s.stopped && s.step(limit) {
+	for s.step(limit) {
 	}
 	if s.now < end {
 		// Nothing has fired at the new instant yet, so no key there can
@@ -387,26 +381,6 @@ func (s *Scheduler) runTo(limit, end Time) {
 		// Every key at the clock reserved so far was the run's to fire.
 		s.passed = s.seq
 	}
-}
-
-// Stop halts Run/RunUntil after the currently executing event returns.
-func (s *Scheduler) Stop() { s.stopped = true }
-
-// Pending returns the number of armed, un-stopped timers — live events
-// only, never cancelled ones. It scans the queue, so it is for tests and
-// diagnostics: stopped nodes stay queued until they surface or are
-// re-armed, and Step recycles the stopped nodes it passes over.
-func (s *Scheduler) Pending() int {
-	if s.hollow {
-		s.settle()
-	}
-	n := 0
-	for _, t := range s.heap {
-		if !t.stopped {
-			n++
-		}
-	}
-	return n
 }
 
 // QueuePeak returns the high-water mark of the event queue's length,

@@ -26,7 +26,7 @@ func checkHeap(t *testing.T, s *Scheduler) {
 
 // The regression test for unbounded Stop() retention: a long campaign
 // re-arming and cancelling a million retransmit timers on one handle must
-// keep both the queue and Pending() bounded — the sentinel plus the one
+// keep both the queue and live count bounded — the sentinel plus the one
 // node the handle re-arms in place, nothing left behind and nothing taken
 // from the freelist.
 func TestStoppedTimersCompacted(t *testing.T) {
@@ -43,8 +43,8 @@ func TestStoppedTimersCompacted(t *testing.T) {
 	if got := len(s.heap); got != 2 {
 		t.Errorf("queue length after %d re-arm/stop cycles = %d, want 2 (sentinel and the re-armed node)", n, got)
 	}
-	if got := s.Pending(); got != 1 {
-		t.Errorf("Pending = %d, want 1 (the sentinel)", got)
+	if got := s.pending(); got != 1 {
+		t.Errorf("pending = %d, want 1 (the sentinel)", got)
 	}
 	if s.made != 2 {
 		t.Errorf("%d nodes made, want 2", s.made)
@@ -151,7 +151,7 @@ func TestSchedulerFIFOBurstProperty(t *testing.T) {
 	}
 }
 
-// Fuzz-style invariant check: after every random Push/Stop/Rearm/Step the
+// Fuzz-style invariant check: after every random Push/Stop/Rearm/step the
 // 4-ary heap must stay a valid min-heap with correct indices.
 func TestSchedulerHeapInvariantFuzz(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
@@ -168,7 +168,7 @@ func TestSchedulerHeapInvariantFuzz(t *testing.T) {
 				handles[r.Intn(len(handles))].Stop()
 			}
 		case 3: // fire the earliest
-			s.Step()
+			s.stepOne()
 		case 4: // re-arm a random handle (live, stopped, fired or stale)
 			if len(handles) > 0 {
 				i := r.Intn(len(handles))
@@ -179,7 +179,7 @@ func TestSchedulerHeapInvariantFuzz(t *testing.T) {
 	}
 	// Drain; every remaining live event fires in order.
 	last := Time(-1)
-	for s.Step() {
+	for s.stepOne() {
 		if s.Now() < last {
 			t.Fatalf("time went backwards: %v after %v", s.Now(), last)
 		}
@@ -244,8 +244,8 @@ func TestCompactAllStopped(t *testing.T) {
 				} else {
 					stopAll()
 				}
-				if got := s.Pending(); got != survivors {
-					t.Fatalf("n=%d inCallback=%v: Pending = %d, want %d", n, inCallback, got, survivors)
+				if got := s.pending(); got != survivors {
+					t.Fatalf("n=%d inCallback=%v: pending = %d, want %d", n, inCallback, got, survivors)
 				}
 				// The queue must still take and fire events afterwards.
 				s.After(time.Hour, count)
@@ -294,8 +294,8 @@ func TestHollowRootInvisibleToCallbacks(t *testing.T) {
 		if r.Intn(3) == 0 && handles[r.Intn(len(handles))].Stop() {
 			live--
 		}
-		if got := s.Pending(); got != live {
-			t.Fatalf("Pending = %d inside a callback, want %d", got, live)
+		if got := s.pending(); got != live {
+			t.Fatalf("pending = %d inside a callback, want %d", got, live)
 		}
 		if len(handles) > 0 {
 			self = handles[len(handles)-1] // checked if it fires next
@@ -304,7 +304,7 @@ func TestHollowRootInvisibleToCallbacks(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		arm()
 	}
-	for n := 0; n < 5000 && s.Step(); n++ {
+	for n := 0; n < 5000 && s.stepOne(); n++ {
 		self = TimerHandle{}
 		if s.hollow {
 			t.Fatal("hollow root outlived its callback")

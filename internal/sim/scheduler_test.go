@@ -114,26 +114,6 @@ func TestSchedulePastPanics(t *testing.T) {
 	s.At(Time(Millisecond), func() {})
 }
 
-func TestStopHaltsRun(t *testing.T) {
-	s := NewScheduler(1)
-	count := 0
-	for i := 1; i <= 10; i++ {
-		s.At(Time(i)*Time(Second), func() {
-			count++
-			if count == 3 {
-				s.Stop()
-			}
-		})
-	}
-	s.Run()
-	if count != 3 {
-		t.Fatalf("ran %d events after Stop, want 3", count)
-	}
-	if s.Pending() != 7 {
-		t.Fatalf("pending = %d, want 7", s.Pending())
-	}
-}
-
 func TestRNGDeterminism(t *testing.T) {
 	a := NewRNG(42).Stream("loss")
 	b := NewRNG(42).Stream("loss")
@@ -178,9 +158,6 @@ func TestTimeArithmetic(t *testing.T) {
 	}
 	if d := a.Sub(Time(0)); d != time.Second {
 		t.Fatalf("Sub: %v", d)
-	}
-	if !Time(1).Before(Time(2)) || !Time(2).After(Time(1)) {
-		t.Fatal("Before/After broken")
 	}
 	if s := Time(1500 * Millisecond).Seconds(); s != 1.5 {
 		t.Fatalf("Seconds: %v", s)

@@ -43,12 +43,6 @@ func (t Time) Add(d time.Duration) Time { return t + Time(d) }
 // Sub returns the duration t-u.
 func (t Time) Sub(u Time) time.Duration { return time.Duration(t - u) }
 
-// Before reports whether t is strictly earlier than u.
-func (t Time) Before(u Time) bool { return t < u }
-
-// After reports whether t is strictly later than u.
-func (t Time) After(u Time) bool { return t > u }
-
 // Seconds returns the instant expressed in seconds since simulation start.
 func (t Time) Seconds() float64 { return float64(t) / float64(time.Second) }
 

@@ -3,6 +3,7 @@ package stats
 import (
 	"math"
 	"math/rand/v2"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -31,7 +32,7 @@ func TestPercentileMonotoneAndBounded(t *testing.T) {
 	r := rand.New(rand.NewPCG(1, 2))
 	for trial := 0; trial < 100; trial++ {
 		xs := randomSamples(r, 1+r.IntN(400))
-		lo, hi := Min(xs), Max(xs)
+		lo, hi := slices.Min(xs), slices.Max(xs)
 		prev := math.Inf(-1)
 		for p := 0.0; p <= 100; p += 2.5 {
 			v := Percentile(xs, p)
@@ -100,7 +101,7 @@ func TestECDFQuantileConsistency(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
 		xs := randomSamples(r, 2+r.IntN(200))
 		e := NewECDF(xs)
-		lo, hi := Min(xs), Max(xs)
+		lo, hi := slices.Min(xs), slices.Max(xs)
 		prev := math.Inf(-1)
 		for q := 0.0; q <= 1.0; q += 0.05 {
 			v := e.Quantile(q)

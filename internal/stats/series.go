@@ -92,14 +92,3 @@ func (s *Series) GroupByHourOfDay() [][]float64 {
 	}
 	return groups
 }
-
-// Window returns the values of samples with Start <= At < End.
-func (s *Series) Window(start, end time.Duration) []float64 {
-	var out []float64
-	for _, smp := range s.samples {
-		if smp.At >= start && smp.At < end {
-			out = append(out, smp.Value)
-		}
-	}
-	return out
-}

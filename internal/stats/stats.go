@@ -75,34 +75,6 @@ func StdDev(xs []float64) float64 {
 	return math.Sqrt(ss / float64(len(xs)-1))
 }
 
-// Min returns the smallest element of xs.
-func Min(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Max returns the largest element of xs.
-func Max(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
 // Summary is a multi-percentile description of a sample, the unit of
 // reporting for the paper's boxplots (Figure 1) and timelines (Figure 2):
 // whiskers at p5/p95, box at p25/p75, a median stroke and the absolute

@@ -27,10 +27,6 @@ func Listen(node *netem.Node, port uint16, cfg Config, accept func(*Conn)) *List
 	return l
 }
 
-// Close unbinds the listener (existing connections keep running until
-// they close; their packets stop being demuxed).
-func (l *Listener) Close() { l.node.Unbind(netem.ProtoTCP, l.port) }
-
 func (l *Listener) receive(pkt *netem.Packet) {
 	key := keyOf(pkt)
 	c := l.flows[key]

@@ -103,8 +103,7 @@ type Segment struct {
 // (netem.Network.Inherit), so the high-water mark — the most segments
 // alive at once — is reached once per sweep worker, not once per network
 // or connection. One scheduler drives a network and cross links between
-// partitions carry no TCP, hence no lock. Shared counts segments a holder
-// kept: the payload of a Detached or Cloned packet (netem.PayloadSharer).
+// partitions carry no TCP, hence no lock.
 type segPool struct {
 	sim.Freelist[Segment]
 	rings sim.Freelist[sim.Ring[txRecord]]
@@ -205,15 +204,6 @@ func (s *Segment) ReleasePayload() {
 	s.Flags, s.Seq, s.Ack, s.Len = 0xF0, poisonSeq, poisonSeq, -1
 	s.Sack, s.Msgs, s.pooled = s.Sack[:0], s.Msgs[:0], true
 	p.Put(s)
-}
-
-// SharePayload implements netem.PayloadSharer: a second packet now
-// references the segment, so it leaves its pool for good.
-func (s *Segment) SharePayload() {
-	if p := s.owner; p != nil {
-		p.Share()
-		s.owner = nil
-	}
 }
 
 // AppMsg is an application message anchored at a stream offset. Payloads

@@ -86,17 +86,16 @@ func TestServerPlaysEveryBurst(t *testing.T) {
 	var res RunResult
 	done := false
 	Replay(client, server.Addr(), &tr, true, cfg, func(r RunResult) { res, done = r, true })
-	peak := 0
-	for s.Step() && !done {
-		peak = max(peak, s.Pending())
-	}
+	s.RunFor(tr.Duration() + 9*time.Second)
+	peak := s.QueuePeak()
 	if want := traceBytes(&tr); !done || res.Bytes != want {
 		t.Errorf("replay received %d bytes (done %v), want all %d", res.Bytes, done, want)
 	}
-	// Connection timers, the client's sampler and abort, the link hops and
-	// one burst: 7, where arming all four bursts at the request made 9.
-	if peak > 7 {
-		t.Errorf("peak of %d pending timers during a 4-burst replay", peak)
+	// Connection timers, the client's sampler and abort, the link hops,
+	// one burst and the stopped timers still queued, which QueuePeak
+	// counts too: 10, where arming all four bursts at the request makes 11.
+	if peak > 10 {
+		t.Errorf("queue peak of %d timers during a 4-burst replay", peak)
 	}
 }
 
