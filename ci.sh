@@ -81,9 +81,24 @@ echo "== no deleted mechanism in non-test code (DESIGN.md: Independent traffic s
 # pooled object, so every pool reads Gets = Puts), the scheduler's
 # test-only Step/Stop/Pending, Time.Before/After, obs's Gauge.Add/Value,
 # cc's BBR.State and core's RunMessagesCampaignCfg (the pacing ablation
-# sets Testbed.QUICConf). The patterns are declarations, so that calls of
+# sets Testbed.QUICConf), netem's two named transport-pool slots and
+# their accessors (TCPSegmentPool/SetTCPSegmentPool/QUICWirePool/
+# SetQUICWirePool: every layer's pool is one entry of the network's list,
+# netem.PoolOf) and the per-pool counter accessors that its one walk
+# netem.Network.Pools replaced (Network.ICMPPoolStats, tcpsim's
+# SegmentPoolStats/RingPoolStats, quic's WirePoolStats/SentPoolStats/
+# FramePoolStats), the congestion controllers' Name and InSlowStart, which
+# no caller read (CUBIC keeps its own slow-start check, unexported), nat's
+# MappingTimeout field (a constant) and sim's re-exported durations
+# (Nanosecond … Hour). The patterns are declarations, so that calls of
 # TimerHandle.Stop/Pending and time.Time.Before do not match.
-if grep -rnE 'PartitionedDriver|CrossEdge|AddCrossLink|snapshotRing|peekSnapshot|delayRing|islMemo|candCount|referenceReassignAt|epochPool|runPhase|phaseAssign|WirePoolStats struct|pktRing|txRing|frameQueue|rangeSet|byteRanges|cryptoRecv|offRange|compactMin|nstopped|\) compact\(|rebuildFIB|rebuildHandlers|fibDirty|hDirty|fibGroups|msgsInOrder|insertMsgKey|Hops \[\]Addr|wireFree|chunkFree|sentFree|frameFree|AnalyzeSenderView|obs\.Options|\(p \*Prober\) Observe|\(p \*Proxy\) Observe|pep\.New\(|NewNewReno|KindEnqueue|KindDequeue|IdleDecay|decayAfterIdle|AllowMigration|PathMigrations|PacingBurst|UnmarshalProfiles|LinkConfigs|"scenario\.workers"|sizesFor|paperScenario|prevSat|observeEpoch|observeCellInto|observeRange|assignRange|assignBlock|admitRow|candFill|scanSats|buildCandidates|candStart|candUB|satGwAt|RenderTraffic|TrafficWall|TrafficTerminals|TrafficSpan|computeAssignmentFull|reassignAt|\) DelayFunc\(|\) Handovers\(|EnableZeroRTT|RTTMinWindow|modernMinRTTWindow|MinElevationDeg|WebSites|MaxBacklog|(^|[^A-Za-z])CentralAngleRad|NodeByName|LargestSentPN|ParseFrames|func \(p \*Packet\) (Detach|Clone|Gen|Pooled)\(|\) ReleasePacket\(|PayloadSharer|SharePayload|\.Share\(\)|Shared +uint64|func \(s \*Scheduler\) (Step|Stop|Pending)\(|func \(t Time\) (Before|After)\(|func \(g \*Gauge\) (Add|Value)\(|func \(b \*BBR\) State\(|RunMessagesCampaignCfg' --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark .; then
+if grep -rnE 'PartitionedDriver|CrossEdge|AddCrossLink|snapshotRing|peekSnapshot|delayRing|islMemo|candCount|referenceReassignAt|epochPool|runPhase|phaseAssign|WirePoolStats struct|pktRing|txRing|frameQueue|rangeSet|byteRanges|cryptoRecv|offRange|compactMin|nstopped|\) compact\(|rebuildFIB|rebuildHandlers|fibDirty|hDirty|fibGroups|msgsInOrder|insertMsgKey|Hops \[\]Addr|wireFree|chunkFree|sentFree|frameFree|AnalyzeSenderView|obs\.Options|\(p \*Prober\) Observe|\(p \*Proxy\) Observe|pep\.New\(|NewNewReno|KindEnqueue|KindDequeue|IdleDecay|decayAfterIdle|AllowMigration|PathMigrations|PacingBurst|UnmarshalProfiles|LinkConfigs|"scenario\.workers"|sizesFor|paperScenario|prevSat|observeEpoch|observeCellInto|observeRange|assignRange|assignBlock|admitRow|candFill|scanSats|buildCandidates|candStart|candUB|satGwAt|RenderTraffic|TrafficWall|TrafficTerminals|TrafficSpan|computeAssignmentFull|reassignAt|\) DelayFunc\(|\) Handovers\(|EnableZeroRTT|RTTMinWindow|modernMinRTTWindow|MinElevationDeg|WebSites|MaxBacklog|(^|[^A-Za-z])CentralAngleRad|NodeByName|LargestSentPN|ParseFrames|func \(p \*Packet\) (Detach|Clone|Gen|Pooled)\(|\) ReleasePacket\(|PayloadSharer|SharePayload|\.Share\(\)|Shared +uint64|func \(s \*Scheduler\) (Step|Stop|Pending)\(|func \(t Time\) (Before|After)\(|func \(g \*Gauge\) (Add|Value)\(|func \(b \*BBR\) State\(|RunMessagesCampaignCfg|func \(nw \*Network\) (TCPSegmentPool|SetTCPSegmentPool|QUICWirePool|SetQUICWirePool|ICMPPoolStats)\(|(tcpSegPool|quicWirePool) +TransportPool|func (SegmentPoolStats|RingPoolStats|WirePoolStats|SentPoolStats|FramePoolStats)\(|func \([a-z] \*(BBR|Cubic|Fixed)\) (Name|InSlowStart)\(|MappingTimeout +time\.Duration|^	(Nanosecond|Microsecond|Millisecond|Second|Minute|Hour) += time\.' --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark .; then
+    echo "a deleted mechanism is named above" >&2
+    exit 1
+fi
+# A packet's recycle counter, which nothing read (the scheduler's timers
+# keep their own gen).
+if grep -rnE '^	gen +uint32' --include='*.go' --exclude='*_test.go' internal/netem; then
     echo "a deleted mechanism is named above" >&2
     exit 1
 fi

@@ -3,6 +3,7 @@ package cli
 import (
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -31,8 +32,9 @@ func starlinkBench(args []string, stdout, stderr io.Writer) error {
 	if *scale < 1 {
 		return fmt.Errorf("scale must be >= 1")
 	}
-	if *fleetTerminals < 0 {
-		return fmt.Errorf("fleet.terminals must be >= 0 (0 selects the default), got %d", *fleetTerminals)
+	// The fleet indexes its terminals with int32 offsets.
+	if *fleetTerminals < 0 || *fleetTerminals > math.MaxInt32 {
+		return fmt.Errorf("fleet.terminals must be in [0, %d] (0 selects the default), got %d", math.MaxInt32, *fleetTerminals)
 	}
 	sz := core.ScaleSizes(*scale)
 	if *quick {

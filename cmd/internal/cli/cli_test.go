@@ -212,6 +212,10 @@ func TestBadInput(t *testing.T) {
 		{"quicbench", "-mode messages -dur 18h12m16s"},
 		{"quicbench", "-mode messages -pcap x.pcap"},
 		{"speedtest", "-gap -1s"},
+		// Sizes past what the simulation can represent: a span that wraps
+		// the clock negative, a fleet its int32 offsets cannot index.
+		{"pingmon", "-days 110000 -interval 1000h"},
+		{"starlink-bench", "-quick -fleet.terminals 3000000000"},
 		// Unknown names.
 		{"quicbench", "-mode ftp"},
 		{"speedtest", "-tech dialup"},

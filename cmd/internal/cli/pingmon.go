@@ -3,6 +3,7 @@ package cli
 import (
 	"fmt"
 	"io"
+	"math"
 	"strings"
 	"time"
 
@@ -25,6 +26,10 @@ func pingmon(args []string, stdout, stderr io.Writer) error {
 	}
 	if *interval <= 0 {
 		return fmt.Errorf("interval must be positive, got %v", *interval)
+	}
+	// The clock must reach the round due after the span, plus a minute.
+	if maxDays := int64((math.MaxInt64 - *interval - time.Minute) / (24 * time.Hour)); int64(*days) > maxDays {
+		return fmt.Errorf("days must be at most %d at this interval, or the simulated clock overflows, got %d", maxDays, *days)
 	}
 	if *growth {
 		cfg = core.PaperScenario(cfg)

@@ -114,9 +114,6 @@ func NewBBR(mss int) *BBR {
 	}
 }
 
-// Name implements CongestionController.
-func (b *BBR) Name() string { return "bbr" }
-
 // Window implements CongestionController.
 func (b *BBR) Window() int {
 	if min := b.minCwnd(); b.cwnd < min {
@@ -124,10 +121,6 @@ func (b *BBR) Window() int {
 	}
 	return b.cwnd
 }
-
-// InSlowStart implements CongestionController. Startup is BBR's
-// exponential phase, which is what callers (Hystart, stats) mean by it.
-func (b *BBR) InSlowStart() bool { return b.state == bbrStartup }
 
 func (b *BBR) minCwnd() int { return bbrMinWindowPackets * b.mss }
 

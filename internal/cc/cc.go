@@ -23,10 +23,6 @@ type CongestionController interface {
 	// OnCongestionEvent reacts to a loss of a packet sent at sentAt.
 	// Losses inside an ongoing recovery episode are ignored.
 	OnCongestionEvent(now sim.Time, sentAt sim.Time)
-	// InSlowStart reports whether the controller is in slow start.
-	InSlowStart() bool
-	// Name identifies the algorithm for reporting.
-	Name() string
 }
 
 // PacingRater is implemented by controllers that own their pacing rate
@@ -82,14 +78,12 @@ func NewCubic(mss int) *Cubic {
 	}
 }
 
-// Name implements CongestionController.
-func (c *Cubic) Name() string { return "cubic" }
-
 // Window implements CongestionController.
 func (c *Cubic) Window() int { return c.cwnd }
 
-// InSlowStart implements CongestionController.
-func (c *Cubic) InSlowStart() bool { return c.cwnd < c.ssthresh }
+// inSlowStart reports whether the window is below the slow-start
+// threshold.
+func (c *Cubic) inSlowStart() bool { return c.cwnd < c.ssthresh }
 
 // OnPacketSent implements CongestionController.
 func (c *Cubic) OnPacketSent(sim.Time, int) {}
@@ -108,7 +102,7 @@ func (c *Cubic) OnPacketAcked(now sim.Time, bytes int, rtt *RTTEstimator) {
 			return
 		}
 	}
-	if c.InSlowStart() {
+	if c.inSlowStart() {
 		c.cwnd += bytes
 		c.hystart(bytes, rtt)
 		return
@@ -325,9 +319,6 @@ type Fixed struct{ w int }
 // NewFixed returns a controller with a constant window of w bytes.
 func NewFixed(w int) *Fixed { return &Fixed{w: w} }
 
-// Name implements CongestionController.
-func (f *Fixed) Name() string { return "fixed" }
-
 // Window implements CongestionController.
 func (f *Fixed) Window() int { return f.w }
 
@@ -339,6 +330,3 @@ func (f *Fixed) OnPacketAcked(sim.Time, int, *RTTEstimator) {}
 
 // OnCongestionEvent implements CongestionController.
 func (f *Fixed) OnCongestionEvent(sim.Time, sim.Time) {}
-
-// InSlowStart implements CongestionController.
-func (f *Fixed) InSlowStart() bool { return false }

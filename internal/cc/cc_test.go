@@ -17,8 +17,33 @@ func TestCubicInitialWindow(t *testing.T) {
 	if c.Window() != InitialWindowPackets*testMSS {
 		t.Errorf("initial window = %d", c.Window())
 	}
-	if c.Name() != "cubic" {
-		t.Errorf("name = %q", c.Name())
+}
+
+func TestCubicSlowStartAndBackoff(t *testing.T) {
+	c := NewCubic(testMSS)
+	w0 := c.Window()
+	if !c.inSlowStart() {
+		t.Fatal("should start in slow start")
+	}
+	var r RTTEstimator
+	r.Update(50*time.Millisecond, 0)
+	c.OnPacketAcked(0, 1350, &r)
+	if c.Window() != w0+1350 {
+		t.Errorf("slow start growth: %d -> %d", w0, c.Window())
+	}
+	// Loss halves-ish (beta 0.7) and exits slow start.
+	c.OnCongestionEvent(at(1), at(0))
+	if got := c.Window(); got != int(float64(w0+1350)*0.7) {
+		t.Errorf("post-loss window = %d", got)
+	}
+	if c.inSlowStart() {
+		t.Error("should have left slow start")
+	}
+	// Second loss within same recovery episode: no further reduction.
+	w := c.Window()
+	c.OnCongestionEvent(at(2), at(0))
+	if c.Window() != w {
+		t.Error("same-episode loss reduced window again")
 	}
 }
 
@@ -91,11 +116,11 @@ func TestCCSameEpochLossIgnored(t *testing.T) {
 	w := ctl.Window()
 	ctl.OnCongestionEvent(at(1.01), at(0.9)) // sent before recovery start
 	if ctl.Window() != w {
-		t.Errorf("%s: same-episode loss reduced window", ctl.Name())
+		t.Error("same-episode loss reduced window")
 	}
 	ctl.OnCongestionEvent(at(2), at(1.5)) // sent after recovery start
 	if ctl.Window() >= w {
-		t.Errorf("%s: new-episode loss did not reduce window", ctl.Name())
+		t.Error("new-episode loss did not reduce window")
 	}
 }
 

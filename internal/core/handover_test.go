@@ -6,27 +6,9 @@ import (
 	"testing"
 	"time"
 
-	"starlinkperf/internal/quic"
+	"starlinkperf/internal/netem/netemtest"
 	"starlinkperf/internal/sim"
-	"starlinkperf/internal/tcpsim"
 )
-
-// netPools is every pool counter of one network.
-type netPools struct {
-	pkt, icmp, seg, ring, wire, sent, frame sim.PoolStats
-}
-
-func poolsOf(tb *Testbed) netPools {
-	return netPools{
-		pkt:   tb.Net.PoolStats(),
-		icmp:  tb.Net.ICMPPoolStats(),
-		seg:   tcpsim.SegmentPoolStats(tb.Net),
-		ring:  tcpsim.RingPoolStats(tb.Net),
-		wire:  quic.WirePoolStats(tb.Net),
-		sent:  quic.SentPoolStats(tb.Net),
-		frame: quic.FramePoolStats(tb.Net),
-	}
-}
 
 // A sweep worker's pools outlive its testbeds: on one worker, an H3
 // transfer run a second time on a fresh testbed of the same seed, and then
@@ -41,31 +23,26 @@ func TestAllocGateSweepWorkerInheritsPools(t *testing.T) {
 		func(tb *Testbed) { tb.RunH3Campaign(1, 1<<20, true, time.Second) },
 		func(tb *Testbed) { tb.RunSpeedtestCampaign(TechStarlink, 1, time.Second) },
 	}
-	got := make([]netPools, 2*len(runs))
+	got := make([]map[string]sim.PoolStats, 2*len(runs))
 	forEachShard(Options{Workers: 1}, len(got), func(i int, slot *poolSlot) {
 		tb := shardTestbed(cfg, 11, Options{}, "handover", i, slot)
 		runs[i/2](tb)
-		got[i] = poolsOf(tb)
-	})
-	for i, p := range got {
-		for pool, st := range map[string]sim.PoolStats{
-			"packet": p.pkt, "ICMP body": p.icmp, "segment": p.seg, "in-flight ring": p.ring, "QUIC buffer": p.wire,
-		} {
-			if st.Gets != st.Puts {
-				t.Errorf("network %d: %s pool %+v: Gets != Puts", i, pool, st)
-			}
+		if err := netemtest.CheckPools(tb.Net); err != nil {
+			t.Errorf("network %d: %v", i, err)
 		}
-	}
-	h3, speedtest := got[1], got[3]
+		got[i] = poolsOf(tb.Net)
+	})
 	for _, c := range []struct {
-		pool string
-		st   sim.PoolStats
+		run   int
+		pools []string
 	}{
-		{"H3 packet", h3.pkt}, {"QUIC buffer", h3.wire}, {"sent record", h3.sent}, {"STREAM frame", h3.frame},
-		{"speedtest packet", speedtest.pkt}, {"segment", speedtest.seg}, {"in-flight ring", speedtest.ring},
+		{1, []string{"packet", "quic wire", "quic sent", "quic frame"}},
+		{3, []string{"packet", "tcp segment", "tcp ring"}},
 	} {
-		if c.st.Gets == 0 || c.st.Hits != c.st.Gets {
-			t.Errorf("%s pool %+v: the second identical run allocated %d", c.pool, c.st, c.st.Gets-c.st.Hits)
+		for _, pool := range c.pools {
+			if st := got[c.run][pool]; st.Gets == 0 || st.Hits != st.Gets {
+				t.Errorf("network %d: %s pool %+v: the second identical run allocated %d", c.run, pool, st, st.Gets-st.Hits)
+			}
 		}
 	}
 }

@@ -8,7 +8,7 @@ import (
 
 	"starlinkperf/internal/measure"
 	"starlinkperf/internal/netem"
-	"starlinkperf/internal/quic"
+	"starlinkperf/internal/netem/netemtest"
 	"starlinkperf/internal/sim"
 	"starlinkperf/internal/tcpsim"
 	"starlinkperf/internal/wehe"
@@ -61,48 +61,42 @@ func (r *tcpRun) check(t *testing.T) {
 	}
 }
 
-// poolSnap is every pool's counters at one moment.
-type poolSnap struct{ pkt, icmp, seg, ring, wire sim.PoolStats }
+// poolsOf reads every pool of nw, by name, through the network's walk.
+func poolsOf(nw *netem.Network) map[string]sim.PoolStats {
+	pools := map[string]sim.PoolStats{}
+	nw.Pools(func(name string, st sim.PoolStats) { pools[name] = st })
+	return pools
+}
 
 // runPoolStages runs stages one after another on tb and checks after each
 // that every object drawn from a pool — a packet, an ICMP body, a TCP
-// segment, a QUIC wire buffer or reassembly chunk — is back in it once its
-// packet reached a terminal point (delivered, consumed by the PEP, dropped
-// by a queue, a loss model or an outage; quoted by an ICMP error that did)
-// or its data was delivered. Gets == Puts, for every pool; for TCP
-// in-flight rings, that is every connection the stage opened having closed.
-// It returns the counters after each stage.
-func runPoolStages(t *testing.T, tb *Testbed, stages []poolStage) []poolSnap {
+// segment or in-flight ring, a QUIC wire buffer or reassembly chunk, sent
+// record or STREAM frame — is back in it once its packet reached a
+// terminal point (delivered, consumed by the PEP, dropped by a queue, a
+// loss model or an outage; quoted by an ICMP error that did), its data was
+// delivered or its connection closed. It returns the counters after each
+// stage.
+func runPoolStages(t *testing.T, tb *Testbed, stages []poolStage) []map[string]sim.PoolStats {
 	t.Helper()
-	snaps := make([]poolSnap, 0, len(stages))
-	var prev poolSnap
+	snaps := make([]map[string]sim.PoolStats, 0, len(stages))
+	prev := map[string]sim.PoolStats{}
 	for _, st := range stages {
 		st.run()
-		now := poolSnap{
-			pkt:  tb.Net.PoolStats(),
-			icmp: tb.Net.ICMPPoolStats(),
-			seg:  tcpsim.SegmentPoolStats(tb.Net),
-			ring: tcpsim.RingPoolStats(tb.Net),
-			wire: quic.WirePoolStats(tb.Net),
+		now := poolsOf(tb.Net)
+		drawn := []string{"packet"}
+		if st.tcp {
+			drawn = append(drawn, "tcp segment", "tcp ring")
 		}
-		for _, p := range []struct {
-			pool        string
-			now, before sim.PoolStats
-			drawn       bool
-		}{
-			{"packet", now.pkt, prev.pkt, true},
-			{"ICMP body", now.icmp, prev.icmp, false},
-			{"segment", now.seg, prev.seg, st.tcp},
-			{"in-flight ring", now.ring, prev.ring, st.tcp},
-			{"QUIC buffer", now.wire, prev.wire, st.h3},
-		} {
-			if p.drawn && p.now.Gets == p.before.Gets {
-				t.Errorf("%s: drew nothing from the %s pool", st.name, p.pool)
+		if st.h3 {
+			drawn = append(drawn, "quic wire")
+		}
+		for _, pool := range drawn {
+			if now[pool].Gets == prev[pool].Gets {
+				t.Errorf("%s: drew nothing from the %s pool", st.name, pool)
 			}
-			if p.now.Gets != p.now.Puts {
-				t.Errorf("after %s: %s pool: %d drawn, %d returned: %d unaccounted for",
-					st.name, p.pool, p.now.Gets, p.now.Puts, int64(p.now.Gets)-int64(p.now.Puts))
-			}
+		}
+		if err := netemtest.CheckPools(tb.Net); err != nil {
+			t.Errorf("after %s: %v", st.name, err)
 		}
 		snaps = append(snaps, now)
 		prev = now
@@ -144,7 +138,7 @@ func TestWireBufferPoolConservation(t *testing.T) {
 		t.Error("no QUIC packet was lost: buffers released at a drop are not covered")
 	}
 	// Every packet sent took one buffer; the rest were reassembly chunks.
-	st := quic.WirePoolStats(tb.Net)
+	st := poolsOf(tb.Net)["quic wire"]
 	if st.Gets <= sent {
 		t.Error("no data waited in a reassembly chunk: the chunk path is not covered")
 	}
@@ -160,7 +154,7 @@ func TestWireBufferPoolConservation(t *testing.T) {
 	if st := ref.Net.PoolStats(); st != (sim.PoolStats{}) {
 		t.Errorf("no-recycle network drew packets from its pool: %+v", st)
 	}
-	if st := quic.WirePoolStats(ref.Net); st.Gets <= res.Client.Stats.PacketsSent+res.Server.Stats.PacketsSent || st.Hits != 0 || st.Puts != 0 {
+	if st := poolsOf(ref.Net)["quic wire"]; st.Gets <= res.Client.Stats.PacketsSent+res.Server.Stats.PacketsSent || st.Hits != 0 || st.Puts != 0 {
 		t.Errorf("no-recycle network recycled QUIC buffers: %+v", st)
 	}
 }
@@ -204,13 +198,13 @@ func TestSegmentPoolConservation(t *testing.T) {
 	// The segment pool outlives its connections: the speedtests filled it,
 	// so the connections Wehe dials afterwards (stage 2) allocate no
 	// segment of their own.
-	seg, prev := snaps[2].seg, snaps[1].seg
+	seg, prev := snaps[2]["tcp segment"], snaps[1]["tcp segment"]
 	if misses := (seg.Gets - seg.Hits) - (prev.Gets - prev.Hits); misses != 0 {
 		t.Errorf("wehe allocated %d segments from a pool the speedtests had filled", misses)
 	}
 	// So do the in-flight rings: each connection Wehe dials takes one a
 	// speedtest connection grew and gave back.
-	ring, before := snaps[2].ring, snaps[1].ring
+	ring, before := snaps[2]["tcp ring"], snaps[1]["tcp ring"]
 	if misses := (ring.Gets - ring.Hits) - (before.Gets - before.Hits); ring.Gets == before.Gets || misses != 0 {
 		t.Errorf("wehe opened %d connections and allocated %d in-flight rings from a pool the speedtests had filled", ring.Gets-before.Gets, misses)
 	}
@@ -219,8 +213,8 @@ func TestSegmentPoolConservation(t *testing.T) {
 	// Every path back to the pool is covered, the quote's included: the
 	// SatCom speedtest's late segments draw DestUnreachable errors, whose
 	// quotes go home with them.
-	if hr := float64(last.seg.Hits) / float64(last.seg.Gets); !(hr >= 0.98) {
-		t.Errorf("only %.1f%% of %d segments came from the freelist", 100*hr, last.seg.Gets)
+	if seg := last["tcp segment"]; !(float64(seg.Hits)/float64(seg.Gets) >= 0.98) {
+		t.Errorf("only %.1f%% of %d segments came from the freelist", 100*float64(seg.Hits)/float64(seg.Gets), seg.Gets)
 	}
 	if len(quotedSegs) == 0 {
 		t.Error("no ICMP error quoted a segment: the quote path is not covered")
@@ -234,7 +228,7 @@ func TestSegmentPoolConservation(t *testing.T) {
 	if quotes == 0 {
 		t.Error("no Tracebox hop carried a quote: the traceroute quote path is not covered")
 	}
-	if last.icmp.Gets == 0 {
+	if last["icmp"].Gets == 0 {
 		t.Error("no ICMP body was drawn: the ICMP pool is not covered")
 	}
 
@@ -246,10 +240,11 @@ func TestSegmentPoolConservation(t *testing.T) {
 	if st := ref.Net.PoolStats(); st != (sim.PoolStats{}) {
 		t.Errorf("no-recycle network drew packets from its pool: %+v", st)
 	}
-	if st := tcpsim.SegmentPoolStats(ref.Net); st.Gets == 0 || st.Hits != 0 || st.Puts != 0 {
+	refPools := poolsOf(ref.Net)
+	if st := refPools["tcp segment"]; st.Gets == 0 || st.Hits != 0 || st.Puts != 0 {
 		t.Errorf("no-recycle network recycled segments: %+v", st)
 	}
-	if st := tcpsim.RingPoolStats(ref.Net); st.Gets == 0 || st.Hits != 0 || st.Puts != 0 {
+	if st := refPools["tcp ring"]; st.Gets == 0 || st.Hits != 0 || st.Puts != 0 {
 		t.Errorf("no-recycle network recycled in-flight rings: %+v", st)
 	}
 }
@@ -277,5 +272,25 @@ func TestPoisonedSegmentPoolMatchesReference(t *testing.T) {
 	}
 	if !reflect.DeepEqual(pooled.det, ref.det) {
 		t.Errorf("wehe detection differs:\n pooled    %+v\n reference %+v", pooled.det, ref.det)
+	}
+}
+
+// A DropHook observes a drop without keeping the packet: once the hook
+// returns, the packet and the wire buffer or segment it carries go home
+// like any other drop's, so a speedtest and a lossy H3 transfer on links
+// that all carry a hook leave every pool balanced.
+func TestHookedDropsPoolConservation(t *testing.T) {
+	tb := NewTestbed(DefaultConfig())
+	drops := map[netem.Proto]int{}
+	for _, l := range tb.Net.Links() {
+		l.DropHook = func(_ sim.Time, p *netem.Packet, _ netem.DropReason) { drops[p.Proto]++ }
+	}
+	stages := []poolStage{
+		{name: "speedtest starlink", tcp: true, run: func() { tb.RunSpeedtestCampaign(TechStarlink, 1, time.Second) }},
+		{name: "h3 down", h3: true, run: func() { tb.RunH3Campaign(1, 16<<20, true, 5*time.Second) }},
+	}
+	runPoolStages(t, tb, stages)
+	if drops[netem.ProtoUDP] == 0 || drops[netem.ProtoTCP] == 0 {
+		t.Errorf("hooked drops by protocol %v: the QUIC or the TCP drop path is not covered", drops)
 	}
 }

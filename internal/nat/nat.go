@@ -13,6 +13,10 @@ import (
 	"starlinkperf/internal/sim"
 )
 
+// mappingTimeout expires idle mappings (real NATs time ICMP/UDP state out
+// in tens of seconds; long-lived flows refresh on every packet).
+const mappingTimeout = 5 * time.Minute
+
 type mapKey struct {
 	addr  netem.Addr
 	port  uint16
@@ -43,11 +47,6 @@ type NAT struct {
 	now      sim.Time
 	nextPort uint16
 
-	// MappingTimeout expires idle mappings (real NATs time ICMP/UDP
-	// state out in tens of seconds; long-lived flows refresh on every
-	// packet). Defaults to 5 minutes.
-	MappingTimeout time.Duration
-
 	// Translations counts rewritten packets.
 	Translations uint64
 }
@@ -55,12 +54,11 @@ type NAT struct {
 // New creates a NAT with the given external address and inside predicate.
 func New(external netem.Addr, inside func(netem.Addr) bool) *NAT {
 	return &NAT{
-		External:       external,
-		Inside:         inside,
-		table:          make(map[mapKey]*mapping),
-		reverse:        make(map[uint16]*mapping),
-		nextPort:       10000,
-		MappingTimeout: 5 * time.Minute,
+		External: external,
+		Inside:   inside,
+		table:    make(map[mapKey]*mapping),
+		reverse:  make(map[uint16]*mapping),
+		nextPort: 10000,
 	}
 }
 
@@ -188,10 +186,10 @@ func (n *NAT) allocPort() uint16 {
 	return n.nextPort
 }
 
-// expire removes mappings idle for longer than MappingTimeout.
+// expire removes mappings idle for longer than mappingTimeout.
 func (n *NAT) expire() {
 	for ext, m := range n.reverse {
-		if n.now.Sub(m.lastUsed) > n.MappingTimeout {
+		if n.now.Sub(m.lastUsed) > mappingTimeout {
 			delete(n.table, m.inside)
 			delete(n.reverse, ext)
 		}

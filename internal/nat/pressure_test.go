@@ -43,7 +43,7 @@ func TestNATExpiresIdleMappings(t *testing.T) {
 		t.Fatalf("mappings after expiry = %d, want 1 (idle flow dropped, fresh kept)", len(n.table))
 	}
 	if _, alive := n.reverse[stale.extPort]; alive {
-		t.Error("idle mapping survived an expiry sweep past MappingTimeout")
+		t.Error("idle mapping survived an expiry sweep past mappingTimeout")
 	}
 }
 

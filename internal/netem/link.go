@@ -109,7 +109,9 @@ type Link struct {
 	// and one word keeps Link in its 208-byte size class.
 	pipe *linkPipe
 
-	// DropHook, when set, observes every packet the link drops.
+	// DropHook, when set, observes every packet the link drops. The
+	// packet goes back to its pool once the hook returns, so the hook
+	// copies out what it reads later.
 	DropHook func(now sim.Time, pkt *Packet, reason DropReason)
 	// DeliverHook, when set, observes every packet as it arrives at the
 	// far node (after propagation). Captures attach here.
@@ -294,10 +296,7 @@ func (l *Link) drop(now sim.Time, pkt *Packet, reason DropReason) {
 		l.obs.tr.Emit(now, obs.KindDrop, l.obsSubj, int64(reason), int64(pkt.Size))
 	}
 	if l.DropHook != nil {
-		// The hook may retain the packet (loss-inspection tests do), so a
-		// hooked drop is left to the GC.
 		l.DropHook(now, pkt, reason)
-		return
 	}
 	l.net.releaseConsumed(pkt)
 }

@@ -37,12 +37,11 @@ type Network struct {
 	noRecycle bool
 	pktFree   sim.Freelist[Packet]
 	icmpFree  sim.Freelist[ICMP]
-	// tcpSegPool is tcpsim's segment freelist and quicWirePool quic's
-	// buffer freelist, opaque here because netem cannot import the
-	// transports: they hang off the network to share the packet pool's
-	// lifetime and single-scheduler concurrency domain.
-	tcpSegPool   TransportPool
-	quicWirePool TransportPool
+	// pools lists the other layers' freelists on the network (PoolOf);
+	// poolBuf backs the first two, so listing both transports' allocates
+	// nothing.
+	pools   []TransportPool
+	poolBuf [2]TransportPool
 }
 
 // Observe attaches an observability sink to the network: every existing

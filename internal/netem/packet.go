@@ -53,10 +53,8 @@ type Packet struct {
 
 	// Pool bookkeeping (see pool.go). owner is the network whose freelist
 	// the packet belongs to — nil for literals, which the datapath never
-	// recycles. gen counts recycles so a stale reference is detectable;
-	// inPool guards double release.
+	// recycles; inPool guards double release.
 	owner  *Network
-	gen    uint32
 	inPool bool
 }
 
@@ -82,9 +80,9 @@ func (p *Packet) FixChecksum() {
 // copyTo copies p's header and payload reference into q, which keeps its
 // own pool identity.
 func (p *Packet) copyTo(q *Packet) {
-	owner, gen := q.owner, q.gen
+	owner := q.owner
 	*q = *p
-	q.owner, q.gen, q.inPool = owner, gen, false
+	q.owner, q.inPool = owner, false
 }
 
 // ICMPType enumerates the ICMP-like messages the emulator itself

@@ -23,10 +23,9 @@ import "starlinkperf/internal/sim"
 //     packet's payload (sendICMPError moves it), so releasing the error
 //     releases the quote and its payload too.
 //
-// So once a campaign has drained, every pool reads Gets == Puts. Releasing
-// a foreign packet (owner nil or another network) or releasing twice is an
-// inert no-op; gen counts recycles, so a test can tell that a reference it
-// kept was recycled underneath it.
+// So once a campaign has drained, every pool Pools yields reads Gets ==
+// Puts. Releasing a foreign packet (owner nil or another network) or
+// releasing twice is an inert no-op.
 //
 // No-recycle mode (DisableRecycling) turns every constructor into a plain
 // allocation and every release into a no-op: nothing is ever reused, so
@@ -47,11 +46,26 @@ type PayloadReleaser interface {
 // PoolStats counts packet-pool traffic.
 type PoolStats = sim.PoolStats
 
-// PoolStats returns a copy of the packet-pool counters.
-func (nw *Network) PoolStats() PoolStats { return nw.pktFree.Stats() }
+// Pools calls f with the name and counters of each of the network's
+// freelists: "packet" and "icmp", then each listed TransportPool's ("tcp
+// segment", "tcp ring"; "quic wire", "quic sent", "quic frame").
+func (nw *Network) Pools(f func(name string, st PoolStats)) {
+	f("packet", nw.pktFree.Stats())
+	f("icmp", nw.icmpFree.Stats())
+	for _, tp := range nw.pools {
+		tp.Pools(f)
+	}
+}
 
-// ICMPPoolStats returns a copy of the ICMP body pool's counters.
-func (nw *Network) ICMPPoolStats() PoolStats { return nw.icmpFree.Stats() }
+// PoolStats returns the packet pool's counters, the walk's first row.
+func (nw *Network) PoolStats() (st PoolStats) {
+	nw.Pools(func(name string, s PoolStats) {
+		if name == "packet" {
+			st = s
+		}
+	})
+	return st
+}
 
 // DisableRecycling puts the network in no-recycle mode for good: packets
 // and ICMP bodies become plain owner-less allocations, and since the
@@ -91,7 +105,7 @@ func (nw *Network) releasePacket(p *Packet) {
 	if p == nil || p.owner != nw || p.inPool {
 		return
 	}
-	*p = Packet{owner: nw, gen: p.gen + 1, inPool: true}
+	*p = Packet{owner: nw, inPool: true}
 	nw.pktFree.Put(p)
 }
 
@@ -136,16 +150,16 @@ func (nw *Network) releaseICMP(ic *ICMP) {
 }
 
 // Inherit hands prev's pools to nw, before nw's first packet: every
-// packet, ICMP body, TCP segment and ring and QUIC buffer, sent record and
-// frame listed on prev's freelists moves onto nw's, re-stamped as nw's,
+// object listed on one of prev's freelists — packets, ICMP bodies and each
+// TransportPool's — moves onto the same freelist of nw, re-stamped as nw's,
 // and prev's lists are left empty. What prev still holds (packets in
 // flight when its campaign hit its budget) keeps prev as its owner, so
 // releasing it later never reaches nw. The counters stay with their
-// network, so each keeps Gets = Puts for its own traffic. A nil
-// prev, prev itself or a network in no-recycle mode on either side hands
-// nothing over. A sweep worker calls it on each testbed it builds with the
-// network of the one before, so a pool's high-water mark is reached once
-// per worker rather than once per network.
+// network, so each keeps Gets = Puts for its own traffic. A nil prev, prev
+// itself or a network in no-recycle mode on either side hands nothing
+// over. A sweep worker calls it on each testbed it builds with the network
+// of the one before, so a pool's high-water mark is reached once per
+// worker rather than once per network.
 func (nw *Network) Inherit(prev *Network) {
 	if prev == nil || prev == nw || nw.noRecycle || prev.noRecycle {
 		return
@@ -158,34 +172,36 @@ func (nw *Network) Inherit(prev *Network) {
 		ic.owner = nw
 	}
 	nw.icmpFree.Adopt(&prev.icmpFree)
-	for _, tp := range [...]TransportPool{prev.tcpSegPool, prev.quicWirePool} {
-		if tp != nil {
-			tp.HandOver(nw)
-		}
+	for _, tp := range prev.pools {
+		tp.HandOver(nw)
 	}
 }
 
-// TransportPool is a transport's freelists on one network, stored with
-// SetTCPSegmentPool or SetQUICWirePool: opaque to netem, which cannot
-// import the transports, except for the handover Inherit asks of it.
+// TransportPool is a layer's freelists on one network, listed by PoolOf:
+// opaque to netem, which cannot import the layers above it and asks of
+// them only what Inherit and Pools need. They share the packet pool's
+// lifetime and single-scheduler concurrency domain.
 type TransportPool interface {
-	// HandOver moves the listed objects onto the same pool of nw,
-	// creating it there if need be, and re-stamps their owner.
+	// HandOver moves the listed objects onto the same pool of nw
+	// (PoolOf), re-stamping their owner.
 	HandOver(nw *Network)
+	// Pools calls f with the name and counters of each of its freelists.
+	Pools(f func(name string, st PoolStats))
 }
 
-// TCPSegmentPool returns what SetTCPSegmentPool stored, nil before. Only
-// internal/tcpsim uses the pair: every pooling connection on the network
-// shares one segment freelist that outlives each of them.
-func (nw *Network) TCPSegmentPool() TransportPool { return nw.tcpSegPool }
-
-// SetTCPSegmentPool stores the network's TCP segment freelist.
-func (nw *Network) SetTCPSegmentPool(pool TransportPool) { nw.tcpSegPool = pool }
-
-// QUICWirePool returns what SetQUICWirePool stored, nil before. Only
-// internal/quic uses the pair: every endpoint and connection on the
-// network shares one buffer freelist that outlives each of them.
-func (nw *Network) QUICWirePool() TransportPool { return nw.quicWirePool }
-
-// SetQUICWirePool stores the network's QUIC buffer freelist.
-func (nw *Network) SetQUICWirePool(pool TransportPool) { nw.quicWirePool = pool }
+// PoolOf returns nw's pool of type P, made by create and listed the first
+// time it is asked for. A layer asks once per connection or endpoint, not
+// per packet, so all of them on the network share one set of freelists.
+func PoolOf[P TransportPool](nw *Network, create func(*Network) P) P {
+	for _, tp := range nw.pools {
+		if p, ok := tp.(P); ok {
+			return p
+		}
+	}
+	if nw.pools == nil {
+		nw.pools = nw.poolBuf[:0]
+	}
+	p := create(nw)
+	nw.pools = append(nw.pools, p)
+	return p
+}

@@ -1,6 +1,8 @@
 package netem
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -14,19 +16,18 @@ func TestPacketPoolLifecycle(t *testing.T) {
 		t.Fatal("NewPacket must hand out a pool-owned packet")
 	}
 	p.ID, p.TTL, p.Payload = 9, 3, "x"
-	gen := p.gen
 	nw.releasePacket(p)
+	if !p.inPool || p.owner != nw {
+		t.Fatal("a released packet is not marked as listed, or lost its owner")
+	}
 
 	st := nw.PoolStats()
 	if st.Gets != 1 || st.Puts != 1 || st.Hits != 0 {
 		t.Fatalf("stats after first cycle = %+v", st)
 	}
 	q := nw.NewPacket()
-	if q != p {
-		t.Fatal("freelist must return the released packet")
-	}
-	if q.gen != gen+1 {
-		t.Fatalf("generation = %d, want %d", q.gen, gen+1)
+	if q != p || q.inPool {
+		t.Fatal("freelist must return the released packet, no longer marked as listed")
 	}
 	if q.ID != 0 || q.Payload != nil || q.TTL != 0 {
 		t.Fatalf("recycled packet not scrubbed: %+v", q)
@@ -220,7 +221,7 @@ func TestExpiredEchoQuoteKeepsItsBody(t *testing.T) {
 	if body.owner != nw || !body.pooled {
 		t.Fatal("the quoted echo body did not go back to the freelist with its error")
 	}
-	if st := nw.ICMPPoolStats(); st.Gets != st.Puts {
+	if st := nw.icmpFree.Stats(); st.Gets != st.Puts {
 		t.Fatalf("ICMP body pool %+v, want every body back", st)
 	}
 }
@@ -277,14 +278,14 @@ func TestInheritMovesOnlyListedObjects(t *testing.T) {
 	ic := old.NewICMP()
 	old.releasePacket(listed)
 	old.releaseICMP(ic)
-	oldStats, oldICMP := old.PoolStats(), old.ICMPPoolStats()
+	oldStats, oldICMP := old.PoolStats(), old.icmpFree.Stats()
 
 	nw.Inherit(old)
 	if len(old.pktFree.All()) != 0 || len(old.icmpFree.All()) != 0 {
 		t.Fatal("the old network still lists objects after the handover")
 	}
-	if old.PoolStats() != oldStats || old.ICMPPoolStats() != oldICMP || nw.PoolStats() != (PoolStats{}) {
-		t.Fatalf("counters moved: old %+v %+v, new %+v", old.PoolStats(), old.ICMPPoolStats(), nw.PoolStats())
+	if old.PoolStats() != oldStats || old.icmpFree.Stats() != oldICMP || nw.PoolStats() != (PoolStats{}) {
+		t.Fatalf("counters moved: old %+v %+v, new %+v", old.PoolStats(), old.icmpFree.Stats(), nw.PoolStats())
 	}
 	old.releasePacket(held)
 	if len(nw.pktFree.All()) != 1 || held.owner != old {
@@ -313,5 +314,79 @@ func TestInheritMovesOnlyListedObjects(t *testing.T) {
 		if len(a.pktFree.All()) != 1 || len(b.pktFree.All()) != 0 {
 			t.Errorf("no-recycle giver=%v: objects moved", giver)
 		}
+	}
+}
+
+// A hooked drop goes home like any other: the hook reads the packet, and
+// once it returns the packet and its payload are back in their pools.
+func TestHookedDropIsReleased(t *testing.T) {
+	s, nw := testNet(t)
+	a := nw.NewNode("a", MustParseAddr("10.0.0.1"))
+	b := nw.NewNode("b", MustParseAddr("10.0.0.2"))
+	ab, _ := nw.Connect(a, b, LinkConfig{RateBps: 8e6, QueueBytes: 2500})
+	a.AddRoute(b.Addr(), ab)
+	b.Bind(ProtoUDP, 1, func(*Packet) {})
+	var hooked []uint64
+	ab.DropHook = func(_ sim.Time, p *Packet, _ DropReason) {
+		if p.inPool {
+			t.Error("a dropped packet was released before its hook ran")
+		}
+		hooked = append(hooked, p.ID)
+	}
+	payloads := make([]releasedPayload, 5)
+	for i := range payloads {
+		p := nw.NewPacket()
+		p.Dst, p.DstPort, p.Proto, p.Size, p.Payload = b.Addr(), 1, ProtoUDP, 1000, &payloads[i]
+		a.Send(p)
+	}
+	s.Run()
+
+	if len(hooked) != 3 {
+		t.Fatalf("%d drops hooked, want 3", len(hooked))
+	}
+	for i, pl := range payloads {
+		if !pl.released {
+			t.Errorf("packet %d's payload did not go home", i)
+		}
+	}
+	if st := nw.PoolStats(); st.Gets != 5 || st.Puts != 5 {
+		t.Errorf("packet pool %+v, want all 5 drawn and returned", st)
+	}
+}
+
+// fakePool is a layer's pool in miniature: one freelist, handed over whole.
+type fakePool struct{ sim.Freelist[int] }
+
+func newFakePool(*Network) *fakePool { return new(fakePool) }
+
+func (p *fakePool) HandOver(nw *Network) { PoolOf(nw, newFakePool).Adopt(&p.Freelist) }
+
+func (p *fakePool) Pools(f func(string, PoolStats)) { f("fake", p.Stats()) }
+
+// A layer's pool is made and listed once per network, the first time the
+// layer asks; the walk yields the packet and ICMP pools and then each
+// listed pool's rows; Inherit hands every listed pool to the same pool of
+// the next network.
+func TestPoolOfListsOnePoolPerNetwork(t *testing.T) {
+	_, old := testNet(t)
+	_, nw := testNet(t)
+	p := PoolOf(old, newFakePool)
+	if PoolOf(old, newFakePool) != p || len(old.pools) != 1 {
+		t.Fatal("asking twice made a second pool")
+	}
+	p.Put(new(int))
+	old.releasePacket(old.NewPacket())
+	var rows []string
+	old.Pools(func(name string, st PoolStats) {
+		rows = append(rows, fmt.Sprintf("%s %d/%d/%d", name, st.Gets, st.Hits, st.Puts))
+	})
+	if got, want := strings.Join(rows, ", "), "packet 1/0/1, icmp 0/0/0, fake 0/0/1"; got != want {
+		t.Fatalf("walk yields %q, want %q", got, want)
+	}
+
+	nw.Inherit(old)
+	q := PoolOf(nw, newFakePool)
+	if q == p || len(q.All()) != 1 || len(p.All()) != 0 {
+		t.Fatal("Inherit did not move the listed object onto the new network's own pool")
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"starlinkperf/internal/netem"
+	"starlinkperf/internal/netem/netemtest"
 	"starlinkperf/internal/sim"
 )
 
@@ -106,10 +107,11 @@ func TestAllocGateBuffersOutliveTheirConnection(t *testing.T) {
 		}
 		var first [2]Stats
 		for run := range 2 {
-			before := WirePoolStats(nw)
-			records := [2]sim.PoolStats{SentPoolStats(nw), FramePoolStats(nw)}
+			pool := wirePoolOf(nw)
+			before := pool.Stats()
+			records := [2]sim.PoolStats{pool.sent.Stats(), pool.frames.Stats()}
 			want, got, client, server := p.transfer(t)
-			st := WirePoolStats(nw)
+			st := pool.Stats()
 			if !bytes.Equal(got, want) {
 				t.Fatalf("recycle=%v run %d: payload corrupted", recycle, run)
 			}
@@ -125,15 +127,15 @@ func TestAllocGateBuffersOutliveTheirConnection(t *testing.T) {
 			if sent := client.PacketsSent + server.PacketsSent; gets <= sent {
 				t.Fatalf("recycle=%v run %d: %d buffers drawn for %d packets: no data waited in a reassembly chunk", recycle, run, gets, sent)
 			}
-			switch {
+			switch err := netemtest.CheckPools(nw); {
 			case !recycle && (st.Hits != 0 || st.Puts != 0):
 				t.Errorf("run %d: a no-recycle network reused buffers: %+v", run, st)
-			case recycle && st.Gets != st.Puts:
-				t.Errorf("run %d: %d buffers drawn, %d returned", run, st.Gets, st.Puts)
+			case recycle && err != nil:
+				t.Errorf("run %d: %v", run, err)
 			case recycle && run == 1 && misses != 0:
 				t.Errorf("the second connection allocated %d of its %d buffers and chunks", misses, gets)
 			}
-			for i, now := range [2]sim.PoolStats{SentPoolStats(nw), FramePoolStats(nw)} {
+			for i, now := range [2]sim.PoolStats{pool.sent.Stats(), pool.frames.Stats()} {
 				what := [2]string{"sent records", "STREAM frames"}[i]
 				switch gets := now.Gets - records[i].Gets; {
 				case gets == 0:

@@ -318,6 +318,19 @@ func (c *Connection) teardown() {
 	for _, s := range c.streams {
 		s.dropSegments()
 	}
+	// So do queued STREAM frames and the records of unresolved packets.
+	for c.retxQueue.Len() > 0 {
+		if sf, ok := c.retxQueue.Pop().(*StreamFrame); ok {
+			c.putStreamFrame(sf)
+		}
+	}
+	for _, sp := range c.ld.candidates {
+		c.releaseHeld(sp)
+	}
+	for c.ld.sent.Len() > 0 {
+		c.releaseHeld(c.ld.sent.Pop())
+	}
+	c.ld = lossDetector{}
 	if c.OnClosed != nil {
 		c.OnClosed()
 	}
@@ -392,23 +405,32 @@ func (c *Connection) putStreamFrame(f *StreamFrame) {
 // wirePool.scribble.
 var scribbled = [...]byte{0xDB, 0xDB, 0xDB, 0xDB, 0xDB, 0xDB, 0xDB, 0xDB}
 
-// recycleSent returns packets that left loss detection to the network's
-// freelist; a network in no-recycle mode reuses none. Their frames have
+// recycleSent returns a packet that left loss detection to the network's
+// freelist; a network in no-recycle mode reuses none. Its frames have
 // moved on by now: acked STREAM frames went back in onAckReceived, lost
 // frames to the retransmission queue.
-func (c *Connection) recycleSent(sps []*sentPacket) {
+func (c *Connection) recycleSent(sp *sentPacket) {
 	p := c.ep.pool
 	if !p.nw.Recycling() {
 		return
 	}
-	for _, sp := range sps {
-		clear(sp.frames)
-		*sp = sentPacket{frames: sp.frames[:0]}
-		if p.scribble {
-			sp.pn, sp.size = MaxVarint, -1
-		}
-		p.sent.Put(sp)
+	clear(sp.frames)
+	*sp = sentPacket{frames: sp.frames[:0]}
+	if p.scribble {
+		sp.pn, sp.size = MaxVarint, -1
 	}
+	p.sent.Put(sp)
+}
+
+// releaseHeld returns at teardown the record of a packet neither acked
+// nor declared lost, with the STREAM frames it carried.
+func (c *Connection) releaseHeld(sp *sentPacket) {
+	for _, f := range sp.frames {
+		if sf, ok := f.(*StreamFrame); ok {
+			c.putStreamFrame(sf)
+		}
+	}
+	c.recycleSent(sp)
 }
 
 // ---------------------------------------------------------------------
@@ -575,7 +597,9 @@ func (c *Connection) onAckReceived(ack *AckFrame, now sim.Time) {
 	if len(res.Newly) > 0 {
 		c.ptoCount = 0
 	}
-	c.recycleSent(res.Newly)
+	for _, sp := range res.Newly {
+		c.recycleSent(sp)
+	}
 	c.setTimer()
 	c.maybeSend()
 }
@@ -607,7 +631,9 @@ func (c *Connection) handleLost(lost []*sentPacket, now sim.Time) {
 			}
 		}
 	}
-	c.recycleSent(lost)
+	for _, sp := range lost {
+		c.recycleSent(sp)
+	}
 }
 
 // setTimer arms the single recovery timer: loss-time mode when candidates

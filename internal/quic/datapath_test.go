@@ -11,6 +11,7 @@ import (
 
 	"starlinkperf/internal/cc"
 	"starlinkperf/internal/netem"
+	"starlinkperf/internal/netem/netemtest"
 	"starlinkperf/internal/sim"
 )
 
@@ -352,7 +353,7 @@ func TestInheritedWirePool(t *testing.T) {
 	if p.sent.Get() != sp || p.frames.Get() != sf {
 		t.Error("the listed sent record or frame struct did not move")
 	}
-	if st := WirePoolStats(nw); st != (sim.PoolStats{Gets: 1, Hits: 1}) {
+	if st := p.Stats(); st != (sim.PoolStats{Gets: 1, Hits: 1}) {
 		t.Errorf("new pool counters %+v, want one Get, a Hit", st)
 	}
 }
@@ -393,8 +394,8 @@ func TestTeardownReturnsWaitingChunks(t *testing.T) {
 	if waiting == 0 {
 		t.Fatal("no data waited behind the gap")
 	}
-	if st := WirePoolStats(cep.node.Network()); st.Gets != st.Puts {
-		t.Errorf("%d chunks waited at teardown; pool: %d drawn, %d returned", waiting, st.Gets, st.Puts)
+	if err := netemtest.CheckPools(cep.node.Network()); err != nil {
+		t.Errorf("%d chunks waited at teardown: %v", waiting, err)
 	}
 }
 
@@ -407,8 +408,6 @@ func (oneInFlight) Window() int                                     { return Max
 func (oneInFlight) OnPacketSent(sim.Time, int)                      {}
 func (oneInFlight) OnPacketAcked(sim.Time, int, *cc.RTTEstimator)   {}
 func (oneInFlight) OnCongestionEvent(now sim.Time, sentAt sim.Time) {}
-func (oneInFlight) InSlowStart() bool                               { return false }
-func (oneInFlight) Name() string                                    { return "one-in-flight" }
 func (c *Connection) queuedFrames() (out []string, frames []*StreamFrame) {
 	for i := range c.retxQueue.Len() {
 		f := *c.retxQueue.At(i)

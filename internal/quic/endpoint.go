@@ -69,12 +69,7 @@ type wirePool struct {
 
 // wirePoolOf returns the buffer pool of nw, creating it on first use.
 func wirePoolOf(nw *netem.Network) *wirePool {
-	p, ok := nw.QUICWirePool().(*wirePool)
-	if !ok {
-		p = &wirePool{nw: nw}
-		nw.SetQUICWirePool(p)
-	}
-	return p
+	return netem.PoolOf(nw, func(nw *netem.Network) *wirePool { return &wirePool{nw: nw} })
 }
 
 // HandOver implements netem.TransportPool: the listed buffers become nw's,
@@ -90,29 +85,12 @@ func (p *wirePool) HandOver(nw *netem.Network) {
 	to.frames.Adopt(&p.frames)
 }
 
-// WirePoolStats returns the counters of nw's buffer pool, wire buffers
+// Pools implements netem.TransportPool: "quic wire" counts wire buffers
 // and reassembly chunks together.
-func WirePoolStats(nw *netem.Network) sim.PoolStats {
-	if p, ok := nw.QUICWirePool().(*wirePool); ok {
-		return p.Stats()
-	}
-	return sim.PoolStats{}
-}
-
-// SentPoolStats returns the counters of nw's sent-packet records.
-func SentPoolStats(nw *netem.Network) sim.PoolStats {
-	if p, ok := nw.QUICWirePool().(*wirePool); ok {
-		return p.sent.Stats()
-	}
-	return sim.PoolStats{}
-}
-
-// FramePoolStats returns the counters of nw's STREAM frame structs.
-func FramePoolStats(nw *netem.Network) sim.PoolStats {
-	if p, ok := nw.QUICWirePool().(*wirePool); ok {
-		return p.frames.Stats()
-	}
-	return sim.PoolStats{}
+func (p *wirePool) Pools(f func(name string, st sim.PoolStats)) {
+	f("quic wire", p.Stats())
+	f("quic sent", p.sent.Stats())
+	f("quic frame", p.frames.Stats())
 }
 
 // get returns an empty buffer owned by the pool.

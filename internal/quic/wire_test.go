@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"starlinkperf/internal/cc"
-	simt "starlinkperf/internal/sim"
 )
 
 func TestVarintRoundTrip(t *testing.T) {
@@ -389,33 +388,3 @@ func TestRTTLossDelayAndPTO(t *testing.T) {
 		t.Errorf("PTO = %v, want 265ms", pto)
 	}
 }
-
-func TestCubicSlowStartAndBackoff(t *testing.T) {
-	c := cc.NewCubic(MaxPayloadSize)
-	w0 := c.Window()
-	if !c.InSlowStart() {
-		t.Fatal("should start in slow start")
-	}
-	var r cc.RTTEstimator
-	r.Update(50*time.Millisecond, 0)
-	c.OnPacketAcked(0, 1350, &r)
-	if c.Window() != w0+1350 {
-		t.Errorf("slow start growth: %d -> %d", w0, c.Window())
-	}
-	// Loss halves-ish (beta 0.7) and exits slow start.
-	c.OnCongestionEvent(simsec(1), simsec(0))
-	if got := c.Window(); got != int(float64(w0+1350)*0.7) {
-		t.Errorf("post-loss window = %d", got)
-	}
-	if c.InSlowStart() {
-		t.Error("should have left slow start")
-	}
-	// Second loss within same recovery episode: no further reduction.
-	w := c.Window()
-	c.OnCongestionEvent(simsec(2), simsec(0))
-	if c.Window() != w {
-		t.Error("same-episode loss reduced window again")
-	}
-}
-
-func simsec(sec int64) simt.Time { return simt.Time(sec) * simt.Time(time.Second) }

@@ -249,7 +249,7 @@ func randomWorkload(q queue, seed int64) (trace []int64) {
 	var pipeFire EventFunc
 	armPipe := func() { q.AtFuncSeq(pipe[0].at, pipe[0].seq, pipeFire, nil) }
 	pipeAppend := func() {
-		at := q.Now() + Time(r.Intn(4))*Time(Millisecond)
+		at := q.Now() + Time(r.Intn(4))*Time(time.Millisecond)
 		if n := len(pipe); n > 0 && pipe[n-1].at > at {
 			at = pipe[n-1].at // a FIFO: never due before its predecessor
 		}
@@ -278,7 +278,7 @@ func randomWorkload(q queue, seed int64) (trace []int64) {
 	rearm := func(i int) {
 		myID := id
 		id++
-		at := q.Now() + Time(r.Intn(6))*Time(Millisecond)
+		at := q.Now() + Time(r.Intn(6))*Time(time.Millisecond)
 		h := q.Rearm(handles[i], at, func(any) { rec(int64(q.Now()), int64(myID)) }, nil)
 		rec(recRearm, int64(i), b(handles[i].Pending()), b(h.Pending()))
 		handles = append(handles, h)
@@ -292,7 +292,7 @@ func randomWorkload(q queue, seed int64) (trace []int64) {
 		handles = append(handles, q.At(at, func() {
 			rec(int64(q.Now()), int64(myID))
 			if depth < 3 && r.Intn(3) == 0 {
-				schedule(depth+1, q.Now()+Time(r.Intn(5))*Time(Millisecond))
+				schedule(depth+1, q.Now()+Time(r.Intn(5))*Time(time.Millisecond))
 			}
 			if r.Intn(4) == 0 {
 				stopRandom()
@@ -315,7 +315,7 @@ func randomWorkload(q queue, seed int64) (trace []int64) {
 		for i := 0; i < n; i++ {
 			myID := id
 			id++
-			hs = append(hs, q.AtFunc(q.Now()+Time(1+i%7)*Time(Second), func(any) { rec(int64(q.Now()), int64(myID)) }, nil))
+			hs = append(hs, q.AtFunc(q.Now()+Time(1+i%7)*Time(time.Second), func(any) { rec(int64(q.Now()), int64(myID)) }, nil))
 		}
 		for _, h := range hs[survivors:] {
 			rec(recStop, -1, b(h.Stop()))
@@ -349,14 +349,14 @@ func randomWorkload(q queue, seed int64) (trace []int64) {
 	}
 
 	for i := 0; i < 300; i++ {
-		schedule(0, Time(r.Intn(100))*Time(Millisecond))
+		schedule(0, Time(r.Intn(100))*Time(time.Millisecond))
 	}
 	for i := 0; i < len(handles); i += 5 {
 		rec(recStop, int64(i), b(handles[i].Stop()))
 	}
 	pipePush()
 	checkpoint()
-	q.RunUntil(Time(40 * Millisecond))
+	q.RunUntil(Time(40 * time.Millisecond))
 	checkpoint()
 	for i := 0; i < 25; i++ {
 		rec(recStep, b(q.stepOne()))
@@ -369,7 +369,7 @@ func randomWorkload(q queue, seed int64) (trace []int64) {
 	}
 	churn(200)
 	massStop(192, 1)
-	q.RunUntil(Time(80 * Millisecond))
+	q.RunUntil(Time(80 * time.Millisecond))
 	checkpoint()
 	q.Run()
 	checkpoint()
@@ -378,7 +378,7 @@ func randomWorkload(q queue, seed int64) (trace []int64) {
 	checkpoint()
 	churn(50)
 	checkpoint()
-	schedule(0, q.Now()+Time(Hour))
+	schedule(0, q.Now()+Time(time.Hour))
 	q.Run()
 	checkpoint()
 	return append(trace, int64(q.processed()), int64(q.Now()))
@@ -468,7 +468,7 @@ func TestAllocGateTimerSlab(t *testing.T) {
 // by now, whether or not one was: the cases a reader of the clock and the
 // firing event alone gets wrong.
 func TestPassed(t *testing.T) {
-	ms := func(n int) Time { return Time(n) * Time(Millisecond) }
+	ms := func(n int) Time { return Time(n) * Time(time.Millisecond) }
 	check := func(s *Scheduler, when string, at Time, seq uint64, want bool) {
 		t.Helper()
 		if got := s.Passed(at, seq); got != want {
@@ -543,7 +543,7 @@ func TestPassedMatchesArmedProbes(t *testing.T) {
 		}
 		var arm func()
 		arm = func() {
-			p := &probe{at: s.Now() + Time(r.Intn(4))*Time(Millisecond), seq: s.ReserveSeq()}
+			p := &probe{at: s.Now() + Time(r.Intn(4))*Time(time.Millisecond), seq: s.ReserveSeq()}
 			probes = append(probes, p)
 			s.AtFuncSeq(p.at, p.seq, func(any) {
 				p.fired = true
@@ -559,10 +559,10 @@ func TestPassedMatchesArmedProbes(t *testing.T) {
 		for i := 0; i < 60; i++ {
 			switch r.Intn(4) {
 			case 0:
-				s.RunUntil(s.Now() + Time(r.Intn(3))*Time(Millisecond))
+				s.RunUntil(s.Now() + Time(r.Intn(3))*Time(time.Millisecond))
 				verify("after RunUntil")
 			case 1:
-				s.RunBefore(s.Now() + Time(1+r.Intn(3))*Time(Millisecond))
+				s.RunBefore(s.Now() + Time(1+r.Intn(3))*Time(time.Millisecond))
 				verify("after RunBefore")
 			case 2:
 				s.stepOne()

@@ -32,25 +32,25 @@ func (s *Scheduler) pending() int {
 func TestRunBeforeHalfOpenWindow(t *testing.T) {
 	s := NewScheduler(1)
 	var log []Time
-	for _, at := range []Time{Time(Millisecond), Time(Second), Time(2 * Second)} {
+	for _, at := range []Time{Time(time.Millisecond), Time(time.Second), Time(2 * time.Second)} {
 		at := at
 		s.At(at, func() { log = append(log, at) })
 	}
-	s.RunBefore(Time(Second))
-	if len(log) != 1 || log[0] != Time(Millisecond) {
+	s.RunBefore(Time(time.Second))
+	if len(log) != 1 || log[0] != Time(time.Millisecond) {
 		t.Fatalf("window ran %v, want only the 1ms event", log)
 	}
-	if s.Now() != Time(Second) {
+	if s.Now() != Time(time.Second) {
 		t.Fatalf("clock = %v, want exactly the horizon", s.Now())
 	}
 	// The event at the old horizon belongs to the next window.
-	s.RunBefore(Time(Second) + 1)
-	if len(log) != 2 || log[1] != Time(Second) {
+	s.RunBefore(Time(time.Second) + 1)
+	if len(log) != 2 || log[1] != Time(time.Second) {
 		t.Fatalf("second window ran %v, want the 1s event", log)
 	}
 	// RunBefore never moves the clock backwards.
 	s.RunBefore(0)
-	if s.Now() != Time(Second)+1 {
+	if s.Now() != Time(time.Second)+1 {
 		t.Fatalf("clock moved backwards to %v", s.Now())
 	}
 }
@@ -88,14 +88,14 @@ func TestPendingLiveCountAcrossCompaction(t *testing.T) {
 	}
 	// Revive one stopped timer a little later: counted again, on its own
 	// node.
-	handles[1] = s.Rearm(handles[1], Time(n+1)*Time(Millisecond), func(any) {}, nil)
+	handles[1] = s.Rearm(handles[1], Time(n+1)*Time(time.Millisecond), func(any) {}, nil)
 	stopped--
 	live := n - stopped
 	if got := s.pending(); got != live || len(s.heap) != n {
 		t.Fatalf("after a revival: pending = %d, queue = %d; want %d, %d", got, len(s.heap), live, n)
 	}
 	// The earliest live timer is the head; the dead nodes before it go.
-	if head := s.peek(); head == nil || head.at != Time(Millisecond) {
+	if head := s.peek(); head == nil || head.at != Time(time.Millisecond) {
 		t.Fatalf("next event = %+v, want the 1ms timer", head)
 	}
 	// The live timers all still fire, exactly once each, and the dead

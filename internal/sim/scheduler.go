@@ -244,8 +244,8 @@ func (s *Scheduler) enqueue(at Time, seq uint64, fn Event, efn EventFunc, arg an
 	return TimerHandle{t: t, gen: t.gen}
 }
 
-// Duration is the standard library duration; aliased so call sites read
-// naturally as sched.After(10*sim.Millisecond, ...).
+// Duration is the standard library duration, aliased so the scheduler's
+// signatures read in the package's own terms.
 type Duration = time.Duration
 
 // Nodes are made a chunk at a time once a scheduler has shown it needs more

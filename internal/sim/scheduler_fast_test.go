@@ -31,7 +31,7 @@ func checkHeap(t *testing.T, s *Scheduler) {
 // from the freelist.
 func TestStoppedTimersCompacted(t *testing.T) {
 	s := NewScheduler(1)
-	sentinel := s.At(Time(2*Hour), func() {})
+	sentinel := s.At(Time(2*time.Hour), func() {})
 	const n = 1_000_000
 	var h TimerHandle
 	for i := 0; i < n; i++ {
@@ -62,18 +62,18 @@ func TestStoppedTimersCompacted(t *testing.T) {
 // leaf.
 func TestRearmRevivesStoppedNode(t *testing.T) {
 	const revived = 99
-	for _, to := range []Time{0, Time(5 * Millisecond), Time(15 * Millisecond), Time(30 * Millisecond)} {
+	for _, to := range []Time{0, Time(5 * time.Millisecond), Time(15 * time.Millisecond), Time(30 * time.Millisecond)} {
 		s := NewScheduler(1)
 		var got []int
 		note := func(arg any) { got = append(got, arg.(int)) }
-		h := s.AtFunc(Time(10*Millisecond), note, revived)
+		h := s.AtFunc(Time(10*time.Millisecond), note, revived)
 		type ev struct {
 			at Time
 			id int
 		}
 		var want []ev
 		for i := 0; i < 20; i++ {
-			at := Time(i*7%20+1) * Time(Millisecond)
+			at := Time(i*7%20+1) * Time(time.Millisecond)
 			s.AtFunc(at, note, i)
 			want = append(want, ev{at, i})
 		}
@@ -125,7 +125,7 @@ func TestSchedulerFIFOBurstProperty(t *testing.T) {
 		var got []tag
 		ord := 0
 		for burst := 0; burst < 30; burst++ {
-			at := Time(r.Intn(10)) * Time(Millisecond) // few distinct times => many collisions
+			at := Time(r.Intn(10)) * Time(time.Millisecond) // few distinct times => many collisions
 			for k := 0; k < 1+r.Intn(8); k++ {
 				tg := tag{at: at, ord: ord}
 				ord++

@@ -8,9 +8,9 @@ import (
 func TestSchedulerOrdering(t *testing.T) {
 	s := NewScheduler(1)
 	var got []int
-	s.At(30*Time(Millisecond), func() { got = append(got, 3) })
-	s.At(10*Time(Millisecond), func() { got = append(got, 1) })
-	s.At(20*Time(Millisecond), func() { got = append(got, 2) })
+	s.At(30*Time(time.Millisecond), func() { got = append(got, 3) })
+	s.At(10*Time(time.Millisecond), func() { got = append(got, 1) })
+	s.At(20*Time(time.Millisecond), func() { got = append(got, 2) })
 	s.Run()
 	want := []int{1, 2, 3}
 	for i := range want {
@@ -18,7 +18,7 @@ func TestSchedulerOrdering(t *testing.T) {
 			t.Fatalf("event order = %v, want %v", got, want)
 		}
 	}
-	if s.Now() != 30*Time(Millisecond) {
+	if s.Now() != 30*Time(time.Millisecond) {
 		t.Errorf("clock = %v, want 30ms", s.Now())
 	}
 }
@@ -28,7 +28,7 @@ func TestSchedulerFIFOAmongEqualTimes(t *testing.T) {
 	var got []int
 	for i := 0; i < 10; i++ {
 		i := i
-		s.At(Time(Second), func() { got = append(got, i) })
+		s.At(Time(time.Second), func() { got = append(got, i) })
 	}
 	s.Run()
 	for i := range got {
@@ -85,33 +85,33 @@ func TestTimerStop(t *testing.T) {
 func TestRunUntilAdvancesClock(t *testing.T) {
 	s := NewScheduler(1)
 	ran := false
-	s.At(Time(2*Second), func() { ran = true })
-	s.RunUntil(Time(Second))
+	s.At(Time(2*time.Second), func() { ran = true })
+	s.RunUntil(Time(time.Second))
 	if ran {
 		t.Fatal("future event ran early")
 	}
-	if s.Now() != Time(Second) {
+	if s.Now() != Time(time.Second) {
 		t.Fatalf("clock = %v, want 1s", s.Now())
 	}
-	s.RunUntil(Time(3 * Second))
+	s.RunUntil(Time(3 * time.Second))
 	if !ran {
 		t.Fatal("due event did not run")
 	}
-	if s.Now() != Time(3*Second) {
+	if s.Now() != Time(3*time.Second) {
 		t.Fatalf("clock = %v, want 3s", s.Now())
 	}
 }
 
 func TestSchedulePastPanics(t *testing.T) {
 	s := NewScheduler(1)
-	s.At(Time(Second), func() {})
+	s.At(Time(time.Second), func() {})
 	s.Run()
 	defer func() {
 		if recover() == nil {
 			t.Fatal("scheduling in the past should panic")
 		}
 	}()
-	s.At(Time(Millisecond), func() {})
+	s.At(Time(time.Millisecond), func() {})
 }
 
 func TestRNGDeterminism(t *testing.T) {
@@ -153,13 +153,13 @@ func TestRNGBoolEdges(t *testing.T) {
 
 func TestTimeArithmetic(t *testing.T) {
 	a := Time(0).Add(time.Second)
-	if a != Time(Second) {
+	if a != Time(time.Second) {
 		t.Fatalf("Add: %v", a)
 	}
 	if d := a.Sub(Time(0)); d != time.Second {
 		t.Fatalf("Sub: %v", d)
 	}
-	if s := Time(1500 * Millisecond).Seconds(); s != 1.5 {
+	if s := Time(1500 * time.Millisecond).Seconds(); s != 1.5 {
 		t.Fatalf("Seconds: %v", s)
 	}
 }

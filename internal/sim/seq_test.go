@@ -18,29 +18,29 @@ func TestAtFuncSeqMisuse(t *testing.T) {
 		do   func(s *Scheduler)
 	}{
 		{"nil event", "nil event", func(s *Scheduler) { s.AtFuncSeq(0, s.ReserveSeq(), nil, nil) }},
-		{"never reserved", "never reserved", func(s *Scheduler) { s.AtFuncSeq(Time(Second), 0, nop, nil) }},
+		{"never reserved", "never reserved", func(s *Scheduler) { s.AtFuncSeq(Time(time.Second), 0, nop, nil) }},
 		{"one past the last reserved", "never reserved", func(s *Scheduler) {
 			seq := s.ReserveSeq()
-			s.AtFuncSeq(Time(Second), seq+1, nop, nil)
+			s.AtFuncSeq(Time(time.Second), seq+1, nop, nil)
 		}},
 		{"in the past", "before now", func(s *Scheduler) {
 			seq := s.ReserveSeq()
-			s.RunUntil(Time(Second))
-			s.AtFuncSeq(Time(Millisecond), seq, nop, nil)
+			s.RunUntil(Time(time.Second))
+			s.AtFuncSeq(Time(time.Millisecond), seq, nop, nil)
 		}},
 		{"tie below the firing event", "sorts before the event being fired", func(s *Scheduler) {
 			early := s.ReserveSeq()
-			s.At(Time(Second), func() { s.AtFuncSeq(s.Now(), early, nop, nil) })
+			s.At(Time(time.Second), func() { s.AtFuncSeq(s.Now(), early, nop, nil) })
 			s.Run()
 		}},
 		// Rearm of a queued node refuses what AtFunc refuses.
 		{"re-armed into the past", "before now", func(s *Scheduler) {
-			h := s.AtFunc(Time(2*Second), nop, nil)
-			s.RunUntil(Time(Second))
-			s.Rearm(h, Time(Millisecond), nop, nil)
+			h := s.AtFunc(Time(2*time.Second), nop, nil)
+			s.RunUntil(Time(time.Second))
+			s.Rearm(h, Time(time.Millisecond), nop, nil)
 		}},
 		{"re-armed with a nil event", "nil event", func(s *Scheduler) {
-			s.Rearm(s.AtFunc(Time(Second), nop, nil), Time(Second), nil, nil)
+			s.Rearm(s.AtFunc(Time(time.Second), nop, nil), Time(time.Second), nil, nil)
 		}},
 	}
 	for _, c := range cases {
@@ -59,10 +59,10 @@ func TestAtFuncSeqMisuse(t *testing.T) {
 	// firing event's successor under a later reserved key at the same time.
 	s := NewScheduler(1)
 	old := s.ReserveSeq()
-	s.At(Time(Millisecond), func() {})
-	s.RunUntil(Time(Second))
+	s.At(Time(time.Millisecond), func() {})
+	s.RunUntil(Time(time.Second))
 	fired := 0
-	s.AtFuncSeq(Time(Second), old, func(any) {
+	s.AtFuncSeq(Time(time.Second), old, func(any) {
 		fired++
 		s.AtFuncSeq(s.Now(), s.ReserveSeq(), func(any) { fired++ }, nil)
 	}, nil)
@@ -87,7 +87,7 @@ func TestReservedKeysFireSorted(t *testing.T) {
 		var got, want, reserved []key
 		record := func(arg any) { got = append(got, arg.(key)) }
 		for i := 0; i < 300; i++ {
-			k := key{at: Time(r.Intn(20)) * Time(Millisecond)} // few instants, many ties
+			k := key{at: Time(r.Intn(20)) * Time(time.Millisecond)} // few instants, many ties
 			if r.Intn(3) == 0 {
 				// An ordinary timer takes its seq at scheduling time.
 				k.seq = s.seq

@@ -23,17 +23,6 @@ import (
 // be explicit.
 type Time int64
 
-// Common durations re-exported so simulation code does not need to import
-// both sim and time for the usual units.
-const (
-	Nanosecond  = time.Nanosecond
-	Microsecond = time.Microsecond
-	Millisecond = time.Millisecond
-	Second      = time.Second
-	Minute      = time.Minute
-	Hour        = time.Hour
-)
-
 // MaxTime is the largest representable virtual instant.
 const MaxTime = Time(1<<63 - 1)
 

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"starlinkperf/internal/netem"
+	"starlinkperf/internal/netem/netemtest"
 	"starlinkperf/internal/sim"
 )
 
@@ -89,9 +90,9 @@ func BenchmarkBulkTransferSegment(b *testing.B) {
 
 // The segment pool's lifecycle guards: a segment is poisoned while it sits
 // in the freelist and zeroed when drawn again (keeping its Sack and Msgs
-// backing); a second release, a release of a literal and a release after
-// an ICMP quote started sharing the segment are inert; connections on one
-// network share one pool and reference-mode networks have none.
+// backing); a second release and a release of a literal are inert;
+// connections on one network share one pool, and a connection without a
+// node has none.
 func TestSegmentPoolLifecycle(t *testing.T) {
 	s := sim.NewScheduler(1)
 	nw := netem.New(s)
@@ -116,7 +117,7 @@ func TestSegmentPoolLifecycle(t *testing.T) {
 		t.Error("released segment still references its application message")
 	}
 	seg.ReleasePayload() // double release
-	if st := SegmentPoolStats(nw); st.Gets != 1 || st.Puts != 1 || len(c1.pool.All()) != 1 {
+	if st := c1.pool.Stats(); st.Gets != 1 || st.Puts != 1 || len(c1.pool.All()) != 1 {
 		t.Fatalf("after a double release: %+v, %d in the freelist", st, len(c1.pool.All()))
 	}
 
@@ -133,7 +134,7 @@ func TestSegmentPoolLifecycle(t *testing.T) {
 
 	again.ReleasePayload()
 	(&Segment{}).ReleasePayload()
-	if st := SegmentPoolStats(nw); st.Gets != 2 || st.Hits != 1 || st.Puts != 2 || len(c1.pool.All()) != 1 {
+	if st := c1.pool.Stats(); st.Gets != 2 || st.Hits != 1 || st.Puts != 2 || len(c1.pool.All()) != 1 {
 		t.Errorf("a literal segment entered the pool or a drawn one stayed out: %+v, %d in the freelist", st, len(c1.pool.All()))
 	}
 
@@ -185,6 +186,9 @@ func TestAllocGateRingOutlivesItsConnection(t *testing.T) {
 		if held < 16 {
 			t.Fatalf("recycle=%v: the first connection never had more than %d records in flight", recycle, held)
 		}
+		if err := netemtest.CheckPools(a.Network()); recycle && err != nil {
+			t.Fatalf("both ends closed: %v", err)
+		}
 
 		second := Dial(a, b.Addr(), 80, cfg)
 		if got := second.inflight == ring; got != recycle {
@@ -204,7 +208,7 @@ func TestAllocGateRingOutlivesItsConnection(t *testing.T) {
 		if !recycle && grow == 0 {
 			t.Errorf("pushing %d records into a ring on a no-recycle network allocated nothing: it was reused", held)
 		}
-		if st := RingPoolStats(a.Network()); recycle && (st.Gets != 3 || st.Hits != 1 || st.Puts != 2) || !recycle && (st.Hits != 0 || st.Puts != 0) {
+		if st := second.pool.rings.Stats(); recycle && (st.Gets != 3 || st.Hits != 1 || st.Puts != 2) || !recycle && (st.Hits != 0 || st.Puts != 0) {
 			t.Errorf("recycle=%v: ring pool %+v", recycle, st)
 		}
 	}
@@ -237,14 +241,14 @@ func TestInheritedSegmentPool(t *testing.T) {
 	listed.ReleasePayload()
 	ring := new(sim.Ring[txRecord])
 	c.pool.putRing(ring)
-	before := SegmentPoolStats(oldNw)
+	before := c.pool.Stats()
 
 	nw.Inherit(oldNw)
 	held.ReleasePayload()
 	if held.owner != c.pool || len(c.pool.All()) != 1 {
 		t.Fatal("a segment held at the handover did not go home to the old pool")
 	}
-	if st := SegmentPoolStats(oldNw); st.Puts != before.Puts+1 || st.Gets != before.Gets {
+	if st := c.pool.Stats(); st.Puts != before.Puts+1 || st.Gets != before.Gets {
 		t.Errorf("old pool counters %+v after the late release, were %+v", st, before)
 	}
 	c2 := conn(nw)
@@ -257,7 +261,7 @@ func TestInheritedSegmentPool(t *testing.T) {
 	if got := c2.newSegment(); got != listed || got.owner != c2.pool || cap(got.Sack) == 0 {
 		t.Error("the new network's first segment is not the listed one, re-owned with its Sack array")
 	}
-	if st := SegmentPoolStats(nw); st != (sim.PoolStats{Gets: 1, Hits: 1}) {
+	if st := c2.pool.Stats(); st != (sim.PoolStats{Gets: 1, Hits: 1}) {
 		t.Errorf("new pool counters %+v, want one Get, a Hit", st)
 	}
 }

@@ -110,23 +110,6 @@ type segPool struct {
 	nw    *netem.Network
 }
 
-// SegmentPoolStats returns the counters of nw's segment pool.
-func SegmentPoolStats(nw *netem.Network) sim.PoolStats {
-	if p, ok := nw.TCPSegmentPool().(*segPool); ok {
-		return p.Stats()
-	}
-	return sim.PoolStats{}
-}
-
-// RingPoolStats returns the counters of nw's in-flight ring pool: Gets
-// counts connections opened, Puts connections torn down.
-func RingPoolStats(nw *netem.Network) sim.PoolStats {
-	if p, ok := nw.TCPSegmentPool().(*segPool); ok {
-		return p.rings.Stats()
-	}
-	return sim.PoolStats{}
-}
-
 // poolOf returns the segment pool of node's network, creating it on first
 // use; nil — plain allocation — without a node.
 func poolOf(node *netem.Node) *segPool {
@@ -138,12 +121,7 @@ func poolOf(node *netem.Node) *segPool {
 
 // segPoolOf returns nw's segment pool, creating it on first use.
 func segPoolOf(nw *netem.Network) *segPool {
-	p, ok := nw.TCPSegmentPool().(*segPool)
-	if !ok {
-		p = &segPool{nw: nw}
-		nw.SetTCPSegmentPool(p)
-	}
-	return p
+	return netem.PoolOf(nw, func(nw *netem.Network) *segPool { return &segPool{nw: nw} })
 }
 
 // HandOver implements netem.TransportPool: the listed segments, Sack and
@@ -155,6 +133,13 @@ func (p *segPool) HandOver(nw *netem.Network) {
 	}
 	to.Adopt(&p.Freelist)
 	to.rings.Adopt(&p.rings)
+}
+
+// Pools implements netem.TransportPool: the ring pool's Gets count
+// connections opened, its Puts connections torn down.
+func (p *segPool) Pools(f func(name string, st sim.PoolStats)) {
+	f("tcp segment", p.Stats())
+	f("tcp ring", p.rings.Stats())
 }
 
 // get returns a zeroed segment that keeps its Sack and Msgs backing.

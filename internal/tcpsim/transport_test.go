@@ -168,7 +168,7 @@ func TestMinRTTFilterFollowsController(t *testing.T) {
 			conn.rtt.UpdateAt(0, 40*time.Millisecond, 0)
 			conn.rtt.UpdateAt(sim.Time(11*time.Second), 60*time.Millisecond, 0)
 			if got := conn.rtt.Min(); got != c.want {
-				t.Errorf("%s connection: min RTT %v 11 s after a 40 ms sample, want %v", conn.ccc.Name(), got, c.want)
+				t.Errorf("%s connection: min RTT %v 11 s after a 40 ms sample, want %v", c.name, got, c.want)
 			}
 		})
 	}
