@@ -90,15 +90,28 @@ echo "== no deleted mechanism in non-test code (DESIGN.md: Independent traffic s
 # FramePoolStats), the congestion controllers' Name and InSlowStart, which
 # no caller read (CUBIC keeps its own slow-start check, unexported), nat's
 # MappingTimeout field (a constant) and sim's re-exported durations
-# (Nanosecond … Hour). The patterns are declarations, so that calls of
+# (Nanosecond … Hour), and the workload arguments every caller passed one
+# value for (the message request's rate and size fields, MessageParams and
+# checkMessages' rate and size cases, now measure's constants; core's
+# latencyProbes, now measure.MonitorProbes; the traceroutes' maxTTL, now
+# measure's maxTTL). The patterns are declarations, so that calls of
 # TimerHandle.Stop/Pending and time.Time.Before do not match.
-if grep -rnE 'PartitionedDriver|CrossEdge|AddCrossLink|snapshotRing|peekSnapshot|delayRing|islMemo|candCount|referenceReassignAt|epochPool|runPhase|phaseAssign|WirePoolStats struct|pktRing|txRing|frameQueue|rangeSet|byteRanges|cryptoRecv|offRange|compactMin|nstopped|\) compact\(|rebuildFIB|rebuildHandlers|fibDirty|hDirty|fibGroups|msgsInOrder|insertMsgKey|Hops \[\]Addr|wireFree|chunkFree|sentFree|frameFree|AnalyzeSenderView|obs\.Options|\(p \*Prober\) Observe|\(p \*Proxy\) Observe|pep\.New\(|NewNewReno|KindEnqueue|KindDequeue|IdleDecay|decayAfterIdle|AllowMigration|PathMigrations|PacingBurst|UnmarshalProfiles|LinkConfigs|"scenario\.workers"|sizesFor|paperScenario|prevSat|observeEpoch|observeCellInto|observeRange|assignRange|assignBlock|admitRow|candFill|scanSats|buildCandidates|candStart|candUB|satGwAt|RenderTraffic|TrafficWall|TrafficTerminals|TrafficSpan|computeAssignmentFull|reassignAt|\) DelayFunc\(|\) Handovers\(|EnableZeroRTT|RTTMinWindow|modernMinRTTWindow|MinElevationDeg|WebSites|MaxBacklog|(^|[^A-Za-z])CentralAngleRad|NodeByName|LargestSentPN|ParseFrames|func \(p \*Packet\) (Detach|Clone|Gen|Pooled)\(|\) ReleasePacket\(|PayloadSharer|SharePayload|\.Share\(\)|Shared +uint64|func \(s \*Scheduler\) (Step|Stop|Pending)\(|func \(t Time\) (Before|After)\(|func \(g \*Gauge\) (Add|Value)\(|func \(b \*BBR\) State\(|RunMessagesCampaignCfg|func \(nw \*Network\) (TCPSegmentPool|SetTCPSegmentPool|QUICWirePool|SetQUICWirePool|ICMPPoolStats)\(|(tcpSegPool|quicWirePool) +TransportPool|func (SegmentPoolStats|RingPoolStats|WirePoolStats|SentPoolStats|FramePoolStats)\(|func \([a-z] \*(BBR|Cubic|Fixed)\) (Name|InSlowStart)\(|MappingTimeout +time\.Duration|^	(Nanosecond|Microsecond|Millisecond|Second|Minute|Hour) += time\.' --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark .; then
+if grep -rnE 'PartitionedDriver|CrossEdge|AddCrossLink|snapshotRing|peekSnapshot|delayRing|islMemo|candCount|referenceReassignAt|epochPool|runPhase|phaseAssign|WirePoolStats struct|pktRing|txRing|frameQueue|rangeSet|byteRanges|cryptoRecv|offRange|compactMin|nstopped|\) compact\(|rebuildFIB|rebuildHandlers|fibDirty|hDirty|fibGroups|msgsInOrder|insertMsgKey|Hops \[\]Addr|wireFree|chunkFree|sentFree|frameFree|AnalyzeSenderView|obs\.Options|\(p \*Prober\) Observe|\(p \*Proxy\) Observe|pep\.New\(|NewNewReno|KindEnqueue|KindDequeue|IdleDecay|decayAfterIdle|AllowMigration|PathMigrations|PacingBurst|UnmarshalProfiles|LinkConfigs|"scenario\.workers"|sizesFor|paperScenario|prevSat|observeEpoch|observeCellInto|observeRange|assignRange|assignBlock|admitRow|candFill|scanSats|buildCandidates|candStart|candUB|satGwAt|RenderTraffic|TrafficWall|TrafficTerminals|TrafficSpan|computeAssignmentFull|reassignAt|\) DelayFunc\(|\) Handovers\(|EnableZeroRTT|RTTMinWindow|modernMinRTTWindow|MinElevationDeg|WebSites|MaxBacklog|(^|[^A-Za-z])CentralAngleRad|NodeByName|LargestSentPN|ParseFrames|func \(p \*Packet\) (Detach|Clone|Gen|Pooled)\(|\) ReleasePacket\(|PayloadSharer|SharePayload|\.Share\(\)|Shared +uint64|func \(s \*Scheduler\) (Step|Stop|Pending)\(|func \(t Time\) (Before|After)\(|func \(g \*Gauge\) (Add|Value)\(|func \(b \*BBR\) State\(|RunMessagesCampaignCfg|func \(nw \*Network\) (TCPSegmentPool|SetTCPSegmentPool|QUICWirePool|SetQUICWirePool|ICMPPoolStats)\(|(tcpSegPool|quicWirePool) +TransportPool|func (SegmentPoolStats|RingPoolStats|WirePoolStats|SentPoolStats|FramePoolStats)\(|func \([a-z] \*(BBR|Cubic|Fixed)\) (Name|InSlowStart)\(|MappingTimeout +time\.Duration|^	(Nanosecond|Microsecond|Millisecond|Second|Minute|Hour) += time\.|MessageParams|func checkMessages\(|message (rate|minSize|maxSize) %d|latencyProbes|maxTTL int' --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark .; then
     echo "a deleted mechanism is named above" >&2
     exit 1
 fi
 # A packet's recycle counter, which nothing read (the scheduler's timers
 # keep their own gen).
 if grep -rnE '^	gen +uint32' --include='*.go' --exclude='*_test.go' internal/netem; then
+    echo "a deleted mechanism is named above" >&2
+    exit 1
+fi
+# quic.Config's flow-control and ACK-delay fields and quic.DefaultConfig
+# (quiche's windows and ACK delay are quic's constants, and the zero Config
+# is the paper's quiche; tcpsim and core keep their own DefaultConfig), and
+# core's H3Port (measure.H3Port, where the H3 server listens).
+if grep -rnE '^	(InitialMaxData|InitialMaxStreamData|MaxReceiveWindow|MaxAckDelay) |func DefaultConfig\(' --include='*.go' --exclude='*_test.go' internal/quic ||
+    grep -rnE 'H3Port +=' --include='*.go' --exclude='*_test.go' internal/core; then
     echo "a deleted mechanism is named above" >&2
     exit 1
 fi

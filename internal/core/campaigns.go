@@ -67,13 +67,13 @@ func (tb *Testbed) RunLatencyCampaign(dur, interval time.Duration) *LatencyData 
 	byAddr := make(map[netem.Addr]string)
 	for _, a := range tb.Anchors {
 		data.Anchors = append(data.Anchors, Anchor{Name: a.Name, Region: a.Region})
-		data.PerAnchor[a.Name] = stats.NewSeries(latencyProbes * rounds)
+		data.PerAnchor[a.Name] = stats.NewSeries(measure.MonitorProbes * rounds)
 		data.Regions[a.Name] = a.Region
 		byAddr[a.Node.Addr()] = a.Name
 	}
 	prober := measure.NewProber(tb.PCStarlink)
 	end := tb.Sched.Now().Add(dur)
-	prober.Monitor(tb.AnchorAddrs(), interval, latencyProbes, end, func(r measure.PingResult) {
+	prober.Monitor(tb.AnchorAddrs(), interval, end, func(r measure.PingResult) {
 		data.Sent++
 		if !r.OK {
 			data.Lost++
@@ -86,10 +86,6 @@ func (tb *Testbed) RunLatencyCampaign(dur, interval time.Duration) *LatencyData 
 	tb.PCStarlink.Unbind(netem.ProtoICMP, 0)
 	return data
 }
-
-// latencyProbes is how many pings the latency campaign sends each anchor
-// per round.
-const latencyProbes = 3
 
 // noGap, as repeat's gap, starts the next repetition inside the finishing
 // callback itself, with no scheduler event in between.
@@ -200,12 +196,12 @@ func (tb *Testbed) RunH3Campaign(n int, size int, download bool, gap time.Durati
 
 // RunH3CampaignFrom runs the bulk campaign from an arbitrary client node
 // with an explicit transport configuration — the wired-baseline check and
-// the pacing/receive-window ablations use this.
+// the pacing ablation uses this.
 func (tb *Testbed) RunH3CampaignFrom(client *netem.Node, n int, size int, download bool, gap time.Duration, qcfg quic.Config) *H3Campaign {
 	// Generous horizon: transfers self-pace.
 	perTransfer := time.Duration(float64(size*8)/(10e6))*time.Second + gap + 2*time.Minute
 	recs := repeat(tb, 0, n, gap, time.Duration(n)*perTransfer, func(_ int, done func(H3Record)) {
-		measure.H3Transfer(client, tb.H3Server, tb.UCLServer.Addr(), H3Port, download, size, qcfg, func(res measure.TransferResult) {
+		measure.H3Transfer(client, tb.H3Server, download, size, qcfg, func(res measure.TransferResult) {
 			done(H3Record{Result: res, Loss: trace.AnalyzeLosses(res.ReceiverCapture.Received)})
 		})
 	})
@@ -267,7 +263,7 @@ func (tb *Testbed) RunMessagesCampaign(n int, sessionDur time.Duration, download
 
 func (tb *Testbed) runMessageSessions(n int, sessionDur time.Duration, download bool) []msgSession {
 	return repeat(tb, 0, n, 30*time.Second, time.Duration(n)*(sessionDur+time.Minute), func(_ int, done func(msgSession)) {
-		measure.MessageSession(tb.PCStarlink, tb.H3Server, tb.UCLServer.Addr(), H3Port, download, 25, sessionDur, 5000, 25000, tb.QUICConf, func(res measure.Session) {
+		measure.MessageSession(tb.PCStarlink, tb.H3Server, download, sessionDur, tb.QUICConf, func(res measure.Session) {
 			done(msgSession{res.RTTs.Milliseconds(), trace.AnalyzeLosses(res.ReceiverCapture.Received)})
 		})
 	})
@@ -377,7 +373,7 @@ func (tb *Testbed) RunMiddleboxAudit(t Tech) MiddleboxAudit {
 	node := tb.vantage(t)
 	prober := measure.NewProber(node)
 	var audit MiddleboxAudit
-	prober.Tracebox(tb.UCLServer.Addr(), 24, func(hops []measure.TraceboxHop) {
+	prober.Tracebox(tb.UCLServer.Addr(), func(hops []measure.TraceboxHop) {
 		audit.Hops = hops
 		// NAT levels = distinct embedded-checksum residues observed in
 		// the quotes (each translator fixes the checksum by a different
@@ -392,7 +388,7 @@ func (tb *Testbed) RunMiddleboxAudit(t Tech) MiddleboxAudit {
 		audit.NATLevels = len(seen)
 	})
 	tb.Sched.RunFor(3 * time.Minute)
-	prober.DetectPEP(tb.UCLServer.Addr(), 80, 24, func(r measure.PEPProbe) {
+	prober.DetectPEP(tb.UCLServer.Addr(), func(r measure.PEPProbe) {
 		audit.PEP = r
 	})
 	tb.Sched.RunFor(3 * time.Minute)

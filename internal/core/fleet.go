@@ -26,7 +26,7 @@ func RunFleetScenario(cfg fleet.Config, opts Options) *fleet.Result {
 		cfg.Workers = opts.WorkerCount()
 	}
 	if opts.Obs != nil {
-		sink := obs.NewSink(0)
+		sink := obs.NewSink()
 		cfg.Obs = sink
 		opts.Obs.Add("fleet/0000", sink)
 	}

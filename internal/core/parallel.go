@@ -94,7 +94,7 @@ func shardTestbed(cfg Config, seed uint64, opts Options, family string, shard in
 	if opts.Obs == nil {
 		tb = NewTestbed(cfg)
 	} else {
-		sink := obs.NewSink(0)
+		sink := obs.NewSink()
 		opts.Obs.Add(obs.ShardSource(family, shard), sink)
 		tb = newTestbed(cfg, sink)
 	}

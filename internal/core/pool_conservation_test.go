@@ -186,7 +186,7 @@ func TestSegmentPoolConservation(t *testing.T) {
 	stages := append(tcpStages(tb, &tcp),
 		poolStage{name: "ping", run: func() { tb.RunLatencyCampaign(30*time.Minute, 5*time.Minute) }},
 		poolStage{name: "tracebox", run: func() {
-			measure.NewProber(tb.PCStarlink).Tracebox(tb.UCLServer.Addr(), 24, func(h []measure.TraceboxHop) { hops = h })
+			measure.NewProber(tb.PCStarlink).Tracebox(tb.UCLServer.Addr(), func(h []measure.TraceboxHop) { hops = h })
 			tb.Sched.RunFor(3 * time.Minute)
 			tb.PCStarlink.Unbind(netem.ProtoICMP, 0)
 		}},
@@ -292,5 +292,25 @@ func TestHookedDropsPoolConservation(t *testing.T) {
 	runPoolStages(t, tb, stages)
 	if drops[netem.ProtoUDP] == 0 || drops[netem.ProtoTCP] == 0 {
 		t.Errorf("hooked drops by protocol %v: the QUIC or the TCP drop path is not covered", drops)
+	}
+}
+
+// A Starlink speedtest right after an H3 download on one testbed: the
+// handover micro-outage at the start of epoch 10 drops the client's four
+// Abort RSTs, so the four server legs at ookla-ams never learn that their
+// peer is gone and retransmit into ICMP port-unreachables, which tcpsim
+// ignores. The campaign ends with their segments and rings out; after
+// tcpsim's maxRTOs consecutive timeouts each leg gives up, and every pool
+// is whole again.
+func TestAbandonedConnectionsGiveUp(t *testing.T) {
+	tb := NewTestbed(DefaultConfig())
+	tb.RunH3Campaign(1, 16<<20, true, 5*time.Second)
+	tb.RunSpeedtestCampaign(TechStarlink, 1, time.Second)
+	if netemtest.CheckPools(tb.Net) == nil {
+		t.Fatal("every pool is whole when the campaign ends: no connection was left open, so the give-up is not exercised")
+	}
+	tb.Sched.RunFor(15 * time.Minute)
+	if err := netemtest.CheckPools(tb.Net); err != nil {
+		t.Fatalf("15 minutes after the campaign: %v", err)
 	}
 }

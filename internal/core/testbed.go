@@ -144,9 +144,6 @@ type Testbed struct {
 	Sessions *quic.SessionCache
 }
 
-// H3Port is where the UCLouvain QUIC server listens.
-const H3Port = 4433
-
 // terrLink builds a terrestrial link config between two sites.
 func terrLink(a, b geo.LatLon, stretch float64, extra time.Duration, rateBps float64) netem.LinkConfig {
 	return netem.LinkConfig{
@@ -436,12 +433,11 @@ func newTestbed(cfg Config, sink *obs.Sink) *Testbed {
 	}
 
 	// --- QUIC server --------------------------------------------------
-	tb.QUICConf = quic.DefaultConfig()
 	tb.Sessions = quic.NewSessionCache()
 	cfg.Transport.applyQUIC(&tb.QUICConf, tb.Sessions)
-	tb.H3Server = measure.NewH3Server(tb.UCLServer, H3Port, tb.QUICConf)
+	tb.H3Server = measure.NewH3Server(tb.UCLServer, tb.QUICConf)
 	// A plain TCP service on the server, the PEP-detection probe target.
-	tcpsim.Listen(tb.UCLServer, 80, tb.WebTCP, nil)
+	tcpsim.Listen(tb.UCLServer, measure.PEPPort, tb.WebTCP, nil)
 
 	// --- Web pool ------------------------------------------------------
 	webSpecs := []struct {
@@ -465,7 +461,7 @@ func newTestbed(cfg Config, sink *obs.Sink) *Testbed {
 		n.EchoResponder = true
 		attach(n, popAMS, terrLink(posAms, spec.city, 1.6, spec.last, 10e9))
 		popFRA.AddRoute(n.Addr(), fa)
-		web.Server(n, 443, tb.WebTCP)
+		web.Server(n, tb.WebTCP)
 		tb.WebPool = append(tb.WebPool, n)
 	}
 	tb.Sites = web.GenerateCorpus(rng.Stream("webcorpus"), webSites)
@@ -575,13 +571,13 @@ func mediumLoss(pct, meanBurst float64, rng *sim.RNG) netem.LossModel {
 // per (site, domain).
 func (tb *Testbed) WebResolver(site *web.Site) web.Resolver {
 	pool := tb.WebPool
-	return func(domain int) (netem.Addr, uint16) {
+	return func(domain int) netem.Addr {
 		if domain == 0 {
 			// Origins live in Europe (the corpus is the Belgian top
 			// sites): never the US node.
-			return pool[(site.Rank*31)%9].Addr(), 443
+			return pool[(site.Rank*31)%9].Addr()
 		}
-		return pool[(site.Rank*13+domain*7)%len(pool)].Addr(), 443
+		return pool[(site.Rank*13+domain*7)%len(pool)].Addr()
 	}
 }
 

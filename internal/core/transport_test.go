@@ -112,7 +112,7 @@ func TestTransportModernResumesWithZeroRTT(t *testing.T) {
 		var resumed []bool
 		var dial func()
 		dial = func() {
-			measure.MessageSession(tb.PCStarlink, tb.H3Server, tb.UCLServer.Addr(), H3Port, false, 25, 5*time.Second, 5000, 25000, tb.QUICConf, func(s measure.Session) {
+			measure.MessageSession(tb.PCStarlink, tb.H3Server, false, 5*time.Second, tb.QUICConf, func(s measure.Session) {
 				resumed = append(resumed, s.Client.Stats.ZeroRTTResumed)
 				if len(resumed) < 2 {
 					tb.Sched.After(time.Second, dial)

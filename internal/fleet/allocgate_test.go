@@ -46,7 +46,7 @@ func TestAllocGateFleetReassign(t *testing.T) {
 // per-region histograms, counters and the epoch's trace records (counter
 // registration happens at New time).
 func TestAllocGateObserveEpoch(t *testing.T) {
-	fl := New(Config{Seed: 5, Terminals: 3000, Workers: 1, Obs: obs.NewSink(0)})
+	fl := New(Config{Seed: 5, Terminals: 3000, Workers: 1, Obs: obs.NewSink()})
 	var clk epochClock
 	for i := 0; i < warmEpochs; i++ {
 		fl.RunEpoch(clk.next())

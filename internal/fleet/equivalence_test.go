@@ -685,7 +685,7 @@ func TestScanStats(t *testing.T) {
 // runWithSink runs a full campaign with observability attached and
 // returns the result plus canonical metric/trace exports.
 func runWithSink(cfg Config) (*Result, []byte, []byte) {
-	sink := obs.NewSink(0)
+	sink := obs.NewSink()
 	cfg.Obs = sink
 	res := Run(cfg)
 	metrics, trace := exportSink(sink)
@@ -696,7 +696,7 @@ func runWithSink(cfg Config) (*Result, []byte, []byte) {
 // oracles: the all-satellites reassignment scan and the direct accounting
 // pass (single worker, like the oracles themselves).
 func runReferenceWithSink(cfg Config) (*Result, []byte, []byte) {
-	sink := obs.NewSink(0)
+	sink := obs.NewSink()
 	cfg.Obs = sink
 	f := New(cfg)
 	epochs := int(f.cfg.Horizon / f.cfg.Epoch)

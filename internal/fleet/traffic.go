@@ -197,7 +197,7 @@ func NewTraffic(cfg TrafficConfig) *Traffic {
 	cfg = cfg.withDefaults()
 	var fleetSink *obs.Sink
 	if cfg.Collector != nil {
-		fleetSink = obs.NewSink(0)
+		fleetSink = obs.NewSink()
 		cfg.Fleet.Obs = fleetSink
 	}
 	f := New(cfg.Fleet)
@@ -239,7 +239,7 @@ func (tr *Traffic) buildShard(p, lo, hi int) *trafficPart {
 	pt.net = netem.New(pt.sched)
 	var subjects *obs.Tracer
 	if tr.cfg.Collector != nil {
-		sink := obs.NewSink(0)
+		sink := obs.NewSink()
 		tr.cfg.Collector.Add(obs.ShardSource("fleettraffic", p), sink)
 		pt.net.Observe(sink)
 		subjects = sink.Tracer()

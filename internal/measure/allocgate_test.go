@@ -8,11 +8,10 @@ import (
 	"starlinkperf/internal/sim"
 )
 
-// allocMonitorTargets and allocMonitorProbes shape the gated campaign: the
-// paper's 3 probes to each of 3 anchors per round.
+// allocMonitorTargets shapes the gated campaign: the paper's
+// MonitorProbes to each of 3 anchors per round.
 const (
 	allocMonitorTargets = 3
-	allocMonitorProbes  = 3
 	allocMonitorRound   = time.Minute
 )
 
@@ -30,7 +29,7 @@ func allocMonitor(tb testing.TB) (run func(), p *Prober, results *int) {
 	}
 	s, p, addrs, _ := star(5, targets...)
 	results = new(int)
-	p.Monitor(addrs, allocMonitorRound, allocMonitorProbes, sim.Time(1<<62), func(r PingResult) {
+	p.Monitor(addrs, allocMonitorRound, sim.Time(1<<62), func(r PingResult) {
 		if !r.OK {
 			tb.Fatalf("echo to %v lost on a clean path", r.Target)
 		}
@@ -50,7 +49,7 @@ func TestAllocGateMonitorEcho(t *testing.T) {
 	perRound := testing.AllocsPerRun(runs, run)
 	// AllocsPerRun makes one warm-up call on top of the counted ones.
 	echoes := float64(*results-before) / (runs + 1)
-	if want := float64(allocMonitorTargets * allocMonitorProbes); echoes != want {
+	if want := float64(allocMonitorTargets * MonitorProbes); echoes != want {
 		t.Fatalf("%.1f echoes per round, want %.0f", echoes, want)
 	}
 	t.Logf("%.2f allocs per round of %.0f echoes", perRound, echoes)

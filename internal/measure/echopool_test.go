@@ -27,7 +27,7 @@ func TestLatencyCampaignEchoPoolConservation(t *testing.T) {
 		var sent, lost int
 		rtts := make(map[netem.Addr][]float64)
 		end := tb.Sched.Now().Add(dur)
-		p.Monitor(tb.AnchorAddrs(), interval, 3, end, func(r measure.PingResult) {
+		p.Monitor(tb.AnchorAddrs(), interval, end, func(r measure.PingResult) {
 			sent++
 			if !r.OK {
 				lost++

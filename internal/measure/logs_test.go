@@ -57,8 +57,7 @@ func TestSessionLogsNeverRegrow(t *testing.T) {
 		const rate, dur = 25, 59981 * time.Millisecond
 		for _, download := range []bool{true, false} {
 			var got measure.Session
-			measure.MessageSession(tb.PCStarlink, tb.H3Server, tb.UCLServer.Addr(), core.H3Port, download, rate, dur, 5000, 25000, tb.QUICConf,
-				func(s measure.Session) { got = s })
+			measure.MessageSession(tb.PCStarlink, tb.H3Server, download, dur, tb.QUICConf, func(s measure.Session) { got = s })
 			tb.Sched.RunFor(dur + time.Minute)
 			if got.Client == nil {
 				t.Fatalf("seed %d: message session download=%v did not report", seed, download)

@@ -64,10 +64,10 @@ func TestPingBasic(t *testing.T) {
 	echo = func(rtt time.Duration, ok bool) {
 		results = append(results, PingResult{RTT: rtt, OK: ok})
 		if len(results) < 3 {
-			p.Echo(server.Addr(), 64, echo)
+			p.Echo(server.Addr(), echo)
 		}
 	}
-	p.Echo(server.Addr(), 64, echo)
+	p.Echo(server.Addr(), echo)
 	s.RunFor(time.Minute)
 	if len(results) != 3 {
 		t.Fatalf("got %d results", len(results))
@@ -86,7 +86,7 @@ func TestPingThroughNAT(t *testing.T) {
 	s, client, server, _ := testPath(t, true, false)
 	p := NewProber(client)
 	ok := false
-	p.Echo(server.Addr(), 64, func(_ time.Duration, echoed bool) { ok = echoed })
+	p.Echo(server.Addr(), func(_ time.Duration, echoed bool) { ok = echoed })
 	s.RunFor(time.Minute)
 	if !ok {
 		t.Fatal("ping through NAT failed")
@@ -101,7 +101,7 @@ func TestPingTimeoutOnBlackhole(t *testing.T) {
 	// *blackholed* address we need a silent drop: use a link-down window.
 	// Simplest true blackhole: address routed nowhere beyond r2 returns
 	// dest-unreachable, which is still "not OK" for ping.
-	p.Echo(netem.MustParseAddr("203.0.113.1"), 64, func(_ time.Duration, echoed bool) { answered, ok = true, echoed })
+	p.Echo(netem.MustParseAddr("203.0.113.1"), func(_ time.Duration, echoed bool) { answered, ok = true, echoed })
 	s.RunFor(time.Minute)
 	if !answered {
 		t.Fatal("echo callback never ran")
@@ -115,7 +115,7 @@ func TestMonitorCadence(t *testing.T) {
 	s, client, server, _ := testPath(t, false, false)
 	p := NewProber(client)
 	count := 0
-	p.Monitor([]netem.Addr{server.Addr()}, 5*time.Minute, 3, sim.Time(time.Hour), func(r PingResult) {
+	p.Monitor([]netem.Addr{server.Addr()}, 5*time.Minute, sim.Time(time.Hour), func(r PingResult) {
 		if r.OK {
 			count++
 		}
@@ -138,7 +138,7 @@ func TestMonitorRefusesNonPositiveInterval(t *testing.T) {
 					t.Errorf("Monitor accepted interval %v", interval)
 				}
 			}()
-			NewProber(client).Monitor([]netem.Addr{server.Addr()}, interval, 3, sim.Time(time.Hour), func(PingResult) {
+			NewProber(client).Monitor([]netem.Addr{server.Addr()}, interval, sim.Time(time.Hour), func(PingResult) {
 				t.Errorf("interval %v: a probe was sent", interval)
 			})
 		}()
@@ -149,7 +149,7 @@ func TestTracerouteDiscoversPath(t *testing.T) {
 	s, client, server, _ := testPath(t, false, false)
 	p := NewProber(client)
 	var hops []Hop
-	p.Traceroute(server.Addr(), 16, func(hs []Hop) { hops = hs })
+	p.Traceroute(server.Addr(), func(hs []Hop) { hops = hs })
 	s.RunFor(time.Minute)
 	if len(hops) != 3 {
 		t.Fatalf("hops = %d, want 3", len(hops))
@@ -169,7 +169,7 @@ func TestTraceboxDetectsNAT(t *testing.T) {
 	s, client, server, _ := testPath(t, true, false)
 	p := NewProber(client)
 	var hops []TraceboxHop
-	p.Tracebox(server.Addr(), 16, func(hs []TraceboxHop) { hops = hs })
+	p.Tracebox(server.Addr(), func(hs []TraceboxHop) { hops = hs })
 	s.RunFor(time.Minute)
 	if len(hops) < 2 {
 		t.Fatalf("hops = %d", len(hops))
@@ -197,7 +197,7 @@ func TestTraceboxCleanPathNoChanges(t *testing.T) {
 	s, client, server, _ := testPath(t, false, false)
 	p := NewProber(client)
 	var hops []TraceboxHop
-	p.Tracebox(server.Addr(), 16, func(hs []TraceboxHop) { hops = hs })
+	p.Tracebox(server.Addr(), func(hs []TraceboxHop) { hops = hs })
 	s.RunFor(time.Minute)
 	for _, h := range hops {
 		if len(h.Changes) != 0 {
@@ -213,7 +213,7 @@ func TestDetectPEPPresent(t *testing.T) {
 	p := NewProber(client)
 	var res PEPProbe
 	gotRes := false
-	p.DetectPEP(server.Addr(), 80, 16, func(r PEPProbe) { res, gotRes = r, true })
+	p.DetectPEP(server.Addr(), func(r PEPProbe) { res, gotRes = r, true })
 	s.RunFor(2 * time.Minute)
 	if !gotRes {
 		t.Fatal("no result")
@@ -233,7 +233,7 @@ func TestDetectPEPAbsent(t *testing.T) {
 	p := NewProber(client)
 	var res PEPProbe
 	gotRes := false
-	p.DetectPEP(server.Addr(), 80, 16, func(r PEPProbe) { res, gotRes = r, true })
+	p.DetectPEP(server.Addr(), func(r PEPProbe) { res, gotRes = r, true })
 	s.RunFor(2 * time.Minute)
 	if !gotRes {
 		t.Fatal("no result")
@@ -337,10 +337,10 @@ func TestSpeedtestPicksNearestServer(t *testing.T) {
 
 func TestH3DownloadAndUpload(t *testing.T) {
 	s, client, server, _ := testPath(t, false, false)
-	srv := NewH3Server(server, 443, quic.DefaultConfig())
+	srv := NewH3Server(server, quic.Config{})
 
 	var down TransferResult
-	H3Transfer(client, srv, server.Addr(), 443, true, 4<<20, quic.DefaultConfig(), func(r TransferResult) { down = r })
+	H3Transfer(client, srv, true, 4<<20, quic.Config{}, func(r TransferResult) { down = r })
 	s.RunFor(2 * time.Minute)
 	if !down.Completed || down.Bytes != 4<<20 {
 		t.Fatalf("download: %+v", down)
@@ -356,7 +356,7 @@ func TestH3DownloadAndUpload(t *testing.T) {
 	}
 
 	var up TransferResult
-	H3Transfer(client, srv, server.Addr(), 443, false, 2<<20, quic.DefaultConfig(), func(r TransferResult) { up = r })
+	H3Transfer(client, srv, false, 2<<20, quic.Config{}, func(r TransferResult) { up = r })
 	s.RunFor(2 * time.Minute)
 	if !up.Completed {
 		t.Fatalf("upload incomplete")
@@ -376,9 +376,9 @@ func TestH3DownloadAndUpload(t *testing.T) {
 func TestSessionReleasesServerHookOnAccept(t *testing.T) {
 	for _, download := range []bool{true, false} {
 		s, client, server, _ := testPath(t, false, false)
-		srv := NewH3Server(server, 443, quic.DefaultConfig())
+		srv := NewH3Server(server, quic.Config{})
 		var bulk TransferResult
-		H3Transfer(client, srv, server.Addr(), 443, download, 1<<20, quic.DefaultConfig(), func(r TransferResult) { bulk = r })
+		H3Transfer(client, srv, download, 1<<20, quic.Config{}, func(r TransferResult) { bulk = r })
 		if srv.OnConn == nil {
 			t.Fatalf("download=%v: bulk transfer did not hook the server", download)
 		}
@@ -388,7 +388,7 @@ func TestSessionReleasesServerHookOnAccept(t *testing.T) {
 		}
 		s.RunFor(time.Minute)
 		var msgs Session
-		MessageSession(client, srv, server.Addr(), 443, download, 25, 2*time.Second, 5000, 25000, quic.DefaultConfig(), func(r Session) { msgs = r })
+		MessageSession(client, srv, download, 2*time.Second, quic.Config{}, func(r Session) { msgs = r })
 		s.RunFor(time.Second)
 		if srv.OnConn != nil {
 			t.Errorf("download=%v: message session still holds the hook a second in", download)
@@ -405,10 +405,10 @@ func TestSessionReleasesServerHookOnAccept(t *testing.T) {
 
 func TestMessageWorkloadRate(t *testing.T) {
 	s, client, server, _ := testPath(t, false, false)
-	srv := NewH3Server(server, 443, quic.DefaultConfig())
+	srv := NewH3Server(server, quic.Config{})
 	var res Session
 	finished := false
-	MessageSession(client, srv, server.Addr(), 443, false, 25, 10*time.Second, 5000, 25000, quic.DefaultConfig(), func(r Session) {
+	MessageSession(client, srv, false, 10*time.Second, quic.Config{}, func(r Session) {
 		res = r
 		finished = true
 	})
@@ -445,9 +445,9 @@ func TestMessageWorkloadRate(t *testing.T) {
 // less than the payload it moves.
 func TestMessageUploadStreamsAreNotBuffered(t *testing.T) {
 	s, client, server, _ := testPath(t, false, false)
-	srv := NewH3Server(server, 443, quic.DefaultConfig())
+	srv := NewH3Server(server, quic.Config{})
 	var res Session
-	MessageSession(client, srv, server.Addr(), 443, false, 25, 10*time.Second, 5000, 25000, quic.DefaultConfig(), func(r Session) {
+	MessageSession(client, srv, false, 10*time.Second, quic.Config{}, func(r Session) {
 		res = r
 	})
 	var m0, m1 runtime.MemStats
@@ -478,40 +478,28 @@ func median(xs []float64) float64 {
 	return cp[len(cp)/2]
 }
 
-// A message workload SendMessages cannot run (no rate, a size range upside
-// down) or a download MessageParams cannot encode in its 16-bit fields is
-// refused at the call, naming the argument, instead of dividing by zero,
-// panicking in the RNG or wrapping. Uploads never encode their parameters,
-// so only the first kind binds them. A bulk transfer of no bytes, or fewer,
+// A message session whose duration the request cannot carry in its 16 bits
+// of whole seconds, or a negative one, is refused at the call, naming the
+// argument, instead of wrapping. A bulk transfer of no bytes, or fewer,
 // still runs: its logs are sized at no less than nothing.
 func TestWorkloadInputs(t *testing.T) {
-	msgs := func(download bool, rate int, dur time.Duration, minSize, maxSize int) func(*netem.Node, *H3Server, netem.Addr) {
-		return func(client *netem.Node, srv *H3Server, addr netem.Addr) {
-			MessageSession(client, srv, addr, 443, download, rate, dur, minSize, maxSize, quic.DefaultConfig(), func(Session) {})
+	msgs := func(download bool, dur time.Duration) func(*netem.Node, *H3Server) {
+		return func(client *netem.Node, srv *H3Server) {
+			MessageSession(client, srv, download, dur, quic.Config{}, func(Session) {})
 		}
 	}
-	bulk := func(download bool, size int) func(*netem.Node, *H3Server, netem.Addr) {
-		return func(client *netem.Node, srv *H3Server, addr netem.Addr) {
-			H3Transfer(client, srv, addr, 443, download, size, quic.DefaultConfig(), func(TransferResult) {})
+	bulk := func(download bool, size int) func(*netem.Node, *H3Server) {
+		return func(client *netem.Node, srv *H3Server) {
+			H3Transfer(client, srv, download, size, quic.Config{}, func(TransferResult) {})
 		}
 	}
 	for _, tc := range []struct {
 		name string
-		run  func(*netem.Node, *H3Server, netem.Addr)
+		run  func(*netem.Node, *H3Server)
 		want string // in the panic; "" runs
 	}{
-		{"rate 0", msgs(false, 0, time.Second, 5000, 25000), "rate 0"},
-		{"negative rate", msgs(true, -25, time.Second, 5000, 25000), "rate -25"},
-		{"rate past a nanosecond", msgs(false, 2e9, time.Second, 5000, 25000), "rate 2000000000"},
-		{"minSize above maxSize", msgs(false, 25, time.Second, 25000, 5000), "minSize 25000 above maxSize 5000"},
-		{"negative minSize", msgs(true, 25, time.Second, -1, 5000), "minSize -1"},
-		{"negative dur", msgs(false, 25, -time.Second, 5000, 25000), "dur -1s"},
-		{"download rate past 16 bits", msgs(true, 1<<16, time.Second, 5000, 25000), "rate 65536"},
-		{"download dur past 16 bits", msgs(true, 25, 1<<16*time.Second, 5000, 25000), "dur 18h12m16s"},
-		{"download maxSize past 16 bits", msgs(true, 25, time.Second, 5000, 6553600), "maxSize 6553600"},
-		{"upload rate past 16 bits", msgs(false, 1<<16, time.Millisecond, 1, 1), ""},
-		{"upload maxSize past 16 bits", msgs(false, 1, time.Second, 5000, 6553600), ""},
-		{"largest download", msgs(true, 1<<16-1, time.Millisecond, 100, 6553599), ""},
+		{"negative dur", msgs(false, -time.Second), "dur -1s"},
+		{"download dur past 16 bits", msgs(true, 1<<16*time.Second), "dur 18h12m16s"},
 		{"download of nothing", bulk(true, 0), ""},
 		{"upload of nothing", bulk(false, 0), ""},
 		{"download of less than nothing", bulk(true, -1), ""},
@@ -519,7 +507,7 @@ func TestWorkloadInputs(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s, client, server, _ := testPath(t, false, false)
-			srv := NewH3Server(server, 443, quic.DefaultConfig())
+			srv := NewH3Server(server, quic.Config{})
 			var got string
 			func() {
 				defer func() {
@@ -527,7 +515,7 @@ func TestWorkloadInputs(t *testing.T) {
 						got = fmt.Sprint(r)
 					}
 				}()
-				tc.run(client, srv, server.Addr())
+				tc.run(client, srv)
 				s.RunFor(20 * time.Second)
 			}()
 			switch {

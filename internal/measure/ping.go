@@ -137,9 +137,13 @@ func (p *Prober) receive(pkt *netem.Packet) {
 // PingTimeout is how long an echo waits before it counts as lost.
 const PingTimeout = 3 * time.Second
 
+// echoBytes is the size of an echo request, ping's default 56-byte
+// payload and its 8-byte ICMP header.
+const echoBytes = 64
+
 // Echo sends one ICMP echo request; cb runs exactly once with the RTT or
 // ok=false on timeout.
-func (p *Prober) Echo(dst netem.Addr, size int, cb func(rtt time.Duration, ok bool)) {
+func (p *Prober) Echo(dst netem.Addr, cb func(rtt time.Duration, ok bool)) {
 	seq := p.nextSeq
 	p.nextSeq++
 	if p.obs != nil {
@@ -157,7 +161,7 @@ func (p *Prober) Echo(dst netem.Addr, size int, cb func(rtt time.Duration, ok bo
 	pkt.Dst = dst
 	pkt.SrcPort = p.icmpID // fixed ICMP identifier, like real ping: one NAT mapping per prober
 	pkt.Proto = netem.ProtoICMP
-	pkt.Size = size
+	pkt.Size = echoBytes
 	body := nw.NewICMP()
 	body.Type, body.Seq = netem.ICMPEchoRequest, seq
 	pkt.Payload = body
@@ -172,12 +176,12 @@ type PingResult struct {
 	OK     bool
 }
 
-// pingRun drives one Ping: count echoes to dst, each sent when the one
-// before it lands, then done with the results. start reruns it.
+// pingRun drives one round of Monitor to one target: MonitorProbes
+// echoes to dst, each sent when the one before it lands, then done with
+// the results. start reruns it.
 type pingRun struct {
 	p       *Prober
 	dst     netem.Addr
-	count   int
 	at      sim.Time // when the echo in flight was sent
 	results []PingResult
 	done    func([]PingResult)
@@ -185,8 +189,8 @@ type pingRun struct {
 	busy    bool
 }
 
-func (p *Prober) newPingRun(dst netem.Addr, count int, done func([]PingResult)) *pingRun {
-	r := &pingRun{p: p, dst: dst, count: count, results: make([]PingResult, 0, count), done: done}
+func (p *Prober) newPingRun(dst netem.Addr, done func([]PingResult)) *pingRun {
+	r := &pingRun{p: p, dst: dst, results: make([]PingResult, 0, MonitorProbes), done: done}
 	r.echoed = r.onEcho
 	return r
 }
@@ -198,13 +202,13 @@ func (r *pingRun) start() {
 }
 
 func (r *pingRun) next() {
-	if len(r.results) >= r.count {
+	if len(r.results) >= MonitorProbes {
 		r.done(r.results)
 		r.busy = false
 		return
 	}
 	r.at = r.p.sched.Now()
-	r.p.Echo(r.dst, 64, r.echoed)
+	r.p.Echo(r.dst, r.echoed)
 }
 
 func (r *pingRun) onEcho(rtt time.Duration, ok bool) {
@@ -214,16 +218,20 @@ func (r *pingRun) onEcho(rtt time.Duration, ok bool) {
 	r.next()
 }
 
+// MonitorProbes is how many pings Monitor sends each target per round,
+// the paper's 3.
+const MonitorProbes = 3
+
 // Monitor runs the paper's anchor campaign: every interval, ping each
-// target probes times, delivering each result to onResult. It stops when
-// the scheduler passes `until`. A non-positive interval would re-arm the
-// round at the same instant forever, so it panics instead.
+// target MonitorProbes times, delivering each result to onResult. It
+// stops when the scheduler passes `until`. A non-positive interval would
+// re-arm the round at the same instant forever, so it panics instead.
 //
 // Each target's run is reused round after round. A round that finds it
 // still busy — its echoes outlast the interval on a lossy path — starts a
 // fresh run beside it, so overlapping rounds interleave as separate ping
 // runs would.
-func (p *Prober) Monitor(targets []netem.Addr, interval time.Duration, probes int, until sim.Time, onResult func(PingResult)) {
+func (p *Prober) Monitor(targets []netem.Addr, interval time.Duration, until sim.Time, onResult func(PingResult)) {
 	if interval <= 0 {
 		panic(fmt.Sprintf("measure: Monitor interval %v, must be positive", interval))
 	}
@@ -234,7 +242,7 @@ func (p *Prober) Monitor(targets []netem.Addr, interval time.Duration, probes in
 	}
 	runs := make([]*pingRun, len(targets))
 	for i, dst := range targets {
-		runs[i] = p.newPingRun(dst, probes, deliver)
+		runs[i] = p.newPingRun(dst, deliver)
 	}
 	var round func()
 	round = func() {
@@ -243,7 +251,7 @@ func (p *Prober) Monitor(targets []netem.Addr, interval time.Duration, probes in
 		}
 		for _, r := range runs {
 			if r.busy {
-				r = p.newPingRun(r.dst, probes, deliver)
+				r = p.newPingRun(r.dst, deliver)
 			}
 			r.start()
 		}

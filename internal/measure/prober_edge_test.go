@@ -48,7 +48,7 @@ func TestEchoTimeoutFiresOnce(t *testing.T) {
 	// nowhere; the prober must time out exactly once.
 	p := NewProber(a)
 	calls := 0
-	p.Echo(netem.MustParseAddr("10.9.9.9"), 64, func(rtt time.Duration, ok bool) {
+	p.Echo(netem.MustParseAddr("10.9.9.9"), func(rtt time.Duration, ok bool) {
 		calls++
 		if ok {
 			t.Error("echo into the void reported success")
@@ -77,8 +77,8 @@ func TestConcurrentEchoesDemux(t *testing.T) {
 
 	p := NewProber(a)
 	var rttB, rttC time.Duration
-	p.Echo(b.Addr(), 64, func(rtt time.Duration, ok bool) { rttB = rtt })
-	p.Echo(c.Addr(), 64, func(rtt time.Duration, ok bool) { rttC = rtt })
+	p.Echo(b.Addr(), func(rtt time.Duration, ok bool) { rttB = rtt })
+	p.Echo(c.Addr(), func(rtt time.Duration, ok bool) { rttC = rtt })
 	s.RunFor(5 * time.Second)
 
 	if rttB != 60*time.Millisecond || rttC != 10*time.Millisecond {
@@ -115,7 +115,7 @@ func TestTracerouteTimeoutHop(t *testing.T) {
 
 	p := NewProber(a)
 	var hops []Hop
-	p.Traceroute(b.Addr(), 8, func(hs []Hop) { hops = hs })
+	p.Traceroute(b.Addr(), func(hs []Hop) { hops = hs })
 	s.RunFor(time.Minute)
 	if len(hops) != 2 {
 		t.Fatalf("hops = %d, want 2 (* then destination)", len(hops))
@@ -144,9 +144,9 @@ func TestRecycledEchoOutlivesOldTimeout(t *testing.T) {
 		ok  bool
 	}
 	var got []outcome
-	p.Echo(fast, 64, func(rtt time.Duration, ok bool) {
+	p.Echo(fast, func(rtt time.Duration, ok bool) {
 		got = append(got, outcome{s.Now(), rtt, ok})
-		p.Echo(slow, 64, func(rtt time.Duration, ok bool) {
+		p.Echo(slow, func(rtt time.Duration, ok bool) {
 			got = append(got, outcome{s.Now(), rtt, ok})
 		})
 		if p.echoCBs[1] != first {
@@ -180,12 +180,12 @@ func TestLateReplyIgnoresRecycledRecord(t *testing.T) {
 		rtt time.Duration
 		ok  bool
 	}
-	p.Echo(late, 64, func(rtt time.Duration, ok bool) {
+	p.Echo(late, func(rtt time.Duration, ok bool) {
 		calls["late"]++
 		if ok {
 			t.Error("a 4 s echo beat its 3 s timeout")
 		}
-		p.Echo(slow, 64, func(rtt time.Duration, ok bool) {
+		p.Echo(slow, func(rtt time.Duration, ok bool) {
 			calls["slow"]++
 			second.rtt, second.ok = rtt, ok
 		})
@@ -237,10 +237,10 @@ func TestMonitorOverlappingRounds(t *testing.T) {
 		starTarget{"hole", 10 * time.Millisecond, false},
 		starTarget{"late", 2 * time.Second, true})
 	var got []PingResult
-	const rounds, probes = 5, 3
-	p.Monitor(addrs, time.Second, probes, sim.Time(rounds*time.Second), func(r PingResult) { got = append(got, r) })
+	const rounds = 5
+	p.Monitor(addrs, time.Second, sim.Time(rounds*time.Second), func(r PingResult) { got = append(got, r) })
 	s.RunFor(time.Minute)
-	if want := rounds * probes * len(addrs); len(got) != want {
+	if want := rounds * MonitorProbes * len(addrs); len(got) != want {
 		t.Fatalf("%d results delivered, want %d", len(got), want)
 	}
 	var b strings.Builder
@@ -291,7 +291,7 @@ func TestH3RequestSplitAcrossCallbacks(t *testing.T) {
 			var head []byte
 			var headFin bool
 			replayed := false
-			srv.Endpoint.Listen(quic.DefaultConfig(), func(c *quic.Connection) {
+			srv.Endpoint.Listen(quic.Config{}, func(c *quic.Connection) {
 				c.OnStream = func(st *quic.Stream) {
 					srv.handleStream(c, st)
 					parse := st.OnData
@@ -317,7 +317,7 @@ func TestH3RequestSplitAcrossCallbacks(t *testing.T) {
 			size := uint64(tc.size)
 			var got int
 			var done bool
-			conn := quic.NewEndpoint(client, 50000).Dial(server.Addr(), 443, quic.DefaultConfig())
+			conn := quic.NewEndpoint(client, 50000).Dial(server.Addr(), 443, quic.Config{})
 			conn.OnEstablished = func() {
 				var st *quic.Stream
 				if tc.download {

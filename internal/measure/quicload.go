@@ -12,28 +12,34 @@ import (
 )
 
 // The H3-like request protocol: the client opens a bidirectional stream
-// and sends a 9-byte request (1 direction byte + 8 size bytes). For
+// and sends a 9-byte request (1 kind byte + an 8-byte argument). For
 // downloads the server responds with size bytes and FIN; for uploads the
 // client follows the request with size bytes and FIN, and the server
-// answers a 1-byte receipt.
+// answers a 1-byte receipt; for a message download the argument is the
+// session's whole seconds, and the server sends messages for that long.
 const (
 	reqDownload = 0x01
 	reqUpload   = 0x02
 	reqMessages = 0x03
 )
 
+// H3Port is the UDP port an H3Server listens on.
+const H3Port = 4433
+
 // H3Server serves bulk transfers and the message workload over QUIC.
 type H3Server struct {
 	Endpoint *quic.Endpoint
 	// OnConn, when set, observes each accepted connection before data.
 	OnConn func(*quic.Connection)
+	addr   netem.Addr
 	rng    *sim.RNG
 }
 
-// NewH3Server listens on node:port with the given transport config.
-func NewH3Server(node *netem.Node, port uint16, cfg quic.Config) *H3Server {
+// NewH3Server listens on node:H3Port with the given transport config.
+func NewH3Server(node *netem.Node, cfg quic.Config) *H3Server {
 	srv := &H3Server{
-		Endpoint: quic.NewEndpoint(node, port),
+		Endpoint: quic.NewEndpoint(node, H3Port),
+		addr:     node.Addr(),
 		rng:      node.Scheduler().RNG().Stream(node.Name() + "/h3srv"),
 	}
 	srv.Endpoint.Listen(cfg, func(c *quic.Connection) {
@@ -75,7 +81,8 @@ func (h *h3Stream) onData(data []byte, fin bool) {
 			h.st.Close()
 			return
 		case reqMessages:
-			h.srv.runMessageSender(h.c, binary.BigEndian.Uint64(h.header[1:]))
+			secs := binary.BigEndian.Uint64(h.header[1:])
+			sendMessages(h.c, h.srv.rng, time.Duration(secs)*time.Second)
 			return
 		}
 	}
@@ -85,69 +92,38 @@ func (h *h3Stream) onData(data []byte, fin bool) {
 	}
 }
 
-// runMessageSender produces the paper's messaging workload server-side:
-// params packs rate (msgs/s, high 16 bits), duration seconds (next 16),
-// min and max size in bytes (low 32, 16 each, in units of 100 bytes).
-func (srv *H3Server) runMessageSender(c *quic.Connection, params uint64) {
-	rate := int(params >> 48)
-	durS := int(params >> 32 & 0xffff)
-	minSz := int(params>>16&0xffff) * 100
-	maxSz := int(params&0xffff) * 100
-	SendMessages(c, srv.rng, rate, time.Duration(durS)*time.Second, minSz, maxSz)
-}
+// The paper's real-time-video-like message workload: a message every
+// messageInterval (25 a second) of 5 to 25 kB, uniformly sized, ~3 Mbit/s.
+const (
+	messageInterval = time.Second / 25
+	messageMinBytes = 5000
+	messageMaxBytes = 25000
+)
 
-// MessageParams encodes the message-workload parameters for the request.
-// Rate, whole seconds of dur and both sizes in units of 100 bytes travel
-// in 16 bits each; it panics, naming the argument, on a workload
-// SendMessages cannot run or one that does not fit.
+// messageSeconds is the message request's argument: dur in whole seconds,
+// which travel in 16 bits. It panics on a negative dur or one of 65536 s
+// or more.
 //
 // Known defect: the duration travels in whole seconds, so a download
 // session's server sends for dur truncated to the second while an upload
 // sends for all of it. With a jittered 59.981 s session at 25 messages a
 // second, a download carries 1 475 messages and an upload 1 499. Fixing
 // it changes what every message download sends.
-func MessageParams(rate int, dur time.Duration, minSize, maxSize int) uint64 {
-	checkMessages(rate, dur, minSize, maxSize)
+func messageSeconds(dur time.Duration) uint64 {
 	switch {
-	case rate > 0xffff:
-		panic(fmt.Sprintf("measure: message rate %d does not fit the request (at most 65535)", rate))
-	case dur/time.Second > 0xffff:
-		panic(fmt.Sprintf("measure: message dur %v does not fit the request (under 65536 s)", dur))
-	case maxSize/100 > 0xffff:
-		panic(fmt.Sprintf("measure: message maxSize %d does not fit the request (under 6553600 bytes)", maxSize))
-	}
-	return uint64(rate)<<48 | uint64(dur/time.Second)<<32 |
-		uint64(minSize/100)<<16 | uint64(maxSize/100)
-}
-
-// checkMessages panics, naming the argument, unless rate, dur and the
-// size range describe a workload SendMessages can run.
-func checkMessages(rate int, dur time.Duration, minSize, maxSize int) {
-	switch {
-	case rate <= 0 || rate > int(time.Second):
-		panic(fmt.Sprintf("measure: message rate %d, must be 1 to 1e9 a second", rate))
 	case dur < 0:
 		panic(fmt.Sprintf("measure: message dur %v, must not be negative", dur))
-	case minSize < 0:
-		panic(fmt.Sprintf("measure: message minSize %d, must not be negative", minSize))
-	case minSize > maxSize:
-		panic(fmt.Sprintf("measure: message minSize %d above maxSize %d", minSize, maxSize))
+	case dur/time.Second > 0xffff:
+		panic(fmt.Sprintf("measure: message dur %v does not fit the request (under 65536 s)", dur))
 	}
+	return uint64(dur / time.Second)
 }
 
-// messageInterval is the gap between two messages at rate a second.
-func messageInterval(rate int) time.Duration {
-	return time.Duration(int64(time.Second) / int64(rate))
-}
-
-// SendMessages opens a fresh stream every 1/rate seconds carrying a
-// uniformly sized message in [minSize, maxSize], for dur. This mirrors
-// the paper's real-time-video-like workload: 25 messages/s of 5–25 kB
-// for two minutes (~3 Mbit/s).
-func SendMessages(c *quic.Connection, rng *sim.RNG, rate int, dur time.Duration, minSize, maxSize int) {
+// sendMessages opens a fresh stream every messageInterval carrying one
+// message, for dur.
+func sendMessages(c *quic.Connection, rng *sim.RNG, dur time.Duration) {
 	sched := c.Sched()
-	interval := messageInterval(rate)
-	total := int(dur / interval)
+	total := int(dur / messageInterval)
 	count := 0
 	var tick func()
 	tick = func() {
@@ -155,11 +131,11 @@ func SendMessages(c *quic.Connection, rng *sim.RNG, rate int, dur time.Duration,
 			return
 		}
 		count++
-		size := minSize + rng.IntN(maxSize-minSize+1)
+		size := messageMinBytes + rng.IntN(messageMaxBytes-messageMinBytes+1)
 		st := c.OpenStream()
 		st.WriteZeroes(size)
 		st.Close()
-		sched.After(interval, tick)
+		sched.After(messageInterval, tick)
 	}
 	tick()
 }
@@ -206,15 +182,14 @@ func logSizes(msgs, msgBytes int) (packets, samples int) {
 	return packets + packets/32 + 64, samples + samples/32 + 64
 }
 
-// dial opens the session: it connects from node to the server at
-// addr:port, attaches the RTT recorder to the sending side and the
-// capture to the receiving side, and runs begin once the handshake
-// completes. Both logs are made once, here, sized by logSizes for msgs
-// messages of msgBytes. srv must be the H3Server listening there: its
-// OnConn hook is how the accepted connection is reached, and this is the
-// one place that sets it and — when that connection arrives — clears it.
-// The returned function tears the session down.
-func (s *Session) dial(node *netem.Node, srv *H3Server, addr netem.Addr, port uint16, cfg quic.Config, download bool, msgs, msgBytes int, begin func(*quic.Connection)) (finish func()) {
+// dial opens the session: it connects from node to srv, attaches the RTT
+// recorder to the sending side and the capture to the receiving side, and
+// runs begin once the handshake completes. Both logs are made once, here,
+// sized by logSizes for msgs messages of msgBytes. srv's OnConn hook is
+// how the accepted connection is reached, and this is the one place that
+// sets it and — when that connection arrives — clears it. The returned
+// function tears the session down.
+func (s *Session) dial(node *netem.Node, srv *H3Server, cfg quic.Config, download bool, msgs, msgBytes int, begin func(*quic.Connection)) (finish func()) {
 	srv.OnConn = func(sc *quic.Connection) {
 		srv.OnConn = nil
 		s.Server = sc
@@ -225,7 +200,7 @@ func (s *Session) dial(node *netem.Node, srv *H3Server, addr netem.Addr, port ui
 		}
 	}
 	ep := quic.NewEndpoint(node, ephemeralUDP(node))
-	conn := ep.Dial(addr, port, cfg)
+	conn := ep.Dial(srv.addr, H3Port, cfg)
 	s.Client = conn
 	packets, samples := logSizes(msgs, msgBytes)
 	s.ReceiverCapture = &trace.Capture{Received: make([]trace.PacketRecord, 0, packets)}
@@ -262,14 +237,14 @@ type TransferResult struct {
 	Completed bool
 }
 
-// H3Transfer runs one bulk transfer of size bytes, down from or up to the
-// server reachable at addr:port, and reports it through done. A download
+// H3Transfer runs one bulk transfer of size bytes, down from or up to srv,
+// and reports it through done. A download
 // completes on the response's FIN, an upload on the server's 1-byte
 // receipt.
-func H3Transfer(node *netem.Node, srv *H3Server, addr netem.Addr, port uint16, download bool, size int, cfg quic.Config, done func(TransferResult)) {
+func H3Transfer(node *netem.Node, srv *H3Server, download bool, size int, cfg quic.Config, done func(TransferResult)) {
 	var res TransferResult
 	var finish func()
-	finish = res.dial(node, srv, addr, port, cfg, download, 1, size, func(conn *quic.Connection) {
+	finish = res.dial(node, srv, cfg, download, 1, size, func(conn *quic.Connection) {
 		res.Start = node.Scheduler().Now()
 		var st *quic.Stream
 		if download {
@@ -302,28 +277,20 @@ func H3Transfer(node *netem.Node, srv *H3Server, addr netem.Addr, port uint16, d
 	})
 }
 
-// MessageSession runs the message workload for dur — rate messages a
-// second of minSize to maxSize bytes, sent by the server on request for a
-// download, by the client for an upload — and reports the session ten
-// seconds after the last message is due. It panics, naming the argument,
-// on a workload SendMessages cannot run or, for a download, one
-// MessageParams cannot encode.
-func MessageSession(node *netem.Node, srv *H3Server, addr netem.Addr, port uint16, download bool, rate int, dur time.Duration, minSize, maxSize int, cfg quic.Config, done func(Session)) {
-	var params uint64
-	if download {
-		params = MessageParams(rate, dur, minSize, maxSize) // checks them too
-	} else {
-		checkMessages(rate, dur, minSize, maxSize)
-	}
+// MessageSession runs the message workload for dur — sent by srv on
+// request for a download, by the client for an upload — and reports the
+// session ten seconds after the last message is due. It panics on a dur
+// messageSeconds refuses.
+func MessageSession(node *netem.Node, srv *H3Server, download bool, dur time.Duration, cfg quic.Config, done func(Session)) {
+	secs := messageSeconds(dur)
 	res := &Session{}
-	msgs := int(dur / messageInterval(rate))
-	finish := res.dial(node, srv, addr, port, cfg, download, msgs, (minSize+maxSize)/2, func(conn *quic.Connection) {
+	msgs := int(dur / messageInterval)
+	finish := res.dial(node, srv, cfg, download, msgs, (messageMinBytes+messageMaxBytes)/2, func(conn *quic.Connection) {
 		if download {
-			sendRequest(conn, reqMessages, params).Close()
+			sendRequest(conn, reqMessages, secs).Close()
 			return
 		}
-		rng := node.Scheduler().RNG().Stream(node.Name() + "/msgs")
-		SendMessages(conn, rng, rate, dur, minSize, maxSize)
+		sendMessages(conn, node.Scheduler().RNG().Stream(node.Name()+"/msgs"), dur)
 	})
 	node.Scheduler().After(dur+10*time.Second, func() {
 		finish()

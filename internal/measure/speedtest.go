@@ -104,7 +104,7 @@ func RunSpeedtest(p *Prober, servers []netem.Addr, cfg SpeedtestConfig, done fun
 		cands := make([]cand, len(servers))
 		remaining := len(servers)
 		for i, srv := range servers {
-			p.Echo(srv, 64, func(rtt time.Duration, ok bool) {
+			p.Echo(srv, func(rtt time.Duration, ok bool) {
 				cands[i] = cand{addr: srv, rtt: rtt, ok: ok}
 				if remaining--; remaining > 0 {
 					return

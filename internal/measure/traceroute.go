@@ -34,14 +34,22 @@ type QuotedHeader struct {
 // probeTimeout bounds each TTL-limited probe.
 const probeTimeout = 3 * time.Second
 
+// maxTTL is the farthest hop Traceroute, Tracebox and DetectPEP probe.
+const maxTTL = 24
+
+// PEPPort is the TCP port DetectPEP sends its SYNs to: a plain web
+// service on the destination.
+const PEPPort = 80
+
 // traceSrcPort is the constant source port of traceroute probes: keeping
 // it fixed makes NAT mappings — and therefore checksum residues —
 // comparable across hops.
 const traceSrcPort = 40000
 
 // Traceroute walks the path to dst with TTL-limited UDP probes
-// (serialized, one outstanding at a time) and delivers the hop list.
-func (p *Prober) Traceroute(dst netem.Addr, maxTTL int, done func([]Hop)) {
+// (serialized, one outstanding at a time), up to maxTTL hops, and
+// delivers the hop list.
+func (p *Prober) Traceroute(dst netem.Addr, done func([]Hop)) {
 	var hops []Hop
 	basePort := uint16(33434)
 	var step func(ttl int)
@@ -118,8 +126,8 @@ type TraceboxHop struct {
 
 // Tracebox runs the middlebox detector: TTL-limited probes whose quoted
 // headers are compared against what was sent (Detal et al., IMC 2013).
-func (p *Prober) Tracebox(dst netem.Addr, maxTTL int, done func([]TraceboxHop)) {
-	p.Traceroute(dst, maxTTL, func(hops []Hop) {
+func (p *Prober) Tracebox(dst netem.Addr, done func([]TraceboxHop)) {
+	p.Traceroute(dst, func(hops []Hop) {
 		out := make([]TraceboxHop, 0, len(hops))
 		for _, h := range hops {
 			th := TraceboxHop{Hop: h}
@@ -186,9 +194,9 @@ func (r PEPProbe) ProxyDetected() bool {
 	return r.SynAckAtTTL > 0 && r.SynAckAtTTL < r.PathHops
 }
 
-// DetectPEP runs the PEP probe against dst:port.
-func (p *Prober) DetectPEP(dst netem.Addr, port uint16, maxTTL int, done func(PEPProbe)) {
-	p.Traceroute(dst, maxTTL, func(hops []Hop) {
+// DetectPEP runs the PEP probe against dst:PEPPort.
+func (p *Prober) DetectPEP(dst netem.Addr, done func(PEPProbe)) {
+	p.Traceroute(dst, func(hops []Hop) {
 		res := PEPProbe{PathHops: len(hops)}
 		srcPort := uint16(45000)
 		var step func(ttl int)
@@ -228,7 +236,7 @@ func (p *Prober) DetectPEP(dst netem.Addr, port uint16, maxTTL int, done func(PE
 			}
 			pkt := p.node.NewPacket()
 			pkt.Dst = dst
-			pkt.DstPort = port
+			pkt.DstPort = PEPPort
 			pkt.SrcPort = srcPort
 			pkt.Proto = netem.ProtoTCP
 			pkt.Size = 60

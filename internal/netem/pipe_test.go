@@ -177,7 +177,7 @@ func runPipeScenario(seed int64, dp datapath, w pipeWorld) pipeOutcome {
 	s := sim.NewScheduler(uint64(seed))
 	nw := New(s)
 	if w.observe {
-		nw.Observe(obs.NewSink(0))
+		nw.Observe(obs.NewSink())
 	}
 	src := nw.NewNode("src", MustParseAddr("10.0.0.1"))
 	dst := nw.NewNode("dst", MustParseAddr("10.0.0.2"))

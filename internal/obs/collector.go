@@ -8,7 +8,7 @@ import (
 	"sync"
 )
 
-// DefaultTraceCap is the per-shard trace ring size NewSink(0) gives:
+// DefaultTraceCap is the per-shard trace ring size NewSink gives:
 // large enough to hold a quick campaign's full event stream,
 // small enough (~1.5 MB per shard) to be negligible.
 const DefaultTraceCap = 1 << 15
@@ -21,13 +21,10 @@ type Sink struct {
 	Tr  *Tracer
 }
 
-// NewSink returns a sink with an empty registry and a trace ring of the
-// given capacity (0 → DefaultTraceCap).
-func NewSink(traceCap int) *Sink {
-	if traceCap <= 0 {
-		traceCap = DefaultTraceCap
-	}
-	return &Sink{Reg: NewRegistry(), Tr: NewTracer(traceCap)}
+// NewSink returns a sink with an empty registry and a trace ring of
+// DefaultTraceCap records.
+func NewSink() *Sink {
+	return &Sink{Reg: NewRegistry(), Tr: NewTracer(DefaultTraceCap)}
 }
 
 // Registry returns the sink's registry, or nil when s is nil.

@@ -40,7 +40,7 @@ func TestNilSafety(t *testing.T) {
 		t.Fatal("nil sink accessors")
 	}
 	var col *Collector
-	col.Add("a", NewSink(0))
+	col.Add("a", NewSink())
 	if col.MergedRegistry() != nil || col.ExportMetricsJSON() != nil ||
 		col.ExportTraceJSONL() != nil || col.ExportTraceBinary() != nil || col.Snapshot() != nil || col.Overwritten() != "" {
 		t.Fatal("nil collector exports")
@@ -166,7 +166,7 @@ func TestTracerRingWrap(t *testing.T) {
 func TestCollectorNamesOverwrittenKinds(t *testing.T) {
 	c := NewCollector()
 	for _, name := range []string{"b", "a", "c"} {
-		s := NewSink(2)
+		s := &Sink{Reg: NewRegistry(), Tr: NewTracer(2)}
 		subj := s.Tr.Subject("x")
 		if name != "c" {
 			for i := 0; i < 4; i++ {
@@ -208,7 +208,7 @@ func TestKindStrings(t *testing.T) {
 
 // fillSink produces deterministic content as a function of idx only.
 func fillSink(idx int) *Sink {
-	s := NewSink(16)
+	s := &Sink{Reg: NewRegistry(), Tr: NewTracer(16)}
 	s.Reg.Counter("n").Add(uint64(idx + 1))
 	s.Reg.Gauge("g").Set(int64(idx))
 	s.Reg.Histogram("h", []int64{10}).Observe(int64(idx))

@@ -163,7 +163,7 @@ func TestPEPPassesQUICThrough(t *testing.T) {
 	sep := quic.NewEndpoint(server, 443)
 	received := 0
 	done := false
-	sep.Listen(quic.DefaultConfig(), func(c *quic.Connection) {
+	sep.Listen(quic.Config{}, func(c *quic.Connection) {
 		c.OnStream = func(st *quic.Stream) {
 			st.OnData = func(d []byte, fin bool) {
 				received += len(d)
@@ -175,7 +175,7 @@ func TestPEPPassesQUICThrough(t *testing.T) {
 	})
 	dialed := s.Now()
 	var handshake time.Duration
-	conn := cep.Dial(server.Addr(), 443, quic.DefaultConfig())
+	conn := cep.Dial(server.Addr(), 443, quic.Config{})
 	conn.OnEstablished = func() {
 		handshake = s.Now().Sub(dialed)
 		st := conn.OpenStream()
@@ -200,7 +200,7 @@ func TestPEPPassesQUICThrough(t *testing.T) {
 // crosses still exports its pep.* keys (as zeros) and its trace subject.
 func TestAttachOnObservedNetworkRegistersBeforeSplit(t *testing.T) {
 	nw := netem.New(sim.NewScheduler(1))
-	sink := obs.NewSink(0)
+	sink := obs.NewSink()
 	nw.Observe(sink)
 	Attach(nw.NewNode("teleport", netem.MustParseAddr("10.2.0.1")), tcpsim.Config{})
 

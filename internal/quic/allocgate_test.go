@@ -27,13 +27,13 @@ func allocBulk(tb testing.TB) (run func(), client, server *Connection, delivered
 		QueueBytes: 64 << 10,
 	})
 	delivered = new(uint64)
-	sep.Listen(DefaultConfig(), func(c *Connection) {
+	sep.Listen(Config{}, func(c *Connection) {
 		server = c
 		c.OnStream = func(st *Stream) {
 			st.OnData = func(data []byte, _ bool) { *delivered += uint64(len(data)) }
 		}
 	})
-	client = cep.Dial(srv, 443, DefaultConfig())
+	client = cep.Dial(srv, 443, Config{})
 	client.OnEstablished = func() { client.OpenStream().WriteZeroes(1 << 40) }
 	// Warm every freelist, ring and backing array past its steady-state
 	// high-water mark.

@@ -35,19 +35,11 @@ func newQUICObs(s *obs.Sink) *quicObs {
 	}
 }
 
-// Config carries the transport parameters of one endpoint of a
-// connection. The defaults mirror the paper's quiche configuration.
+// Config carries what differs between the transports one run compares:
+// the congestion controller, pacing and 0-RTT resumption. The zero Config
+// is the paper's quiche. Flow control and ACK timing are quiche's
+// constants below, the same at every endpoint.
 type Config struct {
-	// InitialMaxData is the connection receive window advertised at the
-	// handshake (paper: 10 MB).
-	InitialMaxData uint64
-	// InitialMaxStreamData is the per-stream receive window (paper: 10 MB).
-	InitialMaxStreamData uint64
-	// MaxReceiveWindow caps flow-control autotuning. 0 disables
-	// autotuning (the window still slides, it just never grows).
-	MaxReceiveWindow uint64
-	// MaxAckDelay bounds how long an ACK may be withheld.
-	MaxAckDelay time.Duration
 	// NewCC constructs the congestion controller; nil means CUBIC.
 	NewCC func() cc.CongestionController
 	// EnablePacing spaces ack-eliciting departures at the pacing rate
@@ -65,19 +57,22 @@ type Config struct {
 	Sessions *SessionCache
 }
 
+// quiche's transport parameters at the paper's commit. Both receive
+// windows, the connection's and each stream's, start at initialWindow
+// (initial_max_data and initial_max_stream_data, 10 MB) and autotuning
+// doubles one no further than maxWindow; an ACK is withheld at most
+// maxAckDelay. The paper's §3.3 re-run with a 150 MB window showed the
+// windows never bind on Starlink; TestDefaultWindowsNeverBlockStarlinkDownload
+// holds these constants to that.
+const (
+	initialWindow = 10 << 20
+	maxWindow     = 40 << 20
+	maxAckDelay   = 25 * time.Millisecond
+)
+
 // AckElicitingThreshold is the count of ack-eliciting packets received
 // that forces an immediate ACK (2, per RFC 9000 §13.2.2).
 const AckElicitingThreshold = 2
-
-// DefaultConfig returns the paper's quiche-equivalent configuration.
-func DefaultConfig() Config {
-	return Config{
-		InitialMaxData:       10 << 20,
-		InitialMaxStreamData: 10 << 20,
-		MaxReceiveWindow:     40 << 20,
-		MaxAckDelay:          25 * time.Millisecond,
-	}
-}
 
 // Stats aggregates connection counters.
 type Stats struct {
@@ -173,6 +168,10 @@ type Connection struct {
 	connWindow     uint64
 	needMaxData    bool
 	blockedAtLimit uint64
+	// windowCap and ackDelayCap are maxWindow and maxAckDelay; in-package
+	// tests lower them on one connection (0 stops autotuning).
+	windowCap   uint64
+	ackDelayCap time.Duration
 
 	// Streams.
 	streams      map[uint64]*Stream
@@ -209,15 +208,6 @@ type Connection struct {
 }
 
 func newConnection(ep *Endpoint, cfg Config, isClient bool, connID uint64, remote netem.Addr, remotePort uint16) *Connection {
-	if cfg.InitialMaxData == 0 {
-		cfg.InitialMaxData = DefaultConfig().InitialMaxData
-	}
-	if cfg.InitialMaxStreamData == 0 {
-		cfg.InitialMaxStreamData = DefaultConfig().InitialMaxStreamData
-	}
-	if cfg.MaxAckDelay == 0 {
-		cfg.MaxAckDelay = DefaultConfig().MaxAckDelay
-	}
 	newCC := cfg.NewCC
 	if newCC == nil {
 		newCC = func() cc.CongestionController { return cc.NewCubic(MaxPayloadSize) }
@@ -232,9 +222,11 @@ func newConnection(ep *Endpoint, cfg Config, isClient bool, connID uint64, remot
 		remotePort:    remotePort,
 		cc:            newCC(),
 		pacer:         cc.Pacer{Enabled: cfg.EnablePacing},
-		maxDataLocal:  cfg.InitialMaxData,
-		connWindow:    cfg.InitialMaxData,
-		maxDataRemote: cfg.InitialMaxData, // peers use symmetric configs in the testbed
+		maxDataLocal:  initialWindow,
+		connWindow:    initialWindow,
+		maxDataRemote: initialWindow, // every peer starts from the same window
+		windowCap:     maxWindow,
+		ackDelayCap:   maxAckDelay,
 		streams:       make(map[uint64]*Stream),
 		activeSet:     make(map[uint64]bool),
 		obs:           newQUICObs(ep.node.Network().Sink()),
@@ -288,9 +280,9 @@ func (c *Connection) newStream(id uint64) *Stream {
 	s := &Stream{
 		id:          id,
 		conn:        c,
-		maxSendData: c.cfg.InitialMaxStreamData,
-		maxRecvData: c.cfg.InitialMaxStreamData,
-		recvWindow:  c.cfg.InitialMaxStreamData,
+		maxSendData: initialWindow,
+		maxRecvData: initialWindow,
+		recvWindow:  initialWindow,
 	}
 	c.streams[id] = s
 	return s
@@ -356,7 +348,7 @@ func (c *Connection) onStreamConsumed(s *Stream, n uint64) {
 
 	// Stream window.
 	if s.maxRecvData-s.recvOffset < s.recvWindow/2 {
-		if c.cfg.MaxReceiveWindow > 0 && s.recvWindow*2 <= c.cfg.MaxReceiveWindow {
+		if s.recvWindow*2 <= c.windowCap {
 			s.recvWindow *= 2
 		}
 		s.maxRecvData = s.recvOffset + s.recvWindow
@@ -364,7 +356,7 @@ func (c *Connection) onStreamConsumed(s *Stream, n uint64) {
 	}
 	// Connection window.
 	if c.maxDataLocal-c.dataConsumed < c.connWindow/2 {
-		if c.cfg.MaxReceiveWindow > 0 && c.connWindow*2 <= c.cfg.MaxReceiveWindow {
+		if c.connWindow*2 <= c.windowCap {
 			c.connWindow *= 2
 		}
 		c.maxDataLocal = c.dataConsumed + c.connWindow
@@ -491,7 +483,7 @@ func (c *Connection) handlePacket(p *Packet) {
 		if c.elicitingSince >= AckElicitingThreshold {
 			c.ackPending = true
 		} else if !c.ackTimer.Pending() {
-			c.ackTimer = c.sched.Rearm(c.ackTimer, c.sched.Now().Add(c.cfg.MaxAckDelay), qcAckTimeout, c)
+			c.ackTimer = c.sched.Rearm(c.ackTimer, c.sched.Now().Add(c.ackDelayCap), qcAckTimeout, c)
 		}
 	}
 	c.maybeSend()
@@ -531,11 +523,9 @@ func (c *Connection) establish() {
 		// resume at 0-RTT.
 		c.cfg.Sessions.put(c.remote, c.remotePort)
 	}
-	// Advertise our real connection flow-control limit: transport
-	// parameters are not exchanged in the emulated handshake, so peers
-	// start from conservative assumptions and this update corrects an
-	// asymmetric configuration (e.g. the 150 MB receive-window
-	// ablation).
+	// Advertise our connection flow-control limit: transport parameters
+	// are not exchanged in the emulated handshake, so each peer assumes
+	// the window it starts from itself, and this update states it.
 	c.needMaxData = true
 	if c.OnEstablished != nil {
 		c.OnEstablished()
@@ -569,8 +559,8 @@ func (c *Connection) onAckReceived(ack *AckFrame, now sim.Time) {
 	if res.LargestNew != nil && res.LargestNew.pn == ack.Largest() {
 		sample := now.Sub(res.LargestNew.sentAt)
 		delay := ack.AckDelay
-		if delay > c.cfg.MaxAckDelay {
-			delay = c.cfg.MaxAckDelay
+		if delay > c.ackDelayCap {
+			delay = c.ackDelayCap
 		}
 		c.rtt.UpdateAt(now, sample, delay)
 		if c.OnRTTSample != nil {
@@ -648,7 +638,7 @@ func (c *Connection) setTimer() {
 	case lossMode:
 		c.timer = c.sched.Rearm(c.timer, max(at, now), qcLossTimer, c)
 	case c.ld.HasUnacked():
-		pto := c.rtt.PTO(c.cfg.MaxAckDelay) << uint(c.ptoCount)
+		pto := c.rtt.PTO(c.ackDelayCap) << uint(c.ptoCount)
 		c.timer = c.sched.Rearm(c.timer, max(c.lastElicitingSent.Add(pto), now), qcPTO, c)
 	default:
 		c.timer.Stop()

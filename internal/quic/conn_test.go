@@ -26,10 +26,10 @@ func pair(t testing.TB, cfg netem.LinkConfig) (*sim.Scheduler, *Endpoint, *Endpo
 
 func TestHandshakeCompletesInOneRTT(t *testing.T) {
 	s, cep, sep, srv := pair(t, netem.LinkConfig{Delay: netem.ConstantDelay(25 * time.Millisecond)})
-	sep.Listen(DefaultConfig(), func(c *Connection) {})
+	sep.Listen(Config{}, func(c *Connection) {})
 
 	var establishedAt sim.Time
-	conn := cep.Dial(srv, 443, DefaultConfig())
+	conn := cep.Dial(srv, 443, Config{})
 	conn.OnEstablished = func() { establishedAt = s.Now() }
 	s.RunFor(2 * time.Second)
 
@@ -52,7 +52,7 @@ func TestBulkTransferDelivery(t *testing.T) {
 
 	var received int
 	done := false
-	sep.Listen(DefaultConfig(), func(c *Connection) {
+	sep.Listen(Config{}, func(c *Connection) {
 		c.OnStream = func(st *Stream) {
 			st.OnData = func(data []byte, fin bool) {
 				received += len(data)
@@ -63,7 +63,7 @@ func TestBulkTransferDelivery(t *testing.T) {
 		}
 	})
 
-	conn := cep.Dial(srv, 443, DefaultConfig())
+	conn := cep.Dial(srv, 443, Config{})
 	conn.OnEstablished = func() {
 		st := conn.OpenStream()
 		st.WriteZeroes(total)
@@ -104,7 +104,7 @@ func TestBulkTransferWithLossCompletesAndRetransmits(t *testing.T) {
 
 	var received int
 	done := false
-	sep.Listen(DefaultConfig(), func(c *Connection) {
+	sep.Listen(Config{}, func(c *Connection) {
 		c.OnStream = func(st *Stream) {
 			st.OnData = func(data []byte, fin bool) {
 				received += len(data)
@@ -114,7 +114,7 @@ func TestBulkTransferWithLossCompletesAndRetransmits(t *testing.T) {
 			}
 		}
 	})
-	conn := cep.Dial(srvAddr(b), 443, DefaultConfig())
+	conn := cep.Dial(srvAddr(b), 443, Config{})
 	conn.OnEstablished = func() {
 		st := conn.OpenStream()
 		st.WriteZeroes(total)
@@ -140,7 +140,7 @@ func srvAddr(n *netem.Node) netem.Addr { return n.Addr() }
 func fakeConn(isClient bool) *Connection {
 	node := netem.New(sim.NewScheduler(1)).NewNode("x", netem.MustParseAddr("10.0.0.1"))
 	ep := NewEndpoint(node, 1)
-	c := newConnection(ep, DefaultConfig(), isClient, 1, netem.MustParseAddr("10.0.0.2"), 1)
+	c := newConnection(ep, Config{}, isClient, 1, netem.MustParseAddr("10.0.0.2"), 1)
 	ep.conns[1] = c
 	return c
 }
@@ -164,7 +164,7 @@ func TestReceiverSeesPacketNumberGapsOnLoss(t *testing.T) {
 	sep := NewEndpoint(b, 443)
 	var serverConn *Connection
 	done := false
-	sep.Listen(DefaultConfig(), func(c *Connection) {
+	sep.Listen(Config{}, func(c *Connection) {
 		serverConn = c
 		c.OnStream = func(st *Stream) {
 			st.OnData = func(_ []byte, fin bool) {
@@ -174,7 +174,7 @@ func TestReceiverSeesPacketNumberGapsOnLoss(t *testing.T) {
 			}
 		}
 	})
-	conn := cep.Dial(b.Addr(), 443, DefaultConfig())
+	conn := cep.Dial(b.Addr(), 443, Config{})
 	conn.OnEstablished = func() {
 		st := conn.OpenStream()
 		st.WriteZeroes(total)
@@ -205,12 +205,15 @@ func TestReceiverSeesPacketNumberGapsOnLoss(t *testing.T) {
 	}
 }
 
-func TestFlowControlLimitsInFlightData(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.InitialMaxData = 64 << 10
-	cfg.InitialMaxStreamData = 64 << 10
-	cfg.MaxReceiveWindow = 0 // no autotuning
+// setConnWindow replaces quiche's 10 MB connection window of c, autotuned
+// up to 40 MB, with w, autotuned up to limit (0: the window only slides).
+// Set on both peers before data flows.
+func setConnWindow(c *Connection, w, limit uint64) {
+	c.maxDataLocal, c.connWindow, c.maxDataRemote = w, w, w
+	c.windowCap = limit
+}
 
+func TestFlowControlLimitsInFlightData(t *testing.T) {
 	// Very slow "receiver" side: a thin link so data dribbles.
 	s, cep, sep, srv := pair(t, netem.LinkConfig{
 		RateBps: 10e6,
@@ -218,7 +221,8 @@ func TestFlowControlLimitsInFlightData(t *testing.T) {
 	})
 	received := 0
 	done := false
-	sep.Listen(cfg, func(c *Connection) {
+	sep.Listen(Config{}, func(c *Connection) {
+		setConnWindow(c, 64<<10, 0)
 		c.OnStream = func(st *Stream) {
 			st.OnData = func(d []byte, fin bool) {
 				received += len(d)
@@ -228,7 +232,8 @@ func TestFlowControlLimitsInFlightData(t *testing.T) {
 			}
 		}
 	})
-	conn := cep.Dial(srv, 443, cfg)
+	conn := cep.Dial(srv, 443, Config{})
+	setConnWindow(conn, 64<<10, 0)
 	const total = 512 << 10
 	conn.OnEstablished = func() {
 		st := conn.OpenStream()
@@ -251,7 +256,7 @@ func TestMessageStreamsArriveIntact(t *testing.T) {
 		fin   bool
 	}
 	got := map[uint64]*msg{}
-	sep.Listen(DefaultConfig(), func(c *Connection) {
+	sep.Listen(Config{}, func(c *Connection) {
 		c.OnStream = func(st *Stream) {
 			m := &msg{}
 			got[st.id] = m
@@ -263,7 +268,7 @@ func TestMessageStreamsArriveIntact(t *testing.T) {
 			}
 		}
 	})
-	conn := cep.Dial(srv, 443, DefaultConfig())
+	conn := cep.Dial(srv, 443, Config{})
 	sizes := []int{5000, 12000, 25000, 8000, 17000}
 	conn.OnEstablished = func() {
 		for i, size := range sizes {
@@ -290,8 +295,8 @@ func TestMessageStreamsArriveIntact(t *testing.T) {
 
 func TestRTTSamplesReflectPathDelay(t *testing.T) {
 	s, cep, sep, srv := pair(t, netem.LinkConfig{Delay: netem.ConstantDelay(40 * time.Millisecond)})
-	sep.Listen(DefaultConfig(), func(c *Connection) {})
-	conn := cep.Dial(srv, 443, DefaultConfig())
+	sep.Listen(Config{}, func(c *Connection) {})
+	conn := cep.Dial(srv, 443, Config{})
 	var samples []time.Duration
 	conn.OnRTTSample = func(_ sim.Time, rtt time.Duration) { samples = append(samples, rtt) }
 	conn.OnEstablished = func() {
@@ -327,13 +332,11 @@ func TestNoPacingSendsBackToBackBursts(t *testing.T) {
 		b.AddRoute(a.Addr(), ba)
 		cep := NewEndpoint(a, 5000)
 		sep := NewEndpoint(b, 443)
-		// Near-immediate ACKs: with the default 25 ms MaxAckDelay, a
+		// Near-immediate ACKs: with quiche's 25 ms maximum ACK delay, a
 		// delayed ACK on an odd tail packet inflates the max sample by
 		// more than the queueing under test in both runs.
-		scfg := DefaultConfig()
-		scfg.MaxAckDelay = time.Millisecond
-		sep.Listen(scfg, func(c *Connection) {})
-		ccfg := DefaultConfig()
+		sep.Listen(Config{}, func(c *Connection) { c.ackDelayCap = time.Millisecond })
+		ccfg := Config{}
 		ccfg.EnablePacing = pacing
 		// Pin the window so the two runs differ only in packet spacing:
 		// slow-start overshoot would otherwise dominate the max-RTT sample
@@ -372,8 +375,8 @@ func TestNoPacingSendsBackToBackBursts(t *testing.T) {
 func TestConnectionClose(t *testing.T) {
 	s, cep, sep, srv := pair(t, netem.LinkConfig{Delay: netem.ConstantDelay(10 * time.Millisecond)})
 	var serverConn *Connection
-	sep.Listen(DefaultConfig(), func(c *Connection) { serverConn = c })
-	conn := cep.Dial(srv, 443, DefaultConfig())
+	sep.Listen(Config{}, func(c *Connection) { serverConn = c })
+	conn := cep.Dial(srv, 443, Config{})
 	closed := false
 	conn.OnEstablished = func() {
 		conn.Close(0, "bye")
@@ -401,8 +404,8 @@ func TestHandshakeRetransmitsAfterTotalLossWindow(t *testing.T) {
 	b.AddRoute(a.Addr(), ba)
 	cep := NewEndpoint(a, 5000)
 	sep := NewEndpoint(b, 443)
-	sep.Listen(DefaultConfig(), func(c *Connection) {})
-	conn := cep.Dial(b.Addr(), 443, DefaultConfig())
+	sep.Listen(Config{}, func(c *Connection) {})
+	conn := cep.Dial(b.Addr(), 443, Config{})
 	s.RunFor(10 * time.Second)
 	if conn.state != stateEstablished {
 		t.Fatal("handshake never recovered from initial outage")
@@ -443,7 +446,7 @@ func TestDuplicateDeliveryIgnored(t *testing.T) {
 	received := 0
 	done := false
 	var sconn *Connection
-	sep.Listen(DefaultConfig(), func(c *Connection) {
+	sep.Listen(Config{}, func(c *Connection) {
 		sconn = c
 		c.OnStream = func(st *Stream) {
 			st.OnData = func(d []byte, fin bool) {
@@ -454,7 +457,7 @@ func TestDuplicateDeliveryIgnored(t *testing.T) {
 			}
 		}
 	})
-	conn := cep.Dial(b.Addr(), 443, DefaultConfig())
+	conn := cep.Dial(b.Addr(), 443, Config{})
 	const total = 64 << 10
 	conn.OnEstablished = func() {
 		st := conn.OpenStream()
@@ -552,6 +555,105 @@ func TestCryptoReassemblyAdvancesHandshakeAtPrefix(t *testing.T) {
 	}
 }
 
+// frames is a device that hands count every frame of each QUIC datagram
+// arriving at its node.
+func frames(t *testing.T, count func(Frame)) netem.DeviceFunc {
+	return func(_ *netem.Node, pkt *netem.Packet) bool {
+		if w, ok := pkt.Payload.(*wireBuf); ok {
+			p, err := Parse(w.b)
+			if err != nil {
+				t.Fatalf("undecodable datagram: %v", err)
+			}
+			for _, f := range p.Frames {
+				count(f)
+			}
+		}
+		return true
+	}
+}
+
+// The paper's §3.3 finding, that quiche's 10 MB receive windows never bind
+// on Starlink, as a property of the constants. Its re-run raised the
+// windows to 150 MB and saw no gain; here a 100 MB download with quiche's
+// windows ends no later than the same download with 150 MB windows, over a
+// path faster than the Starlink downlinks the model draws: 1 Gbit/s, 4.9
+// times the model's 205 Mbit/s median and more than six standard
+// deviations of its log-normal draw above it, with a 50 ms RTT and the
+// CPE's 2.5 MB queue (6.25 MB of BDP and 2.5 MB of queue, under the
+// 10 MB window). With 4 MB windows (autotuned up to 8 MB) it ends 0.7 s
+// later, and the sender reports its stall on connection flow control with
+// a DATA_BLOCKED; with quiche's it sends none.
+func TestDefaultWindowsNeverBlockStarlinkDownload(t *testing.T) {
+	quiche, blocked := windowedDownload(t, 0)
+	wide, _ := windowedDownload(t, 150<<20)
+	if quiche > wide {
+		t.Errorf("100 MB download: %v with quiche's windows, %v with 150 MB windows; the windows bind", quiche, wide)
+	}
+	if blocked != 0 {
+		t.Errorf("%d DATA_BLOCKED frames with quiche's windows", blocked)
+	}
+}
+
+// windowedDownload runs the download TestDefaultWindowsNeverBlockStarlinkDownload
+// describes, with every receive window widened to wide (0: quiche's), and
+// returns how long it took and how many DATA_BLOCKED frames reached the
+// client.
+func windowedDownload(t *testing.T, wide uint64) (time.Duration, int) {
+	s, cep, sep, srv := pair(t, netem.LinkConfig{
+		RateBps:    1e9,
+		Delay:      netem.ConstantDelay(25 * time.Millisecond),
+		QueueBytes: 2560 << 10,
+	})
+	const total = 100 << 20
+	blocked := 0
+	cep.node.AttachDevice(frames(t, func(f Frame) {
+		if _, ok := f.(*DataBlockedFrame); ok {
+			blocked++
+		}
+	}))
+	widen := func(c *Connection) {
+		if wide > 0 {
+			setConnWindow(c, wide, 2*wide)
+		}
+	}
+	sep.Listen(Config{}, func(c *Connection) {
+		widen(c)
+		c.OnStream = func(st *Stream) {
+			if wide > 0 {
+				st.maxSendData = wide
+			}
+			st.OnData = func(_ []byte, fin bool) {
+				if fin {
+					st.WriteZeroes(total)
+					st.Close()
+				}
+			}
+		}
+	})
+	conn := cep.Dial(srv, 443, Config{})
+	widen(conn)
+	received, end := 0, sim.Time(-1)
+	conn.OnEstablished = func() {
+		st := conn.OpenStream()
+		if wide > 0 {
+			st.maxRecvData, st.recvWindow = wide, wide
+		}
+		st.OnData = func(d []byte, fin bool) {
+			received += len(d)
+			if fin {
+				end = s.Now()
+			}
+		}
+		st.Write([]byte{1})
+		st.Close()
+	}
+	s.RunFor(30 * time.Second)
+	if end < 0 || received != total {
+		t.Fatalf("download: %d of %d bytes, fin %v", received, total, end >= 0)
+	}
+	return time.Duration(end), blocked
+}
+
 // A sender stalled on connection flow control says so once per limit: it
 // sends one DATA_BLOCKED for each MAX_DATA value it runs into, never a
 // second for the same one, and the transfer completes as the receiver's
@@ -559,37 +661,22 @@ func TestCryptoReassemblyAdvancesHandshakeAtPrefix(t *testing.T) {
 // only slides, so a 1 MB transfer stalls on it again and again.
 func TestDataBlockedOncePerLimit(t *testing.T) {
 	s, cep, sep, srv := pair(t, netem.LinkConfig{RateBps: 20e6, Delay: netem.ConstantDelay(10 * time.Millisecond)})
-	cfg := DefaultConfig()
-	cfg.InitialMaxData, cfg.MaxReceiveWindow = 64<<10, 0
 	blocked := map[uint64]int{}
 	maxData := 0
-	frames := func(count func(Frame)) netem.DeviceFunc {
-		return func(_ *netem.Node, pkt *netem.Packet) bool {
-			if w, ok := pkt.Payload.(*wireBuf); ok {
-				p, err := Parse(w.b)
-				if err != nil {
-					t.Fatalf("undecodable datagram: %v", err)
-				}
-				for _, f := range p.Frames {
-					count(f)
-				}
-			}
-			return true
-		}
-	}
-	sep.node.AttachDevice(frames(func(f Frame) {
+	sep.node.AttachDevice(frames(t, func(f Frame) {
 		if db, ok := f.(*DataBlockedFrame); ok {
 			blocked[db.Limit]++
 		}
 	}))
-	cep.node.AttachDevice(frames(func(f Frame) {
+	cep.node.AttachDevice(frames(t, func(f Frame) {
 		if _, ok := f.(*MaxDataFrame); ok {
 			maxData++
 		}
 	}))
 	const total = 1 << 20
 	received, done := 0, false
-	sep.Listen(cfg, func(c *Connection) {
+	sep.Listen(Config{}, func(c *Connection) {
+		setConnWindow(c, 64<<10, 0)
 		c.OnStream = func(st *Stream) {
 			st.OnData = func(d []byte, fin bool) {
 				received += len(d)
@@ -597,7 +684,8 @@ func TestDataBlockedOncePerLimit(t *testing.T) {
 			}
 		}
 	})
-	conn := cep.Dial(srv, 443, cfg)
+	conn := cep.Dial(srv, 443, Config{})
+	setConnWindow(conn, 64<<10, 0)
 	conn.OnEstablished = func() {
 		st := conn.OpenStream()
 		st.WriteZeroes(total)

@@ -187,7 +187,7 @@ func (p *reorderPath) transfer(t *testing.T) (want, got []byte, client, server S
 	p.nextClientPort++
 	done := false
 	var sconn *Connection
-	p.server.Listen(DefaultConfig(), func(c *Connection) {
+	p.server.Listen(Config{}, func(c *Connection) {
 		sconn = c
 		c.OnStream = func(st *Stream) {
 			st.OnData = func(data []byte, fin bool) {
@@ -196,7 +196,7 @@ func (p *reorderPath) transfer(t *testing.T) (want, got []byte, client, server S
 			}
 		}
 	})
-	conn := cep.Dial(b.Addr(), 443, DefaultConfig())
+	conn := cep.Dial(b.Addr(), 443, Config{})
 	conn.OnEstablished = func() {
 		st := conn.OpenStream()
 		r := rand.New(rand.NewPCG(1, 1))
@@ -372,8 +372,8 @@ func TestTeardownReturnsWaitingChunks(t *testing.T) {
 		return true
 	}))
 	var sconn *Connection
-	sep.Listen(DefaultConfig(), func(c *Connection) { sconn = c })
-	conn := cep.Dial(srv, 443, DefaultConfig())
+	sep.Listen(Config{}, func(c *Connection) { sconn = c })
+	conn := cep.Dial(srv, 443, Config{})
 	conn.OnEstablished = func() { conn.OpenStream().WriteZeroes(1 << 20) }
 	waiting := 0
 	var watch func()
@@ -443,14 +443,12 @@ func TestPTOProbeAndOriginalBothLost(t *testing.T) {
 	sep := NewEndpoint(b, 443)
 
 	var got []byte
-	sep.Listen(DefaultConfig(), func(c *Connection) {
+	sep.Listen(Config{}, func(c *Connection) {
 		c.OnStream = func(st *Stream) {
 			st.OnData = func(data []byte, fin bool) { got = append(got, data...) }
 		}
 	})
-	cfg := DefaultConfig()
-	cfg.NewCC = func() cc.CongestionController { return oneInFlight{} }
-	conn := cep.Dial(b.Addr(), 443, cfg)
+	conn := cep.Dial(b.Addr(), 443, Config{NewCC: func() cc.CongestionController { return oneInFlight{} }})
 	payload := bytes.Repeat([]byte("0123456789abcdef"), 75) // 1200 bytes: one packet
 	s.After(150*time.Millisecond, func() {
 		st := conn.OpenStream()

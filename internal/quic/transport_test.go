@@ -34,7 +34,7 @@ func TestZeroRTTResumptionSkipsHandshakeRTT(t *testing.T) {
 	sep := NewEndpoint(b, 443)
 	finAt := make(map[uint64]sim.Time) // stream fin receipt per conn ID
 	var order []uint64
-	sep.Listen(DefaultConfig(), func(c *Connection) {
+	sep.Listen(Config{}, func(c *Connection) {
 		id := c.connID
 		order = append(order, id)
 		c.OnStream = func(st *Stream) {
@@ -49,9 +49,7 @@ func TestZeroRTTResumptionSkipsHandshakeRTT(t *testing.T) {
 	sessions := NewSessionCache()
 	dial := func(port uint16, sessions *SessionCache) *Connection {
 		cep := NewEndpoint(a, port)
-		ccfg := DefaultConfig()
-		ccfg.Sessions = sessions
-		conn := cep.Dial(b.Addr(), 443, ccfg)
+		conn := cep.Dial(b.Addr(), 443, Config{Sessions: sessions})
 		conn.OnEstablished = func() {
 			st := conn.OpenStream()
 			st.WriteZeroes(size)
@@ -136,7 +134,7 @@ func TestHandoverReorderingNoSpuriousLoss(t *testing.T) {
 			sep := NewEndpoint(b, 443)
 			received := 0
 			done := false
-			sep.Listen(DefaultConfig(), func(c *Connection) {
+			sep.Listen(Config{}, func(c *Connection) {
 				c.OnStream = func(st *Stream) {
 					st.OnData = func(data []byte, fin bool) {
 						received += len(data)
@@ -146,7 +144,7 @@ func TestHandoverReorderingNoSpuriousLoss(t *testing.T) {
 					}
 				}
 			})
-			conn := cep.Dial(b.Addr(), 443, DefaultConfig())
+			conn := cep.Dial(b.Addr(), 443, Config{})
 			conn.OnEstablished = func() {
 				st := conn.OpenStream()
 				st.WriteZeroes(total)
@@ -187,9 +185,7 @@ func TestMinRTTFilterFollowsController(t *testing.T) {
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			node := netem.New(sim.NewScheduler(1)).NewNode("x", netem.MustParseAddr("10.0.0.1"))
-			cfg := DefaultConfig()
-			cfg.NewCC = c.newCC
-			conn := newConnection(NewEndpoint(node, 1), cfg, true, 1, netem.MustParseAddr("10.0.0.2"), 1)
+			conn := newConnection(NewEndpoint(node, 1), Config{NewCC: c.newCC}, true, 1, netem.MustParseAddr("10.0.0.2"), 1)
 			conn.rtt.UpdateAt(0, 40*time.Millisecond, 0)
 			conn.rtt.UpdateAt(sim.Time(11*time.Second), 60*time.Millisecond, 0)
 			if got := conn.rtt.Min(); got != c.want {

@@ -84,6 +84,10 @@ const (
 	MSS = 1460
 	// minRTO floors the retransmission timeout.
 	minRTO = 200 * time.Millisecond
+	// maxRTOs is how many consecutive retransmission timeouts an
+	// established connection survives (Linux tcp_retries2): the next one
+	// tears it down, sending nothing.
+	maxRTOs = 15
 	// delayedAck is the delayed-ACK timer.
 	delayedAck = 40 * time.Millisecond
 	// serverProcessing is the server-side compute delay before each TLS
@@ -742,6 +746,12 @@ func (c *Conn) restartRTO() {
 
 func (c *Conn) onRTO() {
 	if c.state != StateEstablished || c.outstanding() == 0 {
+		return
+	}
+	if c.rtoCount >= maxRTOs {
+		// The peer is gone (its RST was lost, or it never answers):
+		// give up, like the handshake does after its retries.
+		c.teardown()
 		return
 	}
 	c.rtoCount++

@@ -108,7 +108,7 @@ func TestCaptureEndToEnd(t *testing.T) {
 	sep := quic.NewEndpoint(b, 443)
 	var cap Capture
 	done := false
-	sep.Listen(quic.DefaultConfig(), func(c *quic.Connection) {
+	sep.Listen(quic.Config{}, func(c *quic.Connection) {
 		cap.AttachReceiver(c)
 		c.OnStream = func(st *quic.Stream) {
 			st.OnData = func(_ []byte, fin bool) {
@@ -118,7 +118,7 @@ func TestCaptureEndToEnd(t *testing.T) {
 			}
 		}
 	})
-	conn := cep.Dial(b.Addr(), 443, quic.DefaultConfig())
+	conn := cep.Dial(b.Addr(), 443, quic.Config{})
 	var rtts RTTRecorder
 	rtts.Attach(conn)
 	conn.OnEstablished = func() {

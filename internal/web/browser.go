@@ -18,10 +18,14 @@ type Request struct {
 // RequestBytes is the modeled HTTP request size.
 const RequestBytes = 430
 
+// httpsPort is the TCP port web servers listen on and browsers connect to:
+// every site is served over HTTPS.
+const httpsPort = 443
+
 // Server hosts web content on a node: it answers each Request message
 // with the requested number of bytes after the request's processing time.
-func Server(node *netem.Node, port uint16, cfg tcpsim.Config) {
-	tcpsim.Listen(node, port, cfg, func(c *tcpsim.Conn) {
+func Server(node *netem.Node, cfg tcpsim.Config) {
+	tcpsim.Listen(node, httpsPort, cfg, func(c *tcpsim.Conn) {
 		sched := node.Scheduler()
 		c.OnMsg = func(m any) {
 			req, ok := m.(Request)
@@ -37,8 +41,8 @@ func Server(node *netem.Node, port uint16, cfg tcpsim.Config) {
 	})
 }
 
-// Resolver maps a site's domain index to a host address and port.
-type Resolver func(domain int) (netem.Addr, uint16)
+// Resolver maps a site's domain index to the address of its server.
+type Resolver func(domain int) netem.Addr
 
 // Browser drives page visits from a node. The model follows what
 // BrowserTime measures: network fetches over per-domain connections
@@ -191,9 +195,8 @@ func (b *Browser) Visit(site *Site, done func(VisitResult)) {
 		if vc, ok := conns[domain]; ok {
 			return vc
 		}
-		addr, port := b.Resolve(domain)
 		vc := &visitConn{}
-		vc.conn = tcpsim.Dial(b.Node, addr, port, b.TCP)
+		vc.conn = tcpsim.Dial(b.Node, b.Resolve(domain), httpsPort, b.TCP)
 		conns[domain] = vc
 		res.Connections++
 		vc.conn.OnEstablished = func() {

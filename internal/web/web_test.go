@@ -91,12 +91,12 @@ func webTestbed(t *testing.T, access netem.LinkConfig, rttToServers time.Duratio
 		g2s, s2g := nw.Connect(gw, servers[i], core)
 		gw.AddRoute(servers[i].Addr(), g2s)
 		servers[i].SetDefaultRoute(s2g)
-		Server(servers[i], 443, cfg)
+		Server(servers[i], cfg)
 	}
 	b := &Browser{
 		Node: client,
-		Resolve: func(domain int) (netem.Addr, uint16) {
-			return servers[domain%pool].Addr(), 443
+		Resolve: func(domain int) netem.Addr {
+			return servers[domain%pool].Addr()
 		},
 		TCP:      cfg,
 		Deadline: 120 * time.Second,
