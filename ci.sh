@@ -3,7 +3,7 @@
 # mechanisms and hand-declared shared flags coming back through a merge,
 # build, a run of the four examples, the test suite under the race
 # detector (which runs every sim.Workers fan-out), the allocation gates in
-# a plain pass, six fuzz smokes, ten race-detector rounds of the fleet's
+# a plain pass, seven fuzz smokes, ten race-detector rounds of the fleet's
 # pooled scan and of the fork/join pool, and two short runs of the repo
 # benchmark. Equivalence is proven by tests, not here: every fast path is
 # compared with an oracle in its package's _test.go files, and the
@@ -94,9 +94,11 @@ echo "== no deleted mechanism in non-test code (DESIGN.md: Independent traffic s
 # value for (the message request's rate and size fields, MessageParams and
 # checkMessages' rate and size cases, now measure's constants; core's
 # latencyProbes, now measure.MonitorProbes; the traceroutes' maxTTL, now
-# measure's maxTTL). The patterns are declarations, so that calls of
+# measure's maxTTL), and QUIC's reassembly chunks (a segment's chunk
+# *wireBuf and its seg.chunk reads: data that waits out of order is kept
+# by reference). The patterns are declarations, so that calls of
 # TimerHandle.Stop/Pending and time.Time.Before do not match.
-if grep -rnE 'PartitionedDriver|CrossEdge|AddCrossLink|snapshotRing|peekSnapshot|delayRing|islMemo|candCount|referenceReassignAt|epochPool|runPhase|phaseAssign|WirePoolStats struct|pktRing|txRing|frameQueue|rangeSet|byteRanges|cryptoRecv|offRange|compactMin|nstopped|\) compact\(|rebuildFIB|rebuildHandlers|fibDirty|hDirty|fibGroups|msgsInOrder|insertMsgKey|Hops \[\]Addr|wireFree|chunkFree|sentFree|frameFree|AnalyzeSenderView|obs\.Options|\(p \*Prober\) Observe|\(p \*Proxy\) Observe|pep\.New\(|NewNewReno|KindEnqueue|KindDequeue|IdleDecay|decayAfterIdle|AllowMigration|PathMigrations|PacingBurst|UnmarshalProfiles|LinkConfigs|"scenario\.workers"|sizesFor|paperScenario|prevSat|observeEpoch|observeCellInto|observeRange|assignRange|assignBlock|admitRow|candFill|scanSats|buildCandidates|candStart|candUB|satGwAt|RenderTraffic|TrafficWall|TrafficTerminals|TrafficSpan|computeAssignmentFull|reassignAt|\) DelayFunc\(|\) Handovers\(|EnableZeroRTT|RTTMinWindow|modernMinRTTWindow|MinElevationDeg|WebSites|MaxBacklog|(^|[^A-Za-z])CentralAngleRad|NodeByName|LargestSentPN|ParseFrames|func \(p \*Packet\) (Detach|Clone|Gen|Pooled)\(|\) ReleasePacket\(|PayloadSharer|SharePayload|\.Share\(\)|Shared +uint64|func \(s \*Scheduler\) (Step|Stop|Pending)\(|func \(t Time\) (Before|After)\(|func \(g \*Gauge\) (Add|Value)\(|func \(b \*BBR\) State\(|RunMessagesCampaignCfg|func \(nw \*Network\) (TCPSegmentPool|SetTCPSegmentPool|QUICWirePool|SetQUICWirePool|ICMPPoolStats)\(|(tcpSegPool|quicWirePool) +TransportPool|func (SegmentPoolStats|RingPoolStats|WirePoolStats|SentPoolStats|FramePoolStats)\(|func \([a-z] \*(BBR|Cubic|Fixed)\) (Name|InSlowStart)\(|MappingTimeout +time\.Duration|^	(Nanosecond|Microsecond|Millisecond|Second|Minute|Hour) += time\.|MessageParams|func checkMessages\(|message (rate|minSize|maxSize) %d|latencyProbes|maxTTL int' --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark .; then
+if grep -rnE 'PartitionedDriver|CrossEdge|AddCrossLink|snapshotRing|peekSnapshot|delayRing|islMemo|candCount|referenceReassignAt|epochPool|runPhase|phaseAssign|WirePoolStats struct|pktRing|txRing|frameQueue|rangeSet|byteRanges|cryptoRecv|offRange|compactMin|nstopped|\) compact\(|rebuildFIB|rebuildHandlers|fibDirty|hDirty|fibGroups|msgsInOrder|insertMsgKey|Hops \[\]Addr|wireFree|chunkFree|sentFree|frameFree|AnalyzeSenderView|obs\.Options|\(p \*Prober\) Observe|\(p \*Proxy\) Observe|pep\.New\(|NewNewReno|KindEnqueue|KindDequeue|IdleDecay|decayAfterIdle|AllowMigration|PathMigrations|PacingBurst|UnmarshalProfiles|LinkConfigs|"scenario\.workers"|sizesFor|paperScenario|prevSat|observeEpoch|observeCellInto|observeRange|assignRange|assignBlock|admitRow|candFill|scanSats|buildCandidates|candStart|candUB|satGwAt|RenderTraffic|TrafficWall|TrafficTerminals|TrafficSpan|computeAssignmentFull|reassignAt|\) DelayFunc\(|\) Handovers\(|EnableZeroRTT|RTTMinWindow|modernMinRTTWindow|MinElevationDeg|WebSites|MaxBacklog|(^|[^A-Za-z])CentralAngleRad|NodeByName|LargestSentPN|ParseFrames|func \(p \*Packet\) (Detach|Clone|Gen|Pooled)\(|\) ReleasePacket\(|PayloadSharer|SharePayload|\.Share\(\)|Shared +uint64|func \(s \*Scheduler\) (Step|Stop|Pending)\(|func \(t Time\) (Before|After)\(|func \(g \*Gauge\) (Add|Value)\(|func \(b \*BBR\) State\(|RunMessagesCampaignCfg|func \(nw \*Network\) (TCPSegmentPool|SetTCPSegmentPool|QUICWirePool|SetQUICWirePool|ICMPPoolStats)\(|(tcpSegPool|quicWirePool) +TransportPool|func (SegmentPoolStats|RingPoolStats|WirePoolStats|SentPoolStats|FramePoolStats)\(|func \([a-z] \*(BBR|Cubic|Fixed)\) (Name|InSlowStart)\(|MappingTimeout +time\.Duration|^	(Nanosecond|Microsecond|Millisecond|Second|Minute|Hour) += time\.|MessageParams|func checkMessages\(|message (rate|minSize|maxSize) %d|latencyProbes|maxTTL int|chunk \*wireBuf|seg\.chunk' --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark .; then
     echo "a deleted mechanism is named above" >&2
     exit 1
 fi
@@ -222,6 +224,14 @@ echo "== link pipe fuzz smoke (5 s against per-packet timers)"
 # delivers and drops as one timer per packet event would, and runs one
 # event fewer for each packet it carried in one.
 go test ./internal/netem -run '^$' -fuzz 'FuzzLinkPipe' -fuzztime 5s
+
+echo "== QUIC wire refs fuzz smoke (5 s against Parse(Serialize(...)))"
+# Fuzzed packets — STREAM and CRYPTO payloads, empty and FIN-only frames,
+# ACKs of 1 to 32 ranges, some a receiver's next ACK — encoded with their
+# payloads by reference and ACK tails reused, then parsed with the refs by
+# one parser whose ACK memo carries over: the packet, its Size and the
+# errors for refs that do not match the frames are the flat codec's.
+go test ./internal/quic -run '^$' -fuzz 'FuzzWireRefs' -fuzztime 5s
 
 echo "== fleet cell index fuzz smoke (10 s against the all-satellites scan)"
 # Any position a terminal can stand at: every satellite it sees is in its

@@ -9,6 +9,7 @@ import (
 	"starlinkperf/internal/measure"
 	"starlinkperf/internal/netem"
 	"starlinkperf/internal/netem/netemtest"
+	"starlinkperf/internal/quic"
 	"starlinkperf/internal/sim"
 	"starlinkperf/internal/tcpsim"
 	"starlinkperf/internal/wehe"
@@ -70,12 +71,11 @@ func poolsOf(nw *netem.Network) map[string]sim.PoolStats {
 
 // runPoolStages runs stages one after another on tb and checks after each
 // that every object drawn from a pool — a packet, an ICMP body, a TCP
-// segment or in-flight ring, a QUIC wire buffer or reassembly chunk, sent
-// record or STREAM frame — is back in it once its packet reached a
-// terminal point (delivered, consumed by the PEP, dropped by a queue, a
-// loss model or an outage; quoted by an ICMP error that did), its data was
-// delivered or its connection closed. It returns the counters after each
-// stage.
+// segment or in-flight ring, a QUIC wire buffer, sent record or STREAM
+// frame — is back in it once its packet reached a terminal point
+// (delivered, consumed by the PEP, dropped by a queue, a loss model or an
+// outage; quoted by an ICMP error that did) or its connection closed. It
+// returns the counters after each stage.
 func runPoolStages(t *testing.T, tb *Testbed, stages []poolStage) []map[string]sim.PoolStats {
 	t.Helper()
 	snaps := make([]map[string]sim.PoolStats, 0, len(stages))
@@ -106,14 +106,16 @@ func runPoolStages(t *testing.T, tb *Testbed, stages []poolStage) []map[string]s
 
 // Every wire buffer a QUIC endpoint hands to the datapath, and every
 // packet carrying one, comes back once its packet reached a terminal
-// point, and every reassembly chunk once its data was delivered, after
-// completed transfers in each direction over Starlink and over the wired
-// path, on both ends of every connection. The buffers are the network's:
+// point, after completed transfers in each direction over Starlink and
+// over the wired path, on both ends of every connection. Each packet sent
+// draws one buffer and nothing else draws any: the data behind a lost
+// packet waits out of order by reference. The buffers are the network's:
 // each transfer dials a fresh client endpoint, and all of them draw from
 // one pool.
 func TestWireBufferPoolConservation(t *testing.T) {
 	tb := NewTestbed(DefaultConfig())
-	var lost, sent uint64
+	var lost uint64
+	var conns []*quic.Connection
 	h3 := func(name string, run func() *H3Campaign) poolStage {
 		return poolStage{name: name, h3: true, run: func() {
 			camp := run()
@@ -122,7 +124,7 @@ func TestWireBufferPoolConservation(t *testing.T) {
 			}
 			res := camp.Records[0].Result
 			lost += res.Client.Stats.PacketsLost + res.Server.Stats.PacketsLost
-			sent += res.Client.Stats.PacketsSent + res.Server.Stats.PacketsSent
+			conns = append(conns, res.Client, res.Server)
 		}}
 	}
 	stages := []poolStage{
@@ -135,27 +137,30 @@ func TestWireBufferPoolConservation(t *testing.T) {
 	runPoolStages(t, tb, stages)
 
 	if lost == 0 {
-		t.Error("no QUIC packet was lost: buffers released at a drop are not covered")
+		t.Error("no QUIC packet was lost: buffers released at a drop and data waiting out of order are not covered")
 	}
-	// Every packet sent took one buffer; the rest were reassembly chunks.
+	var sent uint64
+	for _, c := range conns {
+		sent += c.Stats.PacketsSent
+	}
 	st := poolsOf(tb.Net)["quic wire"]
-	if st.Gets <= sent {
-		t.Error("no data waited in a reassembly chunk: the chunk path is not covered")
+	if st.Gets != sent {
+		t.Errorf("%d wire buffers drawn for %d packets sent", st.Gets, sent)
 	}
 	if hr := float64(st.Hits) / float64(st.Gets); !(hr >= 0.5) {
 		t.Errorf("the network reused only %.0f%% of its buffers", 100*hr)
 	}
 
 	// A network in no-recycle mode never reuses anything: packets are plain
-	// allocations the pool never sees, and wire buffers and chunks (the
-	// draws beyond one per packet sent) are drawn but never released.
+	// allocations the pool never sees, and wire buffers, one per packet
+	// sent, are drawn but never released.
 	ref := noRecycleTestbed(DefaultConfig())
 	res := ref.RunH3Campaign(1, 16<<20, true, 5*time.Second).Records[0].Result
 	if st := ref.Net.PoolStats(); st != (sim.PoolStats{}) {
 		t.Errorf("no-recycle network drew packets from its pool: %+v", st)
 	}
-	if st := poolsOf(ref.Net)["quic wire"]; st.Gets <= res.Client.Stats.PacketsSent+res.Server.Stats.PacketsSent || st.Hits != 0 || st.Puts != 0 {
-		t.Errorf("no-recycle network recycled QUIC buffers: %+v", st)
+	if st := poolsOf(ref.Net)["quic wire"]; st.Gets != res.Client.Stats.PacketsSent+res.Server.Stats.PacketsSent || st.Hits != 0 || st.Puts != 0 {
+		t.Errorf("no-recycle network recycled QUIC buffers or drew them for anything but packets: %+v", st)
 	}
 }
 

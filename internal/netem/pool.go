@@ -81,7 +81,7 @@ func (nw *Network) DisableRecycling() { nw.noRecycle = true }
 
 // Recycling reports whether the network reuses what its pools take back:
 // false after DisableRecycling. Pools kept outside netem (tcpsim's
-// in-flight rings, quic's reassembly chunks) read it to follow the same
+// in-flight rings, quic's wire buffers) read it to follow the same
 // mode.
 func (nw *Network) Recycling() bool { return !nw.noRecycle }
 

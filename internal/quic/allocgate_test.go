@@ -15,10 +15,10 @@ import (
 // rate-limited two-node path whose DropTail queue overflows now and then,
 // and runs it past slow start: from here on the sender is cwnd-limited
 // and every packet walks the whole cycle — cut from the filler run,
-// serialized into a recycled wire buffer, queued, delivered, parsed into
-// the endpoint's scratch, acknowledged, and its buffer, sent-packet record
-// and frame struct released — with the occasional loss, retransmission
-// and out-of-order reassembly chunk.
+// encoded into a recycled wire buffer, queued, delivered, parsed into the
+// endpoint's scratch, acknowledged, and its buffer, sent-packet record and
+// frame struct released — with the occasional loss, retransmission and
+// out-of-order segment.
 func allocBulk(tb testing.TB) (run func(), client, server *Connection, delivered *uint64) {
 	tb.Helper()
 	s, cep, sep, srv := pair(tb, netem.LinkConfig{
@@ -92,12 +92,13 @@ func BenchmarkBulkTransferPacket(b *testing.B) {
 }
 
 // A connection dialed after an identical one closed on the same network
-// draws every wire buffer, reassembly chunk, sent-packet record and STREAM
-// frame struct from what the first one gave back: the pool belongs to the
-// network, not to the client endpoint each transfer dials nor to the
-// connection. The path loses, reorders and goes down, so retransmissions,
-// PTO probes and out-of-order chunks are all in play. A network in
-// no-recycle mode reuses nothing.
+// draws every wire buffer, sent-packet record and STREAM frame struct from
+// what the first one gave back: the pool belongs to the network, not to
+// the client endpoint each transfer dials nor to the connection. Each
+// packet sent draws one wire buffer and nothing else does: data that
+// waits out of order is kept by reference. The path loses, reorders and
+// goes down, so retransmissions, PTO probes and out-of-order data are all
+// in play. A network in no-recycle mode reuses nothing.
 func TestAllocGateBuffersOutliveTheirConnection(t *testing.T) {
 	for _, recycle := range []bool{true, false} {
 		p := newReorderPath()
@@ -122,10 +123,11 @@ func TestAllocGateBuffersOutliveTheirConnection(t *testing.T) {
 					recycle, client, first[0], server, first[1])
 			}
 			gets, misses := st.Gets-before.Gets, (st.Gets-st.Hits)-(before.Gets-before.Hits)
-			// Every packet either end sent took one buffer; the rest were
-			// reassembly chunks.
-			if sent := client.PacketsSent + server.PacketsSent; gets <= sent {
-				t.Fatalf("recycle=%v run %d: %d buffers drawn for %d packets: no data waited in a reassembly chunk", recycle, run, gets, sent)
+			if sent := client.PacketsSent + server.PacketsSent; gets != sent {
+				t.Fatalf("recycle=%v run %d: %d buffers drawn for %d packets sent", recycle, run, gets, sent)
+			}
+			if p.waited == 0 {
+				t.Fatalf("recycle=%v run %d: no data waited out of order: reassembly is not covered", recycle, run)
 			}
 			switch err := netemtest.CheckPools(nw); {
 			case !recycle && (st.Hits != 0 || st.Puts != 0):
@@ -133,7 +135,7 @@ func TestAllocGateBuffersOutliveTheirConnection(t *testing.T) {
 			case recycle && err != nil:
 				t.Errorf("run %d: %v", run, err)
 			case recycle && run == 1 && misses != 0:
-				t.Errorf("the second connection allocated %d of its %d buffers and chunks", misses, gets)
+				t.Errorf("the second connection allocated %d of its %d buffers", misses, gets)
 			}
 			for i, now := range [2]sim.PoolStats{pool.sent.Stats(), pool.frames.Stats()} {
 				what := [2]string{"sent records", "STREAM frames"}[i]

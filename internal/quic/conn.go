@@ -198,12 +198,14 @@ type Connection struct {
 
 	// Per-packet storage, reused so that the steady-state datapath does
 	// not allocate. ackFrame and frameBuf are scratch for the packet being
-	// built (dead once sendPacket serialized it). What an in-flight packet
-	// owns — its sentPacket record and STREAM frame structs, back when it
-	// is acked or declared lost — its wire buffer, and the chunks
-	// out-of-order stream data waits in all come from the network's pool
+	// built (dead once sendPacket encoded it), and ackTail the encoding of
+	// the last ACK's ranges past the first, which the next ACK reuses
+	// while they stay the same. What an in-flight packet owns — its
+	// sentPacket record and STREAM frame structs, back when it is acked or
+	// declared lost — and its wire buffer come from the network's pool
 	// (ep.pool), whose lists a sweep worker's next network inherits.
 	ackFrame AckFrame
+	ackTail  ackTail
 	frameBuf []Frame
 }
 
@@ -307,10 +309,8 @@ func (c *Connection) teardown() {
 	c.ackTimer.Stop()
 	c.pacingTimer.Stop()
 	c.ep.removeConn(c.connID)
-	for _, s := range c.streams {
-		s.dropSegments()
-	}
-	// So do queued STREAM frames and the records of unresolved packets.
+	// Queued STREAM frames and the records of unresolved packets go back
+	// to the network's pool.
 	for c.retxQueue.Len() > 0 {
 		if sf, ok := c.retxQueue.Pop().(*StreamFrame); ok {
 			c.putStreamFrame(sf)
@@ -706,6 +706,7 @@ func (c *Connection) buildAck() *AckFrame {
 		ack.Ranges = append(ack.Ranges, AckRange{Smallest: spans[i].Start, Largest: spans[i].End - 1})
 	}
 	ack.AckDelay = max(c.sched.Now().Sub(c.largestRecvAt), 0)
+	ack.tail = c.ackTail.encode(ack.Ranges)
 	return ack
 }
 
@@ -881,7 +882,7 @@ func (c *Connection) buildPacket(canSendData bool) (frames []Frame, eliciting bo
 	return frames, eliciting
 }
 
-// sendPacket serializes and transmits one packet built from frames. The
+// sendPacket encodes and transmits one packet built from frames. The
 // ack-eliciting frames become the in-flight packet's; the slice itself and
 // the others are not kept.
 func (c *Connection) sendPacket(frames []Frame) {
@@ -917,8 +918,8 @@ func (c *Connection) sendPacket(frames []Frame) {
 	}
 	c.nextPN++
 	w := c.ep.pool.get()
-	w.b = appendPacket(w.b, hdr, frames)
-	size := len(w.b)
+	w.encode(hdr, frames)
+	size := w.size()
 
 	hasAck := false
 	for _, f := range frames {
@@ -951,7 +952,7 @@ func (c *Connection) sendPacket(frames []Frame) {
 		c.cc.OnPacketSent(now, size)
 	}
 	// Last: frames is scratch and the wire buffer is the datapath's now.
-	c.ep.sendDatagram(c.remote, c.remotePort, w)
+	c.ep.sendDatagram(c.remote, c.remotePort, w, size)
 }
 
 // Scheduler trampolines: package-level sim.EventFunc adapters so the

@@ -560,7 +560,7 @@ func TestCryptoReassemblyAdvancesHandshakeAtPrefix(t *testing.T) {
 func frames(t *testing.T, count func(Frame)) netem.DeviceFunc {
 	return func(_ *netem.Node, pkt *netem.Packet) bool {
 		if w, ok := pkt.Payload.(*wireBuf); ok {
-			p, err := Parse(w.b)
+			p, err := decodeWire(w)
 			if err != nil {
 				t.Fatalf("undecodable datagram: %v", err)
 			}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -118,7 +119,7 @@ func TestSendQueueMatchesByteBufferOracle(t *testing.T) {
 // packets on the way in and 1 % on the way back, goes down from 300 to
 // 900 ms after each transfer starts — long enough to provoke PTO probes —
 // and flips the pop between two propagation delays every 50 ms, so late
-// packets overtake earlier ones and data waits in reassembly chunks.
+// packets overtake earlier ones and data waits out of order.
 type reorderPath struct {
 	s              *sim.Scheduler
 	client, pop    *netem.Node
@@ -127,6 +128,9 @@ type reorderPath struct {
 	slow, fast     *netem.Link
 	start          sim.Time
 	nextClientPort uint16
+	// waited is the most stream segments the last transfer's server held
+	// out of order at once, sampled every millisecond.
+	waited int
 }
 
 func newReorderPath() *reorderPath {
@@ -213,6 +217,19 @@ func (p *reorderPath) transfer(t *testing.T) (want, got []byte, client, server S
 		}
 		st.Close()
 	}
+	p.waited = 0
+	var watch func()
+	watch = func() {
+		if sconn != nil {
+			for _, st := range sconn.streams {
+				p.waited = max(p.waited, len(st.segments)-st.segHead)
+			}
+		}
+		if !done {
+			s.After(time.Millisecond, watch)
+		}
+	}
+	watch()
 	s.RunFor(30 * time.Second)
 	if !done {
 		t.Fatalf("transfer incomplete: %d/%d bytes", len(got), len(want))
@@ -232,9 +249,9 @@ func scribbleRun(t *testing.T, scribble bool) (want, got []byte, client, server 
 	return p.transfer(t)
 }
 
-// Every wire buffer, reassembly chunk, frame struct and sent-packet record
-// is overwritten the moment it re-enters a freelist. If anything still
-// read one afterwards, the payload or the counters would change.
+// Every wire buffer, frame struct and sent-packet record is overwritten
+// the moment it re-enters a freelist. If anything still read one
+// afterwards, the payload or the counters would change.
 func TestScribbledFreelistsDeliverExactPayload(t *testing.T) {
 	want, got, client, server := scribbleRun(t, true)
 	if !bytes.Equal(got, want) {
@@ -305,9 +322,8 @@ func TestFrameQueueMatchesSliceOracle(t *testing.T) {
 	}
 }
 
-// A buffer released twice — a datapath bug, or a chunk handed back by
-// both its delivery and its connection's teardown — is listed once: two
-// later draws must never hand out the same buffer.
+// A buffer released twice — a datapath bug — is listed once: two later
+// draws must never hand out the same buffer.
 func TestWireBufferReleasedTwiceIsListedOnce(t *testing.T) {
 	nw := netem.New(sim.NewScheduler(1))
 	p := wirePoolOf(nw)
@@ -358,10 +374,11 @@ func TestInheritedWirePool(t *testing.T) {
 	}
 }
 
-// A connection torn down while stream data waits behind a gap gives the
-// waiting chunks back to the pool: the server never sees the client's
-// tenth datagram and closes as soon as data queues behind it.
-func TestTeardownReturnsWaitingChunks(t *testing.T) {
+// A connection torn down while stream data waits behind a gap leaves every
+// pool balanced: the waiting data is held by reference, not in anything
+// drawn from a pool. The server never sees the client's tenth datagram
+// and closes as soon as data queues behind it.
+func TestTeardownWithDataWaitingBalancesPools(t *testing.T) {
 	s, cep, sep, srv := pair(t, netem.LinkConfig{RateBps: 20e6, Delay: netem.ConstantDelay(20 * time.Millisecond)})
 	n := 0
 	sep.node.AttachDevice(netem.DeviceFunc(func(_ *netem.Node, pkt *netem.Packet) bool {
@@ -395,7 +412,7 @@ func TestTeardownReturnsWaitingChunks(t *testing.T) {
 		t.Fatal("no data waited behind the gap")
 	}
 	if err := netemtest.CheckPools(cep.node.Network()); err != nil {
-		t.Errorf("%d chunks waited at teardown: %v", waiting, err)
+		t.Errorf("%d segments waited at teardown: %v", waiting, err)
 	}
 }
 
@@ -533,7 +550,9 @@ func checkSingleOwnership(t *testing.T, c *Connection) {
 // FuzzParse: an endpoint's reused parser must decode every input exactly
 // as the allocating Parse does, whatever it parsed before — stale frames,
 // ACK ranges or header fields of the previous packet must not show
-// through, and a hostile ACK range count must fail the same way.
+// through, its ACK memo must reuse ranges only for the same tail bytes,
+// range count and first-range smallest, and a hostile ACK range count must
+// fail the same way.
 func FuzzParse(f *testing.F) {
 	hdr := PacketHeader{ConnID: 7, Number: 3}
 	f.Add(Serialize(hdr, []Frame{
@@ -551,12 +570,23 @@ func FuzzParse(f *testing.F) {
 	hostile := append(Serialize(hdr, nil), frameTypeAck, 0x20, 0x00, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01)
 	f.Add(hostile, append(Serialize(hdr, nil), frameTypeAck, 0x05, 0x00, 0x01, 0x01, 0x3f, 0x00))
 	f.Add([]byte{0x40}, []byte{})
+	// The ACK memo: the second ACK repeats the first's tail bytes after a
+	// different first-range smallest; extends it by a range; and repeats
+	// it with one range fewer, a CONNECTION_CLOSE taking the place of the
+	// last range's gap and length.
+	ack := func(frames ...Frame) []byte { return Serialize(hdr, frames) }
+	twoRanges := &AckFrame{Ranges: []AckRange{{Smallest: 100, Largest: 120}, {Smallest: 50, Largest: 80}}}
+	threeRanges := &AckFrame{Ranges: []AckRange{{Smallest: 100, Largest: 130}, {Smallest: 50, Largest: 80}, {Smallest: 10, Largest: 20}}}
+	f.Add(ack(twoRanges), ack(&AckFrame{Ranges: []AckRange{{Smallest: 90, Largest: 125}, {Smallest: 40, Largest: 70}}}))
+	f.Add(ack(twoRanges), ack(threeRanges))
+	f.Add(ack(threeRanges), ack(&AckFrame{Ranges: []AckRange{{Smallest: 100, Largest: 125}, {Smallest: 50, Largest: 80}}},
+		&ConnectionCloseFrame{ErrorCode: 10}))
 
 	f.Fuzz(func(t *testing.T, first, second []byte) {
-		var ps parser
+		ps := parser{tails: new(ackTail)}
 		for i, in := range [][]byte{first, second, first} {
 			want, wantErr := Parse(in)
-			got, gotErr := ps.parse(in)
+			got, gotErr := ps.parse(in, false, nil)
 			if (wantErr == nil) != (gotErr == nil) || (wantErr != nil && wantErr.Error() != gotErr.Error()) {
 				t.Fatalf("input %d: reused parser error %v, Parse error %v", i, gotErr, wantErr)
 			}
@@ -571,6 +601,203 @@ func FuzzParse(f *testing.F) {
 					t.Fatalf("input %d frame %d: reused parser %#v, Parse %#v", i, j, got.Frames[j], want.Frames[j])
 				}
 			}
+		}
+	})
+}
+
+// decodeWire decodes w as the receiving endpoint does, payload refs and
+// all, into a parser of its own, so the result outlives the next datagram.
+func decodeWire(w *wireBuf) (*Packet, error) { return new(parser).parseWire(w) }
+
+// fuzzBytes hands out a fuzz input a byte at a time, zeros once it ran
+// out.
+type fuzzBytes []byte
+
+func (fb *fuzzBytes) next() byte {
+	if len(*fb) == 0 {
+		return 0
+	}
+	v := (*fb)[0]
+	*fb = (*fb)[1:]
+	return v
+}
+
+func (fb *fuzzBytes) uint(n int) uint64 {
+	var v uint64
+	for range n {
+		v = v<<8 | uint64(fb.next())
+	}
+	return v
+}
+
+// ackRanges returns the ranges of an ACK frame: fresh ones, 1 to 32 of
+// them, or prev's as a receiver's next ACK would carry them — the first
+// range grown, or a middle range extended by a late packet, the count
+// unchanged.
+func (fb *fuzzBytes) ackRanges(prev []AckRange) []AckRange {
+	mode := fb.next() % 3
+	if mode == 0 || len(prev) == 0 {
+		n := 1 + int(fb.next()%32)
+		cur := 1000 + fb.uint(3)
+		var ranges []AckRange
+		for range n {
+			r := AckRange{Smallest: cur - min(cur, uint64(fb.next()%8)), Largest: cur}
+			ranges = append(ranges, r)
+			gap := uint64(fb.next() % 4)
+			if r.Smallest < gap+2 {
+				break
+			}
+			cur = r.Smallest - 2 - gap
+		}
+		return ranges
+	}
+	ranges := slices.Clone(prev)
+	if mode == 1 || len(ranges) == 1 {
+		ranges[0].Largest += 1 + uint64(fb.next()%5)
+		return ranges
+	}
+	i := 1 + int(fb.next())%(len(ranges)-1)
+	switch r := &ranges[i]; {
+	case r.Largest+3 < ranges[i-1].Smallest:
+		r.Largest++
+	case i+1 < len(ranges) && r.Smallest > ranges[i+1].Largest+3:
+		r.Smallest--
+	case i+1 == len(ranges) && r.Smallest > 0:
+		r.Smallest--
+	}
+	return ranges
+}
+
+// frame returns a frame of a kind the input picks; prevAck is the last
+// ACK's ranges.
+func (fb *fuzzBytes) frame(prevAck *[]AckRange) Frame {
+	payload := func(n uint64) []byte {
+		if n == 0 {
+			return nil
+		}
+		b := make([]byte, n)
+		seed := fb.next()
+		for i := range b {
+			b[i] = seed + byte(i*7)
+		}
+		return b
+	}
+	switch fb.next() % 10 {
+	case 0, 1:
+		return &StreamFrame{StreamID: 4 * fb.uint(1), Offset: fb.uint(4), Data: payload(fb.uint(2) % 1400), Fin: fb.next()&1 == 1}
+	case 2:
+		return &StreamFrame{StreamID: 4 * fb.uint(1), Offset: fb.uint(4), Fin: true}
+	case 3:
+		return &CryptoFrame{Offset: fb.uint(2), Data: payload(fb.uint(2) % 1200)}
+	case 4, 5:
+		*prevAck = fb.ackRanges(*prevAck)
+		return &AckFrame{Ranges: slices.Clone(*prevAck), AckDelay: time.Duration(fb.uint(2)) * time.Microsecond}
+	case 6:
+		return &PingFrame{}
+	case 7:
+		switch fb.next() % 3 {
+		case 0:
+			return &MaxDataFrame{Max: fb.uint(4)}
+		case 1:
+			return &MaxStreamDataFrame{StreamID: fb.uint(1), Max: fb.uint(4)}
+		}
+		return &DataBlockedFrame{Limit: fb.uint(4)}
+	case 8:
+		return &ConnectionCloseFrame{ErrorCode: fb.uint(1), Reason: strings.Repeat("x", int(fb.next()%20))}
+	}
+	return &PaddingFrame{Length: 1 + int(fb.next()%8)}
+}
+
+// FuzzWireRefs: a packet encoded into a wire buffer — STREAM and CRYPTO
+// payloads by reference, ACK tails reused from the last ACK's while they
+// match — and parsed with its refs is the packet Parse(Serialize(...))
+// gives, Size included, with every payload the sender's own memory. Up to
+// three packets go through one encoder memo and one parser, whose ACK memo
+// carries over. A ref one byte short or long, a missing ref or one too
+// many fails the parse with errRefMismatch.
+func FuzzWireRefs(f *testing.F) {
+	r := rand.New(rand.NewPCG(11, 12))
+	for range 12 {
+		seed := make([]byte, 300)
+		for i := range seed {
+			seed[i] = byte(r.Uint32())
+		}
+		f.Add(seed)
+	}
+	f.Add([]byte{})
+	pool := wirePoolOf(netem.New(sim.NewScheduler(1)))
+	f.Fuzz(func(t *testing.T, in []byte) {
+		fb := fuzzBytes(in)
+		ps := parser{tails: new(ackTail)}
+		var tails ackTail
+		var prevAck []AckRange
+		for pn := range 1 + int(fb.next()%3) {
+			hdr := PacketHeader{Handshake: fb.next()&1 == 1, ConnID: 7, Number: uint64(pn)}
+			frames := make([]Frame, 1+fb.next()%6)
+			var payloads [][]byte
+			for i := range frames {
+				frames[i] = fb.frame(&prevAck)
+				switch f := frames[i].(type) {
+				case *StreamFrame:
+					payloads = append(payloads, f.Data)
+				case *CryptoFrame:
+					payloads = append(payloads, f.Data)
+				}
+			}
+			flat := Serialize(hdr, frames)
+			want, err := Parse(flat)
+			if err != nil {
+				t.Fatalf("packet %d: Parse(Serialize(...)): %v", pn, err)
+			}
+			for _, f := range frames {
+				if ack, ok := f.(*AckFrame); ok {
+					ack.tail = slices.Clone(tails.encode(ack.Ranges)) // good until the next encode
+				}
+			}
+			w := pool.get()
+			w.encode(hdr, frames)
+			got, err := ps.parseWire(w)
+			if err != nil {
+				t.Fatalf("packet %d: parse with refs: %v", pn, err)
+			}
+			if got.Header != want.Header || got.Size != len(flat) || got.Size != want.Size || len(got.Frames) != len(want.Frames) {
+				t.Fatalf("packet %d: with refs %v, flat %v (%d bytes)", pn, got, want, len(flat))
+			}
+			for j := range want.Frames {
+				if !reflect.DeepEqual(got.Frames[j], want.Frames[j]) {
+					t.Fatalf("packet %d frame %d: with refs %#v, flat %#v", pn, j, got.Frames[j], want.Frames[j])
+				}
+			}
+			var carried [][]byte
+			for _, f := range got.Frames {
+				switch f := f.(type) {
+				case *StreamFrame:
+					carried = append(carried, f.Data)
+				case *CryptoFrame:
+					carried = append(carried, f.Data)
+				}
+			}
+			for j, d := range carried {
+				if len(d) > 0 && &d[0] != &payloads[j][0] {
+					t.Fatalf("packet %d: payload %d was copied, not carried by reference", pn, j)
+				}
+			}
+
+			switch k := int(fb.next()); {
+			case len(w.refs) == 0 || k%4 == 0:
+				w.refs = append(w.refs, []byte{1})
+			case k%4 == 1:
+				w.refs = w.refs[:len(w.refs)-1]
+			case k%4 == 2:
+				w.refs[k%len(w.refs)] = w.refs[k%len(w.refs)][1:]
+			default:
+				r := w.refs[k%len(w.refs)]
+				w.refs[k%len(w.refs)] = append(r[:len(r):len(r)], 0)
+			}
+			if p, err := ps.parseWire(w); err != errRefMismatch {
+				t.Fatalf("packet %d: refs that do not match the frames parsed as %v, %v", pn, p, err)
+			}
+			pool.put(w)
 		}
 	})
 }

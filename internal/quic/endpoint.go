@@ -26,32 +26,58 @@ type Endpoint struct {
 	// rx is the receive scratch: every arriving packet is parsed into it
 	// and handled before the next one arrives.
 	rx parser
+	// rxTails is rx's ACK memo.
+	rxTails ackTail
 	// pool is the network's buffer freelist (see wirePool).
 	pool *wirePool
 }
 
-// wireBuf is one serialized packet on its way through the network, carried
-// as the netem packet's payload, or — the same type from the same pool — a
-// reassembly chunk that out-of-order stream data waits in. A packet's
-// buffer belongs to the sending endpoint from get until sendDatagram, to
-// the datapath while in flight — which returns it through ReleasePayload
-// at the packet's terminal point (delivery, once the receiving endpoint's
-// handler returned, or a drop) — and to the pool after that. Receivers
-// therefore read b only inside their handler. A chunk belongs to its
-// stream until the data is delivered or the connection is torn down.
+// wireBuf is one QUIC packet on its way through the network, carried as
+// the netem packet's payload. It holds the header and frame bytes, and
+// refers to the payload of each STREAM and CRYPTO frame instead of copying
+// it (refs, in frame order; encode and parser.parseWire). A ref points into
+// memory nothing writes once it exists — a Write run (the stream's private
+// copy), the zero page, or the fresh buffer cut assembles for a frame that
+// straddles two runs — so the receiver may keep the data by reference too.
+// The buffer belongs to the sending endpoint from get until sendDatagram,
+// to the datapath while in flight — which returns it through
+// ReleasePayload at the packet's terminal point (delivery, once the
+// receiving endpoint's handler returned, or a drop) — and to the pool
+// after that. Receivers therefore read b only inside their handler.
 type wireBuf struct {
-	b      []byte // the datagram or chunk; aliases arr unless it outgrew it
-	arr    [MaxDatagramSize]byte
-	owner  *wirePool // nil once shared: never recycled
+	owner  *wirePool // the pool it was drawn from, or the one HandOver moved it to; never nil
+	b      []byte    // header and frame bytes; aliases bArr unless it outgrew it
+	refs   [][]byte  // STREAM and CRYPTO payloads; aliases refArr unless it outgrew it
+	refArr [wireRefs][]byte
 	pooled bool
+	bArr   [wireBytes]byte
+}
+
+// The inline capacity of a wire buffer, which makes it one 288-byte
+// object. Over the H3 and message campaigns a packet's header and frame
+// bytes measured at most 97 (an ACK of 32 ranges with a STREAM frame
+// head); only the padded client Initial, ~880 bytes once per connection,
+// outgrows them. Packets carried at most 3 payloads.
+const (
+	wireBytes = 135
+	wireRefs  = 4
+)
+
+// size is the datagram's length on the wire: the bytes plus the payloads
+// they refer to, what Serialize would return for the same packet.
+func (w *wireBuf) size() int {
+	n := len(w.b)
+	for _, r := range w.refs {
+		n += len(r)
+	}
+	return n
 }
 
 // wirePool is the QUIC freelists of one netem.Network: every endpoint on
-// it serializes its packets into the pool's buffers and every connection
-// on it buffers out-of-order stream data in them, and keeps its in-flight
-// packets' sent records and STREAM frame structs in the pool's other two
-// lists. Campaigns dial a fresh client endpoint per transfer, and a sweep
-// worker's next network inherits all three lists
+// it encodes its packets into the pool's buffers, and every connection on
+// it keeps its in-flight packets' sent records and STREAM frame structs in
+// the pool's other two lists. Campaigns dial a fresh client endpoint per
+// transfer, and a sweep worker's next network inherits all three lists
 // (netem.Network.Inherit), so the most objects alive at once is reached
 // once per sweep worker, not once per network, endpoint or connection.
 // One scheduler drives a network, hence no lock. A network in no-recycle
@@ -85,8 +111,8 @@ func (p *wirePool) HandOver(nw *netem.Network) {
 	to.frames.Adopt(&p.frames)
 }
 
-// Pools implements netem.TransportPool: "quic wire" counts wire buffers
-// and reassembly chunks together.
+// Pools implements netem.TransportPool: "quic wire" counts wire buffers,
+// one per packet sent.
 func (p *wirePool) Pools(f func(name string, st sim.PoolStats)) {
 	f("quic wire", p.Stats())
 	f("quic sent", p.sent.Stats())
@@ -101,7 +127,7 @@ func (p *wirePool) get() *wireBuf {
 	} else {
 		w = &wireBuf{owner: p}
 	}
-	w.b = w.arr[:0]
+	w.b, w.refs = w.bArr[:0], w.refArr[:0]
 	return w
 }
 
@@ -112,19 +138,16 @@ func (p *wirePool) put(w *wireBuf) {
 		return
 	}
 	if p.scribble {
-		scribble(w.arr[:])
+		scribble(w.bArr[:])
 	}
-	w.b, w.pooled = nil, true
+	clear(w.refArr[:]) // the payloads are the sender's, not the pool's to keep alive
+	w.b, w.refs, w.pooled = nil, nil, true
 	p.Put(w)
 }
 
 // ReleasePayload implements netem.PayloadReleaser: the buffer returns to
 // its pool.
-func (w *wireBuf) ReleasePayload() {
-	if p := w.owner; p != nil {
-		p.put(w)
-	}
-}
+func (w *wireBuf) ReleasePayload() { w.owner.put(w) }
 
 // scribble overwrites a recycled buffer so that a stale reader cannot
 // mistake it for the payload it used to hold.
@@ -147,6 +170,7 @@ func NewEndpoint(node *netem.Node, port uint16) *Endpoint {
 		conns: make(map[uint64]*Connection),
 		pool:  wirePoolOf(node.Network()),
 	}
+	e.rx.tails = &e.rxTails
 	node.Bind(netem.ProtoUDP, port, e.receive)
 	return e
 }
@@ -183,15 +207,15 @@ func (e *Endpoint) Dial(remote netem.Addr, remotePort uint16, cfg Config) *Conne
 func (e *Endpoint) removeConn(id uint64) { delete(e.conns, id) }
 
 // receive handles one arriving datagram. The parsed packet lives in the
-// endpoint's scratch and its Data slices alias the wire buffer, which the
-// datapath recycles when this handler returns: whatever the connection
-// keeps, it copies.
+// endpoint's scratch, which the next datagram overwrites, and the wire
+// buffer is recycled when this handler returns; the frames' Data slices
+// are the buffer's refs, which the connection may keep and never writes.
 func (e *Endpoint) receive(pkt *netem.Packet) {
 	w, ok := pkt.Payload.(*wireBuf)
 	if !ok {
 		return
 	}
-	p, err := e.rx.parse(w.b)
+	p, err := e.rx.parseWire(w)
 	if err != nil {
 		return // corrupted or foreign datagram
 	}
@@ -209,15 +233,16 @@ func (e *Endpoint) receive(pkt *netem.Packet) {
 	c.handlePacket(p)
 }
 
-// sendDatagram wraps a serialized QUIC packet in a UDP packet and sends
-// it from the endpoint's node, handing the wire buffer to the datapath.
-func (e *Endpoint) sendDatagram(remote netem.Addr, remotePort uint16, payload *wireBuf) {
+// sendDatagram wraps an encoded QUIC packet of size bytes in a UDP packet
+// and sends it from the endpoint's node, handing the wire buffer to the
+// datapath.
+func (e *Endpoint) sendDatagram(remote netem.Addr, remotePort uint16, payload *wireBuf, size int) {
 	pkt := e.node.NewPacket()
 	pkt.Dst = remote
 	pkt.DstPort = remotePort
 	pkt.SrcPort = e.port
 	pkt.Proto = netem.ProtoUDP
-	pkt.Size = len(payload.b) + udpOverhead
+	pkt.Size = size + udpOverhead
 	pkt.Payload = payload
 	e.node.Send(pkt)
 }

@@ -1,7 +1,10 @@
 package quic
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
+	"slices"
 	"time"
 )
 
@@ -81,6 +84,9 @@ type AckRange struct {
 type AckFrame struct {
 	Ranges   []AckRange
 	AckDelay time.Duration
+	// tail, when not nil, is the encoding of Ranges[1:] (Connection.buildAck
+	// sets it from its ackTail), which Append and WireLen then take as is.
+	tail []byte
 }
 
 // Largest returns the largest acknowledged packet number.
@@ -103,8 +109,17 @@ func (f *AckFrame) Append(b []byte) []byte {
 	b = AppendVarint(b, uint64(f.AckDelay/time.Microsecond))
 	b = AppendVarint(b, uint64(len(f.Ranges)-1))
 	b = AppendVarint(b, f.Ranges[0].Largest-f.Ranges[0].Smallest)
-	prev := f.Ranges[0].Smallest
-	for _, r := range f.Ranges[1:] {
+	if f.tail != nil {
+		return append(b, f.tail...)
+	}
+	return appendAckTail(b, f.Ranges)
+}
+
+// appendAckTail appends the encoding of ranges[1:]: per range, the gap
+// below the previous range and the range's length.
+func appendAckTail(b []byte, ranges []AckRange) []byte {
+	prev := ranges[0].Smallest
+	for _, r := range ranges[1:] {
 		// Gap: numbers skipped between ranges, minus the -2 bias of
 		// RFC 9000 §19.3.1.
 		b = AppendVarint(b, prev-r.Largest-2)
@@ -120,6 +135,9 @@ func (f *AckFrame) WireLen() int {
 		VarintLen(uint64(f.AckDelay/time.Microsecond)) +
 		VarintLen(uint64(len(f.Ranges)-1)) +
 		VarintLen(f.Ranges[0].Largest-f.Ranges[0].Smallest)
+	if f.tail != nil {
+		return n + len(f.tail)
+	}
 	prev := f.Ranges[0].Smallest
 	for _, r := range f.Ranges[1:] {
 		n += VarintLen(prev-r.Largest-2) + VarintLen(r.Largest-r.Smallest)
@@ -130,6 +148,33 @@ func (f *AckFrame) WireLen() int {
 
 // AckEliciting implements Frame.
 func (f *AckFrame) AckEliciting() bool { return false }
+
+// ackTail is the encoding of an ACK frame's Ranges[1:] (enc), with the
+// ranges it encodes and the Ranges[0].Smallest the first gap counts from.
+// The encoding is a function of those two, and decoding is a function of
+// the bytes, the range count and that smallest, so a connection reuses the
+// encoding of the last ACK it built, and an endpoint the ranges of the
+// last ACK it parsed, whenever those inputs repeat: in a transfer they do
+// from one ACK to the next until a packet number hole opens or fills,
+// since only Ranges[0] grows.
+type ackTail struct {
+	smallest uint64
+	ranges   []AckRange
+	enc      []byte
+}
+
+// encode returns the encoding of ranges[1:], encoding afresh only when
+// ranges[0].Smallest or any range of ranges[1:] differs from the last
+// call's: a late packet can extend a middle range without changing the
+// count. The result is t's and good until the next call.
+func (t *ackTail) encode(ranges []AckRange) []byte {
+	if ranges[0].Smallest != t.smallest || !slices.Equal(ranges[1:], t.ranges) {
+		t.smallest = ranges[0].Smallest
+		t.ranges = append(t.ranges[:0], ranges[1:]...)
+		t.enc = appendAckTail(t.enc[:0], ranges)
+	}
+	return t.enc
+}
 
 // String implements fmt.Stringer.
 func (f *AckFrame) String() string {
@@ -146,10 +191,14 @@ type CryptoFrame struct {
 
 // Append implements Frame.
 func (f *CryptoFrame) Append(b []byte) []byte {
+	return append(f.appendHead(b), f.Data...)
+}
+
+// appendHead appends the frame's encoding up to its payload.
+func (f *CryptoFrame) appendHead(b []byte) []byte {
 	b = append(b, frameTypeCrypto)
 	b = AppendVarint(b, f.Offset)
-	b = AppendVarint(b, uint64(len(f.Data)))
-	return append(b, f.Data...)
+	return AppendVarint(b, uint64(len(f.Data)))
 }
 
 // WireLen implements Frame.
@@ -175,6 +224,11 @@ type StreamFrame struct {
 
 // Append implements Frame.
 func (f *StreamFrame) Append(b []byte) []byte {
+	return append(f.appendHead(b), f.Data...)
+}
+
+// appendHead appends the frame's encoding up to its payload.
+func (f *StreamFrame) appendHead(b []byte) []byte {
 	t := byte(frameTypeStreamBase | streamFlagOff | streamFlagLen)
 	if f.Fin {
 		t |= streamFlagFin
@@ -182,8 +236,7 @@ func (f *StreamFrame) Append(b []byte) []byte {
 	b = append(b, t)
 	b = AppendVarint(b, f.StreamID)
 	b = AppendVarint(b, f.Offset)
-	b = AppendVarint(b, uint64(len(f.Data)))
-	return append(b, f.Data...)
+	return AppendVarint(b, uint64(len(f.Data)))
 }
 
 // WireLen implements Frame.
@@ -308,11 +361,22 @@ func (s *slab[T]) next() *T {
 // parser decodes packets into storage it owns and reuses: the Packet, its
 // frame list, one struct per frame and the ACK range arrays all survive
 // from one parse to the next, so an endpoint parsing packet after packet
-// does not allocate. Whatever a parse returns — Data slices included,
-// which alias the input — is valid until the next parse; nothing of the
-// previous packet shows through.
+// does not allocate. Whatever a parse returns is valid until the next
+// parse; nothing of the previous packet shows through. Data slices alias
+// the input: the bytes of a flat packet, the refs of a wire buffer.
 type parser struct {
 	pkt Packet
+
+	// byRef marks a wire buffer's parse: a STREAM or CRYPTO frame with a
+	// nonzero length takes its Data from refs, the buffer's refs not yet
+	// taken, and not from the bytes.
+	byRef bool
+	refs  [][]byte
+	// tails is the last ACK tail decoded, which the next ACK with the
+	// same range count, first-range smallest and tail bytes reuses: an
+	// endpoint's parser keeps one, a one-shot Parse has nothing to reuse
+	// and leaves it nil.
+	tails *ackTail
 
 	padding       slab[PaddingFrame]
 	ack           slab[AckFrame]
@@ -324,8 +388,23 @@ type parser struct {
 	connClose     slab[ConnectionCloseFrame]
 }
 
-// parse decodes a wire packet into the parser's Packet.
-func (ps *parser) parse(b []byte) (*Packet, error) {
+// errRefMismatch fails the parse of a wire buffer whose refs do not match
+// its STREAM and CRYPTO frames' lengths, or outnumber those frames.
+var errRefMismatch = errors.New("quic: payload refs do not match the frames")
+
+// parseWire decodes a wire buffer into the parser's Packet.
+func (ps *parser) parseWire(w *wireBuf) (*Packet, error) { return ps.parse(w.b, true, w.refs) }
+
+// parse decodes a packet into the parser's Packet: a flat one, Serialize's
+// encoding, or with byRef the bytes of a wire buffer whose STREAM and
+// CRYPTO payloads are refs. Its Size counts the refs, as
+// Parse(Serialize(...)) would.
+func (ps *parser) parse(b []byte, byRef bool, refs [][]byte) (*Packet, error) {
+	ps.byRef, ps.refs = byRef, refs
+	size := len(b)
+	for _, r := range refs {
+		size += len(r)
+	}
 	if len(b) < headerOverhead {
 		return nil, ErrTruncated
 	}
@@ -335,8 +414,12 @@ func (ps *parser) parse(b []byte) (*Packet, error) {
 	if err := ps.parseFrames(b[headerOverhead:]); err != nil {
 		return nil, err
 	}
+	if len(ps.refs) > 0 {
+		ps.pkt.Frames = ps.pkt.Frames[:0]
+		return nil, errRefMismatch
+	}
 	p := &ps.pkt
-	p.Size = len(b)
+	p.Size = size
 	p.Header.Handshake = b[0]&0x80 != 0
 	p.Header.ConnID = readUint64(b[1:9])
 	p.Header.Number = readUint64(b[9:17])
@@ -369,7 +452,7 @@ func (ps *parser) parseFrames(b []byte) error {
 
 		case t == frameTypeAck:
 			f := ps.ack.next()
-			rest, err := parseAck(f, b[1:])
+			rest, err := ps.parseAck(f, b[1:])
 			if err != nil {
 				return err
 			}
@@ -387,18 +470,18 @@ func (ps *parser) parseFrames(b []byte) error {
 			if err != nil {
 				return err
 			}
-			b = b[n:]
-			if uint64(len(b)) < length {
-				return ErrTruncated
+			data, rest, err := ps.payload(b[n:], length)
+			if err != nil {
+				return err
 			}
 			f := ps.crypto.next()
-			f.Offset, f.Data = off, b[:length]
+			f.Offset, f.Data = off, data
 			frames = append(frames, f)
-			b = b[length:]
+			b = rest
 
 		case t >= frameTypeStreamBase && t <= frameTypeStreamBase|0x07:
 			f := ps.stream.next()
-			rest, err := parseStream(f, t, b[1:])
+			rest, err := ps.parseStream(f, t, b[1:])
 			if err != nil {
 				return err
 			}
@@ -469,10 +552,29 @@ func (ps *parser) parseFrames(b []byte) error {
 	return nil
 }
 
+// payload cuts the n payload bytes of a STREAM or CRYPTO frame whose
+// encoding continues at b, and returns the rest of the bytes: from b in a
+// flat packet, or the next ref, which must be n bytes long, in a wire
+// buffer. An empty payload is b[:0] either way.
+func (ps *parser) payload(b []byte, n uint64) (data, rest []byte, err error) {
+	if ps.byRef && n > 0 {
+		if len(ps.refs) == 0 || uint64(len(ps.refs[0])) != n {
+			return nil, nil, errRefMismatch
+		}
+		data, ps.refs = ps.refs[0], ps.refs[1:]
+		return data, b, nil
+	}
+	if uint64(len(b)) < n {
+		return nil, nil, ErrTruncated
+	}
+	return b[:n], b[n:], nil
+}
+
 // parseAck decodes an ACK frame body into f, reusing f.Ranges' backing
-// array. The range count field is not trusted: every range costs at least
-// two input bytes, so a hostile count runs into ErrTruncated.
-func parseAck(f *AckFrame, b []byte) ([]byte, error) {
+// array, and the ranges of ps.tails when the body repeats its tail. The
+// range count field is not trusted: every range costs at least two input
+// bytes, so a hostile count runs into ErrTruncated.
+func (ps *parser) parseAck(f *AckFrame, b []byte) ([]byte, error) {
 	largest, n, err := ReadVarint(b)
 	if err != nil {
 		return nil, err
@@ -499,6 +601,12 @@ func parseAck(f *AckFrame, b []byte) ([]byte, error) {
 	f.AckDelay = time.Duration(delayUS) * time.Microsecond
 	f.Ranges = append(f.Ranges[:0], AckRange{Smallest: largest - firstLen, Largest: largest})
 	prev := f.Ranges[0].Smallest
+	memo := ps.tails
+	if memo != nil && rangeCount == uint64(len(memo.ranges)) && prev == memo.smallest && bytes.HasPrefix(b, memo.enc) {
+		f.Ranges = append(f.Ranges, memo.ranges...)
+		return b[len(memo.enc):], nil
+	}
+	tail := b
 	for i := uint64(0); i < rangeCount; i++ {
 		gap, n, err := ReadVarint(b)
 		if err != nil {
@@ -520,11 +628,16 @@ func parseAck(f *AckFrame, b []byte) ([]byte, error) {
 		f.Ranges = append(f.Ranges, AckRange{Smallest: largest - length, Largest: largest})
 		prev = largest - length
 	}
+	if memo != nil {
+		memo.smallest = f.Ranges[0].Smallest
+		memo.ranges = append(memo.ranges[:0], f.Ranges[1:]...)
+		memo.enc = append(memo.enc[:0], tail[:len(tail)-len(b)]...)
+	}
 	return b, nil
 }
 
-// parseStream decodes a STREAM frame body into f; f.Data aliases b.
-func parseStream(f *StreamFrame, t byte, b []byte) ([]byte, error) {
+// parseStream decodes a STREAM frame body into f.
+func (ps *parser) parseStream(f *StreamFrame, t byte, b []byte) ([]byte, error) {
 	id, n, err := ReadVarint(b)
 	if err != nil {
 		return nil, err
@@ -544,12 +657,9 @@ func parseStream(f *StreamFrame, t byte, b []byte) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		b = b[n:]
-		if uint64(len(b)) < length {
-			return nil, ErrTruncated
+		if f.Data, b, err = ps.payload(b[n:], length); err != nil {
+			return nil, err
 		}
-		f.Data = b[:length]
-		b = b[length:]
 	} else {
 		f.Data = b
 		b = nil

@@ -55,28 +55,49 @@ func Serialize(h PacketHeader, frames []Frame) []byte {
 	for _, f := range frames {
 		size += f.WireLen()
 	}
-	return appendPacket(make([]byte, 0, size), h, frames)
-}
-
-// appendPacket appends the wire encoding of header and frames to b.
-func appendPacket(b []byte, h PacketHeader, frames []Frame) []byte {
-	var t byte = 0x40 // fixed bit
-	if h.Handshake {
-		t |= 0x80 // long-header flavour
-	}
-	b = append(b, t)
-	b = appendUint64(b, h.ConnID)
-	b = appendUint64(b, h.Number)
+	b := appendHeader(make([]byte, 0, size), h)
 	for _, f := range frames {
 		b = f.Append(b)
 	}
 	return b
 }
 
+func appendHeader(b []byte, h PacketHeader) []byte {
+	var t byte = 0x40 // fixed bit
+	if h.Handshake {
+		t |= 0x80 // long-header flavour
+	}
+	b = append(b, t)
+	b = appendUint64(b, h.ConnID)
+	return appendUint64(b, h.Number)
+}
+
+// encode writes header and frames into w as Serialize would, except
+// that the payload of a STREAM or CRYPTO frame is not copied: w.refs gets
+// the frame's Data, in frame order, and w.b the frame's other bytes. An
+// empty payload takes no ref.
+func (w *wireBuf) encode(h PacketHeader, frames []Frame) {
+	w.b = appendHeader(w.b, h)
+	for _, f := range frames {
+		var data []byte
+		switch f := f.(type) {
+		case *StreamFrame:
+			w.b, data = f.appendHead(w.b), f.Data
+		case *CryptoFrame:
+			w.b, data = f.appendHead(w.b), f.Data
+		default:
+			w.b = f.Append(w.b)
+		}
+		if len(data) > 0 {
+			w.refs = append(w.refs, data)
+		}
+	}
+}
+
 // Parse decodes a wire packet into a freshly allocated Packet. Frame Data
 // slices alias b.
 func Parse(b []byte) (*Packet, error) {
-	return new(parser).parse(b)
+	return new(parser).parse(b, false, nil)
 }
 
 func appendUint64(b []byte, v uint64) []byte {

@@ -41,9 +41,9 @@ type Stream struct {
 	recvWindow   uint64 // window size used when extending the limit
 
 	// OnData is invoked with each in-order chunk; fin marks the last.
-	// data aliases the arriving datagram or a reassembly buffer, both of
-	// which are recycled when the callback returns: a consumer that wants
-	// the bytes later must copy them.
+	// data is read-only and valid only during the callback: it aliases
+	// the sender's payload memory, which other streams share (the zero
+	// page among it). A consumer that wants the bytes later copies them.
 	OnData func(data []byte, fin bool)
 
 	// BytesReceived counts delivered payload bytes.
@@ -61,16 +61,16 @@ type sendRun struct {
 	n    int
 }
 
-// zeroPage backs the payload of every frame cut from a WriteZeroes run.
-// All streams of all connections alias it, so it is read-only: frames are
-// only ever copied out of it into a wire buffer.
+// zeroPage backs the payload of every frame cut from a WriteZeroes run
+// and of every CRYPTO frame. All streams of all connections alias it, on
+// both ends, so it is read-only: nothing writes into a frame's Data.
 var zeroPage [MaxPayloadSize]byte
 
-// segment is buffered out-of-order stream data: a copy in a reassembly
-// chunk from the network's pool, never the datagram it arrived in.
+// segment is buffered out-of-order stream data, kept as the slice it
+// arrived as: a wire buffer's ref, which nothing writes (wireBuf).
 type segment struct {
-	off   uint64
-	chunk *wireBuf
+	off  uint64
+	data []byte
 }
 
 // Write queues a copy of data for transmission and kicks the send path.
@@ -205,9 +205,9 @@ func (s *Stream) onFrameAcked(f *StreamFrame) {
 
 // receive ingests a STREAM frame, reassembles, and delivers in-order data.
 // It returns the number of new bytes that count against flow control
-// (i.e. bytes extending the highest received offset). f.Data is only read
-// during the call: in-order data is delivered straight from it, anything
-// that has to wait is copied into a reassembly chunk.
+// (i.e. bytes extending the highest received offset). In-order data is
+// delivered straight from f.Data; data that has to wait is kept by
+// reference.
 func (s *Stream) receive(f *StreamFrame) uint64 {
 	end := f.Offset + uint64(len(f.Data))
 	var newHighest uint64
@@ -240,8 +240,8 @@ func (s *Stream) receive(f *StreamFrame) uint64 {
 	return newHighest
 }
 
-// insertSegment buffers a copy of data at off, keeping segments sorted
-// (a new segment goes before buffered ones with the same offset).
+// insertSegment buffers data at off, keeping segments sorted (a new
+// segment goes before buffered ones with the same offset).
 func (s *Stream) insertSegment(off uint64, data []byte) {
 	if s.segHead > 0 && len(s.segments) == cap(s.segments) {
 		n := copy(s.segments, s.segments[s.segHead:])
@@ -252,19 +252,7 @@ func (s *Stream) insertSegment(off uint64, data []byte) {
 	i := s.segHead + sort.Search(len(live), func(i int) bool { return live[i].off >= off })
 	s.segments = append(s.segments, segment{})
 	copy(s.segments[i+1:], s.segments[i:])
-	chunk := s.conn.ep.pool.get()
-	chunk.b = append(chunk.b, data...)
-	s.segments[i] = segment{off: off, chunk: chunk}
-}
-
-// dropSegments gives every buffered chunk back to the pool: the
-// connection is torn down and will deliver nothing more.
-func (s *Stream) dropSegments() {
-	for _, seg := range s.segments[s.segHead:] {
-		s.conn.ep.pool.put(seg.chunk)
-	}
-	clear(s.segments)
-	s.segments, s.segHead = s.segments[:0], 0
+	s.segments[i] = segment{off: off, data: data}
 }
 
 // deliverData hands the next in-order bytes to the application and
@@ -294,10 +282,9 @@ func (s *Stream) deliver() {
 		if s.segHead++; s.segHead == len(s.segments) {
 			s.segments, s.segHead = s.segments[:0], 0
 		}
-		if data := seg.chunk.b; seg.off+uint64(len(data)) > s.recvOffset { // not fully duplicate
-			s.deliverData(data[s.recvOffset-seg.off:])
+		if seg.off+uint64(len(seg.data)) > s.recvOffset { // not fully duplicate
+			s.deliverData(seg.data[s.recvOffset-seg.off:])
 		}
-		s.conn.ep.pool.put(seg.chunk)
 	}
 	if s.haveFinal && s.recvOffset == s.finalSize && !s.finDelivered {
 		s.finDelivered = true

@@ -267,7 +267,8 @@ func TestRangeSetAckRangesOrder(t *testing.T) {
 // buildAck reports the received-packet set as the ACK frame's ranges: the
 // 32 most recent runs of packet numbers, descending, each a closed range,
 // whatever order and however often the packets arrived. The oracle is the
-// runs of a bitmap of what arrived.
+// runs of a bitmap of what arrived. After every packet the frame encodes
+// as the same ranges do without the connection's reused tail encoding.
 func TestBuildAckRanges(t *testing.T) {
 	check := func(t *testing.T, pns []uint64) {
 		t.Helper()
@@ -280,6 +281,11 @@ func TestBuildAckRanges(t *testing.T) {
 			}
 			got[pn] = true
 			c.handlePacket(&Packet{Header: PacketHeader{ConnID: 1, Number: pn}})
+			ack := c.buildAck()
+			fresh := &AckFrame{Ranges: ack.Ranges, AckDelay: ack.AckDelay}
+			if enc := ack.Append(nil); !bytes.Equal(enc, fresh.Append(nil)) || ack.WireLen() != len(enc) {
+				t.Fatalf("after packet %d: ACK %v encodes as %x (WireLen %d), want %x", pn, ack.Ranges, enc, ack.WireLen(), fresh.Append(nil))
+			}
 		}
 		if c.Stats.DuplicatesRecv != dups {
 			t.Errorf("DuplicatesRecv = %d, want %d", c.Stats.DuplicatesRecv, dups)
